@@ -58,9 +58,14 @@
 // blocked nanoseconds, batches/points accepted) that make backpressure
 // observable before clients start timing out.
 //
+// Profiling a live session: start with -pprof (off by default) and
+// point the toolchain at the running server, e.g.
+// `go tool pprof 'http://localhost:8080/debug/pprof/profile?seconds=10'`
+// or `.../debug/pprof/heap`.
+//
 // Usage:
 //
-//	mbserver -addr :8080
+//	mbserver -addr :8080 [-pprof]
 //	curl -s localhost:8080/query -d @query.json
 //	id=$(curl -s localhost:8080/stream/start -d @query.json | jq -r .id)
 //	curl -s localhost:8080/stream/$id
@@ -87,6 +92,7 @@ import (
 	"math"
 	"mime"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"runtime"
 	"strconv"
@@ -103,11 +109,16 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
+	profiling := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	flag.Parse()
 
+	mux := newMux(newStreamRegistry())
+	if *profiling {
+		mountPprof(mux)
+	}
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           newMux(newStreamRegistry()),
+		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	log.Printf("mbserver listening on %s", *addr)
@@ -132,6 +143,18 @@ func newMux(reg *streamRegistry) *http.ServeMux {
 	mux.HandleFunc("GET /stream/{id}/checkpoint", reg.handleCheckpoint)
 	mux.HandleFunc("POST /stream/{id}/checkpoint", reg.handleResume)
 	return mux
+}
+
+// mountPprof adds the net/http/pprof handlers (index and named
+// profiles, cmdline, profile, symbol, trace) to mux. Off unless
+// -pprof is given: profiles expose process internals.
+func mountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("POST /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
 // queryResponse is the JSON report returned to programmatic consumers.

@@ -180,6 +180,10 @@ func TestStreamEndpointsLifecycle(t *testing.T) {
 	if poll.ID != id {
 		t.Errorf("poll id %q, want %q", poll.ID, id)
 	}
+	// Stop only once the run has read the CSV: a stop that beats the
+	// first batch (about two runs in three on a 2-core box) reports a
+	// legitimately empty stream and fails every check below.
+	waitStreamDone(t, srv, id)
 
 	var final streamResponse
 	if code := postJSON(t, srv.URL+"/stream/"+id+"/stop", &final); code != http.StatusOK {
@@ -655,4 +659,32 @@ func TestStreamPushBinaryErrors(t *testing.T) {
 	}
 	waitStreamDone(t, srv, id)
 	postJSON(t, srv.URL+"/stream/"+id+"/stop", nil)
+}
+
+// TestPprofMountedOnlyOnRequest pins both states of the -pprof flag:
+// the default mux serves nothing under /debug/pprof/, and mountPprof
+// adds the index and the named profiles without disturbing the API
+// routes.
+func TestPprofMountedOnlyOnRequest(t *testing.T) {
+	get := func(mux *http.ServeMux, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	off := newMux(newStreamRegistry())
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline"} {
+		if rec := get(off, path); rec.Code != http.StatusNotFound {
+			t.Errorf("pprof off: GET %s = %d, want 404", path, rec.Code)
+		}
+	}
+	on := newMux(newStreamRegistry())
+	mountPprof(on)
+	if rec := get(on, "/debug/pprof/"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "goroutine") {
+		t.Errorf("pprof on: index = %d, body lists no profiles", rec.Code)
+	}
+	for _, path := range []string{"/debug/pprof/heap", "/debug/pprof/cmdline", "/debug/pprof/symbol", "/healthz"} {
+		if rec := get(on, path); rec.Code != http.StatusOK {
+			t.Errorf("pprof on: GET %s = %d, want 200", path, rec.Code)
+		}
+	}
 }

@@ -66,8 +66,8 @@
 // that must be global. classify.Streaming exports a mergeable score
 // summary (the ADR score reservoir's weighted sample); every
 // Config.CoordinateEvery points of stream progress, a coordinator
-// goroutine in core.StreamRunner collects the summaries over the same
-// worker control channels the snapshot path uses, pools them into a
+// goroutine in core.StreamRunner collects the summaries on the worker
+// goroutines between batches, as the snapshot path does, pools them into a
 // weighted global quantile (stats.WeightedQuantile — each reservoir
 // weighted by the decayed point mass it represents), and pushes the
 // pooled cutoff back to every shard (classify.Streaming.
@@ -159,11 +159,19 @@
 //   - Node arenas. cps.Tree (M-CPS/CPS) and fptree.Tree store nodes in
 //     one contiguous slab ([]node addressed by int32 indexes) in
 //     first-child/next-sibling layout, with per-item node-link chains
-//     as int32 indexes too. Child lookup at the root — where fan-out
-//     is largest — is a dense rank-indexed table; deeper levels use
-//     short sibling scans. Decay is a linear sweep over the slab, and
-//     Clone (the cost of every sharded-poll snapshot) is a handful of
-//     slab memcpys instead of a path-by-path rebuild.
+//     as int32 indexes too. Child lookup is constant time at every
+//     level: the root's children through a dense rank-indexed table
+//     (all a one-attribute query ever uses), every deeper node through
+//     an arena-owned open-addressed (parent, item) -> child hash index
+//     in one flat []int32 — with six attributes of cardinality 40-5000
+//     the fan-out sits at depth two and three, where walking sibling
+//     lists was 61% of a complex query's server CPU. The index is
+//     scratch derived from the node slab: Clone does not copy it, an
+//     insert rebuilds it lazily, Reset drops it in O(1)
+//     (internal/itemtree has the invariants). Decay is a linear sweep
+//     over the slab, and Clone (the cost of every sharded-poll
+//     snapshot) is a handful of slab memcpys instead of a path-by-path
+//     rebuild.
 //
 //   - Dense id tables. Per-item rank, header, frequent-filter, and
 //     sketch tables are flat slices indexed directly by attribute id.
@@ -240,7 +248,8 @@
 // (fptree.BuildInto, fptree.Miner), so a steady-state mine allocates
 // only its output itemsets. Regression cover: cmd/mbbench -bench
 // measures the hot-path kernels and -compare fails CI on >2x ns/op or
-// allocs/op inflation against the committed BENCH_PR8.json baseline.
+// allocs/op inflation against the committed baseline (see "Continuous
+// integration").
 //
 // # Delta mining and early-exit ranking
 //
@@ -416,6 +425,24 @@
 // CacheStats.SnapshotsElided, next to the other cache counters in the
 // /stream/{id} response, makes the savings observable per session.
 //
+// Nor does a poll wait out a model refit. A shard answers snapshot
+// requests on its worker goroutine between batches, and the one thing
+// that keeps a worker inside a batch for hundreds of milliseconds is a
+// classifier retrain (FastMCD over the 10K-point reservoir: ~0.25 s a
+// shard on firehose_xc, every 100K points). A session's workers
+// therefore hand classify.Streaming an offload function
+// (core.Offloader): the fit runs on a helper goroutine while the
+// worker — blocked for ingest exactly as before, so what is computed,
+// and from which points, is unchanged — keeps serving snapshots. The
+// explainer is between batches at that point and the snapshot reads
+// nothing of the classifier but its threshold; coordination requests,
+// which read and write the classifier, travel on their own control
+// channel and still wait for the batch to end. Once PR 15 had taken
+// a poll_drift poll from ~220 ms to ~45 ms, meeting a refit cost a poll
+// five times its own work, and whether more than half of a run's polls
+// did decided its median: answer_p50_ms read 35-175 ms run to run. It
+// now reads 27-31 ms (firehose_xc: 99-125 ms).
+//
 // # Allocation-free ingest data plane
 //
 // The ingest data plane — producer, partition read, partition→shard
@@ -532,4 +559,43 @@
 // boundaries intact, so a retried run's answer is identical to a
 // fault-free one; examples/firehose exposes the same knobs via -chaos
 // flags.
+//
+// # Profiling a live session
+//
+// mbserver -pprof (off by default) mounts net/http/pprof under
+// /debug/pprof/ on the API mux; profile a running session with
+// `go tool pprof 'http://host:port/debug/pprof/profile?seconds=10'`
+// (or .../heap). Size a performance change from such a profile taken
+// inside a bench/ workload window, not from a kernel benchmark alone.
+//
+// # Continuous integration
+//
+// .github/workflows/ci.yml is kept declarative; the reasons live here.
+//
+//   - test runs vet, build and `go test -race ./...` on a Go matrix:
+//     1.22 is the go.mod floor, 1.24 the toolchain every committed
+//     BENCH_*.json and every bench/ number is recorded with. The same
+//     job runs the kernel regression gate: `cmd/mbbench -bench -compare
+//     <baseline>` fails when a hot-path kernel disappears or inflates
+//     more than 2x against the committed baseline — allocs/op always,
+//     ns/op only when the baseline's hardware and GOMAXPROCS match the
+//     runner's, so shared-runner wall-clock noise cannot flake it (a
+//     mismatch is a warning; parallel kernels measure the core budget
+//     there, not the code). A regression lands only together with a new
+//     justified baseline; pre-existing kernels are pinned at
+//     PollParallelism 1 so baselines do not drift with the runner.
+//   - bench-smoke runs the end-to-end harness's own tests (`cd bench &&
+//     go test ./...`: every workload at toy size, and the test that
+//     the staged replay still matches the server). bench/ is a separate
+//     module that the root `go test ./...` does not see.
+//   - parallel-poll forces GOMAXPROCS=4 under -race so the striped
+//     merge/mine/recount workers and the poll bypass really interleave;
+//     the default job may land on fewer cores, where they serialize.
+//   - fuzz-replay replays every committed testdata/fuzz seed under
+//     -race: the oracles (brute-force tree model, cache-disabled
+//     explainer twin) rerun the exact scripts that once found or nearly
+//     found bugs, deterministically.
+//   - chaos runs the fault-injection, retry, resume and degradation
+//     suites across a fixed seed matrix; reproduce a leg locally with
+//     MACROBASE_CHAOS_SEED=<seed>.
 package macrobase

@@ -130,6 +130,10 @@ type Streaming struct {
 	// measurable on the ingest profile.
 	quantScratch []float64
 
+	// offload, when set, runs a model fit to completion (see
+	// SetOffload).
+	offload func(work func())
+
 	// Retrains counts model fits, exposed for tests and diagnostics.
 	Retrains int
 }
@@ -150,6 +154,25 @@ func NewStreaming(cfg StreamingConfig, trainer Trainer) *Streaming {
 		model:        nil,
 		retrainPhase: cfg.RetrainOffset,
 	}
+}
+
+// SetOffload implements core.Offloader: model fits go through run,
+// which must return only once the work it is given has. During a fit
+// the classifier is part-way through a batch; Threshold and
+// ThresholdIsGlobal stay readable from the goroutine that called
+// ClassifyBatch (the fit reads the input reservoir and nothing else),
+// every other method must wait for the batch to end.
+func (s *Streaming) SetOffload(run func(work func())) { s.offload = run }
+
+// fit trains a model on the input reservoir, through the offload
+// function when one is set.
+func (s *Streaming) fit() (model Scorer, err error) {
+	sample := s.inputRes.Items()
+	if s.offload == nil {
+		return s.trainer(sample)
+	}
+	s.offload(func() { model, err = s.trainer(sample) })
+	return model, err
 }
 
 // Model returns the current scorer (nil during warmup).
@@ -303,7 +326,7 @@ func (s *Streaming) ClassifyBatch(dst []core.LabeledPoint, batch []core.Point) [
 func (s *Streaming) retrain() {
 	s.sinceTrain = s.retrainPhase
 	s.retrainPhase = 0
-	model, err := s.trainer(s.inputRes.Items())
+	model, err := s.fit()
 	if err != nil {
 		return
 	}
@@ -368,4 +391,5 @@ func (s *Streaming) Decay() {
 
 var _ core.Classifier = (*Streaming)(nil)
 var _ core.Decayable = (*Streaming)(nil)
+var _ core.Offloader = (*Streaming)(nil)
 var _ ThresholdCoordinable = (*Streaming)(nil)

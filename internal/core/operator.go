@@ -46,6 +46,21 @@ type Classifier interface {
 	ClassifyBatch(dst []LabeledPoint, batch []Point) []LabeledPoint
 }
 
+// Offloader is implemented by classifiers whose ClassifyBatch now and
+// then stalls in one long computation that touches no operator state
+// but its own inputs — in practice a model refit. SetOffload hands the
+// classifier a function that runs such a computation to completion; the
+// sharded engine's implementation moves it to a helper goroutine and
+// keeps answering snapshot requests on the shard's worker goroutine
+// meanwhile, so a live poll does not wait out a refit (see
+// StreamRunner.SnapshotShard for what a snapshot may read then). The
+// classifier still blocks until work returns, so what it computes, and
+// when, is unchanged. A classifier never handed a function calls work
+// inline.
+type Offloader interface {
+	SetOffload(run func(work func()))
+}
+
 // Explainer aggregates labeled points and produces explanations on
 // demand (stream<(label, Point)> -> stream<Explanation>); it acts as a
 // streaming view maintainer (paper §3.2 step 4).

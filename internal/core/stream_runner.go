@@ -157,6 +157,13 @@ type StreamRunner struct {
 	// passed to Snapshot (nil when the caller sent none); hooks use it
 	// to skip work — e.g. returning a signature-only marker instead of
 	// a clone when the hint proves the state unchanged.
+	//
+	// A classifier that implements Offloader is also snapshotted while
+	// it waits for an offloaded computation: the transforms and the
+	// explainer are then exactly as the previous batch left them, but
+	// the classifier is part-way through the current one, so the hook
+	// may read only what the classifier keeps readable there (for
+	// classify.Streaming, the threshold accessors).
 	SnapshotShard func(shard int, pl ShardPipeline, hint any) any
 	// OnBatch, if non-nil, observes each shard's labeled batches
 	// (called on worker goroutines; must be safe for concurrent use).
@@ -274,10 +281,10 @@ type ShardCoordinator struct {
 }
 
 // snapshotReq is a control-plane request served on a worker goroutine
-// between batches: a snapshot (fn nil; answered via SnapshotShard) or
-// a coordination collect/apply (fn non-nil; answered with fn's
-// result). reply is buffered so workers never block on a slow
-// requester.
+// between batches: a snapshot (fn nil; answered via SnapshotShard,
+// sent on the worker's snap channel) or a coordination collect/apply
+// (fn non-nil; answered with fn's result, sent on its ctl channel).
+// reply is buffered so workers never block on a slow requester.
 type snapshotReq struct {
 	hint  any
 	fn    func(shard int, pl ShardPipeline) any
@@ -289,11 +296,12 @@ type shardWorker struct {
 	r     *StreamRunner
 	pl    ShardPipeline
 	data  chan *Batch
-	pool  *BatchPool    // consumed batches go back here, not to the GC
-	drain chan struct{} // closed by an abandoning Run: consume what's queued, flush, exit
-	snap  chan snapshotReq
-	done  chan struct{} // closed when the worker has drained and flushed
-	exec  pipeExec      // the shared batch kernel, one replica per shard
+	pool  *BatchPool       // consumed batches go back here, not to the GC
+	drain chan struct{}    // closed by an abandoning Run: consume what's queued, flush, exit
+	snap  chan snapshotReq // snapshots: also served during an offloaded computation
+	ctl   chan snapshotReq // coordination: touches the classifier, so between batches only
+	done  chan struct{}    // closed when the worker has drained and flushed
+	exec  pipeExec         // the shared batch kernel, one replica per shard
 
 	// Per-shard live counters, readable mid-run (LiveShardStats): the
 	// load/outlier view that makes hash skew observable while the
@@ -373,6 +381,36 @@ func (w *shardWorker) serve(req snapshotReq) {
 		v = w.failure // the hook itself panicked: state is suspect
 	}
 	req.reply <- v
+}
+
+// offload is the Offloader function of this shard's classifier: it runs
+// work on a helper goroutine and answers snapshot requests on the worker
+// goroutine until work returns. A refit is the one place a worker stays
+// inside a batch for hundreds of milliseconds; a poll made to wait it
+// out pays several times its own cost, and whether a poll meets a refit
+// is a matter of timing, so poll latency would differ from run to run.
+// Only snapshots are served: they read the explainer, which is between
+// batches here, whereas coordination requests read and write the
+// classifier and stay queued on ctl until the batch ends. A panic in
+// work is re-raised on the worker goroutine, where consume's recover
+// quarantines the shard.
+func (w *shardWorker) offload(work func()) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		work()
+	}()
+	for {
+		select {
+		case p := <-done:
+			if p != nil {
+				panic(p)
+			}
+			return
+		case req := <-w.snap:
+			w.serve(req)
+		}
+	}
 }
 
 // ErrNotStreaming is returned by Snapshot outside a Run.
@@ -518,7 +556,11 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 			pool:  pool,
 			drain: make(chan struct{}),
 			snap:  make(chan snapshotReq),
+			ctl:   make(chan snapshotReq),
 			done:  make(chan struct{}),
+		}
+		if off, ok := w.pl.Classifier.(Offloader); ok && r.SnapshotShard != nil {
+			off.SetOffload(w.offload)
 		}
 		w.exec = pipeExec{
 			transforms: w.pl.Transforms,
@@ -545,7 +587,8 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	}
 
 	// The coordinator rides the same control plane as snapshots (the
-	// snap channels) and the same teardown (quit + snapWg), so Run
+	// workers' ctl channels beside their snap channels, served by the
+	// same loop) and the same teardown (quit + snapWg), so Run
 	// cannot hand the pipelines to its caller while a Collect or Apply
 	// is still touching them. Rebalancing shares the goroutine and its
 	// boundary signal: with threshold coordination on, rebalance rounds
@@ -995,7 +1038,7 @@ func (r *StreamRunner) coordRound(workers []*shardWorker, reqs []snapshotReq, su
 	for i, w := range workers {
 		reqs[i] = snapshotReq{fn: c.Collect, reply: make(chan any, 1)}
 		select {
-		case w.snap <- reqs[i]:
+		case w.ctl <- reqs[i]:
 		case <-r.quit:
 			return false
 		}
@@ -1016,7 +1059,7 @@ func (r *StreamRunner) coordRound(workers []*shardWorker, reqs []snapshotReq, su
 	for i, w := range workers {
 		reqs[i] = snapshotReq{fn: apply, reply: make(chan any, 1)}
 		select {
-		case w.snap <- reqs[i]:
+		case w.ctl <- reqs[i]:
 		case <-r.quit:
 			return false
 		}
@@ -1171,6 +1214,8 @@ func (w *shardWorker) run(wg *sync.WaitGroup) {
 			}
 		case req := <-w.snap:
 			w.serve(req)
+		case req := <-w.ctl:
+			w.serve(req)
 		}
 	}
 }
@@ -1184,6 +1229,8 @@ func (w *shardWorker) serveSnapshots() {
 	for {
 		select {
 		case req := <-w.snap:
+			w.serve(req)
+		case req := <-w.ctl:
 			w.serve(req)
 		case <-w.r.quit:
 			return

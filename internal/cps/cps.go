@@ -12,15 +12,20 @@
 // directly by attribute id. Attribute ids are dense by construction of
 // encode.Encoder — that density is load-bearing; see the package
 // documentation at the repository root. Negative ids are ignored.
-// Steady-state inserts touch no allocator: the arena grows only when a
-// genuinely new prefix node appears, and all traversal scratch is owned
-// by the tree and reused.
+// An insert costs one constant-time child lookup per item — a table
+// read at the root, a hash probe into the arena's child index below it
+// — whatever the fan-out, and so do the replays inside Restructure and
+// Merge. Steady-state inserts touch no allocator: the arena grows only
+// when a genuinely new prefix node appears, and all traversal scratch
+// is owned by the tree and reused.
 //
 // Because query-style methods (Mine, ItemsetSupport, ForEachPath, and
 // the read side of Merge) also run over that reusable scratch, a Tree
 // is not safe for concurrent use — not even for concurrent reads.
 // Confine each tree to one goroutine or clone it (Clone is a slab
-// memcpy, which is what the sharded engine's snapshot protocol does).
+// memcpy — the child index is not copied, a clone that is inserted into
+// rebuilds it — which is what the sharded engine's snapshot protocol
+// does).
 package cps
 
 import (
@@ -58,11 +63,13 @@ type Tree struct {
 
 	// Reusable scratch. itemScratch holds the filtered, rank-sorted
 	// transaction during Insert; path* hold the flattened (path,
-	// weight) extraction used by Restructure/Mine/Merge/ForEachPath;
+	// weight) extraction used by Restructure/Mine; walkPath is the one
+	// path ForEachPath (and so the read side of Merge) has in hand;
 	// pathSlices re-slices pathItems for fptree.Build; queryScratch
 	// serves ItemsetSupport; countByID orders restructures without a
 	// map.
 	itemScratch  []int32
+	walkPath     []int32
 	pathItems    []int32
 	pathOffs     []int32 // len(paths)+1 offsets into pathItems
 	pathW        []float64
@@ -260,38 +267,46 @@ func (t *Tree) Epoch() uint64 { return t.epoch }
 // NumNodes reports the number of tree nodes (excluding the root).
 func (t *Tree) NumNodes() int { return t.arena.NumNodes() }
 
-// extractPaths materializes the tree's transactions as flattened
-// (path, weight) records in the tree's reusable path buffers, using
-// terminal counts: a node whose count exceeds the sum of its children's
-// counts terminates that many transactions. pathOffs carries
-// len(paths)+1 offsets into pathItems.
+// pathEps is the terminal weight below which a node ends no
+// transaction (float residue of decayed counts).
+const pathEps = 1e-12
+
+// terminalWeight returns the weight of the transactions that end at
+// node i: a node whose count exceeds the sum of its children's counts
+// (taken in sibling-list order) terminates that many transactions.
+func terminalWeight(nodes []itemtree.Node, i int32) float64 {
+	childSum := 0.0
+	for c := nodes[i].First; c != itemtree.NilIdx; c = nodes[c].Next {
+		childSum += nodes[c].Count
+	}
+	return nodes[i].Count - childSum
+}
+
+// appendPath appends the items on the path from the root down to node
+// i, root first.
+func appendPath(dst []int32, nodes []itemtree.Node, i int32) []int32 {
+	start := len(dst)
+	for p := i; p != itemtree.NilIdx; p = nodes[p].Parent {
+		dst = append(dst, nodes[p].Item)
+	}
+	slices.Reverse(dst[start:])
+	return dst
+}
+
+// extractPaths materializes ForEachPath's transactions as flattened
+// (path, weight) records in the tree's reusable path buffers, for the
+// callers that need them all at once (Restructure resets the tree
+// before replaying them; Mine hands them to a two-pass FP-tree build).
+// pathOffs carries len(paths)+1 offsets into pathItems.
 func (t *Tree) extractPaths() {
-	const eps = 1e-12
-	nodes := t.arena.Nodes
 	t.pathItems = t.pathItems[:0]
 	t.pathOffs = append(t.pathOffs[:0], 0)
 	t.pathW = t.pathW[:0]
-	for i := 1; i < len(nodes); i++ {
-		n := &nodes[i]
-		childSum := 0.0
-		for c := n.First; c != itemtree.NilIdx; c = nodes[c].Next {
-			childSum += nodes[c].Count
-		}
-		term := n.Count - childSum
-		if term <= eps {
-			continue
-		}
-		start := len(t.pathItems)
-		for p := int32(i); p != itemtree.NilIdx; p = nodes[p].Parent {
-			t.pathItems = append(t.pathItems, nodes[p].Item)
-		}
-		// Reverse into root-first order.
-		for a, b := start, len(t.pathItems)-1; a < b; a, b = a+1, b-1 {
-			t.pathItems[a], t.pathItems[b] = t.pathItems[b], t.pathItems[a]
-		}
+	t.ForEachPath(func(items []int32, w float64) {
+		t.pathItems = append(t.pathItems, items...)
 		t.pathOffs = append(t.pathOffs, int32(len(t.pathItems)))
-		t.pathW = append(t.pathW, term)
-	}
+		t.pathW = append(t.pathW, w)
+	})
 }
 
 // numPaths returns the number of extracted paths.
@@ -493,13 +508,21 @@ func (t *Tree) ItemsetSupportCapped(items []int32, cap float64) (float64, bool) 
 }
 
 // ForEachPath visits the tree's stored transactions as (items, weight)
-// pairs, the export half of tree merging: replaying every visited path
-// into an empty tree reproduces this tree's counts. The items slice is
-// only valid for the duration of the call.
+// pairs in node order, the export half of tree merging: replaying every
+// visited path into an empty tree reproduces this tree's counts. Paths
+// are streamed through one path-sized buffer rather than materialized —
+// a merged poll reads each source snapshot exactly once, and a full
+// path set is about as large as the node slab itself. The items slice
+// is only valid for the duration of the call.
 func (t *Tree) ForEachPath(f func(items []int32, weight float64)) {
-	t.extractPaths()
-	for i := 0; i < t.numPaths(); i++ {
-		f(t.path(i), t.pathW[i])
+	nodes := t.arena.Nodes
+	for i := int32(1); int(i) < len(nodes); i++ {
+		term := terminalWeight(nodes, i)
+		if term <= pathEps {
+			continue
+		}
+		t.walkPath = appendPath(t.walkPath[:0], nodes, i)
+		f(t.walkPath, term)
 	}
 }
 
@@ -530,6 +553,10 @@ func (t *Tree) Merge(src *Tree) {
 	}
 	saved := t.allowed
 	t.allowed = nil
+	// t is usually a Clone, whose slab has no spare capacity: reserve
+	// once for the most nodes the replay can add instead of regrowing
+	// (and abandoning) the slab log(n) times.
+	t.arena.Reserve(src.NumNodes())
 	src.ForEachPath(func(items []int32, w float64) {
 		t.Insert(items, w)
 	})

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"macrobase/internal/fptree"
@@ -349,6 +350,95 @@ func TestRestructureSteadyStateZeroAlloc(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("Restructure allocates %v allocs/run, want 0", n)
 	}
+}
+
+// TestMergeIntoGrownTreeZeroAlloc: Merge reserves the destination slab
+// once, so a merge into a tree that already has the room — and whose
+// child index and source-side path buffer are warm — touches no
+// allocator. (On the poll path the destination is a fresh Clone, where
+// that one reservation replaces log(n) regrowths of the node slab.)
+func TestMergeIntoGrownTreeZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewPCG(93, 94))
+	a, b := NewMCPS(), NewMCPS()
+	for _, tx := range randomTxs(rng, 400, 40, 5) {
+		a.Insert(tx, 1)
+	}
+	for _, tx := range randomTxs(rng, 400, 40, 5) {
+		b.Insert(tx, 1)
+	}
+	dst := a.Clone()
+	dst.arena.Reserve(12 * b.NumNodes()) // room for every merge below
+	before := dst.NumNodes()
+	// AllocsPerRun's warm-up call is the merge that adds b's nodes; the
+	// measured ones replay the same paths over them.
+	n := testing.AllocsPerRun(10, func() { dst.Merge(b) })
+	if n != 0 {
+		t.Fatalf("Merge into a pre-grown tree allocates %v allocs/run, want 0", n)
+	}
+	if dst.NumNodes() <= before {
+		t.Fatal("the merge added no nodes; the test would prove nothing")
+	}
+}
+
+// TestMergeReservesSlabOnce: folding a tree into a Clone (cap == len)
+// grows the node slab in one step to exactly len+src.NumNodes(), the
+// most the replay can need, never by repeated doubling.
+func TestMergeReservesSlabOnce(t *testing.T) {
+	rng := rand.New(rand.NewPCG(95, 96))
+	a, b := NewMCPS(), NewMCPS()
+	for _, tx := range randomTxs(rng, 2000, 60, 5) {
+		a.Insert(tx, 1)
+	}
+	for _, tx := range randomTxs(rng, 2000, 60, 5) {
+		b.Insert(tx, 1)
+	}
+	m := a.Clone()
+	m.Merge(b)
+	if c, want := cap(m.arena.Nodes), a.NumNodes()+1+b.NumNodes(); c != want {
+		t.Fatalf("merged slab cap %d, want one reservation of %d (%d + %d nodes)", c, want, a.NumNodes()+1, b.NumNodes())
+	}
+	if m.NumNodes() <= a.NumNodes() {
+		t.Fatal("the merge added no nodes")
+	}
+}
+
+// TestCountersReadConcurrentlyBesideIndex is the concurrent-read
+// carve-out under the race detector: a tree that has been inserted
+// into (so its child index exists) serves any number of Counters at
+// once, because the support walks read Nodes and Headers only and
+// never touch the index. Run with -race.
+func TestCountersReadConcurrentlyBesideIndex(t *testing.T) {
+	rng := rand.New(rand.NewPCG(97, 98))
+	tree := NewMCPS()
+	for _, tx := range randomTxs(rng, 3000, 50, 6) {
+		tree.Insert(tx, 1)
+	}
+	if len(tree.arena.Nodes) < 1000 {
+		t.Fatalf("tree too small (%d nodes) to have grown an index", len(tree.arena.Nodes))
+	}
+	queries := randomTxs(rng, 200, 50, 3)
+	want := make([]float64, len(queries))
+	for i, q := range queries {
+		want[i] = tree.ItemsetSupport(q)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var c Counter
+			c.Retarget(tree)
+			for i, q := range queries {
+				if got := c.Support(q); got != want[i] {
+					t.Errorf("Counter.Support(%v) = %v, want %v", q, got, want[i])
+				}
+				if got, exceeded := c.SupportCapped(q, want[i]); got != want[i] || exceeded {
+					t.Errorf("Counter.SupportCapped(%v) = %v,%v, want %v,false", q, got, exceeded, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestKeepAllRestructureLeavesMCPSOpen: a nil (keep-all) restructure

@@ -2,6 +2,7 @@ package cps
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -34,6 +35,35 @@ func (m *treeModel) insert(tx []int32) {
 	}
 	if len(kept) > 0 {
 		m.txs = append(m.txs, modelTx{items: kept, w: 1})
+	}
+}
+
+// clone deep-copies the model, the counterpart of Tree.Clone.
+func (m *treeModel) clone() *treeModel {
+	c := &treeModel{txs: append([]modelTx(nil), m.txs...)}
+	if m.allowed != nil {
+		c.allowed = map[int32]bool{}
+		for it := range m.allowed {
+			c.allowed[it] = true
+		}
+	}
+	return c
+}
+
+// merge applies Tree.Merge to the model: src's transactions join
+// unfiltered, and the insert filters union (no filter on either side
+// means no filter).
+func (m *treeModel) merge(src *treeModel) {
+	m.txs = append(m.txs, src.txs...)
+	if m.allowed == nil {
+		return
+	}
+	if src.allowed == nil {
+		m.allowed = nil
+		return
+	}
+	for it := range src.allowed {
+		m.allowed[it] = true
 	}
 }
 
@@ -137,6 +167,45 @@ func (m *treeModel) bruteMine(minCount float64) map[string]float64 {
 	return out
 }
 
+// byteTx expands one script byte into a transaction of up to three
+// distinct items, deep enough to land below the root's children.
+func byteTx(b byte) []int32 {
+	var tx []int32
+	for _, it := range []int32{int32(b % 9), int32((b >> 2) % 9), int32((b >> 4) % 9)} {
+		if !slices.Contains(tx, it) {
+			tx = append(tx, it)
+		}
+	}
+	slices.Sort(tx)
+	return tx
+}
+
+// checkMine mines the tree and requires the model's brute-force answer,
+// then cross-checks the support query path on every mined itemset.
+func checkMine(t *testing.T, tree *Tree, model *treeModel, minCount float64, data []byte) {
+	t.Helper()
+	mined := tree.Mine(minCount, 0)
+	got := map[string]float64{}
+	for _, is := range mined {
+		got[key(is.Items)] = is.Count
+	}
+	want := model.bruteMine(minCount)
+	if len(got) != len(want) {
+		t.Fatalf("mine(%v): %d itemsets, model %d\ntree %v\nmodel %v\nops %x", minCount, len(got), len(want), got, want, data)
+	}
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok || math.Abs(g-w) > 1e-9 {
+			t.Fatalf("mine(%v): itemset %s = %v, model %v (ops %x)", minCount, k, g, w, data)
+		}
+	}
+	for _, is := range mined {
+		if s := tree.ItemsetSupport(is.Items); math.Abs(s-is.Count) > 1e-9 {
+			t.Fatalf("ItemsetSupport(%v) = %v, mined %v (ops %x)", is.Items, s, is.Count, data)
+		}
+	}
+}
+
 // FuzzTreeOps decodes an op script from the fuzz input and checks the
 // M-CPS-tree against the model after every mine op. Op encoding, one
 // leading opcode byte each:
@@ -145,13 +214,25 @@ func (m *treeModel) bruteMine(minCount float64) map[string]float64 {
 //	0xA0-0xCF  restructure: next byte → threshold (opcode bit 4 set =
 //	           keep-all) and retain (bit 0: 0.5, else 1)
 //	0xD0-0xEF  mine + compare (next byte → minCount)
+//	0xF0-0xF7  clone, then diverge: the next two bytes are byteTx
+//	           transactions, the first inserted into the original, the
+//	           second into the clone (whose arena has to rebuild its
+//	           child index); both are mined and compared, the script
+//	           continues on the clone when opcode bit 0 is set, and the
+//	           other copy is kept as the next merge's source
+//	0xF8-0xFF  merge into clone: the kept copy (the tree itself when
+//	           there is none) is folded into a Clone of the tree, as a
+//	           merged poll does; the script continues on the result
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0x01, 1, 2, 3, 0xFF, 0x02, 1, 2, 0xFF, 0xD0, 0x01})
 	f.Add([]byte{0x01, 1, 2, 0xFF, 0xA1, 0x02, 0x03, 4, 5, 0xFF, 0xD1, 0x00})
 	f.Add([]byte{0x05, 0, 1, 2, 3, 0xFF, 0xB0, 0x00, 0x01, 0, 1, 0xFF, 0xD0, 0x02, 0xA0, 0x01, 0xD2, 0x01})
+	f.Add([]byte{0x01, 1, 2, 3, 4, 0xFF, 0xF1, 0x1B, 0xE4, 0x02, 1, 2, 5, 0xFF, 0xF8, 0xD0, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tree := NewMCPS()
 		model := &treeModel{}
+		var side *Tree // the other copy left by the last clone op
+		var sideModel *treeModel
 		lastEpoch := tree.Epoch()
 		inserts, mines := 0, 0
 		for i := 0; i < len(data) && inserts < 48 && mines < 12; i++ {
@@ -193,35 +274,42 @@ func FuzzTreeOps(f *testing.F) {
 					}
 					tree.Restructure(items, counts, retain)
 				}
-			default: // mine + compare
+			case op < 0xF0: // mine + compare
 				if i+1 >= len(data) {
 					break
 				}
 				i++
 				mines++
-				minCount := float64(1+int(data[i])%4) * 0.5
-				mined := tree.Mine(minCount, 0)
-				got := map[string]float64{}
-				for _, is := range mined {
-					got[key(is.Items)] = is.Count
+				checkMine(t, tree, model, float64(1+int(data[i])%4)*0.5, data)
+			case op < 0xF8: // clone, then diverge
+				if i+2 >= len(data) {
+					break
 				}
-				want := model.bruteMine(minCount)
-				if len(got) != len(want) {
-					t.Fatalf("mine(%v): %d itemsets, model %d\ntree %v\nmodel %v\nops %x", minCount, len(got), len(want), got, want, data)
+				c, cm := tree.Clone(), model.clone()
+				tree.Insert(byteTx(data[i+1]), 1)
+				model.insert(byteTx(data[i+1]))
+				c.Insert(byteTx(data[i+2]), 1)
+				cm.insert(byteTx(data[i+2]))
+				i += 2
+				inserts += 2
+				mines += 2
+				checkMine(t, tree, model, 1, data)
+				checkMine(t, c, cm, 1, data)
+				if op&1 == 1 {
+					tree, model, c, cm = c, cm, tree, model
 				}
-				for k, w := range want {
-					g, ok := got[k]
-					if !ok || math.Abs(g-w) > 1e-9 {
-						t.Fatalf("mine(%v): itemset %s = %v, model %v (ops %x)", minCount, k, g, w, data)
-					}
+				side, sideModel = c, cm
+			default: // merge into clone
+				src, srcModel := side, sideModel
+				if src == nil {
+					src, srcModel = tree, model
 				}
-				// Cross-check the support query path on every mined
-				// itemset.
-				for _, is := range mined {
-					if s := tree.ItemsetSupport(is.Items); math.Abs(s-is.Count) > 1e-9 {
-						t.Fatalf("ItemsetSupport(%v) = %v, mined %v (ops %x)", is.Items, s, is.Count, data)
-					}
-				}
+				dst, dm := tree.Clone(), model.clone()
+				dst.Merge(src)
+				dm.merge(srcModel)
+				tree, model = dst, dm
+				mines++
+				checkMine(t, tree, model, 1, data)
 			}
 			if e := tree.Epoch(); i < len(data) && e < lastEpoch {
 				t.Fatalf("epoch went backwards: %d -> %d", lastEpoch, e)

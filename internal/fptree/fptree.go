@@ -14,10 +14,14 @@
 // conditional tree's tables are proportional to its parent's item
 // count, never to the global id universe.
 //
-// Trees and miners are reusable: BuildInto rebuilds a tree in place on
-// its previous slabs, and MineWith threads a Miner whose per-depth
-// conditional-tree frames recycle their arenas across calls, so a
-// steady-state mine allocates only its output itemsets. A Tree or
+// Building costs one constant-time child lookup per inserted item (the
+// arena's root table and child index), for the top-level tree and for
+// every conditional tree alike. Trees and miners are reusable:
+// BuildInto rebuilds a tree in place on its previous slabs, and
+// MineWith threads a Miner whose per-depth conditional-tree frames
+// recycle their arenas — node slab and child-index slab — across calls,
+// each rebuild starting from an index sized for that conditional tree,
+// so a steady-state mine allocates only its output itemsets. A Tree or
 // Miner is not safe for concurrent use.
 package fptree
 

@@ -269,3 +269,44 @@ func TestNumNodes(t *testing.T) {
 		t.Errorf("NumNodes = %d, want 3", got)
 	}
 }
+
+// TestRebuildSteadyStateZeroAlloc: the FP-tree's Reset -> rebuild
+// cycles run on retained slabs, child index included — the top-level
+// BuildInto replay of a poll's mine and the conditional tree a miner
+// frame hosts for every header item of the recursion. Once warm,
+// neither touches the allocator, however many times a frame is reused.
+func TestRebuildSteadyStateZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 62))
+	txs := make([][]int32, 3000)
+	for i := range txs {
+		seen := map[int32]bool{}
+		for j := 0; j < 2+rng.IntN(5); j++ {
+			seen[int32(rng.IntN(60))] = true
+		}
+		for it := range seen {
+			txs[i] = append(txs[i], it)
+		}
+	}
+	tree := Build(txs, nil, 2)
+	if n := testing.AllocsPerRun(10, func() { BuildInto(tree, txs, nil, 2) }); n != 0 {
+		t.Errorf("steady-state BuildInto allocates %v allocs/run, want 0", n)
+	}
+	var m Miner
+	if len(tree.MineWith(&m, 5, 0)) == 0 { // warms the per-depth frames
+		t.Fatal("workload mined nothing")
+	}
+	cond := m.frame(0)
+	built := 0
+	conditionals := func() {
+		for r := range tree.order {
+			tree.conditionalInto(cond, int32(r), 5)
+			built += cond.NumNodes()
+		}
+	}
+	if n := testing.AllocsPerRun(10, conditionals); n != 0 {
+		t.Errorf("rebuilding conditional trees in a warm frame allocates %v allocs/run, want 0", n)
+	}
+	if built == 0 {
+		t.Fatal("every conditional tree was empty; the test would prove nothing")
+	}
+}

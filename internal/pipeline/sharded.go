@@ -582,7 +582,8 @@ func startSession(src core.Source, parts core.PartitionedSource, cfg Config, sha
 	// retained from a previous poll) matches the current state, the
 	// clone — the poll path's last remaining per-shard memcpy — is
 	// skipped entirely. The classifier threshold rides along either
-	// way, for the live skew breakdown.
+	// way, for the live skew breakdown; it is all the hook reads of the
+	// classifier, which may be mid-refit (classify.Streaming.SetOffload).
 	s.runner.SnapshotShard = func(shard int, pl core.ShardPipeline, hint any) any {
 		ex := pl.Explainer.(*explain.Streaming)
 		sn := shardSnap{sig: ex.Signature()}
@@ -658,8 +659,10 @@ func (s *StreamSession) Done() bool {
 
 // Poll returns the current reconciled explanation set and live
 // statistics. While the stream runs, per-shard summary clones are
-// taken on the shard workers between batches and merged off to the
-// side, without pausing ingest; after termination it returns the
+// taken on the shard workers between batches — or while a shard's
+// classifier refits its model, the one long stall inside a batch (see
+// core.Offloader) — and merged off to the side, without pausing
+// ingest; after termination it returns the
 // final result. Polls are served incrementally: a shard whose epoch
 // signature is unchanged since the previous poll skips its snapshot
 // clone outright (the retained snapshot stands in), a poll over fully
