@@ -542,8 +542,10 @@ func BenchmarkShardedStream(b *testing.B) {
 //     the incremental mining cache these polls are full hits: clone +
 //     signature check + cached-result replay, no mining at all.
 //
-// steady is the acceptance kernel for the PR 3 cache work (≥5x over
-// the pre-cache poll path, measured by the steady-nocache variant).
+// live is also the full poll path's kernel: moving state between polls
+// is what keeps a poll from being a replay. (PR 3 measured steady
+// against a cache-off twin, 2.53 ms vs 169 ms; the switch that twin
+// needed is gone — see doc.go's kernel trajectory table.)
 // The workload uses the complex (multi-attribute) CMT stream and a
 // generous outlier cut so the poll path is mining-bound, the regime
 // the paper's explanation workloads sit in.
@@ -579,10 +581,8 @@ func BenchmarkStreamSessionPoll(b *testing.B) {
 	// steady feeds the whole workload once, then blocks the source
 	// until the benchmark releases it (returning 0 then ends the
 	// stream, letting Stop drain cleanly) and times polls over the
-	// settled state. The nocache variant runs the identical regime
-	// with the explanation cache force-disabled — the cache-off vs
-	// cache-on ratio of the two is the PR 3 acceptance measurement.
-	steady := func(b *testing.B, cfg pipeline.Config) {
+	// settled state.
+	b.Run("steady", func(b *testing.B) {
 		fed := 0
 		release := make(chan struct{})
 		src := core.NewFuncSource(4096, func(dst []core.Point) int {
@@ -628,11 +628,5 @@ func BenchmarkStreamSessionPoll(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("steady", func(b *testing.B) { steady(b, cfg) })
-	b.Run("steady-nocache", func(b *testing.B) {
-		nocache := cfg
-		nocache.DisableExplainCache = true
-		steady(b, nocache)
 	})
 }

@@ -5,7 +5,7 @@ package main
 // through testing.Benchmark, embeds ns/op + allocs/op in the -json
 // report, and -compare fails the process (exit 1) when any kernel
 // inflates more than 2x in ns/op or allocs/op against a committed
-// baseline report (BENCH_PR6.json). CI runs the comparator on every
+// baseline report (BENCH_PR16.json). CI runs the comparator on every
 // push, so a hot path can only regress past 2x by committing a new
 // baseline.
 
@@ -86,9 +86,8 @@ func benchLabeledStream(n int) [][]core.LabeledPoint {
 }
 
 // benchExplainCfg pins PollParallelism to 1 so the committed ns/op and
-// allocs/op baselines for the serial kernels cannot drift with the
-// recording machine's GOMAXPROCS; the PollParallel kernels own the
-// parallel path and set their own W explicitly.
+// allocs/op baselines cannot drift with the recording machine's
+// GOMAXPROCS; the PollParallel kernels set their own W explicitly.
 var benchExplainCfg = explain.StreamingConfig{MinSupport: 0.005, MinRiskRatio: 1.2, DecayRate: 0.05, PollParallelism: 1}
 
 // warmExplainer replays the whole stream (with decay ticks) into a
@@ -104,16 +103,16 @@ func warmExplainer(cfg explain.StreamingConfig, batches [][]core.LabeledPoint) *
 	return s
 }
 
-// microBenchmarks measures the explanation hot paths the recent PRs
-// optimized: the per-point consume path, the poll path with the
-// incremental cache in each regime (disabled = the PR 2-era full
-// recompute, warm = steady-state full hits, inlier-moved = mined-table
-// reuse), and the raw FPGrowth mining kernel.
+// microBenchmarks measures the explanation hot paths: the per-point
+// consume path, the poll path in each regime a session meets (full =
+// the poll after a decay tick, which is what the end-to-end workloads'
+// polls are; warm = steady-state full hits; inlier-moved = mined-table
+// reuse; steady-drift = journal delta), and the raw FPGrowth mining
+// kernel. Every poll kernel gets its regime by moving state between
+// polls, as a session does — there is no switch that forces one.
 func microBenchmarks() []benchResult {
 	fmt.Println("### micro — explanation hot-path kernels (ns/op, allocs/op)")
 	batches := benchLabeledStream(60_000)
-	noCacheCfg := benchExplainCfg
-	noCacheCfg.DisableCache = true
 
 	var inliers []core.LabeledPoint
 	for _, bt := range batches {
@@ -154,40 +153,46 @@ func microBenchmarks() []benchResult {
 		}
 		drift[i] = d
 	}
-	// steadyDrift measures the per-poll cost under continuous small
-	// drift at steady state: every op moves the outlier side and polls,
-	// and the explainer is reset (untimed) to the same warm snapshot
-	// every len(drift) ops so per-op cost reflects the 60K-point
-	// working set, not b.N-dependent stream growth.
-	steadyDrift := func(cfg explain.StreamingConfig) func(b *testing.B) {
+	// steadyPoll measures one poll per op at steady state. move
+	// (untimed) shifts the explainer's state so the poll cannot replay
+	// its cache, and the explainer is reset (untimed) to the same warm
+	// snapshot every len(drift) ops so per-op cost reflects the
+	// 60K-point working set, not b.N-dependent drift. served picks the
+	// CacheStats counter the kernel is named for: a poll served any
+	// other way fails the run instead of quietly measuring another path.
+	steadyPoll := func(move func(s *explain.Streaming, i int), served func(explain.CacheStats) int64) func(b *testing.B) {
 		return func(b *testing.B) {
-			base := warmExplainer(cfg, batches)
+			base := warmExplainer(benchExplainCfg, batches)
 			base.Explanations()
 			var s *explain.Streaming
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
 				if i%len(drift) == 0 {
-					b.StopTimer()
 					s = base.Clone()
-					b.StartTimer()
 				}
-				s.Consume(drift[i%len(drift)])
+				move(s, i)
+				want := served(s.CacheStats()) + 1
+				b.StartTimer()
 				s.Explanations()
+				if served(s.CacheStats()) != want {
+					panic(fmt.Sprintf("steadyPoll: op %d was not served by the path under measurement: %+v", i, s.CacheStats()))
+				}
 			}
 		}
 	}
-	noDeltaCfg := benchExplainCfg
-	noDeltaCfg.DisableDeltaMine = true
 
 	// pollParallel builds 4 warmed shard explainers (the stream dealt
-	// round-robin, shared decay clock) and measures one full merged
-	// poll per op at the given PollParallelism. DisableCache keeps
-	// every op on the full merge+mine+recount path instead of the
-	// full-hit replay a static snapshot set would otherwise take.
+	// round-robin, shared decay clock) and measures one merged poll per
+	// op at the given PollParallelism: a few points land on one shard,
+	// then the session's MergeShared runs — clone + 4-leg shard merge +
+	// FPGrowth mine + canonical recount. The live shards' journals are
+	// never re-anchored at a snapshot, so no poll can be a delta (the
+	// end-to-end workloads' merged polls are full mines for the same
+	// reason, one decay tick later); the check below holds it to that.
 	pollParallel := func(w int) func(b *testing.B) {
 		return func(b *testing.B) {
 			cfg := benchExplainCfg
-			cfg.DisableCache = true
 			cfg.PollParallelism = w
 			shards := make([]*explain.Streaming, 4)
 			for i := range shards {
@@ -204,7 +209,12 @@ func microBenchmarks() []benchResult {
 			merger := explain.NewPollMerger()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				shards[i%len(shards)].Consume(drift[i%len(drift)])
 				merger.MergeShared(shards)
+			}
+			b.StopTimer()
+			if got := merger.Stats().FullMines; got != int64(b.N) {
+				panic(fmt.Sprintf("PollParallel: %d of %d polls were full mines", got, b.N))
 			}
 		}
 	}
@@ -286,13 +296,11 @@ func microBenchmarks() []benchResult {
 				}
 			}
 		}),
-		runKernel("StreamingExplain/poll-full", func(b *testing.B) {
-			s := warmExplainer(noCacheCfg, batches)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Explanations()
-			}
-		}),
+		// The poll after a decay tick: the restructure rewrote the tree,
+		// so the table is re-mined and recounted in full.
+		runKernel("StreamingExplain/poll-full", steadyPoll(
+			func(s *explain.Streaming, _ int) { s.Decay() },
+			func(c explain.CacheStats) int64 { return c.FullMines })),
 		runKernel("StreamingExplain/poll-warm", func(b *testing.B) {
 			s := warmExplainer(benchExplainCfg, batches)
 			s.Explanations() // prime the cache
@@ -312,19 +320,17 @@ func microBenchmarks() []benchResult {
 		}),
 		// Continuous small drift: every op moves the outlier side by a
 		// few points and polls, so each poll must refresh the mined
-		// table. With the journal this is a delta update over the
-		// changed paths; the -full twin disables delta mining and pays a
-		// full FPGrowth re-mine per poll. Their ratio is the delta win.
-		runKernel("DeltaMine/steady-drift", steadyDrift(benchExplainCfg)),
-		runKernel("DeltaMine/steady-drift-full", steadyDrift(noDeltaCfg)),
-		// Parallel poll-path kernel: one op is one full merged poll over
-		// 4 warmed shard snapshots with the incremental cache disabled —
-		// clone + 4-leg shard merge + FPGrowth mine + canonical recount,
-		// the whole pipeline the PollParallelism workers stripe. The -w1
-		// twin runs the identical workload on the serial path; the w4/w1
-		// ns/op ratio is the parallel speedup, expected >= 1.8x on a
-		// machine with >= 4 cores (on fewer cores the two converge, and
-		// -compare only warns because go_max_procs won't match).
+		// table — a delta update over the journal's changed paths. (Its
+		// full-re-mine twin went with the switch that forced it; the last
+		// recorded ratio is in doc.go's trajectory table.)
+		runKernel("DeltaMine/steady-drift", steadyPoll(
+			func(s *explain.Streaming, i int) { s.Consume(drift[i%len(drift)]) },
+			func(c explain.CacheStats) int64 { return c.DeltaMines })),
+		// Merged-poll kernel at W=4 and W=1: the same single
+		// implementation of every stage, striped four ways or run inline;
+		// the w4/w1 ns/op ratio is the parallel speedup, expected >= 1.8x
+		// on a machine with >= 4 cores (on fewer cores the two converge,
+		// and -compare only warns because go_max_procs won't match).
 		// Output-identity across W is pinned by the explain differential
 		// and golden tests, not here.
 		runKernel("PollParallel/p3s4", pollParallel(4)),

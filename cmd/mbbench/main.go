@@ -11,7 +11,7 @@
 //	mbbench -run quick -scale 0.02   # skips the heavy experiments
 //	mbbench -run fig6,mcps -json results.json   # machine-readable copy
 //	mbbench -bench -json results.json           # + hot-path micro-benchmarks
-//	mbbench -bench -compare BENCH_PR4.json      # fail on >2x ns/op or allocs/op
+//	mbbench -bench -compare BENCH_PR16.json     # fail on >2x ns/op or allocs/op
 package main
 
 import (
@@ -31,12 +31,12 @@ import (
 // environment metadata to compare runs across commits. CI uploads it
 // as an artifact so the perf trajectory accumulates.
 type jsonReport struct {
-	Schema      string           `json:"schema"` // "mbbench/v1"
-	Scale       float64          `json:"scale"`
-	GoVersion   string           `json:"go_version"`
-	GOOS        string           `json:"goos"`
-	GOARCH      string           `json:"goarch"`
-	NumCPU      int              `json:"num_cpu"`
+	Schema    string  `json:"schema"` // "mbbench/v1"
+	Scale     float64 `json:"scale"`
+	GoVersion string  `json:"go_version"`
+	GOOS      string  `json:"goos"`
+	GOARCH    string  `json:"goarch"`
+	NumCPU    int     `json:"num_cpu"`
 	// GoMaxProcs records the scheduler's parallelism at recording time.
 	// The PollParallel kernels scale with it, so -compare refuses to
 	// judge speedup ratios across differing core budgets (it warns
@@ -104,10 +104,10 @@ func main() {
 	}
 
 	report := jsonReport{
-		Schema:    "mbbench/v1",
-		Scale:     *scale,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
+		Schema:     "mbbench/v1",
+		Scale:      *scale,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),

@@ -178,6 +178,9 @@ func handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if !pollParallelismOK(w, cfg.PollParallelism) {
+		return
+	}
 	f, err := os.Open(cfg.Input)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -292,6 +295,18 @@ const pushInput = "push"
 // denial of service. Past the core count extra shards only fragment
 // the training samples anyway (see doc.go).
 var maxShards = max(64, 4*runtime.GOMAXPROCS(0))
+
+// pollParallelismOK holds the wire's pollParallelism to the bound shards
+// has, answering 400 otherwise: every poll starts that many workers and
+// keeps a counter and a miner for each, so an uncapped value is the same
+// one-request denial of service.
+func pollParallelismOK(w http.ResponseWriter, p int) bool {
+	if p > maxShards {
+		http.Error(w, fmt.Sprintf("pollParallelism must be <= %d", maxShards), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
 
 // streamState is one resident streaming query with its encoder (ids
 // must decode with the encoder that interned them) and either the open
@@ -430,6 +445,9 @@ func (g *streamRegistry) handleStart(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Shards > maxShards {
 		http.Error(w, fmt.Sprintf("shards must be <= %d", maxShards), http.StatusBadRequest)
+		return
+	}
+	if !pollParallelismOK(w, req.PollParallelism) {
 		return
 	}
 	if req.Input == pushInput {

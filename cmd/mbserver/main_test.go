@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -284,14 +285,22 @@ func TestStreamStartErrors(t *testing.T) {
 		"missing file":  `{"input":"/nonexistent.csv","metrics":["m"],"attributes":["a"]}`,
 		"neg shards":    `{"input":"/nonexistent.csv","metrics":["m"],"attributes":["a"],"shards":-2}`,
 		"huge shards":   `{"input":"/nonexistent.csv","metrics":["m"],"attributes":["a"],"shards":1000000000}`,
+		// A push session needs no file, so nothing but the bound on the
+		// poll worker count stands between this request and ten million
+		// goroutines per poll.
+		"huge pollParallelism": `{"input":"push","metrics":["m"],"attributes":["a"],"pollParallelism":10000000}`,
 	} {
 		resp, err := http.Post(srv.URL+"/stream/start", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if name == "huge pollParallelism" && !strings.Contains(string(msg), "pollParallelism must be <=") {
+			t.Errorf("%s: response %q does not name the bound", name, msg)
 		}
 	}
 	if code := getJSON(t, srv.URL+"/stream/nope", nil); code != http.StatusNotFound {

@@ -251,12 +251,12 @@
 // allocs/op inflation against the committed baseline (see "Continuous
 // integration").
 //
-// # Delta mining and early-exit ranking
+// # Delta mining
 //
 // The mined-table reuse above still re-mined from scratch whenever the
-// outlier side moved at all — the worst fit for the common steady
-// state of a monitored stream, where every poll interval sees a few
-// new outliers. Two mechanisms close that gap:
+// outlier side moved at all — the worst fit for the steady state of a
+// monitored stream polled more often than it decays, where every poll
+// interval sees a few new outliers. Two mechanisms close that gap:
 //
 //   - Changed-path journal. cps.Tree keeps a bounded journal of the
 //     post-filter item paths inserted since the last re-anchor
@@ -276,7 +276,9 @@
 //     the threshold is non-decreasing between restructures) are
 //     recounted with targeted ItemsetSupport queries. Steady drift
 //     costs O(changed paths), not O(tree): the DeltaMine/steady-drift
-//     kernel polls >5x faster than the full re-mine twin. Every path
+//     kernel polled 5.1x faster than a full re-mine of the same state
+//     when the two were last measured side by side (see the kernel
+//     table under "Kernel baseline"). Every path
 //     — full, delta, staged — computes counts canonically (by
 //     ItemsetSupport, never FPGrowth's accumulation order), so all
 //     paths are reflect.DeepEqual-identical; the full re-mine pays a
@@ -290,71 +292,89 @@
 //     across tree lineages. CacheStats adds DeltaMines (polls served
 //     by a delta) and JournalOverflows (delta attempted, fell back).
 //
-//   - Early-exit ranking. Scoring a candidate needs its inlier count
-//     only to decide the risk-ratio filter, and the filter is often
-//     decided long before the counting walk finishes: past the
-//     algebraic break-even inlier count (inlierBreakEven), no
-//     remaining chain mass can lift the ratio back over
-//     MinRiskRatio. ItemsetSupportCapped abandons the walk strictly
-//     past that bound (with a safety margin, so completed walks
-//     return exact counts and output is invariant); both the batch
-//     and streaming explainers use it, the streaming side counting
-//     abandoned walks in CacheStats.EarlyExits and gating the exit
-//     behind StreamingConfig.DisableEarlyExit.
-//
 // Correctness rides on the same differential harness as the cache: the
-// randomized sequential and sharded interleavings now drive the
-// delta-mine, overflow-fallback, and early-exit paths (the meta-test
-// asserts all three fire), and a go test -fuzz target
-// (explain.FuzzStreamingDelta) replays interleaved
-// insert/decay/restructure/poll scripts against both a cache-disabled
-// twin (bit-equality) and a brute-force weighted-multiset model
-// (independent recount), with the committed corpus replayed under
-// -race in CI.
+// randomized sequential and sharded interleavings drive the delta-mine
+// and overflow-fallback paths (the meta-test asserts both fire), and a
+// go test -fuzz target (explain.FuzzStreamingDelta) replays
+// interleaved insert/decay/restructure/poll scripts against both a
+// cache-disabled twin (bit-equality) and a brute-force
+// weighted-multiset model (independent recount), with the committed
+// corpus replayed under -race in CI. The cache-disabled and
+// always-full-mine twins are reference paths, selected by unexported
+// fields of explain.StreamingConfig that only that package's tests can
+// set: no binary, flag or wire field reaches them.
+//
+// An earlier version also cut an inlier counting walk short once its
+// running sum had passed the count at which the risk-ratio filter must
+// reject the candidate. It could not change an answer, and it never
+// changed a cost either: candidates are built from attributes that each
+// cleared the risk ratio on their own, so their joint inlier support
+// almost never runs past that break-even. At b1400f8, over three seeds
+// of each workload, it fired on none of the ~790K combination-table
+// entries filtered by firehose_xc and poll_drift (firehose_xs has one
+// attribute, hence no combinations) and on none of the 5,519 walks of
+// 45 batch_query answers. The fork, its counter and its switch were
+// deleted in PR 16.
 //
 // # Parallel poll pipeline
 //
-// The caches above make most polls cheap; the polls that still pay —
-// a cold merged poll, a decay-tick fallback, a first poll after heavy
-// drift — were single-core even on machines with idle cores. The poll
-// path is therefore parallel end to end, governed by one knob
-// (pipeline.Config.PollParallelism → explain.StreamingConfig.
-// PollParallelism, default GOMAXPROCS) and one contract: ranked output
-// is reflect.DeepEqual-identical for every worker count W, and W=1
-// runs the verbatim serial code — not a unified implementation that
-// happens to use one worker — so it is bit-exact with the historical
-// path by construction. Three stages fan out:
+// The caches above make some polls cheap; the polls that still pay — a
+// cold merged poll, every poll that follows a decay tick, a first poll
+// after heavy drift — were single-core even on machines with idle
+// cores. The poll path is therefore striped end to end, under one
+// setting (pipeline.Config.PollParallelism → explain.StreamingConfig.
+// PollParallelism, default GOMAXPROCS; it is a setting because mbserver
+// leaves it to the request and cmd/mbbench pins it to 1) and one
+// contract: ranked output is reflect.DeepEqual-identical for every
+// worker count W.
 //
-//   - Shard merge (explain.mergeInto): the merged fold touches four
-//     disjoint structures — outlier sketch, inlier sketch, outlier
-//     tree, inlier tree — so up to four workers each run the FULL
-//     sequential fold of one leg. Deliberately not a pairwise merge
-//     tree: float addition is non-associative and a merged tree's
-//     chain order depends on insertion order, so regrouping (a+b)+c
-//     into a+(b+c) changes bits; folding each leg in the same order as
-//     the serial code, just on its own goroutine, changes none.
+// Every stage has exactly one implementation, written against one
+// helper, fptree.RunStriped(workers, n, body): it clamps workers to the
+// index space n, hands worker w the stripe idx ≡ w (mod stride), and
+// when the stride is 1 runs the body inline on the polling goroutine —
+// no goroutine, no WaitGroup. W=1 is thus not a second code path but the
+// same body run once, and a table of one itemset polled at W=8 spawns
+// nothing. (PR 10 kept a serial twin beside each striped body and
+// proved the pairs bit-identical at every W; PR 16 deleted the twins on
+// the strength of that proof. What vouches for the bodies now is
+// independent of them: brute-force subset counting for the mine and the
+// streaming explainer, the cache-disabled twin, the recorded goldens.)
+// Three stages stripe:
 //
-//   - FPGrowth mining (fptree.Tree.MineParallelWith): top-level header
-//     items are striped across W miners, each with its own recycled
-//     frame arena; per-item results land in index-addressed slots and
-//     are concatenated in the serial loop's order, making the output
-//     element-wise identical to Mine regardless of W or scheduling.
+//   - Shard merge (explain.mergeInto) and the defensive clone before it
+//     (cloneWith): the fold touches four disjoint structures — outlier
+//     sketch, inlier sketch, outlier tree, inlier tree — so up to four
+//     workers each run the FULL sequential fold of one leg. Deliberately
+//     not a pairwise merge tree: float addition is non-associative and a
+//     merged tree's chain order depends on insertion order, so
+//     regrouping (a+b)+c into a+(b+c) changes bits; folding each leg in
+//     shard order, on whichever goroutine, changes none. Streaming.Merge
+//     and Clone are the same bodies at one worker.
 //
-//   - Canonical recounting (cps.Counter): the ItemsetSupport passes —
+//   - FPGrowth mining (fptree.Tree.MineParallelWith, which Mine and
+//     MineWith call with one miner): top-level header items are striped
+//     across W miners, each with its own recycled frame arena and a
+//     recycled output stage; the stages are stitched together in item
+//     order, making the output element-wise identical regardless of W
+//     or scheduling.
+//
+//   - Canonical recounting (cps.Counter): the support passes —
 //     combination filtering, full-table and delta-table recounts — are
 //     striped the same way. Counting walks are pure reads of the node
-//     arena (each worker owns a private query-scratch Counter), counts
-//     land in index-addressed slots, and early-exit tallies are summed
-//     per worker then added once, so even the CacheStats counters are
-//     W-invariant.
+//     arena (each worker owns a private query-scratch Counter, and a
+//     tree's own ItemsetSupport is one more Counter), counts land in
+//     pooled index-addressed slots, and which cache layer serves a poll
+//     is decided before any striping, so the CacheStats counters are
+//     W-invariant too.
 //
 // The ownership rule underneath: workers never share mutable state —
 // each owns either a disjoint structure (a merge leg) or a private
 // scratch object (a Miner, a Counter) plus exclusive index ranges of a
 // preallocated result slice — and the spawning goroutine assembles
-// results in serial order after all workers join. No atomics, no
+// results in index order after all workers join. No atomics, no
 // channels, no locks on the hot path; allocation patterns are
-// deterministic, so the allocs/op gates hold at every W.
+// deterministic, and at W=1 a warmed poll allocates no more than the
+// old serial code did (explain.TestPollAllocationsAtW1).
 //
 // The session layer turns the parallelism into latency rather than
 // contention: pipeline.StreamSession splits its old poll lock into
@@ -364,10 +384,48 @@
 // round merged lock-free on owned throwaway clones — so one slow mine
 // no longer convoys every concurrent poller (pinned by a
 // held-lock latency test and a -race hammer with rebalancing live).
-// Determinism across W is pinned by the differential harness, the
-// fuzz corpus, and the goldens, all replayed at W∈{1,2,4}; the
-// PollParallel/p3s4 mbbench kernel and its -w1 twin measure the
-// speedup (>= 1.8x at W=4 on a 4-core machine).
+// Determinism across W is pinned by the differential harness (W up to
+// 8, tables of 0-3 itemsets, 1-4 shards), the fuzz corpus, and the
+// goldens; the PollParallel/p3s4 mbbench kernel and its -w1 twin
+// measure the speedup (>= 1.8x at W=4 expected on a 4-core machine,
+// 1.08x measured on the 2 cores available so far).
+//
+// mbserver refuses a pollParallelism above the bound it puts on shards
+// (400): each poll would otherwise start that many goroutines.
+//
+// Which switches are left. Two Disable* fields remain on the config
+// layers (pipeline.Config, ingest.QueryConfig), both because they
+// change what a query answers and have callers that need either value:
+// DisableRebalance (pin the routing table for bit-exact reruns) and
+// DisableGlobalThreshold (per-shard cutoffs). A reflection test
+// (pipeline.TestDisableKnobsAreTheTwoThatChangeAnswers) fails if an
+// output-identical one joins them.
+//
+// # What serves the polls
+//
+// Which layer answered each poll of the end-to-end workloads (bench/,
+// seed 1, 25 s, 2 cores; the parent commit reads the same on
+// firehose_xs, the one workload whose single shard makes the counters
+// repeat):
+//
+//	workload      poll period   polls  full mines  deltas  reuses  full hits
+//	firehose_xs   410K points     380         379       1       0          0
+//	firehose_xc   164K points      19          17       2       0          0
+//	poll_drift    119K points      38          35       3       0          0
+//
+// Every poll period is longer than the 100K-point decay period, so
+// every poll follows at least one Restructure, which rewrites the tree
+// and with it the journal: the poll is a full mine and is counted as a
+// journal overflow (journal_overflows == full_mines on every run). The
+// handful of deltas are answers taken with no decay tick since the one
+// before — the closing reconciliation at /stop, which on a faster run
+// is a full hit instead — and on two shards their number moves by one
+// or two with coordinator timing. The delta, reuse and full-hit layers
+// are therefore idle on this traffic. Whether they stay is ROADMAP's
+// "One poll path" item: first make a merged poll cost its change
+// rather than its tree (a session-resident merged explainer updated
+// from journaled paths and decay ticks), then delete each layer whose
+// removal costs under 5% of answer_p50_ms.
 //
 // # Push-based partitioned ingest
 //
@@ -584,13 +642,16 @@
 //     there, not the code). A regression lands only together with a new
 //     justified baseline; pre-existing kernels are pinned at
 //     PollParallelism 1 so baselines do not drift with the runner.
+//     The baseline and its history are under "Kernel baseline" below.
 //   - bench-smoke runs the end-to-end harness's own tests (`cd bench &&
 //     go test ./...`: every workload at toy size, and the test that
 //     the staged replay still matches the server). bench/ is a separate
 //     module that the root `go test ./...` does not see.
-//   - parallel-poll forces GOMAXPROCS=4 under -race so the striped
-//     merge/mine/recount workers and the poll bypass really interleave;
-//     the default job may land on fewer cores, where they serialize.
+//   - parallel-poll runs the explain, fptree, cps and pipeline suites
+//     under -race at GOMAXPROCS=1 and 4: every poll stage has one body,
+//     and the matrix runs it both ways on every push — inline on the
+//     polling goroutine (the default PollParallelism resolves to 1) and
+//     with the striped workers and the poll bypass really interleaving.
 //   - fuzz-replay replays every committed testdata/fuzz seed under
 //     -race: the oracles (brute-force tree model, cache-disabled
 //     explainer twin) rerun the exact scripts that once found or nearly
@@ -598,4 +659,37 @@
 //   - chaos runs the fault-injection, retry, resume and degradation
 //     suites across a fixed seed matrix; reproduce a leg locally with
 //     MACROBASE_CHAOS_SEED=<seed>.
+//
+// # Kernel baseline
+//
+// BENCH_PR16.json (go1.24, go_max_procs 2) is the one committed kernel
+// baseline. What it and its predecessors read, in µs/op — PR 3-10 on a
+// 1-core box, PR 15-16 on a 2-core one, so compare along a row only
+// within those groups:
+//
+//	kernel                      PR3    PR5    PR8   PR10   PR15   PR16
+//	consume                    1684   1331   1579   1560    234    265
+//	poll-full                  2147   1810   4044   3731   3138   2804 (a)
+//	poll-warm                  3.25   2.29   2.46   2.21   1.98   2.11
+//	poll-inlier-moved          1654   1456   1313   1156   1193   1457
+//	DeltaMine/steady-drift        -      -    776    649    579    725
+//	DeltaMine/steady-drift-full   -      -   4049   3553   2961      - (b)
+//	PollParallel/p3s4             -      -      -  78968  24615  26521
+//	PollParallel/p3s4-w1          -      -      -  78865  26518  27129 (c)
+//	PushIngest/p3s4               -   69.5    121   95.0   55.2   61.0
+//	Route/p3s4                    -   22.8   28.9   35.4   20.0   22.5
+//	binary-decode                 -   84.7    115    103   88.4   92.2
+//	FPGrowthMine              26727  20476  24596  22452  12736  13896
+//
+// (a) Through PR 15 a cache-off switch made a static explainer re-mine;
+// from PR 16 the kernel is the poll after a decay tick. (b) The
+// delta-off switch went in PR 16; the last full/delta ratio was 5.1x.
+// (c) Through PR 15 likewise cache-off over static shards; from PR 16 a
+// few points land on one shard before each poll. The last w1/w4 ratios:
+// 1.08x at PR 15, 1.02x at PR 16, both on 2 cores. One more dropped
+// leg: BenchmarkStreamSessionPoll/steady-nocache, last 169 ms against
+// steady's 2.53 ms (PR 3). PR 15 and PR 16 were recorded in different
+// sittings on a shared box whose speed moves 10-30% between them (PR
+// 15's own tree read 1.04-1.34x its baseline on the PR 16 day);
+// same-sitting pairs of the two trees are in CHANGES.md.
 package macrobase

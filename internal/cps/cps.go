@@ -65,30 +65,26 @@ type Tree struct {
 	// transaction during Insert; path* hold the flattened (path,
 	// weight) extraction used by Restructure/Mine; walkPath is the one
 	// path ForEachPath (and so the read side of Merge) has in hand;
-	// pathSlices re-slices pathItems for fptree.Build; queryScratch
-	// serves ItemsetSupport; countByID orders restructures without a
-	// map.
-	itemScratch  []int32
-	walkPath     []int32
-	pathItems    []int32
-	pathOffs     []int32 // len(paths)+1 offsets into pathItems
-	pathW        []float64
-	pathSlices   [][]int32
-	queryScratch []int32
-	countByID    []float64
-	freqItems    []int32 // keep-all restructure staging
-	freqCounts   []float64
+	// pathSlices re-slices pathItems for fptree.Build; query is the
+	// Counter ItemsetSupport answers through; countByID orders
+	// restructures without a map.
+	itemScratch []int32
+	walkPath    []int32
+	pathItems   []int32
+	pathOffs    []int32 // len(paths)+1 offsets into pathItems
+	pathW       []float64
+	pathSlices  [][]int32
+	query       Counter
+	countByID   []float64
+	freqItems   []int32 // keep-all restructure staging
+	freqCounts  []float64
 
-	// Reusable mining state: Mine replays the tree's paths into
-	// mineTree (rebuilt in place) and runs FPGrowth through miner's
-	// per-depth conditional frames, so steady-state mines allocate only
-	// their output itemsets. Clone deliberately does not copy these —
-	// they are scratch, not state.
-	mineTree fptree.Tree
-	miner    fptree.Miner
-	// minerPool holds the per-worker miners of MineParallel (index 0
-	// is `miner` itself so W=1 reuses the serial frames). Scratch, not
-	// state: Clone does not copy it.
+	// Reusable mining state: MineParallel replays the tree's paths into
+	// mineTree (rebuilt in place) and runs FPGrowth through one pooled
+	// miner per worker, so steady-state mines allocate only their output
+	// itemsets. Clone deliberately does not copy these — they are
+	// scratch, not state.
+	mineTree  fptree.Tree
 	minerPool []*fptree.Miner
 }
 
@@ -430,40 +426,28 @@ func (t *Tree) Restructure(items []int32, counts []float64, retain float64) {
 }
 
 // Mine replays the tree's weighted paths through an FP-tree and runs
-// FPGrowth, returning itemsets with decayed count >= minCount. The
-// FP-tree and the conditional trees of the FPGrowth recursion live in
-// per-tree reusable arenas, so steady-state mines allocate only the
-// returned itemsets. Mining is deterministic: two structurally
-// identical trees mine bit-identical results.
+// FPGrowth, returning itemsets with decayed count >= minCount. Mining
+// is deterministic: two structurally identical trees mine bit-identical
+// results.
 func (t *Tree) Mine(minCount float64, maxItems int) []fptree.Itemset {
-	t.extractPaths()
-	t.pathSlices = t.pathSlices[:0]
-	for i := 0; i < t.numPaths(); i++ {
-		t.pathSlices = append(t.pathSlices, t.path(i))
-	}
-	fptree.BuildInto(&t.mineTree, t.pathSlices, t.pathW, minCount)
-	return t.mineTree.MineWith(&t.miner, minCount, maxItems)
+	return t.MineParallel(minCount, maxItems, 1)
 }
 
-// MineParallel is Mine with the FPGrowth recursion fanned out over up
-// to `workers` goroutines (fptree.MineParallelWith). The path replay
-// and FP-tree build stay serial — they are a small fraction of mine
-// cost — and the per-worker miners are pooled on the tree, so
-// steady-state parallel mines allocate only the output itemsets plus
-// the per-item result slots. workers <= 1 is exactly Mine.
+// MineParallel is Mine with the FPGrowth recursion striped over up to
+// `workers` goroutines (fptree.MineParallelWith; one worker runs on the
+// caller). The path replay and FP-tree build stay serial — they are a
+// small fraction of mine cost. The FP-tree, the per-worker miners and
+// their conditional-tree frames are pooled on the tree, so steady-state
+// mines allocate only the returned itemsets, and the result is
+// element-wise identical at every worker count.
 func (t *Tree) MineParallel(minCount float64, maxItems int, workers int) []fptree.Itemset {
-	if workers <= 1 {
-		return t.Mine(minCount, maxItems)
-	}
 	t.extractPaths()
 	t.pathSlices = t.pathSlices[:0]
 	for i := 0; i < t.numPaths(); i++ {
 		t.pathSlices = append(t.pathSlices, t.path(i))
 	}
 	fptree.BuildInto(&t.mineTree, t.pathSlices, t.pathW, minCount)
-	if len(t.minerPool) == 0 {
-		t.minerPool = append(t.minerPool, &t.miner)
-	}
+	workers = fptree.Stride(workers, len(t.mineTree.Items()))
 	for len(t.minerPool) < workers {
 		t.minerPool = append(t.minerPool, &fptree.Miner{})
 	}
@@ -471,40 +455,10 @@ func (t *Tree) MineParallel(minCount float64, maxItems int, workers int) []fptre
 }
 
 // ItemsetSupport returns the decayed weight of transactions containing
-// every item in items, walking the node-links of the deepest-ranked
-// member (the same itemtree.Support traversal fptree uses).
+// every item in items, answered through the tree's own Counter.
 func (t *Tree) ItemsetSupport(items []int32) float64 {
-	if len(items) == 0 {
-		return 0
-	}
-	q := append(t.queryScratch[:0], items...)
-	t.queryScratch = q
-	for _, it := range q {
-		if t.rankOf(it) < 0 {
-			return 0
-		}
-	}
-	itemtree.SortByRankDesc(q, t.rank)
-	return t.arena.Support(q, t.rank)
-}
-
-// ItemsetSupportCapped is ItemsetSupport with an early exit: the
-// chain walk stops once the running support exceeds cap, returning
-// the partial sum and exceeded=true. A completed walk returns a total
-// bit-identical to ItemsetSupport's.
-func (t *Tree) ItemsetSupportCapped(items []int32, cap float64) (float64, bool) {
-	if len(items) == 0 {
-		return 0, false
-	}
-	q := append(t.queryScratch[:0], items...)
-	t.queryScratch = q
-	for _, it := range q {
-		if t.rankOf(it) < 0 {
-			return 0, false
-		}
-	}
-	itemtree.SortByRankDesc(q, t.rank)
-	return t.arena.SupportCapped(q, t.rank, cap)
+	t.query.Retarget(t)
+	return t.query.Support(items)
 }
 
 // ForEachPath visits the tree's stored transactions as (items, weight)
@@ -591,14 +545,13 @@ func (t *Tree) Clone() *Tree {
 	return c
 }
 
-// Counter answers ItemsetSupport queries over a tree through private
+// Counter answers itemset-support queries over a tree through private
 // scratch, so multiple Counters may query the same tree concurrently —
-// the underlying chain walks (itemtree.Support/SupportCapped) are pure
-// reads. The only requirement is the usual reader rule: no mutating
-// tree method (Insert, Restructure, Merge, Decay) and no scratch-using
-// tree method (Mine, ItemsetSupport, ForEachPath) may run while
-// Counters are active. Results are bit-identical to the tree's own
-// ItemsetSupport/ItemsetSupportCapped.
+// the underlying chain walk (itemtree.Arena.Support) is a pure read.
+// The only requirement is the usual reader rule: no mutating tree
+// method (Insert, Restructure, Merge, Decay) and no scratch-using tree
+// method (Mine, ItemsetSupport, ForEachPath) may run while Counters are
+// active.
 type Counter struct {
 	tree *Tree
 	buf  []int32
@@ -608,7 +561,10 @@ type Counter struct {
 // zero-value Counter is usable after Retarget.
 func (c *Counter) Retarget(t *Tree) { c.tree = t }
 
-// Support is ItemsetSupport on the counter's tree.
+// Support returns the decayed weight of the transactions of the
+// counter's tree that contain every item in items, walking the
+// node-links of the deepest-ranked member (the same itemtree.Support
+// traversal fptree uses).
 func (c *Counter) Support(items []int32) float64 {
 	if len(items) == 0 {
 		return 0
@@ -623,21 +579,4 @@ func (c *Counter) Support(items []int32) float64 {
 	}
 	itemtree.SortByRankDesc(q, t.rank)
 	return t.arena.Support(q, t.rank)
-}
-
-// SupportCapped is ItemsetSupportCapped on the counter's tree.
-func (c *Counter) SupportCapped(items []int32, cap float64) (float64, bool) {
-	if len(items) == 0 {
-		return 0, false
-	}
-	t := c.tree
-	q := append(c.buf[:0], items...)
-	c.buf = q
-	for _, it := range q {
-		if t.rankOf(it) < 0 {
-			return 0, false
-		}
-	}
-	itemtree.SortByRankDesc(q, t.rank)
-	return t.arena.SupportCapped(q, t.rank, cap)
 }

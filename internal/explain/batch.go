@@ -161,16 +161,7 @@ func ExplainBatch(labeled []core.LabeledPoint, cfg BatchConfig) []core.Explanati
 		if len(is.Items) == 1 {
 			ai = inCounts[is.Items[0]]
 		} else {
-			// Counting walks abandon at the break-even point where the
-			// risk-ratio filter below is already decided against the
-			// itemset; completed walks return the exact count, so the
-			// early exit is output-invariant.
-			var exceeded bool
-			ai, exceeded = inTree.ItemsetSupportCapped(is.Items,
-				inlierBreakEven(is.Count, totalOut, totalIn, cfg.MinRiskRatio))
-			if exceeded {
-				continue
-			}
+			ai = inTree.ItemsetSupport(is.Items)
 		}
 		rr := RiskRatio(is.Count, ai, totalOut, totalIn)
 		if rr < cfg.MinRiskRatio {

@@ -3,7 +3,9 @@ package explain
 import (
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"macrobase/internal/core"
@@ -95,7 +97,7 @@ func TestCacheMineReuseOnInlierOnlyMovement(t *testing.T) {
 	// The reused-mine poll must be identical to a cache-disabled
 	// explainer fed the same stream.
 	plainCfg := cacheCfg
-	plainCfg.DisableCache = true
+	plainCfg.noCache = true
 	p := NewStreaming(plainCfg)
 	p.Consume(batch)
 	p.Explanations()
@@ -141,7 +143,7 @@ func TestCacheInvalidatesOnOutlierMovementAndDecay(t *testing.T) {
 func TestDisableDeltaMineForcesFullMines(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	noDelta := cacheCfg
-	noDelta.DisableDeltaMine = true
+	noDelta.noDelta = true
 	s := NewStreaming(noDelta)
 	s.Consume(cacheWorkload(rng, 2000))
 	s.Explanations()
@@ -193,7 +195,7 @@ func TestPollMergerIncremental(t *testing.T) {
 		return out
 	}
 	plainCfg := cacheCfg
-	plainCfg.DisableCache = true
+	plainCfg.noCache = true
 	shards, plain := mkShards(cacheCfg), mkShards(plainCfg)
 	consume := func(batch []core.LabeledPoint) {
 		parts := make([][]core.LabeledPoint, p)
@@ -255,5 +257,56 @@ func TestPollMergerIncremental(t *testing.T) {
 	}
 	if st.FullMines != 2 {
 		t.Errorf("merger full mines = %d, want 2 (cold + decay fallback; stats %+v)", st.FullMines, st)
+	}
+}
+
+// TestPollAllocationsAtW1 pins what a poll allocates when every stage's
+// one body runs inline: the slots, counters and staging buffers a
+// striped pass needs are pooled scratch, not per-poll garbage, so
+// neither regime may allocate more than the commit before the serial
+// twins were folded into the striped bodies did on this very workload —
+// 73 allocs for the full mine after a decay tick, 71 for a steady-drift
+// delta (b1400f8, go1.24).
+func TestPollAllocationsAtW1(t *testing.T) {
+	if !strings.HasPrefix(runtime.Version(), "go1.24") {
+		t.Skipf("parent figures were measured on go1.24, not %s (the runtime's own allocations, maps above all, differ by toolchain)", runtime.Version())
+	}
+	cfg := cacheCfg
+	cfg.PollParallelism = 1
+	rng := rand.New(rand.NewPCG(21, 22))
+	s := NewStreaming(cfg)
+	s.Consume(cacheWorkload(rng, 4000))
+	s.Explanations()
+
+	pre := s.CacheStats()
+	full := testing.AllocsPerRun(10, func() {
+		s.Decay()
+		s.Explanations()
+	})
+	if got := s.CacheStats().Sub(pre); got.FullMines != 11 {
+		t.Fatalf("decay polls were not all full mines: %+v", got)
+	}
+	if full > 73 {
+		t.Errorf("warmed W=1 full-mine poll allocates %v, want <= 73", full)
+	}
+
+	var drift [][]core.LabeledPoint
+	for len(drift) < 32 {
+		b := cacheWorkload(rng, 4)
+		b[0].Label = core.Outlier // every batch moves the outlier side
+		drift = append(drift, b)
+	}
+	i := 0
+	pre = s.CacheStats()
+	delta := testing.AllocsPerRun(20, func() {
+		s.Consume(drift[i%len(drift)])
+		i++
+		s.Explanations()
+	})
+	if got := s.CacheStats().Sub(pre); got.DeltaMines != 21 {
+		t.Fatalf("drift polls were not all delta mines: %+v", got)
+	}
+	if delta > 71 {
+		t.Errorf("W=1 steady-drift delta poll allocates %v, want <= 71", delta)
 	}
 }

@@ -109,19 +109,54 @@ func genDiffBatch(rng *rand.Rand) []core.LabeledPoint {
 }
 
 // diffParallelisms are the PollParallelism values every differential
-// replay runs side by side: W=1 is the serial reference path, W=2 and
-// W=4 exercise the striped merge/mine/recount workers. Every poll must
-// be reflect.DeepEqual-identical across all of them (and to the
-// cache-disabled reference), pinning the parallel pipeline's
-// determinism contract.
-var diffParallelisms = []int{1, 2, 4}
+// replay runs side by side: W=1 runs every stage's one body inline,
+// W=2/4/8 stripe it (8 is wider than the four merge legs and than the
+// degenerate tables below, so the clamp is exercised too). Every poll
+// must be reflect.DeepEqual-identical across all of them (and to the
+// cache-disabled reference), and so must the CacheStats — which path
+// served a poll may not depend on W either.
+var diffParallelisms = []int{1, 2, 4, 8}
+
+// degenerateDiffOps scripts the index spaces striping could trip over:
+// script k keeps the combination table at exactly k itemsets (k disjoint
+// outlier pairs; none at k=0), far fewer than the widest W, across a
+// cold full mine, a journal delta, a mine reuse, a full hit and a
+// post-decay re-mine. TestDifferentialExercisesCachePaths pins the
+// table sizes.
+func degenerateDiffOps() [][]diffOp {
+	pt := func(label core.Label, attrs ...int32) core.LabeledPoint {
+		return core.LabeledPoint{Point: core.Point{Attrs: attrs}, Label: label}
+	}
+	scripts := make([][]diffOp, 4)
+	for k := range scripts {
+		var batch []core.LabeledPoint
+		for rep := 0; rep < 3; rep++ {
+			batch = append(batch, pt(core.Outlier, 20)) // a lone single: the k=0 outlier side
+			for j := int32(0); j < int32(k); j++ {
+				batch = append(batch, pt(core.Outlier, 2*j, 2*j+1))
+			}
+			for a := int32(0); a < 8; a++ {
+				batch = append(batch, pt(core.Inlier, a, 21))
+			}
+		}
+		poll := diffOp{kind: diffPoll}
+		scripts[k] = []diffOp{
+			{kind: diffConsume, batch: batch}, poll,
+			{kind: diffConsume, batch: batch[:len(batch)/3]}, poll, // outliers moved: delta
+			{kind: diffConsume, batch: []core.LabeledPoint{pt(core.Inlier, 0, 1)}}, poll, // mine reuse
+			poll, // full hit
+			{kind: diffDecay}, poll,
+		}
+	}
+	return scripts
+}
 
 // runDiffSequential replays ops against uncached W=1 reference plus
 // cached explainers at each PollParallelism, and returns a description
 // of the first divergence ("" = none).
 func runDiffSequential(cfg StreamingConfig, ops []diffOp) string {
 	plainCfg := cfg
-	plainCfg.DisableCache = true
+	plainCfg.noCache = true
 	plainCfg.PollParallelism = 1
 	plain := NewStreaming(plainCfg)
 	cached := make([]*Streaming, len(diffParallelisms))
@@ -150,20 +185,23 @@ func runDiffSequential(cfg StreamingConfig, ops []diffOp) string {
 					return fmt.Sprintf("op %d (poll, W=%d): cached %d exps != plain %d exps\ncached: %v\nplain:  %v",
 						i, diffParallelisms[j], len(got), len(want), got, want)
 				}
+				if st, st0 := c.CacheStats(), cached[0].CacheStats(); st != st0 {
+					return fmt.Sprintf("op %d (poll, W=%d): cache stats %+v != W=%d's %+v",
+						i, diffParallelisms[j], st, diffParallelisms[0], st0)
+				}
 			}
 		}
 	}
 	return ""
 }
 
-// runDiffSharded replays ops against P=3 shard trios: one cached trio
+// runDiffSharded replays ops against sets of p shards: one cached set
 // per PollParallelism value polls through its own resident PollMerger
 // over snapshot clones (the session serving path), while the plain
 // side re-merges cache-disabled W=1 clones from scratch at every poll.
-func runDiffSharded(cfg StreamingConfig, ops []diffOp) string {
-	const p = 3
+func runDiffSharded(cfg StreamingConfig, ops []diffOp, p int) string {
 	plainCfg := cfg
-	plainCfg.DisableCache = true
+	plainCfg.noCache = true
 	plainCfg.PollParallelism = 1
 	plain := make([]*Streaming, p)
 	for i := 0; i < p; i++ {
@@ -216,8 +254,12 @@ func runDiffSharded(cfg StreamingConfig, ops []diffOp) string {
 			for wi := range cached {
 				got := mergers[wi].Merge(clones(cached[wi]))
 				if !reflect.DeepEqual(got, want) {
-					return fmt.Sprintf("op %d (sharded poll, W=%d): cached %d exps != plain %d exps\ncached: %v\nplain:  %v",
-						i, diffParallelisms[wi], len(got), len(want), got, want)
+					return fmt.Sprintf("op %d (sharded poll, P=%d W=%d): cached %d exps != plain %d exps\ncached: %v\nplain:  %v",
+						i, p, diffParallelisms[wi], len(got), len(want), got, want)
+				}
+				if st, st0 := mergers[wi].Stats(), mergers[0].Stats(); st != st0 {
+					return fmt.Sprintf("op %d (sharded poll, P=%d W=%d): cache stats %+v != W=%d's %+v",
+						i, p, diffParallelisms[wi], st, diffParallelisms[0], st0)
 				}
 			}
 		}
@@ -278,6 +320,13 @@ func TestDifferentialCachedVsFullSequential(t *testing.T) {
 				return
 			}
 		}
+		for k, ops := range degenerateDiffOps() {
+			run := func(o []diffOp) string { return runDiffSequential(cfg, o) }
+			if msg := run(ops); msg != "" {
+				reportDiffFailure(t, uint64(k), ops, run)
+				return
+			}
+		}
 	}
 }
 
@@ -286,10 +335,19 @@ func TestDifferentialCachedVsFullSharded(t *testing.T) {
 		for seed := uint64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewPCG(seed*31+7, uint64(ci)*1471+29))
 			ops := genDiffOps(rng, 50)
-			run := func(o []diffOp) string { return runDiffSharded(cfg, o) }
+			run := func(o []diffOp) string { return runDiffSharded(cfg, o, 3) }
 			if msg := run(ops); msg != "" {
 				reportDiffFailure(t, seed, ops, run)
 				return
+			}
+		}
+		for k, ops := range degenerateDiffOps() {
+			for p := 1; p <= 4; p++ {
+				run := func(o []diffOp) string { return runDiffSharded(cfg, o, p) }
+				if msg := run(ops); msg != "" {
+					reportDiffFailure(t, uint64(k), ops, run)
+					return
+				}
 			}
 		}
 	}
@@ -350,13 +408,34 @@ func TestDifferentialExercisesCachePaths(t *testing.T) {
 	if seq.FullHits == 0 || seq.MineReuses == 0 || seq.FullMines == 0 {
 		t.Errorf("sequential interleavings missed a cache path: %+v", seq)
 	}
-	if seq.DeltaMines == 0 || seq.JournalOverflows == 0 || seq.EarlyExits == 0 {
-		t.Errorf("sequential interleavings missed a delta/early-exit path: %+v", seq)
+	if seq.DeltaMines == 0 || seq.JournalOverflows == 0 {
+		t.Errorf("sequential interleavings missed a delta path: %+v", seq)
 	}
 	if sh.FullHits == 0 || sh.MineReuses == 0 || sh.FullMines == 0 {
 		t.Errorf("sharded interleavings missed a cache path: %+v", sh)
 	}
 	if sh.DeltaMines == 0 || sh.JournalOverflows == 0 {
 		t.Errorf("sharded interleavings missed a delta path: %+v", sh)
+	}
+	// The degenerate scripts must hold the table sizes they are named
+	// for, through every cache path.
+	for k, ops := range degenerateDiffOps() {
+		s := NewStreaming(cfg)
+		for i, op := range ops {
+			switch op.kind {
+			case diffConsume:
+				s.Consume(op.batch)
+			case diffDecay:
+				s.Decay()
+			case diffPoll:
+				s.Explanations()
+				if len(s.mineCache) != k {
+					t.Errorf("degenerate script %d, op %d: table of %d itemsets", k, i, len(s.mineCache))
+				}
+			}
+		}
+		if st := s.CacheStats(); st.FullHits == 0 || st.MineReuses == 0 || st.FullMines < 2 || st.DeltaMines == 0 {
+			t.Errorf("degenerate script %d missed a cache path: %+v", k, st)
+		}
 	}
 }

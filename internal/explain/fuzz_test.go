@@ -17,8 +17,8 @@ import (
 //
 //  1. a cache-disabled twin fed the identical stream; its output must
 //     be reflect.DeepEqual (bit-equal floats) with the cached
-//     explainer's, pinning the full-hit, mine-reuse, delta-mine,
-//     journal-overflow-fallback, and early-exit paths against the
+//     explainer's, pinning the full-hit, mine-reuse, delta-mine and
+//     journal-overflow-fallback paths against the
 //     always-full-recompute path;
 //  2. a brute-force model: flat weighted multisets of outlier/inlier
 //     transactions to which the M-CPS semantics (decay, frequent-set
@@ -211,7 +211,7 @@ func (m *streamModel) expected() map[string][2]float64 {
 func runStreamScript(t *testing.T, data []byte) CacheStats {
 	t.Helper()
 	plainCfg := fuzzCfg
-	plainCfg.DisableCache = true
+	plainCfg.noCache = true
 	plainCfg.PollParallelism = 1
 	serialCfg := fuzzCfg
 	serialCfg.PollParallelism = 1
@@ -310,8 +310,8 @@ func FuzzStreamingDelta(f *testing.F) {
 // fuzzSeedScripts are the committed starting corpus, crafted to reach
 // the paths random mutation finds slowly: steady outlier drift served
 // by delta mines, decay restructures forcing the journal-overflow
-// fallback, and inlier-heavy combinations tripping the early exit.
-// TestFuzzSeedsExerciseDeltaPaths pins that they still do.
+// fallback, and an inlier-heavy combination the risk-ratio filter
+// rejects. TestFuzzSeedsExerciseDeltaPaths pins that they still do.
 func fuzzSeedScripts() [][]byte {
 	const (
 		out, in, decay, poll, end = 0x01, 0x61, 0xA0, 0xD0, 0xFF
@@ -341,16 +341,16 @@ func fuzzSeedScripts() [][]byte {
 	}
 	seeds = append(seeds, decayFallback)
 	// Inlier-heavy pair: {1,2} rides along in many inliers, so its
-	// counting walk passes the risk-ratio break-even early; singles
-	// stay qualified because plenty of outliers carry 1 and 2 alone.
-	earlyExit := []byte{
+	// inlier count sinks its risk ratio; singles stay qualified
+	// because plenty of outliers carry 1 and 2 alone.
+	inlierHeavy := []byte{
 		out, 1, 2, end, out, 1, 2, end, out, 1, 3, end, out, 2, 3, end,
 		in, 1, 2, end, in, 1, 2, end, in, 1, 2, end,
 		in, 4, end, in, 5, end, in, 6, end, in, 7, end,
 		poll,
 		out, 1, 2, end, poll,
 	}
-	seeds = append(seeds, earlyExit)
+	seeds = append(seeds, inlierHeavy)
 	// Prune-to-empty and regrow: a decay with thin totals empties the
 	// frequent set, then fresh inserts rebuild it from nothing.
 	regrow := []byte{
@@ -363,16 +363,16 @@ func fuzzSeedScripts() [][]byte {
 }
 
 // TestFuzzSeedsExerciseDeltaPaths guards the committed corpus: the
-// seed scripts must actually reach the delta-mine, overflow-fallback,
-// and early-exit paths, or the fuzz assertions above would never see
-// them without lucky mutation.
+// seed scripts must actually reach the delta-mine and overflow-fallback
+// paths, or the fuzz assertions above would never see them without
+// lucky mutation.
 func TestFuzzSeedsExerciseDeltaPaths(t *testing.T) {
 	var total CacheStats
 	for _, seed := range fuzzSeedScripts() {
 		total.Add(runStreamScript(t, seed))
 	}
-	if total.DeltaMines == 0 || total.JournalOverflows == 0 || total.EarlyExits == 0 {
-		t.Errorf("seed corpus missed a delta/early-exit path: %+v", total)
+	if total.DeltaMines == 0 || total.JournalOverflows == 0 {
+		t.Errorf("seed corpus missed a delta path: %+v", total)
 	}
 	if total.FullHits == 0 || total.FullMines == 0 {
 		t.Errorf("seed corpus missed a base cache path: %+v", total)

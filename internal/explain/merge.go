@@ -26,13 +26,15 @@ import (
 // the tree epochs keep the keys valid across the copy); the hit/miss
 // counters do not — a clone starts counting from zero so per-poll
 // deltas are attributable.
-func (s *Streaming) Clone() *Streaming {
-	return &Streaming{
+func (s *Streaming) Clone() *Streaming { return s.cloneWith(1) }
+
+// cloneWith is Clone with the four summary-copy legs (two sketch
+// copies, two tree slab memcpys) striped across up to w workers. The
+// merger uses it on the poll hot path, where the defensive clone is
+// the head of an otherwise striped poll.
+func (s *Streaming) cloneWith(w int) *Streaming {
+	c := &Streaming{
 		cfg:      s.cfg,
-		outAttrs: s.outAttrs.Clone(),
-		inAttrs:  s.inAttrs.Clone(),
-		outTree:  s.outTree.Clone(),
-		inTree:   s.inTree.Clone(),
 		totalOut: s.totalOut,
 		totalIn:  s.totalIn,
 
@@ -45,6 +47,21 @@ func (s *Streaming) Clone() *Streaming {
 		fullCacheKey:   s.fullCacheKey,
 		fullCacheOK:    s.fullCacheOK,
 	}
+	fptree.RunStriped(w, summaryLegs, func(wk, stride int) {
+		for leg := wk; leg < summaryLegs; leg += stride {
+			switch leg {
+			case 0:
+				c.outAttrs = s.outAttrs.Clone()
+			case 1:
+				c.inAttrs = s.inAttrs.Clone()
+			case 2:
+				c.outTree = s.outTree.Clone()
+			case 3:
+				c.inTree = s.inTree.Clone()
+			}
+		}
+	})
+	return c
 }
 
 // SnapshotClone is Clone for the sharded serving layer's per-poll
@@ -66,24 +83,20 @@ func (s *Streaming) SnapshotClone() *Streaming {
 // multisets, and class totals add. Merging does not decay either side;
 // callers merge states that share a decay schedule (the sharded
 // engine's per-shard clocks tick on the same tuple period).
-func (s *Streaming) Merge(other *Streaming) {
-	s.outAttrs.Merge(other.outAttrs)
-	s.inAttrs.Merge(other.inAttrs)
-	s.outTree.Merge(other.outTree)
-	s.inTree.Merge(other.inTree)
-	s.totalOut += other.totalOut
-	s.totalIn += other.totalIn
-}
+func (s *Streaming) Merge(other *Streaming) { mergeInto(s, []*Streaming{other}, 1) }
+
+// summaryLegs is the number of independent summary structures of an
+// explainer — outlier sketch, inlier sketch, outlier tree, inlier tree
+// — and so the widest a clone or a merge can stripe.
+const summaryLegs = 4
 
 // mergeInto folds rest into dst, the reduction under every merged
-// poll. With poll parallelism > 1 the four independent summary legs —
-// outlier sketch, inlier sketch, outlier tree, inlier tree — run on
-// separate workers, each performing the identical sequential per-shard
-// fold the serial path would. A leg touches only its own dst structure
-// and reads only its own structure on each source (a tree's path
-// replay uses that tree's scratch, a sketch merge reads the source
-// read-only), so the legs commute freely across workers and the result
-// is bit-identical to the interleaved left fold of Merge. Note this is
+// poll, with the four summary legs striped across up to w workers. A
+// leg performs the sequential per-shard fold of its own structure: it
+// touches only its own dst structure and reads only its own structure
+// on each source (a tree's path replay uses that tree's scratch, a
+// sketch merge reads the source read-only), so the legs commute freely
+// across workers and the result does not depend on w. Note this is
 // deliberately NOT a pairwise merge tree over shards: float addition
 // is non-associative and merged-tree chain order depends on insertion
 // order, so reassociating the shard folds would change low-order bits
@@ -91,37 +104,21 @@ func (s *Streaming) Merge(other *Streaming) {
 // determinism boundary — it buys up to 4-way concurrency without
 // touching any per-leg arithmetic order (the mine and recount passes
 // scale past 4; see doc.go).
-func mergeInto(dst *Streaming, rest []*Streaming) {
+func mergeInto(dst *Streaming, rest []*Streaming, w int) {
 	if len(rest) == 0 {
-		return
+		return // a one-shard poll has nothing to fold and nothing to spawn
 	}
-	w := dst.cfg.parallelism()
-	if w <= 1 {
-		for _, sh := range rest {
-			dst.Merge(sh)
-		}
-		return
-	}
-	if w > 4 {
-		w = 4
-	}
-	runStriped(w, func(wk int) {
-		for leg := wk; leg < 4; leg += w {
-			switch leg {
-			case 0:
-				for _, sh := range rest {
+	fptree.RunStriped(w, summaryLegs, func(wk, stride int) {
+		for leg := wk; leg < summaryLegs; leg += stride {
+			for _, sh := range rest {
+				switch leg {
+				case 0:
 					dst.outAttrs.Merge(sh.outAttrs)
-				}
-			case 1:
-				for _, sh := range rest {
+				case 1:
 					dst.inAttrs.Merge(sh.inAttrs)
-				}
-			case 2:
-				for _, sh := range rest {
+				case 2:
 					dst.outTree.Merge(sh.outTree)
-				}
-			case 3:
-				for _, sh := range rest {
+				case 3:
 					dst.inTree.Merge(sh.inTree)
 				}
 			}
@@ -131,49 +128,6 @@ func mergeInto(dst *Streaming, rest []*Streaming) {
 		dst.totalOut += sh.totalOut
 		dst.totalIn += sh.totalIn
 	}
-}
-
-// cloneWith is Clone with the four summary-copy legs (two sketch
-// copies, two tree slab memcpys) striped across up to w workers; the
-// copied state is identical to Clone's. Used by the merger on the poll
-// hot path, where the defensive clone is the serial head of an
-// otherwise parallel poll.
-func (s *Streaming) cloneWith(w int) *Streaming {
-	if w <= 1 {
-		return s.Clone()
-	}
-	if w > 4 {
-		w = 4
-	}
-	c := &Streaming{
-		cfg:      s.cfg,
-		totalOut: s.totalOut,
-		totalIn:  s.totalIn,
-
-		mineCache:      s.mineCache,
-		mineCacheMin:   s.mineCacheMin,
-		mineCacheEpoch: s.mineCacheEpoch,
-		mineCacheOK:    s.mineCacheOK,
-		mineCacheCanon: s.mineCacheCanon,
-		fullCache:      s.fullCache,
-		fullCacheKey:   s.fullCacheKey,
-		fullCacheOK:    s.fullCacheOK,
-	}
-	runStriped(w, func(wk int) {
-		for leg := wk; leg < 4; leg += w {
-			switch leg {
-			case 0:
-				c.outAttrs = s.outAttrs.Clone()
-			case 1:
-				c.inAttrs = s.inAttrs.Clone()
-			case 2:
-				c.outTree = s.outTree.Clone()
-			case 3:
-				c.inTree = s.inTree.Clone()
-			}
-		}
-	})
-	return c
 }
 
 // MergeStreaming reconciles per-shard explainer states into one ranked
@@ -202,7 +156,7 @@ func MergeStreamingInto(shards []*Streaming) []core.Explanation {
 		return nil
 	}
 	m := shards[0]
-	mergeInto(m, shards[1:])
+	mergeInto(m, shards[1:], m.cfg.parallelism())
 	return m.Explanations()
 }
 
@@ -346,16 +300,6 @@ func (m *PollMerger) merge(shards []*Streaming, owned bool) []core.Explanation {
 	if len(shards) == 0 {
 		return nil
 	}
-	if shards[0].cfg.DisableCache {
-		// Force-disabled sessions skip every incremental path; the
-		// merger still counts the full mines its polls trigger.
-		if !owned && len(shards) > 1 {
-			shards = append([]*Streaming{shards[0].cloneWith(shards[0].cfg.parallelism())}, shards[1:]...)
-		}
-		exps := MergeStreamingInto(shards)
-		m.stats.Add(shards[0].stats)
-		return exps
-	}
 	sigs := m.sigScratch[:0]
 	for _, sh := range shards {
 		sigs = append(sigs, sh.Signature())
@@ -381,7 +325,7 @@ func (m *PollMerger) merge(shards []*Streaming, owned bool) []core.Explanation {
 	// journal storage read here is never mutated mid-poll, so the path
 	// slices stay valid until Explanations consumes them.
 	deltaOK := !outSame && m.valid && m.mineOK && len(sigs) == len(m.sigs) &&
-		!shards[0].cfg.DisableDeltaMine
+		!shards[0].cfg.noDelta
 	var stagedPaths [][]int32
 	if deltaOK {
 		for i, sh := range shards {
@@ -411,7 +355,7 @@ func (m *PollMerger) merge(shards []*Streaming, owned bool) []core.Explanation {
 		// dst's internal caches, which retained snapshots tolerate.)
 		dst = shards[0].cloneWith(shards[0].cfg.parallelism())
 	}
-	mergeInto(dst, shards[1:])
+	mergeInto(dst, shards[1:], dst.cfg.parallelism())
 	if outSame && m.mineOK {
 		// Every outlier side is unchanged, so the merged outlier tree —
 		// a deterministic fold of the per-shard trees — is identical to

@@ -2,28 +2,31 @@ package explain
 
 import (
 	"runtime"
-	"sync"
+	"slices"
 
 	"macrobase/internal/core"
 	"macrobase/internal/cps"
 	"macrobase/internal/fptree"
 )
 
-// This file holds the worker-pool plumbing of the parallel poll
-// pipeline. Ownership rules, in one place:
+// This file holds the striping plumbing of the poll pipeline. Every
+// stage — merge legs, mine, recount, combination filter — has one body,
+// run through fptree.RunStriped: at one worker the body runs inline on
+// the polling goroutine, at more the same body runs once per stripe.
+// Ownership rules, in one place:
 //
 //   - workers never share scratch: each worker owns a cps.Counter
 //     (private query buffer), an fptree.Miner (private conditional
-//     frames), or a whole merge leg (a disjoint summary structure);
+//     frames and output stage), or a whole merge leg (a disjoint
+//     summary structure);
 //   - the structures being read (tree arenas, rank tables, the
 //     qualified bitmap) are frozen for the duration of a pass — the
 //     only concurrent accesses are pure reads;
 //   - results land in index-addressed slots and are assembled by the
-//     calling goroutine in the serial loop's order, so worker
-//     scheduling can never reorder (or reassociate) anything.
+//     calling goroutine in index order, so worker scheduling can never
+//     reorder (or reassociate) anything.
 //
-// Under those rules every parallel pass is bit-identical to its
-// serial twin, and PollParallelism only changes wall-clock time.
+// Under those rules PollParallelism only changes wall-clock time.
 
 // parallelism resolves the effective poll worker count: the
 // configured PollParallelism, or GOMAXPROCS when unset.
@@ -34,108 +37,67 @@ func (c StreamingConfig) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runStriped runs body(w) for w in [0, workers); worker w owns the
-// stripe idx ≡ w (mod workers) of whatever index space the caller
-// shards. workers-1 goroutines plus the calling goroutine; returns
-// when all finish. Striping is deterministic — a given (input,
-// workers) pair always hands the same elements to the same worker —
-// so allocation patterns stay reproducible for the bench gates.
-func runStriped(workers int, body func(w int)) {
-	if workers <= 1 {
-		body(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			body(w)
-		}(w)
-	}
-	body(0)
-	wg.Wait()
+// slotSkip marks a count slot whose itemset a pass decided not to
+// count; supports are never negative.
+const slotSkip = -1
+
+// slotsFor returns the explainer's pooled count slots resized to n.
+// Contents are stale: a pass reads only the slots it wrote.
+func (s *Streaming) slotsFor(n int) []float64 {
+	s.slots = slices.Grow(s.slots[:0], n)[:n]
+	return s.slots
 }
 
-// ensureCounters grows the per-worker counter pool to n.
-func (s *Streaming) ensureCounters(n int) {
-	for len(s.counters) < n {
+// stripe runs body once per stripe of the index space [0, n) on the
+// poll workers (fptree.RunStriped), after making sure every worker it
+// may start has a counter to fetch.
+func (s *Streaming) stripe(n int, body func(w, stride int)) {
+	workers := s.cfg.parallelism()
+	for len(s.counters) < fptree.Stride(workers, n) {
 		s.counters = append(s.counters, &cps.Counter{})
 	}
+	fptree.RunStriped(workers, n, body)
 }
 
-// comboVerdict is one slot of the striped combination-filter pass:
-// the inlier count of a candidate itemset plus the flags the serial
-// loop would have branched on.
-type comboVerdict struct {
-	ai       float64
-	exceeded bool
-	keep     bool
+// counter returns worker w's private counter pointed at tree, so the
+// workers of one pass may query tree concurrently (it must stay frozen
+// for the duration).
+func (s *Streaming) counter(w int, tree *cps.Tree) *cps.Counter {
+	c := s.counters[w]
+	c.Retarget(tree)
+	return c
 }
 
-// filterCombinationsParallel is the combination-filter loop of
-// Explanations with the inlier support walks striped across w
-// workers. The qualified-attribute prefilter, break-even cap, and
-// risk-ratio test are evaluated exactly as in the serial loop; only
-// the walks run concurrently (each worker queries the frozen inlier
-// tree through its private Counter). Verdicts are assembled in table
-// order on the calling goroutine, so exps, tested, and the EarlyExits
-// tally come out identical to the serial loop's.
-func (s *Streaming) filterCombinationsParallel(tab []fptree.Itemset, w int, exps []core.Explanation, tested int) ([]core.Explanation, int) {
-	v := s.verdicts[:0]
-	for range tab {
-		v = append(v, comboVerdict{})
-	}
-	s.verdicts = v
-	s.ensureCounters(w)
-	tally := s.exitTally[:0]
-	for i := 0; i < w; i++ {
-		tally = append(tally, 0)
-	}
-	s.exitTally = tally
-	runStriped(w, func(wk int) {
-		c := s.counters[wk]
-		c.Retarget(s.inTree)
-		for idx := wk; idx < len(tab); idx += w {
-			is := tab[idx]
-			if len(is.Items) < 2 {
+// filterCombinations is the multi-attribute half of Explanations: every
+// table entry whose attributes all qualified on their own is counted
+// over the inliers (striped — the walks are independent given private
+// query scratch) and kept if its risk ratio clears the threshold.
+// Verdicts are assembled in table order on the calling goroutine.
+func (s *Streaming) filterCombinations(tab []fptree.Itemset, exps []core.Explanation, tested int) ([]core.Explanation, int) {
+	ai := s.slotsFor(len(tab))
+	s.stripe(len(tab), func(w, stride int) {
+		c := s.counter(w, s.inTree)
+	entries:
+		for idx := w; idx < len(tab); idx += stride {
+			ai[idx] = slotSkip
+			items := tab[idx].Items
+			if len(items) < 2 {
 				continue
 			}
-			ok := true
-			for _, it := range is.Items {
+			for _, it := range items {
 				if int(it) >= len(s.qualified) || !s.qualified[it] {
-					ok = false
-					break
+					continue entries
 				}
 			}
-			if !ok {
-				continue
-			}
-			sl := &v[idx]
-			sl.keep = true
-			if s.cfg.DisableEarlyExit {
-				sl.ai = c.Support(is.Items)
-			} else {
-				sl.ai, sl.exceeded = c.SupportCapped(is.Items,
-					inlierBreakEven(is.Count, s.totalOut, s.totalIn, s.cfg.MinRiskRatio))
-				if sl.exceeded {
-					tally[wk]++
-				}
-			}
+			ai[idx] = c.Support(items)
 		}
 	})
-	for _, n := range tally {
-		s.stats.EarlyExits += n
-	}
 	for idx, is := range tab {
-		if !v[idx].keep {
+		if ai[idx] == slotSkip {
 			continue
 		}
 		tested++
-		if v[idx].exceeded {
-			continue
-		}
-		rr := RiskRatio(is.Count, v[idx].ai, s.totalOut, s.totalIn)
+		rr := RiskRatio(is.Count, ai[idx], s.totalOut, s.totalIn)
 		if rr < s.cfg.MinRiskRatio {
 			continue
 		}
@@ -144,7 +106,7 @@ func (s *Streaming) filterCombinationsParallel(tab []fptree.Itemset, w int, exps
 			Support:       is.Count / s.totalOut,
 			RiskRatio:     rr,
 			OutlierCount:  is.Count,
-			InlierCount:   v[idx].ai,
+			InlierCount:   ai[idx],
 			TotalOutliers: s.totalOut,
 			TotalInliers:  s.totalIn,
 		})

@@ -1,7 +1,6 @@
 package explain
 
 import (
-	"math"
 	"slices"
 
 	"macrobase/internal/core"
@@ -37,34 +36,24 @@ type StreamingConfig struct {
 	// Bonferroni corrects the confidence level for the number of
 	// combinations tested.
 	Bonferroni bool
-	// DisableCache forces every Explanations call down the full
-	// recompute path (fresh FPGrowth mine, fresh filtering). The cached
-	// and uncached paths produce identical output — the differential
-	// tests pin that — so this exists for testing and for callers that
-	// poll once and want no retained mining state.
-	DisableCache bool
-	// DisableDeltaMine forces every outlier-side change down the full
-	// FPGrowth re-mine path instead of the changed-path delta update
-	// (see Explanations). Delta-mined and fully mined output are
-	// identical — the differential tests pin that — so this exists for
-	// testing and for benchmarking the full path.
-	DisableDeltaMine bool
-	// DisableEarlyExit disables the break-even early exit on inlier
-	// support counting: with it set, every candidate's inlier count is
-	// walked to completion even when the partial count already proves
-	// the risk-ratio filter must reject it. Early exit is
-	// output-invariant (it fires only past the algebraic break-even
-	// point, with a safety margin); the knob exists for testing and
-	// measurement.
-	DisableEarlyExit bool
 	// PollParallelism is the worker count for the poll-path compute:
 	// the shard-merge legs, the FPGrowth mine, and the canonical
-	// recount passes. 0 resolves to runtime.GOMAXPROCS(0); 1 pins
-	// today's exact serial code path. Ranked output is identical for
-	// every value — workers only split index-addressed work whose
-	// per-element arithmetic never changes (see doc.go, "Parallel poll
-	// pipeline").
+	// recount passes. 0 resolves to runtime.GOMAXPROCS(0); 1 runs every
+	// stage inline on the polling goroutine. Ranked output is identical
+	// for every value — each stage has one body, and workers only split
+	// index-addressed work whose per-element arithmetic never changes
+	// (see doc.go, "Parallel poll pipeline").
 	PollParallelism int
+
+	// noCache and noDelta select the reference paths the differential,
+	// fuzz and golden suites compare the incremental ones against:
+	// noCache recomputes every poll from scratch (fresh FPGrowth mine,
+	// fresh filtering, nothing retained), noDelta keeps the caches but
+	// re-mines in full wherever a journal delta would have served.
+	// Output is identical either way, which is exactly what those suites
+	// pin. Unexported on purpose: only this package's tests can set
+	// them, so no binary can be configured onto an oracle path.
+	noCache, noDelta bool
 }
 
 func (c StreamingConfig) withDefaults() StreamingConfig {
@@ -145,13 +134,16 @@ type Streaming struct {
 	stagedPaths [][]int32
 	stagedOK    bool
 
-	// Parallel poll scratch (PollParallelism > 1 only): per-worker
-	// tree counters with private query buffers, the verdict slots of
-	// the striped combination-filter pass, and per-worker early-exit
-	// tallies. Scratch, not state: Clone does not copy it.
-	counters  []*cps.Counter
-	verdicts  []comboVerdict
-	exitTally []int64
+	// Poll scratch (see parallel.go): one tree counter per worker, each
+	// with a private query buffer; the index-addressed count slots of
+	// the striped pass in flight; and the delta update's journal-path
+	// list, path-sorting buffer and candidate list. Scratch, not state:
+	// Clone does not copy it.
+	counters []*cps.Counter
+	slots    []float64
+	pathList [][]int32
+	pathBuf  []int32
+	candList [][]int32
 }
 
 // cacheKey captures every input of Explanations that can change
@@ -199,10 +191,6 @@ type CacheStats struct {
 	// journal's capacity caps were hit, or the subset-enumeration
 	// budget was exceeded.
 	JournalOverflows int64 `json:"journalOverflows"`
-	// EarlyExits counts candidate combinations whose inlier support
-	// walk was abandoned at the risk-ratio break-even point (the
-	// partial count already proved the filter must reject them).
-	EarlyExits int64 `json:"earlyExits"`
 	// SnapshotsElided counts per-shard snapshot clones skipped
 	// entirely because the shard's Signature was unchanged since the
 	// previous poll (the poll reused the retained snapshot instead of
@@ -219,7 +207,6 @@ func (c *CacheStats) Add(o CacheStats) {
 	c.FullMines += o.FullMines
 	c.DeltaMines += o.DeltaMines
 	c.JournalOverflows += o.JournalOverflows
-	c.EarlyExits += o.EarlyExits
 	c.SnapshotsElided += o.SnapshotsElided
 }
 
@@ -232,7 +219,6 @@ func (c CacheStats) Sub(o CacheStats) CacheStats {
 		FullMines:        c.FullMines - o.FullMines,
 		DeltaMines:       c.DeltaMines - o.DeltaMines,
 		JournalOverflows: c.JournalOverflows - o.JournalOverflows,
-		EarlyExits:       c.EarlyExits - o.EarlyExits,
 		SnapshotsElided:  c.SnapshotsElided - o.SnapshotsElided,
 	}
 }
@@ -255,7 +241,7 @@ func NewStreaming(cfg StreamingConfig) *Streaming {
 		s.outAttrs.WithMaintenanceEvery(cfg.AMCMaintainEvery)
 		s.inAttrs.WithMaintenanceEvery(cfg.AMCMaintainEvery)
 	}
-	if !cfg.DisableCache && !cfg.DisableDeltaMine {
+	if !cfg.noCache && !cfg.noDelta {
 		s.outTree.EnableJournal()
 	}
 	return s
@@ -363,7 +349,7 @@ func (s *Streaming) Explanations() []core.Explanation {
 		return nil
 	}
 	key := s.cacheKeyNow()
-	if !s.cfg.DisableCache && s.fullCacheOK && key == s.fullCacheKey {
+	if !s.cfg.noCache && s.fullCacheOK && key == s.fullCacheKey {
 		s.stats.FullHits++
 		// Hand out a fresh slice (callers may re-sort or decorate);
 		// the Explanation structs and their ItemIDs are shared and
@@ -406,62 +392,12 @@ func (s *Streaming) Explanations() []core.Explanation {
 
 	// Multi-attribute combinations: obtain the current table — every
 	// itemset of ≥2 attributes with canonical support ≥ minCount —
-	// then filter against the inlier side. With PollParallelism > 1
-	// the inlier walks run striped across workers; per-itemset walks
-	// are independent given private query scratch, so the verdicts —
-	// and the assembled output — are bit-identical to the serial loop.
+	// then filter against the inlier side.
 	tab := s.combinationTable(key.outEpoch, minCount, staged, stagedTab, stagedMin, stagedPaths)
-	if w := s.cfg.parallelism(); w > 1 && len(tab) > 1 {
-		exps, tested = s.filterCombinationsParallel(tab, w, exps, tested)
-	} else {
-		for _, is := range tab {
-			if len(is.Items) < 2 {
-				continue
-			}
-			ok := true
-			for _, it := range is.Items {
-				if int(it) >= len(s.qualified) || !s.qualified[it] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			tested++
-			var ai float64
-			if s.cfg.DisableEarlyExit {
-				ai = s.inTree.ItemsetSupport(is.Items)
-			} else {
-				var exceeded bool
-				ai, exceeded = s.inTree.ItemsetSupportCapped(is.Items,
-					inlierBreakEven(is.Count, s.totalOut, s.totalIn, s.cfg.MinRiskRatio))
-				if exceeded {
-					// Past break-even the risk ratio is decisively below
-					// MinRiskRatio no matter how much higher the true
-					// inlier count is; the filter below would reject.
-					s.stats.EarlyExits++
-					continue
-				}
-			}
-			rr := RiskRatio(is.Count, ai, s.totalOut, s.totalIn)
-			if rr < s.cfg.MinRiskRatio {
-				continue
-			}
-			exps = append(exps, core.Explanation{
-				ItemIDs:       is.Items,
-				Support:       is.Count / s.totalOut,
-				RiskRatio:     rr,
-				OutlierCount:  is.Count,
-				InlierCount:   ai,
-				TotalOutliers: s.totalOut,
-				TotalInliers:  s.totalIn,
-			})
-		}
-	}
+	exps, tested = s.filterCombinations(tab, exps, tested)
 	attachCIs(exps, s.cfg.Confidence, s.cfg.Bonferroni, tested)
 	Rank(exps)
-	if !s.cfg.DisableCache {
+	if !s.cfg.noCache {
 		s.fullCache = exps
 		s.fullCacheKey = key
 		s.fullCacheOK = true
@@ -479,12 +415,12 @@ func (s *Streaming) Explanations() []core.Explanation {
 // downstream. Refreshes store the table and re-anchor the tree's
 // journal.
 func (s *Streaming) combinationTable(outEpoch uint64, minCount float64, staged bool, stagedTab []fptree.Itemset, stagedMin float64, stagedPaths [][]int32) []fptree.Itemset {
-	if !s.cfg.DisableCache && s.mineCacheOK &&
+	if !s.cfg.noCache && s.mineCacheOK &&
 		s.mineCacheEpoch == outEpoch && s.mineCacheMin == minCount {
 		s.stats.MineReuses++
 		return s.mineCache
 	}
-	deltaOK := !s.cfg.DisableCache && !s.cfg.DisableDeltaMine
+	deltaOK := !s.cfg.noCache && !s.cfg.noDelta
 	if deltaOK && staged && minCount >= stagedMin {
 		// Merged poll: PollMerger proved the base table current as of
 		// the per-shard signatures and unioned the shard journals.
@@ -503,10 +439,11 @@ func (s *Streaming) combinationTable(outEpoch uint64, minCount float64, staged b
 		// threshold means the tree was rewritten too — the base table is
 		// incomplete at the new threshold and the delta is off the table.
 		if n, ok := s.outTree.JournalSince(s.mineCacheEpoch); ok && minCount >= s.mineCacheMin {
-			paths := make([][]int32, 0, n)
+			paths := s.pathList[:0]
 			for i := 0; i < n; i++ {
 				paths = append(paths, s.outTree.JournalPath(i))
 			}
+			s.pathList = paths
 			if tab, ok2 := s.deltaTable(s.mineCache, paths, minCount, true); ok2 {
 				s.stats.DeltaMines++
 				s.storeTable(tab, minCount, outEpoch)
@@ -527,7 +464,7 @@ func (s *Streaming) combinationTable(outEpoch uint64, minCount float64, staged b
 // storeTable refreshes the combination-table cache and re-anchors the
 // outlier journal at the current epoch (the table now reflects it).
 func (s *Streaming) storeTable(tab []fptree.Itemset, minCount float64, outEpoch uint64) {
-	if s.cfg.DisableCache {
+	if s.cfg.noCache {
 		return
 	}
 	s.mineCache = tab
@@ -544,42 +481,19 @@ func (s *Streaming) storeTable(tab []fptree.Itemset, minCount float64, outEpoch 
 // between FPGrowth's accumulation order and the canonical counting
 // walk can never hide a qualifying candidate from discovery.
 func (s *Streaming) fullTable(minCount float64) []fptree.Itemset {
-	w := s.cfg.parallelism()
-	if w <= 1 {
-		mined := s.outTree.Mine(minCount*(1-1e-6), s.cfg.MaxItems)
-		tab := make([]fptree.Itemset, 0, len(mined))
-		for _, is := range mined {
-			if len(is.Items) < 2 {
-				continue // singles are covered by the sketches
-			}
-			if ao := s.outTree.ItemsetSupport(is.Items); ao >= minCount {
-				tab = append(tab, fptree.Itemset{Items: is.Items, Count: ao})
-			}
-		}
-		return tab
-	}
-	// Parallel path: fan the FPGrowth recursion over w workers
-	// (element-wise identical output), then recount striped. Per-slot
-	// counts are assembled in mined order, so the table matches the
-	// serial build entry for entry.
-	mined := s.outTree.MineParallel(minCount*(1-1e-6), s.cfg.MaxItems, w)
-	counts := make([]float64, len(mined))
-	s.ensureCounters(w)
-	runStriped(w, func(wk int) {
-		c := s.counters[wk]
-		c.Retarget(s.outTree)
-		for idx := wk; idx < len(mined); idx += w {
-			if len(mined[idx].Items) >= 2 {
+	mined := s.outTree.MineParallel(minCount*(1-1e-6), s.cfg.MaxItems, s.cfg.parallelism())
+	counts := s.slotsFor(len(mined))
+	s.stripe(len(mined), func(w, stride int) {
+		c := s.counter(w, s.outTree)
+		for idx := w; idx < len(mined); idx += stride {
+			if len(mined[idx].Items) >= 2 { // singles are covered by the sketches
 				counts[idx] = c.Support(mined[idx].Items)
 			}
 		}
 	})
 	tab := make([]fptree.Itemset, 0, len(mined))
 	for i, is := range mined {
-		if len(is.Items) < 2 {
-			continue
-		}
-		if counts[i] >= minCount {
+		if len(is.Items) >= 2 && counts[i] >= minCount {
 			tab = append(tab, fptree.Itemset{Items: is.Items, Count: counts[i]})
 		}
 	}
@@ -612,7 +526,8 @@ func (s *Streaming) deltaTable(base []fptree.Itemset, paths [][]int32, minCount 
 	cand := make(map[string][]int32)
 	pathSeen := make(map[string]bool, len(paths))
 	for _, p := range paths {
-		q := slices.Clone(p)
+		q := append(s.pathBuf[:0], p...) // every subset below is a copy
+		s.pathBuf = q
 		slices.Sort(q)
 		q = slices.Compact(q)
 		if len(q) > maxDeltaPathItems {
@@ -650,76 +565,50 @@ func (s *Streaming) deltaTable(base []fptree.Itemset, paths [][]int32, minCount 
 			}
 		}
 	}
-	tab = make([]fptree.Itemset, 0, len(base)+len(cand))
-	if w := s.cfg.parallelism(); w > 1 && len(base)+len(cand) > 1 {
-		// Parallel recount: a serial mark phase decides per-entry
-		// actions (map mutation stays single-threaded), the targeted
-		// support walks run striped with private scratch, and the
-		// assembly re-reads the slots in the serial loops' order — so
-		// the table is identical to the serial path's, entry for entry.
-		needs := make([]bool, len(base))
-		for i, is := range base {
-			k := itemKey(is.Items)
-			if _, touched := cand[k]; touched {
-				delete(cand, k) // recounted here, not again below
-				needs[i] = true
-			} else if !keepUntouched {
-				needs[i] = true
-			}
-		}
-		candList := make([][]int32, 0, len(cand))
-		for _, items := range cand {
-			candList = append(candList, items)
-		}
-		counts := make([]float64, len(base)+len(candList))
-		s.ensureCounters(w)
-		runStriped(w, func(wk int) {
-			c := s.counters[wk]
-			c.Retarget(s.outTree)
-			for idx := wk; idx < len(counts); idx += w {
-				if idx < len(base) {
-					if needs[idx] {
-						counts[idx] = c.Support(base[idx].Items)
-					}
-				} else {
-					counts[idx] = c.Support(candList[idx-len(base)])
-				}
-			}
-		})
-		for i, is := range base {
-			if !needs[i] {
-				if is.Count >= minCount {
-					tab = append(tab, is)
-				}
-				continue
-			}
-			if counts[i] >= minCount {
-				tab = append(tab, fptree.Itemset{Items: is.Items, Count: counts[i]})
-			}
-		}
-		for j, items := range candList {
-			if ao := counts[len(base)+j]; ao >= minCount {
-				tab = append(tab, fptree.Itemset{Items: items, Count: ao})
-			}
-		}
-		return tab, true
-	}
-	for _, is := range base {
+	// Mark on the caller (map mutation stays single-threaded): a base
+	// entry is recounted when a journaled path touched it or its count
+	// is not canonical, and then leaves cand so it is not counted twice.
+	counts := s.slotsFor(len(base) + len(cand))
+	for i, is := range base {
 		k := itemKey(is.Items)
-		if _, touched := cand[k]; touched {
-			delete(cand, k) // recounted here, not again below
-		} else if keepUntouched {
-			if is.Count >= minCount {
-				tab = append(tab, is)
-			}
-			continue
+		_, touched := cand[k]
+		delete(cand, k)
+		if touched || !keepUntouched {
+			counts[i] = 0
+		} else {
+			counts[i] = slotSkip
 		}
-		if ao := s.outTree.ItemsetSupport(is.Items); ao >= minCount {
+	}
+	candList := s.candList[:0]
+	for _, items := range cand {
+		candList = append(candList, items)
+	}
+	s.candList = candList
+	// Count striped, then assemble in index order: marked base entries
+	// first, the remaining candidates after them.
+	n := len(base) + len(candList)
+	s.stripe(n, func(w, stride int) {
+		c := s.counter(w, s.outTree)
+		for idx := w; idx < n; idx += stride {
+			if idx >= len(base) {
+				counts[idx] = c.Support(candList[idx-len(base)])
+			} else if counts[idx] != slotSkip {
+				counts[idx] = c.Support(base[idx].Items)
+			}
+		}
+	})
+	tab = make([]fptree.Itemset, 0, len(base)+len(candList))
+	for i, is := range base {
+		ao := counts[i]
+		if ao == slotSkip {
+			ao = is.Count
+		}
+		if ao >= minCount {
 			tab = append(tab, fptree.Itemset{Items: is.Items, Count: ao})
 		}
 	}
-	for _, items := range cand {
-		if ao := s.outTree.ItemsetSupport(items); ao >= minCount {
+	for j, items := range candList {
+		if ao := counts[len(base)+j]; ao >= minCount {
 			tab = append(tab, fptree.Itemset{Items: items, Count: ao})
 		}
 	}
@@ -732,37 +621,6 @@ func popcount(x int) int {
 		n++
 	}
 	return n
-}
-
-// inlierBreakEven returns the inlier count past which an itemset with
-// ao outlier support is decisively rejected by the MinRiskRatio
-// filter: the risk ratio is strictly decreasing in the inlier count,
-// and solving riskRatio(ao, ai) = minRR for ai gives the break-even
-//
-//	ai* = ao·(bo + totalIn − minRR·bo) / (minRR·bo + ao),  bo = totalOut − ao.
-//
-// A small safety margin is added so the early exit only fires strictly
-// past break-even — a walk that completes instead merely computes the
-// exact count, so erring toward completion preserves output exactly.
-// Degenerate regimes (no unexposed outliers, sub-1 thresholds) return
-// +Inf, disabling the exit.
-func inlierBreakEven(ao, totalOut, totalIn, minRR float64) float64 {
-	bo := totalOut - ao
-	if bo <= 0 || minRR < 1 {
-		return math.Inf(1)
-	}
-	star := ao * (bo + totalIn - minRR*bo) / (minRR*bo + ao)
-	if math.IsNaN(star) {
-		return math.Inf(1)
-	}
-	if star < 0 {
-		star = 0
-	}
-	slack := star * 1e-6
-	if slack < 1e-6 {
-		slack = 1e-6
-	}
-	return star + slack
 }
 
 var _ core.Explainer = (*Streaming)(nil)

@@ -52,12 +52,14 @@ type Tree struct {
 	// Reusable scratch: ids is the lazily built rank -> id table shared
 	// with conditionals (idsValid marks it current for this build);
 	// buildCounts stages per-token totals during (re)builds; pathBuf
-	// holds prefix paths replayed into conditionals.
+	// holds prefix paths replayed into conditionals; ends is
+	// MineParallelWith's per-rank bookkeeping.
 	ids         []int32
 	idsValid    bool
 	buildCounts []float64
 	pathBuf     []int32
 	scratch     []int32
+	ends        []int // per-rank stage offsets of one mine
 }
 
 // Miner owns the conditional FP-trees built during mining, one
@@ -66,6 +68,9 @@ type Tree struct {
 // zero value is ready to use.
 type Miner struct {
 	frames []*Tree
+	// out stages the patterns this miner finds during one mine (see
+	// MineParallelWith); the capacity is recycled, the contents are not.
+	out []Itemset
 }
 
 // frame returns the reusable conditional tree for recursion depth d.
@@ -207,12 +212,49 @@ func (t *Tree) ItemCount(item int32) float64 {
 // Valid only on Build-constructed trees (token space = ids).
 func (t *Tree) Items() []int32 { return t.order }
 
+// Stride is how many stripes RunStriped cuts an index space of n into
+// for a budget of `workers`: never more than there are indexes — a
+// one-entry table at W=8 spawns nothing — and never fewer than the one
+// the caller runs. Callers that pool per-worker scratch size it by this.
+func Stride(workers, n int) int { return max(1, min(workers, n)) }
+
+// RunStriped is the one fan-out of the poll path: it splits the index
+// space [0, n) into stripes idx ≡ w (mod stride), stride = Stride(workers,
+// n), and runs body(w, stride) once per stripe, returning the stride. A
+// stride of 1 runs the body inline on the caller: no goroutine, no
+// WaitGroup, which is what makes the striped body of every stage also
+// its serial implementation. Otherwise stride-1 goroutines plus the
+// caller run the stripes and RunStriped returns when all have finished.
+//
+// Striping is deterministic — a given (workers, n) always hands the same
+// elements to the same worker — and bodies write only index-addressed
+// slots or worker-private scratch that the caller assembles afterwards
+// in index order, so scheduling can never reorder (or reassociate)
+// anything and output is identical at every worker count.
+func RunStriped(workers, n int, body func(w, stride int)) int {
+	stride := Stride(workers, n)
+	if stride == 1 {
+		body(0, 1)
+		return 1
+	}
+	var wg sync.WaitGroup
+	wg.Add(stride - 1)
+	for w := 1; w < stride; w++ {
+		go func(w int) {
+			defer wg.Done()
+			body(w, stride)
+		}(w)
+	}
+	body(0, stride)
+	wg.Wait()
+	return stride
+}
+
 // Mine runs FPGrowth and returns every itemset with weight >=
 // minCount. maxItems, when positive, bounds the itemset size.
 // The output includes singleton itemsets.
 func (t *Tree) Mine(minCount float64, maxItems int) []Itemset {
-	var m Miner
-	return t.MineWith(&m, minCount, maxItems)
+	return t.MineWith(&Miner{}, minCount, maxItems)
 }
 
 // MineWith is Mine with a caller-owned Miner: the conditional trees
@@ -220,99 +262,86 @@ func (t *Tree) Mine(minCount float64, maxItems int) []Itemset {
 // arena frames, so repeated mines (the streaming explainer's poll
 // path) allocate only the returned itemsets.
 func (t *Tree) MineWith(m *Miner, minCount float64, maxItems int) []Itemset {
-	var out []Itemset
-	t.mine(m, 0, minCount, maxItems, nil, &out)
-	// Canonicalize item order within each set. slices.Sort keeps the
-	// per-itemset cost allocation-free (a sort.Slice closure would
-	// allocate once per mined set).
-	for i := range out {
-		slices.Sort(out[i].Items)
-	}
-	return out
+	return t.MineParallelWith([]*Miner{m}, minCount, maxItems)
 }
 
-// MineParallelWith mines with up to len(miners) concurrent workers,
-// each owning one Miner (its private conditional-tree frames and
-// scratch). The top-level header items are striped across workers —
+// MineParallelWith mines with up to len(miners) >= 1 workers, each
+// owning one Miner (its private conditional-tree frames and output
+// staging). The top-level header items are striped across workers —
 // every FPGrowth pattern ends in exactly one top-level item, so the
 // per-item recursions are independent given read-only access to this
 // tree (ChainCount, conditionalInto, and the prebuilt rank->id table
-// never mutate the parent during mining). Per-item outputs land in
-// index-addressed slots and are concatenated in the serial loop's
-// item order, so the returned slice is element-wise identical to
-// MineWith's regardless of worker count.
+// never mutate the parent during mining). A worker stages its items'
+// patterns back to back in its miner, least frequent item first, and
+// the stages are stitched together in that same item order, so the
+// returned slice is element-wise identical at every worker count.
 func (t *Tree) MineParallelWith(miners []*Miner, minCount float64, maxItems int) []Itemset {
 	n := len(t.order)
-	w := len(miners)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		if len(miners) == 0 {
-			var m Miner
-			return t.MineWith(&m, minCount, maxItems)
-		}
-		return t.MineWith(miners[0], minCount, maxItems)
-	}
 	// Materialize the shared rank->id table before workers read it
 	// concurrently; it is immutable for the rest of this build.
 	t.idByRank()
-	perItem := make([][]Itemset, n)
-	work := func(wk int) {
+	// ends[i] is where item i's patterns stop in its worker's stage;
+	// they start where the worker's previous item, i+stride, stopped.
+	ends := t.ends[:0]
+	for range t.order {
+		ends = append(ends, 0)
+	}
+	t.ends = ends
+	stride := RunStriped(len(miners), n, func(wk, stride int) {
 		m := miners[wk]
-		for i := n - 1 - wk; i >= 0; i -= w {
-			t.mineTop(m, int32(i), minCount, maxItems, &perItem[i])
+		m.out = m.out[:0]
+		for i := n - 1 - wk; i >= 0; i -= stride {
+			t.mineTop(m, int32(i), minCount, maxItems)
+			ends[i] = len(m.out)
 		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for wk := 1; wk < w; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			work(wk)
-		}(wk)
-	}
-	work(0)
-	wg.Wait()
+	})
 	total := 0
-	for _, s := range perItem {
-		total += len(s)
+	for _, m := range miners[:stride] {
+		total += len(m.out)
 	}
 	out := make([]Itemset, 0, total)
 	for i := n - 1; i >= 0; i-- {
-		out = append(out, perItem[i]...)
+		from := 0
+		if i+stride < n {
+			from = ends[i+stride]
+		}
+		out = append(out, miners[(n-1-i)%stride].out[from:ends[i]]...)
+	}
+	for _, m := range miners[:stride] {
+		clear(m.out) // the stage must not pin the caller's itemsets
 	}
 	return out
 }
 
-// mineTop runs one iteration of the serial mine loop — all patterns
-// ending in the top-level item at rank i — into out, with each
-// itemset canonically sorted. Safe to call concurrently for distinct
-// i with distinct miners: it only reads the parent tree.
-func (t *Tree) mineTop(m *Miner, i int32, minCount float64, maxItems int, out *[]Itemset) {
+// mineTop stages every pattern ending in the top-level item at rank i
+// in m.out, each itemset canonically sorted (slices.Sort keeps that
+// allocation-free; a sort.Slice closure would allocate once per set).
+// Safe to call concurrently for distinct i with distinct miners: it
+// only reads the parent tree.
+func (t *Tree) mineTop(m *Miner, i int32, minCount float64, maxItems int) {
 	total := t.arena.ChainCount(i)
 	if total < minCount {
 		return
 	}
-	items := make([]int32, 0, 1)
-	items = append(items, t.idOf(t.order[i]))
-	*out = append(*out, Itemset{Items: items, Count: total})
+	from := len(m.out)
+	items := []int32{t.idOf(t.order[i])}
+	m.out = append(m.out, Itemset{Items: items, Count: total})
 	if maxItems <= 0 || len(items) < maxItems {
 		cond := m.frame(0)
 		t.conditionalInto(cond, i, minCount)
 		if len(cond.order) > 0 {
-			cond.mine(m, 1, minCount, maxItems, items, out)
+			cond.mine(m, 1, minCount, maxItems, items)
 		}
 	}
-	for j := range *out {
-		slices.Sort((*out)[j].Items)
+	for j := from; j < len(m.out); j++ {
+		slices.Sort(m.out[j].Items)
 	}
 }
 
-// mine recursively grows patterns ending in each item, least frequent
-// first. suffix carries global ids; depth indexes the miner's
-// conditional-tree frames.
-func (t *Tree) mine(m *Miner, depth int, minCount float64, maxItems int, suffix []int32, out *[]Itemset) {
+// mine recursively grows patterns ending in each item of a conditional
+// tree, least frequent first, into m.out. suffix carries global ids;
+// depth indexes the miner's conditional-tree frames.
+func (t *Tree) mine(m *Miner, depth int, minCount float64, maxItems int, suffix []int32) {
 	for i := len(t.order) - 1; i >= 0; i-- {
 		tok := t.order[i]
 		total := t.arena.ChainCount(int32(i))
@@ -322,14 +351,14 @@ func (t *Tree) mine(m *Miner, depth int, minCount float64, maxItems int, suffix 
 		items := make([]int32, 0, len(suffix)+1)
 		items = append(items, t.idOf(tok))
 		items = append(items, suffix...)
-		*out = append(*out, Itemset{Items: items, Count: total})
+		m.out = append(m.out, Itemset{Items: items, Count: total})
 		if maxItems > 0 && len(items) >= maxItems {
 			continue
 		}
 		cond := m.frame(depth)
 		t.conditionalInto(cond, int32(i), minCount)
 		if len(cond.order) > 0 {
-			cond.mine(m, depth+1, minCount, maxItems, items, out)
+			cond.mine(m, depth+1, minCount, maxItems, items)
 		}
 	}
 }
@@ -404,27 +433,6 @@ func (t *Tree) ItemsetSupport(items []int32) float64 {
 	}
 	itemtree.SortByRankDesc(q, t.rank)
 	return t.arena.Support(q, t.rank)
-}
-
-// ItemsetSupportCapped is ItemsetSupport with an early exit: the walk
-// stops once the running support exceeds cap, returning the partial
-// sum and exceeded=true. A completed walk returns a total
-// bit-identical to ItemsetSupport's. The batch explainer uses it to
-// abandon an itemset's inlier count at the break-even point where the
-// risk-ratio filter is already decided.
-func (t *Tree) ItemsetSupportCapped(items []int32, cap float64) (float64, bool) {
-	if len(items) == 0 {
-		return 0, false
-	}
-	q := append(t.scratch[:0], items...)
-	t.scratch = q
-	for _, it := range q {
-		if t.rankOf(it) < 0 {
-			return 0, false
-		}
-	}
-	itemtree.SortByRankDesc(q, t.rank)
-	return t.arena.SupportCapped(q, t.rank, cap)
 }
 
 // NumNodes reports the number of tree nodes (excluding the root),

@@ -53,7 +53,7 @@
 //
 // An Arena is not safe for concurrent use in general, with one
 // carve-out the parallel poll pipeline depends on: the read-only
-// walks (Support, SupportCapped, ChainCount) take all their scratch
+// walks (Support, ChainCount) take all their scratch
 // from the caller and read Nodes and Headers only — never the child
 // index — so any number of goroutines may run them against the same
 // arena concurrently, provided no mutating method (InsertSorted,
@@ -358,30 +358,4 @@ func (a *Arena) Support(q []int32, rank []int32) float64 {
 		}
 	}
 	return total
-}
-
-// SupportCapped is Support with an early exit: the chain walk stops as
-// soon as the running total exceeds cap, returning the partial sum and
-// exceeded=true. Callers use it when any support above cap leads to
-// the same decision (e.g. risk-ratio filtering: past the break-even
-// inlier count the itemset is rejected no matter how much higher the
-// true support is), saving the remainder of the walk. When the full
-// walk completes, the returned total is bit-identical to Support's.
-func (a *Arena) SupportCapped(q []int32, rank []int32, cap float64) (total float64, exceeded bool) {
-	h := a.Headers[rank[q[0]]]
-	for n := h.Head; n != NilIdx; n = a.Nodes[n].Link {
-		need := 1
-		for p := a.Nodes[n].Parent; p != NilIdx && need < len(q); p = a.Nodes[p].Parent {
-			if a.Nodes[p].Item == q[need] {
-				need++
-			}
-		}
-		if need == len(q) {
-			total += a.Nodes[n].Count
-			if total > cap {
-				return total, true
-			}
-		}
-	}
-	return total, false
 }

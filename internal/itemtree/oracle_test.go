@@ -149,11 +149,6 @@ func (p *pair) read() {
 	if got != want || got <= 0 {
 		p.t.Fatalf("Support(%v) = %v, oracle %v", p.q, got, want)
 	}
-	gc, ge := p.a.SupportCapped(p.q, p.g.rank, want/2)
-	wc, we := p.ref.SupportCapped(p.q, p.g.rank, want/2)
-	if gc != wc || ge != we {
-		p.t.Fatalf("SupportCapped(%v) = %v,%v, oracle %v,%v", p.q, gc, ge, wc, we)
-	}
 }
 
 func (p *pair) equal(phase string) {

@@ -67,28 +67,13 @@ type Config struct {
 	// Trainer, when non-nil, replaces the default MAD/MCD model
 	// selection.
 	Trainer classify.Trainer
-	// DisableExplainCache forces every explanation poll down the full
-	// recompute path (no cached ranked output, no mined-table reuse).
-	// Output is identical either way; this exists for benchmarking the
-	// cache and for paranoid deployments.
-	DisableExplainCache bool
-	// DisableDeltaMine forces every outlier-side change down the full
-	// FPGrowth re-mine instead of the changed-path delta update
-	// (explain.StreamingConfig.DisableDeltaMine). Output is identical
-	// either way; this exists for benchmarking the delta path.
-	DisableDeltaMine bool
-	// DisableExplainEarlyExit disables the break-even early exit on
-	// inlier support counting during explanation ranking
-	// (explain.StreamingConfig.DisableEarlyExit). Output is identical
-	// either way.
-	DisableExplainEarlyExit bool
 	// PollParallelism is the worker count for the poll/explain path:
 	// the shard-merge legs, the FPGrowth mine, and the canonical
 	// recount passes all fan out across this many goroutines
 	// (explain.StreamingConfig.PollParallelism). Default
-	// runtime.GOMAXPROCS(0); 1 pins the serial poll path bit-exactly.
-	// Ranked output is identical for every value — the knob buys poll
-	// latency with cores, nothing else.
+	// runtime.GOMAXPROCS(0); 1 runs every stage inline on the polling
+	// goroutine. Ranked output is identical for every value — the knob
+	// buys poll latency with cores, nothing else.
 	PollParallelism int
 	// CoordinateEvery is the cross-shard threshold coordination period
 	// in ingested points (default 25_000): every so many points the
@@ -100,16 +85,6 @@ type Config struct {
 	// already computes the global quantile) and for custom classifiers
 	// that do not implement classify.ThresholdCoordinable.
 	CoordinateEvery int
-	// DisableRetrainStagger turns off the staggered per-shard retrain
-	// schedule that coordinated multi-shard runs apply by default (shard
-	// i's first retrain is advanced by i*(RetrainEvery/shards)).
-	// Staggering exists because a retrain drops that shard's coordinated
-	// global threshold until the next coordination round; in lockstep,
-	// every shard falls back to its local cutoff simultaneously,
-	// reopening the skew-drift window coordination closes. Disable it
-	// only to reproduce the lockstep behavior of earlier versions.
-	// Irrelevant (and inactive) when coordination itself is off.
-	DisableRetrainStagger bool
 	// RoutingBuckets is the skew-adaptive router's requested virtual-
 	// bucket count (default core.DefaultRoutingBuckets = 256; the
 	// effective count is rounded up to a multiple of the shard count so
@@ -141,6 +116,12 @@ type Config struct {
 	DisableGlobalThreshold bool
 	// Seed fixes all randomized components.
 	Seed uint64
+
+	// noRetrainStagger restores the lockstep retrain schedule of
+	// coordinated multi-shard runs (see newShardPipeline), so the
+	// stagger test has a baseline to compare against. Unexported: only
+	// this package's tests set it.
+	noRetrainStagger bool
 }
 
 func (c Config) withDefaults() Config {

@@ -2,12 +2,16 @@ package pipeline
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"macrobase/internal/classify"
 	"macrobase/internal/core"
 	"macrobase/internal/explain"
 	"macrobase/internal/gen"
+	"macrobase/internal/ingest"
 )
 
 // deviceWorkload builds a small §6.1 device stream with a known
@@ -223,4 +227,31 @@ func (p *projectingClassifier) ClassifyBatch(dst []core.LabeledPoint, batch []co
 		out[i].Point = batch[i]
 	}
 	return out
+}
+
+// TestDisableKnobsAreTheTwoThatChangeAnswers guards the config layers
+// against growing output-identical switches again: across every config
+// struct between the wire and the explainer, the exported fields named
+// Disable* are exactly the two that change what a query answers.
+// Reference paths that exist for tests are unexported fields, which this
+// guard cannot see and no binary can set.
+func TestDisableKnobsAreTheTwoThatChangeAnswers(t *testing.T) {
+	var got []string
+	for _, cfg := range []any{Config{}, explain.StreamingConfig{}, explain.BatchConfig{}, ingest.QueryConfig{}} {
+		typ := reflect.TypeOf(cfg)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() && strings.HasPrefix(f.Name, "Disable") {
+				got = append(got, typ.String()+"."+f.Name)
+			}
+		}
+	}
+	want := []string{
+		"pipeline.Config.DisableRebalance", "pipeline.Config.DisableGlobalThreshold",
+		"ingest.QueryConfig.DisableGlobalThreshold", "ingest.QueryConfig.DisableRebalance",
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("exported Disable* fields = %v, want %v", got, want)
+	}
 }

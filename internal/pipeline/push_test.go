@@ -360,33 +360,6 @@ func TestSnapshotElisionCounters(t *testing.T) {
 	requireIdenticalRanked(t, "final vs steady poll", final.Explanations, prev.Explanations)
 }
 
-// TestSnapshotElisionDisabledWithCache: cache-disabled sessions force
-// the full path — no elision, every poll a fresh clone and full mine.
-func TestSnapshotElisionDisabledWithCache(t *testing.T) {
-	p := ingest.NewPush(1, 2)
-	sess, err := StartPartitionedStream(p, Config{Dims: 1, MinSupport: 0.01, DisableExplainCache: true, NewClassifier: func(int) core.Classifier { return &cutClassifier{cut: 40} }}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := gen.Devices(gen.DeviceConfig{Points: 10_000, Devices: 80, Seed: 11})
-	if err := p.Producer(0).Send(context.Background(), d.Points); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		res, err := sess.Poll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache.SnapshotsElided != 0 || res.Cache.FullHits != 0 || res.Cache.MineReuses != 0 {
-			t.Fatalf("cache-disabled session took an incremental path: %+v", res.Cache)
-		}
-	}
-	p.CloseAll()
-	if _, err := sess.Stop(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPushSessionConcurrentProducersPollsStop is the -race hammer: N
 // concurrent push producers against live polls and a mid-stream stop.
 func TestPushSessionConcurrentProducersPollsStop(t *testing.T) {

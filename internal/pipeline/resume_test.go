@@ -462,9 +462,9 @@ func TestShardPipelineRetrainStagger(t *testing.T) {
 		t.Errorf("coordinated shards retrain in lockstep: shard0 %v shard1 %v", s0, s1)
 	}
 	off := coordinated
-	off.DisableRetrainStagger = true
+	off.noRetrainStagger = true
 	if a, b := schedule(off, 0), schedule(off, 1); !reflect.DeepEqual(a, b) {
-		t.Errorf("DisableRetrainStagger left a phase shift: %v vs %v", a, b)
+		t.Errorf("noRetrainStagger left a phase shift: %v vs %v", a, b)
 	}
 	uncoord := Config{Dims: 1, RetrainEvery: 2000, Seed: 1, DisableGlobalThreshold: true}.withDefaults()
 	if a, b := schedule(uncoord, 0), schedule(uncoord, 1); !reflect.DeepEqual(a, b) {

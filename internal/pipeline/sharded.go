@@ -148,23 +148,19 @@ func newCoordState(cfg Config, shards int) *coordState {
 // shard inside that window at a time. The stagger is off exactly when
 // coordination is off (it exists to protect the global threshold, and
 // keeping uncoordinated runs unshifted preserves their bit-exact
-// equivalence to RunStreaming per shard) or when DisableRetrainStagger
-// is set.
+// equivalence to RunStreaming per shard).
 func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 	pl := core.ShardPipeline{
 		Transforms: cfg.Transforms,
 		Classifier: cfg.Classifier,
 		Explainer: explain.NewStreaming(explain.StreamingConfig{
-			MinSupport:       cfg.MinSupport,
-			MinRiskRatio:     cfg.MinRiskRatio,
-			DecayRate:        cfg.DecayRate,
-			AMCSize:          cfg.AMCSize,
-			MaxItems:         cfg.MaxItems,
-			Confidence:       cfg.Confidence,
-			DisableCache:     cfg.DisableExplainCache,
-			DisableDeltaMine: cfg.DisableDeltaMine,
-			DisableEarlyExit: cfg.DisableExplainEarlyExit,
-			PollParallelism:  cfg.PollParallelism,
+			MinSupport:      cfg.MinSupport,
+			MinRiskRatio:    cfg.MinRiskRatio,
+			DecayRate:       cfg.DecayRate,
+			AMCSize:         cfg.AMCSize,
+			MaxItems:        cfg.MaxItems,
+			Confidence:      cfg.Confidence,
+			PollParallelism: cfg.PollParallelism,
 		}),
 	}
 	if pl.Classifier == nil && cfg.NewClassifier != nil {
@@ -172,7 +168,7 @@ func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 	}
 	if pl.Classifier == nil {
 		retrainOffset := 0
-		if shards > 1 && !cfg.DisableRetrainStagger && !cfg.DisableGlobalThreshold && cfg.CoordinateEvery > 0 {
+		if shards > 1 && !cfg.noRetrainStagger && !cfg.DisableGlobalThreshold && cfg.CoordinateEvery > 0 {
 			retrainOffset = shard * (cfg.RetrainEvery / shards)
 		}
 		pl.Classifier = classify.NewStreaming(classify.StreamingConfig{
@@ -500,7 +496,6 @@ type StreamSession struct {
 	snaps  []*explain.Streaming
 	sigs   []explain.Signature
 	have   []bool
-	elide  bool // off when the explain cache is force-disabled
 
 	// coord is the coordination view shared with the runner's merge
 	// closure; pollers read the last global cutoff from it.
@@ -560,7 +555,6 @@ func startSession(src core.Source, parts core.PartitionedSource, cfg Config, sha
 	s := &StreamSession{
 		done:   make(chan struct{}),
 		merger: explain.NewPollMerger(),
-		elide:  !cfg.DisableExplainCache,
 	}
 	if parts != nil {
 		// Pin the partition list so the session's checkpoint layer Acks
@@ -719,18 +713,16 @@ const (
 // protects the merger and the retained snapshots it reads.
 func (s *StreamSession) pollLocked() (*ShardedResult, error, pollOutcome) {
 	var hints []any
-	if s.elide {
-		s.pollMu.Lock()
-		for i, ok := range s.have {
-			if ok {
-				if hints == nil {
-					hints = make([]any, len(s.have))
-				}
-				hints[i] = s.sigs[i]
+	s.pollMu.Lock()
+	for i, ok := range s.have {
+		if ok {
+			if hints == nil {
+				hints = make([]any, len(s.have))
 			}
+			hints[i] = s.sigs[i]
 		}
-		s.pollMu.Unlock()
 	}
+	s.pollMu.Unlock()
 	snaps, err := s.runner.Snapshot(hints)
 	if err != nil {
 		if err != core.ErrNotStreaming {
@@ -758,9 +750,7 @@ func (s *StreamSession) pollLocked() (*ShardedResult, error, pollOutcome) {
 		}
 		sn := v.(shardSnap)
 		if sn.clone != nil {
-			if s.elide {
-				s.retain(i, sn.sig, sn.clone)
-			}
+			s.retain(i, sn.sig, sn.clone)
 			explainers = append(explainers, sn.clone)
 		} else if i < len(s.snaps) && s.have[i] {
 			// Elision is only offered when a hint was sent, and
@@ -784,14 +774,7 @@ func (s *StreamSession) pollLocked() (*ShardedResult, error, pollOutcome) {
 	// The expensive part, outside pollMu: concurrent pollers touch
 	// only the bypass path and bookkeeping while this runs.
 	pre := s.merger.Stats()
-	var exps []core.Explanation
-	if s.elide {
-		exps = s.merger.MergeShared(explainers)
-	} else {
-		// Cache-disabled sessions take the owning fold: every
-		// snapshot is a throwaway clone.
-		exps = s.merger.Merge(explainers)
-	}
+	exps := s.merger.MergeShared(explainers)
 	delta := s.merger.Stats().Sub(pre)
 	delta.SnapshotsElided += int64(elided)
 	return s.liveResult(snaps, live, perRS, rounds, routing, exps, delta), nil, pollServed
