@@ -333,6 +333,32 @@ func BenchmarkFig10MCDDim(b *testing.B) {
 	}
 }
 
+// --- FastMCD refit: the streaming retrain and the batch fit --------------
+
+// BenchmarkMCDFit is one default-config fit over the metrics of the
+// end-to-end workloads' datasets: n10k is a shard's reservoir refit
+// (p7 firehose_xc, p2 poll_drift), n40k the batch_query training sample.
+func BenchmarkMCDFit(b *testing.B) {
+	for _, k := range []struct {
+		name, dataset string
+		n             int
+	}{{"n10k-p7", "CMT", 10_000}, {"n10k-p2", "Liquor", 10_000}, {"n40k-p7", "CMT", 40_000}} {
+		pts := benchDatasetPoints(b, k.dataset, false, k.n)
+		rows := make([][]float64, len(pts))
+		for i := range pts {
+			rows[i] = pts[i].Metrics
+		}
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mcd.Fit(rows, mcd.Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Figure 11: shared-nothing scale-out --------------------------------
 
 func BenchmarkFig11ScaleOut(b *testing.B) {

@@ -1,11 +1,11 @@
 package main
 
 // Micro-benchmark mode (-bench) and the regression comparator
-// (-compare): mbbench runs the explanation and ingest hot-path kernels
-// through testing.Benchmark, embeds ns/op + allocs/op in the -json
-// report, and -compare fails the process (exit 1) when any kernel
-// inflates more than 2x in ns/op or allocs/op against a committed
-// baseline report (BENCH_PR16.json). CI runs the comparator on every
+// (-compare): mbbench runs the explanation, ingest and model-fit
+// hot-path kernels through testing.Benchmark, embeds ns/op + allocs/op
+// in the -json report, and -compare fails the process (exit 1) when any
+// kernel inflates more than 2x in ns/op or allocs/op against a committed
+// baseline report (BENCH_PR18.json). CI runs the comparator on every
 // push, so a hot path can only regress past 2x by committing a new
 // baseline.
 
@@ -27,6 +27,7 @@ import (
 	"macrobase/internal/fptree"
 	"macrobase/internal/gen"
 	"macrobase/internal/ingest"
+	"macrobase/internal/mcd"
 	"macrobase/internal/pipeline"
 )
 
@@ -107,9 +108,10 @@ func warmExplainer(cfg explain.StreamingConfig, batches [][]core.LabeledPoint) *
 // consume path, the poll path in each regime a session meets (full =
 // the poll after a decay tick, which is what the end-to-end workloads'
 // polls are; warm = steady-state full hits; inlier-moved = mined-table
-// reuse; steady-drift = journal delta), and the raw FPGrowth mining
-// kernel. Every poll kernel gets its regime by moving state between
-// polls, as a session does — there is no switch that forces one.
+// reuse; steady-drift = journal delta), the raw FPGrowth mining
+// kernel, and the FastMCD fit. Every poll kernel gets its regime by
+// moving state between polls, as a session does — there is no switch
+// that forces one.
 func microBenchmarks() []benchResult {
 	fmt.Println("### micro — explanation hot-path kernels (ns/op, allocs/op)")
 	batches := benchLabeledStream(60_000)
@@ -550,6 +552,30 @@ func microBenchmarks() []benchResult {
 				tree.Mine(20, 0)
 			}
 		}),
+	}
+	// One default-config FastMCD fit over the metrics of the end-to-end
+	// workloads' datasets: n10k is a shard's reservoir refit (p7
+	// firehose_xc, p2 poll_drift), n40k the batch_query training sample.
+	for _, k := range []struct {
+		name, dataset string
+		n             int
+	}{{"MCDFit/n10k-p7", "CMT", 10_000}, {"MCDFit/n10k-p2", "Liquor", 10_000}, {"MCDFit/n40k-p7", "CMT", 40_000}} {
+		ds, err := gen.DatasetByName(k.dataset)
+		if err != nil {
+			panic(err)
+		}
+		_, pts, _ := ds.Generate(gen.GenerateConfig{Points: k.n, Seed: 42})
+		rows := make([][]float64, len(pts))
+		for i := range pts {
+			rows[i] = pts[i].Metrics
+		}
+		results = append(results, runKernel(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := mcd.Fit(rows, mcd.Config{}); err != nil {
+					panic(err)
+				}
+			}
+		}))
 	}
 	if on, ok := rebalShare[false]; ok {
 		fmt.Printf("  %-34s hot-shard load share %.3f rebalanced vs %.3f pinned (0.25 = perfect balance at 4 shards)\n",

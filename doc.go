@@ -486,8 +486,9 @@
 // Nor does a poll wait out a model refit. A shard answers snapshot
 // requests on its worker goroutine between batches, and the one thing
 // that keeps a worker inside a batch for hundreds of milliseconds is a
-// classifier retrain (FastMCD over the 10K-point reservoir: ~0.25 s a
-// shard on firehose_xc, every 100K points). A session's workers
+// classifier retrain (FastMCD over the 10K-point reservoir, every 100K
+// points: ~0.12 s a shard on firehose_xc's seven metrics, ~0.06 s on
+// poll_drift's two; ~0.28 s on both before PR 18). A session's workers
 // therefore hand classify.Streaming an offload function
 // (core.Offloader): the fit runs on a helper goroutine while the
 // worker — blocked for ingest exactly as before, so what is computed,
@@ -500,6 +501,17 @@
 // five times its own work, and whether more than half of a run's polls
 // did decided its median: answer_p50_ms read 35-175 ms run to run. It
 // now reads 27-31 ms (firehose_xc: 99-125 ms).
+//
+// PR 18 made the refit itself cheaper by not finishing an evaluation
+// nobody reads: a concentration step needs the set of the h closest
+// points, never their ranking, so it selects them in one introselect
+// pass over a (distance, index) slab where it used to sort all 10K, and
+// a fit's scratch lives on its stepper (~300 allocations a fit, from
+// ~18,000). The chosen rows are then summed in ascending index order, so
+// the new mean and covariance are a function of which points were
+// chosen and of nothing else; before, their low bits inherited however
+// the sort had arranged the subset. internal/mcd's package comment has
+// the rule for distances that tie across the h boundary.
 //
 // # Allocation-free ingest data plane
 //
@@ -630,10 +642,16 @@
 //
 // .github/workflows/ci.yml is kept declarative; the reasons live here.
 //
-//   - test runs vet, build and `go test -race ./...` on a Go matrix:
-//     1.22 is the go.mod floor, 1.24 the toolchain every committed
-//     BENCH_*.json and every bench/ number is recorded with. The same
-//     job runs the kernel regression gate: `cmd/mbbench -bench -compare
+//   - test runs vet, build and `go test -race -timeout 5m ./...` on a Go
+//     matrix: 1.22 is the go.mod floor, 1.24 the toolchain every
+//     committed BENCH_*.json and every bench/ number is recorded with.
+//     The timeout is half the default so that a deadlocked test (one sat
+//     in core's offload suite until PR 18) prints its goroutines while
+//     someone is still watching. internal/mcd and internal/stats run once
+//     more with -count=1: the C-step kernel's oracle comparisons are the
+//     contract for FastMCD's answers, and the selection under them must
+//     keep compiling at the go.mod floor. The same job runs the kernel
+//     regression gate: `cmd/mbbench -bench -compare
 //     <baseline>` fails when a hot-path kernel disappears or inflates
 //     more than 2x against the committed baseline — allocs/op always,
 //     ns/op only when the baseline's hardware and GOMAXPROCS match the
@@ -662,34 +680,42 @@
 //
 // # Kernel baseline
 //
-// BENCH_PR16.json (go1.24, go_max_procs 2) is the one committed kernel
+// BENCH_PR18.json (go1.24, go_max_procs 2) is the one committed kernel
 // baseline. What it and its predecessors read, in µs/op — PR 3-10 on a
-// 1-core box, PR 15-16 on a 2-core one, so compare along a row only
+// 1-core box, PR 15-18 on a 2-core one, so compare along a row only
 // within those groups:
 //
-//	kernel                      PR3    PR5    PR8   PR10   PR15   PR16
-//	consume                    1684   1331   1579   1560    234    265
-//	poll-full                  2147   1810   4044   3731   3138   2804 (a)
-//	poll-warm                  3.25   2.29   2.46   2.21   1.98   2.11
-//	poll-inlier-moved          1654   1456   1313   1156   1193   1457
-//	DeltaMine/steady-drift        -      -    776    649    579    725
-//	DeltaMine/steady-drift-full   -      -   4049   3553   2961      - (b)
-//	PollParallel/p3s4             -      -      -  78968  24615  26521
-//	PollParallel/p3s4-w1          -      -      -  78865  26518  27129 (c)
-//	PushIngest/p3s4               -   69.5    121   95.0   55.2   61.0
-//	Route/p3s4                    -   22.8   28.9   35.4   20.0   22.5
-//	binary-decode                 -   84.7    115    103   88.4   92.2
-//	FPGrowthMine              26727  20476  24596  22452  12736  13896
+//	kernel                      PR3    PR5    PR8   PR10   PR15   PR16   PR18
+//	consume                    1684   1331   1579   1560    234    265    261
+//	poll-full                  2147   1810   4044   3731   3138   2804   2807 (a)
+//	poll-warm                  3.25   2.29   2.46   2.21   1.98   2.11   2.69
+//	poll-inlier-moved          1654   1456   1313   1156   1193   1457   1287
+//	DeltaMine/steady-drift        -      -    776    649    579    725    620
+//	DeltaMine/steady-drift-full   -      -   4049   3553   2961      -      - (b)
+//	PollParallel/p3s4             -      -      -  78968  24615  26521  23032
+//	PollParallel/p3s4-w1          -      -      -  78865  26518  27129  25238 (c)
+//	PushIngest/p3s4               -   69.5    121   95.0   55.2   61.0   59.8
+//	Route/p3s4                    -   22.8   28.9   35.4   20.0   22.5   20.4
+//	binary-decode                 -   84.7    115    103   88.4   92.2   83.0
+//	FPGrowthMine              26727  20476  24596  22452  12736  13896  13640
+//	MCDFit/n10k-p7, ms            -      -      -      -      -    304    120 (d)
+//	MCDFit/n10k-p2, ms            -      -      -      -      -    323   68.9 (d)
+//	MCDFit/n40k-p7, ms            -      -      -      -      -   1414    556 (d)
 //
 // (a) Through PR 15 a cache-off switch made a static explainer re-mine;
 // from PR 16 the kernel is the poll after a decay tick. (b) The
 // delta-off switch went in PR 16; the last full/delta ratio was 5.1x.
 // (c) Through PR 15 likewise cache-off over static shards; from PR 16 a
 // few points land on one shard before each poll. The last w1/w4 ratios:
-// 1.08x at PR 15, 1.02x at PR 16, both on 2 cores. One more dropped
-// leg: BenchmarkStreamSessionPoll/steady-nocache, last 169 ms against
-// steady's 2.53 ms (PR 3). PR 15 and PR 16 were recorded in different
-// sittings on a shared box whose speed moves 10-30% between them (PR
-// 15's own tree read 1.04-1.34x its baseline on the PR 16 day);
-// same-sitting pairs of the two trees are in CHANGES.md.
+// 1.08x at PR 15, 1.02x at PR 16, 1.10x at PR 18, all on 2 cores. One
+// more dropped leg: BenchmarkStreamSessionPoll/steady-nocache, last
+// 169 ms against steady's 2.53 ms (PR 3). (d) In ms/op: one
+// default-config mcd.Fit over a workload dataset's metrics — a shard's
+// reservoir refit on firehose_xc (p7) and poll_drift (p2), and
+// batch_query's 40K training sample. The kernels joined the gate in
+// PR 18; their PR16 entries are the median of three runs of the PR 16
+// tree in the PR 18 sitting. PR 18 sorts nothing (2.5x, 4.7x and 2.5x
+// faster) and allocates 297 times a fit against ~18,500. Sittings on this shared box differ by
+// 10-30% (PR 15's own tree read 1.04-1.34x its baseline on the PR 16
+// day); same-sitting pairs of adjacent trees are in CHANGES.md.
 package macrobase

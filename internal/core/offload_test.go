@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -41,6 +42,37 @@ func (c *offloadClassifier) ClassifyBatch(dst []LabeledPoint, batch []Point) []L
 	return c.thresholdClassifier.ClassifyBatch(dst, batch)
 }
 
+// gatedSource serves its first head points freely and the rest only
+// once gate is closed, so a test decides when the stream may end.
+type gatedSource struct {
+	src    *SliceSource
+	head   int
+	served int
+	gate   chan struct{}
+}
+
+func (g *gatedSource) Next(max int) ([]Point, error) {
+	if g.served >= g.head {
+		<-g.gate
+	}
+	pts, err := g.src.Next(max)
+	g.served += len(pts)
+	return pts, err
+}
+
+// within receives from ch, failing the test if nothing arrives in the
+// 10 s every wait in this file is allowed.
+func within[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	var v T
+	select {
+	case v = <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+	return v
+}
+
 func newOffloadClassifier(at int) *offloadClassifier {
 	return &offloadClassifier{
 		thresholdClassifier: thresholdClassifier{cut: 50},
@@ -57,13 +89,19 @@ func newOffloadClassifier(at int) *offloadClassifier {
 // classifier, waits for the batch to end. What the run computes is
 // unchanged.
 func TestSnapshotServedDuringOffload(t *testing.T) {
-	// Long enough after the stall that the worker's select is sure to
-	// pick the pending coordination request before the stream ends.
-	const n, batch, at = 100_000, 512, 3000
+	// The stream's tail is held back until the coordination reply has
+	// been seen: the worker cannot drain, Run cannot close quit, and so
+	// the request below is always still wanted when the stall ends —
+	// however late its sender is scheduled.
+	const n, batch, at = 20_000, 512, 3000
 	cls := newOffloadClassifier(at)
 	exp := &shardCollectExplainer{}
+	src := &gatedSource{src: NewSliceSource(streamPoints(n)), head: 2 * at, gate: make(chan struct{})}
+	var gateOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(src.gate) }) }
+	defer openGate() // a failed test must not leave Run blocked in the source
 	sr := StreamRunner{
-		Source: NewSliceSource(streamPoints(n)),
+		Source: src,
 		Shards: 1,
 		NewShard: func(int) ShardPipeline {
 			return ShardPipeline{Classifier: cls, Explainer: exp}
@@ -82,17 +120,18 @@ func TestSnapshotServedDuringOffload(t *testing.T) {
 		stats, err := sr.Run()
 		ran <- result{stats, err}
 	}()
-	select {
-	case <-cls.stalled:
-	case <-time.After(10 * time.Second):
-		t.Fatal("classifier never reached its offloaded computation")
-	}
+	within(t, cls.stalled, "the classifier to reach its offloaded computation")
 
 	sr.workersMu.Lock()
-	w := sr.workers[0]
+	w, quit := sr.workers[0], sr.quit
 	sr.workersMu.Unlock()
 	ctl := snapshotReq{fn: func(int, ShardPipeline) any { return "ctl" }, reply: make(chan any, 1)}
-	go func() { w.ctl <- ctl }()
+	go func() {
+		select { // as coordRound sends: never outlive the run
+		case w.ctl <- ctl:
+		case <-quit:
+		}
+	}()
 
 	snapped := make(chan []any, 1)
 	go func() {
@@ -102,13 +141,9 @@ func TestSnapshotServedDuringOffload(t *testing.T) {
 		}
 		snapped <- out
 	}()
-	select {
-	case out := <-snapped:
-		if want := (at - 1) / batch * batch; len(out) != 1 || out[0] != want {
-			t.Errorf("snapshot during the stall = %v, want [%d] (the whole batches before it)", out, want)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("snapshot waited for the offloaded computation")
+	out := within(t, snapped, "a snapshot during the offloaded computation")
+	if want := (at - 1) / batch * batch; len(out) != 1 || out[0] != want {
+		t.Errorf("snapshot during the stall = %v, want [%d] (the whole batches before it)", out, want)
 	}
 	select {
 	case v := <-ctl.reply:
@@ -117,10 +152,11 @@ func TestSnapshotServedDuringOffload(t *testing.T) {
 	}
 
 	close(cls.release)
-	if v := <-ctl.reply; v != "ctl" {
+	if v := within(t, ctl.reply, "the coordination reply after the stall"); v != "ctl" {
 		t.Errorf("coordination reply after the stall = %v", v)
 	}
-	res := <-ran
+	openGate()
+	res := within(t, ran, "Run to return")
 	if res.err != nil {
 		t.Fatal(res.err)
 	}

@@ -3,6 +3,18 @@
 // Appendix A): it locates the h-subset of points whose covariance
 // matrix has minimal determinant and scores points by Mahalanobis
 // distance to that robust location/scatter.
+//
+// A concentration step (C-step) keeps the h points closest to the
+// current estimate and re-estimates from them. Only the set matters,
+// never the ranking, so the step selects rather than sorts: one
+// introselect pass over a (distance, index) slab under the total order
+// (distance, then index). Distances that tie across the h boundary go to
+// the lower index, a point with a NaN or infinite distance ranks last
+// (it is kept only when fewer than h points are finite), and h == n
+// keeps everything without a selection pass. The chosen rows are then
+// summed in ascending index order, so the new mean and covariance — low
+// bits included — are a function of which points were chosen and of
+// nothing else.
 package mcd
 
 import (
@@ -10,7 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"sort" // fitUnivariate only: a C-step selects, it never sorts
 
 	"macrobase/internal/stats"
 )
@@ -99,12 +111,8 @@ func Fit(pts [][]float64, cfg Config) (*Estimate, error) {
 		return fitUnivariate(pts, h)
 	}
 
-	var cand []candidate
-	if n <= cfg.SmallN {
-		cand = directTrials(pts, h, cfg, rng)
-	} else {
-		cand = nestedTrials(pts, h, cfg, rng)
-	}
+	cs := newCStepper(pts, h)
+	cand := trialCandidates(cs, cfg, rng)
 	if len(cand) == 0 {
 		return nil, errors.New("mcd: no non-singular candidate found")
 	}
@@ -113,14 +121,13 @@ func Fit(pts [][]float64, cfg Config) (*Estimate, error) {
 	// the lowest determinant.
 	best := candidate{logDet: math.Inf(1)}
 	bestSteps := 0
-	cs := newCStepper(pts, h)
 	for _, c := range cand {
-		mean, cov, logDet, steps, err := cs.converge(c.mean, c.cov, cfg.MaxCSteps)
+		logDet, steps, err := cs.converge(c.mean, c.cov, cfg.MaxCSteps)
 		if err != nil {
 			continue
 		}
 		if logDet < best.logDet {
-			best = candidate{mean: mean, cov: cov, logDet: logDet}
+			best = candidate{mean: c.mean, cov: c.cov, logDet: logDet}
 			bestSteps = steps
 		}
 	}
@@ -192,80 +199,137 @@ func (e *Estimate) Clone() *Estimate {
 	return &c
 }
 
+// candidate is one location/scatter estimate and the buffers that hold
+// it; C-steps rewrite those buffers in place.
 type candidate struct {
 	mean   []float64
 	cov    *stats.Mat
 	logDet float64
 }
 
-// cStepper owns the buffers for concentration steps over one dataset.
+// topCandidates keeps the keep lowest-logDet candidates offered to it,
+// ascending; of two with equal logDet the one offered first ranks first.
+// It allocates keep candidates, however many are offered.
+type topCandidates struct {
+	keep int
+	list []candidate
+}
+
+// offer copies (mean, cov) into the list if it ranks among the best
+// keep seen so far.
+func (t *topCandidates) offer(mean []float64, cov *stats.Mat, logDet float64) {
+	var c candidate
+	switch {
+	case len(t.list) < t.keep:
+		c = candidate{mean: make([]float64, len(mean)), cov: stats.NewMat(cov.Rows, cov.Cols)}
+		t.list = append(t.list, c)
+	case logDet < t.list[t.keep-1].logDet:
+		c = t.list[t.keep-1] // evicted: its buffers carry the newcomer
+	default:
+		return
+	}
+	copy(c.mean, mean)
+	copy(c.cov.Data, cov.Data)
+	c.logDet = logDet
+	i := len(t.list) - 1
+	for ; i > 0 && t.list[i-1].logDet > logDet; i-- {
+		t.list[i] = t.list[i-1]
+	}
+	t.list[i] = c
+}
+
+// cStepper owns every buffer concentration steps over one dataset need,
+// so a step allocates nothing.
 type cStepper struct {
-	pts  [][]float64
-	h    int
-	d2   []float64
-	idx  []int
-	scr  []float64
-	dist []float64
+	pts   [][]float64
+	h     int
+	ps    []stats.KeyIdx // (squared distance, index) slab the selection permutes
+	mask  []bool         // subset membership; all false between uses
+	idx   []int          // the current subset: ascending after a step, in draw order after start
+	scr   []float64
+	chol  stats.Cholesky
+	ridge *stats.Mat
 }
 
 func newCStepper(pts [][]float64, h int) *cStepper {
+	p := len(pts[0])
 	return &cStepper{
-		pts:  pts,
-		h:    h,
-		d2:   make([]float64, len(pts)),
-		idx:  make([]int, len(pts)),
-		scr:  make([]float64, len(pts[0])),
-		dist: make([]float64, len(pts)),
+		pts:   pts,
+		h:     h,
+		ps:    make([]stats.KeyIdx, len(pts)),
+		mask:  make([]bool, len(pts)),
+		idx:   make([]int, 0, len(pts)),
+		scr:   make([]float64, p),
+		ridge: stats.NewMat(p, p),
 	}
 }
 
-// step performs one C-step: rank all points by Mahalanobis distance to
-// (mean, cov) and re-estimate from the h closest. It returns the new
-// estimate and its log-determinant.
-func (s *cStepper) step(mean []float64, cov *stats.Mat) (nm []float64, nc *stats.Mat, logDet float64, err error) {
-	chol, err := cholWithRidge(cov)
-	if err != nil {
-		return nil, nil, 0, err
+// step performs one C-step in place: it finds the h points closest to
+// (mean, cov) in Mahalanobis distance, overwrites mean and cov with
+// their estimate, and returns its log-determinant. See the package
+// comment for which points those are when distances tie or are not
+// finite, and for why the rows are summed in index order.
+func (s *cStepper) step(mean []float64, cov *stats.Mat) (logDet float64, err error) {
+	if err := factorWithRidge(&s.chol, s.ridge, cov); err != nil {
+		return 0, err
 	}
 	for i, x := range s.pts {
-		s.d2[i] = chol.MahalanobisSq(x, mean, s.scr)
-		s.idx[i] = i
+		s.ps[i] = stats.KeyIdx{Key: s.chol.MahalanobisSq(x, mean, s.scr), Idx: i}
 	}
-	// Partial select the h smallest distances.
-	hk := s.h
-	sort.Slice(s.idx, func(a, b int) bool { return s.d2[s.idx[a]] < s.d2[s.idx[b]] })
-	nm, nc = stats.MeanCov(s.pts, s.idx[:hk])
-	nchol, err := cholWithRidge(nc)
-	if err != nil {
-		return nil, nil, 0, err
+	stats.SelectKeyIdx(s.ps, s.h)
+	for _, p := range s.ps[:s.h] {
+		s.mask[p.Idx] = true
 	}
-	return nm, nc, nchol.LogDet(), nil
+	s.idx = s.idx[:0]
+	for i, in := range s.mask {
+		if in {
+			s.idx = append(s.idx, i)
+			s.mask[i] = false
+		}
+	}
+	stats.MeanCovInto(mean, cov, s.pts, s.idx)
+	if err := factorWithRidge(&s.chol, s.ridge, cov); err != nil {
+		return 0, err
+	}
+	return s.chol.LogDet(), nil
 }
 
-// converge iterates C-steps until the determinant stops decreasing.
-func (s *cStepper) converge(mean []float64, cov *stats.Mat, maxSteps int) (m []float64, c *stats.Mat, logDet float64, steps int, err error) {
+// converge iterates C-steps on (mean, cov) in place until the
+// determinant stops decreasing.
+func (s *cStepper) converge(mean []float64, cov *stats.Mat, maxSteps int) (logDet float64, steps int, err error) {
 	prev := math.Inf(1)
-	m, c = mean, cov
 	for steps = 0; steps < maxSteps; steps++ {
-		nm, nc, ld, serr := s.step(m, c)
-		if serr != nil {
-			return nil, nil, 0, steps, serr
+		if logDet, err = s.step(mean, cov); err != nil {
+			return 0, steps, err
 		}
-		m, c, logDet = nm, nc, ld
-		if prev-ld < 1e-12*(1+math.Abs(prev)) {
-			return m, c, logDet, steps + 1, nil
+		if prev-logDet < 1e-12*(1+math.Abs(prev)) {
+			return logDet, steps + 1, nil
 		}
-		prev = ld
+		prev = logDet
 	}
-	return m, c, logDet, steps, nil
+	return logDet, steps, nil
 }
 
-// cholWithRidge factors cov, regularizing singular matrices with a
-// small diagonal ridge proportional to the average variance.
-func cholWithRidge(cov *stats.Mat) (*stats.Cholesky, error) {
-	chol, err := stats.NewCholesky(cov)
-	if err == nil {
-		return chol, nil
+// start draws a random (p+1)-subset into s.idx and leaves its estimate
+// in (mean, cov), expanding a singular subset with extra random points
+// until the covariance is invertible (FastMCD's remedy). It is the only
+// part of a trial that consumes rng.
+func (s *cStepper) start(mean []float64, cov *stats.Mat, rng *rand.Rand) {
+	n := len(s.pts)
+	s.idx = randSubset(s.idx[:0], n, len(mean)+1, rng, s.mask)
+	stats.MeanCovInto(mean, cov, s.pts, s.idx)
+	for len(s.idx) < n && s.chol.Factor(cov) != nil {
+		s.idx = addRandomPoint(s.idx, n, rng, s.mask)
+		stats.MeanCovInto(mean, cov, s.pts, s.idx)
+	}
+}
+
+// factorWithRidge factors cov into chol, regularizing a singular matrix
+// with a small diagonal ridge proportional to the average variance;
+// ridge is scratch of cov's shape.
+func factorWithRidge(chol *stats.Cholesky, ridge, cov *stats.Mat) error {
+	if chol.Factor(cov) == nil {
+		return nil
 	}
 	tr := 0.0
 	for i := 0; i < cov.Rows; i++ {
@@ -273,66 +337,62 @@ func cholWithRidge(cov *stats.Mat) (*stats.Cholesky, error) {
 	}
 	lambda := 1e-8 * (tr/float64(cov.Rows) + 1)
 	for tries := 0; tries < 12; tries++ {
-		r := stats.Ridge(cov.Clone(), lambda)
-		if chol, err = stats.NewCholesky(r); err == nil {
-			return chol, nil
+		copy(ridge.Data, cov.Data)
+		if chol.Factor(stats.Ridge(ridge, lambda)) == nil {
+			return nil
 		}
 		lambda *= 10
 	}
-	return nil, stats.ErrNotSPD
+	return stats.ErrNotSPD
 }
 
-// directTrials draws random (p+1)-subsets, applies two C-steps to
-// each, and returns the TopKeep best candidates (FastMCD small-n
-// path).
-func directTrials(pts [][]float64, h int, cfg Config, rng *rand.Rand) []candidate {
-	p := len(pts[0])
-	cs := newCStepper(pts, h)
-	return runTrials(cs, p, cfg.Trials, cfg.TopKeep, rng)
+// cholWithRidge is factorWithRidge into fresh storage.
+func cholWithRidge(cov *stats.Mat) (*stats.Cholesky, error) {
+	chol := new(stats.Cholesky)
+	if err := factorWithRidge(chol, stats.NewMat(cov.Rows, cov.Cols), cov); err != nil {
+		return nil, err
+	}
+	return chol, nil
 }
 
 // runTrials performs trials random starts with two concentration steps
-// each over the cStepper's dataset and keeps the best topKeep.
-func runTrials(cs *cStepper, p, trials, topKeep int, rng *rand.Rand) []candidate {
-	var cands []candidate
-	subset := make([]int, 0, p+2)
+// each over the cStepper's dataset and returns the best topKeep,
+// ascending by log-determinant and then by trial number (FastMCD's
+// small-n path, and the per-subset stage of the nested one).
+func runTrials(cs *cStepper, trials, topKeep int, rng *rand.Rand) []candidate {
+	p := len(cs.pts[0])
+	top := topCandidates{keep: topKeep}
+	mean, cov := make([]float64, p), stats.NewMat(p, p)
+trial:
 	for t := 0; t < trials; t++ {
-		subset = randSubset(subset[:0], len(cs.pts), p+1, rng)
-		mean, cov := stats.MeanCov(cs.pts, subset)
-		// Expand singular starting subsets with extra random points
-		// until the covariance is invertible (FastMCD's remedy).
-		for len(subset) < len(cs.pts) {
-			if _, err := stats.NewCholesky(cov); err == nil {
-				break
-			}
-			subset = addRandomPoint(subset, len(cs.pts), rng)
-			mean, cov = stats.MeanCov(cs.pts, subset)
-		}
-		var err error
+		cs.start(mean, cov, rng)
 		var logDet float64
 		for step := 0; step < 2; step++ {
-			mean, cov, logDet, err = cs.step(mean, cov)
-			if err != nil {
-				break
+			var err error
+			if logDet, err = cs.step(mean, cov); err != nil {
+				continue trial
 			}
 		}
-		if err != nil {
-			continue
-		}
-		cands = append(cands, candidate{mean: mean, cov: cov, logDet: logDet})
+		top.offer(mean, cov, logDet)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].logDet < cands[j].logDet })
-	if len(cands) > topKeep {
-		cands = cands[:topKeep]
+	return top.list
+}
+
+// trialCandidates is FastMCD's trial stage over cs's dataset: direct
+// trials up to SmallN points, the nested strategy beyond.
+func trialCandidates(cs *cStepper, cfg Config, rng *rand.Rand) []candidate {
+	if len(cs.pts) <= cfg.SmallN {
+		return runTrials(cs, cfg.Trials, cfg.TopKeep, rng)
 	}
-	return cands
+	return nestedTrials(cs, cfg, rng)
 }
 
 // nestedTrials implements FastMCD's large-n strategy: run trials
 // within up to five disjoint subsets of ~300 points, pool the
 // per-subset winners on the merged set, and return the merged-set
-// winners for full-data convergence.
-func nestedTrials(pts [][]float64, h int, cfg Config, rng *rand.Rand) []candidate {
+// winners for convergence on full's data.
+func nestedTrials(full *cStepper, cfg Config, rng *rand.Rand) []candidate {
+	pts, h := full.pts, full.h
 	n := len(pts)
 	p := len(pts[0])
 	const subSize = 300
@@ -344,7 +404,7 @@ func nestedTrials(pts [][]float64, h int, cfg Config, rng *rand.Rand) []candidat
 		nsub = 1
 	}
 	// Sample nsub*subSize distinct indices and split them.
-	merged := randSubset(nil, n, nsub*subSize, rng)
+	merged := randSubset(make([]int, 0, nsub*subSize), n, nsub*subSize, rng, full.mask)
 	mergedPts := make([][]float64, len(merged))
 	for i, ix := range merged {
 		mergedPts[i] = pts[ix]
@@ -360,8 +420,7 @@ func nestedTrials(pts [][]float64, h int, cfg Config, rng *rand.Rand) []candidat
 		if hSub < p+1 {
 			hSub = p + 1
 		}
-		cs := newCStepper(sub, hSub)
-		pooled = append(pooled, runTrials(cs, p, perSub, cfg.TopKeep, rng)...)
+		pooled = append(pooled, runTrials(newCStepper(sub, hSub), perSub, cfg.TopKeep, rng)...)
 	}
 	// Refine pooled candidates on the merged set.
 	hMerged := int(math.Ceil(float64(len(mergedPts)) * float64(h) / float64(n)))
@@ -369,26 +428,18 @@ func nestedTrials(pts [][]float64, h int, cfg Config, rng *rand.Rand) []candidat
 		hMerged = p + 1
 	}
 	csm := newCStepper(mergedPts, hMerged)
-	var refined []candidate
+	refined := topCandidates{keep: cfg.TopKeep}
+pool:
 	for _, c := range pooled {
-		mean, cov, logDet := c.mean, c.cov, c.logDet
-		var err error
 		for step := 0; step < 2; step++ {
-			mean, cov, logDet, err = csm.step(mean, cov)
-			if err != nil {
-				break
+			var err error
+			if c.logDet, err = csm.step(c.mean, c.cov); err != nil {
+				continue pool
 			}
 		}
-		if err != nil {
-			continue
-		}
-		refined = append(refined, candidate{mean: mean, cov: cov, logDet: logDet})
+		refined.offer(c.mean, c.cov, c.logDet)
 	}
-	sort.Slice(refined, func(i, j int) bool { return refined[i].logDet < refined[j].logDet })
-	if len(refined) > cfg.TopKeep {
-		refined = refined[:cfg.TopKeep]
-	}
-	return refined
+	return refined.list
 }
 
 // finalize applies the consistency correction — rescaling the scatter
@@ -464,35 +515,41 @@ func fitUnivariate(pts [][]float64, h int) (*Estimate, error) {
 	return finalize(pts, []float64{bestMean}, cov, h)
 }
 
-// randSubset appends k distinct indices from [0, n) to dst.
-func randSubset(dst []int, n, k int, rng *rand.Rand) []int {
+// randSubset appends k distinct indices from [0, n) to dst, in the
+// order drawn. seen is scratch of length >= n, all false on entry and
+// on return.
+func randSubset(dst []int, n, k int, rng *rand.Rand, seen []bool) []int {
 	if k >= n {
 		for i := 0; i < n; i++ {
 			dst = append(dst, i)
 		}
 		return dst
 	}
-	seen := make(map[int]bool, k)
-	for len(dst) < k {
+	from := len(dst)
+	for len(dst) < from+k {
 		i := rng.IntN(n)
 		if !seen[i] {
 			seen[i] = true
 			dst = append(dst, i)
 		}
 	}
+	for _, i := range dst[from:] {
+		seen[i] = false
+	}
 	return dst
 }
 
-// addRandomPoint appends one index not already in subset.
-func addRandomPoint(subset []int, n int, rng *rand.Rand) []int {
-	in := make(map[int]bool, len(subset))
+// addRandomPoint appends one index not already in subset; seen is as in
+// randSubset.
+func addRandomPoint(subset []int, n int, rng *rand.Rand, seen []bool) []int {
 	for _, i := range subset {
-		in[i] = true
+		seen[i] = true
 	}
-	for {
-		i := rng.IntN(n)
-		if !in[i] {
-			return append(subset, i)
-		}
+	var pick int
+	for pick = rng.IntN(n); seen[pick]; pick = rng.IntN(n) {
 	}
+	for _, i := range subset {
+		seen[i] = false
+	}
+	return append(subset, pick)
 }

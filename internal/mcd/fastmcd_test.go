@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -105,24 +106,43 @@ func TestFitLargeNUsesNestedAndStaysRobust(t *testing.T) {
 	}
 }
 
+// TestFitDeterministic: same data and seed, same bits — on whichever
+// goroutine the fit runs and whatever the collector did in between,
+// since every buffer a fit reads it has written first.
 func TestFitDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 18))
 	pts := gauss2D(300, [2]float64{1, 2}, 1, rng)
-	a, err := Fit(pts, Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	fit := func() *Estimate {
+		type result struct {
+			est *Estimate
+			err error
+		}
+		done := make(chan result)
+		go func() {
+			est, err := Fit(pts, Config{Seed: 42})
+			done <- result{est, err}
+		}()
+		r := <-done
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r.est
 	}
-	b, err := Fit(pts, Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := fit()
+	runtime.GC()
+	b := fit()
 	for i := range a.Mean {
 		if a.Mean[i] != b.Mean[i] {
 			t.Fatalf("non-deterministic means: %v vs %v", a.Mean, b.Mean)
 		}
 	}
-	if a.LogDet != b.LogDet {
-		t.Fatalf("non-deterministic logdet")
+	for i := range a.Cov.Data {
+		if a.Cov.Data[i] != b.Cov.Data[i] {
+			t.Fatalf("non-deterministic covariance: %v vs %v", a.Cov.Data, b.Cov.Data)
+		}
+	}
+	if a.LogDet != b.LogDet || a.CSteps != b.CSteps {
+		t.Fatalf("non-deterministic logdet/steps: %v/%d vs %v/%d", a.LogDet, a.CSteps, b.LogDet, b.CSteps)
 	}
 }
 

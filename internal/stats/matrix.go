@@ -48,11 +48,25 @@ type Cholesky struct {
 // the lower triangle of a is read. Returns ErrNotSPD when a pivot is
 // not strictly positive.
 func NewCholesky(a *Mat) (*Cholesky, error) {
+	c := new(Cholesky)
+	if err := c.Factor(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Factor is NewCholesky into c's own storage, which is allocated only
+// when the dimension changes: a loop that refactors same-sized matrices
+// allocates once. After an error c holds no usable factor.
+func (c *Cholesky) Factor(a *Mat) error {
 	if a.Rows != a.Cols {
-		return nil, errors.New("stats: Cholesky of non-square matrix")
+		return errors.New("stats: Cholesky of non-square matrix")
 	}
 	n := a.Rows
-	l := NewMat(n, n)
+	if c.L == nil || c.L.Rows != n {
+		c.L = NewMat(n, n)
+	}
+	l := c.L
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			sum := a.At(i, j)
@@ -62,7 +76,7 @@ func NewCholesky(a *Mat) (*Cholesky, error) {
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrNotSPD
+					return ErrNotSPD
 				}
 				li[j] = math.Sqrt(sum)
 			} else {
@@ -70,7 +84,7 @@ func NewCholesky(a *Mat) (*Cholesky, error) {
 			}
 		}
 	}
-	return &Cholesky{L: l}, nil
+	return nil
 }
 
 // LogDet returns log(det A) = 2 * sum log L[i][i].
@@ -151,27 +165,17 @@ func (c *Cholesky) MahalanobisSq(x, mu, scratch []float64) float64 {
 	return d
 }
 
-// MeanCov computes the sample mean and covariance (denominator n-1) of
-// the rows indexed by idx in pts, where each pts[i] is a d-vector.
-// When idx is nil all rows are used.
-func MeanCov(pts [][]float64, idx []int) (mean []float64, cov *Mat) {
-	if len(pts) == 0 {
-		return nil, nil
-	}
-	d := len(pts[0])
+// MeanCovInto computes the sample mean and covariance (denominator
+// n-1) of the rows pts[idx[0]], pts[idx[1]], ... into the caller's mean
+// (length d) and cov (d x d), overwriting both. Rows are summed in the
+// order idx lists them, so the result's low-order bits are a function
+// of that order; it allocates nothing for d <= 32.
+func MeanCovInto(mean []float64, cov *Mat, pts [][]float64, idx []int) {
+	d := len(mean)
 	n := len(idx)
-	if idx == nil {
-		n = len(pts)
-	}
-	mean = make([]float64, d)
-	row := func(i int) []float64 {
-		if idx == nil {
-			return pts[i]
-		}
-		return pts[idx[i]]
-	}
-	for i := 0; i < n; i++ {
-		r := row(i)
+	clear(mean)
+	for _, ix := range idx {
+		r := pts[ix]
 		for j := 0; j < d; j++ {
 			mean[j] += r[j]
 		}
@@ -179,15 +183,20 @@ func MeanCov(pts [][]float64, idx []int) (mean []float64, cov *Mat) {
 	for j := 0; j < d; j++ {
 		mean[j] /= float64(n)
 	}
-	cov = NewMat(d, d)
-	diff := make([]float64, d)
-	for i := 0; i < n; i++ {
-		r := row(i)
-		for j := 0; j < d; j++ {
+	clear(cov.Data)
+	var buf [32]float64
+	diff := buf[:]
+	if d > len(buf) {
+		diff = make([]float64, d)
+	}
+	diff = diff[:d]
+	for _, ix := range idx {
+		r := pts[ix][:d]
+		for j := range diff {
 			diff[j] = r[j] - mean[j]
 		}
 		for j := 0; j < d; j++ {
-			cj := cov.Row(j)
+			cj := cov.Data[j*d : j*d+d]
 			dj := diff[j]
 			for k := j; k < d; k++ {
 				cj[k] += dj * diff[k]
@@ -205,7 +214,6 @@ func MeanCov(pts [][]float64, idx []int) (mean []float64, cov *Mat) {
 			cov.Set(k, j, v)
 		}
 	}
-	return mean, cov
 }
 
 // Ridge adds lambda to the diagonal of a in place and returns a; it is

@@ -145,9 +145,10 @@ func TestMahalanobisMatchesExplicit(t *testing.T) {
 	}
 }
 
-func TestMeanCov(t *testing.T) {
+func TestMeanCovInto(t *testing.T) {
 	pts := [][]float64{{1, 2}, {3, 4}, {5, 0}, {7, 6}}
-	mean, cov := MeanCov(pts, nil)
+	mean, cov := make([]float64, 2), NewMat(2, 2)
+	MeanCovInto(mean, cov, pts, []int{0, 1, 2, 3})
 	if math.Abs(mean[0]-4) > 1e-12 || math.Abs(mean[1]-3) > 1e-12 {
 		t.Errorf("mean = %v", mean)
 	}
@@ -158,10 +159,67 @@ func TestMeanCov(t *testing.T) {
 	if cov.At(0, 1) != cov.At(1, 0) {
 		t.Error("covariance not symmetric")
 	}
-	// Subset selection.
-	m2, _ := MeanCov(pts, []int{0, 2})
-	if math.Abs(m2[0]-3) > 1e-12 || math.Abs(m2[1]-1) > 1e-12 {
-		t.Errorf("subset mean = %v", m2)
+	// A subset, into the same (now dirty) buffers.
+	MeanCovInto(mean, cov, pts, []int{0, 2})
+	if math.Abs(mean[0]-3) > 1e-12 || math.Abs(mean[1]-1) > 1e-12 {
+		t.Errorf("subset mean = %v", mean)
+	}
+	if want := [4]float64{8, -4, -4, 2}; [4]float64(cov.Data) != want {
+		t.Errorf("subset cov = %v, want %v", cov.Data, want)
+	}
+}
+
+// TestMeanCovIntoWide covers dimensions past the stack scratch.
+func TestMeanCovIntoWide(t *testing.T) {
+	const d = 40
+	pts := make([][]float64, 3)
+	for i := range pts {
+		pts[i] = make([]float64, d)
+		for j := range pts[i] {
+			pts[i][j] = float64(i * (j + 1))
+		}
+	}
+	mean, cov := make([]float64, d), NewMat(d, d)
+	MeanCovInto(mean, cov, pts, []int{2, 0, 1})
+	// Column j holds 0, j+1, 2(j+1): mean j+1, cov[j][k] = (j+1)(k+1).
+	for j := 0; j < d; j++ {
+		if mean[j] != float64(j+1) || cov.At(j, d-1) != float64((j+1)*d) {
+			t.Fatalf("column %d: mean %v, cov[j][d-1] %v", j, mean[j], cov.At(j, d-1))
+		}
+	}
+}
+
+// TestCholeskyFactorReuse: refactoring into an existing Cholesky gives
+// the factor a fresh one would, without allocating.
+func TestCholeskyFactorReuse(t *testing.T) {
+	a := NewMat(2, 2)
+	copy(a.Data, []float64{4, 2, 2, 3})
+	b := NewMat(2, 2)
+	copy(b.Data, []float64{9, 3, 3, 5})
+	var c Cholesky
+	if err := c.Factor(a); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := c.Factor(b); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Factor into existing storage allocated %v times", allocs)
+	}
+	fresh, err := NewCholesky(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range fresh.L.Data {
+		if c.L.Data[i] != v {
+			t.Fatalf("reused factor %v, fresh %v", c.L.Data, fresh.L.Data)
+		}
+	}
+	bad := NewMat(2, 2)
+	copy(bad.Data, []float64{1, 2, 2, 1})
+	if err := c.Factor(bad); err != ErrNotSPD {
+		t.Errorf("indefinite matrix: %v", err)
 	}
 }
 
