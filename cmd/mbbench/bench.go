@@ -5,7 +5,7 @@ package main
 // hot-path kernels through testing.Benchmark, embeds ns/op + allocs/op
 // in the -json report, and -compare fails the process (exit 1) when any
 // kernel inflates more than 2x in ns/op or allocs/op against a committed
-// baseline report (BENCH_PR18.json). CI runs the comparator on every
+// baseline report (BENCH_PR19.json). CI runs the comparator on every
 // push, so a hot path can only regress past 2x by committing a new
 // baseline.
 
@@ -187,8 +187,10 @@ func microBenchmarks() []benchResult {
 	// pollParallel builds 4 warmed shard explainers (the stream dealt
 	// round-robin, shared decay clock) and measures one merged poll per
 	// op at the given PollParallelism: a few points land on one shard,
-	// then the session's MergeShared runs — clone + 4-leg shard merge +
-	// FPGrowth mine + canonical recount. The live shards' journals are
+	// then the session's MergeShared runs — 3-leg clone and shard merge
+	// (sketches, outlier tree; the inlier trees are borrowed) + FPGrowth
+	// mine + canonical recount + an inlier count per combination summed
+	// over the four shards' trees. The live shards' journals are
 	// never re-anchored at a snapshot, so no poll can be a delta (the
 	// end-to-end workloads' merged polls are full mines for the same
 	// reason, one decay tick later); the check below holds it to that.

@@ -25,7 +25,24 @@
 // stage reconciles them into one globally ranked explanation set,
 // either on demand while the stream runs (pipeline.StreamSession.Poll,
 // served by cmd/mbserver's /stream endpoints) or when the stream
-// terminates.
+// terminates. The stage folds what mining needs in one piece — the two
+// sketches and the outlier tree, about 1% of the mass — and leaves the
+// inlier trees where they are: the explanation stage only ever asks the
+// inlier side for the support of the few hundred combinations the
+// outlier side proposes (paper §5.2-5.3), and the support of an itemset
+// in a union of disjoint transaction multisets is the sum of its
+// supports in the parts. So a merged explainer borrows the shards'
+// inlier trees (explain.Streaming.Merge aliases them, read-only) and
+// answers each candidate with Σ over shards of cps.Counter.Support,
+// own tree first, then shard order; the union inlier tree that every
+// poll used to build (clone shard 0's, replay every path of the
+// others' into it: ~70% of a two-shard poll) exists only for a caller
+// that writes to a merged explainer, and as the test oracle
+// (explain.TestBorrowedInliersMatchUnionTree). The borrowed trees must
+// stay unmutated while the merged explainer lives, which every caller
+// satisfies by construction: retained snapshots under the session's
+// mineMu, a bypass poll's own clones, the shard explainers after Run
+// has returned.
 //
 // Consistency trade-off vs. single-shard EWS (the streaming analog of
 // the paper's Figure 11): the router hashes a point's full attribute
@@ -211,10 +228,14 @@
 //     trees. Queries never bump it.
 //
 //   - Cache key. explain.Streaming keys its caches on (outTree epoch,
-//     inTree epoch, totalOut, totalIn). The quadruple covers the
+//     inlier epoch, totalOut, totalIn). The quadruple covers the
 //     sketches too: a sketch can only change alongside a total
 //     (Consume) or a tree epoch (Decay, Merge), so equal keys imply
-//     the entire summary state is unchanged. Invalidation is pure key
+//     the entire summary state is unchanged. The inlier epoch of a
+//     merged explainer is its own tree's plus every borrowed tree's —
+//     its own no longer advances on merge — so movement confined to
+//     another shard's inlier side still moves the key
+//     (TestBorrowedEpochsInCacheKey). Invalidation is pure key
 //     comparison — there are no invalidation hooks to forget.
 //
 //   - Two cache levels. If the full key is unchanged, Explanations
@@ -342,14 +363,21 @@
 // Three stages stripe:
 //
 //   - Shard merge (explain.mergeInto) and the defensive clone before it
-//     (cloneWith): the fold touches four disjoint structures — outlier
-//     sketch, inlier sketch, outlier tree, inlier tree — so up to four
-//     workers each run the FULL sequential fold of one leg. Deliberately
-//     not a pairwise merge tree: float addition is non-associative and a
+//     (cloneWith): the fold touches three disjoint structures — outlier
+//     sketch, inlier sketch, outlier tree — so up to three workers each
+//     run the FULL sequential fold of one leg. Deliberately not a
+//     pairwise merge tree: float addition is non-associative and a
 //     merged tree's chain order depends on insertion order, so
 //     regrouping (a+b)+c into a+(b+c) changes bits; folding each leg in
-//     shard order, on whichever goroutine, changes none. Streaming.Merge
-//     and Clone are the same bodies at one worker.
+//     shard order, on whichever goroutine, changes none. The inlier
+//     trees are not folded but borrowed, shard 0's by the defensive
+//     clone too (three legs copied, one aliased; a public Clone still
+//     copies all four), and their determinism rule is a sum order, not
+//     a chain order: a combination's InlierCount is its support on the
+//     own tree plus its support on each borrowed tree, added in shard
+//     order by whichever worker owns the table entry — a function of
+//     the shard states and the shard order alone, the same at every W.
+//     Streaming.Merge and Clone are the same bodies at one worker.
 //
 //   - FPGrowth mining (fptree.Tree.MineParallelWith, which Mine and
 //     MineWith call with one miner): top-level header items are striped
@@ -387,8 +415,24 @@
 // Determinism across W is pinned by the differential harness (W up to
 // 8, tables of 0-3 itemsets, 1-4 shards), the fuzz corpus, and the
 // goldens; the PollParallel/p3s4 mbbench kernel and its -w1 twin
-// measure the speedup (>= 1.8x at W=4 expected on a 4-core machine,
-// 1.08x measured on the 2 cores available so far).
+// measure the speedup (>= 1.8x at W=4 expected on a 4-core machine;
+// on the 2 cores available so far 1.08x while a poll still built the
+// union inlier tree, 1.20x since PR 19 took that out and left the
+// mine and the counting, which stripe, as most of a poll — the number
+// ROADMAP's "default PollParallelism to 1" decision should be made on).
+//
+// One numerical change came with the borrowed inlier trees (PR 19), and
+// it is the only one: on a poll over two or more shards taken after a
+// decay tick, InlierCount — and so RiskRatio — may differ from the
+// union-tree value in the last ulps, because P per-shard chain sums
+// added in shard order replace one chain sum over a tree whose counts
+// were themselves added in replay order. While weights are integers (no
+// decay tick yet) the two are bit-equal; after ticks the differential
+// test against the union-tree oracle (P 2-4, W 1/2/4, 0/1/5 ticks, an
+// item admitted on one shard only, an empty shard, a root-only inlier
+// tree) reads at most 5e-16 relative and holds 1e-12. Explanation sets,
+// ranks, OutlierCount and Support are bit-equal to the oracle, and the
+// goldens, which print six significant digits, did not move.
 //
 // mbserver refuses a pollParallelism above the bound it puts on shards
 // (400): each poll would otherwise start that many goroutines.
@@ -421,11 +465,23 @@
 // before — the closing reconciliation at /stop, which on a faster run
 // is a full hit instead — and on two shards their number moves by one
 // or two with coordinator timing. The delta, reuse and full-hit layers
-// are therefore idle on this traffic. Whether they stay is ROADMAP's
-// "One poll path" item: first make a merged poll cost its change
-// rather than its tree (a session-resident merged explainer updated
-// from journaled paths and decay ticks), then delete each layer whose
-// removal costs under 5% of answer_p50_ms.
+// are therefore idle on this traffic.
+//
+// What such a full-mine poll costs on two shards, since PR 19: the
+// snapshot round, a copy of shard 0's sketches and outlier tree, the
+// fold of shard 1's into them, the FPGrowth mine of the merged outlier
+// tree, the canonical recount, and one inlier count per qualifying
+// combination on each shard's inlier tree. It no longer costs the
+// inlier trees themselves: bench -trace 1 on firehose_xc (seed 1) reads
+// explain.merge_ms 52.5 -> 1.8 ms with explain.rank_ms 8.0 -> 8.5 ms
+// (the extra counting walks), on poll_drift 15.0 -> 1.3 and 1.8 -> 2.0;
+// answer_p50_ms went 103 -> 34 ms and 27 -> 10.5 ms (ten alternating
+// pairs; CHANGES.md), and the whole poll is under 3% of firehose_xc
+// server CPU where Merge alone was 14%. What is left of a poll is
+// mostly the mine and the recount, i.e. the outlier side, which is 1%
+// of the mass. Whether the idle cache layers stay is ROADMAP's "One
+// poll path" item: delete each layer whose removal costs under 5% of
+// answer_p50_ms.
 //
 // # Push-based partitioned ingest
 //
@@ -680,42 +736,49 @@
 //
 // # Kernel baseline
 //
-// BENCH_PR18.json (go1.24, go_max_procs 2) is the one committed kernel
+// BENCH_PR19.json (go1.24, go_max_procs 2) is the one committed kernel
 // baseline. What it and its predecessors read, in µs/op — PR 3-10 on a
-// 1-core box, PR 15-18 on a 2-core one, so compare along a row only
-// within those groups:
+// 1-core box, PR 15-19 on a 2-core one, so compare along a row only
+// within those groups ("=": PR 19 re-recorded the two PollParallel
+// kernels and carries every other entry over from PR 18):
 //
-//	kernel                      PR3    PR5    PR8   PR10   PR15   PR16   PR18
-//	consume                    1684   1331   1579   1560    234    265    261
-//	poll-full                  2147   1810   4044   3731   3138   2804   2807 (a)
-//	poll-warm                  3.25   2.29   2.46   2.21   1.98   2.11   2.69
-//	poll-inlier-moved          1654   1456   1313   1156   1193   1457   1287
-//	DeltaMine/steady-drift        -      -    776    649    579    725    620
-//	DeltaMine/steady-drift-full   -      -   4049   3553   2961      -      - (b)
-//	PollParallel/p3s4             -      -      -  78968  24615  26521  23032
-//	PollParallel/p3s4-w1          -      -      -  78865  26518  27129  25238 (c)
-//	PushIngest/p3s4               -   69.5    121   95.0   55.2   61.0   59.8
-//	Route/p3s4                    -   22.8   28.9   35.4   20.0   22.5   20.4
-//	binary-decode                 -   84.7    115    103   88.4   92.2   83.0
-//	FPGrowthMine              26727  20476  24596  22452  12736  13896  13640
-//	MCDFit/n10k-p7, ms            -      -      -      -      -    304    120 (d)
-//	MCDFit/n10k-p2, ms            -      -      -      -      -    323   68.9 (d)
-//	MCDFit/n40k-p7, ms            -      -      -      -      -   1414    556 (d)
+//	kernel                      PR3    PR5    PR8   PR10   PR15   PR16   PR18   PR19
+//	consume                    1684   1331   1579   1560    234    265    261      =
+//	poll-full                  2147   1810   4044   3731   3138   2804   2807      = (a)
+//	poll-warm                  3.25   2.29   2.46   2.21   1.98   2.11   2.69      =
+//	poll-inlier-moved          1654   1456   1313   1156   1193   1457   1287      =
+//	DeltaMine/steady-drift        -      -    776    649    579    725    620      =
+//	DeltaMine/steady-drift-full   -      -   4049   3553   2961      -      -      - (b)
+//	PollParallel/p3s4             -      -      -  78968  24615  26521  23032   3417 (e)
+//	PollParallel/p3s4-w1          -      -      -  78865  26518  27129  25238   4095 (c)
+//	PushIngest/p3s4               -   69.5    121   95.0   55.2   61.0   59.8      =
+//	Route/p3s4                    -   22.8   28.9   35.4   20.0   22.5   20.4      =
+//	binary-decode                 -   84.7    115    103   88.4   92.2   83.0      =
+//	FPGrowthMine              26727  20476  24596  22452  12736  13896  13640      =
+//	MCDFit/n10k-p7, ms            -      -      -      -      -    304    120      = (d)
+//	MCDFit/n10k-p2, ms            -      -      -      -      -    323   68.9      = (d)
+//	MCDFit/n40k-p7, ms            -      -      -      -      -   1414    556      = (d)
 //
 // (a) Through PR 15 a cache-off switch made a static explainer re-mine;
 // from PR 16 the kernel is the poll after a decay tick. (b) The
 // delta-off switch went in PR 16; the last full/delta ratio was 5.1x.
 // (c) Through PR 15 likewise cache-off over static shards; from PR 16 a
 // few points land on one shard before each poll. The last w1/w4 ratios:
-// 1.08x at PR 15, 1.02x at PR 16, 1.10x at PR 18, all on 2 cores. One
-// more dropped leg: BenchmarkStreamSessionPoll/steady-nocache, last
-// 169 ms against steady's 2.53 ms (PR 3). (d) In ms/op: one
+// 1.08x at PR 15, 1.02x at PR 16, 1.10x at PR 18, 1.20x at PR 19, all on
+// 2 cores. One more dropped leg: BenchmarkStreamSessionPoll/
+// steady-nocache, last 169 ms against steady's 2.53 ms (PR 3). (d) In
+// ms/op: one
 // default-config mcd.Fit over a workload dataset's metrics — a shard's
 // reservoir refit on firehose_xc (p7) and poll_drift (p2), and
 // batch_query's 40K training sample. The kernels joined the gate in
 // PR 18; their PR16 entries are the median of three runs of the PR 16
 // tree in the PR 18 sitting. PR 18 sorts nothing (2.5x, 4.7x and 2.5x
-// faster) and allocates 297 times a fit against ~18,500. Sittings on this shared box differ by
-// 10-30% (PR 15's own tree read 1.04-1.34x its baseline on the PR 16
-// day); same-sitting pairs of adjacent trees are in CHANGES.md.
+// faster) and allocates 297 times a fit against ~18,500. (e) PR 19:
+// the merged poll over four shards no longer builds the union inlier
+// tree — 16.2 MB a poll down to 2.3 MB, 6.7x and 6.2x faster (the
+// third of four runs in one sitting: 3.35-3.72 and 4.03-4.39 ms; the
+// PR 18 tree read 26.1 and 25.4 ms in it). Sittings on this shared box
+// differ by 10-30% (PR 15's own tree read 1.04-1.34x its baseline on
+// the PR 16 day); same-sitting pairs of adjacent trees are in
+// CHANGES.md.
 package macrobase

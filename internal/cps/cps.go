@@ -25,7 +25,10 @@
 // Confine each tree to one goroutine or clone it (Clone is a slab
 // memcpy — the child index is not copied, a clone that is inserted into
 // rebuilds it — which is what the sharded engine's snapshot protocol
-// does).
+// does). The exception is Counter, which queries through scratch of
+// its own: a merged poll counts on the shards' frozen inlier trees in
+// place, which leaves Merge to the outlier side (mining needs one tree)
+// and to writers.
 package cps
 
 import (
@@ -482,8 +485,9 @@ func (t *Tree) ForEachPath(f func(items []int32, weight float64)) {
 
 // Merge folds src's transactions into t, the shard-reconciliation
 // operation of the sharded streaming engine: each shard grows its own
-// tree over its hash partition and the merge stage unions them. The
-// merge is lossless — src's items bypass t's allowed filter, since
+// tree over its hash partition and the merge stage unions the outlier
+// trees (inlier trees only for a writer; polls count on them in place).
+// The merge is lossless — src's items bypass t's allowed filter, since
 // each shard's frequent set legitimately differs — and the allowed
 // sets union: an item frequent on either shard stays insertable.
 func (t *Tree) Merge(src *Tree) {

@@ -12,11 +12,15 @@ import (
 // that MacroBase's sharded streaming engine can keep shared-nothing
 // per-shard explainers and still produce one global ranked explanation
 // set: each shard summarizes its hash partition of the labeled stream,
-// and a merge stage clones the per-shard states and folds them
-// together. Because the underlying AMC sketches and M-CPS-trees merge
-// with summed error bounds (mergeable summaries), a merged explainer
-// over P disjoint partitions answers support queries within P times the
-// single-shard bound — the consistency trade-off of sharded execution.
+// and a merge stage folds the per-shard sketches and outlier trees
+// together (mining needs one tree) and counts inliers on the shards'
+// own inlier trees: an itemset's support in a union of disjoint
+// transaction multisets is the sum of its supports in the parts, so
+// the union inlier tree is never built. Because AMC sketches and
+// M-CPS-trees merge with summed error bounds (mergeable summaries), a
+// merged explainer over P disjoint partitions answers support queries
+// within P times the single-shard bound — the consistency trade-off of
+// sharded execution.
 
 // Clone returns a deep copy of the explainer's summary state (sketches,
 // trees, class totals). A shard worker hands clones to the merge stage
@@ -25,18 +29,26 @@ import (
 // cached slices are immutable once stored, so sharing them is safe and
 // the tree epochs keep the keys valid across the copy); the hit/miss
 // counters do not — a clone starts counting from zero so per-poll
-// deltas are attributable.
-func (s *Streaming) Clone() *Streaming { return s.cloneWith(1) }
+// deltas are attributable. Inlier trees s only borrows (see Merge) are
+// folded into the clone's own.
+func (s *Streaming) Clone() *Streaming {
+	c := s.cloneWith(1, summaryLegs)
+	c.ownInliers()
+	return c
+}
 
-// cloneWith is Clone with the four summary-copy legs (two sketch
-// copies, two tree slab memcpys) striped across up to w workers. The
-// merger uses it on the poll hot path, where the defensive clone is
-// the head of an otherwise striped poll.
-func (s *Streaming) cloneWith(w int) *Streaming {
+// cloneWith copies the first `legs` summary legs (two sketch copies,
+// two tree slab memcpys) striped across up to w workers. At mergeLegs
+// the inlier tree is aliased instead: the merger's defensive clone on
+// the poll hot path only ever counts on it.
+func (s *Streaming) cloneWith(w, legs int) *Streaming {
 	c := &Streaming{
 		cfg:      s.cfg,
 		totalOut: s.totalOut,
 		totalIn:  s.totalIn,
+		inTree:   s.inTree,
+		inShared: legs < summaryLegs,
+		borrowed: slices.Clone(s.borrowed),
 
 		mineCache:      s.mineCache,
 		mineCacheMin:   s.mineCacheMin,
@@ -47,8 +59,8 @@ func (s *Streaming) cloneWith(w int) *Streaming {
 		fullCacheKey:   s.fullCacheKey,
 		fullCacheOK:    s.fullCacheOK,
 	}
-	fptree.RunStriped(w, summaryLegs, func(wk, stride int) {
-		for leg := wk; leg < summaryLegs; leg += stride {
+	fptree.RunStriped(w, legs, func(wk, stride int) {
+		for leg := wk; leg < legs; leg += stride {
 			switch leg {
 			case 0:
 				c.outAttrs = s.outAttrs.Clone()
@@ -62,6 +74,20 @@ func (s *Streaming) cloneWith(w int) *Streaming {
 		}
 	})
 	return c
+}
+
+// ownInliers leaves s owning one inlier tree with every transaction it
+// answers for: an aliased tree is copied and the borrowed ones folded
+// in (cps.Tree.Merge, the union fold every merge used to run). Writers
+// — Consume, Decay, Clone — call it first; no poll does.
+func (s *Streaming) ownInliers() {
+	if s.inShared {
+		s.inTree, s.inShared = s.inTree.Clone(), false
+	}
+	for _, t := range s.borrowed {
+		s.inTree.Merge(t)
+	}
+	s.borrowed = nil
 }
 
 // SnapshotClone is Clone for the sharded serving layer's per-poll
@@ -79,19 +105,22 @@ func (s *Streaming) SnapshotClone() *Streaming {
 
 // Merge folds other's summary state into s, treating the two as
 // summaries of disjoint substreams: attribute sketches merge under
-// mergeable-summaries semantics, prefix trees union their transaction
-// multisets, and class totals add. Merging does not decay either side;
-// callers merge states that share a decay schedule (the sharded
+// mergeable-summaries semantics, the outlier trees union their
+// transaction multisets, and class totals add. other's inlier tree is
+// aliased, not copied — queries sum its supports with s's own — so it
+// must stay unmutated until s is dropped or next written to (Consume,
+// Decay and Clone fold it in first). Merging does not decay either
+// side; callers merge states that share a decay schedule (the sharded
 // engine's per-shard clocks tick on the same tuple period).
 func (s *Streaming) Merge(other *Streaming) { mergeInto(s, []*Streaming{other}, 1) }
 
 // summaryLegs is the number of independent summary structures of an
 // explainer — outlier sketch, inlier sketch, outlier tree, inlier tree
-// — and so the widest a clone or a merge can stripe.
-const summaryLegs = 4
+// — and so the widest a clone can stripe; a merge folds the first three.
+const summaryLegs, mergeLegs = 4, 3
 
 // mergeInto folds rest into dst, the reduction under every merged
-// poll, with the four summary legs striped across up to w workers. A
+// poll, with the three folded legs striped across up to w workers. A
 // leg performs the sequential per-shard fold of its own structure: it
 // touches only its own dst structure and reads only its own structure
 // on each source (a tree's path replay uses that tree's scratch, a
@@ -101,15 +130,15 @@ const summaryLegs = 4
 // is non-associative and merged-tree chain order depends on insertion
 // order, so reassociating the shard folds would change low-order bits
 // and canonical-recount accumulation order. Per-leg parallelism is the
-// determinism boundary — it buys up to 4-way concurrency without
-// touching any per-leg arithmetic order (the mine and recount passes
-// scale past 4; see doc.go).
+// determinism boundary (the mine and recount passes scale past it; see
+// doc.go). The inlier trees are borrowed in shard order, which is the
+// order filterCombinations sums them in.
 func mergeInto(dst *Streaming, rest []*Streaming, w int) {
 	if len(rest) == 0 {
 		return // a one-shard poll has nothing to fold and nothing to spawn
 	}
-	fptree.RunStriped(w, summaryLegs, func(wk, stride int) {
-		for leg := wk; leg < summaryLegs; leg += stride {
+	fptree.RunStriped(w, mergeLegs, func(wk, stride int) {
+		for leg := wk; leg < mergeLegs; leg += stride {
 			for _, sh := range rest {
 				switch leg {
 				case 0:
@@ -118,13 +147,12 @@ func mergeInto(dst *Streaming, rest []*Streaming, w int) {
 					dst.inAttrs.Merge(sh.inAttrs)
 				case 2:
 					dst.outTree.Merge(sh.outTree)
-				case 3:
-					dst.inTree.Merge(sh.inTree)
 				}
 			}
 		}
 	})
 	for _, sh := range rest {
+		dst.borrowed = append(append(dst.borrowed, sh.inTree), sh.borrowed...)
 		dst.totalOut += sh.totalOut
 		dst.totalIn += sh.totalIn
 	}
@@ -137,7 +165,7 @@ func mergeInto(dst *Streaming, rest []*Streaming, w int) {
 // input, leaving every shard state untouched.
 func MergeStreaming(shards []*Streaming) []core.Explanation {
 	if len(shards) > 1 {
-		owned := append([]*Streaming{shards[0].Clone()}, shards[1:]...)
+		owned := append([]*Streaming{shards[0].cloneWith(1, mergeLegs)}, shards[1:]...)
 		return MergeStreamingInto(owned)
 	}
 	return MergeStreamingInto(shards)
@@ -150,7 +178,8 @@ func MergeStreaming(shards []*Streaming) []core.Explanation {
 // trees, totals) unchanged, but reading them is not concurrency-safe:
 // the flat-arena trees serve path extraction out of per-tree reusable
 // scratch, so no shard in the slice may be shared with another
-// goroutine during the call.
+// goroutine during the call, and shards[0] aliases their inlier trees
+// afterwards (see Streaming.Merge).
 func MergeStreamingInto(shards []*Streaming) []core.Explanation {
 	if len(shards) == 0 {
 		return nil
@@ -174,7 +203,7 @@ type Signature struct {
 func (s *Streaming) Signature() Signature {
 	return Signature{
 		OutEpoch: s.outTree.Epoch(),
-		InEpoch:  s.inTree.Epoch(),
+		InEpoch:  s.inEpoch(),
 		TotalOut: s.totalOut,
 		TotalIn:  s.totalIn,
 	}
@@ -277,16 +306,17 @@ func (m *PollMerger) NoteElidedSnapshots(n int) { m.stats.SnapshotsElided += int
 
 // Merge reconciles per-shard snapshot clones into one ranked
 // explanation set, incrementally when the signatures allow it. The
-// merger takes ownership of shards (they are mutated by the fold and
-// may be retained); callers pass throwaway clones, exactly like
-// MergeStreamingInto. The returned slice is the caller's.
+// merger takes ownership of shards (the fold mutates shards[0] and
+// aliases the others' inlier trees — see Streaming.Merge); callers pass
+// throwaway clones, like MergeStreamingInto. The result is the caller's.
 func (m *PollMerger) Merge(shards []*Streaming) []core.Explanation {
 	return m.merge(shards, true)
 }
 
 // MergeShared is Merge for callers that keep the shard snapshots
 // alive across polls (the snapshot-elision path): the inputs' summary
-// state is never mutated — a fold clones shards[0] first — so the same
+// state is never mutated — a fold clones shards[0]'s sketches and
+// outlier tree first and only counts on the inlier trees — so the same
 // snapshot may be passed again on the next poll. Reading still runs
 // through per-tree scratch, so the inputs must not be shared with
 // another goroutine during the call; with a single shard the
@@ -353,7 +383,7 @@ func (m *PollMerger) merge(shards []*Streaming, owned bool) []core.Explanation {
 		// the retained snapshots' summary state stays pristine. (With
 		// one shard there is no fold; Explanations only refreshes
 		// dst's internal caches, which retained snapshots tolerate.)
-		dst = shards[0].cloneWith(shards[0].cfg.parallelism())
+		dst = shards[0].cloneWith(shards[0].cfg.parallelism(), mergeLegs)
 	}
 	mergeInto(dst, shards[1:], dst.cfg.parallelism())
 	if outSame && m.mineOK {

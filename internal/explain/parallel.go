@@ -19,9 +19,9 @@ import (
 //     (private query buffer), an fptree.Miner (private conditional
 //     frames and output stage), or a whole merge leg (a disjoint
 //     summary structure);
-//   - the structures being read (tree arenas, rank tables, the
-//     qualified bitmap) are frozen for the duration of a pass — the
-//     only concurrent accesses are pure reads;
+//   - the structures being read (tree arenas — borrowed inlier trees
+//     included — rank tables, the qualified bitmap) are frozen for the
+//     duration of a pass — the only concurrent accesses are pure reads;
 //   - results land in index-addressed slots and are assembled by the
 //     calling goroutine in index order, so worker scheduling can never
 //     reorder (or reassociate) anything.
@@ -71,12 +71,14 @@ func (s *Streaming) counter(w int, tree *cps.Tree) *cps.Counter {
 // filterCombinations is the multi-attribute half of Explanations: every
 // table entry whose attributes all qualified on their own is counted
 // over the inliers (striped — the walks are independent given private
-// query scratch) and kept if its risk ratio clears the threshold.
-// Verdicts are assembled in table order on the calling goroutine.
+// query scratch) and kept if its risk ratio clears the threshold. A
+// merged explainer sums the entry's supports over its own tree, then
+// each borrowed one in shard order: a function of the shard states and
+// their order alone. Verdicts are assembled in table order on the
+// calling goroutine.
 func (s *Streaming) filterCombinations(tab []fptree.Itemset, exps []core.Explanation, tested int) ([]core.Explanation, int) {
 	ai := s.slotsFor(len(tab))
 	s.stripe(len(tab), func(w, stride int) {
-		c := s.counter(w, s.inTree)
 	entries:
 		for idx := w; idx < len(tab); idx += stride {
 			ai[idx] = slotSkip
@@ -89,7 +91,11 @@ func (s *Streaming) filterCombinations(tab []fptree.Itemset, exps []core.Explana
 					continue entries
 				}
 			}
-			ai[idx] = c.Support(items)
+			n := s.counter(w, s.inTree).Support(items)
+			for _, t := range s.borrowed {
+				n += s.counter(w, t).Support(items)
+			}
+			ai[idx] = n
 		}
 	})
 	for idx, is := range tab {

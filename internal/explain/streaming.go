@@ -92,6 +92,12 @@ type Streaming struct {
 	outTree  *cps.Tree
 	inTree   *cps.Tree
 
+	// borrowed are other explainers' inlier trees, aliased by Merge in
+	// shard order and only ever counted on; inShared marks inTree itself
+	// as another explainer's. ownInliers resolves both.
+	borrowed []*cps.Tree
+	inShared bool
+
 	totalOut float64
 	totalIn  float64
 
@@ -151,7 +157,8 @@ type Streaming struct {
 // (insert/restructure/merge), and the class totals cover sketch
 // movement — the sketches only change alongside a total or a tree
 // epoch (Consume bumps a total, Decay restructures both trees, Merge
-// bumps both epochs), so the quadruple is a sound cache key.
+// bumps the outlier epoch and adds the borrowed trees' epochs to the
+// inlier one), so the quadruple is a sound cache key.
 type cacheKey struct {
 	outEpoch, inEpoch uint64
 	totalOut, totalIn float64
@@ -160,10 +167,20 @@ type cacheKey struct {
 func (s *Streaming) cacheKeyNow() cacheKey {
 	return cacheKey{
 		outEpoch: s.outTree.Epoch(),
-		inEpoch:  s.inTree.Epoch(),
+		inEpoch:  s.inEpoch(),
 		totalOut: s.totalOut,
 		totalIn:  s.totalIn,
 	}
+}
+
+// inEpoch stamps the whole inlier side, borrowed trees included: epochs
+// only advance, so within a lineage equal sums mean equal terms.
+func (s *Streaming) inEpoch() uint64 {
+	e := s.inTree.Epoch()
+	for _, t := range s.borrowed {
+		e += t.Epoch()
+	}
+	return e
 }
 
 // CacheStats counts how Explanations calls were served; the sharded
@@ -250,6 +267,7 @@ func NewStreaming(cfg StreamingConfig) *Streaming {
 // Consume implements core.Explainer: attributes of each labeled point
 // are inserted into the class's sketch and prefix tree.
 func (s *Streaming) Consume(batch []core.LabeledPoint) {
+	s.ownInliers()
 	for i := range batch {
 		p := &batch[i]
 		if p.Label == core.Outlier {
@@ -279,6 +297,7 @@ func (s *Streaming) TotalInliers() float64 { return s.totalIn }
 // threshold are dropped from the trees, and the trees are re-sorted in
 // the new frequency-descending order.
 func (s *Streaming) Decay() {
+	s.ownInliers()
 	retain := 1 - s.cfg.DecayRate
 	s.totalOut *= retain
 	s.totalIn *= retain

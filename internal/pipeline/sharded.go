@@ -442,8 +442,9 @@ func runSharded(src core.Source, parts core.PartitionedSource, cfg Config, shard
 	}
 	// A throwaway merger reports the run's (single) mine in Cache with
 	// the same counters a resident session exposes. The run owns the
-	// explainers outright once Run returns, so the in-place fold is
-	// safe.
+	// explainers outright once Run returns and nothing writes to them
+	// again, so the in-place fold — which aliases shards 1..P-1's inlier
+	// trees rather than copying them — is safe.
 	merger := explain.NewPollMerger()
 	return &ShardedResult{
 		Stats:        stats,
@@ -487,8 +488,11 @@ type StreamSession struct {
 	// and a shard whose state is provably unchanged answers with a
 	// signature-only marker instead of paying the slab-memcpy clone;
 	// the retained snapshot stands in during the merge (MergeShared
-	// never mutates its inputs' summary state, so retained snapshots
-	// stay valid across polls).
+	// never mutates its inputs' summary state — it counts inliers on
+	// their trees in place — so retained snapshots stay valid across
+	// polls; the merged explainer that aliases those trees does not
+	// outlive the poll, and retain() replaces snapshots, never edits
+	// them).
 	mineMu sync.Mutex
 	pollMu sync.Mutex
 	merger *explain.PollMerger
@@ -607,7 +611,8 @@ func startSession(src core.Source, parts core.PartitionedSource, cfg Config, sha
 			// common stop shape), the final result is a cache hit, and
 			// the counters in Cache stay cumulative across the session's
 			// whole lifetime. Run has returned, so this goroutine owns
-			// the shard explainers and the in-place fold is safe.
+			// the shard explainers, no worker will write to them again,
+			// and the in-place fold (inlier trees aliased) is safe.
 			s.mineMu.Lock()
 			pre := s.merger.Stats()
 			res.Explanations = s.merger.Merge(explainers)
@@ -781,11 +786,13 @@ func (s *StreamSession) pollLocked() (*ShardedResult, error, pollOutcome) {
 }
 
 // pollBypass is the contended-poll path: a hint-less snapshot round
-// merged on its own throwaway clones, never touching the merger or
-// the retained snapshots. It pays a full mine (the clones carry no
-// merged-poll cache) in exchange for not waiting on the in-flight
-// one. Counters still land in the session's cumulative cstats, so
-// every served poll is accounted exactly once regardless of path.
+// merged on its own throwaway clones (whose inlier trees the fold
+// aliases, which is why they must be this poll's alone), never touching
+// the merger or the retained snapshots. It pays a full mine (the
+// clones carry no merged-poll cache) in exchange for not waiting on the
+// in-flight one. Counters still land in the session's cumulative
+// cstats, so every served poll is accounted exactly once regardless of
+// path.
 func (s *StreamSession) pollBypass() (*ShardedResult, error, pollOutcome) {
 	snaps, err := s.runner.Snapshot(nil)
 	if err != nil {
