@@ -175,22 +175,29 @@ func sameSet(ascending, other []int) bool {
 	return true
 }
 
-// trialLogDets runs Fit's trial stage as Fit sets it up and returns the
-// candidates' log-determinants and the generator's next value.
-func trialLogDets(pts [][]float64, cfg Config) (logDets []float64, afterRNG uint64) {
+// trialLogDets runs Fit's trial stage and its full-data ranking as Fit
+// sets them up and returns the candidates' log-determinants out of the
+// one and, in rank order, out of the other, and the generator's next
+// value once the trials are done.
+func trialLogDets(pts [][]float64, cfg Config) (logDets, ranked []float64, afterRNG uint64) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xda3e39cb94b95bdb))
+	rng := fitRNG(cfg.Seed)
 	cs := newCStepper(pts, defaultH(len(pts), len(pts[0]), cfg.SupportFraction))
-	for _, c := range trialCandidates(cs, cfg, rng) {
+	cand := trialCandidates(cs, cfg, rng)
+	for _, c := range cand {
 		logDets = append(logDets, c.logDet)
 	}
-	return logDets, rng.Uint64()
+	for _, c := range refine(cs, cand, len(cand)) {
+		ranked = append(ranked, c.logDet)
+	}
+	return logDets, ranked, rng.Uint64()
 }
 
 // TestFitMatchesOracle compares whole fits: the trial stage leaves the
 // generator in the same state (it drew the same numbers) and hands the
-// same candidates to convergence, the same candidate wins after the
-// same number of steps, and the estimate agrees to within tol.
+// same candidates to the full-data stage, two C-steps there rank them the
+// same, the same candidate wins after the same number of steps, and the
+// estimate agrees to within tol.
 func TestFitMatchesOracle(t *testing.T) {
 	for _, sh := range oracleShapes {
 		sh := sh
@@ -204,7 +211,7 @@ func TestFitMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: oracle: %v", seed, err)
 				}
-				cands, afterRNG := trialLogDets(pts, cfg)
+				cands, ranked, afterRNG := trialLogDets(pts, cfg)
 				if afterRNG != want.afterRNG {
 					t.Fatalf("seed %d: the trial stage consumed different random draws than the oracle's", seed)
 				}
@@ -214,6 +221,14 @@ func TestFitMatchesOracle(t *testing.T) {
 				for i := range cands {
 					if d := relDiff(cands[i], want.cands[i], 1); d > tol {
 						t.Fatalf("seed %d: candidate %d logDet %v, oracle %v", seed, i, cands[i], want.cands[i])
+					}
+				}
+				if len(ranked) != len(want.ranked) {
+					t.Fatalf("seed %d: %d candidates ranked on the full data, oracle %d", seed, len(ranked), len(want.ranked))
+				}
+				for i := range ranked {
+					if d := relDiff(ranked[i], want.ranked[i], 1); d > tol {
+						t.Fatalf("seed %d: rank %d after two full-data C-steps has logDet %v, oracle %v", seed, i, ranked[i], want.ranked[i])
 					}
 				}
 				got, err := Fit(pts, cfg)
@@ -341,9 +356,10 @@ func TestSubsetEdgeCases(t *testing.T) {
 	})
 }
 
-// TestFitAllocations: a fit's allocations are its steppers and its
-// TopKeep-sized candidate lists, not one set of buffers per C-step. The
-// parent commit allocated ~20,000 times here.
+// TestFitAllocations: a fit's allocations are its steppers and the
+// TopKeep-sized candidate lists of its five subsets (262 here), not a set
+// of buffers per C-step, per trial or per ranked candidate — the merged
+// and full-data levels rank the candidates in the storage they came in.
 func TestFitAllocations(t *testing.T) {
 	pts := gaussMix(10_000, 7, 1)
 	allocs := testing.AllocsPerRun(1, func() {
@@ -351,8 +367,8 @@ func TestFitAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1000 {
-		t.Errorf("Fit at n=10K p=7 allocated %.0f times, want <= 1000", allocs)
+	if allocs > 350 {
+		t.Errorf("Fit at n=10K p=7 allocated %.0f times, want <= 350", allocs)
 	}
 	t.Logf("Fit at n=10K p=7: %.0f allocations", allocs)
 }

@@ -4,6 +4,11 @@
 // matrix has minimal determinant and scores points by Mahalanobis
 // distance to that robust location/scatter.
 //
+// The search is selective iteration at three levels — ~300-point subsets,
+// their merged set, the full data: every candidate at a level gets two
+// C-steps and the level keeps its TopKeep best. Only the leader of the
+// full-data ranking then concentrates to its fixed point.
+//
 // A concentration step (C-step) keeps the h points closest to the
 // current estimate and re-estimates from them. Only the set matters,
 // never the ranking, so the step selects rather than sorts: one
@@ -37,11 +42,11 @@ type Config struct {
 	// Trials is the number of random initial (p+1)-subsets
 	// (default 500).
 	Trials int
-	// TopKeep is how many candidate solutions survive each
-	// refinement round (default 10).
+	// TopKeep is how many candidates survive the two C-steps of each
+	// level — subset, merged set, full data (default 10).
 	TopKeep int
-	// MaxCSteps bounds the concentration iterations during final
-	// convergence (default 100).
+	// MaxCSteps bounds the full-data leader's concentration after its
+	// two ranking steps (default 100).
 	MaxCSteps int
 	// SmallN is the size at which the nested-extraction strategy
 	// replaces direct trials (default 600, as in FastMCD).
@@ -77,8 +82,8 @@ type Estimate struct {
 	LogDet float64
 	// H is the subset size the estimate concentrates on.
 	H int
-	// CSteps is the number of concentration steps the winning
-	// candidate used to converge.
+	// CSteps is the number of full-data concentration steps the winner
+	// took: the two it was ranked on, then those of its convergence.
 	CSteps int
 
 	chol    *stats.Cholesky
@@ -117,29 +122,53 @@ func Fit(pts [][]float64, cfg Config) (*Estimate, error) {
 		return nil, errors.New("mcd: no non-singular candidate found")
 	}
 
-	// Converge the surviving candidates on the full data set and keep
-	// the lowest determinant.
-	best := candidate{logDet: math.Inf(1)}
-	bestSteps := 0
-	for _, c := range cand {
-		logDet, steps, err := cs.converge(c.mean, c.cov, cfg.MaxCSteps)
-		if err != nil {
-			continue
-		}
-		if logDet < best.logDet {
-			best = candidate{mean: c.mean, cov: c.cov, logDet: logDet}
-			bestSteps = steps
-		}
-	}
-	if math.IsInf(best.logDet, 1) {
-		return nil, errors.New("mcd: concentration failed on all candidates")
-	}
-	est, err := finalize(pts, best.mean, best.cov, h)
+	// Selective iteration carried to the full data: two C-steps for every
+	// surviving candidate, then only the leader concentrates.
+	lead, steps, err := convergeLeader(cs, refine(cs, cand, len(cand)), cfg.MaxCSteps)
 	if err != nil {
 		return nil, err
 	}
-	est.CSteps = bestSteps
+	est, err := finalize(pts, lead.mean, lead.cov, h)
+	if err != nil {
+		return nil, err
+	}
+	est.CSteps = 2 + steps
 	return est, nil
+}
+
+// refine gives each candidate two C-steps on cs's dataset and returns the
+// best keep in cands' own storage, ascending by log-determinant, ties to
+// the earlier candidate; one whose estimate stops factoring drops out.
+func refine(cs *cStepper, cands []candidate, keep int) []candidate {
+	kept := cands[:0]
+next:
+	for _, c := range cands {
+		for step := 0; step < 2; step++ {
+			var err error
+			if c.logDet, err = cs.step(c.mean, c.cov); err != nil {
+				continue next
+			}
+		}
+		i := len(kept)
+		for kept = append(kept, c); i > 0 && kept[i-1].logDet > c.logDet; i-- {
+			kept[i] = kept[i-1]
+		}
+		kept[i] = c
+	}
+	return kept[:min(keep, len(kept))]
+}
+
+// convergeLeader concentrates ranked[0] to its fixed point and returns it
+// with the steps that took. It reaches the next in rank only when the one
+// before stops factoring, so it fails only when every candidate does.
+func convergeLeader(cs *cStepper, ranked []candidate, maxSteps int) (candidate, int, error) {
+	for _, c := range ranked {
+		if logDet, steps, err := cs.converge(c.mean, c.cov, maxSteps); err == nil {
+			c.logDet = logDet
+			return c, steps, nil
+		}
+	}
+	return candidate{}, 0, errors.New("mcd: concentration failed on all candidates")
 }
 
 // defaultH returns the subset size for the given support fraction.
@@ -390,7 +419,7 @@ func trialCandidates(cs *cStepper, cfg Config, rng *rand.Rand) []candidate {
 // nestedTrials implements FastMCD's large-n strategy: run trials
 // within up to five disjoint subsets of ~300 points, pool the
 // per-subset winners on the merged set, and return the merged-set
-// winners for convergence on full's data.
+// winners for ranking on full's data.
 func nestedTrials(full *cStepper, cfg Config, rng *rand.Rand) []candidate {
 	pts, h := full.pts, full.h
 	n := len(pts)
@@ -428,18 +457,7 @@ func nestedTrials(full *cStepper, cfg Config, rng *rand.Rand) []candidate {
 		hMerged = p + 1
 	}
 	csm := newCStepper(mergedPts, hMerged)
-	refined := topCandidates{keep: cfg.TopKeep}
-pool:
-	for _, c := range pooled {
-		for step := 0; step < 2; step++ {
-			var err error
-			if c.logDet, err = csm.step(c.mean, c.cov); err != nil {
-				continue pool
-			}
-		}
-		refined.offer(c.mean, c.cov, c.logDet)
-	}
-	return refined.list
+	return refine(csm, pooled, cfg.TopKeep)
 }
 
 // finalize applies the consistency correction — rescaling the scatter

@@ -4,15 +4,18 @@ package mcd
 // selection, kept as the reference the select-based kernel is compared
 // against: every C-step ranks all n points with sort.Slice and sums the
 // first h in rank order, every candidate is collected and sorted, and
-// subset draws dedupe through a map. One thing is not as it was: the
-// ranking breaks equal distances by index, where the old comparator left
-// them to pdqsort. Exact ties across the h boundary are not exotic — the
-// p+1 points of a start subset are equidistant from their own estimate
-// by construction, and on small data (n=50, p=2: about 3 trials in 500)
-// the boundary falls among them — so an oracle without the rule would
-// disagree with the kernel, and with itself from one sort implementation
-// to the next, about which subset such a step keeps. Nothing here is
-// reachable from non-test code.
+// subset draws dedupe through a map. Its schedule is Fit's — two C-steps
+// and keep the best at the subset, merged and full-data levels, then the
+// full-data leader alone concentrates — because what the comparison
+// holds equal is the C-step, the draws and the ranking, fit for fit. One
+// thing is not as it was: the ranking breaks equal distances by index,
+// where the old comparator left them to pdqsort. Exact ties across the h
+// boundary are not exotic — the p+1 points of a start subset are
+// equidistant from their own estimate by construction, and on small data
+// (n=50, p=2: about 3 trials in 500) the boundary falls among them — so
+// an oracle without the rule would disagree with the kernel, and with
+// itself from one sort implementation to the next, about which subset
+// such a step keeps. Nothing here is reachable from non-test code.
 
 import (
 	"errors"
@@ -120,7 +123,8 @@ func oracleAddRandomPoint(subset []int, n int, rng *rand.Rand) []int {
 
 // oracleRun is what one reference fit leaves behind for comparison.
 type oracleRun struct {
-	cands    []float64 // log-determinants of the candidates handed to convergence
+	cands    []float64 // log-determinants of the candidates the trial stage returns
+	ranked   []float64 // theirs after two full-data C-steps, in rank order
 	afterRNG uint64    // the generator's next value once the trials are done
 	est      *Estimate
 }
@@ -249,7 +253,7 @@ func oracleFit(pts [][]float64, cfg Config) (oracleRun, error) {
 	cfg = cfg.withDefaults()
 	n, p := len(pts), len(pts[0])
 	h := defaultH(n, p, cfg.SupportFraction)
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xda3e39cb94b95bdb))
+	rng := fitRNG(cfg.Seed)
 	var run oracleRun
 	var cand []candidate
 	if n <= cfg.SmallN {
@@ -264,27 +268,37 @@ func oracleFit(pts [][]float64, cfg Config) (oracleRun, error) {
 	if len(cand) == 0 {
 		return run, errors.New("mcd: no non-singular candidate found")
 	}
-	best := candidate{logDet: math.Inf(1)}
-	bestSteps := 0
+	// Selective iteration on the full data, as Fit runs it: two C-steps
+	// each, rank (ties to the earlier candidate), concentrate the leader
+	// and fall through only past a candidate that stops factoring.
 	cs := newOracleStepper(pts, h)
+	var ranked []candidate
 	for _, c := range cand {
-		mean, cov, logDet, steps, err := cs.converge(c.mean, c.cov, cfg.MaxCSteps)
+		mean, cov, logDet := c.mean, c.cov, c.logDet
+		var err error
+		for step := 0; step < 2 && err == nil; step++ {
+			mean, cov, logDet, err = cs.step(mean, cov)
+		}
+		if err == nil {
+			ranked = append(ranked, candidate{mean: mean, cov: cov, logDet: logDet})
+		}
+	}
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].logDet < ranked[j].logDet })
+	for _, c := range ranked {
+		run.ranked = append(run.ranked, c.logDet)
+	}
+	for _, c := range ranked {
+		mean, cov, _, steps, err := cs.converge(c.mean, c.cov, cfg.MaxCSteps)
 		if err != nil {
 			continue
 		}
-		if logDet < best.logDet {
-			best = candidate{mean: mean, cov: cov, logDet: logDet}
-			bestSteps = steps
+		est, err := finalize(pts, mean, cov, h)
+		if err != nil {
+			return run, err
 		}
+		est.CSteps = 2 + steps
+		run.est = est
+		return run, nil
 	}
-	if math.IsInf(best.logDet, 1) {
-		return run, errors.New("mcd: concentration failed on all candidates")
-	}
-	est, err := finalize(pts, best.mean, best.cov, h)
-	if err != nil {
-		return run, err
-	}
-	est.CSteps = bestSteps
-	run.est = est
-	return run, nil
+	return run, errors.New("mcd: concentration failed on all candidates")
 }
