@@ -560,18 +560,14 @@ func BenchmarkShardedStream(b *testing.B) {
 // BenchmarkStreamSessionPoll measures the serving-path latency of the
 // /stream poll endpoint in two regimes:
 //
-//   - live: ingest keeps running, so shard state moves between polls
-//     and each poll pays clone + merge + (cached or full) mine.
+//   - live: ingest keeps running, so shard state moves between polls.
 //   - steady: the source idles after feeding the workload (no ingest,
 //     no decay between polls) — the regime a dashboard polling an
-//     intermittently bursty stream sits in almost all the time. With
-//     the incremental mining cache these polls are full hits: clone +
-//     signature check + cached-result replay, no mining at all.
+//     intermittently bursty stream sits in almost all the time.
 //
-// live is also the full poll path's kernel: moving state between polls
-// is what keeps a poll from being a replay. (PR 3 measured steady
-// against a cache-off twin, 2.53 ms vs 169 ms; the switch that twin
-// needed is gone — see doc.go's kernel trajectory table.)
+// Both are full polls: clone every shard, fold the clones, mine,
+// recount and rank (doc.go, "One poll path"). steady differs from live
+// only in that ingest does not compete with the poll for the cores.
 // The workload uses the complex (multi-attribute) CMT stream and a
 // generous outlier cut so the poll path is mining-bound, the regime
 // the paper's explanation workloads sit in.

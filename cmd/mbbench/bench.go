@@ -5,7 +5,7 @@ package main
 // hot-path kernels through testing.Benchmark, embeds ns/op + allocs/op
 // in the -json report, and -compare fails the process (exit 1) when any
 // kernel inflates more than 2x in ns/op or allocs/op against a committed
-// baseline report (BENCH_PR20.json). CI runs the comparator on every
+// baseline report (BENCH_PR25.json). CI runs the comparator on every
 // push, so a hot path can only regress past 2x by committing a new
 // baseline.
 
@@ -105,95 +105,18 @@ func warmExplainer(cfg explain.StreamingConfig, batches [][]core.LabeledPoint) *
 }
 
 // microBenchmarks measures the explanation hot paths: the per-point
-// consume path, the poll path in each regime a session meets (full =
-// the poll after a decay tick, which is what the end-to-end workloads'
-// polls are; warm = steady-state full hits; inlier-moved = mined-table
-// reuse; steady-drift = journal delta), the raw FPGrowth mining
-// kernel, and the FastMCD fit. Every poll kernel gets its regime by
-// moving state between polls, as a session does — there is no switch
-// that forces one.
+// consume path, the poll after a decay tick (single and merged), the
+// raw FPGrowth mining kernel, and the FastMCD fit.
 func microBenchmarks() []benchResult {
 	fmt.Println("### micro — explanation hot-path kernels (ns/op, allocs/op)")
 	batches := benchLabeledStream(60_000)
 
-	var inliers []core.LabeledPoint
-	for _, bt := range batches {
-		for i := range bt {
-			if bt[i].Label == core.Inlier {
-				inliers = append(inliers, bt[i])
-				if len(inliers) == 64 {
-					break
-				}
-			}
-		}
-		if len(inliers) == 64 {
-			break
-		}
-	}
-
-	// Steady-drift batches for the delta-mine kernels: small mixed
-	// batches, each guaranteed to move the outlier side so every poll
-	// has to refresh the mined table.
-	var driftOut, driftIn []core.LabeledPoint
-	for _, bt := range batches {
-		for i := range bt {
-			if bt[i].Label == core.Outlier {
-				driftOut = append(driftOut, bt[i])
-			} else if len(driftIn) < 4096 {
-				driftIn = append(driftIn, bt[i])
-			}
-		}
-	}
-	drift := make([][]core.LabeledPoint, 64)
-	for i := range drift {
-		d := make([]core.LabeledPoint, 0, 4)
-		for j := 0; j < 2; j++ {
-			d = append(d, driftOut[(2*i+j)%len(driftOut)])
-		}
-		for j := 0; j < 2; j++ {
-			d = append(d, driftIn[(2*i+j)%len(driftIn)])
-		}
-		drift[i] = d
-	}
-	// steadyPoll measures one poll per op at steady state. move
-	// (untimed) shifts the explainer's state so the poll cannot replay
-	// its cache, and the explainer is reset (untimed) to the same warm
-	// snapshot every len(drift) ops so per-op cost reflects the
-	// 60K-point working set, not b.N-dependent drift. served picks the
-	// CacheStats counter the kernel is named for: a poll served any
-	// other way fails the run instead of quietly measuring another path.
-	steadyPoll := func(move func(s *explain.Streaming, i int), served func(explain.CacheStats) int64) func(b *testing.B) {
-		return func(b *testing.B) {
-			base := warmExplainer(benchExplainCfg, batches)
-			base.Explanations()
-			var s *explain.Streaming
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if i%len(drift) == 0 {
-					s = base.Clone()
-				}
-				move(s, i)
-				want := served(s.CacheStats()) + 1
-				b.StartTimer()
-				s.Explanations()
-				if served(s.CacheStats()) != want {
-					panic(fmt.Sprintf("steadyPoll: op %d was not served by the path under measurement: %+v", i, s.CacheStats()))
-				}
-			}
-		}
-	}
-
 	// pollParallel builds 4 warmed shard explainers (the stream dealt
 	// round-robin, shared decay clock) and measures one merged poll per
-	// op at the given PollParallelism: a few points land on one shard,
-	// then the session's MergeShared runs — 3-leg clone and shard merge
-	// (sketches, outlier tree; the inlier trees are borrowed) + FPGrowth
-	// mine + canonical recount + an inlier count per combination summed
-	// over the four shards' trees. The live shards' journals are
-	// never re-anchored at a snapshot, so no poll can be a delta (the
-	// end-to-end workloads' merged polls are full mines for the same
-	// reason, one decay tick later); the check below holds it to that.
+	// op at the given PollParallelism: MergeStreaming's 3-leg clone and
+	// shard merge (sketches, outlier tree; the inlier trees are
+	// borrowed) + FPGrowth mine + canonical recount + an inlier count
+	// per combination summed over the four shards' trees.
 	pollParallel := func(w int) func(b *testing.B) {
 		return func(b *testing.B) {
 			cfg := benchExplainCfg
@@ -210,15 +133,9 @@ func microBenchmarks() []benchResult {
 					}
 				}
 			}
-			merger := explain.NewPollMerger()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				shards[i%len(shards)].Consume(drift[i%len(drift)])
-				merger.MergeShared(shards)
-			}
-			b.StopTimer()
-			if got := merger.Stats().FullMines; got != int64(b.N) {
-				panic(fmt.Sprintf("PollParallel: %d of %d polls were full mines", got, b.N))
+				explain.MergeStreaming(shards)
 			}
 		}
 	}
@@ -300,36 +217,25 @@ func microBenchmarks() []benchResult {
 				}
 			}
 		}),
-		// The poll after a decay tick: the restructure rewrote the tree,
-		// so the table is re-mined and recounted in full.
-		runKernel("StreamingExplain/poll-full", steadyPoll(
-			func(s *explain.Streaming, _ int) { s.Decay() },
-			func(c explain.CacheStats) int64 { return c.FullMines })),
-		runKernel("StreamingExplain/poll-warm", func(b *testing.B) {
-			s := warmExplainer(benchExplainCfg, batches)
-			s.Explanations() // prime the cache
+		// The poll after a decay tick, which is what the end-to-end
+		// workloads' polls are: a full mine, recount and rank. Each op
+		// (untimed) decays the explainer first, and every 64 ops it is
+		// reset (untimed) to the same warm state, so per-op cost reflects
+		// the 60K-point working set, not b.N-dependent decay.
+		runKernel("StreamingExplain/poll-full", func(b *testing.B) {
+			base := warmExplainer(benchExplainCfg, batches)
+			var s *explain.Streaming
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if i%64 == 0 {
+					s = base.Clone()
+				}
+				s.Decay()
+				b.StartTimer()
 				s.Explanations()
 			}
 		}),
-		runKernel("StreamingExplain/poll-inlier-moved", func(b *testing.B) {
-			s := warmExplainer(benchExplainCfg, batches)
-			s.Explanations()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Consume(inliers) // outlier side untouched: mined-table reuse
-				s.Explanations()
-			}
-		}),
-		// Continuous small drift: every op moves the outlier side by a
-		// few points and polls, so each poll must refresh the mined
-		// table — a delta update over the journal's changed paths. (Its
-		// full-re-mine twin went with the switch that forced it; the last
-		// recorded ratio is in doc.go's trajectory table.)
-		runKernel("DeltaMine/steady-drift", steadyPoll(
-			func(s *explain.Streaming, i int) { s.Consume(drift[i%len(drift)]) },
-			func(c explain.CacheStats) int64 { return c.DeltaMines })),
 		// Merged-poll kernel at W=4 and W=1: the same single
 		// implementation of every stage, striped four ways or run inline;
 		// the w4/w1 ns/op ratio is the parallel speedup, expected >= 1.8x

@@ -102,7 +102,6 @@ import (
 
 	"macrobase/internal/core"
 	"macrobase/internal/encode"
-	"macrobase/internal/explain"
 	"macrobase/internal/ingest"
 	"macrobase/internal/pipeline"
 )
@@ -782,18 +781,13 @@ func (g *streamRegistry) lookup(r *http.Request) (*streamState, string, bool) {
 	return st, id, ok && st.session != nil
 }
 
-// streamResponse is the poll/stop report. The cache block exposes the
-// session's cumulative explanation-cache counters (how many polls were
-// full cache hits, how many reused the cached mined itemset table, and
-// how many ran a full FPGrowth mine), so cache effectiveness is
-// observable per stream.
+// streamResponse is the poll/stop report.
 type streamResponse struct {
-	ID         string             `json:"id"`
-	Done       bool               `json:"done"`
-	Points     int                `json:"points"`
-	Outliers   int                `json:"outliers"`
-	DecayTicks int                `json:"decayTicks"`
-	Cache      explain.CacheStats `json:"cache"`
+	ID         string `json:"id"`
+	Done       bool   `json:"done"`
+	Points     int    `json:"points"`
+	Outliers   int    `json:"outliers"`
+	DecayTicks int    `json:"decayTicks"`
 	// Ingest, for push sessions, reports live per-partition
 	// producer-side counters: queue depth and cumulative blocked time
 	// (backpressure felt by producers) plus accepted batch/point
@@ -896,7 +890,6 @@ func writeStreamResponse(w http.ResponseWriter, id string, st *streamState, res 
 		Points:     res.Stats.Points,
 		Outliers:   res.Stats.Outliers,
 		DecayTicks: res.Stats.DecayTicks,
-		Cache:      res.Cache,
 		Health:     healthOf(res),
 	}
 	if st.push != nil {

@@ -4,10 +4,9 @@
 // high-volume streams with robust statistical models and explains the
 // outlying class with attribute combinations ranked by relative risk.
 //
-// The implementation lives under internal/ (see DESIGN.md for the
-// system inventory), the runnable entry points under cmd/ and
-// examples/, and the benchmark suite regenerating every table and
-// figure of the paper's evaluation in bench_test.go plus
+// The implementation lives under internal/, the runnable entry points
+// under cmd/ and examples/, and the benchmark suite regenerating every
+// table and figure of the paper's evaluation in bench_test.go plus
 // internal/experiments.
 //
 // # Sharded streaming execution
@@ -40,9 +39,8 @@
 // that writes to a merged explainer, and as the test oracle
 // (explain.TestBorrowedInliersMatchUnionTree). The borrowed trees must
 // stay unmutated while the merged explainer lives, which every caller
-// satisfies by construction: retained snapshots under the session's
-// mineMu, a bypass poll's own clones, the shard explainers after Run
-// has returned.
+// satisfies by construction: a live poll merges clones of its own, the
+// final reconciliation the shard explainers after Run has returned.
 //
 // Consistency trade-off vs. single-shard EWS (the streaming analog of
 // the paper's Figure 11): the router hashes a point's full attribute
@@ -131,7 +129,7 @@
 //
 // Rebalancing rides the PR-6 coordinator: each round snapshots the
 // per-bucket counters (single-writer per partition, summed by the
-// coordinator), diffs them against the previous round into a load
+// coordinator), diffs them against the last judged round into a load
 // window, and — when the hottest healthy shard's windowed share times P
 // exceeds Config.RebalanceAbove (default 1.5) — greedily moves the
 // largest movable buckets to the coolest healthy shards until the
@@ -139,17 +137,22 @@
 // balance (hysteresis against churn), then publishes the rewritten
 // table under the next epoch (copy-on-write; in-flight scatter loops
 // finish their batch on the old epoch, deferring a move by at most one
-// batch). Quarantined shards are evacuated unconditionally and are
-// never move targets, which converts the degraded-mode story from
-// "drop the dead shard's hash range forever" into "lose at most one
-// coordination window" (TestRebalanceEvacuatesDeadShard).
+// batch). Rounds fire on ingest progress but run whenever the
+// coordinator gets there, so two can land a handful of points apart; a
+// window of fewer than half a cadence of points is therefore not judged
+// but kept open until it is worth judging (five or nine points on one
+// shard read as a 2x imbalance). Quarantined shards are evacuated
+// unconditionally, whatever the window, and are never move targets,
+// which converts the degraded-mode story from "drop the dead shard's
+// hash range forever" into "lose at most one coordination window"
+// (TestRebalanceEvacuatesDeadShard).
 //
 // Consistency model: a bucket move splits an attribute set's history
 // across its old and new shard — exactly the cross-shard split the
 // merge laws already absorb. Merged sketches sum counts within summed
 // error bounds, risk ratios are computed from the merged counts, and
-// every mined-table path recounts support canonically via
-// ItemsetSupport, so a poll is invariant to where the counts live: the
+// the mined table recounts support canonically via ItemsetSupport, so
+// a poll is invariant to where the counts live: the
 // rebalanced-vs-pinned differential (TestRebalancedMatchesPinnedExplanations)
 // requires identical ranked explanation sets, not merely similar ones.
 // Determinism boundaries mirror coordination's: rebalance rounds fire
@@ -214,135 +217,94 @@
 // tests (internal/explain/testdata): ranked explanations, sequential
 // and sharded-merge alike, are unchanged on the paper workloads.
 //
-// # Incremental cached mining on the poll path
+// # One poll path
 //
-// With clones reduced to slab memcpys, a resident session's poll cost
-// is dominated by re-running FPGrowth mining and ranking — wasted work
-// when the summaries barely moved between polls. The explanation layer
-// therefore mines incrementally, built on one invariant:
+// A poll answers the way the paper's streaming MDP answers a request
+// (§5.3): it mines the outlier M-CPS-tree with FPGrowth and filters the
+// result against the inlier side, and it keeps nothing of an earlier
+// answer. explain.Streaming.Explanations runs four steps: single
+// attributes from the AMC sketches; fullTable, an FPGrowth mine of the
+// outlier tree for candidate discovery plus a canonical ItemsetSupport
+// recount of every candidate; filterCombinations, one inlier count and
+// risk-ratio test per candidate; Rank. The recount is what makes a
+// merged answer independent of shard arena order: FPGrowth accumulates
+// in node order, which on a merged tree depends on the order the
+// shards' paths were folded in, while the recount walks header chains.
+// A live session poll (pipeline.StreamSession.Poll) is a snapshot round
+// of fresh clones folded in place by explain.MergeStreamingInto;
+// concurrent polls share nothing but the session's failure map and the
+// mutex guarding it, so none waits on another's merge.
 //
-//   - Tree epochs. cps.Tree carries a mutation stamp bumped by every
-//     Insert, Restructure, and Merge (conservatively: a call that
-//     leaves the structure unchanged still counts) and preserved by
-//     Clone. Within a clone lineage, equal epochs imply identical
-//     trees. Queries never bump it.
+// Five reuse layers used to sit in front of that path: a replay of the
+// previous ranked output, reuse of the mined table when only the inlier
+// side had moved, a changed-path journal on the outlier tree with delta
+// mining over it, a poll merger carrying all of these across merged
+// polls, and retained snapshots whose signatures let an unchanged shard
+// skip its clone. They were deleted because the traffic they were built
+// for does not occur. Which layer answered each poll of the end-to-end
+// workloads (bench/, seed 1, 25 s, 2 cores, on the last tree that had
+// them):
 //
-//   - Cache key. explain.Streaming keys its caches on (outTree epoch,
-//     inlier epoch, totalOut, totalIn). The quadruple covers the
-//     sketches too: a sketch can only change alongside a total
-//     (Consume) or a tree epoch (Decay, Merge), so equal keys imply
-//     the entire summary state is unchanged. The inlier epoch of a
-//     merged explainer is its own tree's plus every borrowed tree's —
-//     its own no longer advances on merge — so movement confined to
-//     another shard's inlier side still moves the key
-//     (TestBorrowedEpochsInCacheKey). Invalidation is pure key
-//     comparison — there are no invalidation hooks to forget.
+//	workload      polls  full mines  deltas  full hits  table reuses  elided snapshots
+//	firehose_xs     380         379       1          0             0                 0
+//	firehose_xc      19          18       1          0             0                 1
+//	poll_drift       38          34       3          1             0                 2
 //
-//   - Two cache levels. If the full key is unchanged, Explanations
-//     replays the previous ranked output (steady-state polls of a
-//     resident stream — measured ~650x faster than a full recompute).
-//     If only the inlier side moved — the common case under a
-//     mostly-inlier stream — the cached mined itemset table is reused
-//     (same outTree epoch, same threshold) and only support counting,
-//     risk-ratio filtering, and ranking rerun. Outlier-side movement
-//     by plain inserts is served by a journal delta update (see the
-//     next section); only movement the journal cannot describe — a
-//     decay-tick restructure, a merge, an overflowed journal — pays a
-//     full re-mine.
+// Every poll period (119K-410K points) is longer than the 100K-point
+// decay period, so every poll followed at least one Restructure, which
+// rewrote the tree and with it the journal; the few deltas and hits
+// were answers taken with no decay tick since the one before, mostly
+// the closing reconciliation at /stop. Deleting the layers moved no
+// end-to-end metric outside its run-to-run spread (the pairs are in
+// CHANGES.md), and every deleted layer had been pinned
+// reflect.DeepEqual to the path that is now the only one, so no answer
+// changed. What it gave up: a poll of a quiet stream, which used to be
+// replayed, is now a full poll — BenchmarkStreamSessionPoll/steady
+// (2 shards, CMT) reads 6.2-7.2 ms where it read 5.5-6.6 µs. No
+// benchmark workload polls an idle stream; if one comes to matter it
+// joins bench/ first, and a cache that returns is measured against it.
 //
-//   - Sharded polls. explain.PollMerger carries the cache across a
-//     session's merged polls: per-shard signatures (explain.Signature,
-//     the same quadruple) decide whether the previous merged result or
-//     mined table is still exact before any merging happens.
-//     pipeline.StreamSession serializes polls around one merger;
-//     ShardedResult.Cache and the mbserver /stream/{id} response
-//     expose the cumulative full-hit / mine-reuse / full-mine
-//     counters.
+// What one poll costs on two shards: the snapshot round (a slab memcpy
+// of each shard's explainer), a copy of shard 0's sketches and outlier
+// tree, the fold of shard 1's into them, the FPGrowth mine of the
+// merged outlier tree, the canonical recount, and one inlier count per
+// qualifying combination on each shard's inlier tree — not the inlier
+// trees themselves, which are counted on in place (see "Sharded
+// streaming execution"). bench -trace 1 (seed 1) reads
+// explain.merge_ms 2.0 and explain.rank_ms 10.3 on firehose_xc, 1.3 and
+// 2.1 on poll_drift, and answer_p50_ms repeats at ~31 and ~10 ms: a
+// poll is under 3% of firehose_xc server CPU, and what is left of it is
+// mostly the mine and the recount, i.e. the outlier side, which is 1%
+// of the mass.
 //
-// Both cached paths are bit-identical to a full recompute — they reuse
-// results only when the state is provably identical — pinned by a
-// randomized differential harness (sequential and sharded, shrinking
-// failures to minimal op sequences), go test -fuzz targets for the
-// tree layers, and golden cold/warm poll tests. The remaining full
-// mines are allocation-bounded: the FP-tree build and the FPGrowth
-// conditional trees recycle per-tree and per-miner arena frames
-// (fptree.BuildInto, fptree.Miner), so a steady-state mine allocates
-// only its output itemsets. Regression cover: cmd/mbbench -bench
-// measures the hot-path kernels and -compare fails CI on >2x ns/op or
-// allocs/op inflation against the committed baseline (see "Continuous
-// integration").
+// The answer is held by a brute-force weighted-multiset model
+// (explain.FuzzStreamingDelta: insert/decay/poll scripts against
+// exhaustive subset counting, committed corpus replayed under -race in
+// CI), by the recorded goldens, and by the differential harness across
+// poll worker counts (next section). The mine is allocation-bounded:
+// the FP-tree build and the FPGrowth conditional trees recycle per-tree
+// and per-miner arena frames (fptree.BuildInto, fptree.Miner), so a
+// steady-state mine allocates only its output itemsets. Regression
+// cover: cmd/mbbench -bench measures the hot-path kernels and -compare
+// fails CI on >2x ns/op or allocs/op inflation against the committed
+// baseline (see "Continuous integration").
 //
-// # Delta mining
-//
-// The mined-table reuse above still re-mined from scratch whenever the
-// outlier side moved at all — the worst fit for the steady state of a
-// monitored stream polled more often than it decays, where every poll
-// interval sees a few new outliers. Two mechanisms close that gap:
-//
-//   - Changed-path journal. cps.Tree keeps a bounded journal of the
-//     post-filter item paths inserted since the last re-anchor
-//     (cps.EnableJournal / JournalSince / ResetJournal). Restructure
-//     and Merge rewrite the tree wholesale, which no path list can
-//     describe, so they invalidate the journal; breaching the path or
-//     item caps marks it overflowed. An itemset's support changes only
-//     if it is a subset of some journaled path, so a valid journal is
-//     a complete description of which table entries may have moved.
-//
-//   - Delta table update. When the outlier tree moved by plain inserts
-//     and the journal is valid, explain.Streaming updates the cached
-//     table instead of re-mining: untouched entries keep their counts
-//     verbatim — header chains only append, so re-walking them would
-//     reproduce the same bits — while touched entries and the subsets
-//     of journaled paths (the only itemsets that can newly qualify;
-//     the threshold is non-decreasing between restructures) are
-//     recounted with targeted ItemsetSupport queries. Steady drift
-//     costs O(changed paths), not O(tree): the DeltaMine/steady-drift
-//     kernel polled 5.1x faster than a full re-mine of the same state
-//     when the two were last measured side by side (see the kernel
-//     table under "Kernel baseline"). Every path
-//     — full, delta, staged — computes counts canonically (by
-//     ItemsetSupport, never FPGrowth's accumulation order), so all
-//     paths are reflect.DeepEqual-identical; the full re-mine pays a
-//     recount pass for that guarantee and is the deliberate slow
-//     fallback. Merged polls thread the same machinery through
-//     explain.PollMerger: shard snapshots are taken with
-//     SnapshotClone (which re-anchors the live journal at the
-//     snapshot epoch), and the merger stages the previous merged
-//     table plus the union of per-shard changed paths into the
-//     merged explainer, which recounts rather than trusts counts
-//     across tree lineages. CacheStats adds DeltaMines (polls served
-//     by a delta) and JournalOverflows (delta attempted, fell back).
-//
-// Correctness rides on the same differential harness as the cache: the
-// randomized sequential and sharded interleavings drive the delta-mine
-// and overflow-fallback paths (the meta-test asserts both fire), and a
-// go test -fuzz target (explain.FuzzStreamingDelta) replays
-// interleaved insert/decay/restructure/poll scripts against both a
-// cache-disabled twin (bit-equality) and a brute-force
-// weighted-multiset model (independent recount), with the committed
-// corpus replayed under -race in CI. The cache-disabled and
-// always-full-mine twins are reference paths, selected by unexported
-// fields of explain.StreamingConfig that only that package's tests can
-// set: no binary, flag or wire field reaches them.
-//
-// An earlier version also cut an inlier counting walk short once its
-// running sum had passed the count at which the risk-ratio filter must
-// reject the candidate. It could not change an answer, and it never
-// changed a cost either: candidates are built from attributes that each
-// cleared the risk ratio on their own, so their joint inlier support
-// almost never runs past that break-even. At b1400f8, over three seeds
-// of each workload, it fired on none of the ~790K combination-table
-// entries filtered by firehose_xc and poll_drift (firehose_xs has one
-// attribute, hence no combinations) and on none of the 5,519 walks of
-// 45 batch_query answers. The fork, its counter and its switch were
-// deleted in PR 16.
+// The same measure removed an earlier fork that cut an inlier counting
+// walk short once its running sum had passed the count at which the
+// risk-ratio filter must reject the candidate. It could not change an
+// answer, and it never changed a cost either: candidates are built from
+// attributes that each cleared the risk ratio on their own, so their
+// joint inlier support almost never runs past that break-even. Over
+// three seeds of each workload it fired on none of the ~790K
+// combination-table entries filtered by firehose_xc and poll_drift
+// (firehose_xs has one attribute, hence no combinations) and on none of
+// the 5,519 walks of 45 batch_query answers.
 //
 // # Parallel poll pipeline
 //
-// The caches above make some polls cheap; the polls that still pay — a
-// cold merged poll, every poll that follows a decay tick, a first poll
-// after heavy drift — were single-core even on machines with idle
-// cores. The poll path is therefore striped end to end, under one
+// Every poll pays the whole merge, mine and recount, and that path was
+// single-core even on machines with idle cores. It is therefore
+// striped end to end, under one
 // setting (pipeline.Config.PollParallelism → explain.StreamingConfig.
 // PollParallelism, default GOMAXPROCS; it is a setting because mbserver
 // leaves it to the request and cmd/mbbench pins it to 1) and one
@@ -359,7 +321,7 @@
 // proved the pairs bit-identical at every W; PR 16 deleted the twins on
 // the strength of that proof. What vouches for the bodies now is
 // independent of them: brute-force subset counting for the mine and the
-// streaming explainer, the cache-disabled twin, the recorded goldens.)
+// streaming explainer, the recorded goldens.)
 // Three stages stripe:
 //
 //   - Shard merge (explain.mergeInto) and the defensive clone before it
@@ -386,14 +348,12 @@
 //     order, making the output element-wise identical regardless of W
 //     or scheduling.
 //
-//   - Canonical recounting (cps.Counter): the support passes —
-//     combination filtering, full-table and delta-table recounts — are
-//     striped the same way. Counting walks are pure reads of the node
-//     arena (each worker owns a private query-scratch Counter, and a
-//     tree's own ItemsetSupport is one more Counter), counts land in
-//     pooled index-addressed slots, and which cache layer serves a poll
-//     is decided before any striping, so the CacheStats counters are
-//     W-invariant too.
+//   - Canonical recounting (cps.Counter): the support passes — the
+//     table recount and the combination filter — are striped the same
+//     way. Counting walks are pure reads of the node arena (each worker
+//     owns a private query-scratch Counter, and a tree's own
+//     ItemsetSupport is one more Counter), and counts land in pooled
+//     index-addressed slots.
 //
 // The ownership rule underneath: workers never share mutable state —
 // each owns either a disjoint structure (a merge leg) or a private
@@ -404,15 +364,9 @@
 // deterministic, and at W=1 a warmed poll allocates no more than the
 // old serial code did (explain.TestPollAllocationsAtW1).
 //
-// The session layer turns the parallelism into latency rather than
-// contention: pipeline.StreamSession splits its old poll lock into
-// mineMu (serializes merger + retained snapshots) and pollMu (guards
-// bookkeeping), runs the merge+mine compute outside pollMu, and gives
-// a poller that finds mineMu busy a bypass path — a hint-less snapshot
-// round merged lock-free on owned throwaway clones — so one slow mine
-// no longer convoys every concurrent poller (pinned by a
-// held-lock latency test and a -race hammer with rebalancing live).
-// Determinism across W is pinned by the differential harness (W up to
+// Concurrent polls of one session do not contend either: each merges
+// clones of its own (see "One poll path"), which -race hammers with
+// ingest, decay ticks and rebalancing live pin. Determinism across W is pinned by the differential harness (W up to
 // 8, tables of 0-3 itemsets, 1-4 shards), the fuzz corpus, and the
 // goldens; the PollParallel/p3s4 mbbench kernel and its -w1 twin
 // measure the speedup (>= 1.8x at W=4 expected on a 4-core machine;
@@ -444,44 +398,6 @@
 // DisableGlobalThreshold (per-shard cutoffs). A reflection test
 // (pipeline.TestDisableKnobsAreTheTwoThatChangeAnswers) fails if an
 // output-identical one joins them.
-//
-// # What serves the polls
-//
-// Which layer answered each poll of the end-to-end workloads (bench/,
-// seed 1, 25 s, 2 cores; the parent commit reads the same on
-// firehose_xs, the one workload whose single shard makes the counters
-// repeat):
-//
-//	workload      poll period   polls  full mines  deltas  reuses  full hits
-//	firehose_xs   410K points     380         379       1       0          0
-//	firehose_xc   164K points      19          17       2       0          0
-//	poll_drift    119K points      38          35       3       0          0
-//
-// Every poll period is longer than the 100K-point decay period, so
-// every poll follows at least one Restructure, which rewrites the tree
-// and with it the journal: the poll is a full mine and is counted as a
-// journal overflow (journal_overflows == full_mines on every run). The
-// handful of deltas are answers taken with no decay tick since the one
-// before — the closing reconciliation at /stop, which on a faster run
-// is a full hit instead — and on two shards their number moves by one
-// or two with coordinator timing. The delta, reuse and full-hit layers
-// are therefore idle on this traffic.
-//
-// What such a full-mine poll costs on two shards, since PR 19: the
-// snapshot round, a copy of shard 0's sketches and outlier tree, the
-// fold of shard 1's into them, the FPGrowth mine of the merged outlier
-// tree, the canonical recount, and one inlier count per qualifying
-// combination on each shard's inlier tree. It no longer costs the
-// inlier trees themselves: bench -trace 1 on firehose_xc (seed 1) reads
-// explain.merge_ms 52.5 -> 1.8 ms with explain.rank_ms 8.0 -> 8.5 ms
-// (the extra counting walks), on poll_drift 15.0 -> 1.3 and 1.8 -> 2.0;
-// answer_p50_ms went 103 -> 34 ms and 27 -> 10.5 ms (ten alternating
-// pairs; CHANGES.md), and the whole poll is under 3% of firehose_xc
-// server CPU where Merge alone was 14%. What is left of a poll is
-// mostly the mine and the recount, i.e. the outlier side, which is 1%
-// of the mass. Whether the idle cache layers stay is ROADMAP's "One
-// poll path" item: delete each layer whose removal costs under 5% of
-// answer_p50_ms.
 //
 // # Push-based partitioned ingest
 //
@@ -529,15 +445,6 @@
 //     the final reconciled result covers everything delivered before
 //     the stall. Snapshot servers are quiesced before Run returns, so
 //     the final merge never races a late snapshot clone.
-//
-// The poll path also elides snapshots: the session retains each
-// shard's newest snapshot clone with its epoch Signature and sends the
-// signatures as snapshot hints; a shard whose summary state is
-// provably unchanged answers signature-only and the retained snapshot
-// stands in, skipping the slab memcpy entirely. Steady-state polls of
-// a quiet stream therefore clone nothing at all —
-// CacheStats.SnapshotsElided, next to the other cache counters in the
-// /stream/{id} response, makes the savings observable per session.
 //
 // Nor does a poll wait out a model refit. A shard answers snapshot
 // requests on its worker goroutine between batches, and the one thing
@@ -774,14 +681,16 @@
 //     under -race at GOMAXPROCS=1 and 4: every poll stage has one body,
 //     and the matrix runs it both ways on every push — inline on the
 //     polling goroutine (the default PollParallelism resolves to 1) and
-//     with the striped workers and the poll bypass really interleaving.
+//     with the striped workers and concurrent polls really interleaving.
 //     It then repeats TestGlobalThresholdFixesHotShardDrift twenty times:
 //     that test failed ~1 run in 9 while its coordination rounds landed
 //     wherever the scheduler put them, and is the same run every time
-//     now that its source paces itself by them.
+//     now that its source paces itself by them — at the default
+//     rebalance trigger, since a rebalance round stopped judging windows
+//     of a few points.
 //   - fuzz-replay replays every committed testdata/fuzz seed under
-//     -race: the oracles (brute-force tree model, cache-disabled
-//     explainer twin) rerun the exact scripts that once found or nearly
+//     -race: the oracles (brute-force tree and explainer models, striped
+//     explainer twins) rerun the exact scripts that once found or nearly
 //     found bugs, deterministically.
 //   - chaos runs the fault-injection, retry, resume and degradation
 //     suites across a fixed seed matrix; reproduce a leg locally with
@@ -789,7 +698,23 @@
 //
 // # Kernel baseline
 //
-// BENCH_PR20.json (go1.24, go_max_procs 2) is the one committed kernel
+// BENCH_PR25.json (go1.24, go_max_procs 2, the middle of three runs in
+// one sitting on the 2-core box) is the one committed kernel baseline.
+// It reads, in µs/op:
+//
+//	consume                  233    PushIngest/p3s4          54.8
+//	poll-full               2740    Coordinate/p3s4          61.6
+//	PollParallel/p3s4       3402    Rebalance/p3s4           59.5
+//	PollParallel/p3s4-w1    4508    Rebalance/p3s4-pinned    57.9
+//	FPGrowthMine           12369    Route/p3s4               19.4
+//	MCDFit/n10k-p7, ms      71.0    binary-decode             103
+//	MCDFit/n10k-p2, ms      29.6
+//	MCDFit/n40k-p7, ms       151
+//
+// poll-warm, poll-inlier-moved and DeltaMine/steady-drift measured the
+// reuse layers "One poll path" describes and were deleted with them;
+// PollParallel now times MergeStreaming over static shards. The table
+// below is the kernels' trajectory up to the previous
 // baseline. What it and its predecessors read, in µs/op — PR 3-10 on a
 // 1-core box, PR 15-20 on a 2-core one, so compare along a row only
 // within those groups ("=": carried over from the column to the left —

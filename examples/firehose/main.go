@@ -243,8 +243,8 @@ func runFirehose(cfg pipeline.Config, sampler *comboSampler, enc *encode.Encoder
 		}
 		traj = append(traj, s)
 		if verbose {
-			fmt.Printf("live poll %d: %d points in, %d outliers, %d explanations (elided %d snapshot clones so far)\n",
-				i+1, res.Stats.Points, res.Stats.Outliers, len(res.Explanations), res.Cache.SnapshotsElided)
+			fmt.Printf("live poll %d: %d points in, %d outliers, %d explanations\n",
+				i+1, res.Stats.Points, res.Stats.Outliers, len(res.Explanations))
 		}
 	}
 

@@ -319,7 +319,7 @@ func TestStreamRunnerBatchRecyclingAliasing(t *testing.T) {
 				seen[id]++
 			}
 		},
-		SnapshotShard: func(shard int, pl ShardPipeline, hint any) any {
+		SnapshotShard: func(shard int, pl ShardPipeline) any {
 			return pl.Explainer.(*shardCollectExplainer).consumed
 		},
 	}
@@ -328,7 +328,7 @@ func TestStreamRunnerBatchRecyclingAliasing(t *testing.T) {
 		defer close(pollDone)
 		ok := false
 		for {
-			_, err := sr.Snapshot(nil)
+			_, err := sr.Snapshot()
 			if err == nil {
 				ok = true
 			} else if err == ErrNotStreaming && ok {

@@ -107,7 +107,7 @@ func TestSnapshotServedDuringOffload(t *testing.T) {
 			return ShardPipeline{Classifier: cls, Explainer: exp}
 		},
 		BatchSize: batch,
-		SnapshotShard: func(_ int, pl ShardPipeline, _ any) any {
+		SnapshotShard: func(_ int, pl ShardPipeline) any {
 			return pl.Explainer.(*shardCollectExplainer).consumed
 		},
 	}
@@ -135,7 +135,7 @@ func TestSnapshotServedDuringOffload(t *testing.T) {
 
 	snapped := make(chan []any, 1)
 	go func() {
-		out, err := sr.Snapshot(nil)
+		out, err := sr.Snapshot()
 		if err != nil {
 			t.Error(err)
 		}
@@ -179,7 +179,7 @@ func TestOffloadPanicQuarantinesShard(t *testing.T) {
 			return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
 		},
 		BatchSize:     512,
-		SnapshotShard: func(int, ShardPipeline, any) any { return nil },
+		SnapshotShard: func(int, ShardPipeline) any { return nil },
 	}
 	stats, err := sr.Run()
 	if err != nil {

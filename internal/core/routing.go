@@ -235,9 +235,9 @@ func rebalanceAssign(assign []int32, win []int64, healthy []bool, above float64,
 }
 
 // rebalState is the coordinator's scratch across rebalance rounds:
-// cumulative per-bucket counts at the last round (last) and this round
-// (cur), their difference (win — the measurement window that drives the
-// greedy step), and the per-shard health snapshot.
+// cumulative per-bucket counts at the last judged round (last) and this
+// round (cur), their difference (win — the measurement window that
+// drives the greedy step), and the per-shard health snapshot.
 type rebalState struct {
 	last, cur, win []int64
 	healthy        []bool
@@ -254,8 +254,15 @@ func newRebalState(buckets, shards int) *rebalState {
 
 // maybeRebalance runs one rebalance round on the coordinator goroutine:
 // snapshot the per-partition bucket counters, diff against the previous
-// snapshot to get the window, run the greedy step over a copy of the
-// current table, and publish a new epoch if anything moved.
+// judged snapshot to get the window, run the greedy step over a copy of
+// the current table, and publish a new epoch if anything moved.
+//
+// Rounds are triggered on ingest progress but run whenever the
+// coordinator gets there, so two can land a handful of points apart. A
+// window holding fewer than half a cadence (coordEvery/2 points) is
+// therefore not judged: last stays where it is and the window keeps
+// accumulating until it is worth judging. A dead shard is evacuated at
+// once, whatever the window.
 func (r *StreamRunner) maybeRebalance(workers []*shardWorker, st *rebalState) {
 	rt := r.route.Load()
 	if rt == nil {
@@ -269,10 +276,11 @@ func (r *StreamRunner) maybeRebalance(workers []*shardWorker, st *rebalState) {
 			st.cur[b] += pl[b].Load()
 		}
 	}
+	var total int64
 	for b := range st.cur {
 		st.win[b] = st.cur[b] - st.last[b]
+		total += st.win[b]
 	}
-	copy(st.last, st.cur)
 	anyDead := false
 	for i, w := range workers {
 		st.healthy[i] = !w.dead.Load()
@@ -280,15 +288,10 @@ func (r *StreamRunner) maybeRebalance(workers []*shardWorker, st *rebalState) {
 			anyDead = true
 		}
 	}
-	if !anyDead {
-		var total int64
-		for _, wv := range st.win {
-			total += wv
-		}
-		if total == 0 {
-			return
-		}
+	if !anyDead && total < max(1, r.coordEvery/2) {
+		return
 	}
+	copy(st.last, st.cur)
 	next := make([]int32, len(rt.assign))
 	copy(next, rt.assign)
 	moves := rebalanceAssign(next, st.win, st.healthy, r.rebal.above, r.rebal.maxMoves)

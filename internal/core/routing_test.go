@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 )
 
@@ -173,6 +174,61 @@ func TestRebalanceAssignSingleGiantBucket(t *testing.T) {
 	// what must never happen is bucket 0 bouncing.
 	if assign[0] != before[0] {
 		t.Fatalf("giant bucket was moved (assign %v -> %v, %d moves)", before, assign, moves)
+	}
+}
+
+// TestMaybeRebalanceJudgesOnlyFullWindows writes the bucket counters
+// directly. A 9-point window, all on shard 0, reads as a 2x imbalance
+// and would move a bucket; it is below half the cadence, so it moves
+// nothing and stays open. Once the same buckets' load is past the
+// minimum it is judged as one window, the first 9 points included. A
+// dead shard is evacuated at once, on a window of 3 points.
+func TestMaybeRebalanceJudgesOnlyFullWindows(t *testing.T) {
+	const shards = 2
+	r := &StreamRunner{coordEvery: 1000}
+	r.rebal = (&RebalancePolicy{}).normalize(shards)
+	assign := make([]int32, r.rebal.buckets)
+	for b := range assign {
+		assign[b] = int32(b % shards)
+	}
+	r.route.Store(&routeTable{assign: assign})
+	r.bucketLoads = [][]atomic.Int64{make([]atomic.Int64, r.rebal.buckets)}
+	loads := r.bucketLoads[0]
+	workers := []*shardWorker{{id: 0}, {id: 1}}
+	st := newRebalState(r.rebal.buckets, shards)
+	epoch := func() int64 { return r.route.Load().epoch }
+
+	// Buckets 0 and 2 both live on shard 0.
+	loads[0].Add(5)
+	loads[2].Add(4)
+	r.maybeRebalance(workers, st)
+	if epoch() != 0 || r.liveMoves.Load() != 0 {
+		t.Fatalf("a 9-point window moved %d buckets (epoch %d)", r.liveMoves.Load(), epoch())
+	}
+	if st.last[0] != 0 || st.last[2] != 0 {
+		t.Fatalf("a 9-point window was consumed: last = %d, %d", st.last[0], st.last[2])
+	}
+
+	loads[0].Add(400)
+	loads[2].Add(300)
+	r.maybeRebalance(workers, st)
+	if st.win[0] != 405 || st.win[2] != 304 {
+		t.Fatalf("window judged as %d + %d points, want 405 + 304", st.win[0], st.win[2])
+	}
+	if st.last[0] != 405 || st.last[2] != 304 {
+		t.Fatalf("judged window not closed: last = %d, %d", st.last[0], st.last[2])
+	}
+	if epoch() != 1 || r.liveMoves.Load() != 1 {
+		t.Fatalf("a 709-point window at imbalance 2 moved %d buckets (epoch %d), want 1", r.liveMoves.Load(), epoch())
+	}
+
+	workers[1].dead.Store(true)
+	loads[4].Add(3)
+	r.maybeRebalance(workers, st)
+	// The dead shard holds more buckets than one round may move, so the
+	// round moves exactly its cap.
+	if want := 1 + int64(r.rebal.maxMoves); epoch() != 2 || r.liveMoves.Load() != want {
+		t.Fatalf("dead shard not evacuated on a 3-point window: %d moves (want %d), epoch %d", r.liveMoves.Load(), want, epoch())
 	}
 }
 

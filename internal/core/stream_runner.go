@@ -153,10 +153,7 @@ type StreamRunner struct {
 	// SnapshotShard, when non-nil, enables the Snapshot method: it
 	// runs on the worker goroutine between batches and should return
 	// an immutable view of the shard's summary state (e.g. a clone of
-	// its explainer). hint is the caller-supplied per-shard value
-	// passed to Snapshot (nil when the caller sent none); hooks use it
-	// to skip work — e.g. returning a signature-only marker instead of
-	// a clone when the hint proves the state unchanged.
+	// its explainer).
 	//
 	// A classifier that implements Offloader is also snapshotted while
 	// it waits for an offloaded computation: the transforms and the
@@ -164,7 +161,7 @@ type StreamRunner struct {
 	// the classifier is part-way through the current one, so the hook
 	// may read only what the classifier keeps readable there (for
 	// classify.Streaming, the threshold accessors).
-	SnapshotShard func(shard int, pl ShardPipeline, hint any) any
+	SnapshotShard func(shard int, pl ShardPipeline) any
 	// OnBatch, if non-nil, observes each shard's labeled batches
 	// (called on worker goroutines; must be safe for concurrent use).
 	OnBatch func(shard int, batch []LabeledPoint)
@@ -286,7 +283,6 @@ type ShardCoordinator struct {
 // (fn non-nil; answered with fn's result, sent on its ctl channel).
 // reply is buffered so workers never block on a slow requester.
 type snapshotReq struct {
-	hint  any
 	fn    func(shard int, pl ShardPipeline) any
 	reply chan any
 }
@@ -374,7 +370,7 @@ func (w *shardWorker) serve(req snapshotReq) {
 		if req.fn != nil {
 			v = req.fn(w.id, w.pl)
 		} else {
-			v = w.r.SnapshotShard(w.id, w.pl, req.hint)
+			v = w.r.SnapshotShard(w.id, w.pl)
 		}
 	}()
 	if w.dead.Load() {
@@ -1108,13 +1104,10 @@ func (r *StreamRunner) LiveShardStats(dst []RunStats) []RunStats {
 
 // Snapshot collects one summary snapshot per shard, taken on each
 // worker's goroutine between batches (so a snapshot never observes a
-// half-consumed batch). The Snapshot hook must be configured. hints,
-// when non-nil, supplies one opaque value per shard, handed to the
-// SnapshotShard hook so it can elide work the caller already holds
-// (pass nil for no hints; extra or missing entries are ignored).
-// Returns ErrNotStreaming if the run has finished (callers then use
-// the final results) or not started.
-func (r *StreamRunner) Snapshot(hints []any) ([]any, error) {
+// half-consumed batch). The Snapshot hook must be configured. Returns
+// ErrNotStreaming if the run has finished (callers then use the final
+// results) or not started.
+func (r *StreamRunner) Snapshot() ([]any, error) {
 	if r.SnapshotShard == nil {
 		return nil, errors.New("core: StreamRunner has no Snapshot hook")
 	}
@@ -1136,9 +1129,6 @@ func (r *StreamRunner) Snapshot(hints []any) ([]any, error) {
 	reqs := make([]snapshotReq, len(workers))
 	for i, w := range workers {
 		reqs[i] = snapshotReq{reply: make(chan any, 1)}
-		if i < len(hints) {
-			reqs[i].hint = hints[i]
-		}
 		select {
 		case w.snap <- reqs[i]:
 		case <-quit:

@@ -155,7 +155,7 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		NewShard: func(shard int) ShardPipeline {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
 		},
-		SnapshotShard: func(shard int, pl ShardPipeline, hint any) any {
+		SnapshotShard: func(shard int, pl ShardPipeline) any {
 			return pl.Explainer.(*shardCollectExplainer).consumed
 		},
 		BatchSize: 512,
@@ -173,7 +173,7 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 	// Poll snapshots while the stream runs.
 	polled := 0
 	for polled < 3 {
-		snaps, err := sr.Snapshot(nil)
+		snaps, err := sr.Snapshot()
 		if errors.Is(err, ErrNotStreaming) {
 			continue // run not yet started
 		}
@@ -193,7 +193,7 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		t.Errorf("stats after stop: %+v", stats.RunStats)
 	}
 	// After completion, snapshots report not-streaming.
-	if _, err := sr.Snapshot(nil); !errors.Is(err, ErrNotStreaming) {
+	if _, err := sr.Snapshot(); !errors.Is(err, ErrNotStreaming) {
 		t.Errorf("want ErrNotStreaming after run, got %v", err)
 	}
 }
@@ -210,7 +210,7 @@ func TestStreamRunnerValidation(t *testing.T) {
 	if _, err := sr.Run(); err != nil {
 		t.Errorf("empty stream should succeed, got %v", err)
 	}
-	if _, err := sr.Snapshot(nil); err == nil {
+	if _, err := sr.Snapshot(); err == nil {
 		t.Error("snapshot without hook not rejected")
 	}
 }

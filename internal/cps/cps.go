@@ -48,21 +48,11 @@ type Tree struct {
 	arena    itemtree.Arena
 	order    []int32 // rank -> item id (frequency-descending)
 	rank     []int32 // item id -> rank, -1 when absent
-	// epoch stamps the tree's mutation history: every Insert,
-	// Restructure, and Merge bumps it (conservatively — a call that
-	// happens to leave the structure unchanged still counts), and Clone
-	// preserves it. Two trees cloned from the same lineage with equal
-	// epochs are therefore structurally identical, which is what the
-	// explanation layer's incremental mining cache keys on.
-	epoch uint64
 	// allowed is the frequent-item filter for M-CPS inserts, dense by
 	// id; nil accepts everything (always nil for CPS, and for M-CPS
 	// before the first window boundary and after keep-all
 	// restructures).
 	allowed []bool
-	// jl is the changed-path journal backing the explanation layer's
-	// delta mining; disabled (and free) by default.
-	jl journal
 
 	// Reusable scratch. itemScratch holds the filtered, rank-sorted
 	// transaction during Insert; path* hold the flattened (path,
@@ -89,33 +79,6 @@ type Tree struct {
 	// scratch, not state.
 	mineTree  fptree.Tree
 	minerPool []*fptree.Miner
-}
-
-// Journal capacity caps: a journal that records more than
-// maxJournalPaths transactions (or maxJournalItems flattened items)
-// between resets overflows, and callers fall back to a full re-mine.
-// The caps bound both the journal's memory and the downstream
-// subset-enumeration work to far less than a full mine costs.
-const (
-	maxJournalPaths = 4096
-	maxJournalItems = 1 << 15
-)
-
-// journal is the changed-path record behind delta mining: the item
-// sets of every transaction inserted since the last reset, flattened
-// like the path-extraction buffers. An itemset's support can only have
-// changed since epoch `from` if it is a subset of one of these paths —
-// restructures and merges rewrite counts wholesale, so they poison the
-// journal (rewrite) until the next reset, and the capacity caps bound
-// the record (overflow) so a burst between polls degrades to a full
-// re-mine instead of an unbounded journal.
-type journal struct {
-	enabled  bool
-	from     uint64  // tree epoch at the last reset
-	items    []int32 // flattened inserted item sets (post-filter)
-	offs     []int32 // len(paths)+1 offsets into items
-	rewrite  bool
-	overflow bool
 }
 
 // NewMCPS returns an M-CPS-tree.
@@ -159,7 +122,6 @@ func (t *Tree) ensureItem(it int32) int32 {
 // appended to the current order (they sort last until the next
 // restructure). Negative ids are ignored.
 func (t *Tree) Insert(attrs []int32, w float64) {
-	t.epoch++
 	items := t.itemScratch[:0]
 	for _, it := range attrs {
 		if it < 0 {
@@ -173,16 +135,6 @@ func (t *Tree) Insert(attrs []int32, w float64) {
 	t.itemScratch = items
 	if len(items) == 0 {
 		return
-	}
-	if j := &t.jl; j.enabled && !j.rewrite && !j.overflow {
-		// Record the surviving item set. Restructure/Merge re-inserts
-		// are excluded by the rewrite flag they set first.
-		if len(j.offs)-1 >= maxJournalPaths || len(j.items)+len(items) > maxJournalItems {
-			j.overflow = true
-		} else {
-			j.items = append(j.items, items...)
-			j.offs = append(j.offs, int32(len(j.items)))
-		}
 	}
 	for _, it := range items {
 		t.ensureItem(it)
@@ -206,62 +158,6 @@ func (t *Tree) ItemCount(item int32) float64 {
 
 // NumItems reports how many distinct items the tree currently stores.
 func (t *Tree) NumItems() int { return len(t.order) }
-
-// EnableJournal turns on changed-path recording (see JournalSince).
-// Recording is off by default — the per-insert copy is only worth
-// paying when a caller actually consumes deltas. Enabling also resets
-// the journal to the current epoch. Idempotent.
-func (t *Tree) EnableJournal() {
-	t.jl.enabled = true
-	t.ResetJournal()
-}
-
-// ResetJournal clears the journal and re-anchors it at the current
-// epoch: a subsequent JournalSince(Epoch()) is valid until the next
-// restructure, merge, or capacity overflow. Callers reset after
-// consuming the journal (a successful table refresh, a snapshot clone
-// handed to the merge layer). No-op while recording is disabled.
-func (t *Tree) ResetJournal() {
-	if !t.jl.enabled {
-		return
-	}
-	t.jl.items = t.jl.items[:0]
-	t.jl.offs = append(t.jl.offs[:0], 0)
-	t.jl.rewrite = false
-	t.jl.overflow = false
-	t.jl.from = t.epoch
-}
-
-// JournalSince reports whether the journal covers every mutation since
-// epoch — recording enabled, anchored exactly at that epoch, and
-// neither poisoned by a restructure/merge rewrite nor truncated by the
-// capacity caps — and, when it does, how many inserted paths it holds.
-// Filtered-empty inserts bump the epoch but change no support, so they
-// are covered without a record. On ok, JournalPath(0..n-1) enumerates
-// the inserted item sets; any itemset whose support changed since
-// epoch is a subset of one of them.
-func (t *Tree) JournalSince(epoch uint64) (n int, ok bool) {
-	j := &t.jl
-	if !j.enabled || j.rewrite || j.overflow || j.from != epoch {
-		return 0, false
-	}
-	return len(j.offs) - 1, true
-}
-
-// JournalPath returns the i'th journaled item set (post insert
-// filtering, unsorted). The slice aliases journal storage: valid until
-// the next Insert or ResetJournal.
-func (t *Tree) JournalPath(i int) []int32 {
-	return t.jl.items[t.jl.offs[i]:t.jl.offs[i+1]]
-}
-
-// Epoch returns the tree's mutation stamp: it advances on every
-// Insert, Restructure, and Merge (even ones that leave the structure
-// unchanged — the stamp is conservative) and survives Clone. Within
-// one clone lineage, equal epochs imply identical tree contents, the
-// invariant the explanation cache relies on; epochs of unrelated trees
-// are not comparable.
-func (t *Tree) Epoch() uint64 { return t.epoch }
 
 // NumNodes reports the number of tree nodes (excluding the root).
 func (t *Tree) NumNodes() int { return t.arena.NumNodes() }
@@ -328,12 +224,6 @@ func (t *Tree) path(i int) []int32 {
 // insert filter. Steady-state restructures reuse the tree's scratch
 // and allocate nothing.
 func (t *Tree) Restructure(items []int32, counts []float64, retain float64) {
-	t.epoch++
-	// A restructure rewrites every count and rank wholesale; the
-	// changed-path journal cannot describe that as a path diff, so it
-	// is poisoned until the next reset (set before the re-inserts
-	// below, which must not be recorded).
-	t.jl.rewrite = true
 	// Decay in place first so extracted path weights are decayed.
 	t.arena.Decay(retain)
 	t.extractPaths()
@@ -491,10 +381,6 @@ func (t *Tree) ForEachPath(f func(items []int32, weight float64)) {
 // each shard's frequent set legitimately differs — and the allowed
 // sets union: an item frequent on either shard stays insertable.
 func (t *Tree) Merge(src *Tree) {
-	t.epoch++ // conservative: even an empty src counts as a mutation
-	// A merge replays src's whole transaction set; like Restructure,
-	// that is not a small path diff, so the journal is poisoned.
-	t.jl.rewrite = true
 	if t.allowed != nil {
 		if src.allowed == nil {
 			t.allowed = nil
@@ -523,29 +409,17 @@ func (t *Tree) Merge(src *Tree) {
 
 // Clone returns a deep copy of the tree: with the arena layout this is
 // a handful of slab copies — no path replay — so the sharded engine's
-// per-poll snapshots cost a memcpy, not a rebuild. Counts, item order,
-// node identity, and the epoch stamp are preserved exactly; mining
-// scratch is not copied (the clone grows its own on first Mine).
+// per-poll snapshots cost a memcpy, not a rebuild. Counts, item order
+// and node identity are preserved exactly; mining scratch is not
+// copied (the clone grows its own on first Mine).
 func (t *Tree) Clone() *Tree {
 	c := &Tree{
 		trackAll: t.trackAll,
 		order:    slices.Clone(t.order),
 		rank:     slices.Clone(t.rank),
 		allowed:  slices.Clone(t.allowed),
-		epoch:    t.epoch,
 	}
 	t.arena.CloneInto(&c.arena)
-	// The journal is state, not scratch: a snapshot clone carries the
-	// changed paths to the merge layer, which reads them off the clone
-	// while the live tree keeps recording.
-	c.jl = journal{
-		enabled:  t.jl.enabled,
-		from:     t.jl.from,
-		items:    slices.Clone(t.jl.items),
-		offs:     slices.Clone(t.jl.offs),
-		rewrite:  t.jl.rewrite,
-		overflow: t.jl.overflow,
-	}
 	return c
 }
 

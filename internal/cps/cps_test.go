@@ -472,41 +472,6 @@ func TestEmptyFrequentSetClosesEmptyTree(t *testing.T) {
 	}
 }
 
-// TestEpochStamps: the mutation stamp advances on every Insert,
-// Restructure, and Merge and survives Clone — the invariant the
-// explanation layer's incremental mining cache keys on.
-func TestEpochStamps(t *testing.T) {
-	tree := NewMCPS()
-	e0 := tree.Epoch()
-	tree.Insert([]int32{1, 2}, 1)
-	e1 := tree.Epoch()
-	if e1 <= e0 {
-		t.Fatalf("Insert did not bump epoch: %d -> %d", e0, e1)
-	}
-	tree.Restructure(nil, nil, 0.5)
-	e2 := tree.Epoch()
-	if e2 <= e1 {
-		t.Fatalf("Restructure did not bump epoch: %d -> %d", e1, e2)
-	}
-	other := NewMCPS()
-	tree.Merge(other)
-	e3 := tree.Epoch()
-	if e3 <= e2 {
-		t.Fatalf("Merge (even of an empty tree) did not bump epoch: %d -> %d", e2, e3)
-	}
-	c := tree.Clone()
-	if c.Epoch() != tree.Epoch() {
-		t.Fatalf("Clone changed epoch: %d != %d", c.Epoch(), tree.Epoch())
-	}
-	// Queries must not bump: equal epochs must keep implying equal
-	// structure across reads.
-	tree.Mine(0.1, 0)
-	tree.ItemsetSupport([]int32{1})
-	if tree.Epoch() != e3 {
-		t.Fatalf("read-only query bumped epoch: %d -> %d", e3, tree.Epoch())
-	}
-}
-
 // TestMineSteadyStateAllocationBounded: with the per-tree FP-tree and
 // per-miner conditional arenas, a repeated Mine over an unchanged tree
 // allocates only its output — one Items slice per mined itemset plus

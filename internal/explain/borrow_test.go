@@ -59,7 +59,7 @@ func borrowShards(p, decays int, seed uint64) []*Streaming {
 	rng := rand.New(rand.NewPCG(seed, 0xb0440))
 	for round := 0; round <= decays; round++ {
 		parts := make([][]core.LabeledPoint, p)
-		for _, pt := range cacheWorkload(rng, 3000) {
+		for _, pt := range pollWorkload(rng, 3000) {
 			sh := shardOf(pt.Attrs, routed)
 			if rng.IntN(8) == 0 {
 				pt.Attrs = append(pt.Attrs, 30)
@@ -119,8 +119,8 @@ func TestBorrowedInliersMatchUnionTree(t *testing.T) {
 			for _, w := range []int{1, 2, 4} {
 				name := fmt.Sprintf("P=%d decays=%d W=%d", p, decays, w)
 				got := MergeStreamingInto(cloneAll(shards, w))
-				if shared := NewPollMerger().MergeShared(cloneAll(shards, w)); !reflect.DeepEqual(shared, got) {
-					t.Errorf("%s: MergeShared differs from MergeStreamingInto", name)
+				if shared := MergeStreaming(cloneAll(shards, w)); !reflect.DeepEqual(shared, got) {
+					t.Errorf("%s: MergeStreaming differs from MergeStreamingInto", name)
 				}
 				if first == nil {
 					first = got
@@ -165,7 +165,7 @@ func TestBorrowedInliersMatchUnionTree(t *testing.T) {
 // source untouched.
 func TestWritersOnMergedViewFoldFirst(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
-	extra := cacheWorkload(rng, 500)
+	extra := pollWorkload(rng, 500)
 	for name, write := range map[string]func(*Streaming) *Streaming{
 		"Decay":   func(s *Streaming) *Streaming { s.Decay(); return s },
 		"Consume": func(s *Streaming) *Streaming { s.Consume(extra); return s },
@@ -193,68 +193,6 @@ func TestWritersOnMergedViewFoldFirst(t *testing.T) {
 	}
 }
 
-// TestBorrowedEpochsInCacheKey: a merged explainer's own inlier epoch
-// no longer advances on merge, so the borrowed trees' epochs must be in
-// the full-result key and the Signature, or movement confined to
-// another shard's inlier side would replay a stale InlierCount.
-func TestBorrowedEpochsInCacheKey(t *testing.T) {
-	shards := borrowShards(2, 0, 3)
-	m := shards[0].Clone()
-	m.Merge(shards[1])
-	first := m.Explanations()
-	var combo []int32
-	for _, e := range first {
-		if len(e.ItemIDs) > 1 {
-			combo = e.ItemIDs
-			break
-		}
-	}
-	if combo == nil {
-		t.Fatal("no multi-attribute explanation to watch")
-	}
-	m.Explanations()
-	if st := m.CacheStats(); st.FullHits != 1 {
-		t.Fatalf("unchanged merged view was not a full hit: %+v", st)
-	}
-	// Move shard 1's inlier tree and nothing else: no total, no sketch,
-	// no tree of m's own.
-	sig := m.Signature()
-	shards[1].inTree.Insert(combo, 1)
-	if m.Signature() == sig {
-		t.Error("Signature blind to a borrowed tree's movement")
-	}
-	second := m.Explanations()
-	if st := m.CacheStats(); st.FullHits != 1 || st.MineReuses != 1 {
-		t.Errorf("poll after borrowed-tree movement: %+v, want a mine reuse and no second full hit", st)
-	}
-	count := func(exps []core.Explanation) float64 {
-		for _, e := range exps {
-			if reflect.DeepEqual(e.ItemIDs, combo) {
-				return e.InlierCount
-			}
-		}
-		return math.NaN()
-	}
-	if a, b := count(first), count(second); b != a+1 {
-		t.Errorf("InlierCount of %v went %v -> %v, want +1", combo, a, b)
-	}
-
-	// The same movement through the serving path: two merged polls whose
-	// shard 1 differs on the inlier side only.
-	merger := NewPollMerger()
-	shards = borrowShards(2, 0, 3)
-	merger.MergeShared(shards)
-	moved := shards[1].Clone()
-	moved.Consume([]core.LabeledPoint{{Point: core.Point{Attrs: combo}, Label: core.Inlier}})
-	got := merger.MergeShared([]*Streaming{shards[0], moved})
-	if st := merger.Stats(); st.FullHits != 0 || st.MineReuses != 1 {
-		t.Errorf("merger after inlier-only movement on shard 1: %+v, want one mine reuse, no full hit", st)
-	}
-	if want := unionFold([]*Streaming{shards[0].Clone(), moved.Clone()}).Explanations(); !reflect.DeepEqual(got, want) {
-		t.Error("merged poll after inlier-only movement differs from the union oracle")
-	}
-}
-
 // slabs returns a tree's node slab and header table. The arena is
 // cps's own; the test reaches it to compare memory, not answers.
 func slabs(t *cps.Tree) ([]itemtree.Node, []itemtree.Header) {
@@ -263,16 +201,19 @@ func slabs(t *cps.Tree) ([]itemtree.Node, []itemtree.Header) {
 	return a.Nodes, a.Headers
 }
 
-// TestMergeSharedBorrowsInlierTrees: a shared poll reads the retained
-// snapshots' inlier trees in place — slabs untouched, same epoch — and
-// allocates nothing the size of one: before the borrow a poll copied
-// shard 0's inlier slab and reserved room for every other shard's.
+// TestMergeSharedBorrowsInlierTrees: a merged poll reads the shards'
+// inlier trees in place — slabs untouched — and allocates nothing the
+// size of one: before the borrow a poll copied shard 0's inlier slab
+// and reserved room for every other shard's. The poll is
+// MergeStreamingInto over a copy of shard 0's three folded legs and the
+// other shards as they are (MergeStreaming), so the inputs must also
+// come out of it as plain explainers, not merged views.
 func TestMergeSharedBorrowsInlierTrees(t *testing.T) {
 	cfg := StreamingConfig{MinSupport: 0.01, MinRiskRatio: 1.05, DecayRate: 0.1, PollParallelism: 1}
 	shards := []*Streaming{NewStreaming(cfg), NewStreaming(cfg), NewStreaming(cfg)}
 	rng := rand.New(rand.NewPCG(8, 9))
 	parts := make([][]core.LabeledPoint, len(shards))
-	for _, pt := range cacheWorkload(rng, 2000) {
+	for _, pt := range pollWorkload(rng, 2000) {
 		sh := shardOf(pt.Attrs, len(shards))
 		parts[sh] = append(parts[sh], pt)
 	}
@@ -293,16 +234,15 @@ func TestMergeSharedBorrowsInlierTrees(t *testing.T) {
 	type slab struct {
 		nodes   []itemtree.Node
 		headers []itemtree.Header
-		epoch   uint64
 	}
 	var pre []slab
 	slabBytes := 0
 	for _, s := range shards {
 		n, h := slabs(s.inTree.Clone())
-		pre = append(pre, slab{n, h, s.inTree.Epoch()})
+		pre = append(pre, slab{n, h})
 		slabBytes += len(n) * int(unsafe.Sizeof(itemtree.Node{}))
 	}
-	poll := func() []core.Explanation { return NewPollMerger().MergeShared(shards) }
+	poll := func() []core.Explanation { return MergeStreaming(shards) }
 	if len(poll()) == 0 {
 		t.Fatal("poll yields no explanations")
 	}
@@ -316,15 +256,15 @@ func TestMergeSharedBorrowsInlierTrees(t *testing.T) {
 	perPoll := int(m1.TotalAlloc-m0.TotalAlloc) / polls
 	t.Logf("inlier slabs %d KB, a poll allocates %d KB", slabBytes>>10, perPoll>>10)
 	if perPoll > slabBytes/8 {
-		t.Errorf("a shared poll allocates %d bytes against %d bytes of inlier slabs: something inlier-sized is being copied", perPoll, slabBytes)
+		t.Errorf("a merged poll allocates %d bytes against %d bytes of inlier slabs: something inlier-sized is being copied", perPoll, slabBytes)
 	}
 	for i, s := range shards {
 		n, h := slabs(s.inTree)
-		if !reflect.DeepEqual(n, pre[i].nodes) || !reflect.DeepEqual(h, pre[i].headers) || s.inTree.Epoch() != pre[i].epoch {
-			t.Errorf("shard %d: inlier tree changed under a shared poll", i)
+		if !reflect.DeepEqual(n, pre[i].nodes) || !reflect.DeepEqual(h, pre[i].headers) {
+			t.Errorf("shard %d: inlier tree changed under a merged poll", i)
 		}
 		if len(s.borrowed) != 0 || s.inShared {
-			t.Errorf("shard %d: retained snapshot was turned into a view", i)
+			t.Errorf("shard %d: poll input was turned into a view", i)
 		}
 	}
 }

@@ -10,15 +10,15 @@ import (
 	"macrobase/internal/core"
 )
 
-// Differential harness for the incremental mining cache: a randomized
-// interleaving of consume/decay/poll operations is replayed against a
-// cache-enabled and a cache-disabled explainer, and every poll must
-// produce byte-identical ranked output (reflect.DeepEqual over the
-// full Explanation structs, i.e. bit-equal floats — the cached paths
-// reuse prior results only when the state is provably identical, so
-// not even last-ulp drift is tolerated). Failures shrink: the op
-// sequence is greedily minimized while it still fails, and the minimal
-// sequence plus its seed are reported for replay.
+// Differential harness for the poll worker count: a randomized
+// interleaving of consume/decay/poll operations is replayed against
+// explainers that differ only in PollParallelism, and every poll must
+// produce byte-identical ranked output (reflect.DeepEqual over the full
+// Explanation structs, i.e. bit-equal floats — the striped stages only
+// split index-addressed work, so not even last-ulp drift is tolerated).
+// Failures shrink: the op sequence is greedily minimized while it still
+// fails, and the minimal sequence plus its seed are reported for
+// replay.
 
 type diffOpKind uint8
 
@@ -53,11 +53,11 @@ func (o diffOp) String() string {
 	}
 }
 
-// genDiffOps scripts a random interleaving. Poll-after-poll and
-// inlier-only batches are generated deliberately often so the full-hit
-// and mine-reuse cache paths are exercised, not just the cold path;
-// occasional attribute-less points stress the total-only key
-// movement.
+// genDiffOps scripts a random interleaving. Adjacent polls and
+// inlier-only batches are generated deliberately often, so polls meet
+// unmoved and inlier-only-moved state as well as fresh outliers;
+// occasional attribute-less points move the totals without touching a
+// tree.
 func genDiffOps(rng *rand.Rand, nOps int) []diffOp {
 	ops := make([]diffOp, 0, nOps)
 	for len(ops) < nOps {
@@ -69,7 +69,7 @@ func genDiffOps(rng *rand.Rand, nOps int) []diffOp {
 		default:
 			ops = append(ops, diffOp{kind: diffPoll})
 			if rng.IntN(2) == 0 {
-				ops = append(ops, diffOp{kind: diffPoll}) // adjacent polls: full-hit path
+				ops = append(ops, diffOp{kind: diffPoll}) // adjacent polls: nothing moved between them
 			}
 		}
 	}
@@ -78,7 +78,7 @@ func genDiffOps(rng *rand.Rand, nOps int) []diffOp {
 
 func genDiffBatch(rng *rand.Rand) []core.LabeledPoint {
 	n := 1 + rng.IntN(40)
-	inlierOnly := rng.IntN(3) == 0 // mine-reuse path: the outlier side stays put
+	inlierOnly := rng.IntN(3) == 0 // the outlier side stays put
 	batch := make([]core.LabeledPoint, n)
 	for i := range batch {
 		p := &batch[i]
@@ -109,20 +109,19 @@ func genDiffBatch(rng *rand.Rand) []core.LabeledPoint {
 }
 
 // diffParallelisms are the PollParallelism values every differential
-// replay runs side by side: W=1 runs every stage's one body inline,
-// W=2/4/8 stripe it (8 is wider than the four merge legs and than the
-// degenerate tables below, so the clamp is exercised too). Every poll
-// must be reflect.DeepEqual-identical across all of them (and to the
-// cache-disabled reference), and so must the CacheStats — which path
-// served a poll may not depend on W either.
+// replay runs side by side: W=1 runs every stage's one body inline and
+// is the reference, W=2/4/8 stripe it (8 is wider than the four merge
+// legs and than the degenerate tables below, so the clamp is exercised
+// too). Every poll must be reflect.DeepEqual-identical across all of
+// them.
 var diffParallelisms = []int{1, 2, 4, 8}
 
 // degenerateDiffOps scripts the index spaces striping could trip over:
 // script k keeps the combination table at exactly k itemsets (k disjoint
-// outlier pairs; none at k=0), far fewer than the widest W, across a
-// cold full mine, a journal delta, a mine reuse, a full hit and a
-// post-decay re-mine. TestDifferentialExercisesCachePaths pins the
-// table sizes.
+// outlier pairs; none at k=0), far fewer than the widest W, across polls
+// after fresh outliers, after inlier-only movement, after no movement
+// and after a decay tick. TestDifferentialCachedVsFullSequential pins
+// the table sizes.
 func degenerateDiffOps() [][]diffOp {
 	pt := func(label core.Label, attrs ...int32) core.LabeledPoint {
 		return core.LabeledPoint{Point: core.Point{Attrs: attrs}, Label: label}
@@ -142,52 +141,41 @@ func degenerateDiffOps() [][]diffOp {
 		poll := diffOp{kind: diffPoll}
 		scripts[k] = []diffOp{
 			{kind: diffConsume, batch: batch}, poll,
-			{kind: diffConsume, batch: batch[:len(batch)/3]}, poll, // outliers moved: delta
-			{kind: diffConsume, batch: []core.LabeledPoint{pt(core.Inlier, 0, 1)}}, poll, // mine reuse
-			poll, // full hit
+			{kind: diffConsume, batch: batch[:len(batch)/3]}, poll, // outliers moved
+			{kind: diffConsume, batch: []core.LabeledPoint{pt(core.Inlier, 0, 1)}}, poll, // inliers only
+			poll, // nothing moved
 			{kind: diffDecay}, poll,
 		}
 	}
 	return scripts
 }
 
-// runDiffSequential replays ops against uncached W=1 reference plus
-// cached explainers at each PollParallelism, and returns a description
-// of the first divergence ("" = none).
+// runDiffSequential replays ops against one explainer per
+// PollParallelism and returns a description of the first poll at which
+// a striped one diverges from W=1 ("" = none).
 func runDiffSequential(cfg StreamingConfig, ops []diffOp) string {
-	plainCfg := cfg
-	plainCfg.noCache = true
-	plainCfg.PollParallelism = 1
-	plain := NewStreaming(plainCfg)
-	cached := make([]*Streaming, len(diffParallelisms))
+	exps := make([]*Streaming, len(diffParallelisms))
 	for i, w := range diffParallelisms {
 		wcfg := cfg
 		wcfg.PollParallelism = w
-		cached[i] = NewStreaming(wcfg)
+		exps[i] = NewStreaming(wcfg)
 	}
 	for i, op := range ops {
 		switch op.kind {
 		case diffConsume:
-			plain.Consume(op.batch)
-			for _, c := range cached {
-				c.Consume(op.batch)
+			for _, s := range exps {
+				s.Consume(op.batch)
 			}
 		case diffDecay:
-			plain.Decay()
-			for _, c := range cached {
-				c.Decay()
+			for _, s := range exps {
+				s.Decay()
 			}
 		case diffPoll:
-			want := plain.Explanations()
-			for j, c := range cached {
-				got := c.Explanations()
-				if !reflect.DeepEqual(got, want) {
-					return fmt.Sprintf("op %d (poll, W=%d): cached %d exps != plain %d exps\ncached: %v\nplain:  %v",
-						i, diffParallelisms[j], len(got), len(want), got, want)
-				}
-				if st, st0 := c.CacheStats(), cached[0].CacheStats(); st != st0 {
-					return fmt.Sprintf("op %d (poll, W=%d): cache stats %+v != W=%d's %+v",
-						i, diffParallelisms[j], st, diffParallelisms[0], st0)
+			want := exps[0].Explanations()
+			for j, s := range exps[1:] {
+				if got := s.Explanations(); !reflect.DeepEqual(got, want) {
+					return fmt.Sprintf("op %d (poll, W=%d): %d exps != W=1's %d\nW=%d: %v\nW=1: %v",
+						i, diffParallelisms[j+1], len(got), len(want), diffParallelisms[j+1], got, want)
 				}
 			}
 		}
@@ -195,36 +183,24 @@ func runDiffSequential(cfg StreamingConfig, ops []diffOp) string {
 	return ""
 }
 
-// runDiffSharded replays ops against sets of p shards: one cached set
-// per PollParallelism value polls through its own resident PollMerger
-// over snapshot clones (the session serving path), while the plain
-// side re-merges cache-disabled W=1 clones from scratch at every poll.
+// runDiffSharded replays ops against one set of p shards per
+// PollParallelism; every poll merges fresh clones of each set in place
+// (MergeStreamingInto, the session serving path), and the striped sets
+// must match the W=1 set.
 func runDiffSharded(cfg StreamingConfig, ops []diffOp, p int) string {
-	plainCfg := cfg
-	plainCfg.noCache = true
-	plainCfg.PollParallelism = 1
-	plain := make([]*Streaming, p)
-	for i := 0; i < p; i++ {
-		plain[i] = NewStreaming(plainCfg)
-	}
-	cached := make([][]*Streaming, len(diffParallelisms))
-	mergers := make([]*PollMerger, len(diffParallelisms))
+	sets := make([][]*Streaming, len(diffParallelisms))
 	for wi, w := range diffParallelisms {
 		wcfg := cfg
 		wcfg.PollParallelism = w
-		cached[wi] = make([]*Streaming, p)
+		sets[wi] = make([]*Streaming, p)
 		for i := 0; i < p; i++ {
-			cached[wi][i] = NewStreaming(wcfg)
+			sets[wi][i] = NewStreaming(wcfg)
 		}
-		mergers[wi] = NewPollMerger()
 	}
 	clones := func(ss []*Streaming) []*Streaming {
 		out := make([]*Streaming, len(ss))
 		for i, s := range ss {
-			// SnapshotClone, matching the session layer: re-anchoring the
-			// live journal at each snapshot is what lets the merger serve
-			// delta updates across polls.
-			out[i] = s.SnapshotClone()
+			out[i] = s.Clone()
 		}
 		return out
 	}
@@ -236,30 +212,23 @@ func runDiffSharded(cfg StreamingConfig, ops []diffOp, p int) string {
 				sh := shardOf(op.batch[j].Attrs, p)
 				parts[sh] = append(parts[sh], op.batch[j])
 			}
-			for j := 0; j < p; j++ {
-				plain[j].Consume(parts[j])
-				for wi := range cached {
-					cached[wi][j].Consume(parts[j])
+			for _, set := range sets {
+				for j, s := range set {
+					s.Consume(parts[j])
 				}
 			}
 		case diffDecay:
-			for j := 0; j < p; j++ {
-				plain[j].Decay()
-				for wi := range cached {
-					cached[wi][j].Decay()
+			for _, set := range sets {
+				for _, s := range set {
+					s.Decay()
 				}
 			}
 		case diffPoll:
-			want := MergeStreamingInto(clones(plain))
-			for wi := range cached {
-				got := mergers[wi].Merge(clones(cached[wi]))
-				if !reflect.DeepEqual(got, want) {
-					return fmt.Sprintf("op %d (sharded poll, P=%d W=%d): cached %d exps != plain %d exps\ncached: %v\nplain:  %v",
-						i, p, diffParallelisms[wi], len(got), len(want), got, want)
-				}
-				if st, st0 := mergers[wi].Stats(), mergers[0].Stats(); st != st0 {
-					return fmt.Sprintf("op %d (sharded poll, P=%d W=%d): cache stats %+v != W=%d's %+v",
-						i, p, diffParallelisms[wi], st, diffParallelisms[0], st0)
+			want := MergeStreamingInto(clones(sets[0]))
+			for wi := 1; wi < len(sets); wi++ {
+				if got := MergeStreamingInto(clones(sets[wi])); !reflect.DeepEqual(got, want) {
+					return fmt.Sprintf("op %d (sharded poll, P=%d W=%d): %d exps != W=1's %d\nW=%d: %v\nW=1: %v",
+						i, p, diffParallelisms[wi], len(got), len(want), diffParallelisms[wi], got, want)
 				}
 			}
 		}
@@ -292,7 +261,7 @@ func shrinkDiffOps(ops []diffOp, run func([]diffOp) string) []diffOp {
 func reportDiffFailure(t *testing.T, seed uint64, ops []diffOp, run func([]diffOp) string) {
 	t.Helper()
 	min := shrinkDiffOps(ops, run)
-	t.Errorf("cached explanations diverged from full recompute (seed %d)\nminimal reproducer (%d ops):", seed, len(min))
+	t.Errorf("striped explanations diverged from W=1 (seed %d)\nminimal reproducer (%d ops):", seed, len(min))
 	for i, op := range min {
 		t.Logf("  %2d: %s", i, op)
 	}
@@ -303,12 +272,15 @@ func diffConfigs() []StreamingConfig {
 	return []StreamingConfig{
 		{MinSupport: 0.01, MinRiskRatio: 1.1, DecayRate: 0.1},
 		// Confidence intervals + Bonferroni exercise the tested-count
-		// bookkeeping that the cached paths must reproduce exactly.
+		// bookkeeping, which must not depend on W either.
 		{MinSupport: 0.02, MinRiskRatio: 1.05, DecayRate: 0.2, Confidence: 0.95, Bonferroni: true},
 		{MinSupport: 0.005, MinRiskRatio: 1.2, DecayRate: 0.05, MaxItems: 2},
 	}
 }
 
+// TestDifferentialCachedVsFullSequential: single explainers at every W
+// against W=1, over random interleavings and the degenerate scripts,
+// whose table sizes it also holds to the ones they are named for.
 func TestDifferentialCachedVsFullSequential(t *testing.T) {
 	for ci, cfg := range diffConfigs() {
 		for seed := uint64(0); seed < 6; seed++ {
@@ -328,8 +300,25 @@ func TestDifferentialCachedVsFullSequential(t *testing.T) {
 			}
 		}
 	}
+	for k, ops := range degenerateDiffOps() {
+		s := NewStreaming(diffConfigs()[0])
+		for i, op := range ops {
+			switch op.kind {
+			case diffConsume:
+				s.Consume(op.batch)
+			case diffDecay:
+				s.Decay()
+			case diffPoll:
+				if n := len(s.fullTable(s.cfg.MinSupport * s.totalOut)); n != k {
+					t.Errorf("degenerate script %d, op %d: table of %d itemsets", k, i, n)
+				}
+			}
+		}
+	}
 }
 
+// TestDifferentialCachedVsFullSharded: merged polls over P=3 shard sets
+// at every W against W=1, and the degenerate scripts at P=1..4.
 func TestDifferentialCachedVsFullSharded(t *testing.T) {
 	for ci, cfg := range diffConfigs() {
 		for seed := uint64(0); seed < 4; seed++ {
@@ -349,93 +338,6 @@ func TestDifferentialCachedVsFullSharded(t *testing.T) {
 					return
 				}
 			}
-		}
-	}
-}
-
-// TestDifferentialExercisesCachePaths guards the harness itself: the
-// generated interleavings must actually drive every cache path, or
-// the equality assertions above would be vacuous.
-func TestDifferentialExercisesCachePaths(t *testing.T) {
-	cfg := diffConfigs()[0]
-	var seq, sh CacheStats
-	for seed := uint64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewPCG(seed, 13))
-		ops := genDiffOps(rng, 60)
-
-		s := NewStreaming(cfg)
-		for _, op := range ops {
-			switch op.kind {
-			case diffConsume:
-				s.Consume(op.batch)
-			case diffDecay:
-				s.Decay()
-			case diffPoll:
-				s.Explanations()
-			}
-		}
-		seq.Add(s.CacheStats())
-
-		rng = rand.New(rand.NewPCG(seed, 13))
-		ops = genDiffOps(rng, 60)
-		merger := NewPollMerger()
-		shards := []*Streaming{NewStreaming(cfg), NewStreaming(cfg), NewStreaming(cfg)}
-		for _, op := range ops {
-			switch op.kind {
-			case diffConsume:
-				parts := make([][]core.LabeledPoint, len(shards))
-				for j := range op.batch {
-					k := shardOf(op.batch[j].Attrs, len(shards))
-					parts[k] = append(parts[k], op.batch[j])
-				}
-				for j := range shards {
-					shards[j].Consume(parts[j])
-				}
-			case diffDecay:
-				for j := range shards {
-					shards[j].Decay()
-				}
-			case diffPoll:
-				cl := make([]*Streaming, len(shards))
-				for j := range shards {
-					cl[j] = shards[j].SnapshotClone()
-				}
-				merger.Merge(cl)
-			}
-		}
-		sh.Add(merger.Stats())
-	}
-	if seq.FullHits == 0 || seq.MineReuses == 0 || seq.FullMines == 0 {
-		t.Errorf("sequential interleavings missed a cache path: %+v", seq)
-	}
-	if seq.DeltaMines == 0 || seq.JournalOverflows == 0 {
-		t.Errorf("sequential interleavings missed a delta path: %+v", seq)
-	}
-	if sh.FullHits == 0 || sh.MineReuses == 0 || sh.FullMines == 0 {
-		t.Errorf("sharded interleavings missed a cache path: %+v", sh)
-	}
-	if sh.DeltaMines == 0 || sh.JournalOverflows == 0 {
-		t.Errorf("sharded interleavings missed a delta path: %+v", sh)
-	}
-	// The degenerate scripts must hold the table sizes they are named
-	// for, through every cache path.
-	for k, ops := range degenerateDiffOps() {
-		s := NewStreaming(cfg)
-		for i, op := range ops {
-			switch op.kind {
-			case diffConsume:
-				s.Consume(op.batch)
-			case diffDecay:
-				s.Decay()
-			case diffPoll:
-				s.Explanations()
-				if len(s.mineCache) != k {
-					t.Errorf("degenerate script %d, op %d: table of %d itemsets", k, i, len(s.mineCache))
-				}
-			}
-		}
-		if st := s.CacheStats(); st.FullHits == 0 || st.MineReuses == 0 || st.FullMines < 2 || st.DeltaMines == 0 {
-			t.Errorf("degenerate script %d missed a cache path: %+v", k, st)
 		}
 	}
 }

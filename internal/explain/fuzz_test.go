@@ -11,23 +11,19 @@ import (
 )
 
 // The explain fuzz target drives a random interleaving of outlier and
-// inlier inserts, decay-tick restructures, and polls — the op mix the
-// delta-mining journal has to survive — against two oracles at every
-// poll:
+// inlier inserts, decay-tick restructures, and polls against two
+// oracles at every poll:
 //
-//  1. a cache-disabled twin fed the identical stream; its output must
-//     be reflect.DeepEqual (bit-equal floats) with the cached
-//     explainer's, pinning the full-hit, mine-reuse, delta-mine and
-//     journal-overflow-fallback paths against the
-//     always-full-recompute path;
+//  1. explainers at PollParallelism 2 and 4 fed the identical stream;
+//     their output must be reflect.DeepEqual (bit-equal floats) with
+//     the W=1 explainer's;
 //  2. a brute-force model: flat weighted multisets of outlier/inlier
 //     transactions to which the M-CPS semantics (decay, frequent-set
 //     projection, insert filtering) are applied directly, from which
 //     the expected explanation set — itemsets, outlier counts, inlier
 //     counts — is enumerated by exhaustive subset counting. Counting
 //     is fully independent of the trees; only the risk-ratio scoring
-//     helper is shared, because the delta machinery changes counting,
-//     never scoring.
+//     helper is shared.
 //
 // Decay is restricted to retain = 0.5 and MinSupport to a power of
 // two, so every weight, total, and threshold stays an exactly
@@ -196,29 +192,23 @@ func (m *streamModel) expected() map[string][2]float64 {
 	return want
 }
 
-// runStreamScript decodes and replays one fuzz script against the
-// cached explainer, the cache-disabled twin, and the brute-force
-// model, failing on the first divergence. It returns the cached
-// explainer's final counters so corpus meta-tests can assert which
-// paths the committed seeds reach. Op encoding, one leading opcode
-// byte each:
+// runStreamScript decodes and replays one fuzz script against the W=1
+// explainer, its striped twins, and the brute-force model, failing on
+// the first divergence. Op encoding, one leading opcode byte each:
 //
 //	0x00-0x5F  insert outlier: following bytes % 9 are the attrs
 //	           until a byte >= 0xF0 (possibly none: attribute-less)
 //	0x60-0x9F  insert inlier: same shape
 //	0xA0-0xCF  decay tick
 //	0xD0-0xFF  poll + compare
-func runStreamScript(t *testing.T, data []byte) CacheStats {
+func runStreamScript(t *testing.T, data []byte) {
 	t.Helper()
-	plainCfg := fuzzCfg
-	plainCfg.noCache = true
-	plainCfg.PollParallelism = 1
 	serialCfg := fuzzCfg
 	serialCfg.PollParallelism = 1
-	s, plain := NewStreaming(serialCfg), NewStreaming(plainCfg)
-	// Parallel twins: same cached configuration at W=2 and W=4. The
-	// striped merge/mine/recount workers must reproduce the serial
-	// ranked output bit-for-bit at every poll.
+	s := NewStreaming(serialCfg)
+	// Parallel twins: same configuration at W=2 and W=4. The striped
+	// merge/mine/recount workers must reproduce the serial ranked
+	// output bit-for-bit at every poll.
 	var twins []*Streaming
 	for _, w := range []int{2, 4} {
 		wcfg := fuzzCfg
@@ -246,7 +236,6 @@ func runStreamScript(t *testing.T, data []byte) CacheStats {
 				pt.Label = core.Outlier
 			}
 			s.Consume([]core.LabeledPoint{pt})
-			plain.Consume([]core.LabeledPoint{pt})
 			for _, tw := range twins {
 				tw.Consume([]core.LabeledPoint{pt})
 			}
@@ -254,7 +243,6 @@ func runStreamScript(t *testing.T, data []byte) CacheStats {
 			inserts++
 		case op < 0xD0: // decay
 			s.Decay()
-			plain.Decay()
 			for _, tw := range twins {
 				tw.Decay()
 			}
@@ -262,11 +250,7 @@ func runStreamScript(t *testing.T, data []byte) CacheStats {
 			decays++
 		default: // poll + compare
 			polls++
-			got, wantPlain := s.Explanations(), plain.Explanations()
-			if !reflect.DeepEqual(got, wantPlain) {
-				t.Fatalf("cached poll diverged from cache-disabled twin:\ncached: %v\nplain:  %v\nops %x",
-					got, wantPlain, data)
-			}
+			got := s.Explanations()
 			for _, tw := range twins {
 				if gotW := tw.Explanations(); !reflect.DeepEqual(gotW, got) {
 					t.Fatalf("W=%d poll diverged from W=1:\nW=%d: %v\nW=1:  %v\nops %x",
@@ -295,7 +279,6 @@ func runStreamScript(t *testing.T, data []byte) CacheStats {
 			}
 		}
 	}
-	return s.CacheStats()
 }
 
 func FuzzStreamingDelta(f *testing.F) {
@@ -307,18 +290,17 @@ func FuzzStreamingDelta(f *testing.F) {
 	})
 }
 
-// fuzzSeedScripts are the committed starting corpus, crafted to reach
-// the paths random mutation finds slowly: steady outlier drift served
-// by delta mines, decay restructures forcing the journal-overflow
-// fallback, and an inlier-heavy combination the risk-ratio filter
-// rejects. TestFuzzSeedsExerciseDeltaPaths pins that they still do.
+// fuzzSeedScripts are the starting corpus, crafted to reach the shapes
+// random mutation finds slowly: steady outlier drift between polls,
+// decay restructures between polls, an inlier-heavy combination the
+// risk-ratio filter rejects, and a frequent set pruned to nothing and
+// regrown.
 func fuzzSeedScripts() [][]byte {
 	const (
 		out, in, decay, poll, end = 0x01, 0x61, 0xA0, 0xD0, 0xFF
 	)
 	var seeds [][]byte
-	// Steady drift: outliers sharing a hot pair arrive between polls,
-	// so every poll after the first is a journal delta.
+	// Steady drift: outliers sharing a hot pair arrive between polls.
 	drift := []byte{}
 	for i := 0; i < 6; i++ {
 		drift = append(drift, out, 1, 2, byte(3+i%3), end)
@@ -327,12 +309,10 @@ func fuzzSeedScripts() [][]byte {
 	for i := 0; i < 3; i++ {
 		drift = append(drift, out, 1, 2, end, out, byte(1+i%2), 5, end, poll)
 	}
-	drift = append(drift, poll) // repeated poll: full-hit path
+	drift = append(drift, poll) // repeated poll over unmoved state
 	seeds = append(seeds, drift)
-	// Decay between polls: the restructure rewrites both trees, the
-	// journal cannot describe it, and the poll falls back to a full
-	// re-mine (counted as an overflow); drift afterwards goes back to
-	// the delta path.
+	// Decay between polls: the restructure rewrites both trees, and
+	// drift follows it.
 	decayFallback := []byte{
 		out, 1, 2, end, out, 1, 2, end, out, 1, 2, 3, end, out, 2, 3, end,
 		in, 4, end, poll,
@@ -360,21 +340,4 @@ func fuzzSeedScripts() [][]byte {
 	}
 	seeds = append(seeds, regrow)
 	return seeds
-}
-
-// TestFuzzSeedsExerciseDeltaPaths guards the committed corpus: the
-// seed scripts must actually reach the delta-mine and overflow-fallback
-// paths, or the fuzz assertions above would never see them without
-// lucky mutation.
-func TestFuzzSeedsExerciseDeltaPaths(t *testing.T) {
-	var total CacheStats
-	for _, seed := range fuzzSeedScripts() {
-		total.Add(runStreamScript(t, seed))
-	}
-	if total.DeltaMines == 0 || total.JournalOverflows == 0 {
-		t.Errorf("seed corpus missed a delta path: %+v", total)
-	}
-	if total.FullHits == 0 || total.FullMines == 0 {
-		t.Errorf("seed corpus missed a base cache path: %+v", total)
-	}
 }

@@ -106,12 +106,12 @@ func shardOf(attrs []int32, p int) int {
 	return int(h % uint64(p))
 }
 
-// goldenStreamingRun replays the workload and returns the cold
-// (first, fully mined) and warm (repeated, cache-served) poll outputs.
-// Mid-stream polls are issued along the way: the incremental mining
-// cache must be side-effect-free, so a polled-while-running explainer
-// still has to reproduce the committed golden files bit-for-bit.
-func goldenStreamingRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEvery int) (cold, warm string) {
+// goldenStreamingRun replays the workload and returns the outputs of
+// two back-to-back final polls. Mid-stream polls are issued along the
+// way: a poll must be side-effect-free, so a polled-while-running
+// explainer still has to reproduce the committed golden files
+// bit-for-bit.
+func goldenStreamingRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEvery int) (first, again string) {
 	s := NewStreaming(cfg)
 	for i := 0; i < len(labeled); i += 500 {
 		end := i + 500
@@ -123,7 +123,7 @@ func goldenStreamingRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayE
 			s.Decay()
 		}
 		if (i/500)%7 == 3 {
-			s.Explanations() // mid-stream poll: warms and invalidates the cache repeatedly
+			s.Explanations() // mid-stream poll
 		}
 	}
 	return goldenFormat(s.Explanations()), goldenFormat(s.Explanations())
@@ -131,12 +131,9 @@ func goldenStreamingRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayE
 
 // goldenShardedRun partitions the stream across 3 explainers, decaying
 // all shards on a shared clock, then reconciles via clone + merge —
-// the same protocol the sharded engine's poll path uses. The cold
-// output is a resident PollMerger's first merged poll (a full mine,
-// identical to MergeStreaming by the differential tests); the warm
-// output is the merger's second poll over fresh clones of unchanged
-// shards, served from its cache.
-func goldenShardedRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEvery int) (cold, warm string) {
+// the same protocol the sharded engine's poll path uses. It returns
+// two merged polls, each over fresh clones of the unchanged shards.
+func goldenShardedRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEvery int) (first, again string) {
 	const p = 3
 	shards := make([]*Streaming, p)
 	bufs := make([][]core.LabeledPoint, p)
@@ -161,7 +158,6 @@ func goldenShardedRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEve
 			}
 		}
 	}
-	merger := NewPollMerger()
 	clones := func() []*Streaming {
 		out := make([]*Streaming, p)
 		for j := range shards {
@@ -169,7 +165,7 @@ func goldenShardedRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEve
 		}
 		return out
 	}
-	return goldenFormat(merger.Merge(clones())), goldenFormat(merger.Merge(clones()))
+	return goldenFormat(MergeStreamingInto(clones())), goldenFormat(MergeStreamingInto(clones()))
 }
 
 func checkGolden(t *testing.T, name, got string) {
@@ -209,17 +205,17 @@ func TestGoldenStreamingExplanations(t *testing.T) {
 			wcfg := cfg
 			wcfg.PollParallelism = par
 			t.Run(fmt.Sprintf("%s/sequential/W%d", w.name, par), func(t *testing.T) {
-				cold, warm := goldenStreamingRun(labeled, wcfg, 8000)
-				checkGolden(t, "golden_"+w.name+"_seq.txt", cold)
-				if warm != cold {
-					t.Errorf("warm cached poll diverged from cold poll:\n--- cold ---\n%s--- warm ---\n%s", cold, warm)
+				first, again := goldenStreamingRun(labeled, wcfg, 8000)
+				checkGolden(t, "golden_"+w.name+"_seq.txt", first)
+				if again != first {
+					t.Errorf("repeated poll diverged from the first:\n--- first ---\n%s--- repeated ---\n%s", first, again)
 				}
 			})
 			t.Run(fmt.Sprintf("%s/sharded/W%d", w.name, par), func(t *testing.T) {
-				cold, warm := goldenShardedRun(labeled, wcfg, 9000)
-				checkGolden(t, "golden_"+w.name+"_sharded.txt", cold)
-				if warm != cold {
-					t.Errorf("warm cached poll diverged from cold poll:\n--- cold ---\n%s--- warm ---\n%s", cold, warm)
+				first, again := goldenShardedRun(labeled, wcfg, 9000)
+				checkGolden(t, "golden_"+w.name+"_sharded.txt", first)
+				if again != first {
+					t.Errorf("repeated poll diverged from the first:\n--- first ---\n%s--- repeated ---\n%s", first, again)
 				}
 			})
 		}

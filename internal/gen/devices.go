@@ -10,7 +10,7 @@
 // not redistributable; the generators reproduce their published shape
 // — point counts, metric/attribute arity, attribute cardinality, and
 // planted systemic anomalies — which is what MacroBase's throughput
-// and accuracy depend on (see DESIGN.md, Substitutions).
+// and accuracy depend on.
 package gen
 
 import (

@@ -341,8 +341,7 @@ func (a *Arena) ChainCount(r int32) float64 {
 // append (InsertSorted links new nodes at the tail), so inserting
 // transactions that do not contain all of q leaves this sum
 // bit-identical: the matching nodes, their counts, and their visit
-// order are all unchanged. The explanation layer's delta mining relies
-// on that invariant to keep cached supports without recounting.
+// order are all unchanged.
 func (a *Arena) Support(q []int32, rank []int32) float64 {
 	h := a.Headers[rank[q[0]]]
 	total := 0.0

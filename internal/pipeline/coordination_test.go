@@ -146,15 +146,13 @@ func TestGlobalThresholdFixesHotShardDrift(t *testing.T) {
 		MinSupport:      0.05,
 		MinRiskRatio:    10, // the discriminator: global cutoff clears it by a mile, per-shard cutoffs fall well short
 		CoordinateEvery: 5_000,
-		// The router stays on and its rebalance check keeps riding every
-		// boundary, but it cannot fire. On this stream it should not (the
-		// hot shard carries 1.21x its share, the trigger is 1.5x); it did
-		// in ~2% of runs, off a window of five or nine points between a
-		// late check and the next, or one skewed by a scan preempted
-		// halfway, and a moved hot bucket changes both runs' answers. The
-		// check reports nothing a source could pace itself by.
-		RebalanceAbove: shards,
-		Seed:           17,
+		// The router stays on at the default trigger and its rebalance
+		// check rides every boundary. On this stream it must not fire
+		// (the hot shard carries 1.21x its share, the trigger is 1.5x),
+		// and a moved hot bucket would change both runs' answers; a check
+		// that lands a few points after the previous one does not judge
+		// that window (core's maybeRebalance waits for half a cadence).
+		Seed: 17,
 	}
 
 	// Every one of the 16 rounds is applied at its boundary: the run is

@@ -7,74 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"macrobase/internal/core"
 	"macrobase/internal/gen"
 	"macrobase/internal/ingest"
 )
-
-// TestPollBypassWhileMergeHeld pins the contended-poll latency fix: a
-// poller arriving while another poll holds the merge lock must not
-// queue behind it — it takes the bypass path (hint-less snapshot +
-// lock-free merge over owned clones) and returns promptly. Before the
-// mineMu/pollMu split, every poller serialized on one mutex held
-// across the whole merge+mine, so a single slow mine stalled all of
-// them.
-func TestPollBypassWhileMergeHeld(t *testing.T) {
-	d := gen.Devices(gen.DeviceConfig{Points: 30_000, Devices: 200, Seed: 7})
-	i := 0
-	src := core.NewFuncSource(1024, func(dst []core.Point) int {
-		for j := range dst {
-			dst[j] = d.Points[i%len(d.Points)]
-			i++
-		}
-		return len(dst)
-	})
-	cfg := Config{Dims: 1, MinSupport: 0.005, DecayEveryPoints: 8_000, Seed: 3}
-	sess, err := StartShardedStream(src, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm up until the stream has outliers to explain.
-	for {
-		res, err := sess.Poll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Explanations) > 0 {
-			break
-		}
-	}
-
-	// Simulate a poll stalled mid-merge by holding the merge lock
-	// directly. The concurrent poll below must still be served, via the
-	// bypass path, well inside the deadline.
-	sess.mineMu.Lock()
-	type polled struct {
-		res *ShardedResult
-		err error
-	}
-	done := make(chan polled, 1)
-	go func() {
-		res, err := sess.Poll()
-		done <- polled{res, err}
-	}()
-	select {
-	case p := <-done:
-		sess.mineMu.Unlock()
-		if p.err != nil {
-			t.Fatal(p.err)
-		}
-		if len(p.res.Explanations) == 0 {
-			t.Error("bypass poll served no explanations on a warmed stream")
-		}
-	case <-time.After(20 * time.Second):
-		sess.mineMu.Unlock()
-		t.Fatal("poll queued behind the held merge lock; bypass path did not serve")
-	}
-	if _, err := sess.Stop(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestParallelPollHammerWithRebalance is the -race exerciser for the
 // parallel poll pipeline: PollParallelism 4 polls (striped merge legs,

@@ -260,10 +260,9 @@ func TestStopContextCancelsBlockedPushRead(t *testing.T) {
 	}
 }
 
-// TestSnapshotElisionCounters: once the stream quiesces, every further
-// poll elides all per-shard snapshot clones (signature-only round) and
-// replays the merged result — observable as exactly shards elisions
-// plus one full hit per poll.
+// TestSnapshotElisionCounters: once the stream quiesces, polling is
+// deterministic — every further poll, and the final Stop result, is
+// reflect.DeepEqual to the one before it.
 func TestSnapshotElisionCounters(t *testing.T) {
 	const shards = 2
 	p := ingest.NewPush(1, 2)
@@ -283,8 +282,7 @@ func TestSnapshotElisionCounters(t *testing.T) {
 	// serves snapshots between batches. Two consecutive polls with the
 	// full count consumed guarantee the second poll's merged state is
 	// final (the first poll proved the last batch had started; any later
-	// serve runs after it finished), after which every further poll must
-	// be a full cache hit.
+	// serve runs after it finished).
 	var prev *ShardedResult
 	deadline := time.Now().Add(10 * time.Second)
 	quiesced := 0
@@ -310,39 +308,19 @@ func TestSnapshotElisionCounters(t *testing.T) {
 		}
 		prev = res
 	}
-	// State is frozen now; the very next poll scores the full hit the
-	// steady-state loop below counts from.
-	{
-		res, err := sess.Poll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache.FullHits <= prev.Cache.FullHits {
-			t.Fatalf("poll after quiescence was not a full hit: %+v -> %+v", prev.Cache, res.Cache)
-		}
-		prev = res
-	}
 	if len(prev.Explanations) == 0 {
-		t.Fatal("no explanations at quiescence; the elision check below would be vacuous")
+		t.Fatal("no explanations at quiescence; the determinism check below would be vacuous")
 	}
 
-	// Steady state: each poll must elide every shard's clone and score
-	// one full hit, nothing else.
+	// Frozen state: each poll recomputes the same answer.
 	for i := 0; i < 3; i++ {
 		res, err := sess.Poll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Cache.SnapshotsElided - prev.Cache.SnapshotsElided; got != shards {
-			t.Fatalf("poll %d elided %d snapshots, want %d (%+v -> %+v)", i, got, shards, prev.Cache, res.Cache)
+		if !reflect.DeepEqual(res.Explanations, prev.Explanations) {
+			t.Fatalf("poll %d over frozen state differs from the one before it", i)
 		}
-		if got := res.Cache.FullHits - prev.Cache.FullHits; got != 1 {
-			t.Fatalf("poll %d full hits +%d, want +1", i, got)
-		}
-		if res.Cache.FullMines != prev.Cache.FullMines || res.Cache.MineReuses != prev.Cache.MineReuses {
-			t.Fatalf("poll %d re-mined despite frozen state: %+v -> %+v", i, prev.Cache, res.Cache)
-		}
-		requireIdenticalRanked(t, "steady-state poll", res.Explanations, prev.Explanations)
 		prev = res
 	}
 
@@ -351,13 +329,9 @@ func TestSnapshotElisionCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The final reconciliation goes through the same merger: frozen
-	// state makes it one more full hit, and the cumulative elision
-	// count survives into the final result.
-	if final.Cache.SnapshotsElided < prev.Cache.SnapshotsElided {
-		t.Errorf("final cache lost elision count: %+v vs %+v", final.Cache, prev.Cache)
+	if !reflect.DeepEqual(final.Explanations, prev.Explanations) {
+		t.Error("final result differs from the frozen-state polls")
 	}
-	requireIdenticalRanked(t, "final vs steady poll", final.Explanations, prev.Explanations)
 }
 
 // TestPushSessionConcurrentProducersPollsStop is the -race hammer: N
@@ -399,7 +373,6 @@ func TestPushSessionConcurrentProducersPollsStop(t *testing.T) {
 		pollWg.Add(1)
 		go func() {
 			defer pollWg.Done()
-			var lastServed int64
 			for k := 0; k < 40; k++ {
 				res, err := sess.Poll()
 				if err != nil {
@@ -413,12 +386,6 @@ func TestPushSessionConcurrentProducersPollsStop(t *testing.T) {
 						return
 					}
 				}
-				served := res.Cache.FullHits + res.Cache.MineReuses + res.Cache.FullMines
-				if served < lastServed {
-					errs <- "cache counters went backwards"
-					return
-				}
-				lastServed = served
 			}
 		}()
 	}

@@ -22,12 +22,6 @@ type ShardedResult struct {
 	// explanation lists, the merge happens at the summary level, so
 	// support and risk ratios are computed over the combined counts.
 	Explanations []core.Explanation
-	// Cache reports the session's cumulative explanation-cache counters
-	// (full hits, mined-table reuses, full mines, elided snapshot
-	// clones) as of this result. Populated for StreamSession polls and
-	// final results; a one-shot RunShardedStream merges exactly once
-	// and reports that single full mine.
-	Cache explain.CacheStats
 	// Shards is the skew-observability breakdown: per-shard load,
 	// outlier, and threshold state plus the hot-shard imbalance metric.
 	// Nil only when a live poll races stream termination (the final
@@ -440,16 +434,12 @@ func runSharded(src core.Source, parts core.PartitionedSource, cfg Config, shard
 	if err != nil {
 		return nil, err
 	}
-	// A throwaway merger reports the run's (single) mine in Cache with
-	// the same counters a resident session exposes. The run owns the
-	// explainers outright once Run returns and nothing writes to them
-	// again, so the in-place fold — which aliases shards 1..P-1's inlier
-	// trees rather than copying them — is safe.
-	merger := explain.NewPollMerger()
+	// The run owns the explainers outright once Run returns and nothing
+	// writes to them again, so the in-place fold — which aliases shards
+	// 1..P-1's inlier trees rather than copying them — is safe.
 	return &ShardedResult{
 		Stats:        stats,
-		Explanations: merger.Merge(liveExplainers(explainers, stats.ShardFailures)),
-		Cache:        merger.Stats(),
+		Explanations: explain.MergeStreamingInto(liveExplainers(explainers, stats.ShardFailures)),
 		Shards:       newShardBreakdown(finalShardStatuses(stats, classifiers), coord, stats.CoordRounds, liveRoutingView(r)),
 		Degraded:     stats.Degraded,
 	}, nil
@@ -466,49 +456,16 @@ type StreamSession struct {
 	runner *core.StreamRunner
 	done   chan struct{}
 
-	// merger carries the incremental poll cache across polls: repeated
-	// polls over unchanged shard state are answered from the previous
-	// merged result, and inlier-only movement reuses the previous
-	// poll's mined itemset table (see explain.PollMerger).
-	//
-	// Two locks split the poll path so concurrent pollers stop
-	// serializing on each other's mines. mineMu serializes the
-	// expensive compute — the merger, the retained snapshots it reads
-	// during a fold, and retain()'s slot replacement. pollMu guards
-	// only cheap bookkeeping: the signature/have hint tables, the
-	// failure map, and the session's cumulative cache counters
-	// (cstats). A poller that finds mineMu busy does not queue behind
-	// the in-flight mine; it takes the bypass path — a hint-less
-	// snapshot round merged on its own throwaway clones — trading a
-	// full mine for bounded latency. Lock order: mineMu before pollMu,
-	// never the reverse.
-	//
-	// Snapshot elision: the session retains the newest snapshot clone
-	// and Signature per shard, sends the signatures as snapshot hints,
-	// and a shard whose state is provably unchanged answers with a
-	// signature-only marker instead of paying the slab-memcpy clone;
-	// the retained snapshot stands in during the merge (MergeShared
-	// never mutates its inputs' summary state — it counts inliers on
-	// their trees in place — so retained snapshots stay valid across
-	// polls; the merged explainer that aliases those trees does not
-	// outlive the poll, and retain() replaces snapshots, never edits
-	// them).
-	mineMu sync.Mutex
-	pollMu sync.Mutex
-	merger *explain.PollMerger
-	cstats explain.CacheStats // cumulative across all serve paths; pollMu
-	snaps  []*explain.Streaming
-	sigs   []explain.Signature
-	have   []bool
-
 	// coord is the coordination view shared with the runner's merge
 	// closure; pollers read the last global cutoff from it.
 	coord *coordState
 
 	// fails records quarantined shards observed by live polls (snapshot
 	// rounds answer for a dead shard with its core.ShardFailure marker).
-	// Guarded by pollMu.
-	fails map[int]core.ShardFailure
+	// It is the only state polls share, and failMu its only lock: every
+	// poll merges clones of its own.
+	failMu sync.Mutex
+	fails  map[int]core.ShardFailure
 
 	// ckParts are the checkpointable views of the session's ingest
 	// partitions — nil entries for partitions without offsets, nil slice
@@ -521,15 +478,12 @@ type StreamSession struct {
 	err   error
 }
 
-// shardSnap is what the session's snapshot hook returns per shard: the
-// shard's current summary signature, plus a fresh clone unless the
-// hint proved the caller's retained snapshot still current. The
-// threshold fields are read on the worker goroutine alongside the
-// signature, so live polls report a cutoff consistent with the shard's
-// own view at snapshot time.
+// shardSnap is what the session's snapshot hook returns per shard: a
+// clone of the shard's explainer, and its classifier's threshold read
+// on the worker goroutine alongside it, so live polls report a cutoff
+// consistent with the shard's own view at snapshot time.
 type shardSnap struct {
-	sig    explain.Signature
-	clone  *explain.Streaming // nil: elided, reuse the retained snapshot
+	clone  *explain.Streaming
 	thr    float64
 	glob   bool
 	hasThr bool
@@ -556,10 +510,7 @@ func startSession(src core.Source, parts core.PartitionedSource, cfg Config, sha
 	if err := validateSharded(cfg, shards); err != nil {
 		return nil, err
 	}
-	s := &StreamSession{
-		done:   make(chan struct{}),
-		merger: explain.NewPollMerger(),
-	}
+	s := &StreamSession{done: make(chan struct{})}
 	if parts != nil {
 		// Pin the partition list so the session's checkpoint layer Acks
 		// and seeks the very stream objects the runner reads.
@@ -576,27 +527,14 @@ func startSession(src core.Source, parts core.PartitionedSource, cfg Config, sha
 	s.runner = newStreamRunner(src, parts, cfg, shards, explainers, classifiers, s.coord)
 	// Poll clones the shard's summary on the worker goroutine: the
 	// worker keeps consuming after the snapshot is handed over, so the
-	// clone is the isolation boundary. When the hint (the signature
-	// retained from a previous poll) matches the current state, the
-	// clone — the poll path's last remaining per-shard memcpy — is
-	// skipped entirely. The classifier threshold rides along either
-	// way, for the live skew breakdown; it is all the hook reads of the
+	// clone is the isolation boundary. The classifier threshold rides
+	// along for the live skew breakdown; it is all the hook reads of the
 	// classifier, which may be mid-refit (classify.Streaming.SetOffload).
-	s.runner.SnapshotShard = func(shard int, pl core.ShardPipeline, hint any) any {
-		ex := pl.Explainer.(*explain.Streaming)
-		sn := shardSnap{sig: ex.Signature()}
+	s.runner.SnapshotShard = func(shard int, pl core.ShardPipeline) any {
+		sn := shardSnap{clone: pl.Explainer.(*explain.Streaming).Clone()}
 		if tc, ok := pl.Classifier.(classify.ThresholdCoordinable); ok {
 			sn.thr, sn.glob, sn.hasThr = tc.Threshold(), tc.ThresholdIsGlobal(), true
 		}
-		if h, ok := hint.(explain.Signature); ok && h == sn.sig {
-			return sn
-		}
-		// SnapshotClone (not Clone) so the live tree's changed-path
-		// journal is re-anchored at this snapshot: the next snapshot then
-		// carries exactly the paths inserted in between, which is what
-		// lets the merger delta-update the previous poll's combination
-		// table instead of re-mining (see explain.PollMerger).
-		sn.clone = ex.SnapshotClone()
 		return sn
 	}
 	go func() {
@@ -606,25 +544,10 @@ func startSession(src core.Source, parts core.PartitionedSource, cfg Config, sha
 		res.Shards = newShardBreakdown(finalShardStatuses(stats, classifiers), s.coord, stats.CoordRounds, liveRoutingView(s.runner))
 		explainers = liveExplainers(explainers, stats.ShardFailures)
 		if err == nil || err == core.ErrStopped {
-			// The final reconciliation goes through the same merger as
-			// live polls: if nothing moved since the last poll (the
-			// common stop shape), the final result is a cache hit, and
-			// the counters in Cache stay cumulative across the session's
-			// whole lifetime. Run has returned, so this goroutine owns
-			// the shard explainers, no worker will write to them again,
-			// and the in-place fold (inlier trees aliased) is safe.
-			s.mineMu.Lock()
-			pre := s.merger.Stats()
-			res.Explanations = s.merger.Merge(explainers)
-			delta := s.merger.Stats().Sub(pre)
-			s.pollMu.Lock()
-			s.cstats.Add(delta)
-			res.Cache = s.cstats
-			// The final result is materialized; the retained snapshots
-			// have nothing left to serve.
-			s.snaps, s.sigs, s.have = nil, nil, nil
-			s.pollMu.Unlock()
-			s.mineMu.Unlock()
+			// Run has returned, so this goroutine owns the shard
+			// explainers, no worker will write to them again, and the
+			// in-place fold (inlier trees aliased) is safe.
+			res.Explanations = explain.MergeStreamingInto(explainers)
 		}
 		// Drop the runner's closure references (explainer replicas,
 		// source, config) so a session kept around for polling does not
@@ -661,41 +584,24 @@ func (s *StreamSession) Done() bool {
 // taken on the shard workers between batches — or while a shard's
 // classifier refits its model, the one long stall inside a batch (see
 // core.Offloader) — and merged off to the side, without pausing
-// ingest; after termination it returns the
-// final result. Polls are served incrementally: a shard whose epoch
-// signature is unchanged since the previous poll skips its snapshot
-// clone outright (the retained snapshot stands in), a poll over fully
-// unchanged state replays the previous merged result, and inlier-only
-// movement reuses the previous poll's mined itemset table (Cache in
-// the result reports the cumulative counters).
+// ingest; after termination it returns the final result. Every live
+// poll is one full recompute over clones it owns: concurrent polls
+// share nothing but the failure map, so none waits on another's merge.
 func (s *StreamSession) Poll() (*ShardedResult, error) {
 	for !s.Done() {
-		var res *ShardedResult
-		var err error
-		var outcome pollOutcome
-		if s.mineMu.TryLock() {
-			res, err, outcome = s.pollLocked()
-			s.mineMu.Unlock()
-		} else {
-			// Another poller's merge+mine is in flight. Don't queue
-			// behind it: snapshot without hints and compute on owned
-			// throwaway clones. The bypass costs a full mine but keeps
-			// concurrent pollers' latency bounded by their own work.
-			res, err, outcome = s.pollBypass()
+		snaps, err := s.runner.Snapshot()
+		if err == nil {
+			return s.livePoll(snaps), nil
 		}
-		switch outcome {
-		case pollServed:
-			return res, err
-		case pollRetry:
-			continue
-		case pollWait:
-			// ErrNotStreaming means the run either has not reached its
-			// steady state yet or just terminated; wait a beat and let
-			// the Done check distinguish the two.
-			select {
-			case <-s.done:
-			case <-time.After(200 * time.Microsecond):
-			}
+		if err != core.ErrNotStreaming {
+			return nil, err
+		}
+		// ErrNotStreaming means the run either has not reached its
+		// steady state yet or just terminated; wait a beat and let the
+		// Done check distinguish the two.
+		select {
+		case <-s.done:
+		case <-time.After(200 * time.Microsecond):
 		}
 	}
 	s.mu.Lock()
@@ -703,159 +609,35 @@ func (s *StreamSession) Poll() (*ShardedResult, error) {
 	return s.final, s.err
 }
 
-// pollOutcome tells Poll's retry loop what a poll attempt produced.
-type pollOutcome int
-
-const (
-	pollServed pollOutcome = iota // return the result (or error)
-	pollRetry                     // state moved underfoot; try again
-	pollWait                      // not streaming; wait a beat
-)
-
-// pollLocked is the incremental poll path; the caller holds mineMu.
-// Bookkeeping (hint tables, failure map, counters) runs under pollMu,
-// but the merge+mine compute runs with pollMu released — only mineMu
-// protects the merger and the retained snapshots it reads.
-func (s *StreamSession) pollLocked() (*ShardedResult, error, pollOutcome) {
-	var hints []any
-	s.pollMu.Lock()
-	for i, ok := range s.have {
-		if ok {
-			if hints == nil {
-				hints = make([]any, len(s.have))
-			}
-			hints[i] = s.sigs[i]
-		}
-	}
-	s.pollMu.Unlock()
-	snaps, err := s.runner.Snapshot(hints)
-	if err != nil {
-		if err != core.ErrNotStreaming {
-			return nil, err, pollServed
-		}
-		return nil, nil, pollWait
-	}
-	live := s.runner.LiveStats()
-	perRS := s.runner.LiveShardStats(nil)
-	rounds := s.runner.LiveCoordRounds()
-	routing := liveRoutingView(s.runner)
-	// Per shard, an elided marker always pairs with the retained
-	// snapshot it was hinted from (or a newer, equally consistent
-	// one): retain() only ever rolls snapshots forward, and both it
-	// and the fold below run under mineMu, so a concurrent poll can
-	// never publish a torn (signature-of-A, explanations-of-B) pair.
-	s.pollMu.Lock()
-	explainers := make([]*explain.Streaming, 0, len(snaps))
-	elided := 0
-	stale := false
-	for i, v := range snaps {
-		if f, ok := v.(core.ShardFailure); ok {
-			s.noteShardFailure(i, f)
-			continue
-		}
-		sn := v.(shardSnap)
-		if sn.clone != nil {
-			s.retain(i, sn.sig, sn.clone)
-			explainers = append(explainers, sn.clone)
-		} else if i < len(s.snaps) && s.have[i] {
-			// Elision is only offered when a hint was sent, and
-			// hints are only sent for retained shards, so the
-			// retained snapshot is normally present.
-			elided++
-			explainers = append(explainers, s.snaps[i])
-		} else {
-			// The stream terminated between our snapshot round
-			// and this merge, and the final reconciliation
-			// dropped the retained snapshots this marker points
-			// at. Retry: the Done check serves the final result.
-			stale = true
-			break
-		}
-	}
-	s.pollMu.Unlock()
-	if stale {
-		return nil, nil, pollRetry
-	}
-	// The expensive part, outside pollMu: concurrent pollers touch
-	// only the bypass path and bookkeeping while this runs.
-	pre := s.merger.Stats()
-	exps := s.merger.MergeShared(explainers)
-	delta := s.merger.Stats().Sub(pre)
-	delta.SnapshotsElided += int64(elided)
-	return s.liveResult(snaps, live, perRS, rounds, routing, exps, delta), nil, pollServed
-}
-
-// pollBypass is the contended-poll path: a hint-less snapshot round
-// merged on its own throwaway clones (whose inlier trees the fold
-// aliases, which is why they must be this poll's alone), never touching
-// the merger or the retained snapshots. It pays a full mine (the
-// clones carry no merged-poll cache) in exchange for not waiting on the
-// in-flight one. Counters still land in the session's cumulative
-// cstats, so every served poll is accounted exactly once regardless of
-// path.
-func (s *StreamSession) pollBypass() (*ShardedResult, error, pollOutcome) {
-	snaps, err := s.runner.Snapshot(nil)
-	if err != nil {
-		if err != core.ErrNotStreaming {
-			return nil, err, pollServed
-		}
-		return nil, nil, pollWait
-	}
+// livePoll merges one snapshot round — fresh clones this poll owns
+// outright, so the in-place fold may alias their inlier trees — and
+// assembles the live ShardedResult. A quarantined shard answers with
+// its core.ShardFailure marker instead of a clone.
+func (s *StreamSession) livePoll(snaps []any) *ShardedResult {
 	live := s.runner.LiveStats()
 	perRS := s.runner.LiveShardStats(nil)
 	rounds := s.runner.LiveCoordRounds()
 	routing := liveRoutingView(s.runner)
 	owned := make([]*explain.Streaming, 0, len(snaps))
-	s.pollMu.Lock()
+	var failList []core.ShardFailure
+	s.failMu.Lock()
 	for i, v := range snaps {
 		if f, ok := v.(core.ShardFailure); ok {
-			s.noteShardFailure(i, f)
+			if s.fails == nil {
+				s.fails = make(map[int]core.ShardFailure)
+			}
+			s.fails[i] = f
 			continue
 		}
-		// No hints were sent, so every live shard answered with a
-		// fresh clone this poll owns outright.
 		owned = append(owned, v.(shardSnap).clone)
 	}
-	s.pollMu.Unlock()
-	exps := explain.MergeStreamingInto(owned)
-	var delta explain.CacheStats
-	if len(owned) > 0 {
-		delta = owned[0].CacheStats()
-	}
-	return s.liveResult(snaps, live, perRS, rounds, routing, exps, delta), nil, pollServed
-}
-
-// noteShardFailure records a quarantined shard observed by a snapshot
-// round and drops its retained snapshot: the merged signature count
-// changes, so the poll cache takes a full re-mine rather than serving
-// a stale hit. Caller holds pollMu.
-func (s *StreamSession) noteShardFailure(i int, f core.ShardFailure) {
-	if s.fails == nil {
-		s.fails = make(map[int]core.ShardFailure)
-	}
-	s.fails[i] = f
-	if i < len(s.have) {
-		s.snaps[i], s.have[i] = nil, false
-	}
-}
-
-// liveResult folds one poll's counter delta into the session's
-// cumulative cache stats and assembles the live ShardedResult both
-// poll paths return.
-func (s *StreamSession) liveResult(snaps []any, live core.RunStats, perRS []core.RunStats, rounds int, routing routingView, exps []core.Explanation, delta explain.CacheStats) *ShardedResult {
-	s.pollMu.Lock()
-	s.cstats.Add(delta)
-	cstats := s.cstats
-	var failList []core.ShardFailure
-	if len(s.fails) > 0 {
-		failList = make([]core.ShardFailure, 0, len(s.fails))
-		for i := range snaps {
-			if f, ok := s.fails[i]; ok {
-				failList = append(failList, f)
-			}
+	for i := range snaps {
+		if f, ok := s.fails[i]; ok {
+			failList = append(failList, f)
 		}
 	}
-	s.pollMu.Unlock()
+	s.failMu.Unlock()
+	exps := explain.MergeStreamingInto(owned)
 	// The live skew breakdown pairs worker load counters with
 	// the thresholds read at snapshot time. A teardown that
 	// raced between the snapshot round and LiveShardStats
@@ -888,28 +670,9 @@ func (s *StreamSession) liveResult(snaps []any, live core.RunStats, perRS []core
 			ShardFailures: failList,
 		},
 		Explanations: exps,
-		Cache:        cstats,
 		Shards:       breakdown,
 		Degraded:     len(failList) > 0,
 	}
-}
-
-// retain records shard i's newest snapshot clone and signature for
-// future elision. Caller holds mineMu and pollMu. An incoming snapshot
-// only replaces the retained one when it is at least as new — tree
-// epochs are monotonic within a shard's lineage — lest a stale round
-// roll the retained state backwards and a later elided poll serve
-// explanations older than ones already published.
-func (s *StreamSession) retain(i int, sig explain.Signature, sn *explain.Streaming) {
-	for len(s.snaps) <= i {
-		s.snaps = append(s.snaps, nil)
-		s.sigs = append(s.sigs, explain.Signature{})
-		s.have = append(s.have, false)
-	}
-	if s.have[i] && (s.sigs[i].OutEpoch > sig.OutEpoch || s.sigs[i].InEpoch > sig.InEpoch) {
-		return
-	}
-	s.snaps[i], s.sigs[i], s.have[i] = sn, sig, true
 }
 
 // Stop halts ingestion, waits for the workers to drain and flush, and
