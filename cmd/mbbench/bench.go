@@ -5,7 +5,7 @@ package main
 // hot-path kernels through testing.Benchmark, embeds ns/op + allocs/op
 // in the -json report, and -compare fails the process (exit 1) when any
 // kernel inflates more than 2x in ns/op or allocs/op against a committed
-// baseline report (BENCH_PR25.json). CI runs the comparator on every
+// baseline report (BENCH_PR26.json). CI runs the comparator on every
 // push, so a hot path can only regress past 2x by committing a new
 // baseline.
 

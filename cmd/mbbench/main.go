@@ -11,7 +11,7 @@
 //	mbbench -run quick -scale 0.02   # skips the heavy experiments
 //	mbbench -run fig6,mcps -json results.json   # machine-readable copy
 //	mbbench -bench -json results.json           # + hot-path micro-benchmarks
-//	mbbench -bench -compare BENCH_PR25.json     # fail on >2x ns/op or allocs/op
+//	mbbench -bench -compare BENCH_PR26.json     # fail on >2x ns/op or allocs/op
 package main
 
 import (

@@ -450,9 +450,9 @@
 // requests on its worker goroutine between batches, and the one thing
 // that keeps a worker inside a batch for hundreds of milliseconds is a
 // classifier retrain (FastMCD over the 10K-point reservoir, every 100K
-// points: ~0.06 s a shard on firehose_xc's seven metrics, ~0.025 s on
-// poll_drift's two; ~0.12 and ~0.06 s before PR 20, ~0.28 s on both
-// before PR 18). A session's workers
+// points: ~0.04 s a shard on firehose_xc's seven metrics, ~0.025 s on
+// poll_drift's two; the MCDFit rows of the kernel table below have its
+// history). A session's workers
 // therefore hand classify.Streaming an offload function
 // (core.Offloader): the fit runs on a helper goroutine while the
 // worker — blocked for ingest exactly as before, so what is computed,
@@ -521,6 +521,25 @@
 // metric[0]), and the sort-based oracle follows the same schedule, so it
 // still holds the kernel to the same draws, candidates, ranking, winner
 // and step count.
+//
+// The C-step itself then got cheaper without moving a bit. On
+// batch_query's server the fit was 64% of CPU, its distance sweep 32%
+// and its covariance re-estimate 18%, and both waited on latency: a point's
+// forward solve is a chain of p dependent divisions, and each covariance
+// cell took a load-add-store through memory per chosen row. The sweep
+// (stats.Cholesky.MahalanobisSqAll) now solves four points in lockstep,
+// and stats.MeanCovInto sums each cell in a register over column-major
+// blocks of centered rows, four cells a pass. internal/mcd's package
+// comment says why the bits hold, and a test pins 28 fits to digests
+// recorded before the change. At p=7 over 10K points the sweep went ~42
+// -> ~18 ns a point and the covariance ~42 -> ~22, and the fit ~61 ->
+// ~41 ms (n=10K, p=7), ~27 -> ~24 (p=2) and ~146 -> ~93 (n=40K). On
+// batch_query the two passes fell to 30% of server CPU and the fit to
+// 50%, and CSV parsing became the largest stage at 36%. Where a fit's
+// time goes now, at n=10K, p=7: the trial stage ~59%, the full-data
+// ranking ~23%, the leader's convergence ~13%; by kernel, the sweep
+// ~39%, the h-subset selection ~21%, the covariance ~21% and the step's
+// own bookkeeping ~13%. At n=40K the ranking is the largest stage (~45%).
 //
 // # Allocation-free ingest data plane
 //
@@ -698,8 +717,9 @@
 //
 // # Kernel baseline
 //
-// BENCH_PR25.json (go1.24, go_max_procs 2, the middle of three runs in
-// one sitting on the 2-core box) is the one committed kernel baseline.
+// BENCH_PR26.json (go1.24, go_max_procs 2, on the 2-core box) is the
+// one committed kernel baseline: each entry the middle of three runs in
+// one sitting, the three MCDFit ones in a later sitting than the rest.
 // It reads, in µs/op:
 //
 //	consume                  233    PushIngest/p3s4          54.8
@@ -707,36 +727,36 @@
 //	PollParallel/p3s4       3402    Rebalance/p3s4           59.5
 //	PollParallel/p3s4-w1    4508    Rebalance/p3s4-pinned    57.9
 //	FPGrowthMine           12369    Route/p3s4               19.4
-//	MCDFit/n10k-p7, ms      71.0    binary-decode             103
-//	MCDFit/n10k-p2, ms      29.6
-//	MCDFit/n40k-p7, ms       151
+//	MCDFit/n10k-p7, ms      41.0    binary-decode             103
+//	MCDFit/n10k-p2, ms      26.6
+//	MCDFit/n40k-p7, ms       102
 //
 // poll-warm, poll-inlier-moved and DeltaMine/steady-drift measured the
 // reuse layers "One poll path" describes and were deleted with them;
 // PollParallel now times MergeStreaming over static shards. The table
-// below is the kernels' trajectory up to the previous
-// baseline. What it and its predecessors read, in µs/op — PR 3-10 on a
-// 1-core box, PR 15-20 on a 2-core one, so compare along a row only
-// within those groups ("=": carried over from the column to the left —
-// PR 19 re-recorded the two PollParallel kernels, PR 20 the three
-// MCDFit ones):
+// below is the kernels' trajectory up to this baseline. What it and its
+// predecessors read, in µs/op — columns PR3-PR10 on a 1-core box,
+// PR15-PR26 on a 2-core one, so compare along a row only within those
+// groups ("=": carried over from the column to the left — PR19
+// re-recorded the two PollParallel kernels, PR20 and PR26 the three
+// MCDFit ones, PR25 every kernel that survived it):
 //
-//	kernel                      PR3    PR5    PR8   PR10   PR15   PR16   PR18   PR19   PR20
-//	consume                    1684   1331   1579   1560    234    265    261      =      =
-//	poll-full                  2147   1810   4044   3731   3138   2804   2807      =      = (a)
-//	poll-warm                  3.25   2.29   2.46   2.21   1.98   2.11   2.69      =      =
-//	poll-inlier-moved          1654   1456   1313   1156   1193   1457   1287      =      =
-//	DeltaMine/steady-drift        -      -    776    649    579    725    620      =      =
-//	DeltaMine/steady-drift-full   -      -   4049   3553   2961      -      -      -      - (b)
-//	PollParallel/p3s4             -      -      -  78968  24615  26521  23032   3417      = (e)
-//	PollParallel/p3s4-w1          -      -      -  78865  26518  27129  25238   4095      = (c)
-//	PushIngest/p3s4               -   69.5    121   95.0   55.2   61.0   59.8      =      =
-//	Route/p3s4                    -   22.8   28.9   35.4   20.0   22.5   20.4      =      =
-//	binary-decode                 -   84.7    115    103   88.4   92.2   83.0      =      =
-//	FPGrowthMine              26727  20476  24596  22452  12736  13896  13640      =      =
-//	MCDFit/n10k-p7, ms            -      -      -      -      -    304    120      =   58.8 (d)
-//	MCDFit/n10k-p2, ms            -      -      -      -      -    323   68.9      =   25.7 (d)
-//	MCDFit/n40k-p7, ms            -      -      -      -      -   1414    556      =    143 (d)
+//	kernel                      PR3    PR5    PR8   PR10   PR15   PR16   PR18   PR19   PR20   PR25   PR26
+//	consume                    1684   1331   1579   1560    234    265    261      =      =    233      =
+//	poll-full                  2147   1810   4044   3731   3138   2804   2807      =      =   2740      = (a)
+//	poll-warm                  3.25   2.29   2.46   2.21   1.98   2.11   2.69      =      =      -      -
+//	poll-inlier-moved          1654   1456   1313   1156   1193   1457   1287      =      =      -      -
+//	DeltaMine/steady-drift        -      -    776    649    579    725    620      =      =      -      -
+//	DeltaMine/steady-drift-full   -      -   4049   3553   2961      -      -      -      -      -      - (b)
+//	PollParallel/p3s4             -      -      -  78968  24615  26521  23032   3417      =   3402      = (e)
+//	PollParallel/p3s4-w1          -      -      -  78865  26518  27129  25238   4095      =   4508      = (c)
+//	PushIngest/p3s4               -   69.5    121   95.0   55.2   61.0   59.8      =      =   54.8      =
+//	Route/p3s4                    -   22.8   28.9   35.4   20.0   22.5   20.4      =      =   19.4      =
+//	binary-decode                 -   84.7    115    103   88.4   92.2   83.0      =      =    103      =
+//	FPGrowthMine              26727  20476  24596  22452  12736  13896  13640      =      =  12369      =
+//	MCDFit/n10k-p7, ms            -      -      -      -      -    304    120      =   58.8   71.0   41.0 (d)
+//	MCDFit/n10k-p2, ms            -      -      -      -      -    323   68.9      =   25.7   29.6   26.6 (d)
+//	MCDFit/n40k-p7, ms            -      -      -      -      -   1414    556      =    143    151    102 (d)
 //
 // (a) Through PR 15 a cache-off switch made a static explainer re-mine;
 // from PR 16 the kernel is the poll after a decay tick. (b) The
@@ -757,7 +777,14 @@
 // three alternating runs: 56.1-60.3, 25.7-27.9 and 143-151 ms against
 // 122-126, 68.7-75.2 and 491-504 ms for the PR 19 tree in the same
 // sitting — 2.1x, 2.8x and 3.5x), and ranks the merged and full-data
-// levels in the candidates' own storage: 262 allocations. (e) PR 19:
+// levels in the candidates' own storage: 262 allocations. The PR26 fit
+// sweeps four points at a time and sums covariance cells in registers,
+// which changes no bit of a fit (the middle of three alternating runs
+// in a noisy sitting: 40.0-53.0, 24.9-27.8 and 94.4-110 ms against
+// 67.6-88.6, 31.8-38.1 and 154-211 ms for the tree before it; `go test
+// -bench` the same hour read 39-43 / 23-24 / 93-94 against 60-61 /
+// 27-28 / 145-148), and its steppers own two more buffers each: 276
+// allocations. (e) PR 19:
 // the merged poll over four shards no longer builds the union inlier
 // tree — 16.2 MB a poll down to 2.3 MB, 6.7x and 6.2x faster (the
 // third of four runs in one sitting: 3.35-3.72 and 4.03-4.39 ms; the

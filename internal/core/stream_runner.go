@@ -214,6 +214,7 @@ type StreamRunner struct {
 	liveOutliers  atomic.Int64
 	liveTicks     atomic.Int64
 	liveRounds    atomic.Int64
+	livePasses    atomic.Int64
 	liveMoves     atomic.Int64
 
 	// Skew-adaptive routing state (nil/zero when routing is off for the
@@ -307,10 +308,12 @@ type shardWorker struct {
 
 	// dead is set when a pipeline panic quarantined this shard; failure
 	// carries the details. failure is written only on the worker
-	// goroutine (recover, failDrop) and read by Run after the
-	// worker/snapshot waits, so it needs no lock of its own.
+	// goroutine (recover) and read through failed, so it needs no lock
+	// of its own; its DroppedPoints is the dropped counter, which
+	// failDrop advances and LiveDroppedPoints reads mid-run.
 	dead    atomic.Bool
 	failure ShardFailure
+	dropped atomic.Int64
 }
 
 // consume runs one batch through the pipeline and recycles it. The
@@ -338,9 +341,16 @@ func (w *shardWorker) consume(b *Batch) {
 // its source read and returns to the free list, so ingest backpressure
 // and checkpoint progress never wedge on a dead shard.
 func (w *shardWorker) failDrop(b *Batch) {
-	w.failure.DroppedPoints += int64(b.Len())
+	w.dropped.Add(int64(b.Len()))
 	b.finishAck()
 	w.pool.Put(b)
+}
+
+// failed is the shard's ShardFailure as of now.
+func (w *shardWorker) failed() ShardFailure {
+	f := w.failure
+	f.DroppedPoints = w.dropped.Load()
+	return f
 }
 
 // recover, deferred around every pipeline entry point on the worker
@@ -361,7 +371,7 @@ func (w *shardWorker) recover() {
 // never block on a dead shard.
 func (w *shardWorker) serve(req snapshotReq) {
 	if w.dead.Load() {
-		req.reply <- w.failure
+		req.reply <- w.failed()
 		return
 	}
 	var v any
@@ -374,7 +384,7 @@ func (w *shardWorker) serve(req snapshotReq) {
 		}
 	}()
 	if w.dead.Load() {
-		v = w.failure // the hook itself panicked: state is suspect
+		v = w.failed() // the hook itself panicked: state is suspect
 	}
 	req.reply <- v
 }
@@ -513,6 +523,7 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	r.liveOutliers.Store(0)
 	r.liveTicks.Store(0)
 	r.liveRounds.Store(0)
+	r.livePasses.Store(0)
 	r.liveMoves.Store(0)
 	// Commit-offset trackers, one per checkpointable partition, seeded
 	// at the partition's current offset (nonzero on a resumed source).
@@ -720,7 +731,7 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	for _, w := range r.workers {
 		if w.dead.Load() {
 			stats.Degraded = true
-			stats.ShardFailures = append(stats.ShardFailures, w.failure)
+			stats.ShardFailures = append(stats.ShardFailures, w.failed())
 		}
 	}
 	if anyCk {
@@ -1019,6 +1030,7 @@ func (r *StreamRunner) coordinate(workers []*shardWorker, routing bool) {
 		if !round() {
 			return
 		}
+		r.livePasses.Add(1)
 	}
 }
 
@@ -1082,6 +1094,30 @@ func (r *StreamRunner) LiveStats() RunStats {
 // so far. Safe to call concurrently with Run.
 func (r *StreamRunner) LiveCoordRounds() int {
 	return int(r.liveRounds.Load())
+}
+
+// LiveCoordPasses reports how many round boundaries the coordinator has
+// handled so far: a threshold round, a rebalance check, or both, counted
+// once the pass is over whether or not it changed anything. A
+// rebalance-only run completes passes and no rounds. Safe to call
+// concurrently with Run.
+func (r *StreamRunner) LiveCoordPasses() int {
+	return int(r.livePasses.Load())
+}
+
+// LiveDroppedPoints reports how many points quarantined shards have
+// drained and dropped so far; with LiveShardStats' Points it accounts
+// for every point the workers have taken. Safe to call concurrently
+// with Run; after the run has torn down it reports 0 (the final
+// StreamStats.ShardFailures carry the counts).
+func (r *StreamRunner) LiveDroppedPoints() int {
+	r.workersMu.Lock()
+	defer r.workersMu.Unlock()
+	n := int64(0)
+	for _, w := range r.workers {
+		n += w.dropped.Load()
+	}
+	return int(n)
 }
 
 // LiveShardStats appends one approximate per-shard entry (points

@@ -20,6 +20,21 @@
 // summed in ascending index order, so the new mean and covariance — low
 // bits included — are a function of which points were chosen and of
 // nothing else.
+//
+// Both passes of a step over the data are bound by latency, not
+// arithmetic, and each is laid out so that independent chains overlap.
+// The distance sweep (stats.Cholesky.MahalanobisSqAll) forward-solves
+// four points in lockstep, so four chains of dependent divisions are in
+// flight at once. The re-estimate (stats.MeanCovInto) gathers the chosen
+// rows, centered, into column-major blocks and sums each covariance cell
+// in a register, four cells per pass, instead of loading and storing
+// every cell once per row. Neither changes a bit of the answer: every
+// point's distance is the same operations in the same order as a
+// one-point solve, and every cell adds the same products in the same
+// index order. Go does not fuse a multiply and an add into one rounding
+// on amd64, so there the fits are those of the one-point sweep and the
+// row-major covariance exactly; a test pins them to digests recorded
+// from that code.
 package mcd
 
 import (
@@ -270,26 +285,30 @@ func (t *topCandidates) offer(mean []float64, cov *stats.Mat, logDet float64) {
 // cStepper owns every buffer concentration steps over one dataset need,
 // so a step allocates nothing.
 type cStepper struct {
-	pts   [][]float64
-	h     int
-	ps    []stats.KeyIdx // (squared distance, index) slab the selection permutes
-	mask  []bool         // subset membership; all false between uses
-	idx   []int          // the current subset: ascending after a step, in draw order after start
-	scr   []float64
-	chol  stats.Cholesky
-	ridge *stats.Mat
+	pts    [][]float64
+	h      int
+	d2     []float64      // every point's squared distance, as the sweep writes them
+	ps     []stats.KeyIdx // (squared distance, index) slab the selection permutes
+	mask   []bool         // subset membership; all false between uses
+	idx    []int          // the current subset: ascending after a step, in draw order after start
+	scr    []float64      // the sweep's four forward solves
+	colScr []float64      // MeanCovInto's column-major block of centered rows
+	chol   stats.Cholesky
+	ridge  *stats.Mat
 }
 
 func newCStepper(pts [][]float64, h int) *cStepper {
 	p := len(pts[0])
 	return &cStepper{
-		pts:   pts,
-		h:     h,
-		ps:    make([]stats.KeyIdx, len(pts)),
-		mask:  make([]bool, len(pts)),
-		idx:   make([]int, 0, len(pts)),
-		scr:   make([]float64, p),
-		ridge: stats.NewMat(p, p),
+		pts:    pts,
+		h:      h,
+		d2:     make([]float64, len(pts)),
+		ps:     make([]stats.KeyIdx, len(pts)),
+		mask:   make([]bool, len(pts)),
+		idx:    make([]int, 0, len(pts)),
+		scr:    make([]float64, 4*p),
+		colScr: make([]float64, p*min(len(pts), stats.MeanCovBlock)),
+		ridge:  stats.NewMat(p, p),
 	}
 }
 
@@ -302,8 +321,9 @@ func (s *cStepper) step(mean []float64, cov *stats.Mat) (logDet float64, err err
 	if err := factorWithRidge(&s.chol, s.ridge, cov); err != nil {
 		return 0, err
 	}
-	for i, x := range s.pts {
-		s.ps[i] = stats.KeyIdx{Key: s.chol.MahalanobisSq(x, mean, s.scr), Idx: i}
+	s.chol.MahalanobisSqAll(s.d2, s.pts, mean, s.scr)
+	for i, d2 := range s.d2 {
+		s.ps[i] = stats.KeyIdx{Key: d2, Idx: i}
 	}
 	stats.SelectKeyIdx(s.ps, s.h)
 	for _, p := range s.ps[:s.h] {
@@ -316,7 +336,7 @@ func (s *cStepper) step(mean []float64, cov *stats.Mat) (logDet float64, err err
 			s.mask[i] = false
 		}
 	}
-	stats.MeanCovInto(mean, cov, s.pts, s.idx)
+	stats.MeanCovInto(mean, cov, s.pts, s.idx, s.colScr)
 	if err := factorWithRidge(&s.chol, s.ridge, cov); err != nil {
 		return 0, err
 	}
@@ -346,10 +366,10 @@ func (s *cStepper) converge(mean []float64, cov *stats.Mat, maxSteps int) (logDe
 func (s *cStepper) start(mean []float64, cov *stats.Mat, rng *rand.Rand) {
 	n := len(s.pts)
 	s.idx = randSubset(s.idx[:0], n, len(mean)+1, rng, s.mask)
-	stats.MeanCovInto(mean, cov, s.pts, s.idx)
+	stats.MeanCovInto(mean, cov, s.pts, s.idx, s.colScr)
 	for len(s.idx) < n && s.chol.Factor(cov) != nil {
 		s.idx = addRandomPoint(s.idx, n, rng, s.mask)
-		stats.MeanCovInto(mean, cov, s.pts, s.idx)
+		stats.MeanCovInto(mean, cov, s.pts, s.idx, s.colScr)
 	}
 }
 
@@ -470,10 +490,7 @@ func finalize(pts [][]float64, mean []float64, cov *stats.Mat, h int) (*Estimate
 		return nil, err
 	}
 	d2 := make([]float64, len(pts))
-	scr := make([]float64, p)
-	for i, x := range pts {
-		d2[i] = chol.MahalanobisSq(x, mean, scr)
-	}
+	chol.MahalanobisSqAll(d2, pts, mean, nil)
 	med := stats.Median(d2)
 	target := stats.ChiSquareQuantile(0.5, float64(p))
 	factor := med / target

@@ -30,7 +30,7 @@ import (
 func oracleMeanCov(pts [][]float64, idx []int) ([]float64, *stats.Mat) {
 	p := len(pts[0])
 	mean, cov := make([]float64, p), stats.NewMat(p, p)
-	stats.MeanCovInto(mean, cov, pts, idx)
+	stats.MeanCovInto(mean, cov, pts, idx, nil)
 	return mean, cov
 }
 

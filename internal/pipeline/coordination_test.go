@@ -61,6 +61,9 @@ func findExplanationWith(exps []core.Explanation, id int32) *core.Explanation {
 // straddle a boundary: it holds the one point that crosses it until the
 // workers have consumed everything before it, and holds what follows
 // until that point is consumed too and its round has been applied.
+// "Consumed" counts what a quarantined shard drained and dropped, and a
+// round is the coordinator's pass over the boundary, which on a run
+// without threshold coordination is its rebalance check alone.
 type roundPacedSource struct {
 	t      *testing.T
 	src    *core.SliceSource
@@ -80,7 +83,7 @@ func (p *roundPacedSource) Next(max int) ([]core.Point, error) {
 		max = 1
 	case left == p.every && p.served > 0:
 		p.await("the boundary's coordination round", func() bool {
-			return p.consumed() == p.served && p.runner.LiveCoordRounds() >= p.served/p.every
+			return p.consumed() == p.served && p.runner.LiveCoordPasses() >= p.served/p.every
 		})
 		fallthrough
 	default:
@@ -92,7 +95,7 @@ func (p *roundPacedSource) Next(max int) ([]core.Point, error) {
 }
 
 func (p *roundPacedSource) consumed() int {
-	n := 0
+	n := p.runner.LiveDroppedPoints()
 	for _, s := range p.runner.LiveShardStats(nil) {
 		n += s.Points
 	}

@@ -165,12 +165,68 @@ func (c *Cholesky) MahalanobisSq(x, mu, scratch []float64) float64 {
 	return d
 }
 
+// MahalanobisSqAll sets dst[r] to MahalanobisSq(pts[r], mu) for every
+// row of pts. A point's forward solve is a chain of dependent divisions,
+// so the sweep solves four points in lockstep and their chains overlap.
+// Each point still executes exactly MahalanobisSq's operations in
+// MahalanobisSq's order, and a tail of fewer than four points goes
+// through MahalanobisSq itself, so every dst[r] is bit for bit the
+// one-point answer. scratch, when cap(scratch) >= 4*len(mu), avoids
+// allocation.
+func (c *Cholesky) MahalanobisSqAll(dst []float64, pts [][]float64, mu, scratch []float64) {
+	n := c.L.Rows
+	if cap(scratch) < 4*n {
+		scratch = make([]float64, 4*n)
+	}
+	z0, z1, z2, z3 := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:4*n]
+	mu = mu[:n]
+	r := 0
+	for ; r+4 <= len(pts); r += 4 {
+		x0, x1, x2, x3 := pts[r][:n], pts[r+1][:n], pts[r+2][:n], pts[r+3][:n]
+		for i := range z0 {
+			li := c.L.Data[i*n : i*n+i+1]
+			s0, s1, s2, s3 := x0[i]-mu[i], x1[i]-mu[i], x2[i]-mu[i], x3[i]-mu[i]
+			for k, l := range li[:i] {
+				s0 -= l * z0[k]
+				s1 -= l * z1[k]
+				s2 -= l * z2[k]
+				s3 -= l * z3[k]
+			}
+			z0[i], z1[i], z2[i], z3[i] = s0/li[i], s1/li[i], s2/li[i], s3/li[i]
+		}
+		var d0, d1, d2, d3 float64
+		for i, v := range z0 {
+			d0 += v * v
+			d1 += z1[i] * z1[i]
+			d2 += z2[i] * z2[i]
+			d3 += z3[i] * z3[i]
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = d0, d1, d2, d3
+	}
+	for ; r < len(pts); r++ {
+		dst[r] = c.MahalanobisSq(pts[r], mu, scratch)
+	}
+}
+
+// MeanCovBlock is how many centered rows MeanCovInto's scratch is sized
+// for: a block of d columns that stays in L1 at the dimensions FastMCD
+// fits.
+const MeanCovBlock = 256
+
 // MeanCovInto computes the sample mean and covariance (denominator
 // n-1) of the rows pts[idx[0]], pts[idx[1]], ... into the caller's mean
 // (length d) and cov (d x d), overwriting both. Rows are summed in the
 // order idx lists them, so the result's low-order bits are a function
-// of that order; it allocates nothing for d <= 32.
-func MeanCovInto(mean []float64, cov *Mat, pts [][]float64, idx []int) {
+// of that order and of nothing else.
+//
+// The centered rows pass through scratch column-major, len(scratch)/d
+// of them at a time; a caller that refits in a loop owns d*MeanCovBlock
+// floats of it (nil, or fewer than d floats, allocates that much). Each
+// upper-triangle cell is then a dot product of two columns accumulated
+// in a register, four cells per pass: the per-row load-add-store of
+// every cell becomes one per block, while each cell still adds the same
+// products in the same order.
+func MeanCovInto(mean []float64, cov *Mat, pts [][]float64, idx []int, scratch []float64) {
 	d := len(mean)
 	n := len(idx)
 	clear(mean)
@@ -184,24 +240,22 @@ func MeanCovInto(mean []float64, cov *Mat, pts [][]float64, idx []int) {
 		mean[j] /= float64(n)
 	}
 	clear(cov.Data)
-	var buf [32]float64
-	diff := buf[:]
-	if d > len(buf) {
-		diff = make([]float64, d)
+	if d == 0 {
+		return
 	}
-	diff = diff[:d]
-	for _, ix := range idx {
-		r := pts[ix][:d]
-		for j := range diff {
-			diff[j] = r[j] - mean[j]
-		}
-		for j := 0; j < d; j++ {
-			cj := cov.Data[j*d : j*d+d]
-			dj := diff[j]
-			for k := j; k < d; k++ {
-				cj[k] += dj * diff[k]
+	if len(scratch) < d {
+		scratch = make([]float64, d*max(1, min(n, MeanCovBlock)))
+	}
+	block := len(scratch) / d
+	for from := 0; from < n; from += block {
+		m := min(block, n-from)
+		for t, ix := range idx[from : from+m] {
+			r := pts[ix][:d]
+			for j, v := range r {
+				scratch[j*m+t] = v - mean[j]
 			}
 		}
+		covAccumulate(cov.Data, scratch[:d*m], d, m)
 	}
 	den := float64(n - 1)
 	if n < 2 {
@@ -213,6 +267,40 @@ func MeanCovInto(mean []float64, cov *Mat, pts [][]float64, idx []int) {
 			cov.Set(j, k, v)
 			cov.Set(k, j, v)
 		}
+	}
+}
+
+// covAccumulate adds, to each upper-triangle cell (j, k) of the d x d
+// row-major c, the dot product of columns j and k of cols, which holds d
+// columns of m values each. Cells go in row order four to a pass; a pass
+// short of four repeats its last cell, which computes and stores the
+// same value twice.
+func covAccumulate(c, cols []float64, d, m int) {
+	cells := d * (d + 1) / 2
+	j, k := 0, 0 // the next cell
+	for first := 0; first < cells; first += 4 {
+		var at [4]int
+		var a, b [4][]float64
+		for q := range at {
+			at[q] = j*d + k
+			a[q], b[q] = cols[j*m:j*m+m], cols[k*m:k*m+m]
+			if first+q+1 < cells {
+				if k++; k == d {
+					j++
+					k = j
+				}
+			}
+		}
+		a0, a1, a2, a3 := a[0], a[1][:m], a[2][:m], a[3][:m]
+		b0, b1, b2, b3 := b[0][:m], b[1][:m], b[2][:m], b[3][:m]
+		s0, s1, s2, s3 := c[at[0]], c[at[1]], c[at[2]], c[at[3]]
+		for t, v := range a0 {
+			s0 += v * b0[t]
+			s1 += a1[t] * b1[t]
+			s2 += a2[t] * b2[t]
+			s3 += a3[t] * b3[t]
+		}
+		c[at[0]], c[at[1]], c[at[2]], c[at[3]] = s0, s1, s2, s3
 	}
 }
 
