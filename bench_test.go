@@ -514,7 +514,7 @@ func BenchmarkStreamingExplain(b *testing.B) {
 	b.Run("poll", func(b *testing.B) {
 		other := warm.Clone()
 		for i := 0; i < b.N; i++ {
-			explain.MergeStreaming([]*explain.Streaming{warm, other})
+			explain.MergeStreamingInto([]*explain.Streaming{warm.Clone(), other.Clone()})
 		}
 	})
 }

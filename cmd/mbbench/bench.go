@@ -5,7 +5,7 @@ package main
 // hot-path kernels through testing.Benchmark, embeds ns/op + allocs/op
 // in the -json report, and -compare fails the process (exit 1) when any
 // kernel inflates more than 2x in ns/op or allocs/op against a committed
-// baseline report (BENCH_PR26.json). CI runs the comparator on every
+// baseline report (BENCH_PR32.json). CI runs the comparator on every
 // push, so a hot path can only regress past 2x by committing a new
 // baseline.
 
@@ -86,10 +86,9 @@ func benchLabeledStream(n int) [][]core.LabeledPoint {
 	return batches
 }
 
-// benchExplainCfg pins PollParallelism to 1 so the committed ns/op and
-// allocs/op baselines cannot drift with the recording machine's
-// GOMAXPROCS; the PollParallel kernels set their own W explicitly.
-var benchExplainCfg = explain.StreamingConfig{MinSupport: 0.005, MinRiskRatio: 1.2, DecayRate: 0.05, PollParallelism: 1}
+// benchExplainCfg is the explainer configuration of the explanation
+// kernels.
+var benchExplainCfg = explain.StreamingConfig{MinSupport: 0.005, MinRiskRatio: 1.2, DecayRate: 0.05}
 
 // warmExplainer replays the whole stream (with decay ticks) into a
 // fresh explainer.
@@ -111,32 +110,32 @@ func microBenchmarks() []benchResult {
 	fmt.Println("### micro — explanation hot-path kernels (ns/op, allocs/op)")
 	batches := benchLabeledStream(60_000)
 
-	// pollParallel builds 4 warmed shard explainers (the stream dealt
+	// poll builds 4 warmed shard explainers (the stream dealt
 	// round-robin, shared decay clock) and measures one merged poll per
-	// op at the given PollParallelism: MergeStreaming's 3-leg clone and
-	// shard merge (sketches, outlier tree; the inlier trees are
+	// op, the session's: a Clone of each shard, then MergeStreamingInto
+	// (shard merge of sketches and outlier tree, the inlier trees
 	// borrowed) + FPGrowth mine + canonical recount + an inlier count
 	// per combination summed over the four shards' trees.
-	pollParallel := func(w int) func(b *testing.B) {
-		return func(b *testing.B) {
-			cfg := benchExplainCfg
-			cfg.PollParallelism = w
-			shards := make([]*explain.Streaming, 4)
-			for i := range shards {
-				shards[i] = explain.NewStreaming(cfg)
-			}
-			for i, bt := range batches {
-				shards[i%len(shards)].Consume(bt)
-				if (i+1)%64 == 0 {
-					for _, sh := range shards {
-						sh.Decay()
-					}
+	poll := func(b *testing.B) {
+		shards := make([]*explain.Streaming, 4)
+		for i := range shards {
+			shards[i] = explain.NewStreaming(benchExplainCfg)
+		}
+		for i, bt := range batches {
+			shards[i%len(shards)].Consume(bt)
+			if (i+1)%64 == 0 {
+				for _, sh := range shards {
+					sh.Decay()
 				}
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				explain.MergeStreaming(shards)
+		}
+		owned := make([]*explain.Streaming, len(shards))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, sh := range shards {
+				owned[j] = sh.Clone()
 			}
+			explain.MergeStreamingInto(owned)
 		}
 	}
 
@@ -164,7 +163,6 @@ func microBenchmarks() []benchResult {
 			sess, err := pipeline.StartPartitionedStream(src, pipeline.Config{
 				Dims: 1, MinSupport: 0.005, DecayEveryPoints: 100_000,
 				CoordinateEvery: 4096, DisableRebalance: pinned, Seed: 7,
-				PollParallelism: 1,
 			}, 4)
 			if err != nil {
 				panic(err)
@@ -236,15 +234,9 @@ func microBenchmarks() []benchResult {
 				s.Explanations()
 			}
 		}),
-		// Merged-poll kernel at W=4 and W=1: the same single
-		// implementation of every stage, striped four ways or run inline;
-		// the w4/w1 ns/op ratio is the parallel speedup, expected >= 1.8x
-		// on a machine with >= 4 cores (on fewer cores the two converge,
-		// and -compare only warns because go_max_procs won't match).
-		// Output-identity across W is pinned by the explain differential
-		// and golden tests, not here.
-		runKernel("PollParallel/p3s4", pollParallel(4)),
-		runKernel("PollParallel/p3s4-w1", pollParallel(1)),
+		// Merged-poll kernel: snapshot clones of four shards, merged and
+		// answered on the polling goroutine.
+		runKernel("Poll/p3s4", poll),
 		runKernel("PushIngest/p3s4", func(b *testing.B) {
 			// Ingest-throughput kernel for the push-partitioned path:
 			// 3 concurrent producers feed a resident 4-shard session
@@ -261,7 +253,6 @@ func microBenchmarks() []benchResult {
 			src := ingest.NewPush(producers, 4)
 			sess, err := pipeline.StartPartitionedStream(src, pipeline.Config{
 				Dims: 1, MinSupport: 0.005, DecayEveryPoints: 100_000, Seed: 7,
-				PollParallelism: 1,
 			}, 4)
 			if err != nil {
 				panic(err)
@@ -320,7 +311,7 @@ func microBenchmarks() []benchResult {
 			src := ingest.NewPush(producers, 4)
 			sess, err := pipeline.StartPartitionedStream(src, pipeline.Config{
 				Dims: 1, MinSupport: 0.005, DecayEveryPoints: 100_000,
-				CoordinateEvery: 4096, Seed: 7, PollParallelism: 1,
+				CoordinateEvery: 4096, Seed: 7,
 			}, 4)
 			if err != nil {
 				panic(err)
@@ -524,13 +515,14 @@ func compareAgainstBaseline(path string, current []benchResult) error {
 		byName[b.Name] = b
 	}
 	sameHardware := base.GOARCH == runtime.GOARCH && base.NumCPU == runtime.NumCPU()
-	// Core-budget mismatch is a warning, never a failure: the
-	// PollParallel kernels' ns/op scales with GOMAXPROCS, so wall-clock
-	// ratios against a baseline recorded under a different scheduler
-	// width measure the core budget, not the code. allocs/op stays
-	// gated — the parallel paths allocate deterministically regardless
-	// of how many workers actually run concurrently. A baseline without
-	// the field (pre-PR 10 reports) is treated as unknown and warned.
+	// Core-budget mismatch is a warning, never a failure: the pipeline
+	// kernels (PushIngest, Coordinate, Rebalance) run producers and
+	// shards on their own goroutines, so their ns/op scales with
+	// GOMAXPROCS, and wall-clock ratios against a baseline recorded
+	// under a different scheduler width measure the core budget, not
+	// the code. allocs/op stays gated. A baseline without the field
+	// (reports from before it was recorded) is treated as unknown and
+	// warned.
 	if base.GoMaxProcs != runtime.GOMAXPROCS(0) {
 		if base.GoMaxProcs == 0 {
 			fmt.Printf("warning: baseline %s predates go_max_procs recording; current GOMAXPROCS=%d — ns/op comparisons for parallel kernels may be misleading\n",

@@ -1,7 +1,8 @@
 // Command mbbench regenerates the paper's tables and figures on the
 // synthetic dataset analogs. Each experiment prints one or more
 // aligned-text tables whose rows mirror the corresponding paper
-// result; EXPERIMENTS.md records the paper-vs-measured comparison.
+// result; nothing yet checks the rows against the paper's numbers (see
+// ROADMAP.md, "The paper's evaluation as assertions, not tables").
 //
 // Usage:
 //
@@ -11,7 +12,7 @@
 //	mbbench -run quick -scale 0.02   # skips the heavy experiments
 //	mbbench -run fig6,mcps -json results.json   # machine-readable copy
 //	mbbench -bench -json results.json           # + hot-path micro-benchmarks
-//	mbbench -bench -compare BENCH_PR26.json     # fail on >2x ns/op or allocs/op
+//	mbbench -bench -compare BENCH_PR32.json     # fail on >2x ns/op or allocs/op
 package main
 
 import (
@@ -38,9 +39,9 @@ type jsonReport struct {
 	GOARCH    string  `json:"goarch"`
 	NumCPU    int     `json:"num_cpu"`
 	// GoMaxProcs records the scheduler's parallelism at recording time.
-	// The PollParallel kernels scale with it, so -compare refuses to
-	// judge speedup ratios across differing core budgets (it warns
-	// instead of failing).
+	// The pipeline kernels scale with it, so -compare refuses to judge
+	// ns/op across differing core budgets (it warns instead of
+	// failing).
 	GoMaxProcs  int              `json:"go_max_procs,omitempty"`
 	StartedAt   string           `json:"started_at"` // RFC 3339
 	Experiments []jsonExperiment `json:"experiments"`

@@ -177,7 +177,7 @@ func handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if !pollParallelismOK(w, cfg.PollParallelism) {
+	if !routingBucketsOK(w, cfg.RoutingBuckets) {
 		return
 	}
 	f, err := os.Open(cfg.Input)
@@ -239,7 +239,6 @@ func pipelineConfig(cfg *ingest.QueryConfig) pipeline.Config {
 		RoutingBuckets:         cfg.RoutingBuckets,
 		RebalanceAbove:         cfg.RebalanceAbove,
 		DisableRebalance:       cfg.DisableRebalance,
-		PollParallelism:        cfg.PollParallelism,
 		Seed:                   cfg.Seed,
 	}
 }
@@ -295,13 +294,18 @@ const pushInput = "push"
 // the training samples anyway (see doc.go).
 var maxShards = max(64, 4*runtime.GOMAXPROCS(0))
 
-// pollParallelismOK holds the wire's pollParallelism to the bound shards
-// has, answering 400 otherwise: every poll starts that many workers and
-// keeps a counter and a miner for each, so an uncapped value is the same
-// one-request denial of service.
-func pollParallelismOK(w http.ResponseWriter, p int) bool {
-	if p > maxShards {
-		http.Error(w, fmt.Sprintf("pollParallelism must be <= %d", maxShards), http.StatusBadRequest)
+// maxRoutingBuckets bounds the per-request virtual-bucket count: every
+// push partition keeps one load counter per bucket and the router one
+// table slot, so an uncapped value is a one-request allocation of
+// gigabytes. 65536 is 256 times the default and costs 512 KB of
+// counters per partition.
+const maxRoutingBuckets = 1 << 16
+
+// routingBucketsOK holds the wire's routingBuckets to maxRoutingBuckets,
+// answering 400 otherwise.
+func routingBucketsOK(w http.ResponseWriter, n int) bool {
+	if n > maxRoutingBuckets {
+		http.Error(w, fmt.Sprintf("routingBuckets must be <= %d", maxRoutingBuckets), http.StatusBadRequest)
 		return false
 	}
 	return true
@@ -446,7 +450,7 @@ func (g *streamRegistry) handleStart(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("shards must be <= %d", maxShards), http.StatusBadRequest)
 		return
 	}
-	if !pollParallelismOK(w, req.PollParallelism) {
+	if !routingBucketsOK(w, req.RoutingBuckets) {
 		return
 	}
 	if req.Input == pushInput {

@@ -274,34 +274,64 @@ func TestStreamEndpointsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStreamStartErrors covers rejected stream configurations.
+// TestStreamStartErrors covers rejected stream configurations. The
+// push-session rows are hostile: a push session needs no file, so
+// nothing but validation stands between each of them and the session
+// runner (a decay rate outside [0, 1) panicked there, on a goroutine
+// net/http cannot recover, and took the server down) or a routing table
+// of billions of buckets. Every row must be a 400 naming the bad field,
+// and a session started beforehand must still answer polls afterwards.
 func TestStreamStartErrors(t *testing.T) {
 	srv := httptest.NewServer(newMux(newStreamRegistry()))
 	defer srv.Close()
-	for name, body := range map[string]string{
-		"empty config":  `{}`,
-		"bad json":      `{"shards":`,
-		"unknown field": `{"input":"x.csv","metrics":["m"],"attributes":["a"],"bogus":1}`,
-		"missing file":  `{"input":"/nonexistent.csv","metrics":["m"],"attributes":["a"]}`,
-		"neg shards":    `{"input":"/nonexistent.csv","metrics":["m"],"attributes":["a"],"shards":-2}`,
-		"huge shards":   `{"input":"/nonexistent.csv","metrics":["m"],"attributes":["a"],"shards":1000000000}`,
-		// A push session needs no file, so nothing but the bound on the
-		// poll worker count stands between this request and ten million
-		// goroutines per poll.
-		"huge pollParallelism": `{"input":"push","metrics":["m"],"attributes":["a"],"pollParallelism":10000000}`,
+	var started map[string]any
+	resp, err := http.Post(srv.URL+"/stream/start", "application/json",
+		strings.NewReader(`{"input":"push","metrics":["m"],"attributes":["a"],"shards":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&started); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("good push start: status %d, %v", resp.StatusCode, err)
+	}
+	resp.Body.Close()
+	const push = `"input":"push","metrics":["m"],"attributes":["a"]`
+	for _, tc := range []struct{ name, body, names string }{
+		{"empty config", `{}`, ""},
+		{"bad json", `{"shards":`, ""},
+		{"unknown field", `{"input":"x.csv","metrics":["m"],"attributes":["a"],"bogus":1}`, "bogus"},
+		{"missing file", `{"input":"/nonexistent.csv","metrics":["m"],"attributes":["a"]}`, ""},
+		{"neg shards", `{"input":"/nonexistent.csv","metrics":["m"],"attributes":["a"],"shards":-2}`, "shards"},
+		{"huge shards", `{"input":"/nonexistent.csv","metrics":["m"],"attributes":["a"],"shards":1000000000}`, "shards"},
+		{"negative decayRate", `{` + push + `,"decayRate":-3}`, "decayRate"},
+		{"decayRate one", `{` + push + `,"decayRate":1}`, "decayRate"},
+		{"decayRate above one", `{` + push + `,"decayRate":7,"shards":2}`, "decayRate"},
+		{"negative decayEveryPoints", `{` + push + `,"decayEveryPoints":-1}`, "decayEveryPoints"},
+		{"negative reservoirSize", `{` + push + `,"reservoirSize":-5}`, "reservoirSize"},
+		{"negative coordinateEvery", `{` + push + `,"coordinateEvery":-1,"shards":2}`, "coordinateEvery"},
+		{"negative routingBuckets", `{` + push + `,"routingBuckets":-1,"shards":2}`, "routingBuckets"},
+		{"huge routingBuckets", `{` + push + `,"routingBuckets":10000000000,"shards":2}`, "routingBuckets must be <="},
+		// The poll worker count is no longer a setting.
+		{"pollParallelism", `{` + push + `,"pollParallelism":4}`, "pollParallelism"},
 	} {
-		resp, err := http.Post(srv.URL+"/stream/start", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/stream/start", "application/json", strings.NewReader(tc.body))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v (did the server die?)", tc.name, err)
 		}
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
-		if name == "huge pollParallelism" && !strings.Contains(string(msg), "pollParallelism must be <=") {
-			t.Errorf("%s: response %q does not name the bound", name, msg)
+		if !strings.Contains(string(msg), tc.names) {
+			t.Errorf("%s: response %q does not name %q", tc.name, msg, tc.names)
 		}
+	}
+	id := started["id"].(string)
+	if code := getJSON(t, srv.URL+"/stream/"+id, nil); code != http.StatusOK {
+		t.Errorf("poll of the good session after the hostile starts: status %d, want 200", code)
+	}
+	if code := postJSON(t, srv.URL+"/stream/"+id+"/stop", nil); code != http.StatusOK {
+		t.Errorf("stop of the good session: status %d, want 200", code)
 	}
 	if code := getJSON(t, srv.URL+"/stream/nope", nil); code != http.StatusNotFound {
 		t.Errorf("unknown id poll status %d, want 404", code)

@@ -32,7 +32,7 @@
 // in a union of disjoint transaction multisets is the sum of its
 // supports in the parts. So a merged explainer borrows the shards'
 // inlier trees (explain.Streaming.Merge aliases them, read-only) and
-// answers each candidate with Σ over shards of cps.Counter.Support,
+// answers each candidate with Σ over shards of cps.Tree.ItemsetSupport,
 // own tree first, then shard order; the union inlier tree that every
 // poll used to build (clone shard 0's, replay every path of the
 // others' into it: ~70% of a two-shard poll) exists only for a caller
@@ -280,8 +280,10 @@
 // The answer is held by a brute-force weighted-multiset model
 // (explain.FuzzStreamingDelta: insert/decay/poll scripts against
 // exhaustive subset counting, committed corpus replayed under -race in
-// CI), by the recorded goldens, and by the differential harness across
-// poll worker counts (next section). The mine is allocation-bounded:
+// CI), by the recorded goldens, and by the differential harness, which
+// replays random consume/decay/poll scripts and degenerate tables of
+// 0-3 itemsets on 1-4 shards against the same model.
+// The mine is allocation-bounded:
 // the FP-tree build and the FPGrowth conditional trees recycle per-tree
 // and per-miner arena frames (fptree.BuildInto, fptree.Miner), so a
 // steady-state mine allocates only its output itemsets. Regression
@@ -300,80 +302,24 @@
 // (firehose_xs has one attribute, hence no combinations) and on none of
 // the 5,519 walks of 45 batch_query answers.
 //
-// # Parallel poll pipeline
+// # Serial poll
 //
-// Every poll pays the whole merge, mine and recount, and that path was
-// single-core even on machines with idle cores. It is therefore
-// striped end to end, under one
-// setting (pipeline.Config.PollParallelism → explain.StreamingConfig.
-// PollParallelism, default GOMAXPROCS; it is a setting because mbserver
-// leaves it to the request and cmd/mbbench pins it to 1) and one
-// contract: ranked output is reflect.DeepEqual-identical for every
-// worker count W.
-//
-// Every stage has exactly one implementation, written against one
-// helper, fptree.RunStriped(workers, n, body): it clamps workers to the
-// index space n, hands worker w the stripe idx ≡ w (mod stride), and
-// when the stride is 1 runs the body inline on the polling goroutine —
-// no goroutine, no WaitGroup. W=1 is thus not a second code path but the
-// same body run once, and a table of one itemset polled at W=8 spawns
-// nothing. (PR 10 kept a serial twin beside each striped body and
-// proved the pairs bit-identical at every W; PR 16 deleted the twins on
-// the strength of that proof. What vouches for the bodies now is
-// independent of them: brute-force subset counting for the mine and the
-// streaming explainer, the recorded goldens.)
-// Three stages stripe:
-//
-//   - Shard merge (explain.mergeInto) and the defensive clone before it
-//     (cloneWith): the fold touches three disjoint structures — outlier
-//     sketch, inlier sketch, outlier tree — so up to three workers each
-//     run the FULL sequential fold of one leg. Deliberately not a
-//     pairwise merge tree: float addition is non-associative and a
-//     merged tree's chain order depends on insertion order, so
-//     regrouping (a+b)+c into a+(b+c) changes bits; folding each leg in
-//     shard order, on whichever goroutine, changes none. The inlier
-//     trees are not folded but borrowed, shard 0's by the defensive
-//     clone too (three legs copied, one aliased; a public Clone still
-//     copies all four), and their determinism rule is a sum order, not
-//     a chain order: a combination's InlierCount is its support on the
-//     own tree plus its support on each borrowed tree, added in shard
-//     order by whichever worker owns the table entry — a function of
-//     the shard states and the shard order alone, the same at every W.
-//     Streaming.Merge and Clone are the same bodies at one worker.
-//
-//   - FPGrowth mining (fptree.Tree.MineParallelWith, which Mine and
-//     MineWith call with one miner): top-level header items are striped
-//     across W miners, each with its own recycled frame arena and a
-//     recycled output stage; the stages are stitched together in item
-//     order, making the output element-wise identical regardless of W
-//     or scheduling.
-//
-//   - Canonical recounting (cps.Counter): the support passes — the
-//     table recount and the combination filter — are striped the same
-//     way. Counting walks are pure reads of the node arena (each worker
-//     owns a private query-scratch Counter, and a tree's own
-//     ItemsetSupport is one more Counter), and counts land in pooled
-//     index-addressed slots.
-//
-// The ownership rule underneath: workers never share mutable state —
-// each owns either a disjoint structure (a merge leg) or a private
-// scratch object (a Miner, a Counter) plus exclusive index ranges of a
-// preallocated result slice — and the spawning goroutine assembles
-// results in index order after all workers join. No atomics, no
-// channels, no locks on the hot path; allocation patterns are
-// deterministic, and at W=1 a warmed poll allocates no more than the
-// old serial code did (explain.TestPollAllocationsAtW1).
-//
-// Concurrent polls of one session do not contend either: each merges
-// clones of its own (see "One poll path"), which -race hammers with
-// ingest, decay ticks and rebalancing live pin. Determinism across W is pinned by the differential harness (W up to
-// 8, tables of 0-3 itemsets, 1-4 shards), the fuzz corpus, and the
-// goldens; the PollParallel/p3s4 mbbench kernel and its -w1 twin
-// measure the speedup (>= 1.8x at W=4 expected on a 4-core machine;
-// on the 2 cores available so far 1.08x while a poll still built the
-// union inlier tree, 1.20x since PR 19 took that out and left the
-// mine and the counting, which stripe, as most of a poll — the number
-// ROADMAP's "default PollParallelism to 1" decision should be made on).
+// Every poll stage — shard merge, mine, recount, combination filter —
+// runs on the polling goroutine, and concurrent polls of one session
+// share nothing (each merges clones of its own; -race hammers that with
+// ingest, decay ticks and rebalancing live). The stages used to be
+// striped across a configurable poll worker count W (default
+// GOMAXPROCS) with identical output at every W. Paired end-to-end runs
+// on a 2-vCPU box (8 alternating pairs, seeds 1-8, 25 s) found nothing
+// for it to buy: W=1 against the default W=2 read
+// answer_p50_ms 13.26 vs 12.67 ms on poll_drift (default quartiles
+// 11.6-15.6) and 44.0 vs 41.1 ms on firehose_xc (37.7-44.3), every rate,
+// RSS and set-up within ±10%, W=1 winning 3-6 of 8 pairs on each
+// metric; the one kernel gain ever recorded was 1.20x on 2 cores. So
+// the striping and its setting were deleted. Before striping returns, it
+// needs a bench/ workload whose answer_p50_ms is mostly poll compute,
+// measured on at least 4 real cores, where ten alternating pairs move
+// that metric by more than the parent's quartile spread.
 //
 // One numerical change came with the borrowed inlier trees (PR 19), and
 // it is the only one: on a poll over two or more shards taken after a
@@ -382,14 +328,11 @@
 // added in shard order replace one chain sum over a tree whose counts
 // were themselves added in replay order. While weights are integers (no
 // decay tick yet) the two are bit-equal; after ticks the differential
-// test against the union-tree oracle (P 2-4, W 1/2/4, 0/1/5 ticks, an
+// test against the union-tree oracle (P 2-4, 0/1/5 ticks, an
 // item admitted on one shard only, an empty shard, a root-only inlier
 // tree) reads at most 5e-16 relative and holds 1e-12. Explanation sets,
 // ranks, OutlierCount and Support are bit-equal to the oracle, and the
 // goldens, which print six significant digits, did not move.
-//
-// mbserver refuses a pollParallelism above the bound it puts on shards
-// (400): each poll would otherwise start that many goroutines.
 //
 // Which switches are left. Two Disable* fields remain on the config
 // layers (pipeline.Config, ingest.QueryConfig), both because they
@@ -687,54 +630,57 @@
 //     more than 2x against the committed baseline — allocs/op always,
 //     ns/op only when the baseline's hardware and GOMAXPROCS match the
 //     runner's, so shared-runner wall-clock noise cannot flake it (a
-//     mismatch is a warning; parallel kernels measure the core budget
-//     there, not the code). A regression lands only together with a new
-//     justified baseline; pre-existing kernels are pinned at
-//     PollParallelism 1 so baselines do not drift with the runner.
-//     The baseline and its history are under "Kernel baseline" below.
+//     mismatch is a warning; the pipeline kernels measure the core
+//     budget there, not the code). A regression lands only together
+//     with a new justified baseline. The baseline and its history are
+//     under "Kernel baseline" below.
 //   - bench-smoke runs the end-to-end harness's own tests (`cd bench &&
 //     go test ./...`: every workload at toy size, and the test that
 //     the staged replay still matches the server). bench/ is a separate
 //     module that the root `go test ./...` does not see.
-//   - parallel-poll runs the explain, fptree, cps and pipeline suites
-//     under -race at GOMAXPROCS=1 and 4: every poll stage has one body,
-//     and the matrix runs it both ways on every push — inline on the
-//     polling goroutine (the default PollParallelism resolves to 1) and
-//     with the striped workers and concurrent polls really interleaving.
-//     It then repeats TestGlobalThresholdFixesHotShardDrift twenty times:
+//   - pipeline-scheduling runs the pipeline suite under -race at
+//     GOMAXPROCS=1 and 4: shard workers, the coordinator and concurrent
+//     pollers are goroutines, and the matrix runs them serialized and
+//     really interleaving. (explain, fptree and cps start no goroutines;
+//     the test job's -race covers them.) It then repeats
+//     TestGlobalThresholdFixesHotShardDrift twenty times:
 //     that test failed ~1 run in 9 while its coordination rounds landed
 //     wherever the scheduler put them, and is the same run every time
 //     now that its source paces itself by them — at the default
 //     rebalance trigger, since a rebalance round stopped judging windows
 //     of a few points.
 //   - fuzz-replay replays every committed testdata/fuzz seed under
-//     -race: the oracles (brute-force tree and explainer models, striped
-//     explainer twins) rerun the exact scripts that once found or nearly
-//     found bugs, deterministically.
+//     -race: the oracles (brute-force tree and explainer models) rerun
+//     the exact scripts that once found or nearly found bugs,
+//     deterministically.
 //   - chaos runs the fault-injection, retry, resume and degradation
 //     suites across a fixed seed matrix; reproduce a leg locally with
 //     MACROBASE_CHAOS_SEED=<seed>.
 //
 // # Kernel baseline
 //
-// BENCH_PR26.json (go1.24, go_max_procs 2, on the 2-core box) is the
+// BENCH_PR32.json (go1.24, go_max_procs 2, on the 2-core box) is the
 // one committed kernel baseline: each entry the middle of three runs in
-// one sitting, the three MCDFit ones in a later sitting than the rest.
-// It reads, in µs/op:
+// one sitting, the three MCDFit ones in a later sitting than the rest
+// and Poll/p3s4 in a third. It reads, in µs/op:
 //
 //	consume                  233    PushIngest/p3s4          54.8
 //	poll-full               2740    Coordinate/p3s4          61.6
-//	PollParallel/p3s4       3402    Rebalance/p3s4           59.5
-//	PollParallel/p3s4-w1    4508    Rebalance/p3s4-pinned    57.9
-//	FPGrowthMine           12369    Route/p3s4               19.4
-//	MCDFit/n10k-p7, ms      41.0    binary-decode             103
-//	MCDFit/n10k-p2, ms      26.6
+//	Poll/p3s4               7774    Rebalance/p3s4           59.5
+//	FPGrowthMine           12369    Rebalance/p3s4-pinned    57.9
+//	MCDFit/n10k-p7, ms      41.0    Route/p3s4               19.4
+//	MCDFit/n10k-p2, ms      26.6    binary-decode             103
 //	MCDFit/n40k-p7, ms       102
 //
 // poll-warm, poll-inlier-moved and DeltaMine/steady-drift measured the
-// reuse layers "One poll path" describes and were deleted with them;
-// PollParallel now times MergeStreaming over static shards. The table
-// below is the kernels' trajectory up to this baseline. What it and its
+// reuse layers "One poll path" describes and were deleted with them.
+// Poll/p3s4 times the session's merged poll over four static shards: a
+// Clone of each shard, then MergeStreamingInto on the polling
+// goroutine. Its four whole clones, inlier trees included (8.2 MB an
+// op), are why it reads above the two PollParallel kernels it replaced,
+// which copied only shard 0's sketches and outlier tree and then merged
+// striped four ways or inline (-w1). The table below is the kernels'
+// trajectory up to the baseline before this one: what it and its
 // predecessors read, in µs/op — columns PR3-PR10 on a 1-core box,
 // PR15-PR26 on a 2-core one, so compare along a row only within those
 // groups ("=": carried over from the column to the left — PR19

@@ -25,10 +25,7 @@
 // Confine each tree to one goroutine or clone it (Clone is a slab
 // memcpy — the child index is not copied, a clone that is inserted into
 // rebuilds it — which is what the sharded engine's snapshot protocol
-// does). The exception is Counter, which queries through scratch of
-// its own: a merged poll counts on the shards' frozen inlier trees in
-// place, which leaves Merge to the outlier side (mining needs one tree)
-// and to writers.
+// does).
 package cps
 
 import (
@@ -58,8 +55,8 @@ type Tree struct {
 	// transaction during Insert; path* hold the flattened (path,
 	// weight) extraction used by Restructure/Mine; walkPath is the one
 	// path ForEachPath (and so the read side of Merge) has in hand;
-	// pathSlices re-slices pathItems for fptree.Build; query is the
-	// Counter ItemsetSupport answers through; countByID orders
+	// pathSlices re-slices pathItems for fptree.Build; query holds the
+	// rank-sorted items of an ItemsetSupport call; countByID orders
 	// restructures without a map.
 	itemScratch []int32
 	walkPath    []int32
@@ -67,18 +64,17 @@ type Tree struct {
 	pathOffs    []int32 // len(paths)+1 offsets into pathItems
 	pathW       []float64
 	pathSlices  [][]int32
-	query       Counter
+	query       []int32
 	countByID   []float64
 	freqItems   []int32 // keep-all restructure staging
 	freqCounts  []float64
 
-	// Reusable mining state: MineParallel replays the tree's paths into
-	// mineTree (rebuilt in place) and runs FPGrowth through one pooled
-	// miner per worker, so steady-state mines allocate only their output
-	// itemsets. Clone deliberately does not copy these — they are
-	// scratch, not state.
-	mineTree  fptree.Tree
-	minerPool []*fptree.Miner
+	// Reusable mining state: Mine replays the tree's paths into mineTree
+	// (rebuilt in place) and runs FPGrowth through miner, so steady-state
+	// mines allocate only their output itemsets. Clone deliberately does
+	// not copy these — they are scratch, not state.
+	mineTree fptree.Tree
+	miner    fptree.Miner
 }
 
 // NewMCPS returns an M-CPS-tree.
@@ -321,37 +317,35 @@ func (t *Tree) Restructure(items []int32, counts []float64, retain float64) {
 // Mine replays the tree's weighted paths through an FP-tree and runs
 // FPGrowth, returning itemsets with decayed count >= minCount. Mining
 // is deterministic: two structurally identical trees mine bit-identical
-// results.
+// results. The FP-tree and the miner's conditional-tree frames are
+// pooled on the tree, so steady-state mines allocate only the returned
+// itemsets.
 func (t *Tree) Mine(minCount float64, maxItems int) []fptree.Itemset {
-	return t.MineParallel(minCount, maxItems, 1)
-}
-
-// MineParallel is Mine with the FPGrowth recursion striped over up to
-// `workers` goroutines (fptree.MineParallelWith; one worker runs on the
-// caller). The path replay and FP-tree build stay serial — they are a
-// small fraction of mine cost. The FP-tree, the per-worker miners and
-// their conditional-tree frames are pooled on the tree, so steady-state
-// mines allocate only the returned itemsets, and the result is
-// element-wise identical at every worker count.
-func (t *Tree) MineParallel(minCount float64, maxItems int, workers int) []fptree.Itemset {
 	t.extractPaths()
 	t.pathSlices = t.pathSlices[:0]
 	for i := 0; i < t.numPaths(); i++ {
 		t.pathSlices = append(t.pathSlices, t.path(i))
 	}
 	fptree.BuildInto(&t.mineTree, t.pathSlices, t.pathW, minCount)
-	workers = fptree.Stride(workers, len(t.mineTree.Items()))
-	for len(t.minerPool) < workers {
-		t.minerPool = append(t.minerPool, &fptree.Miner{})
-	}
-	return t.mineTree.MineParallelWith(t.minerPool[:workers], minCount, maxItems)
+	return t.mineTree.MineWith(&t.miner, minCount, maxItems)
 }
 
 // ItemsetSupport returns the decayed weight of transactions containing
-// every item in items, answered through the tree's own Counter.
+// every item in items, walking the node-links of the deepest-ranked
+// member (the same itemtree.Support traversal fptree uses).
 func (t *Tree) ItemsetSupport(items []int32) float64 {
-	t.query.Retarget(t)
-	return t.query.Support(items)
+	if len(items) == 0 {
+		return 0
+	}
+	q := append(t.query[:0], items...)
+	t.query = q
+	for _, it := range q {
+		if t.rankOf(it) < 0 {
+			return 0
+		}
+	}
+	itemtree.SortByRankDesc(q, t.rank)
+	return t.arena.Support(q, t.rank)
 }
 
 // ForEachPath visits the tree's stored transactions as (items, weight)
@@ -421,40 +415,4 @@ func (t *Tree) Clone() *Tree {
 	}
 	t.arena.CloneInto(&c.arena)
 	return c
-}
-
-// Counter answers itemset-support queries over a tree through private
-// scratch, so multiple Counters may query the same tree concurrently —
-// the underlying chain walk (itemtree.Arena.Support) is a pure read.
-// The only requirement is the usual reader rule: no mutating tree
-// method (Insert, Restructure, Merge, Decay) and no scratch-using tree
-// method (Mine, ItemsetSupport, ForEachPath) may run while Counters are
-// active.
-type Counter struct {
-	tree *Tree
-	buf  []int32
-}
-
-// Retarget points the counter at a tree, keeping its scratch. A
-// zero-value Counter is usable after Retarget.
-func (c *Counter) Retarget(t *Tree) { c.tree = t }
-
-// Support returns the decayed weight of the transactions of the
-// counter's tree that contain every item in items, walking the
-// node-links of the deepest-ranked member (the same itemtree.Support
-// traversal fptree uses).
-func (c *Counter) Support(items []int32) float64 {
-	if len(items) == 0 {
-		return 0
-	}
-	t := c.tree
-	q := append(c.buf[:0], items...)
-	c.buf = q
-	for _, it := range q {
-		if t.rankOf(it) < 0 {
-			return 0
-		}
-	}
-	itemtree.SortByRankDesc(q, t.rank)
-	return t.arena.Support(q, t.rank)
 }

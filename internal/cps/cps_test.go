@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"macrobase/internal/fptree"
@@ -400,42 +399,6 @@ func TestMergeReservesSlabOnce(t *testing.T) {
 	if m.NumNodes() <= a.NumNodes() {
 		t.Fatal("the merge added no nodes")
 	}
-}
-
-// TestCountersReadConcurrentlyBesideIndex is the concurrent-read
-// carve-out under the race detector: a tree that has been inserted
-// into (so its child index exists) serves any number of Counters at
-// once, because the support walks read Nodes and Headers only and
-// never touch the index. Run with -race.
-func TestCountersReadConcurrentlyBesideIndex(t *testing.T) {
-	rng := rand.New(rand.NewPCG(97, 98))
-	tree := NewMCPS()
-	for _, tx := range randomTxs(rng, 3000, 50, 6) {
-		tree.Insert(tx, 1)
-	}
-	if len(tree.arena.Nodes) < 1000 {
-		t.Fatalf("tree too small (%d nodes) to have grown an index", len(tree.arena.Nodes))
-	}
-	queries := randomTxs(rng, 200, 50, 3)
-	want := make([]float64, len(queries))
-	for i, q := range queries {
-		want[i] = tree.ItemsetSupport(q)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var c Counter
-			c.Retarget(tree)
-			for i, q := range queries {
-				if got := c.Support(q); got != want[i] {
-					t.Errorf("Counter.Support(%v) = %v, want %v", q, got, want[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestKeepAllRestructureLeavesMCPSOpen: a nil (keep-all) restructure

@@ -2,8 +2,9 @@
 // paper's evaluation (§6, Appendix D) on the synthetic dataset
 // analogs. Each experiment returns one or more Tables whose rows
 // mirror what the paper reports (series for figures, cells for
-// tables); cmd/mbbench runs them and EXPERIMENTS.md records
-// paper-vs-measured outcomes.
+// tables); cmd/mbbench runs them. Nothing yet checks the rows against
+// the paper's numbers (see ROADMAP.md, "The paper's evaluation as
+// assertions, not tables").
 //
 // Experiments accept a Scale factor that shrinks dataset sizes so the
 // whole suite completes on a laptop; shapes (who wins, crossovers,

@@ -3,22 +3,22 @@ package explain
 import (
 	"fmt"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"testing"
 
 	"macrobase/internal/core"
 )
 
-// Differential harness for the poll worker count: a randomized
-// interleaving of consume/decay/poll operations is replayed against
-// explainers that differ only in PollParallelism, and every poll must
-// produce byte-identical ranked output (reflect.DeepEqual over the full
-// Explanation structs, i.e. bit-equal floats — the striped stages only
-// split index-addressed work, so not even last-ulp drift is tolerated).
-// Failures shrink: the op sequence is greedily minimized while it still
-// fails, and the minimal sequence plus its seed are reported for
-// replay.
+// Differential harness for the poll: a randomized interleaving of
+// consume/decay/poll operations is replayed against an explainer (or a
+// set of shards polled through clone + merge) and against the
+// brute-force model of fuzz_test.go, and every poll must produce the
+// model's explanation set with its counts. The configurations keep
+// decay at retain 0.5 and support at powers of two, so every weight and
+// threshold is an exact dyadic rational and the model agrees with the
+// trees on every >= comparison. Failures shrink: the op sequence is
+// greedily minimized while it still fails, and the minimal sequence
+// plus its seed are reported for replay.
 
 type diffOpKind uint8
 
@@ -108,20 +108,11 @@ func genDiffBatch(rng *rand.Rand) []core.LabeledPoint {
 	return batch
 }
 
-// diffParallelisms are the PollParallelism values every differential
-// replay runs side by side: W=1 runs every stage's one body inline and
-// is the reference, W=2/4/8 stripe it (8 is wider than the four merge
-// legs and than the degenerate tables below, so the clamp is exercised
-// too). Every poll must be reflect.DeepEqual-identical across all of
-// them.
-var diffParallelisms = []int{1, 2, 4, 8}
-
-// degenerateDiffOps scripts the index spaces striping could trip over:
-// script k keeps the combination table at exactly k itemsets (k disjoint
-// outlier pairs; none at k=0), far fewer than the widest W, across polls
-// after fresh outliers, after inlier-only movement, after no movement
-// and after a decay tick. TestDifferentialCachedVsFullSequential pins
-// the table sizes.
+// degenerateDiffOps scripts the smallest combination tables: script k
+// keeps the table at exactly k itemsets (k disjoint outlier pairs; none
+// at k=0) across polls after fresh outliers, after inlier-only
+// movement, after no movement and after a decay tick.
+// TestDifferentialCachedVsFullSequential pins the table sizes.
 func degenerateDiffOps() [][]diffOp {
 	pt := func(label core.Label, attrs ...int32) core.LabeledPoint {
 		return core.LabeledPoint{Point: core.Point{Attrs: attrs}, Label: label}
@@ -150,59 +141,39 @@ func degenerateDiffOps() [][]diffOp {
 	return scripts
 }
 
-// runDiffSequential replays ops against one explainer per
-// PollParallelism and returns a description of the first poll at which
-// a striped one diverges from W=1 ("" = none).
+// runDiffSequential replays ops against one explainer and its model
+// and returns a description of the first poll at which they diverge
+// ("" = none).
 func runDiffSequential(cfg StreamingConfig, ops []diffOp) string {
-	exps := make([]*Streaming, len(diffParallelisms))
-	for i, w := range diffParallelisms {
-		wcfg := cfg
-		wcfg.PollParallelism = w
-		exps[i] = NewStreaming(wcfg)
-	}
+	s := NewStreaming(cfg)
+	m := newStreamModel(cfg)
 	for i, op := range ops {
 		switch op.kind {
 		case diffConsume:
-			for _, s := range exps {
-				s.Consume(op.batch)
-			}
+			s.Consume(op.batch)
+			m.consume(op.batch)
 		case diffDecay:
-			for _, s := range exps {
-				s.Decay()
-			}
+			s.Decay()
+			m.decay()
 		case diffPoll:
-			want := exps[0].Explanations()
-			for j, s := range exps[1:] {
-				if got := s.Explanations(); !reflect.DeepEqual(got, want) {
-					return fmt.Sprintf("op %d (poll, W=%d): %d exps != W=1's %d\nW=%d: %v\nW=1: %v",
-						i, diffParallelisms[j+1], len(got), len(want), diffParallelisms[j+1], got, want)
-				}
+			if msg := diffModel(s.Explanations(), m); msg != "" {
+				return fmt.Sprintf("op %d (poll): %s", i, msg)
 			}
 		}
 	}
 	return ""
 }
 
-// runDiffSharded replays ops against one set of p shards per
-// PollParallelism; every poll merges fresh clones of each set in place
-// (MergeStreamingInto, the session serving path), and the striped sets
-// must match the W=1 set.
+// runDiffSharded replays ops against p shards and one model per shard;
+// every poll merges fresh clones of the shards in place
+// (MergeStreamingInto, the session serving path) and must match the
+// merge of the shard models.
 func runDiffSharded(cfg StreamingConfig, ops []diffOp, p int) string {
-	sets := make([][]*Streaming, len(diffParallelisms))
-	for wi, w := range diffParallelisms {
-		wcfg := cfg
-		wcfg.PollParallelism = w
-		sets[wi] = make([]*Streaming, p)
-		for i := 0; i < p; i++ {
-			sets[wi][i] = NewStreaming(wcfg)
-		}
-	}
-	clones := func(ss []*Streaming) []*Streaming {
-		out := make([]*Streaming, len(ss))
-		for i, s := range ss {
-			out[i] = s.Clone()
-		}
-		return out
+	shards := make([]*Streaming, p)
+	models := make([]*streamModel, p)
+	for i := range shards {
+		shards[i] = NewStreaming(cfg)
+		models[i] = newStreamModel(cfg)
 	}
 	for i, op := range ops {
 		switch op.kind {
@@ -212,28 +183,33 @@ func runDiffSharded(cfg StreamingConfig, ops []diffOp, p int) string {
 				sh := shardOf(op.batch[j].Attrs, p)
 				parts[sh] = append(parts[sh], op.batch[j])
 			}
-			for _, set := range sets {
-				for j, s := range set {
-					s.Consume(parts[j])
-				}
+			for j, s := range shards {
+				s.Consume(parts[j])
+				models[j].consume(parts[j])
 			}
 		case diffDecay:
-			for _, set := range sets {
-				for _, s := range set {
-					s.Decay()
-				}
+			for j, s := range shards {
+				s.Decay()
+				models[j].decay()
 			}
 		case diffPoll:
-			want := MergeStreamingInto(clones(sets[0]))
-			for wi := 1; wi < len(sets); wi++ {
-				if got := MergeStreamingInto(clones(sets[wi])); !reflect.DeepEqual(got, want) {
-					return fmt.Sprintf("op %d (sharded poll, P=%d W=%d): %d exps != W=1's %d\nW=%d: %v\nW=1: %v",
-						i, p, diffParallelisms[wi], len(got), len(want), diffParallelisms[wi], got, want)
-				}
+			owned := make([]*Streaming, p)
+			for j, s := range shards {
+				owned[j] = s.Clone()
+			}
+			if msg := diffModel(MergeStreamingInto(owned), mergeModels(models)); msg != "" {
+				return fmt.Sprintf("op %d (sharded poll, P=%d): %s", i, p, msg)
 			}
 		}
 	}
 	return ""
+}
+
+// consume feeds a labeled batch to the model.
+func (m *streamModel) consume(batch []core.LabeledPoint) {
+	for i := range batch {
+		m.insert(batch[i].Attrs, batch[i].Label == core.Outlier)
+	}
 }
 
 // shrinkDiffOps greedily minimizes a failing op sequence: it walks the
@@ -261,7 +237,7 @@ func shrinkDiffOps(ops []diffOp, run func([]diffOp) string) []diffOp {
 func reportDiffFailure(t *testing.T, seed uint64, ops []diffOp, run func([]diffOp) string) {
 	t.Helper()
 	min := shrinkDiffOps(ops, run)
-	t.Errorf("striped explanations diverged from W=1 (seed %d)\nminimal reproducer (%d ops):", seed, len(min))
+	t.Errorf("explanations diverged from the model (seed %d)\nminimal reproducer (%d ops):", seed, len(min))
 	for i, op := range min {
 		t.Logf("  %2d: %s", i, op)
 	}
@@ -270,16 +246,16 @@ func reportDiffFailure(t *testing.T, seed uint64, ops []diffOp, run func([]diffO
 
 func diffConfigs() []StreamingConfig {
 	return []StreamingConfig{
-		{MinSupport: 0.01, MinRiskRatio: 1.1, DecayRate: 0.1},
-		// Confidence intervals + Bonferroni exercise the tested-count
-		// bookkeeping, which must not depend on W either.
-		{MinSupport: 0.02, MinRiskRatio: 1.05, DecayRate: 0.2, Confidence: 0.95, Bonferroni: true},
-		{MinSupport: 0.005, MinRiskRatio: 1.2, DecayRate: 0.05, MaxItems: 2},
+		{MinSupport: 1.0 / 64, MinRiskRatio: 1.125, DecayRate: 0.5},
+		// Confidence intervals + Bonferroni run the tested-count
+		// bookkeeping beside the counts.
+		{MinSupport: 1.0 / 32, MinRiskRatio: 1.0625, DecayRate: 0.5, Confidence: 0.95, Bonferroni: true},
+		{MinSupport: 1.0 / 128, MinRiskRatio: 1.25, DecayRate: 0.5, MaxItems: 2},
 	}
 }
 
-// TestDifferentialCachedVsFullSequential: single explainers at every W
-// against W=1, over random interleavings and the degenerate scripts,
+// TestDifferentialCachedVsFullSequential: a single explainer against
+// the model, over random interleavings and the degenerate scripts,
 // whose table sizes it also holds to the ones they are named for.
 func TestDifferentialCachedVsFullSequential(t *testing.T) {
 	for ci, cfg := range diffConfigs() {
@@ -317,8 +293,9 @@ func TestDifferentialCachedVsFullSequential(t *testing.T) {
 	}
 }
 
-// TestDifferentialCachedVsFullSharded: merged polls over P=3 shard sets
-// at every W against W=1, and the degenerate scripts at P=1..4.
+// TestDifferentialCachedVsFullSharded: merged polls over P=3 shards
+// against the merged shard models, and the degenerate scripts at
+// P=1..4.
 func TestDifferentialCachedVsFullSharded(t *testing.T) {
 	for ci, cfg := range diffConfigs() {
 		for seed := uint64(0); seed < 4; seed++ {

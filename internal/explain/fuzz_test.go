@@ -1,8 +1,8 @@
 package explain
 
 import (
+	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -11,24 +11,19 @@ import (
 )
 
 // The explain fuzz target drives a random interleaving of outlier and
-// inlier inserts, decay-tick restructures, and polls against two
-// oracles at every poll:
-//
-//  1. explainers at PollParallelism 2 and 4 fed the identical stream;
-//     their output must be reflect.DeepEqual (bit-equal floats) with
-//     the W=1 explainer's;
-//  2. a brute-force model: flat weighted multisets of outlier/inlier
-//     transactions to which the M-CPS semantics (decay, frequent-set
-//     projection, insert filtering) are applied directly, from which
-//     the expected explanation set — itemsets, outlier counts, inlier
-//     counts — is enumerated by exhaustive subset counting. Counting
-//     is fully independent of the trees; only the risk-ratio scoring
-//     helper is shared.
+// inlier inserts, decay-tick restructures, and polls against a
+// brute-force model at every poll: flat weighted multisets of
+// outlier/inlier transactions to which the M-CPS semantics (decay,
+// frequent-set projection, insert filtering) are applied directly, from
+// which the expected explanation set — itemsets, outlier counts, inlier
+// counts — is enumerated by exhaustive subset counting. Counting is
+// fully independent of the trees; only the risk-ratio scoring helper is
+// shared.
 //
 // Decay is restricted to retain = 0.5 and MinSupport to a power of
 // two, so every weight, total, and threshold stays an exactly
-// representable dyadic rational and both oracles agree with the trees
-// on every >= comparison without tolerance games.
+// representable dyadic rational and the model agrees with the trees on
+// every >= comparison without tolerance games.
 
 var fuzzCfg = StreamingConfig{MinSupport: 0.125, MinRiskRatio: 1.5, DecayRate: 0.5}
 
@@ -38,16 +33,18 @@ type fuzzTx struct {
 	w     float64
 }
 
-// streamModel is the brute-force model of one Streaming explainer.
+// streamModel is the brute-force model of one Streaming explainer
+// configured as cfg.
 type streamModel struct {
+	cfg               StreamingConfig
 	outTxs, inTxs     []fuzzTx
 	totalOut, totalIn float64
 	outCnt, inCnt     map[int32]float64 // sketch-side per-item counts (never projected)
 	allowed           map[int32]bool    // nil = keep-all (no decay yet)
 }
 
-func newStreamModel() *streamModel {
-	return &streamModel{outCnt: map[int32]float64{}, inCnt: map[int32]float64{}}
+func newStreamModel(cfg StreamingConfig) *streamModel {
+	return &streamModel{cfg: cfg, outCnt: map[int32]float64{}, inCnt: map[int32]float64{}}
 }
 
 func (m *streamModel) insert(items []int32, outlier bool) {
@@ -72,7 +69,7 @@ func (m *streamModel) insert(items []int32, outlier bool) {
 // outlier-frequent attribute set from the sketch-side counts, and
 // project both transaction multisets onto it.
 func (m *streamModel) decay() {
-	retain := 1 - fuzzCfg.DecayRate
+	retain := 1 - m.cfg.DecayRate
 	m.totalOut *= retain
 	m.totalIn *= retain
 	for it := range m.outCnt {
@@ -87,7 +84,7 @@ func (m *streamModel) decay() {
 	for i := range m.inTxs {
 		m.inTxs[i].w *= retain
 	}
-	minOut := fuzzCfg.MinSupport * m.totalOut
+	minOut := m.cfg.MinSupport * m.totalOut
 	m.allowed = map[int32]bool{}
 	for it, c := range m.outCnt {
 		if c >= minOut {
@@ -132,21 +129,22 @@ func support(txs []fuzzTx, q []int32) float64 {
 }
 
 // expected enumerates the model's explanation set: single attributes
-// from the sketch-side counts, combinations by exhaustive subset
-// counting over the projected outlier transactions.
+// from the sketch-side counts, combinations of up to cfg.MaxItems
+// attributes by exhaustive subset counting over the projected outlier
+// transactions.
 func (m *streamModel) expected() map[string][2]float64 {
 	want := map[string][2]float64{}
 	if m.totalOut <= 0 {
 		return want
 	}
-	minCount := fuzzCfg.MinSupport * m.totalOut
+	minCount := m.cfg.MinSupport * m.totalOut
 	qualified := map[int32]bool{}
 	for it, ao := range m.outCnt {
 		if ao < minCount {
 			continue
 		}
 		ai := m.inCnt[it]
-		if RiskRatio(ao, ai, m.totalOut, m.totalIn) < fuzzCfg.MinRiskRatio {
+		if RiskRatio(ao, ai, m.totalOut, m.totalIn) < m.cfg.MinRiskRatio {
 			continue
 		}
 		qualified[it] = true
@@ -168,6 +166,9 @@ func (m *streamModel) expected() map[string][2]float64 {
 		if len(cur) > 0 && support(m.outTxs, cur) < minCount {
 			return // anti-monotone prune
 		}
+		if m.cfg.MaxItems > 0 && len(cur) > m.cfg.MaxItems {
+			return
+		}
 		if len(cur) >= 2 {
 			ok := true
 			for _, it := range cur {
@@ -179,7 +180,7 @@ func (m *streamModel) expected() map[string][2]float64 {
 			if ok {
 				ao := support(m.outTxs, cur)
 				ai := support(m.inTxs, cur)
-				if RiskRatio(ao, ai, m.totalOut, m.totalIn) >= fuzzCfg.MinRiskRatio {
+				if RiskRatio(ao, ai, m.totalOut, m.totalIn) >= m.cfg.MinRiskRatio {
 					want[itemKey(slices.Clone(cur))] = [2]float64{ao, ai}
 				}
 			}
@@ -192,9 +193,54 @@ func (m *streamModel) expected() map[string][2]float64 {
 	return want
 }
 
-// runStreamScript decodes and replays one fuzz script against the W=1
-// explainer, its striped twins, and the brute-force model, failing on
-// the first divergence. Op encoding, one leading opcode byte each:
+// mergeModels is the brute-force model of a merged explainer: the
+// union of the shards' projected transaction multisets, with sketch
+// counts and totals summed.
+func mergeModels(shards []*streamModel) *streamModel {
+	m := newStreamModel(shards[0].cfg)
+	for _, sh := range shards {
+		m.outTxs = append(m.outTxs, sh.outTxs...)
+		m.inTxs = append(m.inTxs, sh.inTxs...)
+		m.totalOut += sh.totalOut
+		m.totalIn += sh.totalIn
+		for it, c := range sh.outCnt {
+			m.outCnt[it] += c
+		}
+		for it, c := range sh.inCnt {
+			m.inCnt[it] += c
+		}
+	}
+	return m
+}
+
+// diffModel compares one poll's explanations with the model's expected
+// set and describes the first mismatch ("" = none).
+func diffModel(got []core.Explanation, m *streamModel) string {
+	want := m.expected()
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d explanations, model %d\ngot %v\nmodel %v", len(got), len(want), got, want)
+	}
+	for j := range got {
+		e := &got[j]
+		ct, ok := want[itemKey(e.ItemIDs)]
+		if !ok {
+			return fmt.Sprintf("unexpected explanation %v", e)
+		}
+		if math.Abs(e.OutlierCount-ct[0]) > 1e-9 || math.Abs(e.InlierCount-ct[1]) > 1e-9 {
+			return fmt.Sprintf("%v counts (%v, %v), model (%v, %v)",
+				e.ItemIDs, e.OutlierCount, e.InlierCount, ct[0], ct[1])
+		}
+		if math.Abs(e.TotalOutliers-m.totalOut) > 1e-9 || math.Abs(e.TotalInliers-m.totalIn) > 1e-9 {
+			return fmt.Sprintf("totals (%v, %v), model (%v, %v)",
+				e.TotalOutliers, e.TotalInliers, m.totalOut, m.totalIn)
+		}
+	}
+	return ""
+}
+
+// runStreamScript decodes and replays one fuzz script against an
+// explainer and the brute-force model, failing on the first
+// divergence. Op encoding, one leading opcode byte each:
 //
 //	0x00-0x5F  insert outlier: following bytes % 9 are the attrs
 //	           until a byte >= 0xF0 (possibly none: attribute-less)
@@ -203,19 +249,8 @@ func (m *streamModel) expected() map[string][2]float64 {
 //	0xD0-0xFF  poll + compare
 func runStreamScript(t *testing.T, data []byte) {
 	t.Helper()
-	serialCfg := fuzzCfg
-	serialCfg.PollParallelism = 1
-	s := NewStreaming(serialCfg)
-	// Parallel twins: same configuration at W=2 and W=4. The striped
-	// merge/mine/recount workers must reproduce the serial ranked
-	// output bit-for-bit at every poll.
-	var twins []*Streaming
-	for _, w := range []int{2, 4} {
-		wcfg := fuzzCfg
-		wcfg.PollParallelism = w
-		twins = append(twins, NewStreaming(wcfg))
-	}
-	model := newStreamModel()
+	s := NewStreaming(fuzzCfg)
+	model := newStreamModel(fuzzCfg)
 	inserts, decays, polls := 0, 0, 0
 	for i := 0; i < len(data) && inserts < 48 && decays < 12 && polls < 10; i++ {
 		op := data[i]
@@ -236,46 +271,16 @@ func runStreamScript(t *testing.T, data []byte) {
 				pt.Label = core.Outlier
 			}
 			s.Consume([]core.LabeledPoint{pt})
-			for _, tw := range twins {
-				tw.Consume([]core.LabeledPoint{pt})
-			}
 			model.insert(attrs, outlier)
 			inserts++
 		case op < 0xD0: // decay
 			s.Decay()
-			for _, tw := range twins {
-				tw.Decay()
-			}
 			model.decay()
 			decays++
 		default: // poll + compare
 			polls++
-			got := s.Explanations()
-			for _, tw := range twins {
-				if gotW := tw.Explanations(); !reflect.DeepEqual(gotW, got) {
-					t.Fatalf("W=%d poll diverged from W=1:\nW=%d: %v\nW=1:  %v\nops %x",
-						tw.cfg.PollParallelism, tw.cfg.PollParallelism, gotW, got, data)
-				}
-			}
-			want := model.expected()
-			if len(got) != len(want) {
-				t.Fatalf("poll: %d explanations, model %d\ngot %v\nmodel %v\nops %x",
-					len(got), len(want), got, want, data)
-			}
-			for j := range got {
-				e := &got[j]
-				ct, ok := want[itemKey(e.ItemIDs)]
-				if !ok {
-					t.Fatalf("poll: unexpected explanation %v (ops %x)", e, data)
-				}
-				if math.Abs(e.OutlierCount-ct[0]) > 1e-9 || math.Abs(e.InlierCount-ct[1]) > 1e-9 {
-					t.Fatalf("poll: %v counts (%v, %v), model (%v, %v) (ops %x)",
-						e.ItemIDs, e.OutlierCount, e.InlierCount, ct[0], ct[1], data)
-				}
-				if math.Abs(e.TotalOutliers-model.totalOut) > 1e-9 || math.Abs(e.TotalInliers-model.totalIn) > 1e-9 {
-					t.Fatalf("poll: totals (%v, %v), model (%v, %v) (ops %x)",
-						e.TotalOutliers, e.TotalInliers, model.totalOut, model.totalIn, data)
-				}
+			if msg := diffModel(s.Explanations(), model); msg != "" {
+				t.Fatalf("poll: %s\nops %x", msg, data)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"macrobase/internal/core"
@@ -106,12 +107,14 @@ func shardOf(attrs []int32, p int) int {
 	return int(h % uint64(p))
 }
 
-// goldenStreamingRun replays the workload and returns the outputs of
-// two back-to-back final polls. Mid-stream polls are issued along the
-// way: a poll must be side-effect-free, so a polled-while-running
-// explainer still has to reproduce the committed golden files
-// bit-for-bit.
-func goldenStreamingRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEvery int) (first, again string) {
+// goldenStreamingRun replays the workload and returns, for each of
+// `pollers` pollers, the outputs of two back-to-back final polls.
+// Poller 0 polls the explainer itself and the others each poll a clone
+// of it, all at once: clones share no poll scratch with their source
+// or with each other. Mid-stream polls are issued along the way: a poll
+// must be side-effect-free, so a polled-while-running explainer still
+// has to reproduce the committed golden files bit-for-bit.
+func goldenStreamingRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEvery, pollers int) [][2]string {
 	s := NewStreaming(cfg)
 	for i := 0; i < len(labeled); i += 500 {
 		end := i + 500
@@ -126,14 +129,37 @@ func goldenStreamingRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayE
 			s.Explanations() // mid-stream poll
 		}
 	}
-	return goldenFormat(s.Explanations()), goldenFormat(s.Explanations())
+	views := []*Streaming{s}
+	for len(views) < pollers {
+		views = append(views, s.Clone())
+	}
+	return pollConcurrently(pollers, func(p int) string { return goldenFormat(views[p].Explanations()) })
+}
+
+// pollConcurrently runs poll twice for each of `pollers` pollers, the
+// pollers on their own goroutines, and returns each poller's two
+// answers.
+func pollConcurrently(pollers int, poll func(p int) string) [][2]string {
+	out := make([][2]string, pollers)
+	var wg sync.WaitGroup
+	for p := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[p] = [2]string{poll(p), poll(p)}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // goldenShardedRun partitions the stream across 3 explainers, decaying
 // all shards on a shared clock, then reconciles via clone + merge —
-// the same protocol the sharded engine's poll path uses. It returns
-// two merged polls, each over fresh clones of the unchanged shards.
-func goldenShardedRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEvery int) (first, again string) {
+// the same protocol the sharded engine's poll path uses. It returns,
+// for each of `pollers` concurrent pollers, two merged polls, each over
+// fresh clones of the unchanged shards (taken before the pollers start,
+// as a session's shard workers hand them over).
+func goldenShardedRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEvery, pollers int) [][2]string {
 	const p = 3
 	shards := make([]*Streaming, p)
 	bufs := make([][]core.LabeledPoint, p)
@@ -158,14 +184,22 @@ func goldenShardedRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEve
 			}
 		}
 	}
-	clones := func() []*Streaming {
-		out := make([]*Streaming, p)
-		for j := range shards {
-			out[j] = shards[j].Clone()
+	clones := make([][][]*Streaming, pollers)
+	for i := range clones {
+		for range 2 {
+			round := make([]*Streaming, p)
+			for j := range shards {
+				round[j] = shards[j].Clone()
+			}
+			clones[i] = append(clones[i], round)
 		}
-		return out
 	}
-	return goldenFormat(MergeStreamingInto(clones())), goldenFormat(MergeStreamingInto(clones()))
+	polled := make([]int, pollers) // each poller's goroutine touches only its own slot
+	return pollConcurrently(pollers, func(i int) string {
+		round := clones[i][polled[i]]
+		polled[i]++
+		return goldenFormat(MergeStreamingInto(round))
+	})
 }
 
 func checkGolden(t *testing.T, name, got string) {
@@ -189,6 +223,9 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// TestGoldenStreamingExplanations holds both poll modes to the
+// committed goldens with W = 1, 2 and 4 concurrent pollers, each
+// polling twice: every answer must match.
 func TestGoldenStreamingExplanations(t *testing.T) {
 	cfg := StreamingConfig{MinSupport: 0.005, MinRiskRatio: 1.2, DecayRate: 0.05, AMCSize: 1 << 20}
 	for _, w := range []struct {
@@ -197,27 +234,28 @@ func TestGoldenStreamingExplanations(t *testing.T) {
 		seed uint64
 	}{{"CMT", 40_000, 17}, {"Liquor", 40_000, 23}} {
 		labeled := goldenWorkload(t, w.name, w.n, w.seed)
-		// Every poll parallelism must reproduce the same committed golden
-		// file: the parallel poll pipeline's output is W-invariant, and
-		// W=1 is bit-exact with the historical serial path the goldens
-		// were recorded on.
-		for _, par := range []int{1, 2, 4} {
-			wcfg := cfg
-			wcfg.PollParallelism = par
-			t.Run(fmt.Sprintf("%s/sequential/W%d", w.name, par), func(t *testing.T) {
-				first, again := goldenStreamingRun(labeled, wcfg, 8000)
-				checkGolden(t, "golden_"+w.name+"_seq.txt", first)
-				if again != first {
-					t.Errorf("repeated poll diverged from the first:\n--- first ---\n%s--- repeated ---\n%s", first, again)
-				}
+		for _, pollers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/sequential/W%d", w.name, pollers), func(t *testing.T) {
+				checkPolls(t, "golden_"+w.name+"_seq.txt", goldenStreamingRun(labeled, cfg, 8000, pollers))
 			})
-			t.Run(fmt.Sprintf("%s/sharded/W%d", w.name, par), func(t *testing.T) {
-				first, again := goldenShardedRun(labeled, wcfg, 9000)
-				checkGolden(t, "golden_"+w.name+"_sharded.txt", first)
-				if again != first {
-					t.Errorf("repeated poll diverged from the first:\n--- first ---\n%s--- repeated ---\n%s", first, again)
-				}
+			t.Run(fmt.Sprintf("%s/sharded/W%d", w.name, pollers), func(t *testing.T) {
+				checkPolls(t, "golden_"+w.name+"_sharded.txt", goldenShardedRun(labeled, cfg, 9000, pollers))
 			})
+		}
+	}
+}
+
+// checkPolls holds the first poller's first answer to the golden file
+// and every other answer to that one.
+func checkPolls(t *testing.T, name string, polls [][2]string) {
+	t.Helper()
+	first := polls[0][0]
+	checkGolden(t, name, first)
+	for p, answers := range polls {
+		for k, got := range answers {
+			if got != first {
+				t.Errorf("poller %d, poll %d diverged from the first:\n--- first ---\n%s--- got ---\n%s", p, k+1, first, got)
+			}
 		}
 	}
 }

@@ -128,13 +128,14 @@ func TestStreamingMergeOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestMergeStreamingSingleShardIsExact: the one-shard path must return
-// exactly what the underlying explainer returns, clone-free.
+// TestMergeStreamingSingleShardIsExact: the one-shard path of
+// MergeStreamingInto must return exactly what the underlying explainer
+// returns.
 func TestMergeStreamingSingleShardIsExact(t *testing.T) {
 	s := NewStreaming(StreamingConfig{MinSupport: 0.01})
 	s.Consume(labeledStream(10_000, 30, 5, 9))
 	direct := s.Explanations()
-	merged := MergeStreaming([]*Streaming{s})
+	merged := MergeStreamingInto([]*Streaming{s})
 	if len(direct) != len(merged) {
 		t.Fatalf("single-shard merge differs: %d vs %d", len(direct), len(merged))
 	}
@@ -144,7 +145,7 @@ func TestMergeStreamingSingleShardIsExact(t *testing.T) {
 			t.Errorf("explanation %d differs", i)
 		}
 	}
-	if MergeStreaming(nil) != nil {
+	if MergeStreamingInto(nil) != nil {
 		t.Error("empty merge should be nil")
 	}
 }

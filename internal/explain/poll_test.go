@@ -39,17 +39,16 @@ func pollWorkload(rng *rand.Rand, n int) []core.LabeledPoint {
 	return batch
 }
 
-// TestPollAllocationsAtW1 pins what a poll allocates when every stage's
-// one body runs inline: the slots, counters and staging buffers a
-// striped pass needs are pooled scratch, not per-poll garbage, so a
-// poll after a decay tick may not allocate more than the commit before
-// the serial twins were folded into the striped bodies did on this very
-// workload — 73 allocs (b1400f8, go1.24).
+// TestPollAllocationsAtW1 pins what a poll allocates on its one worker,
+// the polling goroutine: the miner frames and staging buffers are
+// pooled scratch, not per-poll garbage, so a poll after a decay tick
+// may not allocate more than the serial poll did before striping was
+// added and taken out again — 73 allocs (b1400f8, go1.24).
 func TestPollAllocationsAtW1(t *testing.T) {
 	if !strings.HasPrefix(runtime.Version(), "go1.24") {
 		t.Skipf("parent figures were measured on go1.24, not %s (the runtime's own allocations, maps above all, differ by toolchain)", runtime.Version())
 	}
-	cfg := StreamingConfig{MinSupport: 0.01, MinRiskRatio: 1.1, DecayRate: 0.1, PollParallelism: 1}
+	cfg := StreamingConfig{MinSupport: 0.01, MinRiskRatio: 1.1, DecayRate: 0.1}
 	rng := rand.New(rand.NewPCG(21, 22))
 	s := NewStreaming(cfg)
 	s.Consume(pollWorkload(rng, 4000))
@@ -60,6 +59,6 @@ func TestPollAllocationsAtW1(t *testing.T) {
 		s.Explanations()
 	})
 	if full > 73 {
-		t.Errorf("warmed W=1 poll after a decay tick allocates %v, want <= 73", full)
+		t.Errorf("warmed poll after a decay tick allocates %v, want <= 73", full)
 	}
 }

@@ -34,14 +34,6 @@ type StreamingConfig struct {
 	// Bonferroni corrects the confidence level for the number of
 	// combinations tested.
 	Bonferroni bool
-	// PollParallelism is the worker count for the poll-path compute:
-	// the shard-merge legs, the FPGrowth mine, and the canonical
-	// recount passes. 0 resolves to runtime.GOMAXPROCS(0); 1 runs every
-	// stage inline on the polling goroutine. Ranked output is identical
-	// for every value — each stage has one body, and workers only split
-	// index-addressed work whose per-element arithmetic never changes
-	// (see doc.go, "Parallel poll pipeline").
-	PollParallelism int
 }
 
 func (c StreamingConfig) withDefaults() StreamingConfig {
@@ -81,10 +73,8 @@ type Streaming struct {
 	inTree   *cps.Tree
 
 	// borrowed are other explainers' inlier trees, aliased by Merge in
-	// shard order and only ever counted on; inShared marks inTree itself
-	// as another explainer's. ownInliers resolves both.
+	// shard order and only ever counted on; ownInliers folds them in.
 	borrowed []*cps.Tree
-	inShared bool
 
 	totalOut float64
 	totalIn  float64
@@ -95,13 +85,6 @@ type Streaming struct {
 	freqItems  []int32
 	freqCounts []float64
 	qualified  []bool
-
-	// Poll scratch (see parallel.go): one tree counter per worker, each
-	// with a private query buffer, and the index-addressed count slots
-	// of the striped pass in flight. Scratch, not state: Clone does not
-	// copy it.
-	counters []*cps.Counter
-	slots    []float64
 }
 
 // NewStreaming returns a streaming explainer.
@@ -250,23 +233,53 @@ func (s *Streaming) Explanations() []core.Explanation {
 // relaxed threshold so reassociation ulps between the two orders can
 // never hide a qualifying candidate from discovery.
 func (s *Streaming) fullTable(minCount float64) []fptree.Itemset {
-	mined := s.outTree.MineParallel(minCount*(1-1e-6), s.cfg.MaxItems, s.cfg.parallelism())
-	counts := s.slotsFor(len(mined))
-	s.stripe(len(mined), func(w, stride int) {
-		c := s.counter(w, s.outTree)
-		for idx := w; idx < len(mined); idx += stride {
-			if len(mined[idx].Items) >= 2 { // singles are covered by the sketches
-				counts[idx] = c.Support(mined[idx].Items)
-			}
-		}
-	})
+	mined := s.outTree.Mine(minCount*(1-1e-6), s.cfg.MaxItems)
 	tab := make([]fptree.Itemset, 0, len(mined))
-	for i, is := range mined {
-		if len(is.Items) >= 2 && counts[i] >= minCount {
-			tab = append(tab, fptree.Itemset{Items: is.Items, Count: counts[i]})
+	for _, is := range mined {
+		if len(is.Items) < 2 {
+			continue // singles are covered by the sketches
+		}
+		if n := s.outTree.ItemsetSupport(is.Items); n >= minCount {
+			tab = append(tab, fptree.Itemset{Items: is.Items, Count: n})
 		}
 	}
 	return tab
+}
+
+// filterCombinations is the multi-attribute half of Explanations: every
+// table entry whose attributes all qualified on their own is counted
+// over the inliers and kept if its risk ratio clears the threshold. A
+// merged explainer sums the entry's supports over its own tree, then
+// each borrowed one in shard order: a function of the shard states and
+// their order alone.
+func (s *Streaming) filterCombinations(tab []fptree.Itemset, exps []core.Explanation, tested int) ([]core.Explanation, int) {
+entries:
+	for _, is := range tab {
+		for _, it := range is.Items {
+			if int(it) >= len(s.qualified) || !s.qualified[it] {
+				continue entries
+			}
+		}
+		ai := s.inTree.ItemsetSupport(is.Items)
+		for _, t := range s.borrowed {
+			ai += t.ItemsetSupport(is.Items)
+		}
+		tested++
+		rr := RiskRatio(is.Count, ai, s.totalOut, s.totalIn)
+		if rr < s.cfg.MinRiskRatio {
+			continue
+		}
+		exps = append(exps, core.Explanation{
+			ItemIDs:       is.Items,
+			Support:       is.Count / s.totalOut,
+			RiskRatio:     rr,
+			OutlierCount:  is.Count,
+			InlierCount:   ai,
+			TotalOutliers: s.totalOut,
+			TotalInliers:  s.totalIn,
+		})
+	}
+	return exps, tested
 }
 
 var _ core.Explainer = (*Streaming)(nil)

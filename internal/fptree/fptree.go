@@ -27,7 +27,6 @@ package fptree
 
 import (
 	"slices"
-	"sync"
 
 	"macrobase/internal/itemtree"
 )
@@ -52,14 +51,12 @@ type Tree struct {
 	// Reusable scratch: ids is the lazily built rank -> id table shared
 	// with conditionals (idsValid marks it current for this build);
 	// buildCounts stages per-token totals during (re)builds; pathBuf
-	// holds prefix paths replayed into conditionals; ends is
-	// MineParallelWith's per-rank bookkeeping.
+	// holds prefix paths replayed into conditionals.
 	ids         []int32
 	idsValid    bool
 	buildCounts []float64
 	pathBuf     []int32
 	scratch     []int32
-	ends        []int // per-rank stage offsets of one mine
 }
 
 // Miner owns the conditional FP-trees built during mining, one
@@ -68,8 +65,8 @@ type Tree struct {
 // zero value is ready to use.
 type Miner struct {
 	frames []*Tree
-	// out stages the patterns this miner finds during one mine (see
-	// MineParallelWith); the capacity is recycled, the contents are not.
+	// out stages the patterns of one mine (see MineWith); the capacity
+	// is recycled, the contents are not.
 	out []Itemset
 }
 
@@ -212,44 +209,6 @@ func (t *Tree) ItemCount(item int32) float64 {
 // Valid only on Build-constructed trees (token space = ids).
 func (t *Tree) Items() []int32 { return t.order }
 
-// Stride is how many stripes RunStriped cuts an index space of n into
-// for a budget of `workers`: never more than there are indexes — a
-// one-entry table at W=8 spawns nothing — and never fewer than the one
-// the caller runs. Callers that pool per-worker scratch size it by this.
-func Stride(workers, n int) int { return max(1, min(workers, n)) }
-
-// RunStriped is the one fan-out of the poll path: it splits the index
-// space [0, n) into stripes idx ≡ w (mod stride), stride = Stride(workers,
-// n), and runs body(w, stride) once per stripe, returning the stride. A
-// stride of 1 runs the body inline on the caller: no goroutine, no
-// WaitGroup, which is what makes the striped body of every stage also
-// its serial implementation. Otherwise stride-1 goroutines plus the
-// caller run the stripes and RunStriped returns when all have finished.
-//
-// Striping is deterministic — a given (workers, n) always hands the same
-// elements to the same worker — and bodies write only index-addressed
-// slots or worker-private scratch that the caller assembles afterwards
-// in index order, so scheduling can never reorder (or reassociate)
-// anything and output is identical at every worker count.
-func RunStriped(workers, n int, body func(w, stride int)) int {
-	stride := Stride(workers, n)
-	if stride == 1 {
-		body(0, 1)
-		return 1
-	}
-	var wg sync.WaitGroup
-	wg.Add(stride - 1)
-	for w := 1; w < stride; w++ {
-		go func(w int) {
-			defer wg.Done()
-			body(w, stride)
-		}(w)
-	}
-	body(0, stride)
-	wg.Wait()
-	return stride
-}
-
 // Mine runs FPGrowth and returns every itemset with weight >=
 // minCount. maxItems, when positive, bounds the itemset size.
 // The output includes singleton itemsets.
@@ -259,83 +218,21 @@ func (t *Tree) Mine(minCount float64, maxItems int) []Itemset {
 
 // MineWith is Mine with a caller-owned Miner: the conditional trees
 // built during the FPGrowth recursion reuse the miner's per-depth
-// arena frames, so repeated mines (the streaming explainer's poll
-// path) allocate only the returned itemsets.
+// arena frames, and the patterns are staged in the miner's recycled
+// output buffer, so repeated mines (the streaming explainer's poll
+// path) allocate only the returned itemsets. Patterns come out grouped
+// by the top-level item they end in, least frequent item first, each
+// itemset canonically sorted (slices.Sort keeps that allocation-free;
+// a sort.Slice closure would allocate once per set).
 func (t *Tree) MineWith(m *Miner, minCount float64, maxItems int) []Itemset {
-	return t.MineParallelWith([]*Miner{m}, minCount, maxItems)
-}
-
-// MineParallelWith mines with up to len(miners) >= 1 workers, each
-// owning one Miner (its private conditional-tree frames and output
-// staging). The top-level header items are striped across workers —
-// every FPGrowth pattern ends in exactly one top-level item, so the
-// per-item recursions are independent given read-only access to this
-// tree (ChainCount, conditionalInto, and the prebuilt rank->id table
-// never mutate the parent during mining). A worker stages its items'
-// patterns back to back in its miner, least frequent item first, and
-// the stages are stitched together in that same item order, so the
-// returned slice is element-wise identical at every worker count.
-func (t *Tree) MineParallelWith(miners []*Miner, minCount float64, maxItems int) []Itemset {
-	n := len(t.order)
-	// Materialize the shared rank->id table before workers read it
-	// concurrently; it is immutable for the rest of this build.
-	t.idByRank()
-	// ends[i] is where item i's patterns stop in its worker's stage;
-	// they start where the worker's previous item, i+stride, stopped.
-	ends := t.ends[:0]
-	for range t.order {
-		ends = append(ends, 0)
+	m.out = m.out[:0]
+	t.mine(m, 0, minCount, maxItems, nil)
+	for i := range m.out {
+		slices.Sort(m.out[i].Items)
 	}
-	t.ends = ends
-	stride := RunStriped(len(miners), n, func(wk, stride int) {
-		m := miners[wk]
-		m.out = m.out[:0]
-		for i := n - 1 - wk; i >= 0; i -= stride {
-			t.mineTop(m, int32(i), minCount, maxItems)
-			ends[i] = len(m.out)
-		}
-	})
-	total := 0
-	for _, m := range miners[:stride] {
-		total += len(m.out)
-	}
-	out := make([]Itemset, 0, total)
-	for i := n - 1; i >= 0; i-- {
-		from := 0
-		if i+stride < n {
-			from = ends[i+stride]
-		}
-		out = append(out, miners[(n-1-i)%stride].out[from:ends[i]]...)
-	}
-	for _, m := range miners[:stride] {
-		clear(m.out) // the stage must not pin the caller's itemsets
-	}
+	out := append(make([]Itemset, 0, len(m.out)), m.out...)
+	clear(m.out) // the stage must not pin the caller's itemsets
 	return out
-}
-
-// mineTop stages every pattern ending in the top-level item at rank i
-// in m.out, each itemset canonically sorted (slices.Sort keeps that
-// allocation-free; a sort.Slice closure would allocate once per set).
-// Safe to call concurrently for distinct i with distinct miners: it
-// only reads the parent tree.
-func (t *Tree) mineTop(m *Miner, i int32, minCount float64, maxItems int) {
-	total := t.arena.ChainCount(i)
-	if total < minCount {
-		return
-	}
-	from := len(m.out)
-	items := []int32{t.idOf(t.order[i])}
-	m.out = append(m.out, Itemset{Items: items, Count: total})
-	if maxItems <= 0 || len(items) < maxItems {
-		cond := m.frame(0)
-		t.conditionalInto(cond, i, minCount)
-		if len(cond.order) > 0 {
-			cond.mine(m, 1, minCount, maxItems, items)
-		}
-	}
-	for j := from; j < len(m.out); j++ {
-		slices.Sort(m.out[j].Items)
-	}
 }
 
 // mine recursively grows patterns ending in each item of a conditional

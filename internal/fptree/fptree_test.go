@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +103,7 @@ func TestMineKnownExample(t *testing.T) {
 
 func TestMineMatchesBruteForceRandom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
+	reused := &Miner{}
 	for trial := 0; trial < 60; trial++ {
 		nTx := 1 + rng.IntN(25)
 		txs := make([][]int32, nTx)
@@ -122,45 +122,11 @@ func TestMineMatchesBruteForceRandom(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: mined %v != brute %v (txs %v, min %v)", trial, got, want, txs, minCount)
 		}
-		// The brute-force answer is the reference at every worker count:
-		// striping the same body must return the same slice, order
-		// included — also when there are more miners than items.
+		// A recycled miner (frames and output stage from the previous
+		// trial's mine) must return what a fresh one does, order included.
 		tree := Build(txs, nil, minCount)
-		ref := tree.Mine(minCount, 0)
-		for _, w := range []int{2, 3, 8} {
-			miners := make([]*Miner, w)
-			for i := range miners {
-				miners[i] = &Miner{}
-			}
-			if par := tree.MineParallelWith(miners, minCount, 0); !reflect.DeepEqual(par, ref) {
-				t.Fatalf("trial %d: %d miners mined %v, one mined %v", trial, w, par, ref)
-			}
-		}
-	}
-}
-
-// TestRunStriped: every index lands in exactly one stripe at every
-// worker count, and an index space no wider than one worker — however
-// many were offered — runs the body once, inline, at stride 1.
-func TestRunStriped(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 7, 64} {
-		for _, workers := range []int{0, 1, 2, 4, 8, 100} {
-			hits := make([]int32, n)
-			var calls atomic.Int32
-			stride := RunStriped(workers, n, func(w, stride int) {
-				calls.Add(1)
-				for i := w; i < n; i += stride {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			if want := max(1, min(workers, n)); stride != want || int(calls.Load()) != want {
-				t.Errorf("n=%d workers=%d: stride %d, %d body calls, want %d of each", n, workers, stride, calls.Load(), want)
-			}
-			for i, h := range hits {
-				if h != 1 {
-					t.Errorf("n=%d workers=%d: index %d visited %d times", n, workers, i, h)
-				}
-			}
+		if again := tree.MineWith(reused, minCount, 0); !reflect.DeepEqual(again, tree.Mine(minCount, 0)) {
+			t.Fatalf("trial %d: a reused miner mined %v, a fresh one %v", trial, again, tree.Mine(minCount, 0))
 		}
 	}
 }

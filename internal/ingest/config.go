@@ -60,11 +60,6 @@ type QueryConfig struct {
 	// shard for the whole run (bit-exact reproducible, but hot
 	// attribute combinations stay hot).
 	DisableRebalance bool `json:"disableRebalance,omitempty"`
-	// PollParallelism is the worker count for the poll/explain path
-	// (shard merge, FPGrowth mine, canonical recounts). Default: the
-	// server's GOMAXPROCS; 1 pins the serial poll path. Ranked output
-	// is identical for every value.
-	PollParallelism int `json:"pollParallelism,omitempty"`
 	// Seed fixes all randomized components.
 	Seed uint64 `json:"seed,omitempty"`
 }
@@ -95,14 +90,27 @@ func (c *QueryConfig) Validate() error {
 	if c.DecayRate == 0 {
 		c.DecayRate = 0.01
 	}
+	if c.DecayRate < 0 || c.DecayRate >= 1 {
+		return fmt.Errorf("ingest: decayRate %v out of [0,1)", c.DecayRate)
+	}
 	if c.DecayEveryPoints == 0 {
 		c.DecayEveryPoints = 100_000
 	}
 	if c.ReservoirSize == 0 {
 		c.ReservoirSize = 10_000
 	}
-	if c.PollParallelism < 0 {
-		return fmt.Errorf("ingest: pollParallelism %d must be >= 0", c.PollParallelism)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"decayEveryPoints", c.DecayEveryPoints},
+		{"reservoirSize", c.ReservoirSize},
+		{"coordinateEvery", c.CoordinateEvery},
+		{"routingBuckets", c.RoutingBuckets},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("ingest: %s %d must be >= 0", f.name, f.v)
+		}
 	}
 	return nil
 }

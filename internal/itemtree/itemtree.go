@@ -52,9 +52,8 @@
 // # Concurrency
 //
 // An Arena is not safe for concurrent use in general, with one
-// carve-out the parallel poll pipeline depends on: the read-only
-// walks (Support, ChainCount) take all their scratch
-// from the caller and read Nodes and Headers only — never the child
+// carve-out: the read-only walks (Support, ChainCount) take all their
+// scratch from the caller and read Nodes and Headers only — never the child
 // index — so any number of goroutines may run them against the same
 // arena concurrently, provided no mutating method (InsertSorted,
 // Reserve, Decay, Reset, CloneInto as target) runs at the same time.

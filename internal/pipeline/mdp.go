@@ -8,8 +8,6 @@
 package pipeline
 
 import (
-	"runtime"
-
 	"macrobase/internal/classify"
 	"macrobase/internal/core"
 	"macrobase/internal/explain"
@@ -67,14 +65,6 @@ type Config struct {
 	// Trainer, when non-nil, replaces the default MAD/MCD model
 	// selection.
 	Trainer classify.Trainer
-	// PollParallelism is the worker count for the poll/explain path:
-	// the shard-merge legs, the FPGrowth mine, and the canonical
-	// recount passes all fan out across this many goroutines
-	// (explain.StreamingConfig.PollParallelism). Default
-	// runtime.GOMAXPROCS(0); 1 runs every stage inline on the polling
-	// goroutine. Ranked output is identical for every value — the knob
-	// buys poll latency with cores, nothing else.
-	PollParallelism int
 	// CoordinateEvery is the cross-shard threshold coordination period
 	// in ingested points (default 25_000): every so many points the
 	// coordinator collects each shard's score-quantile summary, merges
@@ -154,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CoordinateEvery == 0 {
 		c.CoordinateEvery = 25_000
-	}
-	if c.PollParallelism == 0 {
-		c.PollParallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
 }

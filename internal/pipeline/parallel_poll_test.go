@@ -11,12 +11,11 @@ import (
 	"macrobase/internal/ingest"
 )
 
-// TestParallelPollHammerWithRebalance is the -race exerciser for the
-// parallel poll pipeline: PollParallelism 4 polls (striped merge legs,
-// parallel mines, parallel recounts) racing each other and live ingest
-// with rebalancing enabled, so worker goroutines run against shard
+// TestParallelPollHammerWithRebalance is the -race exerciser for
+// parallel pollers: four goroutines poll at once, racing each other and
+// live ingest with rebalancing enabled, so each poll merges shard
 // clones taken mid-epoch-swap. Correctness here is "no race, no torn
-// result, coherent final answer"; determinism across W is pinned by
+// result, coherent final answer"; the answers themselves are pinned by
 // the explain-level differential and golden tests.
 func TestParallelPollHammerWithRebalance(t *testing.T) {
 	const nParts, shards = 3, 4
@@ -24,7 +23,6 @@ func TestParallelPollHammerWithRebalance(t *testing.T) {
 	cfg := skewedConfig(len(d.Points))
 	cfg.CoordinateEvery = 1_000
 	cfg.BatchSize = 512
-	cfg.PollParallelism = 4
 	_, batched := splitParts(d.Points, nParts, cfg.BatchSize)
 
 	p := ingest.NewPush(nParts, 4)
@@ -87,8 +85,8 @@ func TestParallelPollHammerWithRebalance(t *testing.T) {
 	if final == nil || len(final.Explanations) == 0 {
 		t.Fatal("no final explanations")
 	}
-	// The final reconciliation runs through the same parallel merge; a
-	// second stop-side poll must reproduce it exactly.
+	// The final reconciliation runs through the same merge; a second
+	// stop-side poll must reproduce it exactly.
 	again, err := sess.Poll()
 	if err != nil {
 		t.Fatal(err)

@@ -148,13 +148,12 @@ func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 		Transforms: cfg.Transforms,
 		Classifier: cfg.Classifier,
 		Explainer: explain.NewStreaming(explain.StreamingConfig{
-			MinSupport:      cfg.MinSupport,
-			MinRiskRatio:    cfg.MinRiskRatio,
-			DecayRate:       cfg.DecayRate,
-			AMCSize:         cfg.AMCSize,
-			MaxItems:        cfg.MaxItems,
-			Confidence:      cfg.Confidence,
-			PollParallelism: cfg.PollParallelism,
+			MinSupport:   cfg.MinSupport,
+			MinRiskRatio: cfg.MinRiskRatio,
+			DecayRate:    cfg.DecayRate,
+			AMCSize:      cfg.AMCSize,
+			MaxItems:     cfg.MaxItems,
+			Confidence:   cfg.Confidence,
 		}),
 	}
 	if pl.Classifier == nil && cfg.NewClassifier != nil {

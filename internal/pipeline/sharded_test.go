@@ -149,9 +149,9 @@ func TestShardedStreamMatchesManualPartition(t *testing.T) {
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
-		explainers[s] = pl.Explainer.(*explain.Streaming)
+		explainers[s] = pl.Explainer.(*explain.Streaming).Clone()
 	}
-	manual := explain.MergeStreaming(explainers)
+	manual := explain.MergeStreamingInto(explainers)
 	requireSameExplanations(t, "P=3 vs manual partition", sharded.Explanations, manual)
 }
 
