@@ -13,7 +13,7 @@
 //
 // Beyond the paper's single-core dataflow runtime (core.Runner), the
 // repo provides a shared-nothing sharded streaming engine
-// (core.StreamRunner, pipeline.RunShardedStream): ingest goroutines —
+// (core.StreamRunner, pipeline.RunPartitionedStream): ingest goroutines —
 // one per source partition, see the ingest section below —
 // hash-partition batches by attribute set across P shard workers over
 // bounded channels; each shard owns its own transformer/classifier/
@@ -347,13 +347,15 @@
 // Fast data arrives from many producers at once, so the ingest layer
 // is partitioned and push-based rather than a single pull loop:
 //
-//   - Pull vs push. A legacy core.Source is a pull iterator (Next);
-//     the engine adapts it via core.SourcePartitions into one
-//     partition whose single ingest goroutine is the old pull loop,
-//     batch boundaries and all — adapted execution is bit-identical to
-//     the pre-partitioned engine (pinned by equivalence tests). A
-//     core.PartitionedSource instead exposes N independent
-//     context-aware streams (NextBatch(ctx, max)); core.StreamRunner
+//   - Pull vs push. The engine reads one shape: a
+//     core.PartitionedSource exposes N independent context-aware
+//     streams, each filling the batch the engine loans it
+//     (NextBatchInto(ctx, dst, max)). A legacy core.Source is a pull
+//     iterator (Next); core.SourcePartitions adapts it into one
+//     partition that copies each Next batch into the loan, batch
+//     boundaries and all, so pipeline.RunShardedStream over a Source
+//     is bit-identical to the sequential core.Runner at one shard
+//     (pinned by equivalence tests). core.StreamRunner
 //     runs one ingest goroutine per partition, and partition→shard
 //     routing happens inside each ingest goroutine, so the bounded
 //     per-shard channels are the only cross-goroutine hop and
@@ -363,7 +365,7 @@
 //     also back mbserver's POST /stream/{id}/push NDJSON endpoint).
 //
 //   - Backpressure. Every hop is a bounded channel: shard queues
-//     (QueueDepth batches) and push partition queues alike. A slow
+//     (two batches each) and push partition queues alike. A slow
 //     pipeline therefore surfaces as a blocked producer Send (or a
 //     blocked /push request), never as unbounded server-side
 //     buffering.
@@ -379,7 +381,7 @@
 //     a total order and reproduce exactly, always.
 //
 //   - Deadline-aware stop. Stopping a session cancels the ingest
-//     context, which interrupts in-flight NextBatch calls — no polling
+//     context, which interrupts in-flight NextBatchInto calls — no polling
 //     between batches. For sources that honor no cancellation (a
 //     legacy Source blocked forever in Next, the limitation open since
 //     the sharded engine landed), StreamSession.StopContext bounds the
@@ -499,19 +501,19 @@
 // (testing.AllocsPerRun-pinned, like the explain path before it).
 //
 // Batch ownership is the load-bearing contract: a batch has exactly
-// one owner, and handing it on (channel send, core.BatchPartition
+// one owner, and handing it on (channel send, the NextBatchInto
 // ownership swap, BatchPool.Put) ends the previous owner's right to
 // touch it or any Point views taken from it. Concretely:
 //
-//   - Sources. A partition stream implementing core.BatchPartition is
-//     loaned an empty recycled batch to fill (CSVSource.NextInto
-//     parses rows straight into the slabs); a source that already
-//     holds a filled batch returns it and keeps the loan instead — the
-//     ownership swap that lets ingest.Push hand a producer's batch to
-//     the engine without copying a byte while both free lists stay in
-//     equilibrium. Legacy PartitionStream sources may reuse their
-//     returned backing arrays after their next NextBatch call: the
-//     engine deep-copies during routing and retains nothing.
+//   - Sources. Every partition stream is loaned an empty recycled
+//     batch to fill (CSVSource.NextInto parses rows straight into the
+//     slabs); a source that already holds a filled batch returns it
+//     and keeps the loan instead — the ownership swap that lets
+//     ingest.Push hand a producer's batch to the engine without
+//     copying a byte while both free lists stay in equilibrium. A
+//     legacy core.Source may reuse its returned backing arrays on its
+//     next Next call: core.SourcePartitions copies each batch into the
+//     loan, so nothing the source reuses reaches a worker.
 //
 //   - Producers. ingest.Push producers either loan-and-fill
 //     (GetBatch/SendBatch, allocation-free) or Send([]Point), which
@@ -613,8 +615,9 @@
 //
 // .github/workflows/ci.yml is kept declarative; the reasons live here.
 //
-//   - test runs vet, build and `go test -race -timeout 5m ./...` on a Go
-//     matrix: 1.22 is the go.mod floor, 1.24 the toolchain every
+//   - test runs gofmt -l (any listed file fails the job), vet, build and
+//     `go test -race -timeout 5m ./...` on a Go matrix: 1.22 is the
+//     go.mod floor, 1.24 the toolchain every
 //     committed BENCH_*.json and every bench/ number is recorded with.
 //     The timeout is half the default so that a deadlocked test (one sat
 //     in core's offload suite until PR 18) prints its goroutines while

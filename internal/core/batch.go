@@ -23,10 +23,14 @@ package core
 // reallocation, so Points is free.
 //
 // Ownership protocol: a Batch has exactly one owner at a time. Whoever
-// holds it may fill it and hand it on (a channel send, a
-// BatchPartition swap, a BatchPool.Put); after handing it on, the
-// previous owner must not touch the batch or any Point views obtained
-// from it — the next owner will Reset and refill the same slabs.
+// holds it may fill it and hand it on (a channel send, the
+// PartitionStream.NextBatchInto loan or swap, a BatchPool.Put); after
+// handing it on, the previous owner must not touch the batch or any
+// Point views obtained from it — the next owner will Reset and refill
+// the same slabs. Every partition stream fills (or swaps out) the
+// batch the engine loans it; a legacy Source's points are copied in by
+// SourcePartitions, so no slice the source may reuse ever reaches a
+// worker.
 // Pipeline stages that want to retain point data beyond the call that
 // delivered it must copy the values out (every built-in operator
 // already does: the classifier reservoirs copy metrics, the

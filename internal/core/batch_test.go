@@ -237,7 +237,7 @@ func TestAckTrackerSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// aliasPartition is a BatchPartition whose every batch is filled with
+// aliasPartition is a partition stream whose every batch is filled with
 // a self-consistent pattern: point i of batch k has Metrics[0] = id,
 // Metrics[1] = 2*id and Attrs[0] = id%97 for id = k*maxPts+i. Any
 // cross-owner slab aliasing shows up as a broken invariant (or as a
@@ -260,10 +260,6 @@ func (p *aliasPartition) NextBatchInto(ctx context.Context, dst *Batch, max int)
 	}
 	p.emitted += n
 	return dst, nil
-}
-
-func (p *aliasPartition) NextBatch(ctx context.Context, max int) ([]Point, error) {
-	panic("engine must prefer NextBatchInto")
 }
 
 type aliasSource struct{ parts []*aliasPartition }
@@ -405,8 +401,4 @@ func (s *identitySource) NextBatchInto(ctx context.Context, dst *Batch, max int)
 		dst.Append([]float64{float64(i)}, []int32{int32(i % 5)}, 0)
 	}
 	return dst, nil
-}
-
-func (s *identitySource) NextBatch(ctx context.Context, max int) ([]Point, error) {
-	panic("engine must prefer NextBatchInto")
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func mkPoints(n int, start float64) []Point {
 	pts := make([]Point, n)
@@ -186,22 +183,6 @@ func (w *pairWindow) Flush(dst []Point) []Point {
 		w.pending = nil
 	}
 	return dst
-}
-
-func TestRunnerStop(t *testing.T) {
-	r := Runner{
-		Source:     NewSliceSource(mkPoints(1000, 0)),
-		Classifier: &thresholdClassifier{cut: 1e9},
-		BatchSize:  10,
-		Stop:       func(s RunStats) bool { return s.Points >= 50 },
-	}
-	stats, err := r.Run()
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v", err)
-	}
-	if stats.Points != 50 {
-		t.Errorf("points = %d", stats.Points)
-	}
 }
 
 func TestRunnerRequiresSource(t *testing.T) {

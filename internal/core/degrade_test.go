@@ -33,7 +33,7 @@ type ckPartition struct {
 	acked int64
 }
 
-func (p *ckPartition) NextBatch(ctx context.Context, max int) ([]Point, error) {
+func (p *ckPartition) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
 	if int(p.pos) >= len(p.pts) {
 		return nil, ErrEndOfStream
 	}
@@ -41,9 +41,9 @@ func (p *ckPartition) NextBatch(ctx context.Context, max int) ([]Point, error) {
 	if end > len(p.pts) {
 		end = len(p.pts)
 	}
-	out := p.pts[p.pos:end]
+	dst.AppendPoints(p.pts[p.pos:end])
 	p.pos = int64(end)
-	return out, nil
+	return dst, nil
 }
 
 func (p *ckPartition) Offset() int64 { return p.pos }
@@ -73,7 +73,6 @@ func TestStreamRunnerQuarantinesPanickedShard(t *testing.T) {
 			}
 			return ShardPipeline{Classifier: cls, Explainer: exps[shard]}
 		},
-		Partition: func(p *Point, shards int) int { return int(p.Attrs[0]) % shards },
 		BatchSize: 512,
 	}
 	stats, err := sr.Run()
@@ -98,8 +97,8 @@ func TestStreamRunnerQuarantinesPanickedShard(t *testing.T) {
 	}
 	// The healthy shard saw exactly its share, unperturbed.
 	want := 0
-	for i := 0; i < n; i++ {
-		if (i%17)%2 == 0 {
+	for i := range pts {
+		if HashPartition(&pts[i], 2) == 0 {
 			want++
 		}
 	}

@@ -10,7 +10,6 @@ type pipeExec struct {
 	transforms []Transformer
 	classifier Classifier
 	explainer  Explainer
-	extraDecay []Decayable
 	policy     DecayPolicy
 	onBatch    func(batch []LabeledPoint)
 	// onDispatch/onTick, when non-nil, observe progress increments
@@ -136,9 +135,6 @@ func (e *pipeExec) tick() {
 		d.Decay()
 	}
 	if d, ok := e.explainer.(Decayable); ok {
-		d.Decay()
-	}
-	for _, d := range e.extraDecay {
 		d.Decay()
 	}
 }

@@ -101,8 +101,8 @@ func TestSnapshotServedDuringOffload(t *testing.T) {
 	openGate := func() { gateOnce.Do(func() { close(src.gate) }) }
 	defer openGate() // a failed test must not leave Run blocked in the source
 	sr := StreamRunner{
-		Source: src,
-		Shards: 1,
+		Partitioned: SourcePartitions(src),
+		Shards:      1,
 		NewShard: func(int) ShardPipeline {
 			return ShardPipeline{Classifier: cls, Explainer: exp}
 		},
@@ -173,8 +173,8 @@ func TestOffloadPanicQuarantinesShard(t *testing.T) {
 	cls.fault = true
 	close(cls.release)
 	sr := StreamRunner{
-		Source: NewSliceSource(streamPoints(10_000)),
-		Shards: 1,
+		Partitioned: SourcePartitions(NewSliceSource(streamPoints(10_000))),
+		Shards:      1,
 		NewShard: func(int) ShardPipeline {
 			return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
 		},
@@ -196,7 +196,7 @@ func TestNoOffloadWithoutSnapshots(t *testing.T) {
 	cls := newOffloadClassifier(3000)
 	close(cls.release)
 	sr := StreamRunner{
-		Source: NewSliceSource(streamPoints(5000)),
+		Partitioned: SourcePartitions(NewSliceSource(streamPoints(5000))),
 		NewShard: func(int) ShardPipeline {
 			return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
 		},

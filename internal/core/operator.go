@@ -87,6 +87,6 @@ type TransformFunc func(dst []Point, batch []Point) []Point
 // Transform implements Transformer.
 func (f TransformFunc) Transform(dst []Point, batch []Point) []Point { return f(dst, batch) }
 
-// ErrStopped is returned by the Runner when execution is halted by a
-// Stop callback rather than source exhaustion.
+// ErrStopped is returned by StreamRunner.Run when execution is halted
+// by RequestStop or Abandon rather than source exhaustion.
 var ErrStopped = errors.New("core: pipeline stopped")

@@ -4,31 +4,10 @@ import "context"
 
 // PartitionStream is one partition of a partitioned source: an
 // independent, ordered stream of point batches consumed by exactly one
-// ingest goroutine. It is the push-era replacement for Source's pull
-// loop: NextBatch takes a context so a blocked read can be cancelled
-// mid-call, which is what makes session stop deadline-aware instead of
-// "whenever the source next returns".
-//
-// NextBatch returns at most max points. It returns ErrEndOfStream when
-// the partition is exhausted, and ctx.Err() promptly after ctx is
-// cancelled — including while blocked waiting for data. A non-empty
-// batch and an error may not be combined. The returned backing arrays
-// — the point slice and the Metrics/Attrs slices inside it — must
-// stay untouched until the next NextBatch call on the same partition;
-// after that call they may be reused freely, because the engine
-// deep-copies every point's payload into its own recycled slabs during
-// routing and retains nothing across calls. (This is the buffer-reuse
-// contract that lets CSVSource parse in place and ingest.Push recycle
-// producer batches; it is deliberately weaker than the pre-recycling
-// engine's "never reuse", which shared the slices downstream.)
-type PartitionStream interface {
-	NextBatch(ctx context.Context, max int) ([]Point, error)
-}
-
-// BatchPartition is the slab-native form of a partition stream: the
-// engine loans it an empty recycled Batch to fill, so a steady-state
-// read allocates nothing. Partition streams that implement it are
-// consumed through NextBatchInto instead of NextBatch.
+// ingest goroutine. Its one read takes a context, so a blocked read can
+// be cancelled mid-call (which makes session stop deadline-aware
+// instead of "whenever the source next returns"), and is loaned an
+// empty recycled Batch, so a steady-state read allocates nothing.
 //
 // NextBatchInto delivers the next at-most-max points in one of two
 // ways, its choice per call:
@@ -43,9 +22,12 @@ type PartitionStream interface {
 // Either way exactly one batch changes hands in each direction: the
 // caller owns whatever comes back (and has relinquished dst if the
 // source kept it), the source must retain no reference to the returned
-// batch or its views. On error (ErrEndOfStream, ctx.Err(), a source
-// failure) the returned batch is nil and dst remains the caller's.
-type BatchPartition interface {
+// batch or its views. It returns ErrEndOfStream when the partition is
+// exhausted, and ctx.Err() promptly after ctx is cancelled — including
+// while blocked waiting for data. On error the returned batch is nil
+// and dst remains the caller's; a non-empty batch and an error are
+// never combined.
+type PartitionStream interface {
 	NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error)
 }
 
@@ -79,7 +61,7 @@ type PartitionIngestStats struct {
 }
 
 // BatchSource is the slab-native form of Source for the sequential
-// engine (the pull-loop analog of BatchPartition): Runner loans it a
+// engine (the pull-loop analog of PartitionStream): Runner loans it a
 // recycled Batch to fill, so a steady-state sequential read allocates
 // nothing beyond what parsing itself requires. CSVSource implements it
 // (parse-in-place), closing the last allocating ingest path.
@@ -122,19 +104,27 @@ type PartitionedSource interface {
 }
 
 // sourcePartition adapts a legacy pull Source to a single
-// PartitionStream. The context is checked between Next calls only: a
-// Source whose Next blocks cannot be cancelled mid-call, which is
-// exactly the limitation StreamRunner.Abandon exists to cut short.
+// PartitionStream by copying each Next batch into the loaned one. The
+// copy is what lets the source reuse its buffers on its next Next call
+// while the engine still holds the batch. The context is checked
+// between Next calls only: a Source whose Next blocks cannot be
+// cancelled mid-call, which is exactly the limitation
+// StreamRunner.Abandon exists to cut short.
 type sourcePartition struct {
 	src Source
 }
 
-// NextBatch implements PartitionStream.
-func (p *sourcePartition) NextBatch(ctx context.Context, max int) ([]Point, error) {
+// NextBatchInto implements PartitionStream.
+func (p *sourcePartition) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.src.Next(max)
+	pts, err := p.src.Next(max)
+	if err != nil {
+		return nil, err
+	}
+	dst.AppendPoints(pts)
+	return dst, nil
 }
 
 // sourceAdapter wraps a Source as a one-partition PartitionedSource.
@@ -146,9 +136,10 @@ type sourceAdapter struct {
 func (a *sourceAdapter) Partitions() []PartitionStream { return []PartitionStream{&a.part} }
 
 // SourcePartitions adapts a legacy pull Source into a one-partition
-// PartitionedSource: the single ingest goroutine consuming it is the
-// old ingest loop, batch boundaries and all, so adapted execution is
-// point-for-point identical to the pre-partitioned engine.
+// PartitionedSource: each Next batch is delivered as one batch, so
+// adapted execution keeps the source's batch boundaries and order, and
+// a one-shard run over it is point-for-point identical to the
+// sequential Runner.
 func SourcePartitions(src Source) PartitionedSource {
 	return &sourceAdapter{part: sourcePartition{src: src}}
 }

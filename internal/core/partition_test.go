@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -14,16 +16,27 @@ type chanPartition struct {
 	ch chan []Point
 }
 
-func (p *chanPartition) NextBatch(ctx context.Context, max int) ([]Point, error) {
+func (p *chanPartition) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
 	select {
 	case pts, ok := <-p.ch:
 		if !ok {
 			return nil, ErrEndOfStream
 		}
-		return pts, nil
+		dst.AppendPoints(pts)
+		return dst, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// nextPoints reads one batch from ps into a fresh Batch and returns its
+// point views.
+func nextPoints(ctx context.Context, ps PartitionStream, max int) ([]Point, error) {
+	b, err := ps.NextBatchInto(ctx, &Batch{}, max)
+	if err != nil {
+		return nil, err
+	}
+	return b.Points(), nil
 }
 
 // chanSource is a PartitionedSource over N chanPartitions.
@@ -112,7 +125,7 @@ func TestStreamRunnerPartitionedIngest(t *testing.T) {
 
 // TestStreamRunnerRequestStopCancelsBlockedRead pins the deadline-aware
 // stop contract for context-aware sources: a partition blocked waiting
-// for data must be cancelled mid-NextBatch, without Abandon.
+// for data must be cancelled mid-NextBatchInto, without Abandon.
 func TestStreamRunnerRequestStopCancelsBlockedRead(t *testing.T) {
 	src := newChanSource(2, 1)
 	sr := StreamRunner{
@@ -140,7 +153,7 @@ func TestStreamRunnerRequestStopCancelsBlockedRead(t *testing.T) {
 			t.Fatalf("want ErrStopped, got %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RequestStop did not cancel the blocked NextBatch")
+		t.Fatal("RequestStop did not cancel the blocked NextBatchInto")
 	}
 	if stats.Points != 1 || stats.OutPoints != 1 {
 		t.Errorf("stats after stop: %+v", stats.RunStats)
@@ -163,8 +176,8 @@ func TestStreamRunnerAbandonForeverBlockingSource(t *testing.T) {
 	exp := &shardCollectExplainer{}
 	prefix := []Point{{Metrics: []float64{1}, Attrs: []int32{1}}, {Metrics: []float64{2}, Attrs: []int32{2}}}
 	sr := StreamRunner{
-		Source: &ConcatSource{Srcs: []Source{NewSliceSource(prefix), fs}},
-		Shards: 1,
+		Partitioned: SourcePartitions(&ConcatSource{Srcs: []Source{NewSliceSource(prefix), fs}}),
+		Shards:      1,
 		NewShard: func(shard int) ShardPipeline {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: exp}
 		},
@@ -240,7 +253,7 @@ type erringSource struct {
 
 type errPartition struct{ err error }
 
-func (p *errPartition) NextBatch(ctx context.Context, max int) ([]Point, error) {
+func (p *errPartition) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
 	return nil, p.err
 }
 
@@ -310,8 +323,8 @@ func TestLimitSourceLatchesInnerError(t *testing.T) {
 }
 
 // TestSourcePartitionsAdapterEquivalence: the adapter must reproduce
-// the pull loop's batches exactly, and honor cancellation between
-// calls.
+// the pull loop's batches exactly, point for point, and honor
+// cancellation between calls.
 func TestSourcePartitionsAdapterEquivalence(t *testing.T) {
 	pts := streamPoints(1000)
 	parts := SourcePartitions(NewSliceSource(pts)).Partitions()
@@ -322,17 +335,104 @@ func TestSourcePartitionsAdapterEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for {
 		want, werr := ref.Next(128)
-		got, gerr := parts[0].NextBatch(ctx, 128)
+		got, gerr := nextPoints(ctx, parts[0], 128)
 		if (werr == nil) != (gerr == nil) || len(want) != len(got) {
 			t.Fatalf("adapter batch diverged: (%d, %v) vs (%d, %v)", len(got), gerr, len(want), werr)
 		}
 		if werr != nil {
 			break
 		}
+		for i := range want {
+			if !slices.Equal(got[i].Metrics, want[i].Metrics) || !slices.Equal(got[i].Attrs, want[i].Attrs) || got[i].Time != want[i].Time {
+				t.Fatalf("adapter point diverged: %+v vs %+v", got[i], want[i])
+			}
+		}
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := parts[0].NextBatch(cancelled, 128); !errors.Is(err, context.Canceled) {
+	if _, err := nextPoints(cancelled, parts[0], 128); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled adapter read: got %v", err)
+	}
+}
+
+// TestSourcePartitionsCopiesReusedBuffers: a legacy Source may rewrite
+// the arrays behind its last batch on its next Next call. The adapter
+// copies each batch into the engine's loan, so a worker still holding
+// an earlier batch (the one-shard handoff, or a shard's queue) never
+// sees the rewrite. The generator here aliases every point's Metrics
+// and Attrs into arrays it rewrites on every call, and each shard
+// holds its first batch until the source has produced three batches
+// past it, which the bounded queues let the ingest goroutine do.
+func TestSourcePartitionsCopiesReusedBuffers(t *testing.T) {
+	const (
+		n     = 20_000
+		batch = 64
+	)
+	for _, shards := range []int{1, 3} {
+		metrics := make([]float64, batch)
+		attrs := make([]int32, batch)
+		seq := 0
+		var produced atomic.Int64
+		src := NewFuncSource(batch, func(dst []Point) int {
+			k := 0
+			for ; k < len(dst) && seq < n; k++ {
+				metrics[k] = float64(seq)
+				attrs[k] = int32(seq % 17)
+				dst[k] = Point{Metrics: metrics[k : k+1], Attrs: attrs[k : k+1], Time: float64(seq)}
+				seq++
+			}
+			produced.Store(int64(seq))
+			return k
+		})
+		var mu sync.Mutex
+		seen := make([]int, n)
+		held := make([]bool, shards)
+		bad := 0
+		sr := StreamRunner{
+			Partitioned: SourcePartitions(src),
+			Shards:      shards,
+			BatchSize:   batch,
+			NewShard: func(int) ShardPipeline {
+				return ShardPipeline{Classifier: &thresholdClassifier{cut: 1e9}}
+			},
+			OnBatch: func(shard int, b []LabeledPoint) {
+				mu.Lock()
+				first := !held[shard]
+				held[shard] = true
+				mu.Unlock()
+				if first {
+					target := min(int64(b[0].Time)+3*batch, n)
+					deadline := time.Now().Add(2 * time.Second)
+					for produced.Load() < target && time.Now().Before(deadline) {
+						time.Sleep(100 * time.Microsecond)
+					}
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for _, lp := range b {
+					i := int(lp.Time)
+					if lp.Metrics[0] != lp.Time || lp.Attrs[0] != int32(i%17) {
+						bad++
+						continue
+					}
+					seen[i]++
+				}
+			},
+		}
+		stats, err := sr.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Points != n {
+			t.Fatalf("shards=%d: ingested %d points, want %d", shards, stats.Points, n)
+		}
+		if bad > 0 {
+			t.Fatalf("shards=%d: %d consumed points were rewritten by the source", shards, bad)
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("shards=%d: point %d consumed %d times, want once", shards, i, c)
+			}
+		}
 	}
 }

@@ -104,10 +104,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // partition is wrapped via NewRetrySource.
 //
 // Like the stream it wraps, a RetryPartition is consumed by a single
-// goroutine. Use NewRetryPartition, which preserves the inner stream's
-// BatchPartition capability (wrapping a slab-native partition yields a
-// slab-native wrapper; a legacy one stays legacy, so the engine's
-// adapted execution is unchanged).
+// goroutine.
 type RetryPartition struct {
 	inner   PartitionStream
 	pol     RetryPolicy
@@ -115,17 +112,8 @@ type RetryPartition struct {
 	retries atomic.Int64
 }
 
-// NewRetryPartition wraps inner with pol. The returned stream
-// implements BatchPartition exactly when inner does.
-func NewRetryPartition(inner PartitionStream, pol RetryPolicy) PartitionStream {
-	rp := newRetryPartition(inner, pol)
-	if bp, ok := inner.(BatchPartition); ok {
-		return &retryBatchPartition{RetryPartition: rp, bp: bp}
-	}
-	return rp
-}
-
-func newRetryPartition(inner PartitionStream, pol RetryPolicy) *RetryPartition {
+// NewRetryPartition wraps inner with pol.
+func NewRetryPartition(inner PartitionStream, pol RetryPolicy) *RetryPartition {
 	pol = pol.withDefaults()
 	return &RetryPartition{
 		inner: inner,
@@ -142,36 +130,15 @@ func (r *RetryPartition) Unwrap() PartitionStream { return r.inner }
 // each read's first try). Safe to read concurrently with the consumer.
 func (r *RetryPartition) Retries() int64 { return r.retries.Load() }
 
-// NextBatch implements PartitionStream with retry semantics.
-func (r *RetryPartition) NextBatch(ctx context.Context, max int) ([]Point, error) {
-	var out []Point
-	err := r.attempt(ctx, func(actx context.Context) error {
-		var e error
-		out, e = r.inner.NextBatch(actx, max)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// retryBatchPartition adds the slab-native read to RetryPartition when
-// the inner stream supports it.
-type retryBatchPartition struct {
-	*RetryPartition
-	bp BatchPartition
-}
-
-// NextBatchInto implements BatchPartition with retry semantics. dst is
+// NextBatchInto implements PartitionStream with retry semantics. dst is
 // re-emptied between attempts, so a half-filled failed try never leaks
 // into the delivered batch.
-func (r *retryBatchPartition) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
+func (r *RetryPartition) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
 	var out *Batch
 	err := r.attempt(ctx, func(actx context.Context) error {
 		dst.Reset()
 		var e error
-		out, e = r.bp.NextBatchInto(actx, dst, max)
+		out, e = r.inner.NextBatchInto(actx, dst, max)
 		return e
 	})
 	if err != nil {
@@ -248,9 +215,6 @@ func (r *RetryPartition) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// retryCounter is what RetrySource reads back from its wrappers.
-type retryCounter interface{ Retries() int64 }
-
 // RetrySource wraps every partition of a PartitionedSource with the
 // same RetryPolicy (each partition jitters from its own derived seed,
 // so partitions never back off in lockstep) and surfaces the
@@ -260,7 +224,7 @@ type retryCounter interface{ Retries() int64 }
 type RetrySource struct {
 	inner PartitionedSource
 	parts []PartitionStream
-	ctrs  []retryCounter
+	rps   []*RetryPartition
 }
 
 // NewRetrySource wraps src. The inner source's Partitions is consumed
@@ -271,14 +235,13 @@ func NewRetrySource(src PartitionedSource, pol RetryPolicy) *RetrySource {
 	rs := &RetrySource{
 		inner: src,
 		parts: make([]PartitionStream, len(inner)),
-		ctrs:  make([]retryCounter, len(inner)),
+		rps:   make([]*RetryPartition, len(inner)),
 	}
 	for i, ps := range inner {
 		pp := pol
 		pp.Seed = pol.Seed + uint64(i)*0x9e3779b9
-		wrapped := NewRetryPartition(ps, pp)
-		rs.parts[i] = wrapped
-		rs.ctrs[i] = wrapped.(retryCounter)
+		rs.rps[i] = NewRetryPartition(ps, pp)
+		rs.parts[i] = rs.rps[i]
 	}
 	return rs
 }
@@ -299,7 +262,7 @@ func (rs *RetrySource) IngestStats(dst []PartitionIngestStats) []PartitionIngest
 	}
 	for i := range rs.parts {
 		if base+i < len(dst) {
-			dst[base+i].Retries = rs.ctrs[i].Retries()
+			dst[base+i].Retries = rs.rps[i].Retries()
 		}
 	}
 	return dst
@@ -307,7 +270,6 @@ func (rs *RetrySource) IngestStats(dst []PartitionIngestStats) []PartitionIngest
 
 var (
 	_ PartitionStream   = (*RetryPartition)(nil)
-	_ BatchPartition    = (*retryBatchPartition)(nil)
 	_ PartitionedSource = (*RetrySource)(nil)
 	_ IngestObservable  = (*RetrySource)(nil)
 )

@@ -23,17 +23,21 @@ type scriptPartition struct {
 	reads int
 }
 
-func (s *scriptPartition) NextBatch(ctx context.Context, max int) ([]Point, error) {
+func (s *scriptPartition) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
 	s.reads++
 	if s.i >= len(s.steps) {
 		return nil, ErrEndOfStream
 	}
 	st := s.steps[s.i]
 	s.i++
-	return st.pts, st.err
+	if st.err != nil {
+		return nil, st.err
+	}
+	dst.AppendPoints(st.pts)
+	return dst, nil
 }
 
-// stallPartition blocks in NextBatch until its context ends, for the
+// stallPartition blocks in NextBatchInto until its context ends, for the
 // configured number of initial reads, then delivers.
 type stallPartition struct {
 	stalls int
@@ -41,7 +45,7 @@ type stallPartition struct {
 	pts    []Point
 }
 
-func (s *stallPartition) NextBatch(ctx context.Context, max int) ([]Point, error) {
+func (s *stallPartition) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
 	s.reads++
 	if s.reads <= s.stalls {
 		<-ctx.Done()
@@ -50,9 +54,9 @@ func (s *stallPartition) NextBatch(ctx context.Context, max int) ([]Point, error
 	if s.pts == nil {
 		return nil, ErrEndOfStream
 	}
-	pts := s.pts
+	dst.AppendPoints(s.pts)
 	s.pts = nil
-	return pts, nil
+	return dst, nil
 }
 
 type taggedTransientErr struct{ transient bool }
@@ -104,14 +108,14 @@ func TestRetryPartitionAbsorbsTransientErrors(t *testing.T) {
 		{pts: pts},
 	}}
 	rp := NewRetryPartition(inner, fastRetry(5))
-	got, err := rp.NextBatch(context.Background(), 64)
+	got, err := nextPoints(context.Background(), rp, 64)
 	if err != nil || len(got) != len(pts) {
 		t.Fatalf("read through faults: (%d, %v), want (%d, nil)", len(got), err, len(pts))
 	}
-	if _, err := rp.NextBatch(context.Background(), 64); err != ErrEndOfStream {
+	if _, err := nextPoints(context.Background(), rp, 64); err != ErrEndOfStream {
 		t.Fatalf("after script: %v, want end of stream", err)
 	}
-	if n := rp.(*RetryPartition).Retries(); n != 2 {
+	if n := rp.Retries(); n != 2 {
 		t.Errorf("retries = %d, want 2", n)
 	}
 	if inner.reads != 4 {
@@ -125,13 +129,13 @@ func TestRetryPartitionFatalPropagatesImmediately(t *testing.T) {
 	boom := errors.New("corrupt frame")
 	inner := &scriptPartition{steps: []scriptStep{{err: boom}}}
 	rp := NewRetryPartition(inner, fastRetry(5))
-	if _, err := rp.NextBatch(context.Background(), 64); !errors.Is(err, boom) {
+	if _, err := nextPoints(context.Background(), rp, 64); !errors.Is(err, boom) {
 		t.Fatalf("fatal read: %v, want boom", err)
 	}
 	if inner.reads != 1 {
 		t.Errorf("inner reads = %d, want 1 (no retry on fatal)", inner.reads)
 	}
-	if n := rp.(*RetryPartition).Retries(); n != 0 {
+	if n := rp.Retries(); n != 0 {
 		t.Errorf("retries = %d, want 0", n)
 	}
 }
@@ -147,7 +151,7 @@ func TestRetryPartitionExhaustsAttempts(t *testing.T) {
 		{err: transientErr("down")},
 	}}
 	rp := NewRetryPartition(inner, fastRetry(3))
-	_, err := rp.NextBatch(context.Background(), 64)
+	_, err := nextPoints(context.Background(), rp, 64)
 	if err == nil {
 		t.Fatal("exhausted read returned nil")
 	}
@@ -160,7 +164,7 @@ func TestRetryPartitionExhaustsAttempts(t *testing.T) {
 	if inner.reads != 3 {
 		t.Errorf("inner reads = %d, want 3", inner.reads)
 	}
-	if n := rp.(*RetryPartition).Retries(); n != 2 {
+	if n := rp.Retries(); n != 2 {
 		t.Errorf("retries = %d, want 2", n)
 	}
 }
@@ -170,7 +174,7 @@ func TestRetryPartitionExhaustsAttempts(t *testing.T) {
 func TestRetryPartitionEndOfStreamPassesThrough(t *testing.T) {
 	inner := &scriptPartition{}
 	rp := NewRetryPartition(inner, fastRetry(5))
-	if _, err := rp.NextBatch(context.Background(), 64); err != ErrEndOfStream {
+	if _, err := nextPoints(context.Background(), rp, 64); err != ErrEndOfStream {
 		t.Fatalf("EOF: %v", err)
 	}
 	if inner.reads != 1 {
@@ -187,11 +191,11 @@ func TestRetryPartitionAttemptTimeout(t *testing.T) {
 	pol := fastRetry(5)
 	pol.AttemptTimeout = 10 * time.Millisecond
 	rp := NewRetryPartition(inner, pol)
-	got, err := rp.NextBatch(context.Background(), 64)
+	got, err := nextPoints(context.Background(), rp, 64)
 	if err != nil || len(got) != len(pts) {
 		t.Fatalf("read through stalls: (%d, %v)", len(got), err)
 	}
-	if n := rp.(*RetryPartition).Retries(); n != 2 {
+	if n := rp.Retries(); n != 2 {
 		t.Errorf("retries = %d, want 2 (one per stalled attempt)", n)
 	}
 }
@@ -203,7 +207,7 @@ func TestRetryPartitionAttemptTimeoutExhaustion(t *testing.T) {
 	pol := fastRetry(2)
 	pol.AttemptTimeout = 5 * time.Millisecond
 	rp := NewRetryPartition(inner, pol)
-	_, err := rp.NextBatch(context.Background(), 64)
+	_, err := nextPoints(context.Background(), rp, 64)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("hung source: %v, want deadline exceeded", err)
 	}
@@ -231,7 +235,7 @@ func TestRetryPartitionParentCancellation(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := rp.NextBatch(ctx, 64)
+		_, err := nextPoints(ctx, rp, 64)
 		done <- err
 	}()
 	select {
@@ -244,9 +248,9 @@ func TestRetryPartitionParentCancellation(t *testing.T) {
 	}
 }
 
-// scriptBatchPartition is scriptPartition's slab-native sibling: a
-// failing attempt can leave half-written points in dst, which the
-// retry wrapper must discard.
+// scriptBatchPartition is a scriptPartition whose failing attempts can
+// leave half-written points in dst, which the retry wrapper must
+// discard.
 type scriptBatchPartition struct {
 	scriptPartition
 	garbageFirst int // attempts that append garbage before erroring
@@ -260,17 +264,11 @@ func (s *scriptBatchPartition) NextBatchInto(ctx context.Context, dst *Batch, ma
 		dst.AppendPoint(&garbage)
 		return nil, transientErr("died mid-fill")
 	}
-	pts, err := s.NextBatch(ctx, max)
-	if err != nil {
-		return nil, err
-	}
-	dst.AppendPoints(pts)
-	return dst, nil
+	return s.scriptPartition.NextBatchInto(ctx, dst, max)
 }
 
-// TestRetryBatchPartitionResetsBetweenAttempts: the slab-native wrapper
-// preserves the BatchPartition capability and never leaks a failed
-// attempt's partial fill into the delivered batch.
+// TestRetryBatchPartitionResetsBetweenAttempts: the wrapper never leaks
+// a failed attempt's partial fill into the delivered batch.
 func TestRetryBatchPartitionResetsBetweenAttempts(t *testing.T) {
 	pts := streamPoints(7)
 	inner := &scriptBatchPartition{
@@ -278,12 +276,8 @@ func TestRetryBatchPartitionResetsBetweenAttempts(t *testing.T) {
 		garbageFirst:    2,
 	}
 	rp := NewRetryPartition(inner, fastRetry(5))
-	bp, ok := rp.(BatchPartition)
-	if !ok {
-		t.Fatal("retry wrapper dropped the BatchPartition capability")
-	}
 	var dst Batch
-	got, err := bp.NextBatchInto(context.Background(), &dst, 64)
+	got, err := rp.NextBatchInto(context.Background(), &dst, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +288,6 @@ func TestRetryBatchPartitionResetsBetweenAttempts(t *testing.T) {
 		if p.Metrics[0] != pts[i].Metrics[0] {
 			t.Fatalf("point %d corrupted: %v", i, p.Metrics[0])
 		}
-	}
-	// A legacy inner must NOT grow the capability.
-	if _, ok := NewRetryPartition(&scriptPartition{}, fastRetry(2)).(BatchPartition); ok {
-		t.Error("legacy inner gained BatchPartition through the retry wrapper")
 	}
 }
 
@@ -319,7 +309,7 @@ func TestRetrySourceSurfacesRetryCounters(t *testing.T) {
 	ctx := context.Background()
 	for _, ps := range rs.Partitions() {
 		for {
-			if _, err := ps.NextBatch(ctx, 64); err != nil {
+			if _, err := nextPoints(ctx, ps, 64); err != nil {
 				if err != ErrEndOfStream {
 					t.Fatal(err)
 				}
@@ -348,12 +338,12 @@ type ckScriptPartition struct {
 	delivered int64
 }
 
-func (s *ckScriptPartition) NextBatch(ctx context.Context, max int) ([]Point, error) {
-	pts, err := s.scriptPartition.NextBatch(ctx, max)
+func (s *ckScriptPartition) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
+	b, err := s.scriptPartition.NextBatchInto(ctx, dst, max)
 	if err == nil {
-		s.delivered += int64(len(pts))
+		s.delivered += int64(b.Len())
 	}
-	return pts, err
+	return b, err
 }
 func (s *ckScriptPartition) Offset() int64 { return s.delivered }
 func (s *ckScriptPartition) Ack(int64)     {}

@@ -27,9 +27,8 @@ const DefaultRoutingBuckets = 256
 // canonically via ItemsetSupport, so polls remain consistent across
 // moves.
 //
-// The policy is ignored when a custom Partition function is set or when
-// the runner has a single shard (there is nothing to rebalance, and the
-// custom router's placement must not be second-guessed).
+// The policy is ignored when the runner has a single shard: there is
+// nothing to rebalance.
 type RebalancePolicy struct {
 	// Buckets is the requested virtual-bucket count V (default
 	// DefaultRoutingBuckets). The effective count is the smallest

@@ -51,16 +51,9 @@ type Runner struct {
 	Explainer  Explainer
 	BatchSize  int // points per consume call; default 4096
 	Decay      DecayPolicy
-	// ExtraDecay lists additional components to damp on each tick
-	// beyond the classifier and explainer (e.g. standalone samplers
-	// under test).
-	ExtraDecay []Decayable
 	// OnBatch, if non-nil, observes each labeled batch after
 	// classification; used by experiments to trace scores.
 	OnBatch func(batch []LabeledPoint)
-	// Stop, if non-nil, is polled between batches; returning true
-	// halts execution with ErrStopped.
-	Stop func(stats RunStats) bool
 
 	exec pipeExec
 	ibuf Batch // recycled fill target for BatchSource pulls
@@ -70,9 +63,9 @@ type Runner struct {
 func (r *Runner) Stats() RunStats { return r.exec.stats }
 
 // Run drives the pipeline until the source is exhausted (one-shot
-// execution) or Stop requests a halt. In streaming deployments the
-// source is simply unbounded; the execution loop is identical
-// (paper §3.2: "all operators operate over streams").
+// execution). In streaming deployments the source is simply unbounded;
+// the execution loop is identical (paper §3.2: "all operators operate
+// over streams").
 //
 // Sources that implement BatchSource are consumed through NextInto on
 // a single recycled Batch owned by the runner, so the sequential read
@@ -89,7 +82,6 @@ func (r *Runner) Run() (RunStats, error) {
 	r.exec.transforms = r.Transforms
 	r.exec.classifier = r.Classifier
 	r.exec.explainer = r.Explainer
-	r.exec.extraDecay = r.ExtraDecay
 	r.exec.policy = r.Decay
 	r.exec.onBatch = r.OnBatch
 	r.exec.reset()
@@ -97,9 +89,6 @@ func (r *Runner) Run() (RunStats, error) {
 		return r.runBatched(bs, batch)
 	}
 	for {
-		if r.Stop != nil && r.Stop(r.exec.stats) {
-			return r.exec.stats, ErrStopped
-		}
 		pts, err := r.Source.Next(batch)
 		if err == ErrEndOfStream {
 			r.exec.flush()
@@ -118,9 +107,6 @@ func (r *Runner) Run() (RunStats, error) {
 // consume call.
 func (r *Runner) runBatched(src BatchSource, batch int) (RunStats, error) {
 	for {
-		if r.Stop != nil && r.Stop(r.exec.stats) {
-			return r.exec.stats, ErrStopped
-		}
 		r.ibuf.Reset()
 		err := src.NextInto(&r.ibuf, batch)
 		if err == ErrEndOfStream {

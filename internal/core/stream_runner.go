@@ -17,9 +17,6 @@ type ShardPipeline struct {
 	Transforms []Transformer
 	Classifier Classifier
 	Explainer  Explainer
-	// ExtraDecay lists additional components damped on this shard's
-	// decay ticks.
-	ExtraDecay []Decayable
 }
 
 // StreamStats aggregates a sharded run's statistics.
@@ -85,13 +82,12 @@ type ShardFailure struct {
 // merge stage (driven by the caller through Snapshot) reconciles
 // per-shard summaries into one global view.
 //
-// Exactly one of Partitioned or Source must be set. A legacy Source is
-// wrapped by SourcePartitions into a single partition whose one ingest
-// goroutine is the old pull loop — same batch boundaries, same
-// ordering — so adapted execution is identical to the pre-partitioned
-// engine. With Shards=1 and the same operators, a one-partition
-// StreamRunner is execution-equivalent to Runner: one worker consumes
-// every batch in ingest order with the same decay schedule.
+// Partitioned is required; a legacy pull Source runs as
+// SourcePartitions(src), one partition with the source's batch
+// boundaries and ordering. With Shards=1 and the same operators, a
+// one-partition StreamRunner is execution-equivalent to Runner: one
+// worker consumes every batch in ingest order with the same decay
+// schedule.
 //
 // Ordering: points within one partition are delivered to shards in
 // partition order; across partitions there is no ordering contract
@@ -102,33 +98,25 @@ type ShardFailure struct {
 // deterministic classification), and approximately otherwise.
 //
 // Stop has two levels. RequestStop cancels the ingest context, which
-// interrupts in-flight context-aware NextBatch calls (no polling
-// between batches); workers then drain and flush normally. Abandon
+// interrupts in-flight NextBatchInto calls (no polling between
+// batches); workers then drain and flush normally. Abandon
 // additionally gives up on ingest goroutines stuck inside a
 // non-cancellable read (a legacy Source whose Next never returns):
 // workers consume what is already queued, flush, and the run completes,
 // leaving the stuck goroutine to exit harmlessly whenever its read
-// returns, if ever. The legacy polled Stop callback is still honored
-// between batches.
+// returns, if ever.
 //
-// The ingest data plane is allocation-free in steady state: routing
-// scatters each point's payload into pooled per-shard Batch slabs (a
-// deep copy — no slice of a source's memory survives past the
-// partition's next read), workers consume a batch's Point views and
-// return the batch to the free list, and partitions implementing
-// BatchPartition fill engine-loaned recycled batches instead of
-// allocating their own (with a single shard such a batch is handed to
-// the worker outright, no copy at all). The deep copy is what makes
-// the recycling sound: a source may reuse its backing arrays after its
-// next NextBatch call, and downstream stages must copy anything they
-// retain past the call that delivered it — the batch under a worker's
-// feet is reused for later points once consume returns (OnBatch hooks
+// The ingest data plane is allocation-free in steady state: every
+// partition fills an engine-loaned recycled Batch; with a single shard
+// that batch is handed to the worker outright, and with several the
+// routing scatters each point's payload into pooled per-shard Batch
+// slabs. Workers consume a batch's Point views and return the batch to
+// the free list, so downstream stages must copy anything they retain
+// past the call that delivered it — the batch under a worker's feet is
+// reused for later points once consume returns (OnBatch hooks
 // included; see Batch for the full ownership contract).
 type StreamRunner struct {
-	// Source is a legacy pull source, adapted via SourcePartitions.
-	Source Source
-	// Partitioned, when non-nil, supplies pre-partitioned ingestion
-	// and takes precedence over Source.
+	// Partitioned supplies the partitioned ingestion (required).
 	Partitioned PartitionedSource
 	// Shards is the worker count P (default 1).
 	Shards int
@@ -136,15 +124,8 @@ type StreamRunner struct {
 	// called once per shard before ingestion starts, from the
 	// Run goroutine.
 	NewShard func(shard int) ShardPipeline
-	// Partition routes a point to a shard in [0, shards). The default
-	// hashes the point's attributes, so all points sharing an
-	// attribute set land on one shard and its summaries see every
-	// occurrence (the property shard merges rely on).
-	Partition func(p *Point, shards int) int
 	// BatchSize is the ingest batch size (default 4096).
 	BatchSize int
-	// QueueDepth bounds each shard's channel (default 2 batches).
-	QueueDepth int
 	// Decay is applied per shard on the shard's local clock: a shard
 	// ticks after ingesting EveryPoints of its own points (or when
 	// its own event time advances EverySeconds), exactly as a
@@ -165,12 +146,6 @@ type StreamRunner struct {
 	// OnBatch, if non-nil, observes each shard's labeled batches
 	// (called on worker goroutines; must be safe for concurrent use).
 	OnBatch func(shard int, batch []LabeledPoint)
-	// Stop, if non-nil, is polled by each ingest goroutine between
-	// batches with the total number of points ingested so far;
-	// returning true halts execution with ErrStopped after workers
-	// drain. RequestStop is the push-based equivalent and additionally
-	// cancels in-flight NextBatch calls.
-	Stop func(pointsIngested int) bool
 	// Coordinate, when non-nil, enables periodic cross-shard
 	// reconciliation of operator state (e.g. merging per-shard score
 	// quantiles into one global classification threshold). See
@@ -179,8 +154,8 @@ type StreamRunner struct {
 	// Rebalance, when non-nil, enables skew-adaptive routing: points
 	// hash to virtual buckets, a coordinator-owned routing table maps
 	// buckets to shards, and hot buckets migrate off overloaded shards
-	// mid-run. Ignored when Partition is set or Shards <= 1. See
-	// RebalancePolicy for the consistency model.
+	// mid-run. Ignored when Shards <= 1; without it points are pinned
+	// by HashPartition. See RebalancePolicy for the consistency model.
 	Rebalance *RebalancePolicy
 
 	workersMu sync.Mutex // guards workers/quit against end-of-run teardown
@@ -242,6 +217,9 @@ type StreamRunner struct {
 	coordFlush chan struct{}
 	coordDone  chan struct{}
 }
+
+// queueDepth bounds each shard's channel, in batches.
+const queueDepth = 2
 
 // ShardCoordinator periodically reconciles state across the
 // shared-nothing shards: every Every ingested points the coordinator
@@ -423,7 +401,7 @@ func (w *shardWorker) offload(work func()) {
 var ErrNotStreaming = errors.New("core: stream runner is not running")
 
 // RequestStop asks a running stream to halt: the ingest context is
-// cancelled, which interrupts context-aware NextBatch calls already in
+// cancelled, which interrupts NextBatchInto calls already in
 // flight, every ingest goroutine exits at its next scheduling point,
 // and the workers drain and flush. Run then returns ErrStopped. Safe to
 // call at any time, from any goroutine, idempotently; calling it before
@@ -464,17 +442,12 @@ func (r *StreamRunner) Abandon() {
 // drained; Snapshot may be called concurrently from other goroutines
 // while Run is in flight.
 func (r *StreamRunner) Run() (StreamStats, error) {
-	var parts []PartitionStream
-	switch {
-	case r.Partitioned != nil:
-		parts = r.Partitioned.Partitions()
-		if len(parts) == 0 {
-			return StreamStats{}, errors.New("core: PartitionedSource has no partitions")
-		}
-	case r.Source != nil:
-		parts = SourcePartitions(r.Source).Partitions()
-	default:
-		return StreamStats{}, errors.New("core: StreamRunner requires a Source or a PartitionedSource")
+	if r.Partitioned == nil {
+		return StreamStats{}, errors.New("core: StreamRunner requires a PartitionedSource")
+	}
+	parts := r.Partitioned.Partitions()
+	if len(parts) == 0 {
+		return StreamStats{}, errors.New("core: PartitionedSource has no partitions")
 	}
 	if r.NewShard == nil {
 		return StreamStats{}, errors.New("core: StreamRunner requires NewShard")
@@ -487,21 +460,13 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	if batch <= 0 {
 		batch = 4096
 	}
-	depth := r.QueueDepth
-	if depth <= 0 {
-		depth = 2
-	}
-	partition := r.Partition
-	if partition == nil {
-		partition = HashPartition
-	}
 	// Skew-adaptive routing replaces the direct hash->shard map with
 	// hash->bucket->table->shard. The initial table is the identity
 	// layout over a bucket count that is a multiple of the shard count,
 	// so until the first rebalance (hash % V) % shards == hash % shards
-	// and placement is bit-identical to HashPartition. A custom
-	// Partition function or a single shard disables routing outright.
-	routing := r.Rebalance != nil && r.Partition == nil && shards > 1
+	// and placement is bit-identical to HashPartition. A single shard
+	// disables routing outright.
+	routing := r.Rebalance != nil && shards > 1
 	if routing {
 		r.rebal = r.Rebalance.normalize(shards)
 		assign := make([]int32, r.rebal.buckets)
@@ -552,14 +517,14 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	// shard, staged per partition, one being read per partition) plus
 	// slack, so steady state recycles rather than allocates while a
 	// burst cannot pin unbounded slab memory.
-	pool := NewBatchPool(shards*(depth+2) + 2*len(parts))
+	pool := NewBatchPool(shards*(queueDepth+2) + 2*len(parts))
 	var workerWg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		w := &shardWorker{
 			id:    s,
 			r:     r,
 			pl:    r.NewShard(s),
-			data:  make(chan *Batch, depth),
+			data:  make(chan *Batch, queueDepth),
 			pool:  pool,
 			drain: make(chan struct{}),
 			snap:  make(chan snapshotReq),
@@ -573,7 +538,6 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 			transforms: w.pl.Transforms,
 			classifier: w.pl.Classifier,
 			explainer:  w.pl.Explainer,
-			extraDecay: w.pl.ExtraDecay,
 			policy:     r.Decay,
 			onDispatch: func(outPoints, outliers int) {
 				r.liveOutPoints.Add(int64(outPoints))
@@ -653,7 +617,7 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 			// while an abandoned producer may still be routing a batch
 			// it had already read, and that late send must hit a valid
 			// (if ignored) channel rather than a nil slice.
-			if err := r.ingestPartition(ctx, ps, workers, pool, batch, partition, tracker, cp, loads); err != nil {
+			if err := r.ingestPartition(ctx, ps, workers, pool, batch, tracker, cp, loads); err != nil {
 				errMu.Lock()
 				if ingestErr == nil {
 					ingestErr = fmt.Errorf("core: source: %w", err)
@@ -759,24 +723,24 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	return stats, nil
 }
 
-// ingestPartition is one partition's ingest loop: poll the legacy Stop
-// callback, pull a batch (cancellable mid-call for context-aware
-// streams, into an engine-loaned recycled Batch for slab-native ones),
-// scatter each point's payload into pooled per-shard batches, and hand
-// those over the bounded channels. Every batch it touches comes from
-// and returns to the run's free list, so the steady-state loop never
-// allocates. Returns a non-nil error only for genuine source failures;
-// cancellation and end-of-stream return nil.
+// ingestPartition is one partition's ingest loop: read into an
+// engine-loaned recycled Batch (cancellable mid-call), hand it to the
+// worker whole when there is one shard, otherwise scatter each point's
+// payload into pooled per-shard batches, and send over the bounded
+// channels. Every batch it touches comes from and returns to the run's
+// free list, so the steady-state loop never allocates. Returns a
+// non-nil error only for genuine source failures; cancellation and
+// end-of-stream return nil.
 //
 // When the partition is checkpointable (tracker/cp non-nil), each
-// read is registered with the commit tracker before its sub-batches
-// are sent — registration-before-send is what makes a sub-batch's
-// finishAck unable to race past its own begin — and each sub-batch is
-// tagged so the workers' finishAck calls advance the committed offset.
-// A read abandoned mid-send (cancellation) leaves its tracker entry
+// read is registered with the commit tracker before its batches are
+// sent — registration-before-send is what makes a batch's finishAck
+// unable to race past its own begin — and each sent batch is tagged so
+// the workers' finishAck calls advance the committed offset. A read
+// abandoned mid-send (cancellation) leaves its tracker entry
 // permanently outstanding, which is correct: the committed offset must
 // not move past points that were never consumed.
-func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, workers []*shardWorker, pool *BatchPool, batch int, partition func(*Point, int) int, tracker *ackTracker, cp CheckpointablePartition, loads []atomic.Int64) error {
+func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, workers []*shardWorker, pool *BatchPool, batch int, tracker *ackTracker, cp CheckpointablePartition, loads []atomic.Int64) error {
 	shards := len(workers)
 	// rr spreads attribute-less points round-robin across buckets (they
 	// carry no itemsets, so placement is free — pinning them to one
@@ -784,11 +748,7 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 	// guaranteed hot spot). Local to the goroutine: no contention, and
 	// cross-partition collisions don't matter for spreading.
 	var rr uint32
-	bp, native := ps.(BatchPartition)
-	var ib *Batch // the read batch for slab-native partitions
-	if native {
-		ib = pool.Get()
-	}
+	ib := pool.Get() // the loan each read fills (or swaps away)
 	// staging[s] is the in-progress batch for shard s; entries are nil
 	// once handed to a worker and re-loaned on demand. On any exit the
 	// deferred sweep returns unsent loans to the pool (a late-arriving
@@ -805,41 +765,8 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 		if ctx.Err() != nil {
 			return nil
 		}
-		if r.Stop != nil && r.Stop(int(r.livePoints.Load())) {
-			r.RequestStop()
-			return nil
-		}
-		var (
-			pts []Point
-			err error
-		)
-		if native {
-			ib.Reset()
-			var nb *Batch
-			nb, err = bp.NextBatchInto(ctx, ib, batch)
-			if err == nil {
-				ib = nb // ours now, whether filled-in-place or swapped
-				if shards == 1 {
-					// Single shard: the worker takes ownership of the
-					// whole recycled batch — routing degenerates to a
-					// pointer handoff, no copy at all.
-					r.notePoints(int64(ib.Len()))
-					if tracker != nil {
-						off := cp.Offset()
-						tracker.begin(off, 1)
-						ib.ackT, ib.ackOff = tracker, off
-					}
-					if !send(ctx, workers[0], ib) {
-						return nil // cancelled: defer recycles the undelivered ib
-					}
-					ib = pool.Get()
-					continue
-				}
-				pts = ib.Points()
-			}
-		} else {
-			pts, err = ps.NextBatch(ctx, batch)
-		}
+		ib.Reset()
+		nb, err := ps.NextBatchInto(ctx, ib, batch)
 		if err == ErrEndOfStream {
 			return nil
 		}
@@ -849,14 +776,29 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 			}
 			return err
 		}
+		ib = nb // ours now, whether filled in place or swapped
 		if ctx.Err() != nil {
 			return nil // cancelled while a non-cancellable read was in flight
 		}
-		r.notePoints(int64(len(pts)))
+		r.notePoints(int64(ib.Len()))
+		if shards == 1 {
+			// Single shard: the worker takes ownership of the whole
+			// batch — routing degenerates to a pointer handoff, no copy
+			// at all.
+			if tracker != nil {
+				off := cp.Offset()
+				tracker.begin(off, 1)
+				ib.ackT, ib.ackOff = tracker, off
+			}
+			if !send(ctx, workers[0], ib) {
+				return nil // cancelled: defer recycles the undelivered ib
+			}
+			ib = pool.Get()
+			continue
+		}
 		// Scatter: one pass, appending each point's payload into its
-		// shard's staged slab. The copy severs every reference to the
-		// source's memory, which is what lets the source (and ib)
-		// recycle their buffers next round.
+		// shard's staged slab. The copy severs every reference to ib,
+		// which is what lets it be refilled next round.
 		//
 		// With routing active the shard comes from the bucket table
 		// instead of the direct hash — one modulo, one counter add, one
@@ -868,6 +810,7 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 		if loads != nil {
 			rt = r.route.Load()
 		}
+		pts := ib.Points()
 		for i := range pts {
 			s := 0
 			if rt != nil {
@@ -881,8 +824,8 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 				}
 				loads[b].Add(1)
 				s = int(rt.assign[b])
-			} else if shards > 1 {
-				s = partition(&pts[i], shards)
+			} else {
+				s = HashPartition(&pts[i], shards)
 			}
 			sb := staging[s]
 			if sb == nil {

@@ -3,8 +3,8 @@ package core
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // shardCollectExplainer records consumed outlier/inlier counts and
@@ -61,8 +61,8 @@ func TestStreamRunnerSingleShardMatchesRunner(t *testing.T) {
 	shCls := &thresholdClassifier{cut: 50}
 	shExp := &shardCollectExplainer{}
 	sr := StreamRunner{
-		Source: NewSliceSource(pts),
-		Shards: 1,
+		Partitioned: SourcePartitions(NewSliceSource(pts)),
+		Shards:      1,
 		NewShard: func(shard int) ShardPipeline {
 			return ShardPipeline{Classifier: shCls, Explainer: shExp}
 		},
@@ -94,8 +94,8 @@ func TestStreamRunnerPartitionsByAttribute(t *testing.T) {
 	perShardAttrs := make([]map[int32]int, shards)
 	explainers := make([]*shardCollectExplainer, shards)
 	sr := StreamRunner{
-		Source: NewSliceSource(pts),
-		Shards: shards,
+		Partitioned: SourcePartitions(NewSliceSource(pts)),
+		Shards:      shards,
 		NewShard: func(shard int) ShardPipeline {
 			explainers[shard] = &shardCollectExplainer{}
 			perShardAttrs[shard] = make(map[int32]int)
@@ -139,10 +139,9 @@ func TestStreamRunnerPartitionsByAttribute(t *testing.T) {
 }
 
 // TestStreamRunnerSnapshotAndStop exercises the snapshot protocol and
-// cooperative stop concurrently with the run.
+// RequestStop concurrently with the run.
 func TestStreamRunnerSnapshotAndStop(t *testing.T) {
-	var stop atomic.Bool
-	// Unbounded source: forces termination through Stop.
+	// Unbounded source: forces termination through RequestStop.
 	src := NewFuncSource(512, func(dst []Point) int {
 		for i := range dst {
 			dst[i] = Point{Metrics: []float64{1}, Attrs: []int32{int32(i % 5)}}
@@ -150,8 +149,8 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		return len(dst)
 	})
 	sr := StreamRunner{
-		Source: src,
-		Shards: 2,
+		Partitioned: SourcePartitions(src),
+		Shards:      2,
 		NewShard: func(shard int) ShardPipeline {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
 		},
@@ -159,7 +158,6 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 			return pl.Explainer.(*shardCollectExplainer).consumed
 		},
 		BatchSize: 512,
-		Stop:      func(n int) bool { return stop.Load() },
 	}
 
 	done := make(chan error, 1)
@@ -185,11 +183,17 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		}
 		polled++
 	}
-	stop.Store(true)
+	for sr.LiveStats().OutPoints == 0 {
+		time.Sleep(time.Millisecond) // let a batch through before stopping
+	}
+	sr.RequestStop()
 	if err := <-done; !errors.Is(err, ErrStopped) {
 		t.Fatalf("want ErrStopped, got %v", err)
 	}
-	if stats.Points == 0 || stats.OutPoints != stats.Points {
+	// The stop cancels sends blocked on backpressure, so points already
+	// routed may never reach a worker: what the workers consumed is
+	// bounded by, not equal to, what ingest counted.
+	if stats.OutPoints == 0 || stats.OutPoints > stats.Points {
 		t.Errorf("stats after stop: %+v", stats.RunStats)
 	}
 	// After completion, snapshots report not-streaming.
@@ -203,10 +207,10 @@ func TestStreamRunnerValidation(t *testing.T) {
 	if _, err := (&StreamRunner{}).Run(); err == nil {
 		t.Error("missing source not rejected")
 	}
-	if _, err := (&StreamRunner{Source: NewSliceSource(nil)}).Run(); err == nil {
+	if _, err := (&StreamRunner{Partitioned: SourcePartitions(NewSliceSource(nil))}).Run(); err == nil {
 		t.Error("missing NewShard not rejected")
 	}
-	sr := &StreamRunner{Source: NewSliceSource(nil), NewShard: func(int) ShardPipeline { return ShardPipeline{} }}
+	sr := &StreamRunner{Partitioned: SourcePartitions(NewSliceSource(nil)), NewShard: func(int) ShardPipeline { return ShardPipeline{} }}
 	if _, err := sr.Run(); err != nil {
 		t.Errorf("empty stream should succeed, got %v", err)
 	}

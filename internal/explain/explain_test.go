@@ -287,3 +287,56 @@ func TestJaccard(t *testing.T) {
 		t.Errorf("disjoint jaccard = %v, want 0", got)
 	}
 }
+
+// TestMinSupportBoundaryIsInclusive: a single attribute, and separately
+// a two-attribute combination, whose outlier support is exactly
+// MinSupport × totalOut is explained, by the streaming and the batch
+// explainer alike. 8 outliers at MinSupport 0.25 put the threshold at
+// exactly 2 (dyadic, so the product is exact); every filler attribute
+// has support 1 and stays out. The inliers carry none of the outlier
+// attributes, so every supported combination clears the risk ratio.
+func TestMinSupportBoundaryIsInclusive(t *testing.T) {
+	cases := []struct {
+		name     string
+		outliers [][]int32
+		want     []string
+	}{
+		{
+			name:     "single attribute",
+			outliers: [][]int32{{1, 10}, {1, 11}, {12}, {13}, {14}, {15}, {16}, {17}},
+			want:     []string{"[1]"},
+		},
+		{
+			name:     "two-attribute combination",
+			outliers: [][]int32{{1, 2}, {1, 2}, {1, 20}, {1, 21}, {2, 22}, {2, 23}, {24}, {25}},
+			want:     []string{"[1 2]", "[1]", "[2]"},
+		},
+	}
+	explained := func(exps []core.Explanation) []string {
+		var out []string
+		for _, e := range exps {
+			ids := append([]int32(nil), e.ItemIDs...)
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			out = append(out, fmt.Sprint(ids))
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, tc := range cases {
+		var labeled []core.LabeledPoint
+		for _, attrs := range tc.outliers {
+			labeled = append(labeled, core.LabeledPoint{Point: core.Point{Attrs: attrs}, Label: core.Outlier})
+		}
+		for i := 0; i < 100; i++ {
+			labeled = append(labeled, core.LabeledPoint{Point: core.Point{Attrs: []int32{9}}, Label: core.Inlier})
+		}
+		s := NewStreaming(StreamingConfig{MinSupport: 0.25})
+		s.Consume(labeled)
+		if got := explained(s.Explanations()); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: streaming explained %v, want %v", tc.name, got, tc.want)
+		}
+		if got := explained(ExplainBatch(labeled, BatchConfig{MinSupport: 0.25})); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: batch explained %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -45,14 +45,10 @@ type ChaosPlan struct {
 // reordered batches. It is the test harness the robustness machinery is
 // validated against — production code should never construct one.
 //
-// The wrapper is slab-native regardless of the inner stream (copy
-// fallback for legacy inners — fidelity matters more than allocation
-// counts in a fault harness). Unwrap exposes the inner stream to
-// checkpoint capability probes, but see the ChaosPlan caveats on
-// duplicates/reorders under checkpointing.
+// Unwrap exposes the inner stream to checkpoint capability probes, but
+// see the ChaosPlan caveats on duplicates/reorders under checkpointing.
 type ChaosPartition struct {
 	inner core.PartitionStream
-	bp    core.BatchPartition // nil for legacy inners
 	plan  ChaosPlan
 	rng   *rand.Rand
 	reads int
@@ -66,13 +62,11 @@ type ChaosPartition struct {
 
 // NewChaosPartition wraps inner with plan.
 func NewChaosPartition(inner core.PartitionStream, plan ChaosPlan) *ChaosPartition {
-	c := &ChaosPartition{
+	return &ChaosPartition{
 		inner: inner,
 		plan:  plan,
 		rng:   rand.New(rand.NewPCG(plan.Seed, 0x6368616f73)), // "chaos"
 	}
-	c.bp, _ = inner.(core.BatchPartition)
-	return c
 }
 
 // Unwrap implements core.PartitionUnwrapper.
@@ -81,7 +75,7 @@ func (c *ChaosPartition) Unwrap() core.PartitionStream { return c.inner }
 // Reads reports how many reads the wrapper has served or failed.
 func (c *ChaosPartition) Reads() int { return c.reads }
 
-// NextBatchInto implements core.BatchPartition, injecting faults per
+// NextBatchInto implements core.PartitionStream, injecting faults per
 // the plan before and around the inner read.
 func (c *ChaosPartition) NextBatchInto(ctx context.Context, dst *core.Batch, max int) (*core.Batch, error) {
 	c.reads++
@@ -115,7 +109,7 @@ func (c *ChaosPartition) NextBatchInto(ctx context.Context, dst *core.Batch, max
 		c.noteDelivered(dst)
 		return dst, nil
 	}
-	nb, err := c.read(ctx, dst, max)
+	nb, err := c.inner.NextBatchInto(ctx, dst, max)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +125,7 @@ func (c *ChaosPartition) NextBatchInto(ctx context.Context, dst *core.Batch, max
 			dst = nb // keep ownership of whichever batch we now hold
 		}
 		dst.Reset()
-		next, err := c.read(ctx, dst, max)
+		next, err := c.inner.NextBatchInto(ctx, dst, max)
 		if err == core.ErrEndOfStream {
 			b := c.held
 			c.held = nil
@@ -150,20 +144,6 @@ func (c *ChaosPartition) NextBatchInto(ctx context.Context, dst *core.Batch, max
 	return nb, nil
 }
 
-// read performs one inner read: slab-native when the inner stream
-// supports it, copy-adapted otherwise.
-func (c *ChaosPartition) read(ctx context.Context, dst *core.Batch, max int) (*core.Batch, error) {
-	if c.bp != nil {
-		return c.bp.NextBatchInto(ctx, dst, max)
-	}
-	pts, err := c.inner.NextBatch(ctx, max)
-	if err != nil {
-		return nil, err
-	}
-	dst.AppendPoints(pts)
-	return dst, nil
-}
-
 // noteDelivered maintains the duplicate-source copy of the last
 // delivered batch.
 func (c *ChaosPartition) noteDelivered(b *core.Batch) {
@@ -175,17 +155,6 @@ func (c *ChaosPartition) noteDelivered(b *core.Batch) {
 	}
 	c.prev.Reset()
 	c.prev.AppendPoints(b.Points())
-}
-
-// NextBatch implements core.PartitionStream through the slab path, for
-// legacy consumers.
-func (c *ChaosPartition) NextBatch(ctx context.Context, max int) ([]core.Point, error) {
-	b := &core.Batch{}
-	nb, err := c.NextBatchInto(ctx, b, max)
-	if err != nil {
-		return nil, err
-	}
-	return nb.Points(), nil
 }
 
 // ChaosSource wraps every partition of a PartitionedSource with the
@@ -237,7 +206,6 @@ func TornFrames(frames []byte, seed uint64) []byte {
 
 var (
 	_ core.PartitionStream    = (*ChaosPartition)(nil)
-	_ core.BatchPartition     = (*ChaosPartition)(nil)
 	_ core.PartitionUnwrapper = (*ChaosPartition)(nil)
 	_ core.PartitionedSource  = (*ChaosSource)(nil)
 	_ core.IngestObservable   = (*ChaosSource)(nil)

@@ -34,7 +34,7 @@ func driveChaos(t *testing.T, n int, plan ChaosPlan, max int) (values []float64,
 	cp := NewChaosPartition(inner, plan)
 	ctx := context.Background()
 	for {
-		pts, err := cp.NextBatch(ctx, max)
+		pts, err := nextPoints(ctx, cp, max)
 		if err == core.ErrEndOfStream {
 			return values, trace
 		}
@@ -140,18 +140,18 @@ func TestChaosPartitionFatalFailure(t *testing.T) {
 	cp := NewChaosPartition(inner, ChaosPlan{Seed: 1, FatalAfterReads: 3})
 	ctx := context.Background()
 	for r := 1; r <= 2; r++ {
-		if _, err := cp.NextBatch(ctx, 100); err != nil {
+		if _, err := nextPoints(ctx, cp, 100); err != nil {
 			t.Fatalf("read %d failed before the fatal point: %v", r, err)
 		}
 	}
-	_, err := cp.NextBatch(ctx, 100)
+	_, err := nextPoints(ctx, cp, 100)
 	if err == nil || !strings.Contains(err.Error(), "read 3") {
 		t.Fatalf("read 3: %v, want injected fatal", err)
 	}
 	if core.IsTransient(err) {
 		t.Error("fatal fault classified transient")
 	}
-	if _, err := cp.NextBatch(ctx, 100); err == nil {
+	if _, err := nextPoints(ctx, cp, 100); err == nil {
 		t.Error("fatal fault did not persist")
 	}
 	if cp.Reads() != 4 {
@@ -168,7 +168,7 @@ func TestChaosPartitionStallRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := cp.NextBatch(ctx, 100)
+	_, err := nextPoints(ctx, cp, 100)
 	if err != context.DeadlineExceeded {
 		t.Fatalf("stalled read: %v, want deadline exceeded", err)
 	}

@@ -159,7 +159,7 @@ var _ core.BatchSource = (*CSVSource)(nil)
 
 // NextInto parses up to max rows directly into b's recycled slabs —
 // the allocation-free form of Next used by the batch-native streaming
-// engine (csvPartition implements core.BatchPartition with it). Parsed
+// engine (csvPartition implements core.PartitionStream with it). Parsed
 // rows are appended to b; per-row cost is the csv.Reader's own record
 // handling (one internal string allocation per record, the only
 // allocator touch on this path) plus ParseFloat and interned attribute

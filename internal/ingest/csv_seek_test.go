@@ -16,7 +16,7 @@ import (
 func drainRows(t *testing.T, ps core.PartitionStream) (metrics []float64, attrs []int32) {
 	t.Helper()
 	for {
-		pts, err := ps.NextBatch(context.Background(), 128)
+		pts, err := nextPoints(context.Background(), ps, 128)
 		if err == core.ErrEndOfStream {
 			return metrics, attrs
 		}
@@ -89,7 +89,7 @@ func TestPartitionedCSVSeek(t *testing.T) {
 	if err := sk.SeekTo(int64(rows)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sk.NextBatch(context.Background(), 16); err != core.ErrEndOfStream {
+	if _, err := nextPoints(context.Background(), sk, 16); err != core.ErrEndOfStream {
 		t.Fatalf("read after seek-to-end: %v", err)
 	}
 

@@ -25,8 +25,7 @@ import (
 // is checked between reads — a CSV read from a local file does not
 // block indefinitely, so mid-read cancellation is not needed here.
 type PartitionedCSV struct {
-	parts   []*csvPartition
-	closers []io.Closer
+	parts []*csvPartition
 }
 
 type csvPartition struct {
@@ -40,15 +39,7 @@ type csvPartition struct {
 	file   *os.File // the open file behind src, when path-opened
 }
 
-// NextBatch implements core.PartitionStream.
-func (p *csvPartition) NextBatch(ctx context.Context, max int) ([]core.Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return p.src.Next(max)
-}
-
-// NextBatchInto implements core.BatchPartition: rows are parsed in
+// NextBatchInto implements core.PartitionStream: rows are parsed in
 // place into the engine-loaned recycled batch, so steady-state CSV
 // ingest allocates only the csv.Reader's per-record internals.
 func (p *csvPartition) NextBatchInto(ctx context.Context, dst *core.Batch, max int) (*core.Batch, error) {
@@ -180,12 +171,6 @@ func (p *PartitionedCSV) Partitions() []core.PartitionStream {
 // has terminated.
 func (p *PartitionedCSV) Close() error {
 	var first error
-	for _, c := range p.closers {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	p.closers = nil
 	for _, pp := range p.parts {
 		if pp.file != nil {
 			if err := pp.file.Close(); err != nil && first == nil {
@@ -199,5 +184,4 @@ func (p *PartitionedCSV) Close() error {
 
 var _ core.PartitionedSource = (*PartitionedCSV)(nil)
 var _ core.PartitionedSource = (*Push)(nil)
-var _ core.BatchPartition = (*csvPartition)(nil)
 var _ core.SeekablePartition = (*csvPartition)(nil)

@@ -28,7 +28,7 @@ var ErrProducerClosed = errors.New("ingest: push producer is closed")
 // allocation rates use the buffer loan API — GetBatch hands out an
 // empty recycled batch, the producer fills its slabs, SendBatch
 // transfers ownership to the stream — and the engine returns consumed
-// batches to the same free list through the BatchPartition ownership
+// batches to the same free list through the NextBatchInto ownership
 // swap, so a steady-state producer->engine round trip allocates
 // nothing. The legacy Send([]Point) API rides the same machinery by
 // wrapping the points in a borrowed batch (core.Batch.Borrow) — no
@@ -48,7 +48,7 @@ var ErrProducerClosed = errors.New("ingest: push producer is closed")
 // Lifecycle: each producer is closed independently; a partition
 // signals end-of-stream once it is closed and fully drained, and the
 // whole stream ends when every partition has. Stopping the consuming
-// session early is always safe — NextBatch honors its context, so
+// session early is always safe — NextBatchInto honors its context, so
 // producers blocked in Send fail fast with the session gone only if
 // they pass a bounded context (use one).
 type Push struct {
@@ -108,10 +108,6 @@ type pushPartition struct {
 	// out of cur until exhausted, then recycled.
 	cur *core.Batch
 	off int
-	// legacy holds the batch whose views the last NextBatch returned;
-	// it is recycled at the next NextBatch call, which is what bounds
-	// the legacy contract's "valid until the next call".
-	legacy *core.Batch
 
 	// Replay state (EnableReplay), guarded by rmu. Dequeued batches are
 	// retained in rlog — a contiguous window of the delivered stream,
@@ -284,7 +280,7 @@ func (p *Push) sampleRates(entries []core.PartitionIngestStats) {
 	}
 }
 
-// NextBatchInto implements core.BatchPartition. A queued batch no
+// NextBatchInto implements core.PartitionStream. A queued batch no
 // larger than max is handed to the engine whole, with dst kept in the
 // source's pool in exchange (the zero-copy ownership swap); an
 // oversized batch is served in max-sized copies. After close, whatever
@@ -478,24 +474,6 @@ func (pp *pushPartition) SeekTo(off int64) error {
 	return nil
 }
 
-// NextBatch implements core.PartitionStream for consumers that want
-// plain point views. The views (and their backing slabs) are valid
-// only until the next NextBatch call on this partition, which recycles
-// them — the PartitionStream reuse contract.
-func (pp *pushPartition) NextBatch(ctx context.Context, max int) ([]core.Point, error) {
-	if pp.legacy == nil {
-		pp.legacy = pp.pool.Get()
-	} else {
-		pp.legacy.Reset()
-	}
-	nb, err := pp.NextBatchInto(ctx, pp.legacy, max)
-	if err != nil {
-		return nil, err
-	}
-	pp.legacy = nb
-	return nb.Points(), nil
-}
-
 // PushProducer feeds one partition. The zero value is not usable;
 // obtain producers from Push.Producer.
 type PushProducer struct {
@@ -620,6 +598,5 @@ func (pr *PushProducer) Close() {
 	pr.part.closeOnce.Do(func() { close(pr.part.closed) })
 }
 
-var _ core.BatchPartition = (*pushPartition)(nil)
 var _ core.SeekablePartition = (*pushPartition)(nil)
 var _ core.IngestObservable = (*Push)(nil)

@@ -17,7 +17,7 @@ func drainValues(t *testing.T, ps core.PartitionStream, max int) []float64 {
 	t.Helper()
 	var out []float64
 	for {
-		pts, err := ps.NextBatch(context.Background(), max)
+		pts, err := nextPoints(context.Background(), ps, max)
 		if err == core.ErrEndOfStream {
 			return out
 		}
@@ -90,7 +90,7 @@ func TestPushReplaySeekAndAck(t *testing.T) {
 	if err := sk.SeekTo(300); err != nil {
 		t.Fatal(err)
 	}
-	if pts, err := sk.NextBatch(ctx, 128); err != core.ErrEndOfStream {
+	if pts, err := nextPoints(ctx, sk, 128); err != core.ErrEndOfStream {
 		t.Fatalf("read at end: (%d, %v), want end of stream", len(pts), err)
 	}
 }
@@ -130,7 +130,7 @@ func TestPushReplayCapacityStall(t *testing.T) {
 	sk, _ := core.AsSeekable(p.Partitions()[0])
 
 	// First batch fills the log to its cap.
-	pts, err := sk.NextBatch(ctx, 128)
+	pts, err := nextPoints(ctx, sk, 128)
 	if err != nil || len(pts) != 100 {
 		t.Fatalf("first read: (%d, %v)", len(pts), err)
 	}
@@ -138,7 +138,7 @@ func TestPushReplayCapacityStall(t *testing.T) {
 	// points against a 100-point cap.
 	read := make(chan int, 1)
 	go func() {
-		pts, err := sk.NextBatch(ctx, 128)
+		pts, err := nextPoints(ctx, sk, 128)
 		if err != nil {
 			read <- -1
 			return
@@ -201,7 +201,7 @@ func TestPushCloseDrainRace(t *testing.T) {
 		var received int64
 		part := p.Partitions()[0]
 		for {
-			pts, err := part.NextBatch(context.Background(), 4096)
+			pts, err := nextPoints(context.Background(), part, 4096)
 			if err != nil {
 				break
 			}
@@ -236,7 +236,7 @@ func TestPushConcurrentClose(t *testing.T) {
 	}
 	wg.Wait()
 	for _, ps := range p.Partitions() {
-		if _, err := ps.NextBatch(context.Background(), 16); err != core.ErrEndOfStream {
+		if _, err := nextPoints(context.Background(), ps, 16); err != core.ErrEndOfStream {
 			t.Fatalf("closed empty partition read: %v", err)
 		}
 	}

@@ -22,8 +22,18 @@ func pushBatch(base, n int) []core.Point {
 	return pts
 }
 
+// nextPoints reads one batch from ps into a fresh Batch and returns its
+// point views.
+func nextPoints(ctx context.Context, ps core.PartitionStream, max int) ([]core.Point, error) {
+	b, err := ps.NextBatchInto(ctx, &core.Batch{}, max)
+	if err != nil {
+		return nil, err
+	}
+	return b.Points(), nil
+}
+
 // TestPushDeliversInOrderAndSplits: batches arrive in Send order per
-// partition, and a batch larger than max is split across NextBatch
+// partition, and a batch larger than max is split across NextBatchInto
 // calls without loss.
 func TestPushDeliversInOrderAndSplits(t *testing.T) {
 	p := NewPush(1, 2)
@@ -40,7 +50,7 @@ func TestPushDeliversInOrderAndSplits(t *testing.T) {
 	part := p.Partitions()[0]
 	var got []core.Point
 	for {
-		pts, err := part.NextBatch(ctx, 64) // smaller than the sent batches: forces splits
+		pts, err := nextPoints(ctx, part, 64) // smaller than the sent batches: forces splits
 		if err == core.ErrEndOfStream {
 			break
 		}
@@ -48,10 +58,10 @@ func TestPushDeliversInOrderAndSplits(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(pts) > 64 {
-			t.Fatalf("NextBatch returned %d points, max 64", len(pts))
+			t.Fatalf("NextBatchInto returned %d points, max 64", len(pts))
 		}
-		// The views are recycled at the next NextBatch call (the
-		// PartitionStream reuse contract), so retention means copying.
+		// The views belong to the batch, which a consumer recycles, so
+		// retention means copying.
 		for i := range pts {
 			got = append(got, core.Point{
 				Metrics: append([]float64(nil), pts[i].Metrics...),
@@ -88,7 +98,7 @@ func TestPushBackpressure(t *testing.T) {
 	// Draining one batch unblocks the producer.
 	unblocked := make(chan error, 1)
 	go func() { unblocked <- pr.Send(ctx, pushBatch(8, 8)) }()
-	if _, err := p.Partitions()[0].NextBatch(ctx, 1024); err != nil {
+	if _, err := nextPoints(ctx, p.Partitions()[0], 1024); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -117,16 +127,16 @@ func TestPushCloseSemantics(t *testing.T) {
 		t.Fatalf("post-close send: got %v", err)
 	}
 	part := p.Partitions()[0]
-	pts, err := part.NextBatch(ctx, 1024)
+	pts, err := nextPoints(ctx, part, 1024)
 	if err != nil || len(pts) != 10 {
 		t.Fatalf("queued data lost at close: (%d, %v)", len(pts), err)
 	}
-	if _, err := part.NextBatch(ctx, 1024); err != core.ErrEndOfStream {
+	if _, err := nextPoints(ctx, part, 1024); err != core.ErrEndOfStream {
 		t.Fatalf("want end of stream after drain, got %v", err)
 	}
 	// The untouched partition keeps the stream open until CloseAll.
 	p.CloseAll()
-	if _, err := p.Partitions()[1].NextBatch(ctx, 16); err != core.ErrEndOfStream {
+	if _, err := nextPoints(ctx, p.Partitions()[1], 16); err != core.ErrEndOfStream {
 		t.Fatalf("partition 1 after CloseAll: %v", err)
 	}
 }
@@ -139,7 +149,7 @@ func TestPushCancelBlockedRead(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	got := make(chan error, 1)
 	go func() {
-		_, err := p.Partitions()[0].NextBatch(ctx, 16)
+		_, err := nextPoints(ctx, p.Partitions()[0], 16)
 		got <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -187,7 +197,7 @@ func TestPushConcurrentProducersOnePartition(t *testing.T) {
 	part := p.Partitions()[0]
 	total := 0
 	for {
-		pts, err := part.NextBatch(ctx, 4096)
+		pts, err := nextPoints(ctx, part, 4096)
 		if err == core.ErrEndOfStream {
 			break
 		}
@@ -259,7 +269,7 @@ func TestPartitionedCSVMatchesSequentialUnion(t *testing.T) {
 			defer wg.Done()
 			ctx := context.Background()
 			for {
-				pts, err := part.NextBatch(ctx, 128)
+				pts, err := nextPoints(ctx, part, 128)
 				if err == core.ErrEndOfStream {
 					return
 				}
@@ -297,7 +307,7 @@ func TestPartitionedCSVCancelBetweenReads(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ps.Partitions()[0].NextBatch(ctx, 16); !errors.Is(err, context.Canceled) {
+	if _, err := nextPoints(ctx, ps.Partitions()[0], 16); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled partition read: %v", err)
 	}
 }

@@ -26,7 +26,7 @@ func TestPushLoanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	part := p.Partitions()[0].(core.BatchPartition)
+	part := p.Partitions()[0]
 	dst := core.NewBatch(16, 1, 1)
 	got, err := part.NextBatchInto(ctx, dst, 64)
 	if err != nil {
@@ -58,7 +58,7 @@ func TestPushLoanSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr.Close()
-	part := p.Partitions()[0].(core.BatchPartition)
+	part := p.Partitions()[0]
 	seen := 0
 	for {
 		dst := &core.Batch{}
@@ -95,7 +95,7 @@ func TestPushSendBorrowsWithoutCopy(t *testing.T) {
 	if err := pr.Send(ctx, pts); err != nil {
 		t.Fatal(err)
 	}
-	part := p.Partitions()[0].(core.BatchPartition)
+	part := p.Partitions()[0]
 	got, err := part.NextBatchInto(ctx, &core.Batch{}, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestPushIngestStats(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- pr.Send(ctx, pushBatch(10, 5)) }()
 	time.Sleep(20 * time.Millisecond)
-	if _, err := p.Partitions()[0].NextBatch(ctx, 1024); err != nil {
+	if _, err := nextPoints(ctx, p.Partitions()[0], 1024); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -280,8 +280,8 @@ func TestCSVNextIntoAllocBound(t *testing.T) {
 	}
 }
 
-// TestPartitionedCSVBatchNative: the partitioned reader serves the
-// slab-native interface with the same rows as its legacy one.
+// TestPartitionedCSVBatchNative: the partitioned reader parses every
+// row in place into the loaned batch.
 func TestPartitionedCSVBatchNative(t *testing.T) {
 	text := partCSV(0, 100)
 	schema := Schema{Metrics: []string{"power"}, Attributes: []string{"device"}}
@@ -289,10 +289,7 @@ func TestPartitionedCSVBatchNative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, ok := ps.Partitions()[0].(core.BatchPartition)
-	if !ok {
-		t.Fatal("csv partition does not implement BatchPartition")
-	}
+	part := ps.Partitions()[0]
 	ctx := context.Background()
 	b := &core.Batch{}
 	total := 0

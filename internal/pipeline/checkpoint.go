@@ -133,7 +133,7 @@ func ResumeStream(parts core.PartitionedSource, cfg Config, shards int, ck *Chec
 			return nil, fmt.Errorf("pipeline: resuming partition %d: %w", po.Partition, err)
 		}
 	}
-	return startSession(nil, sp, cfg, shards)
+	return StartPartitionedStream(sp, cfg, shards)
 }
 
 // stableParts memoizes a PartitionedSource's Partitions so the session

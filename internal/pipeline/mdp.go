@@ -93,8 +93,7 @@ type Config struct {
 	// balance (rebalance rounds fire asynchronously with ingest, so
 	// routed runs can split an attribute set's counts across shards at
 	// slightly different points run-to-run). Rebalancing is on by
-	// default for multi-shard streaming runs and inactive for one shard
-	// or a custom Partition function.
+	// default for multi-shard streaming runs and inactive for one shard.
 	DisableRebalance bool
 	// DisableGlobalThreshold turns coordination off, restoring the
 	// pre-coordination per-shard percentile cutoffs. Set it when

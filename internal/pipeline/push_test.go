@@ -241,7 +241,7 @@ func TestStopContextCancelsBlockedPushRead(t *testing.T) {
 	if err := p.Producer(0).Send(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
-	// Producers stay open: both partitions end up blocked in NextBatch.
+	// Producers stay open: both partitions end up blocked in NextBatchInto.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if res, err := sess.Poll(); err == nil && res.Stats.Points >= len(pts) {

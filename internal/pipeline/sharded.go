@@ -203,8 +203,7 @@ func validateSharded(cfg Config, shards int) error {
 	return nil
 }
 
-// newStreamRunner assembles the sharded runner over either ingest
-// shape; exactly one of src/parts is non-nil. NewShard runs
+// newStreamRunner assembles the sharded runner over parts. NewShard runs
 // sequentially on the constructing goroutine before workers start, so
 // plain slice writes into explainers/classifiers are safe.
 //
@@ -214,9 +213,8 @@ func validateSharded(cfg Config, shards int) error {
 // classifiers that do not implement classify.ThresholdCoordinable
 // contribute nothing and receive nothing — their rounds merge zero
 // summaries and no-op.
-func newStreamRunner(src core.Source, parts core.PartitionedSource, cfg Config, shards int, explainers []*explain.Streaming, classifiers []core.Classifier, coord *coordState) *core.StreamRunner {
+func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, explainers []*explain.Streaming, classifiers []core.Classifier, coord *coordState) *core.StreamRunner {
 	r := &core.StreamRunner{
-		Source:      src,
 		Partitioned: parts,
 		Shards:      shards,
 		NewShard: func(shard int) core.ShardPipeline {
@@ -406,7 +404,7 @@ func liveExplainers(explainers []*explain.Streaming, failures []core.ShardFailur
 // per-shard cutoffs — the sharded analog of the accuracy trade-off
 // RunParallel exhibits in Figure 11.
 func RunShardedStream(src core.Source, cfg Config, shards int) (*ShardedResult, error) {
-	return runSharded(src, nil, cfg, shards)
+	return RunPartitionedStream(core.SourcePartitions(src), cfg, shards)
 }
 
 // RunPartitionedStream is RunShardedStream over a partitioned push
@@ -417,10 +415,6 @@ func RunShardedStream(src core.Source, cfg Config, shards int) (*ShardedResult, 
 // partition keep their order; across partitions the interleaving is
 // scheduling-dependent (see core.StreamRunner).
 func RunPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) (*ShardedResult, error) {
-	return runSharded(nil, parts, cfg, shards)
-}
-
-func runSharded(src core.Source, parts core.PartitionedSource, cfg Config, shards int) (*ShardedResult, error) {
 	cfg = cfg.withDefaults()
 	if err := validateSharded(cfg, shards); err != nil {
 		return nil, err
@@ -428,7 +422,7 @@ func runSharded(src core.Source, parts core.PartitionedSource, cfg Config, shard
 	explainers := make([]*explain.Streaming, shards)
 	classifiers := make([]core.Classifier, shards)
 	coord := newCoordState(cfg, shards)
-	r := newStreamRunner(src, parts, cfg, shards, explainers, classifiers, coord)
+	r := newStreamRunner(parts, cfg, shards, explainers, classifiers, coord)
 	stats, err := r.Run()
 	if err != nil {
 		return nil, err
@@ -467,8 +461,8 @@ type StreamSession struct {
 	fails  map[int]core.ShardFailure
 
 	// ckParts are the checkpointable views of the session's ingest
-	// partitions — nil entries for partitions without offsets, nil slice
-	// for legacy-source sessions. Checkpoint Acks through them; they are
+	// partitions — nil entries for partitions without offsets, such as
+	// an adapted legacy source's. Checkpoint Acks through them; they are
 	// the same partition objects the runner reads (see stableParts).
 	ckParts []core.CheckpointablePartition
 
@@ -493,7 +487,7 @@ type shardSnap struct {
 // single ingest partition). The session owns src until the stream
 // terminates.
 func StartShardedStream(src core.Source, cfg Config, shards int) (*StreamSession, error) {
-	return startSession(src, nil, cfg, shards)
+	return StartPartitionedStream(core.SourcePartitions(src), cfg, shards)
 }
 
 // StartPartitionedStream launches a sharded streaming session over a
@@ -501,29 +495,22 @@ func StartShardedStream(src core.Source, cfg Config, shards int) (*StreamSession
 // the shard workers directly. The session owns the source's
 // partitions until the stream terminates.
 func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) (*StreamSession, error) {
-	return startSession(nil, parts, cfg, shards)
-}
-
-func startSession(src core.Source, parts core.PartitionedSource, cfg Config, shards int) (*StreamSession, error) {
 	cfg = cfg.withDefaults()
 	if err := validateSharded(cfg, shards); err != nil {
 		return nil, err
 	}
 	s := &StreamSession{done: make(chan struct{})}
-	if parts != nil {
-		// Pin the partition list so the session's checkpoint layer Acks
-		// and seeks the very stream objects the runner reads.
-		sp, ok := parts.(*stableParts)
-		if !ok {
-			sp = newStableParts(parts)
-		}
-		parts = sp
-		s.ckParts = checkpointableViews(sp.Partitions())
+	// Pin the partition list so the session's checkpoint layer Acks and
+	// seeks the very stream objects the runner reads.
+	sp, ok := parts.(*stableParts)
+	if !ok {
+		sp = newStableParts(parts)
 	}
+	s.ckParts = checkpointableViews(sp.Partitions())
 	explainers := make([]*explain.Streaming, shards)
 	classifiers := make([]core.Classifier, shards)
 	s.coord = newCoordState(cfg, shards)
-	s.runner = newStreamRunner(src, parts, cfg, shards, explainers, classifiers, s.coord)
+	s.runner = newStreamRunner(sp, cfg, shards, explainers, classifiers, s.coord)
 	// Poll clones the shard's summary on the worker goroutine: the
 	// worker keeps consuming after the snapshot is handed over, so the
 	// clone is the isolation boundary. The classifier threshold rides
@@ -555,7 +542,6 @@ func startSession(src core.Source, parts core.PartitionedSource, cfg Config, sha
 		// concurrently: Run has returned and Snapshot touches only
 		// SnapshotShard (left in place — its closure captures nothing).
 		s.runner.NewShard = nil
-		s.runner.Source = nil
 		s.runner.Partitioned = nil
 		s.mu.Lock()
 		s.final = res
