@@ -359,10 +359,9 @@
 //     runs one ingest goroutine per partition, and partition→shard
 //     routing happens inside each ingest goroutine, so the bounded
 //     per-shard channels are the only cross-goroutine hop and
-//     ingestion parallelizes before it ever serializes. Backends:
-//     ingest.PartitionedCSV (one partition per file/reader, shared
-//     encoder) and ingest.Push (N in-memory producer handles, which
-//     also back mbserver's POST /stream/{id}/push NDJSON endpoint).
+//     ingestion parallelizes before it ever serializes. The push
+//     backend is ingest.Push: N in-memory producer handles, which also
+//     back mbserver's POST /stream/{id}/push endpoint.
 //
 //   - Backpressure. Every hop is a bounded channel: shard queues
 //     (two batches each) and push partition queues alike. A slow
@@ -380,16 +379,14 @@
 //     usual sharded-EWS consistency bounds. One-partition sources have
 //     a total order and reproduce exactly, always.
 //
-//   - Deadline-aware stop. Stopping a session cancels the ingest
-//     context, which interrupts in-flight NextBatchInto calls — no polling
-//     between batches. For sources that honor no cancellation (a
-//     legacy Source blocked forever in Next, the limitation open since
-//     the sharded engine landed), StreamSession.StopContext bounds the
-//     wait: at its deadline the runner abandons the stuck ingest
-//     goroutines, workers drain what is already queued and flush, and
-//     the final reconciled result covers everything delivered before
-//     the stall. Snapshot servers are quiesced before Run returns, so
-//     the final merge never races a late snapshot clone.
+//   - Stop. Stopping a session cancels the ingest context, which
+//     interrupts in-flight NextBatchInto calls — no polling between
+//     batches — and waits for the ingest goroutines to exit; workers
+//     then drain what is queued and flush. A legacy Source blocked in
+//     Next honors no cancellation, so it delays the stop until Next
+//     returns (the batch it returns then is dropped). Snapshot servers
+//     are quiesced before Run returns, so the final merge never races a
+//     late snapshot clone.
 //
 // Nor does a poll wait out a model refit. A shard answers snapshot
 // requests on its worker goroutine between batches, and the one thing
@@ -570,20 +567,10 @@
 // a fresh session that seeks each partition (core.SeekablePartition)
 // back to its committed offset: ingest.Push retains unacked points in
 // a bounded replay log when EnableReplay is set (producers stall at
-// the cap instead of evicting unacked data), and path-opened
-// ingest.PartitionedCSV seeks by reopening its files. mbserver exposes
-// the pair as GET and POST /stream/{id}/checkpoint. Replayed points
-// are re-delivered, not deduplicated — downstream effects must
-// tolerate at-least-once.
-//
-// Transient faults. core.RetryPartition wraps any partition stream
-// with bounded retries under exponential backoff with jitter and an
-// optional per-attempt timeout. Errors are classified by
-// core.IsTransient — core.ErrTransient in the chain, a deadline
-// expiry, or anything exposing Transient() bool — and everything else
-// (including parent-context cancellation) propagates immediately.
-// Retry counts surface per partition in
-// core.StreamStats.Ingest[].Retries.
+// the cap instead of evicting unacked data). mbserver exposes the pair
+// as GET and POST /stream/{id}/checkpoint. Replayed points are
+// re-delivered, not deduplicated — downstream effects must tolerate
+// at-least-once.
 //
 // Shard failure. A panic in one shard's operators is contained by that
 // shard's worker: the shard is quarantined, its remaining input is
@@ -593,15 +580,6 @@
 // core.StreamStats.Degraded plus one core.ShardFailure per dead shard,
 // folded by the merge layer into pipeline.ShardedResult and by
 // mbserver into the "health" block of every /stream/{id} response.
-//
-// The model is exercised by a deterministic chaos harness
-// (ingest.ChaosPartition): seeded fault plans inject transient errors,
-// stalls, duplicates, reorders, and torn MBR1 frames into any
-// partition source. The load-bearing property, pinned by tests, is
-// that transient-only fault plans leave delivery order and batch
-// boundaries intact, so a retried run's answer is identical to a
-// fault-free one; examples/firehose exposes the same knobs via -chaos
-// flags.
 //
 // # Profiling a live session
 //
@@ -656,9 +634,9 @@
 //     -race: the oracles (brute-force tree and explainer models) rerun
 //     the exact scripts that once found or nearly found bugs,
 //     deterministically.
-//   - chaos runs the fault-injection, retry, resume and degradation
-//     suites across a fixed seed matrix; reproduce a leg locally with
-//     MACROBASE_CHAOS_SEED=<seed>.
+//   - robustness runs the resume, degradation, quarantine, torn-frame
+//     and checkpoint suites under -race three times over (-count=3),
+//     since their failures are timing-dependent.
 //
 // # Kernel baseline
 //

@@ -6,9 +6,7 @@
 // ingest.Push. There is no ingest file and no single pull loop: each
 // partition feeds the shard workers from its own goroutine, with
 // bounded-queue backpressure, while the main goroutine polls the live
-// explanation set mid-stream and finally stops the session with a
-// deadline (StopContext), which stays bounded even if a producer were
-// wedged.
+// explanation set mid-stream and finally stops the session.
 //
 // The planted anomaly is fleet-shaped: a 200-device fleet where one
 // device (d7) drains abnormally on app version 2.26.3. The hash router
@@ -37,13 +35,6 @@
 // rebalances land, and the final per-shard breakdown. Try:
 //
 //	go run ./examples/firehose -skew 1.0
-//
-// With -chaos, a seeded fault injector sits between the push queues
-// and the engine: a fraction of reads (-chaos-rate, default 1%) fail
-// with transient errors, and a retry layer (core.RetrySource, capped
-// exponential backoff with jitter) absorbs them. The final report is
-// identical to the fault-free run — the per-partition retry counters
-// are the only trace the faults leave.
 package main
 
 import (
@@ -144,29 +135,20 @@ type pollSample struct {
 }
 
 // runFirehose drives one full firehose run: producers, live polls, and
-// a deadline stop. It returns the final result and the poll-time
-// trajectory.
+// a stop. It returns the final result and the poll-time trajectory.
 func runFirehose(cfg pipeline.Config, sampler *comboSampler, enc *encode.Encoder,
-	versions []string, chaos bool, chaosRate float64, verbose bool) (*pipeline.ShardedResult, []pollSample) {
+	versions []string, verbose bool) (*pipeline.ShardedResult, []pollSample) {
 
 	src := ingest.NewPush(partitions, 4)
-	var feed core.PartitionedSource = src
-	if chaos {
-		feed = core.NewRetrySource(
-			ingest.NewChaosSource(src, ingest.ChaosPlan{Seed: 7, TransientErrorRate: chaosRate}),
-			core.RetryPolicy{Seed: 7},
-		)
-	}
-	sess, err := pipeline.StartPartitionedStream(feed, cfg, shards)
+	sess, err := pipeline.StartPartitionedStream(src, cfg, shards)
 	if err != nil {
 		panic(err)
 	}
 
 	// Producers block in SendBatch when the pipeline is behind, so they
 	// need a way out if the engine dies instead of draining (e.g. an
-	// ingest failure under heavy -chaos-rate): this context cancels the
-	// moment the session terminates, turning a would-be deadlock into a
-	// clean producer exit.
+	// ingest failure): this context cancels the moment the session
+	// terminates, turning a would-be deadlock into a clean producer exit.
 	prodCtx, cancelProds := context.WithCancel(context.Background())
 	defer cancelProds()
 	go func() {
@@ -252,16 +234,12 @@ func runFirehose(cfg pipeline.Config, sampler *comboSampler, enc *encode.Encoder
 	// drains and terminates on its own; waiting for that keeps the
 	// final report covering all 180K points (stopping earlier would
 	// legitimately drop whatever was still queued — stop means stop).
-	// StopContext then just collects the final result; its deadline is
-	// the safety net that bounds the wait if ingestion were ever
-	// wedged mid-read.
+	// Stop then just collects the final result.
 	producers.Wait()
 	for !sess.Done() {
 		time.Sleep(5 * time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	final, err := sess.StopContext(ctx)
+	final, err := sess.Stop()
 	if err != nil {
 		panic(err)
 	}
@@ -269,8 +247,6 @@ func runFirehose(cfg pipeline.Config, sampler *comboSampler, enc *encode.Encoder
 }
 
 func main() {
-	chaos := flag.Bool("chaos", false, "inject seeded transient read faults, absorbed by the retry layer")
-	chaosRate := flag.Float64("chaos-rate", 0.01, "per-read transient fault probability under -chaos")
 	skew := flag.Float64("skew", 0, "Zipf exponent for device+version popularity; hot combos pinned to shard 0 (0 = uniform fleet)")
 	flag.Parse()
 
@@ -292,12 +268,12 @@ func main() {
 		// against.
 		pinnedCfg := cfg
 		pinnedCfg.DisableRebalance = true
-		pinned, _ := runFirehose(pinnedCfg, sampler, enc, versions, *chaos, *chaosRate, false)
+		pinned, _ := runFirehose(pinnedCfg, sampler, enc, versions, false)
 		fmt.Printf("pinned baseline (zipf s=%.2f, rebalance off): hot shard %d, imbalance %.2f\n\n",
 			*skew, pinned.Shards.HotShard, pinned.Shards.Imbalance)
 	}
 
-	final, traj := runFirehose(cfg, sampler, enc, versions, *chaos, *chaosRate, true)
+	final, traj := runFirehose(cfg, sampler, enc, versions, true)
 
 	enc.Decorate(final.Explanations)
 	fmt.Printf("\nfinal: %d points across %d partitions -> %d shards, %d outliers\n",
@@ -306,12 +282,8 @@ func main() {
 	// stats: how much each partition queued and how long its producer
 	// spent blocked on backpressure.
 	for p, ig := range final.Stats.Ingest {
-		fmt.Printf("partition %d: %d batches / %d points accepted, producer blocked %v total",
+		fmt.Printf("partition %d: %d batches / %d points accepted, producer blocked %v total\n",
 			p, ig.Batches, ig.Points, time.Duration(ig.BlockedNanos))
-		if *chaos {
-			fmt.Printf(", %d reads retried", ig.Retries)
-		}
-		fmt.Println()
 	}
 	// The skew breakdown: per-shard load and threshold state, the
 	// hot-shard imbalance (1.0 = perfectly balanced, P = total skew),

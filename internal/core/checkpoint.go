@@ -41,45 +41,6 @@ type SeekablePartition interface {
 	SeekTo(off int64) error
 }
 
-// PartitionUnwrapper is implemented by partition wrappers
-// (RetryPartition, ingest.ChaosPartition) so capability probes can
-// reach the wrapped stream.
-type PartitionUnwrapper interface {
-	Unwrap() PartitionStream
-}
-
-// AsCheckpointable reports the checkpointable stream inside ps,
-// unwrapping decorator layers as needed.
-func AsCheckpointable(ps PartitionStream) (CheckpointablePartition, bool) {
-	for ps != nil {
-		if cp, ok := ps.(CheckpointablePartition); ok {
-			return cp, true
-		}
-		u, ok := ps.(PartitionUnwrapper)
-		if !ok {
-			return nil, false
-		}
-		ps = u.Unwrap()
-	}
-	return nil, false
-}
-
-// AsSeekable reports the seekable stream inside ps, unwrapping
-// decorator layers as needed.
-func AsSeekable(ps PartitionStream) (SeekablePartition, bool) {
-	for ps != nil {
-		if sp, ok := ps.(SeekablePartition); ok {
-			return sp, true
-		}
-		u, ok := ps.(PartitionUnwrapper)
-		if !ok {
-			return nil, false
-		}
-		ps = u.Unwrap()
-	}
-	return nil, false
-}
-
 // ackTracker tracks one partition's committed offset: the largest
 // delivered offset whose every routed sub-batch has been consumed (or
 // deliberately dropped by a quarantined shard — either way, the point

@@ -32,7 +32,7 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestFuncLimitConcat(t *testing.T) {
+func TestFuncSource(t *testing.T) {
 	i := 0
 	f := NewFuncSource(4, func(dst []Point) int {
 		n := 0
@@ -43,18 +43,26 @@ func TestFuncLimitConcat(t *testing.T) {
 		}
 		return n
 	})
-	lim := &LimitSource{Src: f, N: 5}
-	cat := &ConcatSource{Srcs: []Source{lim, NewSliceSource(mkPoints(3, 0))}}
-	total := 0
+	var got []float64
 	for {
-		b, err := cat.Next(2)
+		b, err := f.Next(3)
 		if err == ErrEndOfStream {
 			break
 		}
-		total += len(b)
+		if len(b) > 3 {
+			t.Fatalf("batch of %d points, want at most 3", len(b))
+		}
+		for _, p := range b {
+			got = append(got, p.Metrics[0])
+		}
 	}
-	if total != 8 {
-		t.Fatalf("total = %d, want 5+3", total)
+	if len(got) != 7 {
+		t.Fatalf("total = %d, want 7", len(got))
+	}
+	for i, v := range got {
+		if v != float64(i) {
+			t.Fatalf("point %d = %v, want %d", i, v, i)
+		}
 	}
 }
 

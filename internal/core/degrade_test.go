@@ -7,6 +7,11 @@ import (
 	"testing"
 )
 
+// flakyPartsSource exposes scripted partitions as a PartitionedSource.
+type flakyPartsSource struct{ parts []PartitionStream }
+
+func (s *flakyPartsSource) Partitions() []PartitionStream { return s.parts }
+
 // panicClassifier blows up after consuming a set number of points —
 // the stand-in for a shard whose operator state goes corrupt mid-run.
 type panicClassifier struct {

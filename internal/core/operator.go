@@ -88,5 +88,5 @@ type TransformFunc func(dst []Point, batch []Point) []Point
 func (f TransformFunc) Transform(dst []Point, batch []Point) []Point { return f(dst, batch) }
 
 // ErrStopped is returned by StreamRunner.Run when execution is halted
-// by RequestStop or Abandon rather than source exhaustion.
+// by RequestStop rather than source exhaustion.
 var ErrStopped = errors.New("core: pipeline stopped")

@@ -5,9 +5,9 @@ import "context"
 // PartitionStream is one partition of a partitioned source: an
 // independent, ordered stream of point batches consumed by exactly one
 // ingest goroutine. Its one read takes a context, so a blocked read can
-// be cancelled mid-call (which makes session stop deadline-aware
-// instead of "whenever the source next returns"), and is loaned an
-// empty recycled Batch, so a steady-state read allocates nothing.
+// be cancelled mid-call (which makes a session stop prompt instead of
+// "whenever the source next returns"), and is loaned an empty recycled
+// Batch, so a steady-state read allocates nothing.
 //
 // NextBatchInto delivers the next at-most-max points in one of two
 // ways, its choice per call:
@@ -54,10 +54,6 @@ type PartitionIngestStats struct {
 	PointsPerSec  float64 `json:"pointsPerSec"`
 	BatchesPerSec float64 `json:"batchesPerSec"`
 	BlockedPerSec float64 `json:"blockedPerSec"`
-	// Retries counts retried read attempts when the partition is
-	// wrapped by a RetrySource (zero otherwise): the live measure of
-	// how hard the retry layer is working to keep the stream up.
-	Retries int64 `json:"retries,omitempty"`
 }
 
 // BatchSource is the slab-native form of Source for the sequential
@@ -108,8 +104,7 @@ type PartitionedSource interface {
 // copy is what lets the source reuse its buffers on its next Next call
 // while the engine still holds the batch. The context is checked
 // between Next calls only: a Source whose Next blocks cannot be
-// cancelled mid-call, which is exactly the limitation
-// StreamRunner.Abandon exists to cut short.
+// cancelled mid-call, so a stop waits until that Next returns.
 type sourcePartition struct {
 	src Source
 }

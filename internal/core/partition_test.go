@@ -123,9 +123,9 @@ func TestStreamRunnerPartitionedIngest(t *testing.T) {
 	}
 }
 
-// TestStreamRunnerRequestStopCancelsBlockedRead pins the deadline-aware
-// stop contract for context-aware sources: a partition blocked waiting
-// for data must be cancelled mid-NextBatchInto, without Abandon.
+// TestStreamRunnerRequestStopCancelsBlockedRead pins the stop contract
+// for context-aware sources: a partition blocked waiting for data must
+// be cancelled mid-NextBatchInto.
 func TestStreamRunnerRequestStopCancelsBlockedRead(t *testing.T) {
 	src := newChanSource(2, 1)
 	sr := StreamRunner{
@@ -160,23 +160,42 @@ func TestStreamRunnerRequestStopCancelsBlockedRead(t *testing.T) {
 	}
 }
 
-// foreverSource is a legacy pull Source whose Next blocks forever — the
-// PR-1 known limitation. Only Abandon can get past it.
-type foreverSource struct{ block chan struct{} }
+// stuckReadSource is a legacy pull Source that serves prefix, then blocks
+// inside Next until release is closed, then returns one late batch.
+// entered is closed once Next is blocked.
+type stuckReadSource struct {
+	prefix, late     []Point
+	entered, release chan struct{}
+	calls            int
+}
 
-func (s *foreverSource) Next(max int) ([]Point, error) {
-	<-s.block
+func (s *stuckReadSource) Next(max int) ([]Point, error) {
+	s.calls++
+	switch s.calls {
+	case 1:
+		return s.prefix, nil
+	case 2:
+		close(s.entered)
+		<-s.release
+		return s.late, nil
+	}
 	return nil, ErrEndOfStream
 }
 
-// TestStreamRunnerAbandonForeverBlockingSource pins abandon-and-drain:
-// a Source stuck in Next can no longer stall the run's completion.
-func TestStreamRunnerAbandonForeverBlockingSource(t *testing.T) {
-	fs := &foreverSource{block: make(chan struct{})}
+// TestStreamRunnerStopWaitsOutLegacyRead pins the one limitation of a
+// stop: a legacy Source blocked inside Next cannot be interrupted, so
+// Run waits until Next returns, and the batch Next then delivers is
+// dropped rather than counted or consumed.
+func TestStreamRunnerStopWaitsOutLegacyRead(t *testing.T) {
+	gs := &stuckReadSource{
+		prefix:  []Point{{Metrics: []float64{1}, Attrs: []int32{1}}, {Metrics: []float64{2}, Attrs: []int32{2}}},
+		late:    []Point{{Metrics: []float64{3}, Attrs: []int32{3}}},
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
 	exp := &shardCollectExplainer{}
-	prefix := []Point{{Metrics: []float64{1}, Attrs: []int32{1}}, {Metrics: []float64{2}, Attrs: []int32{2}}}
 	sr := StreamRunner{
-		Partitioned: SourcePartitions(&ConcatSource{Srcs: []Source{NewSliceSource(prefix), fs}}),
+		Partitioned: SourcePartitions(gs),
 		Shards:      1,
 		NewShard: func(shard int) ShardPipeline {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: exp}
@@ -190,28 +209,26 @@ func TestStreamRunnerAbandonForeverBlockingSource(t *testing.T) {
 		stats, err = sr.Run()
 		done <- err
 	}()
-	// RequestStop alone cannot end this run (Next never returns)...
-	time.Sleep(20 * time.Millisecond)
+	<-gs.entered
 	sr.RequestStop()
 	select {
 	case <-done:
-		t.Fatal("run ended without Abandon despite a blocked Next")
+		close(gs.release)
+		t.Fatal("Run returned while the legacy Next was still blocked")
 	case <-time.After(50 * time.Millisecond):
 	}
-	// ...Abandon drains what was delivered and completes.
-	sr.Abandon()
+	close(gs.release)
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrStopped) {
 			t.Fatalf("want ErrStopped, got %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Abandon did not complete the run")
+		t.Fatal("Run did not return after the blocked Next returned")
 	}
-	if stats.Points != len(prefix) || exp.consumed != len(prefix) {
-		t.Errorf("prefix not drained: points=%d consumed=%d want %d", stats.Points, exp.consumed, len(prefix))
+	if want := len(gs.prefix); stats.Points != want || exp.consumed != want {
+		t.Errorf("points=%d consumed=%d, want %d each (the late batch must be dropped)", stats.Points, exp.consumed, want)
 	}
-	close(fs.block) // release the leaked goroutine for -race cleanliness
 }
 
 // TestStreamRunnerPartitionErrorStopsStream: a failing partition must
@@ -261,65 +278,6 @@ func (s *erringSource) Partitions() []PartitionStream {
 	parts := s.inner.Partitions()
 	parts[s.failPart] = &errPartition{err: s.err}
 	return parts
-}
-
-// flakySource errors once, then would serve data again if (wrongly)
-// re-driven.
-type flakySource struct {
-	err   error
-	calls int
-}
-
-func (s *flakySource) Next(max int) ([]Point, error) {
-	s.calls++
-	if s.calls == 1 {
-		return nil, s.err
-	}
-	return []Point{{Metrics: []float64{1}}}, nil
-}
-
-// TestConcatSourceLatchesInnerError: an error from an inner source must
-// surface and terminate the concatenation; subsequent Next calls return
-// the same error without re-driving any inner source.
-func TestConcatSourceLatchesInnerError(t *testing.T) {
-	boom := errors.New("boom")
-	flaky := &flakySource{err: boom}
-	tail := NewSliceSource([]Point{{Metrics: []float64{9}}})
-	src := &ConcatSource{Srcs: []Source{flaky, tail}}
-	if _, err := src.Next(4); !errors.Is(err, boom) {
-		t.Fatalf("first call: want boom, got %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		b, err := src.Next(4)
-		if !errors.Is(err, boom) || b != nil {
-			t.Fatalf("call %d after failure: got (%v, %v), want latched boom", i, b, err)
-		}
-	}
-	if flaky.calls != 1 {
-		t.Errorf("failed source re-driven %d times after its error", flaky.calls-1)
-	}
-	if tail.Remaining() != 1 {
-		t.Errorf("tail source was driven past a preceding failure")
-	}
-}
-
-// TestLimitSourceLatchesInnerError: same latch contract for
-// LimitSource.
-func TestLimitSourceLatchesInnerError(t *testing.T) {
-	boom := errors.New("boom")
-	flaky := &flakySource{err: boom}
-	src := &LimitSource{Src: flaky, N: 100}
-	if _, err := src.Next(4); !errors.Is(err, boom) {
-		t.Fatalf("first call: want boom, got %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := src.Next(4); !errors.Is(err, boom) {
-			t.Fatalf("call %d after failure: got %v, want latched boom", i, err)
-		}
-	}
-	if flaky.calls != 1 {
-		t.Errorf("failed source re-driven %d times after its error", flaky.calls-1)
-	}
 }
 
 // TestSourcePartitionsAdapterEquivalence: the adapter must reproduce

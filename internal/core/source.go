@@ -63,63 +63,3 @@ func (s *FuncSource) Next(max int) ([]Point, error) {
 	}
 	return buf[:n], nil
 }
-
-// LimitSource truncates an underlying source after n points.
-type LimitSource struct {
-	Src Source
-	N   int
-	err error // latched inner failure; the stream is over once set
-}
-
-// Next implements Source. An error from the inner source is terminal:
-// it is latched and returned on every subsequent call, so the inner
-// source is never re-driven past its failure (a transiently erroring
-// source must not be silently retried into resuming mid-stream).
-func (s *LimitSource) Next(max int) ([]Point, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	if s.N <= 0 {
-		return nil, ErrEndOfStream
-	}
-	if max > s.N {
-		max = s.N
-	}
-	b, err := s.Src.Next(max)
-	s.N -= len(b)
-	if err != nil && err != ErrEndOfStream {
-		s.err = err
-	}
-	return b, err
-}
-
-// ConcatSource reads each source to exhaustion in order.
-type ConcatSource struct {
-	Srcs []Source
-	i    int
-	err  error // latched inner failure; the stream is over once set
-}
-
-// Next implements Source. An error from an inner source surfaces once
-// and terminates the whole concatenation: it is latched and returned
-// on every subsequent call, and neither the failed source nor the
-// remaining ones are driven again (skipping past a failure would
-// silently drop a tail of the stream — exactly the data loss MacroBase
-// exists to catch).
-func (s *ConcatSource) Next(max int) ([]Point, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	for s.i < len(s.Srcs) {
-		b, err := s.Srcs[s.i].Next(max)
-		if err == ErrEndOfStream {
-			s.i++
-			continue
-		}
-		if err != nil {
-			s.err = err
-		}
-		return b, err
-	}
-	return nil, ErrEndOfStream
-}

@@ -97,14 +97,12 @@ type ShardFailure struct {
 // when the per-shard summaries are order-insensitive (no decay ticks,
 // deterministic classification), and approximately otherwise.
 //
-// Stop has two levels. RequestStop cancels the ingest context, which
+// Stop is one mechanism: RequestStop cancels the ingest context, which
 // interrupts in-flight NextBatchInto calls (no polling between
-// batches); workers then drain and flush normally. Abandon
-// additionally gives up on ingest goroutines stuck inside a
-// non-cancellable read (a legacy Source whose Next never returns):
-// workers consume what is already queued, flush, and the run completes,
-// leaving the stuck goroutine to exit harmlessly whenever its read
-// returns, if ever.
+// batches); Run waits for every ingest goroutine to exit, and the
+// workers drain what is queued and flush. A legacy Source blocked
+// inside Next cannot be interrupted, so it delays the stop until Next
+// returns; the batch that Next then delivers is dropped.
 //
 // The ingest data plane is allocation-free in steady state: every
 // partition fills an engine-loaned recycled Batch; with a single shard
@@ -175,13 +173,11 @@ type StreamRunner struct {
 	snapWg  sync.WaitGroup
 	started atomic.Bool
 
-	// ctlMu guards the stop/abandon control state shared between Run
-	// and the RequestStop/Abandon methods.
+	// ctlMu guards the stop control state shared between Run and
+	// RequestStop.
 	ctlMu        sync.Mutex
 	cancelIngest context.CancelFunc
 	stopReq      bool
-	abandonCh    chan struct{}
-	abandoned    bool
 
 	// live counters, updated per batch, readable mid-run.
 	livePoints    atomic.Int64
@@ -267,16 +263,14 @@ type snapshotReq struct {
 }
 
 type shardWorker struct {
-	id    int
-	r     *StreamRunner
-	pl    ShardPipeline
-	data  chan *Batch
-	pool  *BatchPool       // consumed batches go back here, not to the GC
-	drain chan struct{}    // closed by an abandoning Run: consume what's queued, flush, exit
-	snap  chan snapshotReq // snapshots: also served during an offloaded computation
-	ctl   chan snapshotReq // coordination: touches the classifier, so between batches only
-	done  chan struct{}    // closed when the worker has drained and flushed
-	exec  pipeExec         // the shared batch kernel, one replica per shard
+	id   int
+	r    *StreamRunner
+	pl   ShardPipeline
+	data chan *Batch
+	pool *BatchPool       // consumed batches go back here, not to the GC
+	snap chan snapshotReq // snapshots: also served during an offloaded computation
+	ctl  chan snapshotReq // coordination: touches the classifier, so between batches only
+	exec pipeExec         // the shared batch kernel, one replica per shard
 
 	// Per-shard live counters, readable mid-run (LiveShardStats): the
 	// load/outlier view that makes hash skew observable while the
@@ -415,28 +409,6 @@ func (r *StreamRunner) RequestStop() {
 	r.ctlMu.Unlock()
 }
 
-// Abandon is RequestStop for sources that cannot be interrupted: it
-// additionally stops waiting for ingest goroutines that are stuck
-// inside a blocking read (a legacy Source whose Next never returns).
-// Workers consume whatever is already queued, flush, and Run completes;
-// the stuck goroutine keeps its read but its result is discarded when
-// it eventually returns (it may never — that goroutine is leaked by
-// design, which is the price of a Source with no cancellation
-// contract). Points a stuck partition delivers after Abandon are
-// dropped, not counted. Safe to call at any time, idempotently.
-func (r *StreamRunner) Abandon() {
-	r.ctlMu.Lock()
-	r.stopReq = true
-	if r.cancelIngest != nil {
-		r.cancelIngest()
-	}
-	if r.abandonCh != nil && !r.abandoned {
-		r.abandoned = true
-		close(r.abandonCh)
-	}
-	r.ctlMu.Unlock()
-}
-
 // Run executes the sharded pipeline until every partition is exhausted
 // or a stop is requested (ErrStopped). It blocks until every worker has
 // drained; Snapshot may be called concurrently from other goroutines
@@ -498,7 +470,7 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	ckparts := make([]CheckpointablePartition, len(parts))
 	anyCk := false
 	for i, ps := range parts {
-		if cp, ok := AsCheckpointable(ps); ok {
+		if cp, ok := ps.(CheckpointablePartition); ok {
 			t := &ackTracker{}
 			t.committed = cp.Offset()
 			trackers[i] = t
@@ -521,15 +493,13 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	var workerWg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		w := &shardWorker{
-			id:    s,
-			r:     r,
-			pl:    r.NewShard(s),
-			data:  make(chan *Batch, queueDepth),
-			pool:  pool,
-			drain: make(chan struct{}),
-			snap:  make(chan snapshotReq),
-			ctl:   make(chan snapshotReq),
-			done:  make(chan struct{}),
+			id:   s,
+			r:    r,
+			pl:   r.NewShard(s),
+			data: make(chan *Batch, queueDepth),
+			pool: pool,
+			snap: make(chan snapshotReq),
+			ctl:  make(chan snapshotReq),
 		}
 		if off, ok := w.pl.Classifier.(Offloader); ok && r.SnapshotShard != nil {
 			off.SetOffload(w.offload)
@@ -580,14 +550,11 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 		go r.coordinate(r.workers, routing)
 	}
 
-	// Arm the stop/abandon controls for this run. A RequestStop that
-	// raced ahead of Run is honored by cancelling immediately.
+	// Arm the stop control for this run. A RequestStop that raced
+	// ahead of Run is honored by cancelling immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	r.ctlMu.Lock()
 	r.cancelIngest = cancel
-	r.abandonCh = make(chan struct{})
-	r.abandoned = false
-	abandonCh := r.abandonCh
 	if r.stopReq {
 		cancel()
 	}
@@ -603,7 +570,6 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 		errMu     sync.Mutex
 		ingestErr error
 	)
-	workers := r.workers
 	for pi, ps := range parts {
 		prodWg.Add(1)
 		var loads []atomic.Int64
@@ -612,12 +578,7 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 		}
 		go func(ps PartitionStream, tracker *ackTracker, cp CheckpointablePartition, loads []atomic.Int64) {
 			defer prodWg.Done()
-			// Producers work against this run's worker slice, never
-			// r.workers: after an Abandon, Run tears r.workers down
-			// while an abandoned producer may still be routing a batch
-			// it had already read, and that late send must hit a valid
-			// (if ignored) channel rather than a nil slice.
-			if err := r.ingestPartition(ctx, ps, workers, pool, batch, tracker, cp, loads); err != nil {
+			if err := r.ingestPartition(ctx, ps, r.workers, pool, batch, tracker, cp, loads); err != nil {
 				errMu.Lock()
 				if ingestErr == nil {
 					ingestErr = fmt.Errorf("core: source: %w", err)
@@ -627,28 +588,12 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 			}
 		}(ps, trackers[pi], ckparts[pi], loads)
 	}
-	prodDone := make(chan struct{})
-	go func() {
-		prodWg.Wait()
-		close(prodDone)
-	}()
-
-	// Wait for ingestion to finish, or for Abandon to give up on it.
-	// Clean completion closes the data channels (workers drain to
-	// end-of-channel); abandonment must not — an abandoned producer
-	// may still attempt a send — so workers are told to drain what is
-	// already queued via their drain channels instead.
-	abandoned := false
-	select {
-	case <-prodDone:
-		for _, w := range r.workers {
-			close(w.data)
-		}
-	case <-abandonCh:
-		abandoned = true
-		for _, w := range r.workers {
-			close(w.drain)
-		}
+	// Once every producer has exited — at end of stream, on a source
+	// failure, or after a stop cancelled ingest — no send can follow, so
+	// the data channels close and the workers drain to end-of-channel.
+	prodWg.Wait()
+	for _, w := range r.workers {
+		close(w.data)
 	}
 	workerWg.Wait()
 
@@ -708,16 +653,10 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	stopped := r.stopReq
 	r.cancelIngest = nil
 	r.ctlMu.Unlock()
-	// Under abandonment a stuck producer may still be alive and could
-	// yet record an error; errMu makes this read well-defined (a loss
-	// to that race reports ErrStopped, which is what abandoning means).
-	errMu.Lock()
-	err := ingestErr
-	errMu.Unlock()
-	if err != nil {
-		return stats, err
+	if ingestErr != nil {
+		return stats, ingestErr
 	}
-	if stopped || abandoned {
+	if stopped {
 		return stats, ErrStopped
 	}
 	return stats, nil
@@ -751,9 +690,7 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 	ib := pool.Get() // the loan each read fills (or swaps away)
 	// staging[s] is the in-progress batch for shard s; entries are nil
 	// once handed to a worker and re-loaned on demand. On any exit the
-	// deferred sweep returns unsent loans to the pool (a late-arriving
-	// Abandon makes the Put a harmless no-op on a full or orphaned
-	// pool).
+	// deferred sweep returns unsent loans to the pool.
 	staging := make([]*Batch, shards)
 	defer func() {
 		pool.Put(ib)
@@ -778,7 +715,9 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 		}
 		ib = nb // ours now, whether filled in place or swapped
 		if ctx.Err() != nil {
-			return nil // cancelled while a non-cancellable read was in flight
+			// A stop arrived while a legacy Source sat in Next: the
+			// batch it returned is dropped, not counted or routed.
+			return nil
 		}
 		r.notePoints(int64(ib.Len()))
 		if shards == 1 {
@@ -1137,50 +1076,30 @@ func HashPartition(p *Point, shards int) int {
 }
 
 // run is the worker loop: consume sub-batches, serve snapshot
-// requests between them, flush on drain, then keep serving snapshots
-// until the runner shuts down. The loop ends either at channel close
-// (clean completion: every producer finished) or at a drain signal
-// (abandonment: consume only what is already queued — the channel is
-// deliberately left open because an abandoned producer may still
-// attempt a send).
+// requests between them, flush once the data channel closes (every
+// producer has finished), then keep serving snapshots until the runner
+// shuts down.
 func (w *shardWorker) run(wg *sync.WaitGroup) {
-	finish := func() {
-		// Flush at drain even when stopped: for a resident
-		// streaming session, stop is the normal termination
-		// and residual windows are still worth explaining.
-		// A quarantined shard skips the flush (its state is
-		// suspect), and a flush panic quarantines like any other.
-		if !w.dead.Load() {
-			func() {
-				defer w.recover()
-				w.exec.flush()
-			}()
-		}
-		close(w.done)
-		wg.Done()
-		w.serveSnapshots()
-	}
 	for {
 		select {
 		case b, ok := <-w.data:
 			if !ok {
-				finish()
+				// Flush even when stopped: for a resident streaming
+				// session, stop is the normal termination and residual
+				// windows are still worth explaining. A quarantined
+				// shard skips the flush (its state is suspect), and a
+				// flush panic quarantines like any other.
+				if !w.dead.Load() {
+					func() {
+						defer w.recover()
+						w.exec.flush()
+					}()
+				}
+				wg.Done()
+				w.serveSnapshots()
 				return
 			}
 			w.consume(b)
-		case <-w.drain:
-			for {
-				select {
-				case b, ok := <-w.data:
-					if ok {
-						w.consume(b)
-						continue
-					}
-				default:
-				}
-				finish()
-				return
-			}
 		case req := <-w.snap:
 			w.serve(req)
 		case req := <-w.ctl:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 
 	"macrobase/internal/core"
 	"macrobase/internal/encode"
@@ -117,6 +118,20 @@ func (w *BinaryRowWriter) writeRow(metrics []float64, attrs []string, time float
 	}
 	_, err := w.w.Write(w.buf[bodyStart:])
 	return err
+}
+
+// TornFrames truncates an encoded MBR1 byte stream at a seeded point
+// strictly inside a frame, simulating a connection cut mid-write — the
+// torn-frame input the binary push decoder must reject cleanly (an
+// error, never a panic, and never silently accepted rows past the
+// tear).
+func TornFrames(frames []byte, seed uint64) []byte {
+	if len(frames) <= 5 {
+		return frames
+	}
+	rng := rand.New(rand.NewPCG(seed, 1))
+	cut := 5 + rng.IntN(len(frames)-5) // keep the magic, tear inside a frame
+	return frames[:cut]
 }
 
 // BinaryRowReader decodes a binary row stream into core.Batch slabs,

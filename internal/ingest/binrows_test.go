@@ -211,3 +211,44 @@ func TestBinaryRowsDecodeAllocFree(t *testing.T) {
 		t.Fatalf("steady-state binary decode: %v allocs per 1024-row batch, want 0", allocs)
 	}
 }
+
+// TestTornFramesRejectedCleanly: a mid-frame connection cut must never
+// panic the decoder or smuggle rows past the tear — each torn stream
+// decodes to a strict prefix of the original rows, ending in EOF (cut
+// landed on a row boundary) or a framing error.
+func TestTornFramesRejectedCleanly(t *testing.T) {
+	const rows = 20
+	frames := binStream(t, rows)
+	sawError := false
+	for seed := uint64(1); seed <= 12; seed++ {
+		torn := TornFrames(frames, seed)
+		if len(torn) >= len(frames) {
+			t.Fatalf("seed %d: torn stream not shorter (%d vs %d)", seed, len(torn), len(frames))
+		}
+		d := NewBinaryRowReader(bytes.NewReader(torn), binSchema, encode.NewEncoder("device", "version"))
+		b := &core.Batch{}
+		var err error
+		for err == nil {
+			_, err = d.ReadInto(b, 8)
+		}
+		if err != io.EOF {
+			sawError = true
+		}
+		if b.Len() >= rows {
+			t.Fatalf("seed %d: %d rows decoded from a torn stream of %d", seed, b.Len(), rows)
+		}
+		for i, p := range b.Points() {
+			if p.Metrics[0] != float64(i) || p.Metrics[1] != float64(i)/2 {
+				t.Fatalf("seed %d: decoded row %d is not a prefix row: %+v", seed, i, p)
+			}
+		}
+	}
+	if !sawError {
+		t.Error("no seed produced a mid-frame tear; TornFrames is not tearing")
+	}
+	// The degenerate input (shorter than the magic) passes through.
+	small := []byte{1, 2, 3}
+	if got := TornFrames(small, 1); !bytes.Equal(got, small) {
+		t.Errorf("short input mangled: %v", got)
+	}
+}

@@ -158,9 +158,9 @@ func (s *CSVSource) Next(max int) ([]core.Point, error) {
 var _ core.BatchSource = (*CSVSource)(nil)
 
 // NextInto parses up to max rows directly into b's recycled slabs —
-// the allocation-free form of Next used by the batch-native streaming
-// engine (csvPartition implements core.PartitionStream with it). Parsed
-// rows are appended to b; per-row cost is the csv.Reader's own record
+// the allocation-free form of Next, through which the sequential
+// core.Runner pulls a CSVSource (core.BatchSource). Parsed rows are
+// appended to b; per-row cost is the csv.Reader's own record
 // handling (one internal string allocation per record, the only
 // allocator touch on this path) plus ParseFloat and interned attribute
 // lookups. Returns core.ErrEndOfStream when no rows remain, with the

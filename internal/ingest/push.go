@@ -598,5 +598,6 @@ func (pr *PushProducer) Close() {
 	pr.part.closeOnce.Do(func() { close(pr.part.closed) })
 }
 
+var _ core.PartitionedSource = (*Push)(nil)
 var _ core.SeekablePartition = (*pushPartition)(nil)
 var _ core.IngestObservable = (*Push)(nil)

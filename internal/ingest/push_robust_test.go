@@ -57,7 +57,7 @@ func TestPushReplaySeekAndAck(t *testing.T) {
 	}
 	pr.Close()
 
-	sk, ok := core.AsSeekable(p.Partitions()[0])
+	sk, ok := p.Partitions()[0].(core.SeekablePartition)
 	if !ok {
 		t.Fatal("replay-enabled push partition not seekable")
 	}
@@ -99,7 +99,7 @@ func TestPushReplaySeekAndAck(t *testing.T) {
 // seek in, and the error says how to get one.
 func TestPushSeekRequiresReplay(t *testing.T) {
 	p := NewPush(1, 2)
-	cp, ok := core.AsCheckpointable(p.Partitions()[0])
+	cp, ok := p.Partitions()[0].(core.CheckpointablePartition)
 	if !ok {
 		t.Fatal("push partition should always be checkpointable (offsets cost nothing)")
 	}
@@ -127,7 +127,7 @@ func TestPushReplayCapacityStall(t *testing.T) {
 		}
 	}
 	pr.Close()
-	sk, _ := core.AsSeekable(p.Partitions()[0])
+	sk, _ := p.Partitions()[0].(core.SeekablePartition)
 
 	// First batch fills the log to its cap.
 	pts, err := nextPoints(ctx, sk, 128)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"macrobase/internal/core"
-	"macrobase/internal/encode"
 )
 
 func pushBatch(base, n int) []core.Point {
@@ -219,97 +218,6 @@ func partCSV(devOffset, rows int) string {
 		fmt.Fprintf(&b, "%d.5,dev%d\n", i%40, (devOffset+i)%15)
 	}
 	return b.String()
-}
-
-// TestPartitionedCSVMatchesSequentialUnion: the partitioned reader
-// must deliver exactly the union of the per-file rows, encoded through
-// the shared encoder identically to sequential CSVSource reads.
-func TestPartitionedCSVMatchesSequentialUnion(t *testing.T) {
-	schema := Schema{Metrics: []string{"power"}, Attributes: []string{"device"}}
-	files := []string{partCSV(0, 500), partCSV(5, 300), partCSV(11, 200)}
-
-	// Sequential reference: one CSVSource per file, same encoder.
-	refEnc := encode.NewEncoder("device")
-	want := map[string]int{}
-	for _, f := range files {
-		src, err := NewCSVSource(strings.NewReader(f), schema, refEnc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			pts, err := src.Next(128)
-			if err == core.ErrEndOfStream {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range pts {
-				key := fmt.Sprintf("%v|%s", pts[i].Metrics[0], refEnc.Decode(pts[i].Attrs[0]).Value)
-				want[key]++
-			}
-		}
-	}
-
-	enc := encode.NewEncoder("device")
-	ps, err := NewPartitionedCSV(schema, enc,
-		strings.NewReader(files[0]), strings.NewReader(files[1]), strings.NewReader(files[2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.NumPartitions() != 3 {
-		t.Fatalf("partitions = %d", ps.NumPartitions())
-	}
-	got := map[string]int{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, part := range ps.Partitions() {
-		wg.Add(1)
-		go func(part core.PartitionStream) {
-			defer wg.Done()
-			ctx := context.Background()
-			for {
-				pts, err := nextPoints(ctx, part, 128)
-				if err == core.ErrEndOfStream {
-					return
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				for i := range pts {
-					key := fmt.Sprintf("%v|%s", pts[i].Metrics[0], enc.Decode(pts[i].Attrs[0]).Value)
-					got[key]++
-				}
-				mu.Unlock()
-			}
-		}(part)
-	}
-	wg.Wait()
-	if len(got) != len(want) {
-		t.Fatalf("distinct rows %d, want %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("row %q: got %d, want %d", k, got[k], n)
-		}
-	}
-}
-
-// TestPartitionedCSVCancelBetweenReads: context cancellation is
-// honored between reads.
-func TestPartitionedCSVCancelBetweenReads(t *testing.T) {
-	schema := Schema{Metrics: []string{"power"}, Attributes: []string{"device"}}
-	ps, err := NewPartitionedCSV(schema, encode.NewEncoder("device"), strings.NewReader(partCSV(0, 100)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := nextPoints(ctx, ps.Partitions()[0], 16); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled partition read: %v", err)
-	}
 }
 
 // TestPushWindowedRates drives the rate sampler through a fake clock:

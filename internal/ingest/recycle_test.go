@@ -279,34 +279,3 @@ func TestCSVNextIntoAllocBound(t *testing.T) {
 		t.Fatalf("CSV parse-in-place: %v allocs for %d rows, want <= %d", allocs, rows, rows+64)
 	}
 }
-
-// TestPartitionedCSVBatchNative: the partitioned reader parses every
-// row in place into the loaned batch.
-func TestPartitionedCSVBatchNative(t *testing.T) {
-	text := partCSV(0, 100)
-	schema := Schema{Metrics: []string{"power"}, Attributes: []string{"device"}}
-	ps, err := NewPartitionedCSV(schema, encode.NewEncoder("device"), strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := ps.Partitions()[0]
-	ctx := context.Background()
-	b := &core.Batch{}
-	total := 0
-	for {
-		got, err := part.NextBatchInto(ctx, b, 33)
-		if err == core.ErrEndOfStream {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != b {
-			t.Fatal("csv partition must fill in place, not swap")
-		}
-		total = b.Len()
-	}
-	if total != 100 {
-		t.Fatalf("parsed %d rows, want 100", total)
-	}
-}

@@ -98,14 +98,13 @@ func (s *StreamSession) Checkpoint() (*Checkpoint, error) {
 
 // ResumeStream restarts a partitioned streaming session from a
 // checkpoint: each checkpointable partition is sought back to its
-// committed offset (the source must implement core.SeekablePartition —
-// ingest.Push with replay enabled and path-opened
-// ingest.PartitionedCSV do), and a fresh session is started over the
-// repositioned source. cfg and shards should match the checkpointed
-// run; operator state is rebuilt from scratch (see CheckpointVersion),
-// so the resumed session's explanations reflect the replayed tail
-// onward, exactly as an uninterrupted run's would once the same points
-// have flowed through.
+// committed offset (the source must implement core.SeekablePartition,
+// as ingest.Push with replay enabled does), and a fresh session is
+// started over the repositioned source. cfg and shards should match
+// the checkpointed run; operator state is rebuilt from scratch (see
+// CheckpointVersion), so the resumed session's explanations reflect
+// the replayed tail onward, exactly as an uninterrupted run's would
+// once the same points have flowed through.
 func ResumeStream(parts core.PartitionedSource, cfg Config, shards int, ck *Checkpoint) (*StreamSession, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("pipeline: nil checkpoint")
@@ -125,7 +124,7 @@ func ResumeStream(parts core.PartitionedSource, cfg Config, shards int, ck *Chec
 		if po.Partition < 0 || po.Partition >= len(streams) {
 			return nil, fmt.Errorf("pipeline: checkpoint names unknown partition %d", po.Partition)
 		}
-		sk, ok := core.AsSeekable(streams[po.Partition])
+		sk, ok := streams[po.Partition].(core.SeekablePartition)
 		if !ok {
 			return nil, fmt.Errorf("pipeline: partition %d is not seekable; cannot resume", po.Partition)
 		}
@@ -167,12 +166,11 @@ func (sp *stableParts) IngestStats(dst []core.PartitionIngestStats) []core.Parti
 }
 
 // checkpointableViews probes each partition stream for the offset
-// protocol, unwrapping decorators; non-checkpointable partitions get
-// nil entries.
+// protocol; non-checkpointable partitions get nil entries.
 func checkpointableViews(streams []core.PartitionStream) []core.CheckpointablePartition {
 	out := make([]core.CheckpointablePartition, len(streams))
 	for i, ps := range streams {
-		if cp, ok := core.AsCheckpointable(ps); ok {
+		if cp, ok := ps.(core.CheckpointablePartition); ok {
 			out[i] = cp
 		}
 	}

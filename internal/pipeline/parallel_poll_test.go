@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -74,9 +73,7 @@ func TestParallelPollHammerWithRebalance(t *testing.T) {
 			t.Fatal("stream made no progress")
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	final, err := sess.StopContext(ctx)
-	cancel()
+	final, err := stopWithin(t, sess, 10*time.Second)
 	close(stopPoll)
 	wg.Wait()
 	if err != nil {

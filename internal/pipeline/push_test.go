@@ -159,76 +159,33 @@ func TestPushIngestThreePartitionsMatchesPullExactly(t *testing.T) {
 	requireIdenticalRanked(t, "P=3 push vs pull", push.Explanations, pull.Explanations)
 }
 
-// blockingSource is a legacy Source that delivers a few batches, then
-// blocks in Next forever (until released) — the PR-1 stop-stall
-// limitation in source form.
-type blockingSource struct {
-	batches int
-	block   chan struct{}
-}
-
-func (s *blockingSource) Next(max int) ([]core.Point, error) {
-	if s.batches > 0 {
-		s.batches--
-		pts := make([]core.Point, max)
-		for i := range pts {
-			pts[i] = core.Point{Metrics: []float64{float64(i % 50)}, Attrs: []int32{int32(i % 9)}}
-		}
-		return pts, nil
+// stopWithin stops sess and returns its final result, failing the test
+// if Stop has not returned within d: a stop wedged on a read fails the
+// test instead of hanging it.
+func stopWithin(t *testing.T, sess *StreamSession, d time.Duration) (*ShardedResult, error) {
+	t.Helper()
+	type stopped struct {
+		res *ShardedResult
+		err error
 	}
-	<-s.block
-	return nil, core.ErrEndOfStream
-}
-
-// TestStopContextDeadlineAgainstBlockingSource pins the satellite fix:
-// a Source whose Next never returns can no longer stall session stop —
-// StopContext abandons ingest at its deadline and still returns a
-// final result covering the points delivered before the stall.
-func TestStopContextDeadlineAgainstBlockingSource(t *testing.T) {
-	src := &blockingSource{batches: 3, block: make(chan struct{})}
-	defer close(src.block)
-	sess, err := StartShardedStream(src, Config{Dims: 1, BatchSize: 512}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the delivered prefix is ingested and the source is
-	// parked inside its blocking Next.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if res, err := sess.Poll(); err == nil && res.Stats.Points >= 3*512 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	final, err := sess.StopContext(ctx)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("StopContext took %v against a blocked source", elapsed)
-	}
-	if final.Stats.Points != 3*512 {
-		t.Errorf("final points %d, want %d (the delivered prefix)", final.Stats.Points, 3*512)
-	}
-	if !sess.Done() {
-		t.Error("session not done after StopContext")
-	}
-	// Idempotent, like Stop.
-	again, err := sess.StopContext(context.Background())
-	if err != nil || again != final {
-		t.Errorf("second StopContext: (%p, %v), want (%p, nil)", again, err, final)
+	done := make(chan stopped, 1)
+	go func() {
+		res, err := sess.Stop()
+		done <- stopped{res, err}
+	}()
+	select {
+	case s := <-done:
+		return s.res, s.err
+	case <-time.After(d):
+		t.Fatalf("Stop did not return within %v", d)
+		return nil, nil
 	}
 }
 
-// TestStopContextCancelsBlockedPushRead: for context-aware partitioned
-// sources no abandonment is needed — stop cancels the blocked read
-// itself, and the result covers everything pushed.
-func TestStopContextCancelsBlockedPushRead(t *testing.T) {
+// TestStopCancelsBlockedPushRead: for context-aware partitioned
+// sources stop cancels the blocked read itself, and the result covers
+// everything pushed.
+func TestStopCancelsBlockedPushRead(t *testing.T) {
 	p := ingest.NewPush(2, 2)
 	sess, err := StartPartitionedStream(p, Config{Dims: 1}, 2)
 	if err != nil {
@@ -249,9 +206,7 @@ func TestStopContextCancelsBlockedPushRead(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	final, err := sess.StopContext(ctx)
+	final, err := stopWithin(t, sess, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,9 +350,7 @@ func TestPushSessionConcurrentProducersPollsStop(t *testing.T) {
 		t.Fatal(msg)
 	}
 
-	ctxStop, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	final, err := sess.StopContext(ctxStop)
+	final, err := stopWithin(t, sess, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

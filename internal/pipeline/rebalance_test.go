@@ -340,9 +340,9 @@ func TestRebalanceEvacuatesDeadShard(t *testing.T) {
 
 // TestRebalanceHammerConcurrentPollsAndStop is the -race exerciser:
 // live rebalancing under an aggressive cadence, concurrent pollers
-// reading breakdowns mid-epoch-swap, and a deadline StopContext cutting
-// the stream off mid-flight. Correctness here is "no race, no wedge,
-// coherent final result".
+// reading breakdowns mid-epoch-swap, and a Stop cutting the stream off
+// mid-flight. Correctness here is "no race, no wedge, coherent final
+// result".
 func TestRebalanceHammerConcurrentPollsAndStop(t *testing.T) {
 	const nParts, shards = 3, 4
 	d := gen.SkewedDevices(gen.SkewConfig{Points: 120_000, PinShards: shards, Seed: 53})
@@ -396,9 +396,7 @@ func TestRebalanceHammerConcurrentPollsAndStop(t *testing.T) {
 			t.Fatal("stream made no progress")
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	final, err := sess.StopContext(ctx)
-	cancel()
+	final, err := stopWithin(t, sess, 10*time.Second)
 	close(stopPoll)
 	wg.Wait()
 	if err != nil {

@@ -2,9 +2,7 @@ package pipeline
 
 import (
 	"fmt"
-	"os"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,21 +12,6 @@ import (
 	"macrobase/internal/gen"
 	"macrobase/internal/ingest"
 )
-
-// chaosSeed returns the fault-injection seed for this run: CI sweeps a
-// fixed matrix through MACROBASE_CHAOS_SEED; local runs get a default.
-func chaosSeed(t *testing.T) uint64 {
-	t.Helper()
-	s := os.Getenv("MACROBASE_CHAOS_SEED")
-	if s == "" {
-		return 7
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		t.Fatalf("MACROBASE_CHAOS_SEED=%q: %v", s, err)
-	}
-	return v
-}
 
 // resumableConfig is an order-insensitive pipeline configuration:
 // deterministic stateless classifiers and no decay, so any interleaving
@@ -236,74 +219,6 @@ func TestResumeStreamValidation(t *testing.T) {
 	}
 	p.CloseAll()
 	noReplay.CloseAll()
-}
-
-// TestChaosTransientFaultsInvisibleSinglePartition: with one partition
-// the engine sees a total order, so a 1% transient fault rate absorbed
-// by the retry layer must leave the run bit-identical to fault-free —
-// default streaming classifiers, decay ticks and all.
-func TestChaosTransientFaultsInvisibleSinglePartition(t *testing.T) {
-	const shards = 4
-	d := gen.Devices(gen.DeviceConfig{Points: 60_000, Devices: 500, Seed: 3})
-	cfg := Config{Dims: 1, MinSupport: 0.005, DecayEveryPoints: 15_000, BatchSize: 2048, Seed: 5, DisableGlobalThreshold: true}
-	batches := chunk(d.Points, 512) // more reads -> more injection sites
-
-	clean := ingest.NewPush(1, 2)
-	feedPush(t, clean, [][][]core.Point{batches})
-	want, err := RunPartitionedStream(clean, cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seed := chaosSeed(t)
-	faulty := ingest.NewPush(1, 2)
-	feedPush(t, faulty, [][][]core.Point{batches})
-	feed := core.NewRetrySource(
-		ingest.NewChaosSource(faulty, ingest.ChaosPlan{Seed: seed, TransientErrorRate: 0.01}),
-		core.RetryPolicy{Seed: seed, BaseDelay: time.Microsecond},
-	)
-	got, err := RunPartitionedStream(feed, cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.RunStats != want.Stats.RunStats {
-		t.Errorf("stats differ under chaos: %+v vs %+v", got.Stats.RunStats, want.Stats.RunStats)
-	}
-	requireIdenticalRanked(t, fmt.Sprintf("chaos seed %d vs fault-free", seed), got.Explanations, want.Explanations)
-}
-
-// TestChaosTransientFaultsInvisibleMultiPartition: P=3 partitions race,
-// so the comparison runs under the order-insensitive configuration;
-// the answer must be identical with and without injected faults.
-func TestChaosTransientFaultsInvisibleMultiPartition(t *testing.T) {
-	const nParts, shards = 3, 4
-	d := gen.Devices(gen.DeviceConfig{Points: 45_000, Devices: 400, Seed: 29})
-	cfg := resumableConfig()
-	cfg.BatchSize = 512
-	_, batched := splitParts(d.Points, nParts, cfg.BatchSize)
-
-	clean := ingest.NewPush(nParts, 4)
-	feedPush(t, clean, batched)
-	want, err := RunPartitionedStream(clean, cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seed := chaosSeed(t)
-	faulty := ingest.NewPush(nParts, 4)
-	feedPush(t, faulty, batched)
-	feed := core.NewRetrySource(
-		ingest.NewChaosSource(faulty, ingest.ChaosPlan{Seed: seed, TransientErrorRate: 0.01}),
-		core.RetryPolicy{Seed: seed, BaseDelay: time.Microsecond},
-	)
-	got, err := RunPartitionedStream(feed, cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.Points != want.Stats.Points || got.Stats.Outliers != want.Stats.Outliers {
-		t.Errorf("stats differ under chaos: %+v vs %+v", got.Stats.RunStats, want.Stats.RunStats)
-	}
-	requireIdenticalRanked(t, fmt.Sprintf("chaos seed %d p3s4", seed), got.Explanations, want.Explanations)
 }
 
 // bombClassifier is cutClassifier with a fuse: it panics after

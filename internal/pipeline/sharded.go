@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -662,36 +661,12 @@ func (s *StreamSession) livePoll(snaps []any) *ShardedResult {
 
 // Stop halts ingestion, waits for the workers to drain and flush, and
 // returns the final reconciled result. Stop is idempotent. Ingestion
-// is interrupted mid-read for context-aware sources (partitioned
-// backends such as ingest.Push and ingest.PartitionedCSV); a legacy
-// Source blocked inside Next delays Stop until that call returns — use
-// StopContext to bound the wait.
+// is interrupted mid-read for context-aware partitions (ingest.Push);
+// a legacy Source blocked inside Next delays Stop until that call
+// returns.
 func (s *StreamSession) Stop() (*ShardedResult, error) {
-	return s.StopContext(context.Background())
-}
-
-// StopContext is Stop with a deadline: it requests the stop, and if
-// the stream has not fully drained by the time ctx expires — a
-// partition stuck in a read that honors no cancellation, i.e. a legacy
-// Source whose Next never returns — it abandons ingestion: workers
-// consume what was already queued, flush, and the final reconciled
-// result is returned promptly, while the stuck read is left to its
-// fate (its goroutine exits silently if it ever returns). The result
-// is therefore complete up to abandonment; points a stuck partition
-// would have delivered later are not waited for. A context that is
-// already expired abandons immediately.
-func (s *StreamSession) StopContext(ctx context.Context) (*ShardedResult, error) {
 	s.runner.RequestStop()
-	select {
-	case <-s.done:
-	case <-ctx.Done():
-		// Deadline passed with ingestion still wedged: give up on the
-		// blocked partitions and drain what the workers already have.
-		// Abandon bounds the remaining work (queued batches + flush +
-		// final merge), so this second wait is short.
-		s.runner.Abandon()
-		<-s.done
-	}
+	<-s.done
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.final, s.err
