@@ -14,10 +14,19 @@
 // documentation at the repository root. Negative ids are ignored.
 // An insert costs one constant-time child lookup per item — a table
 // read at the root, a hash probe into the arena's child index below it
-// — whatever the fan-out, and so do the replays inside Restructure and
-// Merge. Steady-state inserts touch no allocator: the arena grows only
+// — whatever the fan-out, and so does the replay inside Merge.
+// Restructure, the decay tick, looks nothing up: it rebuilds the slab
+// from the tree's extracted transactions, splitting them on their item
+// one depth at a time, and produces the counts the replay of those
+// transactions would, bit for bit (see Restructure). Steady-state
+// inserts and restructures touch no allocator: the arena grows only
 // when a genuinely new prefix node appears, and all traversal scratch
 // is owned by the tree and reused.
+//
+// A node ends transactions when its count exceeds its children's sum;
+// one rule (endWeight) decides that for every reader of the paths —
+// Restructure, Mine and ForEachPath — and it discounts cancellation
+// residue relative to the node's count.
 //
 // Because query-style methods (Mine, ItemsetSupport, ForEachPath, and
 // the read side of Merge) also run over that reusable scratch, a Tree
@@ -53,11 +62,14 @@ type Tree struct {
 
 	// Reusable scratch. itemScratch holds the filtered, rank-sorted
 	// transaction during Insert; path* hold the flattened (path,
-	// weight) extraction used by Restructure/Mine; walkPath is the one
+	// weight) extraction used by Restructure/Mine, and pathW first
+	// holds every node's child sum (childSums); walkPath is the one
 	// path ForEachPath (and so the read side of Merge) has in hand;
 	// pathSlices re-slices pathItems for fptree.Build; query holds the
 	// rank-sorted items of an ItemsetSupport call; countByID orders
-	// restructures without a map.
+	// restructures without a map; bucketAt and bucketRanks are the
+	// rebuild's per-rank bucket cursors and the ranks of one bucket
+	// pass.
 	itemScratch []int32
 	walkPath    []int32
 	pathItems   []int32
@@ -68,6 +80,8 @@ type Tree struct {
 	countByID   []float64
 	freqItems   []int32 // keep-all restructure staging
 	freqCounts  []float64
+	bucketAt    []int32
+	bucketRanks []int32
 
 	// Reusable mining state: Mine replays the tree's paths into mineTree
 	// (rebuilt in place) and runs FPGrowth through miner, so steady-state
@@ -158,19 +172,44 @@ func (t *Tree) NumItems() int { return len(t.order) }
 // NumNodes reports the number of tree nodes (excluding the root).
 func (t *Tree) NumNodes() int { return t.arena.NumNodes() }
 
-// pathEps is the terminal weight below which a node ends no
-// transaction (float residue of decayed counts).
-const pathEps = 1e-12
+// endEps is the cancellation residue allowed for: a node ends
+// transactions only when its count exceeds the sum of its children's
+// counts by more than endEps of the count itself. Counts are long float
+// sums (inserts, decays, rebuilds), so a node that ends nothing still
+// reads count - childSum some ulps of its count away from zero. The
+// residue grows with the count, which is why an absolute cut let it
+// through as phantom transactions, and it builds up over the ~1/decay
+// ticks a weight lives: on a sequential 10M-point CMT stream it reached
+// 1.4e-12 of the count (3.5e-6 absolute), while the smallest real
+// terminal weight was 1.3e-6 of its node. 1e-9 sits between the two
+// with three orders of magnitude to spare on either side; a real
+// transaction it drops weighs under a billionth of its node.
+const endEps = 1e-9
 
-// terminalWeight returns the weight of the transactions that end at
-// node i: a node whose count exceeds the sum of its children's counts
-// (taken in sibling-list order) terminates that many transactions.
-func terminalWeight(nodes []itemtree.Node, i int32) float64 {
-	childSum := 0.0
-	for c := nodes[i].First; c != itemtree.NilIdx; c = nodes[c].Next {
-		childSum += nodes[c].Count
+// endWeight is the one terminal-weight rule: the weight of the
+// transactions that end at a node of the given count whose children's
+// counts sum to childSum, or 0 when the difference is residue.
+func endWeight(count, childSum float64) float64 {
+	if term := count - childSum; term > endEps*count {
+		return term
 	}
-	return nodes[i].Count - childSum
+	return 0
+}
+
+// childSums sweeps the slab once in reverse, adding every node's count
+// to its parent's entry of t.pathW (len(Nodes) of them), and returns
+// that slice. Sibling lists run descending by index (the itemtree
+// package comment), so each entry is summed in sibling-list order: the
+// very float sum a walk along the list would take.
+func (t *Tree) childSums() []float64 {
+	nodes := t.arena.Nodes
+	sums := slices.Grow(t.pathW[:0], len(nodes))[:len(nodes)]
+	clear(sums)
+	for i := len(nodes) - 1; i > 0; i-- {
+		sums[nodes[i].Parent] += nodes[i].Count
+	}
+	t.pathW = sums
+	return sums
 }
 
 // appendPath appends the items on the path from the root down to node
@@ -186,18 +225,27 @@ func appendPath(dst []int32, nodes []itemtree.Node, i int32) []int32 {
 
 // extractPaths materializes ForEachPath's transactions as flattened
 // (path, weight) records in the tree's reusable path buffers, for the
-// callers that need them all at once (Restructure resets the tree
-// before replaying them; Mine hands them to a two-pass FP-tree build).
-// pathOffs carries len(paths)+1 offsets into pathItems.
+// callers that need them all at once (Restructure rebuilds the tree
+// from them; Mine hands them to a two-pass FP-tree build). pathOffs
+// carries len(paths)+1 offsets into pathItems; the weights overwrite
+// the child sums they were computed from, which are read ahead of them.
 func (t *Tree) extractPaths() {
+	nodes := t.arena.Nodes
+	sums := t.childSums()
 	t.pathItems = t.pathItems[:0]
 	t.pathOffs = append(t.pathOffs[:0], 0)
-	t.pathW = t.pathW[:0]
-	t.ForEachPath(func(items []int32, w float64) {
-		t.pathItems = append(t.pathItems, items...)
+	n := 0
+	for i := 1; i < len(nodes); i++ {
+		w := endWeight(nodes[i].Count, sums[i])
+		if w == 0 {
+			continue
+		}
+		t.pathItems = appendPath(t.pathItems, nodes, int32(i))
 		t.pathOffs = append(t.pathOffs, int32(len(t.pathItems)))
-		t.pathW = append(t.pathW, w)
-	})
+		sums[n] = w
+		n++
+	}
+	t.pathW = sums[:n]
 }
 
 // numPaths returns the number of extracted paths.
@@ -219,11 +267,30 @@ func (t *Tree) path(i int) []int32 {
 // its own decayed counts and prunes nothing) and clears any M-CPS
 // insert filter. Steady-state restructures reuse the tree's scratch
 // and allocate nothing.
+//
+// The tree is rebuilt, not replayed: its transactions are extracted,
+// each is rewritten as the new ranks of the items it keeps, and the new
+// slab is built top down by splitting the paths on their item at each
+// depth (build). The result is the tree that re-inserting every
+// extracted transaction in extraction order would give — the same
+// (path, weight) multiset, node counts, header counts and sibling
+// order, bit for bit, as the tests require of every call — except that
+// nodes are numbered level by level instead of in insertion order, with
+// no child-index probe per item. The next insert below the root
+// rebuilds the child index.
 func (t *Tree) Restructure(items []int32, counts []float64, retain float64) {
 	// Decay in place first so extracted path weights are decayed.
 	t.arena.Decay(retain)
 	t.extractPaths()
+	t.stageOrder(items, counts)
+	t.rankPaths()
+	t.build()
+}
 
+// stageOrder installs the next window's order and insert filter (see
+// Restructure) and truncates the arena to the root with one empty
+// header per new rank. The extracted paths are left as they are.
+func (t *Tree) stageOrder(items []int32, counts []float64) {
 	keepAll := items == nil
 	if keepAll {
 		// Keep-all: order by the tree's own decayed header counts.
@@ -288,8 +355,8 @@ func (t *Tree) Restructure(items []int32, counts []float64, retain float64) {
 		// filter returns with the next explicit frequent set).
 		t.allowed = nil
 	} else {
-		// M-CPS: only the new frequent set is insertable. The filter
-		// also restricts the rebuild below, so pruned items vanish.
+		// M-CPS: only the new frequent set is insertable. The rebuild
+		// keeps exactly the ranked items, so pruned items vanish.
 		t.allowed = t.allowed[:0]
 		for len(t.allowed) < len(t.rank) {
 			t.allowed = append(t.allowed, false)
@@ -306,12 +373,165 @@ func (t *Tree) Restructure(items []int32, counts []float64, retain float64) {
 			t.allowed[it] = true
 		}
 	}
+}
 
-	// Re-insert extracted transactions under the new order; items
-	// outside the new set are dropped by Insert's filter.
-	for i := 0; i < t.numPaths(); i++ {
-		t.Insert(t.path(i), t.pathW[i])
+// rankPaths rewrites every extracted path in place as the ascending new
+// ranks of the items Insert would keep — the staged ones, and for a
+// CPS tree the others too, ranked last in the order Insert would meet
+// them — drops the paths left empty, and adds each kept path's weight
+// to its items' header counts, path by path in extraction order as
+// Insert does. Items and offsets only ever move down, so the rewrite
+// needs no second buffer.
+func (t *Tree) rankPaths() {
+	items, offs, w := t.pathItems, t.pathOffs, t.pathW
+	kept, end := 0, int32(0)
+	lo := offs[0]
+	for i := range w {
+		hi := offs[i+1]
+		start := end
+		for _, it := range items[lo:hi] {
+			r := t.rank[it]
+			if r < 0 {
+				if !t.trackAll {
+					continue // pruned
+				}
+				r = t.ensureItem(it)
+			}
+			items[end] = r
+			end++
+			t.arena.Headers[r].Count += w[i]
+		}
+		lo = hi
+		if end == start {
+			continue
+		}
+		for j := start + 1; j < end; j++ { // insertion sort: paths are short
+			for k := j; k > start && items[k-1] > items[k]; k-- {
+				items[k-1], items[k] = items[k], items[k-1]
+			}
+		}
+		offs[kept+1] = end
+		w[kept] = w[i]
+		kept++
 	}
+	t.pathItems, t.pathOffs, t.pathW = items[:end], offs[:kept+1], w[:kept]
+}
+
+// build constructs the slab from the ranked paths one depth at a time.
+// At each depth the paths that reach it are grouped by the node they
+// hang from, and each group is split on the paths' rank there by a
+// stable bucket pass that takes buckets in first-occurrence order
+// (split); each bucket becomes one child whose count sums the bucket's
+// weights in extraction order. That is the node, the count and the
+// sibling order the replay's inserts produce: Insert would create that
+// child at the bucket's first path and add the bucket's weights to it
+// in the same order. Nodes are numbered level by level, so siblings are
+// adjacent and ascending (their lists stay descending by index), and
+// the shallow nodes every insert descends through sit together at the
+// front of the slab, where the child index, rebuilt in slab order, also
+// gives them their home slots.
+//
+// perm holds the paths that reach the current depth and par the node
+// each hangs from, groups adjacent and in node order; keys is the
+// bucket pass's scratch. All three live in the slab of the child
+// index, which the build has no use for.
+func (t *Tree) build() {
+	n := int32(len(t.pathW))
+	if n == 0 {
+		return
+	}
+	scratch := t.arena.BorrowScratch(3 * int(n))
+	perm, par, keys := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	for i := range perm {
+		perm[i], par[i] = int32(i), itemtree.NilIdx
+	}
+	for len(t.bucketAt) < len(t.order) {
+		t.bucketAt = append(t.bucketAt, 0)
+	}
+	items, offs, w := t.pathItems, t.pathOffs, t.pathW
+	for depth := int32(0); n > 0; depth++ {
+		next := int32(0)
+		for lo := int32(0); lo < n; {
+			hi := lo + 1
+			for hi < n && par[hi] == par[lo] {
+				hi++
+			}
+			if hi > lo+1 {
+				next = t.split(perm, par, keys, lo, hi, depth, next)
+			} else { // one path, one child: no bucket pass
+				p := perm[lo]
+				r := items[offs[p]+depth]
+				child := t.arena.AppendChild(par[lo], t.order[r], r, w[p])
+				if offs[p+1]-offs[p] > depth+1 {
+					perm[next], par[next] = p, child
+					next++
+				}
+			}
+			lo = hi
+		}
+		n = next
+	}
+}
+
+// split creates the children of node par[lo] from its paths
+// perm[lo:hi], which all reach depth: it groups them stably by their
+// rank at depth, buckets in the order their ranks first occur, makes
+// one child per bucket, and moves the paths that go on past that child
+// to perm[next:], with the child in par, returning the new next. next
+// never passes the entry being read, so the moves only overwrite
+// entries already read. t.bucketAt is all zeros on entry and on return.
+func (t *Tree) split(perm, par, keys []int32, lo, hi, depth, next int32) int32 {
+	items, offs, w, at := t.pathItems, t.pathOffs, t.pathW, t.bucketAt
+	parent := par[lo]
+	ranks := t.bucketRanks[:0]
+	for i := lo; i < hi; i++ {
+		p := perm[i]
+		o := offs[p]
+		r := items[o+depth]
+		if offs[p+1]-o == depth+1 {
+			perm[i] = ^p // ends at the child
+		}
+		keys[i] = r
+		if at[r] == 0 {
+			ranks = append(ranks, r)
+		}
+		at[r]++
+	}
+	t.bucketRanks = ranks
+	// at[r] becomes the end of r's bucket in bucketed.
+	bucketed := perm[lo:hi]
+	if len(ranks) == 1 {
+		at[ranks[0]] = hi
+	} else {
+		// Scatter into par[lo:hi], free once parent is read.
+		start := lo
+		for _, r := range ranks {
+			start, at[r] = start+at[r], start
+		}
+		for i := lo; i < hi; i++ {
+			par[at[keys[i]]] = perm[i]
+			at[keys[i]]++
+		}
+		bucketed = par[lo:hi]
+	}
+	start := int32(0)
+	for _, r := range ranks {
+		end := at[r] - lo
+		at[r] = 0
+		sum := 0.0
+		for _, p := range bucketed[start:end] {
+			sum += w[max(p, ^p)]
+		}
+		child := t.arena.AppendChild(parent, t.order[r], r, sum)
+		for _, p := range bucketed[start:end] {
+			if p >= 0 {
+				perm[next], par[next] = p, child
+				next++
+			}
+		}
+		start = end
+	}
+	return next
 }
 
 // Mine replays the tree's weighted paths through an FP-tree and runs
@@ -357,13 +577,12 @@ func (t *Tree) ItemsetSupport(items []int32) float64 {
 // is only valid for the duration of the call.
 func (t *Tree) ForEachPath(f func(items []int32, weight float64)) {
 	nodes := t.arena.Nodes
-	for i := int32(1); int(i) < len(nodes); i++ {
-		term := terminalWeight(nodes, i)
-		if term <= pathEps {
-			continue
+	sums := t.childSums()
+	for i := 1; i < len(nodes); i++ {
+		if w := endWeight(nodes[i].Count, sums[i]); w != 0 {
+			t.walkPath = appendPath(t.walkPath[:0], nodes, int32(i))
+			f(t.walkPath, w)
 		}
-		t.walkPath = appendPath(t.walkPath[:0], nodes, i)
-		f(t.walkPath, term)
 	}
 }
 

@@ -212,7 +212,8 @@ func checkMine(t *testing.T, tree *Tree, model *treeModel, minCount float64, dat
 //
 //	0x00-0x9F  insert: following bytes % 9 are items until a byte >= 0xF0
 //	0xA0-0xCF  restructure: next byte → threshold (opcode bit 4 set =
-//	           keep-all) and retain (bit 0: 0.5, else 1)
+//	           keep-all) and retain (bit 0: 0.5, else 1); a clone runs
+//	           the replay oracle alongside and must come out the same
 //	0xD0-0xEF  mine + compare (next byte → minCount)
 //	0xF0-0xF7  clone, then diverge: the next two bytes are byteTx
 //	           transactions, the first inserted into the original, the
@@ -262,16 +263,21 @@ func FuzzTreeOps(f *testing.F) {
 				if op&1 == 1 {
 					retain = 0.5
 				}
+				var items []int32
+				var counts []float64
 				if op&0x10 != 0 {
 					model.restructure(-1, retain)
-					tree.Restructure(nil, nil, retain)
 				} else {
 					threshold := float64(1+int(data[i])%4) * 0.5
-					items, counts := model.restructure(threshold, retain)
+					items, counts = model.restructure(threshold, retain)
 					if items == nil {
 						items = []int32{} // empty frequent set prunes all; nil means keep-all
 					}
-					tree.Restructure(items, counts, retain)
+				}
+				// Every restructure also runs the replay oracle on a
+				// clone: the rebuild must match it bit for bit.
+				if err := sameRestructure(tree, items, counts, retain); err != "" {
+					t.Fatalf("restructure(%v, %v, %v): %s (ops %x)", items, counts, retain, err, data)
 				}
 			case op < 0xF0: // mine + compare
 				if i+1 >= len(data) {

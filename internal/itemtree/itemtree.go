@@ -38,16 +38,30 @@
 // the three state slabs, a clone that is merged into builds its own
 // index once, and the thousands of small conditional FP-trees of a mine
 // each start from a table that fits them, whatever the frame held
-// before. Steady-state Reset-and-rebuild cycles allocate nothing.
+// before. Steady-state Reset-and-rebuild cycles allocate nothing. An
+// owner that rebuilds a whole tree with AppendChild, which needs no
+// index, may borrow the kept slab as working space (BorrowScratch).
 //
-// The sibling list (First/Next) is still maintained, head-inserted, and
-// is what path extraction sums a node's children through; the index
-// only replaces the walk along it that InsertSorted used to do. A
-// (parent, item) pair names at most one node, so the lookup returns the
-// very child that walk would have found, and node creation order,
+// The sibling list (First/Next) is still maintained; the index only
+// replaces the walk along it that InsertSorted used to do. A (parent,
+// item) pair names at most one node, so the lookup returns the very
+// child that walk would have found, and node creation order,
 // header-chain order and sibling order — everything a later float
 // summation runs over — are unchanged bit for bit. The test suite keeps
 // the sibling-scan insert as a reference and requires DeepEqual slabs.
+//
+// # Sibling order
+//
+// Every sibling list runs strictly descending by index. A new node is
+// always appended to the slab and head-inserted into its parent's list
+// (InsertSorted and AppendChild share that one wiring), CloneInto
+// copies the slab as it is, and nothing else moves a node. Owners rely
+// on it: a reverse sweep over the slab that adds each node's count to
+// its parent's running sum (cps's terminal weights) visits every list
+// in list order, so it reproduces a walk along the list bit for bit
+// without chasing a pointer. An owner that builds with AppendChild
+// keeps the invariant by construction; one that wrote Nodes directly
+// would have to keep it by hand.
 //
 // # Concurrency
 //
@@ -56,7 +70,8 @@
 // scratch from the caller and read Nodes and Headers only — never the child
 // index — so any number of goroutines may run them against the same
 // arena concurrently, provided no mutating method (InsertSorted,
-// Reserve, Decay, Reset, CloneInto as target) runs at the same time.
+// AppendChild, BorrowScratch, Reserve, Decay, Reset, CloneInto as
+// target) runs at the same time.
 // The reusable per-tree scratch that makes the *owning* trees
 // single-threaded lives in cps/fptree, not here.
 package itemtree
@@ -227,29 +242,67 @@ func (a *Arena) InsertSorted(items []int32, rank []int32, w float64) {
 			child, slot = a.findChild(cur, it)
 		}
 		if child == NilIdx {
-			child = int32(len(a.Nodes))
-			a.Nodes = append(a.Nodes, Node{Item: it, Parent: cur, Next: a.Nodes[cur].First})
-			a.Nodes[cur].First = child
-			if cur == NilIdx {
-				a.RootChild[rank[it]] = child
-			} else {
+			child = a.newChild(cur, it, rank[it], 0)
+			if cur != NilIdx {
 				a.index[slot] = child
 				a.indexUsed++
 				if int(a.indexUsed) > indexLimit(len(a.index)) {
 					a.reindex(2 * len(a.index))
 				}
 			}
-			h := &a.Headers[rank[it]]
-			if h.Tail == NilIdx {
-				h.Head, h.Tail = child, child
-			} else {
-				a.Nodes[h.Tail].Link = child
-				h.Tail = child
-			}
 		}
 		a.Nodes[child].Count += w
 		cur = child
 	}
+}
+
+// newChild appends a node carrying item (of rank r) with the given
+// count below parent: head-inserted into parent's sibling list (so the
+// list stays descending by index), entered in the root-child table when
+// parent is the root, and linked at the tail of the rank's header
+// chain. The child index is the caller's business.
+func (a *Arena) newChild(parent, item, r int32, count float64) int32 {
+	child := int32(len(a.Nodes))
+	a.Nodes = append(a.Nodes, Node{Count: count, Item: item, Parent: parent, Next: a.Nodes[parent].First})
+	a.Nodes[parent].First = child
+	if parent == NilIdx {
+		a.RootChild[r] = child
+	}
+	h := &a.Headers[r]
+	if h.Tail == NilIdx {
+		h.Head, h.Tail = child, child
+	} else {
+		a.Nodes[h.Tail].Link = child
+		h.Tail = child
+	}
+	return child
+}
+
+// AppendChild is the builder's insert, for an owner that constructs a
+// whole tree at once from paths it has already grouped (cps's
+// Restructure): it creates a child of parent carrying item, of rank r,
+// with the given count, wired exactly as InsertSorted wires a new node
+// — but it looks nothing up, so the caller must know that parent has
+// no such child yet, and it leaves the child index dropped (the next
+// InsertSorted below a root child rebuilds it). It returns the child's
+// index.
+func (a *Arena) AppendChild(parent, item, r int32, count float64) int32 {
+	a.dropIndex()
+	return a.newChild(parent, item, r, count)
+}
+
+// BorrowScratch lends the caller the child index's slab as n int32s of
+// scratch, growing it if it is short, and drops the index. The loan is
+// good until the next InsertSorted, which may rebuild the index in that
+// slab; AppendChild leaves it alone. An owner rebuilding the tree with
+// AppendChild has no index to keep, so its working space costs no
+// second slab of the tree's size.
+func (a *Arena) BorrowScratch(n int) []int32 {
+	a.dropIndex()
+	if cap(a.index) < n {
+		a.index = make([]int32, 0, n)
+	}
+	return a.index[:n]
 }
 
 const indexMinSize = 8

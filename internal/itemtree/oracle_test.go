@@ -310,8 +310,8 @@ func TestRootOnlyTreeNeverIndexes(t *testing.T) {
 }
 
 // TestResetRebuildAllocatesNothing: once the slabs are warm, a
-// Reset -> rebuild cycle (what every conditional FP-tree frame and
-// every M-CPS restructure does) touches no allocator, index included.
+// Reset -> rebuild cycle (what every conditional FP-tree frame does)
+// touches no allocator, index included.
 func TestResetRebuildAllocatesNothing(t *testing.T) {
 	g := newTxGen(11, true)
 	txs := make([][]int32, 4000)
@@ -335,7 +335,7 @@ func TestResetRebuildAllocatesNothing(t *testing.T) {
 // BenchmarkInsertSorted measures the per-transaction cost on a warm
 // benchmark-shaped tree (mostly hits, the streaming steady state) and
 // the cost of building that tree from empty (mostly misses plus index
-// growth, the Restructure/Merge/BuildInto regime).
+// growth, the Merge/BuildInto regime).
 func BenchmarkInsertSorted(b *testing.B) {
 	g := newTxGen(1, true)
 	txs := make([][]int32, 200_000)
