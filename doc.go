@@ -231,7 +231,10 @@
 //     parent's running sum. Sibling lists run descending by index
 //     (internal/itemtree, "Sibling order"), so each sum is the one a
 //     walk along the list takes, bit for bit, and a node's count minus
-//     that sum is the weight of the transactions ending there.
+//     that sum is the weight of the transactions ending there. The sums
+//     take one float64 per node in the tree's path-weight buffer, which
+//     the extracted weights then overwrite; the buffer is kept across
+//     ticks.
 //   - Each extracted path is rewritten in place as the ascending new
 //     ranks of the items it keeps, and its weight goes to those items'
 //     headers.
@@ -243,44 +246,25 @@
 // That is exactly the tree re-inserting every extracted path would
 // give — the same (path, weight) multiset, node counts, header counts
 // and sibling order — with nodes numbered level by level instead. The
-// re-insert lives on as a test oracle that every restructure of a
+// re-insert is kept as a test oracle that every restructure of a
 // randomized differential and of FuzzTreeOps is compared against.
 //
 // The numbering is chosen for the inserts that follow. Every insert
 // descends through the shallow nodes, and level order keeps them
 // together at the front of the slab, where the child index (rebuilt in
 // slab order at the first insert after the tick) also gives them their
-// home slots; the replay's numbering had the same property by accident
-// of creating them first. A depth-first numbering, tried first, spread
-// them over the slab: in three merged profiles per side, child-index
-// lookups under Consume took 24% more CPU than after the replay on
-// firehose_xc and 32% more on poll_drift.
-//
-// In firehose_xc server profiles (seeds 1-3, 2 s of each measured
-// window, merged), Restructure went from 18.8% of server CPU to 11.4%;
-// the child-index rebuild, which now falls to the first insert after a
-// tick (itemtree's reindex), went from 1.5% to 1.9%, and lookups under
-// Consume read 12.0% and 13.9% (13.2% and 13.3% in an earlier set of
-// three, so within what these profiles resolve). On poll_drift
-// Restructure went from 9.8% to 6.0% and the lookups read 11.7% and
-// 10.6%.
+// home slots.
 //
 // Cancellation residue. A node that ends nothing still reads its count
 // minus its children's sum some ulps of its count away from zero, since
-// both are long float sums. A fixed cut of 1e-12 let that residue
-// through as phantom transactions, which the next tick re-inserted as
-// real weight: on a sequential 10M-point CMT stream (1M generated
-// points played ten times through pipeline.RunStreaming, default decay)
-// the extractions returned 16,923 phantom records over the run, and the
-// phantom weight re-inserted on one node reached 2.8e-5. The cut is now
-// relative (cps.endWeight): a node ends transactions only past 1e-9 of
-// its count. The residue on that stream peaked at 1.4e-12 of its node
-// and the smallest real terminal weight was 1.3e-6 of its node, so the
-// cut sits three orders of magnitude from each. The final explanations
-// of that stream, and of a 1.6M-point one, came out bit-identical under
-// either cut, and the goldens did not move. (The relative cut also
-// drops a real transaction lighter than 1e-9 of its node: none on
-// either stream.)
+// both are long float sums, and the residue grows with the count. An
+// absolute cut lets it through as phantom transactions, which the next
+// tick would re-insert as real weight. The cut is relative
+// (cps.endWeight): a node ends transactions only past 1e-9 of its
+// count. On a sequential 10M-point CMT stream the residue peaked at
+// 1.4e-12 of its node and the smallest real terminal weight was 1.3e-6
+// of its node, so the cut sits three orders of magnitude from each; a
+// real transaction it drops weighs under a billionth of its node.
 //
 // Open problem: the inlier tree grows without bound. Decay shrinks a
 // path's weight geometrically but never removes the path, and only an
@@ -290,10 +274,9 @@
 // RunStreaming, default decay), the inlier tree held 98K nodes after
 // the first tick and 885K after the sixteenth, ~50K more per 100K-point
 // tick, and its Restructure took 25-55 ms over the first ticks and
-// ~170 ms at the sixteenth (the replaying Restructure it replaced: ~50
-// and ~600 ms). Tick cost therefore rises with stream age, whatever the
-// rebuild costs per node. Bounding it means dropping paths whose
-// decayed weight can no longer move an answer, which is an
+// ~170 ms at the sixteenth. Tick cost therefore rises with stream age,
+// whatever the rebuild costs per node. Bounding it means dropping paths
+// whose decayed weight can no longer move an answer, which is an
 // approximation with a bound of its own to state and measure.
 //
 // # One poll path
@@ -739,18 +722,15 @@
 // Restructure, "replay" the test oracle that re-inserts every path;
 // both allocate nothing. Each op ends with the next window's first
 // insert, since after a rebuild that insert rebuilds the child index
-// (the replay built it as it went). In ms/op, the middle of three
-// alternating runs of 20 iterations each, with the Restructure that
-// replayed every path through the old extraction measured on the same
-// tree in the same sitting:
+// (the replay builds it as it goes). In ms/op, the median of five runs
+// of 20 iterations each, both sub-benchmarks in every run:
 //
-//	Restructure/rebuild          95.8
-//	Restructure/replay            117
-//	Restructure before rebuild    165
+//	Restructure/rebuild          114
+//	Restructure/replay           148
 //
-// The sitting drifted by 1.6x between rounds; within each round the
-// old tick read 1.72-1.86x the rebuild and the replay oracle
-// 1.22-1.35x.
+// On a 2-vCPU box runs drift by up to 1.5x within a sitting, and the
+// replay read 0.98-1.42x the rebuild run by run; compare the two
+// sub-benchmarks within one run, over several runs.
 //
 // poll-warm, poll-inlier-moved and DeltaMine/steady-drift measured the
 // reuse layers "One poll path" describes and were deleted with them.

@@ -176,14 +176,11 @@ func (t *Tree) NumNodes() int { return t.arena.NumNodes() }
 // transactions only when its count exceeds the sum of its children's
 // counts by more than endEps of the count itself. Counts are long float
 // sums (inserts, decays, rebuilds), so a node that ends nothing still
-// reads count - childSum some ulps of its count away from zero. The
-// residue grows with the count, which is why an absolute cut let it
-// through as phantom transactions, and it builds up over the ~1/decay
-// ticks a weight lives: on a sequential 10M-point CMT stream it reached
-// 1.4e-12 of the count (3.5e-6 absolute), while the smallest real
-// terminal weight was 1.3e-6 of its node. 1e-9 sits between the two
-// with three orders of magnitude to spare on either side; a real
-// transaction it drops weighs under a billionth of its node.
+// reads count - childSum some ulps of its count away from zero; the
+// residue grows with the count, so the cut has to be relative. Residue
+// stays near 1e-12 of the count and real terminal weights above 1e-6 of
+// it (the root package documentation, "The decay tick"), so 1e-9 leaves
+// three orders of magnitude either way.
 const endEps = 1e-9
 
 // endWeight is the one terminal-weight rule: the weight of the
@@ -448,7 +445,6 @@ func (t *Tree) build() {
 	for len(t.bucketAt) < len(t.order) {
 		t.bucketAt = append(t.bucketAt, 0)
 	}
-	items, offs, w := t.pathItems, t.pathOffs, t.pathW
 	for depth := int32(0); n > 0; depth++ {
 		next := int32(0)
 		for lo := int32(0); lo < n; {
@@ -456,17 +452,7 @@ func (t *Tree) build() {
 			for hi < n && par[hi] == par[lo] {
 				hi++
 			}
-			if hi > lo+1 {
-				next = t.split(perm, par, keys, lo, hi, depth, next)
-			} else { // one path, one child: no bucket pass
-				p := perm[lo]
-				r := items[offs[p]+depth]
-				child := t.arena.AppendChild(par[lo], t.order[r], r, w[p])
-				if offs[p+1]-offs[p] > depth+1 {
-					perm[next], par[next] = p, child
-					next++
-				}
-			}
+			next = t.split(perm, par, keys, lo, hi, depth, next)
 			lo = hi
 		}
 		n = next

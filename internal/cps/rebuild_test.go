@@ -12,10 +12,10 @@ import (
 	"macrobase/internal/itemtree"
 )
 
-// restructureReplay is Restructure as it was before the rebuild:
-// extract, reset, then re-insert every extracted transaction in
-// extraction order through Insert. It is kept, in tests only, as the
-// reference the rebuild must reproduce bit for bit on every call.
+// restructureReplay is the reference restructure: extract, reset, then
+// re-insert every extracted transaction in extraction order through
+// Insert. Restructure's rebuild must reproduce it bit for bit on every
+// call.
 func (t *Tree) restructureReplay(items []int32, counts []float64, retain float64) {
 	t.arena.Decay(retain)
 	t.extractPaths()
