@@ -547,7 +547,7 @@ func BenchmarkShardedStream(b *testing.B) {
 			b.SetBytes(int64(len(pts)))
 			for i := 0; i < b.N; i++ {
 				src := core.NewSliceSource(pts)
-				if _, err := pipeline.RunShardedStream(src, pipeline.Config{
+				if _, err := pipeline.RunPartitionedStream(src, pipeline.Config{
 					Dims: 1, Seed: 7, RetrainEvery: 50_000,
 				}, p); err != nil {
 					b.Fatal(err)
@@ -587,7 +587,7 @@ func BenchmarkStreamSessionPoll(b *testing.B) {
 			}
 			return len(dst)
 		})
-		sess, err := pipeline.StartShardedStream(src, cfg, 2)
+		sess, err := pipeline.StartPartitionedStream(src, cfg, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -618,7 +618,7 @@ func BenchmarkStreamSessionPoll(b *testing.B) {
 			}
 			return len(dst)
 		})
-		sess, err := pipeline.StartShardedStream(src, cfg, 2)
+		sess, err := pipeline.StartPartitionedStream(src, cfg, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -171,10 +171,26 @@ type explanationJSON struct {
 	Inliers    float64          `json:"inlierCount"`
 }
 
+// maxControlBody caps the JSON body of /query, /stream/start and
+// POST /stream/{id}/checkpoint (1 MiB, far above any query config or
+// checkpoint blob): json.Decoder buffers a whole value, so an uncapped
+// body would let one request pin any amount of server memory.
+const maxControlBody = 1 << 20
+
+// bodyErrorStatus answers 413 for a body cut off at its
+// http.MaxBytesReader cap and 400 for any other decoding failure.
+func bodyErrorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func handleQuery(w http.ResponseWriter, r *http.Request) {
-	cfg, err := ingest.ReadQueryConfig(r.Body)
+	cfg, err := ingest.ReadQueryConfig(http.MaxBytesReader(w, r.Body, maxControlBody))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), bodyErrorStatus(err))
 		return
 	}
 	if !routingBucketsOK(w, cfg.RoutingBuckets) {
@@ -429,10 +445,10 @@ func newStreamRegistry() *streamRegistry {
 
 func (g *streamRegistry) handleStart(w http.ResponseWriter, r *http.Request) {
 	var req streamStartRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("parsing stream config: %v", err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("parsing stream config: %v", err), bodyErrorStatus(err))
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -484,7 +500,7 @@ func (g *streamRegistry) handleStart(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sess, err := pipeline.StartShardedStream(src, pipelineConfig(&req.QueryConfig), req.Shards)
+	sess, err := pipeline.StartPartitionedStream(src, pipelineConfig(&req.QueryConfig), req.Shards)
 	if err != nil {
 		g.release(id)
 		f.Close()
@@ -601,12 +617,7 @@ func (g *streamRegistry) handlePush(w http.ResponseWriter, r *http.Request) {
 	st.decoders.Put(dec)
 	if err != nil {
 		pr.PutBatch(b)
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), bodyErrorStatus(err))
 		return
 	}
 	accepted := b.Len()
@@ -739,8 +750,8 @@ func (g *streamRegistry) handleResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ck pipeline.Checkpoint
-	if err := json.NewDecoder(r.Body).Decode(&ck); err != nil {
-		http.Error(w, fmt.Sprintf("parsing checkpoint: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(&ck); err != nil {
+		http.Error(w, fmt.Sprintf("parsing checkpoint: %v", err), bodyErrorStatus(err))
 		return
 	}
 	sess, err := pipeline.ResumeStream(st.push, st.pcfg, st.shards, &ck)

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"macrobase/internal/core"
@@ -145,6 +147,61 @@ func TestStreamCheckpointErrors(t *testing.T) {
 	}
 	if code := postBlob(t, ckURL, []byte(`{"version":99,"partitions":[{"partition":0,"offset":0,"checkpointable":true}]}`), nil); code != http.StatusConflict {
 		t.Errorf("wrong version: status %d, want 409", code)
+	}
+	postJSON(t, srv.URL+"/stream/"+id+"/stop", nil)
+}
+
+// TestStreamCheckpointRejectsMisnumberedPartitions: a blob whose entry
+// count matches but which names partition 0 twice (and never names
+// partition 1) is a 409, and the session stays resumable from a
+// well-formed blob, which replays both partitions' tails.
+func TestStreamCheckpointRejectsMisnumberedPartitions(t *testing.T) {
+	srv := httptest.NewServer(newMux(newStreamRegistry()))
+	defer srv.Close()
+	id := startStream(t, srv, `{"input":"push","metrics":["power"],"attributes":["device","version"],"minSupport":0.05,"shards":2,"partitions":2,"replay":true}`)
+	pushURL := srv.URL + "/stream/" + id + "/push"
+	const n = 1000
+	for part := 0; part < 2; part++ {
+		if code, _ := pushNDJSON(t, fmt.Sprintf("%s?partition=%d", pushURL, part), ndjsonPushBody(pushTestRecords(n))); code != http.StatusOK {
+			t.Fatalf("push to partition %d: status %d", part, code)
+		}
+	}
+	pushNDJSON(t, pushURL+"?eof=1", "")
+	waitStreamDone(t, srv, id)
+
+	ckURL := srv.URL + "/stream/" + id + "/checkpoint"
+	twice := `{"version":1,"partitions":[{"partition":0,"offset":0,"checkpointable":true},{"partition":0,"offset":0,"checkpointable":true}]}`
+	if code := postBlob(t, ckURL, []byte(twice), nil); code != http.StatusConflict {
+		t.Fatalf("checkpoint naming partition 0 twice: status %d, want 409", code)
+	}
+	good := `{"version":1,"partitions":[{"partition":0,"offset":0,"checkpointable":true},{"partition":1,"offset":0,"checkpointable":true}]}`
+	if code := postBlob(t, ckURL, []byte(good), nil); code != http.StatusOK {
+		t.Fatalf("well-formed checkpoint: status %d, want 200", code)
+	}
+	if final := waitStreamDone(t, srv, id); final.Points != 2*n {
+		t.Fatalf("resumed run saw %d points, want %d", final.Points, 2*n)
+	}
+	postJSON(t, srv.URL+"/stream/"+id+"/stop", nil)
+}
+
+// TestControlBodiesCapped: /query, /stream/start and POST
+// /stream/{id}/checkpoint stop reading a JSON body at maxControlBody
+// and answer 413, so one request cannot pin unbounded server memory.
+func TestControlBodiesCapped(t *testing.T) {
+	srv := httptest.NewServer(newMux(newStreamRegistry()))
+	defer srv.Close()
+	// A syntactically open value: the decoder keeps buffering until the
+	// cap cuts it off.
+	huge := []byte(`{"input":"` + strings.Repeat("a", maxControlBody+1) + `"}`)
+
+	id := startStream(t, srv, `{"input":"push","metrics":["power"],"attributes":["device"],"partitions":1,"replay":true}`)
+	pushNDJSON(t, srv.URL+"/stream/"+id+"/push?eof=1", "")
+	waitStreamDone(t, srv, id)
+
+	for _, path := range []string{"/query", "/stream/start", "/stream/" + id + "/checkpoint"} {
+		if code := postBlob(t, srv.URL+path, huge, nil); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(huge), code)
+		}
 	}
 	postJSON(t, srv.URL+"/stream/"+id+"/stop", nil)
 }

@@ -11,10 +11,12 @@
 //
 // # Sharded streaming execution
 //
-// Beyond the paper's single-core dataflow runtime (core.Runner), the
-// repo provides a shared-nothing sharded streaming engine
-// (core.StreamRunner, pipeline.RunPartitionedStream): ingest goroutines —
-// one per source partition, see the ingest section below —
+// One engine runs every streaming query, over stored data and live
+// streams alike: the shared-nothing sharded streaming engine
+// (core.StreamRunner, pipeline.RunPartitionedStream). At one shard over
+// a one-partition source it is the paper's single-core dataflow runtime
+// (Appendix C), which is how pipeline.RunStreaming runs. Ingest
+// goroutines — one per source partition, see the ingest section below —
 // hash-partition batches by attribute set across P shard workers over
 // bounded channels; each shard owns its own transformer/classifier/
 // explainer replicas and local decay clock, so one shard is exactly
@@ -101,7 +103,7 @@
 // start a coordinator (one pipeline already computes the global
 // quantile), and Config.DisableGlobalThreshold restores the old
 // per-shard behavior exactly — both are pinned bit-exact against the
-// sequential and manual-partition goldens. A final round flushes any
+// sequential oracle and the manual-partition golden. A final round flushes any
 // pending boundary crossing at end of stream, so short streams still
 // coordinate at least once. Observability rides along:
 // core.StreamStats carries per-shard load/outlier stats and the round
@@ -409,19 +411,19 @@
 // Fast data arrives from many producers at once, so the ingest layer
 // is partitioned and push-based rather than a single pull loop:
 //
-//   - Pull vs push. The engine reads one shape: a
+//   - One read. The engine reads one shape: a
 //     core.PartitionedSource exposes N independent context-aware
 //     streams, each filling the batch the engine loans it
-//     (NextBatchInto(ctx, dst, max)). A legacy core.Source is a pull
-//     iterator (Next); core.SourcePartitions adapts it into one
-//     partition that copies each Next batch into the loan, batch
-//     boundaries and all, so pipeline.RunShardedStream over a Source
-//     is bit-identical to the sequential core.Runner at one shard
-//     (pinned by equivalence tests). core.StreamRunner
-//     runs one ingest goroutine per partition, and partition→shard
-//     routing happens inside each ingest goroutine, so the bounded
-//     per-shard channels are the only cross-goroutine hop and
-//     ingestion parallelizes before it ever serializes. The push
+//     (NextBatchInto(ctx, dst, max)). Stored data is one partition:
+//     ingest.CSVSource parses rows into the loan, core.SliceSource
+//     lends its slice, and core.FuncSource copies what its generator
+//     made. A one-shard run over any of them is bit-identical to a
+//     plain sequential loop over the same batches (pinned against a
+//     test oracle, pipeline.TestShardedStreamOneShardMatchesSequential).
+//     core.StreamRunner runs one ingest goroutine per partition, and
+//     partition→shard routing happens inside each ingest goroutine, so
+//     the bounded per-shard channels are the only cross-goroutine hop
+//     and ingestion parallelizes before it ever serializes. The push
 //     backend is ingest.Push: N in-memory producer handles, which also
 //     back mbserver's POST /stream/{id}/push endpoint.
 //
@@ -435,18 +437,18 @@
 //     partition order; across partitions there is no ordering
 //     contract — the interleaving at a shard is scheduling-dependent.
 //     Undecayed summaries are order-insensitive, so multi-partition
-//     runs with deterministic classification reproduce the pull path
-//     exactly (pinned by a P=3 equivalence test); with decay ticks or
-//     adaptive thresholds, results may differ run-to-run within the
-//     usual sharded-EWS consistency bounds. One-partition sources have
+//     runs with deterministic classification reproduce the
+//     one-partition run exactly (pinned by a P=3 equivalence test);
+//     with decay ticks or adaptive thresholds, results may differ
+//     run-to-run within the usual sharded-EWS consistency bounds. One-partition sources have
 //     a total order and reproduce exactly, always.
 //
 //   - Stop. Stopping a session cancels the ingest context, which
 //     interrupts in-flight NextBatchInto calls — no polling between
 //     batches — and waits for the ingest goroutines to exit; workers
-//     then drain what is queued and flush. A legacy Source blocked in
-//     Next honors no cancellation, so it delays the stop until Next
-//     returns (the batch it returns then is dropped). Snapshot servers
+//     then drain what is queued and flush. A read that does not watch
+//     its context delays the stop until it returns (the batch it
+//     returns then is dropped). Snapshot servers
 //     are quiesced before Run returns, so the final merge never races a
 //     late snapshot clone.
 //
@@ -565,14 +567,14 @@
 // touch it or any Point views taken from it. Concretely:
 //
 //   - Sources. Every partition stream is loaned an empty recycled
-//     batch to fill (CSVSource.NextInto parses rows straight into the
+//     batch to fill (ingest.CSVSource parses rows straight into the
 //     slabs); a source that already holds a filled batch returns it
 //     and keeps the loan instead — the ownership swap that lets
 //     ingest.Push hand a producer's batch to the engine without
 //     copying a byte while both free lists stay in equilibrium. A
-//     legacy core.Source may reuse its returned backing arrays on its
-//     next Next call: core.SourcePartitions copies each batch into the
-//     loan, so nothing the source reuses reaches a worker.
+//     generator may reuse the arrays behind its points on its next
+//     call: core.FuncSource copies each batch into the loan, so
+//     nothing the generator reuses reaches a worker.
 //
 //   - Producers. ingest.Push producers either loan-and-fill
 //     (GetBatch/SendBatch, allocation-free) or Send([]Point), which

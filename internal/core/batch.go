@@ -27,10 +27,10 @@ package core
 // PartitionStream.NextBatchInto loan or swap, a BatchPool.Put); after
 // handing it on, the previous owner must not touch the batch or any
 // Point views obtained from it — the next owner will Reset and refill
-// the same slabs. Every partition stream fills (or swaps out) the
-// batch the engine loans it; a legacy Source's points are copied in by
-// SourcePartitions, so no slice the source may reuse ever reaches a
-// worker.
+// the same slabs. Every partition stream fills, borrows into or swaps
+// out the batch the engine loans it; a stream that reuses its own
+// buffers (FuncSource) copies their payload in, so no slice the source
+// may rewrite ever reaches a worker.
 // Pipeline stages that want to retain point data beyond the call that
 // delivered it must copy the values out (every built-in operator
 // already does: the classifier reservoirs copy metrics, the
@@ -110,10 +110,10 @@ func (b *Batch) finishAck() {
 // copied. The points and their backing arrays are shared with every
 // subsequent owner of the batch until its next Reset, so the lender
 // must keep them immutable for the batch's lifetime — this is how
-// ingest.Push's legacy Send hands caller batches to the engine without
-// a producer-side copy (the engine's routing deep-copy is what severs
-// the sharing). Borrow on a non-empty batch panics; Append on a
-// borrowed batch panics.
+// ingest.Push's Send and SliceSource hand caller points to the engine
+// without a copy (the engine's routing deep-copy is what severs the
+// sharing when there are several shards). Borrow on a non-empty batch
+// panics; Append on a borrowed batch panics.
 func (b *Batch) Borrow(pts []Point) {
 	if b.Len() != 0 {
 		panic("core: Batch.Borrow on a non-empty batch")

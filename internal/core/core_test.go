@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+)
 
 func mkPoints(n int, start float64) []Point {
 	pts := make([]Point, n)
@@ -10,25 +15,51 @@ func mkPoints(n int, start float64) []Point {
 	return pts
 }
 
-func TestSliceSource(t *testing.T) {
-	s := NewSliceSource(mkPoints(10, 0))
-	got := 0
+// readAll drains ps with reads of at most max points, returning each
+// read's point views and the error that ended the stream.
+func readAll(ps PartitionStream, max int) ([][]Point, error) {
+	var out [][]Point
 	for {
-		b, err := s.Next(3)
-		if err == ErrEndOfStream {
-			break
-		}
+		b, err := ps.NextBatchInto(context.Background(), &Batch{}, max)
 		if err != nil {
-			t.Fatal(err)
+			return out, err
 		}
-		got += len(b)
+		if b.Len() > max {
+			return out, fmt.Errorf("read of %d points, want at most %d", b.Len(), max)
+		}
+		out = append(out, b.Points())
 	}
-	if got != 10 {
-		t.Fatalf("read %d points", got)
+}
+
+// TestSliceSource: the slice is served in order, in reads of at most
+// max points, borrowed rather than copied; a cancelled context ends a
+// read before it takes anything.
+func TestSliceSource(t *testing.T) {
+	pts := mkPoints(10, 0)
+	s := NewSliceSource(pts)
+	if parts := s.Partitions(); len(parts) != 1 || parts[0] != PartitionStream(s) {
+		t.Fatalf("Partitions() = %v, want the source itself", parts)
 	}
-	s.Reset()
-	if s.Remaining() != 10 {
-		t.Fatalf("remaining after reset = %d", s.Remaining())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.NextBatchInto(cancelled, &Batch{}, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled read: got %v", err)
+	}
+	reads, err := readAll(s, 3)
+	if err != ErrEndOfStream {
+		t.Fatalf("stream ended with %v", err)
+	}
+	got := 0
+	for _, r := range reads {
+		for i := range r {
+			if &r[i] != &pts[got] {
+				t.Fatalf("point %d was copied, want the caller's point", got)
+			}
+			got++
+		}
+	}
+	if len(reads) != 4 || got != 10 {
+		t.Fatalf("read %d points in %d reads, want 10 in 4", got, len(reads))
 	}
 }
 
@@ -43,16 +74,13 @@ func TestFuncSource(t *testing.T) {
 		}
 		return n
 	})
+	reads, err := readAll(f, 3)
+	if err != ErrEndOfStream {
+		t.Fatalf("stream ended with %v", err)
+	}
 	var got []float64
-	for {
-		b, err := f.Next(3)
-		if err == ErrEndOfStream {
-			break
-		}
-		if len(b) > 3 {
-			t.Fatalf("batch of %d points, want at most 3", len(b))
-		}
-		for _, p := range b {
+	for _, r := range reads {
+		for _, p := range r {
 			got = append(got, p.Metrics[0])
 		}
 	}
@@ -102,22 +130,31 @@ func (e *collectExplainer) Consume(batch []LabeledPoint) { e.n += len(batch) }
 func (e *collectExplainer) Explanations() []Explanation  { return nil }
 func (e *collectExplainer) Decay()                       { e.decays++ }
 
-func TestRunnerEndToEnd(t *testing.T) {
-	cls := &thresholdClassifier{cut: 94.5}
-	exp := &collectExplainer{}
-	r := Runner{
-		Source:     NewSliceSource(mkPoints(100, 0)),
-		Classifier: cls,
-		Explainer:  exp,
-		BatchSize:  7,
-		Decay:      DecayPolicy{EveryPoints: 30},
+// runOneShard runs pl over src on a one-shard StreamRunner.
+func runOneShard(t *testing.T, src PartitionedSource, pl ShardPipeline, batch int, decay DecayPolicy) StreamStats {
+	t.Helper()
+	r := StreamRunner{
+		Partitioned: src,
+		NewShard:    func(int) ShardPipeline { return pl },
+		BatchSize:   batch,
+		Decay:       decay,
 	}
 	stats, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return stats
+}
+
+// TestRunnerEndToEnd: one shard classifies and explains every point and
+// ticks decay every EveryPoints points, carrying the remainder across
+// reads.
+func TestRunnerEndToEnd(t *testing.T) {
+	cls := &thresholdClassifier{cut: 94.5}
+	exp := &collectExplainer{}
+	stats := runOneShard(t, NewSliceSource(mkPoints(100, 0)), ShardPipeline{Classifier: cls, Explainer: exp}, 7, DecayPolicy{EveryPoints: 30})
 	if stats.Points != 100 || stats.OutPoints != 100 {
-		t.Fatalf("stats = %+v", stats)
+		t.Fatalf("stats = %+v", stats.RunStats)
 	}
 	if stats.Outliers != 5 {
 		t.Errorf("outliers = %d, want 5", stats.Outliers)
@@ -128,44 +165,31 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if stats.DecayTicks != 3 || cls.decays != 3 || exp.decays != 3 {
 		t.Errorf("decay ticks = %d/%d/%d, want 3", stats.DecayTicks, cls.decays, exp.decays)
 	}
-	if r.Stats() != stats {
-		t.Error("Stats() mismatch")
-	}
 }
 
+// TestRunnerTimeDecay: time-based decay ticks on event time, anchored
+// at the first read's last point.
 func TestRunnerTimeDecay(t *testing.T) {
 	cls := &thresholdClassifier{cut: 1e9}
-	r := Runner{
-		Source:     NewSliceSource(mkPoints(100, 50)), // Time = 50..149
-		Classifier: cls,
-		BatchSize:  10,
-		Decay:      DecayPolicy{EverySeconds: 25},
-	}
-	stats, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := runOneShard(t, NewSliceSource(mkPoints(100, 50)), ShardPipeline{Classifier: cls}, 10, DecayPolicy{EverySeconds: 25}) // Time = 50..149
 	// First batch establishes t=59; ticks at 84, 109, 134.
-	if stats.DecayTicks != 3 {
-		t.Errorf("time decay ticks = %d, want 3", stats.DecayTicks)
+	if stats.DecayTicks != 3 || cls.decays != 3 {
+		t.Errorf("time decay ticks = %d/%d, want 3", stats.DecayTicks, cls.decays)
 	}
 }
 
+// TestRunnerTransformAndFlush: a buffering transformer is flushed at end
+// of stream and its residue reaches the classifier.
 func TestRunnerTransformAndFlush(t *testing.T) {
-	r := Runner{
-		Source: NewSliceSource(mkPoints(10, 0)),
-		Transforms: []Transformer{
-			&pairWindow{},
-		},
+	pl := ShardPipeline{
+		Transforms: []Transformer{&pairWindow{}},
 		Classifier: &thresholdClassifier{cut: -1},
 	}
-	stats, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// pairWindow halves the stream but flushes any remainder.
-	if stats.OutPoints != 5 {
-		t.Errorf("out points = %d, want 5", stats.OutPoints)
+	stats := runOneShard(t, NewSliceSource(mkPoints(11, 0)), pl, 3, DecayPolicy{})
+	// pairWindow pairs 10 of the 11 points across read boundaries; the
+	// 11th is still pending at end of stream and only the flush emits it.
+	if stats.OutPoints != 6 {
+		t.Errorf("out points = %d, want 6", stats.OutPoints)
 	}
 }
 
@@ -194,7 +218,7 @@ func (w *pairWindow) Flush(dst []Point) []Point {
 }
 
 func TestRunnerRequiresSource(t *testing.T) {
-	var r Runner
+	r := StreamRunner{NewShard: func(int) ShardPipeline { return ShardPipeline{} }}
 	if _, err := r.Run(); err == nil {
 		t.Error("expected error without source")
 	}

@@ -123,7 +123,7 @@ func TestStreamRunnerQuarantinesPanickedShard(t *testing.T) {
 // offset protocol, and keeps answering after the run ends.
 func TestStreamRunnerCommittedOffsets(t *testing.T) {
 	const ckN = 10_000
-	plain := SourcePartitions(NewSliceSource(streamPoints(500))).Partitions()[0]
+	plain := NewSliceSource(streamPoints(500))
 	src := &flakyPartsSource{parts: []PartitionStream{
 		&ckPartition{pts: streamPoints(ckN)},
 		plain,

@@ -1,11 +1,37 @@
 package core
 
+// DecayPolicy controls when a shard damps its adaptive operators.
+// Exactly one of EveryPoints or EverySeconds should be set; the paper's
+// default configuration is "a decay rate of 0.01 every 100K points"
+// (§6), i.e. EveryPoints=100_000 with the rate held by each operator.
+type DecayPolicy struct {
+	// EveryPoints triggers a decay tick each time this many points
+	// have been ingested. Zero disables tuple-based decay.
+	EveryPoints int
+	// EverySeconds triggers a decay tick whenever event time
+	// advances by this many seconds (batch-based real-time decay,
+	// paper §4.2). Zero disables time-based decay.
+	EverySeconds float64
+}
+
+// RunStats summarizes one pipeline execution.
+type RunStats struct {
+	// Points is the number of points ingested from the source.
+	Points int
+	// OutPoints is the number of points that reached the classifier
+	// (after transformation).
+	OutPoints int
+	// Outliers is the number of points labeled Outlier.
+	Outliers int
+	// DecayTicks counts how many decay rounds were applied.
+	DecayTicks int
+}
+
 // pipeExec drives one pipeline replica batch-by-batch: transform,
-// classify, explain, and schedule decay ticks. It is the shared
-// execution kernel behind Runner (the sequential engine runs one) and
-// StreamRunner (each shard worker runs one over its hash partition),
-// so the batch semantics — flush ordering, decay-clock arithmetic,
-// label accounting — cannot drift between the two engines.
+// classify, explain, and schedule decay ticks. Each StreamRunner shard
+// worker runs one over the points routed to it, so a shard is the
+// paper's single-core dataflow (Appendix C), amortizing per-operator
+// overhead across batches.
 type pipeExec struct {
 	transforms []Transformer
 	classifier Classifier

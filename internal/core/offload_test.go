@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -51,13 +52,17 @@ type gatedSource struct {
 	gate   chan struct{}
 }
 
-func (g *gatedSource) Next(max int) ([]Point, error) {
+func (g *gatedSource) Partitions() []PartitionStream { return []PartitionStream{g} }
+
+func (g *gatedSource) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
 	if g.served >= g.head {
 		<-g.gate
 	}
-	pts, err := g.src.Next(max)
-	g.served += len(pts)
-	return pts, err
+	b, err := g.src.NextBatchInto(ctx, dst, max)
+	if err == nil {
+		g.served += b.Len()
+	}
+	return b, err
 }
 
 // within receives from ch, failing the test if nothing arrives in the
@@ -101,7 +106,7 @@ func TestSnapshotServedDuringOffload(t *testing.T) {
 	openGate := func() { gateOnce.Do(func() { close(src.gate) }) }
 	defer openGate() // a failed test must not leave Run blocked in the source
 	sr := StreamRunner{
-		Partitioned: SourcePartitions(src),
+		Partitioned: src,
 		Shards:      1,
 		NewShard: func(int) ShardPipeline {
 			return ShardPipeline{Classifier: cls, Explainer: exp}
@@ -173,7 +178,7 @@ func TestOffloadPanicQuarantinesShard(t *testing.T) {
 	cls.fault = true
 	close(cls.release)
 	sr := StreamRunner{
-		Partitioned: SourcePartitions(NewSliceSource(streamPoints(10_000))),
+		Partitioned: NewSliceSource(streamPoints(10_000)),
 		Shards:      1,
 		NewShard: func(int) ShardPipeline {
 			return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
@@ -196,7 +201,7 @@ func TestNoOffloadWithoutSnapshots(t *testing.T) {
 	cls := newOffloadClassifier(3000)
 	close(cls.release)
 	sr := StreamRunner{
-		Partitioned: SourcePartitions(NewSliceSource(streamPoints(5000))),
+		Partitioned: NewSliceSource(streamPoints(5000)),
 		NewShard: func(int) ShardPipeline {
 			return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
 		},

@@ -5,24 +5,14 @@ import (
 	"io"
 )
 
-// ErrEndOfStream is returned by Source.Next when the stream is
-// exhausted. It aliases io.EOF so sources backed by readers can return
-// their error unchanged.
+// ErrEndOfStream is returned by PartitionStream.NextBatchInto when the
+// partition is exhausted. It aliases io.EOF so sources backed by
+// readers can return their error unchanged.
 var ErrEndOfStream = io.EOF
-
-// Source produces batches of points; it is the runtime form of the
-// paper's Ingestor operator (external data source -> stream<Point>).
-//
-// Next returns at most max points. It returns ErrEndOfStream when no
-// points remain; a non-empty batch and ErrEndOfStream may not be
-// combined (drain first, then signal end).
-type Source interface {
-	Next(max int) ([]Point, error)
-}
 
 // Transformer maps a stream of points to a stream of points
 // (stream<Point> -> stream<Point>). Implementations append their
-// output to dst and return the extended slice, which lets the runner
+// output to dst and return the extended slice, which lets the engine
 // reuse buffers across batches. A transformer may buffer internally
 // (e.g. windowing) and emit fewer or more points than it consumed.
 type Transformer interface {
@@ -74,8 +64,8 @@ type Explainer interface {
 
 // Decayable is implemented by adaptive operators (ADR-backed
 // classifiers, AMC/M-CPS-tree explainers) whose state should be
-// exponentially damped. The Runner invokes Decay on a tuple- or
-// time-based period in streaming mode (paper §3.2, §4.2, §5.3).
+// exponentially damped. The engine invokes Decay on a tuple- or
+// time-based period (see DecayPolicy) (paper §3.2, §4.2, §5.3).
 type Decayable interface {
 	Decay()
 }

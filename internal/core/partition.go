@@ -56,23 +56,6 @@ type PartitionIngestStats struct {
 	BlockedPerSec float64 `json:"blockedPerSec"`
 }
 
-// BatchSource is the slab-native form of Source for the sequential
-// engine (the pull-loop analog of PartitionStream): Runner loans it a
-// recycled Batch to fill, so a steady-state sequential read allocates
-// nothing beyond what parsing itself requires. CSVSource implements it
-// (parse-in-place), closing the last allocating ingest path.
-//
-// NextInto appends up to max points to b and returns nil, or
-// ErrEndOfStream once the source is exhausted (never both: a call that
-// appends at least one point returns nil, and the end is reported by
-// the following call). On any other error whatever was appended to b
-// is discarded by the caller — the same abort-the-batch semantics as
-// Next.
-type BatchSource interface {
-	Source
-	NextInto(b *Batch, max int) error
-}
-
 // IngestObservable is implemented by partitioned sources that expose
 // per-partition producer-side counters (ingest.Push). IngestStats
 // appends one entry per partition to dst and returns it; counters are
@@ -82,59 +65,23 @@ type IngestObservable interface {
 }
 
 // PartitionedSource produces points pre-split into independent
-// partitions — the runtime form of partitioned "fast data" ingest
-// (Kafka-style topic partitions, one CSV file per producer, N in-memory
-// producers). The sharded engine runs one ingest goroutine per
-// partition, each routing its own points to the shard workers, so
-// ingestion parallelizes before the first cross-goroutine hop instead
-// of serializing through a single pull loop.
+// partitions. It is the runtime form of the paper's Ingestor operator
+// and of partitioned "fast data" ingest (Kafka-style topic partitions,
+// N in-memory producers). Stored data is one partition:
+// ingest.CSVSource, SliceSource and FuncSource are each their own
+// single stream. The engine runs one ingest goroutine per partition,
+// each routing its own points to the shard workers, so ingestion
+// parallelizes before the first cross-goroutine hop instead of
+// serializing through a single pull loop.
 //
-// Partitions is called once before ingestion starts; the returned
-// streams are consumed concurrently, one goroutine each. Partitioning
-// carries no ordering contract across partitions — only points within
-// one partition stay ordered — so summaries downstream must be
-// order-insensitive across partitions (the mergeable-summary property
-// the sharded engine already relies on).
+// Partitions must return the same streams, in the same order, on every
+// call: the engine reads the streams of one call while the checkpoint
+// layer acks and seeks those of another. The streams are consumed
+// concurrently, one goroutine each. Partitioning carries no ordering
+// contract across partitions — only points within one partition stay
+// ordered — so summaries downstream must be order-insensitive across
+// partitions (the mergeable-summary property the sharded engine
+// already relies on).
 type PartitionedSource interface {
 	Partitions() []PartitionStream
-}
-
-// sourcePartition adapts a legacy pull Source to a single
-// PartitionStream by copying each Next batch into the loaned one. The
-// copy is what lets the source reuse its buffers on its next Next call
-// while the engine still holds the batch. The context is checked
-// between Next calls only: a Source whose Next blocks cannot be
-// cancelled mid-call, so a stop waits until that Next returns.
-type sourcePartition struct {
-	src Source
-}
-
-// NextBatchInto implements PartitionStream.
-func (p *sourcePartition) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	pts, err := p.src.Next(max)
-	if err != nil {
-		return nil, err
-	}
-	dst.AppendPoints(pts)
-	return dst, nil
-}
-
-// sourceAdapter wraps a Source as a one-partition PartitionedSource.
-type sourceAdapter struct {
-	part sourcePartition
-}
-
-// Partitions implements PartitionedSource.
-func (a *sourceAdapter) Partitions() []PartitionStream { return []PartitionStream{&a.part} }
-
-// SourcePartitions adapts a legacy pull Source into a one-partition
-// PartitionedSource: each Next batch is delivered as one batch, so
-// adapted execution keeps the source's batch boundaries and order, and
-// a one-shard run over it is point-for-point identical to the
-// sequential Runner.
-func SourcePartitions(src Source) PartitionedSource {
-	return &sourceAdapter{part: sourcePartition{src: src}}
 }

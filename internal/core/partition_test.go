@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,16 +26,6 @@ func (p *chanPartition) NextBatchInto(ctx context.Context, dst *Batch, max int) 
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// nextPoints reads one batch from ps into a fresh Batch and returns its
-// point views.
-func nextPoints(ctx context.Context, ps PartitionStream, max int) ([]Point, error) {
-	b, err := ps.NextBatchInto(ctx, &Batch{}, max)
-	if err != nil {
-		return nil, err
-	}
-	return b.Points(), nil
 }
 
 // chanSource is a PartitionedSource over N chanPartitions.
@@ -160,33 +149,38 @@ func TestStreamRunnerRequestStopCancelsBlockedRead(t *testing.T) {
 	}
 }
 
-// stuckReadSource is a legacy pull Source that serves prefix, then blocks
-// inside Next until release is closed, then returns one late batch.
-// entered is closed once Next is blocked.
+// stuckReadSource is a one-partition source whose read does not watch
+// its context: it serves prefix, then blocks until release is closed,
+// then returns one late batch. entered is closed once the read is
+// blocked.
 type stuckReadSource struct {
 	prefix, late     []Point
 	entered, release chan struct{}
 	calls            int
 }
 
-func (s *stuckReadSource) Next(max int) ([]Point, error) {
+func (s *stuckReadSource) Partitions() []PartitionStream { return []PartitionStream{s} }
+
+func (s *stuckReadSource) NextBatchInto(_ context.Context, dst *Batch, max int) (*Batch, error) {
 	s.calls++
 	switch s.calls {
 	case 1:
-		return s.prefix, nil
+		dst.AppendPoints(s.prefix)
 	case 2:
 		close(s.entered)
 		<-s.release
-		return s.late, nil
+		dst.AppendPoints(s.late)
+	default:
+		return nil, ErrEndOfStream
 	}
-	return nil, ErrEndOfStream
+	return dst, nil
 }
 
-// TestStreamRunnerStopWaitsOutLegacyRead pins the one limitation of a
-// stop: a legacy Source blocked inside Next cannot be interrupted, so
-// Run waits until Next returns, and the batch Next then delivers is
-// dropped rather than counted or consumed.
-func TestStreamRunnerStopWaitsOutLegacyRead(t *testing.T) {
+// TestStreamRunnerStopWaitsOutUncancellableRead pins the one limitation
+// of a stop: a read that does not watch its context cannot be
+// interrupted, so Run waits until it returns, and the batch it then
+// delivers is dropped rather than counted or consumed.
+func TestStreamRunnerStopWaitsOutUncancellableRead(t *testing.T) {
 	gs := &stuckReadSource{
 		prefix:  []Point{{Metrics: []float64{1}, Attrs: []int32{1}}, {Metrics: []float64{2}, Attrs: []int32{2}}},
 		late:    []Point{{Metrics: []float64{3}, Attrs: []int32{3}}},
@@ -195,7 +189,7 @@ func TestStreamRunnerStopWaitsOutLegacyRead(t *testing.T) {
 	}
 	exp := &shardCollectExplainer{}
 	sr := StreamRunner{
-		Partitioned: SourcePartitions(gs),
+		Partitioned: gs,
 		Shards:      1,
 		NewShard: func(shard int) ShardPipeline {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: exp}
@@ -214,7 +208,7 @@ func TestStreamRunnerStopWaitsOutLegacyRead(t *testing.T) {
 	select {
 	case <-done:
 		close(gs.release)
-		t.Fatal("Run returned while the legacy Next was still blocked")
+		t.Fatal("Run returned while the read was still blocked")
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(gs.release)
@@ -224,7 +218,7 @@ func TestStreamRunnerStopWaitsOutLegacyRead(t *testing.T) {
 			t.Fatalf("want ErrStopped, got %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after the blocked Next returned")
+		t.Fatal("Run did not return after the blocked read returned")
 	}
 	if want := len(gs.prefix); stats.Points != want || exp.consumed != want {
 		t.Errorf("points=%d consumed=%d, want %d each (the late batch must be dropped)", stats.Points, exp.consumed, want)
@@ -280,48 +274,15 @@ func (s *erringSource) Partitions() []PartitionStream {
 	return parts
 }
 
-// TestSourcePartitionsAdapterEquivalence: the adapter must reproduce
-// the pull loop's batches exactly, point for point, and honor
-// cancellation between calls.
-func TestSourcePartitionsAdapterEquivalence(t *testing.T) {
-	pts := streamPoints(1000)
-	parts := SourcePartitions(NewSliceSource(pts)).Partitions()
-	if len(parts) != 1 {
-		t.Fatalf("adapter produced %d partitions, want 1", len(parts))
-	}
-	ref := NewSliceSource(pts)
-	ctx := context.Background()
-	for {
-		want, werr := ref.Next(128)
-		got, gerr := nextPoints(ctx, parts[0], 128)
-		if (werr == nil) != (gerr == nil) || len(want) != len(got) {
-			t.Fatalf("adapter batch diverged: (%d, %v) vs (%d, %v)", len(got), gerr, len(want), werr)
-		}
-		if werr != nil {
-			break
-		}
-		for i := range want {
-			if !slices.Equal(got[i].Metrics, want[i].Metrics) || !slices.Equal(got[i].Attrs, want[i].Attrs) || got[i].Time != want[i].Time {
-				t.Fatalf("adapter point diverged: %+v vs %+v", got[i], want[i])
-			}
-		}
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := nextPoints(cancelled, parts[0], 128); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled adapter read: got %v", err)
-	}
-}
-
-// TestSourcePartitionsCopiesReusedBuffers: a legacy Source may rewrite
-// the arrays behind its last batch on its next Next call. The adapter
-// copies each batch into the engine's loan, so a worker still holding
-// an earlier batch (the one-shard handoff, or a shard's queue) never
-// sees the rewrite. The generator here aliases every point's Metrics
+// TestFuncSourceCopiesReusedBuffers: a generator may rewrite the arrays
+// behind its last points on its next call. FuncSource copies each
+// generated batch into the engine's loan, so a worker still holding an
+// earlier batch (the one-shard handoff, or a shard's queue) never sees
+// the rewrite. The generator here aliases every point's Metrics
 // and Attrs into arrays it rewrites on every call, and each shard
 // holds its first batch until the source has produced three batches
 // past it, which the bounded queues let the ingest goroutine do.
-func TestSourcePartitionsCopiesReusedBuffers(t *testing.T) {
+func TestFuncSourceCopiesReusedBuffers(t *testing.T) {
 	const (
 		n     = 20_000
 		batch = 64
@@ -347,7 +308,7 @@ func TestSourcePartitionsCopiesReusedBuffers(t *testing.T) {
 		held := make([]bool, shards)
 		bad := 0
 		sr := StreamRunner{
-			Partitioned: SourcePartitions(src),
+			Partitioned: src,
 			Shards:      shards,
 			BatchSize:   batch,
 			NewShard: func(int) ShardPipeline {

@@ -47,9 +47,6 @@ type RebalancePolicy struct {
 	// 25_000). When threshold coordination is also configured, rounds
 	// ride the coordinator's own cadence instead and Every is ignored.
 	Every int
-	// MaxMoves caps bucket moves per round (default V/4): bounds both
-	// the per-round work and the count-splitting churn.
-	MaxMoves int
 }
 
 // rebalConfig is a RebalancePolicy with defaults applied and the bucket
@@ -80,14 +77,9 @@ func (p *RebalancePolicy) normalize(shards int) rebalConfig {
 	if every <= 0 {
 		every = 25_000
 	}
-	mm := p.MaxMoves
-	if mm <= 0 {
-		mm = v / 4
-		if mm < 1 {
-			mm = 1
-		}
-	}
-	return rebalConfig{buckets: v, above: above, every: every, maxMoves: mm}
+	// A round moves at most V/4 buckets: that bounds both the per-round
+	// work and the count-splitting churn.
+	return rebalConfig{buckets: v, above: above, every: every, maxMoves: max(v/4, 1)}
 }
 
 // routeTable is one immutable routing epoch: assign[bucket] = shard.

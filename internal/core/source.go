@@ -1,8 +1,11 @@
 package core
 
-// SliceSource serves points from an in-memory slice. It is the
-// batch-execution form of ingestion: "batch execution is supported by
-// streaming over stored data" (paper §3.2).
+import "context"
+
+// SliceSource serves points from an in-memory slice as a one-partition
+// PartitionedSource. It is the batch-execution form of ingestion:
+// "batch execution is supported by streaming over stored data" (paper
+// §3.2).
 type SliceSource struct {
 	pts []Point
 	off int
@@ -12,31 +15,31 @@ type SliceSource struct {
 // not copied; callers must not mutate it while the source is in use.
 func NewSliceSource(pts []Point) *SliceSource { return &SliceSource{pts: pts} }
 
-// Next implements Source.
-func (s *SliceSource) Next(max int) ([]Point, error) {
+// Partitions implements PartitionedSource: the source is its own one
+// partition.
+func (s *SliceSource) Partitions() []PartitionStream { return []PartitionStream{s} }
+
+// NextBatchInto implements PartitionStream. dst borrows the next
+// at-most-max points of the slice (Batch.Borrow), so nothing is copied:
+// the slice is immutable for the source's lifetime.
+func (s *SliceSource) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if s.off >= len(s.pts) {
 		return nil, ErrEndOfStream
 	}
-	end := s.off + max
-	if end > len(s.pts) {
-		end = len(s.pts)
-	}
-	b := s.pts[s.off:end]
+	end := min(s.off+max, len(s.pts))
+	dst.Borrow(s.pts[s.off:end])
 	s.off = end
-	return b, nil
+	return dst, nil
 }
 
-// Reset rewinds the source to the beginning so the same data can be
-// replayed (used when benchmarking repeated passes).
-func (s *SliceSource) Reset() { s.off = 0 }
-
-// Remaining reports how many points have not yet been served.
-func (s *SliceSource) Remaining() int { return len(s.pts) - s.off }
-
-// FuncSource adapts a generator function to the Source interface. The
-// function fills dst with up to cap(dst) points and returns the number
-// produced; returning 0 ends the stream. It is used by synthetic
-// workload generators that produce unbounded streams.
+// FuncSource is a one-partition PartitionedSource driven by a
+// generator function. The function fills dst with up to len(dst)
+// points and returns the number produced; returning 0 ends the stream.
+// It is used by synthetic workload generators that produce unbounded
+// streams.
 type FuncSource struct {
 	Gen func(dst []Point) int
 	buf []Point
@@ -51,8 +54,17 @@ func NewFuncSource(batch int, gen func(dst []Point) int) *FuncSource {
 	return &FuncSource{Gen: gen, buf: make([]Point, batch)}
 }
 
-// Next implements Source.
-func (s *FuncSource) Next(max int) ([]Point, error) {
+// Partitions implements PartitionedSource: the source is its own one
+// partition.
+func (s *FuncSource) Partitions() []PartitionStream { return []PartitionStream{s} }
+
+// NextBatchInto implements PartitionStream. The generated points'
+// payloads are copied into dst, so a generator may reuse the arrays
+// behind its points on its next call.
+func (s *FuncSource) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	buf := s.buf
 	if max < len(buf) {
 		buf = buf[:max]
@@ -61,5 +73,6 @@ func (s *FuncSource) Next(max int) ([]Point, error) {
 	if n == 0 {
 		return nil, ErrEndOfStream
 	}
-	return buf[:n], nil
+	dst.AppendPoints(buf[:n])
+	return dst, nil
 }

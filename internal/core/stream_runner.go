@@ -82,12 +82,12 @@ type ShardFailure struct {
 // merge stage (driven by the caller through Snapshot) reconciles
 // per-shard summaries into one global view.
 //
-// Partitioned is required; a legacy pull Source runs as
-// SourcePartitions(src), one partition with the source's batch
-// boundaries and ordering. With Shards=1 and the same operators, a
-// one-partition StreamRunner is execution-equivalent to Runner: one
-// worker consumes every batch in ingest order with the same decay
-// schedule.
+// StreamRunner is the one engine for every streaming query, over
+// stored data and live streams alike. With Shards=1 over a
+// one-partition source (ingest.CSVSource, SliceSource, FuncSource) it
+// is the paper's sequential EWS pipeline: one worker consumes every
+// batch in read order, with the read's batch boundaries, and ticks
+// decay on its own clock.
 //
 // Ordering: points within one partition are delivered to shards in
 // partition order; across partitions there is no ordering contract
@@ -100,9 +100,9 @@ type ShardFailure struct {
 // Stop is one mechanism: RequestStop cancels the ingest context, which
 // interrupts in-flight NextBatchInto calls (no polling between
 // batches); Run waits for every ingest goroutine to exit, and the
-// workers drain what is queued and flush. A legacy Source blocked
-// inside Next cannot be interrupted, so it delays the stop until Next
-// returns; the batch that Next then delivers is dropped.
+// workers drain what is queued and flush. A read that does not watch
+// its context delays the stop until it returns, and the batch it then
+// delivers is dropped.
 //
 // The ingest data plane is allocation-free in steady state: every
 // partition fills an engine-loaned recycled Batch; with a single shard
@@ -715,8 +715,8 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 		}
 		ib = nb // ours now, whether filled in place or swapped
 		if ctx.Err() != nil {
-			// A stop arrived while a legacy Source sat in Next: the
-			// batch it returned is dropped, not counted or routed.
+			// A stop arrived during a read that does not watch ctx:
+			// the batch it returned is dropped, not counted or routed.
 			return nil
 		}
 		r.notePoints(int64(ib.Len()))

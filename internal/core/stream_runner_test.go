@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -38,50 +40,124 @@ func streamPoints(n int) []Point {
 	return pts
 }
 
-// TestStreamRunnerSingleShardMatchesRunner drives the same source,
-// classifier logic, and decay policy through Runner and a one-shard
-// StreamRunner and requires identical statistics.
-func TestStreamRunnerSingleShardMatchesRunner(t *testing.T) {
-	pts := streamPoints(10_000)
+var errTestFailure = errors.New("synthetic source failure")
 
-	seqCls := &thresholdClassifier{cut: 50}
-	seqExp := &collectExplainer{}
-	r := Runner{
-		Source:     NewSliceSource(pts),
-		Classifier: seqCls,
-		Explainer:  seqExp,
-		BatchSize:  512,
-		Decay:      DecayPolicy{EveryPoints: 1000},
-	}
-	seqStats, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+// failingPartition serves full reads of pts until its failAt-th read,
+// which appends half a batch and then fails.
+type failingPartition struct {
+	pts                []Point
+	off, calls, failAt int
+}
 
-	shCls := &thresholdClassifier{cut: 50}
-	shExp := &shardCollectExplainer{}
-	sr := StreamRunner{
-		Partitioned: SourcePartitions(NewSliceSource(pts)),
-		Shards:      1,
-		NewShard: func(shard int) ShardPipeline {
-			return ShardPipeline{Classifier: shCls, Explainer: shExp}
+func (s *failingPartition) Partitions() []PartitionStream { return []PartitionStream{s} }
+
+func (s *failingPartition) NextBatchInto(_ context.Context, dst *Batch, max int) (*Batch, error) {
+	if s.calls == s.failAt {
+		for i := 0; i < max/2 && s.off < len(s.pts); i++ {
+			dst.AppendPoint(&s.pts[s.off])
+			s.off++
+		}
+		return nil, errTestFailure
+	}
+	s.calls++
+	end := min(s.off+max, len(s.pts))
+	dst.AppendPoints(s.pts[s.off:end])
+	s.off = end
+	return dst, nil
+}
+
+// TestStreamRunnerSourceErrorDropsPartialBatch: a read that fails
+// part-way through filling its batch aborts the whole batch; what was
+// read before it is consumed, and the error ends the run.
+func TestStreamRunnerSourceErrorDropsPartialBatch(t *testing.T) {
+	exp := &shardCollectExplainer{}
+	r := StreamRunner{
+		Partitioned: &failingPartition{pts: streamPoints(100), failAt: 2},
+		NewShard: func(int) ShardPipeline {
+			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: exp}
 		},
-		BatchSize: 512,
-		Decay:     DecayPolicy{EveryPoints: 1000},
+		BatchSize: 32,
 	}
-	stats, err := sr.Run()
-	if err != nil {
-		t.Fatal(err)
+	stats, err := r.Run()
+	if !errors.Is(err, errTestFailure) {
+		t.Fatalf("err = %v, want wrapped synthetic failure", err)
 	}
-	if stats.Points != seqStats.Points || stats.OutPoints != seqStats.OutPoints ||
-		stats.Outliers != seqStats.Outliers || stats.DecayTicks != seqStats.DecayTicks {
-		t.Errorf("sharded stats %+v != sequential %+v", stats.RunStats, seqStats)
+	// Two full batches consumed; the partially filled third dropped.
+	if stats.Points != 64 || exp.consumed != 64 {
+		t.Errorf("points = %d, consumed = %d, want 64 each (a partial batch must not count)", stats.Points, exp.consumed)
 	}
-	if shCls.decays != seqCls.decays {
-		t.Errorf("classifier decays %d != %d", shCls.decays, seqCls.decays)
+}
+
+// mallocProbe wraps a partition stream and reads the process's
+// cumulative heap allocation count before its from-th and to-th reads,
+// so the reads in between are charged with everything the run
+// allocated meanwhile, on every goroutine.
+type mallocProbe struct {
+	PartitionStream
+	reads, from, to int
+	m0, m1          uint64
+}
+
+func (p *mallocProbe) Partitions() []PartitionStream { return []PartitionStream{p} }
+
+func (p *mallocProbe) NextBatchInto(ctx context.Context, dst *Batch, max int) (*Batch, error) {
+	if p.reads == p.from || p.reads == p.to {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		if p.reads == p.from {
+			p.m0 = ms.Mallocs
+		} else {
+			p.m1 = ms.Mallocs
+		}
 	}
-	if shExp.consumed != seqExp.n {
-		t.Errorf("explainer consumed %d != %d", shExp.consumed, seqExp.n)
+	p.reads++
+	return p.PartitionStream.NextBatchInto(ctx, dst, max)
+}
+
+// TestStreamRunnerBatchAllocFree: once warm, the engine allocates
+// nothing per batch — the read into a recycled loan, the handoff or
+// scatter, classification, consumption and the return to the free
+// list — whether the source borrows its points (SliceSource) or copies
+// them into the loan's slabs (FuncSource). The bound is 0.1 per batch,
+// not 0: the free list only grows when more batches are in flight at
+// once than ever before, which scheduling (the race detector's
+// especially) can make happen late, and each new batch grows its slabs
+// a dozen times. That is bounded by the pool's capacity, so a 4,000-read
+// window holds it far under the bound, while one allocation per batch
+// would read 1.0.
+func TestStreamRunnerBatchAllocFree(t *testing.T) {
+	const batch, from, to = 16, 500, 4500
+	pts := streamPoints(batch * (to + 100))
+	sources := map[string]func() PartitionStream{
+		"slice": func() PartitionStream { return NewSliceSource(pts) },
+		"func": func() PartitionStream {
+			off := 0
+			return NewFuncSource(batch, func(dst []Point) int {
+				n := copy(dst, pts[off:])
+				off += n
+				return n
+			})
+		},
+	}
+	for name, mk := range sources {
+		for _, shards := range []int{1, 2} {
+			probe := &mallocProbe{PartitionStream: mk(), from: from, to: to}
+			r := StreamRunner{
+				Partitioned: probe,
+				Shards:      shards,
+				NewShard: func(int) ShardPipeline {
+					return ShardPipeline{Classifier: &thresholdClassifier{cut: 90}, Explainer: &shardCollectExplainer{}}
+				},
+				BatchSize: batch,
+				Decay:     DecayPolicy{EveryPoints: 1000},
+			}
+			if _, err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if per := float64(probe.m1-probe.m0) / (to - from); per > 0.1 {
+				t.Errorf("%s source, %d shards: %.3f allocs per batch in steady state, want 0", name, shards, per)
+			}
+		}
 	}
 }
 
@@ -94,7 +170,7 @@ func TestStreamRunnerPartitionsByAttribute(t *testing.T) {
 	perShardAttrs := make([]map[int32]int, shards)
 	explainers := make([]*shardCollectExplainer, shards)
 	sr := StreamRunner{
-		Partitioned: SourcePartitions(NewSliceSource(pts)),
+		Partitioned: NewSliceSource(pts),
 		Shards:      shards,
 		NewShard: func(shard int) ShardPipeline {
 			explainers[shard] = &shardCollectExplainer{}
@@ -149,7 +225,7 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		return len(dst)
 	})
 	sr := StreamRunner{
-		Partitioned: SourcePartitions(src),
+		Partitioned: src,
 		Shards:      2,
 		NewShard: func(shard int) ShardPipeline {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
@@ -207,10 +283,10 @@ func TestStreamRunnerValidation(t *testing.T) {
 	if _, err := (&StreamRunner{}).Run(); err == nil {
 		t.Error("missing source not rejected")
 	}
-	if _, err := (&StreamRunner{Partitioned: SourcePartitions(NewSliceSource(nil))}).Run(); err == nil {
+	if _, err := (&StreamRunner{Partitioned: NewSliceSource(nil)}).Run(); err == nil {
 		t.Error("missing NewShard not rejected")
 	}
-	sr := &StreamRunner{Partitioned: SourcePartitions(NewSliceSource(nil)), NewShard: func(int) ShardPipeline { return ShardPipeline{} }}
+	sr := &StreamRunner{Partitioned: NewSliceSource(nil), NewShard: func(int) ShardPipeline { return ShardPipeline{} }}
 	if _, err := sr.Run(); err != nil {
 		t.Errorf("empty stream should succeed, got %v", err)
 	}

@@ -7,10 +7,10 @@
 //
 //	Ingestor -> [Transformer ...] -> Classifier -> Explainer
 //
-// where every stage exchanges batches of Points. The Runner drives a
-// pipeline either in one-shot mode (a single pass over stored data) or
-// in exponentially weighted streaming mode, in which it additionally
-// schedules periodic decay of the adaptive operators.
+// where every stage exchanges batches of Points. StreamRunner drives
+// every pipeline, over stored data and live streams alike: its shard
+// workers push batches through the operators and schedule periodic
+// decay of the adaptive ones.
 package core
 
 import "fmt"

@@ -81,15 +81,17 @@ func Table2(scale float64) []*Table {
 			var oneRes *pipeline.Result
 			dOne := timeIt(func() { oneRes, _ = pipeline.RunOneShot(pts, cfg) })
 
-			// EWS without explanation (classifier only).
+			// EWS without explanation: a one-shard engine with the
+			// classifier only.
 			dEwsNo := timeIt(func() {
-				cls := classify.NewStreaming(classify.StreamingConfig{
-					Dims: dims, Seed: 7, RetrainEvery: cfg.RetrainEvery,
-				}, nil)
-				r := core.Runner{
-					Source:     core.NewSliceSource(pts),
-					Classifier: cls,
-					Decay:      core.DecayPolicy{EveryPoints: 100_000},
+				r := core.StreamRunner{
+					Partitioned: core.NewSliceSource(pts),
+					NewShard: func(int) core.ShardPipeline {
+						return core.ShardPipeline{Classifier: classify.NewStreaming(classify.StreamingConfig{
+							Dims: dims, Seed: 7, RetrainEvery: cfg.RetrainEvery,
+						}, nil)}
+					},
+					Decay: core.DecayPolicy{EveryPoints: 100_000},
 				}
 				_, _ = r.Run()
 			})

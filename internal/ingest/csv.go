@@ -6,6 +6,7 @@
 package ingest
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -29,8 +30,11 @@ type Schema struct {
 	TimeColumn string
 }
 
-// CSVSource streams core.Points from CSV data with a header row. It
-// implements core.Source.
+// CSVSource streams core.Points from CSV data with a header row. It is
+// a one-partition core.PartitionedSource: every streaming query over a
+// CSV file reads it through NextBatchInto, which parses rows straight
+// into the engine's recycled batch. Next is the allocating read that
+// collects a whole file for one-shot execution.
 type CSVSource struct {
 	r       *csv.Reader
 	enc     *encode.Encoder
@@ -41,7 +45,7 @@ type CSVSource struct {
 	line    int
 	err     error
 	buf     []core.Point
-	// Per-row parse scratch for NextInto, reused across calls.
+	// Per-row parse scratch for NextBatchInto, reused across calls.
 	mbuf []float64
 	abuf []int32
 }
@@ -90,8 +94,8 @@ func (s *CSVSource) Encoder() *encode.Encoder { return s.enc }
 
 // parseRow parses one CSV record into the provided metric/attribute
 // buffers (len(s.metIdx) and len(s.attrIdx) slots) and returns the
-// event time. Shared by the legacy allocating path (Next) and the
-// parse-in-place path (NextInto) so the two cannot drift. The caller
+// event time. Shared by the allocating path (Next) and the
+// parse-in-place path (NextBatchInto) so the two cannot drift. The caller
 // has already advanced s.line; errors are row-numbered but not
 // latched — the caller latches.
 func (s *CSVSource) parseRow(rec []string, metrics []float64, attrs []int32) (float64, error) {
@@ -115,9 +119,11 @@ func (s *CSVSource) parseRow(rec []string, metrics []float64, attrs []int32) (fl
 	return v, nil
 }
 
-// Next implements core.Source. Rows with unparsable metrics are
-// reported as errors, not skipped: silent data loss hides exactly the
-// anomalies MacroBase exists to find.
+// Next returns up to max freshly allocated points, or
+// core.ErrEndOfStream when no rows remain. The returned slice is reused
+// by the next call; the points' payloads are not. Rows with unparsable
+// metrics are reported as errors, not skipped: silent data loss hides
+// exactly the anomalies MacroBase exists to find.
 func (s *CSVSource) Next(max int) ([]core.Point, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -153,21 +159,24 @@ func (s *CSVSource) Next(max int) ([]core.Point, error) {
 	return out, nil
 }
 
-// CSVSource is a core.BatchSource, so the sequential Runner also pulls
-// through the parse-in-place path.
-var _ core.BatchSource = (*CSVSource)(nil)
+// Partitions implements core.PartitionedSource: the source is its own
+// one partition.
+func (s *CSVSource) Partitions() []core.PartitionStream { return []core.PartitionStream{s} }
 
-// NextInto parses up to max rows directly into b's recycled slabs —
-// the allocation-free form of Next, through which the sequential
-// core.Runner pulls a CSVSource (core.BatchSource). Parsed rows are
-// appended to b; per-row cost is the csv.Reader's own record
-// handling (one internal string allocation per record, the only
-// allocator touch on this path) plus ParseFloat and interned attribute
-// lookups. Returns core.ErrEndOfStream when no rows remain, with the
-// same error latching and row-numbered diagnostics as Next.
-func (s *CSVSource) NextInto(b *core.Batch, max int) error {
+// NextBatchInto implements core.PartitionStream: it parses up to max
+// rows directly into dst's recycled slabs and returns dst. Per-row cost
+// is the csv.Reader's own record handling (one internal string
+// allocation per record, the only allocator touch on this path) plus
+// ParseFloat and interned attribute lookups. Returns
+// core.ErrEndOfStream when no rows remain, with the same error latching
+// and row-numbered diagnostics as Next. The context is checked once per
+// call: a read is bounded by max rows.
+func (s *CSVSource) NextBatchInto(ctx context.Context, dst *core.Batch, max int) (*core.Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if s.err != nil {
-		return s.err
+		return nil, s.err
 	}
 	if cap(s.mbuf) < len(s.metIdx) {
 		s.mbuf = make([]float64, len(s.metIdx))
@@ -185,21 +194,21 @@ func (s *CSVSource) NextInto(b *core.Batch, max int) error {
 		}
 		if err != nil {
 			s.err = fmt.Errorf("ingest: %w", err)
-			return s.err
+			return nil, s.err
 		}
 		s.line++
 		t, err := s.parseRow(rec, mbuf, abuf)
 		if err != nil {
 			s.err = err
-			return s.err
+			return nil, s.err
 		}
-		b.Append(mbuf, abuf, t)
+		dst.Append(mbuf, abuf, t)
 		n++
 	}
 	if n == 0 {
-		return core.ErrEndOfStream
+		return nil, core.ErrEndOfStream
 	}
-	return nil
+	return dst, nil
 }
 
 // WriteCSV emits points as CSV with a header, decoding attributes

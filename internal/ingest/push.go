@@ -525,13 +525,6 @@ func (pr *PushProducer) Send(ctx context.Context, pts []core.Point) error {
 	return pr.part.send(ctx, b)
 }
 
-// SendPoint is Send for a single point, for producers without natural
-// batching (batch at the producer when throughput matters — every
-// point pays a channel operation here).
-func (pr *PushProducer) SendPoint(ctx context.Context, pt core.Point) error {
-	return pr.Send(ctx, []core.Point{pt})
-}
-
 // send enqueues b, metering the time spent blocked on a full queue.
 // The point count is read before the channel send: after a successful
 // send the consumer owns b and may already be resetting it.

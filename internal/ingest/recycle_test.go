@@ -2,7 +2,7 @@ package ingest
 
 import (
 	"context"
-
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -172,9 +172,9 @@ func TestPushIngestStatsSurfaceInRunStats(t *testing.T) {
 	}
 }
 
-// TestCSVNextIntoMatchesNext: parse-in-place must produce exactly the
-// points the legacy allocating path produces, through the same
-// encoder ids.
+// TestCSVNextIntoMatchesNext: parse-in-place (NextBatchInto) must
+// produce exactly the points the allocating path (Next) produces,
+// through the same encoder ids.
 func TestCSVNextIntoMatchesNext(t *testing.T) {
 	const rows = 500
 	text := partCSV(3, rows)
@@ -204,7 +204,7 @@ func TestCSVNextIntoMatchesNext(t *testing.T) {
 	}
 	b := &core.Batch{}
 	for {
-		if err := inPlace.NextInto(b, 97); err == core.ErrEndOfStream {
+		if _, err := inPlace.NextBatchInto(context.Background(), b, 97); err == core.ErrEndOfStream {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -212,7 +212,7 @@ func TestCSVNextIntoMatchesNext(t *testing.T) {
 	}
 	got := b.Points()
 	if len(got) != len(want) {
-		t.Fatalf("NextInto parsed %d rows, Next parsed %d", len(got), len(want))
+		t.Fatalf("NextBatchInto parsed %d rows, Next parsed %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i].Metrics[0] != want[i].Metrics[0] || got[i].Attrs[0] != want[i].Attrs[0] || got[i].Time != want[i].Time {
@@ -221,8 +221,8 @@ func TestCSVNextIntoMatchesNext(t *testing.T) {
 	}
 }
 
-// TestCSVNextIntoErrorLatched: a malformed row fails NextInto with a
-// row-numbered error that is latched on subsequent calls.
+// TestCSVNextIntoErrorLatched: a malformed row fails NextBatchInto
+// with a row-numbered error that is latched on subsequent calls.
 func TestCSVNextIntoErrorLatched(t *testing.T) {
 	text := "power,device\n1.5,d0\nnot-a-number,d1\n2.5,d2\n"
 	src, err := NewCSVSource(strings.NewReader(text), Schema{Metrics: []string{"power"}, Attributes: []string{"device"}}, encode.NewEncoder("device"))
@@ -230,16 +230,18 @@ func TestCSVNextIntoErrorLatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &core.Batch{}
-	err = src.NextInto(b, 100)
-	if err == nil || !strings.Contains(err.Error(), "row 2") {
-		t.Fatalf("want row-2 error, got %v (batch %d)", err, b.Len())
+	ctx := context.Background()
+	got, err := src.NextBatchInto(ctx, b, 100)
+	if got != nil || err == nil || !strings.Contains(err.Error(), "row 2") {
+		t.Fatalf("want row-2 error and no batch, got %v (batch %v)", err, got)
 	}
-	if err2 := src.NextInto(b, 100); err2 != err {
+	if _, err2 := src.NextBatchInto(ctx, b, 100); err2 != err {
 		t.Fatalf("error not latched: %v vs %v", err2, err)
 	}
 }
 
-// TestCSVNextIntoAllocBound pins the parse-in-place allocation floor:
+// TestCSVNextIntoAllocBound pins the parse-in-place (NextBatchInto)
+// allocation floor:
 // at most ~1 allocation per row (encoding/csv's internal per-record
 // string; our own path adds none once warm).
 func TestCSVNextIntoAllocBound(t *testing.T) {
@@ -253,7 +255,8 @@ func TestCSVNextIntoAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &core.Batch{}
-	if err := warm.NextInto(b, rows); err != nil && err != core.ErrEndOfStream {
+	ctx := context.Background()
+	if _, err := warm.NextBatchInto(ctx, b, rows); err != nil && err != core.ErrEndOfStream {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -263,7 +266,7 @@ func TestCSVNextIntoAllocBound(t *testing.T) {
 		}
 		b.Reset()
 		for {
-			if err := src.NextInto(b, 256); err == core.ErrEndOfStream {
+			if _, err := src.NextBatchInto(ctx, b, 256); err == core.ErrEndOfStream {
 				break
 			} else if err != nil {
 				t.Fatal(err)
@@ -277,5 +280,61 @@ func TestCSVNextIntoAllocBound(t *testing.T) {
 	// and first-run slab warmup amortized across runs.
 	if allocs > rows+64 {
 		t.Fatalf("CSV parse-in-place: %v allocs for %d rows, want <= %d", allocs, rows, rows+64)
+	}
+}
+
+// rowMallocs wraps a partition stream and reads the process's
+// cumulative heap allocation count before its from-th and to-th reads,
+// so the reads in between are charged with everything the run
+// allocated meanwhile, on every goroutine.
+type rowMallocs struct {
+	core.PartitionStream
+	reads, from, to int
+	m0, m1          uint64
+}
+
+func (p *rowMallocs) Partitions() []core.PartitionStream { return []core.PartitionStream{p} }
+
+func (p *rowMallocs) NextBatchInto(ctx context.Context, dst *core.Batch, max int) (*core.Batch, error) {
+	if p.reads == p.from || p.reads == p.to {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		if p.reads == p.from {
+			p.m0 = ms.Mallocs
+		} else {
+			p.m1 = ms.Mallocs
+		}
+	}
+	p.reads++
+	return p.PartitionStream.NextBatchInto(ctx, dst, max)
+}
+
+// TestCSVStreamOneShardAllocsPerRow: a one-shard streaming run over a
+// CSVSource allocates at most once per row in steady state — the
+// csv.Reader's record string. Parsing into the engine's recycled loan,
+// the handoff to the worker and the return to the free list add
+// nothing per read. The bound allows 0.1 allocations per read on top:
+// the free list grows when scheduling puts more batches in flight than
+// ever before, and a new batch grows its slabs a few dozen times, which
+// the pool's capacity bounds; one allocation per read would read 1.0.
+func TestCSVStreamOneShardAllocsPerRow(t *testing.T) {
+	const batch, from, to = 64, 200, 1200
+	text := partCSV(0, batch*(to+20))
+	src, err := NewCSVSource(strings.NewReader(text), Schema{Metrics: []string{"power"}, Attributes: []string{"device"}}, encode.NewEncoder("device"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &rowMallocs{PartitionStream: src, from: from, to: to}
+	r := core.StreamRunner{
+		Partitioned: probe,
+		NewShard:    func(int) core.ShardPipeline { return core.ShardPipeline{} },
+		BatchSize:   batch,
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	reads, rows := to-from, batch*(to-from)
+	if extra := float64(int64(probe.m1-probe.m0)-int64(rows)) / float64(reads); extra > 0.1 {
+		t.Errorf("%d allocs over %d rows: %.3f per read beyond one per row, want <= 0.1", probe.m1-probe.m0, rows, extra)
 	}
 }

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"macrobase/internal/core"
@@ -112,17 +111,21 @@ func ResumeStream(parts core.PartitionedSource, cfg Config, shards int, ck *Chec
 	if ck.Version != CheckpointVersion {
 		return nil, fmt.Errorf("pipeline: unsupported checkpoint version %d (want %d)", ck.Version, CheckpointVersion)
 	}
-	sp := newStableParts(parts)
-	streams := sp.Partitions()
+	streams := parts.Partitions()
 	if len(ck.Partitions) != len(streams) {
 		return nil, fmt.Errorf("pipeline: checkpoint has %d partitions, source has %d", len(ck.Partitions), len(streams))
+	}
+	// Entry i must name partition i: a blob that names one partition
+	// twice never names another, whose unacked tail would then be
+	// silently skipped.
+	for i, po := range ck.Partitions {
+		if po.Partition != i {
+			return nil, fmt.Errorf("pipeline: checkpoint entry %d names partition %d", i, po.Partition)
+		}
 	}
 	for _, po := range ck.Partitions {
 		if !po.Checkpointable {
 			continue
-		}
-		if po.Partition < 0 || po.Partition >= len(streams) {
-			return nil, fmt.Errorf("pipeline: checkpoint names unknown partition %d", po.Partition)
 		}
 		sk, ok := streams[po.Partition].(core.SeekablePartition)
 		if !ok {
@@ -132,37 +135,7 @@ func ResumeStream(parts core.PartitionedSource, cfg Config, shards int, ck *Chec
 			return nil, fmt.Errorf("pipeline: resuming partition %d: %w", po.Partition, err)
 		}
 	}
-	return StartPartitionedStream(sp, cfg, shards)
-}
-
-// stableParts memoizes a PartitionedSource's Partitions so the session
-// and the engine observe the same partition stream objects — the
-// checkpoint layer Acks and seeks the very streams the runner reads.
-// The repo's own sources already return stable objects; this wrapper
-// turns that convention into a guarantee for third-party ones.
-type stableParts struct {
-	inner core.PartitionedSource
-	once  sync.Once
-	parts []core.PartitionStream
-}
-
-func newStableParts(src core.PartitionedSource) *stableParts {
-	return &stableParts{inner: src}
-}
-
-// Partitions implements core.PartitionedSource, consuming the inner
-// list exactly once.
-func (sp *stableParts) Partitions() []core.PartitionStream {
-	sp.once.Do(func() { sp.parts = sp.inner.Partitions() })
-	return sp.parts
-}
-
-// IngestStats forwards to the inner source when it is observable.
-func (sp *stableParts) IngestStats(dst []core.PartitionIngestStats) []core.PartitionIngestStats {
-	if obs, ok := sp.inner.(core.IngestObservable); ok {
-		return obs.IngestStats(dst)
-	}
-	return dst
+	return StartPartitionedStream(parts, cfg, shards)
 }
 
 // checkpointableViews probes each partition stream for the offset
@@ -176,8 +149,3 @@ func checkpointableViews(streams []core.PartitionStream) []core.CheckpointablePa
 	}
 	return out
 }
-
-var (
-	_ core.PartitionedSource = (*stableParts)(nil)
-	_ core.IngestObservable  = (*stableParts)(nil)
-)

@@ -73,7 +73,9 @@ type roundPacedSource struct {
 	served int
 }
 
-func (p *roundPacedSource) Next(max int) ([]core.Point, error) {
+func (p *roundPacedSource) Partitions() []core.PartitionStream { return []core.PartitionStream{p} }
+
+func (p *roundPacedSource) NextBatchInto(ctx context.Context, dst *core.Batch, max int) (*core.Batch, error) {
 	if p.runner == nil {
 		p.runner = (<-p.sess).runner
 	}
@@ -89,9 +91,11 @@ func (p *roundPacedSource) Next(max int) ([]core.Point, error) {
 	default:
 		max = min(max, left-1)
 	}
-	pts, err := p.src.Next(max)
-	p.served += len(pts)
-	return pts, err
+	b, err := p.src.NextBatchInto(ctx, dst, max)
+	if err == nil {
+		p.served += b.Len()
+	}
+	return b, err
 }
 
 func (p *roundPacedSource) consumed() int {
@@ -114,11 +118,11 @@ func (p *roundPacedSource) await(what string, cond func() bool) {
 	}
 }
 
-// runRoundPaced is RunShardedStream over a roundPacedSource.
+// runRoundPaced is RunPartitionedStream over a roundPacedSource.
 func runRoundPaced(t *testing.T, pts []core.Point, cfg Config, shards int) *ShardedResult {
 	t.Helper()
 	src := &roundPacedSource{t: t, src: core.NewSliceSource(pts), every: cfg.CoordinateEvery, sess: make(chan *StreamSession, 1)}
-	sess, err := StartShardedStream(src, cfg, shards)
+	sess, err := StartPartitionedStream(src, cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +196,7 @@ func TestGlobalThresholdFixesHotShardDrift(t *testing.T) {
 	// PR fixes, kept here as the failure baseline.
 	dcfg := cfg
 	dcfg.DisableGlobalThreshold = true
-	drifted, err := RunShardedStream(core.NewSliceSource(pts), dcfg, shards)
+	drifted, err := RunPartitionedStream(core.NewSliceSource(pts), dcfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +230,7 @@ func TestCoordinationEmptyReservoirShard(t *testing.T) {
 	}
 	const shards = 4
 	cfg := Config{Dims: 1, MinSupport: 0.01, CoordinateEvery: 2_000, Seed: 3}
-	res, err := RunShardedStream(core.NewSliceSource(pts), cfg, shards)
+	res, err := RunPartitionedStream(core.NewSliceSource(pts), cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +261,7 @@ func TestCoordinationEmptyReservoirShard(t *testing.T) {
 func TestCoordinationDuringDecayTicks(t *testing.T) {
 	pts := hotShardStream(30_000)
 	cfg := Config{Dims: 1, MinSupport: 0.05, DecayEveryPoints: 2_000, CoordinateEvery: 1_500, Seed: 11}
-	res, err := RunShardedStream(core.NewSliceSource(pts), cfg, 3)
+	res, err := RunPartitionedStream(core.NewSliceSource(pts), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +362,7 @@ func TestOneShardCoordinationIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := RunShardedStream(core.NewSliceSource(pts), cfg, 1)
+	sharded, err := RunPartitionedStream(core.NewSliceSource(pts), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

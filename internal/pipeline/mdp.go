@@ -157,28 +157,17 @@ type Result struct {
 }
 
 // RunStreaming executes MDP in exponentially weighted streaming mode
-// over the source: the streaming classifier (ADR-trained MAD/MCD +
-// percentile threshold) feeds the streaming explainer (AMC +
-// M-CPS-trees), with decay ticks on the configured tuple period.
-func RunStreaming(src core.Source, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	// Shard 0 of a sharded run and a sequential run build identical
-	// operators (the shard-seed offset is zero), so the construction
-	// is shared and the two paths cannot drift apart.
-	pl := newShardPipeline(cfg, 0, 1)
-	r := core.Runner{
-		Source:     src,
-		Transforms: pl.Transforms,
-		Classifier: pl.Classifier,
-		Explainer:  pl.Explainer,
-		BatchSize:  cfg.BatchSize,
-		Decay:      core.DecayPolicy{EveryPoints: cfg.DecayEveryPoints},
-	}
-	stats, err := r.Run()
+// over src: the streaming classifier (ADR-trained MAD/MCD + percentile
+// threshold) feeds the streaming explainer (AMC + M-CPS-trees), with
+// decay ticks on the configured tuple period. It is
+// RunPartitionedStream on one shard, which for a one-partition source
+// is the paper's sequential EWS pipeline.
+func RunStreaming(src core.PartitionedSource, cfg Config) (*Result, error) {
+	res, err := RunPartitionedStream(src, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Stats: stats, Explanations: pl.Explainer.(*explain.Streaming).Explanations()}, nil
+	return &Result{Stats: res.Stats.RunStats, Explanations: res.Explanations}, nil
 }
 
 // RunOneShot executes MDP in one-shot batch mode over stored points

@@ -10,7 +10,7 @@ import (
 
 // endlessDevices replays a 30K-point device stream forever, so a
 // session under test keeps ingesting (and decaying) until it is stopped.
-func endlessDevices(seed uint64) core.Source {
+func endlessDevices(seed uint64) core.PartitionedSource {
 	d := gen.Devices(gen.DeviceConfig{Points: 30_000, Devices: 200, Seed: seed})
 	i := 0
 	return core.NewFuncSource(1024, func(dst []core.Point) int {
@@ -32,7 +32,7 @@ func endlessDevices(seed uint64) core.Source {
 func TestStreamSessionConcurrentPollCacheRace(t *testing.T) {
 	src := endlessDevices(7)
 	cfg := Config{Dims: 1, MinSupport: 0.005, DecayEveryPoints: 8_000, Seed: 3}
-	sess, err := StartShardedStream(src, cfg, 3)
+	sess, err := StartPartitionedStream(src, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,18 +75,18 @@ func requireIdenticalRanked(t *testing.T, label string, got, want []core.Explana
 }
 
 // TestPushIngestOnePartitionMatchesPullExactly: a one-partition push
-// source delivering the pull loop's exact batches must reproduce the
-// legacy pull path bit-for-bit — default streaming classifiers, decay
-// ticks and all — because a single ingest goroutine preserves total
-// order. Threshold coordination is off: its rounds fire asynchronously
-// with ingest, so two coordinated runs are not bit-exact even over
-// identical batch sequences.
+// source delivering a SliceSource's exact batches must reproduce the
+// run over that SliceSource bit-for-bit — default streaming
+// classifiers, decay ticks and all — because a single ingest goroutine
+// preserves total order. Threshold coordination is off: its rounds
+// fire asynchronously with ingest, so two coordinated runs are not
+// bit-exact even over identical batch sequences.
 func TestPushIngestOnePartitionMatchesPullExactly(t *testing.T) {
 	d := gen.Devices(gen.DeviceConfig{Points: 90_000, Devices: 600, Seed: 21})
 	cfg := Config{Dims: 1, MinSupport: 0.005, DecayEveryPoints: 15_000, BatchSize: 2048, Seed: 5, DisableGlobalThreshold: true}
 	const shards = 4
 
-	pull, err := RunShardedStream(core.NewSliceSource(d.Points), cfg, shards)
+	pull, err := RunPartitionedStream(core.NewSliceSource(d.Points), cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestPushIngestOnePartitionMatchesPullExactly(t *testing.T) {
 }
 
 // TestPushIngestThreePartitionsMatchesPullExactly: P=3 partitions into
-// 4 shards must produce ranked explanations identical to the legacy
-// pull path over the same data. With concurrent partitions the
-// interleaving at each shard is scheduling-dependent, so the pipeline
-// is configured order-insensitively: deterministic per-point
-// classification (NewClassifier factory) and no decay ticks. Each
+// 4 shards must produce ranked explanations identical to a
+// one-partition SliceSource run over the same data. With concurrent
+// partitions the interleaving at each shard is scheduling-dependent,
+// so the pipeline is configured order-insensitively: deterministic
+// per-point classification (NewClassifier factory) and no decay ticks. Each
 // shard then sees the same point multiset either way, and the
 // summaries — exact counts, order-independent tree multisets — force
 // bit-identical merged output.
@@ -135,7 +135,7 @@ func TestPushIngestThreePartitionsMatchesPullExactly(t *testing.T) {
 		shards     = 4
 	)
 
-	pull, err := RunShardedStream(core.NewSliceSource(d.Points), cfg, shards)
+	pull, err := RunPartitionedStream(core.NewSliceSource(d.Points), cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,11 +191,11 @@ func TestRebalanceSpreadsAttrLessPoints(t *testing.T) {
 
 	pinnedCfg := cfg
 	pinnedCfg.DisableRebalance = true
-	pinned, err := RunShardedStream(core.NewSliceSource(pts), pinnedCfg, shards)
+	pinned, err := RunPartitionedStream(core.NewSliceSource(pts), pinnedCfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := RunShardedStream(core.NewSliceSource(pts), cfg, shards)
+	routed, err := RunPartitionedStream(core.NewSliceSource(pts), cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

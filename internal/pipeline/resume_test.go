@@ -221,6 +221,49 @@ func TestResumeStreamValidation(t *testing.T) {
 	noReplay.CloseAll()
 }
 
+// TestResumeRejectsMisnumberedCheckpoint: entry i of a checkpoint must
+// name partition i. A blob that names partition 0 twice has the right
+// entry count but never names partition 1, which would then not be
+// sought and its unacked tail would be skipped; resume refuses it, and
+// the refusal seeks nothing, so the well-formed blob still replays both
+// tails in full.
+func TestResumeRejectsMisnumberedCheckpoint(t *testing.T) {
+	const nParts, shards = 2, 2
+	d := gen.Devices(gen.DeviceConfig{Points: 12_000, Devices: 200, Seed: 29})
+	cfg := resumableConfig()
+	_, batched := splitParts(d.Points, nParts, cfg.BatchSize)
+	p := ingest.NewPush(nParts, 4)
+	p.EnableReplay(0)
+	feedPush(t, p, batched)
+	sess1, err := StartPartitionedStream(p, cfg, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, sess1)
+
+	twice := &Checkpoint{Version: CheckpointVersion, Partitions: []PartitionOffset{
+		{Partition: 0, Checkpointable: true}, {Partition: 0, Checkpointable: true},
+	}}
+	if _, err := ResumeStream(p, cfg, shards, twice); err == nil || !strings.Contains(err.Error(), "entry 1 names partition 0") {
+		t.Fatalf("checkpoint naming partition 0 twice: got %v, want a refusal", err)
+	}
+	ok := &Checkpoint{Version: CheckpointVersion, Partitions: []PartitionOffset{
+		{Partition: 0, Checkpointable: true}, {Partition: 1, Checkpointable: true},
+	}}
+	sess2, err := ResumeStream(p, cfg, shards, ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, sess2)
+	res, err := sess2.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Points != len(d.Points) {
+		t.Fatalf("resumed run replayed %d points, want all %d", res.Stats.Points, len(d.Points))
+	}
+}
+
 // bombClassifier is cutClassifier with a fuse: it panics after
 // consuming a set number of points.
 type bombClassifier struct {
@@ -257,7 +300,7 @@ func degradedConfig() Config {
 // details, and still merges the surviving shards' explanations.
 func TestShardedStreamDegradedResult(t *testing.T) {
 	d := gen.Devices(gen.DeviceConfig{Points: 60_000, Devices: 500, Seed: 31})
-	res, err := RunShardedStream(core.NewSliceSource(d.Points), degradedConfig(), 3)
+	res, err := RunPartitionedStream(core.NewSliceSource(d.Points), degradedConfig(), 3)
 	if err != nil {
 		t.Fatalf("degraded run errored: %v", err)
 	}

@@ -37,7 +37,7 @@ func TestPollServedDuringRetrain(t *testing.T) {
 			}
 			return fit(sample)
 		}}
-	sess, err := StartShardedStream(src, cfg, 1)
+	sess, err := StartPartitionedStream(src, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,16 +119,14 @@ func (cs *coordState) cutoff() (float64, bool) {
 // newCoordState decides whether coordination runs: it is on by default
 // for multi-shard streams (it is the fix for skew-induced answer
 // drift) and off for a single shard, whose one pipeline already
-// computes the global quantile — keeping P=1 bit-exact with
-// RunStreaming.
+// computes the global quantile.
 func newCoordState(cfg Config, shards int) *coordState {
 	return &coordState{enabled: shards > 1 && !cfg.DisableGlobalThreshold && cfg.CoordinateEvery > 0}
 }
 
 // newShardPipeline builds shard s's MDP operator replicas. Shard seeds
 // are decorrelated the same way RunParallel decorrelates partitions;
-// with a single shard the seed is exactly cfg.Seed, which keeps
-// one-shard execution identical to RunStreaming. A caller-supplied
+// with a single shard the seed is exactly cfg.Seed. A caller-supplied
 // Classifier or Transforms (legal only with one shard) is installed
 // verbatim; a NewClassifier factory builds one replica per shard.
 //
@@ -140,8 +138,8 @@ func newCoordState(cfg Config, shards int) *coordState {
 // window coordination exists to close. Staggering keeps at most one
 // shard inside that window at a time. The stagger is off exactly when
 // coordination is off (it exists to protect the global threshold, and
-// keeping uncoordinated runs unshifted preserves their bit-exact
-// equivalence to RunStreaming per shard).
+// keeping uncoordinated runs unshifted keeps each shard bit-exact with
+// a sequential pipeline over its substream).
 func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 	pl := core.ShardPipeline{
 		Transforms: cfg.Transforms,
@@ -388,53 +386,33 @@ func liveExplainers(explainers []*explain.Streaming, failures []core.ShardFailur
 	return out
 }
 
-// RunShardedStream executes MDP in exponentially weighted streaming
-// mode sharded across P shared-nothing workers: points are hash-
-// partitioned by attribute set, each shard runs its own streaming
+// RunPartitionedStream executes MDP in exponentially weighted
+// streaming mode sharded across P shared-nothing workers and returns
+// the final result once every partition reports end of stream (for
+// ingest.Push, once every producer is closed). Points are
+// hash-partitioned by attribute set, each shard runs its own streaming
 // classifier and explainer with a local decay clock, and the final
 // merge reconciles per-shard summaries into one ranked explanation
-// set. With shards=1 this is exactly RunStreaming. With shards>1 each
-// combination's counts are concentrated on a single shard by the hash
-// router, so merged support is exact up to the (summed) sketch bounds;
-// classification thresholds are reconciled every CoordinateEvery
-// points by the cross-shard coordinator (a merged global percentile
-// cutoff), so skewed routing no longer drifts the answer away from the
-// single-pipeline one. Set DisableGlobalThreshold to recover the old
-// per-shard cutoffs — the sharded analog of the accuracy trade-off
-// RunParallel exhibits in Figure 11.
-func RunShardedStream(src core.Source, cfg Config, shards int) (*ShardedResult, error) {
-	return RunPartitionedStream(core.SourcePartitions(src), cfg, shards)
-}
-
-// RunPartitionedStream is RunShardedStream over a partitioned push
-// source: one ingest goroutine per partition routes points to the
-// shard workers directly, so ingestion parallelizes before the first
-// channel hop. It blocks until every partition reports end of stream
-// (for ingest.Push, until every producer is closed). Points within a
-// partition keep their order; across partitions the interleaving is
-// scheduling-dependent (see core.StreamRunner).
+// set. With shards>1 each combination's counts are concentrated on a
+// single shard by the hash router, so merged support is exact up to
+// the (summed) sketch bounds; classification thresholds are reconciled
+// every CoordinateEvery points by the cross-shard coordinator (a
+// merged global percentile cutoff), so skewed routing does not drift
+// the answer away from the single-pipeline one. Set
+// DisableGlobalThreshold for per-shard cutoffs instead — the sharded
+// analog of the accuracy trade-off RunParallel exhibits in Figure 11.
+// Points within a partition keep their order; across partitions the
+// interleaving is scheduling-dependent (see core.StreamRunner).
 func RunPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) (*ShardedResult, error) {
-	cfg = cfg.withDefaults()
-	if err := validateSharded(cfg, shards); err != nil {
-		return nil, err
-	}
-	explainers := make([]*explain.Streaming, shards)
-	classifiers := make([]core.Classifier, shards)
-	coord := newCoordState(cfg, shards)
-	r := newStreamRunner(parts, cfg, shards, explainers, classifiers, coord)
-	stats, err := r.Run()
+	s, err := StartPartitionedStream(parts, cfg, shards)
 	if err != nil {
 		return nil, err
 	}
-	// The run owns the explainers outright once Run returns and nothing
-	// writes to them again, so the in-place fold — which aliases shards
-	// 1..P-1's inlier trees rather than copying them — is safe.
-	return &ShardedResult{
-		Stats:        stats,
-		Explanations: explain.MergeStreamingInto(liveExplainers(explainers, stats.ShardFailures)),
-		Shards:       newShardBreakdown(finalShardStatuses(stats, classifiers), coord, stats.CoordRounds, liveRoutingView(r)),
-		Degraded:     stats.Degraded,
-	}, nil
+	<-s.done
+	if s.err != nil {
+		return nil, s.err
+	}
+	return s.final, nil
 }
 
 // StreamSession is a long-lived sharded streaming query: Start launches
@@ -461,8 +439,8 @@ type StreamSession struct {
 
 	// ckParts are the checkpointable views of the session's ingest
 	// partitions — nil entries for partitions without offsets, such as
-	// an adapted legacy source's. Checkpoint Acks through them; they are
-	// the same partition objects the runner reads (see stableParts).
+	// a CSV file's. Checkpoint Acks through them; they are the same
+	// partition objects the runner reads (see core.PartitionedSource).
 	ckParts []core.CheckpointablePartition
 
 	mu    sync.Mutex
@@ -481,14 +459,6 @@ type shardSnap struct {
 	hasThr bool
 }
 
-// StartShardedStream validates the configuration and launches a
-// sharded streaming session over a legacy pull source (adapted to a
-// single ingest partition). The session owns src until the stream
-// terminates.
-func StartShardedStream(src core.Source, cfg Config, shards int) (*StreamSession, error) {
-	return StartPartitionedStream(core.SourcePartitions(src), cfg, shards)
-}
-
 // StartPartitionedStream launches a sharded streaming session over a
 // partitioned push source: one ingest goroutine per partition feeds
 // the shard workers directly. The session owns the source's
@@ -499,17 +469,11 @@ func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int
 		return nil, err
 	}
 	s := &StreamSession{done: make(chan struct{})}
-	// Pin the partition list so the session's checkpoint layer Acks and
-	// seeks the very stream objects the runner reads.
-	sp, ok := parts.(*stableParts)
-	if !ok {
-		sp = newStableParts(parts)
-	}
-	s.ckParts = checkpointableViews(sp.Partitions())
+	s.ckParts = checkpointableViews(parts.Partitions())
 	explainers := make([]*explain.Streaming, shards)
 	classifiers := make([]core.Classifier, shards)
 	s.coord = newCoordState(cfg, shards)
-	s.runner = newStreamRunner(sp, cfg, shards, explainers, classifiers, s.coord)
+	s.runner = newStreamRunner(parts, cfg, shards, explainers, classifiers, s.coord)
 	// Poll clones the shard's summary on the worker goroutine: the
 	// worker keeps consuming after the snapshot is handed over, so the
 	// clone is the isolation boundary. The classifier threshold rides
@@ -660,10 +624,9 @@ func (s *StreamSession) livePoll(snaps []any) *ShardedResult {
 }
 
 // Stop halts ingestion, waits for the workers to drain and flush, and
-// returns the final reconciled result. Stop is idempotent. Ingestion
-// is interrupted mid-read for context-aware partitions (ingest.Push);
-// a legacy Source blocked inside Next delays Stop until that call
-// returns.
+// returns the final reconciled result. Stop is idempotent. A read in
+// flight is interrupted through its context (ingest.Push mid-wait; the
+// one-partition sources between reads).
 func (s *StreamSession) Stop() (*ShardedResult, error) {
 	s.runner.RequestStop()
 	<-s.done

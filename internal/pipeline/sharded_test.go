@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sort"
@@ -13,20 +14,34 @@ import (
 	"macrobase/internal/gen"
 )
 
-// batchSource replays recorded sub-batches one per Next call,
-// reproducing the engine's exact batch boundaries.
-type batchSource struct {
-	batches [][]core.Point
-	i       int
-}
-
-func (s *batchSource) Next(max int) ([]core.Point, error) {
-	if s.i >= len(s.batches) {
-		return nil, core.ErrEndOfStream
+// sequentialEWS is the test oracle for streaming execution: one shard's
+// MDP operators (newShardPipeline) run over batches in order by a plain
+// loop, with no engine — classify each batch, hand the labels to the
+// explainer, and tick decay every DecayEveryPoints points, carrying the
+// remainder across batches. cfg must have its defaults applied and
+// carry no transforms.
+func sequentialEWS(cfg Config, shard, shards int, batches [][]core.Point) (core.RunStats, *explain.Streaming) {
+	pl := newShardPipeline(cfg, shard, shards)
+	var stats core.RunStats
+	var labels []core.LabeledPoint
+	since := 0
+	for _, b := range batches {
+		stats.Points += len(b)
+		stats.OutPoints += len(b)
+		labels = pl.Classifier.ClassifyBatch(labels[:0], b)
+		for i := range labels {
+			if labels[i].Label == core.Outlier {
+				stats.Outliers++
+			}
+		}
+		pl.Explainer.Consume(labels)
+		for since += len(b); since >= cfg.DecayEveryPoints; since -= cfg.DecayEveryPoints {
+			stats.DecayTicks++
+			pl.Classifier.(core.Decayable).Decay()
+			pl.Explainer.(core.Decayable).Decay()
+		}
 	}
-	b := s.batches[s.i]
-	s.i++
-	return b, nil
+	return stats, pl.Explainer.(*explain.Streaming)
 }
 
 func shardKey(ids []int32) string {
@@ -65,33 +80,53 @@ func requireSameExplanations(t *testing.T, label string, a, b []core.Explanation
 	}
 }
 
-// TestShardedStreamOneShardMatchesSequential: P=1 sharded execution
-// must reproduce the sequential EWS pipeline exactly — same stats,
-// same explanations, same statistics per explanation.
+// TestShardedStreamOneShardMatchesSequential: RunStreaming, the
+// one-shard engine, must reproduce the sequential oracle exactly — same
+// stats, same explanations, bit-identical statistics per explanation.
 func TestShardedStreamOneShardMatchesSequential(t *testing.T) {
 	d := gen.Devices(gen.DeviceConfig{Points: 120_000, Devices: 800, Seed: 42})
 	cfg := Config{Dims: 1, MinSupport: 0.005, DecayEveryPoints: 20_000, Seed: 7}
 
-	seq, err := RunStreaming(core.NewSliceSource(d.Points), cfg)
+	res, err := RunStreaming(core.NewSliceSource(d.Points), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := RunShardedStream(core.NewSliceSource(d.Points), cfg, 1)
-	if err != nil {
-		t.Fatal(err)
+	pcfg := cfg.withDefaults()
+	var batches [][]core.Point
+	for off := 0; off < len(d.Points); off += pcfg.BatchSize {
+		batches = append(batches, d.Points[off:min(off+pcfg.BatchSize, len(d.Points))])
 	}
-	if sharded.Stats.Points != seq.Stats.Points ||
-		sharded.Stats.OutPoints != seq.Stats.OutPoints ||
-		sharded.Stats.Outliers != seq.Stats.Outliers ||
-		sharded.Stats.DecayTicks != seq.Stats.DecayTicks {
-		t.Errorf("stats differ: sharded %+v sequential %+v", sharded.Stats.RunStats, seq.Stats)
+	stats, seq := sequentialEWS(pcfg, 0, 1, batches)
+	if res.Stats != stats {
+		t.Errorf("stats differ: RunStreaming %+v sequential %+v", res.Stats, stats)
 	}
-	requireSameExplanations(t, "P=1 vs sequential", sharded.Explanations, seq.Explanations)
+	want := seq.Explanations()
+	if len(want) == 0 {
+		t.Fatal("the sequential oracle found no explanations")
+	}
+	if len(res.Explanations) != len(want) {
+		t.Fatalf("%d explanations, sequential %d", len(res.Explanations), len(want))
+	}
+	wm := make(map[string]core.Explanation, len(want))
+	for _, e := range want {
+		wm[shardKey(e.ItemIDs)] = e
+	}
+	for _, e := range res.Explanations {
+		w, ok := wm[shardKey(e.ItemIDs)]
+		if !ok {
+			t.Errorf("explanation %v missing from the sequential set", e.ItemIDs)
+			continue
+		}
+		if e.Support != w.Support || e.OutlierCount != w.OutlierCount || e.InlierCount != w.InlierCount || e.RiskRatio != w.RiskRatio {
+			t.Errorf("items %v: (%v,%v,%v,%v), sequential (%v,%v,%v,%v)", e.ItemIDs,
+				e.Support, e.OutlierCount, e.InlierCount, e.RiskRatio, w.Support, w.OutlierCount, w.InlierCount, w.RiskRatio)
+		}
+	}
 }
 
 // TestShardedStreamMatchesManualPartition: P>1 execution must agree
 // with manually splitting the stream by the same hash router, running
-// P sequential EWS pipelines with the shard seeds, and merging their
+// the sequential oracle once per shard with the shard seeds, and merging their
 // summaries — the union semantics RunParallel established, lifted to
 // summary-level merging. Threshold coordination is disabled: the
 // manual baseline is P independent pipelines with per-shard cutoffs,
@@ -107,7 +142,7 @@ func TestShardedStreamMatchesManualPartition(t *testing.T) {
 	// from it. This is also the bit-exact golden for DisableRebalance.
 	cfg := Config{Dims: 1, MinSupport: 0.005, DecayEveryPoints: 15_000, Seed: 3, DisableGlobalThreshold: true, DisableRebalance: true}
 
-	sharded, err := RunShardedStream(core.NewSliceSource(d.Points), cfg, shards)
+	sharded, err := RunPartitionedStream(core.NewSliceSource(d.Points), cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +173,7 @@ func TestShardedStreamMatchesManualPartition(t *testing.T) {
 	}
 	explainers := make([]*explain.Streaming, shards)
 	for s := 0; s < shards; s++ {
-		pl := newShardPipeline(pcfg, s, shards)
-		r := core.Runner{
-			Source:     &batchSource{batches: parts[s]},
-			Classifier: pl.Classifier,
-			Explainer:  pl.Explainer,
-			BatchSize:  pcfg.BatchSize,
-			Decay:      core.DecayPolicy{EveryPoints: pcfg.DecayEveryPoints},
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		explainers[s] = pl.Explainer.(*explain.Streaming).Clone()
+		_, explainers[s] = sequentialEWS(pcfg, s, shards, parts[s])
 	}
 	manual := explain.MergeStreamingInto(explainers)
 	requireSameExplanations(t, "P=3 vs manual partition", sharded.Explanations, manual)
@@ -160,7 +184,7 @@ func TestShardedStreamMatchesManualPartition(t *testing.T) {
 func TestShardedStreamRecoversPlantedDevices(t *testing.T) {
 	d := gen.Devices(gen.DeviceConfig{Points: 200_000, Devices: 1000, Seed: 5})
 	cfg := Config{Dims: 1, MinSupport: 0.001, DecayEveryPoints: 50_000, Seed: 9}
-	res, err := RunShardedStream(core.NewSliceSource(d.Points), cfg, 4)
+	res, err := RunPartitionedStream(core.NewSliceSource(d.Points), cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,19 +204,19 @@ func TestShardedStreamRecoversPlantedDevices(t *testing.T) {
 // execution must reject.
 func TestShardedStreamValidation(t *testing.T) {
 	src := core.NewSliceSource(nil)
-	if _, err := RunShardedStream(src, Config{Dims: 1}, 0); err == nil {
+	if _, err := RunPartitionedStream(src, Config{Dims: 1}, 0); err == nil {
 		t.Error("0 shards accepted")
 	}
-	if _, err := RunShardedStream(src, Config{Dims: 1, Classifier: &projectingClassifier{}}, 2); err == nil {
+	if _, err := RunPartitionedStream(src, Config{Dims: 1, Classifier: &projectingClassifier{}}, 2); err == nil {
 		t.Error("shared classifier instance accepted for 2 shards")
 	}
-	if _, err := RunShardedStream(src, Config{Dims: 1, Transforms: []core.Transformer{core.TransformFunc(nil)}}, 2); err == nil {
+	if _, err := RunPartitionedStream(src, Config{Dims: 1, Transforms: []core.Transformer{core.TransformFunc(nil)}}, 2); err == nil {
 		t.Error("shared transform instance accepted for 2 shards")
 	}
-	if _, err := RunShardedStream(src, Config{Dims: 1, Trainer: func([][]float64) (classify.Scorer, error) { return nil, nil }}, 2); err == nil {
+	if _, err := RunPartitionedStream(src, Config{Dims: 1, Trainer: func([][]float64) (classify.Scorer, error) { return nil, nil }}, 2); err == nil {
 		t.Error("shared trainer accepted for 2 shards")
 	}
-	if _, err := StartShardedStream(src, Config{Dims: 1}, -1); err == nil {
+	if _, err := StartPartitionedStream(src, Config{Dims: 1}, -1); err == nil {
 		t.Error("session with negative shards accepted")
 	}
 }
@@ -211,7 +235,7 @@ func TestStreamSessionLifecycle(t *testing.T) {
 		return len(dst)
 	})
 	cfg := Config{Dims: 1, MinSupport: 0.005, DecayEveryPoints: 10_000, Seed: 1}
-	sess, err := StartShardedStream(src, cfg, 2)
+	sess, err := StartPartitionedStream(src, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,22 +296,23 @@ type errAfterSource struct {
 	err     error
 }
 
-func (s *errAfterSource) Next(max int) ([]core.Point, error) {
+func (s *errAfterSource) Partitions() []core.PartitionStream { return []core.PartitionStream{s} }
+
+func (s *errAfterSource) NextBatchInto(_ context.Context, dst *core.Batch, max int) (*core.Batch, error) {
 	if s.batches <= 0 {
 		return nil, s.err
 	}
 	s.batches--
-	pts := make([]core.Point, max)
-	for i := range pts {
-		pts[i] = core.Point{Metrics: []float64{1}, Attrs: []int32{int32(i % 7)}}
+	for i := 0; i < max; i++ {
+		dst.Append([]float64{1}, []int32{int32(i % 7)}, 0)
 	}
-	return pts, nil
+	return dst, nil
 }
 
 // TestStreamSessionSourceError surfaces ingest errors through Stop.
 func TestStreamSessionSourceError(t *testing.T) {
 	boom := errors.New("boom")
-	sess, err := StartShardedStream(&errAfterSource{batches: 2, err: boom}, Config{Dims: 1}, 2)
+	sess, err := StartPartitionedStream(&errAfterSource{batches: 2, err: boom}, Config{Dims: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

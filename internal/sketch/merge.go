@@ -1,15 +1,12 @@
 package sketch
 
-import "sort"
-
-// This file makes the heavy-hitters sketches mergeable in the sense of
+// This file makes the AMC sketch mergeable in the sense of
 // Agarwal et al., "Mergeable Summaries" (PODS 2012): two summaries of
 // disjoint substreams combine into a summary of the union whose error
-// bound is at most the sum of the inputs' bounds. Merge is what lets
-// MacroBase's sharded streaming engine keep shared-nothing per-shard
-// sketches and still answer global heavy-hitter queries — each shard
-// summarizes its hash partition, and a periodic merge stage reconciles
-// the partitions.
+// bound is at most the sum of the inputs' bounds. The sharded
+// streaming engine merges DenseAMC, its slice-backed twin, under the
+// same law; this map-backed form is the oracle its tests compare
+// against.
 
 // Clone returns a deep copy of the sketch. Clones share no state with
 // the receiver, so a shard worker can hand a clone to the merge stage
@@ -52,137 +49,4 @@ func (a *AMC[K]) Merge(o *AMC[K]) {
 	if a.wi < wiSum {
 		a.wi = wiSum
 	}
-}
-
-// minCount returns the smallest monitored count, the SpaceSaving upper
-// bound on any unmonitored item's true count, which is zero until the
-// sketch is saturated.
-func (s *SpaceSavingHeap[K]) minCount() float64 {
-	if len(s.items) < s.k {
-		return 0
-	}
-	return s.items[0].count
-}
-
-// Clone returns a deep copy of the sketch.
-func (s *SpaceSavingHeap[K]) Clone() *SpaceSavingHeap[K] {
-	c := &SpaceSavingHeap[K]{k: s.k, pos: make(map[K]int, len(s.pos)), items: append([]ssEntry[K](nil), s.items...)}
-	for k, v := range s.pos {
-		c.pos[k] = v
-	}
-	return c
-}
-
-// Merge folds o into s under disjoint-substream semantics: counts of
-// common items add, an item monitored on only one side inherits the
-// other side's minimum counter (the bound on its unmonitored count),
-// and the k largest merged counters survive. The merged overestimate
-// is bounded by the sum of the inputs' minimum counters.
-func (s *SpaceSavingHeap[K]) Merge(o *SpaceSavingHeap[K]) {
-	entries := mergeSSEntries(s.items, s.minCount(), o.items, o.minCount(), s.k)
-	s.items = s.items[:0]
-	s.pos = make(map[K]int, len(entries))
-	for _, e := range entries {
-		s.items = append(s.items, e)
-		idx := len(s.items) - 1
-		s.pos[e.item] = idx
-		s.siftUp(idx)
-	}
-}
-
-// minCount is the list-based analog of the heap's bound.
-func (s *SpaceSavingList[K]) minCount() float64 {
-	if s.size < s.k || s.head == nil {
-		return 0
-	}
-	return s.head.count
-}
-
-// Clone returns a deep copy of the sketch.
-func (s *SpaceSavingList[K]) Clone() *SpaceSavingList[K] {
-	c := NewSpaceSavingList[K](s.k)
-	for n := s.head; n != nil; n = n.next {
-		nn := &ssNode[K]{item: n.item, count: n.count, err: n.err, prev: c.tail}
-		if c.tail != nil {
-			c.tail.next = nn
-		} else {
-			c.head = nn
-		}
-		c.tail = nn
-		c.nodes[nn.item] = nn
-		c.size++
-	}
-	return c
-}
-
-// Merge folds o into s with the same semantics as the heap variant,
-// rebuilding the sorted list directly from the merged top-k.
-func (s *SpaceSavingList[K]) Merge(o *SpaceSavingList[K]) {
-	var sItems, oItems []ssEntry[K]
-	for n := s.head; n != nil; n = n.next {
-		sItems = append(sItems, ssEntry[K]{item: n.item, count: n.count, err: n.err})
-	}
-	for n := o.head; n != nil; n = n.next {
-		oItems = append(oItems, ssEntry[K]{item: n.item, count: n.count, err: n.err})
-	}
-	entries := mergeSSEntries(sItems, s.minCount(), oItems, o.minCount(), s.k)
-	// Rebuild ascending: entries arrive sorted descending by count.
-	s.head, s.tail, s.size = nil, nil, 0
-	s.nodes = make(map[K]*ssNode[K], len(entries))
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := entries[i]
-		n := &ssNode[K]{item: e.item, count: e.count, err: e.err, prev: s.tail}
-		if s.tail != nil {
-			s.tail.next = n
-		} else {
-			s.head = n
-		}
-		s.tail = n
-		s.nodes[n.item] = n
-		s.size++
-	}
-}
-
-// mergeSSEntries combines two SpaceSaving counter sets under
-// disjoint-substream semantics and returns the k largest merged
-// counters sorted by descending count. Ties at the k boundary are
-// broken arbitrarily (map iteration order), matching the sketches' own
-// arbitrary choice of which tied minimum counter an eviction replaces;
-// the survivors' error bounds are unaffected.
-func mergeSSEntries[K comparable](a []ssEntry[K], aMin float64, b []ssEntry[K], bMin float64, k int) []ssEntry[K] {
-	type acc struct {
-		count, err float64
-		inA, inB   bool
-	}
-	m := make(map[K]*acc, len(a)+len(b))
-	for _, e := range a {
-		m[e.item] = &acc{count: e.count, err: e.err, inA: true}
-	}
-	for _, e := range b {
-		if cur, ok := m[e.item]; ok {
-			cur.count += e.count
-			cur.err += e.err
-			cur.inB = true
-		} else {
-			m[e.item] = &acc{count: e.count, err: e.err, inB: true}
-		}
-	}
-	out := make([]ssEntry[K], 0, len(m))
-	for it, v := range m {
-		c, err := v.count, v.err
-		if !v.inA {
-			c += aMin
-			err += aMin
-		}
-		if !v.inB {
-			c += bMin
-			err += bMin
-		}
-		out = append(out, ssEntry[K]{item: it, count: c, err: err})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].count > out[j].count })
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
 }

@@ -186,112 +186,6 @@ func TestAMCMergeThreeWayAssociativity(t *testing.T) {
 	}
 }
 
-// TestSpaceSavingHeapMerge checks the heap variant preserves heavy
-// hitters above the combined minimum-counter bound and that estimates
-// upper-bound the truth.
-func TestSpaceSavingHeapMerge(t *testing.T) {
-	const k = 64
-	sa, ea := zipfStreamExact(50_000, 4096, 5)
-	sb, eb := zipfStreamExact(50_000, 4096, 6)
-	a := NewSpaceSavingHeap[int](k)
-	b := NewSpaceSavingHeap[int](k)
-	for _, it := range sa {
-		a.Observe(it, 1)
-	}
-	for _, it := range sb {
-		b.Observe(it, 1)
-	}
-	bound := a.minCount() + b.minCount()
-	exact := addExact(ea, eb)
-	m := a.Clone()
-	m.Merge(b)
-	if m.Len() > k {
-		t.Fatalf("merged size %d > k %d", m.Len(), k)
-	}
-	for _, e := range m.Entries() {
-		if truth := exact[e.Item]; e.Count < truth-1e-9 {
-			t.Errorf("item %d: estimate %v undershoots true %v", e.Item, e.Count, truth)
-		}
-	}
-	// Heavy hitters above the combined bound must appear among the
-	// merged counters: their merged estimate >= truth > bound, and at
-	// most k-1 items can outrank them only if their estimates are
-	// >= truth, all of which are legitimate top-k candidates; verify
-	// the planted heaviest explicitly.
-	for it, truth := range exact {
-		if truth <= bound || truth <= m.minCount() {
-			continue
-		}
-		if _, ok := m.Count(it); !ok {
-			t.Errorf("heavy hitter %d (true %v > bound %v) lost", it, truth, bound)
-		}
-	}
-}
-
-// TestSpaceSavingListMergeMatchesHeap feeds identical streams to the
-// list and heap variants and checks the merged top counters agree —
-// the two implementations realize the same summary.
-func TestSpaceSavingListMergeMatchesHeap(t *testing.T) {
-	const k = 48
-	sa, _ := zipfStreamExact(40_000, 2048, 7)
-	sb, _ := zipfStreamExact(40_000, 2048, 8)
-	ha, hb := NewSpaceSavingHeap[int](k), NewSpaceSavingHeap[int](k)
-	la, lb := NewSpaceSavingList[int](k), NewSpaceSavingList[int](k)
-	for _, it := range sa {
-		ha.Observe(it, 1)
-		la.Observe(it, 1)
-	}
-	for _, it := range sb {
-		hb.Observe(it, 1)
-		lb.Observe(it, 1)
-	}
-	ha.Merge(hb)
-	la.Merge(lb)
-	if ha.Len() != la.Len() {
-		t.Fatalf("sizes differ: heap %d list %d", ha.Len(), la.Len())
-	}
-	for _, e := range ha.Entries() {
-		got, ok := la.Count(e.Item)
-		if !ok {
-			// The variants may disagree only on ties at the cut.
-			if e.Count > la.minCount()+1e-9 {
-				t.Errorf("item %d (count %v) in heap merge but not list merge", e.Item, e.Count)
-			}
-			continue
-		}
-		if math.Abs(got-e.Count) > 1e-9 {
-			t.Errorf("item %d: heap %v list %v", e.Item, e.Count, got)
-		}
-	}
-}
-
-// TestSpaceSavingListMergeOrderInsensitive mirrors the AMC symmetry
-// law for the list variant.
-func TestSpaceSavingListMergeOrderInsensitive(t *testing.T) {
-	sa, _ := zipfStreamExact(30_000, 1024, 9)
-	sb, _ := zipfStreamExact(30_000, 1024, 10)
-	mk := func(stream []int) *SpaceSavingList[int] {
-		s := NewSpaceSavingList[int](4096) // large: no eviction, no ties at cut
-		for _, it := range stream {
-			s.Observe(it, 1)
-		}
-		return s
-	}
-	ab := mk(sa)
-	ab.Merge(mk(sb))
-	ba := mk(sb)
-	ba.Merge(mk(sa))
-	if ab.Len() != ba.Len() {
-		t.Fatalf("sizes differ: %d vs %d", ab.Len(), ba.Len())
-	}
-	for _, e := range ab.Entries() {
-		got, ok := ba.Count(e.Item)
-		if !ok || math.Abs(got-e.Count) > 1e-9 {
-			t.Errorf("item %d: A∪B=%v B∪A=%v (ok=%v)", e.Item, e.Count, got, ok)
-		}
-	}
-}
-
 // TestAMCCloneIndependent ensures clones share no state.
 func TestAMCCloneIndependent(t *testing.T) {
 	a := NewAMC[int](16, 0.1)

@@ -91,12 +91,6 @@ func Median(xs []float64) float64 {
 	return (lo + hi) / 2
 }
 
-// MedianCopy returns the median without disturbing xs.
-func MedianCopy(xs []float64) float64 {
-	tmp := append([]float64(nil), xs...)
-	return Median(tmp)
-}
-
 // MADConsistency rescales the raw MAD to be a consistent estimator of
 // the standard deviation under normality (1/Phi^-1(3/4)).
 const MADConsistency = 1.4826022185056018
