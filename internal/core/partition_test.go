@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -272,6 +273,58 @@ func (s *erringSource) Partitions() []PartitionStream {
 	parts := s.inner.Partitions()
 	parts[s.failPart] = &errPartition{err: s.err}
 	return parts
+}
+
+// TestSourcePartitionsAdapterEquivalence: every source is its own one
+// partition. A FuncSource replaying a slice through a reused buffer
+// serves, through its partition view, the same reads as a SliceSource
+// over that slice: same batch bounds, same points, end of stream on the
+// same read, and a cancelled context ends a read before it takes
+// anything.
+func TestSourcePartitionsAdapterEquivalence(t *testing.T) {
+	pts := streamPoints(1000)
+	next := 0
+	gen := NewFuncSource(0, func(dst []Point) int {
+		n := copy(dst, pts[next:])
+		next += n
+		return n
+	})
+	ref := NewSliceSource(pts)
+	parts := gen.Partitions()
+	if len(parts) != 1 {
+		t.Fatalf("FuncSource produced %d partitions, want 1", len(parts))
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := parts[0].NextBatchInto(cancelled, &Batch{}, 128); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled read: got %v", err)
+	}
+	ctx := context.Background()
+	for {
+		wb, werr := ref.Partitions()[0].NextBatchInto(ctx, &Batch{}, 128)
+		gb, gerr := parts[0].NextBatchInto(ctx, &Batch{}, 128)
+		if werr != gerr {
+			t.Fatalf("reads ended differently: %v vs %v", gerr, werr)
+		}
+		if werr != nil {
+			if werr != ErrEndOfStream {
+				t.Fatalf("stream ended with %v", werr)
+			}
+			break
+		}
+		want, got := wb.Points(), gb.Points()
+		if len(want) != len(got) {
+			t.Fatalf("read of %d points, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i].Metrics, want[i].Metrics) || !slices.Equal(got[i].Attrs, want[i].Attrs) || got[i].Time != want[i].Time {
+				t.Fatalf("point diverged: %+v vs %+v", got[i], want[i])
+			}
+		}
+	}
+	if next != len(pts) {
+		t.Fatalf("generator replayed %d points, want %d", next, len(pts))
+	}
 }
 
 // TestFuncSourceCopiesReusedBuffers: a generator may rewrite the arrays
