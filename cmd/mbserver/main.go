@@ -836,7 +836,7 @@ type healthJSON struct {
 // healthOf folds a result's failure records into the health block.
 func healthOf(res *pipeline.ShardedResult) healthJSON {
 	h := healthJSON{Status: "ok"}
-	if !res.Degraded {
+	if !res.Stats.Degraded {
 		return h
 	}
 	h.Status = "degraded"

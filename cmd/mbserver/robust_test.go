@@ -231,7 +231,6 @@ func TestStreamHealthBlock(t *testing.T) {
 	postJSON(t, srv.URL+"/stream/"+id+"/stop", nil)
 
 	degraded := healthOf(&pipeline.ShardedResult{
-		Degraded: true,
 		Stats: core.StreamStats{
 			Degraded: true,
 			ShardFailures: []core.ShardFailure{

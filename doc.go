@@ -113,6 +113,31 @@
 // load share times P; 1.0 is perfectly balanced, P is total skew), and
 // the last global cutoff.
 //
+// # One account of a run
+//
+// Each quantity a run reports is counted once, by the goroutine that
+// causes it. A shard's executor owns its shard's counters — points taken
+// in, points classified (after transforms), outliers, decay ticks,
+// points a quarantine dropped, and the quarantine record — in one
+// cache-line-padded block only its worker writes, so a per-batch add
+// never contends. The ingest goroutines count the points they route,
+// which also paces the coordinator, and the coordinator counts its
+// rounds, passes and bucket moves. core.StreamRunner.Stats reads all of
+// them into one core.StreamStats, mid-run or after Run returns (the
+// counters are allocated apart from the pipelines, so they outlive the
+// worker set teardown drops); Run returns the same read plus the
+// partitions' ingest counters and committed offsets.
+//
+// A live poll and the final result are then built by one function
+// (pipeline.StreamSession's newResult) from one Stats read and one view
+// per shard: the poll's snapshot clones, or the replicas once Run has
+// returned. The poll reads Stats after its snapshot round, so a shard
+// that answered with its quarantine marker is already among
+// ShardFailures. A shard's outlier rate is its outliers over the points
+// it classified in both. So a poll of a stream whose every point has
+// been consumed equals the final result: statistics, per-shard
+// breakdown and ranked explanations (pipeline.TestLivePollEqualsFinal).
+//
 // # Skew-adaptive routing
 //
 // Threshold coordination fixes what skew does to the cutoff; it does
@@ -129,7 +154,7 @@
 // per point — the data plane stays allocation-free (the Route/p3s4
 // kernel gates 0 allocs/op with routing active).
 //
-// Rebalancing rides the PR-6 coordinator: each round snapshots the
+// Rebalancing rides the threshold coordinator: each round snapshots the
 // per-bucket counters (single-writer per partition, summed by the
 // coordinator), diffs them against the last judged round into a load
 // window, and — when the hottest healthy shard's windowed share times P
@@ -296,8 +321,7 @@
 // shards' paths were folded in, while the recount walks header chains.
 // A live session poll (pipeline.StreamSession.Poll) is a snapshot round
 // of fresh clones folded in place by explain.MergeStreamingInto;
-// concurrent polls share nothing but the session's failure map and the
-// mutex guarding it, so none waits on another's merge.
+// concurrent polls share nothing, so none waits on another's merge.
 //
 // Five reuse layers used to sit in front of that path: a replay of the
 // previous ranked output, reuse of the mined table when only the inlier
@@ -385,9 +409,8 @@
 // measured on at least 4 real cores, where ten alternating pairs move
 // that metric by more than the parent's quartile spread.
 //
-// One numerical change came with the borrowed inlier trees (PR 19), and
-// it is the only one: on a poll over two or more shards taken after a
-// decay tick, InlierCount — and so RiskRatio — may differ from the
+// Borrowing the inlier trees changes one number, and only one: on a
+// poll over two or more shards taken after a decay tick, InlierCount — and so RiskRatio — may differ from the
 // union-tree value in the last ulps, because P per-shard chain sums
 // added in shard order replace one chain sum over a tree whose counts
 // were themselves added in replay order. While weights are integers (no
@@ -466,48 +489,33 @@
 // explainer is between batches at that point and the snapshot reads
 // nothing of the classifier but its threshold; coordination requests,
 // which read and write the classifier, travel on their own control
-// channel and still wait for the batch to end. Once PR 15 had taken
-// a poll_drift poll from ~220 ms to ~45 ms, meeting a refit cost a poll
-// five times its own work, and whether more than half of a run's polls
-// did decided its median: answer_p50_ms read 35-175 ms run to run. It
-// now reads 27-31 ms (firehose_xc: 99-125 ms).
+// channel and still wait for the batch to end. So whether a poll meets
+// a refit does not decide its latency.
 //
-// PR 18 made the refit itself cheaper by not finishing an evaluation
-// nobody reads: a concentration step needs the set of the h closest
-// points, never their ranking, so it selects them in one introselect
-// pass over a (distance, index) slab where it used to sort all 10K, and
-// a fit's scratch lives on its stepper (~300 allocations a fit, from
-// ~18,000). The chosen rows are then summed in ascending index order, so
-// the new mean and covariance are a function of which points were
-// chosen and of nothing else; before, their low bits inherited however
-// the sort had arranged the subset. internal/mcd's package comment has
-// the rule for distances that tie across the h boundary.
+// The refit finishes no evaluation nobody reads. A concentration step
+// needs the set of the h closest points, never their ranking, so it
+// selects them in one introselect pass over a (distance, index) slab,
+// and a fit's scratch lives on its stepper. The chosen rows are summed
+// in ascending index order, so the new mean and covariance are a
+// function of which points were chosen and of nothing else.
+// internal/mcd's package comment has the rule for distances that tie
+// across the h boundary.
 //
-// PR 20 stopped finishing evaluations whose outcome is already decided.
+// Nor does the fit finish evaluations whose outcome is already decided.
 // FastMCD's own remedy for that is selective iteration — give every
 // candidate two C-steps, keep the best, only then iterate — and the fit
-// applied it to the ~300-point subsets and to their merged set and
-// stopped one level short: all ten merged-set survivors were
-// concentrated to their fixed points on the full data (97-113 full-data
-// C-steps a fit at p=7, 150-186 at p=2, ~70% of a fit's time), and all
-// ten ended in the same basin, log-determinants equal to the fifth
-// digit. The full-data level now ranks the ten after two C-steps each
-// and concentrates the leader alone (20 ranking steps and ~8-12 more;
-// the next in rank is reached only if the leader's covariance stops
-// factoring, so a fit still fails only when every candidate does);
-// Estimate.CSteps counts the winner's steps, ranking steps included. A
-// fit at n=10K went 123 -> 59 ms at p=7 and 73 -> 26 ms at p=2, the 40K
-// batch fit 504 -> 143 ms, and three fifths of what is left is the trial
-// stage (32 of ~53 ms at p=7, 13 of ~23 at p=2; at n=40K the twenty
-// ranking steps are the larger part, 55 of ~115 ms). One rule at every
-// n, no knob: below ~2K points the trial stage dominates and the cost
-// does not move.
+// applies it at every level: the ~300-point subsets, their merged set,
+// and the full data, where it ranks the ten merged-set survivors after
+// two C-steps each and concentrates the leader alone (the next in rank
+// is reached only if the leader's covariance stops factoring, so a fit
+// fails only when every candidate does). Estimate.CSteps counts the
+// winner's steps, ranking steps included. One rule at every n, no knob.
 //
-// That is a change of answer, and its size is measured, not argued: the
-// winner is the best candidate after two full-data steps, not the best
-// of ten after convergence. internal/mcd keeps the converge-all-ten
-// schedule as a test-only reference (fitAllTen) and holds the new fit
-// against it fit seed by fit seed on the benchmark datasets
+// The winner is therefore the best candidate after two full-data steps,
+// not the best of ten after convergence, and the size of that
+// difference is measured, not argued. internal/mcd keeps the
+// converge-all-ten schedule as a test-only reference (fitAllTen) and
+// holds the fit against it fit seed by fit seed on the benchmark datasets
 // (TestSelectiveIterationQuality): at n=10K (CMT p=7, Liquor p=2,
 // Telecom p=5) and n=40K the raw log-determinant is higher by 1e-6-3e-5
 // on average and 1.0e-4 at worst, where the reference moves by
@@ -528,20 +536,17 @@
 // still holds the kernel to the same draws, candidates, ranking, winner
 // and step count.
 //
-// The C-step itself then got cheaper without moving a bit. On
-// batch_query's server the fit was 64% of CPU, its distance sweep 32%
-// and its covariance re-estimate 18%, and both waited on latency: a point's
-// forward solve is a chain of p dependent divisions, and each covariance
-// cell took a load-add-store through memory per chosen row. The sweep
-// (stats.Cholesky.MahalanobisSqAll) now solves four points in lockstep,
-// and stats.MeanCovInto sums each cell in a register over column-major
+// The C-step's two data passes are written for latency, not just
+// arithmetic: a point's forward solve is a chain of p dependent
+// divisions, and a covariance cell summed through memory pays a
+// load-add-store per chosen row. The sweep
+// (stats.Cholesky.MahalanobisSqAll) solves four points in lockstep, and
+// stats.MeanCovInto sums each cell in a register over column-major
 // blocks of centered rows, four cells a pass. internal/mcd's package
-// comment says why the bits hold, and a test pins 28 fits to digests
-// recorded before the change. At p=7 over 10K points the sweep went ~42
-// -> ~18 ns a point and the covariance ~42 -> ~22, and the fit ~61 ->
-// ~41 ms (n=10K, p=7), ~27 -> ~24 (p=2) and ~146 -> ~93 (n=40K). On
-// batch_query the two passes fell to 30% of server CPU and the fit to
-// 50%, and CSV parsing became the largest stage at 36%. Where a fit's
+// comment says why the bits match the one-point forms, and a test pins
+// 28 fits to recorded digests. On batch_query the two passes are 30%
+// of server CPU and the fit 50%, and CSV parsing is the largest stage
+// at 36%. Where a fit's
 // time goes now, at n=10K, p=7: the trial stage ~59%, the full-data
 // ranking ~23%, the leader's convergence ~13%; by kernel, the sweep
 // ~39%, the h-subset selection ~21%, the covariance ~21% and the step's
@@ -589,8 +594,7 @@
 //
 //   - Consumers. A shard worker consumes a batch's views and returns
 //     the batch to the free list, so everything downstream of the
-//     channel — transformers, classifiers, explainers, OnBatch hooks —
-//     must copy whatever point data it retains beyond the call that
+//     channel — transformers, classifiers, explainers — must copy whatever point data it retains beyond the call that
 //     delivered it. Every built-in operator already does: classifier
 //     reservoirs copy admitted metric vectors, explanation sketches
 //     and trees copy attribute ids, windowing transformers copy what
@@ -642,8 +646,9 @@
 // backpressure never wedge on a dead shard), and the run completes on
 // the survivors. The result is marked rather than silently partial —
 // core.StreamStats.Degraded plus one core.ShardFailure per dead shard,
-// folded by the merge layer into pipeline.ShardedResult and by
-// mbserver into the "health" block of every /stream/{id} response.
+// read through core.StreamRunner.Stats by every live poll as well as
+// the final result, and folded by mbserver into the "health" block of
+// every /stream/{id} response.
 //
 // # Profiling a live session
 //
@@ -661,9 +666,8 @@
 //     `go test -race -timeout 5m ./...` on a Go matrix: 1.22 is the
 //     go.mod floor, 1.24 the toolchain every
 //     committed BENCH_*.json and every bench/ number is recorded with.
-//     The timeout is half the default so that a deadlocked test (one sat
-//     in core's offload suite until PR 18) prints its goroutines while
-//     someone is still watching. internal/mcd and internal/stats run once
+//     The timeout is half the default so that a deadlocked test prints
+//     its goroutines while someone is still watching. internal/mcd and internal/stats run once
 //     more with -count=1: the C-step kernel's oracle comparisons are the
 //     contract for FastMCD's answers, and the selection under them must
 //     keep compiling at the go.mod floor. (The comparison against
@@ -679,10 +683,12 @@
 //     budget there, not the code). A regression lands only together
 //     with a new justified baseline. The baseline and its history are
 //     under "Kernel baseline" below.
-//   - bench-smoke runs the end-to-end harness's own tests (`cd bench &&
-//     go test ./...`: every workload at toy size, and the test that
-//     the staged replay still matches the server). bench/ is a separate
-//     module that the root `go test ./...` does not see.
+//   - bench-smoke vets the end-to-end harness and runs its own tests
+//     (`cd bench && go vet ./... && go test ./...`: every workload at
+//     toy size, and the test that the staged replay still matches the
+//     server). bench/ is a separate module that the root `go vet ./...`
+//     and `go test ./...` do not see, yet it compiles against the
+//     internal packages.
 //   - pipeline-scheduling runs the pipeline suite under -race at
 //     GOMAXPROCS=1 and 4: shard workers, the coordinator and concurrent
 //     pollers are goroutines, and the matrix runs them serialized and
@@ -738,16 +744,18 @@
 // reuse layers "One poll path" describes and were deleted with them.
 // Poll/p3s4 times the session's merged poll over four static shards: a
 // Clone of each shard, then MergeStreamingInto on the polling
-// goroutine. Its four whole clones, inlier trees included (8.2 MB an
-// op), are why it reads above the two PollParallel kernels it replaced,
-// which copied only shard 0's sketches and outlier tree and then merged
-// striped four ways or inline (-w1). The table below is the kernels'
-// trajectory up to the baseline before this one: what it and its
-// predecessors read, in µs/op — columns PR3-PR10 on a 1-core box,
-// PR15-PR26 on a 2-core one, so compare along a row only within those
-// groups ("=": carried over from the column to the left — PR19
-// re-recorded the two PollParallel kernels, PR20 and PR26 the three
-// MCDFit ones, PR25 every kernel that survived it):
+// goroutine; its four whole clones, inlier trees included (8.2 MB an
+// op), are most of its cost. The MCDFit rows are one default-config
+// mcd.Fit over a workload dataset's metrics, in ms/op: a shard's
+// reservoir refit on firehose_xc (p7) and poll_drift (p2), and
+// batch_query's 40K training sample.
+//
+// The table below is the kernels' trajectory up to the baseline before
+// this one, in µs/op, one column per recorded tree: PR3-PR10 on a
+// 1-core box, PR15-PR26 on a 2-core one, so compare along a row only
+// within those groups ("=": carried over from the column to the left).
+// Sittings on this box differ by 10-30%; same-sitting pairs of adjacent
+// trees, and what each column's change was, are in CHANGES.md.
 //
 //	kernel                      PR3    PR5    PR8   PR10   PR15   PR16   PR18   PR19   PR20   PR25   PR26
 //	consume                    1684   1331   1579   1560    234    265    261      =      =    233      =
@@ -766,38 +774,12 @@
 //	MCDFit/n10k-p2, ms            -      -      -      -      -    323   68.9      =   25.7   29.6   26.6 (d)
 //	MCDFit/n40k-p7, ms            -      -      -      -      -   1414    556      =    143    151    102 (d)
 //
-// (a) Through PR 15 a cache-off switch made a static explainer re-mine;
-// from PR 16 the kernel is the poll after a decay tick. (b) The
-// delta-off switch went in PR 16; the last full/delta ratio was 5.1x.
-// (c) Through PR 15 likewise cache-off over static shards; from PR 16 a
-// few points land on one shard before each poll. The last w1/w4 ratios:
-// 1.08x at PR 15, 1.02x at PR 16, 1.10x at PR 18, 1.20x at PR 19, all on
-// 2 cores. One more dropped leg: BenchmarkStreamSessionPoll/
-// steady-nocache, last 169 ms against steady's 2.53 ms (PR 3). (d) In
-// ms/op: one
-// default-config mcd.Fit over a workload dataset's metrics — a shard's
-// reservoir refit on firehose_xc (p7) and poll_drift (p2), and
-// batch_query's 40K training sample. The kernels joined the gate in
-// PR 18; their PR16 entries are the median of three runs of the PR 16
-// tree in the PR 18 sitting. PR 18 sorts nothing (2.5x, 4.7x and 2.5x
-// faster) and allocates 297 times a fit against ~18,500. PR 20
-// concentrates one candidate on the full data, not ten (the middle of
-// three alternating runs: 56.1-60.3, 25.7-27.9 and 143-151 ms against
-// 122-126, 68.7-75.2 and 491-504 ms for the PR 19 tree in the same
-// sitting — 2.1x, 2.8x and 3.5x), and ranks the merged and full-data
-// levels in the candidates' own storage: 262 allocations. The PR26 fit
-// sweeps four points at a time and sums covariance cells in registers,
-// which changes no bit of a fit (the middle of three alternating runs
-// in a noisy sitting: 40.0-53.0, 24.9-27.8 and 94.4-110 ms against
-// 67.6-88.6, 31.8-38.1 and 154-211 ms for the tree before it; `go test
-// -bench` the same hour read 39-43 / 23-24 / 93-94 against 60-61 /
-// 27-28 / 145-148), and its steppers own two more buffers each: 276
-// allocations. (e) PR 19:
-// the merged poll over four shards no longer builds the union inlier
-// tree — 16.2 MB a poll down to 2.3 MB, 6.7x and 6.2x faster (the
-// third of four runs in one sitting: 3.35-3.72 and 4.03-4.39 ms; the
-// PR 18 tree read 26.1 and 25.4 ms in it). Sittings on this shared box
-// differ by 10-30% (PR 15's own tree read 1.04-1.34x its baseline on
-// the PR 16 day); same-sitting pairs of adjacent trees are in
-// CHANGES.md.
+// Where a row's definition changed, its columns on either side measure
+// different things: (a) through PR15 a static explainer re-mined with
+// its cache off, from PR16 the poll after a decay tick; (b) the
+// full-mine leg left with the delta-off switch; (c) through PR15 static
+// shards with the cache off, from PR16 shards that take a few points
+// before each poll; (d) the PR16 entries are that tree re-run in
+// the PR18 sitting; (e) from PR19 the merged poll no longer builds a
+// union inlier tree.
 package macrobase

@@ -291,32 +291,32 @@ func TestStreamRunnerBatchRecyclingAliasing(t *testing.T) {
 	}
 	var mu sync.Mutex
 	seen := make(map[float64]int)
+	onBatch := func(shard int, batch []LabeledPoint) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range batch {
+			p := &batch[i].Point
+			if len(p.Metrics) != 2 || len(p.Attrs) != 1 {
+				t.Errorf("torn point shape: %+v", p)
+				return
+			}
+			id := p.Metrics[0]
+			if p.Metrics[1] != 2*id || p.Attrs[0] != int32(int(id)%97) {
+				t.Errorf("aliased slab: point %v fails invariant", *p)
+				return
+			}
+			seen[id]++
+		}
+	}
 	sr := StreamRunner{
 		Partitioned: src,
 		Shards:      shards,
 		NewShard: func(shard int) ShardPipeline {
-			return ShardPipeline{Classifier: &thresholdClassifier{cut: 1e18}, Explainer: &shardCollectExplainer{}}
+			return ShardPipeline{Classifier: &thresholdClassifier{cut: 1e18}, Explainer: &tapExplainer{shard: shard, tap: onBatch}}
 		},
 		BatchSize: 173, // force splits relative to perBatch
-		OnBatch: func(shard int, batch []LabeledPoint) {
-			mu.Lock()
-			defer mu.Unlock()
-			for i := range batch {
-				p := &batch[i].Point
-				if len(p.Metrics) != 2 || len(p.Attrs) != 1 {
-					t.Errorf("torn point shape: %+v", p)
-					return
-				}
-				id := p.Metrics[0]
-				if p.Metrics[1] != 2*id || p.Attrs[0] != int32(int(id)%97) {
-					t.Errorf("aliased slab: point %v fails invariant", *p)
-					return
-				}
-				seen[id]++
-			}
-		},
 		SnapshotShard: func(shard int, pl ShardPipeline) any {
-			return pl.Explainer.(*shardCollectExplainer).consumed
+			return pl.Explainer.(*tapExplainer).consumed
 		},
 	}
 	pollDone := make(chan struct{})

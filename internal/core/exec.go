@@ -1,5 +1,7 @@
 package core
 
+import "sync/atomic"
+
 // DecayPolicy controls when a shard damps its adaptive operators.
 // Exactly one of EveryPoints or EverySeconds should be set; the paper's
 // default configuration is "a decay rate of 0.01 every 100K points"
@@ -27,6 +29,41 @@ type RunStats struct {
 	DecayTicks int
 }
 
+// shardStats is one shard's account of its run: the RunStats counters
+// plus the quarantine record. Only the shard's worker goroutine writes
+// it, so a per-batch add never contends; StreamRunner.Stats reads it
+// from any goroutine. It is allocated apart from the pipeline it
+// counts, so it outlives the worker set that Run's teardown drops.
+type shardStats struct {
+	points, outPoints, outliers, ticks atomic.Int64
+	// dropped counts the points a quarantined shard drained unprocessed.
+	dropped atomic.Int64
+	// failure is the panic that quarantined the shard; nil while healthy.
+	failure atomic.Pointer[string]
+	// Pads the account to two cache lines, so no two shards' counters
+	// share one (they are allocated back to back).
+	_ [80]byte
+}
+
+// runStats reads the counters, each atomically on its own.
+func (s *shardStats) runStats() RunStats {
+	return RunStats{
+		Points:     int(s.points.Load()),
+		OutPoints:  int(s.outPoints.Load()),
+		Outliers:   int(s.outliers.Load()),
+		DecayTicks: int(s.ticks.Load()),
+	}
+}
+
+// failed reports shard's quarantine record, if it has one.
+func (s *shardStats) failed(shard int) (ShardFailure, bool) {
+	msg := s.failure.Load()
+	if msg == nil {
+		return ShardFailure{}, false
+	}
+	return ShardFailure{Shard: shard, Err: *msg, DroppedPoints: s.dropped.Load()}, true
+}
+
 // pipeExec drives one pipeline replica batch-by-batch: transform,
 // classify, explain, and schedule decay ticks. Each StreamRunner shard
 // worker runs one over the points routed to it, so a shard is the
@@ -37,13 +74,8 @@ type pipeExec struct {
 	classifier Classifier
 	explainer  Explainer
 	policy     DecayPolicy
-	onBatch    func(batch []LabeledPoint)
-	// onDispatch/onTick, when non-nil, observe progress increments
-	// (the sharded engine feeds its atomic live counters from them).
-	onDispatch func(outPoints, outliers int)
-	onTick     func()
+	stats      *shardStats
 
-	stats    RunStats
 	sincePts int
 	lastTick float64
 	haveTick bool
@@ -51,21 +83,23 @@ type pipeExec struct {
 	xbufs    [][]Point
 }
 
-// reset prepares the executor for a fresh pass, reusing buffers.
-func (e *pipeExec) reset() {
-	e.stats = RunStats{}
-	e.sincePts = 0
-	e.haveTick = false
-	if cap(e.xbufs) < len(e.transforms) {
-		e.xbufs = make([][]Point, len(e.transforms))
+// newPipeExec builds the executor for one shard's pipeline, with a
+// fresh account.
+func newPipeExec(pl ShardPipeline, policy DecayPolicy) pipeExec {
+	return pipeExec{
+		transforms: pl.Transforms,
+		classifier: pl.Classifier,
+		explainer:  pl.Explainer,
+		policy:     policy,
+		stats:      &shardStats{},
+		xbufs:      make([][]Point, len(pl.Transforms)),
 	}
-	e.xbufs = e.xbufs[:len(e.transforms)]
 }
 
 // consume pushes one ingested batch through the pipeline and applies
 // the decay policy.
 func (e *pipeExec) consume(pts []Point) {
-	e.stats.Points += len(pts)
+	e.stats.points.Add(int64(len(pts)))
 	e.process(pts)
 	e.maybeDecay(pts)
 }
@@ -101,11 +135,8 @@ func (e *pipeExec) dispatch(pts []Point) {
 	if len(pts) == 0 {
 		return
 	}
-	e.stats.OutPoints += len(pts)
+	e.stats.outPoints.Add(int64(len(pts)))
 	if e.classifier == nil {
-		if e.onDispatch != nil {
-			e.onDispatch(len(pts), 0)
-		}
 		return
 	}
 	e.labels = e.classifier.ClassifyBatch(e.labels[:0], pts)
@@ -115,13 +146,7 @@ func (e *pipeExec) dispatch(pts []Point) {
 			outliers++
 		}
 	}
-	e.stats.Outliers += outliers
-	if e.onDispatch != nil {
-		e.onDispatch(len(pts), outliers)
-	}
-	if e.onBatch != nil {
-		e.onBatch(e.labels)
-	}
+	e.stats.outliers.Add(int64(outliers))
 	if e.explainer != nil {
 		e.explainer.Consume(e.labels)
 	}
@@ -153,10 +178,7 @@ func (e *pipeExec) maybeDecay(pts []Point) {
 
 // tick damps every decayable component once.
 func (e *pipeExec) tick() {
-	e.stats.DecayTicks++
-	if e.onTick != nil {
-		e.onTick()
-	}
+	e.stats.ticks.Add(1)
 	if d, ok := e.classifier.(Decayable); ok {
 		d.Decay()
 	}

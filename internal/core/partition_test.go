@@ -62,21 +62,21 @@ func TestStreamRunnerPartitionedIngest(t *testing.T) {
 	src := newChanSource(partitions, 2)
 	var mu sync.Mutex
 	perShardAttrs := make([]map[int32]int, shards)
+	onBatch := func(shard int, batch []LabeledPoint) {
+		mu.Lock()
+		for i := range batch {
+			perShardAttrs[shard][batch[i].Attrs[0]]++
+		}
+		mu.Unlock()
+	}
 	sr := StreamRunner{
 		Partitioned: src,
 		Shards:      shards,
 		NewShard: func(shard int) ShardPipeline {
 			perShardAttrs[shard] = make(map[int32]int)
-			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
+			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &tapExplainer{shard: shard, tap: onBatch}}
 		},
 		BatchSize: 256,
-		OnBatch: func(shard int, batch []LabeledPoint) {
-			mu.Lock()
-			for i := range batch {
-				perShardAttrs[shard][batch[i].Attrs[0]]++
-			}
-			mu.Unlock()
-		},
 	}
 	for p := 0; p < partitions; p++ {
 		go func(p int) {
@@ -360,35 +360,35 @@ func TestFuncSourceCopiesReusedBuffers(t *testing.T) {
 		seen := make([]int, n)
 		held := make([]bool, shards)
 		bad := 0
+		onBatch := func(shard int, b []LabeledPoint) {
+			mu.Lock()
+			first := !held[shard]
+			held[shard] = true
+			mu.Unlock()
+			if first {
+				target := min(int64(b[0].Time)+3*batch, n)
+				deadline := time.Now().Add(2 * time.Second)
+				for produced.Load() < target && time.Now().Before(deadline) {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, lp := range b {
+				i := int(lp.Time)
+				if lp.Metrics[0] != lp.Time || lp.Attrs[0] != int32(i%17) {
+					bad++
+					continue
+				}
+				seen[i]++
+			}
+		}
 		sr := StreamRunner{
 			Partitioned: src,
 			Shards:      shards,
 			BatchSize:   batch,
-			NewShard: func(int) ShardPipeline {
-				return ShardPipeline{Classifier: &thresholdClassifier{cut: 1e9}}
-			},
-			OnBatch: func(shard int, b []LabeledPoint) {
-				mu.Lock()
-				first := !held[shard]
-				held[shard] = true
-				mu.Unlock()
-				if first {
-					target := min(int64(b[0].Time)+3*batch, n)
-					deadline := time.Now().Add(2 * time.Second)
-					for produced.Load() < target && time.Now().Before(deadline) {
-						time.Sleep(100 * time.Microsecond)
-					}
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				for _, lp := range b {
-					i := int(lp.Time)
-					if lp.Metrics[0] != lp.Time || lp.Attrs[0] != int32(i%17) {
-						bad++
-						continue
-					}
-					seen[i]++
-				}
+			NewShard: func(shard int) ShardPipeline {
+				return ShardPipeline{Classifier: &thresholdClassifier{cut: 1e9}, Explainer: &tapExplainer{shard: shard, tap: onBatch}}
 			},
 		}
 		stats, err := sr.Run()

@@ -274,7 +274,7 @@ func (r *StreamRunner) maybeRebalance(workers []*shardWorker, st *rebalState) {
 	}
 	anyDead := false
 	for i, w := range workers {
-		st.healthy[i] = !w.dead.Load()
+		st.healthy[i] = !w.dead()
 		if !st.healthy[i] {
 			anyDead = true
 		}
@@ -290,18 +290,5 @@ func (r *StreamRunner) maybeRebalance(workers []*shardWorker, st *rebalState) {
 		return
 	}
 	r.route.Store(&routeTable{epoch: rt.epoch + 1, assign: next})
-	r.liveMoves.Add(int64(moves))
-}
-
-// LiveRouting reports the skew-adaptive router's progress: the current
-// routing epoch (0 until the first rebalance) and the cumulative number
-// of bucket moves. ok is false when routing is not active for the
-// current (or most recent) run. Safe to call concurrently with Run, and
-// still answering after the run finishes.
-func (r *StreamRunner) LiveRouting() (epoch, moves int64, ok bool) {
-	rt := r.route.Load()
-	if rt == nil {
-		return 0, 0, false
-	}
-	return rt.epoch, r.liveMoves.Load(), true
+	r.moves.Add(int64(moves))
 }

@@ -194,7 +194,10 @@ func TestMaybeRebalanceJudgesOnlyFullWindows(t *testing.T) {
 	r.route.Store(&routeTable{assign: assign})
 	r.bucketLoads = [][]atomic.Int64{make([]atomic.Int64, r.rebal.buckets)}
 	loads := r.bucketLoads[0]
-	workers := []*shardWorker{{id: 0}, {id: 1}}
+	workers := []*shardWorker{
+		{id: 0, exec: newPipeExec(ShardPipeline{}, DecayPolicy{})},
+		{id: 1, exec: newPipeExec(ShardPipeline{}, DecayPolicy{})},
+	}
 	st := newRebalState(r.rebal.buckets, shards)
 	epoch := func() int64 { return r.route.Load().epoch }
 
@@ -202,8 +205,8 @@ func TestMaybeRebalanceJudgesOnlyFullWindows(t *testing.T) {
 	loads[0].Add(5)
 	loads[2].Add(4)
 	r.maybeRebalance(workers, st)
-	if epoch() != 0 || r.liveMoves.Load() != 0 {
-		t.Fatalf("a 9-point window moved %d buckets (epoch %d)", r.liveMoves.Load(), epoch())
+	if epoch() != 0 || r.moves.Load() != 0 {
+		t.Fatalf("a 9-point window moved %d buckets (epoch %d)", r.moves.Load(), epoch())
 	}
 	if st.last[0] != 0 || st.last[2] != 0 {
 		t.Fatalf("a 9-point window was consumed: last = %d, %d", st.last[0], st.last[2])
@@ -218,17 +221,17 @@ func TestMaybeRebalanceJudgesOnlyFullWindows(t *testing.T) {
 	if st.last[0] != 405 || st.last[2] != 304 {
 		t.Fatalf("judged window not closed: last = %d, %d", st.last[0], st.last[2])
 	}
-	if epoch() != 1 || r.liveMoves.Load() != 1 {
-		t.Fatalf("a 709-point window at imbalance 2 moved %d buckets (epoch %d), want 1", r.liveMoves.Load(), epoch())
+	if epoch() != 1 || r.moves.Load() != 1 {
+		t.Fatalf("a 709-point window at imbalance 2 moved %d buckets (epoch %d), want 1", r.moves.Load(), epoch())
 	}
 
-	workers[1].dead.Store(true)
+	workers[1].exec.stats.failure.Store(new(string))
 	loads[4].Add(3)
 	r.maybeRebalance(workers, st)
 	// The dead shard holds more buckets than one round may move, so the
 	// round moves exactly its cap.
-	if want := 1 + int64(r.rebal.maxMoves); epoch() != 2 || r.liveMoves.Load() != want {
-		t.Fatalf("dead shard not evacuated on a 3-point window: %d moves (want %d), epoch %d", r.liveMoves.Load(), want, epoch())
+	if want := 1 + int64(r.rebal.maxMoves); epoch() != 2 || r.moves.Load() != want {
+		t.Fatalf("dead shard not evacuated on a 3-point window: %d moves (want %d), epoch %d", r.moves.Load(), want, epoch())
 	}
 }
 

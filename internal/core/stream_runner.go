@@ -19,30 +19,38 @@ type ShardPipeline struct {
 	Explainer  Explainer
 }
 
-// StreamStats aggregates a sharded run's statistics.
+// StreamStats is a run's account, as StreamRunner.Stats reads it mid-run
+// and as Run returns it. Every field but Ingest and Committed is filled
+// by Stats, from counters each written by one goroutine; Run adds those
+// two when it returns.
 type StreamStats struct {
 	// RunStats totals across shards. Points counts what the ingest
 	// goroutines partitioned; the remaining fields sum the shard
 	// workers'.
 	RunStats
-	// PerShard holds each shard worker's own statistics.
+	// PerShard holds each shard worker's own statistics: Points is what
+	// the worker took in, not counting what a quarantine dropped. Nil
+	// before Run starts.
 	PerShard []RunStats
 	// CoordRounds counts completed cross-shard coordination rounds
 	// (zero when no Coordinate hook was configured).
 	CoordRounds int
-	// RoutingEpoch is the skew-adaptive router's final table version (0
-	// when routing was inactive or never rebalanced), and BucketMoves
-	// the cumulative number of virtual buckets reassigned. See
-	// RebalancePolicy.
+	// CoordPasses counts the round boundaries the coordinator has
+	// handled: a threshold round, a rebalance check, or both, counted
+	// once the pass is over whether or not it changed anything. A
+	// rebalance-only run completes passes and no rounds.
+	CoordPasses int
+	// RoutingEpoch is the skew-adaptive router's table version (0 when
+	// routing is inactive or has not rebalanced). See RebalancePolicy.
 	RoutingEpoch int64
 	// BucketMoves counts virtual-bucket reassignments across the run.
 	BucketMoves int64
 	// Ingest holds per-partition producer-side counters (queue depth,
 	// cumulative blocked time) when the partitioned source implements
-	// IngestObservable; nil otherwise. Populated when Run returns.
+	// IngestObservable; nil otherwise. Filled by Run only.
 	Ingest []PartitionIngestStats
 	// Degraded reports that at least one shard worker was quarantined
-	// after a panic: the run completed over the surviving shards, and
+	// after a panic: the run goes on over the surviving shards, and
 	// ShardFailures describes what was lost. A degraded result is a
 	// partial answer, not a failure — Run still returns a nil error.
 	Degraded bool
@@ -50,7 +58,8 @@ type StreamStats struct {
 	ShardFailures []ShardFailure
 	// Committed holds each partition's committed offset at run end
 	// (-1 for partitions without an offset protocol); nil when no
-	// partition is checkpointable. See CommittedOffsets.
+	// partition is checkpointable. Filled by Run only; see
+	// CommittedOffsets.
 	Committed []int64
 }
 
@@ -111,8 +120,12 @@ type ShardFailure struct {
 // slabs. Workers consume a batch's Point views and return the batch to
 // the free list, so downstream stages must copy anything they retain
 // past the call that delivered it — the batch under a worker's feet is
-// reused for later points once consume returns (OnBatch hooks
-// included; see Batch for the full ownership contract).
+// reused for later points once consume returns (see Batch for the full
+// ownership contract).
+//
+// The run's account — points ingested, classified and labeled per
+// shard, decay ticks, coordination and routing progress, quarantines —
+// is read through Stats, mid-run or after Run returns.
 type StreamRunner struct {
 	// Partitioned supplies the partitioned ingestion (required).
 	Partitioned PartitionedSource
@@ -141,9 +154,6 @@ type StreamRunner struct {
 	// may read only what the classifier keeps readable there (for
 	// classify.Streaming, the threshold accessors).
 	SnapshotShard func(shard int, pl ShardPipeline) any
-	// OnBatch, if non-nil, observes each shard's labeled batches
-	// (called on worker goroutines; must be safe for concurrent use).
-	OnBatch func(shard int, batch []LabeledPoint)
 	// Coordinate, when non-nil, enables periodic cross-shard
 	// reconciliation of operator state (e.g. merging per-shard score
 	// quantiles into one global classification threshold). See
@@ -159,13 +169,16 @@ type StreamRunner struct {
 	workersMu sync.Mutex // guards workers/quit against end-of-run teardown
 	workers   []*shardWorker
 	quit      chan struct{}
-	// trackMu guards trackers, the per-partition committed-offset
-	// trackers (nil entries for non-checkpointable partitions). Set at
-	// the start of Run and deliberately left in place at teardown so
-	// CommittedOffsets keeps answering after the run — a checkpoint of
-	// a finished session is still meaningful.
-	trackMu  sync.Mutex
+	// acctMu guards the run's account: trackers, the per-partition
+	// committed-offset trackers (nil entries for non-checkpointable
+	// partitions), and accounts, one shardStats per shard worker. Both
+	// are set at the start of Run and deliberately left in place at
+	// teardown, so CommittedOffsets and Stats keep answering after the
+	// run — a checkpoint or a poll of a finished session is still
+	// meaningful.
+	acctMu   sync.Mutex
 	trackers []*ackTracker
+	accounts []*shardStats
 	// snapWg tracks the post-drain snapshot servers: Run waits for
 	// them after closing quit, so no SnapshotShard call can still be
 	// in flight once Run returns — the caller then owns the shard
@@ -179,14 +192,13 @@ type StreamRunner struct {
 	cancelIngest context.CancelFunc
 	stopReq      bool
 
-	// live counters, updated per batch, readable mid-run.
-	livePoints    atomic.Int64
-	liveOutPoints atomic.Int64
-	liveOutliers  atomic.Int64
-	liveTicks     atomic.Int64
-	liveRounds    atomic.Int64
-	livePasses    atomic.Int64
-	liveMoves     atomic.Int64
+	// The run-wide counters beside the shards' own (see Stats): points
+	// ingested, which also paces the coordinator (notePoints),
+	// coordination rounds and passes, and bucket moves.
+	ingested atomic.Int64
+	rounds   atomic.Int64
+	passes   atomic.Int64
+	moves    atomic.Int64
 
 	// Skew-adaptive routing state (nil/zero when routing is off for the
 	// run). route holds the current routing epoch, swapped whole by the
@@ -270,23 +282,11 @@ type shardWorker struct {
 	pool *BatchPool       // consumed batches go back here, not to the GC
 	snap chan snapshotReq // snapshots: also served during an offloaded computation
 	ctl  chan snapshotReq // coordination: touches the classifier, so between batches only
-	exec pipeExec         // the shared batch kernel, one replica per shard
-
-	// Per-shard live counters, readable mid-run (LiveShardStats): the
-	// load/outlier view that makes hash skew observable while the
-	// stream is still running.
-	livePoints   atomic.Int64
-	liveOutliers atomic.Int64
-
-	// dead is set when a pipeline panic quarantined this shard; failure
-	// carries the details. failure is written only on the worker
-	// goroutine (recover) and read through failed, so it needs no lock
-	// of its own; its DroppedPoints is the dropped counter, which
-	// failDrop advances and LiveDroppedPoints reads mid-run.
-	dead    atomic.Bool
-	failure ShardFailure
-	dropped atomic.Int64
+	exec pipeExec         // the shared batch kernel, one replica per shard, with the shard's account
 }
+
+// dead reports whether a pipeline panic quarantined the shard.
+func (w *shardWorker) dead() bool { return w.exec.stats.failure.Load() != nil }
 
 // consume runs one batch through the pipeline and recycles it. The
 // batch's views die here: nothing downstream may retain them. A panic
@@ -295,11 +295,10 @@ type shardWorker struct {
 // shard's corrupt state should cost that shard's contribution, not the
 // whole resident session.
 func (w *shardWorker) consume(b *Batch) {
-	if w.dead.Load() {
+	if w.dead() {
 		w.failDrop(b)
 		return
 	}
-	w.livePoints.Add(int64(b.Len()))
 	func() {
 		defer w.recover()
 		w.exec.consume(b.Points())
@@ -313,15 +312,14 @@ func (w *shardWorker) consume(b *Batch) {
 // its source read and returns to the free list, so ingest backpressure
 // and checkpoint progress never wedge on a dead shard.
 func (w *shardWorker) failDrop(b *Batch) {
-	w.dropped.Add(int64(b.Len()))
+	w.exec.stats.dropped.Add(int64(b.Len()))
 	b.finishAck()
 	w.pool.Put(b)
 }
 
 // failed is the shard's ShardFailure as of now.
 func (w *shardWorker) failed() ShardFailure {
-	f := w.failure
-	f.DroppedPoints = w.dropped.Load()
+	f, _ := w.exec.stats.failed(w.id)
 	return f
 }
 
@@ -332,9 +330,8 @@ func (w *shardWorker) recover() {
 	if p == nil {
 		return
 	}
-	w.failure.Shard = w.id
-	w.failure.Err = fmt.Sprintf("panic: %v", p)
-	w.dead.Store(true)
+	msg := fmt.Sprintf("panic: %v", p)
+	w.exec.stats.failure.Store(&msg)
 }
 
 // serve answers one control-plane request on the worker goroutine.
@@ -342,7 +339,7 @@ func (w *shardWorker) recover() {
 // its ShardFailure marker — so snapshot collectors and the coordinator
 // never block on a dead shard.
 func (w *shardWorker) serve(req snapshotReq) {
-	if w.dead.Load() {
+	if w.dead() {
 		req.reply <- w.failed()
 		return
 	}
@@ -355,7 +352,7 @@ func (w *shardWorker) serve(req snapshotReq) {
 			v = w.r.SnapshotShard(w.id, w.pl)
 		}
 	}()
-	if w.dead.Load() {
+	if w.dead() {
 		v = w.failed() // the hook itself panicked: state is suspect
 	}
 	req.reply <- v
@@ -455,13 +452,10 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 		r.bucketLoads = nil
 	}
 
-	r.livePoints.Store(0)
-	r.liveOutPoints.Store(0)
-	r.liveOutliers.Store(0)
-	r.liveTicks.Store(0)
-	r.liveRounds.Store(0)
-	r.livePasses.Store(0)
-	r.liveMoves.Store(0)
+	r.ingested.Store(0)
+	r.rounds.Store(0)
+	r.passes.Store(0)
+	r.moves.Store(0)
 	// Commit-offset trackers, one per checkpointable partition, seeded
 	// at the partition's current offset (nonzero on a resumed source).
 	// Installed before ingestion and kept after teardown: a checkpoint
@@ -478,11 +472,9 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 			anyCk = true
 		}
 	}
-	r.trackMu.Lock()
-	r.trackers = trackers
-	r.trackMu.Unlock()
 	r.quit = make(chan struct{})
 	r.workers = make([]*shardWorker, shards)
+	accounts := make([]*shardStats, shards)
 	// One free list serves the whole run: batches circulate
 	// ingest -> shard channel -> worker -> pool -> ingest. The bound
 	// covers every batch that can be in flight at once (queued per
@@ -492,40 +484,29 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	pool := NewBatchPool(shards*(queueDepth+2) + 2*len(parts))
 	var workerWg sync.WaitGroup
 	for s := 0; s < shards; s++ {
+		pl := r.NewShard(s)
 		w := &shardWorker{
 			id:   s,
 			r:    r,
-			pl:   r.NewShard(s),
+			pl:   pl,
 			data: make(chan *Batch, queueDepth),
 			pool: pool,
 			snap: make(chan snapshotReq),
 			ctl:  make(chan snapshotReq),
+			exec: newPipeExec(pl, r.Decay),
 		}
-		if off, ok := w.pl.Classifier.(Offloader); ok && r.SnapshotShard != nil {
+		if off, ok := pl.Classifier.(Offloader); ok && r.SnapshotShard != nil {
 			off.SetOffload(w.offload)
 		}
-		w.exec = pipeExec{
-			transforms: w.pl.Transforms,
-			classifier: w.pl.Classifier,
-			explainer:  w.pl.Explainer,
-			policy:     r.Decay,
-			onDispatch: func(outPoints, outliers int) {
-				r.liveOutPoints.Add(int64(outPoints))
-				r.liveOutliers.Add(int64(outliers))
-				w.liveOutliers.Add(int64(outliers))
-			},
-			onTick: func() { r.liveTicks.Add(1) },
-		}
-		if r.OnBatch != nil {
-			shard := s
-			w.exec.onBatch = func(batch []LabeledPoint) { r.OnBatch(shard, batch) }
-		}
-		w.exec.reset()
 		r.workers[s] = w
+		accounts[s] = w.exec.stats
 		workerWg.Add(1)
 		r.snapWg.Add(1)
 		go w.run(&workerWg)
 	}
+	r.acctMu.Lock()
+	r.trackers, r.accounts = trackers, accounts
+	r.acctMu.Unlock()
 
 	// The coordinator rides the same control plane as snapshots (the
 	// workers' ctl channels beside their snap channels, served by the
@@ -597,31 +578,15 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	}
 	workerWg.Wait()
 
-	// Retire the coordinator before reading stats: a boundary crossed
-	// shortly before end-of-stream still gets its round (workers keep
-	// serving control requests until quit closes below), and no round
-	// can then race the CoordRounds read or the teardown.
+	// Retire the coordinator before the final account: a boundary
+	// crossed shortly before end-of-stream still gets its round (workers
+	// keep serving control requests until quit closes below), and no
+	// round can then race the teardown.
 	if r.coordCh != nil {
 		close(r.coordFlush)
 		<-r.coordDone
 	}
 
-	stats := StreamStats{PerShard: make([]RunStats, shards)}
-	stats.Points = int(r.livePoints.Load())
-	stats.CoordRounds = int(r.liveRounds.Load())
-	if rt := r.route.Load(); rt != nil {
-		stats.RoutingEpoch = rt.epoch
-		stats.BucketMoves = r.liveMoves.Load()
-	}
-	for s, w := range r.workers {
-		stats.PerShard[s] = w.exec.stats
-		stats.OutPoints += w.exec.stats.OutPoints
-		stats.Outliers += w.exec.stats.Outliers
-		stats.DecayTicks += w.exec.stats.DecayTicks
-	}
-	if obs, ok := r.Partitioned.(IngestObservable); ok {
-		stats.Ingest = obs.IngestStats(nil)
-	}
 	// Release any snapshot servers, mark not running, then drop the
 	// worker set: a finished run must not pin P shards' operator
 	// replicas (reservoirs, sketches, trees) for the lifetime of a
@@ -634,14 +599,12 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	r.started.Store(false)
 	close(r.quit)
 	r.snapWg.Wait()
-	// Quarantine accounting happens after the snapshot servers retire:
-	// a shard can still die inside a late snapshot hook, and the
-	// failure list must be complete when Run returns.
-	for _, w := range r.workers {
-		if w.dead.Load() {
-			stats.Degraded = true
-			stats.ShardFailures = append(stats.ShardFailures, w.failed())
-		}
+	// The final account is read after the snapshot servers retire: a
+	// shard can still die inside a late snapshot hook, and the failure
+	// list must be complete when Run returns.
+	stats := r.Stats()
+	if obs, ok := r.Partitioned.(IngestObservable); ok {
+		stats.Ingest = obs.IngestStats(nil)
 	}
 	if anyCk {
 		stats.Committed = r.CommittedOffsets(nil)
@@ -814,9 +777,9 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 // (the final offsets). Returns nil if Run has not yet initialized its
 // partitions this session.
 func (r *StreamRunner) CommittedOffsets(dst []int64) []int64 {
-	r.trackMu.Lock()
+	r.acctMu.Lock()
 	trackers := r.trackers
-	r.trackMu.Unlock()
+	r.acctMu.Unlock()
 	if trackers == nil {
 		return nil
 	}
@@ -842,12 +805,12 @@ func send(ctx context.Context, w *shardWorker, b *Batch) bool {
 	}
 }
 
-// notePoints advances the live ingested-point counter and signals the
+// notePoints advances the ingested-point counter and signals the
 // coordinator when the count crosses a round boundary (coordEvery
 // ingested points). The send is non-blocking: a signal already pending
 // stands for this one too (rounds are periodic, not queued).
 func (r *StreamRunner) notePoints(n int64) {
-	nv := r.livePoints.Add(n)
+	nv := r.ingested.Add(n)
 	if r.coordCh == nil {
 		return
 	}
@@ -912,7 +875,7 @@ func (r *StreamRunner) coordinate(workers []*shardWorker, routing bool) {
 		if !round() {
 			return
 		}
-		r.livePasses.Add(1)
+		r.passes.Add(1)
 	}
 }
 
@@ -957,67 +920,46 @@ func (r *StreamRunner) coordRound(workers []*shardWorker, reqs []snapshotReq, su
 	for i := range reqs {
 		<-reqs[i].reply
 	}
-	r.liveRounds.Add(1)
+	r.rounds.Add(1)
 	return true
 }
 
-// LiveStats reports approximate run-in-progress totals. Safe to call
-// concurrently with Run; each field is individually consistent.
-func (r *StreamRunner) LiveStats() RunStats {
-	return RunStats{
-		Points:     int(r.livePoints.Load()),
-		OutPoints:  int(r.liveOutPoints.Load()),
-		Outliers:   int(r.liveOutliers.Load()),
-		DecayTicks: int(r.liveTicks.Load()),
+// Stats reads the run's account: the fields of StreamStats other than
+// Ingest and Committed, which Run adds when it returns. Safe to call
+// concurrently with Run and after it returns, when it reads the final
+// account (the counters outlive the worker set teardown drops). Each
+// counter is read atomically on its own, so a mid-run read is not one
+// instant across fields. A shard that answered a Snapshot with its
+// ShardFailure marker is among ShardFailures in any later read.
+func (r *StreamRunner) Stats() StreamStats {
+	r.acctMu.Lock()
+	accounts := r.accounts
+	r.acctMu.Unlock()
+	st := StreamStats{
+		RunStats:    RunStats{Points: int(r.ingested.Load())},
+		CoordRounds: int(r.rounds.Load()),
+		CoordPasses: int(r.passes.Load()),
 	}
-}
-
-// LiveCoordRounds reports the number of completed coordination rounds
-// so far. Safe to call concurrently with Run.
-func (r *StreamRunner) LiveCoordRounds() int {
-	return int(r.liveRounds.Load())
-}
-
-// LiveCoordPasses reports how many round boundaries the coordinator has
-// handled so far: a threshold round, a rebalance check, or both, counted
-// once the pass is over whether or not it changed anything. A
-// rebalance-only run completes passes and no rounds. Safe to call
-// concurrently with Run.
-func (r *StreamRunner) LiveCoordPasses() int {
-	return int(r.livePasses.Load())
-}
-
-// LiveDroppedPoints reports how many points quarantined shards have
-// drained and dropped so far; with LiveShardStats' Points it accounts
-// for every point the workers have taken. Safe to call concurrently
-// with Run; after the run has torn down it reports 0 (the final
-// StreamStats.ShardFailures carry the counts).
-func (r *StreamRunner) LiveDroppedPoints() int {
-	r.workersMu.Lock()
-	defer r.workersMu.Unlock()
-	n := int64(0)
-	for _, w := range r.workers {
-		n += w.dropped.Load()
+	if rt := r.route.Load(); rt != nil {
+		st.RoutingEpoch = rt.epoch
+		st.BucketMoves = r.moves.Load()
 	}
-	return int(n)
-}
-
-// LiveShardStats appends one approximate per-shard entry (points
-// routed, outliers labeled) per worker and returns dst — the live
-// skew view behind the serving layer's "shards" block. Safe to call
-// concurrently with Run; after the run has torn down it appends
-// nothing (callers then read StreamStats.PerShard off the final
-// result instead).
-func (r *StreamRunner) LiveShardStats(dst []RunStats) []RunStats {
-	r.workersMu.Lock()
-	defer r.workersMu.Unlock()
-	for _, w := range r.workers {
-		dst = append(dst, RunStats{
-			Points:   int(w.livePoints.Load()),
-			Outliers: int(w.liveOutliers.Load()),
-		})
+	if accounts == nil {
+		return st
 	}
-	return dst
+	st.PerShard = make([]RunStats, len(accounts))
+	for i, ss := range accounts {
+		rs := ss.runStats()
+		st.PerShard[i] = rs
+		st.OutPoints += rs.OutPoints
+		st.Outliers += rs.Outliers
+		st.DecayTicks += rs.DecayTicks
+		if f, ok := ss.failed(i); ok {
+			st.Degraded = true
+			st.ShardFailures = append(st.ShardFailures, f)
+		}
+	}
+	return st
 }
 
 // Snapshot collects one summary snapshot per shard, taken on each
@@ -1089,7 +1031,7 @@ func (w *shardWorker) run(wg *sync.WaitGroup) {
 				// windows are still worth explaining. A quarantined
 				// shard skips the flush (its state is suspect), and a
 				// flush panic quarantines like any other.
-				if !w.dead.Load() {
+				if !w.dead() {
 					func() {
 						defer w.recover()
 						w.exec.flush()

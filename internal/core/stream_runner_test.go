@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -27,6 +28,20 @@ func (e *shardCollectExplainer) Consume(batch []LabeledPoint) {
 }
 func (e *shardCollectExplainer) Explanations() []Explanation { return nil }
 func (e *shardCollectExplainer) Decay()                      { e.decays++ }
+
+// tapExplainer is a shardCollectExplainer that also hands each labeled
+// batch to tap, on the worker goroutine that consumed it: the tests'
+// view of what a shard saw.
+type tapExplainer struct {
+	shardCollectExplainer
+	shard int
+	tap   func(shard int, batch []LabeledPoint)
+}
+
+func (e *tapExplainer) Consume(batch []LabeledPoint) {
+	e.shardCollectExplainer.Consume(batch)
+	e.tap(e.shard, batch)
+}
 
 func streamPoints(n int) []Point {
 	pts := make([]Point, n)
@@ -168,23 +183,23 @@ func TestStreamRunnerPartitionsByAttribute(t *testing.T) {
 	pts := streamPoints(20_000)
 	var mu sync.Mutex
 	perShardAttrs := make([]map[int32]int, shards)
-	explainers := make([]*shardCollectExplainer, shards)
+	onBatch := func(shard int, batch []LabeledPoint) {
+		mu.Lock()
+		for i := range batch {
+			perShardAttrs[shard][batch[i].Attrs[0]]++
+		}
+		mu.Unlock()
+	}
+	explainers := make([]*tapExplainer, shards)
 	sr := StreamRunner{
 		Partitioned: NewSliceSource(pts),
 		Shards:      shards,
 		NewShard: func(shard int) ShardPipeline {
-			explainers[shard] = &shardCollectExplainer{}
+			explainers[shard] = &tapExplainer{shard: shard, tap: onBatch}
 			perShardAttrs[shard] = make(map[int32]int)
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: explainers[shard]}
 		},
 		BatchSize: 256,
-		OnBatch: func(shard int, batch []LabeledPoint) {
-			mu.Lock()
-			for i := range batch {
-				perShardAttrs[shard][batch[i].Attrs[0]]++
-			}
-			mu.Unlock()
-		},
 	}
 	stats, err := sr.Run()
 	if err != nil {
@@ -211,6 +226,72 @@ func TestStreamRunnerPartitionsByAttribute(t *testing.T) {
 	}
 	if sum != len(pts) {
 		t.Errorf("per-shard points sum %d != %d", sum, len(pts))
+	}
+}
+
+// TestStreamRunnerStatsAcrossTeardown: Stats is read from another
+// goroutine all through a run and across its teardown. The ingested
+// count never goes backwards, and the read after Run returns is Run's
+// own account less the two fields only Run fills. The run has decay
+// ticks, coordination rounds, a router and a quarantined shard, so
+// every field Stats fills is in play.
+func TestStreamRunnerStatsAcrossTeardown(t *testing.T) {
+	const n = 60_000
+	sr := StreamRunner{
+		Partitioned: &flakyPartsSource{parts: []PartitionStream{&ckPartition{pts: streamPoints(n)}}},
+		Shards:      3,
+		NewShard: func(shard int) ShardPipeline {
+			var cls Classifier = &thresholdClassifier{cut: 50}
+			if shard == 2 {
+				cls = &panicClassifier{after: 1000}
+			}
+			return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
+		},
+		BatchSize: 256,
+		Decay:     DecayPolicy{EveryPoints: 2_000},
+		Coordinate: &ShardCoordinator{
+			Every:   5_000,
+			Collect: func(int, ShardPipeline) any { return 1 },
+			Merge:   func([]any) (any, bool) { return nil, true },
+			Apply:   func(int, ShardPipeline, any) {},
+		},
+		Rebalance: &RebalancePolicy{},
+	}
+	runDone := make(chan struct{})
+	lastRead := make(chan StreamStats)
+	go func() {
+		prev := 0
+		for {
+			select {
+			case <-runDone:
+				st := sr.Stats()
+				if st.Points < prev {
+					t.Errorf("points went backwards across teardown: %d -> %d", prev, st.Points)
+				}
+				lastRead <- st
+				return
+			default:
+			}
+			st := sr.Stats()
+			if st.Points < prev {
+				t.Errorf("points went backwards: %d -> %d", prev, st.Points)
+			}
+			prev = st.Points
+			runtime.Gosched()
+		}
+	}()
+	stats, err := sr.Run()
+	close(runDone)
+	last := <-lastRead
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Points != n || stats.DecayTicks == 0 || stats.CoordRounds == 0 || stats.CoordPasses == 0 || !stats.Degraded {
+		t.Fatalf("run left part of the account unexercised: %+v", stats)
+	}
+	stats.Ingest, stats.Committed = nil, nil
+	if !reflect.DeepEqual(last, stats) {
+		t.Errorf("Stats after Run = %+v\nRun returned %+v", last, stats)
 	}
 }
 
@@ -259,7 +340,7 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		}
 		polled++
 	}
-	for sr.LiveStats().OutPoints == 0 {
+	for sr.Stats().OutPoints == 0 {
 		time.Sleep(time.Millisecond) // let a batch through before stopping
 	}
 	sr.RequestStop()

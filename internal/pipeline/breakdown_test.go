@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"macrobase/internal/core"
 )
 
 // TestDegradedBreakdownElection pins hot-shard election under
@@ -17,7 +19,7 @@ func TestDegradedBreakdownElection(t *testing.T) {
 		{Points: 200},
 		{Points: 100},
 	}
-	b := newShardBreakdown(per, &coordState{}, 0, routingView{})
+	b := newShardBreakdown(per, &coordState{}, core.StreamStats{}, false)
 	if !b.Degraded {
 		t.Error("breakdown with an errored shard not marked degraded")
 	}
@@ -38,7 +40,7 @@ func TestDegradedBreakdownElection(t *testing.T) {
 	for i := range per {
 		per[i].Error = "panic: boom"
 	}
-	b = newShardBreakdown(per, &coordState{}, 0, routingView{})
+	b = newShardBreakdown(per, &coordState{}, core.StreamStats{}, false)
 	if b.HotShard != -1 {
 		t.Errorf("hot shard = %d with every shard quarantined, want -1", b.HotShard)
 	}
@@ -55,7 +57,7 @@ func TestBreakdownJSONRoundTrip(t *testing.T) {
 	b := newShardBreakdown([]ShardStatus{
 		{Points: 10, Threshold: math.Inf(1)},
 		{Points: 5, Threshold: math.NaN(), Error: "panic: boom"},
-	}, &coordState{}, 0, routingView{})
+	}, &coordState{}, core.StreamStats{}, false)
 	if !math.IsNaN(b.GlobalCutoff) {
 		t.Fatalf("global cutoff = %v before any coordination round, want NaN", b.GlobalCutoff)
 	}

@@ -85,7 +85,7 @@ func (p *roundPacedSource) NextBatchInto(ctx context.Context, dst *core.Batch, m
 		max = 1
 	case left == p.every && p.served > 0:
 		p.await("the boundary's coordination round", func() bool {
-			return p.consumed() == p.served && p.runner.LiveCoordPasses() >= p.served/p.every
+			return p.consumed() == p.served && p.runner.Stats().CoordPasses >= p.served/p.every
 		})
 		fallthrough
 	default:
@@ -99,9 +99,13 @@ func (p *roundPacedSource) NextBatchInto(ctx context.Context, dst *core.Batch, m
 }
 
 func (p *roundPacedSource) consumed() int {
-	n := p.runner.LiveDroppedPoints()
-	for _, s := range p.runner.LiveShardStats(nil) {
+	st := p.runner.Stats()
+	n := 0
+	for _, s := range st.PerShard {
 		n += s.Points
+	}
+	for _, f := range st.ShardFailures {
+		n += int(f.DroppedPoints)
 	}
 	return n
 }

@@ -36,13 +36,9 @@ type Config struct {
 	DecayEveryPoints int
 	// ReservoirSize is the ADR capacity (default 10_000).
 	ReservoirSize int
-	// AMCSize is the sketch stable size (default 10_000).
-	AMCSize int
 	// RetrainEvery is the streaming model refresh period in points
 	// (default 100_000).
 	RetrainEvery int
-	// MaxItems bounds explanation combination size (0 = unbounded).
-	MaxItems int
 	// Confidence, when positive, attaches risk-ratio CIs.
 	Confidence float64
 	// TrainSampleSize, for one-shot execution, trains on a sample of
@@ -132,9 +128,6 @@ func (c Config) withDefaults() Config {
 	if c.ReservoirSize == 0 {
 		c.ReservoirSize = 10_000
 	}
-	if c.AMCSize == 0 {
-		c.AMCSize = 10_000
-	}
 	if c.RetrainEvery == 0 {
 		c.RetrainEvery = 100_000
 	}
@@ -192,7 +185,6 @@ func RunOneShot(pts []core.Point, cfg Config) (*Result, error) {
 	exps := explain.ExplainBatch(labeled, explain.BatchConfig{
 		MinSupport:   cfg.MinSupport,
 		MinRiskRatio: cfg.MinRiskRatio,
-		MaxItems:     cfg.MaxItems,
 		Confidence:   cfg.Confidence,
 	})
 	return &Result{Stats: stats, Explanations: exps}, nil

@@ -318,7 +318,7 @@ func TestRebalanceEvacuatesDeadShard(t *testing.T) {
 		return &cutClassifier{cut: 40}
 	}
 	res := runRoundPaced(t, d.Points, cfg, shards)
-	if !res.Degraded || len(res.Stats.ShardFailures) != 1 {
+	if !res.Stats.Degraded || len(res.Stats.ShardFailures) != 1 {
 		t.Fatalf("expected one quarantined shard: %+v", res.Stats.ShardFailures)
 	}
 	if res.Shards.RoutingEpoch < 1 {

@@ -304,7 +304,7 @@ func TestShardedStreamDegradedResult(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded run errored: %v", err)
 	}
-	if !res.Degraded || !res.Stats.Degraded {
+	if !res.Stats.Degraded {
 		t.Fatal("shard panic not reported as degraded")
 	}
 	if len(res.Stats.ShardFailures) != 1 || res.Stats.ShardFailures[0].Shard != 1 ||
@@ -366,7 +366,7 @@ func TestStreamSessionDegradedLivePoll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Degraded {
+		if res.Stats.Degraded {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -378,8 +378,8 @@ func TestStreamSessionDegradedLivePoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !final.Degraded || len(final.Stats.ShardFailures) != 1 {
-		t.Fatalf("final result lost the degradation: degraded=%v failures=%+v", final.Degraded, final.Stats.ShardFailures)
+	if !final.Stats.Degraded || len(final.Stats.ShardFailures) != 1 {
+		t.Fatalf("final result lost the degradation: degraded=%v failures=%+v", final.Stats.Degraded, final.Stats.ShardFailures)
 	}
 	if final.Stats.Points != len(d.Points) {
 		t.Errorf("final points %d, want %d", final.Stats.Points, len(d.Points))

@@ -12,8 +12,17 @@ import (
 	"macrobase/internal/explain"
 )
 
-// ShardedResult is the outcome of a sharded streaming execution.
+// ShardedResult is a sharded streaming session's answer. A live poll's
+// and the final one are assembled the same way from the same kinds of
+// input — one Stats read and one view per shard — so a poll of a
+// stream whose every point has been consumed equals the final result.
 type ShardedResult struct {
+	// Stats is the runner's account (core.StreamRunner.Stats; the final
+	// result adds Run's Ingest and Committed). Stats.Degraded reports
+	// that at least one shard worker died mid-run (a panic inside its
+	// operators) and was quarantined: the stream kept running and this
+	// result reflects the surviving shards only. Details are in
+	// Stats.ShardFailures and the per-shard Error fields under Shards.
 	Stats core.StreamStats
 	// Explanations is the reconciled global view: per-shard streaming
 	// summaries merged under mergeable-summaries semantics and ranked
@@ -23,24 +32,18 @@ type ShardedResult struct {
 	Explanations []core.Explanation
 	// Shards is the skew-observability breakdown: per-shard load,
 	// outlier, and threshold state plus the hot-shard imbalance metric.
-	// Nil only when a live poll races stream termination (the final
-	// result then carries it).
 	Shards *ShardBreakdown
-	// Degraded reports that at least one shard worker died mid-run (a
-	// panic inside its operators) and was quarantined: the stream kept
-	// running and this result reflects the surviving shards only.
-	// Details are in Stats.ShardFailures and the per-shard Error fields
-	// under Shards.
-	Degraded bool
 }
 
 // ShardStatus is one shard's entry in the skew breakdown.
 type ShardStatus struct {
-	// Points is the number of points the hash router sent this shard.
+	// Points is the number of points the router sent this shard and it
+	// took in (core.StreamStats.PerShard).
 	Points int `json:"points"`
 	// Outliers is the number of points this shard labeled Outlier.
 	Outliers int `json:"outliers"`
-	// OutlierRate is Outliers over the points this shard classified.
+	// OutlierRate is Outliers over the points this shard classified
+	// (its OutPoints, after transforms).
 	OutlierRate float64 `json:"outlierRate"`
 	// Threshold is the shard classifier's current score cutoff (NaN
 	// for custom classifiers that expose none, +Inf during warmup).
@@ -76,8 +79,9 @@ type ShardBreakdown struct {
 	// GlobalCutoff is the last merged global threshold (NaN before the
 	// first round or with coordination off).
 	GlobalCutoff float64 `json:"globalCutoff"`
-	// Degraded mirrors ShardedResult.Degraded for JSON consumers of the
-	// breakdown alone: true when any PerShard entry carries an Error.
+	// Degraded mirrors ShardedResult.Stats.Degraded for JSON consumers
+	// of the breakdown alone: true when any PerShard entry carries an
+	// Error.
 	Degraded bool `json:"degraded"`
 	// Rebalancing reports whether skew-adaptive routing is active for
 	// this run (multi-shard, no custom partitioner, not disabled).
@@ -89,13 +93,6 @@ type ShardBreakdown struct {
 	// BucketMoves is the cumulative number of virtual buckets migrated
 	// between shards.
 	BucketMoves int64 `json:"bucketMoves"`
-}
-
-// routingView is the router's progress as carried into a breakdown.
-type routingView struct {
-	active bool
-	epoch  int64
-	moves  int64
 }
 
 // coordState is the session-visible side of threshold coordination:
@@ -148,8 +145,6 @@ func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 			MinSupport:   cfg.MinSupport,
 			MinRiskRatio: cfg.MinRiskRatio,
 			DecayRate:    cfg.DecayRate,
-			AMCSize:      cfg.AMCSize,
-			MaxItems:     cfg.MaxItems,
 			Confidence:   cfg.Confidence,
 		}),
 	}
@@ -277,50 +272,19 @@ func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, expla
 	return r
 }
 
-// finalShardStatuses assembles the post-run skew entries from the
-// runner's final per-shard stats and the classifier replicas (owned by
-// the caller once Run has returned).
-func finalShardStatuses(stats core.StreamStats, classifiers []core.Classifier) []ShardStatus {
-	per := make([]ShardStatus, len(stats.PerShard))
-	for i, rs := range stats.PerShard {
-		st := ShardStatus{Points: rs.Points, Outliers: rs.Outliers, Threshold: math.NaN()}
-		if rs.OutPoints > 0 {
-			st.OutlierRate = float64(rs.Outliers) / float64(rs.OutPoints)
-		}
-		if i < len(classifiers) {
-			if tc, ok := classifiers[i].(classify.ThresholdCoordinable); ok {
-				st.Threshold = tc.Threshold()
-				st.GlobalThreshold = tc.ThresholdIsGlobal()
-			}
-		}
-		per[i] = st
-	}
-	for _, f := range stats.ShardFailures {
-		if f.Shard >= 0 && f.Shard < len(per) {
-			per[f.Shard].Error = f.Err
-			per[f.Shard].DroppedPoints = f.DroppedPoints
-			// A dead shard's classifier state is whatever the panic left
-			// behind; don't report its threshold as live.
-			per[f.Shard].Threshold = math.NaN()
-			per[f.Shard].GlobalThreshold = false
-		}
-	}
-	return per
-}
-
 // newShardBreakdown folds per-shard statuses into the breakdown:
 // hottest shard, imbalance vs the fair share, the coordination view,
-// and the skew-adaptive router's progress.
-func newShardBreakdown(per []ShardStatus, coord *coordState, rounds int, routing routingView) *ShardBreakdown {
+// and the skew-adaptive router's progress as stats reads it.
+func newShardBreakdown(per []ShardStatus, coord *coordState, stats core.StreamStats, rebalancing bool) *ShardBreakdown {
 	b := &ShardBreakdown{
 		PerShard:     per,
 		HotShard:     -1,
 		Coordinated:  coord != nil && coord.enabled,
-		CoordRounds:  rounds,
+		CoordRounds:  stats.CoordRounds,
 		GlobalCutoff: math.NaN(),
-		Rebalancing:  routing.active,
-		RoutingEpoch: routing.epoch,
-		BucketMoves:  routing.moves,
+		Rebalancing:  rebalancing,
+		RoutingEpoch: stats.RoutingEpoch,
+		BucketMoves:  stats.BucketMoves,
 	}
 	if cut, ok := coord.cutoff(); ok {
 		b.GlobalCutoff = cut
@@ -354,36 +318,41 @@ func newShardBreakdown(per []ShardStatus, coord *coordState, rounds int, routing
 	return b
 }
 
-// liveRoutingView reads the skew-adaptive router's progress off the
-// runner; valid both mid-run and after Run has returned (the routing
-// table outlives the run the way the offset trackers do).
-func liveRoutingView(r *core.StreamRunner) routingView {
-	epoch, moves, ok := r.LiveRouting()
-	return routingView{active: ok, epoch: epoch, moves: moves}
-}
-
-// liveExplainers drops quarantined shards' explainers before a merge:
-// a shard that died mid-batch left its summary in whatever state the
-// panic interrupted, so the reconciled explanation set is computed over
-// the surviving shards only (the hash router concentrates each
-// attribute combination on one shard, so survivors' combinations are
-// unaffected — the dead shard's share of the answer is missing, not
-// corrupted, which is what Degraded signals).
-func liveExplainers(explainers []*explain.Streaming, failures []core.ShardFailure) []*explain.Streaming {
-	if len(failures) == 0 {
-		return explainers
-	}
-	dead := make(map[int]bool, len(failures))
-	for _, f := range failures {
-		dead[f.Shard] = true
-	}
-	out := make([]*explain.Streaming, 0, len(explainers))
-	for i, ex := range explainers {
-		if !dead[i] {
-			out = append(out, ex)
+// newResult is the one assembler of a ShardedResult, live or final.
+// stats is one Stats read, taken after the views, so every shard that
+// answered with a quarantine marker is among its ShardFailures; views
+// holds one entry per shard. A quarantined shard's explainer is left
+// out of the merge and its threshold is not reported: whatever the
+// panic interrupted left its state suspect, and the hash router
+// concentrates each attribute combination on one shard, so the
+// survivors' combinations are unaffected — the dead shard's share of
+// the answer is missing, not corrupted, which is what Degraded
+// signals. The rest are merged in place, so the caller must own them
+// outright: a poll's snapshot clones, or the replicas once Run has
+// returned.
+func (s *StreamSession) newResult(stats core.StreamStats, views []shardView) *ShardedResult {
+	per := make([]ShardStatus, len(stats.PerShard))
+	for i, rs := range stats.PerShard {
+		per[i] = ShardStatus{Points: rs.Points, Outliers: rs.Outliers, Threshold: views[i].thr, GlobalThreshold: views[i].glob}
+		if rs.OutPoints > 0 {
+			per[i].OutlierRate = float64(rs.Outliers) / float64(rs.OutPoints)
 		}
 	}
-	return out
+	for _, f := range stats.ShardFailures {
+		per[f.Shard].Error, per[f.Shard].DroppedPoints = f.Err, f.DroppedPoints
+		per[f.Shard].Threshold, per[f.Shard].GlobalThreshold = math.NaN(), false
+	}
+	owned := make([]*explain.Streaming, 0, len(per))
+	for i := range per {
+		if per[i].Error == "" {
+			owned = append(owned, views[i].ex)
+		}
+	}
+	return &ShardedResult{
+		Stats:        stats,
+		Explanations: explain.MergeStreamingInto(owned),
+		Shards:       newShardBreakdown(per, s.coord, stats, s.rebalancing),
+	}
 }
 
 // RunPartitionedStream executes MDP in exponentially weighted
@@ -429,13 +398,9 @@ type StreamSession struct {
 	// coord is the coordination view shared with the runner's merge
 	// closure; pollers read the last global cutoff from it.
 	coord *coordState
-
-	// fails records quarantined shards observed by live polls (snapshot
-	// rounds answer for a dead shard with its core.ShardFailure marker).
-	// It is the only state polls share, and failMu its only lock: every
-	// poll merges clones of its own.
-	failMu sync.Mutex
-	fails  map[int]core.ShardFailure
+	// rebalancing records whether skew-adaptive routing is on for the
+	// session, decided once at start.
+	rebalancing bool
 
 	// ckParts are the checkpointable views of the session's ingest
 	// partitions — nil entries for partitions without offsets, such as
@@ -448,15 +413,26 @@ type StreamSession struct {
 	err   error
 }
 
-// shardSnap is what the session's snapshot hook returns per shard: a
-// clone of the shard's explainer, and its classifier's threshold read
-// on the worker goroutine alongside it, so live polls report a cutoff
-// consistent with the shard's own view at snapshot time.
-type shardSnap struct {
-	clone  *explain.Streaming
-	thr    float64
-	glob   bool
-	hasThr bool
+// shardView is one shard's part of a result: its explainer and its
+// classifier's threshold, read together. A live poll's view comes from
+// the snapshot hook, on the worker goroutine, with a clone of the
+// explainer, so the cutoff is consistent with the shard's own view at
+// snapshot time; the final result's is read off the replicas once Run
+// has returned.
+type shardView struct {
+	ex   *explain.Streaming
+	thr  float64 // NaN for a classifier that exposes no cutoff
+	glob bool
+}
+
+// viewOf reads one shard's view; the caller must be the goroutine that
+// owns the shard's operators (its worker, or any once Run has returned).
+func viewOf(ex *explain.Streaming, c core.Classifier) shardView {
+	v := shardView{ex: ex, thr: math.NaN()}
+	if tc, ok := c.(classify.ThresholdCoordinable); ok {
+		v.thr, v.glob = tc.Threshold(), tc.ThresholdIsGlobal()
+	}
+	return v
 }
 
 // StartPartitionedStream launches a sharded streaming session over a
@@ -474,30 +450,26 @@ func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int
 	classifiers := make([]core.Classifier, shards)
 	s.coord = newCoordState(cfg, shards)
 	s.runner = newStreamRunner(parts, cfg, shards, explainers, classifiers, s.coord)
+	s.rebalancing = s.runner.Rebalance != nil
 	// Poll clones the shard's summary on the worker goroutine: the
 	// worker keeps consuming after the snapshot is handed over, so the
 	// clone is the isolation boundary. The classifier threshold rides
 	// along for the live skew breakdown; it is all the hook reads of the
 	// classifier, which may be mid-refit (classify.Streaming.SetOffload).
 	s.runner.SnapshotShard = func(shard int, pl core.ShardPipeline) any {
-		sn := shardSnap{clone: pl.Explainer.(*explain.Streaming).Clone()}
-		if tc, ok := pl.Classifier.(classify.ThresholdCoordinable); ok {
-			sn.thr, sn.glob, sn.hasThr = tc.Threshold(), tc.ThresholdIsGlobal(), true
-		}
-		return sn
+		return viewOf(pl.Explainer.(*explain.Streaming).Clone(), pl.Classifier)
 	}
 	go func() {
 		defer close(s.done)
 		stats, err := s.runner.Run()
-		res := &ShardedResult{Stats: stats, Degraded: stats.Degraded}
-		res.Shards = newShardBreakdown(finalShardStatuses(stats, classifiers), s.coord, stats.CoordRounds, liveRoutingView(s.runner))
-		explainers = liveExplainers(explainers, stats.ShardFailures)
-		if err == nil || err == core.ErrStopped {
-			// Run has returned, so this goroutine owns the shard
-			// explainers, no worker will write to them again, and the
-			// in-place fold (inlier trees aliased) is safe.
-			res.Explanations = explain.MergeStreamingInto(explainers)
+		// Run has returned, so this goroutine owns the shard replicas, no
+		// worker will write to them again, and the in-place fold (inlier
+		// trees aliased) is safe.
+		views := make([]shardView, shards)
+		for i := range views {
+			views[i] = viewOf(explainers[i], classifiers[i])
 		}
+		res := s.newResult(stats, views)
 		// Drop the runner's closure references (explainer replicas,
 		// source, config) so a session kept around for polling does not
 		// pin P shards of summary state. Post-done Poll/Stop only read
@@ -534,7 +506,7 @@ func (s *StreamSession) Done() bool {
 // core.Offloader) — and merged off to the side, without pausing
 // ingest; after termination it returns the final result. Every live
 // poll is one full recompute over clones it owns: concurrent polls
-// share nothing but the failure map, so none waits on another's merge.
+// share nothing, so none waits on another's merge.
 func (s *StreamSession) Poll() (*ShardedResult, error) {
 	for !s.Done() {
 		snaps, err := s.runner.Snapshot()
@@ -557,70 +529,16 @@ func (s *StreamSession) Poll() (*ShardedResult, error) {
 	return s.final, s.err
 }
 
-// livePoll merges one snapshot round — fresh clones this poll owns
-// outright, so the in-place fold may alias their inlier trees — and
-// assembles the live ShardedResult. A quarantined shard answers with
-// its core.ShardFailure marker instead of a clone.
+// livePoll builds the live result from one snapshot round — fresh
+// clones this poll owns outright — and the Stats read that follows it.
+// A quarantined shard answers with its core.ShardFailure marker instead
+// of a view, and leaves its entry zero.
 func (s *StreamSession) livePoll(snaps []any) *ShardedResult {
-	live := s.runner.LiveStats()
-	perRS := s.runner.LiveShardStats(nil)
-	rounds := s.runner.LiveCoordRounds()
-	routing := liveRoutingView(s.runner)
-	owned := make([]*explain.Streaming, 0, len(snaps))
-	var failList []core.ShardFailure
-	s.failMu.Lock()
+	views := make([]shardView, len(snaps))
 	for i, v := range snaps {
-		if f, ok := v.(core.ShardFailure); ok {
-			if s.fails == nil {
-				s.fails = make(map[int]core.ShardFailure)
-			}
-			s.fails[i] = f
-			continue
-		}
-		owned = append(owned, v.(shardSnap).clone)
+		views[i], _ = v.(shardView)
 	}
-	for i := range snaps {
-		if f, ok := s.fails[i]; ok {
-			failList = append(failList, f)
-		}
-	}
-	s.failMu.Unlock()
-	exps := explain.MergeStreamingInto(owned)
-	// The live skew breakdown pairs worker load counters with
-	// the thresholds read at snapshot time. A teardown that
-	// raced between the snapshot round and LiveShardStats
-	// leaves the counters empty; the final result carries the
-	// authoritative breakdown, so this poll just omits it.
-	var breakdown *ShardBreakdown
-	if len(perRS) == len(snaps) {
-		per := make([]ShardStatus, len(snaps))
-		for i, v := range snaps {
-			st := ShardStatus{Points: perRS[i].Points, Outliers: perRS[i].Outliers, Threshold: math.NaN()}
-			if st.Points > 0 {
-				st.OutlierRate = float64(st.Outliers) / float64(st.Points)
-			}
-			if f, ok := v.(core.ShardFailure); ok {
-				st.Error, st.DroppedPoints = f.Err, f.DroppedPoints
-			} else if sn := v.(shardSnap); sn.hasThr {
-				st.Threshold, st.GlobalThreshold = sn.thr, sn.glob
-			}
-			per[i] = st
-		}
-		breakdown = newShardBreakdown(per, s.coord, rounds, routing)
-	}
-	return &ShardedResult{
-		Stats: core.StreamStats{
-			RunStats:      live,
-			CoordRounds:   rounds,
-			RoutingEpoch:  routing.epoch,
-			BucketMoves:   routing.moves,
-			Degraded:      len(failList) > 0,
-			ShardFailures: failList,
-		},
-		Explanations: exps,
-		Shards:       breakdown,
-		Degraded:     len(failList) > 0,
-	}
+	return s.newResult(s.runner.Stats(), views)
 }
 
 // Stop halts ingestion, waits for the workers to drain and flush, and

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"macrobase/internal/core"
 	"macrobase/internal/explain"
 	"macrobase/internal/gen"
+	"macrobase/internal/ingest"
 )
 
 // sequentialEWS is the test oracle for streaming execution: one shard's
@@ -327,5 +330,91 @@ func TestStreamSessionSourceError(t *testing.T) {
 	}
 	if _, err := sess.Stop(); !errors.Is(err, boom) {
 		t.Fatalf("want wrapped boom, got %v", err)
+	}
+}
+
+// TestLivePollEqualsFinal: a live poll and the final result are built
+// by one function from the same account, so once every pushed point is
+// consumed a poll reads what the final result reads — run and per-shard
+// statistics, the skew breakdown, the ranked explanations. The one-shard
+// case keeps every other point in a transform, so a shard's outlier
+// rate has two candidate denominators (points routed, points
+// classified); the two-shard case pins routing, and its classifier
+// exposes no threshold, so no coordination round changes state. Neither
+// stream is long enough to retrain a classifier, so no snapshot is
+// served mid-batch (core.Offloader).
+func TestLivePollEqualsFinal(t *testing.T) {
+	d := gen.Devices(gen.DeviceConfig{Points: 12_000, Devices: 300, Seed: 41})
+	everyOther := core.TransformFunc(func(dst, batch []core.Point) []core.Point {
+		for i := 0; i < len(batch); i += 2 {
+			dst = append(dst, batch[i])
+		}
+		return dst
+	})
+	for _, tc := range []struct {
+		name   string
+		shards int
+		cfg    Config
+	}{
+		{"one shard, transform drops half", 1, Config{Dims: 1, MinSupport: 0.01, DecayEveryPoints: 2_000, BatchSize: 512, Seed: 3,
+			Transforms: []core.Transformer{everyOther}}},
+		{"two shards, pinned routing", 2, Config{Dims: 1, MinSupport: 0.01, DecayEveryPoints: 2_000, BatchSize: 512, DisableRebalance: true,
+			NewClassifier: func(int) core.Classifier { return &cutClassifier{cut: 40} }}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := ingest.NewPush(1, 2)
+			sess, err := StartPartitionedStream(p, tc.cfg, tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr := p.Producer(0)
+			for _, b := range chunk(d.Points, tc.cfg.BatchSize) {
+				if err := pr.Send(context.Background(), b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Once the shards have taken in every point, the next poll's
+			// snapshot is served after the last batch.
+			deadline := time.Now().Add(30 * time.Second)
+			for taken := 0; taken != len(d.Points); {
+				res, err := sess.Poll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				taken = 0
+				for _, s := range res.Shards.PerShard {
+					taken += s.Points
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("shards took in %d of %d points", taken, len(d.Points))
+				}
+			}
+			live, err := sess.Poll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr.Close()
+			waitDone(t, sess)
+			final, err := sess.Poll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live.Stats.RunStats != final.Stats.RunStats {
+				t.Errorf("run stats: live %+v, final %+v", live.Stats.RunStats, final.Stats.RunStats)
+			}
+			if !reflect.DeepEqual(live.Stats.PerShard, final.Stats.PerShard) {
+				t.Errorf("per-shard stats: live %+v, final %+v", live.Stats.PerShard, final.Stats.PerShard)
+			}
+			// JSON, because a threshold may be NaN (the wire's null).
+			lb, _ := json.Marshal(live.Shards)
+			fb, _ := json.Marshal(final.Shards)
+			if string(lb) != string(fb) {
+				t.Errorf("breakdown:\n live %s\nfinal %s", lb, fb)
+			}
+			if len(final.Explanations) == 0 {
+				t.Fatal("no explanations to compare")
+			}
+			requireIdenticalRanked(t, "live vs final", live.Explanations, final.Explanations)
+		})
 	}
 }
