@@ -347,9 +347,8 @@ func microBenchmarks() []benchResult {
 			// partition read, bucket routing through the live routing
 			// table into pooled per-shard slabs, and worker consumption —
 			// the ingest plane with the analytics stripped out. The
-			// Rebalance policy is set so the 0-allocs/op gate guards the
-			// routed scatter path (table load + bucket counter + epoch
-			// swaps), not the legacy direct-hash path.
+			// Rebalance policy is set so the 0-allocs/op gate also
+			// guards the bucket load counters and epoch swaps.
 			d := gen.Devices(gen.DeviceConfig{Points: 64_512, Devices: 400, Seed: 42})
 			const batchPts = 1024
 			var batches [][]core.Point
@@ -359,11 +358,12 @@ func microBenchmarks() []benchResult {
 			const producers = 3
 			src := ingest.NewPush(producers, 4)
 			sr := &core.StreamRunner{
-				Partitioned: src,
-				Shards:      4,
-				NewShard:    func(int) core.ShardPipeline { return core.ShardPipeline{} },
-				BatchSize:   batchPts,
-				Rebalance:   &core.RebalancePolicy{Every: 8192},
+				Partitioned:     src,
+				Shards:          4,
+				NewShard:        func(int) core.ShardPipeline { return core.ShardPipeline{} },
+				BatchSize:       batchPts,
+				Rebalance:       &core.RebalancePolicy{},
+				CoordinateEvery: 8192,
 			}
 			b.ResetTimer()
 			var wg sync.WaitGroup

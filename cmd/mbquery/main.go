@@ -25,8 +25,6 @@ import (
 	"io"
 	"os"
 
-	"macrobase/internal/core"
-	"macrobase/internal/encode"
 	"macrobase/internal/ingest"
 	"macrobase/internal/pipeline"
 )
@@ -63,47 +61,10 @@ func runQuery(configPath string, top int, w io.Writer) error {
 		defer f.Close()
 		in = f
 	}
-	enc := encode.NewEncoder(cfg.Attributes...)
-	src, err := ingest.NewCSVSource(in, cfg.Schema(), enc)
+	res, err := pipeline.RunQuery(cfg, in)
 	if err != nil {
 		return err
 	}
-	pcfg := pipeline.Config{
-		Dims:             len(cfg.Metrics),
-		Percentile:       cfg.Percentile,
-		MinSupport:       cfg.MinSupport,
-		MinRiskRatio:     cfg.MinRiskRatio,
-		DecayRate:        cfg.DecayRate,
-		DecayEveryPoints: cfg.DecayEveryPoints,
-		ReservoirSize:    cfg.ReservoirSize,
-		Confidence:       cfg.Confidence,
-		Seed:             cfg.Seed,
-	}
-
-	var res *pipeline.Result
-	if cfg.Streaming {
-		res, err = pipeline.RunStreaming(src, pcfg)
-	} else {
-		// One-shot: stream the stored data into memory first
-		// (paper §3.2: batch execution streams over stored data).
-		var pts []core.Point
-		for {
-			b, berr := src.Next(8192)
-			if berr == core.ErrEndOfStream {
-				break
-			}
-			if berr != nil {
-				return berr
-			}
-			pts = append(pts, b...)
-		}
-		res, err = pipeline.RunOneShot(pts, pcfg)
-	}
-	if err != nil {
-		return err
-	}
-
-	enc.Decorate(res.Explanations)
 	fmt.Fprintf(w, "points=%d outliers=%d explanations=%d\n",
 		res.Stats.Points, res.Stats.Outliers, len(res.Explanations))
 	for i, e := range res.Explanations {

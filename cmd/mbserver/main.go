@@ -169,6 +169,18 @@ type explanationJSON struct {
 	RiskRatio  float64          `json:"riskRatio"`
 	Outliers   float64          `json:"outlierCount"`
 	Inliers    float64          `json:"inlierCount"`
+	// CI is the risk ratio's confidence interval, present when the
+	// query asked for one ("confidence").
+	CI *intervalJSON `json:"ci,omitempty"`
+}
+
+// intervalJSON is a confidence interval on the wire. Lo and Hi pass
+// through jsonSafe: Hi is +Inf for a combination absent from the
+// inliers, just as its risk ratio is.
+type intervalJSON struct {
+	Lo    float64 `json:"lo"`
+	Hi    float64 `json:"hi"`
+	Level float64 `json:"level"`
 }
 
 // maxControlBody caps the JSON body of /query, /stream/start and
@@ -202,36 +214,13 @@ func handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.Close()
-	enc := encode.NewEncoder(cfg.Attributes...)
-	src, err := ingest.NewCSVSource(f, cfg.Schema(), enc)
+	// Every failure past the open is the request's own input: a CSV
+	// that does not parse, or data its model cannot be fit to.
+	res, err := pipeline.RunQuery(cfg, f)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	pcfg := pipelineConfig(cfg)
-	var res *pipeline.Result
-	if cfg.Streaming {
-		res, err = pipeline.RunStreaming(src, pcfg)
-	} else {
-		var pts []core.Point
-		for {
-			b, berr := src.Next(8192)
-			if berr == core.ErrEndOfStream {
-				break
-			}
-			if berr != nil {
-				http.Error(w, berr.Error(), http.StatusBadRequest)
-				return
-			}
-			pts = append(pts, b...)
-		}
-		res, err = pipeline.RunOneShot(pts, pcfg)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	enc.Decorate(res.Explanations)
 	writeJSON(w, queryResponse{
 		Points:       res.Stats.Points,
 		Outliers:     res.Stats.Outliers,
@@ -239,36 +228,20 @@ func handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// pipelineConfig maps the wire config onto pipeline parameters.
-func pipelineConfig(cfg *ingest.QueryConfig) pipeline.Config {
-	return pipeline.Config{
-		Dims:                   len(cfg.Metrics),
-		Percentile:             cfg.Percentile,
-		MinSupport:             cfg.MinSupport,
-		MinRiskRatio:           cfg.MinRiskRatio,
-		DecayRate:              cfg.DecayRate,
-		DecayEveryPoints:       cfg.DecayEveryPoints,
-		ReservoirSize:          cfg.ReservoirSize,
-		Confidence:             cfg.Confidence,
-		CoordinateEvery:        cfg.CoordinateEvery,
-		DisableGlobalThreshold: cfg.DisableGlobalThreshold,
-		RoutingBuckets:         cfg.RoutingBuckets,
-		RebalanceAbove:         cfg.RebalanceAbove,
-		DisableRebalance:       cfg.DisableRebalance,
-		Seed:                   cfg.Seed,
-	}
-}
-
 func explanationsJSON(exps []core.Explanation) []explanationJSON {
 	out := make([]explanationJSON, 0, len(exps))
 	for _, e := range exps {
-		out = append(out, explanationJSON{
+		ej := explanationJSON{
 			Attributes: e.Attributes,
 			Support:    e.Support,
 			RiskRatio:  jsonSafe(e.RiskRatio),
 			Outliers:   e.OutlierCount,
 			Inliers:    e.InlierCount,
-		})
+		}
+		if e.CI.Level > 0 {
+			ej.CI = &intervalJSON{Lo: jsonSafe(e.CI.Lo), Hi: jsonSafe(e.CI.Hi), Level: e.CI.Level}
+		}
+		out = append(out, ej)
 	}
 	return out
 }
@@ -500,7 +473,7 @@ func (g *streamRegistry) handleStart(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sess, err := pipeline.StartPartitionedStream(src, pipelineConfig(&req.QueryConfig), req.Shards)
+	sess, err := pipeline.StartPartitionedStream(src, pipeline.FromQuery(&req.QueryConfig), req.Shards)
 	if err != nil {
 		g.release(id)
 		f.Close()
@@ -542,7 +515,7 @@ func (g *streamRegistry) startPush(w http.ResponseWriter, req *streamStartReques
 	if req.Replay {
 		src.EnableReplay(0)
 	}
-	pcfg := pipelineConfig(&req.QueryConfig)
+	pcfg := pipeline.FromQuery(&req.QueryConfig)
 	sess, err := pipeline.StartPartitionedStream(src, pcfg, req.Shards)
 	if err != nil {
 		g.release(id)

@@ -727,3 +727,78 @@ func TestPprofMountedOnlyOnRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestConfidenceIntervalsReachClients: a query that asks for
+// confidence intervals gets one on every explanation, around its risk
+// ratio, from /query and from a push session's live poll alike; a
+// confidence of 1, whose interval would be infinitely wide, is a 400.
+func TestConfidenceIntervalsReachClients(t *testing.T) {
+	checkCIs := func(where string, exps []explanationJSON) {
+		t.Helper()
+		if len(exps) == 0 {
+			t.Fatalf("%s: no explanations", where)
+		}
+		for _, e := range exps {
+			if e.CI == nil || e.CI.Level != 0.95 || e.CI.Lo > e.RiskRatio || e.RiskRatio > e.CI.Hi {
+				t.Errorf("%s: %v riskRatio %v, ci %+v; want a 95%% interval around it", where, e.Attributes, e.RiskRatio, e.CI)
+			}
+		}
+	}
+	csvPath := writeTestCSV(t)
+	body := fmt.Sprintf(`{"input":%q,"metrics":["power"],"attributes":["device"],"minSupport":0.05,"confidence":0.95}`, csvPath)
+	rec := httptest.NewRecorder()
+	handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query status %d: %s", rec.Code, rec.Body.String())
+	}
+	var resp queryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	checkCIs("/query", resp.Explanations)
+
+	srv := httptest.NewServer(newMux(newStreamRegistry()))
+	defer srv.Close()
+	id := startStream(t, srv, `{"input":"push","metrics":["power"],"attributes":["device"],"minSupport":0.05,"confidence":0.95,"shards":2}`)
+	rng := rand.New(rand.NewPCG(5, 6))
+	var chunk strings.Builder
+	for i := 0; i < 10_000; i++ {
+		dev := fmt.Sprintf("dev%d", rng.IntN(20))
+		v := 10 + rng.NormFloat64()*2
+		if dev == "dev7" && rng.Float64() < 0.5 {
+			v = 60 + rng.NormFloat64()*2
+		}
+		fmt.Fprintf(&chunk, "{\"metrics\":[%.4f],\"attributes\":{\"device\":%q}}\n", v, dev)
+	}
+	if code, _ := pushNDJSON(t, srv.URL+"/stream/"+id+"/push", chunk.String()); code != http.StatusOK {
+		t.Fatalf("push status %d", code)
+	}
+	var poll streamResponse
+	for deadline := time.Now().Add(10 * time.Second); len(poll.Explanations) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no explanations in a live poll after 10 s")
+		}
+		if code := getJSON(t, srv.URL+"/stream/"+id, &poll); code != http.StatusOK {
+			t.Fatalf("poll status %d", code)
+		}
+	}
+	if poll.Done {
+		t.Error("push stream reported done while producers are open")
+	}
+	checkCIs("live poll", poll.Explanations)
+	postJSON(t, srv.URL+"/stream/"+id+"/stop", nil)
+
+	rec = httptest.NewRecorder()
+	handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(strings.Replace(body, "0.95", "1", 1))))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("/query with confidence 1: status %d, want 400", rec.Code)
+	}
+	start, err := http.Post(srv.URL+"/stream/start", "application/json", strings.NewReader(`{"input":"push","metrics":["power"],"attributes":["device"],"confidence":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start.Body.Close()
+	if start.StatusCode != http.StatusBadRequest {
+		t.Errorf("/stream/start with confidence 1: status %d, want 400", start.StatusCode)
+	}
+}

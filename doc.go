@@ -145,16 +145,22 @@
 // attribute set to one shard forever, so a Zipf-popular handful of
 // attribute sets turns one shard into the convoy the whole stream waits
 // on — backpressure is end-to-end, so P shards deliver the hot shard's
-// throughput, not P times the mean. The router therefore adds one level
-// of indirection: the scatter loop hashes a point's attributes to one
-// of V virtual buckets (core.HashBucket, V defaulting to 256 rounded up
-// to a multiple of P) and looks the bucket up in a versioned routing
-// table ([]int32, bucket -> shard) read through an atomic pointer. That
-// is one extra array index and one per-bucket load-counter increment
-// per point — the data plane stays allocation-free (the Route/p3s4
-// kernel gates 0 allocs/op with routing active).
+// throughput, not P times the mean. Every multi-shard run therefore
+// routes through one level of indirection, and there is no other scatter
+// path: the scatter loop hashes a point's attributes to one of V virtual
+// buckets (core.HashBucket, V defaulting to 256 rounded up to a multiple
+// of P) and looks the bucket up in a versioned routing table ([]int32,
+// bucket -> shard) read through an atomic pointer. A rebalancing run
+// also adds one per-bucket load-counter increment per point; the data
+// plane stays allocation-free either way (the Route/p3s4 kernel gates 0
+// allocs/op with rebalancing active). A single shard has no table: each
+// read's batch is handed to the worker whole.
 //
-// Rebalancing rides the threshold coordinator: each round snapshots the
+// Rebalancing rides the coordinator's one cadence, Config.CoordinateEvery
+// (core.StreamRunner.CoordinateEvery), with or without threshold
+// coordination: the coordinator goroutine runs exactly when there are
+// threshold rounds or rebalance checks to do, and each pass runs
+// whichever of them the run has. A rebalance check snapshots the
 // per-bucket counters (single-writer per partition, summed by the
 // coordinator), diffs them against the last judged round into a load
 // window, and — when the hottest healthy shard's windowed share times P
@@ -185,12 +191,15 @@
 // Determinism boundaries mirror coordination's: rebalance rounds fire
 // on asynchronous ingest progress, so rebalanced multi-shard runs are
 // not bit-exact run to run; P=1 never starts a router, and
-// Config.DisableRebalance pins the identity table — whose placement is
-// bit-identical to HashPartition because V is a multiple of P — both
-// pinned against the manual-partition golden. Attribute-less points
+// Config.DisableRebalance pins the identity table — whose placement of
+// every point with attributes is bit-identical to HashPartition because
+// V is a multiple of P — both pinned against the manual-partition
+// golden. HashPartition is that placement oracle (and the generators'
+// helper); the runner never calls it. Attribute-less points
 // (metrics-only streams) carry no itemsets and no placement invariant,
-// so the router spreads them round-robin instead of letting hash(()) pin
-// them all on shard 0. Observability: StreamStats.RoutingEpoch/
+// so every multi-shard run, rebalancing or not, spreads them
+// round-robin instead of letting hash(()) pin them all on shard 0.
+// Observability: StreamStats.RoutingEpoch/
 // BucketMoves, the "rebalancing"/"routingEpoch"/"bucketMoves" fields in
 // the shards block, and the firehose example's -skew flag, which prints
 // the pinned-vs-rebalanced before/after report.

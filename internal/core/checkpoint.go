@@ -109,6 +109,19 @@ func (t *ackTracker) done(off int64) {
 	t.mu.Unlock()
 }
 
+// newTrackers builds one commit tracker per checkpointable partition,
+// seeded at the partition's current offset (nonzero on a resumed
+// source); the other entries are nil.
+func newTrackers(parts []PartitionStream) []*ackTracker {
+	trackers := make([]*ackTracker, len(parts))
+	for i, ps := range parts {
+		if cp, ok := ps.(CheckpointablePartition); ok {
+			trackers[i] = &ackTracker{committed: cp.Offset()}
+		}
+	}
+	return trackers
+}
+
 // get reads the committed offset.
 func (t *ackTracker) get() int64 {
 	t.mu.Lock()

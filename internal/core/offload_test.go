@@ -95,7 +95,7 @@ func newOffloadClassifier(at int) *offloadClassifier {
 // unchanged.
 func TestSnapshotServedDuringOffload(t *testing.T) {
 	// The stream's tail is held back until the coordination reply has
-	// been seen: the worker cannot drain, Run cannot close quit, and so
+	// been seen: the worker cannot drain, Run cannot close its quit, and so
 	// the request below is always still wanted when the stall ends —
 	// however late its sender is scheduled.
 	const n, batch, at = 20_000, 512, 3000
@@ -128,13 +128,13 @@ func TestSnapshotServedDuringOffload(t *testing.T) {
 	within(t, cls.stalled, "the classifier to reach its offloaded computation")
 
 	sr.workersMu.Lock()
-	w, quit := sr.workers[0], sr.quit
+	w := sr.workers[0]
 	sr.workersMu.Unlock()
 	ctl := snapshotReq{fn: func(int, ShardPipeline) any { return "ctl" }, reply: make(chan any, 1)}
 	go func() {
-		select { // as coordRound sends: never outlive the run
+		select { // as fanOut sends: never outlive the worker
 		case w.ctl <- ctl:
-		case <-quit:
+		case <-w.quit:
 		}
 	}()
 

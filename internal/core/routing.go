@@ -1,34 +1,44 @@
 package core
 
-// DefaultRoutingBuckets is the default virtual-bucket count for the
-// skew-adaptive router. The effective count is rounded up to a multiple
-// of the shard count so the identity table reproduces HashPartition
-// placement bit-exactly until the first rebalance (see RebalancePolicy).
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
+
+// DefaultRoutingBuckets is the default virtual-bucket count of the
+// routing table. The effective count is rounded up to a multiple of the
+// shard count so the identity table reproduces HashPartition placement
+// bit-exactly until the first rebalance (see RebalancePolicy).
 const DefaultRoutingBuckets = 256
 
-// RebalancePolicy enables skew-adaptive routing on a StreamRunner:
-// instead of hashing a point directly to a shard, the scatter loop
-// hashes it to one of V virtual buckets and looks the bucket up in a
-// versioned routing table ([]int32, bucket -> shard) read through an
-// atomic pointer — one extra array index per point, zero allocations.
-// The coordinator goroutine watches per-bucket load counters and, when
-// the healthy-shard load imbalance exceeds Above, greedily reassigns
-// the hottest buckets to the coolest healthy shards and publishes a new
-// table under the next routing epoch. Buckets resident on quarantined
-// shards are evacuated unconditionally; quarantined shards are never
-// move targets.
+// RebalancePolicy enables skew-adaptive routing on a StreamRunner.
+// Every multi-shard run routes through a routing table: the scatter
+// loop hashes a point to one of V virtual buckets and looks the bucket
+// up in a versioned table ([]int32, bucket -> shard) read through an
+// atomic pointer — zero allocations per point. Without a policy the
+// table is the identity layout for the whole run. With one, the
+// scatter loop also counts each bucket's load, and on each
+// StreamRunner.CoordinateEvery boundary the coordinator goroutine reads
+// the counters and, when the healthy-shard load imbalance exceeds
+// Above, greedily reassigns the hottest buckets to the coolest healthy
+// shards and publishes a new table under the next routing epoch.
+// Buckets resident on quarantined shards are evacuated unconditionally;
+// quarantined shards are never move targets.
 //
 // The same-attribute-vector-same-shard invariant is preserved (a bucket
 // moves wholesale, and a point's bucket is a pure function of its
 // attributes), but one attribute set's *history* is split across the
 // old and new shard after a move. That is exactly the cross-shard split
-// the PR-1 merge laws already handle: merged sketches sum counts with
+// the shard merge laws already handle: merged sketches sum counts with
 // summed error bounds, and every mined table path recounts support
 // canonically via ItemsetSupport, so polls remain consistent across
 // moves.
 //
 // The policy is ignored when the runner has a single shard: there is
-// nothing to rebalance.
+// nothing to route.
 type RebalancePolicy struct {
 	// Buckets is the requested virtual-bucket count V (default
 	// DefaultRoutingBuckets). The effective count is the smallest
@@ -43,10 +53,6 @@ type RebalancePolicy struct {
 	// alone (hysteresis — rebalancing has a cost: a moved bucket splits
 	// its attribute sets' counts across two shards' summaries).
 	Above float64
-	// Every is the rebalance cadence in ingested points (default
-	// 25_000). When threshold coordination is also configured, rounds
-	// ride the coordinator's own cadence instead and Every is ignored.
-	Every int
 }
 
 // rebalConfig is a RebalancePolicy with defaults applied and the bucket
@@ -54,7 +60,6 @@ type RebalancePolicy struct {
 type rebalConfig struct {
 	buckets  int
 	above    float64
-	every    int
 	maxMoves int
 }
 
@@ -73,13 +78,40 @@ func (p *RebalancePolicy) normalize(shards int) rebalConfig {
 	if above <= 1 {
 		above = 1.5
 	}
-	every := p.Every
-	if every <= 0 {
-		every = 25_000
-	}
 	// A round moves at most V/4 buckets: that bounds both the per-round
 	// work and the count-splitting churn.
-	return rebalConfig{buckets: v, above: above, every: every, maxMoves: max(v/4, 1)}
+	return rebalConfig{buckets: v, above: above, maxMoves: max(v/4, 1)}
+}
+
+// initRouting installs the run's routing state. A multi-shard run
+// starts on the identity table over a bucket count that is a multiple
+// of the shard count, so (hash % V) % shards == hash % shards and
+// placement is bit-identical to HashPartition until a rebalance; the
+// per-partition bucket load counters exist only when the run
+// rebalances. A single shard has no table: its reads are handed over
+// whole.
+func (r *StreamRunner) initRouting(shards, parts int) {
+	r.route.Store(nil)
+	r.bucketLoads = nil
+	if shards == 1 {
+		return
+	}
+	var p RebalancePolicy
+	if r.Rebalance != nil {
+		p = *r.Rebalance
+	}
+	r.rebal = p.normalize(shards)
+	assign := make([]int32, r.rebal.buckets)
+	for b := range assign {
+		assign[b] = int32(b % shards)
+	}
+	r.route.Store(&routeTable{assign: assign})
+	if r.Rebalance != nil {
+		r.bucketLoads = make([][]atomic.Int64, parts)
+		for i := range r.bucketLoads {
+			r.bucketLoads[i] = make([]atomic.Int64, r.rebal.buckets)
+		}
+	}
 }
 
 // routeTable is one immutable routing epoch: assign[bucket] = shard.
@@ -124,6 +156,24 @@ func HashBucket(p *Point, buckets int) int {
 	return int(hashAttrs(p.Attrs) % uint32(buckets))
 }
 
+// HashPartition is the placement oracle: the shard a point's FNV-1a
+// attribute hash selects among shards, which is where the routing
+// table's identity layout places it (TestIdentityTableMatchesHashPartition).
+// The runner never calls it; tests and data generators use it to know
+// where a point lands before the first rebalance. Points with identical
+// attribute vectors always share a shard, so a full attribute set's
+// occurrences concentrate there; sub-combinations of multi-attribute
+// points still span shards, and their merged counts are exact only up
+// to the summed sketch error bounds. Points without attributes map to
+// shard 0 here, but the runner spreads them round-robin — they carry no
+// itemsets, so their placement never affects explanations.
+func HashPartition(p *Point, shards int) int {
+	if len(p.Attrs) == 0 {
+		return 0
+	}
+	return int(hashAttrs(p.Attrs) % uint32(shards))
+}
+
 // rebalanceAssign is the greedy rebalancing step, pure so it can be
 // unit-tested: given the current assignment, the per-bucket load window
 // win, and per-shard health, it rewrites assign in place and returns
@@ -139,13 +189,7 @@ func HashBucket(p *Point, buckets int) int {
 // maxMoves is spent.
 func rebalanceAssign(assign []int32, win []int64, healthy []bool, above float64, maxMoves int) int {
 	shards := len(healthy)
-	nHealthy := 0
-	for _, ok := range healthy {
-		if ok {
-			nHealthy++
-		}
-	}
-	if nHealthy == 0 || shards < 2 {
+	if shards < 2 || !slices.Contains(healthy, true) {
 		return 0
 	}
 	loads := make([]int64, shards)
@@ -154,25 +198,13 @@ func rebalanceAssign(assign []int32, win []int64, healthy []bool, above float64,
 		loads[s] += win[b]
 		total += win[b]
 	}
-	coolest := func() int {
-		c := -1
-		for s := 0; s < shards; s++ {
-			if healthy[s] && (c < 0 || loads[s] < loads[c]) {
-				c = s
-			}
-		}
-		return c
-	}
-	hottest := func() int {
-		h := -1
-		for s := 0; s < shards; s++ {
-			if healthy[s] && (h < 0 || loads[s] > loads[h]) {
-				h = s
-			}
-		}
-		return h
-	}
 	moves := 0
+	move := func(b, to int) {
+		loads[assign[b]] -= win[b]
+		loads[to] += win[b]
+		assign[b] = int32(to)
+		moves++
+	}
 	// Phase 1: a dead shard keeps none of its buckets, loaded or not —
 	// points routed there are dropped on the floor, so every bucket is
 	// worth saving regardless of its window count.
@@ -180,11 +212,7 @@ func rebalanceAssign(assign []int32, win []int64, healthy []bool, above float64,
 		if healthy[s] {
 			continue
 		}
-		c := coolest()
-		assign[b] = int32(c)
-		loads[c] += win[b]
-		loads[s] -= win[b]
-		moves++
+		move(b, extremeShard(loads, healthy, false))
 		if moves >= maxMoves {
 			return moves
 		}
@@ -193,7 +221,7 @@ func rebalanceAssign(assign []int32, win []int64, healthy []bool, above float64,
 		return moves
 	}
 	imbalance := func() float64 {
-		return float64(loads[hottest()]) / float64(total) * float64(shards)
+		return float64(loads[extremeShard(loads, healthy, true)]) / float64(total) * float64(shards)
 	}
 	if imbalance() <= above {
 		return moves
@@ -203,7 +231,7 @@ func rebalanceAssign(assign []int32, win []int64, healthy []bool, above float64,
 	// trigger (hysteresis against move churn).
 	target := (1 + above) / 2
 	for moves < maxMoves && imbalance() > target {
-		h, c := hottest(), coolest()
+		h, c := extremeShard(loads, healthy, true), extremeShard(loads, healthy, false)
 		if h == c {
 			break
 		}
@@ -217,78 +245,218 @@ func rebalanceAssign(assign []int32, win []int64, healthy []bool, above float64,
 		if best < 0 {
 			break // every remaining bucket is too big to help
 		}
-		assign[best] = int32(c)
-		loads[h] -= bw
-		loads[c] += bw
-		moves++
+		move(best, c)
 	}
 	return moves
 }
 
-// rebalState is the coordinator's scratch across rebalance rounds:
-// cumulative per-bucket counts at the last judged round (last) and this
-// round (cur), their difference (win — the measurement window that
-// drives the greedy step), and the per-shard health snapshot.
-type rebalState struct {
-	last, cur, win []int64
-	healthy        []bool
-}
-
-func newRebalState(buckets, shards int) *rebalState {
-	return &rebalState{
-		last:    make([]int64, buckets),
-		cur:     make([]int64, buckets),
-		win:     make([]int64, buckets),
-		healthy: make([]bool, shards),
-	}
-}
-
-// maybeRebalance runs one rebalance round on the coordinator goroutine:
-// snapshot the per-partition bucket counters, diff against the previous
-// judged snapshot to get the window, run the greedy step over a copy of
-// the current table, and publish a new epoch if anything moved.
-//
-// Rounds are triggered on ingest progress but run whenever the
-// coordinator gets there, so two can land a handful of points apart. A
-// window holding fewer than half a cadence (coordEvery/2 points) is
-// therefore not judged: last stays where it is and the window keeps
-// accumulating until it is worth judging. A dead shard is evacuated at
-// once, whatever the window.
-func (r *StreamRunner) maybeRebalance(workers []*shardWorker, st *rebalState) {
-	rt := r.route.Load()
-	if rt == nil {
-		return
-	}
-	for b := range st.cur {
-		st.cur[b] = 0
-	}
-	for _, pl := range r.bucketLoads {
-		for b := range pl {
-			st.cur[b] += pl[b].Load()
+// extremeShard returns the hottest healthy shard by load (hot) or the
+// coolest, the lowest index winning ties.
+func extremeShard(loads []int64, healthy []bool, hot bool) int {
+	e := -1
+	for s, l := range loads {
+		if healthy[s] && (e < 0 || (hot && l > loads[e]) || (!hot && l < loads[e])) {
+			e = s
 		}
 	}
-	var total int64
-	for b := range st.cur {
-		st.win[b] = st.cur[b] - st.last[b]
-		total += st.win[b]
+	return e
+}
+
+// ingest runs one ingest loop per partition and returns once every
+// loop has exited, with the first source error, which cancels the
+// rest. The loops read under the run's stop context: RequestStop
+// cancels it, and a RequestStop that raced ahead of Run is honored by
+// cancelling at once.
+func (r *StreamRunner) ingest(parts []PartitionStream, workers []*shardWorker, pool *BatchPool, trackers []*ackTracker) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	r.ctlMu.Lock()
+	r.cancelIngest = cancel
+	if r.stopReq {
+		cancel()
 	}
-	anyDead := false
-	for i, w := range workers {
-		st.healthy[i] = !w.dead()
-		if !st.healthy[i] {
-			anyDead = true
+	r.ctlMu.Unlock()
+	defer func() {
+		r.ctlMu.Lock()
+		r.cancelIngest = nil
+		r.ctlMu.Unlock()
+		cancel()
+	}()
+	batch := r.BatchSize
+	if batch <= 0 {
+		batch = 4096
+	}
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for i, ps := range parts {
+		in := &ingestLoop{r: r, ps: ps, workers: workers, pool: pool, batch: batch,
+			tracker: trackers[i], staging: make([]*Batch, len(workers))}
+		in.cp, _ = ps.(CheckpointablePartition)
+		if r.bucketLoads != nil {
+			in.loads = r.bucketLoads[i]
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := in.run(ctx); err != nil {
+				once.Do(func() { first = fmt.Errorf("core: source: %w", err) })
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	return first
+}
+
+// ingestLoop is one partition's ingest goroutine and its state: read
+// into an engine-loaned recycled Batch (cancellable mid-call), hand it
+// to the worker whole when there is one shard, otherwise scatter each
+// point's payload into pooled per-shard batches, and send over the
+// bounded channels. Every batch it touches comes from and returns to
+// the run's free list, so the steady-state loop never allocates.
+type ingestLoop struct {
+	r       *StreamRunner
+	ps      PartitionStream
+	workers []*shardWorker
+	pool    *BatchPool
+	batch   int
+	// tracker and cp are the partition's commit tracker and offset
+	// protocol; both nil unless the partition is checkpointable.
+	tracker *ackTracker
+	cp      CheckpointablePartition
+	// loads are this partition's bucket load counters (single writer:
+	// this goroutine); nil unless the run rebalances.
+	loads []atomic.Int64
+	// rr spreads attribute-less points round-robin across buckets
+	// (they carry no itemsets, so placement is free — pinning them to
+	// one shard, as HashPartition does, turns a metrics-only stream
+	// into a guaranteed hot spot). Local to the goroutine: no
+	// contention, and cross-partition collisions don't matter for
+	// spreading.
+	rr uint32
+	// staging[s] is the read's batch for shard s; entries are nil once
+	// handed to a worker and re-loaned on demand.
+	staging []*Batch
+}
+
+// run is the loop. Returns a non-nil error only for genuine source
+// failures; cancellation and end-of-stream return nil.
+func (in *ingestLoop) run(ctx context.Context) error {
+	ib := in.pool.Get() // the loan each read fills (or swaps away)
+	defer func() {
+		// Return every unsent loan to the pool.
+		in.pool.Put(ib)
+		for _, sb := range in.staging {
+			in.pool.Put(sb)
+		}
+	}()
+	for {
+		if ctx.Err() != nil {
+			return nil
+		}
+		ib.Reset()
+		nb, err := in.ps.NextBatchInto(ctx, ib, in.batch)
+		if err == ErrEndOfStream {
+			return nil
+		}
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil // cancelled mid-read: a stop, not a failure
+			}
+			return err
+		}
+		ib = nb // ours now, whether filled in place or swapped
+		if ctx.Err() != nil {
+			// A stop arrived during a read that does not watch ctx:
+			// the batch it returned is dropped, not counted or routed.
+			return nil
+		}
+		in.r.notePoints(int64(ib.Len()))
+		if len(in.workers) == 1 {
+			// The worker takes ownership of the whole batch: routing
+			// degenerates to a pointer handoff, no copy at all.
+			in.staging[0], ib = ib, nil
+		} else {
+			in.scatter(ib)
+		}
+		if !in.dispatch(ctx) {
+			return nil // cancelled: the deferred sweep recycles the undelivered loans
+		}
+		if ib == nil {
+			ib = in.pool.Get()
 		}
 	}
-	if !anyDead && total < max(1, r.coordEvery/2) {
-		return
+}
+
+// scatter appends each point's payload of ib to its shard's staged
+// batch, in one pass: hash to a bucket (round-robin for attribute-less
+// points), count the bucket's load when the run rebalances, and look
+// the shard up in the routing table. The copy severs every reference
+// to ib, which is what lets it be refilled next read. The table is
+// loaded once per read: a rebalance published mid-batch takes effect
+// on the next read, which only defers the move by one batch.
+func (in *ingestLoop) scatter(ib *Batch) {
+	rt := in.r.route.Load()
+	nb := uint32(len(rt.assign))
+	rr, loads, staging := in.rr, in.loads, in.staging
+	pts := ib.Points()
+	for i := range pts {
+		var b uint32
+		if len(pts[i].Attrs) == 0 {
+			b = rr % nb
+			rr++
+		} else {
+			b = hashAttrs(pts[i].Attrs) % nb
+		}
+		if loads != nil {
+			loads[b].Add(1)
+		}
+		s := rt.assign[b]
+		sb := staging[s]
+		if sb == nil {
+			sb = in.pool.Get()
+			staging[s] = sb
+		}
+		sb.AppendPoint(&pts[i])
 	}
-	copy(st.last, st.cur)
-	next := make([]int32, len(rt.assign))
-	copy(next, rt.assign)
-	moves := rebalanceAssign(next, st.win, st.healthy, r.rebal.above, r.rebal.maxMoves)
-	if moves == 0 {
-		return
+	in.rr = rr
+}
+
+// dispatch tags and sends one read's per-shard batches, reporting false
+// if the run was cancelled while a send was blocked on a shard's
+// backpressure. When the partition is checkpointable, the read is
+// registered with the commit tracker before any batch is sent —
+// registration-before-send is what makes a batch's finishAck unable to
+// race past its own begin — and each batch is tagged so the workers'
+// finishAck calls advance the committed offset. A read abandoned
+// mid-send leaves its tracker entry permanently outstanding, which is
+// correct: the committed offset must not move past points that were
+// never consumed.
+func (in *ingestLoop) dispatch(ctx context.Context) bool {
+	if in.tracker != nil {
+		off, k := in.cp.Offset(), 0
+		for _, sb := range in.staging {
+			if sb != nil {
+				sb.ackT, sb.ackOff = in.tracker, off
+				k++
+			}
+		}
+		if k > 0 {
+			in.tracker.begin(off, k)
+		}
 	}
-	r.route.Store(&routeTable{epoch: rt.epoch + 1, assign: next})
-	r.moves.Add(int64(moves))
+	for s, sb := range in.staging {
+		if sb == nil {
+			continue
+		}
+		select {
+		case in.workers[s].data <- sb:
+			in.staging[s] = nil
+		case <-ctx.Done():
+			return false
+		}
+	}
+	return true
 }

@@ -29,7 +29,7 @@ func TestRebalancePolicyNormalize(t *testing.T) {
 		if got.buckets%c.shards != 0 {
 			t.Errorf("normalize(buckets=%d, shards=%d): %d not a multiple of %d", c.buckets, c.shards, got.buckets, c.shards)
 		}
-		if got.above <= 1 || got.every <= 0 || got.maxMoves <= 0 {
+		if got.above <= 1 || got.maxMoves <= 0 {
 			t.Errorf("normalize defaults not applied: %+v", got)
 		}
 	}
@@ -272,8 +272,9 @@ func TestStreamRunnerRebalancesSkewedLoad(t *testing.T) {
 		NewShard: func(shard int) ShardPipeline {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
 		},
-		BatchSize: 256,
-		Rebalance: &RebalancePolicy{Every: 5_000},
+		BatchSize:       256,
+		Rebalance:       &RebalancePolicy{},
+		CoordinateEvery: 5_000,
 	}
 	go func() {
 		part := src.parts[0]
@@ -318,40 +319,43 @@ func TestStreamRunnerRebalancesSkewedLoad(t *testing.T) {
 	}
 }
 
-// TestStreamRunnerRoutingSpreadsAttrLessPoints: with routing active,
-// attribute-less points round-robin across shards instead of pinning
-// shard 0 (they carry no itemsets, so placement is free).
+// TestStreamRunnerRoutingSpreadsAttrLessPoints: in every multi-shard
+// run, with or without a rebalance policy, attribute-less points
+// round-robin across shards instead of pinning shard 0 (they carry no
+// itemsets, so placement is free).
 func TestStreamRunnerRoutingSpreadsAttrLessPoints(t *testing.T) {
 	const shards = 4
 	const total = 8_000
-	src := newChanSource(1, 2)
-	sr := StreamRunner{
-		Partitioned: src,
-		Shards:      shards,
-		NewShard: func(shard int) ShardPipeline {
-			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
-		},
-		BatchSize: 256,
-		Rebalance: &RebalancePolicy{},
-	}
-	go func() {
-		part := src.parts[0]
-		for n := 0; n < total; n += 400 {
-			batch := make([]Point, 400)
-			for j := range batch {
-				batch[j] = Point{Metrics: []float64{1}}
-			}
-			part.ch <- batch
+	for _, policy := range []*RebalancePolicy{{}, nil} {
+		src := newChanSource(1, 2)
+		sr := StreamRunner{
+			Partitioned: src,
+			Shards:      shards,
+			NewShard: func(shard int) ShardPipeline {
+				return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
+			},
+			BatchSize: 256,
+			Rebalance: policy,
 		}
-		close(part.ch)
-	}()
-	stats, err := sr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, ps := range stats.PerShard {
-		if ps.Points < total/shards-10 || ps.Points > total/shards+10 {
-			t.Fatalf("shard %d got %d attr-less points, want ~%d (per-shard %+v)", s, ps.Points, total/shards, stats.PerShard)
+		go func() {
+			part := src.parts[0]
+			for n := 0; n < total; n += 400 {
+				batch := make([]Point, 400)
+				for j := range batch {
+					batch[j] = Point{Metrics: []float64{1}}
+				}
+				part.ch <- batch
+			}
+			close(part.ch)
+		}()
+		stats, err := sr.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, ps := range stats.PerShard {
+			if ps.Points < total/shards-10 || ps.Points > total/shards+10 {
+				t.Fatalf("rebalance policy %v: shard %d got %d attr-less points, want ~%d (per-shard %+v)", policy, s, ps.Points, total/shards, stats.PerShard)
+			}
 		}
 	}
 }

@@ -250,12 +250,12 @@ func TestStreamRunnerStatsAcrossTeardown(t *testing.T) {
 		BatchSize: 256,
 		Decay:     DecayPolicy{EveryPoints: 2_000},
 		Coordinate: &ShardCoordinator{
-			Every:   5_000,
 			Collect: func(int, ShardPipeline) any { return 1 },
 			Merge:   func([]any) (any, bool) { return nil, true },
 			Apply:   func(int, ShardPipeline, any) {},
 		},
-		Rebalance: &RebalancePolicy{},
+		Rebalance:       &RebalancePolicy{},
+		CoordinateEvery: 5_000,
 	}
 	runDone := make(chan struct{})
 	lastRead := make(chan StreamStats)

@@ -40,7 +40,7 @@ type QueryConfig struct {
 	// ReservoirSize configures the ADR capacities (default 10000).
 	ReservoirSize int `json:"reservoirSize,omitempty"`
 	// Confidence, when positive, attaches risk-ratio confidence
-	// intervals at the given level.
+	// intervals at the given level, which must lie in [0,1).
 	Confidence float64 `json:"confidence,omitempty"`
 	// CoordinateEvery is the cross-shard threshold coordination period
 	// in points (default 25000; only meaningful for sharded streams).
@@ -92,6 +92,11 @@ func (c *QueryConfig) Validate() error {
 	}
 	if c.DecayRate < 0 || c.DecayRate >= 1 {
 		return fmt.Errorf("ingest: decayRate %v out of [0,1)", c.DecayRate)
+	}
+	if c.Confidence < 0 || c.Confidence >= 1 {
+		// 1 would put the interval's z-score at infinity, and a level
+		// above it has no z-score at all.
+		return fmt.Errorf("ingest: confidence %v out of [0,1)", c.Confidence)
 	}
 	if c.DecayEveryPoints == 0 {
 		c.DecayEveryPoints = 100_000

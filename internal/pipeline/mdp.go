@@ -61,15 +61,19 @@ type Config struct {
 	// Trainer, when non-nil, replaces the default MAD/MCD model
 	// selection.
 	Trainer classify.Trainer
-	// CoordinateEvery is the cross-shard threshold coordination period
-	// in ingested points (default 25_000): every so many points the
-	// coordinator collects each shard's score-quantile summary, merges
-	// them into a global percentile cutoff, and pushes it back to every
-	// shard classifier, so an anomaly concentrated on one shard cannot
-	// silently inflate that shard's local threshold and suppress the
-	// merged explanation. Irrelevant with one shard (a single pipeline
-	// already computes the global quantile) and for custom classifiers
-	// that do not implement classify.ThresholdCoordinable.
+	// CoordinateEvery is the cross-shard coordinator's cadence in
+	// ingested points (default 25_000; core.StreamRunner.CoordinateEvery).
+	// Every so many points the coordinator runs one pass: it collects
+	// each shard's score-quantile summary, merges them into a global
+	// percentile cutoff, and pushes it back to every shard classifier,
+	// so an anomaly concentrated on one shard cannot silently inflate
+	// that shard's local threshold and suppress the merged explanation;
+	// and it checks the routing table's load window for a rebalance. A
+	// pass runs whichever of the two is on (DisableGlobalThreshold,
+	// DisableRebalance). Irrelevant with one shard (a single pipeline
+	// already computes the global quantile, and there is nothing to
+	// route); threshold rounds are no-ops for custom classifiers that do
+	// not implement classify.ThresholdCoordinable.
 	CoordinateEvery int
 	// RoutingBuckets is the skew-adaptive router's requested virtual-
 	// bucket count (default core.DefaultRoutingBuckets = 256; the
@@ -83,8 +87,9 @@ type Config struct {
 	// migrates hot buckets to cooler shards and publishes a new routing
 	// epoch. See core.RebalancePolicy.
 	RebalanceAbove float64
-	// DisableRebalance turns skew-adaptive routing off, pinning every
-	// attribute set to its direct-hash shard for the whole run. Set it
+	// DisableRebalance turns skew-adaptive routing off, pinning the
+	// identity routing table, and so every attribute set to its
+	// HashPartition shard, for the whole run. Set it
 	// when bit-exact cross-run reproducibility matters more than load
 	// balance (rebalance rounds fire asynchronously with ingest, so
 	// routed runs can split an attribute set's counts across shards at

@@ -215,17 +215,17 @@ func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, expla
 			classifiers[shard] = pl.Classifier
 			return pl
 		},
-		BatchSize: cfg.BatchSize,
-		Decay:     core.DecayPolicy{EveryPoints: cfg.DecayEveryPoints},
+		BatchSize:       cfg.BatchSize,
+		Decay:           core.DecayPolicy{EveryPoints: cfg.DecayEveryPoints},
+		CoordinateEvery: cfg.CoordinateEvery,
 	}
 	if shards > 1 && !cfg.DisableRebalance {
 		// Skew-adaptive routing is on by default for multi-shard runs;
-		// rebalance checks ride the coordinator cadence (and keep that
-		// cadence even when threshold coordination is disabled).
+		// rebalance checks ride the one coordinator cadence, with or
+		// without threshold coordination.
 		r.Rebalance = &core.RebalancePolicy{
 			Buckets: cfg.RoutingBuckets,
 			Above:   cfg.RebalanceAbove,
-			Every:   cfg.CoordinateEvery,
 		}
 	}
 	if coord != nil && coord.enabled {
@@ -237,7 +237,6 @@ func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, expla
 		merger := &classify.ScoreSummaryMerger{}
 		sums := make([]classify.ScoreSummary, 0, shards)
 		r.Coordinate = &core.ShardCoordinator{
-			Every: cfg.CoordinateEvery,
 			Collect: func(shard int, pl core.ShardPipeline) any {
 				tc, ok := pl.Classifier.(classify.ThresholdCoordinable)
 				if !ok {
