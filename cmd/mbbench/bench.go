@@ -346,9 +346,9 @@ func microBenchmarks() []benchResult {
 			// so one op is one 1024-point batch through producer enqueue,
 			// partition read, bucket routing through the live routing
 			// table into pooled per-shard slabs, and worker consumption —
-			// the ingest plane with the analytics stripped out. The
-			// Rebalance policy is set so the 0-allocs/op gate also
-			// guards the bucket load counters and epoch swaps.
+			// the ingest plane with the analytics stripped out.
+			// Rebalancing is on so the 0-allocs/op gate also guards the
+			// bucket load counters and epoch swaps.
 			d := gen.Devices(gen.DeviceConfig{Points: 64_512, Devices: 400, Seed: 42})
 			const batchPts = 1024
 			var batches [][]core.Point
@@ -362,7 +362,7 @@ func microBenchmarks() []benchResult {
 				Shards:          4,
 				NewShard:        func(int) core.ShardPipeline { return core.ShardPipeline{} },
 				BatchSize:       batchPts,
-				Rebalance:       &core.RebalancePolicy{},
+				Rebalance:       true,
 				CoordinateEvery: 8192,
 			}
 			b.ResetTimer()

@@ -278,9 +278,10 @@ func TestStreamEndpointsConcurrent(t *testing.T) {
 // push-session rows are hostile: a push session needs no file, so
 // nothing but validation stands between each of them and the session
 // runner (a decay rate outside [0, 1) panicked there, on a goroutine
-// net/http cannot recover, and took the server down) or a routing table
-// of billions of buckets. Every row must be a 400 naming the bad field,
-// and a session started beforehand must still answer polls afterwards.
+// net/http cannot recover, and took the server down). Routing settings
+// are not fields, so a routing table of billions of buckets is an
+// unknown-field 400. Every row must be a 400 naming the bad field, and
+// a session started beforehand must still answer polls afterwards.
 func TestStreamStartErrors(t *testing.T) {
 	srv := httptest.NewServer(newMux(newStreamRegistry()))
 	defer srv.Close()
@@ -309,7 +310,7 @@ func TestStreamStartErrors(t *testing.T) {
 		{"negative reservoirSize", `{` + push + `,"reservoirSize":-5}`, "reservoirSize"},
 		{"negative coordinateEvery", `{` + push + `,"coordinateEvery":-1,"shards":2}`, "coordinateEvery"},
 		{"negative routingBuckets", `{` + push + `,"routingBuckets":-1,"shards":2}`, "routingBuckets"},
-		{"huge routingBuckets", `{` + push + `,"routingBuckets":10000000000,"shards":2}`, "routingBuckets must be <="},
+		{"huge routingBuckets", `{` + push + `,"routingBuckets":10000000000,"shards":2}`, "routingBuckets"},
 		// The poll worker count is no longer a setting.
 		{"pollParallelism", `{` + push + `,"pollParallelism":4}`, "pollParallelism"},
 	} {

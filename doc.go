@@ -148,9 +148,10 @@
 // throughput, not P times the mean. Every multi-shard run therefore
 // routes through one level of indirection, and there is no other scatter
 // path: the scatter loop hashes a point's attributes to one of V virtual
-// buckets (core.HashBucket, V defaulting to 256 rounded up to a multiple
-// of P) and looks the bucket up in a versioned routing table ([]int32,
-// bucket -> shard) read through an atomic pointer. A rebalancing run
+// buckets (core.HashBucket; V is core.DefaultRoutingBuckets, 256,
+// rounded up to a multiple of P) and looks the bucket up in a
+// versioned routing table ([]int32, bucket -> shard) read through an
+// atomic pointer. A rebalancing run
 // also adds one per-bucket load-counter increment per point; the data
 // plane stays allocation-free either way (the Route/p3s4 kernel gates 0
 // allocs/op with rebalancing active). A single shard has no table: each
@@ -164,9 +165,9 @@
 // per-bucket counters (single-writer per partition, summed by the
 // coordinator), diffs them against the last judged round into a load
 // window, and — when the hottest healthy shard's windowed share times P
-// exceeds Config.RebalanceAbove (default 1.5) — greedily moves the
-// largest movable buckets to the coolest healthy shards until the
-// window settles at the midpoint between the trigger and perfect
+// exceeds the fixed trigger 1.5 (core's rebalanceAbove constant; there
+// is no setting) — greedily moves the largest movable buckets to the
+// coolest healthy shards until the window settles at the midpoint between the trigger and perfect
 // balance (hysteresis against churn), then publishes the rewritten
 // table under the next epoch (copy-on-write; in-flight scatter loops
 // finish their batch on the old epoch, deferring a move by at most one

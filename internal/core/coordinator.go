@@ -96,7 +96,7 @@ func (r *StreamRunner) coordinate(workers []*shardWorker) {
 	sums := make([]any, len(workers))
 	var rb *rebalState
 	if r.bucketLoads != nil {
-		rb = newRebalState(r.rebal.buckets, len(workers))
+		rb = newRebalState(len(r.route.Load().assign), len(workers))
 	}
 	for range r.coordCh {
 		if r.Coordinate != nil && !r.coordRound(workers, sums) {
@@ -189,7 +189,9 @@ func (r *StreamRunner) maybeRebalance(workers []*shardWorker, st *rebalState) {
 	copy(st.last, st.cur)
 	next := make([]int32, len(rt.assign))
 	copy(next, rt.assign)
-	moves := rebalanceAssign(next, st.win, st.healthy, r.rebal.above, r.rebal.maxMoves)
+	// A round moves at most V/4 buckets: that bounds both the per-round
+	// work and the count-splitting churn.
+	moves := rebalanceAssign(next, st.win, st.healthy, rebalanceAbove, max(len(next)/4, 1))
 	if moves == 0 {
 		return
 	}

@@ -23,14 +23,14 @@ func TestCoordinatorOnePassPerCadence(t *testing.T) {
 	cases := []struct {
 		name      string
 		coord     *ShardCoordinator
-		rebalance *RebalancePolicy
+		rebalance bool
 		passes    int
 		rounds    int
 	}{
-		{"rebalance only", nil, &RebalancePolicy{}, passes, 0},
-		{"thresholds only", coordinate(), nil, passes, passes},
-		{"both", coordinate(), &RebalancePolicy{}, passes, passes},
-		{"neither", nil, nil, 0, 0},
+		{"rebalance only", nil, true, passes, 0},
+		{"thresholds only", coordinate(), false, passes, passes},
+		{"both", coordinate(), true, passes, passes},
+		{"neither", nil, false, 0, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

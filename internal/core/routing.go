@@ -10,82 +10,33 @@ import (
 
 // DefaultRoutingBuckets is the default virtual-bucket count of the
 // routing table. The effective count is rounded up to a multiple of the
-// shard count so the identity table reproduces HashPartition placement
-// bit-exactly until the first rebalance (see RebalancePolicy).
+// shard count (routingBuckets) so the identity table reproduces
+// HashPartition placement bit-exactly until the first rebalance.
 const DefaultRoutingBuckets = 256
 
-// RebalancePolicy enables skew-adaptive routing on a StreamRunner.
-// Every multi-shard run routes through a routing table: the scatter
-// loop hashes a point to one of V virtual buckets and looks the bucket
-// up in a versioned table ([]int32, bucket -> shard) read through an
-// atomic pointer — zero allocations per point. Without a policy the
-// table is the identity layout for the whole run. With one, the
-// scatter loop also counts each bucket's load, and on each
-// StreamRunner.CoordinateEvery boundary the coordinator goroutine reads
-// the counters and, when the healthy-shard load imbalance exceeds
-// Above, greedily reassigns the hottest buckets to the coolest healthy
-// shards and publishes a new table under the next routing epoch.
-// Buckets resident on quarantined shards are evacuated unconditionally;
-// quarantined shards are never move targets.
-//
-// The same-attribute-vector-same-shard invariant is preserved (a bucket
-// moves wholesale, and a point's bucket is a pure function of its
-// attributes), but one attribute set's *history* is split across the
-// old and new shard after a move. That is exactly the cross-shard split
-// the shard merge laws already handle: merged sketches sum counts with
-// summed error bounds, and every mined table path recounts support
-// canonically via ItemsetSupport, so polls remain consistent across
-// moves.
-//
-// The policy is ignored when the runner has a single shard: there is
-// nothing to route.
-type RebalancePolicy struct {
-	// Buckets is the requested virtual-bucket count V (default
-	// DefaultRoutingBuckets). The effective count is the smallest
-	// multiple of the shard count >= max(Buckets, shards), so that the
-	// initial identity table assign[b] = b % shards makes
-	// (hash % V) % shards == hash % shards: routing is bit-identical to
-	// HashPartition for every shard count until a rebalance fires.
-	Buckets int
-	// Above is the imbalance trigger (default 1.5): the hottest healthy
-	// shard's share of the measurement window, multiplied by the shard
-	// count. 1.0 is perfect balance; below Above the table is left
-	// alone (hysteresis — rebalancing has a cost: a moved bucket splits
-	// its attribute sets' counts across two shards' summaries).
-	Above float64
-}
+// rebalanceAbove is the imbalance trigger of a rebalancing run: the
+// hottest healthy shard's share of the measurement window, multiplied
+// by the shard count. 1.0 is perfect balance; at or below the trigger
+// the table is left alone (hysteresis — rebalancing has a cost: a moved
+// bucket splits its attribute sets' counts across two shards'
+// summaries).
+const rebalanceAbove = 1.5
 
-// rebalConfig is a RebalancePolicy with defaults applied and the bucket
-// count normalized against the shard count.
-type rebalConfig struct {
-	buckets  int
-	above    float64
-	maxMoves int
-}
-
-func (p *RebalancePolicy) normalize(shards int) rebalConfig {
-	v := p.Buckets
-	if v <= 0 {
-		v = DefaultRoutingBuckets
-	}
-	if v < shards {
-		v = shards
-	}
+// routingBuckets is the virtual-bucket count V of a shards-way run: the
+// smallest multiple of shards >= max(DefaultRoutingBuckets, shards),
+// so that the identity table assign[b] = b % shards makes
+// (hash % V) % shards == hash % shards: routing is bit-identical to
+// HashPartition for every shard count until a rebalance fires.
+func routingBuckets(shards int) int {
+	v := max(DefaultRoutingBuckets, shards)
 	if rem := v % shards; rem != 0 {
 		v += shards - rem
 	}
-	above := p.Above
-	if above <= 1 {
-		above = 1.5
-	}
-	// A round moves at most V/4 buckets: that bounds both the per-round
-	// work and the count-splitting churn.
-	return rebalConfig{buckets: v, above: above, maxMoves: max(v/4, 1)}
+	return v
 }
 
 // initRouting installs the run's routing state. A multi-shard run
-// starts on the identity table over a bucket count that is a multiple
-// of the shard count, so (hash % V) % shards == hash % shards and
+// starts on the identity table over routingBuckets(shards) buckets, so
 // placement is bit-identical to HashPartition until a rebalance; the
 // per-partition bucket load counters exist only when the run
 // rebalances. A single shard has no table: its reads are handed over
@@ -96,20 +47,15 @@ func (r *StreamRunner) initRouting(shards, parts int) {
 	if shards == 1 {
 		return
 	}
-	var p RebalancePolicy
-	if r.Rebalance != nil {
-		p = *r.Rebalance
-	}
-	r.rebal = p.normalize(shards)
-	assign := make([]int32, r.rebal.buckets)
+	assign := make([]int32, routingBuckets(shards))
 	for b := range assign {
 		assign[b] = int32(b % shards)
 	}
 	r.route.Store(&routeTable{assign: assign})
-	if r.Rebalance != nil {
+	if r.Rebalance {
 		r.bucketLoads = make([][]atomic.Int64, parts)
 		for i := range r.bucketLoads {
-			r.bucketLoads[i] = make([]atomic.Int64, r.rebal.buckets)
+			r.bucketLoads[i] = make([]atomic.Int64, len(assign))
 		}
 	}
 }

@@ -10,27 +10,21 @@ import (
 // multiple of the shard count, never below it.
 func TestRebalancePolicyNormalize(t *testing.T) {
 	cases := []struct {
-		buckets, shards, want int
+		shards, want int
 	}{
-		{0, 4, 256}, // default, already a multiple
-		{0, 3, 258}, // default rounded up to a multiple of 3
-		{256, 3, 258},
-		{10, 4, 12},
-		{1, 7, 7}, // below shards: clamp then multiple
-		{7, 7, 7},
-		{100, 1, 100},
+		{4, 256}, // default, already a multiple
+		{3, 258}, // default rounded up to a multiple of 3
+		{7, 259},
+		{1, 256},
+		{300, 300}, // more shards than the default: one bucket each
 	}
 	for _, c := range cases {
-		p := RebalancePolicy{Buckets: c.buckets}
-		got := p.normalize(c.shards)
-		if got.buckets != c.want {
-			t.Errorf("normalize(buckets=%d, shards=%d): got %d buckets, want %d", c.buckets, c.shards, got.buckets, c.want)
+		got := routingBuckets(c.shards)
+		if got != c.want {
+			t.Errorf("routingBuckets(%d): got %d buckets, want %d", c.shards, got, c.want)
 		}
-		if got.buckets%c.shards != 0 {
-			t.Errorf("normalize(buckets=%d, shards=%d): %d not a multiple of %d", c.buckets, c.shards, got.buckets, c.shards)
-		}
-		if got.above <= 1 || got.maxMoves <= 0 {
-			t.Errorf("normalize defaults not applied: %+v", got)
+		if got%c.shards != 0 {
+			t.Errorf("routingBuckets(%d): %d not a multiple of %d", c.shards, got, c.shards)
 		}
 	}
 }
@@ -42,15 +36,14 @@ func TestRebalancePolicyNormalize(t *testing.T) {
 // that don't.
 func TestIdentityTableMatchesHashPartition(t *testing.T) {
 	for _, shards := range []int{2, 3, 4, 5, 7, 8, 16} {
-		var p RebalancePolicy
-		cfg := p.normalize(shards)
-		assign := make([]int32, cfg.buckets)
+		buckets := routingBuckets(shards)
+		assign := make([]int32, buckets)
 		for b := range assign {
 			assign[b] = int32(b % shards)
 		}
 		for i := 0; i < 10_000; i++ {
 			pt := Point{Attrs: []int32{int32(i), int32(i * 31), int32(i % 97)}}
-			b := HashBucket(&pt, cfg.buckets)
+			b := HashBucket(&pt, buckets)
 			if b < 0 {
 				t.Fatalf("attributed point returned bucket %d", b)
 			}
@@ -186,19 +179,19 @@ func TestRebalanceAssignSingleGiantBucket(t *testing.T) {
 func TestMaybeRebalanceJudgesOnlyFullWindows(t *testing.T) {
 	const shards = 2
 	r := &StreamRunner{coordEvery: 1000}
-	r.rebal = (&RebalancePolicy{}).normalize(shards)
-	assign := make([]int32, r.rebal.buckets)
+	buckets := routingBuckets(shards)
+	assign := make([]int32, buckets)
 	for b := range assign {
 		assign[b] = int32(b % shards)
 	}
 	r.route.Store(&routeTable{assign: assign})
-	r.bucketLoads = [][]atomic.Int64{make([]atomic.Int64, r.rebal.buckets)}
+	r.bucketLoads = [][]atomic.Int64{make([]atomic.Int64, buckets)}
 	loads := r.bucketLoads[0]
 	workers := []*shardWorker{
 		{id: 0, exec: newPipeExec(ShardPipeline{}, DecayPolicy{})},
 		{id: 1, exec: newPipeExec(ShardPipeline{}, DecayPolicy{})},
 	}
-	st := newRebalState(r.rebal.buckets, shards)
+	st := newRebalState(buckets, shards)
 	epoch := func() int64 { return r.route.Load().epoch }
 
 	// Buckets 0 and 2 both live on shard 0.
@@ -230,7 +223,7 @@ func TestMaybeRebalanceJudgesOnlyFullWindows(t *testing.T) {
 	r.maybeRebalance(workers, st)
 	// The dead shard holds more buckets than one round may move, so the
 	// round moves exactly its cap.
-	if want := 1 + int64(r.rebal.maxMoves); epoch() != 2 || r.moves.Load() != want {
+	if want := 1 + int64(buckets/4); epoch() != 2 || r.moves.Load() != want {
 		t.Fatalf("dead shard not evacuated on a 3-point window: %d moves (want %d), epoch %d", r.moves.Load(), want, epoch())
 	}
 }
@@ -247,7 +240,7 @@ func TestStreamRunnerRebalancesSkewedLoad(t *testing.T) {
 	)
 	// Hot attribute vectors: single-attr points whose hash lands on
 	// shard 0, but in distinct buckets so they can spread.
-	cfg := (&RebalancePolicy{}).normalize(shards)
+	buckets := routingBuckets(shards)
 	var hot []int32
 	seen := map[int]bool{}
 	for a := int32(0); len(hot) < 8 && a < 100_000; a++ {
@@ -255,7 +248,7 @@ func TestStreamRunnerRebalancesSkewedLoad(t *testing.T) {
 		if HashPartition(&pt, shards) != 0 {
 			continue
 		}
-		b := HashBucket(&pt, cfg.buckets)
+		b := HashBucket(&pt, buckets)
 		if seen[b] {
 			continue
 		}
@@ -273,7 +266,7 @@ func TestStreamRunnerRebalancesSkewedLoad(t *testing.T) {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
 		},
 		BatchSize:       256,
-		Rebalance:       &RebalancePolicy{},
+		Rebalance:       true,
 		CoordinateEvery: 5_000,
 	}
 	go func() {
@@ -320,13 +313,13 @@ func TestStreamRunnerRebalancesSkewedLoad(t *testing.T) {
 }
 
 // TestStreamRunnerRoutingSpreadsAttrLessPoints: in every multi-shard
-// run, with or without a rebalance policy, attribute-less points
+// run, rebalancing or not, attribute-less points
 // round-robin across shards instead of pinning shard 0 (they carry no
 // itemsets, so placement is free).
 func TestStreamRunnerRoutingSpreadsAttrLessPoints(t *testing.T) {
 	const shards = 4
 	const total = 8_000
-	for _, policy := range []*RebalancePolicy{{}, nil} {
+	for _, rebalance := range []bool{true, false} {
 		src := newChanSource(1, 2)
 		sr := StreamRunner{
 			Partitioned: src,
@@ -335,7 +328,7 @@ func TestStreamRunnerRoutingSpreadsAttrLessPoints(t *testing.T) {
 				return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
 			},
 			BatchSize: 256,
-			Rebalance: policy,
+			Rebalance: rebalance,
 		}
 		go func() {
 			part := src.parts[0]
@@ -354,7 +347,7 @@ func TestStreamRunnerRoutingSpreadsAttrLessPoints(t *testing.T) {
 		}
 		for s, ps := range stats.PerShard {
 			if ps.Points < total/shards-10 || ps.Points > total/shards+10 {
-				t.Fatalf("rebalance policy %v: shard %d got %d attr-less points, want ~%d (per-shard %+v)", policy, s, ps.Points, total/shards, stats.PerShard)
+				t.Fatalf("rebalance %v: shard %d got %d attr-less points, want ~%d (per-shard %+v)", rebalance, s, ps.Points, total/shards, stats.PerShard)
 			}
 		}
 	}

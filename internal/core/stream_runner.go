@@ -41,7 +41,7 @@ type StreamStats struct {
 	// rebalance-only run completes passes and no rounds.
 	CoordPasses int
 	// RoutingEpoch is the skew-adaptive router's table version (0 when
-	// routing is inactive or has not rebalanced). See RebalancePolicy.
+	// routing is inactive or has not rebalanced). See Rebalance.
 	RoutingEpoch int64
 	// BucketMoves counts virtual-bucket reassignments across the run.
 	BucketMoves int64
@@ -81,7 +81,7 @@ type ShardFailure struct {
 // StreamRunner executes a MacroBase pipeline sharded across P
 // shared-nothing workers, fed by push-based partitioned ingestion: one
 // ingest goroutine per source partition pulls batches, routes the
-// points through the routing table (see RebalancePolicy), and hands
+// points through the routing table (see Rebalance), and hands
 // per-shard sub-batches to workers over bounded channels
 // (backpressure, not buffering, absorbs bursts). Routing happens inside
 // each ingest goroutine, so the bounded per-shard channels are the only
@@ -167,12 +167,32 @@ type StreamRunner struct {
 	// quantiles into one global classification threshold). See
 	// ShardCoordinator for the protocol and its consistency model.
 	Coordinate *ShardCoordinator
-	// Rebalance, when non-nil, makes the routing table skew-adaptive:
-	// hot buckets migrate off overloaded shards mid-run. Without it the
-	// table keeps its identity layout, which places every point with
-	// attributes where HashPartition does. Ignored when Shards <= 1. See
-	// RebalancePolicy for the consistency model.
-	Rebalance *RebalancePolicy
+	// Rebalance makes the routing table skew-adaptive. Every
+	// multi-shard run routes through a routing table: the scatter loop
+	// hashes a point to one of V virtual buckets and looks the bucket up
+	// in a versioned table ([]int32, bucket -> shard) read through an
+	// atomic pointer — zero allocations per point. Without Rebalance the
+	// table keeps its identity layout for the whole run, which places
+	// every point with attributes where HashPartition does. With it the
+	// scatter loop also counts each bucket's load, and on each
+	// CoordinateEvery boundary the coordinator reads the counters and,
+	// when the healthy-shard load imbalance exceeds 1.5 (the hottest
+	// healthy shard's windowed share times the shard count), greedily
+	// reassigns the hottest buckets to the coolest healthy shards and
+	// publishes a new table under the next routing epoch. Buckets
+	// resident on quarantined shards are evacuated unconditionally;
+	// quarantined shards are never move targets. Ignored when
+	// Shards <= 1: there is nothing to route.
+	//
+	// The same-attribute-vector-same-shard invariant is preserved (a
+	// bucket moves wholesale, and a point's bucket is a pure function
+	// of its attributes), but one attribute set's *history* is split
+	// across the old and new shard after a move. That is exactly the
+	// cross-shard split the shard merge laws already handle: merged
+	// sketches sum counts with summed error bounds, and every mined
+	// table path recounts support canonically via ItemsetSupport, so
+	// polls remain consistent across moves.
+	Rebalance bool
 	// CoordinateEvery is the coordinator's cadence in ingested points
 	// (default 25_000): each time the count crosses a multiple of it,
 	// the coordinator runs one pass — a threshold round when Coordinate
@@ -214,11 +234,9 @@ type StreamRunner struct {
 	// routing epoch, swapped whole by the coordinator; bucketLoads
 	// [partition][bucket] are the scatter loops' load counters, present
 	// only when the run rebalances — single-writer per partition, read
-	// racily (and harmlessly) by the coordinator's window diff. rebal
-	// carries the normalized policy.
+	// racily (and harmlessly) by the coordinator's window diff.
 	route       atomic.Pointer[routeTable]
 	bucketLoads [][]atomic.Int64
-	rebal       rebalConfig
 
 	// coordEvery is CoordinateEvery with its default applied. coordCh
 	// wakes the coordinator goroutine when the ingested-point count

@@ -254,7 +254,7 @@ func TestStreamRunnerStatsAcrossTeardown(t *testing.T) {
 			Merge:   func([]any) (any, bool) { return nil, true },
 			Apply:   func(int, ShardPipeline, any) {},
 		},
-		Rebalance:       &RebalancePolicy{},
+		Rebalance:       true,
 		CoordinateEvery: 5_000,
 	}
 	runDone := make(chan struct{})

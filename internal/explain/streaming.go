@@ -22,10 +22,6 @@ type StreamingConfig struct {
 	// AMCSize is the stable size of the single-attribute sketches
 	// (default 10_000).
 	AMCSize int
-	// AMCMaintainEvery, when positive, additionally prunes the
-	// sketches every n observations (Figure 6 uses 10K); by default
-	// maintenance runs only at decay boundaries.
-	AMCMaintainEvery int
 	// MaxItems, when positive, bounds combination size.
 	MaxItems int
 	// Confidence, when positive, attaches risk-ratio confidence
@@ -90,18 +86,13 @@ type Streaming struct {
 // NewStreaming returns a streaming explainer.
 func NewStreaming(cfg StreamingConfig) *Streaming {
 	cfg = cfg.withDefaults()
-	s := &Streaming{
+	return &Streaming{
 		cfg:      cfg,
 		outAttrs: sketch.NewDenseAMC(cfg.AMCSize, cfg.DecayRate),
 		inAttrs:  sketch.NewDenseAMC(cfg.AMCSize, cfg.DecayRate),
 		outTree:  cps.NewMCPS(),
 		inTree:   cps.NewMCPS(),
 	}
-	if cfg.AMCMaintainEvery > 0 {
-		s.outAttrs.WithMaintenanceEvery(cfg.AMCMaintainEvery)
-		s.inAttrs.WithMaintenanceEvery(cfg.AMCMaintainEvery)
-	}
-	return s
 }
 
 // Consume implements core.Explainer: attributes of each labeled point

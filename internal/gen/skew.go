@@ -74,9 +74,9 @@ type SkewData struct {
 	HotShare float64
 }
 
-// routingBucketsFor mirrors core.RebalancePolicy's bucket-count
-// normalization for the default bucket count: the smallest multiple of
-// shards >= core.DefaultRoutingBuckets. The generator needs it to pick
+// routingBucketsFor mirrors the routing table's bucket count in
+// internal/core (routingBuckets): the smallest multiple of shards >=
+// core.DefaultRoutingBuckets. The generator needs it to pick
 // hot devices in distinct buckets, so a rebalance can actually separate
 // them.
 func routingBucketsFor(shards int) int {

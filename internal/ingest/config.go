@@ -49,13 +49,6 @@ type QueryConfig struct {
 	// off, restoring per-shard percentile cutoffs (bit-exact
 	// reproducible, but skew-sensitive).
 	DisableGlobalThreshold bool `json:"disableGlobalThreshold,omitempty"`
-	// RoutingBuckets is the skew-adaptive router's virtual-bucket count
-	// (default 256, rounded up to a multiple of the shard count).
-	RoutingBuckets int `json:"routingBuckets,omitempty"`
-	// RebalanceAbove is the load-imbalance trigger above which the
-	// coordinator migrates hot routing buckets to cooler shards
-	// (default 1.5; only meaningful for sharded streams).
-	RebalanceAbove float64 `json:"rebalanceAbove,omitempty"`
 	// DisableRebalance pins every attribute set to its direct-hash
 	// shard for the whole run (bit-exact reproducible, but hot
 	// attribute combinations stay hot).
@@ -111,7 +104,6 @@ func (c *QueryConfig) Validate() error {
 		{"decayEveryPoints", c.DecayEveryPoints},
 		{"reservoirSize", c.ReservoirSize},
 		{"coordinateEvery", c.CoordinateEvery},
-		{"routingBuckets", c.RoutingBuckets},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("ingest: %s %d must be >= 0", f.name, f.v)

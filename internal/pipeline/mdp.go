@@ -75,18 +75,6 @@ type Config struct {
 	// route); threshold rounds are no-ops for custom classifiers that do
 	// not implement classify.ThresholdCoordinable.
 	CoordinateEvery int
-	// RoutingBuckets is the skew-adaptive router's requested virtual-
-	// bucket count (default core.DefaultRoutingBuckets = 256; the
-	// effective count is rounded up to a multiple of the shard count so
-	// that, until the first rebalance, placement is bit-identical to the
-	// direct hash).
-	RoutingBuckets int
-	// RebalanceAbove is the load-imbalance trigger for skew-adaptive
-	// routing (default 1.5): when the hottest healthy shard's windowed
-	// load share times the shard count exceeds it, the coordinator
-	// migrates hot buckets to cooler shards and publishes a new routing
-	// epoch. See core.RebalancePolicy.
-	RebalanceAbove float64
 	// DisableRebalance turns skew-adaptive routing off, pinning the
 	// identity routing table, and so every attribute set to its
 	// HashPartition shard, for the whole run. Set it

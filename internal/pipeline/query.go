@@ -24,8 +24,6 @@ func FromQuery(q *ingest.QueryConfig) Config {
 		Confidence:             q.Confidence,
 		CoordinateEvery:        q.CoordinateEvery,
 		DisableGlobalThreshold: q.DisableGlobalThreshold,
-		RoutingBuckets:         q.RoutingBuckets,
-		RebalanceAbove:         q.RebalanceAbove,
 		DisableRebalance:       q.DisableRebalance,
 		Seed:                   q.Seed,
 	}

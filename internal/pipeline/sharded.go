@@ -219,15 +219,10 @@ func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, expla
 		Decay:           core.DecayPolicy{EveryPoints: cfg.DecayEveryPoints},
 		CoordinateEvery: cfg.CoordinateEvery,
 	}
-	if shards > 1 && !cfg.DisableRebalance {
-		// Skew-adaptive routing is on by default for multi-shard runs;
-		// rebalance checks ride the one coordinator cadence, with or
-		// without threshold coordination.
-		r.Rebalance = &core.RebalancePolicy{
-			Buckets: cfg.RoutingBuckets,
-			Above:   cfg.RebalanceAbove,
-		}
-	}
+	// Skew-adaptive routing is on by default for multi-shard runs;
+	// rebalance checks ride the one coordinator cadence, with or without
+	// threshold coordination.
+	r.Rebalance = shards > 1 && !cfg.DisableRebalance
 	if coord != nil && coord.enabled {
 		// Round scratch, all owned by the coordinator's serialized
 		// rounds: per-shard score buffers (filled on the shard's worker
@@ -350,7 +345,7 @@ func (s *StreamSession) newResult(stats core.StreamStats, views []shardView) *Sh
 	return &ShardedResult{
 		Stats:        stats,
 		Explanations: explain.MergeStreamingInto(owned),
-		Shards:       newShardBreakdown(per, s.coord, stats, s.rebalancing),
+		Shards:       newShardBreakdown(per, s.coord, stats, s.runner.Rebalance),
 	}
 }
 
@@ -376,11 +371,11 @@ func RunPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) 
 	if err != nil {
 		return nil, err
 	}
-	<-s.done
-	if s.err != nil {
-		return nil, s.err
+	res, err := s.Wait()
+	if err != nil {
+		return nil, err
 	}
-	return s.final, nil
+	return res, nil
 }
 
 // StreamSession is a long-lived sharded streaming query: Start launches
@@ -397,9 +392,6 @@ type StreamSession struct {
 	// coord is the coordination view shared with the runner's merge
 	// closure; pollers read the last global cutoff from it.
 	coord *coordState
-	// rebalancing records whether skew-adaptive routing is on for the
-	// session, decided once at start.
-	rebalancing bool
 
 	// ckParts are the checkpointable views of the session's ingest
 	// partitions — nil entries for partitions without offsets, such as
@@ -449,7 +441,6 @@ func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int
 	classifiers := make([]core.Classifier, shards)
 	s.coord = newCoordState(cfg, shards)
 	s.runner = newStreamRunner(parts, cfg, shards, explainers, classifiers, s.coord)
-	s.rebalancing = s.runner.Rebalance != nil
 	// Poll clones the shard's summary on the worker goroutine: the
 	// worker keeps consuming after the snapshot is handed over, so the
 	// clone is the isolation boundary. The classifier threshold rides
@@ -523,9 +514,7 @@ func (s *StreamSession) Poll() (*ShardedResult, error) {
 		case <-time.After(200 * time.Microsecond):
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.final, s.err
+	return s.Wait()
 }
 
 // livePoll builds the live result from one snapshot round — fresh
@@ -546,6 +535,13 @@ func (s *StreamSession) livePoll(snaps []any) *ShardedResult {
 // one-partition sources between reads).
 func (s *StreamSession) Stop() (*ShardedResult, error) {
 	s.runner.RequestStop()
+	return s.Wait()
+}
+
+// Wait blocks until the stream terminates (source exhausted, stopped,
+// or failed) and returns the final reconciled result and the stream's
+// error, as Stop does, without asking the stream to stop.
+func (s *StreamSession) Wait() (*ShardedResult, error) {
 	<-s.done
 	s.mu.Lock()
 	defer s.mu.Unlock()
