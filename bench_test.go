@@ -19,6 +19,7 @@ import (
 	"macrobase/internal/classify"
 	"macrobase/internal/core"
 	"macrobase/internal/cps"
+	"macrobase/internal/experiments"
 	"macrobase/internal/explain"
 	"macrobase/internal/fptree"
 	"macrobase/internal/gen"
@@ -205,7 +206,7 @@ func BenchmarkFig6Sketches(b *testing.B) {
 
 func BenchmarkTable3Fastpath(b *testing.B) {
 	pts := benchDatasetPoints(b, "CMT", true, 200_000)
-	metrics, attrs := pipeline.Flatten(pts)
+	metrics, attrs := experiments.Flatten(pts)
 	b.Run("portable", func(b *testing.B) {
 		b.SetBytes(int64(len(pts)))
 		for i := 0; i < b.N; i++ {
@@ -217,7 +218,7 @@ func BenchmarkTable3Fastpath(b *testing.B) {
 	b.Run("fused", func(b *testing.B) {
 		b.SetBytes(int64(len(pts)))
 		for i := 0; i < b.N; i++ {
-			pipeline.FastSimpleQuery(metrics, attrs, 0.99, 0.001, 3)
+			experiments.FastSimpleQuery(metrics, attrs, 0.99, 0.001, 3)
 		}
 	})
 }
@@ -367,7 +368,7 @@ func BenchmarkFig11ScaleOut(b *testing.B) {
 		b.Run(fmt.Sprintf("partitions-%d", p), func(b *testing.B) {
 			b.SetBytes(int64(len(pts)))
 			for i := 0; i < b.N; i++ {
-				if _, err := pipeline.RunParallel(pts, pipeline.Config{
+				if _, err := experiments.RunParallel(pts, pipeline.Config{
 					Dims: 1, Seed: 11, TrainSampleSize: 10_000,
 				}, p); err != nil {
 					b.Fatal(err)

@@ -97,6 +97,26 @@ func TestHandleQueryErrors(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("missing file status = %d", rec.Code)
 	}
+	// Out-of-range settings over a readable input. A reservoir too large
+	// to allocate would panic the streaming run instead.
+	csvPath := writeTestCSV(t)
+	for _, tc := range []struct{ name, settings, names string }{
+		{"huge streaming reservoirSize", `"streaming":true,"reservoirSize":1000000000000000`, "reservoirSize"},
+		{"reservoirSize past the limit", `"reservoirSize":1048577`, "reservoirSize"},
+		{"minSupport above one", `"minSupport":5`, "minSupport"},
+		{"negative minSupport", `"minSupport":-0.1`, "minSupport"},
+		{"negative minRiskRatio", `"minRiskRatio":-2`, "minRiskRatio"},
+	} {
+		body := fmt.Sprintf(`{"input":%q,"metrics":["power"],"attributes":["device"],%s}`, csvPath, tc.settings)
+		rec := httptest.NewRecorder()
+		handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, rec.Code)
+		}
+		if !strings.Contains(rec.Body.String(), tc.names) {
+			t.Errorf("%s: response %q does not name %q", tc.name, rec.Body.String(), tc.names)
+		}
+	}
 }
 
 func TestJSONSafe(t *testing.T) {
@@ -308,6 +328,9 @@ func TestStreamStartErrors(t *testing.T) {
 		{"decayRate above one", `{` + push + `,"decayRate":7,"shards":2}`, "decayRate"},
 		{"negative decayEveryPoints", `{` + push + `,"decayEveryPoints":-1}`, "decayEveryPoints"},
 		{"negative reservoirSize", `{` + push + `,"reservoirSize":-5}`, "reservoirSize"},
+		{"huge reservoirSize", `{` + push + `,"reservoirSize":1000000000000000,"shards":2}`, "reservoirSize"},
+		{"minSupport above one", `{` + push + `,"minSupport":5}`, "minSupport"},
+		{"negative minRiskRatio", `{` + push + `,"minRiskRatio":-1}`, "minRiskRatio"},
 		{"negative coordinateEvery", `{` + push + `,"coordinateEvery":-1,"shards":2}`, "coordinateEvery"},
 		{"negative routingBuckets", `{` + push + `,"routingBuckets":-1,"shards":2}`, "routingBuckets"},
 		{"huge routingBuckets", `{` + push + `,"routingBuckets":10000000000,"shards":2}`, "routingBuckets"},

@@ -1,13 +1,13 @@
 // Electricity: the time-series case study of paper §6.4.
 //
-// A month of per-minute household power readings is partitioned by
-// device, windowed into hours, and pushed through a short-time Fourier
-// transform; each hour becomes one point whose metrics are the lowest
-// Fourier magnitudes and whose attributes identify (device, hour of
-// day). An unmodified MDP then finds outlying time periods and
-// devices:
+// A month of per-minute household power readings is pushed through a
+// short-time Fourier transform, which groups the stream by device and
+// windows each device's readings by hour itself; each hour becomes one
+// point whose metrics are the lowest Fourier magnitudes and whose
+// attributes identify (device, hour of day). An unmodified MDP then
+// finds outlying time periods and devices:
 //
-//	ingest -> groupby(plug) -> window(1h) -> STFT -> truncate -> MCD -> %ile -> explain
+//	ingest -> STFT (per plug, 1h windows) -> truncate -> MCD -> %ile -> explain
 //
 // Expected report: the refrigerator's lunchtime hour (plug0, hour 12),
 // whose sustained chaotic draw looks spectrally unlike both its normal

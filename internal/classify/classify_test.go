@@ -85,7 +85,7 @@ func genStream(n int, outlierFrac float64, seed uint64) []core.Point {
 }
 
 func TestStreamingClassifierDetectsOutliers(t *testing.T) {
-	s := NewStreaming(StreamingConfig{Dims: 1, Percentile: 0.99, WarmupPoints: 500, RetrainEvery: 5000, Seed: 3}, nil)
+	s := NewStreaming(StreamingConfig{Dims: 1, Percentile: 0.99, warmupPoints: 500, RetrainEvery: 5000, Seed: 3}, nil)
 	pts := genStream(50_000, 0.01, 4)
 	var labeled []core.LabeledPoint
 	for i := 0; i < len(pts); i += 1000 {
@@ -123,7 +123,7 @@ func TestStreamingClassifierDetectsOutliers(t *testing.T) {
 }
 
 func TestStreamingWarmupLabelsInlier(t *testing.T) {
-	s := NewStreaming(StreamingConfig{Dims: 1, WarmupPoints: 1000, Seed: 5}, nil)
+	s := NewStreaming(StreamingConfig{Dims: 1, warmupPoints: 1000, Seed: 5}, nil)
 	pts := genStream(100, 0, 6)
 	labeled := s.ClassifyBatch(nil, pts)
 	for i := range labeled {
@@ -140,7 +140,7 @@ func TestStreamingWarmupLabelsInlier(t *testing.T) {
 // retraining must re-center the model (the Figure 5 behavior).
 func TestStreamingAdaptsToShift(t *testing.T) {
 	s := NewStreaming(StreamingConfig{
-		Dims: 1, Percentile: 0.99, WarmupPoints: 500,
+		Dims: 1, Percentile: 0.99, warmupPoints: 500,
 		RetrainEvery: 2000, DecayRate: 0.5, Seed: 7,
 	}, nil)
 	rng := rand.New(rand.NewPCG(8, 9))
@@ -207,7 +207,11 @@ func TestFitBatch(t *testing.T) {
 }
 
 func TestRuleAndHybrid(t *testing.T) {
-	rule := ThresholdRule("power>100", 0, 100)
+	rule := &Rule{
+		Name:    "power>100",
+		Outlier: func(p *core.Point) bool { return p.Metrics[0] > 100 },
+		Score:   func(p *core.Point) float64 { return p.Metrics[0] },
+	}
 	pts := []core.Point{{Metrics: []float64{50}}, {Metrics: []float64{150}}}
 	labeled := rule.ClassifyBatch(nil, pts)
 	if labeled[0].Label != core.Inlier || labeled[1].Label != core.Outlier {
@@ -236,9 +240,9 @@ func TestStreamingDriftCorrection(t *testing.T) {
 	// Small retrain interval off: rely on drift detection to fix a
 	// stale threshold when outlier rate explodes.
 	s := NewStreaming(StreamingConfig{
-		Dims: 1, Percentile: 0.99, WarmupPoints: 500,
+		Dims: 1, Percentile: 0.99, warmupPoints: 500,
 		RetrainEvery: 1 << 30, // never retrain on schedule
-		DriftZ:       3, DriftMinPoints: 500, Seed: 13,
+		driftZ:       3, driftMinPoints: 500, Seed: 13,
 	}, nil)
 	rng := rand.New(rand.NewPCG(14, 15))
 	batch := make([]core.Point, 1000)
@@ -281,7 +285,7 @@ func TestClassifyBatchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	s := NewStreaming(StreamingConfig{
 		Dims: 1, ReservoirSize: 256, ScoreReservoirSize: 256,
-		WarmupPoints: 256, RetrainEvery: 1 << 30, DriftZ: -1, Seed: 3,
+		warmupPoints: 256, RetrainEvery: 1 << 30, driftZ: -1, Seed: 3,
 	}, nil)
 	batch := make([]core.Point, 512)
 	metrics := make([]float64, len(batch))
@@ -311,7 +315,7 @@ func TestClassifyBatchZeroAlloc(t *testing.T) {
 // reservoir weight, and an untrained classifier exports an empty
 // summary mergers skip.
 func TestScoreQuantileSummaryExport(t *testing.T) {
-	s := NewStreaming(StreamingConfig{Dims: 1, WarmupPoints: 200, Seed: 3}, nil)
+	s := NewStreaming(StreamingConfig{Dims: 1, warmupPoints: 200, Seed: 3}, nil)
 
 	empty := s.ScoreQuantileSummary(nil)
 	if len(empty.Scores) != 0 || empty.Weight != 0 {
@@ -347,8 +351,8 @@ func TestScoreQuantileSummaryExport(t *testing.T) {
 // cutoff).
 func TestSetGlobalThreshold(t *testing.T) {
 	s := NewStreaming(StreamingConfig{
-		Dims: 1, Percentile: 0.99, WarmupPoints: 200,
-		RetrainEvery: 100_000, DriftZ: 3, DriftMinPoints: 500, Seed: 9,
+		Dims: 1, Percentile: 0.99, warmupPoints: 200,
+		RetrainEvery: 100_000, driftZ: 3, driftMinPoints: 500, Seed: 9,
 	}, nil)
 	s.ClassifyBatch(nil, genStream(3_000, 0.01, 5))
 	if s.ThresholdIsGlobal() {
@@ -357,7 +361,7 @@ func TestSetGlobalThreshold(t *testing.T) {
 
 	// Install an absurdly low global cutoff: everything becomes an
 	// outlier. Without the external flag, drift detection would snap
-	// the threshold back within DriftMinPoints; with it, the cutoff
+	// the threshold back within driftMinPoints; with it, the cutoff
 	// must hold.
 	s.SetGlobalThreshold(0.001)
 	if !s.ThresholdIsGlobal() || s.Threshold() != 0.001 {

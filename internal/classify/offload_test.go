@@ -12,7 +12,7 @@ import (
 // computed and what nothing is: labels, scores and refit count match a
 // classifier that fits inline.
 func TestStreamingOffloadSameLabels(t *testing.T) {
-	cfg := StreamingConfig{Dims: 1, Percentile: 0.99, WarmupPoints: 500, RetrainEvery: 5000, Seed: 3}
+	cfg := StreamingConfig{Dims: 1, Percentile: 0.99, warmupPoints: 500, RetrainEvery: 5000, Seed: 3}
 	inline := NewStreaming(cfg, nil)
 	offloaded := NewStreaming(cfg, nil)
 	fits := 0

@@ -14,9 +14,9 @@ func retrainPositions(t *testing.T, offset, n int) []int {
 	s := NewStreaming(StreamingConfig{
 		Dims:          1,
 		RetrainEvery:  1000,
-		WarmupPoints:  100,
+		warmupPoints:  100,
 		RetrainOffset: offset,
-		DriftZ:        -1,
+		driftZ:        -1,
 		Seed:          1,
 	}, nil)
 	var positions []int

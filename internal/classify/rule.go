@@ -35,16 +35,6 @@ func (r *Rule) ClassifyBatch(dst []core.LabeledPoint, batch []core.Point) []core
 	return dst
 }
 
-// ThresholdRule returns a Rule labeling points whose metric at dim
-// exceeds cut; the score is the raw metric value.
-func ThresholdRule(name string, dim int, cut float64) *Rule {
-	return &Rule{
-		Name:    name,
-		Outlier: func(p *core.Point) bool { return p.Metrics[dim] > cut },
-		Score:   func(p *core.Point) float64 { return p.Metrics[dim] },
-	}
-}
-
 // HybridOr combines classifiers with a logical OR: a point is an
 // outlier if any member labels it one, and its score is the maximum
 // member score. This is the hybrid supervision pipeline of the CMT

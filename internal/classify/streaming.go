@@ -39,20 +39,24 @@ type StreamingConfig struct {
 	// retrain — and drop their coordinated global threshold — in
 	// lockstep. 0 (the default) leaves the schedule unshifted.
 	RetrainOffset int
-	// WarmupPoints delays the first training until this many points
-	// have been observed (default min(1000, ReservoirSize)).
-	WarmupPoints int
-	// DriftZ, when positive, enables quantile-drift detection: if
-	// the observed outlier rate deviates from the target by more
-	// than DriftZ binomial standard errors, the threshold is
-	// recomputed immediately (paper §4.2 footnote 4). Default 3;
-	// negative disables.
-	DriftZ float64
-	// DriftMinPoints is the minimum observation count before a
-	// drift test is applied (default 2000).
-	DriftMinPoints int
 	// Seed drives reservoir sampling and model fitting.
 	Seed uint64
+
+	// The fields below keep their defaults outside this package's
+	// tests.
+
+	// warmupPoints delays the first training until this many points
+	// have been observed (default min(1000, ReservoirSize)).
+	warmupPoints int
+	// driftZ, when positive, enables quantile-drift detection: if
+	// the observed outlier rate deviates from the target by more
+	// than driftZ binomial standard errors, the threshold is
+	// recomputed immediately (paper §4.2 footnote 4). Default 3;
+	// negative disables.
+	driftZ float64
+	// driftMinPoints is the minimum observation count before a
+	// drift test is applied (default 2000).
+	driftMinPoints int
 }
 
 func (c StreamingConfig) withDefaults() StreamingConfig {
@@ -71,17 +75,17 @@ func (c StreamingConfig) withDefaults() StreamingConfig {
 	if c.RetrainEvery <= 0 {
 		c.RetrainEvery = 100_000
 	}
-	if c.WarmupPoints <= 0 {
-		c.WarmupPoints = 1000
-		if c.WarmupPoints > c.ReservoirSize {
-			c.WarmupPoints = c.ReservoirSize
+	if c.warmupPoints <= 0 {
+		c.warmupPoints = 1000
+		if c.warmupPoints > c.ReservoirSize {
+			c.warmupPoints = c.ReservoirSize
 		}
 	}
-	if c.DriftZ == 0 {
-		c.DriftZ = 3
+	if c.driftZ == 0 {
+		c.driftZ = 3
 	}
-	if c.DriftMinPoints <= 0 {
-		c.DriftMinPoints = 2000
+	if c.driftMinPoints <= 0 {
+		c.driftMinPoints = 2000
 	}
 	if c.RetrainOffset < 0 {
 		c.RetrainOffset = 0
@@ -295,7 +299,7 @@ func (s *Streaming) ClassifyBatch(dst []core.LabeledPoint, batch []core.Point) [
 		s.sinceTrain++
 
 		if s.model == nil {
-			if s.inputRes.Len() >= s.cfg.WarmupPoints {
+			if s.inputRes.Len() >= s.cfg.warmupPoints {
 				s.retrain()
 			}
 			if s.model == nil {
@@ -339,7 +343,7 @@ func (s *Streaming) retrain() {
 	// next round.
 	// Rescore the training sample to seed the threshold when the
 	// score reservoir is empty or stale after a model change.
-	if s.scoreRes.Len() < s.cfg.WarmupPoints/2 {
+	if s.scoreRes.Len() < s.cfg.warmupPoints/2 {
 		for _, v := range s.inputRes.Items() {
 			s.scoreRes.Observe(model.Score(v))
 		}
@@ -370,14 +374,14 @@ func (s *Streaming) recomputeThreshold() {
 // footnote 4: a sustained deviation of the observed outlier rate from
 // the target percentile triggers an immediate threshold refresh.
 func (s *Streaming) maybeDriftCorrect() {
-	if s.external || s.cfg.DriftZ <= 0 || s.driftSeen < s.cfg.DriftMinPoints {
+	if s.external || s.cfg.driftZ <= 0 || s.driftSeen < s.cfg.driftMinPoints {
 		return
 	}
 	q := 1 - s.cfg.Percentile
 	n := float64(s.driftSeen)
 	rate := float64(s.driftOutliers) / n
 	se := math.Sqrt(q * (1 - q) / n)
-	if math.Abs(rate-q) > s.cfg.DriftZ*se {
+	if math.Abs(rate-q) > s.cfg.driftZ*se {
 		s.recomputeThreshold()
 	}
 }

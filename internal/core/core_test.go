@@ -131,13 +131,13 @@ func (e *collectExplainer) Explanations() []Explanation  { return nil }
 func (e *collectExplainer) Decay()                       { e.decays++ }
 
 // runOneShard runs pl over src on a one-shard StreamRunner.
-func runOneShard(t *testing.T, src PartitionedSource, pl ShardPipeline, batch int, decay DecayPolicy) StreamStats {
+func runOneShard(t *testing.T, src PartitionedSource, pl ShardPipeline, batch, decayEvery int) StreamStats {
 	t.Helper()
 	r := StreamRunner{
 		Partitioned: src,
 		NewShard:    func(int) ShardPipeline { return pl },
 		BatchSize:   batch,
-		Decay:       decay,
+		DecayEvery:  decayEvery,
 	}
 	stats, err := r.Run()
 	if err != nil {
@@ -147,12 +147,12 @@ func runOneShard(t *testing.T, src PartitionedSource, pl ShardPipeline, batch in
 }
 
 // TestRunnerEndToEnd: one shard classifies and explains every point and
-// ticks decay every EveryPoints points, carrying the remainder across
+// ticks decay every DecayEvery points, carrying the remainder across
 // reads.
 func TestRunnerEndToEnd(t *testing.T) {
 	cls := &thresholdClassifier{cut: 94.5}
 	exp := &collectExplainer{}
-	stats := runOneShard(t, NewSliceSource(mkPoints(100, 0)), ShardPipeline{Classifier: cls, Explainer: exp}, 7, DecayPolicy{EveryPoints: 30})
+	stats := runOneShard(t, NewSliceSource(mkPoints(100, 0)), ShardPipeline{Classifier: cls, Explainer: exp}, 7, 30)
 	if stats.Points != 100 || stats.OutPoints != 100 {
 		t.Fatalf("stats = %+v", stats.RunStats)
 	}
@@ -167,17 +167,6 @@ func TestRunnerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunnerTimeDecay: time-based decay ticks on event time, anchored
-// at the first read's last point.
-func TestRunnerTimeDecay(t *testing.T) {
-	cls := &thresholdClassifier{cut: 1e9}
-	stats := runOneShard(t, NewSliceSource(mkPoints(100, 50)), ShardPipeline{Classifier: cls}, 10, DecayPolicy{EverySeconds: 25}) // Time = 50..149
-	// First batch establishes t=59; ticks at 84, 109, 134.
-	if stats.DecayTicks != 3 || cls.decays != 3 {
-		t.Errorf("time decay ticks = %d/%d, want 3", stats.DecayTicks, cls.decays)
-	}
-}
-
 // TestRunnerTransformAndFlush: a buffering transformer is flushed at end
 // of stream and its residue reaches the classifier.
 func TestRunnerTransformAndFlush(t *testing.T) {
@@ -185,7 +174,7 @@ func TestRunnerTransformAndFlush(t *testing.T) {
 		Transforms: []Transformer{&pairWindow{}},
 		Classifier: &thresholdClassifier{cut: -1},
 	}
-	stats := runOneShard(t, NewSliceSource(mkPoints(11, 0)), pl, 3, DecayPolicy{})
+	stats := runOneShard(t, NewSliceSource(mkPoints(11, 0)), pl, 3, 0)
 	// pairWindow pairs 10 of the 11 points across read boundaries; the
 	// 11th is still pending at end of stream and only the flush emits it.
 	if stats.OutPoints != 6 {

@@ -2,20 +2,6 @@ package core
 
 import "sync/atomic"
 
-// DecayPolicy controls when a shard damps its adaptive operators.
-// Exactly one of EveryPoints or EverySeconds should be set; the paper's
-// default configuration is "a decay rate of 0.01 every 100K points"
-// (§6), i.e. EveryPoints=100_000 with the rate held by each operator.
-type DecayPolicy struct {
-	// EveryPoints triggers a decay tick each time this many points
-	// have been ingested. Zero disables tuple-based decay.
-	EveryPoints int
-	// EverySeconds triggers a decay tick whenever event time
-	// advances by this many seconds (batch-based real-time decay,
-	// paper §4.2). Zero disables time-based decay.
-	EverySeconds float64
-}
-
 // RunStats summarizes one pipeline execution.
 type RunStats struct {
 	// Points is the number of points ingested from the source.
@@ -73,31 +59,29 @@ type pipeExec struct {
 	transforms []Transformer
 	classifier Classifier
 	explainer  Explainer
-	policy     DecayPolicy
+	decayEvery int
 	stats      *shardStats
 
 	sincePts int
-	lastTick float64
-	haveTick bool
 	labels   []LabeledPoint
 	xbufs    [][]Point
 }
 
 // newPipeExec builds the executor for one shard's pipeline, with a
 // fresh account.
-func newPipeExec(pl ShardPipeline, policy DecayPolicy) pipeExec {
+func newPipeExec(pl ShardPipeline, decayEvery int) pipeExec {
 	return pipeExec{
 		transforms: pl.Transforms,
 		classifier: pl.Classifier,
 		explainer:  pl.Explainer,
-		policy:     policy,
+		decayEvery: decayEvery,
 		stats:      &shardStats{},
 		xbufs:      make([][]Point, len(pl.Transforms)),
 	}
 }
 
-// consume pushes one ingested batch through the pipeline and applies
-// the decay policy.
+// consume pushes one ingested batch through the pipeline and ticks
+// decay.
 func (e *pipeExec) consume(pts []Point) {
 	e.stats.points.Add(int64(len(pts)))
 	e.process(pts)
@@ -152,27 +136,16 @@ func (e *pipeExec) dispatch(pts []Point) {
 	}
 }
 
-// maybeDecay applies the decay policy after ingesting pts.
+// maybeDecay ticks once for every decayEvery points ingested, carrying
+// the remainder across batches.
 func (e *pipeExec) maybeDecay(pts []Point) {
-	p := e.policy
-	if p.EveryPoints > 0 {
-		e.sincePts += len(pts)
-		for e.sincePts >= p.EveryPoints {
-			e.sincePts -= p.EveryPoints
-			e.tick()
-		}
+	if e.decayEvery <= 0 {
+		return
 	}
-	if p.EverySeconds > 0 && len(pts) > 0 {
-		now := pts[len(pts)-1].Time
-		if !e.haveTick {
-			e.lastTick = now
-			e.haveTick = true
-			return
-		}
-		for now-e.lastTick >= p.EverySeconds {
-			e.lastTick += p.EverySeconds
-			e.tick()
-		}
+	e.sincePts += len(pts)
+	for e.sincePts >= e.decayEvery {
+		e.sincePts -= e.decayEvery
+		e.tick()
 	}
 }
 

@@ -64,8 +64,8 @@ type Explainer interface {
 
 // Decayable is implemented by adaptive operators (ADR-backed
 // classifiers, AMC/M-CPS-tree explainers) whose state should be
-// exponentially damped. The engine invokes Decay on a tuple- or
-// time-based period (see DecayPolicy) (paper §3.2, §4.2, §5.3).
+// exponentially damped. The engine invokes Decay every
+// StreamRunner.DecayEvery points (paper §3.2, §4.2, §5.3).
 type Decayable interface {
 	Decay()
 }

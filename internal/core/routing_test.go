@@ -188,8 +188,8 @@ func TestMaybeRebalanceJudgesOnlyFullWindows(t *testing.T) {
 	r.bucketLoads = [][]atomic.Int64{make([]atomic.Int64, buckets)}
 	loads := r.bucketLoads[0]
 	workers := []*shardWorker{
-		{id: 0, exec: newPipeExec(ShardPipeline{}, DecayPolicy{})},
-		{id: 1, exec: newPipeExec(ShardPipeline{}, DecayPolicy{})},
+		{id: 0, exec: newPipeExec(ShardPipeline{}, 0)},
+		{id: 1, exec: newPipeExec(ShardPipeline{}, 0)},
 	}
 	st := newRebalState(buckets, shards)
 	epoch := func() int64 { return r.route.Load().epoch }

@@ -145,11 +145,13 @@ type StreamRunner struct {
 	NewShard func(shard int) ShardPipeline
 	// BatchSize is the ingest batch size (default 4096).
 	BatchSize int
-	// Decay is applied per shard on the shard's local clock: a shard
-	// ticks after ingesting EveryPoints of its own points (or when
-	// its own event time advances EverySeconds), exactly as a
-	// standalone EWS pipeline over the shard's substream would.
-	Decay DecayPolicy
+	// DecayEvery is the decay period in points, applied per shard on
+	// the shard's local clock: a shard ticks its Decayable operators
+	// after ingesting DecayEvery of its own points, exactly as a
+	// standalone EWS pipeline over the shard's substream would. The
+	// paper's default is "a decay rate of 0.01 every 100K points" (§6),
+	// the rate held by each operator. Zero disables decay.
+	DecayEvery int
 	// SnapshotShard, when non-nil, enables the Snapshot method: it
 	// runs on the worker goroutine between batches and should return
 	// an immutable view of the shard's summary state (e.g. a clone of

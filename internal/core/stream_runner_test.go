@@ -163,8 +163,8 @@ func TestStreamRunnerBatchAllocFree(t *testing.T) {
 				NewShard: func(int) ShardPipeline {
 					return ShardPipeline{Classifier: &thresholdClassifier{cut: 90}, Explainer: &shardCollectExplainer{}}
 				},
-				BatchSize: batch,
-				Decay:     DecayPolicy{EveryPoints: 1000},
+				BatchSize:  batch,
+				DecayEvery: 1000,
 			}
 			if _, err := r.Run(); err != nil {
 				t.Fatal(err)
@@ -247,8 +247,8 @@ func TestStreamRunnerStatsAcrossTeardown(t *testing.T) {
 			}
 			return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
 		},
-		BatchSize: 256,
-		Decay:     DecayPolicy{EveryPoints: 2_000},
+		BatchSize:  256,
+		DecayEvery: 2_000,
 		Coordinate: &ShardCoordinator{
 			Collect: func(int, ShardPipeline) any { return 1 },
 			Merge:   func([]any) (any, bool) { return nil, true },

@@ -29,9 +29,8 @@ type Point struct {
 	// Attrs holds encoded attribute-value identifiers (e.g. the id
 	// for device_id=5052). Order is not significant.
 	Attrs []int32
-	// Time is the event time in seconds. It is used by time-based
-	// decay policies and by windowing transformers; batch sources
-	// may leave it zero.
+	// Time is the event time in seconds. It is used by windowing
+	// transformers; batch sources may leave it zero.
 	Time float64
 }
 

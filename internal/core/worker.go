@@ -45,7 +45,7 @@ func (r *StreamRunner) newWorker(s int, pool *BatchPool) *shardWorker {
 		snap: make(chan snapshotReq),
 		ctl:  make(chan snapshotReq),
 		quit: make(chan struct{}),
-		exec: newPipeExec(pl, r.Decay),
+		exec: newPipeExec(pl, r.DecayEvery),
 	}
 	if off, ok := pl.Classifier.(Offloader); ok && r.SnapshotShard != nil {
 		off.SetOffload(w.offload)

@@ -53,7 +53,7 @@ func Fig11(scale float64) []*Table {
 		var lastF1 float64
 		for _, p := range parts {
 			d := timeIt(func() {
-				res, err := pipeline.RunParallel(pts, cfg, p)
+				res, err := RunParallel(pts, cfg, p)
 				if err != nil {
 					return
 				}

@@ -1,4 +1,4 @@
-package pipeline
+package experiments
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 
 	"macrobase/internal/core"
 	"macrobase/internal/explain"
+	"macrobase/internal/pipeline"
 )
 
 // ParallelResult is the outcome of a shared-nothing parallel run.
@@ -16,7 +17,7 @@ type ParallelResult struct {
 	// union is returned without cross-partition reconciliation.
 	Explanations []core.Explanation
 	// PerPartition holds each partition's own result.
-	PerPartition []*Result
+	PerPartition []*pipeline.Result
 }
 
 // RunParallel executes the one-shot MDP independently over P
@@ -24,9 +25,9 @@ type ParallelResult struct {
 // ("one query per core"). Throughput scales nearly linearly; accuracy
 // degrades because each partition trains and summarizes on a slice of
 // the data (Figure 11).
-func RunParallel(pts []core.Point, cfg Config, partitions int) (*ParallelResult, error) {
+func RunParallel(pts []core.Point, cfg pipeline.Config, partitions int) (*ParallelResult, error) {
 	if partitions <= 0 {
-		return nil, fmt.Errorf("pipeline: partitions must be positive")
+		return nil, fmt.Errorf("experiments: partitions must be positive")
 	}
 	parts := make([][]core.Point, partitions)
 	per := (len(pts) + partitions - 1) / partitions
@@ -37,7 +38,7 @@ func RunParallel(pts []core.Point, cfg Config, partitions int) (*ParallelResult,
 		parts[i%partitions] = append(parts[i%partitions], pts[i])
 	}
 
-	results := make([]*Result, partitions)
+	results := make([]*pipeline.Result, partitions)
 	errs := make([]error, partitions)
 	var wg sync.WaitGroup
 	for p := 0; p < partitions; p++ {
@@ -46,7 +47,7 @@ func RunParallel(pts []core.Point, cfg Config, partitions int) (*ParallelResult,
 			defer wg.Done()
 			pcfg := cfg
 			pcfg.Seed = cfg.Seed + uint64(p)*7919
-			results[p], errs[p] = RunOneShot(parts[p], pcfg)
+			results[p], errs[p] = pipeline.RunOneShot(parts[p], pcfg)
 		}(p)
 	}
 	wg.Wait()

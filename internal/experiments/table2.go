@@ -91,7 +91,7 @@ func Table2(scale float64) []*Table {
 							Dims: dims, Seed: 7, RetrainEvery: cfg.RetrainEvery,
 						}, nil)}
 					},
-					Decay: core.DecayPolicy{EveryPoints: 100_000},
+					DecayEvery: 100_000,
 				}
 				_, _ = r.Run()
 			})

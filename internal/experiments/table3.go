@@ -11,7 +11,7 @@ import (
 // Go, so the measured gap isolates the abstraction cost of the
 // portable dataflow — interface dispatch, Point boxing, batch
 // plumbing — against the fused monomorphic kernel
-// (pipeline.FastSimpleQuery).
+// (FastSimpleQuery).
 func Table3(scale float64) []*Table {
 	t := &Table{
 		ID:      "table3",
@@ -22,13 +22,13 @@ func Table3(scale float64) []*Table {
 	for _, ds := range gen.Catalog() {
 		n := scaled(ds.Points/2, scale, 50_000)
 		_, pts, _ := ds.Generate(gen.GenerateConfig{Points: n, Simple: true, Seed: 3000})
-		metrics, attrs := pipeline.Flatten(pts)
+		metrics, attrs := Flatten(pts)
 
 		dPortable := timeIt(func() {
 			_, _ = pipeline.RunOneShot(pts, pipeline.Config{Dims: 1, Seed: 5})
 		})
 		dFused := timeIt(func() {
-			_ = pipeline.FastSimpleQuery(metrics, attrs, 0.99, 0.001, 3)
+			_ = FastSimpleQuery(metrics, attrs, 0.99, 0.001, 3)
 		})
 		speedup := dPortable.Seconds() / dFused.Seconds()
 		t.AddRow(QueryName(ds.Name, true), rate(n, dPortable), rate(n, dFused), f2(speedup))

@@ -19,9 +19,6 @@ type BatchConfig struct {
 	// Confidence, when positive (e.g. 0.95), attaches risk-ratio
 	// confidence intervals to each explanation.
 	Confidence float64
-	// Bonferroni corrects the confidence level for the number of
-	// combinations tested (paper Appendix B).
-	Bonferroni bool
 }
 
 func (c BatchConfig) withDefaults() BatchConfig {
@@ -177,19 +174,15 @@ func ExplainBatch(labeled []core.LabeledPoint, cfg BatchConfig) []core.Explanati
 			TotalInliers:  totalIn,
 		})
 	}
-	attachCIs(exps, cfg.Confidence, cfg.Bonferroni, len(itemsets))
+	attachCIs(exps, cfg.Confidence)
 	Rank(exps)
 	return exps
 }
 
-// attachCIs fills confidence intervals when requested; tested is the
-// number of combinations examined, used by the Bonferroni correction.
-func attachCIs(exps []core.Explanation, level float64, bonferroni bool, tested int) {
+// attachCIs fills confidence intervals at level when it is positive.
+func attachCIs(exps []core.Explanation, level float64) {
 	if level <= 0 {
 		return
-	}
-	if bonferroni {
-		level = BonferroniLevel(level, tested)
 	}
 	for i := range exps {
 		e := &exps[i]

@@ -44,7 +44,7 @@ func TestStreamingMatchesBatchWithoutDecay(t *testing.T) {
 		cfg := BatchConfig{MinSupport: 0.05, MinRiskRatio: 3}
 		batch := ExplainBatch(labeled, cfg)
 
-		s := NewStreaming(StreamingConfig{MinSupport: 0.05, MinRiskRatio: 3, AMCSize: 100_000})
+		s := NewStreaming(StreamingConfig{MinSupport: 0.05, MinRiskRatio: 3, amcSize: 100_000})
 		// Deliver in odd-sized chunks to exercise batching.
 		for i := 0; i < len(labeled); i += 317 {
 			end := i + 317

@@ -227,7 +227,7 @@ func checkGolden(t *testing.T, name, got string) {
 // committed goldens with W = 1, 2 and 4 concurrent pollers, each
 // polling twice: every answer must match.
 func TestGoldenStreamingExplanations(t *testing.T) {
-	cfg := StreamingConfig{MinSupport: 0.005, MinRiskRatio: 1.2, DecayRate: 0.05, AMCSize: 1 << 20}
+	cfg := StreamingConfig{MinSupport: 0.005, MinRiskRatio: 1.2, DecayRate: 0.05, amcSize: 1 << 20}
 	for _, w := range []struct {
 		name string
 		n    int

@@ -46,7 +46,7 @@ func explKey(ids []int32) string {
 // disjoint substreams must reproduce the counts of one explainer fed
 // the concatenation, when no decay or pruning has intervened.
 func TestStreamingMergeEqualsUnionConsume(t *testing.T) {
-	cfg := StreamingConfig{MinSupport: 0.01, AMCSize: 1000}
+	cfg := StreamingConfig{MinSupport: 0.01, amcSize: 1000}
 	a := NewStreaming(cfg)
 	b := NewStreaming(cfg)
 	u := NewStreaming(cfg)
@@ -94,7 +94,7 @@ func TestStreamingMergeEqualsUnionConsume(t *testing.T) {
 // TestStreamingMergeOrderInsensitive: A∪B and B∪A must rank the same
 // explanations with the same statistics.
 func TestStreamingMergeOrderInsensitive(t *testing.T) {
-	cfg := StreamingConfig{MinSupport: 0.01, AMCSize: 1000}
+	cfg := StreamingConfig{MinSupport: 0.01, amcSize: 1000}
 	a := NewStreaming(cfg)
 	b := NewStreaming(cfg)
 	a.Consume(labeledStream(15_000, 40, 3, 3))

@@ -66,18 +66,6 @@ func RiskRatioCI(ao, ai, totalOut, totalIn, level float64) core.Interval {
 	return core.Interval{Lo: rr / f, Hi: rr * f, Level: level}
 }
 
-// BonferroniLevel adjusts a desired confidence level for k statistical
-// tests under the Bonferroni correction (paper Appendix B): testing k
-// attribute combinations at level 1-p requires each interval at level
-// 1-p/k.
-func BonferroniLevel(level float64, k int) float64 {
-	if k <= 1 {
-		return level
-	}
-	p := (1 - level) / float64(k)
-	return 1 - p
-}
-
 // Rank orders explanations for presentation: by risk ratio descending
 // (the paper's default "degree of outlier-occurrence" ranking), then
 // support descending, then fewer items, then lexical item order for

@@ -19,17 +19,14 @@ type StreamingConfig struct {
 	// DecayRate is the exponential damping applied on each Decay
 	// tick (default 0.01).
 	DecayRate float64
-	// AMCSize is the stable size of the single-attribute sketches
-	// (default 10_000).
-	AMCSize int
+	// amcSize is the stable size of the single-attribute sketches
+	// (default 10_000). Tests raise it so that the sketches are exact.
+	amcSize int
 	// MaxItems, when positive, bounds combination size.
 	MaxItems int
 	// Confidence, when positive, attaches risk-ratio confidence
 	// intervals.
 	Confidence float64
-	// Bonferroni corrects the confidence level for the number of
-	// combinations tested.
-	Bonferroni bool
 }
 
 func (c StreamingConfig) withDefaults() StreamingConfig {
@@ -42,8 +39,8 @@ func (c StreamingConfig) withDefaults() StreamingConfig {
 	if c.DecayRate == 0 {
 		c.DecayRate = 0.01
 	}
-	if c.AMCSize == 0 {
-		c.AMCSize = 10_000
+	if c.amcSize == 0 {
+		c.amcSize = 10_000
 	}
 	return c
 }
@@ -88,8 +85,8 @@ func NewStreaming(cfg StreamingConfig) *Streaming {
 	cfg = cfg.withDefaults()
 	return &Streaming{
 		cfg:      cfg,
-		outAttrs: sketch.NewDenseAMC(cfg.AMCSize, cfg.DecayRate),
-		inAttrs:  sketch.NewDenseAMC(cfg.AMCSize, cfg.DecayRate),
+		outAttrs: sketch.NewDenseAMC(cfg.amcSize, cfg.DecayRate),
+		inAttrs:  sketch.NewDenseAMC(cfg.amcSize, cfg.DecayRate),
 		outTree:  cps.NewMCPS(),
 		inTree:   cps.NewMCPS(),
 	}
@@ -179,12 +176,10 @@ func (s *Streaming) Explanations() []core.Explanation {
 		s.qualified[i] = false
 	}
 	var exps []core.Explanation
-	tested := 0
 	s.outAttrs.ForEach(func(item int32, ao float64) {
 		if ao < minCount {
 			return
 		}
-		tested++
 		ai, _ := s.inAttrs.Count(item)
 		rr := RiskRatio(ao, ai, s.totalOut, s.totalIn)
 		if rr < s.cfg.MinRiskRatio {
@@ -208,8 +203,8 @@ func (s *Streaming) Explanations() []core.Explanation {
 	// Multi-attribute combinations: the table of every itemset of ≥2
 	// attributes with canonical support ≥ minCount, filtered against
 	// the inlier side.
-	exps, tested = s.filterCombinations(s.fullTable(minCount), exps, tested)
-	attachCIs(exps, s.cfg.Confidence, s.cfg.Bonferroni, tested)
+	exps = s.filterCombinations(s.fullTable(minCount), exps)
+	attachCIs(exps, s.cfg.Confidence)
 	Rank(exps)
 	return exps
 }
@@ -243,7 +238,7 @@ func (s *Streaming) fullTable(minCount float64) []fptree.Itemset {
 // merged explainer sums the entry's supports over its own tree, then
 // each borrowed one in shard order: a function of the shard states and
 // their order alone.
-func (s *Streaming) filterCombinations(tab []fptree.Itemset, exps []core.Explanation, tested int) ([]core.Explanation, int) {
+func (s *Streaming) filterCombinations(tab []fptree.Itemset, exps []core.Explanation) []core.Explanation {
 entries:
 	for _, is := range tab {
 		for _, it := range is.Items {
@@ -255,7 +250,6 @@ entries:
 		for _, t := range s.borrowed {
 			ai += t.ItemsetSupport(is.Items)
 		}
-		tested++
 		rr := RiskRatio(is.Count, ai, s.totalOut, s.totalIn)
 		if rr < s.cfg.MinRiskRatio {
 			continue
@@ -270,7 +264,7 @@ entries:
 			TotalInliers:  s.totalIn,
 		})
 	}
-	return exps, tested
+	return exps
 }
 
 var _ core.Explainer = (*Streaming)(nil)

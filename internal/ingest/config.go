@@ -28,16 +28,17 @@ type QueryConfig struct {
 	// Percentile is the outlier score cutoff quantile (default
 	// 0.99).
 	Percentile float64 `json:"percentile,omitempty"`
-	// MinSupport is the minimum outlier support fraction (default
-	// 0.001).
+	// MinSupport is the minimum outlier support fraction, in [0,1]
+	// (default 0.001).
 	MinSupport float64 `json:"minSupport,omitempty"`
-	// MinRiskRatio is the minimum risk ratio (default 3).
+	// MinRiskRatio is the minimum risk ratio, not negative (default 3).
 	MinRiskRatio float64 `json:"minRiskRatio,omitempty"`
 	// DecayRate and DecayEveryPoints configure streaming decay
 	// (defaults 0.01 and 100000).
 	DecayRate        float64 `json:"decayRate,omitempty"`
 	DecayEveryPoints int     `json:"decayEveryPoints,omitempty"`
-	// ReservoirSize configures the ADR capacities (default 10000).
+	// ReservoirSize configures the ADR capacities (default 10000, at
+	// most maxReservoirSize).
 	ReservoirSize int `json:"reservoirSize,omitempty"`
 	// Confidence, when positive, attaches risk-ratio confidence
 	// intervals at the given level, which must lie in [0,1).
@@ -56,6 +57,12 @@ type QueryConfig struct {
 	// Seed fixes all randomized components.
 	Seed uint64 `json:"seed,omitempty"`
 }
+
+// maxReservoirSize bounds ReservoirSize at about 100x the paper's
+// default. A streaming shard preallocates its two reservoirs, so at the
+// bound each shard holds 32 MiB before its first point, and 8 MiB more
+// per metric once the input reservoir fills.
+const maxReservoirSize = 1 << 20
 
 // Validate checks required fields and applies defaults.
 func (c *QueryConfig) Validate() error {
@@ -77,8 +84,14 @@ func (c *QueryConfig) Validate() error {
 	if c.MinSupport == 0 {
 		c.MinSupport = 0.001
 	}
+	if c.MinSupport < 0 || c.MinSupport > 1 {
+		return fmt.Errorf("ingest: minSupport %v out of [0,1]", c.MinSupport)
+	}
 	if c.MinRiskRatio == 0 {
 		c.MinRiskRatio = 3
+	}
+	if c.MinRiskRatio < 0 {
+		return fmt.Errorf("ingest: minRiskRatio %v must be >= 0", c.MinRiskRatio)
 	}
 	if c.DecayRate == 0 {
 		c.DecayRate = 0.01
@@ -108,6 +121,9 @@ func (c *QueryConfig) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("ingest: %s %d must be >= 0", f.name, f.v)
 		}
+	}
+	if c.ReservoirSize > maxReservoirSize {
+		return fmt.Errorf("ingest: reservoirSize %d above the limit %d", c.ReservoirSize, maxReservoirSize)
 	}
 	return nil
 }

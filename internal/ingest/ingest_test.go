@@ -128,15 +128,24 @@ func TestQueryConfig(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		`{"metrics":["m"],"attributes":["a"]}`,                            // no input
-		`{"input":"x","attributes":["a"]}`,                                // no metrics
-		`{"input":"x","metrics":["m"]}`,                                   // no attributes
-		`{"input":"x","metrics":["m"],"attributes":["a"],"percentile":2}`, // bad percentile
-		`{"input":"x","metrics":["m"],"attributes":["a"],"bogus":1}`,      // unknown field
+		`{"metrics":["m"],"attributes":["a"]}`,                                              // no input
+		`{"input":"x","attributes":["a"]}`,                                                  // no metrics
+		`{"input":"x","metrics":["m"]}`,                                                     // no attributes
+		`{"input":"x","metrics":["m"],"attributes":["a"],"percentile":2}`,                   // bad percentile
+		`{"input":"x","metrics":["m"],"attributes":["a"],"bogus":1}`,                        // unknown field
+		`{"input":"x","metrics":["m"],"attributes":["a"],"reservoirSize":1048577}`,          // above maxReservoirSize
+		`{"input":"x","metrics":["m"],"attributes":["a"],"reservoirSize":1000000000000000}`, // would not fit in memory
+		`{"input":"x","metrics":["m"],"attributes":["a"],"minSupport":5}`,                   // support above 1
+		`{"input":"x","metrics":["m"],"attributes":["a"],"minSupport":-0.5}`,                // negative support
+		`{"input":"x","metrics":["m"],"attributes":["a"],"minRiskRatio":-1}`,                // negative risk ratio
 		`{not json`,
 	} {
 		if _, err := ReadQueryConfig(strings.NewReader(bad)); err == nil {
 			t.Errorf("accepted invalid config %s", bad)
 		}
+	}
+	atBounds := `{"input":"x","metrics":["m"],"attributes":["a"],"reservoirSize":1048576,"minSupport":1,"minRiskRatio":0.5}`
+	if _, err := ReadQueryConfig(strings.NewReader(atBounds)); err != nil {
+		t.Errorf("rejected a config at the bounds: %v", err)
 	}
 }

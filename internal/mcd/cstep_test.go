@@ -80,7 +80,7 @@ func gaussMix(n, p int, seed uint64) [][]float64 {
 }
 
 // oracleShapes are the datasets the kernel is compared with the oracle
-// on: both trial paths and their boundary (SmallN is 600), the streaming
+// on: both trial paths and their boundary (smallN is 600), the streaming
 // refit's size, exact distance ties (duplicated rows), and a covariance
 // only the ridge can factor (constant column; every start grows to the
 // whole dataset there, so it runs fewer trials).
@@ -125,7 +125,7 @@ func TestStepMatchesOracle(t *testing.T) {
 			for seed := uint64(0); seed < oracleSeeds; seed++ {
 				pts := sh.data(seed)
 				n, p := len(pts), len(pts[0])
-				h := defaultH(n, p, 0)
+				h := defaultH(n, p)
 				cs, os := newCStepper(pts, h), newOracleStepper(pts, h)
 				rng := rand.New(rand.NewPCG(seed, 5))
 				mean, cov := make([]float64, p), stats.NewMat(p, p)
@@ -182,7 +182,7 @@ func sameSet(ascending, other []int) bool {
 func trialLogDets(pts [][]float64, cfg Config) (logDets, ranked []float64, afterRNG uint64) {
 	cfg = cfg.withDefaults()
 	rng := fitRNG(cfg.Seed)
-	cs := newCStepper(pts, defaultH(len(pts), len(pts[0]), cfg.SupportFraction))
+	cs := newCStepper(pts, defaultH(len(pts), len(pts[0])))
 	cand := trialCandidates(cs, cfg, rng)
 	for _, c := range cand {
 		logDets = append(logDets, c.logDet)
@@ -269,7 +269,7 @@ func TestStartSequenceMatchesParent(t *testing.T) {
 		const starts = 200
 		var got, oracle startHash
 
-		cs := newCStepper(pts, defaultH(n, p, 0))
+		cs := newCStepper(pts, defaultH(n, p))
 		rng := rand.New(rand.NewPCG(3, 11))
 		mean, cov := make([]float64, p), stats.NewMat(p, p)
 		for i := 0; i < starts; i++ {
@@ -357,7 +357,7 @@ func TestSubsetEdgeCases(t *testing.T) {
 }
 
 // TestFitAllocations: a fit's allocations are its steppers and the
-// TopKeep-sized candidate lists of its five subsets (262 here), not a set
+// topKeep-sized candidate lists of its five subsets (262 here), not a set
 // of buffers per C-step, per trial or per ranked candidate — the merged
 // and full-data levels rank the candidates in the storage they came in.
 func TestFitAllocations(t *testing.T) {

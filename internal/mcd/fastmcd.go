@@ -6,7 +6,7 @@
 //
 // The search is selective iteration at three levels — ~300-point subsets,
 // their merged set, the full data: every candidate at a level gets two
-// C-steps and the level keeps its TopKeep best. Only the leader of the
+// C-steps and the level keeps its topKeep best. Only the leader of the
 // full-data ranking then concentrates to its fixed point.
 //
 // A concentration step (C-step) keeps the h points closest to the
@@ -47,25 +47,25 @@ import (
 	"macrobase/internal/stats"
 )
 
+// The search's fixed sizes, the original FastMCD paper's.
+const (
+	// topKeep is how many candidates survive the two C-steps of each
+	// level — subset, merged set, full data.
+	topKeep = 10
+	// maxCSteps bounds the full-data leader's concentration after its
+	// two ranking steps.
+	maxCSteps = 100
+	// smallN is the size at which the nested-extraction strategy
+	// replaces direct trials.
+	smallN = 600
+)
+
 // Config controls a FastMCD fit. The zero value selects the standard
 // defaults from the original paper.
 type Config struct {
-	// SupportFraction is h/n, the fraction of points the estimator
-	// must cover; 0 selects the breakdown-optimal default
-	// h = floor((n+p+1)/2).
-	SupportFraction float64
 	// Trials is the number of random initial (p+1)-subsets
 	// (default 500).
 	Trials int
-	// TopKeep is how many candidates survive the two C-steps of each
-	// level — subset, merged set, full data (default 10).
-	TopKeep int
-	// MaxCSteps bounds the full-data leader's concentration after its
-	// two ranking steps (default 100).
-	MaxCSteps int
-	// SmallN is the size at which the nested-extraction strategy
-	// replaces direct trials (default 600, as in FastMCD).
-	SmallN int
 	// Seed drives subset selection; fits are deterministic given a
 	// seed.
 	Seed uint64
@@ -74,15 +74,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Trials <= 0 {
 		c.Trials = 500
-	}
-	if c.TopKeep <= 0 {
-		c.TopKeep = 10
-	}
-	if c.MaxCSteps <= 0 {
-		c.MaxCSteps = 100
-	}
-	if c.SmallN <= 0 {
-		c.SmallN = 600
 	}
 	return c
 }
@@ -124,7 +115,7 @@ func Fit(pts [][]float64, cfg Config) (*Estimate, error) {
 	if n < 2*(p+1) {
 		return nil, fmt.Errorf("%w: n=%d p=%d", ErrTooFewPoints, n, p)
 	}
-	h := defaultH(n, p, cfg.SupportFraction)
+	h := defaultH(n, p)
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xda3e39cb94b95bdb))
 
 	if p == 1 {
@@ -139,7 +130,7 @@ func Fit(pts [][]float64, cfg Config) (*Estimate, error) {
 
 	// Selective iteration carried to the full data: two C-steps for every
 	// surviving candidate, then only the leader concentrates.
-	lead, steps, err := convergeLeader(cs, refine(cs, cand, len(cand)), cfg.MaxCSteps)
+	lead, steps, err := convergeLeader(cs, refine(cs, cand, len(cand)), maxCSteps)
 	if err != nil {
 		return nil, err
 	}
@@ -186,18 +177,9 @@ func convergeLeader(cs *cStepper, ranked []candidate, maxSteps int) (candidate, 
 	return candidate{}, 0, errors.New("mcd: concentration failed on all candidates")
 }
 
-// defaultH returns the subset size for the given support fraction.
-func defaultH(n, p int, frac float64) int {
-	if frac > 0 {
-		h := int(frac * float64(n))
-		if h < (n+p+1)/2 {
-			h = (n + p + 1) / 2
-		}
-		if h > n {
-			h = n
-		}
-		return h
-	}
+// defaultH returns the breakdown-optimal subset size
+// h = floor((n+p+1)/2).
+func defaultH(n, p int) int {
 	return (n + p + 1) / 2
 }
 
@@ -212,24 +194,6 @@ func (e *Estimate) Score(x []float64) float64 {
 // distributed under normality.
 func (e *Estimate) MahalanobisSq(x []float64) float64 {
 	return e.chol.MahalanobisSq(x, e.Mean, e.scratch)
-}
-
-// Contributions decomposes x's squared Mahalanobis distance into
-// per-dimension contributions c_i = (x-mu)_i * [Cov^{-1}(x-mu)]_i,
-// the additive partition MacroBase uses (after Garthwaite & Koch) to
-// report which metrics drive an anomaly (paper Appendix A).
-func (e *Estimate) Contributions(x []float64) []float64 {
-	d := len(e.Mean)
-	diff := make([]float64, d)
-	for i := range diff {
-		diff[i] = x[i] - e.Mean[i]
-	}
-	w := e.chol.SolveVec(diff)
-	out := make([]float64, d)
-	for i := range out {
-		out[i] = diff[i] * w[i]
-	}
-	return out
 }
 
 // Dims returns the dimensionality of the estimate.
@@ -428,10 +392,10 @@ trial:
 }
 
 // trialCandidates is FastMCD's trial stage over cs's dataset: direct
-// trials up to SmallN points, the nested strategy beyond.
+// trials up to smallN points, the nested strategy beyond.
 func trialCandidates(cs *cStepper, cfg Config, rng *rand.Rand) []candidate {
-	if len(cs.pts) <= cfg.SmallN {
-		return runTrials(cs, cfg.Trials, cfg.TopKeep, rng)
+	if len(cs.pts) <= smallN {
+		return runTrials(cs, cfg.Trials, topKeep, rng)
 	}
 	return nestedTrials(cs, cfg, rng)
 }
@@ -469,7 +433,7 @@ func nestedTrials(full *cStepper, cfg Config, rng *rand.Rand) []candidate {
 		if hSub < p+1 {
 			hSub = p + 1
 		}
-		pooled = append(pooled, runTrials(newCStepper(sub, hSub), perSub, cfg.TopKeep, rng)...)
+		pooled = append(pooled, runTrials(newCStepper(sub, hSub), perSub, topKeep, rng)...)
 	}
 	// Refine pooled candidates on the merged set.
 	hMerged := int(math.Ceil(float64(len(mergedPts)) * float64(h) / float64(n)))
@@ -477,7 +441,7 @@ func nestedTrials(full *cStepper, cfg Config, rng *rand.Rand) []candidate {
 		hMerged = p + 1
 	}
 	csm := newCStepper(mergedPts, hMerged)
-	return refine(csm, pooled, cfg.TopKeep)
+	return refine(csm, pooled, topKeep)
 }
 
 // finalize applies the consistency correction — rescaling the scatter

@@ -146,28 +146,6 @@ func TestFitDeterministic(t *testing.T) {
 	}
 }
 
-func TestContributionsSumToDistance(t *testing.T) {
-	rng := rand.New(rand.NewPCG(19, 20))
-	pts := gauss2D(300, [2]float64{0, 0}, 1, rng)
-	est, err := Fit(pts, Config{Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{3, -7}
-	contrib := est.Contributions(x)
-	sum := 0.0
-	for _, c := range contrib {
-		sum += c
-	}
-	if d2 := est.MahalanobisSq(x); math.Abs(sum-d2) > 1e-9*(1+d2) {
-		t.Errorf("contributions sum %v != d2 %v", sum, d2)
-	}
-	// The dimension deviating more should contribute more.
-	if contrib[1] <= contrib[0] {
-		t.Errorf("contributions %v should weight dim 1 higher", contrib)
-	}
-}
-
 func TestFitErrors(t *testing.T) {
 	if _, err := Fit(nil, Config{}); !errors.Is(err, ErrTooFewPoints) {
 		t.Errorf("nil input: %v", err)
@@ -201,15 +179,15 @@ func TestFitDegenerateDataRegularizes(t *testing.T) {
 	}
 }
 
-func TestSupportFractionAndClone(t *testing.T) {
+func TestSubsetSizeAndClone(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 28))
 	pts := gauss2D(500, [2]float64{0, 0}, 1, rng)
-	est, err := Fit(pts, Config{Seed: 29, SupportFraction: 0.9})
+	est, err := Fit(pts, Config{Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.H < 450 {
-		t.Errorf("H = %d, want >= 450 under 0.9 support", est.H)
+	if est.H != 251 {
+		t.Errorf("H = %d, want floor((500+2+1)/2) = 251", est.H)
 	}
 	c := est.Clone()
 	x := []float64{1, 1}

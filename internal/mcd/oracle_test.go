@@ -155,7 +155,7 @@ func oracleStart(pts [][]float64, subset []int, rng *rand.Rand) ([]int, []float6
 	subset = oracleRandSubset(subset, len(pts), len(pts[0])+1, rng)
 	mean, cov := oracleMeanCov(pts, subset)
 	for len(subset) < len(pts) {
-		if _, err := stats.NewCholesky(cov); err == nil {
+		if new(stats.Cholesky).Factor(cov) == nil {
 			break
 		}
 		subset = oracleAddRandomPoint(subset, len(pts), rng)
@@ -219,7 +219,7 @@ func oracleNestedTrials(pts [][]float64, h int, cfg Config, rng *rand.Rand) []ca
 			hSub = p + 1
 		}
 		cs := newOracleStepper(sub, hSub)
-		pooled = append(pooled, oracleRunTrials(cs, perSub, cfg.TopKeep, rng)...)
+		pooled = append(pooled, oracleRunTrials(cs, perSub, topKeep, rng)...)
 	}
 	hMerged := int(math.Ceil(float64(len(mergedPts)) * float64(h) / float64(n)))
 	if hMerged < p+1 {
@@ -242,8 +242,8 @@ func oracleNestedTrials(pts [][]float64, h int, cfg Config, rng *rand.Rand) []ca
 		refined = append(refined, candidate{mean: mean, cov: cov, logDet: logDet})
 	}
 	sort.Slice(refined, func(i, j int) bool { return refined[i].logDet < refined[j].logDet })
-	if len(refined) > cfg.TopKeep {
-		refined = refined[:cfg.TopKeep]
+	if len(refined) > topKeep {
+		refined = refined[:topKeep]
 	}
 	return refined
 }
@@ -252,12 +252,12 @@ func oracleNestedTrials(pts [][]float64, h int, cfg Config, rng *rand.Rand) []ca
 func oracleFit(pts [][]float64, cfg Config) (oracleRun, error) {
 	cfg = cfg.withDefaults()
 	n, p := len(pts), len(pts[0])
-	h := defaultH(n, p, cfg.SupportFraction)
+	h := defaultH(n, p)
 	rng := fitRNG(cfg.Seed)
 	var run oracleRun
 	var cand []candidate
-	if n <= cfg.SmallN {
-		cand = oracleRunTrials(newOracleStepper(pts, h), cfg.Trials, cfg.TopKeep, rng)
+	if n <= smallN {
+		cand = oracleRunTrials(newOracleStepper(pts, h), cfg.Trials, topKeep, rng)
 	} else {
 		cand = oracleNestedTrials(pts, h, cfg, rng)
 	}
@@ -288,7 +288,7 @@ func oracleFit(pts [][]float64, cfg Config) (oracleRun, error) {
 		run.ranked = append(run.ranked, c.logDet)
 	}
 	for _, c := range ranked {
-		mean, cov, _, steps, err := cs.converge(c.mean, c.cov, cfg.MaxCSteps)
+		mean, cov, _, steps, err := cs.converge(c.mean, c.cov, maxCSteps)
 		if err != nil {
 			continue
 		}

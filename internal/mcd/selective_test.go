@@ -24,11 +24,11 @@ import (
 // number of full-data C-steps that took.
 func fitAllTen(pts [][]float64, cfg Config) (*Estimate, int, error) {
 	cfg = cfg.withDefaults()
-	h := defaultH(len(pts), len(pts[0]), cfg.SupportFraction)
+	h := defaultH(len(pts), len(pts[0]))
 	cs := newCStepper(pts, h)
 	best, total := candidate{logDet: math.Inf(1)}, 0
 	for _, c := range trialCandidates(cs, cfg, fitRNG(cfg.Seed)) {
-		logDet, steps, err := cs.converge(c.mean, c.cov, cfg.MaxCSteps)
+		logDet, steps, err := cs.converge(c.mean, c.cov, maxCSteps)
 		total += steps
 		if err == nil && logDet < best.logDet {
 			best = candidate{mean: c.mean, cov: c.cov, logDet: logDet}
@@ -112,7 +112,7 @@ func datasetRows(t *testing.T, name string, n int) [][]float64 {
 // worse only by what separates fixed points of one basin, which is less
 // than a reseeded reference moves by itself; the points flagged at the
 // 99th percentile are nearly the same; and the full-data C-steps are
-// 2·TopKeep for the ranking plus one candidate's convergence.
+// 2·topKeep for the ranking plus one candidate's convergence.
 func TestSelectiveIterationQuality(t *testing.T) {
 	if qualitySeeds < 12 {
 		t.Skip("a statistic over fit seeds: the race build's sample is too small for it")
@@ -158,8 +158,8 @@ func TestSelectiveIterationQuality(t *testing.T) {
 			minJ = math.Min(minJ, jaccard(a, b))
 			// Every survivor takes its two ranking steps; got.CSteps counts
 			// the winner's two and its convergence.
-			total := 2*cfg.TopKeep + got.CSteps - 2
-			if total > 2*cfg.TopKeep+cfg.MaxCSteps {
+			total := 2*topKeep + got.CSteps - 2
+			if total > 2*topKeep+maxCSteps {
 				t.Errorf("%s n=%d seed %d: %d full-data C-steps", sh.dataset, sh.n, seed, total)
 			}
 			steps += total
@@ -265,20 +265,19 @@ func TestLeaderIsInMajorityBasin(t *testing.T) {
 					clean = append(clean, x)
 				}
 			}
-			cfg := Config{Seed: seed}.withDefaults()
 			rng := fitRNG(seed)
-			k := 1 + int(seed-1)%(cfg.TopKeep-1)
+			k := 1 + int(seed-1)%(topKeep-1)
 			cands := runTrials(newCStepper(contam[:300], 151), 100, k, rng)
-			cands = append(cands, runTrials(newCStepper(clean[:300], 151), 100, cfg.TopKeep-k, rng)...)
-			if len(cands) != cfg.TopKeep || cands[k-1].logDet >= cands[k].logDet {
+			cands = append(cands, runTrials(newCStepper(clean[:300], 151), 100, topKeep-k, rng)...)
+			if len(cands) != topKeep || cands[k-1].logDet >= cands[k].logDet {
 				t.Fatalf("seed %d: %d candidates, last contaminated logDet %v, first clean %v: not the case this was built to be", seed, len(cands), cands[k-1].logDet, cands[k].logDet)
 			}
-			cs := newCStepper(pts, defaultH(n, p, 0))
+			cs := newCStepper(pts, defaultH(n, p))
 			ranked := refine(cs, cands, len(cands))
-			if len(ranked) != cfg.TopKeep || math.Abs(ranked[0].mean[0]) > 1 {
+			if len(ranked) != topKeep || math.Abs(ranked[0].mean[0]) > 1 {
 				t.Fatalf("seed %d, %d of %d survivors contaminated: the leader after two full-data C-steps has mean %v", seed, k, len(ranked), ranked[0].mean)
 			}
-			lead, _, err := convergeLeader(cs, ranked, cfg.MaxCSteps)
+			lead, _, err := convergeLeader(cs, ranked, maxCSteps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,13 +296,13 @@ func TestLeaderIsInMajorityBasin(t *testing.T) {
 func TestFallThroughPastFailedLeader(t *testing.T) {
 	pts := gaussMix(2000, 3, 1)
 	cfg := Config{Seed: 1}.withDefaults()
-	cs := newCStepper(pts, defaultH(len(pts), 3, 0))
-	ranked := refine(cs, trialCandidates(cs, cfg, fitRNG(cfg.Seed)), cfg.TopKeep)
+	cs := newCStepper(pts, defaultH(len(pts), 3))
+	ranked := refine(cs, trialCandidates(cs, cfg, fitRNG(cfg.Seed)), topKeep)
 	if len(ranked) < 3 {
 		t.Fatalf("%d ranked candidates", len(ranked))
 	}
 	want := candidate{mean: append([]float64(nil), ranked[1].mean...), cov: ranked[1].cov.Clone()}
-	wantLogDet, wantSteps, err := cs.converge(want.mean, want.cov, cfg.MaxCSteps)
+	wantLogDet, wantSteps, err := cs.converge(want.mean, want.cov, maxCSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +313,7 @@ func TestFallThroughPastFailedLeader(t *testing.T) {
 		}
 	}
 	poison(ranked[0].cov)
-	got, steps, err := convergeLeader(cs, ranked, cfg.MaxCSteps)
+	got, steps, err := convergeLeader(cs, ranked, maxCSteps)
 	if err != nil {
 		t.Fatalf("leader failed and the fit with it: %v", err)
 	}
@@ -324,7 +323,7 @@ func TestFallThroughPastFailedLeader(t *testing.T) {
 	for _, c := range ranked {
 		poison(c.cov)
 	}
-	if _, _, err := convergeLeader(cs, ranked, cfg.MaxCSteps); err == nil {
+	if _, _, err := convergeLeader(cs, ranked, maxCSteps); err == nil {
 		t.Error("every candidate failed to factor and the fit did not")
 	}
 }

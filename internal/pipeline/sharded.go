@@ -26,9 +26,10 @@ type ShardedResult struct {
 	Stats core.StreamStats
 	// Explanations is the reconciled global view: per-shard streaming
 	// summaries merged under mergeable-summaries semantics and ranked
-	// (explain.Rank order). Unlike RunParallel's union of finished
-	// explanation lists, the merge happens at the summary level, so
-	// support and risk ratios are computed over the combined counts.
+	// (explain.Rank order). Unlike a union of finished per-partition
+	// explanation lists (Figure 11's shared-nothing scale-out), the
+	// merge happens at the summary level, so support and risk ratios
+	// are computed over the combined counts.
 	Explanations []core.Explanation
 	// Shards is the skew-observability breakdown: per-shard load,
 	// outlier, and threshold state plus the hot-shard imbalance metric.
@@ -121,8 +122,8 @@ func newCoordState(cfg Config, shards int) *coordState {
 	return &coordState{enabled: shards > 1 && !cfg.DisableGlobalThreshold && cfg.CoordinateEvery > 0}
 }
 
-// newShardPipeline builds shard s's MDP operator replicas. Shard seeds
-// are decorrelated the same way RunParallel decorrelates partitions;
+// newShardPipeline builds shard s's MDP operator replicas. Shard s is
+// seeded cfg.Seed + s*7919, so the shards' samplers are decorrelated;
 // with a single shard the seed is exactly cfg.Seed. A caller-supplied
 // Classifier or Transforms (legal only with one shard) is installed
 // verbatim; a NewClassifier factory builds one replica per shard.
@@ -216,7 +217,7 @@ func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, expla
 			return pl
 		},
 		BatchSize:       cfg.BatchSize,
-		Decay:           core.DecayPolicy{EveryPoints: cfg.DecayEveryPoints},
+		DecayEvery:      cfg.DecayEveryPoints,
 		CoordinateEvery: cfg.CoordinateEvery,
 	}
 	// Skew-adaptive routing is on by default for multi-shard runs;
@@ -363,7 +364,8 @@ func (s *StreamSession) newResult(stats core.StreamStats, views []shardView) *Sh
 // merged global percentile cutoff), so skewed routing does not drift
 // the answer away from the single-pipeline one. Set
 // DisableGlobalThreshold for per-shard cutoffs instead — the sharded
-// analog of the accuracy trade-off RunParallel exhibits in Figure 11.
+// analog of the accuracy trade-off that shared-nothing scale-out
+// exhibits in Figure 11.
 // Points within a partition keep their order; across partitions the
 // interleaving is scheduling-dependent (see core.StreamRunner).
 func RunPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) (*ShardedResult, error) {

@@ -130,8 +130,8 @@ func TestShardedStreamOneShardMatchesSequential(t *testing.T) {
 // TestShardedStreamMatchesManualPartition: P>1 execution must agree
 // with manually splitting the stream by the same hash router, running
 // the sequential oracle once per shard with the shard seeds, and merging their
-// summaries — the union semantics RunParallel established, lifted to
-// summary-level merging. Threshold coordination is disabled: the
+// summaries — the union semantics of Figure 11's shared-nothing
+// scale-out, lifted to summary-level merging. Threshold coordination is disabled: the
 // manual baseline is P independent pipelines with per-shard cutoffs,
 // and coordination rounds fire asynchronously, so the coordinated run
 // would (correctly) diverge from it. This is the bit-exact-equivalence

@@ -6,7 +6,7 @@ package sample
 // the decay decision, so callers may decay on a timer, per batch, or
 // per tuple-count window. MacroBase maintains one ADR over the input
 // metrics (model retraining) and one over outlier scores (quantile
-// thresholding), both decayed by the pipeline's decay policy.
+// thresholding), both decayed every StreamRunner.DecayEvery points.
 //
 // Insertion follows Chao's unequal-probability sampling plan: a
 // running weight cw accumulates the weight of all offers; an offer of
@@ -80,34 +80,9 @@ func (a *ADR[T]) OfferSlot(w float64) (int, bool) {
 	return -1, false
 }
 
-// ObserveLazy offers an item of weight w, calling mk to materialize it
-// only if it is admitted, and reports whether it was. It consumes the
-// same RNG sequence as OfferSlot, which callers that want to recycle
-// the displaced slot's storage should prefer.
-func (a *ADR[T]) ObserveLazy(mk func() T, w float64) bool {
-	slot, ok := a.OfferSlot(w)
-	if ok {
-		a.items[slot] = mk()
-	}
-	return ok
-}
-
 // Decay damps the running weight by the configured rate
 // (paper Algorithm 1 DECAY with r = 1 - rate).
 func (a *ADR[T]) Decay() { a.cw *= 1 - a.rate }
-
-// DecayBy damps the running weight by an explicit retention factor in
-// (0, 1]; used by time-based policies that decay proportionally to
-// elapsed real time.
-func (a *ADR[T]) DecayBy(retain float64) {
-	if retain < 0 {
-		retain = 0
-	}
-	if retain > 1 {
-		retain = 1
-	}
-	a.cw *= retain
-}
 
 // Items returns the current sample. The slice aliases internal
 // storage and is invalidated by further Observe calls; copy before

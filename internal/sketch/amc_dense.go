@@ -34,7 +34,6 @@ type DenseAMC struct {
 
 	maintainEvery int
 	sinceMaintain int
-	maxSize       int
 
 	heapScratch countHeap
 }
@@ -55,13 +54,6 @@ func NewDenseAMC(stableSize int, rate float64) *DenseAMC {
 // runs automatically after every n observations.
 func (a *DenseAMC) WithMaintenanceEvery(n int) *DenseAMC {
 	a.maintainEvery = n
-	return a
-}
-
-// WithMaxSize enables the size-based policy: Maintain runs whenever
-// the sketch exceeds n entries.
-func (a *DenseAMC) WithMaxSize(n int) *DenseAMC {
-	a.maxSize = n
 	return a
 }
 
@@ -97,9 +89,6 @@ func (a *DenseAMC) Observe(i int32, c float64) {
 			a.sinceMaintain = 0
 			a.Maintain()
 		}
-	}
-	if a.maxSize > 0 && a.n > a.maxSize {
-		a.Maintain()
 	}
 }
 

@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -280,5 +281,60 @@ func TestSketchConstructorPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// Exact is an exact (unbounded) counter, the accuracy oracle of the
+// sketch tests.
+type Exact[K comparable] struct {
+	counts map[K]float64
+	total  float64
+}
+
+// NewExact returns an empty exact counter.
+func NewExact[K comparable]() *Exact[K] {
+	return &Exact[K]{counts: make(map[K]float64)}
+}
+
+// Observe adds c to item i's count.
+func (e *Exact[K]) Observe(i K, c float64) {
+	e.counts[i] += c
+	e.total += c
+}
+
+// Count returns i's exact count (0 if never observed).
+func (e *Exact[K]) Count(i K) (float64, bool) {
+	v, ok := e.counts[i]
+	return v, ok
+}
+
+// Total returns the sum of all observed counts.
+func (e *Exact[K]) Total() float64 { return e.total }
+
+// Len reports the number of distinct items.
+func (e *Exact[K]) Len() int { return len(e.counts) }
+
+// Decay multiplies every count by retain.
+func (e *Exact[K]) Decay(retain float64) {
+	for k, v := range e.counts {
+		e.counts[k] = v * retain
+	}
+	e.total *= retain
+}
+
+// Entries returns all items sorted by descending count.
+func (e *Exact[K]) Entries() []Entry[K] {
+	out := make([]Entry[K], 0, len(e.counts))
+	for k, v := range e.counts {
+		out = append(out, Entry[K]{k, v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
+	return out
+}
+
+// ForEach visits every (item, count) pair.
+func (e *Exact[K]) ForEach(f func(item K, count float64)) {
+	for k, v := range e.counts {
+		f(k, v)
 	}
 }

@@ -67,21 +67,6 @@ func GammaP(a, x float64) float64 {
 	}
 }
 
-// GammaQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaQ(a, x float64) float64 {
-	switch {
-	case x < 0 || a <= 0:
-		return math.NaN()
-	case x == 0:
-		return 1
-	case x < a+1:
-		return 1 - gammaSeries(a, x)
-	default:
-		return gammaCF(a, x)
-	}
-}
-
 func gammaSeries(a, x float64) float64 {
 	lg, _ := math.Lgamma(a)
 	ap := a

@@ -44,20 +44,11 @@ type Cholesky struct {
 	L *Mat
 }
 
-// NewCholesky factors the symmetric positive definite matrix a. Only
-// the lower triangle of a is read. Returns ErrNotSPD when a pivot is
-// not strictly positive.
-func NewCholesky(a *Mat) (*Cholesky, error) {
-	c := new(Cholesky)
-	if err := c.Factor(a); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Factor is NewCholesky into c's own storage, which is allocated only
-// when the dimension changes: a loop that refactors same-sized matrices
-// allocates once. After an error c holds no usable factor.
+// Factor factors the symmetric positive definite matrix a into c's own
+// storage, which is allocated only when the dimension changes: a loop
+// that refactors same-sized matrices allocates once. Only the lower
+// triangle of a is read. Returns ErrNotSPD when a pivot is not strictly
+// positive; after an error c holds no usable factor.
 func (c *Cholesky) Factor(a *Mat) error {
 	if a.Rows != a.Cols {
 		return errors.New("stats: Cholesky of non-square matrix")
@@ -94,49 +85,6 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.L.At(i, i))
 	}
 	return 2 * s
-}
-
-// SolveVec solves A x = b in place of the returned slice.
-func (c *Cholesky) SolveVec(b []float64) []float64 {
-	n := c.L.Rows
-	x := make([]float64, n)
-	copy(x, b)
-	// Forward: L y = b.
-	for i := 0; i < n; i++ {
-		li := c.L.Row(i)
-		s := x[i]
-		for k := 0; k < i; k++ {
-			s -= li[k] * x[k]
-		}
-		x[i] = s / li[i]
-	}
-	// Backward: Lᵀ x = y.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.L.At(k, i) * x[k]
-		}
-		x[i] = s / c.L.At(i, i)
-	}
-	return x
-}
-
-// Inverse returns A⁻¹ by solving against the identity.
-func (c *Cholesky) Inverse() *Mat {
-	n := c.L.Rows
-	inv := NewMat(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := c.SolveVec(e)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv
 }
 
 // MahalanobisSq returns (x-mu)ᵀ A⁻¹ (x-mu) using the factorization:

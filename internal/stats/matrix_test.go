@@ -505,3 +505,56 @@ func BenchmarkMeanCov(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/point")
 	})
 }
+
+// NewCholesky factors a into a fresh Cholesky.
+func NewCholesky(a *Mat) (*Cholesky, error) {
+	c := new(Cholesky)
+	if err := c.Factor(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// SolveVec solves A x = b in place of the returned slice.
+func (c *Cholesky) SolveVec(b []float64) []float64 {
+	n := c.L.Rows
+	x := make([]float64, n)
+	copy(x, b)
+	// Forward: L y = b.
+	for i := 0; i < n; i++ {
+		li := c.L.Row(i)
+		s := x[i]
+		for k := 0; k < i; k++ {
+			s -= li[k] * x[k]
+		}
+		x[i] = s / li[i]
+	}
+	// Backward: Lᵀ x = y.
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for k := i + 1; k < n; k++ {
+			s -= c.L.At(k, i) * x[k]
+		}
+		x[i] = s / c.L.At(i, i)
+	}
+	return x
+}
+
+// Inverse returns A⁻¹ by solving against the identity, the explicit
+// oracle for the factor-based kernels.
+func (c *Cholesky) Inverse() *Mat {
+	n := c.L.Rows
+	inv := NewMat(n, n)
+	e := make([]float64, n)
+	for j := 0; j < n; j++ {
+		for i := range e {
+			e[i] = 0
+		}
+		e[j] = 1
+		col := c.SolveVec(e)
+		for i := 0; i < n; i++ {
+			inv.Set(i, j, col[i])
+		}
+	}
+	return inv
+}

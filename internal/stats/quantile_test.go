@@ -268,3 +268,18 @@ func TestWeightedQuantileEdges(t *testing.T) {
 	}()
 	WeightedQuantile([]float64{1}, []float64{1, 2}, 0.5)
 }
+
+// Variance returns the unbiased sample variance of xs, Running's
+// oracle.
+func Variance(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	s := 0.0
+	for _, x := range xs {
+		d := x - m
+		s += d * d
+	}
+	return s / float64(len(xs)-1)
+}

@@ -1,9 +1,8 @@
 // Package transform implements MacroBase's domain-specific feature
-// transformation operators (paper §3.2 stage 2, §6.4): normalization
-// and smoothing, count/time windowing, per-attribute group-by routing,
-// Fourier analysis (FFT, short-time Fourier transform,
-// autocorrelation) for time-series pipelines, and a block-matching
-// optical-flow transform for video pipelines.
+// transformation operators (paper §3.2 stage 2, §6.4): Fourier analysis
+// (FFT and a grouped, windowed short-time Fourier transform) for
+// time-series pipelines, and a block-matching optical-flow transform
+// for video pipelines.
 package transform
 
 import "math"
@@ -52,36 +51,6 @@ func FFT(re, im []float64) {
 	}
 }
 
-// IFFT computes the inverse FFT in place via the conjugation identity.
-func IFFT(re, im []float64) {
-	for i := range im {
-		im[i] = -im[i]
-	}
-	FFT(re, im)
-	n := float64(len(re))
-	for i := range re {
-		re[i] /= n
-		im[i] = -im[i] / n
-	}
-}
-
-// DFT is the O(n^2) discrete Fourier transform, used as the FFT test
-// oracle and as the fallback for non-power-of-two inputs.
-func DFT(re, im []float64) (outRe, outIm []float64) {
-	n := len(re)
-	outRe = make([]float64, n)
-	outIm = make([]float64, n)
-	for k := 0; k < n; k++ {
-		for t := 0; t < n; t++ {
-			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			c, s := math.Cos(ang), math.Sin(ang)
-			outRe[k] += re[t]*c - im[t]*s
-			outIm[k] += re[t]*s + im[t]*c
-		}
-	}
-	return outRe, outIm
-}
-
 // NextPow2 returns the smallest power of two >= n (minimum 1).
 func NextPow2(n int) int {
 	p := 1
@@ -119,44 +88,6 @@ func SpectrumMagnitudes(xs []float64, k int) []float64 {
 	out := make([]float64, k)
 	for i := 0; i < k; i++ {
 		out[i] = math.Hypot(re[i], im[i])
-	}
-	return out
-}
-
-// Autocorrelation returns the normalized autocorrelation of xs at lags
-// 0..maxLag, computed in O(n log n) via the Wiener-Khinchin theorem.
-// The zero-lag coefficient is 1 for any non-constant series.
-func Autocorrelation(xs []float64, maxLag int) []float64 {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	mean := 0.0
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(n)
-	size := NextPow2(2 * n)
-	re := make([]float64, size)
-	im := make([]float64, size)
-	for i, x := range xs {
-		re[i] = x - mean
-	}
-	FFT(re, im)
-	for i := range re {
-		re[i], im[i] = re[i]*re[i]+im[i]*im[i], 0
-	}
-	IFFT(re, im)
-	out := make([]float64, maxLag+1)
-	if re[0] == 0 {
-		out[0] = 1
-		return out
-	}
-	for lag := 0; lag <= maxLag; lag++ {
-		out[lag] = re[lag] / re[0]
 	}
 	return out
 }

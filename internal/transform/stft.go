@@ -121,3 +121,12 @@ func (s *STFT) emit(group int32, g *stftState) core.Point {
 }
 
 var _ core.FlushingTransformer = (*STFT)(nil)
+
+// mod is x modulo m, in [0, m) for positive m.
+func mod(x, m float64) float64 {
+	r := x - m*float64(int64(x/m))
+	if r < 0 {
+		r += m
+	}
+	return r
+}

@@ -27,24 +27,6 @@ func TestFFTMatchesDFT(t *testing.T) {
 	}
 }
 
-func TestFFTInverseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	re := make([]float64, 128)
-	im := make([]float64, 128)
-	orig := make([]float64, 128)
-	for i := range re {
-		re[i] = rng.NormFloat64()
-		orig[i] = re[i]
-	}
-	FFT(re, im)
-	IFFT(re, im)
-	for i := range re {
-		if math.Abs(re[i]-orig[i]) > 1e-9 || math.Abs(im[i]) > 1e-9 {
-			t.Fatalf("round trip failed at %d", i)
-		}
-	}
-}
-
 func TestFFTPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { FFT(make([]float64, 3), make([]float64, 3)) },
@@ -76,111 +58,6 @@ func TestSpectrumDetectsFrequency(t *testing.T) {
 	}
 	if peak != 8 {
 		t.Errorf("spectral peak at bin %d, want 8", peak)
-	}
-}
-
-func TestAutocorrelationPeriodic(t *testing.T) {
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = math.Sin(2 * math.Pi * float64(i) / 20)
-	}
-	ac := Autocorrelation(xs, 40)
-	if math.Abs(ac[0]-1) > 1e-9 {
-		t.Fatalf("ac[0] = %v", ac[0])
-	}
-	if ac[20] < 0.8 {
-		t.Errorf("ac at the period = %v, want near 1", ac[20])
-	}
-	if ac[10] > -0.5 {
-		t.Errorf("ac at half period = %v, want strongly negative", ac[10])
-	}
-	// Constant series: defined to stay at 1 at lag zero without NaN.
-	flat := Autocorrelation([]float64{5, 5, 5, 5}, 2)
-	if math.IsNaN(flat[0]) {
-		t.Error("autocorrelation of constant series is NaN")
-	}
-}
-
-func TestZNormalize(t *testing.T) {
-	z := NewZNormalize(1)
-	rng := rand.New(rand.NewPCG(5, 6))
-	var out []core.Point
-	batch := make([]core.Point, 5000)
-	for i := range batch {
-		batch[i] = core.Point{Metrics: []float64{100 + rng.NormFloat64()*25}}
-	}
-	out = z.Transform(out, batch)
-	// After convergence the tail should be ~N(0,1).
-	var mean, m2 float64
-	tail := out[1000:]
-	for _, p := range tail {
-		mean += p.Metrics[0]
-	}
-	mean /= float64(len(tail))
-	for _, p := range tail {
-		d := p.Metrics[0] - mean
-		m2 += d * d
-	}
-	sd := math.Sqrt(m2 / float64(len(tail)-1))
-	if math.Abs(mean) > 0.1 || math.Abs(sd-1) > 0.1 {
-		t.Errorf("normalized tail mean %v sd %v", mean, sd)
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	m := NewMovingAverage(0, 3)
-	batch := []core.Point{
-		{Metrics: []float64{3}},
-		{Metrics: []float64{6}},
-		{Metrics: []float64{9}},
-		{Metrics: []float64{12}},
-	}
-	out := m.Transform(nil, batch)
-	want := []float64{3, 4.5, 6, 9}
-	for i, p := range out {
-		if math.Abs(p.Metrics[0]-want[i]) > 1e-12 {
-			t.Errorf("ma[%d] = %v, want %v", i, p.Metrics[0], want[i])
-		}
-	}
-}
-
-func TestTimeWindowAggregates(t *testing.T) {
-	w := NewTimeWindow(10, 0)
-	batch := []core.Point{
-		{Metrics: []float64{2}, Attrs: []int32{7}, Time: 0},
-		{Metrics: []float64{4}, Attrs: []int32{7}, Time: 5},
-		{Metrics: []float64{10}, Attrs: []int32{7}, Time: 12}, // next window
-		{Metrics: []float64{100}, Attrs: []int32{8}, Time: 3}, // other group
-	}
-	out := w.Transform(nil, batch)
-	if len(out) != 1 {
-		t.Fatalf("emitted %d, want 1", len(out))
-	}
-	if out[0].Metrics[0] != 3 || out[0].Time != 0 || out[0].Attrs[0] != 7 {
-		t.Errorf("window point = %+v", out[0])
-	}
-	rest := w.Flush(nil)
-	if len(rest) != 2 {
-		t.Fatalf("flushed %d, want 2", len(rest))
-	}
-}
-
-func TestGroupByRoutesAndFlushes(t *testing.T) {
-	g := NewGroupBy(0, func(group int32) core.Transformer {
-		return NewTimeWindow(10, -1)
-	})
-	batch := []core.Point{
-		{Metrics: []float64{1}, Attrs: []int32{1}, Time: 0},
-		{Metrics: []float64{3}, Attrs: []int32{1}, Time: 1},
-		{Metrics: []float64{5}, Attrs: []int32{2}, Time: 0},
-	}
-	out := g.Transform(nil, batch)
-	if len(out) != 0 {
-		t.Fatalf("premature emission: %v", out)
-	}
-	out = g.Flush(nil)
-	if len(out) != 2 {
-		t.Fatalf("flushed %d, want one window per group", len(out))
 	}
 }
 
@@ -286,4 +163,20 @@ func TestFlowTransformer(t *testing.T) {
 	if got := f.Transform(nil, []core.Point{{Metrics: []float64{1, 2}}}); len(got) != 0 {
 		t.Error("malformed frame not dropped")
 	}
+}
+
+// DFT is the O(n^2) discrete Fourier transform, FFT's test oracle.
+func DFT(re, im []float64) (outRe, outIm []float64) {
+	n := len(re)
+	outRe = make([]float64, n)
+	outIm = make([]float64, n)
+	for k := 0; k < n; k++ {
+		for t := 0; t < n; t++ {
+			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			c, s := math.Cos(ang), math.Sin(ang)
+			outRe[k] += re[t]*c - im[t]*s
+			outIm[k] += re[t]*s + im[t]*c
+		}
+	}
+	return outRe, outIm
 }
