@@ -273,7 +273,7 @@ func BenchmarkTable5Explainers(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			baselines.Apriori(txs, 0.001*totalOut, 0, nil)
+			baselines.Apriori(txs, 0.001*totalOut, nil)
 		}
 	})
 }
@@ -423,7 +423,7 @@ func BenchmarkFPGrowthMine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree := fptree.Build(txs, nil, 50)
-		tree.Mine(50, 0)
+		tree.Mine(50)
 	}
 }
 

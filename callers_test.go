@@ -2,11 +2,15 @@ package macrobase
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,17 +32,22 @@ type goDecl struct {
 	pkg, name, pos string
 }
 
-// TestExportedNamesHaveCallers fails for an exported top-level function
-// or type, in a non-test file outside bench/, that no non-test file
-// names. Files under bench/ and examples/ count as callers; a name used
-// only by tests belongs in the _test.go file that uses it.
-func TestExportedNamesHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	type file struct {
-		pkg string // import path
-		ast *ast.File
-	}
-	var files []file
+// srcFile is one parsed Go file of the repository.
+type srcFile struct {
+	pkg  string // import path
+	path string // slash-separated, relative to the repository root
+	ast  *ast.File
+}
+
+// isTest reports whether f is a _test.go file.
+func (f srcFile) isTest() bool { return strings.HasSuffix(f.path, "_test.go") }
+
+// parseRepo parses every Go file under the repository root, bench/
+// included, skipping dot directories and testdata; withTests adds the
+// _test.go files.
+func parseRepo(t *testing.T, fset *token.FileSet, withTests bool) []srcFile {
+	t.Helper()
+	var files []srcFile
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -49,7 +58,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || (!withTests && strings.HasSuffix(p, "_test.go")) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
@@ -61,12 +70,23 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		if dir != "." {
 			pkg += "/" + dir
 		}
-		files = append(files, file{pkg, f})
+		files = append(files, srcFile{pkg, filepath.ToSlash(p), f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return files
+}
+
+// TestExportedNamesHaveCallers fails for an exported top-level function
+// or type, in a non-test file outside bench/, that no non-test file
+// names. Files under bench/ and examples/ count as callers; a name used
+// only by tests belongs in the _test.go file that uses it. A method's
+// receiver does not count as a mention of its type.
+func TestExportedNamesHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	files := parseRepo(t, fset, false)
 
 	// Package names by import path, for imports without a local name.
 	pkgName := make(map[string]string)
@@ -124,7 +144,11 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 				continue
 			}
 			fd := d.(*ast.FuncDecl)
-			visit(fd, map[string]bool{fd.Name.Name: true})
+			self := map[string]bool{fd.Name.Name: true}
+			visit(fd.Type, self) // not fd.Recv
+			if fd.Body != nil {
+				visit(fd.Body, self)
+			}
 		}
 	}
 
@@ -177,10 +201,228 @@ func exportedDecls(fset *token.FileSet, pkg string, f *ast.File) []goDecl {
 
 // specNames is the name a type declaration may mention without that
 // counting as a use: its own. A function may likewise mention itself,
-// but a method's receiver names its type, and that counts.
+// and a method's receiver is not visited at all, so a type that only
+// its own methods name has no caller.
 func specNames(s ast.Spec) map[string]bool {
 	if ts, ok := s.(*ast.TypeSpec); ok {
 		return map[string]bool{ts.Name.Name: true}
 	}
 	return nil
+}
+
+// TestConfigFieldsHaveSetters fails for an exported field of an exported
+// struct type named *Config, declared in a non-test file outside
+// bench/, that a test sets and no non-test file does. (Other structs
+// carry results and state, whose fields their own package writes.) A
+// field is set by a composite literal that names it or fills it by
+// position, by a JSON tag (the decoder sets it), or by an assignment,
+// increment or address-of from outside its own package; assignments
+// inside the declaring package fill defaults, so they do not count.
+// Files under bench/ and examples/ count as setters. A setting only
+// tests set is a knob no run can turn: make it a constant, or an
+// unexported field the tests in its package set.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	fset := token.NewFileSet()
+	files := parseRepo(t, fset, true)
+
+	// Declared fields, by the position of their name.
+	declared := make(map[token.Pos]string)
+	for _, f := range files {
+		if f.isTest() || strings.HasPrefix(f.pkg, "macrobase/bench") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			g, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, s := range g.Specs {
+				ts, ok := s.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, fld := range st.Fields.List {
+					if fld.Tag != nil {
+						tag, _ := strconv.Unquote(fld.Tag.Value)
+						if j := reflect.StructTag(tag).Get("json"); j != "" && j != "-" {
+							continue // the JSON decoder sets it
+						}
+					}
+					for _, id := range fld.Names {
+						if id.IsExported() {
+							declared[id.Pos()] = f.pkg + "." + ts.Name.Name + "." + id.Name
+						}
+					}
+				}
+			}
+		}
+	}
+
+	setByTest := make(map[token.Pos]bool)
+	setByCode := make(map[token.Pos]bool)
+	for _, c := range typeCheckRepo(t, fset, files) {
+		record := func(fld *types.Var, at token.Pos, crossPkg bool) {
+			if _, ok := declared[fld.Pos()]; !ok {
+				return
+			}
+			switch {
+			case strings.HasSuffix(fset.File(at).Name(), "_test.go"):
+				setByTest[fld.Pos()] = true
+			case crossPkg || fld.Pkg() != c.pkg:
+				setByCode[fld.Pos()] = true
+			}
+		}
+		assigned := func(e ast.Expr) {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			if s, ok := c.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+				record(s.Obj().(*types.Var), sel.Pos(), false)
+			}
+		}
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					tv, ok := c.info.Types[n]
+					if !ok {
+						return true
+					}
+					st, ok := tv.Type.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if fld, ok := c.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								record(fld, kv.Pos(), true)
+							}
+						} else {
+							record(st.Field(i), e.Pos(), true)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						assigned(e)
+					}
+				case *ast.IncDecStmt:
+					assigned(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						assigned(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var missing []string
+	for pos, key := range declared {
+		if setByTest[pos] && !setByCode[pos] {
+			missing = append(missing, fset.Position(pos).String()+": "+key)
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s is set by tests and by no non-test code: make it a constant or an unexported field", m)
+	}
+}
+
+// checkedPkg is one type-checked package: a package with its in-package
+// test files, or an external _test package.
+type checkedPkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// typeCheckRepo type-checks every package in files, each together with
+// its in-package tests, plus each external _test package. Imports of
+// this repository's packages resolve to their non-test files; the
+// standard library is checked from source.
+func typeCheckRepo(t *testing.T, fset *token.FileSet, files []srcFile) []checkedPkg {
+	t.Helper()
+	type unit struct{ code, tests, xtests []*ast.File }
+	units := make(map[string]*unit)
+	for _, f := range files {
+		if ok, err := build.Default.MatchFile(path.Dir(f.path), path.Base(f.path)); err != nil || !ok {
+			continue // excluded by its build constraints, e.g. under -race
+		}
+		u := units[f.pkg]
+		if u == nil {
+			u = &unit{}
+			units[f.pkg] = u
+		}
+		switch {
+		case !f.isTest():
+			u.code = append(u.code, f.ast)
+		case strings.HasSuffix(f.ast.Name.Name, "_test"):
+			u.xtests = append(u.xtests, f.ast)
+		default:
+			u.tests = append(u.tests, f.ast)
+		}
+	}
+	imp := &repoImporter{
+		fset: fset,
+		code: make(map[string][]*ast.File),
+		done: make(map[string]*types.Package),
+		std:  importer.ForCompiler(fset, "source", nil),
+	}
+	for p, u := range units {
+		imp.code[p] = u.code
+	}
+	var out []checkedPkg
+	check := func(path string, files []*ast.File) {
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", path, err)
+		}
+		out = append(out, checkedPkg{pkg, files, info})
+	}
+	for p, u := range units {
+		if len(u.code)+len(u.tests) > 0 {
+			check(p, append(append([]*ast.File(nil), u.code...), u.tests...))
+		}
+		if len(u.xtests) > 0 {
+			check(p+"_test", u.xtests)
+		}
+	}
+	return out
+}
+
+// repoImporter resolves this repository's packages from their parsed
+// non-test files and everything else through std.
+type repoImporter struct {
+	fset *token.FileSet
+	code map[string][]*ast.File
+	done map[string]*types.Package
+	std  types.Importer
+}
+
+func (im *repoImporter) Import(path string) (*types.Package, error) {
+	if p, ok := im.done[path]; ok {
+		return p, nil
+	}
+	files, ok := im.code[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	p, err := (&types.Config{Importer: im}).Check(path, im.fset, files, nil)
+	if err != nil {
+		return nil, err
+	}
+	im.done[path] = p
+	return p, nil
 }

@@ -153,42 +153,10 @@ func microBenchmarks() []benchResult {
 	rebalKernel := func(pinned bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			d := gen.SkewedDevices(gen.SkewConfig{Points: 64_512, PinShards: 4, Seed: 42})
-			const batchPts = 1024
-			var batches [][]core.Point
-			for off := 0; off+batchPts <= len(d.Points); off += batchPts {
-				batches = append(batches, d.Points[off:off+batchPts])
-			}
-			const producers = 3
-			src := ingest.NewPush(producers, 4)
-			sess, err := pipeline.StartPartitionedStream(src, pipeline.Config{
+			final := p3s4Session(b, p3s4Batches(d.Points), pipeline.Config{
 				Dims: 1, MinSupport: 0.005, DecayEveryPoints: 100_000,
 				CoordinateEvery: 4096, DisableRebalance: pinned, Seed: 7,
-			}, 4)
-			if err != nil {
-				panic(err)
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					pr := src.Producer(p)
-					ctx := context.Background()
-					for i := p; i < b.N; i += producers {
-						if err := pr.Send(ctx, batches[i%len(batches)]); err != nil {
-							return
-						}
-					}
-					pr.Close()
-				}(p)
-			}
-			wg.Wait()
-			final, err := sess.Stop()
-			if err != nil {
-				panic(err)
-			}
-			b.StopTimer()
+			}, false)
 			if sb := final.Shards; sb != nil {
 				var hot, total int64
 				for _, s := range sb.PerShard {
@@ -242,56 +210,12 @@ func microBenchmarks() []benchResult {
 			// 3 concurrent producers feed a resident 4-shard session
 			// through ingest.Push; one op is one 1024-point batch
 			// pushed through the full pipeline (route + classify +
-			// explain), timed until the stream drains.
+			// explain), timed until the stream drains. The session is
+			// warmed first (see p3s4Session).
 			d := gen.Devices(gen.DeviceConfig{Points: 64_512, Devices: 400, Seed: 42})
-			const batchPts = 1024
-			var batches [][]core.Point
-			for off := 0; off+batchPts <= len(d.Points); off += batchPts {
-				batches = append(batches, d.Points[off:off+batchPts])
-			}
-			const producers = 3
-			src := ingest.NewPush(producers, 4)
-			sess, err := pipeline.StartPartitionedStream(src, pipeline.Config{
+			p3s4Session(b, p3s4Batches(d.Points), pipeline.Config{
 				Dims: 1, MinSupport: 0.005, DecayEveryPoints: 100_000, Seed: 7,
-			}, 4)
-			if err != nil {
-				panic(err)
-			}
-			// Warm the resident session past its growth phase (tree
-			// slabs, sketch tables, ack windows all reach steady size)
-			// so the timed section measures the per-batch path, not
-			// amortized startup growth.
-			warmCtx := context.Background()
-			warmPr := src.Producer(0)
-			for i := 0; i < 2*len(batches); i++ {
-				if err := warmPr.Send(warmCtx, batches[i%len(batches)]); err != nil {
-					panic(err)
-				}
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					pr := src.Producer(p)
-					ctx := context.Background()
-					for i := p; i < b.N; i += producers {
-						if err := pr.Send(ctx, batches[i%len(batches)]); err != nil {
-							return
-						}
-					}
-					pr.Close()
-				}(p)
-			}
-			wg.Wait()
-			// Closing every producer ends the stream naturally; Stop
-			// then just waits for the drain — part of the measured
-			// ingest cost.
-			if _, err := sess.Stop(); err != nil {
-				panic(err)
-			}
-			b.StopTimer()
+			}, true)
 		}),
 		runKernel("Coordinate/p3s4", func(b *testing.B) {
 			// Coordination-overhead kernel: the PushIngest workload
@@ -302,41 +226,10 @@ func microBenchmarks() []benchResult {
 			// against PushIngest/p3s4 (default cadence) for the
 			// per-batch cost of coordination itself.
 			d := gen.Devices(gen.DeviceConfig{Points: 64_512, Devices: 400, Seed: 42})
-			const batchPts = 1024
-			var batches [][]core.Point
-			for off := 0; off+batchPts <= len(d.Points); off += batchPts {
-				batches = append(batches, d.Points[off:off+batchPts])
-			}
-			const producers = 3
-			src := ingest.NewPush(producers, 4)
-			sess, err := pipeline.StartPartitionedStream(src, pipeline.Config{
+			p3s4Session(b, p3s4Batches(d.Points), pipeline.Config{
 				Dims: 1, MinSupport: 0.005, DecayEveryPoints: 100_000,
 				CoordinateEvery: 4096, Seed: 7,
-			}, 4)
-			if err != nil {
-				panic(err)
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					pr := src.Producer(p)
-					ctx := context.Background()
-					for i := p; i < b.N; i += producers {
-						if err := pr.Send(ctx, batches[i%len(batches)]); err != nil {
-							return
-						}
-					}
-					pr.Close()
-				}(p)
-			}
-			wg.Wait()
-			if _, err := sess.Stop(); err != nil {
-				panic(err)
-			}
-			b.StopTimer()
+			}, false)
 		}),
 		runKernel("Rebalance/p3s4", rebalKernel(false)),
 		runKernel("Rebalance/p3s4-pinned", rebalKernel(true)),
@@ -350,41 +243,20 @@ func microBenchmarks() []benchResult {
 			// Rebalancing is on so the 0-allocs/op gate also guards the
 			// bucket load counters and epoch swaps.
 			d := gen.Devices(gen.DeviceConfig{Points: 64_512, Devices: 400, Seed: 42})
-			const batchPts = 1024
-			var batches [][]core.Point
-			for off := 0; off+batchPts <= len(d.Points); off += batchPts {
-				batches = append(batches, d.Points[off:off+batchPts])
-			}
-			const producers = 3
-			src := ingest.NewPush(producers, 4)
+			src := ingest.NewPush(p3s4Producers)
 			sr := &core.StreamRunner{
 				Partitioned:     src,
-				Shards:          4,
+				Shards:          p3s4Shards,
 				NewShard:        func(int) core.ShardPipeline { return core.ShardPipeline{} },
-				BatchSize:       batchPts,
+				BatchSize:       p3s4BatchPoints,
 				Rebalance:       true,
 				CoordinateEvery: 8192,
 			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					pr := src.Producer(p)
-					ctx := context.Background()
-					for i := p; i < b.N; i += producers {
-						if err := pr.Send(ctx, batches[i%len(batches)]); err != nil {
-							return
-						}
-					}
-					pr.Close()
-				}(p)
-			}
-			if _, err := sr.Run(); err != nil {
-				panic(err)
-			}
-			wg.Wait()
+			p3s4Push(b, src, p3s4Batches(d.Points), func() {
+				if _, err := sr.Run(); err != nil {
+					panic(err)
+				}
+			})
 			b.StopTimer()
 		}),
 		runKernel("PushIngest/binary-decode", func(b *testing.B) {
@@ -448,7 +320,7 @@ func microBenchmarks() []benchResult {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tree := fptree.Build(txs, nil, 20)
-				tree.Mine(20, 0)
+				tree.Mine(20)
 			}
 		}),
 	}
@@ -482,6 +354,81 @@ func microBenchmarks() []benchResult {
 	}
 	fmt.Println()
 	return results
+}
+
+// The p3s4 kernels push one stream from 3 producers through 4 shards;
+// one op is one 1024-point batch.
+const (
+	p3s4Producers   = 3
+	p3s4Shards      = 4
+	p3s4BatchPoints = 1024
+)
+
+// p3s4Batches cuts pts into whole p3s4BatchPoints-point batches.
+func p3s4Batches(pts []core.Point) [][]core.Point {
+	var batches [][]core.Point
+	for off := 0; off+p3s4BatchPoints <= len(pts); off += p3s4BatchPoints {
+		batches = append(batches, pts[off:off+p3s4BatchPoints])
+	}
+	return batches
+}
+
+// p3s4Push is the p3s4 kernels' one fan-out. It resets the timer, then
+// p3s4Producers producers deal ops [0, b.N) of batches round-robin into
+// src's partitions and close them, while consume (if non-nil) runs on
+// the calling goroutine. It returns once every producer is done; the
+// caller stops the timer.
+func p3s4Push(b *testing.B, src *ingest.Push, batches [][]core.Point, consume func()) {
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for p := 0; p < p3s4Producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			pr := src.Producer(p)
+			ctx := context.Background()
+			for i := p; i < b.N; i += p3s4Producers {
+				if err := pr.Send(ctx, batches[i%len(batches)]); err != nil {
+					return
+				}
+			}
+			pr.Close()
+		}(p)
+	}
+	if consume != nil {
+		consume()
+	}
+	wg.Wait()
+}
+
+// p3s4Session times the p3s4 push workload through a resident
+// p3s4Shards-shard session started with cfg, up to and including the
+// drain that closing every producer starts (Stop waits for it), and
+// returns the final result. With warm set, two untimed passes over
+// batches first take the session past its growth phase (tree slabs,
+// sketch tables and ack windows reach steady size), so the timed
+// section measures the per-batch path, not amortized startup growth.
+func p3s4Session(b *testing.B, batches [][]core.Point, cfg pipeline.Config, warm bool) *pipeline.ShardedResult {
+	src := ingest.NewPush(p3s4Producers)
+	sess, err := pipeline.StartPartitionedStream(src, cfg, p3s4Shards)
+	if err != nil {
+		panic(err)
+	}
+	if warm {
+		pr := src.Producer(0)
+		for i := 0; i < 2*len(batches); i++ {
+			if err := pr.Send(context.Background(), batches[i%len(batches)]); err != nil {
+				panic(err)
+			}
+		}
+	}
+	p3s4Push(b, src, batches, nil)
+	final, err := sess.Stop()
+	if err != nil {
+		panic(err)
+	}
+	b.StopTimer()
+	return final
 }
 
 // compareAgainstBaseline checks the current micro-benchmark results

@@ -501,6 +501,44 @@ func TestStreamPushErrors(t *testing.T) {
 	postJSON(t, srv.URL+"/stream/"+csvID+"/stop", nil)
 }
 
+// TestNonFiniteRowsRejected: a NaN or infinite metric is a bad row, as
+// an unparsable one is. One such row used to poison the whole answer: a
+// NaN left /query with no outliers, an Inf with one wrong explanation.
+func TestNonFiniteRowsRejected(t *testing.T) {
+	data, err := os.ReadFile(writeTestCSV(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	for _, tc := range []struct{ name, row, settings string }{
+		{"one-shot NaN", "NaN,dev3\n", ""},
+		{"one-shot Inf", "Inf,dev3\n", ""},
+		{"streaming NaN", "NaN,dev3\n", `,"streaming":true`},
+	} {
+		lines[100] = tc.row // data row 100, after the header
+		path := filepath.Join(t.TempDir(), "poisoned.csv")
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		body := fmt.Sprintf(`{"input":%q,"metrics":["power"],"attributes":["device"],"minSupport":0.05%s}`, path, tc.settings)
+		rec := httptest.NewRecorder()
+		handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "row 100") {
+			t.Errorf("/query, %s: status %d, body %q; want 400 naming row 100", tc.name, rec.Code, rec.Body.String())
+		}
+	}
+
+	srv := httptest.NewServer(newMux(newStreamRegistry()))
+	defer srv.Close()
+	id := startStream(t, srv, `{"input":"push","metrics":["power"],"attributes":["device","version"]}`)
+	recs := pushTestRecords(200)
+	recs[100].metrics[0] = math.Inf(1)
+	if code, _ := pushBinary(t, srv.URL+"/stream/"+id+"/push", binaryPushBody(t, recs)); code != http.StatusBadRequest {
+		t.Errorf("binary push with an Inf metric: status %d, want 400", code)
+	}
+	postJSON(t, srv.URL+"/stream/"+id+"/stop", nil)
+}
+
 // pushBinary posts a binary row body under the binary content type.
 func pushBinary(t *testing.T, url string, body []byte) (int, map[string]any) {
 	t.Helper()

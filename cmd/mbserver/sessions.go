@@ -46,11 +46,6 @@ const pushInput = "push"
 // the training samples anyway (see doc.go).
 var maxShards = max(64, 4*runtime.GOMAXPROCS(0))
 
-// pushQueueDepth bounds each push partition's in-flight batches: one
-// slow pipeline shows up as producer backpressure (a blocked /push
-// request), not as unbounded server-side buffering.
-const pushQueueDepth = 4
-
 // check applies the request's defaults and rejects every request the
 // server will not start: the query config's own checks, the shard and
 // partition bounds, and push-only settings on a CSV input.
@@ -93,9 +88,9 @@ func (req *streamStartRequest) open() (*streamState, error) {
 	var push *ingest.Push
 	var closeInput func()
 	if req.Input == pushInput {
-		push = ingest.NewPush(req.Partitions, pushQueueDepth)
+		push = ingest.NewPush(req.Partitions)
 		if req.Replay {
-			push.EnableReplay(0)
+			push.EnableReplay()
 		}
 		src, closeInput = push, push.CloseAll
 	} else {

@@ -437,7 +437,11 @@
 // DisableRebalance (pin the routing table for bit-exact reruns) and
 // DisableGlobalThreshold (per-shard cutoffs). A reflection test
 // (pipeline.TestDisableKnobsAreTheTwoThatChangeAnswers) fails if an
-// output-identical one joins them.
+// output-identical one joins them. A setting that no run can turn goes
+// too: the root package's TestConfigFieldsHaveSetters fails for an
+// exported field of a *Config struct that tests set and no non-test
+// code does, so a test-only seam is an unexported field in its package
+// (pipeline.Config's batchSize and newClassifier are two).
 //
 // # Push-based partitioned ingest
 //
@@ -595,6 +599,9 @@
 //     (GetBatch/SendBatch, allocation-free) or Send([]Point), which
 //     wraps the caller's points zero-copy in a borrowed batch — there
 //     ownership of the points transfers to the stream until routed.
+//     Each partition queues at most 4 batches (the constant
+//     pushQueueDepth); with four queued, Send blocks until the engine
+//     takes one.
 //
 //   - Routing. The ingest goroutine scatters each point's payload into
 //     pooled per-shard batches (the one unavoidable copy, and the one
@@ -644,8 +651,9 @@
 // including after the run has ended, and pipeline.ResumeStream builds
 // a fresh session that seeks each partition (core.SeekablePartition)
 // back to its committed offset: ingest.Push retains unacked points in
-// a bounded replay log when EnableReplay is set (producers stall at
-// the cap instead of evicting unacked data). mbserver exposes the pair
+// a replay log when EnableReplay is set, bounded at 1<<20 points per
+// partition (the constant replayMaxPoints; delivery stalls at the cap
+// instead of evicting unacked data). mbserver exposes the pair
 // as GET and POST /stream/{id}/checkpoint. Replayed points are
 // re-delivered, not deduplicated — downstream effects must tolerate
 // at-least-once.

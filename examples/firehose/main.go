@@ -139,7 +139,7 @@ type pollSample struct {
 func runFirehose(cfg pipeline.Config, sampler *comboSampler, enc *encode.Encoder,
 	versions []string, verbose bool) (*pipeline.ShardedResult, []pollSample) {
 
-	src := ingest.NewPush(partitions, 4)
+	src := ingest.NewPush(partitions)
 	sess, err := pipeline.StartPartitionedStream(src, cfg, shards)
 	if err != nil {
 		panic(err)

@@ -11,7 +11,7 @@ import (
 // repeated full-data scans per level are the cost FPGrowth avoids.
 // canceled, when non-nil, is polled between levels so the benchmark
 // harness can impose the paper's 20-minute DNF cutoff.
-func Apriori(txs [][]int32, minCount float64, maxItems int, canceled func() bool) []fptree.Itemset {
+func Apriori(txs [][]int32, minCount float64, canceled func() bool) []fptree.Itemset {
 	// Level 1: single item counts.
 	counts := map[int32]float64{}
 	for _, tx := range txs {
@@ -29,7 +29,7 @@ func Apriori(txs [][]int32, minCount float64, maxItems int, canceled func() bool
 	}
 	sortSets(frequent)
 
-	for level := 2; len(frequent) > 0 && (maxItems <= 0 || level <= maxItems); level++ {
+	for level := 2; len(frequent) > 0; level++ {
 		if canceled != nil && canceled() {
 			return nil
 		}

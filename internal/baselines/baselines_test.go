@@ -80,11 +80,11 @@ func TestAprioriMatchesFPGrowth(t *testing.T) {
 		}
 		minCount := float64(1 + rng.IntN(4))
 		want := map[string]float64{}
-		for _, is := range fptree.Build(txs, nil, minCount).Mine(minCount, 0) {
+		for _, is := range fptree.Build(txs, nil, minCount).Mine(minCount) {
 			want[keyOf(is.Items)] = is.Count
 		}
 		got := map[string]float64{}
-		for _, is := range Apriori(txs, minCount, 0, nil) {
+		for _, is := range Apriori(txs, minCount, nil) {
 			got[keyOf(is.Items)] = is.Count
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -95,7 +95,7 @@ func TestAprioriMatchesFPGrowth(t *testing.T) {
 
 func TestAprioriCancel(t *testing.T) {
 	txs := [][]int32{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}}
-	if got := Apriori(txs, 1, 0, func() bool { return true }); got != nil {
+	if got := Apriori(txs, 1, func() bool { return true }); got != nil {
 		t.Errorf("canceled run returned %v", got)
 	}
 }
@@ -162,19 +162,9 @@ func TestCubeFindsPlanted(t *testing.T) {
 	}
 }
 
-func TestCubeMaxItems(t *testing.T) {
-	labeled := plantedSet(50, 500, 9)
-	exps := Cube(labeled, CubeConfig{MinSupport: 0.5, MinRiskRatio: 3, MaxItems: 1})
-	for i := range exps {
-		if len(exps[i].ItemIDs) > 1 {
-			t.Errorf("maxItems violated: %v", exps[i])
-		}
-	}
-}
-
 func TestDecisionTreeFindsPlanted(t *testing.T) {
 	labeled := plantedSet(100, 2000, 11)
-	exps := DecisionTree(labeled, DTreeConfig{MaxDepth: 10, MinLeaf: 5, MinRiskRatio: 3})
+	exps := DecisionTree(labeled, DTreeConfig{MaxDepth: 10})
 	if len(exps) == 0 {
 		t.Fatal("no explanations")
 	}
@@ -196,7 +186,7 @@ func TestDecisionTreeFindsPlanted(t *testing.T) {
 
 func TestXRayCoversPlanted(t *testing.T) {
 	labeled := plantedSet(80, 3000, 13)
-	exps := XRay(labeled, XRayConfig{MaxItems: 2})
+	exps := XRay(labeled, XRayConfig{})
 	if len(exps) == 0 {
 		t.Fatal("no explanations")
 	}

@@ -11,8 +11,6 @@ import (
 type CubeConfig struct {
 	MinSupport   float64
 	MinRiskRatio float64
-	// MaxItems bounds combination size (0 = all 2^d cells per point).
-	MaxItems int
 	// Canceled, when non-nil, is polled periodically to allow the
 	// harness to abandon runs (the paper's DNF cutoff).
 	Canceled func() bool
@@ -40,9 +38,6 @@ func Cube(labeled []core.LabeledPoint, cfg CubeConfig) []core.Explanation {
 	subsets = func(attrs []int32, start int, cur []int32, visit func([]int32)) {
 		if len(cur) > 0 {
 			visit(cur)
-		}
-		if cfg.MaxItems > 0 && len(cur) >= cfg.MaxItems {
-			return
 		}
 		for i := start; i < len(attrs); i++ {
 			subsets(attrs, i+1, append(cur, attrs[i]), visit)

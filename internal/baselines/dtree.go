@@ -9,13 +9,16 @@ import (
 type DTreeConfig struct {
 	// MaxDepth bounds the tree (Table 5 uses 10 and 100).
 	MaxDepth int
-	// MinLeaf is the minimum points per leaf (default 10).
-	MinLeaf int
-	// MinRiskRatio filters the reported leaf predicates (default 3).
-	MinRiskRatio float64
 	// Canceled is polled between node expansions.
 	Canceled func() bool
 }
+
+const (
+	// dtreeMinLeaf is the minimum points per leaf.
+	dtreeMinLeaf = 10
+	// dtreeMinRiskRatio filters the reported leaf predicates.
+	dtreeMinRiskRatio = 3
+)
 
 // DecisionTree is the failure-diagnosis explainer of Chen et al.
 // (Table 5 "DT10"/"DT100"): a greedy binary tree over attribute
@@ -27,12 +30,6 @@ type DTreeConfig struct {
 func DecisionTree(labeled []core.LabeledPoint, cfg DTreeConfig) []core.Explanation {
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 10
-	}
-	if cfg.MinLeaf <= 0 {
-		cfg.MinLeaf = 10
-	}
-	if cfg.MinRiskRatio == 0 {
-		cfg.MinRiskRatio = 3
 	}
 	var totalOut, totalIn float64
 	idx := make([]int, len(labeled))
@@ -62,10 +59,10 @@ func DecisionTree(labeled []core.LabeledPoint, cfg DTreeConfig) []core.Explanati
 			}
 		}
 		pure := out == 0 || in == 0
-		if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeaf || pure {
+		if depth >= cfg.MaxDepth || len(idx) < 2*dtreeMinLeaf || pure {
 			if out > in && len(path) > 0 {
 				rr := explain.RiskRatio(out, in, totalOut, totalIn)
-				if rr >= cfg.MinRiskRatio {
+				if rr >= dtreeMinRiskRatio {
 					items := make([]int32, len(path))
 					copy(items, path)
 					sortInt32(items)
@@ -107,7 +104,7 @@ func DecisionTree(labeled []core.LabeledPoint, cfg DTreeConfig) []core.Explanati
 		for a, s := range cand {
 			nLeft := s.out + s.in
 			nRight := total - nLeft
-			if nLeft < float64(cfg.MinLeaf) || nRight < float64(cfg.MinLeaf) {
+			if nLeft < dtreeMinLeaf || nRight < dtreeMinLeaf {
 				continue
 			}
 			gLeft := gini(s.out, s.in)

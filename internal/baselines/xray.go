@@ -10,20 +10,23 @@ import (
 
 // XRayConfig parameterizes the Data X-Ray-style explainer.
 type XRayConfig struct {
-	// Alpha weighs feature-set size against error in the cost
-	// function (default 1).
-	Alpha float64
-	// MaxFeatures bounds the returned cover (default 32).
-	MaxFeatures int
-	// MaxItems bounds the size of candidate conjunctions explored
-	// per refinement (default 3). With flat attributes X-Ray
-	// considers all combinations unless its stopping criteria are
-	// met — the behavior the paper's authors confirmed and the
-	// reason it DNFs on wide datasets in Table 5.
-	MaxItems int
 	// Canceled is polled during candidate enumeration.
 	Canceled func() bool
 }
+
+const (
+	// xrayAlpha weighs feature-set size against error in the cost
+	// function.
+	xrayAlpha = 1
+	// xrayMaxFeatures bounds the returned cover.
+	xrayMaxFeatures = 32
+	// xrayMaxItems bounds the size of candidate conjunctions explored
+	// per refinement. With flat attributes X-Ray considers all
+	// combinations unless its stopping criteria are met — the
+	// behavior the paper's authors confirmed and the reason it DNFs
+	// on wide datasets in Table 5.
+	xrayMaxItems = 3
+)
 
 // XRay is a Data X-Ray-inspired diagnoser (Wang, Dong & Meliou;
 // Table 5 "XR"): it greedily builds a minimum-cost cover of the
@@ -31,17 +34,8 @@ type XRayConfig struct {
 // trading the number of features against the false positives and
 // false negatives they incur. On MacroBase's flat attribute spaces the
 // candidate pool is the cross product of attribute values, explored
-// breadth-first up to MaxItems, which is why wide datasets blow up.
+// breadth-first up to xrayMaxItems, which is why wide datasets blow up.
 func XRay(labeled []core.LabeledPoint, cfg XRayConfig) []core.Explanation {
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 1
-	}
-	if cfg.MaxFeatures == 0 {
-		cfg.MaxFeatures = 32
-	}
-	if cfg.MaxItems == 0 {
-		cfg.MaxItems = 3
-	}
 	var totalOut, totalIn float64
 	var outIdx []int
 	for i := range labeled {
@@ -56,7 +50,7 @@ func XRay(labeled []core.LabeledPoint, cfg XRayConfig) []core.Explanation {
 		return nil
 	}
 
-	// Enumerate candidate conjunctions up to MaxItems over the
+	// Enumerate candidate conjunctions up to xrayMaxItems over the
 	// outliers, with their class counts (inlier counts via a second
 	// pass).
 	type stat struct{ out, in float64 }
@@ -92,7 +86,7 @@ func XRay(labeled []core.LabeledPoint, cfg XRayConfig) []core.Explanation {
 					s.in++
 				}
 			}
-			if len(cur) >= cfg.MaxItems {
+			if len(cur) >= xrayMaxItems {
 				return true
 			}
 			for i := start; i < len(attrs); i++ {
@@ -123,7 +117,7 @@ func XRay(labeled []core.LabeledPoint, cfg XRayConfig) []core.Explanation {
 	covered := make([]bool, len(labeled))
 	remaining := totalOut
 	var exps []core.Explanation
-	for len(exps) < cfg.MaxFeatures && remaining > 0 {
+	for len(exps) < xrayMaxFeatures && remaining > 0 {
 		if cfg.Canceled != nil && cfg.Canceled() {
 			return nil
 		}
@@ -133,7 +127,7 @@ func XRay(labeled []core.LabeledPoint, cfg XRayConfig) []core.Explanation {
 			if s.out <= 0 {
 				continue
 			}
-			score := s.out / (cfg.Alpha + s.in)
+			score := s.out / (xrayAlpha + s.in)
 			if score > bestScore {
 				bestScore = score
 				bestKey = k
@@ -185,7 +179,7 @@ func XRay(labeled []core.LabeledPoint, cfg XRayConfig) []core.Explanation {
 							s.out--
 						}
 					}
-					if len(cur) >= cfg.MaxItems {
+					if len(cur) >= xrayMaxItems {
 						return
 					}
 					for x := start; x < len(attrs); x++ {

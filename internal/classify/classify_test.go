@@ -210,15 +210,14 @@ func TestRuleAndHybrid(t *testing.T) {
 	rule := &Rule{
 		Name:    "power>100",
 		Outlier: func(p *core.Point) bool { return p.Metrics[0] > 100 },
-		Score:   func(p *core.Point) float64 { return p.Metrics[0] },
 	}
 	pts := []core.Point{{Metrics: []float64{50}}, {Metrics: []float64{150}}}
 	labeled := rule.ClassifyBatch(nil, pts)
 	if labeled[0].Label != core.Inlier || labeled[1].Label != core.Outlier {
 		t.Fatalf("rule labels wrong: %v", labeled)
 	}
-	if labeled[1].Score != 150 {
-		t.Errorf("rule score = %v", labeled[1].Score)
+	if labeled[0].Score != 0 || labeled[1].Score != 1 {
+		t.Errorf("rule scores = %v, %v", labeled[0].Score, labeled[1].Score)
 	}
 
 	always := &Rule{Name: "never", Outlier: func(*core.Point) bool { return false }}
@@ -230,7 +229,7 @@ func TestRuleAndHybrid(t *testing.T) {
 	if merged[0].Label != core.Inlier {
 		t.Error("hybrid OR fabricated outlier")
 	}
-	if merged[1].Score != 150 {
+	if merged[1].Score != 1 {
 		t.Errorf("hybrid score = %v, want max member score", merged[1].Score)
 	}
 	hybrid.Decay() // no decayable members; must not panic

@@ -4,31 +4,22 @@ import "macrobase/internal/core"
 
 // Rule is a supervised, predicate-based classifier: domain rules such
 // as "power drain greater than 100W" (paper §1) label points directly
-// without a trained model.
+// without a trained model. Outliers score 1 and inliers 0.
 type Rule struct {
 	// Name describes the rule for reports.
 	Name string
 	// Outlier returns true when the point should be labeled an
 	// outlier.
 	Outlier func(p *core.Point) bool
-	// Score, when non-nil, supplies the reported score; otherwise
-	// outliers score 1 and inliers 0.
-	Score func(p *core.Point) float64
 }
 
 // ClassifyBatch implements core.Classifier.
 func (r *Rule) ClassifyBatch(dst []core.LabeledPoint, batch []core.Point) []core.LabeledPoint {
 	for i := range batch {
 		p := &batch[i]
-		label := core.Inlier
+		label, score := core.Inlier, 0.0
 		if r.Outlier(p) {
-			label = core.Outlier
-		}
-		score := 0.0
-		if r.Score != nil {
-			score = r.Score(p)
-		} else if label == core.Outlier {
-			score = 1
+			label, score = core.Outlier, 1
 		}
 		dst = append(dst, core.LabeledPoint{Point: *p, Score: score, Label: label})
 	}

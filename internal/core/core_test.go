@@ -213,19 +213,6 @@ func TestRunnerRequiresSource(t *testing.T) {
 	}
 }
 
-func TestTransformFunc(t *testing.T) {
-	double := TransformFunc(func(dst []Point, batch []Point) []Point {
-		for i := range batch {
-			dst = append(dst, Point{Metrics: []float64{batch[i].Metrics[0] * 2}})
-		}
-		return dst
-	})
-	out := double.Transform(nil, mkPoints(3, 0))
-	if len(out) != 3 || out[2].Metrics[0] != 4 {
-		t.Errorf("transform func output %v", out)
-	}
-}
-
 func TestExplanationString(t *testing.T) {
 	e := Explanation{ItemIDs: []int32{1, 2}, Support: 0.5, RiskRatio: 3}
 	if e.String() == "" || e.NumItems() != 2 {

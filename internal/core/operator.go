@@ -70,13 +70,6 @@ type Decayable interface {
 	Decay()
 }
 
-// TransformFunc adapts a stateless function to the Transformer
-// interface.
-type TransformFunc func(dst []Point, batch []Point) []Point
-
-// Transform implements Transformer.
-func (f TransformFunc) Transform(dst []Point, batch []Point) []Point { return f(dst, batch) }
-
 // ErrStopped is returned by StreamRunner.Run when execution is halted
 // by RequestStop rather than source exhaustion.
 var ErrStopped = errors.New("core: pipeline stopped")

@@ -526,14 +526,14 @@ func (t *Tree) split(perm, par, keys []int32, lo, hi, depth, next int32) int32 {
 // results. The FP-tree and the miner's conditional-tree frames are
 // pooled on the tree, so steady-state mines allocate only the returned
 // itemsets.
-func (t *Tree) Mine(minCount float64, maxItems int) []fptree.Itemset {
+func (t *Tree) Mine(minCount float64) []fptree.Itemset {
 	t.extractPaths()
 	t.pathSlices = t.pathSlices[:0]
 	for i := 0; i < t.numPaths(); i++ {
 		t.pathSlices = append(t.pathSlices, t.path(i))
 	}
 	fptree.BuildInto(&t.mineTree, t.pathSlices, t.pathW, minCount)
-	return t.mineTree.MineWith(&t.miner, minCount, maxItems)
+	return t.mineTree.MineWith(&t.miner, minCount)
 }
 
 // ItemsetSupport returns the decayed weight of transactions containing

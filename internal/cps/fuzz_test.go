@@ -184,7 +184,7 @@ func byteTx(b byte) []int32 {
 // then cross-checks the support query path on every mined itemset.
 func checkMine(t *testing.T, tree *Tree, model *treeModel, minCount float64, data []byte) {
 	t.Helper()
-	mined := tree.Mine(minCount, 0)
+	mined := tree.Mine(minCount)
 	got := map[string]float64{}
 	for _, is := range mined {
 		got[key(is.Items)] = is.Count

@@ -51,7 +51,7 @@ func Table5(scale float64) []*Table {
 			baselines.DecisionTree(labeled, baselines.DTreeConfig{MaxDepth: 100, Canceled: c})
 		}))
 		row = append(row, timed(timeout, func(c func() bool) {
-			baselines.Apriori(outlierTxs(labeled), cfg.MinSupport*countOutliers(labeled), 0, c)
+			baselines.Apriori(outlierTxs(labeled), cfg.MinSupport*countOutliers(labeled), c)
 		}))
 		row = append(row, timed(timeout, func(c func() bool) {
 			baselines.XRay(labeled, baselines.XRayConfig{Canceled: c})

@@ -7,15 +7,14 @@ import (
 
 // BatchConfig parameterizes batch explanation. Zero fields take the
 // paper's §6 defaults: minimum support 0.1% of outliers and minimum
-// risk ratio 3.
+// risk ratio 3. Combinations of every size FPGrowth finds are
+// reported; as in the paper, there is no bound on their size.
 type BatchConfig struct {
 	// MinSupport is the minimum fraction of outliers a combination
 	// must cover (default 0.001).
 	MinSupport float64
 	// MinRiskRatio is the minimum relative risk (default 3).
 	MinRiskRatio float64
-	// MaxItems, when positive, bounds combination size.
-	MaxItems int
 	// Confidence, when positive (e.g. 0.95), attaches risk-ratio
 	// confidence intervals to each explanation.
 	Confidence float64
@@ -116,7 +115,7 @@ func ExplainBatch(labeled []core.LabeledPoint, cfg BatchConfig) []core.Explanati
 		outTxs = append(outTxs, tx)
 	}
 	outTree := fptree.Build(outTxs, nil, minCount)
-	itemsets := outTree.Mine(minCount, cfg.MaxItems)
+	itemsets := outTree.Mine(minCount)
 
 	// Stage 3: count each multi-attribute combination over the
 	// inliers (single pass building a tree restricted to qualified
@@ -214,8 +213,8 @@ func ExplainSeparate(labeled []core.LabeledPoint, cfg BatchConfig) []core.Explan
 	if totalOut == 0 {
 		return nil
 	}
-	outSets := fptree.Build(outTxs, nil, cfg.MinSupport*totalOut).Mine(cfg.MinSupport*totalOut, cfg.MaxItems)
-	inSets := fptree.Build(inTxs, nil, cfg.MinSupport*totalIn).Mine(cfg.MinSupport*totalIn, cfg.MaxItems)
+	outSets := fptree.Build(outTxs, nil, cfg.MinSupport*totalOut).Mine(cfg.MinSupport * totalOut)
+	inSets := fptree.Build(inTxs, nil, cfg.MinSupport*totalIn).Mine(cfg.MinSupport * totalIn)
 	inBySet := make(map[string]float64, len(inSets))
 	for _, is := range inSets {
 		inBySet[itemKey(is.Items)] = is.Count

@@ -249,7 +249,7 @@ func diffConfigs() []StreamingConfig {
 		{MinSupport: 1.0 / 64, MinRiskRatio: 1.125, DecayRate: 0.5},
 		// Confidence intervals are attached beside the counts.
 		{MinSupport: 1.0 / 32, MinRiskRatio: 1.0625, DecayRate: 0.5, Confidence: 0.95},
-		{MinSupport: 1.0 / 128, MinRiskRatio: 1.25, DecayRate: 0.5, MaxItems: 2},
+		{MinSupport: 1.0 / 128, MinRiskRatio: 1.25, DecayRate: 0.5},
 	}
 }
 

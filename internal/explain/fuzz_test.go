@@ -129,9 +129,8 @@ func support(txs []fuzzTx, q []int32) float64 {
 }
 
 // expected enumerates the model's explanation set: single attributes
-// from the sketch-side counts, combinations of up to cfg.MaxItems
-// attributes by exhaustive subset counting over the projected outlier
-// transactions.
+// from the sketch-side counts, combinations by exhaustive subset
+// counting over the projected outlier transactions.
 func (m *streamModel) expected() map[string][2]float64 {
 	want := map[string][2]float64{}
 	if m.totalOut <= 0 {
@@ -165,9 +164,6 @@ func (m *streamModel) expected() map[string][2]float64 {
 	rec = func(start int, cur []int32) {
 		if len(cur) > 0 && support(m.outTxs, cur) < minCount {
 			return // anti-monotone prune
-		}
-		if m.cfg.MaxItems > 0 && len(cur) > m.cfg.MaxItems {
-			return
 		}
 		if len(cur) >= 2 {
 			ok := true

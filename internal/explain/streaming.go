@@ -9,7 +9,8 @@ import (
 
 // StreamingConfig parameterizes the streaming explainer. Zero fields
 // take the paper's §6 defaults (support 0.1%, risk ratio 3, AMC
-// stable size 10K, decay 0.01).
+// stable size 10K, decay 0.01). As in BatchConfig, combinations of
+// every size are mined.
 type StreamingConfig struct {
 	// MinSupport is the minimum (decayed) fraction of outliers a
 	// combination must cover (default 0.001).
@@ -22,8 +23,6 @@ type StreamingConfig struct {
 	// amcSize is the stable size of the single-attribute sketches
 	// (default 10_000). Tests raise it so that the sketches are exact.
 	amcSize int
-	// MaxItems, when positive, bounds combination size.
-	MaxItems int
 	// Confidence, when positive, attaches risk-ratio confidence
 	// intervals.
 	Confidence float64
@@ -210,7 +209,7 @@ func (s *Streaming) Explanations() []core.Explanation {
 }
 
 // fullTable builds the combination table — exactly the itemsets of
-// 2..MaxItems attributes whose canonical (ItemsetSupport) count clears
+// two or more attributes whose canonical (ItemsetSupport) count clears
 // minCount: FPGrowth for candidate discovery, a canonical recount for
 // the stored counts. FPGrowth accumulates in the tree's node order,
 // which on a merged explainer depends on the order the shards' paths
@@ -219,7 +218,7 @@ func (s *Streaming) Explanations() []core.Explanation {
 // relaxed threshold so reassociation ulps between the two orders can
 // never hide a qualifying candidate from discovery.
 func (s *Streaming) fullTable(minCount float64) []fptree.Itemset {
-	mined := s.outTree.Mine(minCount*(1-1e-6), s.cfg.MaxItems)
+	mined := s.outTree.Mine(minCount * (1 - 1e-6))
 	tab := make([]fptree.Itemset, 0, len(mined))
 	for _, is := range mined {
 		if len(is.Items) < 2 {

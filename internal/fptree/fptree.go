@@ -210,10 +210,9 @@ func (t *Tree) ItemCount(item int32) float64 {
 func (t *Tree) Items() []int32 { return t.order }
 
 // Mine runs FPGrowth and returns every itemset with weight >=
-// minCount. maxItems, when positive, bounds the itemset size.
-// The output includes singleton itemsets.
-func (t *Tree) Mine(minCount float64, maxItems int) []Itemset {
-	return t.MineWith(&Miner{}, minCount, maxItems)
+// minCount. The output includes singleton itemsets.
+func (t *Tree) Mine(minCount float64) []Itemset {
+	return t.MineWith(&Miner{}, minCount)
 }
 
 // MineWith is Mine with a caller-owned Miner: the conditional trees
@@ -224,9 +223,9 @@ func (t *Tree) Mine(minCount float64, maxItems int) []Itemset {
 // by the top-level item they end in, least frequent item first, each
 // itemset canonically sorted (slices.Sort keeps that allocation-free;
 // a sort.Slice closure would allocate once per set).
-func (t *Tree) MineWith(m *Miner, minCount float64, maxItems int) []Itemset {
+func (t *Tree) MineWith(m *Miner, minCount float64) []Itemset {
 	m.out = m.out[:0]
-	t.mine(m, 0, minCount, maxItems, nil)
+	t.mine(m, 0, minCount, nil)
 	for i := range m.out {
 		slices.Sort(m.out[i].Items)
 	}
@@ -238,7 +237,7 @@ func (t *Tree) MineWith(m *Miner, minCount float64, maxItems int) []Itemset {
 // mine recursively grows patterns ending in each item of a conditional
 // tree, least frequent first, into m.out. suffix carries global ids;
 // depth indexes the miner's conditional-tree frames.
-func (t *Tree) mine(m *Miner, depth int, minCount float64, maxItems int, suffix []int32) {
+func (t *Tree) mine(m *Miner, depth int, minCount float64, suffix []int32) {
 	for i := len(t.order) - 1; i >= 0; i-- {
 		tok := t.order[i]
 		total := t.arena.ChainCount(int32(i))
@@ -249,13 +248,10 @@ func (t *Tree) mine(m *Miner, depth int, minCount float64, maxItems int, suffix 
 		items = append(items, t.idOf(tok))
 		items = append(items, suffix...)
 		m.out = append(m.out, Itemset{Items: items, Count: total})
-		if maxItems > 0 && len(items) >= maxItems {
-			continue
-		}
 		cond := m.frame(depth)
 		t.conditionalInto(cond, int32(i), minCount)
 		if len(cond.order) > 0 {
-			cond.mine(m, depth+1, minCount, maxItems, items)
+			cond.mine(m, depth+1, minCount, items)
 		}
 	}
 }

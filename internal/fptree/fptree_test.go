@@ -11,7 +11,7 @@ import (
 
 // bruteForce enumerates every itemset with count >= minCount by
 // exhaustive subset counting — the test oracle for FPGrowth.
-func bruteForce(txs [][]int32, weights []float64, minCount float64, maxItems int) map[string]float64 {
+func bruteForce(txs [][]int32, weights []float64, minCount float64) map[string]float64 {
 	universe := map[int32]bool{}
 	for _, tx := range txs {
 		for _, it := range tx {
@@ -54,9 +54,6 @@ func bruteForce(txs [][]int32, weights []float64, minCount float64, maxItems int
 				return // supersets cannot qualify (anti-monotone)
 			}
 		}
-		if maxItems > 0 && len(cur) >= maxItems {
-			return
-		}
 		for i := start; i < len(items); i++ {
 			rec(i+1, append(cur, items[i]))
 		}
@@ -71,9 +68,9 @@ func key(items []int32) string {
 	return fmt.Sprint(cp)
 }
 
-func mineToMap(txs [][]int32, weights []float64, minCount float64, maxItems int) map[string]float64 {
+func mineToMap(txs [][]int32, weights []float64, minCount float64) map[string]float64 {
 	got := map[string]float64{}
-	for _, is := range Build(txs, weights, minCount).Mine(minCount, maxItems) {
+	for _, is := range Build(txs, weights, minCount).Mine(minCount) {
 		got[key(is.Items)] = is.Count
 	}
 	return got
@@ -87,7 +84,7 @@ func TestMineKnownExample(t *testing.T) {
 		{1},
 		{2, 3},
 	}
-	got := mineToMap(txs, nil, 2, 0)
+	got := mineToMap(txs, nil, 2)
 	want := map[string]float64{
 		"[1]":   4,
 		"[2]":   3,
@@ -117,16 +114,16 @@ func TestMineMatchesBruteForceRandom(t *testing.T) {
 			}
 		}
 		minCount := float64(1 + rng.IntN(4))
-		got := mineToMap(txs, nil, minCount, 0)
-		want := bruteForce(txs, nil, minCount, 0)
+		got := mineToMap(txs, nil, minCount)
+		want := bruteForce(txs, nil, minCount)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: mined %v != brute %v (txs %v, min %v)", trial, got, want, txs, minCount)
 		}
 		// A recycled miner (frames and output stage from the previous
 		// trial's mine) must return what a fresh one does, order included.
 		tree := Build(txs, nil, minCount)
-		if again := tree.MineWith(reused, minCount, 0); !reflect.DeepEqual(again, tree.Mine(minCount, 0)) {
-			t.Fatalf("trial %d: a reused miner mined %v, a fresh one %v", trial, again, tree.Mine(minCount, 0))
+		if again := tree.MineWith(reused, minCount); !reflect.DeepEqual(again, tree.Mine(minCount)) {
+			t.Fatalf("trial %d: a reused miner mined %v, a fresh one %v", trial, again, tree.Mine(minCount))
 		}
 	}
 }
@@ -134,24 +131,10 @@ func TestMineMatchesBruteForceRandom(t *testing.T) {
 func TestMineWeighted(t *testing.T) {
 	txs := [][]int32{{1, 2}, {1}, {2}}
 	weights := []float64{2.5, 1.0, 0.25}
-	got := mineToMap(txs, weights, 1.0, 0)
+	got := mineToMap(txs, weights, 1.0)
 	want := map[string]float64{"[1]": 3.5, "[2]": 2.75, "[1 2]": 2.5}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("mined = %v, want %v", got, want)
-	}
-}
-
-func TestMineMaxItems(t *testing.T) {
-	txs := [][]int32{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}}
-	for _, is := range Build(txs, nil, 1).Mine(1, 2) {
-		if len(is.Items) > 2 {
-			t.Errorf("itemset %v exceeds maxItems", is.Items)
-		}
-	}
-	got := mineToMap(txs, nil, 1, 2)
-	want := bruteForce(txs, nil, 1, 2)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("capped mine = %v, want %v", got, want)
 	}
 }
 
@@ -218,7 +201,7 @@ func TestMinePruningAtBuild(t *testing.T) {
 	// Item 9 appears once; with minCount 2 it must not appear in any
 	// itemset even though it co-occurs with frequent items.
 	txs := [][]int32{{1, 9}, {1}, {1}}
-	for _, is := range Build(txs, nil, 2).Mine(2, 0) {
+	for _, is := range Build(txs, nil, 2).Mine(2) {
 		for _, it := range is.Items {
 			if it == 9 {
 				t.Errorf("infrequent item mined: %v", is)
@@ -244,7 +227,7 @@ func TestMineProperty(t *testing.T) {
 				txs[i] = append(txs[i], it)
 			}
 		}
-		mined := Build(txs, nil, 1).Mine(1, 0)
+		mined := Build(txs, nil, 1).Mine(1)
 		counts := map[string]float64{}
 		for _, is := range mined {
 			counts[key(is.Items)] = is.Count
@@ -299,7 +282,7 @@ func TestRebuildSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("steady-state BuildInto allocates %v allocs/run, want 0", n)
 	}
 	var m Miner
-	if len(tree.MineWith(&m, 5, 0)) == 0 { // warms the per-depth frames
+	if len(tree.MineWith(&m, 5)) == 0 { // warms the per-depth frames
 		t.Fatal("workload mined nothing")
 	}
 	cond := m.frame(0)

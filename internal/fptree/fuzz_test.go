@@ -59,12 +59,12 @@ func FuzzMine(f *testing.F) {
 		if txs == nil {
 			return
 		}
-		want := bruteForce(txs, nil, minCount, 0)
+		want := bruteForce(txs, nil, minCount)
 		tree := Build(txs, nil, minCount)
 		var m Miner
 		for pass := 0; pass < 2; pass++ {
 			got := map[string]float64{}
-			for _, is := range tree.MineWith(&m, minCount, 0) {
+			for _, is := range tree.MineWith(&m, minCount) {
 				got[key(is.Items)] = is.Count
 			}
 			if !reflect.DeepEqual(got, want) {
@@ -74,7 +74,7 @@ func FuzzMine(f *testing.F) {
 		// Rebuilding into the same tree must behave like a fresh build.
 		BuildInto(tree, txs, nil, minCount)
 		got := map[string]float64{}
-		for _, is := range tree.MineWith(&m, minCount, 0) {
+		for _, is := range tree.MineWith(&m, minCount) {
 			got[key(is.Items)] = is.Count
 		}
 		if !reflect.DeepEqual(got, want) {

@@ -94,15 +94,18 @@ func QEMetricIndices(a AnomalyType) []int {
 	return idx
 }
 
-// ClusterConfig parameterizes one DBSherlock-style experiment: a
-// cluster of servers running an OLTP workload, with one server
-// exhibiting a given anomaly.
-type ClusterConfig struct {
-	// Servers in the cluster (paper: 11).
-	Servers int
-	// Counters is the total number of performance counters
+const (
+	// clusterServers is the number of servers in a cluster (paper: 11).
+	clusterServers = 11
+	// clusterCounters is the total number of performance counters
 	// (paper: 200+).
-	Counters int
+	clusterCounters = 200
+)
+
+// ClusterConfig parameterizes one DBSherlock-style experiment: a
+// cluster of clusterServers servers running an OLTP workload, with one
+// server exhibiting a given anomaly.
+type ClusterConfig struct {
 	// SamplesPerServer is the number of counter snapshots per server.
 	Samples int
 	// Anomaly is the performance degradation to inject.
@@ -117,12 +120,6 @@ type ClusterConfig struct {
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.Servers == 0 {
-		c.Servers = 11
-	}
-	if c.Counters == 0 {
-		c.Counters = 200
-	}
 	if c.Samples == 0 {
 		c.Samples = 500
 	}
@@ -154,17 +151,17 @@ func DBSherlockCluster(cfg ClusterConfig) *Cluster {
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5bd1e995))
 	enc := encode.NewEncoder("hostname")
 
-	cl := &Cluster{Encoder: enc, Hosts: make([]int32, cfg.Servers)}
-	for s := 0; s < cfg.Servers; s++ {
+	cl := &Cluster{Encoder: enc, Hosts: make([]int32, clusterServers)}
+	for s := 0; s < clusterServers; s++ {
 		cl.Hosts[s] = enc.Encode(0, fmt.Sprintf("%s-host%02d", cfg.Workload, s))
 	}
-	cl.AnomalousHost = cl.Hosts[cfg.AnomalousServer%cfg.Servers]
+	cl.AnomalousHost = cl.Hosts[cfg.AnomalousServer%clusterServers]
 
 	// Per-counter baselines: workload-dependent means, unit-ish
 	// variances, so TPC-C and TPC-E clusters are distinct
 	// populations.
-	means := make([]float64, cfg.Counters)
-	sds := make([]float64, cfg.Counters)
+	means := make([]float64, clusterCounters)
+	sds := make([]float64, clusterCounters)
 	wseed := uint64(0x7c3)
 	if cfg.Workload == "tpce" {
 		wseed = 0x9e1
@@ -176,20 +173,20 @@ func DBSherlockCluster(cfg ClusterConfig) *Cluster {
 	}
 	sig := anomalySignature(cfg.Anomaly)
 
-	cl.Points = make([]core.Point, 0, cfg.Servers*cfg.Samples)
-	for s := 0; s < cfg.Servers; s++ {
+	cl.Points = make([]core.Point, 0, clusterServers*cfg.Samples)
+	for s := 0; s < clusterServers; s++ {
 		host := cl.Hosts[s]
 		anomalous := host == cl.AnomalousHost
 		for t := 0; t < cfg.Samples; t++ {
-			m := make([]float64, cfg.Counters)
+			m := make([]float64, clusterCounters)
 			// Shared cluster-wide load factor induces correlation.
 			load := rng.NormFloat64() * 0.5
-			for c := 0; c < cfg.Counters; c++ {
+			for c := 0; c < clusterCounters; c++ {
 				m[c] = means[c] + (rng.NormFloat64()+load)*sds[c]
 			}
 			if anomalous && t >= cfg.Samples/2 {
 				for c, mag := range sig {
-					if c < cfg.Counters {
+					if c < clusterCounters {
 						m[c] += mag * sds[c]
 					}
 				}

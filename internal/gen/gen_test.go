@@ -103,7 +103,7 @@ func TestContamination(t *testing.T) {
 }
 
 func TestFig5StreamScript(t *testing.T) {
-	_, pts, d0 := Fig5Stream(Fig5Config{Devices: 20, BaseRate: 100, Seed: 6})
+	_, pts, d0 := Fig5Stream(Fig5Config{BaseRate: 100, Seed: 6})
 	if len(pts) == 0 {
 		t.Fatal("empty stream")
 	}
@@ -209,11 +209,11 @@ func TestDatasetGenerateShapes(t *testing.T) {
 }
 
 func TestDBSherlockCluster(t *testing.T) {
-	cl := DBSherlockCluster(ClusterConfig{Servers: 5, Counters: 50, Samples: 100, Anomaly: A5CPUStress, Seed: 8})
-	if len(cl.Points) != 500 {
+	cl := DBSherlockCluster(ClusterConfig{Samples: 100, Anomaly: A5CPUStress, Seed: 8})
+	if len(cl.Points) != clusterServers*100 {
 		t.Fatalf("points = %d", len(cl.Points))
 	}
-	if len(cl.Hosts) != 5 {
+	if len(cl.Hosts) != clusterServers {
 		t.Fatalf("hosts = %d", len(cl.Hosts))
 	}
 	// Anomalous host's counter 0 (CPU) should average higher.
@@ -232,7 +232,7 @@ func TestDBSherlockCluster(t *testing.T) {
 		t.Errorf("anomaly signature invisible: %v vs %v", aSum/aN, oSum/oN)
 	}
 	// Workloads differ.
-	c2 := DBSherlockCluster(ClusterConfig{Servers: 5, Counters: 50, Samples: 10, Anomaly: A5CPUStress, Workload: "tpce", Seed: 8})
+	c2 := DBSherlockCluster(ClusterConfig{Samples: 10, Anomaly: A5CPUStress, Workload: "tpce", Seed: 8})
 	if c2.Points[0].Metrics[0] == cl.Points[0].Metrics[0] {
 		t.Log("warning: workloads may coincide (non-fatal)")
 	}

@@ -8,12 +8,13 @@ import (
 	"macrobase/internal/encode"
 )
 
+// fig5Devices is the Figure 5 population size (paper: 100); device D0
+// is the misbehaving one.
+const fig5Devices = 100
+
 // Fig5Config parameterizes the Figure 5 adaptivity script. Zero values
 // reproduce the paper's scenario at a configurable base rate.
 type Fig5Config struct {
-	// Devices is the population size (paper: 100); device D0 is the
-	// misbehaving one.
-	Devices int
 	// BaseRate is points per second outside the volume spike
 	// (paper: ~20K/s; scale down for tests).
 	BaseRate int
@@ -25,9 +26,6 @@ type Fig5Config struct {
 }
 
 func (c Fig5Config) withDefaults() Fig5Config {
-	if c.Devices == 0 {
-		c.Devices = 100
-	}
 	if c.BaseRate == 0 {
 		c.BaseRate = 20_000
 	}
@@ -56,7 +54,7 @@ func Fig5Stream(cfg Fig5Config) (enc *encode.Encoder, pts []core.Point, d0 int32
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x0f0f0f0f0f0f0f0f))
 	enc = encode.NewEncoder("device_id")
-	ids := make([]int32, cfg.Devices)
+	ids := make([]int32, fig5Devices)
 	for i := range ids {
 		ids[i] = enc.Encode(0, fmt.Sprintf("D%d", i))
 	}
@@ -71,7 +69,7 @@ func Fig5Stream(cfg Fig5Config) (enc *encode.Encoder, pts []core.Point, d0 int32
 			rate = cfg.SpikeRate
 		}
 		for i := 0; i < rate; i++ {
-			dev := ids[rng.IntN(cfg.Devices)]
+			dev := ids[rng.IntN(fig5Devices)]
 			var v float64
 			switch {
 			case noiseSpike:

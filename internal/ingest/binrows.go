@@ -263,6 +263,9 @@ func (d *BinaryRowReader) readRow(b *core.Batch) error {
 			return fmt.Errorf("ingest: binary row %d: truncated time", d.row)
 		}
 		t = math.Float64frombits(binary.LittleEndian.Uint64(body))
+		if err := checkFinite(t); err != nil {
+			return fmt.Errorf("ingest: binary row %d: time: %w", d.row, err)
+		}
 		body = body[8:]
 	}
 	nm, body, err := d.uvarint(body)
@@ -278,6 +281,9 @@ func (d *BinaryRowReader) readRow(b *core.Batch) error {
 	}
 	for j := range mbuf {
 		mbuf[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*j:]))
+		if err := checkFinite(mbuf[j]); err != nil {
+			return fmt.Errorf("ingest: binary row %d: metric %q: %w", d.row, d.schema.Metrics[j], err)
+		}
 	}
 	body = body[8*nm:]
 	na, body, err := d.uvarint(body)

@@ -2,8 +2,10 @@ package ingest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -143,6 +145,30 @@ func TestBinaryRowsErrors(t *testing.T) {
 	d, b = fresh(bad)
 	if _, err := d.ReadInto(b, 10); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing bytes: %v", err)
+	}
+
+	// NaN or infinite metrics and times.
+	for _, tc := range []struct {
+		name    string
+		metrics []float64
+		time    float64
+	}{
+		{"NaN metric", []float64{1, math.NaN()}, 0},
+		{"-Inf metric", []float64{math.Inf(-1), 2}, 0},
+		{"+Inf time", []float64{1, 2}, math.Inf(1)},
+	} {
+		buf.Reset()
+		w = NewBinaryRowWriter(&buf)
+		if err := w.WriteRow([]float64{1, 2}, []string{"a", "b"}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteRow(tc.metrics, []string{"a", "b"}, tc.time); err != nil {
+			t.Fatal(err)
+		}
+		d, b = fresh(buf.Bytes())
+		if _, err := d.ReadInto(b, 10); !errors.Is(err, errNonFinite) || !strings.Contains(err.Error(), "row 2") {
+			t.Errorf("%s: %v, want a row 2 non-finite error", tc.name, err)
+		}
 	}
 
 	// Partial reads respect max and resume.

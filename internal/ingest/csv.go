@@ -8,8 +8,10 @@ package ingest
 import (
 	"context"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"macrobase/internal/core"
@@ -101,6 +103,9 @@ func (s *CSVSource) Encoder() *encode.Encoder { return s.enc }
 func (s *CSVSource) parseRow(rec []string, metrics []float64, attrs []int32) (float64, error) {
 	for j, idx := range s.metIdx {
 		v, err := strconv.ParseFloat(rec[idx], 64)
+		if err == nil {
+			err = checkFinite(v)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("ingest: row %d: metric %q: %w", s.line, s.schema.Metrics[j], err)
 		}
@@ -113,17 +118,33 @@ func (s *CSVSource) parseRow(rec []string, metrics []float64, attrs []int32) (fl
 		return 0, nil
 	}
 	v, err := strconv.ParseFloat(rec[s.timeIdx], 64)
+	if err == nil {
+		err = checkFinite(v)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("ingest: row %d: time: %w", s.line, err)
 	}
 	return v, nil
 }
 
+// errNonFinite rejects a NaN or ±Inf metric or time. One such metric
+// value poisons the model fit and the percentile cutoff for every
+// point: a single NaN row used to leave a query with no outliers.
+var errNonFinite = errors.New("NaN or infinite value")
+
+// checkFinite returns errNonFinite for NaN and ±Inf.
+func checkFinite(v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return errNonFinite
+	}
+	return nil
+}
+
 // Next returns up to max freshly allocated points, or
 // core.ErrEndOfStream when no rows remain. The returned slice is reused
 // by the next call; the points' payloads are not. Rows with unparsable
-// metrics are reported as errors, not skipped: silent data loss hides
-// exactly the anomalies MacroBase exists to find.
+// or non-finite metrics are reported as errors, not skipped: silent
+// data loss hides exactly the anomalies MacroBase exists to find.
 func (s *CSVSource) Next(max int) ([]core.Point, error) {
 	if s.err != nil {
 		return nil, s.err

@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -79,6 +81,28 @@ func TestCSVSourceErrors(t *testing.T) {
 	}
 	if _, err := src.Next(10); err == nil || err == core.ErrEndOfStream {
 		t.Errorf("bad metric row not rejected: %v", err)
+	}
+	// So does a NaN or infinite metric or time, on both read paths.
+	for _, tc := range []struct{ name, data string }{
+		{"NaN metric", "power,device,t\n1,dev1,0\nNaN,dev1,1\n"},
+		{"+Inf metric", "power,device,t\n1,dev1,0\n+Inf,dev1,1\n"},
+		{"-Inf time", "power,device,t\n1,dev1,0\n2,dev1,-inf\n"},
+	} {
+		schema := Schema{Metrics: []string{"power"}, Attributes: []string{"device"}, TimeColumn: "t"}
+		src, err := NewCSVSource(strings.NewReader(tc.data), schema, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Next(10); !errors.Is(err, errNonFinite) || !strings.Contains(err.Error(), "row 2") {
+			t.Errorf("%s via Next: %v, want a row 2 non-finite error", tc.name, err)
+		}
+		src, err = NewCSVSource(strings.NewReader(tc.data), schema, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.NextBatchInto(context.Background(), &core.Batch{}, 10); !errors.Is(err, errNonFinite) || !strings.Contains(err.Error(), "row 2") {
+			t.Errorf("%s via NextBatchInto: %v, want a row 2 non-finite error", tc.name, err)
+		}
 	}
 }
 

@@ -36,8 +36,8 @@ var ErrProducerClosed = errors.New("ingest: push producer is closed")
 // transfers to the stream, exactly as before.
 //
 // Backpressure, not buffering, absorbs bursts: a partition holds at
-// most QueueDepth in-flight batches, and Send blocks (or fails on its
-// context) once the pipeline falls behind — the producer-side
+// most pushQueueDepth in-flight batches, and Send blocks (or fails on
+// its context) once the pipeline falls behind — the producer-side
 // equivalent of the engine's bounded shard channels, so an overwhelmed
 // consumer is visible at the producer instead of hidden by an
 // unbounded queue. The blocking is metered: IngestStats exposes each
@@ -139,21 +139,29 @@ type replayEntry struct {
 	b     *core.Batch
 }
 
+const (
+	// pushQueueDepth bounds each partition's in-flight batches: a
+	// producer may run a few batches ahead of the engine, and a slow
+	// pipeline shows up as producer backpressure (a blocked Send, a
+	// blocked /push request), not as unbounded buffering.
+	pushQueueDepth = 4
+	// replayMaxPoints caps the points one partition retains for replay
+	// (see EnableReplay).
+	replayMaxPoints = 1 << 20
+)
+
 // NewPush returns a push source with partitions independent producer
-// partitions, each buffering at most queueDepth batches (default 4).
+// partitions, each buffering at most pushQueueDepth batches.
 // Partitions defaults to 1.
-func NewPush(partitions, queueDepth int) *Push {
+func NewPush(partitions int) *Push {
 	if partitions <= 0 {
 		partitions = 1
-	}
-	if queueDepth <= 0 {
-		queueDepth = 4
 	}
 	p := &Push{
 		parts: make([]*pushPartition, partitions),
 		// Free-list bound: every partition can have a full queue plus
 		// one batch being filled and one being consumed.
-		pool:       core.NewBatchPool(partitions * (queueDepth + 2)),
+		pool:       core.NewBatchPool(partitions * (pushQueueDepth + 2)),
 		now:        time.Now,
 		prev:       make([]rateSnap, partitions),
 		gauges:     make([]rateGauge, partitions),
@@ -161,7 +169,7 @@ func NewPush(partitions, queueDepth int) *Push {
 	}
 	for i := range p.parts {
 		p.parts[i] = &pushPartition{
-			ch:     make(chan *core.Batch, queueDepth),
+			ch:     make(chan *core.Batch, pushQueueDepth),
 			closed: make(chan struct{}),
 			pool:   p.pool,
 		}
@@ -174,7 +182,7 @@ func (p *Push) NumPartitions() int { return len(p.parts) }
 
 // EnableReplay switches every partition into replay mode, making the
 // source checkpoint/resume-capable (core.SeekablePartition): delivered
-// batches are retained — up to maxPoints per partition (default 1M) —
+// batches are retained — up to replayMaxPoints (1<<20) per partition —
 // until acknowledged by a checkpoint, and SeekTo rewinds delivery to
 // any retained offset. The cost is one copy per delivered point (the
 // retained batch cannot be handed to the engine zero-copy, since the
@@ -187,13 +195,10 @@ func (p *Push) NumPartitions() int { return len(p.parts) }
 //
 // Must be called before the consuming session starts and before any
 // producer sends.
-func (p *Push) EnableReplay(maxPoints int) {
-	if maxPoints <= 0 {
-		maxPoints = 1 << 20
-	}
+func (p *Push) EnableReplay() {
 	for _, pp := range p.parts {
 		pp.replayOn = true
-		pp.rmax = maxPoints
+		pp.rmax = replayMaxPoints
 		pp.ackCh = make(chan struct{}, 1)
 	}
 }

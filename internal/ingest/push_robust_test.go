@@ -46,8 +46,8 @@ func requireRange(t *testing.T, label string, got []float64, lo, hi int) {
 // reports offsets, seeks back over retained points, refuses seeks into
 // acked (discarded) territory, and treats the ack as the trim point.
 func TestPushReplaySeekAndAck(t *testing.T) {
-	p := NewPush(1, 4)
-	p.EnableReplay(0)
+	p := NewPush(1)
+	p.EnableReplay()
 	pr := p.Producer(0)
 	ctx := context.Background()
 	for b := 0; b < 3; b++ {
@@ -98,7 +98,7 @@ func TestPushReplaySeekAndAck(t *testing.T) {
 // TestPushSeekRequiresReplay: without EnableReplay there is no log to
 // seek in, and the error says how to get one.
 func TestPushSeekRequiresReplay(t *testing.T) {
-	p := NewPush(1, 2)
+	p := withQueueDepth(NewPush(1), 2)
 	cp, ok := p.Partitions()[0].(core.CheckpointablePartition)
 	if !ok {
 		t.Fatal("push partition should always be checkpointable (offsets cost nothing)")
@@ -117,8 +117,9 @@ func TestPushSeekRequiresReplay(t *testing.T) {
 // consumer stalls rather than evicting unacked points — an Ack opens
 // the window again. Bounded memory, at the price of backpressure.
 func TestPushReplayCapacityStall(t *testing.T) {
-	p := NewPush(1, 4)
-	p.EnableReplay(100)
+	p := NewPush(1)
+	p.EnableReplay()
+	p.parts[0].rmax = 100 // a log that two 100-point batches overfill
 	pr := p.Producer(0)
 	ctx := context.Background()
 	for b := 0; b < 2; b++ {
@@ -174,7 +175,7 @@ func TestPushCloseDrainRace(t *testing.T) {
 		batchPoints = 10
 	)
 	for round := 0; round < rounds; round++ {
-		p := NewPush(1, 2)
+		p := withQueueDepth(NewPush(1), 2)
 		var attempted, confirmed atomic.Int64
 		var wg sync.WaitGroup
 		for s := 0; s < senders; s++ {
@@ -221,7 +222,7 @@ func TestPushCloseDrainRace(t *testing.T) {
 // TestPushConcurrentClose: Close and CloseAll from many goroutines at
 // once must be an idempotent no-op pile-up, not a panic.
 func TestPushConcurrentClose(t *testing.T) {
-	p := NewPush(2, 2)
+	p := withQueueDepth(NewPush(2), 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -21,6 +21,15 @@ func pushBatch(base, n int) []core.Point {
 	return pts
 }
 
+// withQueueDepth shrinks each partition queue of p, fresh from
+// NewPush, to depth batches, so a test fills it in a send or two.
+func withQueueDepth(p *Push, depth int) *Push {
+	for _, pp := range p.parts {
+		pp.ch = make(chan *core.Batch, depth)
+	}
+	return p
+}
+
 // nextPoints reads one batch from ps into a fresh Batch and returns its
 // point views.
 func nextPoints(ctx context.Context, ps core.PartitionStream, max int) ([]core.Point, error) {
@@ -35,7 +44,7 @@ func nextPoints(ctx context.Context, ps core.PartitionStream, max int) ([]core.P
 // partition, and a batch larger than max is split across NextBatchInto
 // calls without loss.
 func TestPushDeliversInOrderAndSplits(t *testing.T) {
-	p := NewPush(1, 2)
+	p := withQueueDepth(NewPush(1), 2)
 	pr := p.Producer(0)
 	ctx := context.Background()
 	go func() {
@@ -82,7 +91,7 @@ func TestPushDeliversInOrderAndSplits(t *testing.T) {
 // TestPushBackpressure: Send must block once the partition queue is
 // full, and resume when the consumer drains.
 func TestPushBackpressure(t *testing.T) {
-	p := NewPush(1, 1)
+	p := withQueueDepth(NewPush(1), 1)
 	pr := p.Producer(0)
 	ctx := context.Background()
 	if err := pr.Send(ctx, pushBatch(0, 8)); err != nil {
@@ -114,7 +123,7 @@ func TestPushBackpressure(t *testing.T) {
 // end-of-stream; post-close sends fail; Close is idempotent across
 // handles.
 func TestPushCloseSemantics(t *testing.T) {
-	p := NewPush(2, 4)
+	p := NewPush(2)
 	ctx := context.Background()
 	pr := p.Producer(0)
 	if err := pr.Send(ctx, pushBatch(0, 10)); err != nil {
@@ -144,7 +153,7 @@ func TestPushCloseSemantics(t *testing.T) {
 // released by its context — the contract deadline-aware stop relies
 // on.
 func TestPushCancelBlockedRead(t *testing.T) {
-	p := NewPush(1, 1)
+	p := withQueueDepth(NewPush(1), 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	got := make(chan error, 1)
 	go func() {
@@ -167,7 +176,7 @@ func TestPushCancelBlockedRead(t *testing.T) {
 // share one partition's producer; batches interleave but none are
 // lost.
 func TestPushConcurrentProducersOnePartition(t *testing.T) {
-	p := NewPush(1, 2)
+	p := withQueueDepth(NewPush(1), 2)
 	ctx := context.Background()
 	const (
 		writers    = 4
@@ -226,7 +235,7 @@ func partCSV(devOffset, rows int) string {
 // read keeps serving the previous window's gauges instead of computing
 // rates over a sliver of wall clock.
 func TestPushWindowedRates(t *testing.T) {
-	p := NewPush(2, 4)
+	p := NewPush(2)
 	clock := time.Unix(1_000_000, 0)
 	p.now = func() time.Time { return clock }
 

@@ -16,7 +16,7 @@ import (
 // batch the producer filled, and the producer's next loan is the
 // engine's swapped-in batch (pool equilibrium, no allocation churn).
 func TestPushLoanRoundTrip(t *testing.T) {
-	p := NewPush(1, 2)
+	p := withQueueDepth(NewPush(1), 2)
 	pr := p.Producer(0)
 	ctx := context.Background()
 
@@ -47,7 +47,7 @@ func TestPushLoanRoundTrip(t *testing.T) {
 // TestPushLoanSplit: an oversized loaned batch is served in max-sized
 // copies without loss, then recycled.
 func TestPushLoanSplit(t *testing.T) {
-	p := NewPush(1, 2)
+	p := withQueueDepth(NewPush(1), 2)
 	pr := p.Producer(0)
 	ctx := context.Background()
 	b := pr.GetBatch()
@@ -88,7 +88,7 @@ func TestPushLoanSplit(t *testing.T) {
 // points (ownership transfer, no producer-side copy) — the consumer
 // observes the caller's exact backing arrays.
 func TestPushSendBorrowsWithoutCopy(t *testing.T) {
-	p := NewPush(1, 2)
+	p := withQueueDepth(NewPush(1), 2)
 	pr := p.Producer(0)
 	ctx := context.Background()
 	pts := []core.Point{{Metrics: []float64{7}, Attrs: []int32{1}}}
@@ -109,7 +109,7 @@ func TestPushSendBorrowsWithoutCopy(t *testing.T) {
 // depth tracks the unconsumed backlog, and a Send blocked on a full
 // queue accrues blocked time.
 func TestPushIngestStats(t *testing.T) {
-	p := NewPush(2, 1)
+	p := withQueueDepth(NewPush(2), 1)
 	pr := p.Producer(0)
 	ctx := context.Background()
 	if err := pr.Send(ctx, pushBatch(0, 10)); err != nil {
@@ -152,7 +152,7 @@ func TestPushIngestStats(t *testing.T) {
 // TestPushIngestStatsSurfaceInRunStats: the engine copies the
 // producer-side counters into StreamStats.Ingest when the run ends.
 func TestPushIngestStatsSurfaceInRunStats(t *testing.T) {
-	p := NewPush(2, 4)
+	p := NewPush(2)
 	ctx := context.Background()
 	if err := p.Producer(1).Send(ctx, pushBatch(0, 25)); err != nil {
 		t.Fatal(err)

@@ -289,8 +289,8 @@ func TestCoordinationRaceHammer(t *testing.T) {
 		perPart    = 12_000
 	)
 	pts := hotShardStream(partitions * perPart)
-	src := ingest.NewPush(partitions, 2)
-	cfg := Config{Dims: 1, MinSupport: 0.05, CoordinateEvery: 512, BatchSize: 1024, Seed: 29}
+	src := ingest.NewPush(partitions)
+	cfg := Config{Dims: 1, MinSupport: 0.05, CoordinateEvery: 512, batchSize: 1024, Seed: 29}
 	sess, err := StartPartitionedStream(src, cfg, shards)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,8 @@ import (
 
 // Config carries MDP's query parameters. Zero fields take the paper's
 // §6 defaults: 1% outlier percentile, 0.1% minimum support, risk ratio
-// 3, ADR/AMC sizes of 10K, decay 0.01 every 100K points.
+// 3, ADR/AMC sizes of 10K, decay 0.01 every 100K points. The
+// streaming runner reads batches of 4096 points.
 type Config struct {
 	// Dims is the number of metric dimensions after transformation
 	// (required). One metric selects MAD, several select MCD
@@ -45,22 +46,14 @@ type Config struct {
 	// at most this many points (0 = full data; Figure 9 studies
 	// this).
 	TrainSampleSize int
-	// BatchSize is the runner batch size (default 4096).
-	BatchSize int
 	// Transforms are optional feature-transformation stages applied
 	// before classification (paper §3.2 stage 2).
 	Transforms []core.Transformer
 	// Classifier, when non-nil, replaces the default MDP classifier
-	// (e.g. the hybrid-supervision pipeline of §6.4).
+	// (e.g. the hybrid-supervision pipeline of §6.4). Otherwise the
+	// model is classify.AutoTrainer's, MAD for one metric and MCD for
+	// several, in one-shot and streaming mode alike.
 	Classifier core.Classifier
-	// NewClassifier, when non-nil, builds one classifier replica per
-	// shard — the sharded-legal form of Classifier (operator instances
-	// are stateful, so shards need replicas, not a shared instance).
-	// Mutually exclusive with Classifier.
-	NewClassifier func(shard int) core.Classifier
-	// Trainer, when non-nil, replaces the default MAD/MCD model
-	// selection.
-	Trainer classify.Trainer
 	// CoordinateEvery is the cross-shard coordinator's cadence in
 	// ingested points (default 25_000; core.StreamRunner.CoordinateEvery).
 	// Every so many points the coordinator runs one pass: it collects
@@ -95,6 +88,15 @@ type Config struct {
 	// Seed fixes all randomized components.
 	Seed uint64
 
+	// batchSize is the runner batch size (default 4096). Unexported:
+	// only this package's tests set it, to force small batches.
+	batchSize int
+	// newClassifier, when non-nil, builds one classifier replica per
+	// shard, the sharded-legal form of Classifier (operator instances
+	// are stateful, so shards need replicas, not a shared instance).
+	// Unexported: only this package's tests set it, to install fake
+	// classifiers.
+	newClassifier func(shard int) core.Classifier
 	// noRetrainStagger restores the lockstep retrain schedule of
 	// coordinated multi-shard runs (see newShardPipeline), so the
 	// stagger test has a baseline to compare against. Unexported: only
@@ -124,8 +126,8 @@ func (c Config) withDefaults() Config {
 	if c.RetrainEvery == 0 {
 		c.RetrainEvery = 100_000
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 4096
+	if c.batchSize == 0 {
+		c.batchSize = 4096
 	}
 	if c.CoordinateEvery == 0 {
 		c.CoordinateEvery = 25_000
@@ -214,11 +216,7 @@ func classifyOneShot(pts []core.Point, cfg Config) ([]core.LabeledPoint, error) 
 	if cfg.Classifier != nil {
 		return cfg.Classifier.ClassifyBatch(nil, pts), nil
 	}
-	trainer := cfg.Trainer
-	if trainer == nil {
-		trainer = classify.AutoTrainer(cfg.Dims, cfg.Seed)
-	}
-	fitted, _, err := classify.FitBatch(pts, trainer, classify.FitBatchConfig{
+	fitted, _, err := classify.FitBatch(pts, classify.AutoTrainer(cfg.Dims, cfg.Seed), classify.FitBatchConfig{
 		Percentile:      cfg.Percentile,
 		TrainSampleSize: cfg.TrainSampleSize,
 		Seed:            cfg.Seed,

@@ -21,10 +21,10 @@ func TestParallelPollHammerWithRebalance(t *testing.T) {
 	d := gen.SkewedDevices(gen.SkewConfig{Points: 120_000, PinShards: shards, Seed: 53})
 	cfg := skewedConfig(len(d.Points))
 	cfg.CoordinateEvery = 1_000
-	cfg.BatchSize = 512
-	_, batched := splitParts(d.Points, nParts, cfg.BatchSize)
+	cfg.batchSize = 512
+	_, batched := splitParts(d.Points, nParts, cfg.batchSize)
 
-	p := ingest.NewPush(nParts, 4)
+	p := ingest.NewPush(nParts)
 	sess, err := StartPartitionedStream(p, cfg, shards)
 	if err != nil {
 		t.Fatal(err)

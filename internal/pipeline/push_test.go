@@ -83,7 +83,7 @@ func requireIdenticalRanked(t *testing.T, label string, got, want []core.Explana
 // bit-exact even over identical batch sequences.
 func TestPushIngestOnePartitionMatchesPullExactly(t *testing.T) {
 	d := gen.Devices(gen.DeviceConfig{Points: 90_000, Devices: 600, Seed: 21})
-	cfg := Config{Dims: 1, MinSupport: 0.005, DecayEveryPoints: 15_000, BatchSize: 2048, Seed: 5, DisableGlobalThreshold: true}
+	cfg := Config{Dims: 1, MinSupport: 0.005, DecayEveryPoints: 15_000, batchSize: 2048, Seed: 5, DisableGlobalThreshold: true}
 	const shards = 4
 
 	pull, err := RunPartitionedStream(core.NewSliceSource(d.Points), cfg, shards)
@@ -91,8 +91,8 @@ func TestPushIngestOnePartitionMatchesPullExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := ingest.NewPush(1, 2)
-	feedPush(t, p, [][][]core.Point{chunk(d.Points, cfg.BatchSize)})
+	p := ingest.NewPush(1)
+	feedPush(t, p, [][][]core.Point{chunk(d.Points, cfg.batchSize)})
 	push, err := RunPartitionedStream(p, cfg, shards)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestPushIngestOnePartitionMatchesPullExactly(t *testing.T) {
 // one-partition SliceSource run over the same data. With concurrent
 // partitions the interleaving at each shard is scheduling-dependent,
 // so the pipeline is configured order-insensitively: deterministic
-// per-point classification (NewClassifier factory) and no decay ticks. Each
+// per-point classification (newClassifier factory) and no decay ticks. Each
 // shard then sees the same point multiset either way, and the
 // summaries — exact counts, order-independent tree multisets — force
 // bit-identical merged output.
@@ -126,8 +126,8 @@ func TestPushIngestThreePartitionsMatchesPullExactly(t *testing.T) {
 		// when ticks land relative to inserts, which is partition-
 		// interleaving-dependent.
 		DecayEveryPoints: len(d.Points) + 1,
-		BatchSize:        2048,
-		NewClassifier:    func(shard int) core.Classifier { return &cutClassifier{cut: cut} },
+		batchSize:        2048,
+		newClassifier:    func(shard int) core.Classifier { return &cutClassifier{cut: cut} },
 		Seed:             5,
 	}
 	const (
@@ -143,10 +143,10 @@ func TestPushIngestThreePartitionsMatchesPullExactly(t *testing.T) {
 	// Deal the stream round-robin across partitions in batch-sized
 	// chunks — the shape of N producers tailing one upstream feed.
 	perPart := make([][][]core.Point, partitions)
-	for i, b := range chunk(d.Points, cfg.BatchSize) {
+	for i, b := range chunk(d.Points, cfg.batchSize) {
 		perPart[i%partitions] = append(perPart[i%partitions], b)
 	}
-	p := ingest.NewPush(partitions, 2)
+	p := ingest.NewPush(partitions)
 	feedPush(t, p, perPart)
 	push, err := RunPartitionedStream(p, cfg, shards)
 	if err != nil {
@@ -186,7 +186,7 @@ func stopWithin(t *testing.T, sess *StreamSession, d time.Duration) (*ShardedRes
 // sources stop cancels the blocked read itself, and the result covers
 // everything pushed.
 func TestStopCancelsBlockedPushRead(t *testing.T) {
-	p := ingest.NewPush(2, 2)
+	p := ingest.NewPush(2)
 	sess, err := StartPartitionedStream(p, Config{Dims: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +220,8 @@ func TestStopCancelsBlockedPushRead(t *testing.T) {
 // reflect.DeepEqual to the one before it.
 func TestSnapshotElisionCounters(t *testing.T) {
 	const shards = 2
-	p := ingest.NewPush(1, 2)
-	sess, err := StartPartitionedStream(p, Config{Dims: 1, MinSupport: 0.01, NewClassifier: func(int) core.Classifier { return &cutClassifier{cut: 40} }}, shards)
+	p := ingest.NewPush(1)
+	sess, err := StartPartitionedStream(p, Config{Dims: 1, MinSupport: 0.01, newClassifier: func(int) core.Classifier { return &cutClassifier{cut: 40} }}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestPushSessionConcurrentProducersPollsStop(t *testing.T) {
 		producers  = 3
 	)
 	d := gen.Devices(gen.DeviceConfig{Points: 30_000, Devices: 200, Seed: 17})
-	p := ingest.NewPush(partitions, 2)
+	p := ingest.NewPush(partitions)
 	sess, err := StartPartitionedStream(p, Config{Dims: 1, MinSupport: 0.005, DecayEveryPoints: 8_000, Seed: 3}, shards)
 	if err != nil {
 		t.Fatal(err)

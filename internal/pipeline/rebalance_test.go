@@ -21,12 +21,12 @@ func skewedConfig(points int) Config {
 	return Config{
 		Dims:                   1,
 		MinSupport:             0.005,
-		BatchSize:              2048,
+		batchSize:              2048,
 		DecayEveryPoints:       points + 1,
 		Seed:                   5,
 		CoordinateEvery:        5_000,
 		DisableGlobalThreshold: true,
-		NewClassifier:          func(int) core.Classifier { return &cutClassifier{cut: 40} },
+		newClassifier:          func(int) core.Classifier { return &cutClassifier{cut: 40} },
 	}
 }
 
@@ -47,13 +47,13 @@ func TestRebalancedMatchesPinnedExplanations(t *testing.T) {
 	// Deal the stream round-robin across partitions in batch-sized
 	// chunks, same layout for both runs.
 	perPart := make([][][]core.Point, nParts)
-	for i, b := range chunk(d.Points, cfg.BatchSize) {
+	for i, b := range chunk(d.Points, cfg.batchSize) {
 		perPart[i%nParts] = append(perPart[i%nParts], b)
 	}
 
 	run := func(cfg Config) *ShardedResult {
 		t.Helper()
-		p := ingest.NewPush(nParts, 2)
+		p := ingest.NewPush(nParts)
 		feedPush(t, p, perPart)
 		res, err := RunPartitionedStream(p, cfg, shards)
 		if err != nil {
@@ -80,13 +80,13 @@ func TestRebalancedMatchesPinnedExplanations(t *testing.T) {
 	// consumption (and, while the router is still converging, its
 	// bucket moves) land before the next restores the slow-ingest
 	// interleaving the differential was designed around.
-	p := ingest.NewPush(nParts, 2)
+	p := ingest.NewPush(nParts)
 	sess, err := StartPartitionedStream(p, cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	batches := chunk(d.Points, cfg.BatchSize)
+	batches := chunk(d.Points, cfg.batchSize)
 	deadline := time.Now().Add(60 * time.Second)
 	fed := 0
 	poll := func() *ShardedResult {
@@ -222,10 +222,10 @@ func TestRebalanceCheckpointResumeInterplay(t *testing.T) {
 	d := gen.SkewedDevices(gen.SkewConfig{Points: 90_000, PinShards: shards, Seed: 47})
 	cfg := skewedConfig(len(d.Points))
 	cfg.CoordinateEvery = 2_000
-	flat, batched := splitParts(d.Points, nParts, cfg.BatchSize)
+	flat, batched := splitParts(d.Points, nParts, cfg.batchSize)
 
-	p := ingest.NewPush(nParts, 4)
-	p.EnableReplay(0)
+	p := ingest.NewPush(nParts)
+	p.EnableReplay()
 	feedPush(t, p, batched)
 	sess1, err := StartPartitionedStream(p, cfg, shards)
 	if err != nil {
@@ -274,10 +274,10 @@ func TestRebalanceCheckpointResumeInterplay(t *testing.T) {
 	suffixTotal := 0
 	for i := range suffix {
 		tail := flat[i][committed[i]:]
-		suffix[i] = chunk(tail, cfg.BatchSize)
+		suffix[i] = chunk(tail, cfg.batchSize)
 		suffixTotal += len(tail)
 	}
-	ref := ingest.NewPush(nParts, 4)
+	ref := ingest.NewPush(nParts)
 	feedPush(t, ref, suffix)
 	want, err := RunPartitionedStream(ref, cfg, shards)
 	if err != nil {
@@ -311,7 +311,7 @@ func TestRebalanceEvacuatesDeadShard(t *testing.T) {
 	d := gen.Devices(gen.DeviceConfig{Points: 60_000, Devices: 500, Seed: 31})
 	cfg := skewedConfig(len(d.Points))
 	cfg.CoordinateEvery = 2_000
-	cfg.NewClassifier = func(shard int) core.Classifier {
+	cfg.newClassifier = func(shard int) core.Classifier {
 		if shard == 1 {
 			return &bombClassifier{cutClassifier: cutClassifier{cut: 40}, after: 2000}
 		}
@@ -348,10 +348,10 @@ func TestRebalanceHammerConcurrentPollsAndStop(t *testing.T) {
 	d := gen.SkewedDevices(gen.SkewConfig{Points: 120_000, PinShards: shards, Seed: 53})
 	cfg := skewedConfig(len(d.Points))
 	cfg.CoordinateEvery = 1_000
-	cfg.BatchSize = 512
-	_, batched := splitParts(d.Points, nParts, cfg.BatchSize)
+	cfg.batchSize = 512
+	_, batched := splitParts(d.Points, nParts, cfg.batchSize)
 
-	p := ingest.NewPush(nParts, 4)
+	p := ingest.NewPush(nParts)
 	sess, err := StartPartitionedStream(p, cfg, shards)
 	if err != nil {
 		t.Fatal(err)

@@ -21,11 +21,11 @@ func resumableConfig() Config {
 	return Config{
 		Dims:                   1,
 		MinSupport:             0.005,
-		BatchSize:              2048,
+		batchSize:              2048,
 		DecayEveryPoints:       10_000_000,
 		Seed:                   5,
 		DisableGlobalThreshold: true,
-		NewClassifier:          func(int) core.Classifier { return &cutClassifier{cut: 40} },
+		newClassifier:          func(int) core.Classifier { return &cutClassifier{cut: 40} },
 	}
 }
 
@@ -63,10 +63,10 @@ func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 	const nParts, shards = 3, 4
 	d := gen.Devices(gen.DeviceConfig{Points: 36_000, Devices: 400, Seed: 17})
 	cfg := resumableConfig()
-	_, batched := splitParts(d.Points, nParts, cfg.BatchSize)
+	_, batched := splitParts(d.Points, nParts, cfg.batchSize)
 
 	// Uninterrupted reference over an identical push layout.
-	ref := ingest.NewPush(nParts, 4)
+	ref := ingest.NewPush(nParts)
 	feedPush(t, ref, batched)
 	want, err := RunPartitionedStream(ref, cfg, shards)
 	if err != nil {
@@ -74,8 +74,8 @@ func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 	}
 
 	// Session one: checkpoint before any data flows, then die.
-	p := ingest.NewPush(nParts, 4)
-	p.EnableReplay(0)
+	p := ingest.NewPush(nParts)
+	p.EnableReplay()
 	sess1, err := StartPartitionedStream(p, cfg, shards)
 	if err != nil {
 		t.Fatal(err)
@@ -121,10 +121,10 @@ func TestResumeMidStreamProcessesExactSuffix(t *testing.T) {
 	const nParts, shards = 3, 4
 	d := gen.Devices(gen.DeviceConfig{Points: 36_000, Devices: 400, Seed: 23})
 	cfg := resumableConfig()
-	flat, batched := splitParts(d.Points, nParts, cfg.BatchSize)
+	flat, batched := splitParts(d.Points, nParts, cfg.batchSize)
 
-	p := ingest.NewPush(nParts, 4)
-	p.EnableReplay(0)
+	p := ingest.NewPush(nParts)
+	p.EnableReplay()
 	feedPush(t, p, batched)
 	sess1, err := StartPartitionedStream(p, cfg, shards)
 	if err != nil {
@@ -169,10 +169,10 @@ func TestResumeMidStreamProcessesExactSuffix(t *testing.T) {
 	suffixTotal := 0
 	for i := range suffix {
 		tail := flat[i][committed[i]:]
-		suffix[i] = chunk(tail, cfg.BatchSize)
+		suffix[i] = chunk(tail, cfg.batchSize)
 		suffixTotal += len(tail)
 	}
-	ref := ingest.NewPush(nParts, 4)
+	ref := ingest.NewPush(nParts)
 	feedPush(t, ref, suffix)
 	want, err := RunPartitionedStream(ref, cfg, shards)
 	if err != nil {
@@ -197,8 +197,8 @@ func TestResumeMidStreamProcessesExactSuffix(t *testing.T) {
 // TestResumeStreamValidation covers the checkpoints resume must refuse.
 func TestResumeStreamValidation(t *testing.T) {
 	cfg := resumableConfig()
-	p := ingest.NewPush(2, 2)
-	p.EnableReplay(0)
+	p := ingest.NewPush(2)
+	p.EnableReplay()
 	if _, err := ResumeStream(p, cfg, 2, nil); err == nil {
 		t.Error("nil checkpoint accepted")
 	}
@@ -210,7 +210,7 @@ func TestResumeStreamValidation(t *testing.T) {
 	if _, err := ResumeStream(p, cfg, 2, short); err == nil || !strings.Contains(err.Error(), "partitions") {
 		t.Errorf("partition count mismatch: %v", err)
 	}
-	noReplay := ingest.NewPush(2, 2)
+	noReplay := ingest.NewPush(2)
 	ck := &Checkpoint{Version: CheckpointVersion, Partitions: []PartitionOffset{
 		{Partition: 0, Offset: 10, Checkpointable: true}, {Partition: 1},
 	}}
@@ -231,9 +231,9 @@ func TestResumeRejectsMisnumberedCheckpoint(t *testing.T) {
 	const nParts, shards = 2, 2
 	d := gen.Devices(gen.DeviceConfig{Points: 12_000, Devices: 200, Seed: 29})
 	cfg := resumableConfig()
-	_, batched := splitParts(d.Points, nParts, cfg.BatchSize)
-	p := ingest.NewPush(nParts, 4)
-	p.EnableReplay(0)
+	_, batched := splitParts(d.Points, nParts, cfg.batchSize)
+	p := ingest.NewPush(nParts)
+	p.EnableReplay()
 	feedPush(t, p, batched)
 	sess1, err := StartPartitionedStream(p, cfg, shards)
 	if err != nil {
@@ -286,7 +286,7 @@ func degradedConfig() Config {
 	// shard's buckets and most of its points are rescued instead of
 	// dropped (covered by TestRebalanceEvacuatesDeadShard).
 	cfg.DisableRebalance = true
-	cfg.NewClassifier = func(shard int) core.Classifier {
+	cfg.newClassifier = func(shard int) core.Classifier {
 		if shard == 1 {
 			return &bombClassifier{cutClassifier: cutClassifier{cut: 40}, after: 2000}
 		}
@@ -352,7 +352,7 @@ func TestShardedStreamDegradedResult(t *testing.T) {
 // final result.
 func TestStreamSessionDegradedLivePoll(t *testing.T) {
 	d := gen.Devices(gen.DeviceConfig{Points: 30_000, Devices: 300, Seed: 37})
-	p := ingest.NewPush(1, 4)
+	p := ingest.NewPush(1)
 	sess, err := StartPartitionedStream(p, degradedConfig(), 3)
 	if err != nil {
 		t.Fatal(err)

@@ -29,13 +29,16 @@ func TestPollServedDuringRetrain(t *testing.T) {
 	fits := 0
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	cfg := Config{Dims: 1, MinSupport: 0.005, RetrainEvery: 20_000, Seed: 3,
-		Trainer: func(sample [][]float64) (classify.Scorer, error) {
-			if fits++; fits == 2 {
-				close(entered)
-				<-release
-			}
-			return fit(sample)
+	trainer := func(sample [][]float64) (classify.Scorer, error) {
+		if fits++; fits == 2 {
+			close(entered)
+			<-release
+		}
+		return fit(sample)
+	}
+	cfg := Config{Dims: 1, MinSupport: 0.005, Seed: 3,
+		newClassifier: func(int) core.Classifier {
+			return classify.NewStreaming(classify.StreamingConfig{Dims: 1, RetrainEvery: 20_000, Seed: 3}, trainer)
 		}}
 	sess, err := StartPartitionedStream(src, cfg, 1)
 	if err != nil {

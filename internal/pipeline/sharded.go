@@ -126,7 +126,7 @@ func newCoordState(cfg Config, shards int) *coordState {
 // seeded cfg.Seed + s*7919, so the shards' samplers are decorrelated;
 // with a single shard the seed is exactly cfg.Seed. A caller-supplied
 // Classifier or Transforms (legal only with one shard) is installed
-// verbatim; a NewClassifier factory builds one replica per shard.
+// verbatim; a newClassifier factory builds one replica per shard.
 //
 // Coordinated multi-shard runs additionally stagger the default
 // classifiers' retrain schedules by shard*(RetrainEvery/shards): a
@@ -149,8 +149,8 @@ func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 			Confidence:   cfg.Confidence,
 		}),
 	}
-	if pl.Classifier == nil && cfg.NewClassifier != nil {
-		pl.Classifier = cfg.NewClassifier(shard)
+	if pl.Classifier == nil && cfg.newClassifier != nil {
+		pl.Classifier = cfg.newClassifier(shard)
 	}
 	if pl.Classifier == nil {
 		retrainOffset := 0
@@ -166,7 +166,7 @@ func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 			RetrainEvery:       cfg.RetrainEvery,
 			RetrainOffset:      retrainOffset,
 			Seed:               cfg.Seed + uint64(shard)*7919,
-		}, cfg.Trainer)
+		}, nil)
 	}
 	return pl
 }
@@ -178,20 +178,11 @@ func validateSharded(cfg Config, shards int) error {
 	if shards <= 0 {
 		return fmt.Errorf("pipeline: shards must be positive")
 	}
-	if cfg.Classifier != nil && cfg.NewClassifier != nil {
-		return fmt.Errorf("pipeline: Classifier and NewClassifier are mutually exclusive")
-	}
 	if shards > 1 && cfg.Classifier != nil {
-		return fmt.Errorf("pipeline: sharded streaming cannot share one Classifier instance across %d shards; use NewClassifier or leave both nil (MDP builds per-shard replicas)", shards)
+		return fmt.Errorf("pipeline: sharded streaming cannot share one Classifier instance across %d shards; leave it nil (MDP builds per-shard replicas)", shards)
 	}
 	if shards > 1 && len(cfg.Transforms) > 0 {
 		return fmt.Errorf("pipeline: sharded streaming cannot share Transform instances across %d shards", shards)
-	}
-	if shards > 1 && cfg.Trainer != nil {
-		// Each shard's classifier retrains on its own worker
-		// goroutine, so a shared trainer closure would be invoked
-		// concurrently.
-		return fmt.Errorf("pipeline: sharded streaming cannot share one Trainer across %d shards", shards)
 	}
 	return nil
 }
@@ -216,7 +207,7 @@ func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, expla
 			classifiers[shard] = pl.Classifier
 			return pl
 		},
-		BatchSize:       cfg.BatchSize,
+		BatchSize:       cfg.batchSize,
 		DecayEvery:      cfg.DecayEveryPoints,
 		CoordinateEvery: cfg.CoordinateEvery,
 	}

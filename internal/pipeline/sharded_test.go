@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"macrobase/internal/classify"
 	"macrobase/internal/core"
 	"macrobase/internal/explain"
 	"macrobase/internal/gen"
@@ -96,8 +95,8 @@ func TestShardedStreamOneShardMatchesSequential(t *testing.T) {
 	}
 	pcfg := cfg.withDefaults()
 	var batches [][]core.Point
-	for off := 0; off < len(d.Points); off += pcfg.BatchSize {
-		batches = append(batches, d.Points[off:min(off+pcfg.BatchSize, len(d.Points))])
+	for off := 0; off < len(d.Points); off += pcfg.batchSize {
+		batches = append(batches, d.Points[off:min(off+pcfg.batchSize, len(d.Points))])
 	}
 	stats, seq := sequentialEWS(pcfg, 0, 1, batches)
 	if res.Stats != stats {
@@ -152,14 +151,14 @@ func TestShardedStreamMatchesManualPartition(t *testing.T) {
 
 	// Manual shared-nothing execution over the same partitions, with
 	// the same sub-batch boundaries the engine produces: the ingest
-	// loop reads BatchSize points and routes each batch's points, so
+	// loop reads batchSize points and routes each batch's points, so
 	// each shard sees one sub-batch per source batch. Decay ticks land
 	// on batch boundaries, so boundary fidelity is what makes the
 	// comparison exact.
 	pcfg := cfg.withDefaults()
 	parts := make([][][]core.Point, shards)
-	for off := 0; off < len(d.Points); off += pcfg.BatchSize {
-		end := off + pcfg.BatchSize
+	for off := 0; off < len(d.Points); off += pcfg.batchSize {
+		end := off + pcfg.batchSize
 		if end > len(d.Points) {
 			end = len(d.Points)
 		}
@@ -213,11 +212,8 @@ func TestShardedStreamValidation(t *testing.T) {
 	if _, err := RunPartitionedStream(src, Config{Dims: 1, Classifier: &projectingClassifier{}}, 2); err == nil {
 		t.Error("shared classifier instance accepted for 2 shards")
 	}
-	if _, err := RunPartitionedStream(src, Config{Dims: 1, Transforms: []core.Transformer{core.TransformFunc(nil)}}, 2); err == nil {
+	if _, err := RunPartitionedStream(src, Config{Dims: 1, Transforms: []core.Transformer{everyOther{}}}, 2); err == nil {
 		t.Error("shared transform instance accepted for 2 shards")
-	}
-	if _, err := RunPartitionedStream(src, Config{Dims: 1, Trainer: func([][]float64) (classify.Scorer, error) { return nil, nil }}, 2); err == nil {
-		t.Error("shared trainer accepted for 2 shards")
 	}
 	if _, err := StartPartitionedStream(src, Config{Dims: 1}, -1); err == nil {
 		t.Error("session with negative shards accepted")
@@ -333,6 +329,16 @@ func TestStreamSessionSourceError(t *testing.T) {
 	}
 }
 
+// everyOther is a stateless transform that keeps every other point.
+type everyOther struct{}
+
+func (everyOther) Transform(dst, batch []core.Point) []core.Point {
+	for i := 0; i < len(batch); i += 2 {
+		dst = append(dst, batch[i])
+	}
+	return dst
+}
+
 // TestLivePollEqualsFinal: a live poll and the final result are built
 // by one function from the same account, so once every pushed point is
 // consumed a poll reads what the final result reads — run and per-shard
@@ -345,30 +351,24 @@ func TestStreamSessionSourceError(t *testing.T) {
 // served mid-batch (core.Offloader).
 func TestLivePollEqualsFinal(t *testing.T) {
 	d := gen.Devices(gen.DeviceConfig{Points: 12_000, Devices: 300, Seed: 41})
-	everyOther := core.TransformFunc(func(dst, batch []core.Point) []core.Point {
-		for i := 0; i < len(batch); i += 2 {
-			dst = append(dst, batch[i])
-		}
-		return dst
-	})
 	for _, tc := range []struct {
 		name   string
 		shards int
 		cfg    Config
 	}{
-		{"one shard, transform drops half", 1, Config{Dims: 1, MinSupport: 0.01, DecayEveryPoints: 2_000, BatchSize: 512, Seed: 3,
-			Transforms: []core.Transformer{everyOther}}},
-		{"two shards, pinned routing", 2, Config{Dims: 1, MinSupport: 0.01, DecayEveryPoints: 2_000, BatchSize: 512, DisableRebalance: true,
-			NewClassifier: func(int) core.Classifier { return &cutClassifier{cut: 40} }}},
+		{"one shard, transform drops half", 1, Config{Dims: 1, MinSupport: 0.01, DecayEveryPoints: 2_000, batchSize: 512, Seed: 3,
+			Transforms: []core.Transformer{everyOther{}}}},
+		{"two shards, pinned routing", 2, Config{Dims: 1, MinSupport: 0.01, DecayEveryPoints: 2_000, batchSize: 512, DisableRebalance: true,
+			newClassifier: func(int) core.Classifier { return &cutClassifier{cut: 40} }}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := ingest.NewPush(1, 2)
+			p := ingest.NewPush(1)
 			sess, err := StartPartitionedStream(p, tc.cfg, tc.shards)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pr := p.Producer(0)
-			for _, b := range chunk(d.Points, tc.cfg.BatchSize) {
+			for _, b := range chunk(d.Points, tc.cfg.batchSize) {
 				if err := pr.Send(context.Background(), b); err != nil {
 					t.Fatal(err)
 				}

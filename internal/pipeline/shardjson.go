@@ -9,13 +9,14 @@ import (
 // and ShardBreakdown.GlobalCutoff legitimately hold NaN (no value: a
 // custom classifier exposing no cutoff, no coordination round yet) and
 // +Inf (warmup), both of which encoding/json rejects outright. Every
-// consumer that serializes a breakdown — the HTTP serving layer,
-// checkpoint blobs, firehose output, remote fabrics — would otherwise
-// need its own scrubbing pass, and the ones that forgot got a runtime
-// "json: unsupported value: NaN". Mapping at the source instead: NaN
-// encodes as null ("no value", not a fake zero) and ±Inf clamps to
-// ±MaxFloat64, keeping the wire shape numeric for consumers that do
-// arithmetic on it.
+// consumer that serializes a breakdown, such as mbserver's poll and
+// stop responses, would otherwise need its own scrubbing pass, and the
+// ones that forgot got a runtime "json: unsupported value: NaN".
+// Mapping at the source instead: NaN encodes as null ("no value", not
+// a fake zero) and ±Inf clamps to ±MaxFloat64, keeping the wire shape
+// numeric for consumers that do arithmetic on it. Breakdowns are only
+// encoded: a checkpoint blob (pipeline.Checkpoint) holds partition
+// offsets, not breakdowns.
 
 // safeFloat is a float64 whose JSON encoding is always legal: NaN
 // becomes null, ±Inf clamps to ±MaxFloat64, finite values pass through.
@@ -34,17 +35,6 @@ func (f safeFloat) MarshalJSON() ([]byte, error) {
 	return json.Marshal(v)
 }
 
-// UnmarshalJSON restores null to NaN, so a breakdown round-tripped
-// through a checkpoint blob preserves "no value" instead of turning it
-// into a plausible-looking 0.
-func (f *safeFloat) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		*f = safeFloat(math.NaN())
-		return nil
-	}
-	return json.Unmarshal(b, (*float64)(f))
-}
-
 // MarshalJSON encodes the status with its non-finite-capable fields
 // made JSON-safe (see safeFloat).
 func (s ShardStatus) MarshalJSON() ([]byte, error) {
@@ -53,21 +43,6 @@ func (s ShardStatus) MarshalJSON() ([]byte, error) {
 		alias
 		Threshold safeFloat `json:"threshold"`
 	}{alias(s), safeFloat(s.Threshold)})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON: a null threshold decodes
-// back to NaN.
-func (s *ShardStatus) UnmarshalJSON(b []byte) error {
-	type alias ShardStatus
-	aux := struct {
-		*alias
-		Threshold safeFloat `json:"threshold"`
-	}{alias: (*alias)(s), Threshold: safeFloat(math.NaN())}
-	if err := json.Unmarshal(b, &aux); err != nil {
-		return err
-	}
-	s.Threshold = float64(aux.Threshold)
-	return nil
 }
 
 // MarshalJSON encodes the breakdown with its non-finite-capable fields
@@ -79,19 +54,4 @@ func (b ShardBreakdown) MarshalJSON() ([]byte, error) {
 		alias
 		GlobalCutoff safeFloat `json:"globalCutoff"`
 	}{alias(b), safeFloat(b.GlobalCutoff)})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON: a null global cutoff
-// decodes back to NaN.
-func (b *ShardBreakdown) UnmarshalJSON(data []byte) error {
-	type alias ShardBreakdown
-	aux := struct {
-		*alias
-		GlobalCutoff safeFloat `json:"globalCutoff"`
-	}{alias: (*alias)(b), GlobalCutoff: safeFloat(math.NaN())}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	b.GlobalCutoff = float64(aux.GlobalCutoff)
-	return nil
 }

@@ -23,9 +23,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += d * (x - r.mean)
 }
 
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
-
 // Mean returns the sample mean (0 when empty).
 func (r *Running) Mean() float64 { return r.mean }
 

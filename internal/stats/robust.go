@@ -39,9 +39,6 @@ func (m *RunningMAD) Fit(xs []float64) {
 // Ready reports whether a usable fit exists.
 func (m *RunningMAD) Ready() bool { return m.ready }
 
-// Median returns the fitted median.
-func (m *RunningMAD) Median() float64 { return m.median }
-
 // Score returns |x - median| / scale (+Inf off a degenerate fit).
 func (m *RunningMAD) Score(x float64) float64 {
 	if !m.ready {
