@@ -327,6 +327,10 @@ func microBenchmarks() []benchResult {
 	// One default-config FastMCD fit over the metrics of the end-to-end
 	// workloads' datasets: n10k is a shard's reservoir refit (p7
 	// firehose_xc, p2 poll_drift), n40k the batch_query training sample.
+	// A fit runs on GOMAXPROCS goroutines; these kernels pin one, so they
+	// watch the serial fit the baseline recorded and a crew's speedup
+	// cannot hide a slower C-step.
+	procs := runtime.GOMAXPROCS(1)
 	for _, k := range []struct {
 		name, dataset string
 		n             int
@@ -348,6 +352,7 @@ func microBenchmarks() []benchResult {
 			}
 		}))
 	}
+	runtime.GOMAXPROCS(procs)
 	if on, ok := rebalShare[false]; ok {
 		fmt.Printf("  %-34s hot-shard load share %.3f rebalanced vs %.3f pinned (0.25 = perfect balance at 4 shards)\n",
 			"Rebalance/p3s4", on, rebalShare[true])

@@ -35,6 +35,15 @@ func bodyErrorStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// sessionErrorStatus answers 400 for a session that ended on a bad row
+// of its input and 500 for any other failure, which is the server's.
+func sessionErrorStatus(err error) int {
+	if errors.Is(err, ingest.ErrBadRow) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
+}
+
 func handleQuery(w http.ResponseWriter, r *http.Request) {
 	cfg, err := ingest.ReadQueryConfig(http.MaxBytesReader(w, r.Body, maxControlBody))
 	if err != nil {
@@ -255,7 +264,7 @@ func (g *streamRegistry) handlePoll(w http.ResponseWriter, r *http.Request) {
 	done := st.session.Done()
 	res, err := st.session.Poll()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), sessionErrorStatus(err))
 		return
 	}
 	writeStreamResponse(w, id, st, res, done)
@@ -268,7 +277,7 @@ func (g *streamRegistry) handleStop(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := st.session.Stop()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), sessionErrorStatus(err))
 		return
 	}
 	writeStreamResponse(w, id, st, res, true)

@@ -539,6 +539,54 @@ func TestNonFiniteRowsRejected(t *testing.T) {
 	postJSON(t, srv.URL+"/stream/"+id+"/stop", nil)
 }
 
+// TestBadRowSessionAnswers400: a CSV session whose input has a bad row
+// ends with that row's error, and the poll and the stop that read it
+// answer 400 naming the row, as /query does; they used to answer 500. A
+// failure that is not the input's stays a 500.
+func TestBadRowSessionAnswers400(t *testing.T) {
+	data, err := os.ReadFile(writeTestCSV(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	srv := httptest.NewServer(newMux(newStreamRegistry()))
+	defer srv.Close()
+	for _, tc := range []struct{ name, row string }{
+		{"unparsable", "abc,dev3\n"},
+		{"NaN", "NaN,dev3\n"},
+	} {
+		lines[100] = tc.row // data row 100, after the header
+		path := filepath.Join(t.TempDir(), "bad.csv")
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		id := startStream(t, srv, fmt.Sprintf(`{"input":%q,"metrics":["power"],"attributes":["device"],"minSupport":0.05}`, path))
+		answer := func(resp *http.Response, err error) (int, string) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			return resp.StatusCode, string(body)
+		}
+		// A poll answers 200 (done:false) until the run reaches the row.
+		code, body := http.StatusOK, ""
+		for deadline := time.Now().Add(20 * time.Second); code == http.StatusOK && time.Now().Before(deadline); {
+			code, body = answer(http.Get(srv.URL + "/stream/" + id))
+		}
+		if code != http.StatusBadRequest || !strings.Contains(body, "row 100") {
+			t.Errorf("%s row, poll: status %d, body %q; want 400 naming row 100", tc.name, code, body)
+		}
+		code, body = answer(http.Post(srv.URL+"/stream/"+id+"/stop", "application/json", nil))
+		if code != http.StatusBadRequest || !strings.Contains(body, "row 100") {
+			t.Errorf("%s row, stop: status %d, body %q; want 400 naming row 100", tc.name, code, body)
+		}
+	}
+	if got := sessionErrorStatus(fmt.Errorf("core: source: %w", io.ErrUnexpectedEOF)); got != http.StatusInternalServerError {
+		t.Errorf("a failed read answers %d, want 500", got)
+	}
+}
+
 // pushBinary posts a binary row body under the binary content type.
 func pushBinary(t *testing.T, url string, body []byte) (int, map[string]any) {
 	t.Helper()

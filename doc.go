@@ -504,7 +504,14 @@
 // nothing of the classifier but its threshold; coordination requests,
 // which read and write the classifier, travel on their own control
 // channel and still wait for the batch to end. So whether a poll meets
-// a refit does not decide its latency.
+// a refit does not decide its latency. The refit itself runs on
+// GOMAXPROCS goroutines, like every fit: a shard does not know how many
+// siblings are refitting, and a coordinated session staggers its shards'
+// retrains. On 2 vCPUs, ten alternating pairs of the two-shard workloads
+// with every refit on both cores against refits on one moved no
+// end-to-end metric past its run-to-run spread (firehose_xc and
+// poll_drift points_per_s 1.09x, answer_p50_ms 1.05x and 1.06x inside
+// the parent's quartiles).
 //
 // The refit finishes no evaluation nobody reads. A concentration step
 // needs the set of the h closest points, never their ranking, so it
@@ -549,6 +556,24 @@
 // metric[0]), and the sort-based oracle follows the same schedule, so it
 // still holds the kernel to the same draws, candidates, ranking, winner
 // and step count.
+//
+// Every candidate's two steps at a level are independent of every other
+// candidate's, so a fit hands them to whichever core is free. Past one
+// worker the fit starts a crew of helper goroutines, each with its own
+// stepper over the full data, and keeps for itself only what has an
+// order: drawing the trial starts (the generator's only reader), offering
+// the trial results and ranking the merged-set and full-data ones in
+// candidate order, the leader's convergence and the consistency
+// correction. A C-step reads only its candidate and the level's points,
+// so the answer is the same bits on any number of workers
+// (TestFitBitsIndependentOfWorkers checks one to seven against the
+// recorded digests). A panic on a helper is raised again on the fitting
+// goroutine, so core.Offloader's recover and shard quarantine see it as
+// before. At n=40K, p=7 a fit's trial stage and full-data ranking are
+// about four fifths of its time on one goroutine and the leader's
+// convergence the rest. A fit takes at most topKeep goroutines (the
+// full-data ranking has no more candidates to hand out), each helper
+// holding a stepper over the full data.
 //
 // The C-step's two data passes are written for latency, not just
 // arithmetic: a point's forward solve is a chain of p dependent
@@ -766,7 +791,21 @@
 // op), are most of its cost. The MCDFit rows are one default-config
 // mcd.Fit over a workload dataset's metrics, in ms/op: a shard's
 // reservoir refit on firehose_xc (p7) and poll_drift (p2), and
-// batch_query's 40K training sample.
+// batch_query's 40K training sample. A default-config fit runs on
+// GOMAXPROCS goroutines, so these rows depend on -cpu; the baseline's
+// were the serial fit at GOMAXPROCS 2, and mbbench pins its MCDFit
+// kernels to GOMAXPROCS 1, so -compare still gates the serial fit. At
+// -cpu 1 and -cpu 2 in one sitting (`go test -run '^$' -bench
+// BenchmarkMCDFit -benchmem -cpu 1,2 -count 5 -benchtime 10x .`, medians
+// of five; this sitting read the serial fit 1.4-1.6x slower than the
+// baseline's):
+//
+//	kernel            -cpu 1 ms  allocs/op   -cpu 2 ms  allocs/op
+//	MCDFit/n10k-p7         57.3        293        45.7        307
+//	MCDFit/n10k-p2         42.6        293        29.3        307
+//	MCDFit/n40k-p7          159        293         117        307
+//
+// The 14 extra allocations are the crew and its one helper's stepper.
 //
 // The table below is the kernels' trajectory up to the baseline before
 // this one, in µs/op, one column per recorded tree: PR3-PR10 on a

@@ -100,6 +100,8 @@ const (
 	// clusterCounters is the total number of performance counters
 	// (paper: 200+).
 	clusterCounters = 200
+	// anomalousServer indexes the degraded server.
+	anomalousServer = 0
 )
 
 // ClusterConfig parameterizes one DBSherlock-style experiment: a
@@ -110,8 +112,6 @@ type ClusterConfig struct {
 	Samples int
 	// Anomaly is the performance degradation to inject.
 	Anomaly AnomalyType
-	// AnomalousServer indexes the degraded server (default 0).
-	AnomalousServer int
 	// Workload shifts baseline means so TPC-C and TPC-E clusters
 	// differ ("tpcc" or "tpce").
 	Workload string
@@ -155,7 +155,7 @@ func DBSherlockCluster(cfg ClusterConfig) *Cluster {
 	for s := 0; s < clusterServers; s++ {
 		cl.Hosts[s] = enc.Encode(0, fmt.Sprintf("%s-host%02d", cfg.Workload, s))
 	}
-	cl.AnomalousHost = cl.Hosts[cfg.AnomalousServer%clusterServers]
+	cl.AnomalousHost = cl.Hosts[anomalousServer]
 
 	// Per-counter baselines: workload-dependent means, unit-ish
 	// variances, so TPC-C and TPC-E clusters are distinct

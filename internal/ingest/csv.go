@@ -107,7 +107,7 @@ func (s *CSVSource) parseRow(rec []string, metrics []float64, attrs []int32) (fl
 			err = checkFinite(v)
 		}
 		if err != nil {
-			return 0, fmt.Errorf("ingest: row %d: metric %q: %w", s.line, s.schema.Metrics[j], err)
+			return 0, badRow{fmt.Errorf("ingest: row %d: metric %q: %w", s.line, s.schema.Metrics[j], err)}
 		}
 		metrics[j] = v
 	}
@@ -122,9 +122,33 @@ func (s *CSVSource) parseRow(rec []string, metrics []float64, attrs []int32) (fl
 		err = checkFinite(v)
 	}
 	if err != nil {
-		return 0, fmt.Errorf("ingest: row %d: time: %w", s.line, err)
+		return 0, badRow{fmt.Errorf("ingest: row %d: time: %w", s.line, err)}
 	}
 	return v, nil
+}
+
+// ErrBadRow matches (errors.Is) an error caused by one malformed input
+// row: a CSV record that does not split into the header's fields, or a
+// metric or time that does not parse or is NaN or infinite. Such a
+// failure is the input's, not the engine's. The error's own text names
+// the row.
+var ErrBadRow = errors.New("ingest: bad row")
+
+// badRow marks an error as ErrBadRow and keeps its text.
+type badRow struct{ error }
+
+func (e badRow) Unwrap() error      { return e.error }
+func (badRow) Is(target error) bool { return target == ErrBadRow }
+
+// readError wraps an error from the CSV reader; a record the reader
+// cannot parse is a bad row, a failed read is not.
+func readError(err error) error {
+	err = fmt.Errorf("ingest: %w", err)
+	var pe *csv.ParseError
+	if errors.As(err, &pe) {
+		return badRow{err}
+	}
+	return err
 }
 
 // errNonFinite rejects a NaN or ±Inf metric or time. One such metric
@@ -159,7 +183,7 @@ func (s *CSVSource) Next(max int) ([]core.Point, error) {
 			break
 		}
 		if err != nil {
-			s.err = fmt.Errorf("ingest: %w", err)
+			s.err = readError(err)
 			return nil, s.err
 		}
 		s.line++
@@ -214,7 +238,7 @@ func (s *CSVSource) NextBatchInto(ctx context.Context, dst *core.Batch, max int)
 			break
 		}
 		if err != nil {
-			s.err = fmt.Errorf("ingest: %w", err)
+			s.err = readError(err)
 			return nil, s.err
 		}
 		s.line++

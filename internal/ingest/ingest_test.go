@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"macrobase/internal/core"
 	"macrobase/internal/encode"
@@ -103,6 +105,49 @@ func TestCSVSourceErrors(t *testing.T) {
 		if _, err := src.NextBatchInto(context.Background(), &core.Batch{}, 10); !errors.Is(err, errNonFinite) || !strings.Contains(err.Error(), "row 2") {
 			t.Errorf("%s via NextBatchInto: %v, want a row 2 non-finite error", tc.name, err)
 		}
+	}
+}
+
+// TestCSVBadRowsMatchErrBadRow: every error a malformed row causes
+// matches ErrBadRow and names the row (encoding/csv's own errors count
+// file lines, the header included), on both read paths and latched; a
+// failed read does not match.
+func TestCSVBadRowsMatchErrBadRow(t *testing.T) {
+	enc := encode.NewEncoder("device")
+	schema := Schema{Metrics: []string{"power"}, Attributes: []string{"device"}, TimeColumn: "t"}
+	reads := map[string]func(*CSVSource) error{
+		"Next": func(s *CSVSource) error { _, err := s.Next(10); return err },
+		"NextBatchInto": func(s *CSVSource) error {
+			_, err := s.NextBatchInto(context.Background(), &core.Batch{}, 10)
+			return err
+		},
+	}
+	for _, tc := range []struct{ name, data, names string }{
+		{"unparsable metric", "power,device,t\n1,dev1,0\nxyz,dev1,1\n", "row 2"},
+		{"unparsable time", "power,device,t\n1,dev1,0\n2,dev1,noon\n", "row 2"},
+		{"NaN metric", "power,device,t\n1,dev1,0\nNaN,dev1,1\n", "row 2"},
+		{"Inf time", "power,device,t\n1,dev1,0\n2,dev1,Inf\n", "row 2"},
+		{"missing field", "power,device,t\n1,dev1,0\n2,dev1\n", "line 3"},
+		{"bare quote", "power,device,t\n1,dev1,0\n2,de\"v1,1\n", "line 3"},
+	} {
+		for path, read := range reads {
+			src, err := NewCSVSource(strings.NewReader(tc.data), schema, enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := read(src); !errors.Is(err, ErrBadRow) || !strings.Contains(err.Error(), tc.names) {
+					t.Errorf("%s via %s, read %d: %v, want an ErrBadRow naming %s", tc.name, path, i+1, err, tc.names)
+				}
+			}
+		}
+	}
+	src, err := NewCSVSource(io.MultiReader(strings.NewReader("power,device,t\n1,dev1,0\n"), iotest.ErrReader(io.ErrClosedPipe)), schema, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reads["Next"](src); err == nil || errors.Is(err, ErrBadRow) {
+		t.Errorf("a failed read: %v, want an error that is not ErrBadRow", err)
 	}
 }
 

@@ -356,10 +356,13 @@ func TestSubsetEdgeCases(t *testing.T) {
 	})
 }
 
-// TestFitAllocations: a fit's allocations are its steppers and the
-// topKeep-sized candidate lists of its five subsets (262 here), not a set
+// TestFitAllocations: a fit's allocations are its steppers and, for each
+// of its five subsets, the trial starts' buffers (candidateSlab, four
+// allocations) and a topKeep-sized candidate list (293 here), not a set
 // of buffers per C-step, per trial or per ranked candidate — the merged
 // and full-data levels rank the candidates in the storage they came in.
+// AllocsPerRun runs at GOMAXPROCS 1, so this is the fit without a crew;
+// TestCrewAllocations bounds the crew.
 func TestFitAllocations(t *testing.T) {
 	pts := gaussMix(10_000, 7, 1)
 	allocs := testing.AllocsPerRun(1, func() {

@@ -35,6 +35,32 @@
 // on amd64, so there the fits are those of the one-point sweep and the
 // row-major covariance exactly; a test pins them to digests recorded
 // from that code.
+//
+// A fit spreads its candidates' C-steps over the process's cores: Fit
+// runs on GOMAXPROCS goroutines, but never more than topKeep, since the
+// full-data ranking has no more candidates than that and a goroutine
+// past them would hold a full-data stepper for nothing. Past one, the
+// fitting goroutine starts a crew of helpers (crew.go), each with its own
+// stepper over the full data, about 33 bytes a point. It draws every
+// trial's start itself, in trial order, since a start is the only
+// consumer of the generator. The two C-steps of every trial, and of every
+// candidate the merged set and the full data rank, then go to whichever
+// goroutine is free, and the results are offered and ranked in candidate
+// order, ties to the earlier candidate, as on one goroutine. A C-step
+// reads nothing but its candidate and the stage's points, and every
+// goroutine steps with its own buffers, so no bit of a fit depends on how
+// many goroutines ran it or which took which candidate; a test pins the
+// digests on one to seven. The leader's convergence and the consistency
+// correction stay on the fitting goroutine. With one worker there is no
+// crew, and a panic on a helper is raised again on the fitting goroutine
+// once every goroutine has left the stage.
+//
+// Fits that run at once each take GOMAXPROCS goroutines: a streaming
+// session's shards refit on their own schedules (staggered when
+// coordinated), and concurrent one-shot queries each fit alone. The
+// helpers' memory, up to topKeep-1 full-data steppers a fit, has been
+// measured on two cores only; on more cores and under concurrent queries
+// it is not.
 package mcd
 
 import (
@@ -42,6 +68,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sort" // fitUnivariate only: a C-step selects, it never sorts
 
 	"macrobase/internal/stats"
@@ -101,8 +128,15 @@ type Estimate struct {
 var ErrTooFewPoints = errors.New("mcd: not enough points to fit")
 
 // Fit runs FastMCD on pts (each a d-vector) and returns the corrected
-// robust estimate.
+// robust estimate, on GOMAXPROCS goroutines (at most topKeep).
 func Fit(pts [][]float64, cfg Config) (*Estimate, error) {
+	return fit(pts, cfg, runtime.GOMAXPROCS(0))
+}
+
+// fit is Fit on workers goroutines, at most topKeep: the caller and, past
+// one, a crew of helpers.
+func fit(pts [][]float64, cfg Config, workers int) (*Estimate, error) {
+	workers = min(workers, topKeep)
 	cfg = cfg.withDefaults()
 	n := len(pts)
 	if n == 0 {
@@ -123,6 +157,10 @@ func Fit(pts [][]float64, cfg Config) (*Estimate, error) {
 	}
 
 	cs := newCStepper(pts, h)
+	if workers > 1 {
+		cs.crew = startCrew(pts, h, workers-1)
+		defer cs.crew.stop()
+	}
 	cand := trialCandidates(cs, cfg, rng)
 	if len(cand) == 0 {
 		return nil, errors.New("mcd: no non-singular candidate found")
@@ -146,14 +184,11 @@ func Fit(pts [][]float64, cfg Config) (*Estimate, error) {
 // best keep in cands' own storage, ascending by log-determinant, ties to
 // the earlier candidate; one whose estimate stops factoring drops out.
 func refine(cs *cStepper, cands []candidate, keep int) []candidate {
+	cs.stepAll(cands)
 	kept := cands[:0]
-next:
 	for _, c := range cands {
-		for step := 0; step < 2; step++ {
-			var err error
-			if c.logDet, err = cs.step(c.mean, c.cov); err != nil {
-				continue next
-			}
+		if c.err != nil {
+			continue
 		}
 		i := len(kept)
 		for kept = append(kept, c); i > 0 && kept[i-1].logDet > c.logDet; i-- {
@@ -213,6 +248,21 @@ type candidate struct {
 	mean   []float64
 	cov    *stats.Mat
 	logDet float64
+	err    error // set when a C-step's estimate stopped factoring
+}
+
+// candidateSlab returns k candidates of dimension p whose buffers share
+// four allocations.
+func candidateSlab(k, p int) []candidate {
+	cands := make([]candidate, k)
+	covs := make([]stats.Mat, k)
+	means := make([]float64, k*p)
+	data := make([]float64, k*p*p)
+	for i := range cands {
+		covs[i] = stats.Mat{Rows: p, Cols: p, Data: data[i*p*p : (i+1)*p*p : (i+1)*p*p]}
+		cands[i] = candidate{mean: means[i*p : (i+1)*p : (i+1)*p], cov: &covs[i]}
+	}
+	return cands
 }
 
 // topCandidates keeps the keep lowest-logDet candidates offered to it,
@@ -247,7 +297,8 @@ func (t *topCandidates) offer(mean []float64, cov *stats.Mat, logDet float64) {
 }
 
 // cStepper owns every buffer concentration steps over one dataset need,
-// so a step allocates nothing.
+// so a step allocates nothing. A stepper sized for a larger dataset can be
+// aimed at a smaller one (aim).
 type cStepper struct {
 	pts    [][]float64
 	h      int
@@ -259,6 +310,9 @@ type cStepper struct {
 	colScr []float64      // MeanCovInto's column-major block of centered rows
 	chol   stats.Cholesky
 	ridge  *stats.Mat
+	// crew, when set, takes candidates' steps beside this stepper
+	// (stepAll); nil steps every candidate here.
+	crew *crew
 }
 
 func newCStepper(pts [][]float64, h int) *cStepper {
@@ -273,6 +327,35 @@ func newCStepper(pts [][]float64, h int) *cStepper {
 		scr:    make([]float64, 4*p),
 		colScr: make([]float64, p*min(len(pts), stats.MeanCovBlock)),
 		ridge:  stats.NewMat(p, p),
+	}
+}
+
+// aim points s, built over at least len(pts) points, at pts and h.
+func (s *cStepper) aim(pts [][]float64, h int) {
+	s.pts, s.h = pts, h
+	s.d2, s.ps, s.mask = s.d2[:len(pts)], s.ps[:len(pts)], s.mask[:len(pts)]
+}
+
+// stepAll gives every candidate two C-steps on s's dataset (stepTwice):
+// here, or spread over s and its crew.
+func (s *cStepper) stepAll(cands []candidate) {
+	if s.crew != nil {
+		s.crew.run(s, cands, (*cStepper).stepTwice)
+		return
+	}
+	for i := range cands {
+		s.stepTwice(&cands[i])
+	}
+}
+
+// stepTwice gives c two C-steps in place, keeping the second's
+// log-determinant, or the error of the first whose estimate stopped
+// factoring.
+func (s *cStepper) stepTwice(c *candidate) {
+	for step := 0; step < 2; step++ {
+		if c.logDet, c.err = s.step(c.mean, c.cov); c.err != nil {
+			return
+		}
 	}
 }
 
@@ -371,22 +454,29 @@ func cholWithRidge(cov *stats.Mat) (*stats.Cholesky, error) {
 // runTrials performs trials random starts with two concentration steps
 // each over the cStepper's dataset and returns the best topKeep,
 // ascending by log-determinant and then by trial number (FastMCD's
-// small-n path, and the per-subset stage of the nested one).
+// small-n path, and the per-subset stage of the nested one). With a crew
+// every start is drawn first, in trial order, since only start reads rng;
+// the steps then go to stepAll, and their results are offered in trial
+// order. Without one each trial is drawn, stepped and offered in turn in
+// one candidate's buffers.
 func runTrials(cs *cStepper, trials, topKeep int, rng *rand.Rand) []candidate {
-	p := len(cs.pts[0])
+	batch := 1
+	if cs.crew != nil {
+		batch = trials
+	}
+	starts := candidateSlab(batch, len(cs.pts[0]))
 	top := topCandidates{keep: topKeep}
-	mean, cov := make([]float64, p), stats.NewMat(p, p)
-trial:
-	for t := 0; t < trials; t++ {
-		cs.start(mean, cov, rng)
-		var logDet float64
-		for step := 0; step < 2; step++ {
-			var err error
-			if logDet, err = cs.step(mean, cov); err != nil {
-				continue trial
+	for t := 0; t < trials; t += batch {
+		cands := starts[:min(batch, trials-t)]
+		for _, c := range cands {
+			cs.start(c.mean, c.cov, rng)
+		}
+		cs.stepAll(cands)
+		for _, c := range cands {
+			if c.err == nil {
+				top.offer(c.mean, c.cov, c.logDet)
 			}
 		}
-		top.offer(mean, cov, logDet)
 	}
 	return top.list
 }
@@ -433,7 +523,9 @@ func nestedTrials(full *cStepper, cfg Config, rng *rand.Rand) []candidate {
 		if hSub < p+1 {
 			hSub = p + 1
 		}
-		pooled = append(pooled, runTrials(newCStepper(sub, hSub), perSub, topKeep, rng)...)
+		cs := newCStepper(sub, hSub)
+		cs.crew = full.crew
+		pooled = append(pooled, runTrials(cs, perSub, topKeep, rng)...)
 	}
 	// Refine pooled candidates on the merged set.
 	hMerged := int(math.Ceil(float64(len(mergedPts)) * float64(h) / float64(n)))
@@ -441,6 +533,7 @@ func nestedTrials(full *cStepper, cfg Config, rng *rand.Rand) []candidate {
 		hMerged = p + 1
 	}
 	csm := newCStepper(mergedPts, hMerged)
+	csm.crew = full.crew
 	return refine(csm, pooled, topKeep)
 }
 
