@@ -212,14 +212,14 @@ func specNames(s ast.Spec) map[string]bool {
 
 // TestConfigFieldsHaveSetters fails for an exported field of an exported
 // struct type named *Config, declared in a non-test file outside
-// bench/, that a test sets and no non-test file does. (Other structs
-// carry results and state, whose fields their own package writes.) A
-// field is set by a composite literal that names it or fills it by
-// position, by a JSON tag (the decoder sets it), or by an assignment,
-// increment or address-of from outside its own package; assignments
-// inside the declaring package fill defaults, so they do not count.
-// Files under bench/ and examples/ count as setters. A setting only
-// tests set is a knob no run can turn: make it a constant, or an
+// bench/, that no non-test file sets. (Other structs carry results and
+// state, whose fields their own package writes.) A field is set by a
+// composite literal that names it or fills it by position, by a JSON
+// tag (the decoder sets it), or by an assignment, increment or
+// address-of from outside its own package; assignments inside the
+// declaring package fill defaults, so they do not count. Files under
+// bench/ and examples/ count as setters; tests do not. A setting no run
+// can turn, whether tests set it or nothing does, is a constant or an
 // unexported field the tests in its package set.
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	fset := token.NewFileSet()
@@ -262,17 +262,13 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 		}
 	}
 
-	setByTest := make(map[token.Pos]bool)
 	setByCode := make(map[token.Pos]bool)
 	for _, c := range typeCheckRepo(t, fset, files) {
 		record := func(fld *types.Var, at token.Pos, crossPkg bool) {
-			if _, ok := declared[fld.Pos()]; !ok {
+			if _, ok := declared[fld.Pos()]; !ok || strings.HasSuffix(fset.File(at).Name(), "_test.go") {
 				return
 			}
-			switch {
-			case strings.HasSuffix(fset.File(at).Name(), "_test.go"):
-				setByTest[fld.Pos()] = true
-			case crossPkg || fld.Pkg() != c.pkg:
+			if crossPkg || fld.Pkg() != c.pkg {
 				setByCode[fld.Pos()] = true
 			}
 		}
@@ -324,13 +320,13 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 
 	var missing []string
 	for pos, key := range declared {
-		if setByTest[pos] && !setByCode[pos] {
+		if !setByCode[pos] {
 			missing = append(missing, fset.Position(pos).String()+": "+key)
 		}
 	}
 	sort.Strings(missing)
 	for _, m := range missing {
-		t.Errorf("%s is set by tests and by no non-test code: make it a constant or an unexported field", m)
+		t.Errorf("%s is set by no non-test code: make it a constant or an unexported field", m)
 	}
 }
 

@@ -258,7 +258,7 @@ func (g *streamRegistry) handlePoll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Capture doneness before polling: if the stream terminates while
-	// Poll is in flight, the snapshot may predate the final flush, so
+	// Poll is in flight, the snapshot may predate the last batches, so
 	// reporting done:false (client polls again, sees the final result)
 	// errs in the harmless direction.
 	done := st.session.Done()

@@ -18,15 +18,17 @@
 // (Appendix C), which is how pipeline.RunStreaming runs. Ingest
 // goroutines — one per source partition, see the ingest section below —
 // hash-partition batches by attribute set across P shard workers over
-// bounded channels; each shard owns its own transformer/classifier/
-// explainer replicas and local decay clock, so one shard is exactly
-// the paper's EWS pipeline over its hash partition. Per-shard
-// streaming summaries (AMC sketches, M-CPS-trees) are mergeable in the
-// mergeable-summaries sense — merged error bounds sum — and a merge
-// stage reconciles them into one globally ranked explanation set,
-// either on demand while the stream runs (pipeline.StreamSession.Poll,
-// served by cmd/mbserver's /stream endpoints) or when the stream
-// terminates. The stage folds what mining needs in one piece — the two
+// bounded channels; each shard owns its own classifier and explainer
+// replicas and local decay clock, so one shard is exactly the paper's
+// EWS pipeline over its hash partition. Transforms and a caller's own
+// classifier (pipeline.Config.Transforms and Classifier) are one-shot
+// settings, and a streaming session rejects a config that sets either.
+// Per-shard streaming summaries (AMC sketches, M-CPS-trees) are
+// mergeable in the mergeable-summaries sense — merged error bounds
+// sum — and a merge stage reconciles them into one globally ranked
+// explanation set, either on demand while the stream runs
+// (pipeline.StreamSession.Poll, served by cmd/mbserver's /stream
+// endpoints) or when the stream terminates. The stage folds what mining needs in one piece — the two
 // sketches and the outlier tree, about 1% of the mass — and leaves the
 // inlier trees where they are: the explanation stage only ever asks the
 // inlier side for the support of the few hundred combinations the
@@ -116,9 +118,10 @@
 // # One account of a run
 //
 // Each quantity a run reports is counted once, by the goroutine that
-// causes it. A shard's executor owns its shard's counters — points taken
-// in, points classified (after transforms), outliers, decay ticks,
-// points a quarantine dropped, and the quarantine record — in one
+// causes it. A shard's worker owns its shard's counters — points taken
+// in (every one of which it classifies, so they are also its
+// OutPoints), outliers, decay ticks, points a quarantine dropped, and
+// the quarantine record — in one
 // cache-line-padded block only its worker writes, so a per-batch add
 // never contends. The ingest goroutines count the points they route,
 // which also paces the coordinator, and the coordinator counts its
@@ -439,9 +442,10 @@
 // (pipeline.TestDisableKnobsAreTheTwoThatChangeAnswers) fails if an
 // output-identical one joins them. A setting that no run can turn goes
 // too: the root package's TestConfigFieldsHaveSetters fails for an
-// exported field of a *Config struct that tests set and no non-test
-// code does, so a test-only seam is an unexported field in its package
-// (pipeline.Config's batchSize and newClassifier are two).
+// exported field of a *Config struct that no non-test code sets,
+// whether tests set it or nothing does, so a test-only seam is an
+// unexported field in its package (pipeline.Config's batchSize and
+// newClassifier are two) and a value nothing sets is a constant.
 //
 // # Push-based partitioned ingest
 //
@@ -483,7 +487,7 @@
 //   - Stop. Stopping a session cancels the ingest context, which
 //     interrupts in-flight NextBatchInto calls — no polling between
 //     batches — and waits for the ingest goroutines to exit; workers
-//     then drain what is queued and flush. A read that does not watch
+//     then drain what is queued. A read that does not watch
 //     its context delays the stop until it returns (the batch it
 //     returns then is dropped). Snapshot servers
 //     are quiesced before Run returns, so the final merge never races a
@@ -636,11 +640,11 @@
 //
 //   - Consumers. A shard worker consumes a batch's views and returns
 //     the batch to the free list, so everything downstream of the
-//     channel — transformers, classifiers, explainers — must copy whatever point data it retains beyond the call that
-//     delivered it. Every built-in operator already does: classifier
-//     reservoirs copy admitted metric vectors, explanation sketches
-//     and trees copy attribute ids, windowing transformers copy what
-//     they buffer. A recycling -race hammer pins that no slab is ever
+//     channel — the classifier and the explainer — must copy whatever
+//     point data it retains beyond the call that delivered it. Every
+//     built-in operator already does: classifier reservoirs copy
+//     admitted metric vectors, explanation sketches and trees copy
+//     attribute ids. A recycling -race hammer pins that no slab is ever
 //     visible to two owners.
 //
 // Producer-side backpressure is observable: each push partition meters

@@ -33,9 +33,8 @@ package core
 // may rewrite ever reaches a worker.
 // Pipeline stages that want to retain point data beyond the call that
 // delivered it must copy the values out (every built-in operator
-// already does: the classifier reservoirs copy metrics, the
-// explanation sketches and trees copy attribute ids, the windowing
-// transformers copy what they buffer).
+// already does: the classifier reservoirs copy metrics, and the
+// explanation sketches and trees copy attribute ids).
 //
 // Batch is not safe for concurrent use; the ownership protocol is what
 // makes the single-owner invariant hold across goroutines.

@@ -167,45 +167,6 @@ func TestRunnerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunnerTransformAndFlush: a buffering transformer is flushed at end
-// of stream and its residue reaches the classifier.
-func TestRunnerTransformAndFlush(t *testing.T) {
-	pl := ShardPipeline{
-		Transforms: []Transformer{&pairWindow{}},
-		Classifier: &thresholdClassifier{cut: -1},
-	}
-	stats := runOneShard(t, NewSliceSource(mkPoints(11, 0)), pl, 3, 0)
-	// pairWindow pairs 10 of the 11 points across read boundaries; the
-	// 11th is still pending at end of stream and only the flush emits it.
-	if stats.OutPoints != 6 {
-		t.Errorf("out points = %d, want 6", stats.OutPoints)
-	}
-}
-
-// pairWindow sums pairs of points, buffering odd leftovers.
-type pairWindow struct{ pending *Point }
-
-func (w *pairWindow) Transform(dst []Point, batch []Point) []Point {
-	for i := range batch {
-		if w.pending == nil {
-			p := batch[i]
-			w.pending = &p
-			continue
-		}
-		dst = append(dst, Point{Metrics: []float64{w.pending.Metrics[0] + batch[i].Metrics[0]}})
-		w.pending = nil
-	}
-	return dst
-}
-
-func (w *pairWindow) Flush(dst []Point) []Point {
-	if w.pending != nil {
-		dst = append(dst, *w.pending)
-		w.pending = nil
-	}
-	return dst
-}
-
 func TestRunnerRequiresSource(t *testing.T) {
 	r := StreamRunner{NewShard: func(int) ShardPipeline { return ShardPipeline{} }}
 	if _, err := r.Run(); err == nil {

@@ -12,9 +12,10 @@ var ErrEndOfStream = io.EOF
 
 // Transformer maps a stream of points to a stream of points
 // (stream<Point> -> stream<Point>). Implementations append their
-// output to dst and return the extended slice, which lets the engine
-// reuse buffers across batches. A transformer may buffer internally
-// (e.g. windowing) and emit fewer or more points than it consumed.
+// output to dst and return the extended slice. A transformer may
+// buffer internally (e.g. windowing) and emit fewer or more points
+// than it consumed. Transformers run in one-shot mode only: a
+// streaming shard is its classifier and explainer.
 type Transformer interface {
 	Transform(dst []Point, batch []Point) []Point
 }

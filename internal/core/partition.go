@@ -44,8 +44,9 @@ type PartitionStream interface {
 // recent window, and BlockedPerSec, the fraction of that window
 // producers spent blocked (seconds blocked per second of wall clock —
 // ~0 for a keeping-up pipeline, approaching 1 for one saturated by
-// backpressure). They are zero until a first window has elapsed, and
-// freeze at their last value once producers stop.
+// backpressure). They are zero until a first window has elapsed. Once
+// producers stop, the gauges keep their last value only until a stats
+// read closes a window with no sends in it; from then on they read 0.
 type PartitionIngestStats struct {
 	Queued        int     `json:"queued"`
 	BlockedNanos  int64   `json:"blockedNanos"`

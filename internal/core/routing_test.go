@@ -188,8 +188,8 @@ func TestMaybeRebalanceJudgesOnlyFullWindows(t *testing.T) {
 	r.bucketLoads = [][]atomic.Int64{make([]atomic.Int64, buckets)}
 	loads := r.bucketLoads[0]
 	workers := []*shardWorker{
-		{id: 0, exec: newPipeExec(ShardPipeline{}, 0)},
-		{id: 1, exec: newPipeExec(ShardPipeline{}, 0)},
+		{id: 0, stats: &shardStats{}},
+		{id: 1, stats: &shardStats{}},
 	}
 	st := newRebalState(buckets, shards)
 	epoch := func() int64 { return r.route.Load().epoch }
@@ -218,7 +218,7 @@ func TestMaybeRebalanceJudgesOnlyFullWindows(t *testing.T) {
 		t.Fatalf("a 709-point window at imbalance 2 moved %d buckets (epoch %d), want 1", r.moves.Load(), epoch())
 	}
 
-	workers[1].exec.stats.failure.Store(new(string))
+	workers[1].stats.failure.Store(new(string))
 	loads[4].Add(3)
 	r.maybeRebalance(workers, st)
 	// The dead shard holds more buckets than one round may move, so the

@@ -9,14 +9,27 @@ import (
 )
 
 // ShardPipeline is one shard's operator replicas in a sharded
-// streaming execution: its own transformers, classifier, and explainer,
-// sharing no state with other shards (shared-nothing execution). The
-// engine never synchronizes on operator state; all cross-shard
-// reconciliation happens through snapshots.
+// streaming execution: its own classifier and explainer, sharing no
+// state with other shards (shared-nothing execution). The engine never
+// synchronizes on operator state; all cross-shard reconciliation
+// happens through snapshots.
 type ShardPipeline struct {
-	Transforms []Transformer
 	Classifier Classifier
 	Explainer  Explainer
+}
+
+// RunStats summarizes one pipeline execution.
+type RunStats struct {
+	// Points is the number of points ingested from the source.
+	Points int
+	// OutPoints is the number of points that reached the classifier:
+	// in one-shot mode, what the transforms emit; in a streaming run,
+	// every point a shard took in.
+	OutPoints int
+	// Outliers is the number of points labeled Outlier.
+	Outliers int
+	// DecayTicks counts how many decay rounds were applied.
+	DecayTicks int
 }
 
 // StreamStats is a run's account, as StreamRunner.Stats reads it mid-run
@@ -117,7 +130,7 @@ type ShardFailure struct {
 // Stop is one mechanism: RequestStop cancels the ingest context, which
 // interrupts in-flight NextBatchInto calls (no polling between
 // batches); Run waits for every ingest goroutine to exit, and the
-// workers drain what is queued and flush. A read that does not watch
+// workers drain what is queued. A read that does not watch
 // its context delays the stop until it returns, and the batch it then
 // delivers is dropped.
 //
@@ -158,11 +171,11 @@ type StreamRunner struct {
 	// its explainer).
 	//
 	// A classifier that implements Offloader is also snapshotted while
-	// it waits for an offloaded computation: the transforms and the
-	// explainer are then exactly as the previous batch left them, but
-	// the classifier is part-way through the current one, so the hook
-	// may read only what the classifier keeps readable there (for
-	// classify.Streaming, the threshold accessors).
+	// it waits for an offloaded computation: the explainer is then
+	// exactly as the previous batch left it, but the classifier is
+	// part-way through the current one, so the hook may read only what
+	// the classifier keeps readable there (for classify.Streaming, the
+	// threshold accessors).
 	SnapshotShard func(shard int, pl ShardPipeline) any
 	// Coordinate, when non-nil, enables periodic cross-shard
 	// reconciliation of operator state (e.g. merging per-shard score
@@ -257,7 +270,7 @@ var ErrNotStreaming = errors.New("core: stream runner is not running")
 // RequestStop asks a running stream to halt: the ingest context is
 // cancelled, which interrupts NextBatchInto calls already in
 // flight, every ingest goroutine exits at its next scheduling point,
-// and the workers drain and flush. Run then returns ErrStopped. Safe to
+// and the workers drain. Run then returns ErrStopped. Safe to
 // call at any time, from any goroutine, idempotently; calling it before
 // Run stops that Run immediately.
 func (r *StreamRunner) RequestStop() {
@@ -387,7 +400,7 @@ func (r *StreamRunner) openAccount(trackers []*ackTracker, workers []*shardWorke
 	r.moves.Store(0)
 	accounts := make([]*shardStats, len(workers))
 	for i, w := range workers {
-		accounts[i] = w.exec.stats
+		accounts[i] = w.stats
 	}
 	r.acctMu.Lock()
 	r.trackers, r.accounts = trackers, accounts

@@ -7,10 +7,11 @@
 //
 //	Ingestor -> [Transformer ...] -> Classifier -> Explainer
 //
-// where every stage exchanges batches of Points. StreamRunner drives
-// every pipeline, over stored data and live streams alike: its shard
-// workers push batches through the operators and schedule periodic
-// decay of the adaptive ones.
+// where every stage exchanges batches of Points. Transformers run in
+// one-shot mode, over the whole stored input at once. StreamRunner
+// drives every streaming pipeline, over stored data and live streams
+// alike: its shard workers push batches through the classifier and the
+// explainer and schedule periodic decay of the adaptive ones.
 package core
 
 import "fmt"

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // queueDepth bounds each shard's channel, in batches.
@@ -18,34 +19,79 @@ type snapshotReq struct {
 	reply chan any
 }
 
+// shardWorker drives one shard's pipeline replica batch-by-batch:
+// classify, explain, and schedule decay ticks over the points routed
+// to it, so a shard is the paper's single-core dataflow (Appendix C),
+// amortizing per-operator overhead across batches.
 type shardWorker struct {
-	id   int
-	r    *StreamRunner
-	pl   ShardPipeline
-	data chan *Batch
-	pool *BatchPool       // consumed batches go back here, not to the GC
-	snap chan snapshotReq // snapshots: also served during an offloaded computation
-	ctl  chan snapshotReq // coordination: touches the classifier, so between batches only
-	quit chan struct{}    // closed by Run once the worker has drained and no request may follow
-	exec pipeExec         // the shared batch kernel, one replica per shard, with the shard's account
+	id    int
+	r     *StreamRunner
+	pl    ShardPipeline
+	data  chan *Batch
+	pool  *BatchPool       // consumed batches go back here, not to the GC
+	snap  chan snapshotReq // snapshots: also served during an offloaded computation
+	ctl   chan snapshotReq // coordination: touches the classifier, so between batches only
+	quit  chan struct{}    // closed by Run once the worker has drained and no request may follow
+	stats *shardStats      // the shard's account
+
+	labels   []LabeledPoint // the classifier's output, reused across batches
+	sincePts int            // points taken in since the last decay tick
 }
 
-// newWorker builds shard s's worker over its freshly built pipeline.
-// A classifier that can offload its refits is handed the worker's
-// offload only when someone can snapshot the run: otherwise there is
-// nothing to serve during a stall, and it keeps computing inline.
+// shardStats is one shard's account of its run: the RunStats counters
+// plus the quarantine record. Only the shard's worker goroutine writes
+// it, so a per-batch add never contends; StreamRunner.Stats reads it
+// from any goroutine. It is allocated apart from the worker it
+// counts, so it outlives the worker set that Run's teardown drops.
+type shardStats struct {
+	points, outliers, ticks atomic.Int64
+	// dropped counts the points a quarantined shard drained unprocessed.
+	dropped atomic.Int64
+	// failure is the panic that quarantined the shard; nil while healthy.
+	failure atomic.Pointer[string]
+	// Pads the account to two cache lines, so no two shards' counters
+	// share one (they are allocated back to back).
+	_ [88]byte
+}
+
+// runStats reads the counters, each atomically on its own. A shard
+// classifies every point it takes in, so its OutPoints is its Points.
+func (s *shardStats) runStats() RunStats {
+	points := int(s.points.Load())
+	return RunStats{
+		Points:     points,
+		OutPoints:  points,
+		Outliers:   int(s.outliers.Load()),
+		DecayTicks: int(s.ticks.Load()),
+	}
+}
+
+// failed reports shard's quarantine record, if it has one.
+func (s *shardStats) failed(shard int) (ShardFailure, bool) {
+	msg := s.failure.Load()
+	if msg == nil {
+		return ShardFailure{}, false
+	}
+	return ShardFailure{Shard: shard, Err: *msg, DroppedPoints: s.dropped.Load()}, true
+}
+
+// newWorker builds shard s's worker over its freshly built pipeline,
+// with a fresh account. A classifier that can offload its refits is
+// handed the worker's offload only when someone can snapshot the run:
+// otherwise there is nothing to serve during a stall, and it keeps
+// computing inline.
 func (r *StreamRunner) newWorker(s int, pool *BatchPool) *shardWorker {
 	pl := r.NewShard(s)
 	w := &shardWorker{
-		id:   s,
-		r:    r,
-		pl:   pl,
-		data: make(chan *Batch, queueDepth),
-		pool: pool,
-		snap: make(chan snapshotReq),
-		ctl:  make(chan snapshotReq),
-		quit: make(chan struct{}),
-		exec: newPipeExec(pl, r.DecayEvery),
+		id:    s,
+		r:     r,
+		pl:    pl,
+		data:  make(chan *Batch, queueDepth),
+		pool:  pool,
+		snap:  make(chan snapshotReq),
+		ctl:   make(chan snapshotReq),
+		quit:  make(chan struct{}),
+		stats: &shardStats{},
 	}
 	if off, ok := pl.Classifier.(Offloader); ok && r.SnapshotShard != nil {
 		off.SetOffload(w.offload)
@@ -55,11 +101,11 @@ func (r *StreamRunner) newWorker(s int, pool *BatchPool) *shardWorker {
 
 // run is the worker loop: consume sub-batches and serve requests
 // between them; once the data channel closes (every producer has
-// finished), flush, report drained, and go on serving requests — a
-// concurrent Snapshot or a final coordination round must never
-// deadlock against a finished worker — until Run closes quit. exited
-// is what tells Run that no hook call still touches this shard's
-// pipeline, so the caller may then own it outright.
+// finished), report drained and go on serving requests — a concurrent
+// Snapshot or a final coordination round must never deadlock against a
+// finished worker — until Run closes quit. exited is what tells Run
+// that no hook call still touches this shard's pipeline, so the caller
+// may then own it outright.
 func (w *shardWorker) run(drained, exited *sync.WaitGroup) {
 	defer exited.Done()
 	data := w.data
@@ -67,7 +113,6 @@ func (w *shardWorker) run(drained, exited *sync.WaitGroup) {
 		select {
 		case b, ok := <-data:
 			if !ok {
-				w.flush()
 				drained.Done()
 				data = nil // a nil channel never receives: requests only from here
 				continue
@@ -83,21 +128,8 @@ func (w *shardWorker) run(drained, exited *sync.WaitGroup) {
 	}
 }
 
-// flush runs the pipeline's end-of-stream flush. It runs even when the
-// run was stopped: for a resident streaming session, stop is the normal
-// termination and residual windows are still worth explaining. A
-// quarantined shard skips it (its state is suspect), and a flush panic
-// quarantines like any other.
-func (w *shardWorker) flush() {
-	if w.dead() {
-		return
-	}
-	defer w.recover()
-	w.exec.flush()
-}
-
 // dead reports whether a pipeline panic quarantined the shard.
-func (w *shardWorker) dead() bool { return w.exec.stats.failure.Load() != nil }
+func (w *shardWorker) dead() bool { return w.stats.failure.Load() != nil }
 
 // consume runs one batch through the pipeline and recycles it. The
 // batch's views die here: nothing downstream may retain them. A panic
@@ -112,10 +144,57 @@ func (w *shardWorker) consume(b *Batch) {
 	}
 	func() {
 		defer w.recover()
-		w.exec.consume(b.Points())
+		pts := b.Points()
+		w.stats.points.Add(int64(len(pts)))
+		w.classify(pts)
+		w.maybeDecay(len(pts))
 	}()
 	b.finishAck()
 	w.pool.Put(b)
+}
+
+// classify labels one batch, counts its outliers and hands the labels
+// to the explainer.
+func (w *shardWorker) classify(pts []Point) {
+	if len(pts) == 0 || w.pl.Classifier == nil {
+		return
+	}
+	w.labels = w.pl.Classifier.ClassifyBatch(w.labels[:0], pts)
+	outliers := 0
+	for i := range w.labels {
+		if w.labels[i].Label == Outlier {
+			outliers++
+		}
+	}
+	w.stats.outliers.Add(int64(outliers))
+	if w.pl.Explainer != nil {
+		w.pl.Explainer.Consume(w.labels)
+	}
+}
+
+// maybeDecay ticks once for every DecayEvery points taken in, carrying
+// the remainder across batches.
+func (w *shardWorker) maybeDecay(n int) {
+	every := w.r.DecayEvery
+	if every <= 0 {
+		return
+	}
+	w.sincePts += n
+	for w.sincePts >= every {
+		w.sincePts -= every
+		w.tick()
+	}
+}
+
+// tick damps every decayable component once.
+func (w *shardWorker) tick() {
+	w.stats.ticks.Add(1)
+	if d, ok := w.pl.Classifier.(Decayable); ok {
+		d.Decay()
+	}
+	if d, ok := w.pl.Explainer.(Decayable); ok {
+		d.Decay()
+	}
 }
 
 // failDrop disposes of a batch routed to a quarantined shard: the
@@ -123,14 +202,14 @@ func (w *shardWorker) consume(b *Batch) {
 // its source read and returns to the free list, so ingest backpressure
 // and checkpoint progress never wedge on a dead shard.
 func (w *shardWorker) failDrop(b *Batch) {
-	w.exec.stats.dropped.Add(int64(b.Len()))
+	w.stats.dropped.Add(int64(b.Len()))
 	b.finishAck()
 	w.pool.Put(b)
 }
 
 // failed is the shard's ShardFailure as of now.
 func (w *shardWorker) failed() ShardFailure {
-	f, _ := w.exec.stats.failed(w.id)
+	f, _ := w.stats.failed(w.id)
 	return f
 }
 
@@ -142,7 +221,7 @@ func (w *shardWorker) recover() {
 		return
 	}
 	msg := fmt.Sprintf("panic: %v", p)
-	w.exec.stats.failure.Store(&msg)
+	w.stats.failure.Store(&msg)
 }
 
 // serve answers one control-plane request on the worker goroutine.

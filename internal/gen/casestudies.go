@@ -85,11 +85,13 @@ func Electricity(cfg ElectricityConfig) (enc *encode.Encoder, pts []core.Point, 
 	return enc, pts, fridge
 }
 
+// videoWidth and videoHeight are the synthetic frame size in pixels.
+const videoWidth, videoHeight = 64, 48
+
 // VideoConfig parameterizes the §6.4 surveillance case-study analog
 // (CAVIAR): synthetic grayscale frames with slow background motion and
 // a short burst of rapid motion (the "fight").
 type VideoConfig struct {
-	Width, Height int
 	// Frames is the clip length (default 600, i.e. one minute at
 	// 10fps).
 	Frames int
@@ -101,12 +103,6 @@ type VideoConfig struct {
 }
 
 func (c VideoConfig) withDefaults() VideoConfig {
-	if c.Width == 0 {
-		c.Width = 64
-	}
-	if c.Height == 0 {
-		c.Height = 48
-	}
 	if c.Frames == 0 {
 		c.Frames = 600
 	}
@@ -120,8 +116,8 @@ func (c VideoConfig) withDefaults() VideoConfig {
 }
 
 // Video generates frame points: each point's metrics hold a flattened
-// Width x Height grayscale frame of two moving blobs over a static
-// textured background, and its single attribute is a coarse
+// videoWidth x videoHeight grayscale frame of two moving blobs over a
+// static textured background, and its single attribute is a coarse
 // time-interval label (one per second at 10fps) used by the pipeline
 // to localize interesting segments. During the burst the blobs move an
 // order of magnitude faster. Returns the frame points and the set of
@@ -131,14 +127,14 @@ func Video(cfg VideoConfig) (enc *encode.Encoder, frames []core.Point, burstInte
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x51de0))
 	enc = encode.NewEncoder("interval")
 
-	bg := make([]float64, cfg.Width*cfg.Height)
+	bg := make([]float64, videoWidth*videoHeight)
 	for i := range bg {
 		bg[i] = 60 + rng.Float64()*40
 	}
 	type blob struct{ x, y, vx, vy float64 }
 	blobs := []blob{
 		{x: 10, y: 10, vx: 0.3, vy: 0.2},
-		{x: float64(cfg.Width) - 12, y: float64(cfg.Height) - 12, vx: -0.25, vy: -0.15},
+		{x: float64(videoWidth) - 12, y: float64(videoHeight) - 12, vx: -0.25, vy: -0.15},
 	}
 	burstIntervals = make(map[int32]bool)
 	frames = make([]core.Point, 0, cfg.Frames)
@@ -154,13 +150,13 @@ func Video(cfg VideoConfig) (enc *encode.Encoder, frames []core.Point, burstInte
 			bl := &blobs[b]
 			bl.x += bl.vx * speed
 			bl.y += bl.vy * speed
-			if bl.x < 4 || bl.x > float64(cfg.Width)-4 {
+			if bl.x < 4 || bl.x > float64(videoWidth)-4 {
 				bl.vx = -bl.vx
 			}
-			if bl.y < 4 || bl.y > float64(cfg.Height)-4 {
+			if bl.y < 4 || bl.y > float64(videoHeight)-4 {
 				bl.vy = -bl.vy
 			}
-			drawBlob(frame, cfg.Width, cfg.Height, bl.x, bl.y, 4, 220)
+			drawBlob(frame, videoWidth, videoHeight, bl.x, bl.y, 4, 220)
 		}
 		interval := enc.Encode(0, fmt.Sprintf("sec%03d", f/10))
 		if burst {

@@ -125,6 +125,10 @@ func DatasetByName(name string) (Dataset, error) {
 	return Dataset{}, fmt.Errorf("gen: unknown dataset %q", name)
 }
 
+// outlierRate is the fraction of generated points drawn anomalously,
+// matching the 1% target percentile.
+const outlierRate = 0.01
+
 // GenerateConfig controls dataset analog generation.
 type GenerateConfig struct {
 	// Points overrides the dataset's published size (0 keeps it;
@@ -133,9 +137,6 @@ type GenerateConfig struct {
 	// Simple selects the single-metric, single-attribute XS query
 	// shape; false selects the complex XC shape.
 	Simple bool
-	// OutlierRate is the fraction of points drawn anomalously
-	// (default 0.01, matching the 1% target percentile).
-	OutlierRate float64
 	// Seed fixes the stream.
 	Seed uint64
 }
@@ -148,9 +149,6 @@ type GenerateConfig struct {
 func (d Dataset) Generate(cfg GenerateConfig) (*encode.Encoder, []core.Point, []int32) {
 	if cfg.Points == 0 {
 		cfg.Points = d.Points
-	}
-	if cfg.OutlierRate == 0 {
-		cfg.OutlierRate = 0.01
 	}
 	metrics := d.MetricNames
 	attrs := d.Attrs
@@ -206,9 +204,9 @@ func (d Dataset) Generate(cfg GenerateConfig) (*encode.Encoder, []core.Point, []
 		for c := range attrs {
 			as[c] = values[c][int(zipfs[c].Uint64())]
 		}
-		// Route ~OutlierRate of points through a planted group.
+		// Route ~outlierRate of points through a planted group.
 		anomalous := false
-		if rng.Float64() < cfg.OutlierRate {
+		if rng.Float64() < outlierRate {
 			as[0] = planted[rng.IntN(nPlanted)]
 			anomalous = rng.Float64() < 0.9
 		} else if plantedSet[as[0]] {

@@ -21,6 +21,14 @@ import (
 	"macrobase/internal/encode"
 )
 
+// The §6.1 device distributions: inlier readings are N(10,10) and
+// outlier readings N(70,10).
+const (
+	deviceInlierMean  = 10
+	deviceOutlierMean = 70
+	deviceStdDev      = 10
+)
+
 // DeviceConfig parameterizes the §6.1 synthetic-device workload: each
 // point carries one metric drawn from an inlier N(10,10) or outlier
 // N(70,10) distribution depending on its device, plus the device ID as
@@ -40,10 +48,6 @@ type DeviceConfig struct {
 	// MeasurementNoise replaces this fraction of readings with
 	// Uniform[0, 80) regardless of device (paper Figure 4 right).
 	MeasurementNoise float64
-	// InlierMean/OutlierMean/StdDev override the distribution
-	// parameters; zero values take the paper's N(10,10) and
-	// N(70,10).
-	InlierMean, OutlierMean, StdDev float64
 	// Seed fixes the generated stream.
 	Seed uint64
 }
@@ -57,15 +61,6 @@ func (c DeviceConfig) withDefaults() DeviceConfig {
 	}
 	if c.OutlierDeviceFraction == 0 {
 		c.OutlierDeviceFraction = 0.01
-	}
-	if c.InlierMean == 0 {
-		c.InlierMean = 10
-	}
-	if c.OutlierMean == 0 {
-		c.OutlierMean = 70
-	}
-	if c.StdDev == 0 {
-		c.StdDev = 10
 	}
 	return c
 }
@@ -115,9 +110,9 @@ func Devices(cfg DeviceConfig) *DeviceData {
 		case cfg.MeasurementNoise > 0 && rng.Float64() < cfg.MeasurementNoise:
 			v = rng.Float64() * 80
 		case outlying:
-			v = cfg.OutlierMean + rng.NormFloat64()*cfg.StdDev
+			v = deviceOutlierMean + rng.NormFloat64()*deviceStdDev
 		default:
-			v = cfg.InlierMean + rng.NormFloat64()*cfg.StdDev
+			v = deviceInlierMean + rng.NormFloat64()*deviceStdDev
 		}
 		d.Points[i] = core.Point{
 			Metrics: []float64{v},

@@ -12,15 +12,16 @@ import (
 // is the misbehaving one.
 const fig5Devices = 100
 
+// fig5SpikeFactor is how many times the base rate points arrive during
+// the noise spike (paper: ~20K/s base, >200K/s spike).
+const fig5SpikeFactor = 10
+
 // Fig5Config parameterizes the Figure 5 adaptivity script. Zero values
 // reproduce the paper's scenario at a configurable base rate.
 type Fig5Config struct {
 	// BaseRate is points per second outside the volume spike
 	// (paper: ~20K/s; scale down for tests).
 	BaseRate int
-	// SpikeRate is points per second during the noise spike
-	// (paper: >200K/s).
-	SpikeRate int
 	// Seed fixes the stream.
 	Seed uint64
 }
@@ -28,9 +29,6 @@ type Fig5Config struct {
 func (c Fig5Config) withDefaults() Fig5Config {
 	if c.BaseRate == 0 {
 		c.BaseRate = 20_000
-	}
-	if c.SpikeRate == 0 {
-		c.SpikeRate = c.BaseRate * 10
 	}
 	return c
 }
@@ -66,7 +64,7 @@ func Fig5Stream(cfg Fig5Config) (enc *encode.Encoder, pts []core.Point, d0 int32
 		rate := cfg.BaseRate
 		noiseSpike := sec >= 320 && sec < 324
 		if noiseSpike {
-			rate = cfg.SpikeRate
+			rate = cfg.BaseRate * fig5SpikeFactor
 		}
 		for i := 0; i < rate; i++ {
 			dev := ids[rng.IntN(fig5Devices)]

@@ -10,6 +10,19 @@ import (
 	"macrobase/internal/encode"
 )
 
+// The skewed workload's shape: skewDevices distinct device ids whose
+// popularity rank r has weight 1/(r+1)^skewExponent; the top
+// skewHotRanks ranks are the hot set (see SkewConfig.PinShards), and
+// skewOutlierDevices anomalous devices sit at moderate ranks just past
+// it — cold enough not to perturb the hot-shard arithmetic, popular
+// enough to clear support cutoffs.
+const (
+	skewDevices        = 200
+	skewExponent       = 1.0
+	skewHotRanks       = 20
+	skewOutlierDevices = 2
+)
+
 // SkewConfig parameterizes a Zipf-skewed device workload: device
 // popularity follows a Zipf law, and (optionally) the hottest ranks
 // are assigned device ids engineered so the direct hash pins them all
@@ -18,54 +31,23 @@ import (
 type SkewConfig struct {
 	// Points is the number of generated points (default 200_000).
 	Points int
-	// Devices is the number of distinct device ids (default 200).
-	Devices int
-	// Exponent is the Zipf exponent s: rank r's weight is
-	// 1/(r+1)^s (default 1.0).
-	Exponent float64
-	// HotRanks is how many of the top popularity ranks are pinned
-	// (default 20). With PinShards > 0, those ranks get device ids
-	// whose HashPartition shard is 0 and whose routing buckets are
-	// pairwise distinct, so a pinned run concentrates their combined
-	// mass on one shard while a rebalanced run can spread them
-	// bucket-by-bucket.
-	HotRanks int
 	// PinShards is the shard count the hot ranks are engineered
 	// against (0 disables the engineering; ranks map to devices in id
-	// order).
+	// order). With PinShards > 1, the hot ranks get device ids whose
+	// HashPartition shard is 0 and whose routing buckets are pairwise
+	// distinct, so a pinned run concentrates their combined mass on
+	// one shard while a rebalanced run can spread them
+	// bucket-by-bucket.
 	PinShards int
-	// OutlierDevices is the number of anomalous devices (default 2),
-	// planted at moderate ranks — cold enough not to perturb the
-	// hot-shard arithmetic, popular enough to clear support cutoffs.
-	OutlierDevices int
 	// Seed fixes the generated stream.
 	Seed uint64
-}
-
-func (c SkewConfig) withDefaults() SkewConfig {
-	if c.Points == 0 {
-		c.Points = 200_000
-	}
-	if c.Devices == 0 {
-		c.Devices = 200
-	}
-	if c.Exponent == 0 {
-		c.Exponent = 1.0
-	}
-	if c.HotRanks == 0 {
-		c.HotRanks = 20
-	}
-	if c.OutlierDevices == 0 {
-		c.OutlierDevices = 2
-	}
-	return c
 }
 
 // SkewData is a generated Zipf workload with its ground truth and the
 // engineered hot set.
 type SkewData struct {
 	DeviceData
-	// HotDevices lists the encoded ids holding the top HotRanks
+	// HotDevices lists the encoded ids holding the top skewHotRanks
 	// popularity ranks, hottest first.
 	HotDevices []int32
 	// HotShare is the Zipf probability mass on HotDevices — with
@@ -91,34 +73,33 @@ func routingBucketsFor(shards int) int {
 }
 
 // SkewedDevices generates the Zipf workload. Popularity rank r is
-// sampled with probability proportional to 1/(r+1)^Exponent
+// sampled with probability proportional to 1/(r+1)^skewExponent
 // (inverse-CDF over the precomputed cumulative weights — math/rand/v2
 // ships no Zipf sampler); ranks map to device ids either in id order
 // or, with PinShards set, through the engineered hot set.
 func SkewedDevices(cfg SkewConfig) *SkewData {
-	cfg = cfg.withDefaults()
-	if cfg.HotRanks > cfg.Devices {
-		cfg.HotRanks = cfg.Devices
+	if cfg.Points == 0 {
+		cfg.Points = 200_000
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5ee1c0ffeefacade))
 	enc := encode.NewEncoder("device_id")
 	d := &SkewData{}
 	d.Encoder = enc
-	d.OutlierDevices = make(map[int32]bool, cfg.OutlierDevices)
-	d.AllDevices = make([]int32, cfg.Devices)
-	for i := 0; i < cfg.Devices; i++ {
+	d.OutlierDevices = make(map[int32]bool, skewOutlierDevices)
+	d.AllDevices = make([]int32, skewDevices)
+	for i := 0; i < skewDevices; i++ {
 		d.AllDevices[i] = enc.Encode(0, fmt.Sprintf("dev%06d", i))
 	}
 
 	// rankDev[r] is the device id holding popularity rank r.
-	rankDev := make([]int32, 0, cfg.Devices)
+	rankDev := make([]int32, 0, skewDevices)
 	if cfg.PinShards > 1 {
 		buckets := routingBucketsFor(cfg.PinShards)
-		seenBucket := make(map[int]bool, cfg.HotRanks)
-		hot := make(map[int32]bool, cfg.HotRanks)
+		seenBucket := make(map[int]bool, skewHotRanks)
+		hot := make(map[int32]bool, skewHotRanks)
 		// First pass: shard-0 ids in distinct buckets, hottest ranks.
 		for _, id := range d.AllDevices {
-			if len(rankDev) == cfg.HotRanks {
+			if len(rankDev) == skewHotRanks {
 				break
 			}
 			pt := core.Point{Attrs: []int32{id}}
@@ -134,7 +115,7 @@ func SkewedDevices(cfg SkewConfig) *SkewData {
 		// Second pass (rare): relax bucket distinctness if the device
 		// population couldn't fill the hot set.
 		for _, id := range d.AllDevices {
-			if len(rankDev) == cfg.HotRanks {
+			if len(rankDev) == skewHotRanks {
 				break
 			}
 			pt := core.Point{Attrs: []int32{id}}
@@ -151,33 +132,22 @@ func SkewedDevices(cfg SkewConfig) *SkewData {
 	} else {
 		rankDev = append(rankDev, d.AllDevices...)
 	}
-	d.HotDevices = append([]int32(nil), rankDev[:cfg.HotRanks]...)
+	d.HotDevices = append([]int32(nil), rankDev[:skewHotRanks]...)
 
 	// Plant the anomalous devices at moderate ranks, just past the hot
-	// set (clamped for tiny populations).
-	for k := 0; k < cfg.OutlierDevices; k++ {
-		r := cfg.HotRanks + 10 + k
-		if r >= len(rankDev) {
-			r = len(rankDev) - 1 - k
-			if r < 0 {
-				break
-			}
-		}
-		d.OutlierDevices[rankDev[r]] = true
+	// set.
+	for k := range skewOutlierDevices {
+		d.OutlierDevices[rankDev[skewHotRanks+10+k]] = true
 	}
 
 	// Cumulative Zipf weights over ranks.
 	cum := make([]float64, len(rankDev))
 	total := 0.0
 	for r := range cum {
-		total += 1 / math.Pow(float64(r+1), cfg.Exponent)
+		total += 1 / math.Pow(float64(r+1), skewExponent)
 		cum[r] = total
 	}
-	hotMass := 0.0
-	if cfg.HotRanks > 0 {
-		hotMass = cum[cfg.HotRanks-1]
-	}
-	d.HotShare = hotMass / total
+	d.HotShare = cum[skewHotRanks-1] / total
 
 	d.Points = make([]core.Point, cfg.Points)
 	for i := range d.Points {
@@ -189,9 +159,9 @@ func SkewedDevices(cfg SkewConfig) *SkewData {
 		dev := rankDev[r]
 		var v float64
 		if d.OutlierDevices[dev] {
-			v = 70 + rng.NormFloat64()*10
+			v = deviceOutlierMean + rng.NormFloat64()*deviceStdDev
 		} else {
-			v = 10 + rng.NormFloat64()*10
+			v = deviceInlierMean + rng.NormFloat64()*deviceStdDev
 		}
 		d.Points[i] = core.Point{
 			Metrics: []float64{v},

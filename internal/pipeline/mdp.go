@@ -47,10 +47,12 @@ type Config struct {
 	// this).
 	TrainSampleSize int
 	// Transforms are optional feature-transformation stages applied
-	// before classification (paper §3.2 stage 2).
+	// before classification (paper §3.2 stage 2). One-shot only: a
+	// streaming session rejects a config that sets them.
 	Transforms []core.Transformer
 	// Classifier, when non-nil, replaces the default MDP classifier
-	// (e.g. the hybrid-supervision pipeline of §6.4). Otherwise the
+	// (e.g. the hybrid-supervision pipeline of §6.4). One-shot only: a
+	// streaming session rejects a config that sets it. Otherwise the
 	// model is classify.AutoTrainer's, MAD for one metric and MCD for
 	// several, in one-shot and streaming mode alike.
 	Classifier core.Classifier
@@ -91,9 +93,9 @@ type Config struct {
 	// batchSize is the runner batch size (default 4096). Unexported:
 	// only this package's tests set it, to force small batches.
 	batchSize int
-	// newClassifier, when non-nil, builds one classifier replica per
-	// shard, the sharded-legal form of Classifier (operator instances
-	// are stateful, so shards need replicas, not a shared instance).
+	// newClassifier, when non-nil, builds each streaming shard's
+	// classifier replica in place of MDP's own (operator instances are
+	// stateful, so shards need replicas, not a shared instance).
 	// Unexported: only this package's tests set it, to install fake
 	// classifiers.
 	newClassifier func(shard int) core.Classifier

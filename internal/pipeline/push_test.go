@@ -349,6 +349,22 @@ func TestPushSessionConcurrentProducersPollsStop(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
+	// The pollers can finish before any Send has been ingested on a
+	// loaded machine; stop only once a poll has seen points.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		res, err := sess.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Points > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no point ingested within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	final, err := stopWithin(t, sess, 10*time.Second)
 	if err != nil {

@@ -43,8 +43,8 @@ type ShardStatus struct {
 	Points int `json:"points"`
 	// Outliers is the number of points this shard labeled Outlier.
 	Outliers int `json:"outliers"`
-	// OutlierRate is Outliers over the points this shard classified
-	// (its OutPoints, after transforms).
+	// OutlierRate is Outliers over the points this shard classified,
+	// which are the points it took in.
 	OutlierRate float64 `json:"outlierRate"`
 	// Threshold is the shard classifier's current score cutoff (NaN
 	// for custom classifiers that expose none, +Inf during warmup).
@@ -122,11 +122,11 @@ func newCoordState(cfg Config, shards int) *coordState {
 	return &coordState{enabled: shards > 1 && !cfg.DisableGlobalThreshold && cfg.CoordinateEvery > 0}
 }
 
-// newShardPipeline builds shard s's MDP operator replicas. Shard s is
+// newShardPipeline builds shard s's MDP operator replicas: the
+// streaming explainer and MDP's streaming classifier, or the
+// newClassifier factory's replica when a test installs one. Shard s is
 // seeded cfg.Seed + s*7919, so the shards' samplers are decorrelated;
-// with a single shard the seed is exactly cfg.Seed. A caller-supplied
-// Classifier or Transforms (legal only with one shard) is installed
-// verbatim; a newClassifier factory builds one replica per shard.
+// with a single shard the seed is exactly cfg.Seed.
 //
 // Coordinated multi-shard runs additionally stagger the default
 // classifiers' retrain schedules by shard*(RetrainEvery/shards): a
@@ -140,8 +140,6 @@ func newCoordState(cfg Config, shards int) *coordState {
 // a sequential pipeline over its substream).
 func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 	pl := core.ShardPipeline{
-		Transforms: cfg.Transforms,
-		Classifier: cfg.Classifier,
 		Explainer: explain.NewStreaming(explain.StreamingConfig{
 			MinSupport:   cfg.MinSupport,
 			MinRiskRatio: cfg.MinRiskRatio,
@@ -149,40 +147,36 @@ func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 			Confidence:   cfg.Confidence,
 		}),
 	}
-	if pl.Classifier == nil && cfg.newClassifier != nil {
+	if cfg.newClassifier != nil {
 		pl.Classifier = cfg.newClassifier(shard)
+		return pl
 	}
-	if pl.Classifier == nil {
-		retrainOffset := 0
-		if shards > 1 && !cfg.noRetrainStagger && !cfg.DisableGlobalThreshold && cfg.CoordinateEvery > 0 {
-			retrainOffset = shard * (cfg.RetrainEvery / shards)
-		}
-		pl.Classifier = classify.NewStreaming(classify.StreamingConfig{
-			Dims:               cfg.Dims,
-			ReservoirSize:      cfg.ReservoirSize,
-			ScoreReservoirSize: cfg.ReservoirSize,
-			DecayRate:          cfg.DecayRate,
-			Percentile:         cfg.Percentile,
-			RetrainEvery:       cfg.RetrainEvery,
-			RetrainOffset:      retrainOffset,
-			Seed:               cfg.Seed + uint64(shard)*7919,
-		}, nil)
+	retrainOffset := 0
+	if shards > 1 && !cfg.noRetrainStagger && !cfg.DisableGlobalThreshold && cfg.CoordinateEvery > 0 {
+		retrainOffset = shard * (cfg.RetrainEvery / shards)
 	}
+	pl.Classifier = classify.NewStreaming(classify.StreamingConfig{
+		Dims:               cfg.Dims,
+		ReservoirSize:      cfg.ReservoirSize,
+		ScoreReservoirSize: cfg.ReservoirSize,
+		DecayRate:          cfg.DecayRate,
+		Percentile:         cfg.Percentile,
+		RetrainEvery:       cfg.RetrainEvery,
+		RetrainOffset:      retrainOffset,
+		Seed:               cfg.Seed + uint64(shard)*7919,
+	}, nil)
 	return pl
 }
 
-// validateSharded rejects configurations that cannot be replicated
-// per shard: operator instances are stateful, so sharded execution
-// needs per-shard replicas, not shared instances.
-func validateSharded(cfg Config, shards int) error {
+// validateStreaming rejects configurations a streaming session cannot
+// run: a shard is MDP's own streaming classifier and explainer, so
+// the one-shot settings Classifier and Transforms have no place in it.
+func validateStreaming(cfg Config, shards int) error {
 	if shards <= 0 {
 		return fmt.Errorf("pipeline: shards must be positive")
 	}
-	if shards > 1 && cfg.Classifier != nil {
-		return fmt.Errorf("pipeline: sharded streaming cannot share one Classifier instance across %d shards; leave it nil (MDP builds per-shard replicas)", shards)
-	}
-	if shards > 1 && len(cfg.Transforms) > 0 {
-		return fmt.Errorf("pipeline: sharded streaming cannot share Transform instances across %d shards", shards)
+	if cfg.Classifier != nil || len(cfg.Transforms) > 0 {
+		return fmt.Errorf("pipeline: Classifier and Transforms are one-shot settings; a streaming shard runs MDP's own classifier and explainer")
 	}
 	return nil
 }
@@ -425,7 +419,7 @@ func viewOf(ex *explain.Streaming, c core.Classifier) shardView {
 // partitions until the stream terminates.
 func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) (*StreamSession, error) {
 	cfg = cfg.withDefaults()
-	if err := validateSharded(cfg, shards); err != nil {
+	if err := validateStreaming(cfg, shards); err != nil {
 		return nil, err
 	}
 	s := &StreamSession{done: make(chan struct{})}
@@ -522,8 +516,8 @@ func (s *StreamSession) livePoll(snaps []any) *ShardedResult {
 	return s.newResult(s.runner.Stats(), views)
 }
 
-// Stop halts ingestion, waits for the workers to drain and flush, and
-// returns the final reconciled result. Stop is idempotent. A read in
+// Stop halts ingestion, waits for the workers to drain, and returns
+// the final reconciled result. Stop is idempotent. A read in
 // flight is interrupted through its context (ingest.Push mid-wait; the
 // one-partition sources between reads).
 func (s *StreamSession) Stop() (*ShardedResult, error) {

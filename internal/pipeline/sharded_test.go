@@ -14,14 +14,14 @@ import (
 	"macrobase/internal/explain"
 	"macrobase/internal/gen"
 	"macrobase/internal/ingest"
+	"macrobase/internal/transform"
 )
 
 // sequentialEWS is the test oracle for streaming execution: one shard's
 // MDP operators (newShardPipeline) run over batches in order by a plain
 // loop, with no engine — classify each batch, hand the labels to the
 // explainer, and tick decay every DecayEveryPoints points, carrying the
-// remainder across batches. cfg must have its defaults applied and
-// carry no transforms.
+// remainder across batches. cfg must have its defaults applied.
 func sequentialEWS(cfg Config, shard, shards int, batches [][]core.Point) (core.RunStats, *explain.Streaming) {
 	pl := newShardPipeline(cfg, shard, shards)
 	var stats core.RunStats
@@ -202,21 +202,36 @@ func TestShardedStreamRecoversPlantedDevices(t *testing.T) {
 	}
 }
 
-// TestShardedStreamValidation covers the configurations sharded
-// execution must reject.
+// TestShardedStreamValidation covers the configurations streaming
+// execution must reject: no shard count, and the one-shot settings
+// Classifier and Transforms on any shard count, through the session
+// entry point and RunStreaming alike.
 func TestShardedStreamValidation(t *testing.T) {
 	src := core.NewSliceSource(nil)
 	if _, err := RunPartitionedStream(src, Config{Dims: 1}, 0); err == nil {
 		t.Error("0 shards accepted")
 	}
-	if _, err := RunPartitionedStream(src, Config{Dims: 1, Classifier: &projectingClassifier{}}, 2); err == nil {
-		t.Error("shared classifier instance accepted for 2 shards")
-	}
-	if _, err := RunPartitionedStream(src, Config{Dims: 1, Transforms: []core.Transformer{everyOther{}}}, 2); err == nil {
-		t.Error("shared transform instance accepted for 2 shards")
-	}
 	if _, err := StartPartitionedStream(src, Config{Dims: 1}, -1); err == nil {
 		t.Error("session with negative shards accepted")
+	}
+	for _, set := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Classifier", Config{Dims: 1, Classifier: &projectingClassifier{}}},
+		{"Transforms", Config{Dims: 1, Transforms: []core.Transformer{transform.NewSTFT(0, 0, 1, 4)}}},
+	} {
+		for _, shards := range []int{1, 2} {
+			if _, err := StartPartitionedStream(src, set.cfg, shards); err == nil {
+				t.Errorf("%s accepted by a %d-shard session", set.name, shards)
+			}
+			if shards > 1 {
+				continue
+			}
+			if _, err := RunStreaming(src, set.cfg); err == nil {
+				t.Errorf("%s accepted by RunStreaming", set.name)
+			}
+		}
 	}
 }
 
@@ -329,26 +344,15 @@ func TestStreamSessionSourceError(t *testing.T) {
 	}
 }
 
-// everyOther is a stateless transform that keeps every other point.
-type everyOther struct{}
-
-func (everyOther) Transform(dst, batch []core.Point) []core.Point {
-	for i := 0; i < len(batch); i += 2 {
-		dst = append(dst, batch[i])
-	}
-	return dst
-}
-
 // TestLivePollEqualsFinal: a live poll and the final result are built
 // by one function from the same account, so once every pushed point is
 // consumed a poll reads what the final result reads — run and per-shard
 // statistics, the skew breakdown, the ranked explanations. The one-shard
-// case keeps every other point in a transform, so a shard's outlier
-// rate has two candidate denominators (points routed, points
-// classified); the two-shard case pins routing, and its classifier
-// exposes no threshold, so no coordination round changes state. Neither
-// stream is long enough to retrain a classifier, so no snapshot is
-// served mid-batch (core.Offloader).
+// case runs MDP's own classifier, whose threshold the breakdown
+// reports; the two-shard case pins routing, and its classifier exposes
+// no threshold, so no coordination round changes state. Neither stream
+// is long enough to retrain a classifier after its warmup fit, so the
+// polls compared are not served mid-batch (core.Offloader).
 func TestLivePollEqualsFinal(t *testing.T) {
 	d := gen.Devices(gen.DeviceConfig{Points: 12_000, Devices: 300, Seed: 41})
 	for _, tc := range []struct {
@@ -356,8 +360,7 @@ func TestLivePollEqualsFinal(t *testing.T) {
 		shards int
 		cfg    Config
 	}{
-		{"one shard, transform drops half", 1, Config{Dims: 1, MinSupport: 0.01, DecayEveryPoints: 2_000, batchSize: 512, Seed: 3,
-			Transforms: []core.Transformer{everyOther{}}}},
+		{"one shard, MDP classifier", 1, Config{Dims: 1, MinSupport: 0.01, DecayEveryPoints: 2_000, batchSize: 512, Seed: 3}},
 		{"two shards, pinned routing", 2, Config{Dims: 1, MinSupport: 0.01, DecayEveryPoints: 2_000, batchSize: 512, DisableRebalance: true,
 			newClassifier: func(int) core.Classifier { return &cutClassifier{cut: 40} }}},
 	} {
