@@ -328,8 +328,8 @@ func microBenchmarks() []benchResult {
 	// workloads' datasets: n10k is a shard's reservoir refit (p7
 	// firehose_xc, p2 poll_drift), n40k the batch_query training sample.
 	// A fit runs on GOMAXPROCS goroutines; these kernels pin one, so they
-	// watch the serial fit the baseline recorded and a crew's speedup
-	// cannot hide a slower C-step.
+	// watch the one-worker fit (a crew of no helpers), and a crew's
+	// speedup cannot hide a slower C-step.
 	procs := runtime.GOMAXPROCS(1)
 	for _, k := range []struct {
 		name, dataset string

@@ -28,7 +28,13 @@
 // sum — and a merge stage reconciles them into one globally ranked
 // explanation set, either on demand while the stream runs
 // (pipeline.StreamSession.Poll, served by cmd/mbserver's /stream
-// endpoints) or when the stream terminates. The stage folds what mining needs in one piece — the two
+// endpoints) or when the stream terminates. A run is live as soon as it
+// starts: core.StreamRunner.Start builds every shard's operators and
+// workers, the account and the commit trackers before it returns, so
+// the first Snapshot, Stats and CommittedOffsets calls, and so a new
+// session's first Poll and Checkpoint, answer for the run with no
+// retry; Wait drains it, and core.ErrNotStreaming means only that the
+// run is over. The stage folds what mining needs in one piece — the two
 // sketches and the outlier tree, about 1% of the mass — and leaves the
 // inlier trees where they are: the explanation stage only ever asks the
 // inlier side for the support of the few hundred combinations the
@@ -44,7 +50,7 @@
 // (explain.TestBorrowedInliersMatchUnionTree). The borrowed trees must
 // stay unmutated while the merged explainer lives, which every caller
 // satisfies by construction: a live poll merges clones of its own, the
-// final reconciliation the shard explainers after Run has returned.
+// final reconciliation the shard explainers after Wait has returned.
 //
 // Consistency trade-off vs. single-shard EWS (the streaming analog of
 // the paper's Figure 11): the router hashes a point's full attribute
@@ -119,21 +125,22 @@
 //
 // Each quantity a run reports is counted once, by the goroutine that
 // causes it. A shard's worker owns its shard's counters — points taken
-// in (every one of which it classifies, so they are also its
-// OutPoints), outliers, decay ticks, points a quarantine dropped, and
-// the quarantine record — in one
+// in (every one of which it classifies, so they are what its outlier
+// rate is over), outliers, decay ticks, points a quarantine dropped,
+// and the quarantine record — in one
 // cache-line-padded block only its worker writes, so a per-batch add
 // never contends. The ingest goroutines count the points they route,
 // which also paces the coordinator, and the coordinator counts its
 // rounds, passes and bucket moves. core.StreamRunner.Stats reads all of
-// them into one core.StreamStats, mid-run or after Run returns (the
-// counters are allocated apart from the pipelines, so they outlive the
-// worker set teardown drops); Run returns the same read plus the
-// partitions' ingest counters and committed offsets.
+// them into one core.StreamStats, from the moment Start returns to
+// after Wait returns (the counters are allocated apart from the
+// pipelines, so they outlive the worker set teardown drops); Wait
+// returns the same read plus the partitions' ingest counters and
+// committed offsets.
 //
 // A live poll and the final result are then built by one function
 // (pipeline.StreamSession's newResult) from one Stats read and one view
-// per shard: the poll's snapshot clones, or the replicas once Run has
+// per shard: the poll's snapshot clones, or the replicas once Wait has
 // returned. The poll reads Stats after its snapshot round, so a shard
 // that answered with its quarantine marker is already among
 // ShardFailures. A shard's outlier rate is its outliers over the points
@@ -332,9 +339,11 @@
 // merged answer independent of shard arena order: FPGrowth accumulates
 // in node order, which on a merged tree depends on the order the
 // shards' paths were folded in, while the recount walks header chains.
-// A live session poll (pipeline.StreamSession.Poll) is a snapshot round
-// of fresh clones folded in place by explain.MergeStreamingInto;
-// concurrent polls share nothing, so none waits on another's merge.
+// A live session poll (pipeline.StreamSession.Poll) is one snapshot
+// round of fresh clones folded in place by explain.MergeStreamingInto;
+// concurrent polls share nothing, so none waits on another's merge. A
+// session is live from the moment it starts, so the round is never
+// retried: a poll that finds the run over returns the final result.
 //
 // Five reuse layers used to sit in front of that path: a replay of the
 // previous ranked output, reuse of the mined table when only the inlier
@@ -490,7 +499,7 @@
 //     then drain what is queued. A read that does not watch
 //     its context delays the stop until it returns (the batch it
 //     returns then is dropped). Snapshot servers
-//     are quiesced before Run returns, so the final merge never races a
+//     are quiesced before Wait returns, so the final merge never races a
 //     late snapshot clone.
 //
 // Nor does a poll wait out a model refit. A shard answers snapshot
@@ -676,8 +685,10 @@
 // that produced it has been routed and taken by a shard worker — never
 // on read — so a crash between read and consume replays those points
 // rather than losing them. pipeline.StreamSession.Checkpoint snapshots
-// the committed offsets into a small versioned JSON blob at any time,
-// including after the run has ended, and pipeline.ResumeStream builds
+// the committed offsets into a small versioned JSON blob at any time
+// from the moment the session starts (the run's commit trackers are in
+// place before StartPartitionedStream returns), including after the run
+// has ended, and pipeline.ResumeStream builds
 // a fresh session that seeks each partition (core.SeekablePartition)
 // back to its committed offset: ingest.Push retains unacked points in
 // a replay log when EnableReplay is set, bounded at 1<<20 points per
@@ -798,7 +809,7 @@
 // batch_query's 40K training sample. A default-config fit runs on
 // GOMAXPROCS goroutines, so these rows depend on -cpu; the baseline's
 // were the serial fit at GOMAXPROCS 2, and mbbench pins its MCDFit
-// kernels to GOMAXPROCS 1, so -compare still gates the serial fit. At
+// kernels to GOMAXPROCS 1, so -compare gates the one-worker fit. At
 // -cpu 1 and -cpu 2 in one sitting (`go test -run '^$' -bench
 // BenchmarkMCDFit -benchmem -cpu 1,2 -count 5 -benchtime 10x .`, medians
 // of five; this sitting read the serial fit 1.4-1.6x slower than the
@@ -810,6 +821,17 @@
 //	MCDFit/n40k-p7          159        293         117        307
 //
 // The 14 extra allocations are the crew and its one helper's stepper.
+// A one-worker fit has since taken the same path, with a crew of no
+// helpers: every trial's start is drawn before any is stepped, where the
+// serial branch it replaced drew, stepped and offered one trial at a
+// time, and the five subsets of the nested strategy take one slab of
+// starts in turn (279 allocations, 0.79 MB an op at n10k-p7). Against
+// that branch, three sittings of ten alternating -cpu 1 pairs (the
+// first two before the subsets shared a slab) read
+// n10k-p7 at medians of 66.3 vs 62.1, 69.1 vs 68.3 and 77.8 vs 70.3 ms
+// and n10k-p2 at 34.5 vs 35.3, 39.1 vs 38.6 and 40.2 vs 39.3 ms, each
+// inside the serial fit's quartile spread (8.5 ms and 3.0 ms in the
+// last), and CPU profiles of forty fits total the same 3.1 s.
 //
 // The table below is the kernels' trajectory up to the baseline before
 // this one, in µs/op, one column per recorded tree: PR3-PR10 on a

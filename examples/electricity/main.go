@@ -58,7 +58,7 @@ func main() {
 
 	winEnc.Decorate(res.Explanations)
 	fmt.Printf("raw readings=%d hourly windows=%d outlying windows=%d\n\n",
-		res.Stats.Points, res.Stats.OutPoints, res.Stats.Outliers)
+		res.Stats.Points, res.OutPoints, res.Stats.Outliers)
 	for i, e := range res.Explanations {
 		if i >= 8 {
 			break

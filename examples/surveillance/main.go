@@ -44,7 +44,7 @@ func main() {
 
 	enc.Decorate(res.Explanations)
 	fmt.Printf("frames=%d flow points=%d outlying=%d\n\n",
-		res.Stats.Points, res.Stats.OutPoints, res.Stats.Outliers)
+		res.Stats.Points, res.OutPoints, res.Stats.Outliers)
 	fmt.Println("flagged intervals:")
 	for i, e := range res.Explanations {
 		if i >= 6 {

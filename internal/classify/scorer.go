@@ -84,30 +84,21 @@ func (m *MAD) Score(x []float64) float64 {
 	return math.Abs(x[m.Dim]-m.Median) / m.Scale
 }
 
-// MADTrainer fits a MAD scorer on metric dimension dim. Training
-// copies the dimension out of the sample, so the input is not
-// disturbed. When more than half the sample shares one value the raw
-// MAD is zero; the trainer then falls back to the mean absolute
-// deviation so quantized streams (e.g. optical-flow magnitudes) still
-// score sensibly instead of collapsing to 0-or-infinity.
+// MADTrainer fits a MAD scorer on metric dimension dim (stats.FitMAD,
+// mean-absolute-deviation fallback included). Training copies the
+// dimension out of the sample, so the input is not disturbed.
 func MADTrainer(dim int) Trainer {
 	return func(sample [][]float64) (Scorer, error) {
 		if len(sample) == 0 {
 			return nil, ErrEmptySample
 		}
-		xs := make([]float64, len(sample))
+		xs := make([]float64, 2*len(sample))
+		xs, work := xs[:len(sample)], xs[len(sample):]
 		for i, v := range sample {
 			xs[i] = v[dim]
 		}
-		med, mad := stats.MAD(xs)
-		scale := mad * stats.MADConsistency
-		if scale == 0 {
-			sum := 0.0
-			for _, v := range sample {
-				sum += math.Abs(v[dim] - med)
-			}
-			scale = sum / float64(len(sample)) * 1.2533 // consistency for mean |dev|
-		}
+		copy(work, xs)
+		med, scale := stats.FitMAD(xs, work)
 		return &MAD{Dim: dim, Median: med, Scale: scale}, nil
 	}
 }

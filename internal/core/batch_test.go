@@ -319,21 +319,20 @@ func TestStreamRunnerBatchRecyclingAliasing(t *testing.T) {
 			return pl.Explainer.(*tapExplainer).consumed
 		},
 	}
+	if err := sr.Start(); err != nil {
+		t.Fatal(err)
+	}
 	pollDone := make(chan struct{})
 	go func() {
 		defer close(pollDone)
-		ok := false
 		for {
-			_, err := sr.Snapshot()
-			if err == nil {
-				ok = true
-			} else if err == ErrNotStreaming && ok {
+			if _, err := sr.Snapshot(); err == ErrNotStreaming {
 				return // the run finished
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	stats, err := sr.Run()
+	stats, err := sr.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

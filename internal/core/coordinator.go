@@ -37,8 +37,8 @@ type ShardCoordinator struct {
 // rebalance checks (a rebalancing run) — and arms notePoints to wake it
 // every coordEvery ingested points. Both jobs ride the one goroutine
 // and the one cadence. It talks to the workers only through fanOut,
-// like snapshots, and Run retires it (stopCoordinator) before the
-// workers stop serving requests, so Run cannot hand the pipelines to
+// like snapshots, and Wait retires it (stopCoordinator) before the
+// workers stop serving requests, so Wait cannot hand the pipelines to
 // its caller while a Collect or Apply still touches them.
 func (r *StreamRunner) startCoordinator(workers []*shardWorker) {
 	r.coordEvery = int64(r.CoordinateEvery)
@@ -54,7 +54,7 @@ func (r *StreamRunner) startCoordinator(workers []*shardWorker) {
 	go r.coordinate(workers)
 }
 
-// stopCoordinator retires the coordinator, if the run has one. Run
+// stopCoordinator retires the coordinator, if the run has one. Wait
 // calls it once every ingest loop has exited, so no signal can follow
 // the close, and once every worker has drained: a boundary crossed
 // shortly before end-of-stream still gets its pass, against the final

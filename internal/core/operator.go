@@ -71,6 +71,6 @@ type Decayable interface {
 	Decay()
 }
 
-// ErrStopped is returned by StreamRunner.Run when execution is halted
+// ErrStopped is returned by StreamRunner.Wait when execution is halted
 // by RequestStop rather than source exhaustion.
 var ErrStopped = errors.New("core: pipeline stopped")

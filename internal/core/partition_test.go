@@ -96,8 +96,8 @@ func TestStreamRunnerPartitionedIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := partitions * perPart
-	if stats.Points != want || stats.OutPoints != want {
-		t.Fatalf("points %d out %d, want %d", stats.Points, stats.OutPoints, want)
+	if stats.Points != want || shardPoints(stats) != want {
+		t.Fatalf("points %d classified %d, want %d", stats.Points, shardPoints(stats), want)
 	}
 	total := 0
 	for shard, attrs := range perShardAttrs {
@@ -128,14 +128,19 @@ func TestStreamRunnerRequestStopCancelsBlockedRead(t *testing.T) {
 	// One batch on partition 0; partition 1 never produces: the run
 	// can only end through cancellation of the blocked reads.
 	src.parts[0].ch <- []Point{{Metrics: []float64{1}, Attrs: []int32{3}}}
+	if err := sr.Start(); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
 	var stats StreamStats
 	go func() {
 		var err error
-		stats, err = sr.Run()
+		stats, err = sr.Wait()
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	for shardPoints(sr.Stats()) == 0 {
+		time.Sleep(time.Millisecond) // both reads are blocked once the batch is in
+	}
 	sr.RequestStop()
 	select {
 	case err := <-done:
@@ -145,7 +150,7 @@ func TestStreamRunnerRequestStopCancelsBlockedRead(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("RequestStop did not cancel the blocked NextBatchInto")
 	}
-	if stats.Points != 1 || stats.OutPoints != 1 {
+	if stats.Points != 1 || shardPoints(stats) != 1 {
 		t.Errorf("stats after stop: %+v", stats.RunStats)
 	}
 }

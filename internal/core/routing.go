@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -208,12 +207,11 @@ func extremeShard(loads []int64, healthy []bool, hot bool) int {
 	return e
 }
 
-// ingest runs one ingest loop per partition and returns once every
-// loop has exited, with the first source error, which cancels the
-// rest. The loops read under the run's stop context: RequestStop
-// cancels it, and a RequestStop that raced ahead of Run is honored by
-// cancelling at once.
-func (r *StreamRunner) ingest(parts []PartitionStream, workers []*shardWorker, pool *BatchPool, trackers []*ackTracker) error {
+// startIngest launches one ingest loop per partition under the run's
+// stop context, which RequestStop cancels (at once, if a stop raced
+// ahead of Start). The first loop to fail records its source error in
+// run and cancels the rest; Wait waits for every loop to exit.
+func (r *StreamRunner) startIngest(run *liveRun, parts []PartitionStream, pool *BatchPool) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r.ctlMu.Lock()
 	r.cancelIngest = cancel
@@ -221,39 +219,26 @@ func (r *StreamRunner) ingest(parts []PartitionStream, workers []*shardWorker, p
 		cancel()
 	}
 	r.ctlMu.Unlock()
-	defer func() {
-		r.ctlMu.Lock()
-		r.cancelIngest = nil
-		r.ctlMu.Unlock()
-		cancel()
-	}()
 	batch := r.BatchSize
 	if batch <= 0 {
 		batch = 4096
 	}
-	var (
-		wg    sync.WaitGroup
-		once  sync.Once
-		first error
-	)
 	for i, ps := range parts {
-		in := &ingestLoop{r: r, ps: ps, workers: workers, pool: pool, batch: batch,
-			tracker: trackers[i], staging: make([]*Batch, len(workers))}
+		in := &ingestLoop{r: r, ps: ps, workers: run.workers, pool: pool, batch: batch,
+			tracker: run.trackers[i], staging: make([]*Batch, len(run.workers))}
 		in.cp, _ = ps.(CheckpointablePartition)
 		if r.bucketLoads != nil {
 			in.loads = r.bucketLoads[i]
 		}
-		wg.Add(1)
+		run.ingest.Add(1)
 		go func() {
-			defer wg.Done()
+			defer run.ingest.Done()
 			if err := in.run(ctx); err != nil {
-				once.Do(func() { first = fmt.Errorf("core: source: %w", err) })
+				run.failOnce.Do(func() { run.failure = fmt.Errorf("core: source: %w", err) })
 				cancel()
 			}
 		}()
 	}
-	wg.Wait()
-	return first
 }
 
 // ingestLoop is one partition's ingest goroutine and its state: read

@@ -20,12 +20,10 @@ type ShardPipeline struct {
 
 // RunStats summarizes one pipeline execution.
 type RunStats struct {
-	// Points is the number of points ingested from the source.
+	// Points is the number of points ingested from the source. A
+	// streaming shard classifies every point it takes in, so its Points
+	// are also the points its outlier rate is over.
 	Points int
-	// OutPoints is the number of points that reached the classifier:
-	// in one-shot mode, what the transforms emit; in a streaming run,
-	// every point a shard took in.
-	OutPoints int
 	// Outliers is the number of points labeled Outlier.
 	Outliers int
 	// DecayTicks counts how many decay rounds were applied.
@@ -33,8 +31,8 @@ type RunStats struct {
 }
 
 // StreamStats is a run's account, as StreamRunner.Stats reads it mid-run
-// and as Run returns it. Every field but Ingest and Committed is filled
-// by Stats, from counters each written by one goroutine; Run adds those
+// and as Wait returns it. Every field but Ingest and Committed is filled
+// by Stats, from counters each written by one goroutine; Wait adds those
 // two when it returns.
 type StreamStats struct {
 	// RunStats totals across shards. Points counts what the ingest
@@ -43,7 +41,7 @@ type StreamStats struct {
 	RunStats
 	// PerShard holds each shard worker's own statistics: Points is what
 	// the worker took in, not counting what a quarantine dropped. Nil
-	// before Run starts.
+	// only before Start.
 	PerShard []RunStats
 	// CoordRounds counts completed cross-shard coordination rounds
 	// (zero when no Coordinate hook was configured).
@@ -60,18 +58,18 @@ type StreamStats struct {
 	BucketMoves int64
 	// Ingest holds per-partition producer-side counters (queue depth,
 	// cumulative blocked time) when the partitioned source implements
-	// IngestObservable; nil otherwise. Filled by Run only.
+	// IngestObservable; nil otherwise. Filled by Wait only.
 	Ingest []PartitionIngestStats
 	// Degraded reports that at least one shard worker was quarantined
 	// after a panic: the run goes on over the surviving shards, and
 	// ShardFailures describes what was lost. A degraded result is a
-	// partial answer, not a failure — Run still returns a nil error.
+	// partial answer, not a failure — Wait still returns a nil error.
 	Degraded bool
 	// ShardFailures lists the quarantined shards (empty when none).
 	ShardFailures []ShardFailure
 	// Committed holds each partition's committed offset at run end
 	// (-1 for partitions without an offset protocol); nil when no
-	// partition is checkpointable. Filled by Run only; see
+	// partition is checkpointable. Filled by Wait only; see
 	// CommittedOffsets.
 	Committed []int64
 }
@@ -127,9 +125,18 @@ type ShardFailure struct {
 // when the per-shard summaries are order-insensitive (no decay ticks,
 // deterministic classification), and approximately otherwise.
 //
+// A run is two calls. Start sets it up before it returns — the routing
+// table, the partitions' commit trackers, the batch pool, every shard's
+// operator replicas (NewShard) and worker, the account, the coordinator
+// and the stop context — and launches the ingest loops; from then on the
+// run is live, and Snapshot, Stats and CommittedOffsets answer for it on
+// their first call. There is no started-but-not-yet-running state to
+// wait out. Wait drains the run, retires the workers and returns the
+// final account. Run is Start then Wait.
+//
 // Stop is one mechanism: RequestStop cancels the ingest context, which
 // interrupts in-flight NextBatchInto calls (no polling between
-// batches); Run waits for every ingest goroutine to exit, and the
+// batches); Wait waits for every ingest goroutine to exit, and the
 // workers drain what is queued. A read that does not watch
 // its context delays the stop until it returns, and the batch it then
 // delivers is dropped.
@@ -146,15 +153,15 @@ type ShardFailure struct {
 //
 // The run's account — points ingested, classified and labeled per
 // shard, decay ticks, coordination and routing progress, quarantines —
-// is read through Stats, mid-run or after Run returns.
+// is read through Stats, mid-run or after Wait returns.
 type StreamRunner struct {
 	// Partitioned supplies the partitioned ingestion (required).
 	Partitioned PartitionedSource
 	// Shards is the worker count P (default 1).
 	Shards int
-	// NewShard builds shard s's operator replicas (required). It is
-	// called once per shard before ingestion starts, from the
-	// Run goroutine.
+	// NewShard builds shard s's operator replicas (required). Start
+	// calls it once per shard, in shard order, on its caller's
+	// goroutine, before any ingestion.
 	NewShard func(shard int) ShardPipeline
 	// BatchSize is the ingest batch size (default 4096).
 	BatchSize int
@@ -215,23 +222,25 @@ type StreamRunner struct {
 	// goroutine runs if and only if there is one of the two to do.
 	CoordinateEvery int
 
-	// workersMu guards workers, the run's worker set: published only
-	// once every worker runs, and cleared before they retire, so a
-	// non-nil set is Snapshot's one test for a live run.
+	// live is the run Start launched and Wait retires. Only those two
+	// touch it, in that order.
+	live *liveRun
+	// workersMu guards workers, the run's worker set: published by Start
+	// once every worker runs, and cleared by Wait before they retire, so
+	// a non-nil set is Snapshot's one test for a live run.
 	workersMu sync.Mutex
 	workers   []*shardWorker
 	// acctMu guards the run's account: trackers, the per-partition
 	// committed-offset trackers (nil entries for non-checkpointable
-	// partitions), and accounts, one shardStats per shard worker. Both
-	// are set at the start of Run and deliberately left in place at
-	// teardown, so CommittedOffsets and Stats keep answering after the
-	// run — a checkpoint or a poll of a finished session is still
-	// meaningful.
+	// partitions), and accounts, one shardStats per shard worker. Start
+	// sets both, and they are deliberately left in place at teardown, so
+	// CommittedOffsets and Stats keep answering after the run — a
+	// checkpoint or a poll of a finished session is still meaningful.
 	acctMu   sync.Mutex
 	trackers []*ackTracker
 	accounts []*shardStats
 
-	// ctlMu guards the stop control state shared between Run and
+	// ctlMu guards the stop control state shared between the run and
 	// RequestStop.
 	ctlMu        sync.Mutex
 	cancelIngest context.CancelFunc
@@ -264,15 +273,18 @@ type StreamRunner struct {
 	coordDone  chan struct{}
 }
 
-// ErrNotStreaming is returned by Snapshot outside a Run.
+// ErrNotStreaming is returned by Snapshot when there is no live run:
+// before Start, or once Wait has begun retiring the workers. A run that
+// Start launched has no earlier state in which Snapshot returns it, so
+// to a caller holding a started run it means only that the run is over.
 var ErrNotStreaming = errors.New("core: stream runner is not running")
 
 // RequestStop asks a running stream to halt: the ingest context is
 // cancelled, which interrupts NextBatchInto calls already in
 // flight, every ingest goroutine exits at its next scheduling point,
-// and the workers drain. Run then returns ErrStopped. Safe to
+// and the workers drain. Wait then returns ErrStopped. Safe to
 // call at any time, from any goroutine, idempotently; calling it before
-// Run stops that Run immediately.
+// Start makes the run stop as soon as it starts.
 func (r *StreamRunner) RequestStop() {
 	r.ctlMu.Lock()
 	r.stopReq = true
@@ -282,24 +294,46 @@ func (r *StreamRunner) RequestStop() {
 	r.ctlMu.Unlock()
 }
 
+// liveRun is one run between Start and Wait: its workers with their
+// drain and exit groups, its ingest loops with the first source failure
+// they report, and its commit trackers.
+type liveRun struct {
+	workers         []*shardWorker
+	drained, exited sync.WaitGroup
+	ingest          sync.WaitGroup
+	failOnce        sync.Once
+	failure         error
+	trackers        []*ackTracker
+}
+
 // Run executes the sharded pipeline until every partition is exhausted
-// or a stop is requested (ErrStopped). It blocks until every worker has
-// drained; Snapshot may be called concurrently from other goroutines
-// while Run is in flight.
+// or a stop is requested (ErrStopped): Start, then Wait.
 func (r *StreamRunner) Run() (StreamStats, error) {
+	if err := r.Start(); err != nil {
+		return StreamStats{}, err
+	}
+	return r.Wait()
+}
+
+// Start sets the run up and launches it (see StreamRunner): when it
+// returns nil, every shard's worker runs, the account and the commit
+// trackers are in place, and the ingest loops are reading. Snapshot may
+// then be called from any goroutine while the run is in flight. Every
+// Start that returns nil must be followed by exactly one Wait.
+func (r *StreamRunner) Start() error {
 	if r.Partitioned == nil {
-		return StreamStats{}, errors.New("core: StreamRunner requires a PartitionedSource")
+		return errors.New("core: StreamRunner requires a PartitionedSource")
 	}
 	parts := r.Partitioned.Partitions()
 	if len(parts) == 0 {
-		return StreamStats{}, errors.New("core: PartitionedSource has no partitions")
+		return errors.New("core: PartitionedSource has no partitions")
 	}
 	if r.NewShard == nil {
-		return StreamStats{}, errors.New("core: StreamRunner requires NewShard")
+		return errors.New("core: StreamRunner requires NewShard")
 	}
 	shards := max(r.Shards, 1)
 	r.initRouting(shards, len(parts))
-	trackers := newTrackers(parts)
+	run := &liveRun{workers: make([]*shardWorker, shards), trackers: newTrackers(parts)}
 	// One free list serves the whole run: batches circulate
 	// ingest -> shard channel -> worker -> pool -> ingest. The bound
 	// covers every batch that can be in flight at once (queued per
@@ -307,57 +341,69 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	// slack, so steady state recycles rather than allocates while a
 	// burst cannot pin unbounded slab memory.
 	pool := NewBatchPool(shards*(queueDepth+2) + 2*len(parts))
-	workers := make([]*shardWorker, shards)
-	var drained, exited sync.WaitGroup
-	drained.Add(shards)
-	exited.Add(shards)
-	for s := range workers {
-		workers[s] = r.newWorker(s, pool)
-		go workers[s].run(&drained, &exited)
+	run.drained.Add(shards)
+	run.exited.Add(shards)
+	for s := range run.workers {
+		run.workers[s] = r.newWorker(s, pool)
+		go run.workers[s].run(&run.drained, &run.exited)
 	}
-	r.openAccount(trackers, workers)
-	r.startCoordinator(workers)
+	r.openAccount(run.trackers, run.workers)
+	r.startCoordinator(run.workers)
 	r.workersMu.Lock()
-	r.workers = workers
+	r.workers = run.workers
 	r.workersMu.Unlock()
+	r.live = run
+	r.startIngest(run, parts, pool)
+	return nil
+}
 
-	ingestErr := r.ingest(parts, workers, pool, trackers)
+// Wait blocks until the run Start launched has drained — every
+// partition exhausted, a source failed, or a stop was requested
+// (ErrStopped) — retires its workers and returns the final account.
+func (r *StreamRunner) Wait() (StreamStats, error) {
+	run := r.live
+	r.live = nil // a finished run must not pin its workers' pipelines
+	run.ingest.Wait()
+	r.ctlMu.Lock()
+	r.cancelIngest() // releases the stop context
+	r.cancelIngest = nil
+	r.ctlMu.Unlock()
 	// Every producer has exited — at end of stream, on a source failure,
 	// or after a stop cancelled ingest — so no send can follow: the data
 	// channels close and the workers drain to end-of-channel.
-	for _, w := range workers {
+	for _, w := range run.workers {
 		close(w.data)
 	}
-	drained.Wait()
+	run.drained.Wait()
 	r.stopCoordinator()
 	// Drop the worker set — a finished run must not pin P shards'
 	// operator replicas for the lifetime of a long-lived session object
 	// — and then retire the workers. The wait is load-bearing: a
 	// request that reached a worker just before its quit closed is still
-	// served on the worker goroutine, and Run must not hand the
+	// served on the worker goroutine, and Wait must not hand the
 	// pipelines to its caller while a hook reads them.
 	r.workersMu.Lock()
 	r.workers = nil
 	r.workersMu.Unlock()
-	for _, w := range workers {
+	for _, w := range run.workers {
 		close(w.quit)
 	}
-	exited.Wait()
+	run.exited.Wait()
 	// The final account is read after the workers retire: a shard can
 	// still die inside a late snapshot hook, and the failure list must
-	// be complete when Run returns.
+	// be complete when Wait returns.
 	stats := r.Stats()
 	if obs, ok := r.Partitioned.(IngestObservable); ok {
 		stats.Ingest = obs.IngestStats(nil)
 	}
-	if slices.ContainsFunc(trackers, func(t *ackTracker) bool { return t != nil }) {
+	if slices.ContainsFunc(run.trackers, func(t *ackTracker) bool { return t != nil }) {
 		stats.Committed = r.CommittedOffsets(nil)
 	}
 	r.ctlMu.Lock()
 	stopped := r.stopReq
 	r.ctlMu.Unlock()
-	if ingestErr != nil {
-		return stats, ingestErr
+	if run.failure != nil {
+		return stats, run.failure
 	}
 	if stopped {
 		return stats, ErrStopped
@@ -368,10 +414,9 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 // CommittedOffsets appends each partition's committed offset — the
 // largest offset whose every point has been routed and consumed (or
 // resolved by a quarantined shard) — to dst and returns it; entries
-// are -1 for partitions without an offset protocol. Safe to call
-// concurrently with Run, and still answering after the run finishes
-// (the final offsets). Returns nil if Run has not yet initialized its
-// partitions this session.
+// are -1 for partitions without an offset protocol. Safe to call from
+// any goroutine once Start has returned, and still answering after the
+// run finishes (the final offsets). Returns nil only before Start.
 func (r *StreamRunner) CommittedOffsets(dst []int64) []int64 {
 	r.acctMu.Lock()
 	trackers := r.trackers
@@ -408,9 +453,10 @@ func (r *StreamRunner) openAccount(trackers []*ackTracker, workers []*shardWorke
 }
 
 // Stats reads the run's account: the fields of StreamStats other than
-// Ingest and Committed, which Run adds when it returns. Safe to call
-// concurrently with Run and after it returns, when it reads the final
-// account (the counters outlive the worker set teardown drops). Each
+// Ingest and Committed, which Wait adds when it returns. Once Start has
+// returned it reads a PerShard entry for every shard: mid-run, from any
+// goroutine, and after Wait returns, when it reads the final account
+// (the counters outlive the worker set teardown drops). Each
 // counter is read atomically on its own, so a mid-run read is not one
 // instant across fields. A shard that answered a Snapshot with its
 // ShardFailure marker is among ShardFailures in any later read.
@@ -434,7 +480,6 @@ func (r *StreamRunner) Stats() StreamStats {
 	for i, ss := range accounts {
 		rs := ss.runStats()
 		st.PerShard[i] = rs
-		st.OutPoints += rs.OutPoints
 		st.Outliers += rs.Outliers
 		st.DecayTicks += rs.DecayTicks
 		if f, ok := ss.failed(i); ok {
@@ -447,9 +492,9 @@ func (r *StreamRunner) Stats() StreamStats {
 
 // Snapshot collects one summary snapshot per shard, taken on each
 // worker's goroutine between batches (so a snapshot never observes a
-// half-consumed batch). The Snapshot hook must be configured. Returns
-// ErrNotStreaming if the run has finished (callers then use the final
-// results) or not started.
+// half-consumed batch). The Snapshot hook must be configured. From the
+// moment Start returns it succeeds until the run is over; then it
+// returns ErrNotStreaming, and callers use the final result.
 func (r *StreamRunner) Snapshot() ([]any, error) {
 	if r.SnapshotShard == nil {
 		return nil, errors.New("core: StreamRunner has no Snapshot hook")

@@ -205,8 +205,8 @@ func TestStreamRunnerPartitionsByAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Points != len(pts) || stats.OutPoints != len(pts) {
-		t.Fatalf("points %d out %d, want %d", stats.Points, stats.OutPoints, len(pts))
+	if stats.Points != len(pts) || shardPoints(stats) != len(pts) {
+		t.Fatalf("points %d classified %d, want %d", stats.Points, shardPoints(stats), len(pts))
 	}
 	total := 0
 	for shard, attrs := range perShardAttrs {
@@ -317,11 +317,14 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		BatchSize: 512,
 	}
 
+	if err := sr.Start(); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
 	var stats StreamStats
 	go func() {
 		var err error
-		stats, err = sr.Run()
+		stats, err = sr.Wait()
 		done <- err
 	}()
 
@@ -329,9 +332,6 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 	polled := 0
 	for polled < 3 {
 		snaps, err := sr.Snapshot()
-		if errors.Is(err, ErrNotStreaming) {
-			continue // run not yet started
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		}
 		polled++
 	}
-	for sr.Stats().OutPoints == 0 {
+	for shardPoints(sr.Stats()) == 0 {
 		time.Sleep(time.Millisecond) // let a batch through before stopping
 	}
 	sr.RequestStop()
@@ -350,12 +350,58 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 	// The stop cancels sends blocked on backpressure, so points already
 	// routed may never reach a worker: what the workers consumed is
 	// bounded by, not equal to, what ingest counted.
-	if stats.OutPoints == 0 || stats.OutPoints > stats.Points {
+	if n := shardPoints(stats); n == 0 || n > stats.Points {
 		t.Errorf("stats after stop: %+v", stats.RunStats)
 	}
 	// After completion, snapshots report not-streaming.
 	if _, err := sr.Snapshot(); !errors.Is(err, ErrNotStreaming) {
 		t.Errorf("want ErrNotStreaming after run, got %v", err)
+	}
+}
+
+// TestStreamRunnerLiveWhenStartReturns: Start returns a live run, so the
+// first Snapshot, CommittedOffsets and Stats calls after it answer for
+// the run, with no retry, however far its goroutines have got. Before
+// Start there is no run to answer for, and once Wait has returned the
+// run is over.
+func TestStreamRunnerLiveWhenStartReturns(t *testing.T) {
+	const n = 5_000
+	sr := StreamRunner{
+		Partitioned: &flakyPartsSource{parts: []PartitionStream{&ckPartition{pts: streamPoints(n)}}},
+		Shards:      2,
+		NewShard: func(shard int) ShardPipeline {
+			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
+		},
+		SnapshotShard: func(shard int, pl ShardPipeline) any {
+			return pl.Explainer.(*shardCollectExplainer).consumed
+		},
+		BatchSize: 256,
+	}
+	if got := sr.CommittedOffsets(nil); got != nil {
+		t.Fatalf("offsets before Start = %v, want nil", got)
+	}
+	if err := sr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := sr.Snapshot()
+	if err != nil || len(snaps) != 2 {
+		t.Errorf("first Snapshot after Start = %d snapshots, %v; want 2, nil", len(snaps), err)
+	}
+	if got := sr.CommittedOffsets(nil); len(got) != 1 || got[0] < 0 || got[0] > n {
+		t.Errorf("first CommittedOffsets after Start = %v, want one offset in [0, %d]", got, n)
+	}
+	if st := sr.Stats(); len(st.PerShard) != 2 {
+		t.Errorf("first Stats after Start has %d shards, want 2", len(st.PerShard))
+	}
+	stats, err := sr.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Points != n || len(stats.Committed) != 1 || stats.Committed[0] != n {
+		t.Errorf("final account: points %d committed %v, want %d and [%d]", stats.Points, stats.Committed, n, n)
+	}
+	if _, err := sr.Snapshot(); !errors.Is(err, ErrNotStreaming) {
+		t.Errorf("Snapshot after Wait = %v, want ErrNotStreaming", err)
 	}
 }
 

@@ -31,7 +31,7 @@ type shardWorker struct {
 	pool  *BatchPool       // consumed batches go back here, not to the GC
 	snap  chan snapshotReq // snapshots: also served during an offloaded computation
 	ctl   chan snapshotReq // coordination: touches the classifier, so between batches only
-	quit  chan struct{}    // closed by Run once the worker has drained and no request may follow
+	quit  chan struct{}    // closed by Wait once the worker has drained and no request may follow
 	stats *shardStats      // the shard's account
 
 	labels   []LabeledPoint // the classifier's output, reused across batches
@@ -42,7 +42,7 @@ type shardWorker struct {
 // plus the quarantine record. Only the shard's worker goroutine writes
 // it, so a per-batch add never contends; StreamRunner.Stats reads it
 // from any goroutine. It is allocated apart from the worker it
-// counts, so it outlives the worker set that Run's teardown drops.
+// counts, so it outlives the worker set that Wait's teardown drops.
 type shardStats struct {
 	points, outliers, ticks atomic.Int64
 	// dropped counts the points a quarantined shard drained unprocessed.
@@ -54,13 +54,10 @@ type shardStats struct {
 	_ [88]byte
 }
 
-// runStats reads the counters, each atomically on its own. A shard
-// classifies every point it takes in, so its OutPoints is its Points.
+// runStats reads the counters, each atomically on its own.
 func (s *shardStats) runStats() RunStats {
-	points := int(s.points.Load())
 	return RunStats{
-		Points:     points,
-		OutPoints:  points,
+		Points:     int(s.points.Load()),
 		Outliers:   int(s.outliers.Load()),
 		DecayTicks: int(s.ticks.Load()),
 	}
@@ -103,7 +100,7 @@ func (r *StreamRunner) newWorker(s int, pool *BatchPool) *shardWorker {
 // between them; once the data channel closes (every producer has
 // finished), report drained and go on serving requests — a concurrent
 // Snapshot or a final coordination round must never deadlock against a
-// finished worker — until Run closes quit. exited is what tells Run
+// finished worker — until Wait closes quit. exited is what tells Wait
 // that no hook call still touches this shard's pipeline, so the caller
 // may then own it outright.
 func (w *shardWorker) run(drained, exited *sync.WaitGroup) {

@@ -18,9 +18,11 @@ type FastExplanation struct {
 
 // FastResult is the fastpath kernel's output.
 type FastResult struct {
-	Median, MAD, Threshold float64
-	Outliers               int
-	Explanations           []FastExplanation
+	// Scale is the consistency-scaled MAD (or its fallback) that the
+	// scores divide by.
+	Median, Scale, Threshold float64
+	Outliers                 int
+	Explanations             []FastExplanation
 }
 
 // FastSimpleQuery is a hand-fused, monomorphic implementation of the
@@ -52,20 +54,11 @@ func FastSimpleQuery(metrics []float64, attrs []int32, percentile, minSupport, m
 		minRiskRatio = 3
 	}
 
-	// Train: median + MAD on a scratch copy, with the same
-	// mean-absolute-deviation fallback as classify.MADTrainer for
-	// majority-value samples.
+	// Train: the robust fit classify.MADTrainer makes, on a scratch
+	// copy.
 	scratch := make([]float64, n)
 	copy(scratch, metrics)
-	median, mad := stats.MAD(scratch)
-	scale := mad * stats.MADConsistency
-	if scale == 0 {
-		sum := 0.0
-		for _, v := range metrics {
-			sum += math.Abs(v - median)
-		}
-		scale = sum / float64(n) * 1.2533
-	}
+	median, scale := stats.FitMAD(metrics, scratch)
 	inv := 0.0
 	if scale > 0 {
 		inv = 1 / scale
@@ -106,7 +99,7 @@ func FastSimpleQuery(metrics []float64, attrs []int32, percentile, minSupport, m
 		}
 	}
 
-	res := FastResult{Median: median, MAD: mad, Threshold: threshold, Outliers: int(totalOut)}
+	res := FastResult{Median: median, Scale: scale, Threshold: threshold, Outliers: int(totalOut)}
 	if totalOut == 0 {
 		return res
 	}

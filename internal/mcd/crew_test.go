@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// crewWorkers are the worker counts the fan-out tests fit on: the serial
-// path, two and four cores, and counts that leave the last helpers a
+// crewWorkers are the worker counts the fan-out tests fit on: a crew of
+// no helpers, two and four cores, and counts that leave the last helpers a
 // stage's short tail or nothing at all.
 var crewWorkers = []int{1, 2, 3, 4, 7}
 
@@ -164,8 +164,9 @@ func TestConcurrentFitsShareNothing(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCrewAllocations: a crew costs its own two allocations (the crew and
-// its wake channel) and a fixed number per helper — its goroutine's
+// TestCrewAllocations: past a one-worker fit, whose crew (the crew and
+// its wake channel, two allocations) has no helpers, a crew costs a fixed
+// number of allocations per helper — its goroutine's
 // closure, a cStepper over the full data and that stepper's Cholesky
 // factor — and nothing per stage, trial or candidate. A fit asked for
 // more than topKeep workers runs topKeep, so no helper holds a full-data
@@ -175,7 +176,7 @@ func TestConcurrentFitsShareNothing(t *testing.T) {
 // carries slack of four); it pins GOMAXPROCS to 1, which leaves the
 // helpers interleaved but still running.
 func TestCrewAllocations(t *testing.T) {
-	const perCrew, perHelper, slack = 2, 12, 4
+	const perHelper, slack = 12, 4
 	pts := gaussMix(2_000, 7, 1)
 	allocs := func(workers int) float64 {
 		return testing.AllocsPerRun(2, func() {
@@ -184,13 +185,13 @@ func TestCrewAllocations(t *testing.T) {
 			}
 		})
 	}
-	serial := allocs(1)
+	one := allocs(1)
 	for _, w := range []int{2, 3, 4, 7, topKeep, topKeep + 6} {
 		got := allocs(w)
-		bound := serial + perCrew + perHelper*float64(min(w, topKeep)-1) + slack
+		bound := one + perHelper*float64(min(w, topKeep)-1) + slack
 		if got > bound {
-			t.Errorf("%d workers: %.0f allocations, want <= %.0f (serial %.0f, +%d, +%d per helper up to %d, +%d)", w, got, bound, serial, perCrew, perHelper, topKeep-1, slack)
+			t.Errorf("%d workers: %.0f allocations, want <= %.0f (one worker %.0f, +%d per helper up to %d, +%d)", w, got, bound, one, perHelper, topKeep-1, slack)
 		}
-		t.Logf("%d workers: %.0f allocations (serial %.0f)", w, got, serial)
+		t.Logf("%d workers: %.0f allocations (one worker %.0f)", w, got, one)
 	}
 }

@@ -175,6 +175,14 @@ func sameSet(ascending, other []int) bool {
 	return true
 }
 
+// soloStepper is newCStepper with the crew of a fit on one goroutine: no
+// helpers, so the stepper takes every candidate's steps itself.
+func soloStepper(pts [][]float64, h int) *cStepper {
+	cs := newCStepper(pts, h)
+	cs.crew = startCrew(pts, h, 0)
+	return cs
+}
+
 // trialLogDets runs Fit's trial stage and its full-data ranking as Fit
 // sets them up and returns the candidates' log-determinants out of the
 // one and, in rank order, out of the other, and the generator's next
@@ -182,7 +190,7 @@ func sameSet(ascending, other []int) bool {
 func trialLogDets(pts [][]float64, cfg Config) (logDets, ranked []float64, afterRNG uint64) {
 	cfg = cfg.withDefaults()
 	rng := fitRNG(cfg.Seed)
-	cs := newCStepper(pts, defaultH(len(pts), len(pts[0])))
+	cs := soloStepper(pts, defaultH(len(pts), len(pts[0])))
 	cand := trialCandidates(cs, cfg, rng)
 	for _, c := range cand {
 		logDets = append(logDets, c.logDet)
@@ -356,13 +364,14 @@ func TestSubsetEdgeCases(t *testing.T) {
 	})
 }
 
-// TestFitAllocations: a fit's allocations are its steppers and, for each
-// of its five subsets, the trial starts' buffers (candidateSlab, four
-// allocations) and a topKeep-sized candidate list (293 here), not a set
-// of buffers per C-step, per trial or per ranked candidate — the merged
-// and full-data levels rank the candidates in the storage they came in.
-// AllocsPerRun runs at GOMAXPROCS 1, so this is the fit without a crew;
-// TestCrewAllocations bounds the crew.
+// TestFitAllocations: a fit's allocations are its steppers, the trial
+// starts' buffers that its five subsets take in turn (candidateSlab, four
+// allocations) and, for each subset, a topKeep-sized candidate list (279
+// here), not a set of buffers per C-step, per trial or per ranked
+// candidate — the merged and full-data levels rank the candidates in the
+// storage they came in.
+// AllocsPerRun runs at GOMAXPROCS 1, so this is the fit with a crew of no
+// helpers (two allocations); TestCrewAllocations bounds the helpers.
 func TestFitAllocations(t *testing.T) {
 	pts := gaussMix(10_000, 7, 1)
 	allocs := testing.AllocsPerRun(1, func() {

@@ -51,9 +51,10 @@
 // goroutine steps with its own buffers, so no bit of a fit depends on how
 // many goroutines ran it or which took which candidate; a test pins the
 // digests on one to seven. The leader's convergence and the consistency
-// correction stay on the fitting goroutine. With one worker there is no
-// crew, and a panic on a helper is raised again on the fitting goroutine
-// once every goroutine has left the stage.
+// correction stay on the fitting goroutine. A fit on one worker takes the
+// same path with a crew of no helpers: the fitting goroutine steps every
+// candidate itself. A panic on a helper is raised again on the fitting
+// goroutine once every goroutine has left the stage.
 //
 // Fits that run at once each take GOMAXPROCS goroutines: a streaming
 // session's shards refit on their own schedules (staggered when
@@ -133,8 +134,8 @@ func Fit(pts [][]float64, cfg Config) (*Estimate, error) {
 	return fit(pts, cfg, runtime.GOMAXPROCS(0))
 }
 
-// fit is Fit on workers goroutines, at most topKeep: the caller and, past
-// one, a crew of helpers.
+// fit is Fit on workers goroutines, at most topKeep: the caller and a
+// crew of workers-1 helpers.
 func fit(pts [][]float64, cfg Config, workers int) (*Estimate, error) {
 	workers = min(workers, topKeep)
 	cfg = cfg.withDefaults()
@@ -157,10 +158,8 @@ func fit(pts [][]float64, cfg Config, workers int) (*Estimate, error) {
 	}
 
 	cs := newCStepper(pts, h)
-	if workers > 1 {
-		cs.crew = startCrew(pts, h, workers-1)
-		defer cs.crew.stop()
-	}
+	cs.crew = startCrew(pts, h, workers-1)
+	defer cs.crew.stop()
 	cand := trialCandidates(cs, cfg, rng)
 	if len(cand) == 0 {
 		return nil, errors.New("mcd: no non-singular candidate found")
@@ -310,8 +309,8 @@ type cStepper struct {
 	colScr []float64      // MeanCovInto's column-major block of centered rows
 	chol   stats.Cholesky
 	ridge  *stats.Mat
-	// crew, when set, takes candidates' steps beside this stepper
-	// (stepAll); nil steps every candidate here.
+	// crew spreads a stage's candidates' steps over this stepper and
+	// its helpers (stepAll); nil on a helper's own stepper.
 	crew *crew
 }
 
@@ -336,16 +335,10 @@ func (s *cStepper) aim(pts [][]float64, h int) {
 	s.d2, s.ps, s.mask = s.d2[:len(pts)], s.ps[:len(pts)], s.mask[:len(pts)]
 }
 
-// stepAll gives every candidate two C-steps on s's dataset (stepTwice):
-// here, or spread over s and its crew.
+// stepAll gives every candidate two C-steps on s's dataset (stepTwice),
+// spread over s and its crew.
 func (s *cStepper) stepAll(cands []candidate) {
-	if s.crew != nil {
-		s.crew.run(s, cands, (*cStepper).stepTwice)
-		return
-	}
-	for i := range cands {
-		s.stepTwice(&cands[i])
-	}
+	s.crew.run(s, cands, (*cStepper).stepTwice)
 }
 
 // stepTwice gives c two C-steps in place, keeping the second's
@@ -451,31 +444,22 @@ func cholWithRidge(cov *stats.Mat) (*stats.Cholesky, error) {
 	return chol, nil
 }
 
-// runTrials performs trials random starts with two concentration steps
-// each over the cStepper's dataset and returns the best topKeep,
-// ascending by log-determinant and then by trial number (FastMCD's
-// small-n path, and the per-subset stage of the nested one). With a crew
-// every start is drawn first, in trial order, since only start reads rng;
-// the steps then go to stepAll, and their results are offered in trial
-// order. Without one each trial is drawn, stepped and offered in turn in
-// one candidate's buffers.
-func runTrials(cs *cStepper, trials, topKeep int, rng *rand.Rand) []candidate {
-	batch := 1
-	if cs.crew != nil {
-		batch = trials
+// runTrials performs one random start per candidate of cands, whose
+// buffers it overwrites, with two concentration steps each over the
+// cStepper's dataset, and returns copies of the best topKeep, ascending
+// by log-determinant and then by trial number (FastMCD's small-n path,
+// and the per-subset stage of the nested one). Every start is drawn
+// first, in trial order, since only start reads rng; the steps then go
+// to stepAll, and their results are offered in trial order.
+func runTrials(cs *cStepper, cands []candidate, topKeep int, rng *rand.Rand) []candidate {
+	for _, c := range cands {
+		cs.start(c.mean, c.cov, rng)
 	}
-	starts := candidateSlab(batch, len(cs.pts[0]))
+	cs.stepAll(cands)
 	top := topCandidates{keep: topKeep}
-	for t := 0; t < trials; t += batch {
-		cands := starts[:min(batch, trials-t)]
-		for _, c := range cands {
-			cs.start(c.mean, c.cov, rng)
-		}
-		cs.stepAll(cands)
-		for _, c := range cands {
-			if c.err == nil {
-				top.offer(c.mean, c.cov, c.logDet)
-			}
+	for _, c := range cands {
+		if c.err == nil {
+			top.offer(c.mean, c.cov, c.logDet)
 		}
 	}
 	return top.list
@@ -485,7 +469,7 @@ func runTrials(cs *cStepper, trials, topKeep int, rng *rand.Rand) []candidate {
 // trials up to smallN points, the nested strategy beyond.
 func trialCandidates(cs *cStepper, cfg Config, rng *rand.Rand) []candidate {
 	if len(cs.pts) <= smallN {
-		return runTrials(cs, cfg.Trials, topKeep, rng)
+		return runTrials(cs, candidateSlab(cfg.Trials, len(cs.pts[0])), topKeep, rng)
 	}
 	return nestedTrials(cs, cfg, rng)
 }
@@ -517,6 +501,7 @@ func nestedTrials(full *cStepper, cfg Config, rng *rand.Rand) []candidate {
 		perSub = 2
 	}
 	var pooled []candidate
+	starts := candidateSlab(perSub, p) // every subset's trials, in turn
 	for s := 0; s < nsub; s++ {
 		sub := mergedPts[s*subSize : (s+1)*subSize]
 		hSub := int(math.Ceil(float64(len(sub)) * float64(h) / float64(n)))
@@ -525,7 +510,7 @@ func nestedTrials(full *cStepper, cfg Config, rng *rand.Rand) []candidate {
 		}
 		cs := newCStepper(sub, hSub)
 		cs.crew = full.crew
-		pooled = append(pooled, runTrials(cs, perSub, topKeep, rng)...)
+		pooled = append(pooled, runTrials(cs, starts, topKeep, rng)...)
 	}
 	// Refine pooled candidates on the merged set.
 	hMerged := int(math.Ceil(float64(len(mergedPts)) * float64(h) / float64(n)))

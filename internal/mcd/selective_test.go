@@ -25,7 +25,7 @@ import (
 func fitAllTen(pts [][]float64, cfg Config) (*Estimate, int, error) {
 	cfg = cfg.withDefaults()
 	h := defaultH(len(pts), len(pts[0]))
-	cs := newCStepper(pts, h)
+	cs := soloStepper(pts, h)
 	best, total := candidate{logDet: math.Inf(1)}, 0
 	for _, c := range trialCandidates(cs, cfg, fitRNG(cfg.Seed)) {
 		logDet, steps, err := cs.converge(c.mean, c.cov, maxCSteps)
@@ -267,12 +267,12 @@ func TestLeaderIsInMajorityBasin(t *testing.T) {
 			}
 			rng := fitRNG(seed)
 			k := 1 + int(seed-1)%(topKeep-1)
-			cands := runTrials(newCStepper(contam[:300], 151), 100, k, rng)
-			cands = append(cands, runTrials(newCStepper(clean[:300], 151), 100, topKeep-k, rng)...)
+			cands := runTrials(soloStepper(contam[:300], 151), candidateSlab(100, p), k, rng)
+			cands = append(cands, runTrials(soloStepper(clean[:300], 151), candidateSlab(100, p), topKeep-k, rng)...)
 			if len(cands) != topKeep || cands[k-1].logDet >= cands[k].logDet {
 				t.Fatalf("seed %d: %d candidates, last contaminated logDet %v, first clean %v: not the case this was built to be", seed, len(cands), cands[k-1].logDet, cands[k].logDet)
 			}
-			cs := newCStepper(pts, defaultH(n, p))
+			cs := soloStepper(pts, defaultH(n, p))
 			ranked := refine(cs, cands, len(cands))
 			if len(ranked) != topKeep || math.Abs(ranked[0].mean[0]) > 1 {
 				t.Fatalf("seed %d, %d of %d survivors contaminated: the leader after two full-data C-steps has mean %v", seed, k, len(ranked), ranked[0].mean)
@@ -296,7 +296,7 @@ func TestLeaderIsInMajorityBasin(t *testing.T) {
 func TestFallThroughPastFailedLeader(t *testing.T) {
 	pts := gaussMix(2000, 3, 1)
 	cfg := Config{Seed: 1}.withDefaults()
-	cs := newCStepper(pts, defaultH(len(pts), 3))
+	cs := soloStepper(pts, defaultH(len(pts), 3))
 	ranked := refine(cs, trialCandidates(cs, cfg, fitRNG(cfg.Seed)), topKeep)
 	if len(ranked) < 3 {
 		t.Fatalf("%d ranked candidates", len(ranked))

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"time"
 
 	"macrobase/internal/core"
 )
@@ -43,8 +42,9 @@ type Checkpoint struct {
 // consumed by the shard workers — and acknowledges them back to the
 // source (ingest.Push trims its replay buffer up to the committed
 // offset; file-backed sources ignore the ack). It may be called at any
-// time while the stream runs, and after termination (the final offsets
-// then cover the whole stream).
+// time once StartPartitionedStream has returned — the run's offsets
+// are in place from then on — and after termination (the final
+// offsets then cover the whole stream).
 //
 // The returned blob plus the original inputs are sufficient to resume:
 // see ResumeStream. Only sessions over a partitioned source with at
@@ -60,22 +60,7 @@ func (s *StreamSession) Checkpoint() (*Checkpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("pipeline: session has no checkpointable partitions")
 	}
-	// The runner installs its offset trackers at Run start; a checkpoint
-	// racing session startup waits a beat, like Poll does.
-	var offs []int64
-	for {
-		offs = s.runner.CommittedOffsets(nil)
-		if offs != nil {
-			break
-		}
-		if s.Done() {
-			if offs = s.runner.CommittedOffsets(nil); offs != nil {
-				break
-			}
-			return nil, fmt.Errorf("pipeline: stream ended before the engine started; nothing to checkpoint")
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	offs := s.runner.CommittedOffsets(nil)
 	ck := &Checkpoint{Version: CheckpointVersion, Partitions: make([]PartitionOffset, len(offs))}
 	for i, off := range offs {
 		po := PartitionOffset{Partition: i}

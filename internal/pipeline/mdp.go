@@ -67,8 +67,10 @@ type Config struct {
 	// pass runs whichever of the two is on (DisableGlobalThreshold,
 	// DisableRebalance). Irrelevant with one shard (a single pipeline
 	// already computes the global quantile, and there is nothing to
-	// route); threshold rounds are no-ops for custom classifiers that do
-	// not implement classify.ThresholdCoordinable.
+	// route). The breakdown's GlobalCutoff is NaN until the first
+	// threshold round; a shard's Threshold is NaN once it is
+	// quarantined, or for a test's fake classifier, which exposes no
+	// cutoff and takes no part in rounds.
 	CoordinateEvery int
 	// DisableRebalance turns skew-adaptive routing off, pinning the
 	// identity routing table, and so every attribute set to its
@@ -140,6 +142,10 @@ func (c Config) withDefaults() Config {
 // Result is one query execution's output.
 type Result struct {
 	Stats core.RunStats
+	// OutPoints is the number of points that reached the classifier:
+	// what the one-shot transforms emit, and every point in streaming
+	// mode, which has no transforms.
+	OutPoints int
 	// Explanations are ranked by risk ratio (explain.Rank order).
 	// They carry encoded item ids; decorate with the encoder before
 	// presentation.
@@ -157,7 +163,7 @@ func RunStreaming(src core.PartitionedSource, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Stats: res.Stats.RunStats, Explanations: res.Explanations}, nil
+	return &Result{Stats: res.Stats.RunStats, OutPoints: res.Stats.Points, Explanations: res.Explanations}, nil
 }
 
 // RunOneShot executes MDP in one-shot batch mode over stored points
@@ -168,12 +174,13 @@ func RunStreaming(src core.PartitionedSource, cfg Config) (*Result, error) {
 // explainer (Algorithm 2) summarizes the labeled set.
 func RunOneShot(pts []core.Point, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	transformed, stats := applyTransforms(pts, cfg)
+	transformed := applyTransforms(pts, cfg)
 
 	labeled, err := classifyOneShot(transformed, cfg)
 	if err != nil {
 		return nil, err
 	}
+	stats := core.RunStats{Points: len(pts)}
 	for i := range labeled {
 		if labeled[i].Label == core.Outlier {
 			stats.Outliers++
@@ -184,7 +191,7 @@ func RunOneShot(pts []core.Point, cfg Config) (*Result, error) {
 		MinRiskRatio: cfg.MinRiskRatio,
 		Confidence:   cfg.Confidence,
 	})
-	return &Result{Stats: stats, Explanations: exps}, nil
+	return &Result{Stats: stats, OutPoints: len(transformed), Explanations: exps}, nil
 }
 
 // ClassifyOneShot exposes the one-shot classify stage without
@@ -192,16 +199,10 @@ func RunOneShot(pts []core.Point, cfg Config) (*Result, error) {
 // (e.g. Table 2's "without explanation" columns).
 func ClassifyOneShot(pts []core.Point, cfg Config) ([]core.LabeledPoint, error) {
 	cfg = cfg.withDefaults()
-	transformed, _ := applyTransforms(pts, cfg)
-	return classifyOneShot(transformed, cfg)
+	return classifyOneShot(applyTransforms(pts, cfg), cfg)
 }
 
-func applyTransforms(pts []core.Point, cfg Config) ([]core.Point, core.RunStats) {
-	stats := core.RunStats{Points: len(pts)}
-	if len(cfg.Transforms) == 0 {
-		stats.OutPoints = len(pts)
-		return pts, stats
-	}
+func applyTransforms(pts []core.Point, cfg Config) []core.Point {
 	cur := pts
 	for _, t := range cfg.Transforms {
 		next := t.Transform(nil, cur)
@@ -210,8 +211,7 @@ func applyTransforms(pts []core.Point, cfg Config) ([]core.Point, core.RunStats)
 		}
 		cur = next
 	}
-	stats.OutPoints = len(cur)
-	return cur, stats
+	return cur
 }
 
 func classifyOneShot(pts []core.Point, cfg Config) ([]core.LabeledPoint, error) {

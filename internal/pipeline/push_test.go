@@ -74,6 +74,16 @@ func requireIdenticalRanked(t *testing.T, label string, got, want []core.Explana
 	}
 }
 
+// shardPoints sums the points the shard workers took in: what a
+// streaming run classified.
+func shardPoints(st core.StreamStats) int {
+	n := 0
+	for _, rs := range st.PerShard {
+		n += rs.Points
+	}
+	return n
+}
+
 // TestPushIngestOnePartitionMatchesPullExactly: a one-partition push
 // source delivering a SliceSource's exact batches must reproduce the
 // run over that SliceSource bit-for-bit — default streaming
@@ -99,7 +109,7 @@ func TestPushIngestOnePartitionMatchesPullExactly(t *testing.T) {
 	}
 
 	if push.Stats.Points != pull.Stats.Points ||
-		push.Stats.OutPoints != pull.Stats.OutPoints ||
+		shardPoints(push.Stats) != shardPoints(pull.Stats) ||
 		push.Stats.Outliers != pull.Stats.Outliers ||
 		push.Stats.DecayTicks != pull.Stats.DecayTicks {
 		t.Errorf("stats differ: push %+v pull %+v", push.Stats.RunStats, pull.Stats.RunStats)
@@ -385,5 +395,53 @@ func TestPushSessionConcurrentProducersPollsStop(t *testing.T) {
 	p.CloseAll()
 	if err := p.Producer(0).Send(context.Background(), d.Points[:16]); !errors.Is(err, ingest.ErrProducerClosed) {
 		t.Errorf("post-close send: %v, want ErrProducerClosed", err)
+	}
+}
+
+// TestPushSessionLiveWhenStarted: a session is live when
+// StartPartitionedStream returns. The first Poll, with no sleep and no
+// retry, is a live result over every shard, and the first Checkpoint
+// names every partition as checkpointable. The points pushed after that
+// all reach the final result.
+func TestPushSessionLiveWhenStarted(t *testing.T) {
+	d := gen.Devices(gen.DeviceConfig{Points: 4_000, Devices: 50, Seed: 3})
+	for _, shards := range []int{1, 2} {
+		p := ingest.NewPush(shards)
+		p.EnableReplay()
+		sess, err := StartPartitionedStream(p, Config{Dims: 1, Seed: 1}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Poll()
+		if err != nil {
+			t.Fatalf("%d shards: first poll: %v", shards, err)
+		}
+		if sess.Done() || len(res.Stats.PerShard) != shards || res.Shards == nil || len(res.Shards.PerShard) != shards {
+			t.Errorf("%d shards: first poll is not a live result over every shard (done %v): %+v", shards, sess.Done(), res.Stats)
+		}
+		ck, err := sess.Checkpoint()
+		if err != nil {
+			t.Fatalf("%d shards: first checkpoint: %v", shards, err)
+		}
+		if len(ck.Partitions) != shards {
+			t.Fatalf("%d shards: checkpoint has %d partitions", shards, len(ck.Partitions))
+		}
+		for _, po := range ck.Partitions {
+			if !po.Checkpointable || po.Offset != 0 {
+				t.Errorf("%d shards: first checkpoint entry %+v, want checkpointable at offset 0", shards, po)
+			}
+		}
+		perPart := make([][][]core.Point, shards)
+		for i := range perPart {
+			perPart[i] = chunk(d.Points[i*len(d.Points)/shards:(i+1)*len(d.Points)/shards], 500)
+		}
+		feedPush(t, p, perPart)
+		final, err := sess.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.Stats.Points != len(d.Points) {
+			t.Errorf("%d shards: final result has %d points, want %d", shards, final.Stats.Points, len(d.Points))
+		}
 	}
 }

@@ -3,9 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"macrobase/internal/classify"
 	"macrobase/internal/core"
@@ -18,7 +16,7 @@ import (
 // stream whose every point has been consumed equals the final result.
 type ShardedResult struct {
 	// Stats is the runner's account (core.StreamRunner.Stats; the final
-	// result adds Run's Ingest and Committed). Stats.Degraded reports
+	// result adds Wait's Ingest and Committed). Stats.Degraded reports
 	// that at least one shard worker died mid-run (a panic inside its
 	// operators) and was quarantined: the stream kept running and this
 	// result reflects the surviving shards only. Details are in
@@ -43,11 +41,12 @@ type ShardStatus struct {
 	Points int `json:"points"`
 	// Outliers is the number of points this shard labeled Outlier.
 	Outliers int `json:"outliers"`
-	// OutlierRate is Outliers over the points this shard classified,
-	// which are the points it took in.
+	// OutlierRate is Outliers over Points: a shard classifies every
+	// point it takes in.
 	OutlierRate float64 `json:"outlierRate"`
-	// Threshold is the shard classifier's current score cutoff (NaN
-	// for custom classifiers that expose none, +Inf during warmup).
+	// Threshold is the shard classifier's current score cutoff: +Inf
+	// during warmup, NaN for a quarantined shard (and for a test's fake
+	// classifier, which exposes none).
 	Threshold float64 `json:"threshold"`
 	// GlobalThreshold reports whether the cutoff came from cross-shard
 	// coordination rather than the shard's local percentile estimate.
@@ -181,16 +180,17 @@ func validateStreaming(cfg Config, shards int) error {
 	return nil
 }
 
-// newStreamRunner assembles the sharded runner over parts. NewShard runs
-// sequentially on the constructing goroutine before workers start, so
-// plain slice writes into explainers/classifiers are safe.
+// newStreamRunner assembles the sharded runner over parts. Start runs
+// NewShard for every shard, in order, on its caller's goroutine before
+// any worker touches a pipeline, so plain slice writes into
+// explainers/classifiers are safe.
 //
 // When coord is enabled the runner gets a ShardCoordinator that merges
 // per-shard score-quantile summaries into one global percentile cutoff
-// and pushes it back through classify.SetGlobalThreshold. Custom
-// classifiers that do not implement classify.ThresholdCoordinable
-// contribute nothing and receive nothing — their rounds merge zero
-// summaries and no-op.
+// and pushes it back through classify.SetGlobalThreshold. Every shard's
+// classifier is MDP's own, which does; only a test's fake classifier
+// implements no classify.ThresholdCoordinable, and it contributes and
+// receives nothing.
 func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, explainers []*explain.Streaming, classifiers []core.Classifier, coord *coordState) *core.StreamRunner {
 	r := &core.StreamRunner{
 		Partitioned: parts,
@@ -308,14 +308,14 @@ func newShardBreakdown(per []ShardStatus, coord *coordState, stats core.StreamSt
 // survivors' combinations are unaffected — the dead shard's share of
 // the answer is missing, not corrupted, which is what Degraded
 // signals. The rest are merged in place, so the caller must own them
-// outright: a poll's snapshot clones, or the replicas once Run has
+// outright: a poll's snapshot clones, or the replicas once Wait has
 // returned.
 func (s *StreamSession) newResult(stats core.StreamStats, views []shardView) *ShardedResult {
 	per := make([]ShardStatus, len(stats.PerShard))
 	for i, rs := range stats.PerShard {
 		per[i] = ShardStatus{Points: rs.Points, Outliers: rs.Outliers, Threshold: views[i].thr, GlobalThreshold: views[i].glob}
-		if rs.OutPoints > 0 {
-			per[i].OutlierRate = float64(rs.Outliers) / float64(rs.OutPoints)
+		if rs.Points > 0 {
+			per[i].OutlierRate = float64(rs.Outliers) / float64(rs.Points)
 		}
 	}
 	for _, f := range stats.ShardFailures {
@@ -365,8 +365,9 @@ func RunPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) 
 	return res, nil
 }
 
-// StreamSession is a long-lived sharded streaming query: Start launches
-// the engine over an (often unbounded) source, Poll merges per-shard
+// StreamSession is a long-lived sharded streaming query:
+// StartPartitionedStream launches the engine over an (often unbounded)
+// source and returns once the run is live, Poll merges per-shard
 // summaries into the current global explanation set without pausing
 // ingest, and Stop halts the stream and returns the final reconciled
 // result. It is the serving-layer form of the paper's streaming MDP —
@@ -374,7 +375,6 @@ func RunPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) 
 // explanations are always one Poll away.
 type StreamSession struct {
 	runner *core.StreamRunner
-	done   chan struct{}
 
 	// coord is the coordination view shared with the runner's merge
 	// closure; pollers read the last global cutoff from it.
@@ -386,7 +386,9 @@ type StreamSession struct {
 	// partition objects the runner reads (see core.PartitionedSource).
 	ckParts []core.CheckpointablePartition
 
-	mu    sync.Mutex
+	// done is closed once the goroutine that waits out the run has
+	// assembled final and err; neither is written after.
+	done  chan struct{}
 	final *ShardedResult
 	err   error
 }
@@ -395,16 +397,16 @@ type StreamSession struct {
 // classifier's threshold, read together. A live poll's view comes from
 // the snapshot hook, on the worker goroutine, with a clone of the
 // explainer, so the cutoff is consistent with the shard's own view at
-// snapshot time; the final result's is read off the replicas once Run
+// snapshot time; the final result's is read off the replicas once Wait
 // has returned.
 type shardView struct {
 	ex   *explain.Streaming
-	thr  float64 // NaN for a classifier that exposes no cutoff
+	thr  float64 // NaN for a test's fake classifier, which exposes no cutoff
 	glob bool
 }
 
 // viewOf reads one shard's view; the caller must be the goroutine that
-// owns the shard's operators (its worker, or any once Run has returned).
+// owns the shard's operators (its worker, or any once Wait has returned).
 func viewOf(ex *explain.Streaming, c core.Classifier) shardView {
 	v := shardView{ex: ex, thr: math.NaN()}
 	if tc, ok := c.(classify.ThresholdCoordinable); ok {
@@ -415,8 +417,10 @@ func viewOf(ex *explain.Streaming, c core.Classifier) shardView {
 
 // StartPartitionedStream launches a sharded streaming session over a
 // partitioned push source: one ingest goroutine per partition feeds
-// the shard workers directly. The session owns the source's
-// partitions until the stream terminates.
+// the shard workers directly. Every shard's operators are built before
+// it returns (core.StreamRunner.Start), so the session is live: its
+// first Poll and Checkpoint answer for the run. The session owns the
+// source's partitions until the stream terminates.
 func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) (*StreamSession, error) {
 	cfg = cfg.withDefaults()
 	if err := validateStreaming(cfg, shards); err != nil {
@@ -436,37 +440,37 @@ func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int
 	s.runner.SnapshotShard = func(shard int, pl core.ShardPipeline) any {
 		return viewOf(pl.Explainer.(*explain.Streaming).Clone(), pl.Classifier)
 	}
+	if err := s.runner.Start(); err != nil {
+		return nil, err
+	}
 	go func() {
 		defer close(s.done)
-		stats, err := s.runner.Run()
-		// Run has returned, so this goroutine owns the shard replicas, no
-		// worker will write to them again, and the in-place fold (inlier
-		// trees aliased) is safe.
+		stats, err := s.runner.Wait()
+		// Wait has returned, so this goroutine owns the shard replicas,
+		// no worker will write to them again, and the in-place fold
+		// (inlier trees aliased) is safe.
 		views := make([]shardView, shards)
 		for i := range views {
 			views[i] = viewOf(explainers[i], classifiers[i])
 		}
-		res := s.newResult(stats, views)
+		s.final = s.newResult(stats, views)
 		// Drop the runner's closure references (explainer replicas,
 		// source, config) so a session kept around for polling does not
 		// pin P shards of summary state. Post-done Poll/Stop only read
 		// s.final, and no goroutine reads these particular fields
-		// concurrently: Run has returned and Snapshot touches only
+		// concurrently: Wait has returned and Snapshot touches only
 		// SnapshotShard (left in place — its closure captures nothing).
 		s.runner.NewShard = nil
 		s.runner.Partitioned = nil
-		s.mu.Lock()
-		s.final = res
 		if err != core.ErrStopped {
 			s.err = err
 		}
-		s.mu.Unlock()
 	}()
 	return s, nil
 }
 
 // Done reports whether the stream has terminated (source exhausted,
-// stopped, or failed).
+// stopped, or failed) and its final result is ready.
 func (s *StreamSession) Done() bool {
 	select {
 	case <-s.done:
@@ -481,27 +485,18 @@ func (s *StreamSession) Done() bool {
 // taken on the shard workers between batches — or while a shard's
 // classifier refits its model, the one long stall inside a batch (see
 // core.Offloader) — and merged off to the side, without pausing
-// ingest; after termination it returns the final result. Every live
+// ingest; once the run is over it returns the final result. Every live
 // poll is one full recompute over clones it owns: concurrent polls
 // share nothing, so none waits on another's merge.
 func (s *StreamSession) Poll() (*ShardedResult, error) {
-	for !s.Done() {
-		snaps, err := s.runner.Snapshot()
-		if err == nil {
-			return s.livePoll(snaps), nil
-		}
-		if err != core.ErrNotStreaming {
-			return nil, err
-		}
-		// ErrNotStreaming means the run either has not reached its
-		// steady state yet or just terminated; wait a beat and let the
-		// Done check distinguish the two.
-		select {
-		case <-s.done:
-		case <-time.After(200 * time.Microsecond):
-		}
+	snaps, err := s.runner.Snapshot()
+	if err == core.ErrNotStreaming {
+		return s.Wait()
 	}
-	return s.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return s.livePoll(snaps), nil
 }
 
 // livePoll builds the live result from one snapshot round — fresh
@@ -530,7 +525,5 @@ func (s *StreamSession) Stop() (*ShardedResult, error) {
 // error, as Stop does, without asking the stream to stop.
 func (s *StreamSession) Wait() (*ShardedResult, error) {
 	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.final, s.err
 }

@@ -29,7 +29,6 @@ func sequentialEWS(cfg Config, shard, shards int, batches [][]core.Point) (core.
 	since := 0
 	for _, b := range batches {
 		stats.Points += len(b)
-		stats.OutPoints += len(b)
 		labels = pl.Classifier.ClassifyBatch(labels[:0], b)
 		for i := range labels {
 			if labels[i].Label == core.Outlier {

@@ -7,8 +7,9 @@ import (
 
 // JSON marshaling for the skew-breakdown types. ShardStatus.Threshold
 // and ShardBreakdown.GlobalCutoff legitimately hold NaN (no value: a
-// custom classifier exposing no cutoff, no coordination round yet) and
-// +Inf (warmup), both of which encoding/json rejects outright. Every
+// quarantined shard, a test's fake classifier exposing no cutoff, or
+// no coordination round yet) and +Inf (warmup), both of which
+// encoding/json rejects outright. Every
 // consumer that serializes a breakdown, such as mbserver's poll and
 // stop responses, would otherwise need its own scrubbing pass, and the
 // ones that forgot got a runtime "json: unsupported value: NaN".

@@ -91,6 +91,41 @@ func TestMAD(t *testing.T) {
 	}
 }
 
+// TestFitMADFallbackSumsInInputOrder: a majority value zeroes the MAD,
+// so the scale is the mean absolute deviation, and it is summed over xs
+// in xs's own order, whatever order work holds or the selection leaves
+// it in. The sample is one where the order shows in the last bits: the
+// two unit deviations survive when they precede 1e16, as in xs, and
+// vanish when they follow it, as the selection leaves the first work
+// slice.
+func TestFitMADFallbackSumsInInputOrder(t *testing.T) {
+	xs := []float64{1, 1, 1e16, 0, 0, 0, 0, 0, 0, 0}
+	meanDev := func(devs ...float64) float64 {
+		sum := 0.0
+		for _, d := range devs {
+			sum += d
+		}
+		return sum / float64(len(xs)) * 1.2533
+	}
+	want := meanDev(1, 1, 1e16)
+	for _, work := range [][]float64{
+		{0, 0, 0, 0, 0, 0, 0, 1e16, 1, 1},
+		{1e16, 1, 1, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		med, scale := FitMAD(xs, work)
+		if med != 0 || scale != want {
+			t.Errorf("FitMAD = (%v, %v), want (0, %v)", med, scale, want)
+		}
+	}
+	if meanDev(1e16, 1, 1) == want {
+		t.Fatal("the sample does not tell the two summation orders apart")
+	}
+	// Off the fallback the scale is the consistency-scaled MAD.
+	if med, scale := FitMAD([]float64{1, 3, 4, 5, 7}, []float64{7, 5, 4, 3, 1}); med != 4 || scale != MADConsistency {
+		t.Errorf("FitMAD = (%v, %v), want (4, %v)", med, scale, MADConsistency)
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	cases := []struct{ q, want float64 }{

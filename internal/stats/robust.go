@@ -13,6 +13,27 @@ type RunningMAD struct {
 	buf    []float64
 }
 
+// FitMAD is the univariate robust fit (paper §4.1): the median of xs
+// and its consistency-scaled MAD. work must hold xs's values, in any
+// order; the fit permutes it, and xs is not disturbed. When more than
+// half the sample shares one value the MAD is zero, and the scale falls
+// back to the consistency-scaled mean absolute deviation from the
+// median, summed over xs in its own order, so quantized streams (e.g.
+// optical-flow magnitudes) still score sensibly instead of collapsing
+// to 0-or-infinity.
+func FitMAD(xs, work []float64) (median, scale float64) {
+	median, mad := MAD(work)
+	scale = mad * MADConsistency
+	if scale == 0 {
+		sum := 0.0
+		for _, v := range xs {
+			sum += math.Abs(v - median)
+		}
+		scale = sum / float64(len(xs)) * 1.2533 // consistency for mean |dev|
+	}
+	return median, scale
+}
+
 // Fit refits the model on xs (copied; xs is not disturbed). Samples
 // smaller than 3 leave the model not ready.
 func (m *RunningMAD) Fit(xs []float64) {
@@ -21,18 +42,7 @@ func (m *RunningMAD) Fit(xs []float64) {
 		return
 	}
 	m.buf = append(m.buf[:0], xs...)
-	med, mad := MAD(m.buf)
-	m.median = med
-	m.scale = mad * MADConsistency
-	if m.scale == 0 {
-		// Fallback for samples where a majority value zeroes the
-		// MAD: use the (consistency-scaled) mean absolute deviation.
-		sum := 0.0
-		for _, v := range xs {
-			sum += math.Abs(v - med)
-		}
-		m.scale = sum / float64(len(xs)) * 1.2533
-	}
+	m.median, m.scale = FitMAD(xs, m.buf)
 	m.ready = true
 }
 
