@@ -20,9 +20,11 @@
 // hash-partition batches by attribute set across P shard workers over
 // bounded channels; each shard owns its own classifier and explainer
 // replicas and local decay clock, so one shard is exactly the paper's
-// EWS pipeline over its hash partition. Transforms and a caller's own
-// classifier (pipeline.Config.Transforms and Classifier) are one-shot
-// settings, and a streaming session rejects a config that sets either.
+// EWS pipeline over its hash partition. The pipeline runs MDP and
+// nothing else, in one-shot and streaming mode alike: a custom stage,
+// such as a feature transform (transform.STFT) or a hybrid classifier
+// (classify.HybridOr), is code its caller runs before or instead of
+// MDP, as examples/electricity and examples/telematics do.
 // Per-shard streaming summaries (AMC sketches, M-CPS-trees) are
 // mergeable in the mergeable-summaries sense — merged error bounds
 // sum — and a merge stage reconciles them into one globally ranked

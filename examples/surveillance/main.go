@@ -1,9 +1,9 @@
 // Surveillance: the video case study of paper §6.4 (CAVIAR analog).
 //
-// Synthetic grayscale frames flow through a custom feature transform
+// Synthetic grayscale frames go through a custom feature transform
 // that computes the mean optical-flow magnitude between consecutive
 // frames (block matching standing in for OpenCV's optical flow); the
-// remainder is the standard MDP:
+// example runs it itself and hands its output to the standard MDP:
 //
 //	video ingest -> mean optical flow -> MAD -> %ile -> explain
 //
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 
-	"macrobase/internal/core"
 	"macrobase/internal/gen"
 	"macrobase/internal/pipeline"
 	"macrobase/internal/transform"
@@ -29,13 +28,12 @@ import (
 func main() {
 	enc, frames, burst := gen.Video(gen.VideoConfig{Frames: 900, BurstStart: 600, BurstLen: 30, Seed: 13})
 
-	flow := transform.NewFlow(64, 48)
-	res, err := pipeline.RunOneShot(frames, pipeline.Config{
+	flows := transform.Flow{Width: 64, Height: 48}.Apply(frames)
+	res, err := pipeline.RunOneShot(flows, pipeline.Config{
 		Dims:         1,
 		Percentile:   0.97,
 		MinSupport:   0.1,
 		MinRiskRatio: 3,
-		Transforms:   []core.Transformer{flow},
 		Seed:         17,
 	})
 	if err != nil {
@@ -44,7 +42,7 @@ func main() {
 
 	enc.Decorate(res.Explanations)
 	fmt.Printf("frames=%d flow points=%d outlying=%d\n\n",
-		res.Stats.Points, res.OutPoints, res.Stats.Outliers)
+		len(frames), len(flows), res.Stats.Outliers)
 	fmt.Println("flagged intervals:")
 	for i, e := range res.Explanations {
 		if i >= 6 {

@@ -1,8 +1,9 @@
 // Telematics: the hybrid-supervision case study of paper §6.4.
 //
 // CMT-like trip records carry unsupervised metrics (trip time, battery
-// drain) plus an externally produced trip-quality score. The pipeline
-// ORs two classifiers:
+// drain) plus an externally produced trip-quality score. The example
+// composes the operators itself: it ORs two classifiers and hands the
+// labeled trips to the batch explainer:
 //
 //	ingest -> MCD(trip_time, battery) --\
 //	                                     >- logical OR -> percentile/rule -> explain
@@ -23,8 +24,8 @@ import (
 
 	"macrobase/internal/classify"
 	"macrobase/internal/core"
+	"macrobase/internal/explain"
 	"macrobase/internal/gen"
-	"macrobase/internal/pipeline"
 )
 
 func main() {
@@ -49,20 +50,18 @@ func main() {
 	}
 
 	hybrid := classify.NewHybridOr(unsupervised, rule)
-	res, err := pipeline.RunOneShot(pts, pipeline.Config{
-		Dims:       3,
-		MinSupport: 0.02,
-		Classifier: hybrid,
-		Seed:       5,
-	})
-	if err != nil {
-		panic(err)
+	labeled := hybrid.ClassifyBatch(nil, pts)
+	flagged := 0
+	for i := range labeled {
+		if labeled[i].Label == core.Outlier {
+			flagged++
+		}
 	}
+	exps := explain.ExplainBatch(labeled, explain.BatchConfig{MinSupport: 0.02})
 
-	enc.Decorate(res.Explanations)
-	fmt.Printf("trips=%d flagged=%d explanations=%d\n\n",
-		res.Stats.Points, res.Stats.Outliers, len(res.Explanations))
-	for i, e := range res.Explanations {
+	enc.Decorate(exps)
+	fmt.Printf("trips=%d flagged=%d explanations=%d\n\n", len(pts), flagged, len(exps))
+	for i, e := range exps {
 		if i >= 10 {
 			break
 		}

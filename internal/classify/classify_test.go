@@ -232,7 +232,6 @@ func TestRuleAndHybrid(t *testing.T) {
 	if merged[1].Score != 1 {
 		t.Errorf("hybrid score = %v, want max member score", merged[1].Score)
 	}
-	hybrid.Decay() // no decayable members; must not panic
 }
 
 func TestStreamingDriftCorrection(t *testing.T) {

@@ -62,14 +62,5 @@ func (h *HybridOr) ClassifyBatch(dst []core.LabeledPoint, batch []core.Point) []
 	return dst
 }
 
-// Decay implements core.Decayable by forwarding to decayable members.
-func (h *HybridOr) Decay() {
-	for _, m := range h.Members {
-		if d, ok := m.(core.Decayable); ok {
-			d.Decay()
-		}
-	}
-}
-
 var _ core.Classifier = (*Rule)(nil)
 var _ core.Classifier = (*HybridOr)(nil)

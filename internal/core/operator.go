@@ -10,24 +10,6 @@ import (
 // readers can return their error unchanged.
 var ErrEndOfStream = io.EOF
 
-// Transformer maps a stream of points to a stream of points
-// (stream<Point> -> stream<Point>). Implementations append their
-// output to dst and return the extended slice. A transformer may
-// buffer internally (e.g. windowing) and emit fewer or more points
-// than it consumed. Transformers run in one-shot mode only: a
-// streaming shard is its classifier and explainer.
-type Transformer interface {
-	Transform(dst []Point, batch []Point) []Point
-}
-
-// FlushingTransformer is implemented by transformers that buffer
-// points (windows, group-bys). Flush appends any residual output
-// after the source is exhausted.
-type FlushingTransformer interface {
-	Transformer
-	Flush(dst []Point) []Point
-}
-
 // Classifier labels each point according to its metrics
 // (stream<Point> -> stream<(label, Point)>). ClassifyBatch appends one
 // LabeledPoint per input point to dst and returns the extended slice.

@@ -5,13 +5,15 @@
 //
 // A pipeline has the shape
 //
-//	Ingestor -> [Transformer ...] -> Classifier -> Explainer
+//	Ingestor -> Classifier -> Explainer
 //
-// where every stage exchanges batches of Points. Transformers run in
-// one-shot mode, over the whole stored input at once. StreamRunner
-// drives every streaming pipeline, over stored data and live streams
-// alike: its shard workers push batches through the classifier and the
-// explainer and schedule periodic decay of the adaptive ones.
+// where every stage exchanges batches of Points. A custom stage, such
+// as a feature transform or a hybrid classifier, is code its caller
+// runs before or instead of MDP's own operators, over the stored input
+// of a one-shot query. StreamRunner drives every streaming pipeline,
+// over stored data and live streams alike: its shard workers push
+// batches through the classifier and the explainer and schedule
+// periodic decay of the adaptive ones.
 package core
 
 import "fmt"
@@ -30,8 +32,8 @@ type Point struct {
 	// Attrs holds encoded attribute-value identifiers (e.g. the id
 	// for device_id=5052). Order is not significant.
 	Attrs []int32
-	// Time is the event time in seconds. It is used by windowing
-	// transformers; batch sources may leave it zero.
+	// Time is the event time in seconds. Windowing feature transforms
+	// (transform.STFT) read it; batch sources may leave it zero.
 	Time float64
 }
 

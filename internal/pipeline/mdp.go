@@ -18,9 +18,8 @@ import (
 // 3, ADR/AMC sizes of 10K, decay 0.01 every 100K points. The
 // streaming runner reads batches of 4096 points.
 type Config struct {
-	// Dims is the number of metric dimensions after transformation
-	// (required). One metric selects MAD, several select MCD
-	// (paper §4.1).
+	// Dims is the number of metric dimensions (required). One metric
+	// selects MAD, several select MCD (paper §4.1).
 	Dims int
 	// Percentile is the outlier score cutoff quantile (default
 	// 0.99).
@@ -46,16 +45,6 @@ type Config struct {
 	// at most this many points (0 = full data; Figure 9 studies
 	// this).
 	TrainSampleSize int
-	// Transforms are optional feature-transformation stages applied
-	// before classification (paper §3.2 stage 2). One-shot only: a
-	// streaming session rejects a config that sets them.
-	Transforms []core.Transformer
-	// Classifier, when non-nil, replaces the default MDP classifier
-	// (e.g. the hybrid-supervision pipeline of §6.4). One-shot only: a
-	// streaming session rejects a config that sets it. Otherwise the
-	// model is classify.AutoTrainer's, MAD for one metric and MCD for
-	// several, in one-shot and streaming mode alike.
-	Classifier core.Classifier
 	// CoordinateEvery is the cross-shard coordinator's cadence in
 	// ingested points (default 25_000; core.StreamRunner.CoordinateEvery).
 	// Every so many points the coordinator runs one pass: it collects
@@ -142,10 +131,6 @@ func (c Config) withDefaults() Config {
 // Result is one query execution's output.
 type Result struct {
 	Stats core.RunStats
-	// OutPoints is the number of points that reached the classifier:
-	// what the one-shot transforms emit, and every point in streaming
-	// mode, which has no transforms.
-	OutPoints int
 	// Explanations are ranked by risk ratio (explain.Rank order).
 	// They carry encoded item ids; decorate with the encoder before
 	// presentation.
@@ -163,20 +148,22 @@ func RunStreaming(src core.PartitionedSource, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Stats: res.Stats.RunStats, OutPoints: res.Stats.Points, Explanations: res.Explanations}, nil
+	return &Result{Stats: res.Stats.RunStats, Explanations: res.Explanations}, nil
 }
 
 // RunOneShot executes MDP in one-shot batch mode over stored points
-// (paper §3.2 "one-shot queries"): transforms are applied in a single
-// streaming pass, the model is trained once over the transformed data
+// (paper §3.2 "one-shot queries"): the model (classify.AutoTrainer's,
+// MAD for one metric and MCD for several) is trained once over the data
 // (optionally a sample), every point is scored, the threshold is the
 // configured percentile of the observed scores, and the batch
-// explainer (Algorithm 2) summarizes the labeled set.
+// explainer (Algorithm 2) summarizes the labeled set. A custom stage is
+// code its caller runs: a feature transform (transform.STFT,
+// transform.Flow) runs over pts before RunOneShot, and a custom
+// classifier (classify.HybridOr) labels the points in place of
+// RunOneShot, its output going to explain.ExplainBatch.
 func RunOneShot(pts []core.Point, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	transformed := applyTransforms(pts, cfg)
-
-	labeled, err := classifyOneShot(transformed, cfg)
+	labeled, err := ClassifyOneShot(pts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +178,7 @@ func RunOneShot(pts []core.Point, cfg Config) (*Result, error) {
 		MinRiskRatio: cfg.MinRiskRatio,
 		Confidence:   cfg.Confidence,
 	})
-	return &Result{Stats: stats, OutPoints: len(transformed), Explanations: exps}, nil
+	return &Result{Stats: stats, Explanations: exps}, nil
 }
 
 // ClassifyOneShot exposes the one-shot classify stage without
@@ -199,25 +186,6 @@ func RunOneShot(pts []core.Point, cfg Config) (*Result, error) {
 // (e.g. Table 2's "without explanation" columns).
 func ClassifyOneShot(pts []core.Point, cfg Config) ([]core.LabeledPoint, error) {
 	cfg = cfg.withDefaults()
-	return classifyOneShot(applyTransforms(pts, cfg), cfg)
-}
-
-func applyTransforms(pts []core.Point, cfg Config) []core.Point {
-	cur := pts
-	for _, t := range cfg.Transforms {
-		next := t.Transform(nil, cur)
-		if ft, ok := t.(core.FlushingTransformer); ok {
-			next = ft.Flush(next)
-		}
-		cur = next
-	}
-	return cur
-}
-
-func classifyOneShot(pts []core.Point, cfg Config) ([]core.LabeledPoint, error) {
-	if cfg.Classifier != nil {
-		return cfg.Classifier.ClassifyBatch(nil, pts), nil
-	}
 	fitted, _, err := classify.FitBatch(pts, classify.AutoTrainer(cfg.Dims, cfg.Seed), classify.FitBatchConfig{
 		Percentile:      cfg.Percentile,
 		TrainSampleSize: cfg.TrainSampleSize,

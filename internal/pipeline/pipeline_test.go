@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"macrobase/internal/classify"
 	"macrobase/internal/core"
 	"macrobase/internal/explain"
 	"macrobase/internal/gen"
@@ -112,66 +111,6 @@ func TestOneShotMultiMetricUsesMCD(t *testing.T) {
 	if f1 < 0.9 {
 		t.Errorf("MCD one-shot F1 = %.3f", f1)
 	}
-}
-
-func TestHybridSupervisionPipeline(t *testing.T) {
-	// The §6.4 CMT hybrid pipeline: MCD over (trip_time, battery) OR
-	// a rule over the quality score. The rule-only issue (bad app
-	// version) must be surfaced even though its metrics are normal.
-	enc, pts, badDevice, badVersion := gen.Trips(gen.TripsConfig{Trips: 60_000, Seed: 11})
-	_ = enc
-
-	// Project the metric layout for the MCD path: it must not see
-	// the supervised quality dimension.
-	mcdOnly := make([]core.Point, len(pts))
-	for i, p := range pts {
-		mcdOnly[i] = core.Point{Metrics: p.Metrics[:2], Attrs: p.Attrs, Time: p.Time}
-	}
-	fitted, _, err := classify.FitBatch(mcdOnly, classify.AutoTrainer(2, 12), classify.FitBatchConfig{Percentile: 0.99, TrainSampleSize: 5000, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcdAdapter := &projectingClassifier{inner: fitted, dims: 2}
-	rule := &classify.Rule{
-		Name:    "low-quality-score",
-		Outlier: func(p *core.Point) bool { return p.Metrics[2] < 40 },
-	}
-	hybrid := classify.NewHybridOr(mcdAdapter, rule)
-
-	res, err := RunOneShot(pts, Config{Dims: 3, MinSupport: 0.02, Classifier: hybrid, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := recovered(res.Explanations)
-	if !got[badDevice] {
-		t.Error("hybrid pipeline missed the battery-problem device (MCD path)")
-	}
-	if !got[badVersion] {
-		t.Error("hybrid pipeline missed the low-quality version (rule path)")
-	}
-}
-
-// projectingClassifier scores only the first dims metrics, so an
-// unsupervised model can ignore supervised diagnostic dimensions.
-type projectingClassifier struct {
-	inner core.Classifier
-	dims  int
-	buf   []core.Point
-}
-
-func (p *projectingClassifier) ClassifyBatch(dst []core.LabeledPoint, batch []core.Point) []core.LabeledPoint {
-	p.buf = p.buf[:0]
-	for i := range batch {
-		q := batch[i]
-		q.Metrics = q.Metrics[:p.dims]
-		p.buf = append(p.buf, q)
-	}
-	out := p.inner.ClassifyBatch(dst, p.buf)
-	// Restore full points so downstream stages see original metrics.
-	for i := range out {
-		out[i].Point = batch[i]
-	}
-	return out
 }
 
 // TestDisableKnobsAreTheTwoThatChangeAnswers guards the config layers

@@ -167,15 +167,11 @@ func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 	return pl
 }
 
-// validateStreaming rejects configurations a streaming session cannot
-// run: a shard is MDP's own streaming classifier and explainer, so
-// the one-shot settings Classifier and Transforms have no place in it.
-func validateStreaming(cfg Config, shards int) error {
+// validateStreaming rejects a shard count a streaming session cannot
+// run.
+func validateStreaming(shards int) error {
 	if shards <= 0 {
 		return fmt.Errorf("pipeline: shards must be positive")
-	}
-	if cfg.Classifier != nil || len(cfg.Transforms) > 0 {
-		return fmt.Errorf("pipeline: Classifier and Transforms are one-shot settings; a streaming shard runs MDP's own classifier and explainer")
 	}
 	return nil
 }
@@ -423,7 +419,7 @@ func viewOf(ex *explain.Streaming, c core.Classifier) shardView {
 // source's partitions until the stream terminates.
 func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) (*StreamSession, error) {
 	cfg = cfg.withDefaults()
-	if err := validateStreaming(cfg, shards); err != nil {
+	if err := validateStreaming(shards); err != nil {
 		return nil, err
 	}
 	s := &StreamSession{done: make(chan struct{})}

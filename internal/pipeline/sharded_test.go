@@ -14,7 +14,6 @@ import (
 	"macrobase/internal/explain"
 	"macrobase/internal/gen"
 	"macrobase/internal/ingest"
-	"macrobase/internal/transform"
 )
 
 // sequentialEWS is the test oracle for streaming execution: one shard's
@@ -201,10 +200,8 @@ func TestShardedStreamRecoversPlantedDevices(t *testing.T) {
 	}
 }
 
-// TestShardedStreamValidation covers the configurations streaming
-// execution must reject: no shard count, and the one-shot settings
-// Classifier and Transforms on any shard count, through the session
-// entry point and RunStreaming alike.
+// TestShardedStreamValidation covers the shard counts streaming
+// execution must reject, through the batch and session entry points.
 func TestShardedStreamValidation(t *testing.T) {
 	src := core.NewSliceSource(nil)
 	if _, err := RunPartitionedStream(src, Config{Dims: 1}, 0); err == nil {
@@ -212,25 +209,6 @@ func TestShardedStreamValidation(t *testing.T) {
 	}
 	if _, err := StartPartitionedStream(src, Config{Dims: 1}, -1); err == nil {
 		t.Error("session with negative shards accepted")
-	}
-	for _, set := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"Classifier", Config{Dims: 1, Classifier: &projectingClassifier{}}},
-		{"Transforms", Config{Dims: 1, Transforms: []core.Transformer{transform.NewSTFT(0, 0, 1, 4)}}},
-	} {
-		for _, shards := range []int{1, 2} {
-			if _, err := StartPartitionedStream(src, set.cfg, shards); err == nil {
-				t.Errorf("%s accepted by a %d-shard session", set.name, shards)
-			}
-			if shards > 1 {
-				continue
-			}
-			if _, err := RunStreaming(src, set.cfg); err == nil {
-				t.Errorf("%s accepted by RunStreaming", set.name)
-			}
-		}
 	}
 }
 

@@ -15,61 +15,41 @@ import (
 // CPU-bound stand-in that preserves the pipeline shape (flow magnitude
 // spikes exactly when scene motion spikes).
 type Flow struct {
+	// Width and Height are the frame dimensions (positive).
 	Width, Height int
-	// Block is the matching block size in pixels (default 8).
-	Block int
-	// Search is the displacement search radius (default 3).
-	Search int
-
-	prev []float64
-	have bool
 }
 
-// NewFlow returns a flow transformer for Width x Height frames.
-func NewFlow(width, height int) *Flow {
-	if width <= 0 || height <= 0 {
+// Apply returns one point per consecutive pair of frames, carrying the
+// later frame's attributes and time; the first frame produces no
+// output. A point whose metrics are not Width x Height values is not a
+// frame and is dropped.
+func (f Flow) Apply(frames []core.Point) []core.Point {
+	if f.Width <= 0 || f.Height <= 0 {
 		panic("transform: frame dimensions must be positive")
 	}
-	return &Flow{Width: width, Height: height, Block: 8, Search: 3}
-}
-
-// Transform implements core.Transformer. The first frame produces no
-// output; each later frame yields one point carrying the later frame's
-// attributes and time.
-func (f *Flow) Transform(dst []core.Point, batch []core.Point) []core.Point {
-	for i := range batch {
-		p := &batch[i]
-		frame := p.Metrics
-		if len(frame) != f.Width*f.Height {
-			continue // malformed frame; drop
+	var out []core.Point
+	var prev []float64
+	for i := range frames {
+		p := &frames[i]
+		if len(p.Metrics) != f.Width*f.Height {
+			continue
 		}
-		if f.have {
-			mag := BlockFlow(f.prev, frame, f.Width, f.Height, f.Block, f.Search)
-			attrs := make([]int32, len(p.Attrs))
-			copy(attrs, p.Attrs)
-			dst = append(dst, core.Point{Metrics: []float64{mag}, Attrs: attrs, Time: p.Time})
+		if prev != nil {
+			mag := BlockFlow(prev, p.Metrics, f.Width, f.Height)
+			out = append(out, core.Point{Metrics: []float64{mag}, Attrs: append([]int32{}, p.Attrs...), Time: p.Time})
 		}
-		if f.prev == nil {
-			f.prev = make([]float64, len(frame))
-		}
-		copy(f.prev, frame)
-		f.have = true
+		prev = p.Metrics
 	}
-	return dst
+	return out
 }
 
 // BlockFlow estimates the mean motion magnitude between two frames by
-// exhaustive block matching: each block x block tile of cur is
-// searched in prev within +/- search pixels for the displacement
-// minimizing the sum of absolute differences; the mean displacement
-// magnitude over all tiles is returned.
-func BlockFlow(prev, cur []float64, width, height, block, search int) float64 {
-	if block <= 0 {
-		block = 8
-	}
-	if search <= 0 {
-		search = 3
-	}
+// exhaustive block matching: each 8x8 tile of cur is searched in prev
+// within +/- 3 pixels for the displacement minimizing the sum of
+// absolute differences; the mean displacement magnitude over all tiles
+// is returned.
+func BlockFlow(prev, cur []float64, width, height int) float64 {
+	const block, search = 8, 3 // tile size and search radius, in pixels
 	totalMag := 0.0
 	blocks := 0
 	for by := 0; by+block <= height; by += block {
@@ -110,5 +90,3 @@ func BlockFlow(prev, cur []float64, width, height, block, search int) float64 {
 	}
 	return totalMag / float64(blocks)
 }
-
-var _ core.Transformer = (*Flow)(nil)

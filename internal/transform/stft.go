@@ -5,8 +5,8 @@ import "macrobase/internal/core"
 // STFT is the grouped short-time Fourier transform of the paper's
 // electricity case study (§6.4): the stream is partitioned by a group
 // attribute, each group is windowed into fixed-duration intervals, and
-// each completed window is emitted as one point whose metrics are the
-// lowest Coeffs Fourier magnitudes of the (Hann-tapered) samples.
+// each window is emitted as one point whose metrics are the lowest
+// Coeffs Fourier magnitudes of the Hann-tapered samples.
 //
 // Attrs of the emitted point are produced by AttrsFor, which lets the
 // caller attach encoded window attributes (hour of day, day of week,
@@ -17,92 +17,69 @@ type STFT struct {
 	GroupAttr int
 	// MetricDim is the metric to transform.
 	MetricDim int
-	// WindowSec is the window length in event-time seconds.
+	// WindowSec is the window length in event-time seconds (positive).
 	WindowSec float64
-	// Coeffs is the number of output Fourier magnitudes.
+	// Coeffs is the number of output Fourier magnitudes (positive).
 	Coeffs int
-	// Hann, when true, applies a Hann taper before the transform.
-	Hann bool
 	// AttrsFor produces the emitted point's encoded attributes from
 	// the group value and the window start time. Nil copies the
-	// first input point's attributes.
+	// window's first input point's attributes.
 	AttrsFor func(group int32, windowStart float64) []int32
-
-	groups map[int32]*stftState
 }
 
-type stftState struct {
+// stftWindow is one group's open window.
+type stftWindow struct {
 	start   float64
-	active  bool
 	samples []float64
 	attrs   []int32
 }
 
-// NewSTFT returns a grouped STFT transformer.
-func NewSTFT(groupAttr, metricDim int, windowSec float64, coeffs int) *STFT {
-	if windowSec <= 0 {
+// Apply windows pts and returns one point per window. A group's window
+// is emitted when a later point of the group falls past its end; the
+// windows still open at the end of pts follow, in the order their
+// groups first appear in pts, so the output is a function of pts.
+func (s STFT) Apply(pts []core.Point) []core.Point {
+	if s.WindowSec <= 0 {
 		panic("transform: STFT window must be positive")
 	}
-	if coeffs <= 0 {
+	if s.Coeffs <= 0 {
 		panic("transform: STFT must emit at least one coefficient")
 	}
-	return &STFT{
-		GroupAttr: groupAttr,
-		MetricDim: metricDim,
-		WindowSec: windowSec,
-		Coeffs:    coeffs,
-		Hann:      true,
-		groups:    make(map[int32]*stftState),
-	}
-}
-
-// Transform implements core.Transformer.
-func (s *STFT) Transform(dst []core.Point, batch []core.Point) []core.Point {
-	for i := range batch {
-		p := &batch[i]
+	groups := make(map[int32]*stftWindow)
+	var order []int32
+	var out []core.Point
+	for i := range pts {
+		p := &pts[i]
 		key := int32(-1)
 		if s.GroupAttr >= 0 && s.GroupAttr < len(p.Attrs) {
 			key = p.Attrs[s.GroupAttr]
 		}
-		g := s.groups[key]
-		if g == nil {
-			g = &stftState{}
-			s.groups[key] = g
+		w := groups[key]
+		if w == nil {
+			w = &stftWindow{}
+			groups[key] = w
+			order = append(order, key)
+		} else if p.Time >= w.start+s.WindowSec {
+			out = append(out, s.emit(key, w))
+			w.samples = w.samples[:0]
 		}
-		if g.active && p.Time >= g.start+s.WindowSec {
-			dst = append(dst, s.emit(key, g))
+		if len(w.samples) == 0 {
+			w.start = p.Time - mod(p.Time, s.WindowSec)
+			w.attrs = p.Attrs
 		}
-		if !g.active {
-			g.active = true
-			g.start = p.Time - mod(p.Time, s.WindowSec)
-			g.samples = g.samples[:0]
-			g.attrs = append(g.attrs[:0], p.Attrs...)
-		}
-		g.samples = append(g.samples, p.Metrics[s.MetricDim])
+		w.samples = append(w.samples, p.Metrics[s.MetricDim])
 	}
-	return dst
+	for _, key := range order {
+		out = append(out, s.emit(key, groups[key]))
+	}
+	return out
 }
 
-// Flush implements core.FlushingTransformer.
-func (s *STFT) Flush(dst []core.Point) []core.Point {
-	for key, g := range s.groups {
-		if g.active && len(g.samples) > 0 {
-			dst = append(dst, s.emit(key, g))
-		}
-	}
-	return dst
-}
-
-// emit transforms one completed window into an output point.
-func (s *STFT) emit(group int32, g *stftState) core.Point {
-	samples := g.samples
-	if s.Hann {
-		tapered := make([]float64, len(samples))
-		copy(tapered, samples)
-		HannWindow(tapered)
-		samples = tapered
-	}
-	metrics := SpectrumMagnitudes(samples, s.Coeffs)
+// emit transforms one window into an output point. It tapers the
+// window's samples in place.
+func (s STFT) emit(group int32, w *stftWindow) core.Point {
+	HannWindow(w.samples)
+	metrics := SpectrumMagnitudes(w.samples, s.Coeffs)
 	// Pad to a fixed arity so downstream MCD sees constant dims even
 	// for short windows.
 	for len(metrics) < s.Coeffs {
@@ -110,17 +87,12 @@ func (s *STFT) emit(group int32, g *stftState) core.Point {
 	}
 	var attrs []int32
 	if s.AttrsFor != nil {
-		attrs = s.AttrsFor(group, g.start)
+		attrs = s.AttrsFor(group, w.start)
 	} else {
-		attrs = make([]int32, len(g.attrs))
-		copy(attrs, g.attrs)
+		attrs = append([]int32{}, w.attrs...)
 	}
-	p := core.Point{Metrics: metrics, Attrs: attrs, Time: g.start}
-	g.active = false
-	return p
+	return core.Point{Metrics: metrics, Attrs: attrs, Time: w.start}
 }
-
-var _ core.FlushingTransformer = (*STFT)(nil)
 
 // mod is x modulo m, in [0, m) for positive m.
 func mod(x, m float64) float64 {

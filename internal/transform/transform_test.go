@@ -3,9 +3,11 @@ package transform
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"macrobase/internal/core"
+	"macrobase/internal/gen"
 )
 
 func TestFFTMatchesDFT(t *testing.T) {
@@ -62,8 +64,7 @@ func TestSpectrumDetectsFrequency(t *testing.T) {
 }
 
 func TestSTFTEmitsPerWindow(t *testing.T) {
-	s := NewSTFT(-1, 0, 64, 8)
-	s.Hann = false
+	s := STFT{GroupAttr: -1, MetricDim: 0, WindowSec: 64, Coeffs: 8}
 	var batch []core.Point
 	// Two windows of a tone with different frequencies.
 	for i := 0; i < 128; i++ {
@@ -76,8 +77,7 @@ func TestSTFTEmitsPerWindow(t *testing.T) {
 			Time:    float64(i),
 		})
 	}
-	out := s.Transform(nil, batch)
-	out = s.Flush(out)
+	out := s.Apply(batch)
 	if len(out) != 2 {
 		t.Fatalf("emitted %d windows, want 2", len(out))
 	}
@@ -92,16 +92,14 @@ func TestSTFTEmitsPerWindow(t *testing.T) {
 }
 
 func TestSTFTGroupsAndAttrs(t *testing.T) {
-	s := NewSTFT(0, 0, 10, 4)
-	s.AttrsFor = func(group int32, start float64) []int32 {
+	s := STFT{GroupAttr: 0, MetricDim: 0, WindowSec: 10, Coeffs: 4, AttrsFor: func(group int32, start float64) []int32 {
 		return []int32{group, int32(start)}
-	}
+	}}
 	var batch []core.Point
 	for i := 0; i < 20; i++ {
 		batch = append(batch, core.Point{Metrics: []float64{1}, Attrs: []int32{9}, Time: float64(i)})
 	}
-	out := s.Transform(nil, batch)
-	out = s.Flush(out)
+	out := s.Apply(batch)
 	if len(out) != 2 {
 		t.Fatalf("emitted %d, want 2", len(out))
 	}
@@ -117,7 +115,7 @@ func TestBlockFlowStaticVsShifted(t *testing.T) {
 	for i := range frame {
 		frame[i] = rng.Float64() * 255
 	}
-	if mag := BlockFlow(frame, frame, w, h, 8, 3); mag != 0 {
+	if mag := BlockFlow(frame, frame, w, h); mag != 0 {
 		t.Errorf("static flow = %v, want 0", mag)
 	}
 	// Shift the frame 2 pixels right: flow magnitude ~2.
@@ -131,15 +129,15 @@ func TestBlockFlowStaticVsShifted(t *testing.T) {
 			shifted[y*w+x] = frame[y*w+sx]
 		}
 	}
-	mag := BlockFlow(frame, shifted, w, h, 8, 3)
+	mag := BlockFlow(frame, shifted, w, h)
 	if mag < 1.0 || mag > 3.0 {
 		t.Errorf("shifted flow = %v, want ~2", mag)
 	}
 }
 
-func TestFlowTransformer(t *testing.T) {
+func TestFlowApply(t *testing.T) {
 	const w, h = 16, 16
-	f := NewFlow(w, h)
+	f := Flow{Width: w, Height: h}
 	mk := func(shift int) core.Point {
 		fr := make([]float64, w*h)
 		for y := 0; y < h; y++ {
@@ -149,7 +147,8 @@ func TestFlowTransformer(t *testing.T) {
 		}
 		return core.Point{Metrics: fr, Attrs: []int32{1}}
 	}
-	out := f.Transform(nil, []core.Point{mk(0), mk(0), mk(3)})
+	frames := []core.Point{mk(0), mk(0), mk(3)}
+	out := f.Apply(frames)
 	if len(out) != 2 {
 		t.Fatalf("emitted %d, want 2", len(out))
 	}
@@ -159,9 +158,49 @@ func TestFlowTransformer(t *testing.T) {
 	if out[1].Metrics[0] == 0 {
 		t.Error("moving pair reported zero flow")
 	}
-	// Malformed frames are dropped.
-	if got := f.Transform(nil, []core.Point{{Metrics: []float64{1, 2}}}); len(got) != 0 {
+	// Malformed frames are dropped, and a frame pair spans one.
+	if got := f.Apply([]core.Point{{Metrics: []float64{1, 2}}}); len(got) != 0 {
 		t.Error("malformed frame not dropped")
+	}
+	spanned := f.Apply([]core.Point{frames[1], {Metrics: []float64{1, 2}}, frames[2]})
+	if len(spanned) != 1 || spanned[0].Metrics[0] != out[1].Metrics[0] {
+		t.Errorf("flow across a malformed frame = %v, want [%v]", spanned, out[1])
+	}
+	// Apply holds no state: a second call answers as the first did.
+	if again := f.Apply(frames); !reflect.DeepEqual(again, out) {
+		t.Errorf("second Apply = %v, want %v", again, out)
+	}
+}
+
+// TestSTFTApplyDeterministic checks that a grouped STFT's output is a
+// function of its input: the windows still open at the end of the
+// input (one per device) come out in first-seen group order, not in
+// map order, so a training sample drawn by index sees the same points
+// on every run.
+func TestSTFTApplyDeterministic(t *testing.T) {
+	_, pts, _ := gen.Electricity(gen.ElectricityConfig{Devices: 6, Days: 21, Seed: 9})
+	s := STFT{GroupAttr: 0, MetricDim: 0, WindowSec: 3600, Coeffs: 12}
+	want := s.Apply(pts)
+	for i := 0; i < 20; i++ {
+		if got := s.Apply(pts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Apply %d differs from the first", i+2)
+		}
+	}
+	// The last six windows are the six devices' final hours, in the
+	// order the devices first appear.
+	var first []int32
+	seen := map[int32]bool{}
+	for _, p := range pts {
+		if !seen[p.Attrs[0]] {
+			seen[p.Attrs[0]] = true
+			first = append(first, p.Attrs[0])
+		}
+	}
+	tail := want[len(want)-len(first):]
+	for i, dev := range first {
+		if tail[i].Attrs[0] != dev {
+			t.Fatalf("final window %d is device %d, want %d (first-seen order %v)", i, tail[i].Attrs[0], dev, first)
+		}
 	}
 }
 
