@@ -399,9 +399,10 @@
 // the FP-tree build and the FPGrowth conditional trees recycle per-tree
 // and per-miner arena frames (fptree.BuildInto, fptree.Miner), so a
 // steady-state mine allocates only its output itemsets. Regression
-// cover: cmd/mbbench -bench measures the hot-path kernels and -compare
-// fails CI on >2x ns/op or allocs/op inflation against the committed
-// baseline (see "Continuous integration").
+// cover: the root package's Benchmark functions are the hot-path
+// kernels, and `cmd/mbbench -compare` reads their `go test -bench
+// -benchmem` output and fails CI on >2x ns/op or allocs/op inflation
+// against the committed baseline (see "Continuous integration").
 //
 // The same measure removed an earlier fork that cut an inlier counting
 // walk short once its running sum had passed the count at which the
@@ -733,16 +734,21 @@
 //     keep compiling at the go.mod floor. (The comparison against
 //     converge-all-ten is a statistic over twelve fit seeds; it runs in
 //     the plain `go test ./...` and skips itself under -race, where the
-//     basin and fall-through tests still run.) The same job runs the kernel
-//     regression gate: `cmd/mbbench -bench -compare
-//     <baseline>` fails when a hot-path kernel disappears or inflates
-//     more than 2x against the committed baseline — allocs/op always,
-//     ns/op only when the baseline's hardware and GOMAXPROCS match the
-//     runner's, so shared-runner wall-clock noise cannot flake it (a
-//     mismatch is a warning; the pipeline kernels measure the core
-//     budget there, not the code). A regression lands only together
-//     with a new justified baseline. The baseline and its history are
-//     under "Kernel baseline" below.
+//     basin and fall-through tests still run.) The same job runs each
+//     hot-path kernel once, as a root Benchmark function under
+//     `go test -bench -benchmem` (its output is the bench-hotpath.txt
+//     artifact), and pipes that text into the kernel regression gate:
+//     `cmd/mbbench -compare <baseline>` fails when a baseline kernel
+//     is missing, was run without -benchmem, or inflates more than 2x
+//     against the committed baseline — allocs/op always, ns/op only
+//     when the baseline's GOARCH, CPU count and GOMAXPROCS (the
+//     kernel names' -N suffix) match the runner's, so shared-runner
+//     wall-clock noise cannot flake it (a mismatch is a warning; the
+//     pipeline kernels measure the core budget there, not the code). A
+//     baseline without kernels, or no kernel lines on stdin, is an
+//     error. A regression lands only together with a new justified
+//     baseline. The baseline and its history are under "Kernel
+//     baseline" below.
 //   - bench-smoke vets the end-to-end harness and runs its own tests
 //     (`cd bench && go vet ./... && go test ./...`: every workload at
 //     toy size, and the test that the staged replay still matches the
@@ -783,9 +789,17 @@
 //	MCDFit/n10k-p2, ms      26.6    binary-decode             103
 //	MCDFit/n40k-p7, ms       102
 //
-// One kernel sits outside the gate: BenchmarkRestructure in internal/cps
-// (`go test -bench BenchmarkRestructure -benchmem ./internal/cps/`, run
-// by CI's hot-path step), one decay tick of a 500K-node inlier-style
+// It was recorded by mbbench's own copies of these kernels, since
+// deleted: each is now the root Benchmark function of the same name
+// (BenchmarkStreamingExplain/consume, BenchmarkPoll/p3s4, ...), with
+// the same data and definition, and reads the same allocs/op. A new
+// baseline is the -json report of a -compare run.
+//
+// CI's hot-path step also records kernels no baseline gates:
+// StreamingExplain/clone, Fig6Sketches, MCPSvsCPS, and
+// BenchmarkRestructure in internal/cps
+// (`go test -bench BenchmarkRestructure -benchmem ./internal/cps/`),
+// one decay tick of a 500K-node inlier-style
 // tree streamed from six-attribute CMT points. "rebuild" is
 // Restructure, "replay" the test oracle that re-inserts every path;
 // both allocate nothing. Each op ends with the next window's first
@@ -809,13 +823,15 @@
 // mcd.Fit over a workload dataset's metrics, in ms/op: a shard's
 // reservoir refit on firehose_xc (p7) and poll_drift (p2), and
 // batch_query's 40K training sample. A default-config fit runs on
-// GOMAXPROCS goroutines, so these rows depend on -cpu; the baseline's
-// were the serial fit at GOMAXPROCS 2, and mbbench pins its MCDFit
-// kernels to GOMAXPROCS 1, so -compare gates the one-worker fit. At
-// -cpu 1 and -cpu 2 in one sitting (`go test -run '^$' -bench
+// GOMAXPROCS goroutines; the baseline's rows were the serial fit at
+// GOMAXPROCS 2, and BenchmarkMCDFit pins GOMAXPROCS 1 around its loop,
+// so -compare gates the one-worker fit whatever -cpu says, and -cpu 1,2
+// no longer shows the crew (time a fit at two workers outside the
+// benchmark for that). Before the pin moved into the root kernel, -cpu
+// 1 and -cpu 2 in one sitting (`go test -run '^$' -bench
 // BenchmarkMCDFit -benchmem -cpu 1,2 -count 5 -benchtime 10x .`, medians
 // of five; this sitting read the serial fit 1.4-1.6x slower than the
-// baseline's):
+// baseline's) read:
 //
 //	kernel            -cpu 1 ms  allocs/op   -cpu 2 ms  allocs/op
 //	MCDFit/n10k-p7         57.3        293        45.7        307

@@ -12,7 +12,7 @@ import (
 
 // The skewed workload's shape: skewDevices distinct device ids whose
 // popularity rank r has weight 1/(r+1)^skewExponent; the top
-// skewHotRanks ranks are the hot set (see SkewConfig.PinShards), and
+// skewHotRanks ranks are the hot set (see SkewedDevices' pinShards), and
 // skewOutlierDevices anomalous devices sit at moderate ranks just past
 // it — cold enough not to perturb the hot-shard arithmetic, popular
 // enough to clear support cutoffs.
@@ -23,26 +23,6 @@ const (
 	skewOutlierDevices = 2
 )
 
-// SkewConfig parameterizes a Zipf-skewed device workload: device
-// popularity follows a Zipf law, and (optionally) the hottest ranks
-// are assigned device ids engineered so the direct hash pins them all
-// on shard 0 — the worst case for static hash routing, and the
-// workload the skew-adaptive router exists for.
-type SkewConfig struct {
-	// Points is the number of generated points (default 200_000).
-	Points int
-	// PinShards is the shard count the hot ranks are engineered
-	// against (0 disables the engineering; ranks map to devices in id
-	// order). With PinShards > 1, the hot ranks get device ids whose
-	// HashPartition shard is 0 and whose routing buckets are pairwise
-	// distinct, so a pinned run concentrates their combined mass on
-	// one shard while a rebalanced run can spread them
-	// bucket-by-bucket.
-	PinShards int
-	// Seed fixes the generated stream.
-	Seed uint64
-}
-
 // SkewData is a generated Zipf workload with its ground truth and the
 // engineered hot set.
 type SkewData struct {
@@ -51,7 +31,7 @@ type SkewData struct {
 	// popularity ranks, hottest first.
 	HotDevices []int32
 	// HotShare is the Zipf probability mass on HotDevices — with
-	// PinShards engineering, the load share a pinned run concentrates
+	// pinShards engineering, the load share a pinned run concentrates
 	// on shard 0 (before adding shard 0's fair share of the tail).
 	HotShare float64
 }
@@ -72,16 +52,23 @@ func routingBucketsFor(shards int) int {
 	return v
 }
 
-// SkewedDevices generates the Zipf workload. Popularity rank r is
-// sampled with probability proportional to 1/(r+1)^skewExponent
-// (inverse-CDF over the precomputed cumulative weights — math/rand/v2
-// ships no Zipf sampler); ranks map to device ids either in id order
-// or, with PinShards set, through the engineered hot set.
-func SkewedDevices(cfg SkewConfig) *SkewData {
-	if cfg.Points == 0 {
-		cfg.Points = 200_000
-	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5ee1c0ffeefacade))
+// SkewedDevices generates points points of a Zipf-skewed device
+// workload, fixed by seed: device popularity follows a Zipf law, and
+// (optionally) the hottest ranks are assigned device ids engineered so
+// the direct hash pins them all on shard 0 — the worst case for static
+// hash routing, and the workload the skew-adaptive router exists for.
+//
+// Popularity rank r is sampled with probability proportional to
+// 1/(r+1)^skewExponent (inverse-CDF over the precomputed cumulative
+// weights — math/rand/v2 ships no Zipf sampler). pinShards is the
+// shard count the hot ranks are engineered against: with pinShards <=
+// 1, ranks map to device ids in id order; with pinShards > 1, the hot
+// ranks get device ids whose HashPartition shard is 0 and whose
+// routing buckets are pairwise distinct, so a pinned run concentrates
+// their combined mass on one shard while a rebalanced run can spread
+// them bucket-by-bucket.
+func SkewedDevices(points, pinShards int, seed uint64) *SkewData {
+	rng := rand.New(rand.NewPCG(seed, seed^0x5ee1c0ffeefacade))
 	enc := encode.NewEncoder("device_id")
 	d := &SkewData{}
 	d.Encoder = enc
@@ -93,8 +80,8 @@ func SkewedDevices(cfg SkewConfig) *SkewData {
 
 	// rankDev[r] is the device id holding popularity rank r.
 	rankDev := make([]int32, 0, skewDevices)
-	if cfg.PinShards > 1 {
-		buckets := routingBucketsFor(cfg.PinShards)
+	if pinShards > 1 {
+		buckets := routingBucketsFor(pinShards)
 		seenBucket := make(map[int]bool, skewHotRanks)
 		hot := make(map[int32]bool, skewHotRanks)
 		// First pass: shard-0 ids in distinct buckets, hottest ranks.
@@ -103,7 +90,7 @@ func SkewedDevices(cfg SkewConfig) *SkewData {
 				break
 			}
 			pt := core.Point{Attrs: []int32{id}}
-			if core.HashPartition(&pt, cfg.PinShards) != 0 {
+			if core.HashPartition(&pt, pinShards) != 0 {
 				continue
 			}
 			if b := core.HashBucket(&pt, buckets); !seenBucket[b] {
@@ -119,7 +106,7 @@ func SkewedDevices(cfg SkewConfig) *SkewData {
 				break
 			}
 			pt := core.Point{Attrs: []int32{id}}
-			if core.HashPartition(&pt, cfg.PinShards) == 0 && !hot[id] {
+			if core.HashPartition(&pt, pinShards) == 0 && !hot[id] {
 				rankDev = append(rankDev, id)
 				hot[id] = true
 			}
@@ -149,7 +136,7 @@ func SkewedDevices(cfg SkewConfig) *SkewData {
 	}
 	d.HotShare = cum[skewHotRanks-1] / total
 
-	d.Points = make([]core.Point, cfg.Points)
+	d.Points = make([]core.Point, points)
 	for i := range d.Points {
 		u := rng.Float64() * total
 		r := sort.SearchFloat64s(cum, u)

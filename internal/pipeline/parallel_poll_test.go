@@ -18,7 +18,7 @@ import (
 // the explain-level differential and golden tests.
 func TestParallelPollHammerWithRebalance(t *testing.T) {
 	const nParts, shards = 3, 4
-	d := gen.SkewedDevices(gen.SkewConfig{Points: 120_000, PinShards: shards, Seed: 53})
+	d := gen.SkewedDevices(120_000, shards, 53)
 	cfg := skewedConfig(len(d.Points))
 	cfg.CoordinateEvery = 1_000
 	cfg.batchSize = 512

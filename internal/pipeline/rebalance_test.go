@@ -41,7 +41,7 @@ func TestRebalancedMatchesPinnedExplanations(t *testing.T) {
 		nParts = 3
 		shards = 4
 	)
-	d := gen.SkewedDevices(gen.SkewConfig{Points: 160_000, PinShards: shards, Seed: 41})
+	d := gen.SkewedDevices(160_000, shards, 41)
 	cfg := skewedConfig(len(d.Points))
 
 	// Deal the stream round-robin across partitions in batch-sized
@@ -219,7 +219,7 @@ func TestRebalanceSpreadsAttrLessPoints(t *testing.T) {
 // suffix.
 func TestRebalanceCheckpointResumeInterplay(t *testing.T) {
 	const nParts, shards = 3, 4
-	d := gen.SkewedDevices(gen.SkewConfig{Points: 90_000, PinShards: shards, Seed: 47})
+	d := gen.SkewedDevices(90_000, shards, 47)
 	cfg := skewedConfig(len(d.Points))
 	cfg.CoordinateEvery = 2_000
 	flat, batched := splitParts(d.Points, nParts, cfg.batchSize)
@@ -345,7 +345,7 @@ func TestRebalanceEvacuatesDeadShard(t *testing.T) {
 // result".
 func TestRebalanceHammerConcurrentPollsAndStop(t *testing.T) {
 	const nParts, shards = 3, 4
-	d := gen.SkewedDevices(gen.SkewConfig{Points: 120_000, PinShards: shards, Seed: 53})
+	d := gen.SkewedDevices(120_000, shards, 53)
 	cfg := skewedConfig(len(d.Points))
 	cfg.CoordinateEvery = 1_000
 	cfg.batchSize = 512
