@@ -24,6 +24,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"macrobase/internal/baselines"
 	"macrobase/internal/classify"
@@ -557,7 +558,7 @@ func BenchmarkPushIngest(b *testing.B) {
 		d := gen.Devices(gen.DeviceConfig{Points: 64_512, Devices: 400, Seed: 42})
 		p3s4Session(b, p3s4Batches(d.Points), pipeline.Config{
 			Dims: 1, MinSupport: 0.005, DecayEveryPoints: 100_000, Seed: 7,
-		}, true)
+		})
 	})
 	b.Run("binary-decode", func(b *testing.B) {
 		const rows = 1024
@@ -614,7 +615,7 @@ func BenchmarkCoordinate(b *testing.B) {
 		p3s4Session(b, p3s4Batches(d.Points), pipeline.Config{
 			Dims: 1, MinSupport: 0.005, DecayEveryPoints: 100_000,
 			CoordinateEvery: 4096, Seed: 7,
-		}, false)
+		})
 	})
 }
 
@@ -638,7 +639,7 @@ func BenchmarkRebalance(b *testing.B) {
 			final := p3s4Session(b, p3s4Batches(d.Points), pipeline.Config{
 				Dims: 1, MinSupport: 0.005, DecayEveryPoints: 100_000,
 				CoordinateEvery: 4096, DisableRebalance: k.pinned, Seed: 7,
-			}, false)
+			})
 			var hot, total int
 			for _, s := range final.Shards.PerShard {
 				total += s.Points
@@ -771,23 +772,33 @@ func p3s4Push(b *testing.B, src *ingest.Push, batches [][]core.Point, consume fu
 // p3s4Session times the p3s4 push workload through a resident
 // p3s4Shards-shard session started with cfg, up to and including the
 // drain that closing every producer starts (Stop waits for it), and
-// returns the final result. With warm set, two untimed passes over
-// batches first take the session past its growth phase (tree slabs,
-// sketch tables and ack windows reach steady size), so the timed
-// section measures the per-batch path, not amortized startup growth.
-func p3s4Session(b *testing.B, batches [][]core.Point, cfg pipeline.Config, warm bool) *pipeline.ShardedResult {
+// returns the final result. Two untimed passes over batches, polled
+// until the shards have taken them in, first take the session past its
+// growth phase (tree slabs, sketch tables, ack windows and routing reach
+// steady size), so the timed section measures the per-batch path, not
+// startup growth amortized over b.N. Stop's drain and final result stay
+// timed: the session has no way to wait for the one without the other.
+func p3s4Session(b *testing.B, batches [][]core.Point, cfg pipeline.Config) *pipeline.ShardedResult {
 	b.Helper()
 	src := ingest.NewPush(p3s4Producers)
 	sess, err := pipeline.StartPartitionedStream(src, cfg, p3s4Shards)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if warm {
-		pr := src.Producer(0)
-		for i := 0; i < 2*len(batches); i++ {
-			if err := pr.Send(context.Background(), batches[i%len(batches)]); err != nil {
-				b.Fatal(err)
-			}
+	pr := src.Producer(0)
+	for i := 0; i < 2*len(batches); i++ {
+		if err := pr.Send(context.Background(), batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for taken := 0; taken < 2*len(batches)*p3s4BatchPoints; time.Sleep(time.Millisecond) {
+		res, err := sess.Poll()
+		if err != nil {
+			b.Fatal(err)
+		}
+		taken = 0
+		for _, s := range res.Stats.PerShard {
+			taken += s.Points
 		}
 	}
 	p3s4Push(b, src, batches, nil)

@@ -23,7 +23,7 @@ import (
 // it as an oracle.
 var uncalledAllowed = map[string]string{
 	"macrobase/internal/core.NewFuncSource":     "the Source adapter for a callback; its tests hold it to SliceSource's partition view, and library users build streams with it",
-	"macrobase/internal/ingest.TornFrames":      "the torn-frame count of a push partition, which the robustness tests read to check that a torn body is dropped whole",
+	"macrobase/internal/ingest.TornFrames":      "cuts an MBR1 stream inside a frame for the binary decoder's and mbserver's robustness tests, which check that a torn body is rejected cleanly",
 	"macrobase/internal/baselines.NewKNNScorer": "the kNN distance baseline that BenchmarkKNNBaseline runs; the root package's benchmarks are test files",
 	"macrobase/internal/gen.SkewedDevices":      "the Zipf workload that BenchmarkRebalance and pipeline's rebalance tests run; the root package's benchmarks are test files",
 }

@@ -530,9 +530,11 @@
 // the parent's quartiles).
 //
 // The refit finishes no evaluation nobody reads. A concentration step
-// needs the set of the h closest points, never their ranking, so it
-// selects them in one introselect pass over a (distance, index) slab,
-// and a fit's scratch lives on its stepper. The chosen rows are summed
+// needs the set of the h closest points, never their ranking, so the
+// distance sweep writes a (distance, index) slab and one introselect pass
+// selects from it in place. A fit's scratch lives on one stepper per
+// goroutine: the fitting goroutine aims its stepper at every stage, and
+// the consistency correction takes its distances and median from it. The chosen rows are summed
 // in ascending index order, so the new mean and covariance are a
 // function of which points were chosen and of nothing else.
 // internal/mcd's package comment has the rule for distances that tie
@@ -551,7 +553,8 @@
 // The winner is therefore the best candidate after two full-data steps,
 // not the best of ten after convergence, and the size of that
 // difference is measured, not argued. internal/mcd keeps the
-// converge-all-ten schedule as a test-only reference (fitAllTen) and
+// converge-all-ten schedule as a test-only reference (fitAllTen, whose
+// trial stage and ten convergences run on the fit's crew) and
 // holds the fit against it fit seed by fit seed on the benchmark datasets
 // (TestSelectiveIterationQuality): at n=10K (CMT p=7, Liquor p=2,
 // Telecom p=5) and n=40K the raw log-determinant is higher by 1e-6-3e-5
@@ -577,10 +580,9 @@
 // candidate's, so a fit hands them to whichever core is free. Past one
 // worker the fit starts a crew of helper goroutines, each with its own
 // stepper over the full data, and keeps for itself only what has an
-// order: drawing the trial starts (the generator's only reader), offering
-// the trial results and ranking the merged-set and full-data ones in
-// candidate order, the leader's convergence and the consistency
-// correction. A C-step reads only its candidate and the level's points,
+// order: drawing the trial starts (the generator's only reader), ranking
+// every level's results in candidate order, the leader's convergence and
+// the consistency correction. A C-step reads only its candidate and the level's points,
 // so the answer is the same bits on any number of workers
 // (TestFitBitsIndependentOfWorkers checks one to seven against the
 // recorded digests). A panic on a helper is raised again on the fitting
@@ -588,8 +590,13 @@
 // before. At n=40K, p=7 a fit's trial stage and full-data ranking are
 // about four fifths of its time on one goroutine and the leader's
 // convergence the rest. A fit takes at most topKeep goroutines (the
-// full-data ranking has no more candidates to hand out), each helper
-// holding a stepper over the full data.
+// full-data ranking has no more candidates to hand out), each holding
+// one stepper over the full data: 25 bytes a point, a 16-byte (distance,
+// index) slab, a membership byte and room for the subset's indexes. A
+// 1M-row fit allocates 25 MB on one worker and 250 MB on ten, where each
+// helper once added 33 bytes a point (the sweep wrote its own distance
+// buffer, then copied it into the slab) and the fitting goroutine built a
+// stepper per subset.
 //
 // The C-step's two data passes are written for latency, not just
 // arithmetic: a point's forward solve is a chain of p dependent
@@ -793,7 +800,14 @@
 // deleted: each is now the root Benchmark function of the same name
 // (BenchmarkStreamingExplain/consume, BenchmarkPoll/p3s4, ...), with
 // the same data and definition, and reads the same allocs/op. A new
-// baseline is the -json report of a -compare run.
+// baseline is the -json report of a -compare run. One definition has
+// moved since: every p3s4 session is warmed, Coordinate/p3s4 and the
+// two Rebalance kernels included, and waits untimed until its shards
+// have taken the warm-up in. Unwarmed, those three timed a session's
+// growth and divided it by b.N, so their allocs/op read 18-19 at
+// -benchtime 200ms and 4-5 at 1s; warmed, they read 1-2 and 1, against
+// the baseline's 3. What is left of the fixed cost is Stop's drain and
+// final result, which the session cannot separate.
 //
 // CI's hot-path step also records kernels no baseline gates:
 // StreamingExplain/clone, Fig6Sketches, MCPSvsCPS, and
@@ -849,7 +863,10 @@
 // n10k-p7 at medians of 66.3 vs 62.1, 69.1 vs 68.3 and 77.8 vs 70.3 ms
 // and n10k-p2 at 34.5 vs 35.3, 39.1 vs 38.6 and 40.2 vs 39.3 ms, each
 // inside the serial fit's quartile spread (8.5 ms and 3.0 ms in the
-// last), and CPU profiles of forty fits total the same 3.1 s.
+// last), and CPU profiles of forty fits total the same 3.1 s. Since the
+// fitting goroutine aims its one stepper at every stage, the trial
+// survivors share one slab and finalize reuses the stepper, a one-worker
+// fit allocates 30 times.
 //
 // The table below is the kernels' trajectory up to the baseline before
 // this one, in µs/op, one column per recorded tree: PR3-PR10 on a

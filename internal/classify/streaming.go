@@ -255,7 +255,8 @@ type ThresholdCoordinable interface {
 // percentile estimate, reusing internal scratch across rounds. Not
 // safe for concurrent use; the coordinator owns one instance.
 type ScoreSummaryMerger struct {
-	vals, wts []float64
+	pairs []stats.KeyIdx // (score, position) of every pooled sample
+	wts   []float64      // wts[i] is the weight of the pair whose Idx is i
 }
 
 // Merge computes the weighted percentile over the union of the
@@ -265,7 +266,7 @@ type ScoreSummaryMerger struct {
 // which case there is no global estimate and the round should be
 // skipped.
 func (m *ScoreSummaryMerger) Merge(sums []ScoreSummary, percentile float64) (cutoff float64, ok bool) {
-	m.vals, m.wts = m.vals[:0], m.wts[:0]
+	m.pairs, m.wts = m.pairs[:0], m.wts[:0]
 	for _, s := range sums {
 		n := len(s.Scores)
 		if n == 0 || s.Weight <= 0 {
@@ -273,14 +274,14 @@ func (m *ScoreSummaryMerger) Merge(sums []ScoreSummary, percentile float64) (cut
 		}
 		per := s.Weight / float64(n)
 		for _, v := range s.Scores {
-			m.vals = append(m.vals, v)
+			m.pairs = append(m.pairs, stats.KeyIdx{Key: v, Idx: len(m.wts)})
 			m.wts = append(m.wts, per)
 		}
 	}
-	if len(m.vals) == 0 {
+	if len(m.pairs) == 0 {
 		return 0, false
 	}
-	return stats.WeightedQuantile(m.vals, m.wts, percentile), true
+	return stats.WeightedQuantile(m.pairs, m.wts, percentile), true
 }
 
 // ClassifyBatch implements core.Classifier. Points arriving before the

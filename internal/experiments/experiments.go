@@ -14,7 +14,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -151,15 +150,4 @@ func scaled(base int, scale float64, lo int) int {
 		n = lo
 	}
 	return n
-}
-
-// sortedKeys returns map keys in sorted order for deterministic
-// output.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

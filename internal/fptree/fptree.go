@@ -193,22 +193,6 @@ func (t *Tree) Insert(tx []int32, w float64) {
 	t.arena.InsertSorted(items, t.rank, w)
 }
 
-// ItemCount returns the total weight of item across all transactions
-// inserted so far (0 for items pruned at build time). Header counts
-// are fixed at build time; the chain walk reports live values for
-// incrementally grown trees.
-func (t *Tree) ItemCount(item int32) float64 {
-	r := t.rankOf(item)
-	if r < 0 {
-		return 0
-	}
-	return t.arena.ChainCount(r)
-}
-
-// Items returns the frequent items in frequency-descending order.
-// Valid only on Build-constructed trees (token space = ids).
-func (t *Tree) Items() []int32 { return t.order }
-
 // Mine runs FPGrowth and returns every itemset with weight >=
 // minCount. The output includes singleton itemsets.
 func (t *Tree) Mine(minCount float64) []Itemset {

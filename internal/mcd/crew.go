@@ -7,7 +7,8 @@ import (
 
 // crew is one fit's helpers: goroutines that take candidates' C-steps
 // beside the fitting goroutine. Each helper owns a cStepper sized for the
-// fit's full dataset and aims it at each stage's points and h. A stage
+// fit's full dataset and aims it at each stage's points and h, as the
+// fitting goroutine aims its own. A stage
 // hands out its candidates one at a time to whichever goroutine asks
 // next, so how they split between goroutines is timing, and what each
 // comes out as is not: a C-step reads only its candidate and the stage's

@@ -3,6 +3,7 @@ package mcd
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -364,12 +365,13 @@ func TestSubsetEdgeCases(t *testing.T) {
 	})
 }
 
-// TestFitAllocations: a fit's allocations are its steppers, the trial
+// TestFitAllocations: a fit's allocations are its stepper, the trial
 // starts' buffers that its five subsets take in turn (candidateSlab, four
-// allocations) and, for each subset, a topKeep-sized candidate list (279
-// here), not a set of buffers per C-step, per trial or per ranked
-// candidate — the merged and full-data levels rank the candidates in the
-// storage they came in.
+// allocations), the slab their survivors are copied into (four more), the
+// merged set's rows and the estimate (30 here), not a set of buffers per
+// stage, C-step, trial or ranked candidate — the merged and full-data
+// levels rank the candidates in the storage they came in. The bound
+// carries the slack of four TestCrewAllocations explains.
 // AllocsPerRun runs at GOMAXPROCS 1, so this is the fit with a crew of no
 // helpers (two allocations); TestCrewAllocations bounds the helpers.
 func TestFitAllocations(t *testing.T) {
@@ -379,8 +381,58 @@ func TestFitAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 350 {
-		t.Errorf("Fit at n=10K p=7 allocated %.0f times, want <= 350", allocs)
+	if allocs > 34 {
+		t.Errorf("Fit at n=10K p=7 allocated %.0f times, want <= 34", allocs)
 	}
 	t.Logf("Fit at n=10K p=7: %.0f allocations", allocs)
+}
+
+// TestFitBytesPerPoint: a fit's memory is one stepper per goroutine. A
+// stepper holds 25 bytes a point (cStepper), and the fit's other buffers
+// (candidate slabs, the merged set's rows, a stepper's fixed scratch) come
+// to about 4 bytes a point at 40K rows on one worker and less per worker
+// past it. So the bytes a fit allocates, per point and per worker, stay
+// under 30 on any worker count; a second full-data buffer on any
+// goroutine breaks that. fit runs any worker count on any box, and
+// memory needs no cores.
+func TestFitBytesPerPoint(t *testing.T) {
+	const n, perPointPerWorker = 40_000, 30
+	pts := gaussMix(n, 7, 1)
+	for _, w := range []int{1, 2, 10} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := fit(pts, Config{}, w); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / float64(n*w)
+		if got > perPointPerWorker {
+			t.Errorf("%d workers: %.1f bytes a point per worker, want <= %d", w, got, perPointPerWorker)
+		}
+		t.Logf("%d workers: %.1f bytes a point per worker", w, got)
+	}
+}
+
+// TestMedianDistIsStatsMedian: the consistency correction's median, read
+// off a stepper's slab, is the value stats.Median gives over the same
+// distances, for odd and even counts and with ties across the middle.
+func TestMedianDistIsStatsMedian(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 9))
+	for n := 4; n <= 41; n++ {
+		for trial := 0; trial < 20; trial++ {
+			s := &cStepper{ps: make([]stats.KeyIdx, n)}
+			keys := make([]float64, n)
+			for i := range keys {
+				keys[i] = rng.ExpFloat64()
+				if rng.IntN(3) == 0 {
+					keys[i] = float64(rng.IntN(3))
+				}
+				s.ps[i] = stats.KeyIdx{Key: keys[i], Idx: i}
+			}
+			if got, want := s.medianDist(), stats.Median(keys); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d trial %d: %v, stats.Median %v", n, trial, got, want)
+			}
+		}
+	}
 }

@@ -11,15 +11,15 @@
 //
 // A concentration step (C-step) keeps the h points closest to the
 // current estimate and re-estimates from them. Only the set matters,
-// never the ranking, so the step selects rather than sorts: one
-// introselect pass over a (distance, index) slab under the total order
-// (distance, then index). Distances that tie across the h boundary go to
-// the lower index, a point with a NaN or infinite distance ranks last
-// (it is kept only when fewer than h points are finite), and h == n
-// keeps everything without a selection pass. The chosen rows are then
-// summed in ascending index order, so the new mean and covariance — low
-// bits included — are a function of which points were chosen and of
-// nothing else.
+// never the ranking, so the step selects rather than sorts: the distance
+// sweep writes a (distance, index) slab and one introselect pass permutes
+// it under the total order (distance, then index). Distances that tie
+// across the h boundary go to the lower index, a point with a NaN or
+// infinite distance ranks last (it is kept only when fewer than h points
+// are finite), and h == n keeps everything without a selection pass.
+// The chosen rows are then summed in ascending index order, so the new
+// mean and covariance — low bits included — are a function of which
+// points were chosen and of nothing else.
 //
 // Both passes of a step over the data are bound by latency, not
 // arithmetic, and each is laid out so that independent chains overlap.
@@ -39,13 +39,15 @@
 // A fit spreads its candidates' C-steps over the process's cores: Fit
 // runs on GOMAXPROCS goroutines, but never more than topKeep, since the
 // full-data ranking has no more candidates than that and a goroutine
-// past them would hold a full-data stepper for nothing. Past one, the
-// fitting goroutine starts a crew of helpers (crew.go), each with its own
-// stepper over the full data, about 33 bytes a point. It draws every
-// trial's start itself, in trial order, since a start is the only
-// consumer of the generator. The two C-steps of every trial, and of every
-// candidate the merged set and the full data rank, then go to whichever
-// goroutine is free, and the results are offered and ranked in candidate
+// past them would hold a full-data stepper for nothing. Each goroutine,
+// the fitting one included, holds one stepper over the full data, 25
+// bytes a point, and aims it at each stage's points in turn; the
+// consistency correction reuses the fitting goroutine's. Past one
+// goroutine, the fitting one starts a crew of helpers (crew.go). It
+// draws every trial's start itself, in trial order, since a start is the
+// only consumer of the generator. The two C-steps of every trial, and of
+// every candidate the merged set and the full data rank, then go to
+// whichever goroutine is free, and the results are ranked in candidate
 // order, ties to the earlier candidate, as on one goroutine. A C-step
 // reads nothing but its candidate and the stage's points, and every
 // goroutine steps with its own buffers, so no bit of a fit depends on how
@@ -58,19 +60,21 @@
 //
 // Fits that run at once each take GOMAXPROCS goroutines: a streaming
 // session's shards refit on their own schedules (staggered when
-// coordinated), and concurrent one-shot queries each fit alone. The
-// helpers' memory, up to topKeep-1 full-data steppers a fit, has been
-// measured on two cores only; on more cores and under concurrent queries
-// it is not.
+// coordinated), and concurrent one-shot queries each fit alone. A fit's
+// memory is its steppers, one per goroutine, and buffers that stop
+// growing with the data at the trial stage's 1,500 rows: under 30 bytes
+// a point per goroutine at 40K rows (TestFitBytesPerPoint, which runs any
+// worker count on any box). Each fit that runs at once brings its own.
 package mcd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
-	"sort" // fitUnivariate only: a C-step selects, it never sorts
+	"slices" // fitUnivariate only: a C-step selects, it never sorts
 
 	"macrobase/internal/stats"
 )
@@ -152,12 +156,11 @@ func fit(pts [][]float64, cfg Config, workers int) (*Estimate, error) {
 	}
 	h := defaultH(n, p)
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xda3e39cb94b95bdb))
-
+	cs := newCStepper(pts, h)
 	if p == 1 {
-		return fitUnivariate(pts, h)
+		return fitUnivariate(cs)
 	}
 
-	cs := newCStepper(pts, h)
 	cs.crew = startCrew(pts, h, workers-1)
 	defer cs.crew.stop()
 	cand := trialCandidates(cs, cfg, rng)
@@ -171,7 +174,7 @@ func fit(pts [][]float64, cfg Config, workers int) (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := finalize(pts, lead.mean, lead.cov, h)
+	est, err := finalize(cs, lead.mean, lead.cov)
 	if err != nil {
 		return nil, err
 	}
@@ -264,45 +267,16 @@ func candidateSlab(k, p int) []candidate {
 	return cands
 }
 
-// topCandidates keeps the keep lowest-logDet candidates offered to it,
-// ascending; of two with equal logDet the one offered first ranks first.
-// It allocates keep candidates, however many are offered.
-type topCandidates struct {
-	keep int
-	list []candidate
-}
-
-// offer copies (mean, cov) into the list if it ranks among the best
-// keep seen so far.
-func (t *topCandidates) offer(mean []float64, cov *stats.Mat, logDet float64) {
-	var c candidate
-	switch {
-	case len(t.list) < t.keep:
-		c = candidate{mean: make([]float64, len(mean)), cov: stats.NewMat(cov.Rows, cov.Cols)}
-		t.list = append(t.list, c)
-	case logDet < t.list[t.keep-1].logDet:
-		c = t.list[t.keep-1] // evicted: its buffers carry the newcomer
-	default:
-		return
-	}
-	copy(c.mean, mean)
-	copy(c.cov.Data, cov.Data)
-	c.logDet = logDet
-	i := len(t.list) - 1
-	for ; i > 0 && t.list[i-1].logDet > logDet; i-- {
-		t.list[i] = t.list[i-1]
-	}
-	t.list[i] = c
-}
-
 // cStepper owns every buffer concentration steps over one dataset need,
-// so a step allocates nothing. A stepper sized for a larger dataset can be
-// aimed at a smaller one (aim).
+// so a step allocates nothing: per point, a 16-byte (distance, index)
+// slab, a membership byte and room for the subset's index, 25 bytes in
+// all. Each goroutine of a fit builds one over the full data and aims it
+// at each stage's points in turn (aim); a smaller stage uses a prefix of
+// every buffer.
 type cStepper struct {
 	pts    [][]float64
 	h      int
-	d2     []float64      // every point's squared distance, as the sweep writes them
-	ps     []stats.KeyIdx // (squared distance, index) slab the selection permutes
+	ps     []stats.KeyIdx // (squared distance, index) slab the sweep writes and the selection permutes
 	mask   []bool         // subset membership; all false between uses
 	idx    []int          // the current subset: ascending after a step, in draw order after start
 	scr    []float64      // the sweep's four forward solves
@@ -319,7 +293,6 @@ func newCStepper(pts [][]float64, h int) *cStepper {
 	return &cStepper{
 		pts:    pts,
 		h:      h,
-		d2:     make([]float64, len(pts)),
 		ps:     make([]stats.KeyIdx, len(pts)),
 		mask:   make([]bool, len(pts)),
 		idx:    make([]int, 0, len(pts)),
@@ -332,7 +305,7 @@ func newCStepper(pts [][]float64, h int) *cStepper {
 // aim points s, built over at least len(pts) points, at pts and h.
 func (s *cStepper) aim(pts [][]float64, h int) {
 	s.pts, s.h = pts, h
-	s.d2, s.ps, s.mask = s.d2[:len(pts)], s.ps[:len(pts)], s.mask[:len(pts)]
+	s.ps, s.mask = s.ps[:len(pts)], s.mask[:len(pts)]
 }
 
 // stepAll gives every candidate two C-steps on s's dataset (stepTwice),
@@ -361,10 +334,7 @@ func (s *cStepper) step(mean []float64, cov *stats.Mat) (logDet float64, err err
 	if err := factorWithRidge(&s.chol, s.ridge, cov); err != nil {
 		return 0, err
 	}
-	s.chol.MahalanobisSqAll(s.d2, s.pts, mean, s.scr)
-	for i, d2 := range s.d2 {
-		s.ps[i] = stats.KeyIdx{Key: d2, Idx: i}
-	}
+	s.chol.MahalanobisSqAll(s.ps, s.pts, mean, s.scr)
 	stats.SelectKeyIdx(s.ps, s.h)
 	for _, p := range s.ps[:s.h] {
 		s.mask[p.Idx] = true
@@ -435,34 +405,18 @@ func factorWithRidge(chol *stats.Cholesky, ridge, cov *stats.Mat) error {
 	return stats.ErrNotSPD
 }
 
-// cholWithRidge is factorWithRidge into fresh storage.
-func cholWithRidge(cov *stats.Mat) (*stats.Cholesky, error) {
-	chol := new(stats.Cholesky)
-	if err := factorWithRidge(chol, stats.NewMat(cov.Rows, cov.Cols), cov); err != nil {
-		return nil, err
-	}
-	return chol, nil
-}
-
 // runTrials performs one random start per candidate of cands, whose
 // buffers it overwrites, with two concentration steps each over the
-// cStepper's dataset, and returns copies of the best topKeep, ascending
-// by log-determinant and then by trial number (FastMCD's small-n path,
-// and the per-subset stage of the nested one). Every start is drawn
-// first, in trial order, since only start reads rng; the steps then go
-// to stepAll, and their results are offered in trial order.
-func runTrials(cs *cStepper, cands []candidate, topKeep int, rng *rand.Rand) []candidate {
+// cStepper's dataset, and returns the best keep in cands' own storage,
+// ascending by log-determinant and then by trial number (FastMCD's
+// small-n path, and the per-subset stage of the nested one). Every start
+// is drawn first, in trial order, since only start reads rng; the steps
+// then go to stepAll, and refine ranks the results in trial order.
+func runTrials(cs *cStepper, cands []candidate, keep int, rng *rand.Rand) []candidate {
 	for _, c := range cands {
 		cs.start(c.mean, c.cov, rng)
 	}
-	cs.stepAll(cands)
-	top := topCandidates{keep: topKeep}
-	for _, c := range cands {
-		if c.err == nil {
-			top.offer(c.mean, c.cov, c.logDet)
-		}
-	}
-	return top.list
+	return refine(cs, cands, keep)
 }
 
 // trialCandidates is FastMCD's trial stage over cs's dataset: direct
@@ -477,65 +431,58 @@ func trialCandidates(cs *cStepper, cfg Config, rng *rand.Rand) []candidate {
 // nestedTrials implements FastMCD's large-n strategy: run trials
 // within up to five disjoint subsets of ~300 points, pool the
 // per-subset winners on the merged set, and return the merged-set
-// winners for ranking on full's data.
-func nestedTrials(full *cStepper, cfg Config, rng *rand.Rand) []candidate {
-	pts, h := full.pts, full.h
+// winners for ranking on the full data. It aims cs at each subset and at
+// the merged set in turn, and back at the full data before it returns.
+func nestedTrials(cs *cStepper, cfg Config, rng *rand.Rand) []candidate {
+	pts, h := cs.pts, cs.h
 	n := len(pts)
 	p := len(pts[0])
 	const subSize = 300
-	nsub := n / subSize
-	if nsub > 5 {
-		nsub = 5
-	}
-	if nsub < 1 {
-		nsub = 1
+	nsub := min(max(n/subSize, 1), 5)
+	// stageH is h scaled to a stage of m points, and at least p+1.
+	stageH := func(m int) int {
+		return max(int(math.Ceil(float64(m)*float64(h)/float64(n))), p+1)
 	}
 	// Sample nsub*subSize distinct indices and split them.
-	merged := randSubset(make([]int, 0, nsub*subSize), n, nsub*subSize, rng, full.mask)
+	merged := randSubset(make([]int, 0, nsub*subSize), n, nsub*subSize, rng, cs.mask)
 	mergedPts := make([][]float64, len(merged))
 	for i, ix := range merged {
 		mergedPts[i] = pts[ix]
 	}
-	perSub := cfg.Trials / nsub
-	if perSub < 2 {
-		perSub = 2
-	}
-	var pooled []candidate
+	perSub := max(cfg.Trials/nsub, 2)
 	starts := candidateSlab(perSub, p) // every subset's trials, in turn
+	// The subsets' survivors, in subset order; the slab past len(pooled)
+	// holds the buffers the next survivors are copied into.
+	pooled := candidateSlab(nsub*topKeep, p)[:0]
 	for s := 0; s < nsub; s++ {
 		sub := mergedPts[s*subSize : (s+1)*subSize]
-		hSub := int(math.Ceil(float64(len(sub)) * float64(h) / float64(n)))
-		if hSub < p+1 {
-			hSub = p + 1
+		cs.aim(sub, stageH(len(sub)))
+		for _, c := range runTrials(cs, starts, topKeep, rng) {
+			pooled = pooled[:len(pooled)+1]
+			to := &pooled[len(pooled)-1]
+			copy(to.mean, c.mean)
+			copy(to.cov.Data, c.cov.Data)
+			to.logDet = c.logDet
 		}
-		cs := newCStepper(sub, hSub)
-		cs.crew = full.crew
-		pooled = append(pooled, runTrials(cs, starts, topKeep, rng)...)
 	}
 	// Refine pooled candidates on the merged set.
-	hMerged := int(math.Ceil(float64(len(mergedPts)) * float64(h) / float64(n)))
-	if hMerged < p+1 {
-		hMerged = p + 1
-	}
-	csm := newCStepper(mergedPts, hMerged)
-	csm.crew = full.crew
-	return refine(csm, pooled, topKeep)
+	cs.aim(mergedPts, stageH(len(mergedPts)))
+	ranked := refine(cs, pooled, topKeep)
+	cs.aim(pts, h)
+	return ranked
 }
 
 // finalize applies the consistency correction — rescaling the scatter
 // by median(d^2)/chi2_{p,0.5} so squared distances are chi-square
 // calibrated under normality — and prepares the scoring factorization.
-func finalize(pts [][]float64, mean []float64, cov *stats.Mat, h int) (*Estimate, error) {
+// cs, aimed at the full data, holds the distances.
+func finalize(cs *cStepper, mean []float64, cov *stats.Mat) (*Estimate, error) {
 	p := len(mean)
-	chol, err := cholWithRidge(cov)
-	if err != nil {
+	if err := factorWithRidge(&cs.chol, cs.ridge, cov); err != nil {
 		return nil, err
 	}
-	d2 := make([]float64, len(pts))
-	chol.MahalanobisSqAll(d2, pts, mean, nil)
-	med := stats.Median(d2)
-	target := stats.ChiSquareQuantile(0.5, float64(p))
-	factor := med / target
+	cs.chol.MahalanobisSqAll(cs.ps, cs.pts, mean, cs.scr)
+	factor := cs.medianDist() / stats.ChiSquareQuantile(0.5, float64(p))
 	if factor <= 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		factor = 1
 	}
@@ -543,53 +490,85 @@ func finalize(pts [][]float64, mean []float64, cov *stats.Mat, h int) (*Estimate
 	for i := range corrected.Data {
 		corrected.Data[i] *= factor
 	}
-	cchol, err := cholWithRidge(corrected)
-	if err != nil {
+	cchol := new(stats.Cholesky)
+	if err := factorWithRidge(cchol, cs.ridge, corrected); err != nil {
 		return nil, err
 	}
 	return &Estimate{
 		Mean:    mean,
 		Cov:     corrected,
 		LogDet:  cchol.LogDet(),
-		H:       h,
+		H:       cs.h,
 		chol:    cchol,
 		scratch: make([]float64, p),
 	}, nil
 }
 
-// fitUnivariate computes the exact univariate MCD: the length-h
-// window of the sorted sample with minimal variance.
-func fitUnivariate(pts [][]float64, h int) (*Estimate, error) {
-	n := len(pts)
-	xs := make([]float64, n)
-	for i, p := range pts {
-		xs[i] = p[0]
+// medianDist returns the median of the distances in s's slab, the value
+// stats.Median gives over them: the middle one for odd n, the mean of the
+// two middle ones for even n. It permutes the slab.
+func (s *cStepper) medianDist() float64 {
+	half := len(s.ps) / 2
+	stats.SelectKeyIdx(s.ps, half)
+	hi := s.ps[half].Key // the smallest of the upper half
+	for _, e := range s.ps[half+1:] {
+		if e.Key < hi {
+			hi = e.Key
+		}
 	}
-	sort.Float64s(xs)
-	// Prefix sums for O(1) window mean/variance.
-	sum := make([]float64, n+1)
-	sum2 := make([]float64, n+1)
-	for i, x := range xs {
-		sum[i+1] = sum[i] + x
-		sum2[i+1] = sum2[i] + x*x
+	if len(s.ps)%2 == 1 {
+		return hi
+	}
+	lo := s.ps[0].Key // the largest of the lower half
+	for _, e := range s.ps[1:half] {
+		if e.Key > lo {
+			lo = e.Key
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// fitUnivariate computes the exact univariate MCD: the length-h
+// window of the sorted sample with minimal variance. The sample is
+// sorted in cs's slab.
+func fitUnivariate(cs *cStepper) (*Estimate, error) {
+	xs, h := cs.ps, cs.h
+	for i, p := range cs.pts {
+		xs[i] = stats.KeyIdx{Key: p[0], Idx: i}
+	}
+	slices.SortFunc(xs, func(a, b stats.KeyIdx) int { return cmp.Compare(a.Key, b.Key) })
+	// Prefix sums of xs[:i] (lo) and xs[:i+h] (hi), for O(1) window
+	// mean/variance.
+	var lo, lo2, hi, hi2 float64
+	for _, x := range xs[:h] {
+		hi += x.Key
+		hi2 += x.Key * x.Key
 	}
 	bestVar := math.Inf(1)
 	bestMean := 0.0
-	for i := 0; i+h <= n; i++ {
-		s := sum[i+h] - sum[i]
-		s2 := sum2[i+h] - sum2[i]
+	for i := 0; ; i++ {
+		s := hi - lo
+		s2 := hi2 - lo2
 		m := s / float64(h)
 		v := (s2 - float64(h)*m*m) / float64(h-1)
 		if v < bestVar {
 			bestVar, bestMean = v, m
 		}
+		if i+h == len(xs) {
+			break
+		}
+		in, out := xs[i+h].Key, xs[i].Key
+		hi += in
+		hi2 += in * in
+		lo += out
+		lo2 += out * out
 	}
 	if bestVar <= 0 {
 		bestVar = 1e-12
 	}
 	cov := stats.NewMat(1, 1)
 	cov.Set(0, 0, bestVar)
-	return finalize(pts, []float64{bestMean}, cov, h)
+	return finalize(cs, []float64{bestMean}, cov)
 }
 
 // randSubset appends k distinct indices from [0, n) to dst, in the

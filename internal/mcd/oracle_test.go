@@ -52,6 +52,42 @@ func newOracleStepper(pts [][]float64, h int) *oracleStepper {
 	}
 }
 
+// cholWithRidge is factorWithRidge into fresh storage.
+func cholWithRidge(cov *stats.Mat) (*stats.Cholesky, error) {
+	chol := new(stats.Cholesky)
+	if err := factorWithRidge(chol, stats.NewMat(cov.Rows, cov.Cols), cov); err != nil {
+		return nil, err
+	}
+	return chol, nil
+}
+
+// oracleFinalize is finalize over a fresh distance buffer, its median
+// stats.Median's.
+func oracleFinalize(pts [][]float64, mean []float64, cov *stats.Mat, h int) (*Estimate, error) {
+	p := len(mean)
+	chol, err := cholWithRidge(cov)
+	if err != nil {
+		return nil, err
+	}
+	d2 := make([]float64, len(pts))
+	for i, x := range pts {
+		d2[i] = chol.MahalanobisSq(x, mean, nil)
+	}
+	factor := stats.Median(d2) / stats.ChiSquareQuantile(0.5, float64(p))
+	if factor <= 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
+		factor = 1
+	}
+	corrected := cov.Clone()
+	for i := range corrected.Data {
+		corrected.Data[i] *= factor
+	}
+	cchol, err := cholWithRidge(corrected)
+	if err != nil {
+		return nil, err
+	}
+	return &Estimate{Mean: mean, Cov: corrected, LogDet: cchol.LogDet(), H: h, chol: cchol, scratch: make([]float64, p)}, nil
+}
+
 func (s *oracleStepper) step(mean []float64, cov *stats.Mat) (nm []float64, nc *stats.Mat, logDet float64, err error) {
 	chol, err := cholWithRidge(cov)
 	if err != nil {
@@ -292,7 +328,7 @@ func oracleFit(pts [][]float64, cfg Config) (oracleRun, error) {
 		if err != nil {
 			continue
 		}
-		est, err := finalize(pts, mean, cov, h)
+		est, err := oracleFinalize(pts, mean, cov, h)
 		if err != nil {
 			return run, err
 		}

@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"macrobase/internal/gen"
@@ -20,25 +22,36 @@ import (
 )
 
 // fitAllTen is Fit with every trial-stage survivor concentrated to its
-// fixed point on the full data and the lowest determinant kept, and the
-// number of full-data C-steps that took.
+// fixed point on the full data and the lowest determinant kept, ties to
+// the earlier survivor, and the number of full-data C-steps that took.
+// Like Fit it runs on GOMAXPROCS goroutines, at most topKeep: the crew
+// takes the trial stage's steps and the survivors' convergences, and
+// the winner is read off in candidate order, so the answer is the one
+// goroutine's.
 func fitAllTen(pts [][]float64, cfg Config) (*Estimate, int, error) {
 	cfg = cfg.withDefaults()
 	h := defaultH(len(pts), len(pts[0]))
-	cs := soloStepper(pts, h)
-	best, total := candidate{logDet: math.Inf(1)}, 0
-	for _, c := range trialCandidates(cs, cfg, fitRNG(cfg.Seed)) {
-		logDet, steps, err := cs.converge(c.mean, c.cov, maxCSteps)
-		total += steps
-		if err == nil && logDet < best.logDet {
-			best = candidate{mean: c.mean, cov: c.cov, logDet: logDet}
+	cs := newCStepper(pts, h)
+	cs.crew = startCrew(pts, h, min(runtime.GOMAXPROCS(0), topKeep)-1)
+	defer cs.crew.stop()
+	cands := trialCandidates(cs, cfg, fitRNG(cfg.Seed))
+	var total atomic.Int64
+	cs.crew.run(cs, cands, func(s *cStepper, c *candidate) {
+		var steps int
+		c.logDet, steps, c.err = s.converge(c.mean, c.cov, maxCSteps)
+		total.Add(int64(steps))
+	})
+	best := candidate{logDet: math.Inf(1)}
+	for _, c := range cands {
+		if c.err == nil && c.logDet < best.logDet {
+			best = c
 		}
 	}
 	if math.IsInf(best.logDet, 1) {
-		return nil, total, errors.New("mcd: concentration failed on all candidates")
+		return nil, int(total.Load()), errors.New("mcd: concentration failed on all candidates")
 	}
-	est, err := finalize(pts, best.mean, best.cov, h)
-	return est, total, err
+	est, err := finalize(cs, best.mean, best.cov)
+	return est, int(total.Load()), err
 }
 
 // fitRNG is the generator Fit derives from a seed.
@@ -281,7 +294,7 @@ func TestLeaderIsInMajorityBasin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := finalize(pts, lead.mean, lead.cov, cs.h)
+			est, err := finalize(cs, lead.mean, lead.cov)
 			if err != nil {
 				t.Fatal(err)
 			}

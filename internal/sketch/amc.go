@@ -6,7 +6,6 @@ package sketch
 
 import (
 	"container/heap"
-	"sort"
 )
 
 // AMC is the Amortized Maintenance Counter (paper Algorithm 3): a
@@ -169,17 +168,6 @@ func (a *AMC[K]) DecayBy(retain float64) {
 type Entry[K comparable] struct {
 	Item  K
 	Count float64
-}
-
-// Entries returns all tracked items and counts, sorted by descending
-// count (ties in unspecified order).
-func (a *AMC[K]) Entries() []Entry[K] {
-	out := make([]Entry[K], 0, len(a.counts))
-	for k, v := range a.counts {
-		out = append(out, Entry[K]{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
 }
 
 // ForEach visits every tracked (item, count) pair.

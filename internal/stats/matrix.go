@@ -113,21 +113,23 @@ func (c *Cholesky) MahalanobisSq(x, mu, scratch []float64) float64 {
 	return d
 }
 
-// MahalanobisSqAll sets dst[r] to MahalanobisSq(pts[r], mu) for every
-// row of pts. A point's forward solve is a chain of dependent divisions,
-// so the sweep solves four points in lockstep and their chains overlap.
-// Each point still executes exactly MahalanobisSq's operations in
-// MahalanobisSq's order, and a tail of fewer than four points goes
-// through MahalanobisSq itself, so every dst[r] is bit for bit the
-// one-point answer. scratch, when cap(scratch) >= 4*len(mu), avoids
-// allocation.
-func (c *Cholesky) MahalanobisSqAll(dst []float64, pts [][]float64, mu, scratch []float64) {
+// MahalanobisSqAll sets dst[r] to (MahalanobisSq(pts[r], mu), r) for
+// every row of pts: the (distance, index) slab a selection permutes
+// (SelectKeyIdx). A point's forward solve is a chain of dependent
+// divisions, so the sweep solves four points in lockstep and their
+// chains overlap. Each point still executes exactly MahalanobisSq's
+// operations in MahalanobisSq's order, and a tail of fewer than four
+// points goes through MahalanobisSq itself, so every dst[r].Key is bit
+// for bit the one-point answer. scratch, when cap(scratch) >= 4*len(mu),
+// avoids allocation.
+func (c *Cholesky) MahalanobisSqAll(dst []KeyIdx, pts [][]float64, mu, scratch []float64) {
 	n := c.L.Rows
 	if cap(scratch) < 4*n {
 		scratch = make([]float64, 4*n)
 	}
 	z0, z1, z2, z3 := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:4*n]
 	mu = mu[:n]
+	dst = dst[:len(pts)]
 	r := 0
 	for ; r+4 <= len(pts); r += 4 {
 		x0, x1, x2, x3 := pts[r][:n], pts[r+1][:n], pts[r+2][:n], pts[r+3][:n]
@@ -149,10 +151,10 @@ func (c *Cholesky) MahalanobisSqAll(dst []float64, pts [][]float64, mu, scratch 
 			d2 += z2[i] * z2[i]
 			d3 += z3[i] * z3[i]
 		}
-		dst[r], dst[r+1], dst[r+2], dst[r+3] = d0, d1, d2, d3
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = KeyIdx{d0, r}, KeyIdx{d1, r + 1}, KeyIdx{d2, r + 2}, KeyIdx{d3, r + 3}
 	}
 	for ; r < len(pts); r++ {
-		dst[r] = c.MahalanobisSq(pts[r], mu, scratch)
+		dst[r] = KeyIdx{c.MahalanobisSq(pts[r], mu, scratch), r}
 	}
 }
 

@@ -350,7 +350,7 @@ func TestMahalanobisSqAllMatchesOnePointBits(t *testing.T) {
 				if special {
 					specialRows(pts, mu, rng)
 				}
-				dst := make([]float64, n)
+				dst := make([]KeyIdx, n)
 				scratch := make([]float64, 4*p)
 				ch.MahalanobisSqAll(dst, pts, mu, scratch)
 				if n > 0 {
@@ -358,9 +358,9 @@ func TestMahalanobisSqAllMatchesOnePointBits(t *testing.T) {
 				}
 				for r, x := range pts {
 					want := ch.MahalanobisSq(x, mu, nil)
-					if !sameBits(dst[r], want) {
-						t.Fatalf("p=%d n=%d special=%v row %d %v: sweep %v (%#x), one point %v (%#x)",
-							p, n, special, r, x, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
+					if got := dst[r].Key; !sameBits(got, want) || dst[r].Idx != r {
+						t.Fatalf("p=%d n=%d special=%v row %d %v: sweep (%v (%#x), index %d), one point %v (%#x)",
+							p, n, special, r, x, got, math.Float64bits(got), dst[r].Idx, want, math.Float64bits(want))
 					}
 				}
 			}
@@ -378,7 +378,7 @@ func TestMahalanobisSqAllAllocations(t *testing.T) {
 	for r := range pts {
 		pts[r] = make([]float64, 7)
 	}
-	dst, mu, scratch := make([]float64, len(pts)), make([]float64, 7), make([]float64, 4*7)
+	dst, mu, scratch := make([]KeyIdx, len(pts)), make([]float64, 7), make([]float64, 4*7)
 	if allocs := testing.AllocsPerRun(10, func() { ch.MahalanobisSqAll(dst, pts, mu, scratch) }); allocs != 0 {
 		t.Errorf("sweep with 4p scratch allocated %v times", allocs)
 	}
@@ -465,11 +465,11 @@ func benchRows(n int) ([][]float64, *Cholesky, []float64) {
 // points, per point: the four-point sweep against a MahalanobisSq loop.
 func BenchmarkMahalanobisSweep(b *testing.B) {
 	pts, ch, mu := benchRows(10_000)
-	dst, scratch := make([]float64, len(pts)), make([]float64, 4*len(mu))
+	dst, scratch := make([]KeyIdx, len(pts)), make([]float64, 4*len(mu))
 	b.Run("one-point", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for r, x := range pts {
-				dst[r] = ch.MahalanobisSq(x, mu, scratch)
+				dst[r] = KeyIdx{ch.MahalanobisSq(x, mu, scratch), r}
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")

@@ -141,22 +141,22 @@ func Quantile(xs []float64, q float64) float64 {
 	return lo + frac*(hi-lo)
 }
 
-// WeightedQuantile returns the weighted q-quantile of xs under the
-// non-negative weights ws: the smallest value x such that the
-// cumulative weight of elements <= x reaches q of the total weight.
-// This is the merge rule for cross-shard score summaries — each shard
-// contributes its reservoir sample with a per-item weight of
+// WeightedQuantile returns the weighted q-quantile of the keys of ps,
+// where ws[ps[i].Idx] is ps[i]'s non-negative weight: the smallest key x
+// such that the cumulative weight of pairs <= x reaches q of the total
+// weight. This is the merge rule for cross-shard score summaries — each
+// shard contributes its reservoir sample with a per-item weight of
 // (reservoir weight / sample size), so shards that have seen more
 // (decayed) stream weight pull the pooled quantile proportionally.
-// Both slices are permuted in place, in lockstep. Average O(n) via
-// paired introselect (same pivot scheme as Select, with a sort
-// fallback after too many bad pivots). Empty input or zero total
-// weight returns NaN; lengths must match.
-func WeightedQuantile(xs, ws []float64, q float64) float64 {
-	if len(xs) != len(ws) {
+// ps is permuted in place; ws is only read. The search is SelectKeyIdx's
+// introselect under the order (Key, then Idx), carrying the weight below
+// the window; NaN keys rank as +Inf as they do there. Average O(n).
+// Empty input or zero total weight returns NaN; lengths must match.
+func WeightedQuantile(ps []KeyIdx, ws []float64, q float64) float64 {
+	if len(ps) != len(ws) {
 		panic("stats: WeightedQuantile length mismatch")
 	}
-	n := len(xs)
+	n := len(ps)
 	if n == 0 {
 		return math.NaN()
 	}
@@ -164,35 +164,30 @@ func WeightedQuantile(xs, ws []float64, q float64) float64 {
 	for _, w := range ws {
 		total += w
 	}
+	nanToInf(ps)
 	if total <= 0 {
 		return math.NaN()
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * total
+	target := min(max(q, 0), 1) * total
 	lo, hi := 0, n-1
-	below := 0.0 // weight of elements already known to precede xs[lo:]
+	below := 0.0 // weight of the pairs known to precede ps[lo:]
 	depth := 2 * log2(n)
 	for hi > lo {
 		if depth == 0 {
-			sort.Sort(weightedPairs{xs[lo : hi+1], ws[lo : hi+1]})
+			heapSortKeyIdx(ps[lo : hi+1])
 			break
 		}
 		depth--
-		p := partitionPairs(xs, ws, lo, hi)
-		wLeft := 0.0 // weight of [lo, p]: everything <= the pivot in this window
-		for i := lo; i <= p; i++ {
-			wLeft += ws[i]
+		p := partitionKeyIdx(ps, lo, hi)
+		wLeft := 0.0 // weight of [lo, p]: the window's pairs up to the pivot
+		for _, e := range ps[lo : p+1] {
+			wLeft += ws[e.Idx]
 		}
 		if below+wLeft >= target {
-			if p == lo || below+wLeft-ws[p] < target {
+			if p == lo || below+wLeft-ws[ps[p].Idx] < target {
 				// The cumulative weight first reaches the target at the
 				// pivot itself.
-				return xs[p]
+				return ps[p].Key
 			}
 			hi = p - 1
 		} else {
@@ -200,54 +195,15 @@ func WeightedQuantile(xs, ws []float64, q float64) float64 {
 			lo = p + 1
 		}
 	}
-	// Sorted (or single-element) window: walk the cumulative weight.
+	// Sorted (or single-pair) window: walk the cumulative weight.
 	cum := below
-	for i := lo; i <= hi; i++ {
-		cum += ws[i]
+	for _, e := range ps[lo : hi+1] {
+		cum += ws[e.Idx]
 		if cum >= target {
-			return xs[i]
+			return e.Key
 		}
 	}
-	return xs[hi] // float rounding left cum < target at the maximum
-}
-
-// weightedPairs sorts values and weights in lockstep by value.
-type weightedPairs struct{ xs, ws []float64 }
-
-func (p weightedPairs) Len() int           { return len(p.xs) }
-func (p weightedPairs) Less(i, j int) bool { return p.xs[i] < p.xs[j] }
-func (p weightedPairs) Swap(i, j int) {
-	p.xs[i], p.xs[j] = p.xs[j], p.xs[i]
-	p.ws[i], p.ws[j] = p.ws[j], p.ws[i]
-}
-
-// partitionPairs is partition with the weights carried along.
-func partitionPairs(xs, ws []float64, lo, hi int) int {
-	swap := func(i, j int) {
-		xs[i], xs[j] = xs[j], xs[i]
-		ws[i], ws[j] = ws[j], ws[i]
-	}
-	mid := lo + (hi-lo)/2
-	if xs[mid] < xs[lo] {
-		swap(mid, lo)
-	}
-	if xs[hi] < xs[lo] {
-		swap(hi, lo)
-	}
-	if xs[hi] < xs[mid] {
-		swap(hi, mid)
-	}
-	pivot := xs[mid]
-	swap(mid, hi-1)
-	i := lo
-	for j := lo; j < hi-1; j++ {
-		if xs[j] < pivot {
-			swap(i, j)
-			i++
-		}
-	}
-	swap(i, hi-1)
-	return i
+	return ps[hi].Key // float rounding left cum < target at the maximum
 }
 
 // KeyIdx pairs a sort key with the index of the item it was computed
@@ -275,15 +231,21 @@ func SelectKeyIdx(ps []KeyIdx, k int) {
 	if k < 0 || k > len(ps) {
 		panic("stats: SelectKeyIdx count out of range")
 	}
+	nanToInf(ps)
+	if k == 0 || k == len(ps) {
+		return
+	}
+	selectKeyIdx(ps, k-1, 2*log2(len(ps)))
+}
+
+// nanToInf overwrites NaN keys with +Inf, which makes keyIdxLess a total
+// order over ps.
+func nanToInf(ps []KeyIdx) {
 	for i := range ps {
 		if ps[i].Key != ps[i].Key {
 			ps[i].Key = math.Inf(1)
 		}
 	}
-	if k == 0 || k == len(ps) {
-		return
-	}
-	selectKeyIdx(ps, k-1, 2*log2(len(ps)))
 }
 
 // selectKeyIdx puts the pair of rank kth at ps[kth] with every smaller

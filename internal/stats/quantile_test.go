@@ -231,6 +231,16 @@ func weightedQuantileBrute(xs, ws []float64, q float64) float64 {
 	return ps[len(ps)-1].x
 }
 
+// keyIdxPairs is xs as WeightedQuantile's input: (xs[i], i) pairs, so
+// weight i goes with value i.
+func keyIdxPairs(xs []float64) []KeyIdx {
+	ps := make([]KeyIdx, len(xs))
+	for i, x := range xs {
+		ps[i] = KeyIdx{x, i}
+	}
+	return ps
+}
+
 func TestWeightedQuantileMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	for trial := 0; trial < 300; trial++ {
@@ -249,8 +259,7 @@ func TestWeightedQuantileMatchesBruteForce(t *testing.T) {
 		}
 		q := rng.Float64()
 		want := weightedQuantileBrute(xs, ws, q)
-		// WeightedQuantile permutes in place; brute force reads copies.
-		got := WeightedQuantile(append([]float64(nil), xs...), append([]float64(nil), ws...), q)
+		got := WeightedQuantile(keyIdxPairs(xs), ws, q)
 		if got != want {
 			t.Fatalf("trial %d (n=%d q=%v): got %v, want %v", trial, n, q, got, want)
 		}
@@ -272,7 +281,7 @@ func TestWeightedQuantileUniformWeightsIsOrderStatistic(t *testing.T) {
 	sort.Float64s(sorted)
 	for _, k := range []int{1, 25, 50, 99, 101} {
 		q := float64(k) / float64(len(xs))
-		got := WeightedQuantile(append([]float64(nil), xs...), append([]float64(nil), ws...), q)
+		got := WeightedQuantile(keyIdxPairs(xs), ws, q)
 		if want := sorted[k-1]; got != want {
 			t.Errorf("q=%v: got %v, want order statistic %v", q, got, want)
 		}
@@ -283,17 +292,17 @@ func TestWeightedQuantileEdges(t *testing.T) {
 	if v := WeightedQuantile(nil, nil, 0.5); !math.IsNaN(v) {
 		t.Errorf("empty input: got %v, want NaN", v)
 	}
-	if v := WeightedQuantile([]float64{1, 2}, []float64{0, 0}, 0.5); !math.IsNaN(v) {
+	if v := WeightedQuantile(keyIdxPairs([]float64{1, 2}), []float64{0, 0}, 0.5); !math.IsNaN(v) {
 		t.Errorf("zero total weight: got %v, want NaN", v)
 	}
-	if v := WeightedQuantile([]float64{7}, []float64{3}, 0.99); v != 7 {
+	if v := WeightedQuantile(keyIdxPairs([]float64{7}), []float64{3}, 0.99); v != 7 {
 		t.Errorf("singleton: got %v, want 7", v)
 	}
 	// Out-of-range q clamps.
-	if v := WeightedQuantile([]float64{1, 2, 3}, []float64{1, 1, 1}, -1); v != 1 {
+	if v := WeightedQuantile(keyIdxPairs([]float64{1, 2, 3}), []float64{1, 1, 1}, -1); v != 1 {
 		t.Errorf("q<0: got %v, want 1", v)
 	}
-	if v := WeightedQuantile([]float64{1, 2, 3}, []float64{1, 1, 1}, 2); v != 3 {
+	if v := WeightedQuantile(keyIdxPairs([]float64{1, 2, 3}), []float64{1, 1, 1}, 2); v != 3 {
 		t.Errorf("q>1: got %v, want 3", v)
 	}
 	defer func() {
@@ -301,7 +310,7 @@ func TestWeightedQuantileEdges(t *testing.T) {
 			t.Error("length mismatch did not panic")
 		}
 	}()
-	WeightedQuantile([]float64{1}, []float64{1, 2}, 0.5)
+	WeightedQuantile(keyIdxPairs([]float64{1}), []float64{1, 2}, 0.5)
 }
 
 // Variance returns the unbiased sample variance of xs, Running's
