@@ -791,7 +791,12 @@ func p3s4Session(b *testing.B, batches [][]core.Point, cfg pipeline.Config) *pip
 			b.Fatal(err)
 		}
 	}
-	for taken := 0; taken < 2*len(batches)*p3s4BatchPoints; time.Sleep(time.Millisecond) {
+	want := 2 * len(batches) * p3s4BatchPoints
+	deadline := time.Now().Add(10 * time.Second)
+	for taken := 0; taken < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			b.Fatalf("the shards took in %d warm-up points in 10s, want %d", taken, want)
+		}
 		res, err := sess.Poll()
 		if err != nil {
 			b.Fatal(err)

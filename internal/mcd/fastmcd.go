@@ -185,20 +185,24 @@ func fit(pts [][]float64, cfg Config, workers int) (*Estimate, error) {
 // refine gives each candidate two C-steps on cs's dataset and returns the
 // best keep in cands' own storage, ascending by log-determinant, ties to
 // the earlier candidate; one whose estimate stops factoring drops out.
+// It only permutes cands, so every buffer stays in the slab once and a
+// caller can start the slab's trials afresh (nestedTrials).
 func refine(cs *cStepper, cands []candidate, keep int) []candidate {
 	cs.stepAll(cands)
-	kept := cands[:0]
-	for _, c := range cands {
+	kept := 0
+	for j, c := range cands {
 		if c.err != nil {
 			continue
 		}
-		i := len(kept)
-		for kept = append(kept, c); i > 0 && kept[i-1].logDet > c.logDet; i-- {
-			kept[i] = kept[i-1]
+		cands[j] = cands[kept] // a dropped candidate, or c itself
+		i := kept
+		for ; i > 0 && cands[i-1].logDet > c.logDet; i-- {
+			cands[i] = cands[i-1]
 		}
-		kept[i] = c
+		cands[i] = c
+		kept++
 	}
-	return kept[:min(keep, len(kept))]
+	return cands[:min(keep, kept)]
 }
 
 // convergeLeader concentrates ranked[0] to its fixed point and returns it
@@ -506,16 +510,13 @@ func finalize(cs *cStepper, mean []float64, cov *stats.Mat) (*Estimate, error) {
 
 // medianDist returns the median of the distances in s's slab, the value
 // stats.Median gives over them: the middle one for odd n, the mean of the
-// two middle ones for even n. It permutes the slab.
+// two middle ones for even n. A NaN distance ranks as +Inf, as in a
+// C-step, where stats.Median would leave it to its partition order. It
+// permutes the slab.
 func (s *cStepper) medianDist() float64 {
 	half := len(s.ps) / 2
-	stats.SelectKeyIdx(s.ps, half)
-	hi := s.ps[half].Key // the smallest of the upper half
-	for _, e := range s.ps[half+1:] {
-		if e.Key < hi {
-			hi = e.Key
-		}
-	}
+	stats.SelectKeyIdx(s.ps, half+1)
+	hi := s.ps[half].Key // rank half, the smaller pairs to its left
 	if len(s.ps)%2 == 1 {
 		return hi
 	}
