@@ -724,6 +724,79 @@ func BenchmarkMCDFit(b *testing.B) {
 	}
 }
 
+// BenchmarkCSVRead reads the batch_query workload's input shape, a
+// 40K-row CMT CSV (7 metrics, 6 attributes), through an encoder warmed
+// by a first read: serial is the streaming read (NextBatchInto into one
+// recycled 4096-row batch), parallel the one-shot read (ReadAll, on
+// GOMAXPROCS goroutines). A row allocates nothing on either; serial's
+// allocations are the source's own set-up, parallel's add the slabs of
+// each 256 KB block and the points once. No baseline records it yet.
+func BenchmarkCSVRead(b *testing.B) {
+	ds, err := gen.DatasetByName("CMT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, pts, _ := ds.Generate(gen.GenerateConfig{Points: 40_000, Seed: 42})
+	schema := ingest.Schema{Metrics: ds.MetricNames, Attributes: enc.Columns()}
+	var buf bytes.Buffer
+	if err := ingest.WriteCSV(&buf, schema, enc, pts); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	open := func(enc *encode.Encoder) *ingest.CSVSource {
+		src, err := ingest.NewCSVSource(bytes.NewReader(data), schema, enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return src
+	}
+	b.Run("serial", func(b *testing.B) {
+		enc := encode.NewEncoder(schema.Attributes...)
+		batch := core.NewBatch(4096, len(schema.Metrics), len(schema.Attributes))
+		read := func() {
+			src, rows := open(enc), 0
+			for {
+				batch.Reset()
+				if _, err := src.NextBatchInto(context.Background(), batch, 4096); err == core.ErrEndOfStream {
+					break
+				} else if err != nil {
+					b.Fatal(err)
+				}
+				rows += batch.Len()
+			}
+			if rows != len(pts) {
+				b.Fatalf("read %d rows, want %d", rows, len(pts))
+			}
+		}
+		read()
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read()
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		enc := encode.NewEncoder(schema.Attributes...)
+		read := func() {
+			got, err := open(enc).ReadAll()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(got) != len(pts) {
+				b.Fatalf("read %d rows, want %d", len(got), len(pts))
+			}
+		}
+		read()
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read()
+		}
+	})
+}
+
 // The p3s4 kernels push one stream from 3 producers through 4 shards;
 // one op is one 1024-point batch.
 const (

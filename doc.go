@@ -468,9 +468,17 @@
 //     core.PartitionedSource exposes N independent context-aware
 //     streams, each filling the batch the engine loans it
 //     (NextBatchInto(ctx, dst, max)). Stored data is one partition:
-//     ingest.CSVSource parses rows into the loan, core.SliceSource
-//     lends its slice, and core.FuncSource copies what its generator
-//     made. A one-shard run over any of them is bit-identical to a
+//     ingest.CSVSource parses rows into the loan, serially, splitting
+//     each row's fields over its own recycled input block, so a CSV row
+//     allocates nothing; core.SliceSource lends its slice, and
+//     core.FuncSource copies what its generator made. A one-shot query
+//     reads its CSV with CSVSource.ReadAll instead: blocks of whole
+//     records are split and their metrics parsed on GOMAXPROCS
+//     goroutines, into slabs sized from each block's line count, while
+//     the calling goroutine cuts the blocks and interns their
+//     attributes in file order, so its points and encoder ids are a
+//     serial read's (ingest's differential tests and fuzz target hold
+//     every read to encoding/csv, which is left as their oracle). A one-shard run over any of them is bit-identical to a
 //     plain sequential loop over the same batches (pinned against a
 //     test oracle, pipeline.TestShardedStreamOneShardMatchesSequential).
 //     core.StreamRunner runs one ingest goroutine per partition, and
@@ -591,9 +599,10 @@
 // about four fifths of its time on one goroutine and the leader's
 // convergence the rest. A fit takes at most topKeep goroutines (the
 // full-data ranking has no more candidates to hand out), each holding
-// one stepper over the full data: 25 bytes a point, a 16-byte (distance,
-// index) slab, a membership byte and room for the subset's indexes. A
-// 1M-row fit allocates 25 MB on one worker and 250 MB on ten, where each
+// one stepper over the full data: 21 bytes a point, a 16-byte (distance,
+// index) slab, a membership byte and room for the subset's indexes (h of
+// them past smallN, about half a point's worth). A 1M-row fit allocates
+// 21 MB on one worker and 210 MB on ten, where each
 // helper once added 33 bytes a point (the sweep wrote its own distance
 // buffer, then copied it into the slab) and the fitting goroutine built a
 // stepper per subset.
@@ -606,9 +615,10 @@
 // stats.MeanCovInto sums each cell in a register over column-major
 // blocks of centered rows, four cells a pass. internal/mcd's package
 // comment says why the bits match the one-point forms, and a test pins
-// 28 fits to recorded digests. On batch_query the two passes are 30%
-// of server CPU and the fit 50%, and CSV parsing is the largest stage
-// at 36%. Where a fit's
+// 28 fits to recorded digests. On batch_query the fit, its helper
+// included, is about 60% of server CPU and CSV parsing 28%, which
+// ReadAll spreads over both cores: the read is about 37 ms of a 155 ms
+// answer on two vCPUs, so the fit is the largest stage. Where a fit's
 // time goes now, at n=10K, p=7: the trial stage ~59%, the full-data
 // ranking ~23%, the leader's convergence ~13%; by kernel, the sweep
 // ~39%, the h-subset selection ~21%, the covariance ~21% and the step's
@@ -635,7 +645,7 @@
 //
 //   - Sources. Every partition stream is loaned an empty recycled
 //     batch to fill (ingest.CSVSource parses rows straight into the
-//     slabs); a source that already holds a filled batch returns it
+//     slabs from field bytes in its own recycled block); a source that already holds a filled batch returns it
 //     and keeps the loan instead — the ownership swap that lets
 //     ingest.Push hand a producer's batch to the engine without
 //     copying a byte while both free lists stay in equilibrium. A
@@ -810,7 +820,7 @@
 // final result, which the session cannot separate.
 //
 // CI's hot-path step also records kernels no baseline gates:
-// StreamingExplain/clone, Fig6Sketches, MCPSvsCPS, and
+// StreamingExplain/clone, Fig6Sketches, MCPSvsCPS, CSVRead, and
 // BenchmarkRestructure in internal/cps
 // (`go test -bench BenchmarkRestructure -benchmem ./internal/cps/`),
 // one decay tick of a 500K-node inlier-style
@@ -827,6 +837,18 @@
 // On a 2-vCPU box runs drift by up to 1.5x within a sitting, and the
 // replay read 0.98-1.42x the rebuild run by run; compare the two
 // sub-benchmarks within one run, over several runs.
+//
+// CSVRead reads batch_query's input shape, a 40K-row, 8 MB CMT CSV
+// (7 metrics, 6 attributes), through a warmed encoder: serial is the
+// streaming read (NextBatchInto into a recycled batch), parallel the
+// one-shot read (ReadAll). On the 2-vCPU box serial reads ~57 ms/op
+// and 34 allocs/op, all of them the source's set-up (its first block,
+// the header's names and column maps), and parallel ~33 ms/op and
+// ~130 allocs/op: the set-up, the in-flight blocks, and each of the 32
+// blocks' two slabs (metrics and attribute ids). A row allocates
+// nothing on either; the encoding/csv read it replaced allocated three
+// times a row in Next (the record string and each point's two
+// payloads).
 //
 // poll-warm, poll-inlier-moved and DeltaMine/steady-drift measured the
 // reuse layers "One poll path" describes and were deleted with them.

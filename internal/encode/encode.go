@@ -131,6 +131,33 @@ func (e *Encoder) EncodeInto(ids []int32, values []string) []int32 {
 	return ids
 }
 
+// EncodeBytesInto is EncodeInto for values still in []byte form (a CSV
+// reader's field bytes): one read lock for the row, no string for a
+// value already interned.
+func (e *Encoder) EncodeBytesInto(ids []int32, values [][]byte) []int32 {
+	missing := false
+	e.mu.RLock()
+	for i, v := range values {
+		id := int32(-1)
+		if i < len(e.byVal) {
+			if got, ok := e.byVal[i][string(v)]; ok {
+				id = got
+			}
+		}
+		missing = missing || id < 0
+		ids[i] = id
+	}
+	e.mu.RUnlock()
+	if missing {
+		for i := range values {
+			if ids[i] < 0 {
+				ids[i] = e.intern(key{i, string(values[i])})
+			}
+		}
+	}
+	return ids
+}
+
 // Decode returns the attribute for id. Ids not produced by this
 // encoder yield a zero Attribute.
 func (e *Encoder) Decode(id int32) core.Attribute {

@@ -147,3 +147,20 @@ func TestEncodeIntoBatchedReadLock(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestEncodeBytesIntoMatchesEncodeInto: the []byte form assigns the ids
+// the string form does, in the same order, hits and misses alike.
+func TestEncodeBytesIntoMatchesEncodeInto(t *testing.T) {
+	rows := [][]string{{"x", "y"}, {"x", "z"}, {"w", "y"}, {"", "z"}, {"w", "x"}}
+	byStr, byBytes := NewEncoder("a", "b"), NewEncoder("a", "b")
+	for _, row := range rows {
+		want := byStr.EncodeInto(make([]int32, 2), row)
+		got := byBytes.EncodeBytesInto(make([]int32, 2), [][]byte{[]byte(row[0]), []byte(row[1])})
+		if got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("row %q: EncodeBytesInto %v, EncodeInto %v", row, got, want)
+		}
+	}
+	if byBytes.Size() != byStr.Size() {
+		t.Fatalf("%d values interned, EncodeInto interned %d", byBytes.Size(), byStr.Size())
+	}
+}

@@ -109,9 +109,9 @@ func TestCSVSourceErrors(t *testing.T) {
 }
 
 // TestCSVBadRowsMatchErrBadRow: every error a malformed row causes
-// matches ErrBadRow and names the row (encoding/csv's own errors count
-// file lines, the header included), on both read paths and latched; a
-// failed read does not match.
+// matches ErrBadRow and names the row and the file line it starts on
+// (the header is line 1; a quoted field may span lines), on every read
+// path and latched; a failed read does not match.
 func TestCSVBadRowsMatchErrBadRow(t *testing.T) {
 	enc := encode.NewEncoder("device")
 	schema := Schema{Metrics: []string{"power"}, Attributes: []string{"device"}, TimeColumn: "t"}
@@ -121,6 +121,7 @@ func TestCSVBadRowsMatchErrBadRow(t *testing.T) {
 			_, err := s.NextBatchInto(context.Background(), &core.Batch{}, 10)
 			return err
 		},
+		"ReadAll": func(s *CSVSource) error { _, err := s.ReadAll(); return err },
 	}
 	for _, tc := range []struct{ name, data, names string }{
 		{"unparsable metric", "power,device,t\n1,dev1,0\nxyz,dev1,1\n", "row 2"},
@@ -129,6 +130,7 @@ func TestCSVBadRowsMatchErrBadRow(t *testing.T) {
 		{"Inf time", "power,device,t\n1,dev1,0\n2,dev1,Inf\n", "row 2"},
 		{"missing field", "power,device,t\n1,dev1,0\n2,dev1\n", "line 3"},
 		{"bare quote", "power,device,t\n1,dev1,0\n2,de\"v1,1\n", "line 3"},
+		{"after a quoted newline", "power,device,t\n1,\"dev\n1\",0\nxyz,dev1,1\n", "row 2 (line 4)"},
 	} {
 		for path, read := range reads {
 			src, err := NewCSVSource(strings.NewReader(tc.data), schema, enc)

@@ -473,17 +473,19 @@ func TestFitAllocations(t *testing.T) {
 }
 
 // TestFitBytesPerPoint: a fit's memory is one stepper per goroutine. A
-// stepper holds 25 bytes a point (cStepper), and the fit's other buffers
-// (candidate slabs, the merged set's rows, a stepper's fixed scratch) come
-// to about 4 bytes a point at 40K rows on one worker and less per worker
-// past it: 29.3, 27.5 and 26.1 bytes a point per worker at 1, 2 and 10
-// workers, with or without the race detector. The bound of 33 leaves the
-// test binary's other goroutines about 150 KB at 40K rows, and a second
-// full-data buffer on any goroutine breaks it: a fit that also kept an
-// 8-byte distance per point read 51.1, 42.5 and 35.7. fit runs any
-// worker count on any box, and memory needs no cores.
+// stepper holds 21 bytes a point (cStepper: its subset indexes are sized
+// for h past smallN, not for n), and the fit's other buffers (candidate
+// slabs, the merged set's rows, a stepper's fixed scratch) come to about
+// 4 bytes a point at 40K rows on one worker and less per worker past it:
+// 25.2, 23.5 and 22.0 bytes a point per worker at 1, 2 and 10 workers,
+// with or without the race detector (29.3, 27.5 and 26.1 while the
+// indexes were sized for n). The bound of 29 leaves the test binary's
+// other goroutines about 150 KB at 40K rows, and a second full-data
+// buffer on any goroutine breaks it: a fit that also kept an 8-byte
+// distance per point read 51.1, 42.5 and 35.7. fit runs any worker count
+// on any box, and memory needs no cores.
 func TestFitBytesPerPoint(t *testing.T) {
-	const n, perPointPerWorker = 40_000, 33
+	const n, perPointPerWorker = 40_000, 29
 	pts := gaussMix(n, 7, 1)
 	for _, w := range []int{1, 2, 10} {
 		var before, after runtime.MemStats

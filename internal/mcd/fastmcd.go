@@ -273,10 +273,12 @@ func candidateSlab(k, p int) []candidate {
 
 // cStepper owns every buffer concentration steps over one dataset need,
 // so a step allocates nothing: per point, a 16-byte (distance, index)
-// slab, a membership byte and room for the subset's index, 25 bytes in
-// all. Each goroutine of a fit builds one over the full data and aims it
-// at each stage's points in turn (aim); a smaller stage uses a prefix of
-// every buffer.
+// slab and a membership byte, plus room for the subset's indexes. A
+// subset holds at most h points past smallN (a step keeps h, a trial
+// start draws from a 300-row subset), so there it costs 8 bytes per
+// subset point, about 4 a point: 21 bytes a point in all. Each goroutine
+// of a fit builds one over the full data and aims it at each stage's
+// points in turn (aim); a smaller stage uses a prefix of every buffer.
 type cStepper struct {
 	pts    [][]float64
 	h      int
@@ -294,12 +296,16 @@ type cStepper struct {
 
 func newCStepper(pts [][]float64, h int) *cStepper {
 	p := len(pts[0])
+	subset := len(pts)
+	if subset > smallN {
+		subset = h
+	}
 	return &cStepper{
 		pts:    pts,
 		h:      h,
 		ps:     make([]stats.KeyIdx, len(pts)),
 		mask:   make([]bool, len(pts)),
-		idx:    make([]int, 0, len(pts)),
+		idx:    make([]int, 0, subset),
 		scr:    make([]float64, 4*p),
 		colScr: make([]float64, p*min(len(pts), stats.MeanCovBlock)),
 		ridge:  stats.NewMat(p, p),

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"io"
 
-	"macrobase/internal/core"
 	"macrobase/internal/encode"
 	"macrobase/internal/ingest"
 )
@@ -33,7 +32,7 @@ func FromQuery(q *ingest.QueryConfig) Config {
 // as q.Streaming selects — and returns the result with its explanations
 // decorated with attribute names. One-shot mode reads the stored data
 // into memory first (paper §3.2: batch execution streams over stored
-// data).
+// data), parsing it on every core (ingest.CSVSource.ReadAll).
 func RunQuery(q *ingest.QueryConfig, in io.Reader) (*Result, error) {
 	enc := encode.NewEncoder(q.Attributes...)
 	src, err := ingest.NewCSVSource(in, q.Schema(), enc)
@@ -45,16 +44,9 @@ func RunQuery(q *ingest.QueryConfig, in io.Reader) (*Result, error) {
 	if q.Streaming {
 		res, err = RunStreaming(src, cfg)
 	} else {
-		var pts []core.Point
-		for {
-			b, berr := src.Next(8192)
-			if berr == core.ErrEndOfStream {
-				break
-			}
-			if berr != nil {
-				return nil, berr
-			}
-			pts = append(pts, b...)
+		pts, rerr := src.ReadAll()
+		if rerr != nil {
+			return nil, rerr
 		}
 		res, err = RunOneShot(pts, cfg)
 	}
