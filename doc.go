@@ -539,8 +539,8 @@
 //
 // The refit finishes no evaluation nobody reads. A concentration step
 // needs the set of the h closest points, never their ranking, so the
-// distance sweep writes a (distance, index) slab and one introselect pass
-// selects from it in place. A fit's scratch lives on one stepper per
+// distance sweep writes a (distance, index) slab and one Floyd–Rivest
+// selection picks the h closest from it in place. A fit's scratch lives on one stepper per
 // goroutine: the fitting goroutine aims its stepper at every stage, and
 // the consistency correction takes its distances and median from it. The chosen rows are summed
 // in ascending index order, so the new mean and covariance are a
@@ -600,29 +600,41 @@
 // convergence the rest. A fit takes at most topKeep goroutines (the
 // full-data ranking has no more candidates to hand out), each holding
 // one stepper over the full data: 21 bytes a point, a 16-byte (distance,
-// index) slab, a membership byte and room for the subset's indexes (h of
-// them past smallN, about half a point's worth). A 1M-row fit allocates
+// index) slab, a membership byte and room for the subset's indexes (h,
+// plus a spare slot, past smallN, about half a point's worth). A 1M-row fit allocates
 // 21 MB on one worker and 210 MB on ten, where each
 // helper once added 33 bytes a point (the sweep wrote its own distance
 // buffer, then copied it into the slab) and the fitting goroutine built a
 // stepper per subset.
 //
-// The C-step's two data passes are written for latency, not just
-// arithmetic: a point's forward solve is a chain of p dependent
-// divisions, and a covariance cell summed through memory pays a
-// load-add-store per chosen row. The sweep
-// (stats.Cholesky.MahalanobisSqAll) solves four points in lockstep, and
-// stats.MeanCovInto sums each cell in a register over column-major
-// blocks of centered rows, four cells a pass. internal/mcd's package
-// comment says why the bits match the one-point forms, and a test pins
-// 28 fits to recorded digests. On batch_query the fit, its helper
-// included, is about 60% of server CPU and CSV parsing 28%, which
-// ReadAll spreads over both cores: the read is about 37 ms of a 155 ms
-// answer on two vCPUs, so the fit is the largest stage. Where a fit's
-// time goes now, at n=10K, p=7: the trial stage ~59%, the full-data
-// ranking ~23%, the leader's convergence ~13%; by kernel, the sweep
-// ~39%, the h-subset selection ~21%, the covariance ~21% and the step's
-// own bookkeeping ~13%. At n=40K the ranking is the largest stage (~45%).
+// Each of the C-step's passes over the data is laid out for what bounds
+// it. A point's forward solve is a chain of p dependent divisions, so the
+// sweep (stats.Cholesky.MahalanobisSqAll) keeps many chains in flight: on
+// amd64 with AVX2 (read from CPUID and XGETBV once, at init; there is no
+// switch) an assembly kernel solves eight points at once, a point to a
+// YMM lane, two groups of four interleaved; elsewhere the Go loop that
+// solves four in lockstep is the only sweep, and it is the tests'
+// reference everywhere. The selection (stats.SelectKeyIdx) is Floyd and
+// Rivest's: its pivot is selected within a sample of about n^(2/3)
+// distances around the h-th, so the first partition leaves a small
+// window, where the median-of-three introselect before it shed about
+// half the slab a round. The membership pass writes every index and
+// advances only past members, where a branch on membership mispredicted
+// on about half the points. stats.MeanCovInto sums each covariance cell
+// in a register over column-major blocks of centered rows, four cells a
+// pass. internal/mcd's package comment says why the bits match the
+// one-point forms, and a test pins 28 fits to recorded digests.
+//
+// Before the kernel and the selection, a 10 s profile of batch_query put
+// the C-step at 60% of server CPU (the sweep 26%, the selection 14.5%,
+// the covariance 15%) and CSV parsing at 22%; after them, in the same
+// sitting, the C-step is 48% (the sweep 12%, the selection 16%, the
+// covariance 19%) and CSV parsing 30%, and ten alternating pairs read
+// answer_p50_ms 176 -> 119 ms (CHANGES.md). Where a one-worker fit's
+// time goes now, at n=10K, p=7: the trial stage ~65%, the full-data
+// ranking ~23%, the leader's convergence ~10%; by kernel, the covariance
+// ~40%, the selection ~29%, the sweep ~18% and the step's own
+// bookkeeping ~3%. The covariance is the next kernel to write.
 //
 // # Allocation-free ingest data plane
 //
@@ -820,7 +832,9 @@
 // final result, which the session cannot separate.
 //
 // CI's hot-path step also records kernels no baseline gates:
-// StreamingExplain/clone, Fig6Sketches, MCPSvsCPS, CSVRead, and
+// StreamingExplain/clone, Fig6Sketches, MCPSvsCPS, CSVRead,
+// BenchmarkMahalanobisSweep and BenchmarkSelectKeyIdx in internal/stats
+// (the C-step's sweep and selection, below), and
 // BenchmarkRestructure in internal/cps
 // (`go test -bench BenchmarkRestructure -benchmem ./internal/cps/`),
 // one decay tick of a 500K-node inlier-style
@@ -837,6 +851,16 @@
 // On a 2-vCPU box runs drift by up to 1.5x within a sitting, and the
 // replay read 0.98-1.42x the rebuild run by run; compare the two
 // sub-benchmarks within one run, over several runs.
+//
+// MahalanobisSweep times one C-step's distance pass over 10K rows at
+// p=7, per point: one-point is a MahalanobisSq loop, four-point the Go
+// sweep (the only one off amd64 and the tests' reference) and avx2 the
+// assembly kernel MahalanobisSqAll runs where the CPU has AVX2 (the case
+// is absent elsewhere). SelectKeyIdx selects the 20K closest of 40K
+// sweep keys in a fresh copy of the slab, per point. On the 2-vCPU box,
+// in one sitting: one-point ~72, four-point ~28-38, avx2 ~11-12 ns a
+// point; SelectKeyIdx ~13 ns a point, where the introselect it replaced
+// read ~20-23. All allocate nothing.
 //
 // CSVRead reads batch_query's input shape, a 40K-row, 8 MB CMT CSV
 // (7 metrics, 6 attributes), through a warmed encoder: serial is the

@@ -18,14 +18,31 @@ type Fitted struct {
 // ClassifyBatch implements core.Classifier.
 func (f *Fitted) ClassifyBatch(dst []core.LabeledPoint, batch []core.Point) []core.LabeledPoint {
 	for i := range batch {
-		score := f.Scorer.Score(batch[i].Metrics)
-		label := core.Inlier
-		if score > f.Threshold {
-			label = core.Outlier
-		}
-		dst = append(dst, core.LabeledPoint{Point: batch[i], Score: score, Label: label})
+		dst = append(dst, f.labeled(batch[i], f.Scorer.Score(batch[i].Metrics)))
 	}
 	return dst
+}
+
+// LabelScored is ClassifyBatch for points f.Scorer has already scored,
+// as FitBatch has every point it fits on: scores[i] is batch[i]'s score,
+// and each point is labeled exactly as ClassifyBatch would label it,
+// without scoring it again.
+func (f *Fitted) LabelScored(dst []core.LabeledPoint, batch []core.Point, scores []float64) []core.LabeledPoint {
+	scores = scores[:len(batch)]
+	for i := range batch {
+		dst = append(dst, f.labeled(batch[i], scores[i]))
+	}
+	return dst
+}
+
+// labeled thresholds one scored point: a score above the threshold is an
+// outlier.
+func (f *Fitted) labeled(p core.Point, score float64) core.LabeledPoint {
+	label := core.Inlier
+	if score > f.Threshold {
+		label = core.Outlier
+	}
+	return core.LabeledPoint{Point: p, Score: score, Label: label}
 }
 
 // FitBatchConfig controls FitBatch.

@@ -35,9 +35,13 @@ import (
 //
 // BinaryRowReader decodes a stream into recycled core.Batch slabs with
 // zero steady-state allocations: the varint/float parsing works out of
-// a reusable body buffer and attribute values are interned through
-// encode.Encoder.EncodeBytes, which looks up already-known values
-// without materializing a string.
+// a reusable body buffer and a row's attribute values are interned
+// together through encode.Encoder.EncodeBytesInto, which looks up
+// already-known values under one read lock without materializing a
+// string. A row that fails partway through its attributes still interns
+// the ones before the failure, in column order, so an encoder that
+// outlives the bad row hands out the ids it would have had they been
+// interned one at a time.
 
 // BinaryMagic is the stream header of the binary row format.
 const BinaryMagic = "MBR1"
@@ -145,6 +149,7 @@ type BinaryRowReader struct {
 	body   []byte
 	mbuf   []float64
 	abuf   []int32
+	vals   [][]byte // a row's attribute values, aliasing body until interned
 	row    int
 	begun  bool
 	err    error
@@ -191,6 +196,9 @@ func (d *BinaryRowReader) ReadInto(b *core.Batch, max int) (int, error) {
 	}
 	if cap(d.abuf) < len(d.schema.Attributes) {
 		d.abuf = make([]int32, len(d.schema.Attributes))
+	}
+	if cap(d.vals) < len(d.schema.Attributes) {
+		d.vals = make([][]byte, len(d.schema.Attributes))
 	}
 	n := 0
 	for n < max {
@@ -293,19 +301,22 @@ func (d *BinaryRowReader) readRow(b *core.Batch) error {
 	if int(na) != len(d.schema.Attributes) {
 		return fmt.Errorf("ingest: binary row %d: %d attributes, want %d (%v)", d.row, na, len(d.schema.Attributes), d.schema.Attributes)
 	}
-	abuf := d.abuf[:na]
-	for j := range abuf {
+	abuf, vals := d.abuf[:na], d.vals[:na]
+	for j := range vals {
 		var vl uint64
 		vl, body, err = d.uvarint(body)
 		if err != nil {
+			d.enc.EncodeBytesInto(abuf[:j], vals[:j])
 			return fmt.Errorf("ingest: binary row %d: attribute %q length: %w", d.row, d.schema.Attributes[j], err)
 		}
 		if uint64(len(body)) < vl {
+			d.enc.EncodeBytesInto(abuf[:j], vals[:j])
 			return fmt.Errorf("ingest: binary row %d: truncated attribute %q", d.row, d.schema.Attributes[j])
 		}
-		abuf[j] = d.enc.EncodeBytes(j, body[:vl])
+		vals[j] = body[:vl]
 		body = body[vl:]
 	}
+	d.enc.EncodeBytesInto(abuf, vals)
 	if len(body) != 0 {
 		return fmt.Errorf("ingest: binary row %d: %d trailing bytes in body", d.row, len(body))
 	}

@@ -12,8 +12,8 @@
 // A concentration step (C-step) keeps the h points closest to the
 // current estimate and re-estimates from them. Only the set matters,
 // never the ranking, so the step selects rather than sorts: the distance
-// sweep writes a (distance, index) slab and one introselect pass permutes
-// it under the total order (distance, then index). Distances that tie
+// sweep writes a (distance, index) slab and one Floyd–Rivest selection
+// permutes it under the total order (distance, then index). Distances that tie
 // across the h boundary go to the lower index, a point with a NaN or
 // infinite distance ranks last (it is kept only when fewer than h points
 // are finite), and h == n keeps everything without a selection pass.
@@ -21,20 +21,28 @@
 // mean and covariance — low bits included — are a function of which
 // points were chosen and of nothing else.
 //
-// Both passes of a step over the data are bound by latency, not
-// arithmetic, and each is laid out so that independent chains overlap.
-// The distance sweep (stats.Cholesky.MahalanobisSqAll) forward-solves
-// four points in lockstep, so four chains of dependent divisions are in
-// flight at once. The re-estimate (stats.MeanCovInto) gathers the chosen
-// rows, centered, into column-major blocks and sums each covariance cell
-// in a register, four cells per pass, instead of loading and storing
-// every cell once per row. Neither changes a bit of the answer: every
-// point's distance is the same operations in the same order as a
-// one-point solve, and every cell adds the same products in the same
-// index order. Go does not fuse a multiply and an add into one rounding
-// on amd64, so there the fits are those of the one-point sweep and the
-// row-major covariance exactly; a test pins them to digests recorded
-// from that code.
+// Each of a step's passes over the data is laid out for what bounds it.
+// The distance sweep (stats.Cholesky.MahalanobisSqAll) is a chain of p
+// dependent divisions a point, so it keeps many points' chains in
+// flight: on amd64 with AVX2 an assembly kernel solves eight at once,
+// four to a YMM register in two interleaved groups, and elsewhere a Go
+// loop solves four in lockstep. The selection (stats.SelectKeyIdx) is
+// Floyd and Rivest's: a pivot chosen within a small sample brackets the
+// h-th distance, so one partition of the slab leaves a small window. The
+// membership pass turns the chosen set into ascending indexes with no
+// branch on membership, which half the points would mispredict. The
+// re-estimate (stats.MeanCovInto) gathers the chosen rows, centered,
+// into column-major blocks and sums each covariance cell in a register,
+// four cells per pass, instead of loading and storing every cell once
+// per row. None of them changes a bit of the answer: every point's
+// distance is the same operations in the same order as a one-point solve
+// (the kernel multiplies, then subtracts, and never fuses the two), the
+// h closest points are one set under a total order whatever selects
+// them, and every cell adds the same products in the same index order.
+// Go does not fuse a multiply and an add into one rounding on amd64, so
+// there the fits are those of the one-point sweep and the row-major
+// covariance exactly; a test pins them to digests recorded from that
+// code.
 //
 // A fit spreads its candidates' C-steps over the process's cores: Fit
 // runs on GOMAXPROCS goroutines, but never more than topKeep, since the
@@ -276,7 +284,8 @@ func candidateSlab(k, p int) []candidate {
 // slab and a membership byte, plus room for the subset's indexes. A
 // subset holds at most h points past smallN (a step keeps h, a trial
 // start draws from a 300-row subset), so there it costs 8 bytes per
-// subset point, about 4 a point: 21 bytes a point in all. Each goroutine
+// subset point, about 4 a point, with one spare slot the membership pass
+// writes into: 21 bytes a point in all. Each goroutine
 // of a fit builds one over the full data and aims it at each stage's
 // points in turn (aim); a smaller stage uses a prefix of every buffer.
 type cStepper struct {
@@ -285,7 +294,7 @@ type cStepper struct {
 	ps     []stats.KeyIdx // (squared distance, index) slab the sweep writes and the selection permutes
 	mask   []bool         // subset membership; all false between uses
 	idx    []int          // the current subset: ascending after a step, in draw order after start
-	scr    []float64      // the sweep's four forward solves
+	scr    []float64      // the sweep's eight forward solves
 	colScr []float64      // MeanCovInto's column-major block of centered rows
 	chol   stats.Cholesky
 	ridge  *stats.Mat
@@ -298,7 +307,7 @@ func newCStepper(pts [][]float64, h int) *cStepper {
 	p := len(pts[0])
 	subset := len(pts)
 	if subset > smallN {
-		subset = h
+		subset = h + 1 // the membership pass writes one slot past the h members
 	}
 	return &cStepper{
 		pts:    pts,
@@ -306,7 +315,7 @@ func newCStepper(pts [][]float64, h int) *cStepper {
 		ps:     make([]stats.KeyIdx, len(pts)),
 		mask:   make([]bool, len(pts)),
 		idx:    make([]int, 0, subset),
-		scr:    make([]float64, 4*p),
+		scr:    make([]float64, 8*p),
 		colScr: make([]float64, p*min(len(pts), stats.MeanCovBlock)),
 		ridge:  stats.NewMat(p, p),
 	}
@@ -346,21 +355,35 @@ func (s *cStepper) step(mean []float64, cov *stats.Mat) (logDet float64, err err
 	}
 	s.chol.MahalanobisSqAll(s.ps, s.pts, mean, s.scr)
 	stats.SelectKeyIdx(s.ps, s.h)
+	mask := s.mask
 	for _, p := range s.ps[:s.h] {
-		s.mask[p.Idx] = true
+		mask[p.Idx] = true
 	}
-	s.idx = s.idx[:0]
-	for i, in := range s.mask {
-		if in {
-			s.idx = append(s.idx, i)
-			s.mask[i] = false
-		}
+	// Every index is written and only a member's advances j, so the
+	// pass has no branch on membership for half the points to mispredict.
+	// A write past the last member lands in idx's spare slot (when h < n;
+	// when h == n every write is a member's).
+	idx, j := s.idx[:cap(s.idx)], 0
+	for i, in := range mask {
+		idx[j] = i
+		j += b2i(in)
 	}
+	s.idx = idx[:j]
+	clear(mask)
 	stats.MeanCovInto(mean, cov, s.pts, s.idx, s.colScr)
 	if err := factorWithRidge(&s.chol, s.ridge, cov); err != nil {
 		return 0, err
 	}
 	return s.chol.LogDet(), nil
+}
+
+// b2i is 1 for true and 0 for false, which the compiler emits as a
+// zero extension of the bool, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // converge iterates C-steps on (mean, cov) in place until the

@@ -183,10 +183,11 @@ func RunOneShot(pts []core.Point, cfg Config) (*Result, error) {
 
 // ClassifyOneShot exposes the one-shot classify stage without
 // explanation, for experiments that measure the stages separately
-// (e.g. Table 2's "without explanation" columns).
+// (e.g. Table 2's "without explanation" columns). Every point is scored
+// once, by the fit: the labels come from the scores FitBatch returns.
 func ClassifyOneShot(pts []core.Point, cfg Config) ([]core.LabeledPoint, error) {
 	cfg = cfg.withDefaults()
-	fitted, _, err := classify.FitBatch(pts, classify.AutoTrainer(cfg.Dims, cfg.Seed), classify.FitBatchConfig{
+	fitted, scores, err := classify.FitBatch(pts, classify.AutoTrainer(cfg.Dims, cfg.Seed), classify.FitBatchConfig{
 		Percentile:      cfg.Percentile,
 		TrainSampleSize: cfg.TrainSampleSize,
 		Seed:            cfg.Seed,
@@ -194,5 +195,5 @@ func ClassifyOneShot(pts []core.Point, cfg Config) ([]core.LabeledPoint, error) 
 	if err != nil {
 		return nil, err
 	}
-	return fitted.ClassifyBatch(make([]core.LabeledPoint, 0, len(pts)), pts), nil
+	return fitted.LabelScored(make([]core.LabeledPoint, 0, len(pts)), pts, scores), nil
 }

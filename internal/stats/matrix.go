@@ -116,21 +116,32 @@ func (c *Cholesky) MahalanobisSq(x, mu, scratch []float64) float64 {
 // MahalanobisSqAll sets dst[r] to (MahalanobisSq(pts[r], mu), r) for
 // every row of pts: the (distance, index) slab a selection permutes
 // (SelectKeyIdx). A point's forward solve is a chain of dependent
-// divisions, so the sweep solves four points in lockstep and their
-// chains overlap. Each point still executes exactly MahalanobisSq's
-// operations in MahalanobisSq's order, and a tail of fewer than four
-// points goes through MahalanobisSq itself, so every dst[r].Key is bit
-// for bit the one-point answer. scratch, when cap(scratch) >= 4*len(mu),
-// avoids allocation.
+// divisions, so the sweep solves four points at once and their chains
+// overlap. On amd64 with AVX2 (checked once, at init) an assembly kernel
+// does it, one point to a lane of a YMM register; everywhere else a Go
+// loop does, four points in lockstep. Each point still executes exactly
+// MahalanobisSq's operations in MahalanobisSq's order — a multiply and a
+// subtract a term, never fused, then the division, and the norm summed
+// from zero in index order — and a tail of fewer than four points goes
+// through MahalanobisSq itself, so every dst[r].Key is bit for bit the
+// one-point answer on either path. scratch, when cap(scratch) >=
+// 8*len(mu), avoids allocation.
 func (c *Cholesky) MahalanobisSqAll(dst []KeyIdx, pts [][]float64, mu, scratch []float64) {
 	n := c.L.Rows
-	if cap(scratch) < 4*n {
-		scratch = make([]float64, 4*n)
+	if cap(scratch) < 8*n {
+		scratch = make([]float64, 8*n)
 	}
+	scratch, mu, dst = scratch[:8*n], mu[:n], dst[:len(pts)]
+	r := sweepKernel(dst, pts, mu, c.L.Data[:n*n], scratch)
+	c.mahalanobisSqFrom(dst, pts, mu, scratch, r)
+}
+
+// mahalanobisSqFrom is MahalanobisSqAll's Go sweep from row r on, with
+// dst, mu and scratch already sized: the only sweep off AVX2 and the
+// reference the AVX2 kernel is tested against.
+func (c *Cholesky) mahalanobisSqFrom(dst []KeyIdx, pts [][]float64, mu, scratch []float64, r int) {
+	n := c.L.Rows
 	z0, z1, z2, z3 := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:4*n]
-	mu = mu[:n]
-	dst = dst[:len(pts)]
-	r := 0
 	for ; r+4 <= len(pts); r += 4 {
 		x0, x1, x2, x3 := pts[r][:n], pts[r+1][:n], pts[r+2][:n], pts[r+3][:n]
 		for i := range z0 {

@@ -351,7 +351,7 @@ func TestMahalanobisSqAllMatchesOnePointBits(t *testing.T) {
 					specialRows(pts, mu, rng)
 				}
 				dst := make([]KeyIdx, n)
-				scratch := make([]float64, 4*p)
+				scratch := make([]float64, 8*p)
 				ch.MahalanobisSqAll(dst, pts, mu, scratch)
 				if n > 0 {
 					ch.MahalanobisSqAll(dst[:n-1], pts[:n-1], mu, nil) // a different tail, allocated scratch
@@ -378,9 +378,9 @@ func TestMahalanobisSqAllAllocations(t *testing.T) {
 	for r := range pts {
 		pts[r] = make([]float64, 7)
 	}
-	dst, mu, scratch := make([]KeyIdx, len(pts)), make([]float64, 7), make([]float64, 4*7)
+	dst, mu, scratch := make([]KeyIdx, len(pts)), make([]float64, 7), make([]float64, 8*7)
 	if allocs := testing.AllocsPerRun(10, func() { ch.MahalanobisSqAll(dst, pts, mu, scratch) }); allocs != 0 {
-		t.Errorf("sweep with 4p scratch allocated %v times", allocs)
+		t.Errorf("sweep with 8p scratch allocated %v times", allocs)
 	}
 }
 
@@ -462,10 +462,11 @@ func benchRows(n int) ([][]float64, *Cholesky, []float64) {
 }
 
 // BenchmarkMahalanobisSweep times one C-step's distance pass over 10K
-// points, per point: the four-point sweep against a MahalanobisSq loop.
+// points, per point: a MahalanobisSq loop, the Go four-point sweep, and,
+// where the CPU has it, the AVX2 kernel.
 func BenchmarkMahalanobisSweep(b *testing.B) {
 	pts, ch, mu := benchRows(10_000)
-	dst, scratch := make([]KeyIdx, len(pts)), make([]float64, 4*len(mu))
+	dst, scratch := make([]KeyIdx, len(pts)), make([]float64, 8*len(mu))
 	b.Run("one-point", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for r, x := range pts {
@@ -476,10 +477,18 @@ func BenchmarkMahalanobisSweep(b *testing.B) {
 	})
 	b.Run("four-point", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ch.MahalanobisSqAll(dst, pts, mu, scratch)
+			ch.mahalanobisSqFrom(dst, pts, mu, scratch, 0)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
 	})
+	if haveAVX2 {
+		b.Run("avx2", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ch.MahalanobisSqAll(dst, pts, mu, scratch)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
+		})
+	}
 }
 
 // BenchmarkMeanCov times one C-step's re-estimate from 5K of 10K points

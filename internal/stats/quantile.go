@@ -148,8 +148,8 @@ func Quantile(xs []float64, q float64) float64 {
 // shard contributes its reservoir sample with a per-item weight of
 // (reservoir weight / sample size), so shards that have seen more
 // (decayed) stream weight pull the pooled quantile proportionally.
-// ps is permuted in place; ws is only read. The search is SelectKeyIdx's
-// introselect under the order (Key, then Idx), carrying the weight below
+// ps is permuted in place; ws is only read. The search is an introselect
+// under SelectKeyIdx's order (Key, then Idx), carrying the weight below
 // the window; NaN keys rank as +Inf as they do there. Average O(n).
 // Empty input or zero total weight returns NaN; lengths must match.
 func WeightedQuantile(ps []KeyIdx, ws []float64, q float64) float64 {
@@ -223,10 +223,16 @@ func keyIdxLess(a, b KeyIdx) bool {
 // SelectKeyIdx rearranges ps so that ps[:k] holds its k smallest pairs
 // under the order (Key, then Idx): among equal keys the lower index is
 // chosen first. NaN keys rank as +Inf and are overwritten with it. The
-// order within ps[:k] and within ps[k:] is unspecified. It is the
-// introselect of Select over pairs, except that the fallback after too
-// many bad pivots is an in-place heapsort of the remaining window, so
+// pair of rank k-1 ends at ps[k-1]; the order within ps[:k-1] and within
+// ps[k:] is unspecified. It is Floyd and Rivest's SELECT: each round
+// picks its pivot by selecting, recursively, within a sample window of
+// about n^(2/3) pairs around the wanted rank, so the partition that
+// follows brackets that rank closely and the next window is small.
+// After too many rounds the remaining window is heapsorted in place, so
 // no call reaches package sort. Average O(n), worst case O(n log n).
+// Under a total order the k smallest pairs are one set whatever the
+// algorithm, so a caller that reads only which pairs were chosen (a
+// C-step) sees the same answer as from any other selection.
 func SelectKeyIdx(ps []KeyIdx, k int) {
 	if k < 0 || k > len(ps) {
 		panic("stats: SelectKeyIdx count out of range")
@@ -238,6 +244,10 @@ func SelectKeyIdx(ps []KeyIdx, k int) {
 	selectKeyIdx(ps, k-1, 2*log2(len(ps)))
 }
 
+// frSampleFrom is the window size past which selectKeyIdx picks its pivot
+// from a sample, Floyd and Rivest's constant.
+const frSampleFrom = 600
+
 // nanToInf overwrites NaN keys with +Inf, which makes keyIdxLess a total
 // order over ps.
 func nanToInf(ps []KeyIdx) {
@@ -248,33 +258,74 @@ func nanToInf(ps []KeyIdx) {
 	}
 }
 
-// selectKeyIdx puts the pair of rank kth at ps[kth] with every smaller
-// pair to its left; depth bounds the partition rounds before the
-// heapsort fallback.
-func selectKeyIdx(ps []KeyIdx, kth, depth int) {
-	lo, hi := 0, len(ps)-1
-	for hi > lo {
+// selectKeyIdx puts the pair of rank k at ps[k], smaller pairs to its
+// left and larger to its right, in at most depth partition rounds (a
+// sample's selection has depth rounds of its own) before heapsorting
+// what is left of the window.
+func selectKeyIdx(ps []KeyIdx, k, depth int) {
+	left, right := 0, len(ps)-1
+	for right > left {
 		if depth == 0 {
-			heapSortKeyIdx(ps[lo : hi+1])
+			heapSortKeyIdx(ps[left : right+1])
 			return
 		}
 		depth--
-		p := partitionKeyIdx(ps, lo, hi)
-		switch {
-		case kth == p:
-			return
-		case kth < p:
-			hi = p - 1
-		default:
-			lo = p + 1
+		if right-left > frSampleFrom {
+			// Select the pivot's rank within a sample window of s pairs
+			// placed where the rank falls, pulled a few standard
+			// deviations toward the window's middle.
+			n := float64(right - left + 1)
+			i := float64(k - left + 1)
+			z := math.Log(n)
+			s := 0.5 * math.Exp(2*z/3)
+			sd := 0.5 * math.Sqrt(z*s*(n-s)/n)
+			if i < n/2 {
+				sd = -sd
+			}
+			lo := max(left, int(float64(k)-i*s/n+sd))
+			hi := min(right, int(float64(k)+(n-i)*s/n+sd))
+			selectKeyIdx(ps[lo:hi+1], k-lo, depth)
+		}
+		// Partition [left, right] around t = ps[k]. t is parked at one
+		// end and a pair on the other side of it at the other, so each
+		// scan stops before it leaves the window.
+		t := ps[k]
+		i, j := left, right
+		ps[left], ps[k] = ps[k], ps[left]
+		if keyIdxLess(t, ps[right]) {
+			ps[right], ps[left] = ps[left], ps[right]
+		}
+		for i < j {
+			ps[i], ps[j] = ps[j], ps[i]
+			i++
+			j--
+			for keyIdxLess(ps[i], t) {
+				i++
+			}
+			for keyIdxLess(t, ps[j]) {
+				j--
+			}
+		}
+		if ps[left] == t {
+			ps[left], ps[j] = ps[j], ps[left]
+		} else {
+			j++
+			ps[j], ps[right] = ps[right], ps[j]
+		}
+		// t is now at j, every smaller pair left of it.
+		if j <= k {
+			left = j + 1
+		}
+		if k <= j {
+			right = j - 1
 		}
 	}
 }
 
 // partitionKeyIdx picks partition's median-of-three pivot under
-// keyIdxLess and returns its final index; the scan is Hoare's, whose
-// fewer swaps of 16-byte pairs took a 10K-pair selection from ~128 to
-// ~100 µs against partition's scan.
+// keyIdxLess and returns its final index, for WeightedQuantile's search;
+// the scan is Hoare's, whose fewer swaps of 16-byte pairs took a 10K-pair
+// selection from ~128 to ~100 µs against partition's scan.
 func partitionKeyIdx(ps []KeyIdx, lo, hi int) int {
 	mid := lo + (hi-lo)/2
 	if keyIdxLess(ps[mid], ps[lo]) {

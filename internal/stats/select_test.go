@@ -87,12 +87,48 @@ func TestSelectKeyIdxMatchesSort(t *testing.T) {
 	}
 }
 
+// TestSelectKeyIdxSampledRounds runs SelectKeyIdx past the size at which
+// a round picks its pivot from a sample window (frSampleFrom), where the
+// window, its recursive selection and the clamps at the slice's ends all
+// come into play, and requires the chosen set and the pair of rank k-1 at
+// ps[k-1], which medianDist-style callers read.
+func TestSelectKeyIdxSampledRounds(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	for _, n := range []int{frSampleFrom + 2, 1000} {
+		for name, in := range selectInputs(n, rng) {
+			checkSelectKeyIdx(t, name, in, SelectKeyIdx)
+		}
+	}
+	for name, in := range selectInputs(40_000, rng) {
+		want := append([]KeyIdx(nil), in...)
+		nanToInf(want)
+		sort.Slice(want, func(a, b int) bool { return keyIdxLess(want[a], want[b]) })
+		for _, k := range []int{1, 2, 599, 20_000, 20_001, 39_999} {
+			ps := append([]KeyIdx(nil), in...)
+			SelectKeyIdx(ps, k)
+			if ps[k-1] != want[k-1] {
+				t.Fatalf("%s: k=%d: ps[k-1] = %v, want the pair of rank k-1, %v", name, k, ps[k-1], want[k-1])
+			}
+			for i, p := range ps {
+				if keyIdxLess(p, want[k-1]) != (i < k-1) {
+					t.Fatalf("%s: k=%d: position %d holds %v, on the wrong side of %v", name, k, i, p, want[k-1])
+				}
+			}
+		}
+	}
+}
+
 // TestSelectKeyIdxFallback gives the partition loop no rounds (and then
-// one, and two), so the heapsort fallback finishes every input family.
+// one, and two, on windows large enough that a round selects within a
+// sample first), so the heapsort fallback finishes every input family.
 func TestSelectKeyIdxFallback(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	for depth := 0; depth <= 2; depth++ {
-		for name, in := range selectInputs(97, rng) {
+		n := 97
+		if depth > 0 {
+			n = frSampleFrom + 50
+		}
+		for name, in := range selectInputs(n, rng) {
 			for i := range in {
 				if math.IsNaN(in[i].Key) {
 					in[i].Key = math.Inf(1) // selectKeyIdx sits below the NaN rewrite
@@ -108,7 +144,7 @@ func TestSelectKeyIdxFallback(t *testing.T) {
 }
 
 // medianOfThreeKiller builds the input that makes every partition round
-// of selectKeyIdx shed only two pairs while the wanted rank stays in the
+// of partitionKeyIdx (WeightedQuantile's) shed only two pairs while the wanted rank stays in the
 // large side: each round it plants the window's two smallest keys where
 // the pivot rule looks (first and middle), so the pivot is the second
 // smallest, and replays the two swaps the partition then makes.
@@ -140,9 +176,9 @@ func medianOfThreeKiller(n int) []KeyIdx {
 	return ps
 }
 
-// TestSelectKeyIdxAdversarial: on the killer input the real partition
-// sheds two pairs a round for far longer than the depth limit allows,
-// so SelectKeyIdx must have finished through the fallback — and still
+// TestSelectKeyIdxAdversarial: on the killer input partitionKeyIdx sheds
+// two pairs a round for far longer than the depth limit allows, and
+// SelectKeyIdx, whose pivots come from sample windows instead, still
 // chooses what a sort would.
 func TestSelectKeyIdxAdversarial(t *testing.T) {
 	const n = 4096
@@ -177,4 +213,20 @@ func TestSelectKeyIdxPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	SelectKeyIdx(make([]KeyIdx, 2), 3)
+}
+
+// BenchmarkSelectKeyIdx times a C-step's selection, per point: the
+// h = n/2 closest of 40K sweep keys, selected in a fresh copy of the
+// slab each iteration.
+func BenchmarkSelectKeyIdx(b *testing.B) {
+	pts, ch, mu := benchRows(40_000)
+	keys := make([]KeyIdx, len(pts))
+	ch.MahalanobisSqAll(keys, pts, mu, nil)
+	ps := make([]KeyIdx, len(keys))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(ps, keys)
+		SelectKeyIdx(ps, len(ps)/2)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)), "ns/point")
 }
