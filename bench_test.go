@@ -729,8 +729,9 @@ func BenchmarkMCDFit(b *testing.B) {
 // by a first read: serial is the streaming read (NextBatchInto into one
 // recycled 4096-row batch), parallel the one-shot read (ReadAll, on
 // GOMAXPROCS goroutines). A row allocates nothing on either; serial's
-// allocations are the source's own set-up, parallel's add the slabs of
-// each 256 KB block and the points once. No baseline records it yet.
+// allocations are the source's own set-up and the slabs of the one
+// block it recycles, parallel's the set-up, the slabs of each 256 KB
+// block and the points once. No baseline records it yet.
 func BenchmarkCSVRead(b *testing.B) {
 	ds, err := gen.DatasetByName("CMT")
 	if err != nil {

@@ -8,9 +8,11 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -209,6 +211,67 @@ func specNames(s ast.Spec) map[string]bool {
 		return map[string]bool{ts.Name.Name: true}
 	}
 	return nil
+}
+
+// TestNamedTestsExist fails for a Test, Benchmark or Fuzz function
+// that no _test.go file declares and that .github/workflows/ci.yml
+// names in a -run, -bench or -fuzz pattern, or that doc.go names. A
+// renamed test would otherwise leave the step that names it passing on
+// "no tests to run", and the text that names it pointing nowhere.
+func TestNamedTestsExist(t *testing.T) {
+	declared := make(map[string]bool)
+	for _, f := range parseRepo(t, token.NewFileSet(), true) {
+		if !f.isTest() {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				declared[fd.Name.Name] = true
+			}
+		}
+	}
+	read := func(name string) string {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	names := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	named := make(map[string]string) // name -> the file naming it
+	for _, m := range regexp.MustCompile(`-(?:run|bench|fuzz)\s+('[^']*'|\S+)`).FindAllStringSubmatch(read(".github/workflows/ci.yml"), -1) {
+		for _, n := range names.FindAllString(expandGroups(strings.Trim(m[1], "'")), -1) {
+			named[n] = "ci.yml"
+		}
+	}
+	for _, n := range names.FindAllString(read("doc.go"), -1) {
+		named[n] = "doc.go"
+	}
+	if len(named) == 0 {
+		t.Fatal("no test names found in ci.yml or doc.go")
+	}
+	for n, where := range named {
+		if !declared[n] {
+			t.Errorf("%s names %s, which no _test.go file declares", where, n)
+		}
+	}
+}
+
+// expandGroups rewrites each group of alternatives in a test pattern
+// as the words it stands for: ^Benchmark(A|B)$ becomes ^BenchmarkA|BenchmarkB$.
+func expandGroups(pat string) string {
+	group := regexp.MustCompile(`(\w*)\(([^()]*)\)(\w*)`)
+	for {
+		m := group.FindStringSubmatchIndex(pat)
+		if m == nil {
+			return pat
+		}
+		alts := strings.Split(pat[m[4]:m[5]], "|")
+		for i, a := range alts {
+			alts[i] = pat[m[2]:m[3]] + a + pat[m[6]:m[7]]
+		}
+		pat = pat[:m[0]] + strings.Join(alts, "|") + pat[m[1]:]
+	}
 }
 
 // TestConfigFieldsHaveSetters fails for an exported field of an exported

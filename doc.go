@@ -468,17 +468,19 @@
 //     core.PartitionedSource exposes N independent context-aware
 //     streams, each filling the batch the engine loans it
 //     (NextBatchInto(ctx, dst, max)). Stored data is one partition:
-//     ingest.CSVSource parses rows into the loan, serially, splitting
-//     each row's fields over its own recycled input block, so a CSV row
-//     allocates nothing; core.SliceSource lends its slice, and
-//     core.FuncSource copies what its generator made. A one-shot query
-//     reads its CSV with CSVSource.ReadAll instead: blocks of whole
-//     records are split and their metrics parsed on GOMAXPROCS
-//     goroutines, into slabs sized from each block's line count, while
-//     the calling goroutine cuts the blocks and interns their
-//     attributes in file order, so its points and encoder ids are a
-//     serial read's (ingest's differential tests and fuzz target hold
-//     every read to encoding/csv, which is left as their oracle). A one-shard run over any of them is bit-identical to a
+//     ingest.CSVSource has one record loop (columns.parse), which
+//     splits a block of whole records over its bytes and parses their
+//     metrics into slabs sized from the block's line count, and the
+//     calling goroutine interns each block's attributes in file order.
+//     NextBatchInto parses a block at a time on the calling goroutine,
+//     into slabs it recycles, and copies rows from them into the loan,
+//     so a CSV row allocates nothing; core.SliceSource lends its slice,
+//     and core.FuncSource copies what its generator made. A one-shot
+//     query reads its CSV with CSVSource.ReadAll instead, which parses
+//     blocks on GOMAXPROCS goroutines and keeps their slabs as the
+//     points; its points and encoder ids are the streaming read's
+//     (ingest's differential tests and fuzz target hold every read to
+//     encoding/csv, which is left as their oracle). A one-shard run over any of them is bit-identical to a
 //     plain sequential loop over the same batches (pinned against a
 //     test oracle, pipeline.TestShardedStreamOneShardMatchesSequential).
 //     core.StreamRunner runs one ingest goroutine per partition, and
@@ -656,8 +658,8 @@
 // touch it or any Point views taken from it. Concretely:
 //
 //   - Sources. Every partition stream is loaned an empty recycled
-//     batch to fill (ingest.CSVSource parses rows straight into the
-//     slabs from field bytes in its own recycled block); a source that already holds a filled batch returns it
+//     batch to fill (ingest.CSVSource copies rows into the slabs from
+//     a block it parsed into its own recycled slabs); a source that already holds a filled batch returns it
 //     and keeps the loan instead — the ownership swap that lets
 //     ingest.Push hand a producer's batch to the engine without
 //     copying a byte while both free lists stay in equilibrium. A
@@ -699,7 +701,7 @@
 // specified in internal/ingest/binrows.go) so high-rate producers skip
 // JSON entirely: both formats decode through per-session pooled
 // decoders straight into loaned batches, and the binary path
-// (ingest.BinaryRowReader + encode.Encoder.EncodeBytes, whose
+// (ingest.BinaryRowReader + encode.Encoder.EncodeBytesInto, whose
 // interned-value lookups never materialize a string) is
 // allocation-free in steady state.
 //
@@ -752,7 +754,11 @@
 //
 // .github/workflows/ci.yml is kept declarative; the reasons live here.
 //
-//   - test runs gofmt -l (any listed file fails the job), vet, build and
+//   - test runs gofmt -l (any listed file fails the job), vet, build,
+//     the named guards (an exported name without a caller, a *Config
+//     field nothing sets, a Test, Benchmark or Fuzz function that this
+//     file or ci.yml names and no test declares: a renamed test would
+//     leave its step passing on "no tests to run") and
 //     `go test -race -timeout 5m ./...` on a Go matrix: 1.22 is the
 //     go.mod floor, 1.24 the toolchain every
 //     committed BENCH_*.json and every bench/ number is recorded with.
@@ -795,10 +801,13 @@
 //     now that its source paces itself by them — at the default
 //     rebalance trigger, since a rebalance round stopped judging windows
 //     of a few points.
-//   - fuzz-replay replays every committed testdata/fuzz seed under
-//     -race: the oracles (brute-force tree and explainer models) rerun
-//     the exact scripts that once found or nearly found bugs,
-//     deterministically.
+//   - fuzz-replay replays every fuzz target's seeds and committed
+//     testdata/fuzz inputs under -race: the oracles (brute-force tree
+//     and explainer models, encoding/csv for the CSV reader, the Go
+//     sweep for the AVX2 one) rerun the exact scripts that once found
+//     or nearly found bugs, deterministically. It then fuzzes the CSV
+//     reader against encoding/csv for 30 s, since its record loop is
+//     hand-written and no seed list covers every way a record can end.
 //   - robustness runs the resume, degradation, quarantine, torn-frame
 //     and checkpoint suites under -race three times over (-count=3),
 //     since their failures are timing-dependent.
@@ -865,11 +874,12 @@
 // CSVRead reads batch_query's input shape, a 40K-row, 8 MB CMT CSV
 // (7 metrics, 6 attributes), through a warmed encoder: serial is the
 // streaming read (NextBatchInto into a recycled batch), parallel the
-// one-shot read (ReadAll). On the 2-vCPU box serial reads ~57 ms/op
-// and 34 allocs/op, all of them the source's set-up (its first block,
-// the header's names and column maps), and parallel ~33 ms/op and
-// ~130 allocs/op: the set-up, the in-flight blocks, and each of the 32
-// blocks' two slabs (metrics and attribute ids). A row allocates
+// one-shot read (ReadAll). On the 2-vCPU box serial reads ~50-60 ms/op
+// and 45 allocs/op (1.75 MB), all of them the source's set-up (its
+// first block, the header's names and column maps) and the slabs of
+// the one block it parses into and recycles, and parallel ~26-34 ms/op
+// and ~127 allocs/op: the set-up, the in-flight blocks, and each of
+// the 32 blocks' two slabs (metrics and attribute ids). A row allocates
 // nothing on either; the encoding/csv read it replaced allocated three
 // times a row in Next (the record string and each point's two
 // payloads).

@@ -6,25 +6,25 @@
 package encode
 
 import (
+	"strconv"
 	"sync"
 
 	"macrobase/internal/core"
 )
 
 // Encoder maps (column index, string value) pairs to dense int32 ids
-// and back. It is safe for concurrent use; encoding is lock-guarded
-// (shared-nothing pipelines typically use one Encoder per partition
-// and merge at presentation).
+// and back. It is safe for concurrent use; encoding is lock-guarded. A
+// pipeline interns through one Encoder, so every shard's sketches and
+// trees hold the same ids for the same values. A column is an index,
+// 0 or more: a negative one panics, as a slice index does.
 type Encoder struct {
 	mu      sync.RWMutex
-	byKey   map[key]int32
 	columns []string
-	keys    []key
-	// byVal indexes ids per column with plain string-keyed maps so
-	// EncodeBytes can look a []byte value up without materializing a
-	// string: the compiler elides the string conversion in a direct
-	// map[string]T index expression, which it cannot do for the
-	// struct-keyed byKey map. Grown lazily by intern.
+	keys    []key // by id, for Decode
+	// byVal is the one index: per column, a plain string-keyed map, so
+	// a []byte value is looked up without materializing a string (the
+	// compiler elides the conversion in a direct map[string]T index
+	// expression). Grown by intern.
 	byVal []map[string]int32
 }
 
@@ -37,7 +37,7 @@ type key struct {
 // decoding ids into core.Attribute values. Unknown column indexes
 // decode with a generated name.
 func NewEncoder(columns ...string) *Encoder {
-	return &Encoder{byKey: make(map[key]int32), columns: columns}
+	return &Encoder{columns: columns}
 }
 
 // Columns returns the configured column names.
@@ -50,58 +50,33 @@ func (e *Encoder) Columns() []string { return e.columns }
 // serialize on the encoder; only genuinely new values pay for the
 // write lock.
 func (e *Encoder) Encode(col int, value string) int32 {
-	k := key{col, value}
 	e.mu.RLock()
-	id, ok := e.byKey[k]
-	e.mu.RUnlock()
-	if ok {
-		return id
-	}
-	return e.intern(k)
-}
-
-// intern is the write-lock slow path for a probably-new key.
-func (e *Encoder) intern(k key) int32 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if id, ok := e.byKey[k]; ok {
-		return id
-	}
-	id := int32(len(e.keys))
-	e.byKey[k] = id
-	e.keys = append(e.keys, k)
-	if k.col >= 0 {
-		for len(e.byVal) <= k.col {
-			e.byVal = append(e.byVal, nil)
-		}
-		if e.byVal[k.col] == nil {
-			e.byVal[k.col] = make(map[string]int32)
-		}
-		e.byVal[k.col][k.val] = id
-	}
-	return id
-}
-
-// EncodeBytes is Encode for a value still in []byte form (a binary
-// wire decoder's scratch): the already-interned fast path performs a
-// direct map lookup without allocating a string, so steady-state
-// binary ingest never touches the allocator; only genuinely new values
-// pay for the string copy and the write lock.
-func (e *Encoder) EncodeBytes(col int, value []byte) int32 {
-	e.mu.RLock()
-	if col >= 0 && col < len(e.byVal) {
-		if id, ok := e.byVal[col][string(value)]; ok {
+	// A negative col skips the lookup, so that intern panics on it with
+	// the lock released.
+	if uint(col) < uint(len(e.byVal)) {
+		if id, ok := e.byVal[col][value]; ok {
 			e.mu.RUnlock()
 			return id
 		}
 	}
 	e.mu.RUnlock()
-	return e.intern(key{col, string(value)})
+	return e.intern(col, value)
 }
 
-// EncodeAll encodes one value per configured column, in order.
-func (e *Encoder) EncodeAll(values ...string) []int32 {
-	return e.EncodeInto(make([]int32, len(values)), values)
+// intern is the write-lock slow path for a probably-new value.
+func (e *Encoder) intern(col int, val string) int32 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for len(e.byVal) <= col {
+		e.byVal = append(e.byVal, make(map[string]int32))
+	}
+	if id, ok := e.byVal[col][val]; ok {
+		return id
+	}
+	id := int32(len(e.keys))
+	e.byVal[col][val] = id
+	e.keys = append(e.keys, key{col, val})
+	return id
 }
 
 // EncodeInto encodes one value per configured column into ids (which
@@ -113,18 +88,20 @@ func (e *Encoder) EncodeInto(ids []int32, values []string) []int32 {
 	missing := false
 	e.mu.RLock()
 	for i, v := range values {
-		id, ok := e.byKey[key{i, v}]
-		if !ok {
-			id = -1
-			missing = true
+		id := int32(-1)
+		if i < len(e.byVal) {
+			if got, ok := e.byVal[i][v]; ok {
+				id = got
+			}
 		}
+		missing = missing || id < 0
 		ids[i] = id
 	}
 	e.mu.RUnlock()
 	if missing {
-		for i := range values {
+		for i, v := range values {
 			if ids[i] < 0 {
-				ids[i] = e.intern(key{i, values[i]})
+				ids[i] = e.intern(i, v)
 			}
 		}
 	}
@@ -132,8 +109,9 @@ func (e *Encoder) EncodeInto(ids []int32, values []string) []int32 {
 }
 
 // EncodeBytesInto is EncodeInto for values still in []byte form (a CSV
-// reader's field bytes): one read lock for the row, no string for a
-// value already interned.
+// reader's field bytes, a binary wire decoder's scratch): one read lock
+// for the row, no string for a value already interned, so steady-state
+// ingest never touches the allocator.
 func (e *Encoder) EncodeBytesInto(ids []int32, values [][]byte) []int32 {
 	missing := false
 	e.mu.RLock()
@@ -149,9 +127,9 @@ func (e *Encoder) EncodeBytesInto(ids []int32, values [][]byte) []int32 {
 	}
 	e.mu.RUnlock()
 	if missing {
-		for i := range values {
+		for i, v := range values {
 			if ids[i] < 0 {
-				ids[i] = e.intern(key{i, string(values[i])})
+				ids[i] = e.intern(i, string(v))
 			}
 		}
 	}
@@ -167,8 +145,8 @@ func (e *Encoder) Decode(id int32) core.Attribute {
 		return core.Attribute{}
 	}
 	k := e.keys[id]
-	col := "attr" + itoa(k.col)
-	if k.col >= 0 && k.col < len(e.columns) {
+	col := "attr" + strconv.Itoa(k.col)
+	if k.col < len(e.columns) {
 		col = e.columns[k.col]
 	}
 	return core.Attribute{Column: col, Value: k.val}
@@ -197,28 +175,4 @@ func (e *Encoder) Size() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return len(e.keys)
-}
-
-// itoa avoids importing strconv for a two-line helper used only on
-// unknown columns.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

@@ -2,6 +2,9 @@ package encode
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -50,15 +53,24 @@ func TestUnknownColumnName(t *testing.T) {
 	if got := e.Decode(id).Column; got != "attr3" {
 		t.Errorf("generated column = %q", got)
 	}
-	id2 := e.Encode(-2, "y")
-	if got := e.Decode(id2).Column; got != "attr-2" {
-		t.Errorf("generated column = %q", got)
+	// A negative column panics, as a slice index does, and leaves the
+	// encoder unlocked.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Encode(-2, ...) did not panic")
+			}
+		}()
+		e.Encode(-2, "y")
+	}()
+	if got := e.Encode(3, "y"); got != id+1 {
+		t.Errorf("after the panic, a new value got id %d, want %d", got, id+1)
 	}
 }
 
 func TestEncodeAllDecodeAll(t *testing.T) {
 	e := NewEncoder("a", "b", "c")
-	ids := e.EncodeAll("x", "y", "z")
+	ids := e.EncodeInto(make([]int32, 3), []string{"x", "y", "z"})
 	if len(ids) != 3 {
 		t.Fatal("wrong id count")
 	}
@@ -110,7 +122,7 @@ func TestEncoderConcurrent(t *testing.T) {
 // correct under concurrent mixed read/write batches.
 func TestEncodeIntoBatchedReadLock(t *testing.T) {
 	e := NewEncoder("a", "b", "c")
-	warm := e.EncodeAll("x", "y", "z")
+	warm := e.EncodeInto(make([]int32, 3), []string{"x", "y", "z"})
 	ids := e.EncodeInto(make([]int32, 3), []string{"x", "y", "z"})
 	for i := range warm {
 		if ids[i] != warm[i] {
@@ -162,5 +174,94 @@ func TestEncodeBytesIntoMatchesEncodeInto(t *testing.T) {
 	}
 	if byBytes.Size() != byStr.Size() {
 		t.Fatalf("%d values interned, EncodeInto interned %d", byBytes.Size(), byStr.Size())
+	}
+}
+
+// TestEncodeMatchesOracle interleaves Encode, EncodeInto and
+// EncodeBytesInto over three columns and holds every id, and every
+// Decode, to a map keyed by (column, value) that numbers pairs in the
+// order they first appear. The values include the empty string, and
+// every value turns up in more than one column.
+func TestEncodeMatchesOracle(t *testing.T) {
+	type pair struct {
+		col int
+		val string
+	}
+	cols := []string{"a", "b", "c"}
+	e := NewEncoder(cols...)
+	oracle := make(map[pair]int32)
+	want := func(col int, val string) int32 {
+		id, ok := oracle[pair{col, val}]
+		if !ok {
+			id = int32(len(oracle))
+			oracle[pair{col, val}] = id
+		}
+		return id
+	}
+	vals := []string{"", "x", "y", "dev7", "0", "é"}
+	for i := 0; i < 200; i++ {
+		vals = append(vals, "v"+strconv.Itoa(i))
+	}
+	rng := rand.New(rand.NewPCG(9, 10))
+	// The pool widens as the steps go on, so new values keep arriving.
+	value := func(step int) string { return vals[rng.IntN(min(len(vals), 8+step/10))] }
+	ids := make([]int32, len(cols))
+	for i := 0; i < 3000; i++ {
+		row := []string{value(i), value(i), value(i)}
+		switch rng.IntN(3) {
+		case 0:
+			col := rng.IntN(len(cols))
+			if got, w := e.Encode(col, row[col]), want(col, row[col]); got != w {
+				t.Fatalf("step %d: Encode(%d, %q) = %d, want %d", i, col, row[col], got, w)
+			}
+			continue
+		case 1:
+			e.EncodeInto(ids, row)
+		default:
+			e.EncodeBytesInto(ids, [][]byte{[]byte(row[0]), []byte(row[1]), []byte(row[2])})
+		}
+		for col, v := range row {
+			if w := want(col, v); ids[col] != w {
+				t.Fatalf("step %d: column %d value %q got id %d, want %d", i, col, v, ids[col], w)
+			}
+		}
+	}
+	if e.Size() != len(oracle) {
+		t.Fatalf("%d values interned, the oracle has %d", e.Size(), len(oracle))
+	}
+	for p, id := range oracle {
+		if got := e.Decode(id); got.Column != cols[p.col] || got.Value != p.val {
+			t.Errorf("Decode(%d) = %+v, want %s=%q", id, got, cols[p.col], p.val)
+		}
+	}
+}
+
+// TestEncoderBytesPerValue bounds the dictionary's own memory: the heap
+// it holds for 1M distinct values of one column, the values' strings
+// not counted, is at most 100 bytes a value. Two indexes of every value
+// held about 165.
+func TestEncoderBytesPerValue(t *testing.T) {
+	const n = 1_000_000
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = strconv.Itoa(i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := NewEncoder("id")
+	for _, v := range vals {
+		e.Encode(0, v)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(vals)
+	if e.Size() != n {
+		t.Fatalf("%d values interned, want %d", e.Size(), n)
+	}
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("%.1f bytes a value at %d values", per, n)
+	if per > 100 {
+		t.Fatalf("the dictionary holds %.1f bytes a value at %d values, want <= 100", per, n)
 	}
 }

@@ -108,7 +108,7 @@ func TestBinaryRowInternsLikeOneAttributeAtATime(t *testing.T) {
 				n = r.cutAt
 			}
 			for j, a := range r.attrs[:n] {
-				oracle.EncodeBytes(j, []byte(a))
+				oracle.Encode(j, a)
 			}
 			if r.cutAt > 0 || r.trailing {
 				failed = true

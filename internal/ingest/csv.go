@@ -50,29 +50,29 @@ const blockSize = 256 << 10
 // one is unescaped in place, metrics are parsed from the field bytes
 // and attributes interned with encode.Encoder.EncodeBytesInto.
 //
-// Three reads share that parser. NextBatchInto, the streaming read,
-// parses the current block serially into the engine's recycled batch:
-// the source is a one-partition core.PartitionedSource. ReadAll, the
-// one-shot read, parses blocks on GOMAXPROCS goroutines and interns
-// their attributes in file order on the calling one, so its points and
-// encoder ids are those of a serial read. Next, a serial read into
-// fresh points, stays only because the benchmark harness's staged
-// replay (bench/replay.go) reads a file through it.
+// Every read goes through one record loop, columns.parse, which turns a
+// block into slabs of metrics, times and attribute spans; the calling
+// goroutine then interns the block's attributes in file order (intern),
+// so ids and bad-row errors do not depend on the read. NextBatchInto,
+// the streaming read, parses a block at a time on the calling
+// goroutine, in slabs it recycles, and copies rows from them into the
+// engine's batch: the source is a one-partition core.PartitionedSource.
+// ReadAll, the one-shot read, parses blocks on GOMAXPROCS goroutines
+// and keeps their slabs as the points. Next, NextBatchInto into fresh
+// points, stays because the benchmark harness's staged replay
+// (bench/replay.go) reads a file through it.
 type CSVSource struct {
-	br      blockReader
-	enc     *encode.Encoder
-	cols    columns
-	fields  []span   // the current record's fields
-	vals    [][]byte // the current record's attribute values
-	blk     []byte   // the current block; the serial read is at blk[pos:]
-	pos     int
-	quotes  bool // whether blk holds a '"'
-	row     int  // records read, the header not counted
-	line    int  // newlines read: the next record starts on line+1
-	recLine int  // the line the last record started on
-	err     error
-	mbuf    []float64 // per-row parse scratch for NextBatchInto
-	abuf    []int32
+	br    blockReader
+	enc   *encode.Encoder
+	cols  columns
+	first []byte   // the header's block past the header: the first block to parse
+	cur   block    // the streaming read's block
+	next  int      // cur's rows already read
+	bad   error    // the error of cur's bad row, which follows its rows
+	vals  [][]byte // one row's attribute values, for interning
+	row   int      // records parsed, the header not counted
+	line  int      // newlines parsed: the next block starts on line+1
+	err   error
 }
 
 // columns is where a schema's columns sit among a record's fields.
@@ -95,15 +95,29 @@ func NewCSVSource(r io.Reader, schema Schema, enc *encode.Encoder) (*CSVSource, 
 // tiny ones so that records straddle the cuts.
 func newCSVSource(r io.Reader, schema Schema, enc *encode.Encoder, size int) (*CSVSource, error) {
 	s := &CSVSource{br: blockReader{r: r, size: size}, enc: enc}
-	s.cols.fields = -1
-	data, err := s.split()
+	var data []byte
+	pos := 0
+	for {
+		var skipped int
+		pos, skipped = skipEmpty(data, pos)
+		s.line += skipped
+		if pos < len(data) {
+			break
+		}
+		var err error
+		if data, err = s.br.next(data); err != nil {
+			return nil, fmt.Errorf("ingest: reading header: %w", err)
+		}
+		pos = 0
+	}
+	fields, next, lines, err := splitRecord(data, pos, bytes.IndexByte(data, '"') >= 0, -1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: reading header: %w", err)
 	}
-	s.row = 0
-	header := make([]string, len(s.fields))
+	s.first, s.line = data[next:], s.line+lines
+	header := make([]string, len(fields))
 	byName := make(map[string]int, len(header))
-	for i, f := range s.fields {
+	for i, f := range fields {
 		header[i] = string(data[f.lo:f.hi])
 		byName[header[i]] = i
 	}
@@ -136,8 +150,6 @@ func newCSVSource(r io.Reader, schema Schema, enc *encode.Encoder, size int) (*C
 		s.cols.time = i
 	}
 	s.vals = make([][]byte, len(s.cols.attr))
-	s.mbuf = make([]float64, len(s.cols.met))
-	s.abuf = make([]int32, len(s.cols.attr))
 	return s, nil
 }
 
@@ -207,68 +219,40 @@ func (c *columns) nums(data []byte, f []span, met []float64) (float64, error) {
 	return t, nil
 }
 
-// values points vals at a split record's attribute fields.
-func (c *columns) values(data []byte, f []span, vals [][]byte) {
-	for j, i := range c.attr {
-		vals[j] = data[f[i].lo:f[i].hi]
+// cut puts the next block of records in b.data: first what the header's
+// block holds past the header, then the blockReader's blocks. It
+// returns io.EOF past the input's end and the input's error for a
+// failed read.
+func (s *CSVSource) cut(b *block) (err error) {
+	if len(s.first) > 0 {
+		b.data, s.first = s.first, nil
+		return nil
 	}
+	b.data, err = s.br.next(b.data)
+	return err
 }
 
-// split advances the serial read to its next record, cutting the next
-// block when the current one is used up, and leaves its fields in
-// s.fields; it returns the block they index. It returns io.EOF past the
-// last record, the encoding/csv sentinel for a record that does not
-// split, and the input's error for a failed read.
-func (s *CSVSource) split() ([]byte, error) {
-	for {
-		var skipped int
-		s.pos, skipped = skipEmpty(s.blk, s.pos)
-		s.line += skipped
-		if s.pos < len(s.blk) {
-			break
+// intern interns the attributes of b's parsed rows in file order, into
+// b.ids, and counts b's rows and lines. It returns the error of b's bad
+// row, if b has one, naming its row and line.
+func (s *CSVSource) intern(b *block) error {
+	na := len(s.cols.attr)
+	for r := 0; r < b.rows; r++ {
+		for j, f := range b.attrs[r*na : (r+1)*na] {
+			s.vals[j] = b.data[f.lo:f.hi]
 		}
-		blk, err := s.br.next(s.blk)
-		if err != nil {
-			return nil, err
-		}
-		s.blk, s.pos, s.quotes = blk, 0, bytes.IndexByte(blk, '"') >= 0
+		s.enc.EncodeBytesInto(b.ids[r*na:(r+1)*na], s.vals)
 	}
-	s.row++
-	s.recLine = s.line + 1
-	f, next, lines, err := splitRecord(s.blk, s.pos, s.quotes, s.cols.fields, s.fields)
-	s.fields = f
-	if err != nil {
-		return nil, err
+	s.row += b.rows
+	if b.bad != nil {
+		return &badRow{s.row + 1, s.line + b.lines + 1, b.bad}
 	}
-	s.pos, s.line = next, s.line+lines
-	return s.blk, nil
-}
-
-// nextRow parses the serial read's next row into met and ids and
-// returns its time, or io.EOF past the last row. Errors are not
-// latched; the caller latches.
-func (s *CSVSource) nextRow(met []float64, ids []int32) (float64, error) {
-	data, err := s.split()
-	if err == io.EOF {
-		return 0, err
-	}
-	if err == csv.ErrBareQuote || err == csv.ErrQuote || err == csv.ErrFieldCount {
-		return 0, &badRow{s.row, s.recLine, err}
-	}
-	if err != nil {
-		return 0, fmt.Errorf("ingest: %w", err)
-	}
-	t, err := s.cols.nums(data, s.fields, met)
-	if err != nil {
-		return 0, &badRow{s.row, s.recLine, err}
-	}
-	s.cols.values(data, s.fields, s.vals)
-	s.enc.EncodeBytesInto(ids, s.vals)
-	return t, nil
+	s.line += b.lines
+	return nil
 }
 
 // Next returns up to max freshly allocated points, or
-// core.ErrEndOfStream when no rows remain: a serial read into a new
+// core.ErrEndOfStream when no rows remain: NextBatchInto into a new
 // batch's slabs. Rows with unparsable or non-finite metrics are
 // reported as errors, not skipped: silent data loss hides exactly the
 // anomalies MacroBase exists to find.
@@ -284,30 +268,45 @@ func (s *CSVSource) Next(max int) ([]core.Point, error) {
 // one partition.
 func (s *CSVSource) Partitions() []core.PartitionStream { return []core.PartitionStream{s} }
 
-// NextBatchInto implements core.PartitionStream: it parses up to max
-// rows serially, directly into dst's recycled slabs, and returns dst.
-// Once the encoder knows a row's attribute values, a row allocates
-// nothing. Returns core.ErrEndOfStream when no rows remain. A bad row's
-// error is latched: every later read returns it. The context is checked
-// once per call: a read is bounded by max rows.
+// NextBatchInto implements core.PartitionStream: it copies up to max
+// rows into dst's recycled slabs and returns dst. When the current
+// block's rows are all read, it cuts, parses and interns the next one
+// into slabs the source recycles. Once the encoder knows a block's
+// attribute values, a row allocates nothing. Returns
+// core.ErrEndOfStream when no rows remain. A bad row's error is returned
+// by the read whose max rows reach it, and latched: every later read
+// returns it. The context is checked once per call: a read is bounded
+// by max rows and one block.
 func (s *CSVSource) NextBatchInto(ctx context.Context, dst *core.Batch, max int) (*core.Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.err != nil {
-		return nil, s.err
-	}
+	b := &s.cur
+	nm, na := len(s.cols.met), len(s.cols.attr)
 	n := 0
-	for ; n < max; n++ {
-		t, err := s.nextRow(s.mbuf, s.abuf)
-		if err == io.EOF {
+	for s.err == nil && n < max {
+		if s.next < b.rows {
+			p := b.point(s.next, nm, na)
+			dst.Append(p.Metrics, p.Attrs, p.Time)
+			s.next++
+			n++
+			continue
+		}
+		if s.bad != nil {
+			s.err = s.bad
 			break
 		}
-		if err != nil {
-			s.err = err
-			return nil, err
+		if err := s.cut(b); err == io.EOF {
+			break
+		} else if err != nil {
+			s.err = fmt.Errorf("ingest: %w", err)
+			break
 		}
-		dst.Append(s.mbuf, s.abuf, t)
+		s.cols.parse(b)
+		s.bad, s.next = s.intern(b), 0
+	}
+	if s.err != nil {
+		return nil, s.err
 	}
 	if n == 0 {
 		return nil, core.ErrEndOfStream
@@ -316,18 +315,18 @@ func (s *CSVSource) NextBatchInto(ctx context.Context, dst *core.Batch, max int)
 }
 
 // ReadAll reads every remaining row into fresh points: the one-shot
-// read. Up to GOMAXPROCS goroutines split blocks and parse their
-// metrics and times while the caller cuts the blocks and takes them
-// back in file order to intern their attributes, so the points and
-// every encoder id are those a serial read gives, and so is the error
-// of the first bad row in file order, which is latched as NextBatchInto
-// latches it.
+// read. It starts with the rows left in the streaming read's block.
+// Then up to GOMAXPROCS goroutines parse blocks while the caller cuts
+// the blocks and takes them back in file order to intern their
+// attributes, so the points and every encoder id are those a streaming
+// read gives, and so is the error of the first bad row in file order,
+// which is latched as NextBatchInto latches it.
 func (s *CSVSource) ReadAll() ([]core.Point, error) {
 	return s.readAll(runtime.GOMAXPROCS(0))
 }
 
-// parsed is what a block's parse leaves for the point views: fresh
-// slabs, one row after another.
+// parsed is what a block's parse leaves for the point views: slabs,
+// one row after another.
 type parsed struct {
 	rows  int
 	met   []float64
@@ -335,7 +334,19 @@ type parsed struct {
 	times []float64 // nil without a time column
 }
 
-// block is one cut of the input on its way through readAll.
+// point is row i of p, a view of p's slabs.
+func (p *parsed) point(i, nm, na int) core.Point {
+	pt := core.Point{
+		Metrics: p.met[i*nm : (i+1)*nm : (i+1)*nm],
+		Attrs:   p.ids[i*na : (i+1)*na : (i+1)*na],
+	}
+	if p.times != nil {
+		pt.Time = p.times[i]
+	}
+	return pt
+}
+
+// block is one cut of the input on its way through a read.
 type block struct {
 	data []byte // recycled across cuts
 	parsed
@@ -343,7 +354,7 @@ type block struct {
 	bad    error         // the cause of the first bad row, which is row rows+1
 	attrs  []span        // each row's attribute fields, in schema order
 	fields []span        // the parse's scratch
-	done   chan struct{} // the parse is over; buffered, so the parser never waits
+	done   chan struct{} // readAll's parse is over; buffered, so the parser never waits
 }
 
 // readAll is ReadAll on workers parsing goroutines.
@@ -351,6 +362,37 @@ func (s *CSVSource) readAll(workers int) ([]core.Point, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
+	// The streaming read's block leads; its slabs become points, so the
+	// streaming read gives them up.
+	kept, skip, err := []parsed{s.cur.parsed}, s.next, s.bad
+	s.cur.parsed, s.next = parsed{}, 0
+	if err == nil {
+		kept, err = s.readBlocks(workers, kept)
+	}
+	if err != nil {
+		s.err = err
+		return nil, err
+	}
+
+	nm, na := len(s.cols.met), len(s.cols.attr)
+	total := -skip
+	for _, p := range kept {
+		total += p.rows
+	}
+	pts := make([]core.Point, 0, total)
+	for _, p := range kept {
+		for i := skip; i < p.rows; i++ {
+			pts = append(pts, p.point(i, nm, na))
+		}
+		skip = 0
+	}
+	return pts, nil
+}
+
+// readBlocks parses every remaining block on workers goroutines,
+// interns each in file order on the calling one and appends their
+// slabs to kept.
+func (s *CSVSource) readBlocks(workers int, kept []parsed) ([]parsed, error) {
 	// Two blocks per worker keep every worker busy while the caller
 	// interns and cuts; work holds every block in flight, so no send
 	// blocks.
@@ -374,7 +416,6 @@ func (s *CSVSource) readAll(workers int) ([]core.Point, error) {
 	var (
 		flight       = make([]*block, 0, inflight) // cut and not yet taken back, in file order
 		spare        = make([]*block, inflight)    // taken back, or never cut yet
-		kept         []parsed
 		err, readErr error
 	)
 	blocks := make([]block, inflight)
@@ -382,15 +423,11 @@ func (s *CSVSource) readAll(workers int) ([]core.Point, error) {
 		blocks[i].done = make(chan struct{}, 1)
 		spare[i] = &blocks[i]
 	}
-	na := len(s.cols.attr)
-	first := s.blk[s.pos:] // what the serial read left of its block
 	for {
 		for readErr == nil && len(flight) < inflight {
 			b := spare[len(spare)-1]
 			spare = spare[:len(spare)-1]
-			if len(first) > 0 {
-				b.data, first = first, nil
-			} else if b.data, readErr = s.br.next(b.data); readErr != nil {
+			if readErr = s.cut(b); readErr != nil {
 				break
 			}
 			flight = append(flight, b)
@@ -402,68 +439,36 @@ func (s *CSVSource) readAll(workers int) ([]core.Point, error) {
 		b := flight[0]
 		flight = append(flight[:0], flight[1:]...)
 		<-b.done
-		for r := 0; r < b.rows; r++ {
-			for j, f := range b.attrs[r*na : (r+1)*na] {
-				s.vals[j] = b.data[f.lo:f.hi]
-			}
-			s.enc.EncodeBytesInto(b.ids[r*na:(r+1)*na], s.vals)
-		}
-		s.row += b.rows
-		if b.bad != nil {
-			err = &badRow{s.row + 1, s.line + b.lines + 1, b.bad}
+		if err = s.intern(b); err != nil {
 			break
 		}
 		kept = append(kept, b.parsed)
-		s.line += b.lines
 		b.parsed = parsed{}
 		spare = append(spare, b)
 	}
 	close(work)
 	wg.Wait()
-	s.blk, s.pos = nil, 0
 	if err == nil && readErr != io.EOF {
 		err = fmt.Errorf("ingest: %w", readErr)
 	}
-	if err != nil {
-		s.err = err
-		return nil, err
-	}
-
-	total := 0
-	for _, p := range kept {
-		total += p.rows
-	}
-	nm := len(s.cols.met)
-	pts := make([]core.Point, 0, total)
-	for _, p := range kept {
-		for i := 0; i < p.rows; i++ {
-			pt := core.Point{
-				Metrics: p.met[i*nm : (i+1)*nm : (i+1)*nm],
-				Attrs:   p.ids[i*na : (i+1)*na : (i+1)*na],
-			}
-			if p.times != nil {
-				pt.Time = p.times[i]
-			}
-			pts = append(pts, pt)
-		}
-	}
-	return pts, nil
+	return kept, err
 }
 
 // parse splits every record of b, parses its metrics and time into
-// fresh slabs sized from the block's line count and notes where its
-// attribute values are, for the caller to intern in file order. It
-// stops at the first bad row.
+// slabs sized from the block's line count, reusing b's when they are
+// large enough, and notes where its attribute values are, for the
+// caller to intern in file order. It stops at the first bad row. After
+// the header, it is the one code that splits a record.
 func (c *columns) parse(b *block) {
 	data := b.data
 	nm, na := len(c.met), len(c.attr)
 	quotes := bytes.IndexByte(data, '"') >= 0
 	// Every row but one the read stops at ends in a '\n'.
 	most := bytes.Count(data, []byte{'\n'}) + 1
-	b.met = make([]float64, most*nm)
-	b.ids = make([]int32, most*na)
+	b.met = resize(b.met, most*nm)
+	b.ids = resize(b.ids, most*na)
 	if c.time >= 0 {
-		b.times = make([]float64, most)
+		b.times = resize(b.times, most)
 	}
 	if cap(b.fields) < c.fields {
 		b.fields = make([]span, 0, c.fields)
@@ -506,6 +511,15 @@ func (c *columns) parse(b *block) {
 	if b.times != nil {
 		b.times = b.times[:b.rows]
 	}
+}
+
+// resize returns s with length n, in s's storage when it holds n; a nil
+// s always gets fresh storage.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // blockReader cuts its input into blocks of whole records.

@@ -138,7 +138,19 @@ var csvReads = []struct {
 			out.pts = append(out.pts, pts...)
 		}
 	}},
-	{"NextBatchInto", func(t *testing.T, data string, schema Schema, size int) csvOutcome {
+	{"NextBatchInto/1", nextBatchIntoAt(1)},
+	{"NextBatchInto/2", nextBatchIntoAt(2)},
+	{"NextBatchInto/7", nextBatchIntoAt(7)},
+	{"NextBatchInto/4096", nextBatchIntoAt(4096)},
+	{"ReadAll/1", readAllAt(1)},
+	{"ReadAll/2", readAllAt(2)},
+	{"ReadAll/8", readAllAt(8)},
+}
+
+// nextBatchIntoAt reads into one batch max rows at a time, so reads
+// end inside blocks, at their ends and past them.
+func nextBatchIntoAt(max int) func(t *testing.T, data string, schema Schema, size int) csvOutcome {
+	return func(t *testing.T, data string, schema Schema, size int) csvOutcome {
 		out := csvOutcome{enc: encode.NewEncoder(schema.Attributes...)}
 		src, err := newCSVSource(strings.NewReader(data), schema, out.enc, size)
 		if err != nil {
@@ -147,7 +159,7 @@ var csvReads = []struct {
 		}
 		b := &core.Batch{}
 		for {
-			_, err := src.NextBatchInto(context.Background(), b, 2)
+			_, err := src.NextBatchInto(context.Background(), b, max)
 			if err == core.ErrEndOfStream {
 				out.pts = b.Points()
 				return out
@@ -157,10 +169,7 @@ var csvReads = []struct {
 				return out
 			}
 		}
-	}},
-	{"ReadAll/1", readAllAt(1)},
-	{"ReadAll/2", readAllAt(2)},
-	{"ReadAll/8", readAllAt(8)},
+	}
 }
 
 func readAllAt(workers int) func(t *testing.T, data string, schema Schema, size int) csvOutcome {
@@ -237,7 +246,7 @@ func checkAgainstCSV(t *testing.T, name, data string, schema Schema, sizes ...in
 }
 
 // csvCorpus is the differential corpus: each case a body after
-// diffHeader, or a whole text when it starts with "!".
+// diffHeader, or a whole text when its name starts with "!".
 var csvCorpus = []struct{ name, body string }{
 	{"plain", "x,1.5,y,10\nx2,2,y,11\nx,3e2,y2,12\n"},
 	{"no final newline", "x,1.5,y,10\nx2,2,y,11"},
@@ -284,9 +293,9 @@ var csvCorpus = []struct{ name, body string }{
 	{"!extra columns", "z,a,m,b,t,zz\n0,x,1,y,2,\"\"\n0,x,2,y,3,q\n"},
 }
 
-func corpusText(body string) string {
-	if strings.HasPrefix(body, "!") {
-		return body[1:]
+func corpusText(name, body string) string {
+	if strings.HasPrefix(name, "!") {
+		return body
 	}
 	return diffHeader + body
 }
@@ -295,7 +304,7 @@ func corpusText(body string) string {
 // encoding/csv at block sizes from one byte to the default.
 func TestCSVMatchesEncodingCSV(t *testing.T) {
 	for _, c := range csvCorpus {
-		checkAgainstCSV(t, c.name, corpusText(c.body), diffSchema, 1, 2, 3, 7, 16, 64, blockSize)
+		checkAgainstCSV(t, c.name, corpusText(c.name, c.body), diffSchema, 1, 2, 3, 7, 16, 64, blockSize)
 	}
 }
 
@@ -389,34 +398,53 @@ func TestCSVReadAllManyBlocks(t *testing.T) {
 }
 
 // TestCSVReadAllAfterNext: ReadAll takes the rest of a file whose first
-// rows Next read, then the source is at its end; a bad row's error is
-// latched for every later read.
+// rows Next read, at block sizes from one byte to the default, so it
+// starts inside a block, at its end, or with blocks still uncut; then
+// the source is at its end. A bad row's error is latched for every
+// later read, whether ReadAll or Next cut its block.
 func TestCSVReadAllAfterNext(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	data := diffHeader + randomCSV(rng, 300, 0)
 	want := oracleRead(data, diffSchema)
-	got := csvOutcome{enc: encode.NewEncoder(diffSchema.Attributes...)}
-	src, err := newCSVSource(strings.NewReader(data), diffSchema, got.enc, 512)
+	for _, size := range []int{1, 2, 3, 7, 16, 64, 512, blockSize} {
+		got := csvOutcome{enc: encode.NewEncoder(diffSchema.Attributes...)}
+		src, err := newCSVSource(strings.NewReader(data), diffSchema, got.enc, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := src.Next(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest, err := src.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.pts = append(first, rest...)
+		if d := sameOutcome(got, want); d != "" {
+			t.Fatalf("%d-byte blocks: %s", size, d)
+		}
+		if pts, err := src.ReadAll(); len(pts) != 0 || err != nil {
+			t.Errorf("%d-byte blocks: ReadAll at the end: %d points, %v", size, len(pts), err)
+		}
+		if _, err := src.Next(1); err != core.ErrEndOfStream {
+			t.Errorf("%d-byte blocks: Next after ReadAll: %v, want core.ErrEndOfStream", size, err)
+		}
+	}
+
+	src, err := newCSVSource(strings.NewReader(diffHeader+"x,1,y,2\nx,2,y,3\nx,bad,y,3\n"), diffSchema, encode.NewEncoder("a", "b"), blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := src.Next(7)
-	if err != nil {
+	if _, err := src.Next(1); err != nil {
 		t.Fatal(err)
 	}
-	rest, err := src.ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	_, err = src.ReadAll()
+	if !errors.Is(err, ErrBadRow) || !strings.Contains(err.Error(), "row 3 (line 4)") {
+		t.Fatalf("ReadAll after Next cut the bad row's block: %v, want a bad row 3 (line 4)", err)
 	}
-	got.pts = append(first, rest...)
-	if d := sameOutcome(got, want); d != "" {
-		t.Fatal(d)
-	}
-	if pts, err := src.ReadAll(); len(pts) != 0 || err != nil {
-		t.Errorf("ReadAll at the end: %d points, %v", len(pts), err)
-	}
-	if _, err := src.Next(1); err != core.ErrEndOfStream {
-		t.Errorf("Next after ReadAll: %v, want core.ErrEndOfStream", err)
+	if _, err2 := src.Next(1); err2 != err {
+		t.Errorf("Next after a failed ReadAll: %v, want the latched %v", err2, err)
 	}
 
 	src, err = NewCSVSource(strings.NewReader(diffHeader+"x,1,y,2\n\"a\nb\",1,c,2\nx,bad,y,3\n"), diffSchema, encode.NewEncoder("a", "b"))
@@ -453,9 +481,7 @@ func TestCSVReadAllFailedRead(t *testing.T) {
 // picks.
 func FuzzCSVMatchesEncodingCSV(f *testing.F) {
 	for _, c := range csvCorpus {
-		if !strings.HasPrefix(c.body, "!") {
-			f.Add([]byte(c.body), uint8(len(c.body)))
-		}
+		f.Add([]byte(c.body), uint8(len(c.body)))
 	}
 	rng := rand.New(rand.NewPCG(7, 8))
 	for i := 0; i < 20; i++ {

@@ -156,8 +156,8 @@ func TestCSVBadRowsMatchErrBadRow(t *testing.T) {
 func TestCSVRoundTrip(t *testing.T) {
 	enc := encode.NewEncoder("device", "os")
 	pts := []core.Point{
-		{Metrics: []float64{1.5}, Attrs: enc.EncodeAll("d1", "o1"), Time: 10},
-		{Metrics: []float64{-2}, Attrs: enc.EncodeAll("d2", "o2"), Time: 20},
+		{Metrics: []float64{1.5}, Attrs: enc.EncodeInto(make([]int32, 2), []string{"d1", "o1"}), Time: 10},
+		{Metrics: []float64{-2}, Attrs: enc.EncodeInto(make([]int32, 2), []string{"d2", "o2"}), Time: 20},
 	}
 	schema := Schema{Metrics: []string{"m"}, Attributes: []string{"device", "os"}, TimeColumn: "t"}
 	var buf bytes.Buffer

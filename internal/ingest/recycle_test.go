@@ -243,7 +243,8 @@ func TestCSVNextIntoErrorLatched(t *testing.T) {
 // TestCSVNextIntoAllocBound pins the parse-in-place (NextBatchInto)
 // allocation floor: once the encoder knows the values, a row allocates
 // nothing, and a read of any length costs only the source's set-up
-// (its block buffer, the header's names and column maps).
+// (its block buffer, the header's names and column maps) and the slabs
+// of the one block it parses into and recycles.
 func TestCSVNextIntoAllocBound(t *testing.T) {
 	const rows = 1000
 	text := partCSV(0, rows)
@@ -276,8 +277,8 @@ func TestCSVNextIntoAllocBound(t *testing.T) {
 			t.Fatal("short parse")
 		}
 	})
-	// Budget: the source's set-up, 13 allocations here; one per row
-	// would read over 1000.
+	// Budget: the source's set-up and its one block's slabs, 15
+	// allocations here; one per row would read over 1000.
 	t.Logf("%v allocations for %d rows", allocs, rows)
 	if allocs > 32 {
 		t.Fatalf("CSV parse-in-place: %v allocs for %d rows, want <= 32", allocs, rows)
