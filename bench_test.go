@@ -891,6 +891,25 @@ func p3s4Session(b *testing.B, batches [][]core.Point, cfg pipeline.Config) *pip
 
 // --- Sharded streaming engine: shard-count throughput sweep ------------
 
+// BenchmarkExplainBatch is the batch_query explain stage: Algorithm 2
+// over the batch_query input's shape, 40K CMT points (6 attributes)
+// labeled by the one-shot classifier at its default 99th percentile.
+// No baseline records it yet.
+func BenchmarkExplainBatch(b *testing.B) {
+	pts := benchDatasetPoints(b, "CMT", false, 40_000)
+	labeled, err := pipeline.ClassifyOneShot(pts, pipeline.Config{Dims: len(pts[0].Metrics)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(explain.ExplainBatch(labeled, explain.BatchConfig{})) == 0 {
+			b.Fatal("no explanations")
+		}
+	}
+}
+
 // BenchmarkShardedStream sweeps the shared-nothing sharded streaming
 // engine from 1 shard up to max(4, GOMAXPROCS) on the streaming MDP
 // workload (the Table 2 streaming kernel). With one shard this is the

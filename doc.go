@@ -480,7 +480,16 @@
 //     blocks on GOMAXPROCS goroutines and keeps their slabs as the
 //     points; its points and encoder ids are the streaming read's
 //     (ingest's differential tests and fuzz target hold every read to
-//     encoding/csv, which is left as their oracle). A one-shard run over any of them is bit-identical to a
+//     encoding/csv, which is left as their oracle). A metric or time
+//     field that is a plain decimal, [+-]?digits[.digits]?([eE][+-]?
+//     digits)? with at most 19 significant digits, parses on an exact
+//     fast path: the mantissa eight digits at a time, then one exact
+//     multiply or divide by a power of ten (Clinger) or Eisel-Lemire
+//     over 128-bit powers of ten computed once with math/big. Every
+//     other field, and every case Eisel-Lemire leaves undecided, goes
+//     to strconv.ParseFloat, so the parser accepts nothing strconv
+//     rejects, returns strconv's bits and fails with strconv's error
+//     (TestParseFloatMatchesStrconv, FuzzParseFloatMatchesStrconv). A one-shard run over any of them is bit-identical to a
 //     plain sequential loop over the same batches (pinned against a
 //     test oracle, pipeline.TestShardedStreamOneShardMatchesSequential).
 //     core.StreamRunner runs one ingest goroutine per partition, and
@@ -622,10 +631,22 @@
 // window, where the median-of-three introselect before it shed about
 // half the slab a round. The membership pass writes every index and
 // advances only past members, where a branch on membership mispredicted
-// on about half the points. stats.MeanCovInto sums each covariance cell
-// in a register over column-major blocks of centered rows, four cells a
-// pass. internal/mcd's package comment says why the bits match the
-// one-point forms, and a test pins 28 fits to recorded digests.
+// on about half the points. The re-estimate (stats.MeanCovInto) runs,
+// on amd64 with AVX2 and rows of at most 8 columns, an assembly kernel
+// whose lane rule is: one YMM lane a column for the mean, one lane a
+// covariance cell (j, k) for the scatter, each lane starting at +0 and
+// adding its terms in idx order — a row's value, or c_j*c_k of the row
+// centered in registers, one VMULPD and then one VADDPD, never fused —
+// with masked loads past d, so no row is read past its end; Go divides
+// as before. Elsewhere Go sums each cell in a register over column-major
+// blocks of centered rows, four cells a pass, and that code is the
+// kernel's oracle (TestMeanCovAVX2MatchesGo, FuzzMeanCovAVX2MatchesGo:
+// p 1-12, n 0-1001, NaN, ±Inf, subnormals). internal/mcd's package
+// comment says why the bits match the one-point forms, and a test pins
+// 28 fits to recorded digests. No Go line of internal/stats or
+// internal/mcd fuses a multiply into an add on any architecture: each
+// product that feeds a sum is written float64(a*b), and CI disassembles
+// the arm64 build to hold every such line to it.
 //
 // Before the kernel and the selection, a 10 s profile of batch_query put
 // the C-step at 60% of server CPU (the sweep 26%, the selection 14.5%,
@@ -636,7 +657,33 @@
 // time goes now, at n=10K, p=7: the trial stage ~65%, the full-data
 // ranking ~23%, the leader's convergence ~10%; by kernel, the covariance
 // ~40%, the selection ~29%, the sweep ~18% and the step's own
-// bookkeeping ~3%. The covariance is the next kernel to write.
+// bookkeeping ~3%. The covariance has since become the AVX2 kernel
+// above; what it bought is in CHANGES.md.
+//
+// # One-shot answers
+//
+// A one-shot query (pipeline.RunQuery with streaming off) reads its CSV
+// on every core, fits MCD (or MAD) to all of it, labels every point and
+// runs the batch explainer (explain.ExplainBatch, paper Algorithm 2).
+// Its three costliest passes are the float parse, the C-step's
+// re-estimate and the explainer's counting; each is written for speed
+// and held to the code it replaced as an oracle, and the whole answer
+// is pinned: TestOneShotAnswersPinned (internal/pipeline) runs RunQuery
+// over generated CMT CSVs, two seeds at confidence 0 and 0.95, and
+// compares the SHA-256 of each Result's JSON with digests recorded
+// before any of the three changed.
+//
+// The explainer counts single attributes in slices indexed by slot, not
+// in maps, and filters each class's transactions into one slab. The
+// dense-id rule: an attribute id's slot is id - min id when the set's
+// ids span at most 4 slots an attribute occurrence (plus 1024), negative
+// ids included, and otherwise its rank among the set's distinct ids, so
+// a few huge or far-apart ids cost a sort instead of a huge table. A
+// slot is supported when its outlier count is positive and at least the
+// minimum support, as a key of the old count map was; the answer,
+// including whether an empty one is nil or an empty slice, is the map
+// version's (TestExplainBatchMatchesMapOracle: empty sets, all
+// outliers, negative and far-apart ids, tied counts).
 //
 // # Allocation-free ingest data plane
 //
@@ -754,7 +801,12 @@
 //
 // .github/workflows/ci.yml is kept declarative; the reasons live here.
 //
-//   - test runs gofmt -l (any listed file fails the job), vet, build,
+//   - test runs gofmt -l (any listed file fails the job), vet (also of
+//     the arm64 build), a disassembly of arm64 test binaries of
+//     internal/stats and internal/mcd that fails on any FMADD, FMSUB,
+//     FNMADD or FNMSUB on a non-test line (Go fuses a multiply into an
+//     add there unless the product is written float64(a*b), and a fused
+//     sum is not the bits amd64 computes), build,
 //     the named guards (an exported name without a caller, a *Config
 //     field nothing sets, a Test, Benchmark or Fuzz function that this
 //     file or ci.yml names and no test declares: a renamed test would
@@ -803,11 +855,13 @@
 //     of a few points.
 //   - fuzz-replay replays every fuzz target's seeds and committed
 //     testdata/fuzz inputs under -race: the oracles (brute-force tree
-//     and explainer models, encoding/csv for the CSV reader, the Go
-//     sweep for the AVX2 one) rerun the exact scripts that once found
-//     or nearly found bugs, deterministically. It then fuzzes the CSV
-//     reader against encoding/csv for 30 s, since its record loop is
-//     hand-written and no seed list covers every way a record can end.
+//     and explainer models, encoding/csv for the CSV reader, strconv for
+//     the float parser, the Go sweep and the Go sums for the AVX2
+//     kernels) rerun the exact scripts that once found or nearly found
+//     bugs, deterministically. It then fuzzes the CSV reader against
+//     encoding/csv, the float parser against strconv and the AVX2 mean
+//     and covariance against the Go sums, 30 s each, since each is
+//     hand-written and no seed list covers every input.
 //   - robustness runs the resume, degradation, quarantine, torn-frame
 //     and checkpoint suites under -race three times over (-count=3),
 //     since their failures are timing-dependent.
@@ -842,8 +896,11 @@
 //
 // CI's hot-path step also records kernels no baseline gates:
 // StreamingExplain/clone, Fig6Sketches, MCPSvsCPS, CSVRead,
-// BenchmarkMahalanobisSweep and BenchmarkSelectKeyIdx in internal/stats
-// (the C-step's sweep and selection, below), and
+// ExplainBatch (the one-shot explain stage, see "One-shot answers"),
+// BenchmarkMahalanobisSweep, BenchmarkSelectKeyIdx and BenchmarkMeanCov
+// in internal/stats (the C-step's sweep, selection and re-estimate,
+// below), BenchmarkParseFloat in internal/ingest (a batch file's metric
+// fields through strconv and through the fast path, per field), and
 // BenchmarkRestructure in internal/cps
 // (`go test -bench BenchmarkRestructure -benchmem ./internal/cps/`),
 // one decay tick of a 500K-node inlier-style
@@ -869,7 +926,10 @@
 // sweep keys in a fresh copy of the slab, per point. On the 2-vCPU box,
 // in one sitting: one-point ~72, four-point ~28-38, avx2 ~11-12 ns a
 // point; SelectKeyIdx ~13 ns a point, where the introselect it replaced
-// read ~20-23. All allocate nothing.
+// read ~20-23. All allocate nothing. MeanCov re-estimates from 20K of
+// 40K rows at p=7 in C-step order, per point: row-major is the test
+// oracle that adds into every cell a row, go the column-major Go sums
+// and avx2 the kernel (absent without AVX2).
 //
 // CSVRead reads batch_query's input shape, a 40K-row, 8 MB CMT CSV
 // (7 metrics, 6 attributes), through a warmed encoder: serial is the

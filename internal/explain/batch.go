@@ -1,6 +1,9 @@
 package explain
 
 import (
+	"math"
+	"slices"
+
 	"macrobase/internal/core"
 	"macrobase/internal/fptree"
 )
@@ -38,6 +41,9 @@ func (c BatchConfig) withDefaults() BatchConfig {
 // stage 3 counts the mined combinations over the inliers — via
 // targeted itemset-support queries against an inlier prefix tree
 // containing only stage-1 attributes — and filters by risk ratio.
+//
+// Stage 1 counts in slices indexed by attribute slot (idSlots), and each
+// class's filtered transactions share one slab.
 func ExplainBatch(labeled []core.LabeledPoint, cfg BatchConfig) []core.Explanation {
 	cfg = cfg.withDefaults()
 
@@ -53,67 +59,58 @@ func ExplainBatch(labeled []core.LabeledPoint, cfg BatchConfig) []core.Explanati
 		return nil
 	}
 	minCount := cfg.MinSupport * totalOut
+	slots := newIDSlots(labeled)
 
 	// Stage 1a: count single attributes over the (small) outlier set.
-	outCounts := make(map[int32]float64)
+	outCounts := make([]float64, slots.n)
 	for i := range labeled {
 		if labeled[i].Label != core.Outlier {
 			continue
 		}
 		for _, a := range labeled[i].Attrs {
-			outCounts[a]++
+			outCounts[slots.of(a)]++
 		}
 	}
-	supported := make(map[int32]float64, len(outCounts))
-	for a, c := range outCounts {
-		if c >= minCount {
-			supported[a] = c
+	supported := make([]bool, slots.n)
+	anySupported := false
+	for s, c := range outCounts {
+		if c > 0 && c >= minCount {
+			supported[s], anySupported = true, true
 		}
 	}
-	if len(supported) == 0 {
+	if !anySupported {
 		return nil
 	}
 
 	// Stage 1b: count only the supported attributes over the inliers.
-	inCounts := make(map[int32]float64, len(supported))
+	inCounts := make([]float64, slots.n)
 	for i := range labeled {
 		if labeled[i].Label != core.Inlier {
 			continue
 		}
 		for _, a := range labeled[i].Attrs {
-			if _, ok := supported[a]; ok {
-				inCounts[a]++
+			if s := slots.of(a); supported[s] {
+				inCounts[s]++
 			}
 		}
 	}
-	qualified := make(map[int32]bool, len(supported))
-	for a, ao := range supported {
-		if RiskRatio(ao, inCounts[a], totalOut, totalIn) >= cfg.MinRiskRatio {
-			qualified[a] = true
+	qualified := make([]bool, slots.n)
+	anyQualified := false
+	var outOcc, inOcc float64 // qualified occurrences: each class's slab
+	for s, ao := range outCounts {
+		if supported[s] && RiskRatio(ao, inCounts[s], totalOut, totalIn) >= cfg.MinRiskRatio {
+			qualified[s], anyQualified = true, true
+			outOcc += ao
+			inOcc += inCounts[s]
 		}
 	}
-	if len(qualified) == 0 {
+	if !anyQualified {
 		return nil
 	}
 
 	// Stage 2: mine supported combinations over the outliers using
 	// only qualified attributes.
-	filtered := make([]int32, 0, 8)
-	outTxs := make([][]int32, 0, int(totalOut))
-	for i := range labeled {
-		if labeled[i].Label != core.Outlier {
-			continue
-		}
-		filtered = filtered[:0]
-		for _, a := range labeled[i].Attrs {
-			if qualified[a] {
-				filtered = append(filtered, a)
-			}
-		}
-		tx := make([]int32, len(filtered))
-		copy(tx, filtered)
-		outTxs = append(outTxs, tx)
-	}
+	outTxs := qualifiedTxs(labeled, core.Outlier, int(outOcc), &slots, qualified)
 	outTree := fptree.Build(outTxs, nil, minCount)
 	itemsets := outTree.Mine(minCount)
 
@@ -130,32 +127,14 @@ func ExplainBatch(labeled []core.LabeledPoint, cfg BatchConfig) []core.Explanati
 	}
 	var inTree *fptree.Tree
 	if needInlierTree {
-		inTxs := make([][]int32, 0, int(totalIn))
-		for i := range labeled {
-			if labeled[i].Label != core.Inlier {
-				continue
-			}
-			filtered = filtered[:0]
-			for _, a := range labeled[i].Attrs {
-				if qualified[a] {
-					filtered = append(filtered, a)
-				}
-			}
-			if len(filtered) == 0 {
-				continue
-			}
-			tx := make([]int32, len(filtered))
-			copy(tx, filtered)
-			inTxs = append(inTxs, tx)
-		}
-		inTree = fptree.Build(inTxs, nil, 0)
+		inTree = fptree.Build(qualifiedTxs(labeled, core.Inlier, int(inOcc), &slots, qualified), nil, 0)
 	}
 
 	exps := make([]core.Explanation, 0, len(itemsets))
 	for _, is := range itemsets {
 		var ai float64
 		if len(is.Items) == 1 {
-			ai = inCounts[is.Items[0]]
+			ai = inCounts[slots.of(is.Items[0])]
 		} else {
 			ai = inTree.ItemsetSupport(is.Items)
 		}
@@ -176,6 +155,77 @@ func ExplainBatch(labeled []core.LabeledPoint, cfg BatchConfig) []core.Explanati
 	attachCIs(exps, cfg.Confidence)
 	Rank(exps)
 	return exps
+}
+
+// qualifiedTxs returns, for each point labeled label, in order, the
+// attributes whose slot is qualified, all in one slab of occ ids (the
+// class's qualified occurrences). A point with none adds no transaction:
+// an FP-tree inserts nothing for it.
+func qualifiedTxs(labeled []core.LabeledPoint, label core.Label, occ int, slots *idSlots, qualified []bool) [][]int32 {
+	slab := make([]int32, 0, occ)
+	txs := make([][]int32, 0, occ)
+	for i := range labeled {
+		if labeled[i].Label != label {
+			continue
+		}
+		from := len(slab)
+		for _, a := range labeled[i].Attrs {
+			if qualified[slots.of(a)] {
+				slab = append(slab, a)
+			}
+		}
+		if len(slab) > from {
+			txs = append(txs, slab[from:len(slab):len(slab)])
+		}
+	}
+	return txs
+}
+
+// idSlots numbers a labeled set's attribute ids densely, for counting
+// in slices: an id's slot is id - lo when the ids span at most
+// denseSpan(occurrences) values, negative ids included, and otherwise
+// (a few ids far apart) its rank among the distinct ids. Every id of the
+// set has a slot below n.
+type idSlots struct {
+	lo  int32
+	n   int
+	ids []int32 // the sorted distinct ids when slots are ranks, else nil
+}
+
+// denseSpan is the widest id range idSlots indexes directly for a set of
+// occ attribute occurrences: a few counters an occurrence at most.
+func denseSpan(occ int) int { return 4*occ + 1024 }
+
+func newIDSlots(labeled []core.LabeledPoint) idSlots {
+	lo, hi, occ := int32(math.MaxInt32), int32(math.MinInt32), 0
+	for i := range labeled {
+		for _, a := range labeled[i].Attrs {
+			lo, hi = min(lo, a), max(hi, a)
+		}
+		occ += len(labeled[i].Attrs)
+	}
+	if occ == 0 {
+		return idSlots{}
+	}
+	if span := int(hi) - int(lo) + 1; span <= denseSpan(occ) {
+		return idSlots{lo: lo, n: span}
+	}
+	ids := make([]int32, 0, occ)
+	for i := range labeled {
+		ids = append(ids, labeled[i].Attrs...)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	return idSlots{n: len(ids), ids: ids}
+}
+
+// of is a's slot; a must be an id of the set.
+func (s *idSlots) of(a int32) int {
+	if s.ids == nil {
+		return int(a) - int(s.lo)
+	}
+	i, _ := slices.BinarySearch(s.ids, a)
+	return i
 }
 
 // attachCIs fills confidence intervals at level when it is positive.

@@ -191,15 +191,6 @@ func checkFinite(v float64) error {
 	return nil
 }
 
-// parseFloat parses a metric or time field.
-func parseFloat(b []byte) (float64, error) {
-	v, err := strconv.ParseFloat(string(b), 64)
-	if err == nil {
-		err = checkFinite(v)
-	}
-	return v, err
-}
-
 // nums parses a split record's metrics into met and returns its time.
 func (c *columns) nums(data []byte, f []span, met []float64) (float64, error) {
 	for j, i := range c.met {

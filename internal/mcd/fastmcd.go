@@ -31,18 +31,20 @@
 // h-th distance, so one partition of the slab leaves a small window. The
 // membership pass turns the chosen set into ascending indexes with no
 // branch on membership, which half the points would mispredict. The
-// re-estimate (stats.MeanCovInto) gathers the chosen rows, centered,
-// into column-major blocks and sums each covariance cell in a register,
-// four cells per pass, instead of loading and storing every cell once
-// per row. None of them changes a bit of the answer: every point's
-// distance is the same operations in the same order as a one-point solve
-// (the kernel multiplies, then subtracts, and never fuses the two), the
-// h closest points are one set under a total order whatever selects
-// them, and every cell adds the same products in the same index order.
-// Go does not fuse a multiply and an add into one rounding on amd64, so
-// there the fits are those of the one-point sweep and the row-major
-// covariance exactly; a test pins them to digests recorded from that
-// code.
+// re-estimate (stats.MeanCovInto) sums the chosen rows, centered, into
+// the mean and the covariance cells: on amd64 with AVX2 an assembly
+// kernel keeps one column's sum or one cell's sum to a YMM lane, and
+// elsewhere Go gathers the rows into column-major blocks and sums four
+// cells a pass in registers. None of them changes a bit of the answer:
+// every point's distance is the same operations in the same order as a
+// one-point solve (the kernel multiplies, then subtracts, and never
+// fuses the two), the h closest points are one set under a total order
+// whatever selects them, and every cell adds the same products in the
+// same index order. No multiply is fused with an add on any
+// architecture — Go code rounds each such product with float64(a*b),
+// and CI disassembles the arm64 build to hold it — so the fits are
+// those of the one-point sweep and the row-major covariance exactly; a
+// test pins them (amd64) to digests recorded from that code.
 //
 // A fit spreads its candidates' C-steps over the process's cores: Fit
 // runs on GOMAXPROCS goroutines, but never more than topKeep, since the
@@ -295,7 +297,7 @@ type cStepper struct {
 	mask   []bool         // subset membership; all false between uses
 	idx    []int          // the current subset: ascending after a step, in draw order after start
 	scr    []float64      // the sweep's eight forward solves
-	colScr []float64      // MeanCovInto's column-major block of centered rows
+	colScr []float64      // MeanCovInto's column-major block for its Go sums (no AVX2, or p > 8)
 	chol   stats.Cholesky
 	ridge  *stats.Mat
 	// crew spreads a stage's candidates' steps over this stepper and
@@ -572,7 +574,7 @@ func fitUnivariate(cs *cStepper) (*Estimate, error) {
 	var lo, lo2, hi, hi2 float64
 	for _, x := range xs[:h] {
 		hi += x.Key
-		hi2 += x.Key * x.Key
+		hi2 += float64(x.Key * x.Key)
 	}
 	bestVar := math.Inf(1)
 	bestMean := 0.0
@@ -580,7 +582,7 @@ func fitUnivariate(cs *cStepper) (*Estimate, error) {
 		s := hi - lo
 		s2 := hi2 - lo2
 		m := s / float64(h)
-		v := (s2 - float64(h)*m*m) / float64(h-1)
+		v := (s2 - float64(float64(h)*m*m)) / float64(h-1)
 		if v < bestVar {
 			bestVar, bestMean = v, m
 		}
@@ -589,9 +591,9 @@ func fitUnivariate(cs *cStepper) (*Estimate, error) {
 		}
 		in, out := xs[i+h].Key, xs[i].Key
 		hi += in
-		hi2 += in * in
+		hi2 += float64(in * in)
 		lo += out
-		lo2 += out * out
+		lo2 += float64(out * out)
 	}
 	if bestVar <= 0 {
 		bestVar = 1e-12

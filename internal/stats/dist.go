@@ -2,8 +2,10 @@ package stats
 
 import "math"
 
-// NormalCDF returns P(Z <= x) for a standard normal Z.
-func NormalCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
+// NormalCDF returns P(Z <= x) for a standard normal Z. The product is
+// rounded so that a caller's add or subtract, once NormalCDF is inlined,
+// cannot fuse with it.
+func NormalCDF(x float64) float64 { return float64(0.5 * math.Erfc(-x/math.Sqrt2)) }
 
 // NormalQuantile returns the x with NormalCDF(x) = p using the
 // Beasley-Springer-Moro/Acklam rational approximation refined by one
@@ -31,23 +33,30 @@ func NormalQuantile(p float64) float64 {
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		x = horner(q, c[:]...) / (float64(horner(q, d[:]...)*q) + 1)
 	case p <= pHigh:
 		q := p - 0.5
 		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		x = horner(r, a[:]...) * q / (float64(horner(r, b[:]...)*r) + 1)
 	default:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		x = -horner(q, c[:]...) / (float64(horner(q, d[:]...)*q) + 1)
 	}
 	// One Halley refinement.
 	e := NormalCDF(x) - p
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
+	x = x - u/(1+float64(x*u/2))
 	return x
+}
+
+// horner evaluates c[0]x^(n-1) + c[1]x^(n-2) + ... + c[n-1] by Horner's
+// rule, rounding each product before its add.
+func horner(x float64, c ...float64) float64 {
+	s := c[0]
+	for _, v := range c[1:] {
+		s = float64(s*x) + v
+	}
+	return s
 }
 
 // GammaP returns the regularized lower incomplete gamma function
@@ -74,13 +83,13 @@ func gammaSeries(a, x float64) float64 {
 	del := sum
 	for i := 0; i < 500; i++ {
 		ap++
-		del *= x / ap
+		del = float64(del * (x / ap))
 		sum += del
 		if math.Abs(del) < math.Abs(sum)*1e-15 {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
+	return sum * math.Exp(-x+float64(a*math.Log(x))-lg)
 }
 
 func gammaCF(a, x float64) float64 {
@@ -93,7 +102,7 @@ func gammaCF(a, x float64) float64 {
 	for i := 1; i < 500; i++ {
 		an := -float64(i) * (float64(i) - a)
 		b += 2
-		d = an*d + b
+		d = float64(an*d) + b
 		if math.Abs(d) < tiny {
 			d = tiny
 		}
@@ -102,13 +111,13 @@ func gammaCF(a, x float64) float64 {
 			c = tiny
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < 1e-15 {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
+	return math.Exp(-x+float64(a*math.Log(x))-lg) * h
 }
 
 // ChiSquareCDF returns P(X <= x) for a chi-square variable with k
@@ -133,7 +142,7 @@ func ChiSquareQuantile(p, k float64) float64 {
 	}
 	// Wilson-Hilferty approximation.
 	z := NormalQuantile(p)
-	t := 1 - 2/(9*k) + z*math.Sqrt(2/(9*k))
+	t := 1 - 2/(9*k) + float64(z*math.Sqrt(2/(9*k)))
 	x := k * t * t * t
 	if x <= 0 {
 		x = 1e-8
@@ -142,7 +151,7 @@ func ChiSquareQuantile(p, k float64) float64 {
 	for i := 0; i < 64; i++ {
 		f := ChiSquareCDF(x, k) - p
 		// Chi-square density at x.
-		pdf := math.Exp((k/2-1)*math.Log(x) - x/2 - (k/2)*math.Ln2 - lg)
+		pdf := math.Exp(float64((float64(k/2)-1)*math.Log(x)) - float64(x/2) - float64((k/2)*math.Ln2) - lg)
 		if pdf <= 0 {
 			break
 		}

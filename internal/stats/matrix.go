@@ -63,7 +63,7 @@ func (c *Cholesky) Factor(a *Mat) error {
 			sum := a.At(i, j)
 			li, lj := l.Row(i), l.Row(j)
 			for k := 0; k < j; k++ {
-				sum -= li[k] * lj[k]
+				sum -= float64(li[k] * lj[k])
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
@@ -102,13 +102,13 @@ func (c *Cholesky) MahalanobisSq(x, mu, scratch []float64) float64 {
 		li := c.L.Row(i)
 		s := x[i] - mu[i]
 		for k := 0; k < i; k++ {
-			s -= li[k] * z[k]
+			s -= float64(li[k] * z[k])
 		}
 		z[i] = s / li[i]
 	}
 	d := 0.0
 	for _, v := range z {
-		d += v * v
+		d += float64(v * v)
 	}
 	return d
 }
@@ -121,11 +121,14 @@ func (c *Cholesky) MahalanobisSq(x, mu, scratch []float64) float64 {
 // does it, one point to a lane of a YMM register; everywhere else a Go
 // loop does, four points in lockstep. Each point still executes exactly
 // MahalanobisSq's operations in MahalanobisSq's order — a multiply and a
-// subtract a term, never fused, then the division, and the norm summed
-// from zero in index order — and a tail of fewer than four points goes
-// through MahalanobisSq itself, so every dst[r].Key is bit for bit the
-// one-point answer on either path. scratch, when cap(scratch) >=
-// 8*len(mu), avoids allocation.
+// subtract a term, then the division, and the norm summed from zero in
+// index order — and a tail of fewer than four points goes through
+// MahalanobisSq itself, so every dst[r].Key is bit for bit the one-point
+// answer on either path. The multiply is never fused with the subtract:
+// the kernel issues them apart, and the Go loops round each product
+// (float64(a*b)), which CI's arm64 disassembly step ("No fused
+// multiply-adds", ci.yml) holds for every line of this package and of
+// mcd. scratch, when cap(scratch) >= 8*len(mu), avoids allocation.
 func (c *Cholesky) MahalanobisSqAll(dst []KeyIdx, pts [][]float64, mu, scratch []float64) {
 	n := c.L.Rows
 	if cap(scratch) < 8*n {
@@ -148,19 +151,19 @@ func (c *Cholesky) mahalanobisSqFrom(dst []KeyIdx, pts [][]float64, mu, scratch 
 			li := c.L.Data[i*n : i*n+i+1]
 			s0, s1, s2, s3 := x0[i]-mu[i], x1[i]-mu[i], x2[i]-mu[i], x3[i]-mu[i]
 			for k, l := range li[:i] {
-				s0 -= l * z0[k]
-				s1 -= l * z1[k]
-				s2 -= l * z2[k]
-				s3 -= l * z3[k]
+				s0 -= float64(l * z0[k])
+				s1 -= float64(l * z1[k])
+				s2 -= float64(l * z2[k])
+				s3 -= float64(l * z3[k])
 			}
 			z0[i], z1[i], z2[i], z3[i] = s0/li[i], s1/li[i], s2/li[i], s3/li[i]
 		}
 		var d0, d1, d2, d3 float64
 		for i, v := range z0 {
-			d0 += v * v
-			d1 += z1[i] * z1[i]
-			d2 += z2[i] * z2[i]
-			d3 += z3[i] * z3[i]
+			d0 += float64(v * v)
+			d1 += float64(z1[i] * z1[i])
+			d2 += float64(z2[i] * z2[i])
+			d3 += float64(z3[i] * z3[i])
 		}
 		dst[r], dst[r+1], dst[r+2], dst[r+3] = KeyIdx{d0, r}, KeyIdx{d1, r + 1}, KeyIdx{d2, r + 2}, KeyIdx{d3, r + 3}
 	}
@@ -178,16 +181,50 @@ const MeanCovBlock = 256
 // n-1) of the rows pts[idx[0]], pts[idx[1]], ... into the caller's mean
 // (length d) and cov (d x d), overwriting both. Rows are summed in the
 // order idx lists them, so the result's low-order bits are a function
-// of that order and of nothing else.
+// of that order and of nothing else: each mean[j] is +0 plus the
+// rows' values in idx order, divided by n, and each covariance cell
+// (j, k) is +0 plus the products c_j*c_k of the centered rows
+// c = row - mean in idx order, each product rounded before it is added,
+// divided by n-1.
 //
-// The centered rows pass through scratch column-major, len(scratch)/d
-// of them at a time; a caller that refits in a loop owns d*MeanCovBlock
-// floats of it (nil, or fewer than d floats, allocates that much). Each
-// upper-triangle cell is then a dot product of two columns accumulated
-// in a register, four cells per pass: the per-row load-add-store of
-// every cell becomes one per block, while each cell still adds the same
-// products in the same order.
+// On amd64 with AVX2 and rows of at most 8 columns an assembly kernel
+// (meanCovKernel) computes those sums, one YMM lane per column for the
+// mean and one per cell for the covariance, with no scratch. Elsewhere
+// meanCovSums does, in Go: the same sums, and the kernel's test oracle.
+// A caller that refits in a loop owns d*MeanCovBlock floats of scratch
+// for the Go sums (nil, or fewer than d floats, allocates that much).
 func MeanCovInto(mean []float64, cov *Mat, pts [][]float64, idx []int, scratch []float64) {
+	if !meanCovKernel(mean, cov, pts, idx) {
+		meanCovSums(mean, cov, pts, idx, scratch)
+	}
+	scatterToCov(cov, len(mean), len(idx))
+}
+
+// scatterToCov divides the upper triangle of the d x d scatter in cov by
+// n-1 (1 when n < 2) and mirrors it into the lower one.
+func scatterToCov(cov *Mat, d, n int) {
+	den := float64(n - 1)
+	if n < 2 {
+		den = 1
+	}
+	for j := 0; j < d; j++ {
+		for k := j; k < d; k++ {
+			v := cov.At(j, k) / den
+			cov.Set(j, k, v)
+			cov.Set(k, j, v)
+		}
+	}
+}
+
+// meanCovSums sets mean to the rows' mean and the upper triangle of cov
+// to the sums of their centered products, clearing the rest of cov: the
+// Go half of MeanCovInto. The centered rows pass through scratch
+// column-major, len(scratch)/d of them at a time, and each upper-triangle
+// cell is a dot product of two columns accumulated in a register, four
+// cells per pass: the per-row load-add-store of every cell becomes one
+// per block, while each cell still adds the same products in the same
+// order.
+func meanCovSums(mean []float64, cov *Mat, pts [][]float64, idx []int, scratch []float64) {
 	d := len(mean)
 	n := len(idx)
 	clear(mean)
@@ -218,17 +255,6 @@ func MeanCovInto(mean []float64, cov *Mat, pts [][]float64, idx []int, scratch [
 		}
 		covAccumulate(cov.Data, scratch[:d*m], d, m)
 	}
-	den := float64(n - 1)
-	if n < 2 {
-		den = 1
-	}
-	for j := 0; j < d; j++ {
-		for k := j; k < d; k++ {
-			v := cov.At(j, k) / den
-			cov.Set(j, k, v)
-			cov.Set(k, j, v)
-		}
-	}
 }
 
 // covAccumulate adds, to each upper-triangle cell (j, k) of the d x d
@@ -256,10 +282,10 @@ func covAccumulate(c, cols []float64, d, m int) {
 		b0, b1, b2, b3 := b[0][:m], b[1][:m], b[2][:m], b[3][:m]
 		s0, s1, s2, s3 := c[at[0]], c[at[1]], c[at[2]], c[at[3]]
 		for t, v := range a0 {
-			s0 += v * b0[t]
-			s1 += a1[t] * b1[t]
-			s2 += a2[t] * b2[t]
-			s3 += a3[t] * b3[t]
+			s0 += float64(v * b0[t])
+			s1 += float64(a1[t] * b1[t])
+			s2 += float64(a2[t] * b2[t])
+			s3 += float64(a3[t] * b3[t])
 		}
 		c[at[0]], c[at[1]], c[at[2]], c[at[3]] = s0, s1, s2, s3
 	}

@@ -402,20 +402,34 @@ func TestMeanCovIntoMatchesRowMajorBits(t *testing.T) {
 			meanCovRowMajor(wantMean, wantCov, pts, idx)
 			// nil takes the default block; d and 3d make blocks of one and
 			// three rows, so a cell carries its sum across many blocks.
+			// MeanCovInto runs the AVX2 kernel where it can; the Go sums
+			// are checked on their own too, so that their blocks are
+			// held to the row-major order on every CPU.
 			for _, scratch := range [][]float64{nil, make([]float64, d), make([]float64, 3*d+1), make([]float64, d*MeanCovBlock)} {
-				mean, cov := make([]float64, d), NewMat(d, d)
-				for i := range cov.Data {
-					cov.Data[i] = math.NaN() // dirty, as a reused buffer is
-				}
-				MeanCovInto(mean, cov, pts, idx, scratch)
-				for j := range mean {
-					if math.Float64bits(mean[j]) != math.Float64bits(wantMean[j]) {
-						t.Fatalf("d=%d n=%d scratch %d: mean[%d] %v, row-major %v", d, n, len(scratch), j, mean[j], wantMean[j])
+				for _, path := range []struct {
+					name string
+					run  func(mean []float64, cov *Mat)
+				}{
+					{"MeanCovInto", func(mean []float64, cov *Mat) { MeanCovInto(mean, cov, pts, idx, scratch) }},
+					{"Go sums", func(mean []float64, cov *Mat) {
+						meanCovSums(mean, cov, pts, idx, scratch)
+						scatterToCov(cov, d, len(idx))
+					}},
+				} {
+					mean, cov := make([]float64, d), NewMat(d, d)
+					for i := range cov.Data {
+						cov.Data[i] = math.NaN() // dirty, as a reused buffer is
 					}
-				}
-				for c := range cov.Data {
-					if math.Float64bits(cov.Data[c]) != math.Float64bits(wantCov.Data[c]) {
-						t.Fatalf("d=%d n=%d scratch %d: cov[%d][%d] %v, row-major %v", d, n, len(scratch), c/d, c%d, cov.Data[c], wantCov.Data[c])
+					path.run(mean, cov)
+					for j := range mean {
+						if math.Float64bits(mean[j]) != math.Float64bits(wantMean[j]) {
+							t.Fatalf("%s d=%d n=%d scratch %d: mean[%d] %v, row-major %v", path.name, d, n, len(scratch), j, mean[j], wantMean[j])
+						}
+					}
+					for c := range cov.Data {
+						if math.Float64bits(cov.Data[c]) != math.Float64bits(wantCov.Data[c]) {
+							t.Fatalf("%s d=%d n=%d scratch %d: cov[%d][%d] %v, row-major %v", path.name, d, n, len(scratch), c/d, c%d, cov.Data[c], wantCov.Data[c])
+						}
 					}
 				}
 			}
@@ -491,28 +505,41 @@ func BenchmarkMahalanobisSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkMeanCov times one C-step's re-estimate from 5K of 10K points
-// in C-step order, per point: column-major blocks against the row-major
-// oracle.
+// BenchmarkMeanCov times one C-step's re-estimate at the batch_query
+// fit's shape, h = 20K of n = 40K rows of 7 columns in C-step order, per
+// point: the row-major and column-major Go sums (go, MeanCovInto's own
+// off AVX2) and, where the CPU has it, the AVX2 kernel.
 func BenchmarkMeanCov(b *testing.B) {
-	pts, _, mean := benchRows(10_000)
+	pts, _, mean := benchRows(40_000)
 	idx := make([]int, 0, len(pts)/2)
 	for i := 0; i < len(pts); i += 2 {
 		idx = append(idx, i)
 	}
 	cov, scratch := NewMat(len(mean), len(mean)), make([]float64, len(mean)*MeanCovBlock)
+	perPoint := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/point")
+	}
 	b.Run("row-major", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			meanCovRowMajor(mean, cov, pts, idx)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/point")
+		perPoint(b)
 	})
-	b.Run("column-major", func(b *testing.B) {
+	b.Run("go", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MeanCovInto(mean, cov, pts, idx, scratch)
+			meanCovSums(mean, cov, pts, idx, scratch)
+			scatterToCov(cov, len(mean), len(idx))
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/point")
+		perPoint(b)
 	})
+	if haveAVX2 {
+		b.Run("avx2", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MeanCovInto(mean, cov, pts, idx, scratch)
+			}
+			perPoint(b)
+		})
+	}
 }
 
 // NewCholesky factors a into a fresh Cholesky.

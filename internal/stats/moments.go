@@ -20,7 +20,7 @@ func (r *Running) Add(x float64) {
 	r.n++
 	d := x - r.mean
 	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.m2 += float64(d * (x - r.mean))
 }
 
 // Mean returns the sample mean (0 when empty).

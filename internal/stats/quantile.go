@@ -124,7 +124,7 @@ func Quantile(xs []float64, q float64) float64 {
 	if q >= 1 {
 		return Select(xs, n-1)
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	k := int(pos)
 	frac := pos - float64(k)
 	if frac == 0 || k+1 >= n {
@@ -138,7 +138,7 @@ func Quantile(xs []float64, q float64) float64 {
 			lo = x
 		}
 	}
-	return lo + frac*(hi-lo)
+	return lo + float64(frac*(hi-lo))
 }
 
 // WeightedQuantile returns the weighted q-quantile of the keys of ps,
@@ -277,7 +277,7 @@ func selectKeyIdx(ps []KeyIdx, k, depth int) {
 			n := float64(right - left + 1)
 			i := float64(k - left + 1)
 			z := math.Log(n)
-			s := 0.5 * math.Exp(2*z/3)
+			s := float64(0.5 * math.Exp(2*z/3))
 			sd := 0.5 * math.Sqrt(z*s*(n-s)/n)
 			if i < n/2 {
 				sd = -sd
@@ -400,11 +400,11 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[n-1]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	k := int(pos)
 	frac := pos - float64(k)
 	if frac == 0 || k+1 >= n {
 		return sorted[k]
 	}
-	return sorted[k] + frac*(sorted[k+1]-sorted[k])
+	return sorted[k] + float64(frac*(sorted[k+1]-sorted[k]))
 }
