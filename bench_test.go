@@ -470,7 +470,8 @@ var benchExplainCfg = explain.StreamingConfig{MinSupport: 0.005, MinRiskRatio: 1
 // path (Figure 6 / §5.3 regime): consume covers AMC observes + M-CPS
 // inserts with periodic decay/restructure ticks folded in; poll-full
 // is the poll after a decay tick, which is what the end-to-end
-// workloads' polls are (a full mine, recount and rank); clone isolates
+// workloads' polls are (a mine of the qualified attributes, recount and
+// rank); clone isolates
 // the snapshot cost a sharded poll pays per shard.
 func BenchmarkStreamingExplain(b *testing.B) {
 	batches := benchStreamBatches(b)

@@ -334,13 +334,40 @@
 // (§5.3): it mines the outlier M-CPS-tree with FPGrowth and filters the
 // result against the inlier side, and it keeps nothing of an earlier
 // answer. explain.Streaming.Explanations runs four steps: single
-// attributes from the AMC sketches; fullTable, an FPGrowth mine of the
-// outlier tree for candidate discovery plus a canonical ItemsetSupport
-// recount of every candidate; filterCombinations, one inlier count and
-// risk-ratio test per candidate; Rank. The recount is what makes a
-// merged answer independent of shard arena order: FPGrowth accumulates
-// in node order, which on a merged tree depends on the order the
-// shards' paths were folded in, while the recount walks header chains.
+// attributes from the AMC sketches, which mark the attributes that pass
+// support and risk ratio on their own (qualified); fullTable, an
+// FPGrowth mine of the outlier tree projected onto the qualified
+// attributes for candidate discovery plus a canonical ItemsetSupport
+// recount of every candidate on the whole tree; filterCombinations, one
+// inlier count and risk-ratio test per candidate; Rank. When nothing
+// qualifies there is no mine. As in Algorithm 2 (§5.2) and
+// explain.ExplainBatch, only qualified attributes are mined: a
+// combination holding any other one is never reported, so building it
+// would be work whose outcome is already decided. cps.Tree.Mine takes
+// the qualified bitmap as its keep set and drops every other item as
+// it extracts the tree's paths (a path left empty is dropped too). The
+// recount is what makes a merged answer independent of shard arena
+// order: FPGrowth accumulates in node order, which on a merged tree
+// depends on the order the shards' paths were folded in, while the
+// recount walks header chains.
+//
+// The projection changes no bit of any answer. (1) Same counts: for a
+// qualified item, fptree.BuildInto sums the same paths with the same
+// weights in the same order, so the FP-tree orders the qualified items
+// exactly as the whole tree's mine did. (2) Same table: an itemset of
+// qualified items whose canonical count is at least minCount is still
+// found, since only FPGrowth's summation order changes, by ulps, which
+// the mine's 1e-6 relaxation of minCount exists to absorb; its stored
+// count is the same recount. (3) Same order: MineWith sorts each
+// itemset's items, and Rank is a total order for finite or +Inf risk
+// ratios (RiskRatio is never NaN for ao > 0), so the table's order
+// does not reach the output. (4) So the returned explanations are
+// identical, element for element and bit for bit.
+// explain.TestProjectedPollMatchesFullTable holds every poll to the
+// whole-tree table (mine everything, recount, drop what holds an
+// unqualified attribute) on workload-shaped Zipf streams and the
+// differential scripts, in place and merged over 1-4 shards, and
+// explain.FuzzProjectedPollMatchesFullTable does on fuzzed scripts.
 // A live session poll (pipeline.StreamSession.Poll) is one snapshot
 // round of fresh clones folded in place by explain.MergeStreamingInto;
 // concurrent polls share nothing, so none waits on another's merge. A
@@ -379,15 +406,15 @@
 // What one poll costs on two shards: the snapshot round (a slab memcpy
 // of each shard's explainer), a copy of shard 0's sketches and outlier
 // tree, the fold of shard 1's into them, the FPGrowth mine of the
-// merged outlier tree, the canonical recount, and one inlier count per
-// qualifying combination on each shard's inlier tree — not the inlier
-// trees themselves, which are counted on in place (see "Sharded
-// streaming execution"). bench -trace 1 (seed 1) reads
-// explain.merge_ms 2.0 and explain.rank_ms 10.3 on firehose_xc, 1.3 and
-// 2.1 on poll_drift, and answer_p50_ms repeats at ~31 and ~10 ms: a
-// poll is under 3% of firehose_xc server CPU, and what is left of it is
-// mostly the mine and the recount, i.e. the outlier side, which is 1%
-// of the mass.
+// merged outlier tree's qualified projection, the canonical recount of
+// what it finds, and one inlier count per candidate on each shard's
+// inlier tree — not the inlier trees themselves, which are counted on
+// in place (see "Sharded streaming execution"). bench -trace 1 (seed 1,
+// 2 vCPUs) reads explain.merge_ms 3.8 and explain.rank_ms 0.5 on
+// firehose_xc, 1.5 and 0.4 on poll_drift, where mining and recounting
+// the whole outlier tree read a rank_ms of 29 and 3.3 ms: what is left
+// of a poll is mostly the snapshot round, the merge and the wait for
+// each shard to hand its snapshot over between batches.
 //
 // The answer is held by a brute-force weighted-multiset model
 // (explain.FuzzStreamingDelta: insert/decay/poll scripts against
@@ -948,8 +975,9 @@
 // reuse layers "One poll path" describes and were deleted with them.
 // Poll/p3s4 times the session's merged poll over four static shards: a
 // Clone of each shard, then MergeStreamingInto on the polling
-// goroutine; its four whole clones, inlier trees included (8.2 MB an
-// op), are most of its cost. The MCDFit rows are one default-config
+// goroutine; its four whole clones, inlier trees included (7.3 MB an
+// op), are most of its cost, the more so since the mine covers only the
+// qualified attributes. The MCDFit rows are one default-config
 // mcd.Fit over a workload dataset's metrics, in ms/op: a shard's
 // reservoir refit on firehose_xc (p7) and poll_drift (p2), and
 // batch_query's 40K training sample. A default-config fit runs on

@@ -210,11 +210,14 @@ func (t *Tree) childSums() []float64 {
 }
 
 // appendPath appends the items on the path from the root down to node
-// i, root first.
-func appendPath(dst []int32, nodes []itemtree.Node, i int32) []int32 {
+// i, root first, keeping only the items keep names (dense by id; nil
+// keeps every item).
+func appendPath(dst []int32, nodes []itemtree.Node, i int32, keep []bool) []int32 {
 	start := len(dst)
 	for p := i; p != itemtree.NilIdx; p = nodes[p].Parent {
-		dst = append(dst, nodes[p].Item)
+		if it := nodes[p].Item; keep == nil || (int(it) < len(keep) && keep[it]) {
+			dst = append(dst, it)
+		}
 	}
 	slices.Reverse(dst[start:])
 	return dst
@@ -223,10 +226,13 @@ func appendPath(dst []int32, nodes []itemtree.Node, i int32) []int32 {
 // extractPaths materializes ForEachPath's transactions as flattened
 // (path, weight) records in the tree's reusable path buffers, for the
 // callers that need them all at once (Restructure rebuilds the tree
-// from them; Mine hands them to a two-pass FP-tree build). pathOffs
-// carries len(paths)+1 offsets into pathItems; the weights overwrite
-// the child sums they were computed from, which are read ahead of them.
-func (t *Tree) extractPaths() {
+// from them; Mine hands them to a two-pass FP-tree build). keep projects
+// every path onto the items it names (nil keeps every item), and a path
+// the projection empties is dropped; the others keep their weights and
+// their node order. pathOffs carries len(paths)+1 offsets into
+// pathItems; the weights overwrite the child sums they were computed
+// from, which are read ahead of them.
+func (t *Tree) extractPaths(keep []bool) {
 	nodes := t.arena.Nodes
 	sums := t.childSums()
 	t.pathItems = t.pathItems[:0]
@@ -237,7 +243,10 @@ func (t *Tree) extractPaths() {
 		if w == 0 {
 			continue
 		}
-		t.pathItems = appendPath(t.pathItems, nodes, int32(i))
+		t.pathItems = appendPath(t.pathItems, nodes, int32(i), keep)
+		if int(t.pathOffs[n]) == len(t.pathItems) {
+			continue
+		}
 		t.pathOffs = append(t.pathOffs, int32(len(t.pathItems)))
 		sums[n] = w
 		n++
@@ -278,7 +287,7 @@ func (t *Tree) path(i int) []int32 {
 func (t *Tree) Restructure(items []int32, counts []float64, retain float64) {
 	// Decay in place first so extracted path weights are decayed.
 	t.arena.Decay(retain)
-	t.extractPaths()
+	t.extractPaths(nil)
 	t.stageOrder(items, counts)
 	t.rankPaths()
 	t.build()
@@ -521,13 +530,18 @@ func (t *Tree) split(perm, par, keys []int32, lo, hi, depth, next int32) int32 {
 }
 
 // Mine replays the tree's weighted paths through an FP-tree and runs
-// FPGrowth, returning itemsets with decayed count >= minCount. Mining
-// is deterministic: two structurally identical trees mine bit-identical
-// results. The FP-tree and the miner's conditional-tree frames are
-// pooled on the tree, so steady-state mines allocate only the returned
-// itemsets.
-func (t *Tree) Mine(minCount float64) []fptree.Itemset {
-	t.extractPaths()
+// FPGrowth, returning the itemsets over the items keep names (dense by
+// id; nil keeps every item) with decayed count >= minCount. Each path is
+// projected onto keep as it is extracted, so the FP-tree is built from,
+// and FPGrowth searches, only the kept items; a kept item's count in it
+// is summed over the same paths, with the same weights and in the same
+// order, as without the projection, while an itemset's count may be
+// summed in another order. Mining is deterministic: two structurally
+// identical trees mine bit-identical results for the same keep. The
+// FP-tree and the miner's conditional-tree frames are pooled on the
+// tree, so steady-state mines allocate only the returned itemsets.
+func (t *Tree) Mine(minCount float64, keep []bool) []fptree.Itemset {
+	t.extractPaths(keep)
 	t.pathSlices = t.pathSlices[:0]
 	for i := 0; i < t.numPaths(); i++ {
 		t.pathSlices = append(t.pathSlices, t.path(i))
@@ -566,7 +580,7 @@ func (t *Tree) ForEachPath(f func(items []int32, weight float64)) {
 	sums := t.childSums()
 	for i := 1; i < len(nodes); i++ {
 		if w := endWeight(nodes[i].Count, sums[i]); w != 0 {
-			t.walkPath = appendPath(t.walkPath[:0], nodes, int32(i))
+			t.walkPath = appendPath(t.walkPath[:0], nodes, int32(i), nil)
 			f(t.walkPath, w)
 		}
 	}

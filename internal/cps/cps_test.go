@@ -59,7 +59,7 @@ func TestMCPSMatchesFPTreeWithoutDecay(t *testing.T) {
 			tree.Insert(tx, 1)
 		}
 		got := map[string]float64{}
-		for _, is := range tree.Mine(minCount) {
+		for _, is := range tree.Mine(minCount, nil) {
 			got[key(is.Items)] = is.Count
 		}
 		want := map[string]float64{}
@@ -86,13 +86,13 @@ func TestRestructurePreservesCounts(t *testing.T) {
 		}
 	}
 	before := map[string]float64{}
-	for _, is := range tree.Mine(1) {
+	for _, is := range tree.Mine(1, nil) {
 		before[key(is.Items)] = is.Count
 	}
 	items, cs := flat(counts)
 	tree.Restructure(items, cs, 1)
 	after := map[string]float64{}
-	for _, is := range tree.Mine(1) {
+	for _, is := range tree.Mine(1, nil) {
 		after[key(is.Items)] = is.Count
 	}
 	for k, v := range before {
@@ -181,7 +181,7 @@ func TestRestructureMidStreamStaysExact(t *testing.T) {
 		want[key(is.Items)] = is.Count
 	}
 	got := map[string]float64{}
-	for _, is := range tree.Mine(1) {
+	for _, is := range tree.Mine(1, nil) {
 		got[key(is.Items)] = is.Count
 	}
 	for k, v := range want {
@@ -260,7 +260,7 @@ func TestMergeEqualsUnionInsert(t *testing.T) {
 	merged := a.Clone()
 	merged.Merge(b)
 
-	for _, want := range union.Mine(1) {
+	for _, want := range union.Mine(1, nil) {
 		got := merged.ItemsetSupport(want.Items)
 		if math.Abs(got-want.Count) > 1e-6 {
 			t.Errorf("itemset %v: merged support %v, union support %v", want.Items, got, want.Count)
@@ -269,7 +269,7 @@ func TestMergeEqualsUnionInsert(t *testing.T) {
 	// And the reverse order agrees too.
 	merged2 := b.Clone()
 	merged2.Merge(a)
-	for _, want := range union.Mine(1) {
+	for _, want := range union.Mine(1, nil) {
 		got := merged2.ItemsetSupport(want.Items)
 		if math.Abs(got-want.Count) > 1e-6 {
 			t.Errorf("itemset %v: reverse-merged support %v, union support %v", want.Items, got, want.Count)
@@ -288,13 +288,13 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	c := orig.Clone()
 	before := map[string]float64{}
-	for _, is := range c.Mine(1) {
+	for _, is := range c.Mine(1, nil) {
 		before[key(is.Items)] = is.Count
 	}
 	orig.Insert([]int32{0, 1, 2}, 50)
 	orig.Restructure(nil, nil, 0.5)
 	after := map[string]float64{}
-	for _, is := range c.Mine(1) {
+	for _, is := range c.Mine(1, nil) {
 		after[key(is.Items)] = is.Count
 	}
 	if !reflect.DeepEqual(before, after) {
@@ -446,12 +446,12 @@ func TestMineSteadyStateAllocationBounded(t *testing.T) {
 	for _, tx := range randomTxs(rng, 400, 12, 6) {
 		tree.Insert(tx, 1)
 	}
-	n := len(tree.Mine(2)) // warm the arenas
+	n := len(tree.Mine(2, nil)) // warm the arenas
 	if n == 0 {
 		t.Fatal("workload mined nothing")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		tree.Mine(2)
+		tree.Mine(2, nil)
 	})
 	// One allocation per itemset's Items slice plus O(log n) result
 	// slice growth and a conditional-arena growth straggler or two.

@@ -123,13 +123,16 @@ func (m *treeModel) restructure(threshold, retain float64) ([]int32, []float64) 
 	return items, counts
 }
 
-// bruteMine enumerates every itemset with weighted support >= minCount
-// over the model, with anti-monotone pruning.
-func (m *treeModel) bruteMine(minCount float64) map[string]float64 {
+// bruteMine enumerates every itemset of items keep names (nil: of any
+// items) with weighted support >= minCount over the model, with
+// anti-monotone pruning.
+func (m *treeModel) bruteMine(minCount float64, keep []bool) map[string]float64 {
 	c := m.counts()
 	var universe []int32
 	for it := range c {
-		universe = append(universe, it)
+		if keep == nil || keep[it] {
+			universe = append(universe, it)
+		}
 	}
 	sort.Slice(universe, func(i, j int) bool { return universe[i] < universe[j] })
 	out := map[string]float64{}
@@ -180,23 +183,41 @@ func byteTx(b byte) []int32 {
 	return tx
 }
 
+// keepOf is the keep set a script byte names for a projected mine: item
+// it (0-8) is kept when bit it%8 of b is set.
+func keepOf(b byte) []bool {
+	keep := make([]bool, 9)
+	for it := range keep {
+		keep[it] = b>>(it%8)&1 == 1
+	}
+	return keep
+}
+
 // checkMine mines the tree and requires the model's brute-force answer,
-// then cross-checks the support query path on every mined itemset.
-func checkMine(t *testing.T, tree *Tree, model *treeModel, minCount float64, data []byte) {
+// then cross-checks the support query path on every mined itemset, and
+// finally mines the projection onto keep, which must give the model's
+// itemsets over kept items and no other.
+func checkMine(t *testing.T, tree *Tree, model *treeModel, minCount float64, keep []bool, data []byte) {
 	t.Helper()
-	mined := tree.Mine(minCount)
+	checkMineKeep(t, tree, model, minCount, nil, data)
+	checkMineKeep(t, tree, model, minCount, keep, data)
+}
+
+func checkMineKeep(t *testing.T, tree *Tree, model *treeModel, minCount float64, keep []bool, data []byte) {
+	t.Helper()
+	mined := tree.Mine(minCount, keep)
 	got := map[string]float64{}
 	for _, is := range mined {
 		got[key(is.Items)] = is.Count
 	}
-	want := model.bruteMine(minCount)
+	want := model.bruteMine(minCount, keep)
 	if len(got) != len(want) {
-		t.Fatalf("mine(%v): %d itemsets, model %d\ntree %v\nmodel %v\nops %x", minCount, len(got), len(want), got, want, data)
+		t.Fatalf("mine(%v, keep %v): %d itemsets, model %d\ntree %v\nmodel %v\nops %x", minCount, keep, len(got), len(want), got, want, data)
 	}
 	for k, w := range want {
 		g, ok := got[k]
 		if !ok || math.Abs(g-w) > 1e-9 {
-			t.Fatalf("mine(%v): itemset %s = %v, model %v (ops %x)", minCount, k, g, w, data)
+			t.Fatalf("mine(%v, keep %v): itemset %s = %v, model %v (ops %x)", minCount, keep, k, g, w, data)
 		}
 	}
 	for _, is := range mined {
@@ -285,7 +306,7 @@ func FuzzTreeOps(f *testing.F) {
 				}
 				i++
 				mines++
-				checkMine(t, tree, model, float64(1+int(data[i])%4)*0.5, data)
+				checkMine(t, tree, model, float64(1+int(data[i])%4)*0.5, keepOf(data[i]>>2|data[i]<<6), data)
 			case op < 0xF8: // clone, then diverge
 				if i+2 >= len(data) {
 					break
@@ -298,8 +319,8 @@ func FuzzTreeOps(f *testing.F) {
 				i += 2
 				inserts += 2
 				mines += 2
-				checkMine(t, tree, model, 1, data)
-				checkMine(t, c, cm, 1, data)
+				checkMine(t, tree, model, 1, keepOf(data[i-1]), data)
+				checkMine(t, c, cm, 1, keepOf(data[i]), data)
 				if op&1 == 1 {
 					tree, model, c, cm = c, cm, tree, model
 				}
@@ -314,7 +335,7 @@ func FuzzTreeOps(f *testing.F) {
 				dm.merge(srcModel)
 				tree, model = dst, dm
 				mines++
-				checkMine(t, tree, model, 1, data)
+				checkMine(t, tree, model, 1, keepOf(op<<3|op>>5), data)
 			}
 		}
 	})

@@ -18,7 +18,7 @@ import (
 // call.
 func (t *Tree) restructureReplay(items []int32, counts []float64, retain float64) {
 	t.arena.Decay(retain)
-	t.extractPaths()
+	t.extractPaths(nil)
 	t.stageOrder(items, counts)
 	for i := 0; i < t.numPaths(); i++ {
 		t.Insert(t.path(i), t.pathW[i])
@@ -43,7 +43,7 @@ func shapeOf(tr *Tree) treeShape {
 		for c := nodes[i].First; c != itemtree.NilIdx; c = nodes[c].Next {
 			kids = append(kids, nodes[c].Item)
 		}
-		s.nodes[fmt.Sprint(appendPath(nil, nodes, int32(i)))] = fmt.Sprint(math.Float64bits(nodes[i].Count), kids)
+		s.nodes[fmt.Sprint(appendPath(nil, nodes, int32(i), nil))] = fmt.Sprint(math.Float64bits(nodes[i].Count), kids)
 	}
 	tr.ForEachPath(func(items []int32, w float64) {
 		s.paths[fmt.Sprint(items)] = math.Float64bits(w)
@@ -278,7 +278,7 @@ func TestResidueEndsNoTransaction(t *testing.T) {
 			}
 			n++
 		})
-		if tr.extractPaths(); n != 2 || tr.numPaths() != 2 {
+		if tr.extractPaths(nil); n != 2 || tr.numPaths() != 2 {
 			t.Fatalf("%s: %d paths, %d extracted, want [1 2] and [1 3]", when, n, tr.numPaths())
 		}
 	}

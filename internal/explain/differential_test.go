@@ -111,8 +111,10 @@ func genDiffBatch(rng *rand.Rand) []core.LabeledPoint {
 // degenerateDiffOps scripts the smallest combination tables: script k
 // keeps the table at exactly k itemsets (k disjoint outlier pairs; none
 // at k=0) across polls after fresh outliers, after inlier-only
-// movement, after no movement and after a decay tick.
-// TestDifferentialCachedVsFullSequential pins the table sizes.
+// movement, after no movement and after a decay tick. Every pair's two
+// attributes qualify on their own at diffConfigs()[0], so the table
+// mined over the qualified set holds the k pairs, as the whole tree's
+// did; TestDifferentialCachedVsFullSequential pins the table sizes.
 func degenerateDiffOps() [][]diffOp {
 	pt := func(label core.Label, attrs ...int32) core.LabeledPoint {
 		return core.LabeledPoint{Point: core.Point{Attrs: attrs}, Label: label}
@@ -284,7 +286,10 @@ func TestDifferentialCachedVsFullSequential(t *testing.T) {
 			case diffDecay:
 				s.Decay()
 			case diffPoll:
-				if n := len(s.fullTable(s.cfg.MinSupport * s.totalOut)); n != k {
+				// The table is mined over the qualified set the poll's
+				// single-attribute pass fills.
+				s.Explanations()
+				if n := len(s.fullTable(s.cfg.MinSupport*s.totalOut, s.qualified)); n != k {
 					t.Errorf("degenerate script %d, op %d: table of %d itemsets", k, i, n)
 				}
 			}

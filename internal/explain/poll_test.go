@@ -41,9 +41,11 @@ func pollWorkload(rng *rand.Rand, n int) []core.LabeledPoint {
 
 // TestPollAllocationsAtW1 pins what a poll allocates on its one worker,
 // the polling goroutine: the miner frames and staging buffers are
-// pooled scratch, not per-poll garbage, so a poll after a decay tick
-// may not allocate more than the serial poll did before striping was
-// added and taken out again — 73 allocs (b1400f8, go1.24).
+// pooled scratch, not per-poll garbage. A poll after a decay tick
+// allocates 13 times here (go1.24): the singles, the few combinations
+// the mine of the qualified projection finds, and their slices. The
+// bound is that plus 3, one more regrowth of a result slice; it was 73
+// while every poll mined the whole outlier tree (66 measured).
 func TestPollAllocationsAtW1(t *testing.T) {
 	if !strings.HasPrefix(runtime.Version(), "go1.24") {
 		t.Skipf("parent figures were measured on go1.24, not %s (the runtime's own allocations, maps above all, differ by toolchain)", runtime.Version())
@@ -58,7 +60,8 @@ func TestPollAllocationsAtW1(t *testing.T) {
 		s.Decay()
 		s.Explanations()
 	})
-	if full > 73 {
-		t.Errorf("warmed poll after a decay tick allocates %v, want <= 73", full)
+	if full > 16 {
+		t.Errorf("warmed poll after a decay tick allocates %v, want <= 16", full)
 	}
+	t.Logf("warmed poll after a decay tick: %v allocs", full)
 }

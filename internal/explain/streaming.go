@@ -50,7 +50,8 @@ func (c StreamingConfig) withDefaults() StreamingConfig {
 // the sketches are damped and pruned and the trees are decayed,
 // pruned to the currently frequent attributes, and re-sorted.
 // Explanations are produced on demand by running FPGrowth over the
-// outlier tree and counting candidates against the inlier structures.
+// outlier tree's qualified attributes and counting candidates against
+// the inlier structures.
 //
 // The inlier tree deliberately tracks the attributes frequent in the
 // *outliers*: those are the only combinations whose inlier support the
@@ -71,9 +72,10 @@ type Streaming struct {
 	totalOut float64
 	totalIn  float64
 
-	// Reusable window-boundary scratch: the frequent-set staging
-	// slices handed to Restructure and the dense qualified bitmap used
-	// by Explanations. Ids are dense, so these are flat, not maps.
+	// Reusable scratch: the frequent-set staging slices handed to
+	// Restructure and the dense qualified bitmap Explanations fills and
+	// mines the outlier tree's projection onto. Ids are dense, so these
+	// are flat, not maps.
 	freqItems  []int32
 	freqCounts []float64
 	qualified  []bool
@@ -158,11 +160,14 @@ func (s *Streaming) Decay() {
 
 // Explanations implements core.Explainer: it materializes the current
 // summary as the paper's streaming MDP answers a request (§5.3), in
-// four steps — single attributes from the AMC sketches, the combination
-// table mined from the outlier tree (fullTable), the support and risk
-// ratio filter against the inlier side (filterCombinations), and the
-// ranking. Every call recomputes from the summary state; no earlier
-// answer is kept.
+// four steps — single attributes from the AMC sketches, which also mark
+// the qualified items; the combination table mined from the outlier
+// tree's projection onto those items (fullTable); the risk ratio filter
+// against the inlier side (filterCombinations); and the ranking. As in
+// the paper's Algorithm 2, only attributes that pass support and risk
+// ratio on their own are mined, and when none does there is no mine.
+// Every call recomputes from the summary state; no earlier answer is
+// kept.
 func (s *Streaming) Explanations() []core.Explanation {
 	if s.totalOut <= 0 {
 		return nil
@@ -199,26 +204,53 @@ func (s *Streaming) Explanations() []core.Explanation {
 		})
 	})
 
-	// Multi-attribute combinations: the table of every itemset of ≥2
-	// attributes with canonical support ≥ minCount, filtered against
-	// the inlier side.
-	exps = s.filterCombinations(s.fullTable(minCount), exps)
+	// Multi-attribute combinations of qualified attributes: the table of
+	// every such itemset of ≥2 attributes with canonical support ≥
+	// minCount, filtered against the inlier side. exps holds exactly
+	// one single per qualified attribute, so an empty exps means none
+	// qualified and no combination can be reported.
+	if len(exps) > 0 {
+		exps = s.filterCombinations(s.fullTable(minCount, s.qualified), exps)
+	}
 	attachCIs(exps, s.cfg.Confidence)
 	Rank(exps)
 	return exps
 }
 
-// fullTable builds the combination table — exactly the itemsets of
-// two or more attributes whose canonical (ItemsetSupport) count clears
-// minCount: FPGrowth for candidate discovery, a canonical recount for
-// the stored counts. FPGrowth accumulates in the tree's node order,
+// fullTable builds the combination table — exactly the itemsets of two
+// or more qualified attributes (dense by id, as the single-attribute
+// pass marks them; nil would keep every attribute) whose canonical
+// (ItemsetSupport) count clears minCount: FPGrowth over the outlier
+// tree projected onto the qualified attributes (cps.Tree.Mine's keep
+// set) for candidate discovery, a canonical recount on the whole
+// outlier tree for the stored counts. FPGrowth accumulates in the tree's node order,
 // which on a merged explainer depends on the order the shards' paths
 // were folded in; the recount walks header chains, so a merged answer
 // is a function of the shard states alone. The mine runs at a slightly
 // relaxed threshold so reassociation ulps between the two orders can
 // never hide a qualifying candidate from discovery.
-func (s *Streaming) fullTable(minCount float64) []fptree.Itemset {
-	mined := s.outTree.Mine(minCount * (1 - 1e-6))
+//
+// Mining the projection instead of the whole tree, and dropping every
+// itemset with an unqualified item afterwards, changes no bit of the
+// answer:
+//  1. Same counts. The projection drops only unqualified items and the
+//     paths left with none, so for a qualified item fptree.BuildInto
+//     sums the same path weights in the same order, and the FP-tree
+//     orders the qualified items exactly as before.
+//  2. Same table. An itemset of qualified items whose canonical count is
+//     ≥ minCount is still discovered: its FPGrowth count is the same sum
+//     in another order, ulps away, which the 1e-6 relaxation absorbs,
+//     and the recount stores the same canonical count.
+//  3. Same order. The table's order may change, but MineWith sorts each
+//     itemset's items and Rank is a total order on the explanations
+//     (risk ratios are finite or +Inf: RiskRatio is never NaN for
+//     ao > 0), so the ranked slice does not depend on it.
+//  4. So the returned explanations are identical, element for element
+//     and bit for bit; TestProjectedPollMatchesFullTable holds the poll
+//     to the unprojected table, and FuzzProjectedPollMatchesFullTable
+//     does on fuzzed streams.
+func (s *Streaming) fullTable(minCount float64, qualified []bool) []fptree.Itemset {
+	mined := s.outTree.Mine(minCount*(1-1e-6), qualified)
 	tab := make([]fptree.Itemset, 0, len(mined))
 	for _, is := range mined {
 		if len(is.Items) < 2 {
@@ -232,19 +264,13 @@ func (s *Streaming) fullTable(minCount float64) []fptree.Itemset {
 }
 
 // filterCombinations is the multi-attribute half of Explanations: every
-// table entry whose attributes all qualified on their own is counted
-// over the inliers and kept if its risk ratio clears the threshold. A
-// merged explainer sums the entry's supports over its own tree, then
-// each borrowed one in shard order: a function of the shard states and
-// their order alone.
+// table entry (all of whose attributes qualified on their own) is
+// counted over the inliers and kept if its risk ratio clears the
+// threshold. A merged explainer sums the entry's supports over its own
+// tree, then each borrowed one in shard order: a function of the shard
+// states and their order alone.
 func (s *Streaming) filterCombinations(tab []fptree.Itemset, exps []core.Explanation) []core.Explanation {
-entries:
 	for _, is := range tab {
-		for _, it := range is.Items {
-			if int(it) >= len(s.qualified) || !s.qualified[it] {
-				continue entries
-			}
-		}
 		ai := s.inTree.ItemsetSupport(is.Items)
 		for _, t := range s.borrowed {
 			ai += t.ItemsetSupport(is.Items)

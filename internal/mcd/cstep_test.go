@@ -477,9 +477,11 @@ func TestFitAllocations(t *testing.T) {
 // for h past smallN, not for n), and the fit's other buffers (candidate
 // slabs, the merged set's rows, a stepper's fixed scratch) come to about
 // 4 bytes a point at 40K rows on one worker and less per worker past it:
-// 25.2, 23.5 and 22.0 bytes a point per worker at 1, 2 and 10 workers,
-// with or without the race detector (29.3, 27.5 and 26.1 while the
-// indexes were sized for n). The bound of 29 leaves the test binary's
+// 24.9, 23.1 and 21.7 bytes a point per worker at 1, 2 and 10 workers,
+// with or without the race detector (25.2, 23.5 and 22.1 while every
+// stepper also held MeanCovInto's Go-sum scratch, which the AVX2 kernel
+// never reads at p <= 8; 29.3, 27.5 and 26.1 while the indexes were
+// sized for n). The bound of 29 leaves the test binary's
 // other goroutines about 150 KB at 40K rows, and a second full-data
 // buffer on any goroutine breaks it: a fit that also kept an 8-byte
 // distance per point read 51.1, 42.5 and 35.7. fit runs any worker count

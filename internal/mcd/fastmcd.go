@@ -297,7 +297,7 @@ type cStepper struct {
 	mask   []bool         // subset membership; all false between uses
 	idx    []int          // the current subset: ascending after a step, in draw order after start
 	scr    []float64      // the sweep's eight forward solves
-	colScr []float64      // MeanCovInto's column-major block for its Go sums (no AVX2, or p > 8)
+	colScr []float64      // MeanCovInto's column-major block for its Go sums; nil where the AVX2 kernel takes p columns
 	chol   stats.Cholesky
 	ridge  *stats.Mat
 	// crew spreads a stage's candidates' steps over this stepper and
@@ -311,16 +311,19 @@ func newCStepper(pts [][]float64, h int) *cStepper {
 	if subset > smallN {
 		subset = h + 1 // the membership pass writes one slot past the h members
 	}
-	return &cStepper{
-		pts:    pts,
-		h:      h,
-		ps:     make([]stats.KeyIdx, len(pts)),
-		mask:   make([]bool, len(pts)),
-		idx:    make([]int, 0, subset),
-		scr:    make([]float64, 8*p),
-		colScr: make([]float64, p*min(len(pts), stats.MeanCovBlock)),
-		ridge:  stats.NewMat(p, p),
+	s := &cStepper{
+		pts:   pts,
+		h:     h,
+		ps:    make([]stats.KeyIdx, len(pts)),
+		mask:  make([]bool, len(pts)),
+		idx:   make([]int, 0, subset),
+		scr:   make([]float64, 8*p),
+		ridge: stats.NewMat(p, p),
 	}
+	if stats.MeanCovUsesScratch(p) {
+		s.colScr = make([]float64, p*min(len(pts), stats.MeanCovBlock))
+	}
+	return s
 }
 
 // aim points s, built over at least len(pts) points, at pts and h.

@@ -192,13 +192,21 @@ const MeanCovBlock = 256
 // mean and one per cell for the covariance, with no scratch. Elsewhere
 // meanCovSums does, in Go: the same sums, and the kernel's test oracle.
 // A caller that refits in a loop owns d*MeanCovBlock floats of scratch
-// for the Go sums (nil, or fewer than d floats, allocates that much).
+// for the Go sums where MeanCovUsesScratch(d) (nil, or fewer than d
+// floats, allocates that much).
 func MeanCovInto(mean []float64, cov *Mat, pts [][]float64, idx []int, scratch []float64) {
 	if !meanCovKernel(mean, cov, pts, idx) {
 		meanCovSums(mean, cov, pts, idx, scratch)
 	}
 	scatterToCov(cov, len(mean), len(idx))
 }
+
+// MeanCovUsesScratch reports whether MeanCovInto runs its Go sums, the
+// only reader of its scratch, for well-formed rows of d columns on this
+// CPU: wherever the AVX2 kernel does not take rows that wide. A bad
+// index or row sends any width to the Go sums, which then panic on it
+// whatever the scratch.
+func MeanCovUsesScratch(d int) bool { return !meanCovKernelFits(d) }
 
 // scatterToCov divides the upper triangle of the d x d scatter in cov by
 // n-1 (1 when n < 2) and mirrors it into the lower one.

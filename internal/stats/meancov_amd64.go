@@ -17,6 +17,10 @@ func meanSumAVX2(sum *[8]float64, pts [][]float64, idx []int, d int) bool
 //go:noescape
 func covSumAVX2(acc *[64]float64, pts [][]float64, idx []int, mean *[8]float64, d int)
 
+// meanCovKernelFits reports whether meanCovKernel takes rows of d
+// columns on this CPU.
+func meanCovKernelFits(d int) bool { return haveAVX2 && d >= 1 && d <= 8 }
+
 // meanCovKernel is meanCovSums on AVX2, for rows of 1 to 8 columns: the
 // same sums of the same terms in the same order, so the same bits. It
 // reports false, having written nothing, where the CPU lacks AVX2, d is
@@ -24,7 +28,7 @@ func covSumAVX2(acc *[64]float64, pts [][]float64, idx []int, mean *[8]float64, 
 // it as it always has).
 func meanCovKernel(mean []float64, cov *Mat, pts [][]float64, idx []int) bool {
 	d := len(mean)
-	if !haveAVX2 || d == 0 || d > 8 {
+	if !meanCovKernelFits(d) {
 		return false
 	}
 	var sum [8]float64

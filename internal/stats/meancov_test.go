@@ -83,15 +83,18 @@ func TestMeanCovAVX2MatchesGo(t *testing.T) {
 
 // TestMeanCovAVX2TakesKernel: on an AVX2 CPU the kernel runs for every p
 // from 1 to 8 and no other, so the differential test above compares it
-// and not the Go sums with themselves.
+// and not the Go sums with themselves; and MeanCovUsesScratch, which
+// callers size their scratch by, says the Go sums run exactly where the
+// kernel does not, on any CPU.
 func TestMeanCovAVX2TakesKernel(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("no AVX2 on this CPU: MeanCovInto runs the Go sums")
-	}
-	for p := 1; p <= 12; p++ {
+	for p := 0; p <= 12; p++ {
 		pts := [][]float64{make([]float64, p), make([]float64, p)}
-		if got := meanCovKernel(make([]float64, p), NewMat(p, p), pts, []int{1, 0}); got != (p <= 8) {
-			t.Errorf("p=%d: kernel ran %v", p, got)
+		got := meanCovKernel(make([]float64, p), NewMat(p, p), pts, []int{1, 0})
+		if want := haveAVX2 && p >= 1 && p <= 8; got != want {
+			t.Errorf("p=%d: kernel ran %v, want %v", p, got, want)
+		}
+		if MeanCovUsesScratch(p) == got {
+			t.Errorf("p=%d: MeanCovUsesScratch is %v where the kernel ran %v", p, MeanCovUsesScratch(p), got)
 		}
 	}
 }
