@@ -51,9 +51,10 @@
 // soon as the stream ends, whether it ran out, was stopped or failed,
 // with no further request needed.
 //
-// Poll and stop responses for push sessions carry an "ingest" block:
-// per-partition producer-side counters (queued batches, cumulative
-// blocked nanoseconds, batches/points accepted) that make backpressure
+// Poll and stop responses for push sessions carry an "ingest" block,
+// read with the rest of the session's account: per-partition
+// producer-side counters (queued batches, cumulative blocked
+// nanoseconds, batches/points accepted) that make backpressure
 // observable before clients start timing out.
 //
 // Profiling a live session: start with -pprof (off by default) and

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"macrobase/internal/core"
 	"macrobase/internal/ingest"
 )
 
@@ -116,18 +117,6 @@ func TestHandleQueryErrors(t *testing.T) {
 		if !strings.Contains(rec.Body.String(), tc.names) {
 			t.Errorf("%s: response %q does not name %q", tc.name, rec.Body.String(), tc.names)
 		}
-	}
-}
-
-func TestJSONSafe(t *testing.T) {
-	if jsonSafe(math.Inf(1)) != math.MaxFloat64 {
-		t.Error("inf not mapped")
-	}
-	if jsonSafe(math.NaN()) != 0 {
-		t.Error("nan not mapped")
-	}
-	if jsonSafe(3.5) != 3.5 {
-		t.Error("finite value altered")
 	}
 }
 
@@ -725,6 +714,70 @@ func TestStreamPushBinaryMatchesNDJSON(t *testing.T) {
 	}
 	if !reflect.DeepEqual(nd.Explanations, bin.Explanations) {
 		t.Fatalf("binary and NDJSON runs diverge:\n ndjson %+v\n binary %+v", nd.Explanations, bin.Explanations)
+	}
+}
+
+// TestPushPollIngestIsTheAccount: a push session's "ingest" block is the
+// session's account (core.StreamRunner.Stats), not a second read of the
+// push source. Live, once every pushed point is consumed, its
+// cumulative counters equal the next account read's; once the stream is
+// done, the block is the final account's to the last gauge, however
+// much later it is read.
+func TestPushPollIngestIsTheAccount(t *testing.T) {
+	reg := newStreamRegistry()
+	srv := httptest.NewServer(newMux(reg))
+	defer srv.Close()
+	recs := pushTestRecords(3_000)
+	id := startStream(t, srv, `{"input":"push","metrics":["power"],"attributes":["device","version"],"minSupport":0.05,"shards":1,"partitions":2}`)
+	pushURL := srv.URL + "/stream/" + id + "/push"
+	for off := 0; off < len(recs); off += 1_000 {
+		if code, out := pushNDJSON(t, pushURL, ndjsonPushBody(recs[off:off+1_000])); code != http.StatusOK {
+			t.Fatalf("push: status %d, %v", code, out)
+		}
+	}
+	reg.mu.Lock()
+	sess := reg.sessions[id].session
+	reg.mu.Unlock()
+
+	var live streamResponse
+	for deadline := time.Now().Add(20 * time.Second); live.Points != len(recs); {
+		if code := getJSON(t, srv.URL+"/stream/"+id, &live); code != http.StatusOK {
+			t.Fatalf("poll status %d", code)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session took in %d of %d points", live.Points, len(recs))
+		}
+	}
+	acct, err := sess.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cumulative := func(in []core.PartitionIngestStats) []core.PartitionIngestStats {
+		out := make([]core.PartitionIngestStats, len(in))
+		for i, p := range in {
+			out[i] = core.PartitionIngestStats{Queued: p.Queued, Batches: p.Batches, Points: p.Points, BlockedNanos: p.BlockedNanos}
+		}
+		return out
+	}
+	if got, want := cumulative(live.Ingest), cumulative(acct.Stats.Ingest); len(got) != 2 || got[0].Points+got[1].Points != int64(len(recs)) || !reflect.DeepEqual(got, want) {
+		t.Errorf("live ingest block %+v, account %+v", live.Ingest, acct.Stats.Ingest)
+	}
+
+	if code, _ := pushNDJSON(t, pushURL+"?eof=1", ""); code != http.StatusOK {
+		t.Fatalf("eof status %d", code)
+	}
+	waitStreamDone(t, srv, id)
+	final, err := sess.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond) // past a rate window: a second read of the source would differ
+	var done streamResponse
+	if code := postJSON(t, srv.URL+"/stream/"+id+"/stop", &done); code != http.StatusOK {
+		t.Fatalf("stop status %d", code)
+	}
+	if !reflect.DeepEqual(done.Ingest, final.Stats.Ingest) {
+		t.Errorf("done ingest block %+v, final account %+v", done.Ingest, final.Stats.Ingest)
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"log"
-	"math"
 	"net/http"
 
 	"macrobase/internal/core"
@@ -17,24 +16,27 @@ type queryResponse struct {
 	Explanations []explanationJSON `json:"explanations"`
 }
 
+// explanationJSON is one explanation on the wire. RiskRatio is +Inf for
+// a combination absent from the inliers, and passes through
+// pipeline.JSONFloat, the wire's one rule for non-finite floats.
 type explanationJSON struct {
-	Attributes []core.Attribute `json:"attributes"`
-	Support    float64          `json:"support"`
-	RiskRatio  float64          `json:"riskRatio"`
-	Outliers   float64          `json:"outlierCount"`
-	Inliers    float64          `json:"inlierCount"`
+	Attributes []core.Attribute   `json:"attributes"`
+	Support    float64            `json:"support"`
+	RiskRatio  pipeline.JSONFloat `json:"riskRatio"`
+	Outliers   float64            `json:"outlierCount"`
+	Inliers    float64            `json:"inlierCount"`
 	// CI is the risk ratio's confidence interval, present when the
 	// query asked for one ("confidence").
 	CI *intervalJSON `json:"ci,omitempty"`
 }
 
 // intervalJSON is a confidence interval on the wire. Lo and Hi pass
-// through jsonSafe: Hi is +Inf for a combination absent from the
-// inliers, just as its risk ratio is.
+// through pipeline.JSONFloat: Hi is +Inf for a combination absent from
+// the inliers, just as its risk ratio is.
 type intervalJSON struct {
-	Lo    float64 `json:"lo"`
-	Hi    float64 `json:"hi"`
-	Level float64 `json:"level"`
+	Lo    pipeline.JSONFloat `json:"lo"`
+	Hi    pipeline.JSONFloat `json:"hi"`
+	Level float64            `json:"level"`
 }
 
 func explanationsJSON(exps []core.Explanation) []explanationJSON {
@@ -43,12 +45,12 @@ func explanationsJSON(exps []core.Explanation) []explanationJSON {
 		ej := explanationJSON{
 			Attributes: e.Attributes,
 			Support:    e.Support,
-			RiskRatio:  jsonSafe(e.RiskRatio),
+			RiskRatio:  pipeline.JSONFloat(e.RiskRatio),
 			Outliers:   e.OutlierCount,
 			Inliers:    e.InlierCount,
 		}
 		if e.CI.Level > 0 {
-			ej.CI = &intervalJSON{Lo: jsonSafe(e.CI.Lo), Hi: jsonSafe(e.CI.Hi), Level: e.CI.Level}
+			ej.CI = &intervalJSON{Lo: pipeline.JSONFloat(e.CI.Lo), Hi: pipeline.JSONFloat(e.CI.Hi), Level: e.CI.Level}
 		}
 		out = append(out, ej)
 	}
@@ -69,10 +71,11 @@ type streamResponse struct {
 	Points     int    `json:"points"`
 	Outliers   int    `json:"outliers"`
 	DecayTicks int    `json:"decayTicks"`
-	// Ingest, for push sessions, reports live per-partition
-	// producer-side counters: queue depth and cumulative blocked time
-	// (backpressure felt by producers) plus accepted batch/point
-	// totals and windowed per-second rates.
+	// Ingest, for push sessions, reports the account's per-partition
+	// producer-side counters (core.StreamStats.Ingest): queue depth and
+	// cumulative blocked time (backpressure felt by producers) plus
+	// accepted batch/point totals and windowed per-second rates. A done
+	// session's are the account at the end of the run.
 	Ingest       []core.PartitionIngestStats `json:"ingest,omitempty"`
 	Explanations []explanationJSON           `json:"explanations"`
 	// Shards is the skew breakdown: per-shard load, outlier rate, and
@@ -126,26 +129,12 @@ func writeStreamResponse(w http.ResponseWriter, id string, st *streamState, res 
 		Points:     res.Stats.Points,
 		Outliers:   res.Stats.Outliers,
 		DecayTicks: res.Stats.DecayTicks,
+		Ingest:     res.Stats.Ingest,
 		Health:     healthOf(res),
-	}
-	if st.push != nil {
-		resp.Ingest = st.push.IngestStats(nil)
 	}
 	resp.Explanations = explanationsJSON(exps)
 	// The breakdown types marshal their own NaN/±Inf fields safely
 	// (pipeline.ShardBreakdown.MarshalJSON), so no scrubbing pass here.
 	resp.Shards = res.Shards
 	writeJSON(w, resp)
-}
-
-// jsonSafe maps the +Inf risk ratio of combinations absent from the
-// inliers onto a large finite value; encoding/json rejects Inf/NaN.
-func jsonSafe(v float64) float64 {
-	if math.IsInf(v, 1) {
-		return math.MaxFloat64
-	}
-	if math.IsNaN(v) {
-		return 0
-	}
-	return v
 }

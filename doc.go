@@ -33,8 +33,8 @@
 // endpoints) or when the stream terminates. A run is live as soon as it
 // starts: core.StreamRunner.Start builds every shard's operators and
 // workers, the account and the commit trackers before it returns, so
-// the first Snapshot, Stats and CommittedOffsets calls, and so a new
-// session's first Poll and Checkpoint, answer for the run with no
+// the first Snapshot and Stats calls, and so a new session's first Poll
+// and Checkpoint, answer for the run with no
 // retry; Wait drains it, and core.ErrNotStreaming means only that the
 // run is over. The stage folds what mining needs in one piece — the two
 // sketches and the outlier tree, about 1% of the mass — and leaves the
@@ -132,13 +132,30 @@
 // and the quarantine record — in one
 // cache-line-padded block only its worker writes, so a per-batch add
 // never contends. The ingest goroutines count the points they route,
-// which also paces the coordinator, and the coordinator counts its
-// rounds, passes and bucket moves. core.StreamRunner.Stats reads all of
-// them into one core.StreamStats, from the moment Start returns to
-// after Wait returns (the counters are allocated apart from the
-// pipelines, so they outlive the worker set teardown drops); Wait
-// returns the same read plus the partitions' ingest counters and
-// committed offsets.
+// which also paces the coordinator; the coordinator counts its rounds,
+// passes and bucket moves and keeps the cutoff its last round merged;
+// each partition's commit tracker holds its committed offset; and an
+// observable source (ingest.Push) meters its producers.
+//
+// The contract: every core.StreamStats field comes from one
+// core.StreamRunner.Stats call, and nothing else reads the run's
+// account. Stats answers from the moment Start returns to after Wait
+// returns (the counters, trackers and source are captured at Start and
+// outlive the worker set teardown drops), and Wait's final account is
+// one more Stats read, taken once the workers have retired; Wait adds
+// no field of its own. The fields are cumulative counters and the last
+// value of a monotone process (the routing epoch, the merged cutoff,
+// committed offsets), except two instantaneous gauges: an ingest
+// entry's Queued, the batches buffered at the read, and its PerSec
+// rates, which the source computes over its most recent window. A poll
+// and a checkpoint read the same account: the poll's "ingest" block in
+// mbserver is StreamStats.Ingest (so a finished session reports the
+// gauges as the run ended, not as a later read would see them), the
+// breakdown's cutoff is StreamStats.GlobalCutoff (beside a flag, so
+// that two reads compare equal, as a NaN would not), and Checkpoint
+// acks StreamStats.Committed. core.TestStatsIsTheWholeAccountMidRun,
+// pipeline.TestLivePollEqualsFinal and mbserver's
+// TestPushPollIngestIsTheAccount check it.
 //
 // A live poll and the final result are then built by one function
 // (pipeline.StreamSession's newResult) from one Stats read and one view
@@ -147,8 +164,9 @@
 // that answered with its quarantine marker is already among
 // ShardFailures. A shard's outlier rate is its outliers over the points
 // it classified in both. So a poll of a stream whose every point has
-// been consumed equals the final result: statistics, per-shard
-// breakdown and ranked explanations (pipeline.TestLivePollEqualsFinal).
+// been consumed equals the final result: statistics, committed offsets,
+// the cumulative ingest counters, per-shard breakdown and ranked
+// explanations (pipeline.TestLivePollEqualsFinal).
 //
 // # Skew-adaptive routing
 //
@@ -553,11 +571,9 @@
 //
 // Nor does a poll wait out a model refit. A shard answers snapshot
 // requests on its worker goroutine between batches, and the one thing
-// that keeps a worker inside a batch for hundreds of milliseconds is a
-// classifier retrain (FastMCD over the 10K-point reservoir, every 100K
-// points: ~0.04 s a shard on firehose_xc's seven metrics, ~0.025 s on
-// poll_drift's two; the MCDFit rows of the kernel table below have its
-// history). A session's workers
+// that keeps a worker inside a batch for long is a classifier retrain
+// (FastMCD over the 10K-point reservoir, every 100K points; the MCDFit
+// rows of the kernel table below have its history). A session's workers
 // therefore hand classify.Streaming an offload function
 // (core.Offloader): the fit runs on a helper goroutine while the
 // worker — blocked for ingest exactly as before, so what is computed,
@@ -569,11 +585,8 @@
 // a refit does not decide its latency. The refit itself runs on
 // GOMAXPROCS goroutines, like every fit: a shard does not know how many
 // siblings are refitting, and a coordinated session staggers its shards'
-// retrains. On 2 vCPUs, ten alternating pairs of the two-shard workloads
-// with every refit on both cores against refits on one moved no
-// end-to-end metric past its run-to-run spread (firehose_xc and
-// poll_drift points_per_s 1.09x, answer_p50_ms 1.05x and 1.06x inside
-// the parent's quartiles).
+// retrains. What the offload and the fit's crew each buy is measured in
+// CHANGES.md and ROADMAP.md's dead ends, not here.
 //
 // The refit finishes no evaluation nobody reads. A concentration step
 // needs the set of the h closest points, never their ranking, so the
@@ -766,8 +779,8 @@
 //
 // Producer-side backpressure is observable: each push partition meters
 // its queue depth and the cumulative time producers spent blocked on a
-// full queue (core.PartitionIngestStats), surfaced in
-// core.StreamStats.Ingest when a run ends and live in mbserver's
+// full queue (core.PartitionIngestStats), read into the run's account
+// (core.StreamStats.Ingest) and from there into mbserver's
 // /stream/{id} "ingest" block.
 //
 // On the wire, mbserver's POST /stream/{id}/push accepts — next to

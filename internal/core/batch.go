@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // Batch is the slab-backed batch representation of the ingest data
 // plane: one flat []float64 slab for every point's metrics and one
 // flat []int32 slab for every point's attributes, instead of one
@@ -246,7 +248,7 @@ func (p *BatchPool) Put(b *Batch) {
 	// stay uncommitted.
 	b.borrowed = nil
 	b.ackT = nil
-	if cap(b.metrics)*8+cap(b.attrs)*4+cap(b.pts)*48 > maxRetainedBatchBytes {
+	if cap(b.metrics)*8+cap(b.attrs)*4+cap(b.pts)*int(unsafe.Sizeof(Point{})) > maxRetainedBatchBytes {
 		return
 	}
 	select {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestBatchAppendRoundTrip: appended rows come back as identical
@@ -152,6 +153,22 @@ func TestBatchPoolDropsOversized(t *testing.T) {
 	p.Put(big)
 	if got := p.Get(); got == big {
 		t.Fatal("pool retained an oversized batch")
+	}
+}
+
+// TestBatchPoolCountsWholePointViews: a retained Point view is two
+// slice headers and Time, 56 bytes, so 160,000 views (8.96 MB) are past
+// the 8 MB cap even with empty slabs; counted at 48 bytes (7.68 MB)
+// they were kept.
+func TestBatchPoolCountsWholePointViews(t *testing.T) {
+	if size := unsafe.Sizeof(Point{}); size != 56 {
+		t.Skipf("Point is %d bytes on this platform, not 56", size)
+	}
+	p := NewBatchPool(2)
+	b := &Batch{pts: make([]Point, 0, 160_000)}
+	p.Put(b)
+	if got := p.Get(); got == b {
+		t.Fatal("pool retained a batch whose views alone exceed maxRetainedBatchBytes")
 	}
 }
 

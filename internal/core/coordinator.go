@@ -1,17 +1,19 @@
 package core
 
-// ShardCoordinator periodically reconciles state across the
-// shared-nothing shards: every StreamRunner.CoordinateEvery ingested
-// points the coordinator goroutine collects one summary per shard
-// (Collect runs on the shard's worker goroutine between batches, like
-// snapshots), merges them off to the side (Merge runs on the
-// coordinator goroutine), and pushes the merged value back to every
-// shard (Apply, again on the worker goroutines). Rounds are serialized:
-// a round's applies all land before the next round's collects begin.
+// ShardCoordinator periodically reconciles the shards' classification
+// cutoffs across the shared-nothing shards: every
+// StreamRunner.CoordinateEvery ingested points the coordinator goroutine
+// collects one summary per shard (Collect runs on the shard's worker
+// goroutine between batches, like snapshots), merges them into one
+// global cutoff off to the side (Merge runs on the coordinator
+// goroutine), and pushes the cutoff back to every shard (Apply, again on
+// the worker goroutines). Rounds are serialized: a round's applies all
+// land before the next round's collects begin. The last merged cutoff
+// is part of the run's account (StreamStats.GlobalCutoff).
 //
 // The consistency model is deliberately loose — coordination is
 // periodic and asynchronous with ingestion, so a shard applies a
-// global value computed from summaries up to one round old, and the
+// global cutoff computed from summaries up to one round old, and the
 // points a worker consumes while a round is in flight still see the
 // previous value. CoordinateEvery bounds that staleness window in
 // ingested points. This is the Muppet-style "exchange small summaries
@@ -22,14 +24,14 @@ type ShardCoordinator struct {
 	// nothing to contribute this round.
 	Collect func(shard int, pl ShardPipeline) any
 	// Merge combines the per-shard summaries (indexed by shard, nil
-	// entries included) into the global value. ok=false skips the
+	// entries included) into the global cutoff. ok=false skips the
 	// round's apply phase (e.g. every summary was empty). A
 	// quarantined shard's entry is a ShardFailure marker instead of a
 	// Collect result; Merge implementations must skip entries that are
 	// not their own summary type.
-	Merge func(summaries []any) (global any, ok bool)
-	// Apply installs the merged value on shard.
-	Apply func(shard int, pl ShardPipeline, global any)
+	Merge func(summaries []any) (cutoff float64, ok bool)
+	// Apply installs the merged cutoff on shard.
+	Apply func(shard int, pl ShardPipeline, cutoff float64)
 }
 
 // startCoordinator starts the coordinator goroutine when the run has
@@ -87,7 +89,7 @@ func (r *StreamRunner) notePoints(n int64) {
 // coordinate is the coordinator goroutine: on each boundary signal it
 // runs one pass — a threshold round (collect a summary from every
 // shard on the shards' worker goroutines, merge on this goroutine, and
-// apply the merged value back to every shard) when Coordinate is set,
+// apply the merged cutoff back to every shard) when Coordinate is set,
 // then a rebalance check over the bucket load counters when the run
 // rebalances. It exits once stopCoordinator closes coordCh, after the
 // pass a pending signal still asks for.
@@ -117,12 +119,13 @@ func (r *StreamRunner) coordRound(workers []*shardWorker, sums []any) bool {
 	if !fanOut(workers, c.Collect, sums) {
 		return false
 	}
-	global, ok := c.Merge(sums)
+	cut, ok := c.Merge(sums)
 	if !ok {
 		return true
 	}
+	r.cutoff.Store(&cut)
 	apply := func(shard int, pl ShardPipeline) any {
-		c.Apply(shard, pl, global)
+		c.Apply(shard, pl, cut)
 		return nil
 	}
 	if !fanOut(workers, apply, sums) {

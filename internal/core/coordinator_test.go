@@ -16,8 +16,8 @@ func TestCoordinatorOnePassPerCadence(t *testing.T) {
 	coordinate := func() *ShardCoordinator {
 		return &ShardCoordinator{
 			Collect: func(int, ShardPipeline) any { return 1 },
-			Merge:   func([]any) (any, bool) { return nil, true },
-			Apply:   func(int, ShardPipeline, any) {},
+			Merge:   func([]any) (float64, bool) { return 0.5, true },
+			Apply:   func(int, ShardPipeline, float64) {},
 		}
 	}
 	cases := []struct {

@@ -136,7 +136,7 @@ func TestStreamRunnerCommittedOffsets(t *testing.T) {
 		},
 		BatchSize: 256,
 	}
-	if got := sr.CommittedOffsets(nil); got != nil {
+	if got := sr.Stats().Committed; got != nil {
 		t.Fatalf("offsets before run = %v, want nil (engine not started)", got)
 	}
 	stats, err := sr.Run()
@@ -147,7 +147,7 @@ func TestStreamRunnerCommittedOffsets(t *testing.T) {
 		t.Errorf("stats.Committed = %v, want [%d, -1]", stats.Committed, ckN)
 	}
 	// A checkpoint of a finished session is still meaningful.
-	if got := sr.CommittedOffsets(nil); len(got) != 2 || got[0] != ckN || got[1] != -1 {
+	if got := sr.Stats().Committed; len(got) != 2 || got[0] != ckN || got[1] != -1 {
 		t.Errorf("offsets after run = %v, want [%d, -1]", got, ckN)
 	}
 }

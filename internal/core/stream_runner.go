@@ -30,10 +30,9 @@ type RunStats struct {
 	DecayTicks int
 }
 
-// StreamStats is a run's account, as StreamRunner.Stats reads it mid-run
-// and as Wait returns it. Every field but Ingest and Committed is filled
-// by Stats, from counters each written by one goroutine; Wait adds those
-// two when it returns.
+// StreamStats is a run's account, as StreamRunner.Stats reads it: every
+// field, mid-run and after Wait alike (Wait returns one more Stats
+// read). Each field is read from state one goroutine writes.
 type StreamStats struct {
 	// RunStats totals across shards. Points counts what the ingest
 	// goroutines partitioned; the remaining fields sum the shard
@@ -51,14 +50,20 @@ type StreamStats struct {
 	// once the pass is over whether or not it changed anything. A
 	// rebalance-only run completes passes and no rounds.
 	CoordPasses int
+	// GlobalCutoff is the cutoff the last coordination round merged
+	// (ShardCoordinator.Merge), meaningful when HasGlobalCutoff is set:
+	// zero, not NaN, until a first round, so StreamStats values compare
+	// with ==-based equality.
+	GlobalCutoff    float64
+	HasGlobalCutoff bool
 	// RoutingEpoch is the skew-adaptive router's table version (0 when
 	// routing is inactive or has not rebalanced). See Rebalance.
 	RoutingEpoch int64
 	// BucketMoves counts virtual-bucket reassignments across the run.
 	BucketMoves int64
 	// Ingest holds per-partition producer-side counters (queue depth,
-	// cumulative blocked time) when the partitioned source implements
-	// IngestObservable; nil otherwise. Filled by Wait only.
+	// cumulative blocked time, windowed rates) when the partitioned
+	// source implements IngestObservable; nil otherwise.
 	Ingest []PartitionIngestStats
 	// Degraded reports that at least one shard worker was quarantined
 	// after a panic: the run goes on over the surviving shards, and
@@ -67,10 +72,10 @@ type StreamStats struct {
 	Degraded bool
 	// ShardFailures lists the quarantined shards (empty when none).
 	ShardFailures []ShardFailure
-	// Committed holds each partition's committed offset at run end
-	// (-1 for partitions without an offset protocol); nil when no
-	// partition is checkpointable. Filled by Wait only; see
-	// CommittedOffsets.
+	// Committed holds each partition's committed offset — the largest
+	// offset whose every point has been routed and consumed (or resolved
+	// by a quarantined shard) — and -1 for a partition without an offset
+	// protocol; nil when no partition is checkpointable.
 	Committed []int64
 }
 
@@ -129,10 +134,10 @@ type ShardFailure struct {
 // table, the partitions' commit trackers, the batch pool, every shard's
 // operator replicas (NewShard) and worker, the account, the coordinator
 // and the stop context — and launches the ingest loops; from then on the
-// run is live, and Snapshot, Stats and CommittedOffsets answer for it on
-// their first call. There is no started-but-not-yet-running state to
-// wait out. Wait drains the run, retires the workers and returns the
-// final account. Run is Start then Wait.
+// run is live, and Snapshot and Stats answer for it on their first
+// call. There is no started-but-not-yet-running state to wait out. Wait
+// drains the run, retires the workers and returns the final account.
+// Run is Start then Wait.
 //
 // Stop is one mechanism: RequestStop cancels the ingest context, which
 // interrupts in-flight NextBatchInto calls (no polling between
@@ -152,8 +157,10 @@ type ShardFailure struct {
 // ownership contract).
 //
 // The run's account — points ingested, classified and labeled per
-// shard, decay ticks, coordination and routing progress, quarantines —
-// is read through Stats, mid-run or after Wait returns.
+// shard, decay ticks, coordination and routing progress, the last
+// merged cutoff, quarantines, the partitions' ingest counters and
+// committed offsets — is read through Stats, mid-run or after Wait
+// returns.
 type StreamRunner struct {
 	// Partitioned supplies the partitioned ingestion (required).
 	Partitioned PartitionedSource
@@ -232,13 +239,15 @@ type StreamRunner struct {
 	workers   []*shardWorker
 	// acctMu guards the run's account: trackers, the per-partition
 	// committed-offset trackers (nil entries for non-checkpointable
-	// partitions), and accounts, one shardStats per shard worker. Start
-	// sets both, and they are deliberately left in place at teardown, so
-	// CommittedOffsets and Stats keep answering after the run — a
-	// checkpoint or a poll of a finished session is still meaningful.
-	acctMu   sync.Mutex
-	trackers []*ackTracker
-	accounts []*shardStats
+	// partitions), accounts, one shardStats per shard worker, and
+	// ingestObs, the source's producer-side counters (nil when it keeps
+	// none). Start sets them, and they are deliberately left in place at
+	// teardown, so Stats keeps answering after the run — a checkpoint or
+	// a poll of a finished session is still meaningful.
+	acctMu    sync.Mutex
+	trackers  []*ackTracker
+	accounts  []*shardStats
+	ingestObs IngestObservable
 
 	// ctlMu guards the stop control state shared between the run and
 	// RequestStop.
@@ -248,11 +257,13 @@ type StreamRunner struct {
 
 	// The run-wide counters beside the shards' own (see Stats): points
 	// ingested, which also paces the coordinator (notePoints),
-	// coordination rounds and passes, and bucket moves.
+	// coordination rounds and passes, bucket moves, and the last merged
+	// cutoff (nil before the first).
 	ingested atomic.Int64
 	rounds   atomic.Int64
 	passes   atomic.Int64
 	moves    atomic.Int64
+	cutoff   atomic.Pointer[float64]
 
 	// Routing state (nil with one shard). route holds the current
 	// routing epoch, swapped whole by the coordinator; bucketLoads
@@ -359,7 +370,8 @@ func (r *StreamRunner) Start() error {
 
 // Wait blocks until the run Start launched has drained — every
 // partition exhausted, a source failed, or a stop was requested
-// (ErrStopped) — retires its workers and returns the final account.
+// (ErrStopped) — retires its workers and returns the final account: one
+// Stats read, taken once they have retired.
 func (r *StreamRunner) Wait() (StreamStats, error) {
 	run := r.live
 	r.live = nil // a finished run must not pin its workers' pipelines
@@ -393,12 +405,6 @@ func (r *StreamRunner) Wait() (StreamStats, error) {
 	// still die inside a late snapshot hook, and the failure list must
 	// be complete when Wait returns.
 	stats := r.Stats()
-	if obs, ok := r.Partitioned.(IngestObservable); ok {
-		stats.Ingest = obs.IngestStats(nil)
-	}
-	if slices.ContainsFunc(run.trackers, func(t *ackTracker) bool { return t != nil }) {
-		stats.Committed = r.CommittedOffsets(nil)
-	}
 	r.ctlMu.Lock()
 	stopped := r.stopReq
 	r.ctlMu.Unlock()
@@ -411,63 +417,46 @@ func (r *StreamRunner) Wait() (StreamStats, error) {
 	return stats, nil
 }
 
-// CommittedOffsets appends each partition's committed offset — the
-// largest offset whose every point has been routed and consumed (or
-// resolved by a quarantined shard) — to dst and returns it; entries
-// are -1 for partitions without an offset protocol. Safe to call from
-// any goroutine once Start has returned, and still answering after the
-// run finishes (the final offsets). Returns nil only before Start.
-func (r *StreamRunner) CommittedOffsets(dst []int64) []int64 {
-	r.acctMu.Lock()
-	trackers := r.trackers
-	r.acctMu.Unlock()
-	if trackers == nil {
-		return nil
-	}
-	for _, t := range trackers {
-		if t == nil {
-			dst = append(dst, -1)
-		} else {
-			dst = append(dst, t.get())
-		}
-	}
-	return dst
-}
-
 // openAccount starts the run's account before ingestion begins: the
 // run-wide counters restart at zero, and the partitions' commit
-// trackers and the shards' counters are installed, to stay in place
-// after the run.
+// trackers, the source's ingest counters and the shards' counters are
+// installed, to stay in place after the run.
 func (r *StreamRunner) openAccount(trackers []*ackTracker, workers []*shardWorker) {
 	r.ingested.Store(0)
 	r.rounds.Store(0)
 	r.passes.Store(0)
 	r.moves.Store(0)
+	r.cutoff.Store(nil)
 	accounts := make([]*shardStats, len(workers))
 	for i, w := range workers {
 		accounts[i] = w.stats
 	}
+	obs, _ := r.Partitioned.(IngestObservable)
 	r.acctMu.Lock()
-	r.trackers, r.accounts = trackers, accounts
+	r.trackers, r.accounts, r.ingestObs = trackers, accounts, obs
 	r.acctMu.Unlock()
 }
 
-// Stats reads the run's account: the fields of StreamStats other than
-// Ingest and Committed, which Wait adds when it returns. Once Start has
-// returned it reads a PerShard entry for every shard: mid-run, from any
-// goroutine, and after Wait returns, when it reads the final account
-// (the counters outlive the worker set teardown drops). Each
-// counter is read atomically on its own, so a mid-run read is not one
-// instant across fields. A shard that answered a Snapshot with its
-// ShardFailure marker is among ShardFailures in any later read.
+// Stats reads the run's account, every field of StreamStats. Once Start
+// has returned it reads a PerShard entry for every shard: mid-run, from
+// any goroutine, and after Wait returns, when it reads the final account
+// (the counters outlive the worker set teardown drops). Each counter is
+// read atomically on its own, so a mid-run read is not one instant
+// across fields. A shard that answered a Snapshot with its ShardFailure
+// marker is among ShardFailures in any later read. Reading Ingest closes
+// the source's rate window when one has elapsed (see
+// PartitionIngestStats).
 func (r *StreamRunner) Stats() StreamStats {
 	r.acctMu.Lock()
-	accounts := r.accounts
+	accounts, trackers, obs := r.accounts, r.trackers, r.ingestObs
 	r.acctMu.Unlock()
 	st := StreamStats{
 		RunStats:    RunStats{Points: int(r.ingested.Load())},
 		CoordRounds: int(r.rounds.Load()),
 		CoordPasses: int(r.passes.Load()),
+	}
+	if cut := r.cutoff.Load(); cut != nil {
+		st.GlobalCutoff, st.HasGlobalCutoff = *cut, true
 	}
 	if rt := r.route.Load(); rt != nil {
 		st.RoutingEpoch = rt.epoch
@@ -475,6 +464,18 @@ func (r *StreamRunner) Stats() StreamStats {
 	}
 	if accounts == nil {
 		return st
+	}
+	if obs != nil {
+		st.Ingest = obs.IngestStats(nil)
+	}
+	if slices.ContainsFunc(trackers, func(t *ackTracker) bool { return t != nil }) {
+		st.Committed = make([]int64, len(trackers))
+		for i, t := range trackers {
+			st.Committed[i] = -1
+			if t != nil {
+				st.Committed[i] = t.get()
+			}
+		}
 	}
 	st.PerShard = make([]RunStats, len(accounts))
 	for i, ss := range accounts {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -251,8 +252,8 @@ func TestStreamRunnerStatsAcrossTeardown(t *testing.T) {
 		DecayEvery: 2_000,
 		Coordinate: &ShardCoordinator{
 			Collect: func(int, ShardPipeline) any { return 1 },
-			Merge:   func([]any) (any, bool) { return nil, true },
-			Apply:   func(int, ShardPipeline, any) {},
+			Merge:   func([]any) (float64, bool) { return 0.5, true },
+			Apply:   func(int, ShardPipeline, float64) {},
 		},
 		Rebalance:       true,
 		CoordinateEvery: 5_000,
@@ -289,7 +290,9 @@ func TestStreamRunnerStatsAcrossTeardown(t *testing.T) {
 	if stats.Points != n || stats.DecayTicks == 0 || stats.CoordRounds == 0 || stats.CoordPasses == 0 || !stats.Degraded {
 		t.Fatalf("run left part of the account unexercised: %+v", stats)
 	}
-	stats.Ingest, stats.Committed = nil, nil
+	if !stats.HasGlobalCutoff || len(stats.Committed) != 1 {
+		t.Fatalf("run left part of the account unexercised: cutoff %v (%v), committed %v", stats.GlobalCutoff, stats.HasGlobalCutoff, stats.Committed)
+	}
 	if !reflect.DeepEqual(last, stats) {
 		t.Errorf("Stats after Run = %+v\nRun returned %+v", last, stats)
 	}
@@ -360,7 +363,7 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 }
 
 // TestStreamRunnerLiveWhenStartReturns: Start returns a live run, so the
-// first Snapshot, CommittedOffsets and Stats calls after it answer for
+// first Snapshot and Stats calls after it answer for
 // the run, with no retry, however far its goroutines have got. Before
 // Start there is no run to answer for, and once Wait has returned the
 // run is over.
@@ -377,7 +380,7 @@ func TestStreamRunnerLiveWhenStartReturns(t *testing.T) {
 		},
 		BatchSize: 256,
 	}
-	if got := sr.CommittedOffsets(nil); got != nil {
+	if got := sr.Stats().Committed; got != nil {
 		t.Fatalf("offsets before Start = %v, want nil", got)
 	}
 	if err := sr.Start(); err != nil {
@@ -387,10 +390,11 @@ func TestStreamRunnerLiveWhenStartReturns(t *testing.T) {
 	if err != nil || len(snaps) != 2 {
 		t.Errorf("first Snapshot after Start = %d snapshots, %v; want 2, nil", len(snaps), err)
 	}
-	if got := sr.CommittedOffsets(nil); len(got) != 1 || got[0] < 0 || got[0] > n {
-		t.Errorf("first CommittedOffsets after Start = %v, want one offset in [0, %d]", got, n)
+	st := sr.Stats()
+	if got := st.Committed; len(got) != 1 || got[0] < 0 || got[0] > n {
+		t.Errorf("first Stats after Start commits %v, want one offset in [0, %d]", got, n)
 	}
-	if st := sr.Stats(); len(st.PerShard) != 2 {
+	if len(st.PerShard) != 2 {
 		t.Errorf("first Stats after Start has %d shards, want 2", len(st.PerShard))
 	}
 	stats, err := sr.Wait()
@@ -402,6 +406,82 @@ func TestStreamRunnerLiveWhenStartReturns(t *testing.T) {
 	}
 	if _, err := sr.Snapshot(); !errors.Is(err, ErrNotStreaming) {
 		t.Errorf("Snapshot after Wait = %v, want ErrNotStreaming", err)
+	}
+}
+
+// observedChanSource is a chanSource whose test side counts what it
+// sends, as ingest.Push's producers do, and reports it through
+// IngestObservable.
+type observedChanSource struct {
+	*chanSource
+	batches, points atomic.Int64
+}
+
+func (s *observedChanSource) send(pts []Point) {
+	s.batches.Add(1)
+	s.points.Add(int64(len(pts)))
+	s.parts[0].ch <- pts
+}
+
+func (s *observedChanSource) IngestStats(dst []PartitionIngestStats) []PartitionIngestStats {
+	return append(dst, PartitionIngestStats{Batches: s.batches.Load(), Points: s.points.Load()})
+}
+
+// TestStatsIsTheWholeAccountMidRun: a Stats read mid-run carries what
+// only Wait used to add — the source's ingest counters — and the cutoff
+// the last coordination round merged, and Wait's final account is one
+// more read of the same fields.
+func TestStatsIsTheWholeAccountMidRun(t *testing.T) {
+	const every = 1000
+	src := &observedChanSource{chanSource: newChanSource(1, 1)}
+	merges := 0
+	sr := &StreamRunner{
+		Partitioned: src,
+		Shards:      2,
+		NewShard: func(int) ShardPipeline {
+			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
+		},
+		Coordinate: &ShardCoordinator{
+			Collect: func(int, ShardPipeline) any { return 1 },
+			Merge: func([]any) (float64, bool) {
+				merges++ // the coordinator goroutine's alone
+				return float64(merges) / 4, true
+			},
+			Apply: func(int, ShardPipeline, float64) {},
+		},
+		CoordinateEvery: every,
+	}
+	if st := sr.Stats(); st.HasGlobalCutoff || st.Ingest != nil {
+		t.Fatalf("account before Start: %+v", st)
+	}
+	if err := sr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sr.Stats(); st.HasGlobalCutoff || len(st.Ingest) != 1 {
+		t.Errorf("first read: cutoff %v (%v), ingest %+v; want none, one partition", st.GlobalCutoff, st.HasGlobalCutoff, st.Ingest)
+	}
+	src.send(streamPoints(every))
+	st := sr.Stats()
+	for deadline := time.Now().Add(10 * time.Second); st.CoordRounds < 1; st = sr.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("no coordination round after one cadence of points")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	want := []PartitionIngestStats{{Batches: 1, Points: every}}
+	if !st.HasGlobalCutoff || st.GlobalCutoff != 0.25 || !reflect.DeepEqual(st.Ingest, want) {
+		t.Errorf("mid-run read: cutoff %v (%v), ingest %+v; want 0.25 (true), %+v", st.GlobalCutoff, st.HasGlobalCutoff, st.Ingest, want)
+	}
+	close(src.parts[0].ch)
+	final, err := sr.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !final.HasGlobalCutoff || final.GlobalCutoff != 0.25 || !reflect.DeepEqual(final.Ingest, want) {
+		t.Errorf("final account: cutoff %v (%v), ingest %+v; want 0.25 (true), %+v", final.GlobalCutoff, final.HasGlobalCutoff, final.Ingest, want)
+	}
+	if after := sr.Stats(); !reflect.DeepEqual(after, final) {
+		t.Errorf("Stats after Wait = %+v\nWait returned %+v", after, final)
 	}
 }
 

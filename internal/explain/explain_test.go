@@ -62,6 +62,33 @@ func TestRiskRatioCIProperties(t *testing.T) {
 	}
 }
 
+// TestRiskRatioCIBracketsClampedRatio: an AMC overestimate can count a
+// combination past the inlier (or outlier) total. RiskRatio clamps the
+// counts outside the combination at 0, and the interval must be built
+// from the same clamped counts: finite bounds around the ratio, not NaN.
+func TestRiskRatioCIBracketsClampedRatio(t *testing.T) {
+	for _, tc := range []struct {
+		name                      string
+		ao, ai, totalOut, totalIn float64
+	}{
+		{"inliers past their total", 10, 189, 100, 100},
+		{"inliers just past their total", 10, 100.5, 100, 100},
+		{"inliers at their total", 10, 100, 100, 100},
+		{"exact counts", 100, 1900, 1000, 99000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rr := RiskRatio(tc.ao, tc.ai, tc.totalOut, tc.totalIn)
+			ci := RiskRatioCI(tc.ao, tc.ai, tc.totalOut, tc.totalIn, 0.95)
+			if math.IsNaN(ci.Lo) || math.IsNaN(ci.Hi) || math.IsInf(ci.Lo, 0) || math.IsInf(ci.Hi, 0) {
+				t.Fatalf("CI = %+v around %v, want finite bounds", ci, rr)
+			}
+			if !(ci.Lo <= rr && rr <= ci.Hi) {
+				t.Errorf("CI (%v, %v) does not bracket %v", ci.Lo, ci.Hi, rr)
+			}
+		})
+	}
+}
+
 // plantLabeled builds a labeled set where outliers carry the planted
 // attribute combination and inliers draw attributes uniformly.
 func plantLabeled(nOut, nIn int, planted []int32, seed uint64) []core.LabeledPoint {

@@ -26,14 +26,7 @@ func RiskRatio(ao, ai, totalOut, totalIn float64) float64 {
 	if ao <= 0 {
 		return 0
 	}
-	bo := totalOut - ao
-	bi := totalIn - ai
-	if bo < 0 {
-		bo = 0
-	}
-	if bi < 0 {
-		bi = 0
-	}
+	bo, bi := unexposed(ao, ai, totalOut, totalIn)
 	exposed := ao / (ao + ai)
 	if bo+bi <= 0 {
 		return math.Inf(1)
@@ -45,18 +38,27 @@ func RiskRatio(ao, ai, totalOut, totalIn float64) float64 {
 	return exposed / unexposed
 }
 
+// unexposed returns the outlier and inlier counts outside the
+// combination, bo = totalOut-ao and bi = totalIn-ai, clamped at 0: an
+// AMC overestimate (one sketch's, or a merged sketch's summed bound)
+// can count a combination past its total.
+func unexposed(ao, ai, totalOut, totalIn float64) (bo, bi float64) {
+	return max(totalOut-ao, 0), max(totalIn-ai, 0)
+}
+
 // RiskRatioCI returns the 1-p confidence interval for the risk ratio
 // using the standard log-scale (Katz) method from the epidemiology
 // literature the paper cites (Morris & Gardner; paper Appendix B):
 //
 //	RR ×/÷ exp( z_p * sqrt(1/ao - 1/(ao+ai) + 1/bo - 1/(bo+bi)) )
 //
-// level is the nominal coverage (e.g. 0.95). Degenerate counts yield
-// the widest interval (0, +Inf).
+// level is the nominal coverage (e.g. 0.95). The counts outside the
+// combination are clamped as RiskRatio clamps them, so the interval
+// always brackets the ratio. Degenerate counts yield the widest
+// interval (0, +Inf).
 func RiskRatioCI(ao, ai, totalOut, totalIn, level float64) core.Interval {
 	rr := RiskRatio(ao, ai, totalOut, totalIn)
-	bo := totalOut - ao
-	bi := totalIn - ai
+	bo, bi := unexposed(ao, ai, totalOut, totalIn)
 	if ao <= 0 || bo <= 0 || math.IsInf(rr, 1) {
 		return core.Interval{Lo: 0, Hi: math.Inf(1), Level: level}
 	}

@@ -19,7 +19,7 @@ func TestDegradedBreakdownElection(t *testing.T) {
 		{Points: 200},
 		{Points: 100},
 	}
-	b := newShardBreakdown(per, &coordState{}, core.StreamStats{}, false)
+	b := newShardBreakdown(per, core.StreamStats{}, false, false)
 	if !b.Degraded {
 		t.Error("breakdown with an errored shard not marked degraded")
 	}
@@ -40,7 +40,7 @@ func TestDegradedBreakdownElection(t *testing.T) {
 	for i := range per {
 		per[i].Error = "panic: boom"
 	}
-	b = newShardBreakdown(per, &coordState{}, core.StreamStats{}, false)
+	b = newShardBreakdown(per, core.StreamStats{}, false, false)
 	if b.HotShard != -1 {
 		t.Errorf("hot shard = %d with every shard quarantined, want -1", b.HotShard)
 	}
@@ -55,10 +55,10 @@ func TestDegradedBreakdownElection(t *testing.T) {
 // as null and +Inf clamped to MaxFloat64.
 func TestBreakdownJSONRoundTrip(t *testing.T) {
 	b := newShardBreakdown([]ShardStatus{
-		{Points: 10, Threshold: math.Inf(1)},
-		{Points: 5, Threshold: math.NaN(), Error: "panic: boom"},
-	}, &coordState{}, core.StreamStats{}, false)
-	if !math.IsNaN(b.GlobalCutoff) {
+		{Points: 10, Threshold: JSONFloat(math.Inf(1))},
+		{Points: 5, Threshold: JSONFloat(math.NaN()), Error: "panic: boom"},
+	}, core.StreamStats{}, false, false)
+	if !math.IsNaN(float64(b.GlobalCutoff)) {
 		t.Fatalf("global cutoff = %v before any coordination round, want NaN", b.GlobalCutoff)
 	}
 	data, err := json.Marshal(b)
@@ -68,6 +68,28 @@ func TestBreakdownJSONRoundTrip(t *testing.T) {
 	for _, want := range []string{`"globalCutoff":null`, `"threshold":null`, `"threshold":1.7976931348623157e+308`, `"error":"panic: boom"`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("encoded breakdown lacks %s: %s", want, data)
+		}
+	}
+}
+
+// TestJSONFloat pins the wire's one rule for non-finite floats, which
+// the breakdown and mbserver's explanations both encode through: NaN is
+// null, ±Inf clamps to ±MaxFloat64, and a finite value is encoded as
+// encoding/json encodes a float64.
+func TestJSONFloat(t *testing.T) {
+	for _, tc := range []struct {
+		in   float64
+		want string
+	}{
+		{math.NaN(), `null`},
+		{math.Inf(1), `1.7976931348623157e+308`},
+		{math.Inf(-1), `-1.7976931348623157e+308`},
+		{3.5, `3.5`},
+		{1e-7, `1e-7`},
+	} {
+		got, err := json.Marshal(JSONFloat(tc.in))
+		if err != nil || string(got) != tc.want {
+			t.Errorf("JSONFloat(%v) = %s, %v; want %s", tc.in, got, err, tc.want)
 		}
 	}
 }

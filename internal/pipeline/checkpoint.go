@@ -50,17 +50,10 @@ type Checkpoint struct {
 // see ResumeStream. Only sessions over a partitioned source with at
 // least one checkpointable partition can checkpoint.
 func (s *StreamSession) Checkpoint() (*Checkpoint, error) {
-	ok := false
-	for _, cp := range s.ckParts {
-		if cp != nil {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+	offs := s.runner.Stats().Committed
+	if offs == nil {
 		return nil, fmt.Errorf("pipeline: session has no checkpointable partitions")
 	}
-	offs := s.runner.CommittedOffsets(nil)
 	ck := &Checkpoint{Version: CheckpointVersion, Partitions: make([]PartitionOffset, len(offs))}
 	for i, off := range offs {
 		po := PartitionOffset{Partition: i}
@@ -71,10 +64,11 @@ func (s *StreamSession) Checkpoint() (*Checkpoint, error) {
 	}
 	// The checkpoint is the caller's durability point: everything below
 	// a committed offset will never be asked for again, so the source
-	// may discard its replay state up to there.
+	// may discard its replay state up to there. Only a partition with
+	// the offset protocol has a committed offset (-1 otherwise).
 	for i, po := range ck.Partitions {
-		if po.Checkpointable && i < len(s.ckParts) && s.ckParts[i] != nil {
-			s.ckParts[i].Ack(po.Offset)
+		if po.Checkpointable {
+			s.parts[i].(core.CheckpointablePartition).Ack(po.Offset)
 		}
 	}
 	return ck, nil
@@ -121,16 +115,4 @@ func ResumeStream(parts core.PartitionedSource, cfg Config, shards int, ck *Chec
 		}
 	}
 	return StartPartitionedStream(parts, cfg, shards)
-}
-
-// checkpointableViews probes each partition stream for the offset
-// protocol; non-checkpointable partitions get nil entries.
-func checkpointableViews(streams []core.PartitionStream) []core.CheckpointablePartition {
-	out := make([]core.CheckpointablePartition, len(streams))
-	for i, ps := range streams {
-		if cp, ok := ps.(core.CheckpointablePartition); ok {
-			out[i] = cp
-		}
-	}
-	return out
 }

@@ -188,7 +188,7 @@ func TestGlobalThresholdFixesHotShardDrift(t *testing.T) {
 	if !b.Coordinated || b.CoordRounds == 0 {
 		t.Errorf("breakdown does not reflect coordination: %+v", b)
 	}
-	if math.IsNaN(b.GlobalCutoff) {
+	if math.IsNaN(float64(b.GlobalCutoff)) {
 		t.Error("no global cutoff recorded after coordination rounds")
 	}
 	if b.HotShard < 0 || b.Imbalance <= 1.1 {

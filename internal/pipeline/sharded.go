@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"macrobase/internal/classify"
 	"macrobase/internal/core"
@@ -15,8 +14,8 @@ import (
 // input — one Stats read and one view per shard — so a poll of a
 // stream whose every point has been consumed equals the final result.
 type ShardedResult struct {
-	// Stats is the runner's account (core.StreamRunner.Stats; the final
-	// result adds Wait's Ingest and Committed). Stats.Degraded reports
+	// Stats is the runner's account, one core.StreamRunner.Stats read
+	// (the final result's is the one Wait returns). Stats.Degraded reports
 	// that at least one shard worker died mid-run (a panic inside its
 	// operators) and was quarantined: the stream kept running and this
 	// result reflects the surviving shards only. Details are in
@@ -44,10 +43,6 @@ type ShardStatus struct {
 	// OutlierRate is Outliers over Points: a shard classifies every
 	// point it takes in.
 	OutlierRate float64 `json:"outlierRate"`
-	// Threshold is the shard classifier's current score cutoff: +Inf
-	// during warmup, NaN for a quarantined shard (and for a test's fake
-	// classifier, which exposes none).
-	Threshold float64 `json:"threshold"`
 	// GlobalThreshold reports whether the cutoff came from cross-shard
 	// coordination rather than the shard's local percentile estimate.
 	GlobalThreshold bool `json:"globalThreshold"`
@@ -57,6 +52,10 @@ type ShardStatus struct {
 	// DroppedPoints counts points routed to this shard after it died,
 	// drained without processing so the stream never wedges.
 	DroppedPoints int64 `json:"droppedPoints,omitempty"`
+	// Threshold is the shard classifier's current score cutoff: +Inf
+	// during warmup, NaN for a quarantined shard (and for a test's fake
+	// classifier, which exposes none).
+	Threshold JSONFloat `json:"threshold"`
 }
 
 // ShardBreakdown surfaces the skew that per-shard thresholds used to
@@ -72,13 +71,10 @@ type ShardBreakdown struct {
 	// HotShard indexes the most loaded shard (-1 before any load).
 	HotShard int `json:"hotShard"`
 	// Coordinated reports whether cross-shard threshold coordination
-	// is active for this run.
+	// is active for this run (see coordinates).
 	Coordinated bool `json:"coordinated"`
 	// CoordRounds counts completed coordination rounds so far.
 	CoordRounds int `json:"coordRounds"`
-	// GlobalCutoff is the last merged global threshold (NaN before the
-	// first round or with coordination off).
-	GlobalCutoff float64 `json:"globalCutoff"`
 	// Degraded mirrors ShardedResult.Stats.Degraded for JSON consumers
 	// of the breakdown alone: true when any PerShard entry carries an
 	// Error.
@@ -93,32 +89,18 @@ type ShardBreakdown struct {
 	// BucketMoves is the cumulative number of virtual buckets migrated
 	// between shards.
 	BucketMoves int64 `json:"bucketMoves"`
+	// GlobalCutoff is the last merged global threshold
+	// (core.StreamStats.GlobalCutoff; NaN before the first round or with
+	// coordination off).
+	GlobalCutoff JSONFloat `json:"globalCutoff"`
 }
 
-// coordState is the session-visible side of threshold coordination:
-// whether it is on, and the last merged cutoff (written by the
-// coordinator goroutine's Merge, read by pollers).
-type coordState struct {
-	enabled bool
-	cut     atomic.Uint64 // math.Float64bits of the last merged cutoff
-	has     atomic.Bool
-}
-
-// cutoff returns the last merged global threshold, if any round has
-// completed.
-func (cs *coordState) cutoff() (float64, bool) {
-	if cs == nil || !cs.has.Load() {
-		return 0, false
-	}
-	return math.Float64frombits(cs.cut.Load()), true
-}
-
-// newCoordState decides whether coordination runs: it is on by default
-// for multi-shard streams (it is the fix for skew-induced answer
-// drift) and off for a single shard, whose one pipeline already
+// coordinates decides whether threshold coordination runs: it is on by
+// default for multi-shard streams (it is the fix for skew-induced
+// answer drift) and off for a single shard, whose one pipeline already
 // computes the global quantile.
-func newCoordState(cfg Config, shards int) *coordState {
-	return &coordState{enabled: shards > 1 && !cfg.DisableGlobalThreshold && cfg.CoordinateEvery > 0}
+func coordinates(cfg Config, shards int) bool {
+	return shards > 1 && !cfg.DisableGlobalThreshold && cfg.CoordinateEvery > 0
 }
 
 // newShardPipeline builds shard s's MDP operator replicas: the
@@ -151,7 +133,7 @@ func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 		return pl
 	}
 	retrainOffset := 0
-	if shards > 1 && !cfg.noRetrainStagger && !cfg.DisableGlobalThreshold && cfg.CoordinateEvery > 0 {
+	if coordinates(cfg, shards) && !cfg.noRetrainStagger {
 		retrainOffset = shard * (cfg.RetrainEvery / shards)
 	}
 	pl.Classifier = classify.NewStreaming(classify.StreamingConfig{
@@ -181,13 +163,13 @@ func validateStreaming(shards int) error {
 // any worker touches a pipeline, so plain slice writes into
 // explainers/classifiers are safe.
 //
-// When coord is enabled the runner gets a ShardCoordinator that merges
+// When the run coordinates the runner gets a ShardCoordinator that merges
 // per-shard score-quantile summaries into one global percentile cutoff
 // and pushes it back through classify.SetGlobalThreshold. Every shard's
 // classifier is MDP's own, which does; only a test's fake classifier
 // implements no classify.ThresholdCoordinable, and it contributes and
 // receives nothing.
-func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, explainers []*explain.Streaming, classifiers []core.Classifier, coord *coordState) *core.StreamRunner {
+func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, explainers []*explain.Streaming, classifiers []core.Classifier) *core.StreamRunner {
 	r := &core.StreamRunner{
 		Partitioned: parts,
 		Shards:      shards,
@@ -205,7 +187,7 @@ func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, expla
 	// rebalance checks ride the one coordinator cadence, with or without
 	// threshold coordination.
 	r.Rebalance = shards > 1 && !cfg.DisableRebalance
-	if coord != nil && coord.enabled {
+	if coordinates(cfg, shards) {
 		// Round scratch, all owned by the coordinator's serialized
 		// rounds: per-shard score buffers (filled on the shard's worker
 		// goroutine, read by the merge — rounds never overlap, so no
@@ -223,24 +205,18 @@ func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, expla
 				bufs[shard] = sum.Scores // keep the (possibly grown) buffer
 				return sum
 			},
-			Merge: func(raw []any) (any, bool) {
+			Merge: func(raw []any) (float64, bool) {
 				sums = sums[:0]
 				for _, v := range raw {
 					if s, ok := v.(classify.ScoreSummary); ok {
 						sums = append(sums, s)
 					}
 				}
-				cut, ok := merger.Merge(sums, cfg.Percentile)
-				if !ok {
-					return nil, false
-				}
-				coord.cut.Store(math.Float64bits(cut))
-				coord.has.Store(true)
-				return cut, true
+				return merger.Merge(sums, cfg.Percentile)
 			},
-			Apply: func(shard int, pl core.ShardPipeline, global any) {
+			Apply: func(shard int, pl core.ShardPipeline, cut float64) {
 				if tc, ok := pl.Classifier.(classify.ThresholdCoordinable); ok {
-					tc.SetGlobalThreshold(global.(float64))
+					tc.SetGlobalThreshold(cut)
 				}
 			},
 		}
@@ -249,21 +225,21 @@ func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, expla
 }
 
 // newShardBreakdown folds per-shard statuses into the breakdown:
-// hottest shard, imbalance vs the fair share, the coordination view,
-// and the skew-adaptive router's progress as stats reads it.
-func newShardBreakdown(per []ShardStatus, coord *coordState, stats core.StreamStats, rebalancing bool) *ShardBreakdown {
+// hottest shard and imbalance vs the fair share, plus the coordination
+// view and the skew-adaptive router's progress as stats reads them.
+func newShardBreakdown(per []ShardStatus, stats core.StreamStats, coordinated, rebalancing bool) *ShardBreakdown {
 	b := &ShardBreakdown{
 		PerShard:     per,
 		HotShard:     -1,
-		Coordinated:  coord != nil && coord.enabled,
+		Coordinated:  coordinated,
 		CoordRounds:  stats.CoordRounds,
-		GlobalCutoff: math.NaN(),
+		GlobalCutoff: JSONFloat(math.NaN()),
 		Rebalancing:  rebalancing,
 		RoutingEpoch: stats.RoutingEpoch,
 		BucketMoves:  stats.BucketMoves,
 	}
-	if cut, ok := coord.cutoff(); ok {
-		b.GlobalCutoff = cut
+	if stats.HasGlobalCutoff {
+		b.GlobalCutoff = JSONFloat(stats.GlobalCutoff)
 	}
 	total := 0
 	for _, s := range per {
@@ -309,14 +285,14 @@ func newShardBreakdown(per []ShardStatus, coord *coordState, stats core.StreamSt
 func (s *StreamSession) newResult(stats core.StreamStats, views []shardView) *ShardedResult {
 	per := make([]ShardStatus, len(stats.PerShard))
 	for i, rs := range stats.PerShard {
-		per[i] = ShardStatus{Points: rs.Points, Outliers: rs.Outliers, Threshold: views[i].thr, GlobalThreshold: views[i].glob}
+		per[i] = ShardStatus{Points: rs.Points, Outliers: rs.Outliers, Threshold: JSONFloat(views[i].thr), GlobalThreshold: views[i].glob}
 		if rs.Points > 0 {
 			per[i].OutlierRate = float64(rs.Outliers) / float64(rs.Points)
 		}
 	}
 	for _, f := range stats.ShardFailures {
 		per[f.Shard].Error, per[f.Shard].DroppedPoints = f.Err, f.DroppedPoints
-		per[f.Shard].Threshold, per[f.Shard].GlobalThreshold = math.NaN(), false
+		per[f.Shard].Threshold, per[f.Shard].GlobalThreshold = JSONFloat(math.NaN()), false
 	}
 	owned := make([]*explain.Streaming, 0, len(per))
 	for i := range per {
@@ -327,7 +303,7 @@ func (s *StreamSession) newResult(stats core.StreamStats, views []shardView) *Sh
 	return &ShardedResult{
 		Stats:        stats,
 		Explanations: explain.MergeStreamingInto(owned),
-		Shards:       newShardBreakdown(per, s.coord, stats, s.runner.Rebalance),
+		Shards:       newShardBreakdown(per, stats, s.runner.Coordinate != nil, s.runner.Rebalance),
 	}
 }
 
@@ -372,15 +348,10 @@ func RunPartitionedStream(parts core.PartitionedSource, cfg Config, shards int) 
 type StreamSession struct {
 	runner *core.StreamRunner
 
-	// coord is the coordination view shared with the runner's merge
-	// closure; pollers read the last global cutoff from it.
-	coord *coordState
-
-	// ckParts are the checkpointable views of the session's ingest
-	// partitions — nil entries for partitions without offsets, such as
-	// a CSV file's. Checkpoint Acks through them; they are the same
-	// partition objects the runner reads (see core.PartitionedSource).
-	ckParts []core.CheckpointablePartition
+	// parts are the session's ingest partitions, the objects the runner
+	// reads (see core.PartitionedSource); Checkpoint acks the committed
+	// offsets back through them.
+	parts []core.PartitionStream
 
 	// done is closed once the goroutine that waits out the run has
 	// assembled final and err; neither is written after.
@@ -422,12 +393,10 @@ func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int
 	if err := validateStreaming(shards); err != nil {
 		return nil, err
 	}
-	s := &StreamSession{done: make(chan struct{})}
-	s.ckParts = checkpointableViews(parts.Partitions())
+	s := &StreamSession{done: make(chan struct{}), parts: parts.Partitions()}
 	explainers := make([]*explain.Streaming, shards)
 	classifiers := make([]core.Classifier, shards)
-	s.coord = newCoordState(cfg, shards)
-	s.runner = newStreamRunner(parts, cfg, shards, explainers, classifiers, s.coord)
+	s.runner = newStreamRunner(parts, cfg, shards, explainers, classifiers)
 	// Poll clones the shard's summary on the worker goroutine: the
 	// worker keeps consuming after the snapshot is handed over, so the
 	// clone is the isolation boundary. The classifier threshold rides

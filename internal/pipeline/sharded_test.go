@@ -324,7 +324,8 @@ func TestStreamSessionSourceError(t *testing.T) {
 // TestLivePollEqualsFinal: a live poll and the final result are built
 // by one function from the same account, so once every pushed point is
 // consumed a poll reads what the final result reads — run and per-shard
-// statistics, the skew breakdown, the ranked explanations. The one-shard
+// statistics, committed offsets, the source's cumulative ingest
+// counters, the skew breakdown, the ranked explanations. The one-shard
 // case runs MDP's own classifier, whose threshold the breakdown
 // reports; the two-shard case pins routing, and its classifier exposes
 // no threshold, so no coordination round changes state. Neither stream
@@ -384,6 +385,21 @@ func TestLivePollEqualsFinal(t *testing.T) {
 			}
 			if !reflect.DeepEqual(live.Stats.PerShard, final.Stats.PerShard) {
 				t.Errorf("per-shard stats: live %+v, final %+v", live.Stats.PerShard, final.Stats.PerShard)
+			}
+			if want := []int64{int64(len(d.Points))}; !reflect.DeepEqual(live.Stats.Committed, want) || !reflect.DeepEqual(final.Stats.Committed, want) {
+				t.Errorf("committed: live %v, final %v, want %v", live.Stats.Committed, final.Stats.Committed, want)
+			}
+			// Queued and the windowed rates are instantaneous gauges; the
+			// cumulative counters must agree.
+			cumulative := func(in []core.PartitionIngestStats) []core.PartitionIngestStats {
+				out := make([]core.PartitionIngestStats, len(in))
+				for i, p := range in {
+					out[i] = core.PartitionIngestStats{Batches: p.Batches, Points: p.Points, BlockedNanos: p.BlockedNanos}
+				}
+				return out
+			}
+			if li, fi := cumulative(live.Stats.Ingest), cumulative(final.Stats.Ingest); len(li) != 1 || li[0].Points != int64(len(d.Points)) || !reflect.DeepEqual(li, fi) {
+				t.Errorf("ingest counters: live %+v, final %+v", live.Stats.Ingest, final.Stats.Ingest)
 			}
 			// JSON, because a threshold may be NaN (the wire's null).
 			lb, _ := json.Marshal(live.Shards)
