@@ -46,8 +46,8 @@ type srcFile struct {
 func (f srcFile) isTest() bool { return strings.HasSuffix(f.path, "_test.go") }
 
 // parseRepo parses every Go file under the repository root, bench/
-// included, skipping dot directories and testdata; withTests adds the
-// _test.go files.
+// included, with its comments, skipping dot directories and testdata;
+// withTests adds the _test.go files.
 func parseRepo(t *testing.T, fset *token.FileSet, withTests bool) []srcFile {
 	t.Helper()
 	var files []srcFile
@@ -64,7 +64,7 @@ func parseRepo(t *testing.T, fset *token.FileSet, withTests bool) []srcFile {
 		if !strings.HasSuffix(p, ".go") || (!withTests && strings.HasSuffix(p, "_test.go")) {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -255,6 +255,170 @@ func TestNamedTestsExist(t *testing.T) {
 			t.Errorf("%s names %s, which no _test.go file declares", where, n)
 		}
 	}
+}
+
+// TestNamedIdentifiersResolve fails for a package-qualified identifier,
+// pkg.Name or pkg.Name.Member, written in a comment of a non-test Go
+// file outside bench/ (doc.go is one), that names nothing: pkg is an
+// internal/ package, Name an exported name in it, and neither Name nor
+// Member is declared there (a func, type, method, field, var or const,
+// tests included; a member may be promoted from an embedded type). A
+// deleted or renamed declaration would otherwise leave the prose that
+// names it pointing nowhere.
+func TestNamedIdentifiersResolve(t *testing.T) {
+	fset := token.NewFileSet()
+	files := parseRepo(t, fset, true)
+	decls := make(map[string]*pkgDecls) // internal package name -> its declarations
+	for _, f := range files {
+		if !strings.HasPrefix(f.pkg, "macrobase/internal/") {
+			continue
+		}
+		name := path.Base(f.pkg)
+		if decls[name] == nil {
+			decls[name] = &pkgDecls{names: make(map[string]bool), members: make(map[string]map[string]bool), embeds: make(map[string][]ast.Expr)}
+		}
+		decls[name].add(f.ast)
+	}
+	pkgs := make([]string, 0, len(decls))
+	for name := range decls {
+		pkgs = append(pkgs, name)
+	}
+	sort.Strings(pkgs)
+	ref := regexp.MustCompile(`\b(` + strings.Join(pkgs, "|") + `)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
+
+	checked := 0
+	for _, f := range files {
+		if f.isTest() || strings.HasPrefix(f.pkg, "macrobase/bench") {
+			continue
+		}
+		for _, cg := range f.ast.Comments {
+			for _, c := range cg.List {
+				for _, m := range ref.FindAllStringSubmatchIndex(c.Text, -1) {
+					checked++
+					pkg, name, member := c.Text[m[2]:m[3]], c.Text[m[4]:m[5]], ""
+					if m[6] >= 0 {
+						member = c.Text[m[6]:m[7]]
+					}
+					if decls[pkg].resolves(decls, name, member) {
+						continue
+					}
+					pos := fset.Position(c.Pos())
+					pos.Line += strings.Count(c.Text[:m[0]], "\n")
+					t.Errorf("%s:%d names %s, which is not declared in package %s", f.path, pos.Line, c.Text[m[0]:m[1]], pkg)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no package-qualified identifiers found in comments")
+	}
+}
+
+// pkgDecls is one package's declarations: its top-level names, each
+// type's methods and fields, and each type's embedded types.
+type pkgDecls struct {
+	names   map[string]bool
+	members map[string]map[string]bool // type name -> method and field names
+	embeds  map[string][]ast.Expr      // type name -> embedded types
+}
+
+// add records f's declarations.
+func (p *pkgDecls) add(f *ast.File) {
+	member := func(typ, name string) {
+		if p.members[typ] == nil {
+			p.members[typ] = make(map[string]bool)
+		}
+		p.members[typ][name] = true
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				p.names[d.Name.Name] = true
+			} else {
+				member(baseTypeName(d.Recv.List[0].Type), d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						p.names[id.Name] = true
+					}
+				case *ast.TypeSpec:
+					p.names[s.Name.Name] = true
+					var fields *ast.FieldList
+					switch tt := s.Type.(type) {
+					case *ast.StructType:
+						fields = tt.Fields
+					case *ast.InterfaceType:
+						fields = tt.Methods
+					}
+					if fields == nil {
+						continue
+					}
+					for _, fld := range fields.List {
+						for _, id := range fld.Names {
+							member(s.Name.Name, id.Name)
+						}
+						if len(fld.Names) == 0 {
+							member(s.Name.Name, baseTypeName(fld.Type))
+							p.embeds[s.Name.Name] = append(p.embeds[s.Name.Name], fld.Type)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// resolves reports whether name, and member when it is not empty, are
+// declared in p; a member may be promoted from an embedded type,
+// another internal package's included.
+func (p *pkgDecls) resolves(all map[string]*pkgDecls, name, member string) bool {
+	if !p.names[name] {
+		return false
+	}
+	if member == "" || p.members[name][member] {
+		return true
+	}
+	for _, e := range p.embeds[name] {
+		for {
+			if s, ok := e.(*ast.StarExpr); ok {
+				e = s.X
+				continue
+			}
+			break
+		}
+		owner := p
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok {
+				owner = all[x.Name]
+			}
+		}
+		if owner != nil && owner.resolves(all, baseTypeName(e), member) {
+			return true
+		}
+	}
+	return false
+}
+
+// baseTypeName is the name of the type a receiver or embedded field
+// names, without pointer, package or type parameters.
+func baseTypeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return baseTypeName(e.X)
+	case *ast.IndexExpr:
+		return baseTypeName(e.X)
+	case *ast.IndexListExpr:
+		return baseTypeName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.Ident:
+		return e.Name
+	}
+	return ""
 }
 
 // expandGroups rewrites each group of alternatives in a test pattern

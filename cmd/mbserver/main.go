@@ -52,10 +52,13 @@
 // with no further request needed.
 //
 // Poll and stop responses for push sessions carry an "ingest" block,
-// read with the rest of the session's account: per-partition
-// producer-side counters (queued batches, cumulative blocked
-// nanoseconds, batches/points accepted) that make backpressure
-// observable before clients start timing out.
+// read with the rest of the session's account: per partition, the
+// batches queued at the read (the one instantaneous field) and three
+// cumulative counters, blocked nanoseconds and batches and points
+// accepted, that make backpressure observable before clients start
+// timing out. A rate is the change in a counter between two of the
+// client's own reads over the time it measured between them; no read,
+// poll or checkpoint, changes what another read sees.
 //
 // Profiling a live session: start with -pprof (off by default) and
 // point the toolchain at the running server, e.g.

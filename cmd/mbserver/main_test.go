@@ -721,7 +721,7 @@ func TestStreamPushBinaryMatchesNDJSON(t *testing.T) {
 // session's account (core.StreamRunner.Stats), not a second read of the
 // push source. Live, once every pushed point is consumed, its
 // cumulative counters equal the next account read's; once the stream is
-// done, the block is the final account's to the last gauge, however
+// done, the block is the final account's to the last counter, however
 // much later it is read.
 func TestPushPollIngestIsTheAccount(t *testing.T) {
 	reg := newStreamRegistry()
@@ -778,6 +778,80 @@ func TestPushPollIngestIsTheAccount(t *testing.T) {
 	}
 	if !reflect.DeepEqual(done.Ingest, final.Stats.Ingest) {
 		t.Errorf("done ingest block %+v, final account %+v", done.Ingest, final.Stats.Ingest)
+	}
+}
+
+// TestCheckpointReadsLeavePollIngestAlone: reads of a session's account
+// do not move one another. Points are pushed in two halves, 300 ms
+// apart, with a poll between them, so a source whose reads turned its
+// counters into rates would have rates to show. Once every point is
+// consumed, a poll, several checkpoint reads, a wait of 300 ms and a
+// second poll see the same "ingest" block, byte for byte.
+func TestCheckpointReadsLeavePollIngestAlone(t *testing.T) {
+	srv := httptest.NewServer(newMux(newStreamRegistry()))
+	defer srv.Close()
+	recs := pushTestRecords(2_000)
+	id := startStream(t, srv, `{"input":"push","metrics":["power"],"attributes":["device"],"shards":1,"partitions":1,"replay":true}`)
+	pollURL := srv.URL + "/stream/" + id
+	push := func(recs []pushTestRecord) {
+		if code, out := pushNDJSON(t, pollURL+"/push", ndjsonPushBody(recs)); code != http.StatusOK {
+			t.Fatalf("push: status %d, %v", code, out)
+		}
+	}
+	poll := func() (streamResponse, json.RawMessage) {
+		t.Helper()
+		resp, err := http.Get(pollURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("poll status %d: %s", resp.StatusCode, body)
+		}
+		var sr streamResponse
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatal(err)
+		}
+		return sr, raw["ingest"]
+	}
+
+	push(recs[:1_000])
+	poll()
+	time.Sleep(300 * time.Millisecond)
+	push(recs[1_000:])
+	var first json.RawMessage
+	for deadline := time.Now().Add(20 * time.Second); ; {
+		sr, ingest := poll()
+		if sr.Points == len(recs) {
+			if len(sr.Ingest) != 1 || sr.Ingest[0].Points != int64(len(recs)) || sr.Ingest[0].Queued != 0 {
+				t.Fatalf("ingest block once every point is consumed: %+v", sr.Ingest)
+			}
+			first = ingest
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session took in %d of %d points", sr.Points, len(recs))
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if code := getJSON(t, pollURL+"/checkpoint", nil); code != http.StatusOK {
+			t.Fatalf("checkpoint status %d", code)
+		}
+	}
+	time.Sleep(300 * time.Millisecond)
+	if _, second := poll(); !bytes.Equal(second, first) {
+		t.Errorf("ingest block moved with no push between polls:\n first  %s\n second %s", first, second)
+	}
+	if code := postJSON(t, pollURL+"/stop", nil); code != http.StatusOK {
+		t.Fatalf("stop status %d", code)
 	}
 }
 

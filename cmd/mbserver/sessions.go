@@ -123,7 +123,7 @@ type streamState struct {
 
 	// Push ingestion state (push nil for CSV sessions). nextPart deals
 	// unpinned push requests round-robin across partitions; decoders
-	// pools the session's ingest.PushDecoders across requests.
+	// pools the session's ingest.PushDecoder values across requests.
 	push     *ingest.Push
 	nextPart atomic.Uint64
 	decoders sync.Pool

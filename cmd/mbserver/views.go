@@ -72,10 +72,12 @@ type streamResponse struct {
 	Outliers   int    `json:"outliers"`
 	DecayTicks int    `json:"decayTicks"`
 	// Ingest, for push sessions, reports the account's per-partition
-	// producer-side counters (core.StreamStats.Ingest): queue depth and
-	// cumulative blocked time (backpressure felt by producers) plus
-	// accepted batch/point totals and windowed per-second rates. A done
-	// session's are the account at the end of the run.
+	// producer-side counters (core.StreamStats.Ingest): the queue depth
+	// at the read, the one instantaneous field, and the cumulative
+	// blocked time (backpressure felt by producers) and accepted
+	// batch/point totals, from which a client computes rates between
+	// two of its own reads. A done session's are the account at the
+	// end of the run.
 	Ingest       []core.PartitionIngestStats `json:"ingest,omitempty"`
 	Explanations []explanationJSON           `json:"explanations"`
 	// Shards is the skew breakdown: per-shard load, outlier rate, and
@@ -133,8 +135,8 @@ func writeStreamResponse(w http.ResponseWriter, id string, st *streamState, res 
 		Health:     healthOf(res),
 	}
 	resp.Explanations = explanationsJSON(exps)
-	// The breakdown types marshal their own NaN/±Inf fields safely
-	// (pipeline.ShardBreakdown.MarshalJSON), so no scrubbing pass here.
+	// The breakdown's NaN/±Inf fields are pipeline.JSONFloat, which
+	// encodes them safely, so no scrubbing pass here.
 	resp.Shards = res.Shards
 	writeJSON(w, resp)
 }

@@ -145,17 +145,21 @@
 // one more Stats read, taken once the workers have retired; Wait adds
 // no field of its own. The fields are cumulative counters and the last
 // value of a monotone process (the routing epoch, the merged cutoff,
-// committed offsets), except two instantaneous gauges: an ingest
-// entry's Queued, the batches buffered at the read, and its PerSec
-// rates, which the source computes over its most recent window. A poll
+// committed offsets), except one instantaneous field: an ingest entry's
+// Queued, the batches buffered at the read. No field is a rate: a
+// reader takes a counter's change between two of its own reads over
+// the time it measured between them, as a metrics scraper does, so no
+// read (a poll, a checkpoint, Wait) changes what another sees. A poll
 // and a checkpoint read the same account: the poll's "ingest" block in
 // mbserver is StreamStats.Ingest (so a finished session reports the
-// gauges as the run ended, not as a later read would see them), the
-// breakdown's cutoff is StreamStats.GlobalCutoff (beside a flag, so
-// that two reads compare equal, as a NaN would not), and Checkpoint
-// acks StreamStats.Committed. core.TestStatsIsTheWholeAccountMidRun,
+// counters as the run ended), the breakdown's cutoff is
+// StreamStats.GlobalCutoff (beside a flag, so that two reads compare
+// equal, as a NaN would not), and Checkpoint acks
+// StreamStats.Committed. core.TestStatsIsTheWholeAccountMidRun,
 // pipeline.TestLivePollEqualsFinal and mbserver's
-// TestPushPollIngestIsTheAccount check it.
+// TestPushPollIngestIsTheAccount check it, and ingest's
+// TestPushIngestReadsAreIndependent and mbserver's
+// TestCheckpointReadsLeavePollIngestAlone that no read moves another.
 //
 // A live poll and the final result are then built by one function
 // (pipeline.StreamSession's newResult) from one Stats read and one view
@@ -465,19 +469,13 @@
 // Every poll stage — shard merge, mine, recount, combination filter —
 // runs on the polling goroutine, and concurrent polls of one session
 // share nothing (each merges clones of its own; -race hammers that with
-// ingest, decay ticks and rebalancing live). The stages used to be
-// striped across a configurable poll worker count W (default
-// GOMAXPROCS) with identical output at every W. Paired end-to-end runs
-// on a 2-vCPU box (8 alternating pairs, seeds 1-8, 25 s) found nothing
-// for it to buy: W=1 against the default W=2 read
-// answer_p50_ms 13.26 vs 12.67 ms on poll_drift (default quartiles
-// 11.6-15.6) and 44.0 vs 41.1 ms on firehose_xc (37.7-44.3), every rate,
-// RSS and set-up within ±10%, W=1 winning 3-6 of 8 pairs on each
-// metric; the one kernel gain ever recorded was 1.20x on 2 cores. So
-// the striping and its setting were deleted. Before striping returns, it
-// needs a bench/ workload whose answer_p50_ms is mostly poll compute,
-// measured on at least 4 real cores, where ten alternating pairs move
-// that metric by more than the parent's quartile spread.
+// ingest, decay ticks and rebalancing live). The stages were once
+// striped across a poll worker count; paired end-to-end runs on 2 vCPUs
+// found nothing for the striping to buy, so it and its setting were
+// deleted. Before striping returns, it needs a bench/ workload whose
+// answer_p50_ms is mostly poll compute, measured on at least 4 real
+// cores, where ten alternating pairs move that metric by more than the
+// parent's quartile spread.
 //
 // Borrowing the inlier trees changes one number, and only one: on a
 // poll over two or more shards taken after a decay tick, InlierCount — and so RiskRatio — may differ from the
@@ -850,7 +848,9 @@
 //     the named guards (an exported name without a caller, a *Config
 //     field nothing sets, a Test, Benchmark or Fuzz function that this
 //     file or ci.yml names and no test declares: a renamed test would
-//     leave its step passing on "no tests to run") and
+//     leave its step passing on "no tests to run"; a pkg.Name or
+//     pkg.Name.Member in a comment outside bench/ that no declaration of
+//     that internal package answers) and
 //     `go test -race -timeout 5m ./...` on a Go matrix: 1.22 is the
 //     go.mod floor, 1.24 the toolchain every
 //     committed BENCH_*.json and every bench/ number is recorded with.

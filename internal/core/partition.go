@@ -32,37 +32,29 @@ type PartitionStream interface {
 }
 
 // PartitionIngestStats is one partition's producer-side ingest
-// counters, for backpressure observability: Queued is the number of
-// batches currently buffered ahead of the engine, BlockedNanos the
-// cumulative time producers spent blocked on a full queue (the direct
-// measure of backpressure felt), and Batches/Points count what
-// producers have successfully enqueued.
-//
-// The PerSec fields are windowed gauges derived from the cumulative
-// counters by the source (ingest.Push samples them on each stats read,
-// at most once per its rate window): the ingest rate over the most
-// recent window, and BlockedPerSec, the fraction of that window
-// producers spent blocked (seconds blocked per second of wall clock —
-// ~0 for a keeping-up pipeline, approaching 1 for one saturated by
-// backpressure). They are zero until a first window has elapsed. Once
-// producers stop, the gauges keep their last value only until a stats
-// read closes a window with no sends in it; from then on they read 0.
+// account, for backpressure observability. Queued, the number of
+// batches buffered ahead of the engine at the read, is the one
+// instantaneous field. The rest are cumulative counters: BlockedNanos,
+// the time producers spent blocked on a full queue (the direct measure
+// of backpressure felt), and Batches/Points, what producers have
+// successfully enqueued. A rate is a reader's own arithmetic: the
+// difference of a counter between two of its reads over the time it
+// measured between them (blocked seconds per second is ~0 for a
+// keeping-up pipeline and approaches 1 for one saturated by
+// backpressure). No read changes what another read sees.
 type PartitionIngestStats struct {
-	Queued        int     `json:"queued"`
-	BlockedNanos  int64   `json:"blockedNanos"`
-	Batches       int64   `json:"batches"`
-	Points        int64   `json:"points"`
-	PointsPerSec  float64 `json:"pointsPerSec"`
-	BatchesPerSec float64 `json:"batchesPerSec"`
-	BlockedPerSec float64 `json:"blockedPerSec"`
+	Queued       int   `json:"queued"`
+	BlockedNanos int64 `json:"blockedNanos"`
+	Batches      int64 `json:"batches"`
+	Points       int64 `json:"points"`
 }
 
 // IngestObservable is implemented by partitioned sources that expose
 // per-partition producer-side counters (ingest.Push). IngestStats
-// appends one entry per partition to dst and returns it; counters are
-// live and may be read concurrently with ingestion.
+// returns one entry per partition, read live and concurrently with
+// ingestion.
 type IngestObservable interface {
-	IngestStats(dst []PartitionIngestStats) []PartitionIngestStats
+	IngestStats() []PartitionIngestStats
 }
 
 // PartitionedSource produces points pre-split into independent

@@ -61,9 +61,11 @@ type StreamStats struct {
 	RoutingEpoch int64
 	// BucketMoves counts virtual-bucket reassignments across the run.
 	BucketMoves int64
-	// Ingest holds per-partition producer-side counters (queue depth,
-	// cumulative blocked time, windowed rates) when the partitioned
-	// source implements IngestObservable; nil otherwise.
+	// Ingest holds per-partition producer-side counters when the
+	// partitioned source implements IngestObservable; nil otherwise.
+	// Each entry's Queued is the one instantaneous field of StreamStats;
+	// the rest are cumulative, so a rate is the change between two reads
+	// over the reader's own clock (see PartitionIngestStats).
 	Ingest []PartitionIngestStats
 	// Degraded reports that at least one shard worker was quarantined
 	// after a panic: the run goes on over the surviving shards, and
@@ -443,9 +445,8 @@ func (r *StreamRunner) openAccount(trackers []*ackTracker, workers []*shardWorke
 // (the counters outlive the worker set teardown drops). Each counter is
 // read atomically on its own, so a mid-run read is not one instant
 // across fields. A shard that answered a Snapshot with its ShardFailure
-// marker is among ShardFailures in any later read. Reading Ingest closes
-// the source's rate window when one has elapsed (see
-// PartitionIngestStats).
+// marker is among ShardFailures in any later read. A read changes
+// nothing another read sees.
 func (r *StreamRunner) Stats() StreamStats {
 	r.acctMu.Lock()
 	accounts, trackers, obs := r.accounts, r.trackers, r.ingestObs
@@ -466,7 +467,7 @@ func (r *StreamRunner) Stats() StreamStats {
 		return st
 	}
 	if obs != nil {
-		st.Ingest = obs.IngestStats(nil)
+		st.Ingest = obs.IngestStats()
 	}
 	if slices.ContainsFunc(trackers, func(t *ackTracker) bool { return t != nil }) {
 		st.Committed = make([]int64, len(trackers))

@@ -423,8 +423,8 @@ func (s *observedChanSource) send(pts []Point) {
 	s.parts[0].ch <- pts
 }
 
-func (s *observedChanSource) IngestStats(dst []PartitionIngestStats) []PartitionIngestStats {
-	return append(dst, PartitionIngestStats{Batches: s.batches.Load(), Points: s.points.Load()})
+func (s *observedChanSource) IngestStats() []PartitionIngestStats {
+	return []PartitionIngestStats{{Batches: s.batches.Load(), Points: s.points.Load()}}
 }
 
 // TestStatsIsTheWholeAccountMidRun: a Stats read mid-run carries what

@@ -552,7 +552,7 @@ func (t *Tree) Mine(minCount float64, keep []bool) []fptree.Itemset {
 
 // ItemsetSupport returns the decayed weight of transactions containing
 // every item in items, walking the node-links of the deepest-ranked
-// member (the same itemtree.Support traversal fptree uses).
+// member (the same itemtree.Arena.Support traversal fptree uses).
 func (t *Tree) ItemsetSupport(items []int32) float64 {
 	if len(items) == 0 {
 		return 0

@@ -1,8 +1,8 @@
 // Package ingest implements MacroBase's ingestion operators (paper
 // §3.2 stage 1): a CSV source that projects configured metric and
-// attribute columns into core.Points (encoding attributes through an
-// encode.Encoder), plus the JSON query configuration used by the
-// command-line tools.
+// attribute columns into core.Point values (encoding attributes
+// through an encode.Encoder), plus the JSON query configuration used
+// by the command-line tools.
 package ingest
 
 import (
@@ -41,10 +41,10 @@ type Schema struct {
 // parsing it, small enough that two per worker in flight stay a few MB.
 const blockSize = 256 << 10
 
-// CSVSource streams core.Points from RFC 4180 CSV data with a header
-// row, as encoding/csv reads it: empty lines are skipped, \r\n inside
-// and at the end of a line reads as \n, and every record must have the
-// header's number of fields. It reads the input in blocks of whole
+// CSVSource streams core.Point values from RFC 4180 CSV data with a
+// header row, as encoding/csv reads it: empty lines are skipped, \r\n
+// inside and at the end of a line reads as \n, and every record must
+// have the header's number of fields. It reads the input in blocks of whole
 // records and splits fields over the block's bytes, so a row costs no
 // allocation: an unquoted field is a subslice of the block, a quoted
 // one is unescaped in place, metrics are parsed from the field bytes

@@ -54,30 +54,6 @@ var ErrProducerClosed = errors.New("ingest: push producer is closed")
 type Push struct {
 	parts []*pushPartition
 	pool  *core.BatchPool
-
-	// Windowed-rate sampler state (see PartitionIngestStats' PerSec
-	// fields): stats reads more than rateWindow apart diff the
-	// cumulative counters into per-second gauges; reads inside the
-	// window serve the previous gauges, so hot pollers don't produce
-	// noisy near-zero-interval rates.
-	rateMu     sync.Mutex
-	now        func() time.Time // clock seam for tests
-	lastSample time.Time
-	prev       []rateSnap
-	gauges     []rateGauge
-	rateWindow time.Duration
-}
-
-// rateSnap is one partition's cumulative counters at the last window
-// boundary.
-type rateSnap struct {
-	points, batches, blockedNanos int64
-}
-
-// rateGauge is one partition's computed per-second rates over the most
-// recent complete window.
-type rateGauge struct {
-	pointsPerSec, batchesPerSec, blockedPerSec float64
 }
 
 // pushPartition is one partition's channel plus its close signal. The
@@ -161,11 +137,7 @@ func NewPush(partitions int) *Push {
 		parts: make([]*pushPartition, partitions),
 		// Free-list bound: every partition can have a full queue plus
 		// one batch being filled and one being consumed.
-		pool:       core.NewBatchPool(partitions * (pushQueueDepth + 2)),
-		now:        time.Now,
-		prev:       make([]rateSnap, partitions),
-		gauges:     make([]rateGauge, partitions),
-		rateWindow: 250 * time.Millisecond,
+		pool: core.NewBatchPool(partitions * (pushQueueDepth + 2)),
 	}
 	for i := range p.parts {
 		p.parts[i] = &pushPartition{
@@ -229,60 +201,24 @@ func (p *Push) CloseAll() {
 	}
 }
 
-// IngestStats implements core.IngestObservable: one live entry per
-// partition, appended to dst. Queued is the number of batches buffered
-// ahead of the engine right now; BlockedNanos accumulates the time
-// producers spent blocked on a full queue; Batches/Points count what
-// has been successfully enqueued. Safe to call concurrently with
-// producers and the consuming engine.
-func (p *Push) IngestStats(dst []core.PartitionIngestStats) []core.PartitionIngestStats {
-	base := len(dst)
-	for _, pp := range p.parts {
-		dst = append(dst, core.PartitionIngestStats{
+// IngestStats implements core.IngestObservable: one entry per
+// partition. Queued is the number of batches buffered ahead of the
+// engine right now; BlockedNanos accumulates the time producers spent
+// blocked on a full queue; Batches/Points count what has been
+// successfully enqueued. It only loads atomics, so a read moves no
+// other read, and it is safe to call concurrently with producers and
+// the consuming engine.
+func (p *Push) IngestStats() []core.PartitionIngestStats {
+	out := make([]core.PartitionIngestStats, len(p.parts))
+	for i, pp := range p.parts {
+		out[i] = core.PartitionIngestStats{
 			Queued:       len(pp.ch),
 			BlockedNanos: pp.blockedNanos.Load(),
 			Batches:      pp.batches.Load(),
 			Points:       pp.points.Load(),
-		})
-	}
-	p.sampleRates(dst[base:])
-	return dst
-}
-
-// sampleRates fills in the windowed PerSec gauges for the freshly read
-// cumulative entries (one per partition, in partition order). At most
-// one window is closed per rateWindow of wall clock; entries read
-// mid-window get the previous window's gauges.
-func (p *Push) sampleRates(entries []core.PartitionIngestStats) {
-	p.rateMu.Lock()
-	defer p.rateMu.Unlock()
-	now := p.now()
-	if p.lastSample.IsZero() {
-		// First read anchors the window; no rates until one elapses.
-		p.lastSample = now
-		for i := range entries {
-			p.prev[i] = rateSnap{entries[i].Points, entries[i].Batches, entries[i].BlockedNanos}
 		}
-		return
 	}
-	if dt := now.Sub(p.lastSample); dt >= p.rateWindow {
-		secs := dt.Seconds()
-		for i := range entries {
-			cur := rateSnap{entries[i].Points, entries[i].Batches, entries[i].BlockedNanos}
-			p.gauges[i] = rateGauge{
-				pointsPerSec:  float64(cur.points-p.prev[i].points) / secs,
-				batchesPerSec: float64(cur.batches-p.prev[i].batches) / secs,
-				blockedPerSec: float64(cur.blockedNanos-p.prev[i].blockedNanos) / 1e9 / secs,
-			}
-			p.prev[i] = cur
-		}
-		p.lastSample = now
-	}
-	for i := range entries {
-		entries[i].PointsPerSec = p.gauges[i].pointsPerSec
-		entries[i].BatchesPerSec = p.gauges[i].batchesPerSec
-		entries[i].BlockedPerSec = p.gauges[i].blockedPerSec
-	}
+	return out
 }
 
 // NextBatchInto implements core.PartitionStream. A queued batch no

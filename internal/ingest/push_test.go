@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -229,68 +229,39 @@ func partCSV(devOffset, rows int) string {
 	return b.String()
 }
 
-// TestPushWindowedRates drives the rate sampler through a fake clock:
-// the first stats read anchors the window and reports zero gauges, a
-// read one second later reports the per-second deltas, and a mid-window
-// read keeps serving the previous window's gauges instead of computing
-// rates over a sliver of wall clock.
-func TestPushWindowedRates(t *testing.T) {
+// TestPushIngestReadsAreIndependent: IngestStats only reads counters,
+// so two reads with no send between them are equal, however far apart
+// they are. A source that turned its counters into rates over a window
+// that reads open and close would report the sends below as a new rate
+// on the second read: the read before them opens the window, and the
+// second read, 300 ms after the first, closes it.
+func TestPushIngestReadsAreIndependent(t *testing.T) {
 	p := NewPush(2)
-	clock := time.Unix(1_000_000, 0)
-	p.now = func() time.Time { return clock }
-
 	ctx := context.Background()
+	p.IngestStats()
 	if err := p.Producer(0).Send(ctx, pushBatch(0, 100)); err != nil {
-		t.Fatal(err)
-	}
-
-	// First read: anchors the window, gauges are zero.
-	st := p.IngestStats(nil)
-	if st[0].PointsPerSec != 0 || st[0].BatchesPerSec != 0 || st[0].BlockedPerSec != 0 {
-		t.Errorf("rates before first window: %+v", st[0])
-	}
-
-	// One second later, after more traffic on both partitions and some
-	// simulated backpressure on partition 1.
-	if err := p.Producer(0).Send(ctx, pushBatch(100, 150)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Producer(1).Send(ctx, pushBatch(0, 60)); err != nil {
 		t.Fatal(err)
 	}
 	p.parts[1].blockedNanos.Add(int64(500 * time.Millisecond))
-	clock = clock.Add(time.Second)
-	st = p.IngestStats(st[:0])
-	if st[0].PointsPerSec != 150 || st[0].BatchesPerSec != 1 {
-		t.Errorf("partition 0 window rates: points/s %v batches/s %v, want 150, 1",
-			st[0].PointsPerSec, st[0].BatchesPerSec)
-	}
-	if st[1].PointsPerSec != 60 || st[1].BlockedPerSec != 0.5 {
-		t.Errorf("partition 1 window rates: points/s %v blocked/s %v, want 60, 0.5",
-			st[1].PointsPerSec, st[1].BlockedPerSec)
-	}
 
-	// Mid-window read: previous gauges survive, cumulative counters move.
-	if err := p.Producer(0).Send(ctx, pushBatch(250, 10)); err != nil {
-		t.Fatal(err)
+	first := p.IngestStats()
+	start := time.Now()
+	time.Sleep(300 * time.Millisecond)
+	second := p.IngestStats()
+	if gap := time.Since(start); gap < 300*time.Millisecond {
+		t.Fatalf("reads %v apart, want >= 300ms", gap)
 	}
-	clock = clock.Add(p.rateWindow / 2)
-	st = p.IngestStats(st[:0])
-	if st[0].Points != 260 {
-		t.Errorf("cumulative points %d, want 260", st[0].Points)
+	want := []core.PartitionIngestStats{
+		{Queued: 1, Batches: 1, Points: 100},
+		{Queued: 1, Batches: 1, Points: 60, BlockedNanos: int64(500 * time.Millisecond)},
 	}
-	if st[0].PointsPerSec != 150 {
-		t.Errorf("mid-window read recomputed the gauge: %v, want previous 150", st[0].PointsPerSec)
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("first read %+v, want %+v", first, want)
 	}
-
-	// Next full window: only the 10-point batch landed in it.
-	clock = clock.Add(p.rateWindow)
-	st = p.IngestStats(st[:0])
-	wantPts := 10 / (p.rateWindow.Seconds() * 1.5)
-	if math.Abs(st[0].PointsPerSec-wantPts) > 1e-9 {
-		t.Errorf("second window points/s %v, want %v", st[0].PointsPerSec, wantPts)
-	}
-	if st[1].PointsPerSec != 0 {
-		t.Errorf("idle partition 1 points/s %v, want 0", st[1].PointsPerSec)
+	if !reflect.DeepEqual(second, first) {
+		t.Fatalf("second read %+v differs from first %+v with no send between", second, first)
 	}
 }

@@ -115,7 +115,7 @@ func TestPushIngestStats(t *testing.T) {
 	if err := pr.Send(ctx, pushBatch(0, 10)); err != nil {
 		t.Fatal(err)
 	}
-	st := p.IngestStats(nil)
+	st := p.IngestStats()
 	if len(st) != 2 {
 		t.Fatalf("stats for %d partitions, want 2", len(st))
 	}
@@ -140,7 +140,7 @@ func TestPushIngestStats(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	st = p.IngestStats(st[:0])
+	st = p.IngestStats()
 	if st[0].Batches != 2 || st[0].Points != 15 {
 		t.Fatalf("post-drain stats: %+v", st[0])
 	}

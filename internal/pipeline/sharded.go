@@ -165,7 +165,8 @@ func validateStreaming(shards int) error {
 //
 // When the run coordinates the runner gets a ShardCoordinator that merges
 // per-shard score-quantile summaries into one global percentile cutoff
-// and pushes it back through classify.SetGlobalThreshold. Every shard's
+// and pushes it back through
+// classify.ThresholdCoordinable.SetGlobalThreshold. Every shard's
 // classifier is MDP's own, which does; only a test's fake classifier
 // implements no classify.ThresholdCoordinable, and it contributes and
 // receives nothing.
