@@ -771,7 +771,7 @@ func TestPushPollIngestIsTheAccount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond) // past a rate window: a second read of the source would differ
+	time.Sleep(300 * time.Millisecond) // time passes; the counters the stop reads must not move with it
 	var done streamResponse
 	if code := postJSON(t, srv.URL+"/stream/"+id+"/stop", &done); code != http.StatusOK {
 		t.Fatalf("stop status %d", code)

@@ -182,13 +182,13 @@
 // throughput, not P times the mean. Every multi-shard run therefore
 // routes through one level of indirection, and there is no other scatter
 // path: the scatter loop hashes a point's attributes to one of V virtual
-// buckets (core.HashBucket; V is core.DefaultRoutingBuckets, 256,
-// rounded up to a multiple of P) and looks the bucket up in a
-// versioned routing table ([]int32, bucket -> shard) read through an
-// atomic pointer. A rebalancing run
-// also adds one per-bucket load-counter increment per point; the data
-// plane stays allocation-free either way (the Route/p3s4 kernel gates 0
-// allocs/op with rebalancing active). A single shard has no table: each
+// buckets (core.HashBucket; V is core.RoutingBuckets(P):
+// core.DefaultRoutingBuckets, 256, rounded up to a multiple of P) and
+// looks the bucket up in a versioned routing table ([]int32, bucket ->
+// shard) read through an atomic pointer. A rebalancing run also adds
+// one per-bucket load-counter increment per point; the data plane stays
+// allocation-free either way (the Route/p3s4 kernel gates 0 allocs/op
+// with rebalancing active). A single shard has no table: each
 // read's batch is handed to the worker whole.
 //
 // Rebalancing rides the coordinator's one cadence, Config.CoordinateEvery
@@ -248,15 +248,17 @@
 // allocation-free and cache-resident:
 //
 //   - Node arenas. cps.Tree (M-CPS/CPS) and fptree.Tree store nodes in
-//     one contiguous slab ([]node addressed by int32 indexes) in
-//     first-child/next-sibling layout, with per-item node-link chains
-//     as int32 indexes too. Child lookup is constant time at every
-//     level: the root's children through a dense rank-indexed table
-//     (all a one-attribute query ever uses), every deeper node through
-//     an arena-owned open-addressed (parent, item) -> child hash index
-//     in one flat []int32 — with six attributes of cardinality 40-5000
-//     the fan-out sits at depth two and three, where walking sibling
-//     lists was 61% of a complex query's server CPU. The index is
+//     one contiguous slab ([]itemtree.Node addressed by int32 indexes).
+//     A node is its count, item, parent and per-item node-link, 24
+//     bytes (itemtree's TestNodeLayout pins it); its children are the
+//     nodes naming it as parent, in descending index order. Child
+//     lookup is constant time at every level: the root's children
+//     through a dense rank-indexed table (all a one-attribute query
+//     ever uses), every deeper node through an arena-owned
+//     open-addressed (parent, item) -> child hash index in one flat
+//     []int32 — with six attributes of cardinality 40-5000 the fan-out
+//     sits at depth two and three, where scanning a node's children
+//     was 61% of a complex query's server CPU. The index is
 //     scratch derived from the node slab: Clone does not copy it, an
 //     insert rebuilds it lazily, Reset drops it in O(1)
 //     (internal/itemtree has the invariants). Decay is a linear sweep
@@ -299,9 +301,9 @@
 // rebuilds it in three passes and no child-index probe:
 //
 //   - One reverse sweep over the slab adds each node's count to its
-//     parent's running sum. Sibling lists run descending by index
-//     (internal/itemtree, "Sibling order"), so each sum is the one a
-//     walk along the list takes, bit for bit, and a node's count minus
+//     parent's running sum. A node's children are taken in descending
+//     index order (internal/itemtree, "Child order"), latest created
+//     first, whatever numbering the slab has, and a node's count minus
 //     that sum is the weight of the transactions ending there. The sums
 //     take one float64 per node in the tree's path-weight buffer, which
 //     the extracted weights then overwrite; the buffer is kept across
@@ -316,9 +318,10 @@
 //
 // That is exactly the tree re-inserting every extracted path would
 // give — the same (path, weight) multiset, node counts, header counts
-// and sibling order — with nodes numbered level by level instead. The
-// re-insert is kept as a test oracle that every restructure of a
-// randomized differential and of FuzzTreeOps is compared against.
+// and order of each node's children — with nodes numbered level by
+// level instead. The re-insert is kept as a test oracle that every
+// restructure of a randomized differential and of FuzzTreeOps is
+// compared against.
 //
 // The numbering is chosen for the inserts that follow. Every insert
 // descends through the shallow nodes, and level order keeps them

@@ -84,7 +84,7 @@ func newComboSampler(s float64, enc *encode.Encoder, devices int, versions []str
 			combos = append(combos, combo{
 				dev: dev, ver: v,
 				shard: core.HashPartition(&pt, shards),
-				b:     core.HashBucket(&pt, core.DefaultRoutingBuckets),
+				b:     core.HashBucket(&pt, core.RoutingBuckets(shards)),
 			})
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 // DefaultRoutingBuckets is the default virtual-bucket count of the
 // routing table. The effective count is rounded up to a multiple of the
-// shard count (routingBuckets) so the identity table reproduces
+// shard count (RoutingBuckets) so the identity table reproduces
 // HashPartition placement bit-exactly until the first rebalance.
 const DefaultRoutingBuckets = 256
 
@@ -21,12 +21,14 @@ const DefaultRoutingBuckets = 256
 // summaries).
 const rebalanceAbove = 1.5
 
-// routingBuckets is the virtual-bucket count V of a shards-way run: the
+// RoutingBuckets is the virtual-bucket count V of a shards-way run: the
 // smallest multiple of shards >= max(DefaultRoutingBuckets, shards),
 // so that the identity table assign[b] = b % shards makes
 // (hash % V) % shards == hash % shards: routing is bit-identical to
-// HashPartition for every shard count until a rebalance fires.
-func routingBuckets(shards int) int {
+// HashPartition for every shard count until a rebalance fires. Code
+// that places points in buckets (HashBucket) ahead of a run takes the
+// count from here.
+func RoutingBuckets(shards int) int {
 	v := max(DefaultRoutingBuckets, shards)
 	if rem := v % shards; rem != 0 {
 		v += shards - rem
@@ -35,7 +37,7 @@ func routingBuckets(shards int) int {
 }
 
 // initRouting installs the run's routing state. A multi-shard run
-// starts on the identity table over routingBuckets(shards) buckets, so
+// starts on the identity table over RoutingBuckets(shards) buckets, so
 // placement is bit-identical to HashPartition until a rebalance; the
 // per-partition bucket load counters exist only when the run
 // rebalances. A single shard has no table: its reads are handed over
@@ -46,7 +48,7 @@ func (r *StreamRunner) initRouting(shards, parts int) {
 	if shards == 1 {
 		return
 	}
-	assign := make([]int32, routingBuckets(shards))
+	assign := make([]int32, RoutingBuckets(shards))
 	for b := range assign {
 		assign[b] = int32(b % shards)
 	}

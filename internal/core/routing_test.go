@@ -19,12 +19,12 @@ func TestRebalancePolicyNormalize(t *testing.T) {
 		{300, 300}, // more shards than the default: one bucket each
 	}
 	for _, c := range cases {
-		got := routingBuckets(c.shards)
+		got := RoutingBuckets(c.shards)
 		if got != c.want {
-			t.Errorf("routingBuckets(%d): got %d buckets, want %d", c.shards, got, c.want)
+			t.Errorf("RoutingBuckets(%d): got %d buckets, want %d", c.shards, got, c.want)
 		}
 		if got%c.shards != 0 {
-			t.Errorf("routingBuckets(%d): %d not a multiple of %d", c.shards, got, c.shards)
+			t.Errorf("RoutingBuckets(%d): %d not a multiple of %d", c.shards, got, c.shards)
 		}
 	}
 }
@@ -36,7 +36,7 @@ func TestRebalancePolicyNormalize(t *testing.T) {
 // that don't.
 func TestIdentityTableMatchesHashPartition(t *testing.T) {
 	for _, shards := range []int{2, 3, 4, 5, 7, 8, 16} {
-		buckets := routingBuckets(shards)
+		buckets := RoutingBuckets(shards)
 		assign := make([]int32, buckets)
 		for b := range assign {
 			assign[b] = int32(b % shards)
@@ -179,7 +179,7 @@ func TestRebalanceAssignSingleGiantBucket(t *testing.T) {
 func TestMaybeRebalanceJudgesOnlyFullWindows(t *testing.T) {
 	const shards = 2
 	r := &StreamRunner{coordEvery: 1000}
-	buckets := routingBuckets(shards)
+	buckets := RoutingBuckets(shards)
 	assign := make([]int32, buckets)
 	for b := range assign {
 		assign[b] = int32(b % shards)
@@ -240,7 +240,7 @@ func TestStreamRunnerRebalancesSkewedLoad(t *testing.T) {
 	)
 	// Hot attribute vectors: single-attr points whose hash lands on
 	// shard 0, but in distinct buckets so they can spread.
-	buckets := routingBuckets(shards)
+	buckets := RoutingBuckets(shards)
 	var hot []int32
 	seen := map[int]bool{}
 	for a := int32(0); len(hot) < 8 && a < 100_000; a++ {

@@ -7,7 +7,7 @@
 // be on average 130x slower.
 //
 // The tree is flat: nodes live in a single arena slab (itemtree.Arena,
-// first-child/next-sibling layout addressed by int32 indexes) and the
+// each node naming its parent by int32 index) and the
 // per-item rank, header, and allowed tables are dense slices indexed
 // directly by attribute id. Attribute ids are dense by construction of
 // encode.Encoder — that density is load-bearing; see the package
@@ -195,9 +195,10 @@ func endWeight(count, childSum float64) float64 {
 
 // childSums sweeps the slab once in reverse, adding every node's count
 // to its parent's entry of t.pathW (len(Nodes) of them), and returns
-// that slice. Sibling lists run descending by index (the itemtree
-// package comment), so each entry is summed in sibling-list order: the
-// very float sum a walk along the list would take.
+// that slice. A node's children are the nodes naming it as parent, in
+// descending index order (the itemtree package comment, "Child
+// order"), so each entry sums the children in that order, latest
+// created first.
 func (t *Tree) childSums() []float64 {
 	nodes := t.arena.Nodes
 	sums := slices.Grow(t.pathW[:0], len(nodes))[:len(nodes)]
@@ -279,11 +280,11 @@ func (t *Tree) path(i int) []int32 {
 // slab is built top down by splitting the paths on their item at each
 // depth (build). The result is the tree that re-inserting every
 // extracted transaction in extraction order would give — the same
-// (path, weight) multiset, node counts, header counts and sibling
-// order, bit for bit, as the tests require of every call — except that
-// nodes are numbered level by level instead of in insertion order, with
-// no child-index probe per item. The next insert below the root
-// rebuilds the child index.
+// (path, weight) multiset, node counts, header counts and order of
+// each node's children, bit for bit, as the tests require of every
+// call — except that nodes are numbered level by level instead of in
+// insertion order, with no child-index probe per item. The next insert
+// below the root rebuilds the child index.
 func (t *Tree) Restructure(items []int32, counts []float64, retain float64) {
 	// Decay in place first so extracted path weights are decayed.
 	t.arena.Decay(retain)
@@ -429,13 +430,14 @@ func (t *Tree) rankPaths() {
 // stable bucket pass that takes buckets in first-occurrence order
 // (split); each bucket becomes one child whose count sums the bucket's
 // weights in extraction order. That is the node, the count and the
-// sibling order the replay's inserts produce: Insert would create that
-// child at the bucket's first path and add the bucket's weights to it
-// in the same order. Nodes are numbered level by level, so siblings are
-// adjacent and ascending (their lists stay descending by index), and
-// the shallow nodes every insert descends through sit together at the
-// front of the slab, where the child index, rebuilt in slab order, also
-// gives them their home slots.
+// child creation order the replay's inserts produce: Insert would
+// create that child at the bucket's first path and add the bucket's
+// weights to it in the same order. Nodes are numbered level by level,
+// so a node's children are adjacent and ascending in creation order
+// (child order, descending index, is the replay's), and the shallow
+// nodes every insert descends through sit together at the front of the
+// slab, where the child index, rebuilt in slab order, also gives them
+// their home slots.
 //
 // perm holds the paths that reach the current depth and par the node
 // each hangs from, groups adjacent and in node order; keys is the

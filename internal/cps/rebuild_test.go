@@ -27,20 +27,34 @@ func (t *Tree) restructureReplay(items []int32, counts []float64, retain float64
 
 // treeShape is what the rebuild must share with the replay: per node,
 // keyed by its root-first item path, the count's bits and the items of
-// its children in sibling-list order; per path ForEachPath yields, the
-// weight's bits; per item, the header count's bits.
+// its children in child order (descending index); per path ForEachPath
+// yields, the weight's bits; per item, the header count's bits.
 type treeShape struct {
 	nodes   map[string]string
 	paths   map[string]uint64
 	headers map[int32]uint64
 }
 
+// childLists derives every node's children from Parent in one reverse
+// pass over the slab: the nodes naming each parent, in descending index
+// order, the order childSums adds them in. Every parent must precede
+// its child in the slab.
+func childLists(nodes []itemtree.Node) [][]int32 {
+	kids := make([][]int32, len(nodes))
+	for i := len(nodes) - 1; i > 0; i-- {
+		p := nodes[i].Parent
+		kids[p] = append(kids[p], int32(i))
+	}
+	return kids
+}
+
 func shapeOf(tr *Tree) treeShape {
 	s := treeShape{nodes: map[string]string{}, paths: map[string]uint64{}, headers: map[int32]uint64{}}
 	nodes := tr.arena.Nodes
+	lists := childLists(nodes)
 	for i := 1; i < len(nodes); i++ {
 		kids := []int32{}
-		for c := nodes[i].First; c != itemtree.NilIdx; c = nodes[c].Next {
+		for _, c := range lists[i] {
 			kids = append(kids, nodes[c].Item)
 		}
 		s.nodes[fmt.Sprint(appendPath(nil, nodes, int32(i), nil))] = fmt.Sprint(math.Float64bits(nodes[i].Count), kids)
@@ -55,26 +69,32 @@ func shapeOf(tr *Tree) treeShape {
 }
 
 // structureErr checks the arena wiring a rebuilt or merged tree must
-// have: every sibling list strictly descending by index with correct
-// parents — so that childSums' reverse sweep adds each node's children
-// in list order, bit for bit the sum of a walk along the list — the
-// root-child table pointing at the root's child of each rank, and every
-// header chain holding exactly the nodes of its item.
+// have: every node's parent ahead of it in the slab, no two children of
+// a node carrying one item, childSums' reverse sweep equal bit for bit
+// to a sum over each node's children in child order, the root-child
+// table pointing at the root's child of each rank, and every header
+// chain holding exactly the nodes of its item.
 func structureErr(tr *Tree) string {
 	nodes := tr.arena.Nodes
+	for i := 1; i < len(nodes); i++ {
+		if p := nodes[i].Parent; p < 0 || p >= int32(i) {
+			return fmt.Sprintf("node %d: parent %d does not precede it", i, p)
+		}
+	}
 	sums := tr.childSums()
-	for i := range nodes {
-		prev := int32(len(nodes))
+	seen := map[int32]int32{}
+	for i, kids := range childLists(nodes) {
+		clear(seen)
 		walk := 0.0
-		for c := nodes[i].First; c != itemtree.NilIdx; c = nodes[c].Next {
-			if c >= prev || nodes[c].Parent != int32(i) {
-				return fmt.Sprintf("node %d: child %d (parent %d) after %d", i, c, nodes[c].Parent, prev)
+		for _, c := range kids {
+			if d, ok := seen[nodes[c].Item]; ok {
+				return fmt.Sprintf("node %d: children %d and %d both carry item %d", i, d, c, nodes[c].Item)
 			}
-			prev = c
+			seen[nodes[c].Item] = c
 			walk += nodes[c].Count
 		}
 		if math.Float64bits(walk) != math.Float64bits(sums[i]) {
-			return fmt.Sprintf("node %d: child sum %v, sibling walk %v", i, sums[i], walk)
+			return fmt.Sprintf("node %d: child sum %v, sum over its children %v", i, sums[i], walk)
 		}
 	}
 	perItem := map[int32]int{}

@@ -36,22 +36,6 @@ type SkewData struct {
 	HotShare float64
 }
 
-// routingBucketsFor mirrors the routing table's bucket count in
-// internal/core (routingBuckets): the smallest multiple of shards >=
-// core.DefaultRoutingBuckets. The generator needs it to pick
-// hot devices in distinct buckets, so a rebalance can actually separate
-// them.
-func routingBucketsFor(shards int) int {
-	v := core.DefaultRoutingBuckets
-	if v < shards {
-		v = shards
-	}
-	if rem := v % shards; rem != 0 {
-		v += shards - rem
-	}
-	return v
-}
-
 // SkewedDevices generates points points of a Zipf-skewed device
 // workload, fixed by seed: device popularity follows a Zipf law, and
 // (optionally) the hottest ranks are assigned device ids engineered so
@@ -81,7 +65,7 @@ func SkewedDevices(points, pinShards int, seed uint64) *SkewData {
 	// rankDev[r] is the device id holding popularity rank r.
 	rankDev := make([]int32, 0, skewDevices)
 	if pinShards > 1 {
-		buckets := routingBucketsFor(pinShards)
+		buckets := core.RoutingBuckets(pinShards)
 		seenBucket := make(map[int]bool, skewHotRanks)
 		hot := make(map[int32]bool, skewHotRanks)
 		// First pass: shard-0 ids in distinct buckets, hottest ranks.

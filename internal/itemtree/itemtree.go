@@ -1,6 +1,6 @@
 // Package itemtree is the shared flat-arena core of MacroBase's two
 // prefix trees (internal/cps, internal/fptree): a contiguous node slab
-// addressed by int32 indexes in first-child/next-sibling layout, with
+// addressed by int32 indexes, each node naming its parent, with
 // per-rank header chains for node-link traversals and O(1) child lookup
 // at every level. The packages on top own item semantics (what a token
 // means, how ranks are assigned, when headers accumulate); this package
@@ -42,26 +42,29 @@
 // owner that rebuilds a whole tree with AppendChild, which needs no
 // index, may borrow the kept slab as working space (BorrowScratch).
 //
-// The sibling list (First/Next) is still maintained; the index only
-// replaces the walk along it that InsertSorted used to do. A (parent,
-// item) pair names at most one node, so the lookup returns the very
-// child that walk would have found, and node creation order,
-// header-chain order and sibling order — everything a later float
-// summation runs over — are unchanged bit for bit. The test suite keeps
-// the sibling-scan insert as a reference and requires DeepEqual slabs.
+// A (parent, item) pair names at most one node, so the lookup returns
+// the one child any search would find, and node creation order and
+// header-chain order — everything a later float summation runs over —
+// follow from the inserts alone. The test suite keeps a map-keyed
+// insert as a reference and requires DeepEqual slabs.
 //
-// # Sibling order
+// # Child order
 //
-// Every sibling list runs strictly descending by index. A new node is
-// always appended to the slab and head-inserted into its parent's list
-// (InsertSorted and AppendChild share that one wiring), CloneInto
-// copies the slab as it is, and nothing else moves a node. Owners rely
-// on it: a reverse sweep over the slab that adds each node's count to
-// its parent's running sum (cps's terminal weights) visits every list
-// in list order, so it reproduces a walk along the list bit for bit
-// without chasing a pointer. An owner that builds with AppendChild
-// keeps the invariant by construction; one that wrote Nodes directly
-// would have to keep it by hand.
+// A node stores no list of its children: they are the nodes whose
+// Parent is it, taken in descending index order. A new node is always
+// appended to the slab (InsertSorted and AppendChild share that one
+// wiring), CloneInto copies the slab as it is, and nothing else moves a
+// node, so the order is fixed the moment a child is created. Owners
+// rely on it: a reverse sweep over the slab that adds each node's count
+// to its parent's running sum (cps's terminal weights) takes every
+// node's children in that order, latest created first, so two trees
+// that created each node's children in the same order take the same
+// float sums bit for bit, however their slabs are numbered.
+//
+// A node is four fields — Count, Item, Parent, Link — 24 bytes, and
+// TestNodeLayout pins that size, so a field added back is a choice made
+// on purpose: every tree node of every session pays for it, and every
+// poll copies it.
 //
 // # Concurrency
 //
@@ -82,20 +85,20 @@ import (
 )
 
 // NilIdx marks an empty int32 index slot. Node index 0 is the root, so
-// 0 doubles as "none" for child/sibling/link slots (the root can never
-// be a child, a sibling, or on a header chain).
+// 0 doubles as "none" for link, root-child and child-index slots (the
+// root can never be a child or on a header chain); as a Parent it names
+// the root.
 const NilIdx = int32(0)
 
-// Node is one arena slot. First/Next encode the child list
-// (first-child/next-sibling); Link is the per-item header chain.
-// Item is a token whose meaning the owning package defines (an
-// attribute id, or a parent-tree rank in FPGrowth conditionals).
+// Node is one arena slot. Parent is the tree edge (a node's children
+// are the nodes naming it, in descending index order); Link is the
+// per-item header chain. Item is a token whose meaning the owning
+// package defines (an attribute id, or a parent-tree rank in FPGrowth
+// conditionals).
 type Node struct {
 	Count  float64
 	Item   int32 // owner-defined token
 	Parent int32 // arena index; 0 = root
-	First  int32 // first child, 0 = none
-	Next   int32 // next sibling, 0 = none
 	Link   int32 // next node with the same item, 0 = none
 }
 
@@ -223,8 +226,8 @@ func SortByRankDesc(items []int32, rank []int32) {
 }
 
 // InsertSorted descends the tree along a rank-sorted transaction,
-// creating missing nodes (wired into the sibling list, the root-child
-// table or the child index, and the per-rank header chain) and adding w
+// creating missing nodes (entered in the root-child table or the child
+// index, and linked into the per-rank header chain) and adding w
 // to every node on the path. Header count accumulation stays with the
 // owner, whose semantics differ between the trees. rank must cover
 // every item.
@@ -257,14 +260,13 @@ func (a *Arena) InsertSorted(items []int32, rank []int32, w float64) {
 }
 
 // newChild appends a node carrying item (of rank r) with the given
-// count below parent: head-inserted into parent's sibling list (so the
-// list stays descending by index), entered in the root-child table when
-// parent is the root, and linked at the tail of the rank's header
-// chain. The child index is the caller's business.
+// count below parent — the highest index among parent's children, so
+// it comes first in child order — enters it in the root-child table
+// when parent is the root, and links it at the tail of the rank's
+// header chain. The child index is the caller's business.
 func (a *Arena) newChild(parent, item, r int32, count float64) int32 {
 	child := int32(len(a.Nodes))
-	a.Nodes = append(a.Nodes, Node{Count: count, Item: item, Parent: parent, Next: a.Nodes[parent].First})
-	a.Nodes[parent].First = child
+	a.Nodes = append(a.Nodes, Node{Count: count, Item: item, Parent: parent})
 	if parent == NilIdx {
 		a.RootChild[r] = child
 	}
@@ -281,11 +283,11 @@ func (a *Arena) newChild(parent, item, r int32, count float64) int32 {
 // AppendChild is the builder's insert, for an owner that constructs a
 // whole tree at once from paths it has already grouped (cps's
 // Restructure): it creates a child of parent carrying item, of rank r,
-// with the given count, wired exactly as InsertSorted wires a new node
-// — but it looks nothing up, so the caller must know that parent has
-// no such child yet, and it leaves the child index dropped (the next
-// InsertSorted below a root child rebuilds it). It returns the child's
-// index.
+// with the given count, appended to the slab and wired exactly as
+// InsertSorted wires a new node — but it looks nothing up, so the
+// caller must know that parent has no such child yet, and it leaves the
+// child index dropped (the next InsertSorted below a root child
+// rebuilds it). It returns the child's index.
 func (a *Arena) AppendChild(parent, item, r int32, count float64) int32 {
 	a.dropIndex()
 	return a.newChild(parent, item, r, count)

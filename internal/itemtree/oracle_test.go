@@ -1,37 +1,34 @@
 package itemtree
 
 import (
+	"maps"
 	"math/rand/v2"
 	"reflect"
 	"testing"
 )
 
-// scanInsertSorted is InsertSorted as it was before the child index:
-// below the root it finds a child by walking the parent's sibling
-// list. It is kept, in tests only, as the reference the indexed lookup
-// must reproduce bit for bit — same nodes in the same creation order,
-// same First/Next and Link wiring — and it never touches the index
-// fields, so an oracle arena stays index-free.
-func scanInsertSorted(a *Arena, items []int32, rank []int32, w float64) {
+// mapInsertSorted is InsertSorted without the child index: below the
+// root it finds a child in kids, a test-side map from (parent, item) to
+// child that it keeps up to date itself. It is the reference the
+// indexed lookup must reproduce bit for bit — same nodes in the same
+// creation order, same Parent and Link wiring — and it never touches
+// the index fields, so an oracle arena stays index-free.
+func mapInsertSorted(a *Arena, kids map[[2]int32]int32, items []int32, rank []int32, w float64) {
 	cur := NilIdx
 	for _, it := range items {
-		child := NilIdx
+		var child int32
 		if cur == NilIdx {
 			child = a.RootChild[rank[it]]
 		} else {
-			for c := a.Nodes[cur].First; c != NilIdx; c = a.Nodes[c].Next {
-				if a.Nodes[c].Item == it {
-					child = c
-					break
-				}
-			}
+			child = kids[[2]int32{cur, it}]
 		}
 		if child == NilIdx {
 			child = int32(len(a.Nodes))
-			a.Nodes = append(a.Nodes, Node{Item: it, Parent: cur, Next: a.Nodes[cur].First})
-			a.Nodes[cur].First = child
+			a.Nodes = append(a.Nodes, Node{Item: it, Parent: cur})
 			if cur == NilIdx {
 				a.RootChild[rank[it]] = child
+			} else {
+				kids[[2]int32{cur, it}] = child
 			}
 			h := &a.Headers[rank[it]]
 			if h.Tail == NilIdx {
@@ -105,17 +102,19 @@ func (g *txGen) addRanks(a *Arena) {
 	}
 }
 
-// pair drives the indexed arena and the scan oracle in lockstep.
+// pair drives the indexed arena and the map-keyed oracle in lockstep;
+// kids is the oracle's (parent, item) -> child map.
 type pair struct {
 	t      *testing.T
 	g      *txGen
 	a, ref *Arena
+	kids   map[[2]int32]int32
 	tx     []int32
 	q      []int32
 }
 
 func newPair(t *testing.T, g *txGen) *pair {
-	p := &pair{t: t, g: g, a: &Arena{}, ref: &Arena{}}
+	p := &pair{t: t, g: g, a: &Arena{}, ref: &Arena{}, kids: map[[2]int32]int32{}}
 	p.a.Init()
 	p.ref.Init()
 	g.addRanks(p.a)
@@ -128,7 +127,7 @@ func (p *pair) insert(n int) {
 		p.tx = p.g.next(p.tx)
 		w := float64(1 + p.g.rng.IntN(3))
 		p.a.InsertSorted(p.tx, p.g.rank, w)
-		scanInsertSorted(p.ref, p.tx, p.g.rank, w)
+		mapInsertSorted(p.ref, p.kids, p.tx, p.g.rank, w)
 		if i%97 == 0 {
 			p.read()
 		}
@@ -154,32 +153,48 @@ func (p *pair) read() {
 func (p *pair) equal(phase string) {
 	p.t.Helper()
 	if !reflect.DeepEqual(p.a.Nodes, p.ref.Nodes) {
-		p.t.Fatalf("%s: Nodes diverge from the sibling-scan oracle (%d vs %d nodes)", phase, len(p.a.Nodes), len(p.ref.Nodes))
+		p.t.Fatalf("%s: Nodes diverge from the map-keyed oracle (%d vs %d nodes)", phase, len(p.a.Nodes), len(p.ref.Nodes))
 	}
 	if !reflect.DeepEqual(p.a.Headers, p.ref.Headers) {
-		p.t.Fatalf("%s: Headers diverge from the sibling-scan oracle", phase)
+		p.t.Fatalf("%s: Headers diverge from the map-keyed oracle", phase)
 	}
 	if !reflect.DeepEqual(p.a.RootChild, p.ref.RootChild) {
-		p.t.Fatalf("%s: RootChild diverges from the sibling-scan oracle", phase)
+		p.t.Fatalf("%s: RootChild diverges from the map-keyed oracle", phase)
 	}
 	if p.ref.index != nil {
 		p.t.Fatalf("%s: the oracle grew an index", phase)
 	}
 }
 
-// clone forks both sides; the generator (and so the stream of
-// transactions) is shared, which makes the copies diverge.
-func (p *pair) clone() *pair {
-	c := &pair{t: p.t, g: p.g, a: &Arena{}, ref: &Arena{}}
+// cloneInto forks both sides into c; the generator (and so the stream
+// of transactions) is shared, which makes the copies diverge.
+func (p *pair) cloneInto(c *pair) {
 	p.a.CloneInto(c.a)
 	p.ref.CloneInto(c.ref)
+	c.kids = maps.Clone(p.kids)
+}
+
+func (p *pair) clone() *pair {
+	c := &pair{t: p.t, g: p.g, a: &Arena{}, ref: &Arena{}}
+	p.cloneInto(c)
 	return c
+}
+
+// reset empties both sides and re-registers the generator's ranks.
+func (p *pair) reset() {
+	p.a.Reset()
+	p.ref.Reset()
+	clear(p.kids)
+	p.g.addRanks(p.a)
+	p.g.addRanks(p.ref)
 }
 
 // TestIndexedInsertMatchesSiblingScan is the differential oracle for
 // the child index: every phase that can build, grow, drop or rebuild
 // the table must leave Nodes, Headers and RootChild DeepEqual to what
-// the linear sibling scan produces.
+// the map-keyed reference insert produces. (The reference was once a
+// walk along sibling links; nodes keep no such links now, and the map
+// finds the same child.)
 func TestIndexedInsertMatchesSiblingScan(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -237,20 +252,16 @@ func TestIndexedInsertMatchesSiblingScan(t *testing.T) {
 			}
 
 			// Cloning over an arena that has an index must invalidate it.
-			p.a.CloneInto(c.a)
-			p.ref.CloneInto(c.ref)
+			p.cloneInto(c)
 			c.insert(1000)
 			c.equal("clone over indexed arena")
 
 			// Reset and reuse: a smaller tree on the retained slabs.
 			slab := cap(p.a.index)
-			p.a.Reset()
-			p.ref.Reset()
+			p.reset()
 			if len(p.a.index) != 0 {
 				t.Fatalf("Reset left a %d-slot logical table", len(p.a.index))
 			}
-			p.g.addRanks(p.a)
-			p.g.addRanks(p.ref)
 			p.insert(1500)
 			p.equal("reset")
 			if cap(p.a.index) != slab {

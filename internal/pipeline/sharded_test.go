@@ -389,8 +389,8 @@ func TestLivePollEqualsFinal(t *testing.T) {
 			if want := []int64{int64(len(d.Points))}; !reflect.DeepEqual(live.Stats.Committed, want) || !reflect.DeepEqual(final.Stats.Committed, want) {
 				t.Errorf("committed: live %v, final %v, want %v", live.Stats.Committed, final.Stats.Committed, want)
 			}
-			// Queued and the windowed rates are instantaneous gauges; the
-			// cumulative counters must agree.
+			// Queued is the one instantaneous gauge; the cumulative
+			// counters must agree.
 			cumulative := func(in []core.PartitionIngestStats) []core.PartitionIngestStats {
 				out := make([]core.PartitionIngestStats, len(in))
 				for i, p := range in {
