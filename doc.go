@@ -90,15 +90,18 @@
 // TestGlobalThresholdFixesHotShardDrift).
 //
 // The fix is periodic cross-shard coordination of the one statistic
-// that must be global. classify.Streaming exports a mergeable score
-// summary (the ADR score reservoir's weighted sample); every
-// Config.CoordinateEvery points of stream progress, a coordinator
-// goroutine in core.StreamRunner collects the summaries on the worker
-// goroutines between batches, as the snapshot path does, pools them into a
-// weighted global quantile (stats.WeightedQuantile — each reservoir
-// weighted by the decayed point mass it represents), and pushes the
-// pooled cutoff back to every shard (classify.Streaming.
-// SetGlobalThreshold). A global cutoff overrides the shard-local
+// that must be global. A classifier whose cutoff can be coordinated is
+// a core.ThresholdCoordinable: classify.Streaming exports a score
+// sample (the ADR score reservoir's sample and its decayed weight);
+// every Config.CoordinateEvery points of stream progress, a coordinator
+// goroutine in core.StreamRunner collects the live shards' samples on
+// their worker goroutines between batches, as the snapshot path does,
+// pools them into a weighted global quantile at Config.Percentile
+// (stats.WeightedQuantile — each reservoir weighted by the decayed
+// point mass it represents), and pushes the pooled cutoff back to every
+// live shard (classify.Streaming.SetGlobalThreshold). A quarantined
+// shard takes no part: its slot is cleared before each collect, so a
+// round never pools the sample it gave before it died. A global cutoff overrides the shard-local
 // percentile estimate and suppresses local drift correction until the
 // shard's next retrain recomputes — and re-coordinates — from fresh
 // local state.
@@ -165,7 +168,7 @@
 // (pipeline.StreamSession's newResult) from one Stats read and one view
 // per shard: the poll's snapshot clones, or the replicas once Wait has
 // returned. The poll reads Stats after its snapshot round, so a shard
-// that answered with its quarantine marker is already among
+// that ran no view there because it was quarantined is already among
 // ShardFailures. A shard's outlier rate is its outliers over the points
 // it classified in both. So a poll of a stream whose every point has
 // been consumed equals the final result: statistics, committed offsets,
@@ -828,7 +831,10 @@
 // core.StreamStats.Degraded plus one core.ShardFailure per dead shard,
 // read through core.StreamRunner.Stats by every live poll as well as
 // the final result, and folded by mbserver into the "health" block of
-// every /stream/{id} response.
+// every /stream/{id} response. A dead shard runs no snapshot view and
+// no threshold-round request, so no poll and no round reads its suspect
+// state (core.TestSnapshotSkipsQuarantinedShard,
+// core.TestQuarantinedShardLeavesThresholdRounds).
 //
 // # Profiling a live session
 //
@@ -877,8 +883,8 @@
 //     pipeline kernels measure the core budget there, not the code). A
 //     baseline without kernels, or no kernel lines on stdin, is an
 //     error. A regression lands only together with a new justified
-//     baseline. The baseline and its history are under "Kernel
-//     baseline" below.
+//     baseline. The baseline and its history are in BENCH_PR32.md
+//     (see "Kernel baseline" below).
 //   - bench-smoke vets the end-to-end harness and runs its own tests
 //     (`cd bench && go vet ./... && go test ./...`: every workload at
 //     toy size, and the test that the staged replay still matches the
@@ -911,153 +917,13 @@
 //
 // # Kernel baseline
 //
-// BENCH_PR32.json (go1.24, go_max_procs 2, on the 2-core box) is the
-// one committed kernel baseline: each entry the middle of three runs in
-// one sitting, the three MCDFit ones in a later sitting than the rest
-// and Poll/p3s4 in a third. It reads, in µs/op:
-//
-//	consume                  233    PushIngest/p3s4          54.8
-//	poll-full               2740    Coordinate/p3s4          61.6
-//	Poll/p3s4               7774    Rebalance/p3s4           59.5
-//	FPGrowthMine           12369    Rebalance/p3s4-pinned    57.9
-//	MCDFit/n10k-p7, ms      41.0    Route/p3s4               19.4
-//	MCDFit/n10k-p2, ms      26.6    binary-decode             103
-//	MCDFit/n40k-p7, ms       102
-//
-// It was recorded by mbbench's own copies of these kernels, since
-// deleted: each is now the root Benchmark function of the same name
-// (BenchmarkStreamingExplain/consume, BenchmarkPoll/p3s4, ...), with
-// the same data and definition, and reads the same allocs/op. A new
-// baseline is the -json report of a -compare run. One definition has
-// moved since: every p3s4 session is warmed, Coordinate/p3s4 and the
-// two Rebalance kernels included, and waits untimed until its shards
-// have taken the warm-up in. Unwarmed, those three timed a session's
-// growth and divided it by b.N, so their allocs/op read 18-19 at
-// -benchtime 200ms and 4-5 at 1s; warmed, they read 1-2 and 1, against
-// the baseline's 3. What is left of the fixed cost is Stop's drain and
-// final result, which the session cannot separate.
-//
-// CI's hot-path step also records kernels no baseline gates:
-// StreamingExplain/clone, Fig6Sketches, MCPSvsCPS, CSVRead,
-// ExplainBatch (the one-shot explain stage, see "One-shot answers"),
-// BenchmarkMahalanobisSweep, BenchmarkSelectKeyIdx and BenchmarkMeanCov
-// in internal/stats (the C-step's sweep, selection and re-estimate,
-// below), BenchmarkParseFloat in internal/ingest (a batch file's metric
-// fields through strconv and through the fast path, per field), and
-// BenchmarkRestructure in internal/cps
-// (`go test -bench BenchmarkRestructure -benchmem ./internal/cps/`),
-// one decay tick of a 500K-node inlier-style
-// tree streamed from six-attribute CMT points. "rebuild" is
-// Restructure, "replay" the test oracle that re-inserts every path;
-// both allocate nothing. Each op ends with the next window's first
-// insert, since after a rebuild that insert rebuilds the child index
-// (the replay builds it as it goes). In ms/op, the median of five runs
-// of 20 iterations each, both sub-benchmarks in every run:
-//
-//	Restructure/rebuild          114
-//	Restructure/replay           148
-//
-// On a 2-vCPU box runs drift by up to 1.5x within a sitting, and the
-// replay read 0.98-1.42x the rebuild run by run; compare the two
-// sub-benchmarks within one run, over several runs.
-//
-// MahalanobisSweep times one C-step's distance pass over 10K rows at
-// p=7, per point: one-point is a MahalanobisSq loop, four-point the Go
-// sweep (the only one off amd64 and the tests' reference) and avx2 the
-// assembly kernel MahalanobisSqAll runs where the CPU has AVX2 (the case
-// is absent elsewhere). SelectKeyIdx selects the 20K closest of 40K
-// sweep keys in a fresh copy of the slab, per point. On the 2-vCPU box,
-// in one sitting: one-point ~72, four-point ~28-38, avx2 ~11-12 ns a
-// point; SelectKeyIdx ~13 ns a point, where the introselect it replaced
-// read ~20-23. All allocate nothing. MeanCov re-estimates from 20K of
-// 40K rows at p=7 in C-step order, per point: row-major is the test
-// oracle that adds into every cell a row, go the column-major Go sums
-// and avx2 the kernel (absent without AVX2).
-//
-// CSVRead reads batch_query's input shape, a 40K-row, 8 MB CMT CSV
-// (7 metrics, 6 attributes), through a warmed encoder: serial is the
-// streaming read (NextBatchInto into a recycled batch), parallel the
-// one-shot read (ReadAll). On the 2-vCPU box serial reads ~50-60 ms/op
-// and 45 allocs/op (1.75 MB), all of them the source's set-up (its
-// first block, the header's names and column maps) and the slabs of
-// the one block it parses into and recycles, and parallel ~26-34 ms/op
-// and ~127 allocs/op: the set-up, the in-flight blocks, and each of
-// the 32 blocks' two slabs (metrics and attribute ids). A row allocates
-// nothing on either; the encoding/csv read it replaced allocated three
-// times a row in Next (the record string and each point's two
-// payloads).
-//
-// poll-warm, poll-inlier-moved and DeltaMine/steady-drift measured the
-// reuse layers "One poll path" describes and were deleted with them.
-// Poll/p3s4 times the session's merged poll over four static shards: a
-// Clone of each shard, then MergeStreamingInto on the polling
-// goroutine; its four whole clones, inlier trees included (7.3 MB an
-// op), are most of its cost, the more so since the mine covers only the
-// qualified attributes. The MCDFit rows are one default-config
-// mcd.Fit over a workload dataset's metrics, in ms/op: a shard's
-// reservoir refit on firehose_xc (p7) and poll_drift (p2), and
-// batch_query's 40K training sample. A default-config fit runs on
-// GOMAXPROCS goroutines; the baseline's rows were the serial fit at
-// GOMAXPROCS 2, and BenchmarkMCDFit pins GOMAXPROCS 1 around its loop,
-// so -compare gates the one-worker fit whatever -cpu says, and -cpu 1,2
-// no longer shows the crew (time a fit at two workers outside the
-// benchmark for that). Before the pin moved into the root kernel, -cpu
-// 1 and -cpu 2 in one sitting (`go test -run '^$' -bench
-// BenchmarkMCDFit -benchmem -cpu 1,2 -count 5 -benchtime 10x .`, medians
-// of five; this sitting read the serial fit 1.4-1.6x slower than the
-// baseline's) read:
-//
-//	kernel            -cpu 1 ms  allocs/op   -cpu 2 ms  allocs/op
-//	MCDFit/n10k-p7         57.3        293        45.7        307
-//	MCDFit/n10k-p2         42.6        293        29.3        307
-//	MCDFit/n40k-p7          159        293         117        307
-//
-// The 14 extra allocations are the crew and its one helper's stepper.
-// A one-worker fit has since taken the same path, with a crew of no
-// helpers: every trial's start is drawn before any is stepped, where the
-// serial branch it replaced drew, stepped and offered one trial at a
-// time, and the five subsets of the nested strategy take one slab of
-// starts in turn (279 allocations, 0.79 MB an op at n10k-p7). Against
-// that branch, three sittings of ten alternating -cpu 1 pairs (the
-// first two before the subsets shared a slab) read
-// n10k-p7 at medians of 66.3 vs 62.1, 69.1 vs 68.3 and 77.8 vs 70.3 ms
-// and n10k-p2 at 34.5 vs 35.3, 39.1 vs 38.6 and 40.2 vs 39.3 ms, each
-// inside the serial fit's quartile spread (8.5 ms and 3.0 ms in the
-// last), and CPU profiles of forty fits total the same 3.1 s. Since the
-// fitting goroutine aims its one stepper at every stage, the trial
-// survivors share one slab and finalize reuses the stepper, a one-worker
-// fit allocates 30 times.
-//
-// The table below is the kernels' trajectory up to the baseline before
-// this one, in µs/op, one column per recorded tree: PR3-PR10 on a
-// 1-core box, PR15-PR26 on a 2-core one, so compare along a row only
-// within those groups ("=": carried over from the column to the left).
-// Sittings on this box differ by 10-30%; same-sitting pairs of adjacent
-// trees, and what each column's change was, are in CHANGES.md.
-//
-//	kernel                      PR3    PR5    PR8   PR10   PR15   PR16   PR18   PR19   PR20   PR25   PR26
-//	consume                    1684   1331   1579   1560    234    265    261      =      =    233      =
-//	poll-full                  2147   1810   4044   3731   3138   2804   2807      =      =   2740      = (a)
-//	poll-warm                  3.25   2.29   2.46   2.21   1.98   2.11   2.69      =      =      -      -
-//	poll-inlier-moved          1654   1456   1313   1156   1193   1457   1287      =      =      -      -
-//	DeltaMine/steady-drift        -      -    776    649    579    725    620      =      =      -      -
-//	DeltaMine/steady-drift-full   -      -   4049   3553   2961      -      -      -      -      -      - (b)
-//	PollParallel/p3s4             -      -      -  78968  24615  26521  23032   3417      =   3402      = (e)
-//	PollParallel/p3s4-w1          -      -      -  78865  26518  27129  25238   4095      =   4508      = (c)
-//	PushIngest/p3s4               -   69.5    121   95.0   55.2   61.0   59.8      =      =   54.8      =
-//	Route/p3s4                    -   22.8   28.9   35.4   20.0   22.5   20.4      =      =   19.4      =
-//	binary-decode                 -   84.7    115    103   88.4   92.2   83.0      =      =    103      =
-//	FPGrowthMine              26727  20476  24596  22452  12736  13896  13640      =      =  12369      =
-//	MCDFit/n10k-p7, ms            -      -      -      -      -    304    120      =   58.8   71.0   41.0 (d)
-//	MCDFit/n10k-p2, ms            -      -      -      -      -    323   68.9      =   25.7   29.6   26.6 (d)
-//	MCDFit/n40k-p7, ms            -      -      -      -      -   1414    556      =    143    151    102 (d)
-//
-// Where a row's definition changed, its columns on either side measure
-// different things: (a) through PR15 a static explainer re-mined with
-// its cache off, from PR16 the poll after a decay tick; (b) the
-// full-mine leg left with the delta-off switch; (c) through PR15 static
-// shards with the cache off, from PR16 shards that take a few points
-// before each poll; (d) the PR16 entries are that tree re-run in
-// the PR18 sitting; (e) from PR19 the merged poll no longer builds a
-// union inlier tree.
+// BENCH_PR32.json (go1.24, GOMAXPROCS 2, on a 2-core box) is the one
+// committed kernel baseline, and BENCH_PR32.md beside it says how each
+// entry was recorded and what it reads, with the kernels CI records
+// that no baseline gates, a -cpu 1,2 table of the MCDFit kernels and
+// the kernels' trajectory up to the baseline. The gate (cmd/mbbench
+// -compare, see "Continuous integration") fails when a baseline kernel
+// is missing from the run, was run without -benchmem, or reads more
+// than 2x its baseline: allocs/op always, ns/op only where GOARCH, CPU
+// count and GOMAXPROCS match the baseline's.
 package macrobase

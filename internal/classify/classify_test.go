@@ -308,37 +308,37 @@ func TestClassifyBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScoreQuantileSummaryExport: the summary must carry a copy of the
-// decayed score-reservoir sample (into the caller's buffer) plus the
+// TestScoreSampleExport: the sample must be a copy of the decayed
+// score-reservoir sample (into the caller's buffer) returned with the
 // reservoir weight, and an untrained classifier exports an empty
-// summary mergers skip.
-func TestScoreQuantileSummaryExport(t *testing.T) {
+// sample, which a threshold round skips.
+func TestScoreSampleExport(t *testing.T) {
 	s := NewStreaming(StreamingConfig{Dims: 1, warmupPoints: 200, Seed: 3}, nil)
 
-	empty := s.ScoreQuantileSummary(nil)
-	if len(empty.Scores) != 0 || empty.Weight != 0 {
-		t.Errorf("untrained summary not empty: %d scores, weight %v", len(empty.Scores), empty.Weight)
+	empty, w := s.ScoreSample(nil)
+	if len(empty) != 0 || w != 0 {
+		t.Errorf("untrained sample not empty: %d scores, weight %v", len(empty), w)
 	}
 
 	s.ClassifyBatch(nil, genStream(5_000, 0.01, 3))
 	buf := make([]float64, 0, 8)
-	sum := s.ScoreQuantileSummary(buf)
-	if len(sum.Scores) == 0 || sum.Weight <= 0 {
-		t.Fatalf("trained summary empty: %d scores, weight %v", len(sum.Scores), sum.Weight)
+	scores, weight := s.ScoreSample(buf)
+	if len(scores) == 0 || weight <= 0 {
+		t.Fatalf("trained sample empty: %d scores, weight %v", len(scores), weight)
 	}
 	// Warmup points are admitted before the model trains, so the score
 	// reservoir holds fewer observations than the stream delivered.
-	if got, want := sum.Weight, float64(len(sum.Scores)); got < want {
-		t.Errorf("weight %v below sample size %v (no decay has run)", got, want)
+	if want := float64(len(scores)); weight < want {
+		t.Errorf("weight %v below sample size %v (no decay has run)", weight, want)
 	}
 	// The export is a copy: mutating it must not corrupt the reservoir.
-	for i := range sum.Scores {
-		sum.Scores[i] = -1
+	for i := range scores {
+		scores[i] = -1
 	}
-	again := s.ScoreQuantileSummary(nil)
-	for _, v := range again.Scores {
+	again, _ := s.ScoreSample(nil)
+	for _, v := range again {
 		if v == -1 {
-			t.Fatal("summary aliases the reservoir")
+			t.Fatal("sample aliases the reservoir")
 		}
 	}
 }
@@ -388,35 +388,5 @@ func TestSetGlobalThreshold(t *testing.T) {
 	}
 	if s.Threshold() == 0.001 {
 		t.Error("retrain did not re-estimate the threshold")
-	}
-}
-
-// TestScoreSummaryMergerWeighting: the pooled cutoff must weight each
-// shard by its reservoir weight, not its sample size — a heavy shard
-// with few samples outvotes a light one with many.
-func TestScoreSummaryMergerWeighting(t *testing.T) {
-	var m ScoreSummaryMerger
-
-	if _, ok := m.Merge(nil, 0.99); ok {
-		t.Error("merge of nothing reported ok")
-	}
-	if _, ok := m.Merge([]ScoreSummary{{}, {Scores: []float64{1}, Weight: 0}}, 0.99); ok {
-		t.Error("merge of empty/zero-weight summaries reported ok")
-	}
-
-	// Shard A: weight 90 spread over scores {1..9} -> 10 weight each.
-	// Shard B: weight 10 on score {100}. Pooled median sits in A;
-	// pooled 0.95 quantile is B's 100 (cum weight 90 < 95 <= 100).
-	a := ScoreSummary{Scores: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, Weight: 90}
-	b := ScoreSummary{Scores: []float64{100}, Weight: 10}
-	if cut, ok := m.Merge([]ScoreSummary{a, b}, 0.5); !ok || cut != 5 {
-		t.Errorf("median merge: got (%v, %v), want (5, true)", cut, ok)
-	}
-	if cut, ok := m.Merge([]ScoreSummary{a, b}, 0.95); !ok || cut != 100 {
-		t.Errorf("0.95 merge: got (%v, %v), want (100, true)", cut, ok)
-	}
-	// Empty summaries alongside real ones are skipped, not poisoning.
-	if cut, ok := m.Merge([]ScoreSummary{{}, a, {Scores: nil, Weight: 0}, b}, 0.5); !ok || cut != 5 {
-		t.Errorf("merge with empties: got (%v, %v), want (5, true)", cut, ok)
 	}
 }

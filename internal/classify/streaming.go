@@ -203,28 +203,13 @@ func (s *Streaming) ObservedOutlierRate() (rate float64, points int) {
 	return float64(s.driftOutliers) / float64(s.driftSeen), s.driftSeen
 }
 
-// ScoreSummary is a mergeable summary of a streaming classifier's
-// recent score distribution: a copy of the decayed score-reservoir
-// sample plus the reservoir's total decayed weight. Each sampled score
-// stands for Weight/len(Scores) of stream weight, which is what lets
-// summaries from shards of very different sizes merge into one pooled
-// quantile estimate (stats.WeightedQuantile) with each shard
-// contributing in proportion to the stream it has actually seen.
-type ScoreSummary struct {
-	Scores []float64
-	Weight float64
-}
-
-// ScoreQuantileSummary exports the classifier's score summary for
-// cross-shard threshold coordination, appending the sample into
-// buf[:0] (pass the previous round's Scores to avoid reallocating).
-// An untrained or empty classifier returns an empty summary, which
-// mergers skip.
-func (s *Streaming) ScoreQuantileSummary(buf []float64) ScoreSummary {
-	return ScoreSummary{
-		Scores: append(buf[:0], s.scoreRes.Items()...),
-		Weight: s.scoreRes.Weight(),
-	}
+// ScoreSample implements core.ThresholdCoordinable: it appends the
+// decayed score-reservoir sample into buf[:0] (pass the previous
+// round's scores to avoid reallocating) and returns it with the
+// reservoir's total decayed weight. An untrained or empty classifier
+// returns an empty sample.
+func (s *Streaming) ScoreSample(buf []float64) (scores []float64, weight float64) {
+	return append(buf[:0], s.scoreRes.Items()...), s.scoreRes.Weight()
 }
 
 // SetGlobalThreshold installs an externally coordinated score cutoff,
@@ -236,52 +221,6 @@ func (s *Streaming) SetGlobalThreshold(t float64) {
 	s.threshold = t
 	s.external = true
 	s.driftSeen, s.driftOutliers = 0, 0
-}
-
-// ThresholdCoordinable is the contract between a classifier and the
-// sharded engine's threshold coordinator: export a mergeable score
-// summary, accept the merged global cutoff, and report the cutoff in
-// force. classify.Streaming implements it; custom per-shard
-// classifiers that also implement it participate in coordination,
-// others are left alone.
-type ThresholdCoordinable interface {
-	ScoreQuantileSummary(buf []float64) ScoreSummary
-	SetGlobalThreshold(threshold float64)
-	Threshold() float64
-	ThresholdIsGlobal() bool
-}
-
-// ScoreSummaryMerger folds per-shard score summaries into a pooled
-// percentile estimate, reusing internal scratch across rounds. Not
-// safe for concurrent use; the coordinator owns one instance.
-type ScoreSummaryMerger struct {
-	pairs []stats.KeyIdx // (score, position) of every pooled sample
-	wts   []float64      // wts[i] is the weight of the pair whose Idx is i
-}
-
-// Merge computes the weighted percentile over the union of the
-// summaries' samples, weighting each sampled score by its summary's
-// Weight/len(Scores). Empty summaries (untrained or drained shards)
-// contribute nothing; ok is false when every summary is empty, in
-// which case there is no global estimate and the round should be
-// skipped.
-func (m *ScoreSummaryMerger) Merge(sums []ScoreSummary, percentile float64) (cutoff float64, ok bool) {
-	m.pairs, m.wts = m.pairs[:0], m.wts[:0]
-	for _, s := range sums {
-		n := len(s.Scores)
-		if n == 0 || s.Weight <= 0 {
-			continue
-		}
-		per := s.Weight / float64(n)
-		for _, v := range s.Scores {
-			m.pairs = append(m.pairs, stats.KeyIdx{Key: v, Idx: len(m.wts)})
-			m.wts = append(m.wts, per)
-		}
-	}
-	if len(m.pairs) == 0 {
-		return 0, false
-	}
-	return stats.WeightedQuantile(m.pairs, m.wts, percentile), true
 }
 
 // ClassifyBatch implements core.Classifier. Points arriving before the
@@ -397,4 +336,4 @@ func (s *Streaming) Decay() {
 var _ core.Classifier = (*Streaming)(nil)
 var _ core.Decayable = (*Streaming)(nil)
 var _ core.Offloader = (*Streaming)(nil)
-var _ ThresholdCoordinable = (*Streaming)(nil)
+var _ core.ThresholdCoordinable = (*Streaming)(nil)

@@ -332,10 +332,8 @@ func TestStreamRunnerBatchRecyclingAliasing(t *testing.T) {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 1e18}, Explainer: &tapExplainer{shard: shard, tap: onBatch}}
 		},
 		BatchSize: 173, // force splits relative to perBatch
-		SnapshotShard: func(shard int, pl ShardPipeline) any {
-			return pl.Explainer.(*tapExplainer).consumed
-		},
 	}
+	consumed := make([]int, shards)
 	if err := sr.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +341,10 @@ func TestStreamRunnerBatchRecyclingAliasing(t *testing.T) {
 	go func() {
 		defer close(pollDone)
 		for {
-			if _, err := sr.Snapshot(); err == ErrNotStreaming {
+			err := sr.Snapshot(func(shard int, pl ShardPipeline) {
+				consumed[shard] = pl.Explainer.(*tapExplainer).consumed
+			})
+			if err == ErrNotStreaming {
 				return // the run finished
 			}
 			time.Sleep(100 * time.Microsecond)

@@ -1,54 +1,22 @@
 package core
 
-// ShardCoordinator periodically reconciles the shards' classification
-// cutoffs across the shared-nothing shards: every
-// StreamRunner.CoordinateEvery ingested points the coordinator goroutine
-// collects one summary per shard (Collect runs on the shard's worker
-// goroutine between batches, like snapshots), merges them into one
-// global cutoff off to the side (Merge runs on the coordinator
-// goroutine), and pushes the cutoff back to every shard (Apply, again on
-// the worker goroutines). Rounds are serialized: a round's applies all
-// land before the next round's collects begin. The last merged cutoff
-// is part of the run's account (StreamStats.GlobalCutoff).
-//
-// The consistency model is deliberately loose — coordination is
-// periodic and asynchronous with ingestion, so a shard applies a
-// global cutoff computed from summaries up to one round old, and the
-// points a worker consumes while a round is in flight still see the
-// previous value. CoordinateEvery bounds that staleness window in
-// ingested points. This is the Muppet-style "exchange small summaries
-// between workers" pattern: cheap enough to run frequently, eventually
-// consistent between rounds.
-type ShardCoordinator struct {
-	// Collect returns shard's current summary; nil means the shard has
-	// nothing to contribute this round.
-	Collect func(shard int, pl ShardPipeline) any
-	// Merge combines the per-shard summaries (indexed by shard, nil
-	// entries included) into the global cutoff. ok=false skips the
-	// round's apply phase (e.g. every summary was empty). A
-	// quarantined shard's entry is a ShardFailure marker instead of a
-	// Collect result; Merge implementations must skip entries that are
-	// not their own summary type.
-	Merge func(summaries []any) (cutoff float64, ok bool)
-	// Apply installs the merged cutoff on shard.
-	Apply func(shard int, pl ShardPipeline, cutoff float64)
-}
+import "macrobase/internal/stats"
 
 // startCoordinator starts the coordinator goroutine when the run has
-// something to coordinate — threshold rounds (Coordinate set) or
+// something to coordinate — threshold rounds (Coordinate positive) or
 // rebalance checks (a rebalancing run) — and arms notePoints to wake it
 // every coordEvery ingested points. Both jobs ride the one goroutine
 // and the one cadence. It talks to the workers only through fanOut,
 // like snapshots, and Wait retires it (stopCoordinator) before the
 // workers stop serving requests, so Wait cannot hand the pipelines to
-// its caller while a Collect or Apply still touches them.
+// its caller while a collect or apply still touches them.
 func (r *StreamRunner) startCoordinator(workers []*shardWorker) {
 	r.coordEvery = int64(r.CoordinateEvery)
 	if r.coordEvery <= 0 {
 		r.coordEvery = 25_000
 	}
 	r.coordCh = nil
-	if r.Coordinate == nil && r.bucketLoads == nil {
+	if r.Coordinate <= 0 && r.bucketLoads == nil {
 		return
 	}
 	r.coordCh = make(chan struct{}, 1)
@@ -87,21 +55,22 @@ func (r *StreamRunner) notePoints(n int64) {
 }
 
 // coordinate is the coordinator goroutine: on each boundary signal it
-// runs one pass — a threshold round (collect a summary from every
-// shard on the shards' worker goroutines, merge on this goroutine, and
-// apply the merged cutoff back to every shard) when Coordinate is set,
-// then a rebalance check over the bucket load counters when the run
+// runs one pass — a threshold round when Coordinate is positive, then a
+// rebalance check over the bucket load counters when the run
 // rebalances. It exits once stopCoordinator closes coordCh, after the
 // pass a pending signal still asks for.
 func (r *StreamRunner) coordinate(workers []*shardWorker) {
 	defer close(r.coordDone)
-	sums := make([]any, len(workers))
+	var th *thresholdRound
+	if r.Coordinate > 0 {
+		th = newThresholdRound(len(workers))
+	}
 	var rb *rebalState
 	if r.bucketLoads != nil {
 		rb = newRebalState(len(r.route.Load().assign), len(workers))
 	}
 	for range r.coordCh {
-		if r.Coordinate != nil && !r.coordRound(workers, sums) {
+		if th != nil && !r.coordRound(workers, th) {
 			return
 		}
 		if rb != nil {
@@ -111,28 +80,93 @@ func (r *StreamRunner) coordinate(workers []*shardWorker) {
 	}
 }
 
-// coordRound runs one collect/merge/apply round; false means a worker
-// retired mid-round (the round is abandoned safely: see fanOut).
-// Gathering every apply before returning is what serializes rounds.
-func (r *StreamRunner) coordRound(workers []*shardWorker, sums []any) bool {
-	c := r.Coordinate
-	if !fanOut(workers, c.Collect, sums) {
+// scoreSample is one shard's part of a threshold round: its
+// classifier's score sample and the stream weight the sample stands
+// for (ThresholdCoordinable.ScoreSample).
+type scoreSample struct {
+	scores []float64
+	weight float64
+}
+
+// thresholdRound is the coordinator's scratch for threshold rounds,
+// reused across them: one sample slot per shard, which the shard's
+// worker fills during the collect, and the pooled (score, weight)
+// pairs. Rounds are serialized, so no two uses of a slot overlap.
+type thresholdRound struct {
+	samples []scoreSample
+	pairs   []stats.KeyIdx // (score, position) of every pooled score
+	wts     []float64      // wts[i] is the weight of the pair whose Idx is i
+	cut     float64        // the cutoff the apply installs
+	// collect and apply are built once, so a round allocates no
+	// closure.
+	collect, apply func(shard int, pl ShardPipeline)
+}
+
+func newThresholdRound(shards int) *thresholdRound {
+	th := &thresholdRound{samples: make([]scoreSample, shards)}
+	th.collect = func(shard int, pl ShardPipeline) {
+		if tc, ok := pl.Classifier.(ThresholdCoordinable); ok {
+			s := &th.samples[shard]
+			s.scores, s.weight = tc.ScoreSample(s.scores)
+		}
+	}
+	th.apply = func(_ int, pl ShardPipeline) {
+		if tc, ok := pl.Classifier.(ThresholdCoordinable); ok {
+			tc.SetGlobalThreshold(th.cut)
+		}
+	}
+	return th
+}
+
+// coordRound runs one threshold round: clear every shard's slot,
+// collect the live shards' samples on their worker goroutines, pool
+// them here at quantile Coordinate, and apply the pooled cutoff back to
+// the live shards. A shard that runs no collect — quarantined, or its
+// classifier coordinates nothing — contributes nothing, not an earlier
+// round's sample. A round with nothing to pool applies nothing. false
+// means a worker retired mid-round: the run is over. Waiting out every
+// apply before returning is what serializes rounds.
+func (r *StreamRunner) coordRound(workers []*shardWorker, th *thresholdRound) bool {
+	for i := range th.samples {
+		th.samples[i] = scoreSample{scores: th.samples[i].scores[:0]}
+	}
+	if !fanOut(workers, true, th.collect) {
 		return false
 	}
-	cut, ok := c.Merge(sums)
+	cut, ok := th.pool(r.Coordinate)
 	if !ok {
 		return true
 	}
 	r.cutoff.Store(&cut)
-	apply := func(shard int, pl ShardPipeline) any {
-		c.Apply(shard, pl, cut)
-		return nil
-	}
-	if !fanOut(workers, apply, sums) {
+	th.cut = cut
+	if !fanOut(workers, true, th.apply) {
 		return false
 	}
 	r.rounds.Add(1)
 	return true
+}
+
+// pool is the weighted q-quantile of the union of the slots' samples,
+// in shard order, each score weighted by its sample's
+// weight/len(scores) (stats.WeightedQuantile). Empty and zero-weight
+// samples are skipped; ok is false when every sample is.
+func (th *thresholdRound) pool(q float64) (cutoff float64, ok bool) {
+	th.pairs, th.wts = th.pairs[:0], th.wts[:0]
+	for _, s := range th.samples {
+		n := len(s.scores)
+		if n == 0 || s.weight <= 0 {
+			continue
+		}
+		per := s.weight / float64(n)
+		for _, v := range s.scores {
+			th.pairs = append(th.pairs, stats.KeyIdx{Key: v, Idx: len(th.wts)})
+			th.wts = append(th.wts, per)
+		}
+	}
+	if len(th.pairs) == 0 {
+		return 0, false
+	}
+	return stats.WeightedQuantile(th.pairs, th.wts, q), true
 }
 
 // rebalState is the coordinator's scratch across rebalance rounds:

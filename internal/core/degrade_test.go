@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -149,5 +151,59 @@ func TestStreamRunnerCommittedOffsets(t *testing.T) {
 	// A checkpoint of a finished session is still meaningful.
 	if got := sr.Stats().Committed; len(got) != 2 || got[0] != ckN || got[1] != -1 {
 		t.Errorf("offsets after run = %v, want [%d, -1]", got, ckN)
+	}
+}
+
+// TestSnapshotSkipsQuarantinedShard: a Snapshot of a run with a
+// quarantined shard runs view on the live shards only, and the dead
+// shard's slot stays as the caller left it.
+func TestSnapshotSkipsQuarantinedShard(t *testing.T) {
+	const shards = 3
+	src := newChanSource(1, 1)
+	sr := &StreamRunner{
+		Partitioned: src,
+		Shards:      shards,
+		NewShard: func(int) ShardPipeline {
+			return ShardPipeline{Classifier: newCoordClassifier(1, 1), Explainer: &shardCollectExplainer{}}
+		},
+	}
+	if err := sr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var once sync.Once
+	end := func() { // ends the stream and waits the run out
+		once.Do(func() { close(src.parts[0].ch) })
+		<-done
+	}
+	defer end()
+	go func() {
+		defer close(done)
+		if _, err := sr.Wait(); err != nil {
+			t.Error(err)
+		}
+	}()
+
+	src.parts[0].ch <- []Point{poisonFor(1, shards)}
+	src.parts[0].ch <- streamPoints(1000)
+	waitStats(t, sr, "shard 1's quarantine", func(st StreamStats) bool { return st.Degraded })
+
+	// A live shard's slot reads its explainer's count plus one, so it
+	// is never zero.
+	slots := make([]int, shards)
+	var views atomic.Int32
+	err := sr.Snapshot(func(shard int, pl ShardPipeline) {
+		views.Add(1)
+		slots[shard] = pl.Explainer.(*shardCollectExplainer).consumed + 1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if views.Load() != shards-1 || slots[0] == 0 || slots[1] != 0 || slots[2] == 0 {
+		t.Errorf("%d views, slots %v; want %d views, shard 1's slot alone zero", views.Load(), slots, shards-1)
+	}
+	end()
+	if f := sr.Stats().ShardFailures; len(f) != 1 || f[0].Shard != 1 {
+		t.Errorf("shard failures %+v, want shard 1's alone", f)
 	}
 }

@@ -112,9 +112,6 @@ func TestSnapshotServedDuringOffload(t *testing.T) {
 			return ShardPipeline{Classifier: cls, Explainer: exp}
 		},
 		BatchSize: batch,
-		SnapshotShard: func(_ int, pl ShardPipeline) any {
-			return pl.Explainer.(*shardCollectExplainer).consumed
-		},
 	}
 	type result struct {
 		stats StreamStats
@@ -127,38 +124,39 @@ func TestSnapshotServedDuringOffload(t *testing.T) {
 	}()
 	within(t, cls.stalled, "the classifier to reach its offloaded computation")
 
-	sr.workersMu.Lock()
-	w := sr.workers[0]
-	sr.workersMu.Unlock()
-	ctl := snapshotReq{fn: func(int, ShardPipeline) any { return "ctl" }, reply: make(chan any, 1)}
+	sr.mu.Lock()
+	workers := sr.workers
+	sr.mu.Unlock()
+	ctlRan := false
+	ctlServed := make(chan bool, 1)
 	go func() {
-		select { // as fanOut sends: never outlive the worker
-		case w.ctl <- ctl:
-		case <-w.quit:
-		}
+		ctlServed <- fanOut(workers, true, func(int, ShardPipeline) { ctlRan = true })
 	}()
 
-	snapped := make(chan []any, 1)
+	snapped := make(chan int, 1)
 	go func() {
-		out, err := sr.Snapshot()
+		consumed := -1
+		err := sr.Snapshot(func(_ int, pl ShardPipeline) {
+			consumed = pl.Explainer.(*shardCollectExplainer).consumed
+		})
 		if err != nil {
 			t.Error(err)
 		}
-		snapped <- out
+		snapped <- consumed
 	}()
-	out := within(t, snapped, "a snapshot during the offloaded computation")
-	if want := (at - 1) / batch * batch; len(out) != 1 || out[0] != want {
-		t.Errorf("snapshot during the stall = %v, want [%d] (the whole batches before it)", out, want)
+	got := within(t, snapped, "a snapshot during the offloaded computation")
+	if want := (at - 1) / batch * batch; got != want {
+		t.Errorf("snapshot during the stall read %d consumed, want %d (the whole batches before it)", got, want)
 	}
 	select {
-	case v := <-ctl.reply:
-		t.Fatalf("coordination request answered (%v) while the classifier was mid-batch", v)
+	case <-ctlServed:
+		t.Fatal("coordination request served while the classifier was mid-batch")
 	default:
 	}
 
 	close(cls.release)
-	if v := within(t, ctl.reply, "the coordination reply after the stall"); v != "ctl" {
-		t.Errorf("coordination reply after the stall = %v", v)
+	if ok := within(t, ctlServed, "the coordination request after the stall"); !ok || !ctlRan {
+		t.Errorf("coordination request after the stall: served %v, ran %v", ok, ctlRan)
 	}
 	openGate()
 	res := within(t, ran, "Run to return")
@@ -183,8 +181,7 @@ func TestOffloadPanicQuarantinesShard(t *testing.T) {
 		NewShard: func(int) ShardPipeline {
 			return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
 		},
-		BatchSize:     512,
-		SnapshotShard: func(int, ShardPipeline) any { return nil },
+		BatchSize: 512,
 	}
 	stats, err := sr.Run()
 	if err != nil {
@@ -192,24 +189,5 @@ func TestOffloadPanicQuarantinesShard(t *testing.T) {
 	}
 	if !stats.Degraded || len(stats.ShardFailures) != 1 || !strings.Contains(stats.ShardFailures[0].Err, "injected fit fault") {
 		t.Errorf("degraded %v, failures %+v; want the fit fault reported", stats.Degraded, stats.ShardFailures)
-	}
-}
-
-// TestNoOffloadWithoutSnapshots: a run nobody can snapshot has nothing
-// to serve during a stall, so its classifier keeps computing inline.
-func TestNoOffloadWithoutSnapshots(t *testing.T) {
-	cls := newOffloadClassifier(3000)
-	close(cls.release)
-	sr := StreamRunner{
-		Partitioned: NewSliceSource(streamPoints(5000)),
-		NewShard: func(int) ShardPipeline {
-			return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
-		},
-	}
-	if _, err := sr.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if cls.run != nil {
-		t.Error("classifier handed an offload function in a run without a snapshot hook")
 	}
 }

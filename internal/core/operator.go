@@ -23,15 +23,33 @@ type Classifier interface {
 // then stalls in one long computation that touches no operator state
 // but its own inputs — in practice a model refit. SetOffload hands the
 // classifier a function that runs such a computation to completion; the
-// sharded engine's implementation moves it to a helper goroutine and
-// keeps answering snapshot requests on the shard's worker goroutine
-// meanwhile, so a live poll does not wait out a refit (see
-// StreamRunner.SnapshotShard for what a snapshot may read then). The
-// classifier still blocks until work returns, so what it computes, and
-// when, is unchanged. A classifier never handed a function calls work
-// inline.
+// sharded engine hands every shard's Offloader its function, which moves
+// the computation to a helper goroutine and keeps serving snapshots on
+// the shard's worker goroutine meanwhile, so a live poll does not wait
+// out a refit (see StreamRunner.Snapshot for what a snapshot may read
+// then). The classifier still blocks until work returns, so what it
+// computes, and when, is unchanged. A classifier never handed a
+// function calls work inline.
 type Offloader interface {
 	SetOffload(run func(work func()))
+}
+
+// ThresholdCoordinable is implemented by classifiers whose outlier
+// cutoff the sharded engine coordinates across shards (see
+// StreamRunner.Coordinate); other classifiers take no part in a
+// threshold round. Both methods run on the shard's worker goroutine
+// between batches.
+type ThresholdCoordinable interface {
+	// ScoreSample appends the classifier's recent score sample into
+	// buf[:0] and returns it with the stream weight it stands for: each
+	// sampled score stands for weight/len(scores) of the stream, which
+	// is what lets shards of very different sizes pool into one
+	// quantile in proportion to the stream each has seen. An empty
+	// sample or zero weight contributes nothing.
+	ScoreSample(buf []float64) (scores []float64, weight float64)
+	// SetGlobalThreshold installs the pooled cutoff in place of the
+	// classifier's local estimate.
+	SetGlobalThreshold(cutoff float64)
 }
 
 // Explainer aggregates labeled points and produces explanations on

@@ -215,12 +215,12 @@ func extremeShard(loads []int64, healthy []bool, hot bool) int {
 // run and cancels the rest; Wait waits for every loop to exit.
 func (r *StreamRunner) startIngest(run *liveRun, parts []PartitionStream, pool *BatchPool) {
 	ctx, cancel := context.WithCancel(context.Background())
-	r.ctlMu.Lock()
+	r.mu.Lock()
 	r.cancelIngest = cancel
 	if r.stopReq {
 		cancel()
 	}
-	r.ctlMu.Unlock()
+	r.mu.Unlock()
 	batch := r.BatchSize
 	if batch <= 0 {
 		batch = 4096

@@ -42,16 +42,17 @@ type StreamStats struct {
 	// the worker took in, not counting what a quarantine dropped. Nil
 	// only before Start.
 	PerShard []RunStats
-	// CoordRounds counts completed cross-shard coordination rounds
-	// (zero when no Coordinate hook was configured).
+	// CoordRounds counts completed threshold rounds (zero when the run
+	// has no Coordinate quantile): rounds that pooled a cutoff and
+	// applied it to every live shard.
 	CoordRounds int
 	// CoordPasses counts the round boundaries the coordinator has
 	// handled: a threshold round, a rebalance check, or both, counted
 	// once the pass is over whether or not it changed anything. A
 	// rebalance-only run completes passes and no rounds.
 	CoordPasses int
-	// GlobalCutoff is the cutoff the last coordination round merged
-	// (ShardCoordinator.Merge), meaningful when HasGlobalCutoff is set:
+	// GlobalCutoff is the cutoff the last threshold round pooled,
+	// meaningful when HasGlobalCutoff is set:
 	// zero, not NaN, until a first round, so StreamStats values compare
 	// with ==-based equality.
 	GlobalCutoff    float64
@@ -72,7 +73,9 @@ type StreamStats struct {
 	// ShardFailures describes what was lost. A degraded result is a
 	// partial answer, not a failure — Wait still returns a nil error.
 	Degraded bool
-	// ShardFailures lists the quarantined shards (empty when none).
+	// ShardFailures lists the quarantined shards (empty when none). It
+	// is where a quarantine is read: a dead shard runs no snapshot view
+	// and no threshold-round request, and answers with nothing else.
 	ShardFailures []ShardFailure
 	// Committed holds each partition's committed offset — the largest
 	// offset whose every point has been routed and consumed (or resolved
@@ -86,10 +89,9 @@ type StreamStats struct {
 // batches routed to it are counted in DroppedPoints, acknowledged for
 // checkpointing (the points are resolved: they will never be
 // consumed), and recycled — so neither ingest backpressure nor
-// checkpoint progress ever wedges on a dead shard. Snapshot and
-// coordination requests to a quarantined shard are answered with the
-// ShardFailure value itself in place of a summary; merge layers skip
-// such markers and account the shard's contribution as lost.
+// checkpoint progress ever wedges on a dead shard. A quarantined shard
+// runs no snapshot view and no threshold-round request: its slot in
+// either stays as the caller left it, and its contribution is lost.
 type ShardFailure struct {
 	Shard         int    `json:"shard"`
 	Err           string `json:"error"`
@@ -112,10 +114,11 @@ type ShardFailure struct {
 //
 // The runner is a handful of components that each own their state and
 // talk through channels: the ingest loops (routing.go), the shard
-// workers (worker.go), which serve one kind of request — snapshots and
-// coordination collects and applies alike — between batches, and at
-// most one coordinator goroutine (coordinator.go), which runs threshold
-// rounds and rebalance checks on the one CoordinateEvery cadence.
+// workers (worker.go), which serve one kind of request — a function to
+// run on the shard's pipeline, whether a snapshot's view or a threshold
+// round's collect or apply — between batches, and at most one
+// coordinator goroutine (coordinator.go), which runs threshold rounds
+// and rebalance checks on the one CoordinateEvery cadence.
 //
 // StreamRunner is the one engine for every streaming query, over
 // stored data and live streams alike. With Shards=1 over a
@@ -181,23 +184,20 @@ type StreamRunner struct {
 	// paper's default is "a decay rate of 0.01 every 100K points" (§6),
 	// the rate held by each operator. Zero disables decay.
 	DecayEvery int
-	// SnapshotShard, when non-nil, enables the Snapshot method: it
-	// runs on the worker goroutine between batches and should return
-	// an immutable view of the shard's summary state (e.g. a clone of
-	// its explainer).
-	//
-	// A classifier that implements Offloader is also snapshotted while
-	// it waits for an offloaded computation: the explainer is then
-	// exactly as the previous batch left it, but the classifier is
-	// part-way through the current one, so the hook may read only what
-	// the classifier keeps readable there (for classify.Streaming, the
-	// threshold accessors).
-	SnapshotShard func(shard int, pl ShardPipeline) any
-	// Coordinate, when non-nil, enables periodic cross-shard
-	// reconciliation of operator state (e.g. merging per-shard score
-	// quantiles into one global classification threshold). See
-	// ShardCoordinator for the protocol and its consistency model.
-	Coordinate *ShardCoordinator
+	// Coordinate, when positive, is the quantile of threshold rounds:
+	// every CoordinateEvery ingested points the coordinator goroutine
+	// collects a score sample from each live shard whose classifier is
+	// ThresholdCoordinable (on the shard's worker goroutine, between
+	// batches), pools the samples into one weighted quantile at
+	// Coordinate, and installs that cutoff on every live shard
+	// (SetGlobalThreshold). Rounds are serialized: a round's applies
+	// all land before the next round's collects begin. The model is
+	// deliberately loose, the Muppet-style exchange of small summaries
+	// between workers: a shard classifies against a cutoff pooled from
+	// samples up to one round old, and what a worker consumes while a
+	// round is in flight still sees the previous one. 0 runs no
+	// threshold rounds.
+	Coordinate float64
 	// Rebalance makes the routing table skew-adaptive. Every
 	// multi-shard run routes through a routing table: the scatter loop
 	// hashes a point to one of V virtual buckets and looks the bucket up
@@ -227,33 +227,32 @@ type StreamRunner struct {
 	// CoordinateEvery is the coordinator's cadence in ingested points
 	// (default 25_000): each time the count crosses a multiple of it,
 	// the coordinator runs one pass — a threshold round when Coordinate
-	// is set, then a rebalance check when Rebalance is. The coordinator
-	// goroutine runs if and only if there is one of the two to do.
+	// is positive, then a rebalance check when Rebalance is. The
+	// coordinator goroutine runs if and only if there is one of the two
+	// to do.
 	CoordinateEvery int
 
 	// live is the run Start launched and Wait retires. Only those two
 	// touch it, in that order.
 	live *liveRun
-	// workersMu guards workers, the run's worker set: published by Start
-	// once every worker runs, and cleared by Wait before they retire, so
-	// a non-nil set is Snapshot's one test for a live run.
-	workersMu sync.Mutex
-	workers   []*shardWorker
-	// acctMu guards the run's account: trackers, the per-partition
-	// committed-offset trackers (nil entries for non-checkpointable
-	// partitions), accounts, one shardStats per shard worker, and
-	// ingestObs, the source's producer-side counters (nil when it keeps
-	// none). Start sets them, and they are deliberately left in place at
-	// teardown, so Stats keeps answering after the run — a checkpoint or
-	// a poll of a finished session is still meaningful.
-	acctMu    sync.Mutex
+	// mu guards the fields below it, which the run shares with callers
+	// on other goroutines; it is never held across a blocking call.
+	mu sync.Mutex
+	// workers is the run's worker set: published by Start once every
+	// worker runs, and cleared by Wait before they retire, so a non-nil
+	// set is Snapshot's one test for a live run.
+	workers []*shardWorker
+	// The run's account: trackers, the per-partition committed-offset
+	// trackers (nil entries for non-checkpointable partitions),
+	// accounts, one shardStats per shard worker, and ingestObs, the
+	// source's producer-side counters (nil when it keeps none). Start
+	// sets them, and they are deliberately left in place at teardown,
+	// so Stats keeps answering after the run — a checkpoint or a poll of
+	// a finished session is still meaningful.
 	trackers  []*ackTracker
 	accounts  []*shardStats
 	ingestObs IngestObservable
-
-	// ctlMu guards the stop control state shared between the run and
-	// RequestStop.
-	ctlMu        sync.Mutex
+	// The stop control state shared between the run and RequestStop.
 	cancelIngest context.CancelFunc
 	stopReq      bool
 
@@ -299,12 +298,12 @@ var ErrNotStreaming = errors.New("core: stream runner is not running")
 // call at any time, from any goroutine, idempotently; calling it before
 // Start makes the run stop as soon as it starts.
 func (r *StreamRunner) RequestStop() {
-	r.ctlMu.Lock()
+	r.mu.Lock()
 	r.stopReq = true
 	if r.cancelIngest != nil {
 		r.cancelIngest()
 	}
-	r.ctlMu.Unlock()
+	r.mu.Unlock()
 }
 
 // liveRun is one run between Start and Wait: its workers with their
@@ -362,9 +361,9 @@ func (r *StreamRunner) Start() error {
 	}
 	r.openAccount(run.trackers, run.workers)
 	r.startCoordinator(run.workers)
-	r.workersMu.Lock()
+	r.mu.Lock()
 	r.workers = run.workers
-	r.workersMu.Unlock()
+	r.mu.Unlock()
 	r.live = run
 	r.startIngest(run, parts, pool)
 	return nil
@@ -378,10 +377,10 @@ func (r *StreamRunner) Wait() (StreamStats, error) {
 	run := r.live
 	r.live = nil // a finished run must not pin its workers' pipelines
 	run.ingest.Wait()
-	r.ctlMu.Lock()
+	r.mu.Lock()
 	r.cancelIngest() // releases the stop context
 	r.cancelIngest = nil
-	r.ctlMu.Unlock()
+	r.mu.Unlock()
 	// Every producer has exited — at end of stream, on a source failure,
 	// or after a stop cancelled ingest — so no send can follow: the data
 	// channels close and the workers drain to end-of-channel.
@@ -395,21 +394,21 @@ func (r *StreamRunner) Wait() (StreamStats, error) {
 	// — and then retire the workers. The wait is load-bearing: a
 	// request that reached a worker just before its quit closed is still
 	// served on the worker goroutine, and Wait must not hand the
-	// pipelines to its caller while a hook reads them.
-	r.workersMu.Lock()
+	// pipelines to its caller while a view reads them.
+	r.mu.Lock()
 	r.workers = nil
-	r.workersMu.Unlock()
+	r.mu.Unlock()
 	for _, w := range run.workers {
 		close(w.quit)
 	}
 	run.exited.Wait()
 	// The final account is read after the workers retire: a shard can
-	// still die inside a late snapshot hook, and the failure list must
+	// still die inside a late snapshot view, and the failure list must
 	// be complete when Wait returns.
 	stats := r.Stats()
-	r.ctlMu.Lock()
+	r.mu.Lock()
 	stopped := r.stopReq
-	r.ctlMu.Unlock()
+	r.mu.Unlock()
 	if run.failure != nil {
 		return stats, run.failure
 	}
@@ -434,9 +433,9 @@ func (r *StreamRunner) openAccount(trackers []*ackTracker, workers []*shardWorke
 		accounts[i] = w.stats
 	}
 	obs, _ := r.Partitioned.(IngestObservable)
-	r.acctMu.Lock()
+	r.mu.Lock()
 	r.trackers, r.accounts, r.ingestObs = trackers, accounts, obs
-	r.acctMu.Unlock()
+	r.mu.Unlock()
 }
 
 // Stats reads the run's account, every field of StreamStats. Once Start
@@ -444,13 +443,13 @@ func (r *StreamRunner) openAccount(trackers []*ackTracker, workers []*shardWorke
 // any goroutine, and after Wait returns, when it reads the final account
 // (the counters outlive the worker set teardown drops). Each counter is
 // read atomically on its own, so a mid-run read is not one instant
-// across fields. A shard that answered a Snapshot with its ShardFailure
-// marker is among ShardFailures in any later read. A read changes
+// across fields. A shard that ran no view in a Snapshot because it was
+// quarantined is among ShardFailures in any later read. A read changes
 // nothing another read sees.
 func (r *StreamRunner) Stats() StreamStats {
-	r.acctMu.Lock()
+	r.mu.Lock()
 	accounts, trackers, obs := r.accounts, r.trackers, r.ingestObs
-	r.acctMu.Unlock()
+	r.mu.Unlock()
 	st := StreamStats{
 		RunStats:    RunStats{Points: int(r.ingested.Load())},
 		CoordRounds: int(r.rounds.Load()),
@@ -492,21 +491,27 @@ func (r *StreamRunner) Stats() StreamStats {
 	return st
 }
 
-// Snapshot collects one summary snapshot per shard, taken on each
-// worker's goroutine between batches (so a snapshot never observes a
-// half-consumed batch). The Snapshot hook must be configured. From the
-// moment Start returns it succeeds until the run is over; then it
-// returns ErrNotStreaming, and callers use the final result.
-func (r *StreamRunner) Snapshot() ([]any, error) {
-	if r.SnapshotShard == nil {
-		return nil, errors.New("core: StreamRunner has no Snapshot hook")
-	}
-	r.workersMu.Lock()
+// Snapshot runs view once on each live shard's pipeline, on the
+// shard's worker goroutine, and returns once every view has returned.
+// view writes what it reads into slots the caller owns, indexed by
+// shard; the shards run it concurrently, each into its own slot. A
+// quarantined shard runs nothing, so its slot stays as the caller left
+// it. A view runs between batches, so it never observes a
+// half-consumed batch, or while the shard's classifier waits for an
+// offloaded computation (see Offloader): the explainer is then exactly
+// as the previous batch left it, but the classifier is part-way through
+// the current one, so view may read only what the classifier keeps
+// readable there (for classify.Streaming, the threshold accessors).
+// Whatever view keeps past the call must be a copy (e.g. a clone of
+// the explainer): the worker goes on consuming. From the moment Start
+// returns Snapshot succeeds until the run is over; then it returns
+// ErrNotStreaming, and callers use the final result.
+func (r *StreamRunner) Snapshot(view func(shard int, pl ShardPipeline)) error {
+	r.mu.Lock()
 	workers := r.workers
-	r.workersMu.Unlock()
-	out := make([]any, len(workers))
-	if workers == nil || !fanOut(workers, nil, out) {
-		return nil, ErrNotStreaming
+	r.mu.Unlock()
+	if workers == nil || !fanOut(workers, false, view) {
+		return ErrNotStreaming
 	}
-	return out, nil
+	return nil
 }

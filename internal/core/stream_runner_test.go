@@ -242,19 +242,15 @@ func TestStreamRunnerStatsAcrossTeardown(t *testing.T) {
 		Partitioned: &flakyPartsSource{parts: []PartitionStream{&ckPartition{pts: streamPoints(n)}}},
 		Shards:      3,
 		NewShard: func(shard int) ShardPipeline {
-			var cls Classifier = &thresholdClassifier{cut: 50}
+			var cls Classifier = newCoordClassifier(1, 0.5)
 			if shard == 2 {
 				cls = &panicClassifier{after: 1000}
 			}
 			return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
 		},
-		BatchSize:  256,
-		DecayEvery: 2_000,
-		Coordinate: &ShardCoordinator{
-			Collect: func(int, ShardPipeline) any { return 1 },
-			Merge:   func([]any) (float64, bool) { return 0.5, true },
-			Apply:   func(int, ShardPipeline, float64) {},
-		},
+		BatchSize:       256,
+		DecayEvery:      2_000,
+		Coordinate:      0.5,
 		Rebalance:       true,
 		CoordinateEvery: 5_000,
 	}
@@ -314,11 +310,10 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		NewShard: func(shard int) ShardPipeline {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
 		},
-		SnapshotShard: func(shard int, pl ShardPipeline) any {
-			return pl.Explainer.(*shardCollectExplainer).consumed
-		},
 		BatchSize: 512,
 	}
+	var views atomic.Int32
+	view := func(int, ShardPipeline) { views.Add(1) }
 
 	if err := sr.Start(); err != nil {
 		t.Fatal(err)
@@ -332,16 +327,13 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 	}()
 
 	// Poll snapshots while the stream runs.
-	polled := 0
-	for polled < 3 {
-		snaps, err := sr.Snapshot()
-		if err != nil {
+	for polled := 1; polled <= 3; polled++ {
+		if err := sr.Snapshot(view); err != nil {
 			t.Fatal(err)
 		}
-		if len(snaps) != 2 {
-			t.Fatalf("snapshot count %d", len(snaps))
+		if n := views.Load(); n != int32(2*polled) {
+			t.Fatalf("%d views after %d snapshots of 2 shards", n, polled)
 		}
-		polled++
 	}
 	for shardPoints(sr.Stats()) == 0 {
 		time.Sleep(time.Millisecond) // let a batch through before stopping
@@ -357,7 +349,7 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		t.Errorf("stats after stop: %+v", stats.RunStats)
 	}
 	// After completion, snapshots report not-streaming.
-	if _, err := sr.Snapshot(); !errors.Is(err, ErrNotStreaming) {
+	if err := sr.Snapshot(view); !errors.Is(err, ErrNotStreaming) {
 		t.Errorf("want ErrNotStreaming after run, got %v", err)
 	}
 }
@@ -375,20 +367,18 @@ func TestStreamRunnerLiveWhenStartReturns(t *testing.T) {
 		NewShard: func(shard int) ShardPipeline {
 			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
 		},
-		SnapshotShard: func(shard int, pl ShardPipeline) any {
-			return pl.Explainer.(*shardCollectExplainer).consumed
-		},
 		BatchSize: 256,
 	}
+	var views atomic.Int32
+	view := func(int, ShardPipeline) { views.Add(1) }
 	if got := sr.Stats().Committed; got != nil {
 		t.Fatalf("offsets before Start = %v, want nil", got)
 	}
 	if err := sr.Start(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := sr.Snapshot()
-	if err != nil || len(snaps) != 2 {
-		t.Errorf("first Snapshot after Start = %d snapshots, %v; want 2, nil", len(snaps), err)
+	if err := sr.Snapshot(view); err != nil || views.Load() != 2 {
+		t.Errorf("first Snapshot after Start = %d views, %v; want 2, nil", views.Load(), err)
 	}
 	st := sr.Stats()
 	if got := st.Committed; len(got) != 1 || got[0] < 0 || got[0] > n {
@@ -404,7 +394,7 @@ func TestStreamRunnerLiveWhenStartReturns(t *testing.T) {
 	if stats.Points != n || len(stats.Committed) != 1 || stats.Committed[0] != n {
 		t.Errorf("final account: points %d committed %v, want %d and [%d]", stats.Points, stats.Committed, n, n)
 	}
-	if _, err := sr.Snapshot(); !errors.Is(err, ErrNotStreaming) {
+	if err := sr.Snapshot(view); !errors.Is(err, ErrNotStreaming) {
 		t.Errorf("Snapshot after Wait = %v, want ErrNotStreaming", err)
 	}
 }
@@ -434,21 +424,13 @@ func (s *observedChanSource) IngestStats() []PartitionIngestStats {
 func TestStatsIsTheWholeAccountMidRun(t *testing.T) {
 	const every = 1000
 	src := &observedChanSource{chanSource: newChanSource(1, 1)}
-	merges := 0
 	sr := &StreamRunner{
 		Partitioned: src,
 		Shards:      2,
 		NewShard: func(int) ShardPipeline {
-			return ShardPipeline{Classifier: &thresholdClassifier{cut: 50}, Explainer: &shardCollectExplainer{}}
+			return ShardPipeline{Classifier: newCoordClassifier(1, 0.25), Explainer: &shardCollectExplainer{}}
 		},
-		Coordinate: &ShardCoordinator{
-			Collect: func(int, ShardPipeline) any { return 1 },
-			Merge: func([]any) (float64, bool) {
-				merges++ // the coordinator goroutine's alone
-				return float64(merges) / 4, true
-			},
-			Apply: func(int, ShardPipeline, float64) {},
-		},
+		Coordinate:      0.99,
 		CoordinateEvery: every,
 	}
 	if st := sr.Stats(); st.HasGlobalCutoff || st.Ingest != nil {
@@ -496,9 +478,6 @@ func TestStreamRunnerValidation(t *testing.T) {
 	sr := &StreamRunner{Partitioned: NewSliceSource(nil), NewShard: func(int) ShardPipeline { return ShardPipeline{} }}
 	if _, err := sr.Run(); err != nil {
 		t.Errorf("empty stream should succeed, got %v", err)
-	}
-	if _, err := sr.Snapshot(); err == nil {
-		t.Error("snapshot without hook not rejected")
 	}
 }
 

@@ -9,14 +9,16 @@ import (
 // queueDepth bounds each shard's channel, in batches.
 const queueDepth = 2
 
-// snapshotReq is a control-plane request served on a worker goroutine
-// between batches: a snapshot (fn nil; answered via SnapshotShard,
-// sent on the worker's snap channel) or a coordination collect/apply
-// (fn non-nil; answered with fn's result, sent on its ctl channel).
-// reply is buffered so workers never block on a slow requester.
-type snapshotReq struct {
-	fn    func(shard int, pl ShardPipeline) any
-	reply chan any
+// request is a control-plane request served on a worker goroutine
+// between batches: run fn on the shard's pipeline — a snapshot's view
+// (sent on the worker's snap channel) or a threshold round's collect or
+// apply (sent on its ctl channel) — and then signal done. fn writes its
+// answer into a slot its sender owns; done only says that the worker is
+// through with the request. done is buffered for every request of one
+// fan-out, so a worker never blocks on a slow requester.
+type request struct {
+	fn   func(shard int, pl ShardPipeline)
+	done chan<- struct{}
 }
 
 // shardWorker drives one shard's pipeline replica batch-by-batch:
@@ -28,11 +30,11 @@ type shardWorker struct {
 	r     *StreamRunner
 	pl    ShardPipeline
 	data  chan *Batch
-	pool  *BatchPool       // consumed batches go back here, not to the GC
-	snap  chan snapshotReq // snapshots: also served during an offloaded computation
-	ctl   chan snapshotReq // coordination: touches the classifier, so between batches only
-	quit  chan struct{}    // closed by Wait once the worker has drained and no request may follow
-	stats *shardStats      // the shard's account
+	pool  *BatchPool    // consumed batches go back here, not to the GC
+	snap  chan request  // snapshots: also served during an offloaded computation
+	ctl   chan request  // coordination: touches the classifier, so between batches only
+	quit  chan struct{} // closed by Wait once the worker has drained and no request may follow
+	stats *shardStats   // the shard's account
 
 	labels   []LabeledPoint // the classifier's output, reused across batches
 	sincePts int            // points taken in since the last decay tick
@@ -74,9 +76,7 @@ func (s *shardStats) failed(shard int) (ShardFailure, bool) {
 
 // newWorker builds shard s's worker over its freshly built pipeline,
 // with a fresh account. A classifier that can offload its refits is
-// handed the worker's offload only when someone can snapshot the run:
-// otherwise there is nothing to serve during a stall, and it keeps
-// computing inline.
+// handed the worker's offload.
 func (r *StreamRunner) newWorker(s int, pool *BatchPool) *shardWorker {
 	pl := r.NewShard(s)
 	w := &shardWorker{
@@ -85,12 +85,12 @@ func (r *StreamRunner) newWorker(s int, pool *BatchPool) *shardWorker {
 		pl:    pl,
 		data:  make(chan *Batch, queueDepth),
 		pool:  pool,
-		snap:  make(chan snapshotReq),
-		ctl:   make(chan snapshotReq),
+		snap:  make(chan request),
+		ctl:   make(chan request),
 		quit:  make(chan struct{}),
 		stats: &shardStats{},
 	}
-	if off, ok := pl.Classifier.(Offloader); ok && r.SnapshotShard != nil {
+	if off, ok := pl.Classifier.(Offloader); ok {
 		off.SetOffload(w.offload)
 	}
 	return w
@@ -204,12 +204,6 @@ func (w *shardWorker) failDrop(b *Batch) {
 	w.pool.Put(b)
 }
 
-// failed is the shard's ShardFailure as of now.
-func (w *shardWorker) failed() ShardFailure {
-	f, _ := w.stats.failed(w.id)
-	return f
-}
-
 // recover, deferred around every pipeline entry point on the worker
 // goroutine, turns a panic into a quarantine.
 func (w *shardWorker) recover() {
@@ -221,28 +215,19 @@ func (w *shardWorker) recover() {
 	w.stats.failure.Store(&msg)
 }
 
-// serve answers one control-plane request on the worker goroutine.
-// Exactly one reply is always sent — a quarantined shard answers with
-// its ShardFailure marker — so snapshot collectors and the coordinator
-// never block on a dead shard.
-func (w *shardWorker) serve(req snapshotReq) {
-	if w.dead() {
-		req.reply <- w.failed()
-		return
+// serve answers one control-plane request on the worker goroutine: a
+// live shard runs fn, a quarantined one runs nothing, so its sender's
+// slot keeps what the sender left there. done is always signalled, so
+// a sender never blocks on a dead shard. A panic in fn quarantines the
+// shard like any other pipeline panic.
+func (w *shardWorker) serve(req request) {
+	if !w.dead() {
+		func() {
+			defer w.recover()
+			req.fn(w.id, w.pl)
+		}()
 	}
-	var v any
-	func() {
-		defer w.recover()
-		if req.fn != nil {
-			v = req.fn(w.id, w.pl)
-		} else {
-			v = w.r.SnapshotShard(w.id, w.pl)
-		}
-	}()
-	if w.dead() {
-		v = w.failed() // the hook itself panicked: state is suspect
-	}
-	req.reply <- v
+	req.done <- struct{}{}
 }
 
 // offload is the Offloader function of this shard's classifier: it runs
@@ -275,30 +260,33 @@ func (w *shardWorker) offload(work func()) {
 	}
 }
 
-// fanOut asks every worker one question and gathers the answers into
-// out, indexed by shard: a snapshot when fn is nil, otherwise fn on the
-// worker's coordination channel. Every request is sent before any reply
-// is read, so the caller pays the slowest shard's cost rather than the
-// sum, and the shards answer at (nearly) the same stream time. A request
-// a worker has accepted is always answered (replies are buffered), so
-// only the sends watch quit; false means a worker retired first — the
-// run is over.
-func fanOut(workers []*shardWorker, fn func(shard int, pl ShardPipeline) any, out []any) bool {
-	replies := make([]chan any, len(workers))
-	for i, w := range workers {
-		ch := w.ctl
-		if fn == nil {
-			ch = w.snap
+// fanOut runs fn on every worker, on its coordination channel when ctl
+// is set and on its snapshot channel otherwise, and returns once every
+// worker that took the request is through with it. Every request is
+// sent before any is waited for, so the caller pays the slowest shard's
+// cost rather than the sum, and the shards answer at (nearly) the same
+// stream time. A request a worker has accepted is always served, so only
+// the sends watch quit; false means a worker retired first — the run is
+// over — and fanOut still waits out the requests already accepted, so
+// no fn outlives the call.
+func fanOut(workers []*shardWorker, ctl bool, fn func(shard int, pl ShardPipeline)) bool {
+	done := make(chan struct{}, len(workers))
+	sent := 0
+send:
+	for _, w := range workers {
+		ch := w.snap
+		if ctl {
+			ch = w.ctl
 		}
-		replies[i] = make(chan any, 1)
 		select {
-		case ch <- snapshotReq{fn: fn, reply: replies[i]}:
+		case ch <- request{fn: fn, done: done}:
+			sent++
 		case <-w.quit:
-			return false
+			break send
 		}
 	}
-	for i, reply := range replies {
-		out[i] = <-reply
+	for range sent {
+		<-done
 	}
-	return true
+	return sent == len(workers)
 }

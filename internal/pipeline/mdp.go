@@ -90,11 +90,6 @@ type Config struct {
 	// Unexported: only this package's tests set it, to install fake
 	// classifiers.
 	newClassifier func(shard int) core.Classifier
-	// noRetrainStagger restores the lockstep retrain schedule of
-	// coordinated multi-shard runs (see newShardPipeline), so the
-	// stagger test has a baseline to compare against. Unexported: only
-	// this package's tests set it.
-	noRetrainStagger bool
 }
 
 func (c Config) withDefaults() Config {

@@ -388,7 +388,7 @@ func TestStreamSessionDegradedLivePoll(t *testing.T) {
 
 // TestShardPipelineRetrainStagger: coordinated multi-shard runs phase-
 // shift each shard's default-classifier retrain schedule; disabling
-// stagger (or coordination, whose drift window it protects) keeps the
+// coordination, whose drift window the stagger protects, keeps the
 // shards in lockstep.
 func TestShardPipelineRetrainStagger(t *testing.T) {
 	schedule := func(cfg Config, shard int) []int {
@@ -418,11 +418,6 @@ func TestShardPipelineRetrainStagger(t *testing.T) {
 	s0, s1 := schedule(coordinated, 0), schedule(coordinated, 1)
 	if len(s0) == 0 || reflect.DeepEqual(s0, s1) {
 		t.Errorf("coordinated shards retrain in lockstep: shard0 %v shard1 %v", s0, s1)
-	}
-	off := coordinated
-	off.noRetrainStagger = true
-	if a, b := schedule(off, 0), schedule(off, 1); !reflect.DeepEqual(a, b) {
-		t.Errorf("noRetrainStagger left a phase shift: %v vs %v", a, b)
 	}
 	uncoord := Config{Dims: 1, RetrainEvery: 2000, Seed: 1, DisableGlobalThreshold: true}.withDefaults()
 	if a, b := schedule(uncoord, 0), schedule(uncoord, 1); !reflect.DeepEqual(a, b) {

@@ -133,7 +133,7 @@ func newShardPipeline(cfg Config, shard, shards int) core.ShardPipeline {
 		return pl
 	}
 	retrainOffset := 0
-	if coordinates(cfg, shards) && !cfg.noRetrainStagger {
+	if coordinates(cfg, shards) {
 		retrainOffset = shard * (cfg.RetrainEvery / shards)
 	}
 	pl.Classifier = classify.NewStreaming(classify.StreamingConfig{
@@ -163,13 +163,10 @@ func validateStreaming(shards int) error {
 // any worker touches a pipeline, so plain slice writes into
 // explainers/classifiers are safe.
 //
-// When the run coordinates the runner gets a ShardCoordinator that merges
-// per-shard score-quantile summaries into one global percentile cutoff
-// and pushes it back through
-// classify.ThresholdCoordinable.SetGlobalThreshold. Every shard's
-// classifier is MDP's own, which does; only a test's fake classifier
-// implements no classify.ThresholdCoordinable, and it contributes and
-// receives nothing.
+// When the run coordinates, its threshold rounds pool the shards' score
+// samples at cfg.Percentile into one global cutoff. Every shard's
+// classifier is MDP's own, a core.ThresholdCoordinable; only a test's
+// fake classifier is not, and it contributes and receives nothing.
 func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, explainers []*explain.Streaming, classifiers []core.Classifier) *core.StreamRunner {
 	r := &core.StreamRunner{
 		Partitioned: parts,
@@ -180,47 +177,16 @@ func newStreamRunner(parts core.PartitionedSource, cfg Config, shards int, expla
 			classifiers[shard] = pl.Classifier
 			return pl
 		},
-		BatchSize:       cfg.batchSize,
-		DecayEvery:      cfg.DecayEveryPoints,
+		BatchSize:  cfg.batchSize,
+		DecayEvery: cfg.DecayEveryPoints,
+		// Skew-adaptive routing is on by default for multi-shard runs;
+		// rebalance checks ride the one coordinator cadence, with or
+		// without threshold coordination.
+		Rebalance:       shards > 1 && !cfg.DisableRebalance,
 		CoordinateEvery: cfg.CoordinateEvery,
 	}
-	// Skew-adaptive routing is on by default for multi-shard runs;
-	// rebalance checks ride the one coordinator cadence, with or without
-	// threshold coordination.
-	r.Rebalance = shards > 1 && !cfg.DisableRebalance
 	if coordinates(cfg, shards) {
-		// Round scratch, all owned by the coordinator's serialized
-		// rounds: per-shard score buffers (filled on the shard's worker
-		// goroutine, read by the merge — rounds never overlap, so no
-		// two uses of a buffer do either) and the merger's own scratch.
-		bufs := make([][]float64, shards)
-		merger := &classify.ScoreSummaryMerger{}
-		sums := make([]classify.ScoreSummary, 0, shards)
-		r.Coordinate = &core.ShardCoordinator{
-			Collect: func(shard int, pl core.ShardPipeline) any {
-				tc, ok := pl.Classifier.(classify.ThresholdCoordinable)
-				if !ok {
-					return nil
-				}
-				sum := tc.ScoreQuantileSummary(bufs[shard])
-				bufs[shard] = sum.Scores // keep the (possibly grown) buffer
-				return sum
-			},
-			Merge: func(raw []any) (float64, bool) {
-				sums = sums[:0]
-				for _, v := range raw {
-					if s, ok := v.(classify.ScoreSummary); ok {
-						sums = append(sums, s)
-					}
-				}
-				return merger.Merge(sums, cfg.Percentile)
-			},
-			Apply: func(shard int, pl core.ShardPipeline, cut float64) {
-				if tc, ok := pl.Classifier.(classify.ThresholdCoordinable); ok {
-					tc.SetGlobalThreshold(cut)
-				}
-			},
-		}
+		r.Coordinate = cfg.Percentile
 	}
 	return r
 }
@@ -273,8 +239,8 @@ func newShardBreakdown(per []ShardStatus, stats core.StreamStats, coordinated, r
 
 // newResult is the one assembler of a ShardedResult, live or final.
 // stats is one Stats read, taken after the views, so every shard that
-// answered with a quarantine marker is among its ShardFailures; views
-// holds one entry per shard. A quarantined shard's explainer is left
+// was quarantined and left its view zero is among its ShardFailures;
+// views holds one entry per shard. A quarantined shard's explainer is left
 // out of the merge and its threshold is not reported: whatever the
 // panic interrupted left its state suspect, and the hash router
 // concentrates each attribute combination on one shard, so the
@@ -304,7 +270,7 @@ func (s *StreamSession) newResult(stats core.StreamStats, views []shardView) *Sh
 	return &ShardedResult{
 		Stats:        stats,
 		Explanations: explain.MergeStreamingInto(owned),
-		Shards:       newShardBreakdown(per, stats, s.runner.Coordinate != nil, s.runner.Rebalance),
+		Shards:       newShardBreakdown(per, stats, s.runner.Coordinate > 0, s.runner.Rebalance),
 	}
 }
 
@@ -362,11 +328,11 @@ type StreamSession struct {
 }
 
 // shardView is one shard's part of a result: its explainer and its
-// classifier's threshold, read together. A live poll's view comes from
-// the snapshot hook, on the worker goroutine, with a clone of the
-// explainer, so the cutoff is consistent with the shard's own view at
-// snapshot time; the final result's is read off the replicas once Wait
-// has returned.
+// classifier's threshold, read together. A live poll's view is read by
+// its snapshot, on the worker goroutine, with a clone of the explainer,
+// so the cutoff is consistent with the shard's own view at snapshot
+// time; the final result's is read off the replicas once Wait has
+// returned.
 type shardView struct {
 	ex   *explain.Streaming
 	thr  float64 // NaN for a test's fake classifier, which exposes no cutoff
@@ -377,8 +343,8 @@ type shardView struct {
 // owns the shard's operators (its worker, or any once Wait has returned).
 func viewOf(ex *explain.Streaming, c core.Classifier) shardView {
 	v := shardView{ex: ex, thr: math.NaN()}
-	if tc, ok := c.(classify.ThresholdCoordinable); ok {
-		v.thr, v.glob = tc.Threshold(), tc.ThresholdIsGlobal()
+	if s, ok := c.(*classify.Streaming); ok {
+		v.thr, v.glob = s.Threshold(), s.ThresholdIsGlobal()
 	}
 	return v
 }
@@ -398,14 +364,6 @@ func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int
 	explainers := make([]*explain.Streaming, shards)
 	classifiers := make([]core.Classifier, shards)
 	s.runner = newStreamRunner(parts, cfg, shards, explainers, classifiers)
-	// Poll clones the shard's summary on the worker goroutine: the
-	// worker keeps consuming after the snapshot is handed over, so the
-	// clone is the isolation boundary. The classifier threshold rides
-	// along for the live skew breakdown; it is all the hook reads of the
-	// classifier, which may be mid-refit (classify.Streaming.SetOffload).
-	s.runner.SnapshotShard = func(shard int, pl core.ShardPipeline) any {
-		return viewOf(pl.Explainer.(*explain.Streaming).Clone(), pl.Classifier)
-	}
 	if err := s.runner.Start(); err != nil {
 		return nil, err
 	}
@@ -424,8 +382,7 @@ func StartPartitionedStream(parts core.PartitionedSource, cfg Config, shards int
 		// source, config) so a session kept around for polling does not
 		// pin P shards of summary state. Post-done Poll/Stop only read
 		// s.final, and no goroutine reads these particular fields
-		// concurrently: Wait has returned and Snapshot touches only
-		// SnapshotShard (left in place — its closure captures nothing).
+		// concurrently: Wait has returned, and Snapshot reads neither.
 		s.runner.NewShard = nil
 		s.runner.Partitioned = nil
 		if err != core.ErrStopped {
@@ -455,26 +412,20 @@ func (s *StreamSession) Done() bool {
 // poll is one full recompute over clones it owns: concurrent polls
 // share nothing, so none waits on another's merge.
 func (s *StreamSession) Poll() (*ShardedResult, error) {
-	snaps, err := s.runner.Snapshot()
-	if err == core.ErrNotStreaming {
+	// Each view clones the shard's summary on its worker goroutine: the
+	// worker keeps consuming once the view returns, so the clone is the
+	// isolation boundary. The classifier threshold rides along for the
+	// live skew breakdown; it is all the view reads of the classifier,
+	// which may be mid-refit (classify.Streaming.SetOffload). A
+	// quarantined shard runs no view and leaves its entry zero.
+	views := make([]shardView, s.runner.Shards)
+	err := s.runner.Snapshot(func(shard int, pl core.ShardPipeline) {
+		views[shard] = viewOf(pl.Explainer.(*explain.Streaming).Clone(), pl.Classifier)
+	})
+	if err != nil { // core.ErrNotStreaming: the run is over
 		return s.Wait()
 	}
-	if err != nil {
-		return nil, err
-	}
-	return s.livePoll(snaps), nil
-}
-
-// livePoll builds the live result from one snapshot round — fresh
-// clones this poll owns outright — and the Stats read that follows it.
-// A quarantined shard answers with its core.ShardFailure marker instead
-// of a view, and leaves its entry zero.
-func (s *StreamSession) livePoll(snaps []any) *ShardedResult {
-	views := make([]shardView, len(snaps))
-	for i, v := range snaps {
-		views[i], _ = v.(shardView)
-	}
-	return s.newResult(s.runner.Stats(), views)
+	return s.newResult(s.runner.Stats(), views), nil
 }
 
 // Stop halts ingestion, waits for the workers to drain, and returns
