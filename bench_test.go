@@ -22,7 +22,9 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -554,6 +556,11 @@ func BenchmarkPoll(b *testing.B) {
 // binary-decode decodes a 1024-row "MBR1" buffer into a recycled batch
 // through a warm encoder per op — the per-request parse cost of
 // mbserver's binary push path, allocation-free in steady state.
+// cmt-simple-16k and cmt-complex-4k decode one push request of the
+// end-to-end harness's shape through a warm ingest.PushDecoder per op:
+// 16384 CMT rows of the simple query (1 metric, 1 attribute), as
+// firehose_xs pushes them, and 4096 of the complex one (7 metrics, 6
+// attributes), as firehose_xc does.
 func BenchmarkPushIngest(b *testing.B) {
 	b.Run("p3s4", func(b *testing.B) {
 		d := gen.Devices(gen.DeviceConfig{Points: 64_512, Devices: 400, Seed: 42})
@@ -602,6 +609,145 @@ func BenchmarkPushIngest(b *testing.B) {
 			decode()
 		}
 	})
+	for _, q := range []struct {
+		name   string
+		simple bool
+		rows   int
+	}{{"cmt-simple-16k", true, 16384}, {"cmt-complex-4k", false, 4096}} {
+		b.Run(q.name, func(b *testing.B) {
+			frame, schema, enc := benchCMTFrame(b, q.simple, q.rows)
+			dec := ingest.NewPushDecoder(schema, enc)
+			rd := bytes.NewReader(frame)
+			batch := &core.Batch{}
+			decode := func() {
+				rd.Reset(frame)
+				batch.Reset()
+				if err := dec.Decode(rd, true, batch); err != nil || batch.Len() != q.rows {
+					b.Fatalf("decoded %d rows (%v), want %d", batch.Len(), err, q.rows)
+				}
+			}
+			decode() // warm
+			b.SetBytes(int64(len(frame)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decode()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*q.rows), "ns/row")
+		})
+	}
+}
+
+// benchCMTFrame MBR1-encodes rows CMT points of the simple or complex
+// query as one push request, without event times, as the end-to-end
+// harness writes its frames. It returns the frame, its schema and a
+// fresh encoder for the decode to intern into.
+func benchCMTFrame(b *testing.B, simple bool, rows int) ([]byte, ingest.Schema, *encode.Encoder) {
+	b.Helper()
+	ds, err := gen.DatasetByName("CMT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	genEnc, pts, _ := ds.Generate(gen.GenerateConfig{Points: rows, Simple: simple, Seed: 42})
+	schema := ingest.Schema{Metrics: ds.MetricNames[:len(pts[0].Metrics)], Attributes: genEnc.Columns()}
+	var buf bytes.Buffer
+	w := ingest.NewBinaryRowWriter(&buf)
+	vals := make([]string, len(schema.Attributes))
+	for _, p := range pts {
+		for j, id := range p.Attrs {
+			vals[j] = genEnc.Decode(id).Value
+		}
+		if err := w.WriteRow(p.Metrics, vals, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return buf.Bytes(), schema, encode.NewEncoder(schema.Attributes...)
+}
+
+// BenchmarkDictionaryStall measures what a writer on the dictionary
+// costs a push decode: per op, one complex CMT frame (4096 rows, six
+// attributes, every value already interned) decodes while another
+// goroutine interns new values without pause, into the decode's own
+// encoder (shared) or into another one (separate). Each new value takes
+// the encoder's write lock, which the decode's block lookups wait out;
+// shared minus separate is that wait, the stall sharing one dictionary
+// among a session's decoders costs; interns/op is the interner's side
+// of it, the values it got in while one frame decoded. Measurement
+// only: no gate reads it.
+// The interner's dictionary is replaced, untimed, every 200K values, so
+// its memory stays a few tens of MB however long the benchmark runs.
+func BenchmarkDictionaryStall(b *testing.B) {
+	for _, shared := range []bool{true, false} {
+		name := "separate"
+		if shared {
+			name = "shared"
+		}
+		b.Run(name, func(b *testing.B) {
+			frame, schema, _ := benchCMTFrame(b, false, 4096)
+			var (
+				dec      *ingest.PushDecoder
+				target   atomic.Pointer[encode.Encoder] // the interner's encoder
+				interned atomic.Int64                   // into target
+				total    atomic.Int64                   // while timed
+			)
+			rd := bytes.NewReader(frame)
+			batch := &core.Batch{}
+			decode := func() {
+				rd.Reset(frame)
+				batch.Reset()
+				if err := dec.Decode(rd, true, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			renew := func() {
+				enc := encode.NewEncoder(schema.Attributes...)
+				if shared || dec == nil {
+					dec = ingest.NewPushDecoder(schema, enc)
+					decode() // warm: every value of the frame interned
+				}
+				if !shared {
+					enc = encode.NewEncoder(schema.Attributes...)
+				}
+				target.Store(enc)
+				interned.Store(0)
+			}
+			renew()
+			stop, done := make(chan struct{}), make(chan struct{})
+			defer func() {
+				close(stop)
+				<-done
+			}()
+			go func() {
+				defer close(done)
+				ids, vals := make([]int32, 1), make([][]byte, 1)
+				var val []byte
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					val = strconv.AppendInt(append(val[:0], "new-"...), int64(i), 10)
+					vals[0] = val
+					target.Load().EncodeRows(ids, vals, 1)
+					interned.Add(1)
+				}
+			}()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if interned.Load() >= 200_000 {
+					b.StopTimer()
+					renew()
+					b.StartTimer()
+				}
+				before := interned.Load()
+				decode()
+				total.Add(interned.Load() - before)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*4096), "ns/row")
+			b.ReportMetric(float64(total.Load())/float64(b.N), "interns/op")
+		})
+	}
 }
 
 // BenchmarkCoordinate is the coordination-overhead kernel: the

@@ -791,10 +791,18 @@
 // NDJSON — a compact length-prefixed binary row format ("MBR1",
 // specified in internal/ingest/binrows.go) so high-rate producers skip
 // JSON entirely: both formats decode through per-session pooled
-// decoders straight into loaned batches, and the binary path
-// (ingest.BinaryRowReader + encode.Encoder.EncodeBytesInto, whose
-// interned-value lookups never materialize a string) is
-// allocation-free in steady state.
+// decoders straight into loaned batches, and the binary path is
+// allocation-free in steady state. ingest.BinaryRowReader parses rows in
+// place from a fixed 64 KB window that large reads of the body refill
+// (a row longer than the window grows it for that row only, and the end
+// of a body drops back to the default, so a pooled decoder pins no long
+// row). Attribute values alias the window until a block of rows is
+// interned in one encode.Encoder.EncodeRows call: one read lock for the
+// block's lookups, which materialize no string for a known value, then
+// one write lock for its misses in row-then-column order, so ids are
+// those of interning one value at a time. A block is at most 256 rows
+// and never spans a refill, which bounds one hold of the lock; the CSV
+// reader interns through the same call, 256 rows at a time.
 //
 // # Delivery semantics and failure model
 //
@@ -884,7 +892,12 @@
 //     baseline without kernels, or no kernel lines on stdin, is an
 //     error. A regression lands only together with a new justified
 //     baseline. The baseline and its history are in BENCH_PR32.md
-//     (see "Kernel baseline" below).
+//     (see "Kernel baseline" below). The step also prints kernels no
+//     baseline holds yet, which the gate lists as new: PushIngest's
+//     cmt-simple-16k and cmt-complex-4k (the MBR1 decode of one
+//     firehose_xs and one firehose_xc push request) and
+//     StreamSessionPoll (a session's poll through StreamSession.Poll,
+//     the control plane Poll/p3s4 never reaches).
 //   - bench-smoke vets the end-to-end harness and runs its own tests
 //     (`cd bench && go vet ./... && go test ./...`: every workload at
 //     toy size, and the test that the staged replay still matches the
@@ -908,9 +921,10 @@
 //     the float parser, the Go sweep and the Go sums for the AVX2
 //     kernels) rerun the exact scripts that once found or nearly found
 //     bugs, deterministically. It then fuzzes the CSV reader against
-//     encoding/csv, the float parser against strconv and the AVX2 mean
-//     and covariance against the Go sums, 30 s each, since each is
-//     hand-written and no seed list covers every input.
+//     encoding/csv, the MBR1 reader against the bufio reader it replaced
+//     (binrows_oracle_test.go), the float parser against strconv and the
+//     AVX2 mean and covariance against the Go sums, 30 s each, since
+//     each is hand-written and no seed list covers every input.
 //   - robustness runs the resume, degradation, quarantine, torn-frame
 //     and checkpoint suites under -race three times over (-count=3),
 //     since their failures are timing-dependent.

@@ -3,6 +3,13 @@
 // explanation data structures (AMC sketches, FP-trees, M-CPS-trees)
 // operate on machine integers rather than strings; identifiers are
 // decoded back to (column, value) pairs only at presentation time.
+//
+// The ingest readers intern through one call, Encoder.EncodeRows, which
+// takes a block of rows: one read lock for every lookup of the block,
+// then one write lock for its misses, interned in row-then-column order
+// so that ids are those of interning one value at a time. The readers
+// bound a block to a few hundred rows, which bounds how long a hold
+// keeps a writer, or the readers behind a waiting writer, out.
 package encode
 
 import (
@@ -24,7 +31,7 @@ type Encoder struct {
 	// byVal is the one index: per column, a plain string-keyed map, so
 	// a []byte value is looked up without materializing a string (the
 	// compiler elides the conversion in a direct map[string]T index
-	// expression). Grown by intern.
+	// expression). Grown by intern and EncodeRows.
 	byVal []map[string]int32
 }
 
@@ -73,6 +80,12 @@ func (e *Encoder) intern(col int, val string) int32 {
 	if id, ok := e.byVal[col][val]; ok {
 		return id
 	}
+	return e.add(col, val)
+}
+
+// add gives val, new in col, the next id; e.mu is held for writing and
+// col's index exists.
+func (e *Encoder) add(col int, val string) int32 {
 	id := int32(len(e.keys))
 	e.byVal[col][val] = id
 	e.keys = append(e.keys, key{col, val})
@@ -108,29 +121,59 @@ func (e *Encoder) EncodeInto(ids []int32, values []string) []int32 {
 	return ids
 }
 
-// EncodeBytesInto is EncodeInto for values still in []byte form (a CSV
-// reader's field bytes, a binary wire decoder's scratch): one read lock
-// for the row, no string for a value already interned, so steady-state
-// ingest never touches the allocator.
-func (e *Encoder) EncodeBytesInto(ids []int32, values [][]byte) []int32 {
+// EncodeRows interns a block of rows whose values are still in []byte
+// form (a CSV block's field bytes, an MBR1 window's row bodies): values
+// holds width values a row, row after row, so values[i] is a value of
+// column i%width, and its id goes to ids[i], which must have
+// len(values) slots. The last row may be short: a bad row's values
+// before its failure are interned too. It is the one intern call of the
+// CSV and MBR1 readers.
+//
+// Every lookup runs under one read lock and materializes no string for
+// a value already interned. The misses are then interned under one
+// write lock in row-then-column order, each looked up again first (an
+// earlier row of the block, or another goroutine, may have interned
+// it), so every id is the one interning the values one at a time, in
+// order, gives. A hold lasts as long as its block's lookups, so the
+// caller bounds the block: the ingest readers pass a few hundred rows
+// at most. width must be positive.
+func (e *Encoder) EncodeRows(ids []int32, values [][]byte, width int) []int32 {
+	if width <= 0 {
+		panic("encode: EncodeRows width " + strconv.Itoa(width))
+	}
 	missing := false
 	e.mu.RLock()
-	for i, v := range values {
-		id := int32(-1)
-		if i < len(e.byVal) {
-			if got, ok := e.byVal[i][string(v)]; ok {
-				id = got
+	for r := 0; r < len(values); r += width {
+		for col, v := range values[r:min(r+width, len(values))] {
+			id := int32(-1)
+			if col < len(e.byVal) {
+				if got, ok := e.byVal[col][string(v)]; ok {
+					id = got
+				}
 			}
+			missing = missing || id < 0
+			ids[r+col] = id
 		}
-		missing = missing || id < 0
-		ids[i] = id
 	}
 	e.mu.RUnlock()
-	if missing {
-		for i, v := range values {
-			if ids[i] < 0 {
-				ids[i] = e.intern(i, string(v))
+	if !missing {
+		return ids
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for len(e.byVal) < min(width, len(values)) {
+		e.byVal = append(e.byVal, make(map[string]int32))
+	}
+	for r := 0; r < len(values); r += width {
+		for col, v := range values[r:min(r+width, len(values))] {
+			if ids[r+col] >= 0 {
+				continue
 			}
+			id, ok := e.byVal[col][string(v)]
+			if !ok {
+				id = e.add(col, string(v))
+			}
+			ids[r+col] = id
 		}
 	}
 	return ids

@@ -1,8 +1,8 @@
 package ingest
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -34,14 +34,17 @@ import (
 // magic is an error.
 //
 // BinaryRowReader decodes a stream into recycled core.Batch slabs with
-// zero steady-state allocations: the varint/float parsing works out of
-// a reusable body buffer and a row's attribute values are interned
-// together through encode.Encoder.EncodeBytesInto, which looks up
-// already-known values under one read lock without materializing a
-// string. A row that fails partway through its attributes still interns
-// the ones before the failure, in column order, so an encoder that
-// outlives the bad row hands out the ids it would have had they been
-// interned one at a time.
+// zero steady-state allocations. It parses each row in place from a
+// fixed window (binaryWindow, 64 KB) that large reads of the stream
+// refill, so a row costs the bytes it parses, not a call per byte of
+// its length prefix and a copy of its body. Attribute values alias the
+// window until a block of rows — at most internRows, and never past a
+// refill — is interned in one encode.Encoder.EncodeRows call: one read
+// lock for the block's lookups, one write lock for its misses, in
+// row-then-column order. A row that fails partway through its
+// attributes still interns the ones before the failure, after the rows
+// before it, so an encoder that outlives the bad row hands out the ids
+// it would have had they been interned one at a time.
 
 // BinaryMagic is the stream header of the binary row format.
 const BinaryMagic = "MBR1"
@@ -138,39 +141,95 @@ func TornFrames(frames []byte, seed uint64) []byte {
 	return frames[:cut]
 }
 
+// binaryWindow is the size of the window a BinaryRowReader parses rows
+// in. On the CMT push kernels (BenchmarkPushIngest/cmt-*, 2 vCPUs) 4 KB
+// to 512 KB windows decode within noise of each other; what the reader
+// saves is the per-row calls, not the reads. End to end on firehose_xs,
+// a scratch prototype reading into a buffer that held the whole body
+// gained +25% to +42% points/s, against +27% in the median for this
+// window, but raised the server's peak RSS from 24-29 to 33.6-34.6 MB.
+// At 64 KB a firehose_xs body (~430 KB) takes about seven refills and a
+// pooled decoder stays small.
+const binaryWindow = 64 << 10
+
+// internRows bounds the rows one encoder call interns, and so one hold
+// of the encoder's lock. On the CMT push kernels (2 vCPUs) bounds of 16
+// to 1024 rows decode within noise of each other: one RLock/RUnlock pair
+// is a fraction of a nanosecond a row past a few dozen rows. Interning
+// is about half of a complex row's ~330 ns, so a hold of 256 six-value
+// rows lasts ~45 us, which bounds what a writer on the same encoder, and
+// the readers queued behind it, wait.
+const internRows = 256
+
+// errVarintOverflow is binary.ReadUvarint's error for a length prefix of
+// more than 64 bits.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
 // BinaryRowReader decodes a binary row stream into core.Batch slabs,
 // validating each row against the schema and interning attribute
 // values through the encoder. Reuse one reader across streams via
 // Reset; steady-state decoding allocates nothing.
+//
+// Rows are parsed in place from a fixed window that large reads of the
+// stream refill; a row longer than the window grows it for that row
+// only, and the end of the stream drops back to the default window, so
+// a pooled reader keeps no more than binaryWindow between streams.
+// Parsed rows wait in a block, their attribute values aliasing the
+// window, until the block holds internRows rows, the window must
+// refill, the read reaches its max or a row fails; the block is then
+// interned in one encode.Encoder.EncodeRows call and appended to the
+// batch.
 type BinaryRowReader struct {
-	r      *bufio.Reader
+	src    io.Reader
 	schema Schema
 	enc    *encode.Encoder
-	body   []byte
-	mbuf   []float64
-	abuf   []int32
-	vals   [][]byte // a row's attribute values, aliasing body until interned
-	row    int
-	begun  bool
-	err    error
+	win    []byte // the default window, kept across streams
+	buf    []byte // the window being parsed: win, or a row longer than win
+	pos    int    // buf[pos:end] is read and not yet parsed
+	end    int
+	rerr   error // the source's error, met once buf[pos:end] is parsed
+	// The block: rows parsed and not yet interned. vals holds the
+	// attribute values of its rows, then extra values of a bad row that
+	// failed after them, all aliasing buf.
+	met   []float64
+	times []float64
+	vals  [][]byte
+	ids   []int32
+	rows  int
+	extra int
+	row   int
+	begun bool
+	err   error
 }
 
 // NewBinaryRowReader returns a reader decoding r under schema, with
 // attribute values interned through enc.
 func NewBinaryRowReader(r io.Reader, schema Schema, enc *encode.Encoder) *BinaryRowReader {
-	d := &BinaryRowReader{schema: schema, enc: enc}
+	return newBinaryRowReader(r, schema, enc, binaryWindow)
+}
+
+// newBinaryRowReader is NewBinaryRowReader with a window of size bytes;
+// tests take tiny ones so that rows straddle refills and outgrow it.
+func newBinaryRowReader(r io.Reader, schema Schema, enc *encode.Encoder, size int) *BinaryRowReader {
+	nm, na := len(schema.Metrics), len(schema.Attributes)
+	d := &BinaryRowReader{
+		schema: schema,
+		enc:    enc,
+		win:    make([]byte, size),
+		met:    make([]float64, internRows*nm),
+		times:  make([]float64, internRows),
+		vals:   make([][]byte, internRows*na),
+		ids:    make([]int32, internRows*na),
+	}
 	d.Reset(r)
 	return d
 }
 
-// Reset rearms the reader over a new stream, keeping its buffers (the
-// pooling hook for per-request reuse).
+// Reset rearms the reader over a new stream, keeping its default window
+// and block scratch (the pooling hook for per-request reuse).
 func (d *BinaryRowReader) Reset(r io.Reader) {
-	if d.r == nil {
-		d.r = bufio.NewReader(r)
-	} else {
-		d.r.Reset(r)
-	}
+	d.src = r
+	d.buf, d.pos, d.end, d.rerr = d.win, 0, 0, nil
 	d.row = 0
 	d.begun = false
 	d.err = nil
@@ -179,7 +238,9 @@ func (d *BinaryRowReader) Reset(r io.Reader) {
 // ReadInto appends up to max decoded rows to b and reports how many
 // were appended. A clean end of stream returns (n, io.EOF) with n
 // possibly positive; any malformed input fails the whole read (errors
-// are latched: subsequent calls return the same error).
+// are latched: subsequent calls return the same error). The rows before
+// a bad row are appended, and the bad row's attribute values before its
+// failure are interned.
 func (d *BinaryRowReader) ReadInto(b *core.Batch, max int) (int, error) {
 	if d.err != nil {
 		return 0, d.err
@@ -191,40 +252,35 @@ func (d *BinaryRowReader) ReadInto(b *core.Batch, max int) (int, error) {
 		}
 		d.begun = true
 	}
-	if cap(d.mbuf) < len(d.schema.Metrics) {
-		d.mbuf = make([]float64, len(d.schema.Metrics))
-	}
-	if cap(d.abuf) < len(d.schema.Attributes) {
-		d.abuf = make([]int32, len(d.schema.Attributes))
-	}
-	if cap(d.vals) < len(d.schema.Attributes) {
-		d.vals = make([][]byte, len(d.schema.Attributes))
-	}
 	n := 0
-	for n < max {
-		if err := d.readRow(b); err == io.EOF {
-			return n, io.EOF
-		} else if err != nil {
-			d.err = err
-			return n, err
+	var err error
+	for ; n < max; n++ {
+		if d.rows == internRows {
+			d.flush(b)
 		}
-		n++
+		if err = d.readRow(b); err != nil {
+			break
+		}
 	}
-	return n, nil
+	d.flush(b)
+	if err != nil {
+		// The stream is over: let go of a window grown for a long row
+		// now, not at the next Reset, which may be far off in a pool.
+		d.buf, d.pos, d.end = d.win, 0, 0
+		if err != io.EOF {
+			d.err = err
+		}
+	}
+	return n, err
 }
 
-// readMagic consumes and validates the 4-byte stream header (into the
-// reusable body scratch: a stack array would escape through io.Reader
-// and cost one allocation per stream). A completely empty stream —
-// zero bytes before any magic — returns io.EOF and decodes as zero
-// rows, mirroring an empty NDJSON body (an empty ?eof=1 request must
-// not fail); a partial header is still an error.
+// readMagic consumes and validates the 4-byte stream header. A
+// completely empty stream — zero bytes before any magic — returns
+// io.EOF and decodes as zero rows, mirroring an empty NDJSON body (an
+// empty ?eof=1 request must not fail); a partial header is still an
+// error.
 func (d *BinaryRowReader) readMagic() error {
-	if cap(d.body) < len(BinaryMagic) {
-		d.body = make([]byte, 64)
-	}
-	m := d.body[:len(BinaryMagic)]
-	if _, err := io.ReadFull(d.r, m); err != nil {
+	if err := d.need(nil, len(BinaryMagic)); err != nil {
 		if err == io.EOF {
 			return io.EOF
 		}
@@ -233,16 +289,89 @@ func (d *BinaryRowReader) readMagic() error {
 		}
 		return fmt.Errorf("ingest: binary rows: reading magic: %w", err)
 	}
+	m := d.buf[d.pos : d.pos+len(BinaryMagic)]
 	if string(m) != BinaryMagic {
 		return fmt.Errorf("ingest: binary rows: bad magic %q, want %q", m, BinaryMagic)
+	}
+	d.pos += len(BinaryMagic)
+	return nil
+}
+
+// need makes sure buf[pos:end] holds at least n bytes, refilling the
+// window until it does or the source ends. It returns nil once they are
+// there, and otherwise io.ReadFull's error for them: io.EOF with none
+// read, io.ErrUnexpectedEOF with some, or the source's own error. A
+// refill first interns the block into b, as its values alias the
+// window; b may be nil while the block is empty.
+func (d *BinaryRowReader) need(b *core.Batch, n int) error {
+	for d.end-d.pos < n {
+		if d.rerr != nil {
+			if d.rerr == io.EOF && d.end > d.pos {
+				return io.ErrUnexpectedEOF
+			}
+			return d.rerr
+		}
+		d.fill(b, n)
 	}
 	return nil
 }
 
-// readRow decodes one length-prefixed row into b. io.EOF (only at a
-// row boundary) means the stream ended cleanly.
+// fill moves the unparsed bytes to the front of the window and reads
+// once into the rest of it. The window is the default one unless want
+// is larger; then it doubles, up to want, each time the row's bytes
+// fill it, so a length prefix alone makes the reader allocate no more
+// than twice what the stream sends.
+func (d *BinaryRowReader) fill(b *core.Batch, want int) {
+	d.flush(b)
+	rest := d.buf[d.pos:d.end]
+	dst := d.win
+	if want > len(dst) {
+		dst = d.buf
+		if len(rest) == len(dst) || &dst[0] == &d.win[0] {
+			dst = make([]byte, min(want, 2*len(dst)))
+		}
+	}
+	d.end = copy(dst, rest)
+	d.buf, d.pos = dst, 0
+	// A source that returns neither bytes nor an error is retried, as
+	// bufio.Reader retries it, before it counts as stuck.
+	for i := 0; i < 100; i++ {
+		n, err := d.src.Read(d.buf[d.end:])
+		d.end += n
+		if err != nil {
+			d.rerr = err
+			return
+		}
+		if n > 0 {
+			return
+		}
+	}
+	d.rerr = io.ErrNoProgress
+}
+
+// prefix reads a row's length prefix as binary.ReadUvarint reads it
+// from the stream: io.EOF before its first byte, io.ErrUnexpectedEOF
+// after it, and errVarintOverflow past ten bytes or 64 bits.
+func (d *BinaryRowReader) prefix(b *core.Batch) (uint64, error) {
+	for {
+		v, n := binary.Uvarint(d.buf[d.pos:d.end])
+		if n > 0 {
+			d.pos += n
+			return v, nil
+		}
+		if n < 0 || d.end-d.pos >= binary.MaxVarintLen64 {
+			return 0, errVarintOverflow
+		}
+		if err := d.need(b, d.end-d.pos+1); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// readRow parses one length-prefixed row into the block. io.EOF (only
+// at a row boundary) means the stream ended cleanly.
 func (d *BinaryRowReader) readRow(b *core.Batch) error {
-	bodyLen, err := binary.ReadUvarint(d.r)
+	bodyLen, err := d.prefix(b)
 	if err == io.EOF {
 		return io.EOF
 	}
@@ -253,13 +382,11 @@ func (d *BinaryRowReader) readRow(b *core.Batch) error {
 	if bodyLen > maxBinaryRowBytes {
 		return fmt.Errorf("ingest: binary row %d: declared length %d exceeds limit %d", d.row, bodyLen, maxBinaryRowBytes)
 	}
-	if cap(d.body) < int(bodyLen) {
-		d.body = make([]byte, bodyLen)
-	}
-	body := d.body[:bodyLen]
-	if _, err := io.ReadFull(d.r, body); err != nil {
+	if err := d.need(b, int(bodyLen)); err != nil {
 		return fmt.Errorf("ingest: binary row %d: truncated body (%d bytes declared): %w", d.row, bodyLen, err)
 	}
+	body := d.buf[d.pos : d.pos+int(bodyLen)]
+	d.pos += int(bodyLen)
 	if len(body) < 1 {
 		return fmt.Errorf("ingest: binary row %d: empty body", d.row)
 	}
@@ -276,57 +403,71 @@ func (d *BinaryRowReader) readRow(b *core.Batch) error {
 		}
 		body = body[8:]
 	}
-	nm, body, err := d.uvarint(body)
+	nm, body, err := uvarint(body)
 	if err != nil {
 		return fmt.Errorf("ingest: binary row %d: metric count: %w", d.row, err)
 	}
-	if int(nm) != len(d.schema.Metrics) {
+	if nm != uint64(len(d.schema.Metrics)) {
 		return fmt.Errorf("ingest: binary row %d: %d metrics, want %d (%v)", d.row, nm, len(d.schema.Metrics), d.schema.Metrics)
 	}
-	mbuf := d.mbuf[:nm]
 	if len(body) < 8*int(nm) {
 		return fmt.Errorf("ingest: binary row %d: truncated metrics", d.row)
 	}
-	for j := range mbuf {
-		mbuf[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*j:]))
-		if err := checkFinite(mbuf[j]); err != nil {
+	met := d.met[d.rows*int(nm) : (d.rows+1)*int(nm)]
+	for j := range met {
+		met[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*j:]))
+		if err := checkFinite(met[j]); err != nil {
 			return fmt.Errorf("ingest: binary row %d: metric %q: %w", d.row, d.schema.Metrics[j], err)
 		}
 	}
 	body = body[8*nm:]
-	na, body, err := d.uvarint(body)
+	na, body, err := uvarint(body)
 	if err != nil {
 		return fmt.Errorf("ingest: binary row %d: attribute count: %w", d.row, err)
 	}
-	if int(na) != len(d.schema.Attributes) {
+	if na != uint64(len(d.schema.Attributes)) {
 		return fmt.Errorf("ingest: binary row %d: %d attributes, want %d (%v)", d.row, na, len(d.schema.Attributes), d.schema.Attributes)
 	}
-	abuf, vals := d.abuf[:na], d.vals[:na]
+	vals := d.vals[d.rows*int(na) : (d.rows+1)*int(na)]
 	for j := range vals {
 		var vl uint64
-		vl, body, err = d.uvarint(body)
+		vl, body, err = uvarint(body)
 		if err != nil {
-			d.enc.EncodeBytesInto(abuf[:j], vals[:j])
+			d.extra = j
 			return fmt.Errorf("ingest: binary row %d: attribute %q length: %w", d.row, d.schema.Attributes[j], err)
 		}
 		if uint64(len(body)) < vl {
-			d.enc.EncodeBytesInto(abuf[:j], vals[:j])
+			d.extra = j
 			return fmt.Errorf("ingest: binary row %d: truncated attribute %q", d.row, d.schema.Attributes[j])
 		}
 		vals[j] = body[:vl]
 		body = body[vl:]
 	}
-	d.enc.EncodeBytesInto(abuf, vals)
 	if len(body) != 0 {
+		d.extra = len(vals)
 		return fmt.Errorf("ingest: binary row %d: %d trailing bytes in body", d.row, len(body))
 	}
-	b.Append(mbuf, abuf, t)
+	d.times[d.rows] = t
+	d.rows++
 	return nil
 }
 
-// uvarint decodes a varint from the row body without touching the
-// underlying reader.
-func (d *BinaryRowReader) uvarint(body []byte) (uint64, []byte, error) {
+// flush interns the block's values, a bad row's among them, in one
+// encoder call and appends the block's rows to b.
+func (d *BinaryRowReader) flush(b *core.Batch) {
+	nm, na := len(d.schema.Metrics), len(d.schema.Attributes)
+	if nv := d.rows*na + d.extra; nv > 0 {
+		d.enc.EncodeRows(d.ids[:nv], d.vals[:nv], na)
+		clear(d.vals[:nv]) // let go of a window grown for a long row
+	}
+	for r := 0; r < d.rows; r++ {
+		b.Append(d.met[r*nm:(r+1)*nm], d.ids[r*na:(r+1)*na], d.times[r])
+	}
+	d.rows, d.extra = 0, 0
+}
+
+// uvarint decodes a varint from a row body.
+func uvarint(body []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(body)
 	if n <= 0 {
 		return 0, body, fmt.Errorf("truncated or malformed varint")

@@ -2,10 +2,12 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -276,5 +278,63 @@ func TestTornFramesRejectedCleanly(t *testing.T) {
 	small := []byte{1, 2, 3}
 	if got := TornFrames(small, 1); !bytes.Equal(got, small) {
 		t.Errorf("short input mangled: %v", got)
+	}
+}
+
+// TestBinaryRowReaderKeepsOnlyItsWindow: a 1 MB row grows the window
+// for that row only; the rows after it decode, and once the stream ends,
+// and after a Reset, the reader holds its default window and block
+// scratch, not the row. A pooled reader used to keep its largest row's
+// buffer for the session's lifetime.
+func TestBinaryRowReaderKeepsOnlyItsWindow(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewBinaryRowWriter(&buf)
+	for i, v := range []string{"a", strings.Repeat("x", 1<<20), "b"} {
+		if err := w.WriteRow([]float64{float64(i), 0}, []string{"d", v}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc := encode.NewEncoder("device", "version")
+	d := NewBinaryRowReader(bytes.NewReader(buf.Bytes()), binSchema, enc)
+	b := &core.Batch{}
+	if n, err := d.ReadInto(b, 10); n != 3 || err != io.EOF {
+		t.Fatalf("decoded (%d, %v), want (3, EOF)", n, err)
+	}
+	if got := enc.Decode(b.Points()[1].Attrs[1]).Value; len(got) != 1<<20 {
+		t.Fatalf("the long row's value has %d bytes, want %d", len(got), 1<<20)
+	}
+	check := func(when string) {
+		t.Helper()
+		if cap(d.buf) != binaryWindow || &d.buf[0] != &d.win[0] {
+			t.Fatalf("%s the window holds %d bytes, want the default %d", when, cap(d.buf), binaryWindow)
+		}
+		for i, v := range d.vals {
+			if v != nil {
+				t.Fatalf("%s value slot %d still holds %d bytes of the stream", when, i, len(v))
+			}
+		}
+	}
+	check("at the end of the stream")
+	d.Reset(bytes.NewReader(nil))
+	check("after Reset")
+}
+
+// TestBinaryRowDeclaredLengthAllocatesWhatArrives: a row that declares
+// the largest length the format allows and then ends makes the reader
+// allocate about what arrived, not the length it declared. A hostile
+// push body of a dozen bytes used to cost a 16 MB buffer.
+func TestBinaryRowDeclaredLengthAllocatesWhatArrives(t *testing.T) {
+	frame := binary.AppendUvarint([]byte(BinaryMagic), maxBinaryRowBytes)
+	frame = append(frame, 0, 1, 2, 3)
+	d := NewBinaryRowReader(bytes.NewReader(frame), binSchema, encode.NewEncoder("device", "version"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := d.ReadInto(&core.Batch{}, 10)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated body") {
+		t.Fatalf("read error %v, want a truncated body", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*binaryWindow {
+		t.Fatalf("a %d-byte stream declaring a %d-byte row allocated %d bytes, want at most %d", len(frame), maxBinaryRowBytes, got, 4*binaryWindow)
 	}
 }

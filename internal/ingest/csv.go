@@ -48,15 +48,18 @@ const blockSize = 256 << 10
 // records and splits fields over the block's bytes, so a row costs no
 // allocation: an unquoted field is a subslice of the block, a quoted
 // one is unescaped in place, metrics are parsed from the field bytes
-// and attributes interned with encode.Encoder.EncodeBytesInto.
+// and attributes interned with encode.Encoder.EncodeRows, the intern
+// call the MBR1 reader makes too.
 //
 // Every read goes through one record loop, columns.parse, which turns a
 // block into slabs of metrics, times and attribute spans; the calling
 // goroutine then interns the block's attributes in file order (intern),
-// so ids and bad-row errors do not depend on the read. NextBatchInto,
-// the streaming read, parses a block at a time on the calling
-// goroutine, in slabs it recycles, and copies rows from them into the
-// engine's batch: the source is a one-partition core.PartitionedSource.
+// internRows rows an encoder call, so one hold of the encoder's lock
+// covers at most internRows rows, and ids and bad-row errors do not
+// depend on the read. NextBatchInto, the streaming read, parses a block
+// at a time on the calling goroutine, in slabs it recycles, and copies
+// rows from them into the engine's batch: the source is a one-partition
+// core.PartitionedSource.
 // ReadAll, the one-shot read, parses blocks on GOMAXPROCS goroutines
 // and keeps their slabs as the points. Next, NextBatchInto into fresh
 // points, stays because the benchmark harness's staged replay
@@ -69,7 +72,7 @@ type CSVSource struct {
 	cur   block    // the streaming read's block
 	next  int      // cur's rows already read
 	bad   error    // the error of cur's bad row, which follows its rows
-	vals  [][]byte // one row's attribute values, for interning
+	vals  [][]byte // the attribute values of internRows rows, for interning
 	row   int      // records parsed, the header not counted
 	line  int      // newlines parsed: the next block starts on line+1
 	err   error
@@ -149,7 +152,7 @@ func newCSVSource(r io.Reader, schema Schema, enc *encode.Encoder, size int) (*C
 		}
 		s.cols.time = i
 	}
-	s.vals = make([][]byte, len(s.cols.attr))
+	s.vals = make([][]byte, internRows*len(s.cols.attr))
 	return s, nil
 }
 
@@ -224,15 +227,17 @@ func (s *CSVSource) cut(b *block) (err error) {
 }
 
 // intern interns the attributes of b's parsed rows in file order, into
-// b.ids, and counts b's rows and lines. It returns the error of b's bad
-// row, if b has one, naming its row and line.
+// b.ids, internRows rows an encoder call, and counts b's rows and lines.
+// It returns the error of b's bad row, if b has one, naming its row and
+// line.
 func (s *CSVSource) intern(b *block) error {
 	na := len(s.cols.attr)
-	for r := 0; r < b.rows; r++ {
-		for j, f := range b.attrs[r*na : (r+1)*na] {
-			s.vals[j] = b.data[f.lo:f.hi]
+	for r := 0; r < b.rows && na > 0; r += internRows {
+		vals := s.vals[:(min(r+internRows, b.rows)-r)*na]
+		for i, f := range b.attrs[r*na : r*na+len(vals)] {
+			vals[i] = b.data[f.lo:f.hi]
 		}
-		s.enc.EncodeBytesInto(b.ids[r*na:(r+1)*na], s.vals)
+		s.enc.EncodeRows(b.ids[r*na:r*na+len(vals)], vals, na)
 	}
 	s.row += b.rows
 	if b.bad != nil {
