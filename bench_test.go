@@ -189,16 +189,23 @@ func BenchmarkFig6Sketches(b *testing.B) {
 		stream[i] = pts[i].Attrs[0]
 	}
 	for _, size := range []int{100, 10_000} {
+		// The AMCs are maintained every 10K updates, as in Figure 6.
 		b.Run(fmt.Sprintf("amc/%d", size), func(b *testing.B) {
-			s := sketch.NewAMC[int32](size, 0.01).WithMaintenanceEvery(10_000)
+			s := sketch.NewAMC[int32](size, 0.01)
 			for i := 0; i < b.N; i++ {
 				s.Observe(stream[i%len(stream)], 1)
+				if i%10_000 == 9_999 {
+					s.Maintain()
+				}
 			}
 		})
 		b.Run(fmt.Sprintf("damc/%d", size), func(b *testing.B) {
-			s := sketch.NewDenseAMC(size, 0.01).WithMaintenanceEvery(10_000)
+			s := sketch.NewDenseAMC(size, 0.01)
 			for i := 0; i < b.N; i++ {
 				s.Observe(stream[i%len(stream)], 1)
+				if i%10_000 == 9_999 {
+					s.Maintain()
+				}
 			}
 		})
 		b.Run(fmt.Sprintf("ssh/%d", size), func(b *testing.B) {
@@ -371,9 +378,21 @@ func BenchmarkFig11ScaleOut(b *testing.B) {
 
 func BenchmarkMCPSvsCPS(b *testing.B) {
 	pts := benchDatasetPoints(b, "Liquor", false, 50_000)
-	run := func(b *testing.B, mkTree func() *cps.Tree, mcps bool) {
+	// The CPS-tree is an M-CPS tree restructured over every item of the
+	// stream, ordered by its own counts, so it prunes nothing.
+	var universe []int32
+	seen := map[int32]bool{}
+	for j := range pts {
+		for _, a := range pts[j].Attrs {
+			if !seen[a] {
+				seen[a] = true
+				universe = append(universe, a)
+			}
+		}
+	}
+	run := func(b *testing.B, mcps bool) {
 		for i := 0; i < b.N; i++ {
-			tree := mkTree()
+			tree := cps.NewMCPS()
 			amc := sketch.NewAMC[int32](10_000, 0.01)
 			for j := range pts {
 				for _, a := range pts[j].Attrs {
@@ -381,24 +400,27 @@ func BenchmarkMCPSvsCPS(b *testing.B) {
 				}
 				tree.Insert(pts[j].Attrs, 1)
 				if (j+1)%10_000 == 0 {
+					freqItems, freqCounts := []int32{}, []float64{}
 					if mcps {
-						freqItems, freqCounts := []int32{}, []float64{}
 						amc.ForEach(func(item int32, c float64) {
 							if c >= 10 {
 								freqItems = append(freqItems, item)
 								freqCounts = append(freqCounts, c)
 							}
 						})
-						tree.Restructure(freqItems, freqCounts, 0.99)
 					} else {
-						tree.Restructure(nil, nil, 0.99)
+						for _, it := range universe {
+							freqItems = append(freqItems, it)
+							freqCounts = append(freqCounts, tree.ItemCount(it))
+						}
 					}
+					tree.Restructure(freqItems, freqCounts, 0.99)
 				}
 			}
 		}
 	}
-	b.Run("mcps", func(b *testing.B) { run(b, cps.NewMCPS, true) })
-	b.Run("cps", func(b *testing.B) { run(b, cps.NewCPS, false) })
+	b.Run("mcps", func(b *testing.B) { run(b, true) })
+	b.Run("cps", func(b *testing.B) { run(b, false) })
 }
 
 // --- Appendix D: kNN detector baseline ----------------------------------

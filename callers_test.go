@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,10 +25,12 @@ import (
 // with no runner is deleted, or moves into the _test.go file that uses
 // it as an oracle.
 var uncalledAllowed = map[string]string{
-	"macrobase/internal/core.NewFuncSource":     "the Source adapter for a callback; its tests hold it to SliceSource's partition view, and library users build streams with it",
-	"macrobase/internal/ingest.TornFrames":      "cuts an MBR1 stream inside a frame for the binary decoder's and mbserver's robustness tests, which check that a torn body is rejected cleanly",
-	"macrobase/internal/baselines.NewKNNScorer": "the kNN distance baseline that BenchmarkKNNBaseline runs; the root package's benchmarks are test files",
-	"macrobase/internal/gen.SkewedDevices":      "the Zipf workload that BenchmarkRebalance and pipeline's rebalance tests run; the root package's benchmarks are test files",
+	"macrobase/internal/core.NewFuncSource":       "the Source adapter for a callback; its tests hold it to SliceSource's partition view, and library users build streams with it",
+	"macrobase/internal/ingest.TornFrames":        "cuts an MBR1 stream inside a frame for the binary decoder's and mbserver's robustness tests, which check that a torn body is rejected cleanly",
+	"macrobase/internal/baselines.NewKNNScorer":   "the kNN distance baseline that BenchmarkKNNBaseline runs; the root package's benchmarks are test files",
+	"macrobase/internal/gen.SkewedDevices":        "the Zipf workload that BenchmarkRebalance and pipeline's rebalance tests run; the root package's benchmarks are test files",
+	"macrobase/internal/encode.Encoder.Size":      "the dictionary size that gen's and ingest's tests compare against their oracles; a caller holding an Encoder may read it",
+	"macrobase/internal/ingest.PushProducer.Send": "the zero-copy batch send that the root package's p3s4 push kernels time, beside SendBatch; the root package's benchmarks are test files",
 }
 
 // goDecl is one exported top-level function or type.
@@ -84,9 +87,14 @@ func parseRepo(t *testing.T, fset *token.FileSet, withTests bool) []srcFile {
 
 // TestExportedNamesHaveCallers fails for an exported top-level function
 // or type, in a non-test file outside bench/, that no non-test file
-// names. Files under bench/ and examples/ count as callers; a name used
-// only by tests belongs in the _test.go file that uses it. A method's
-// receiver does not count as a mention of its type.
+// names, and for an exported method of an exported type there whose
+// name no non-test file selects (x.Name, whatever x is; a method of an
+// unexported type leaves its package only through an interface). Files
+// under bench/ and examples/ count as callers; a name used only by
+// tests belongs in the _test.go file that uses it. A method's receiver
+// does not count as a mention of its type. A method that satisfies an
+// interface (exemptInterfaces, or one declared in internal/core) is
+// exempt: what calls it may be another package's code.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	files := parseRepo(t, fset, false)
@@ -97,11 +105,13 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		pkgName[f.pkg] = f.ast.Name.Name
 	}
 
-	var decls []goDecl
-	used := make(map[string]bool) // "importpath.Name"
+	var decls, methods []goDecl
+	used := make(map[string]bool)     // "importpath.Name"
+	selected := make(map[string]bool) // method and field names
 	for _, f := range files {
 		if !strings.HasPrefix(f.pkg, "macrobase/bench") {
 			decls = append(decls, exportedDecls(fset, f.pkg, f.ast)...)
+			methods = append(methods, exportedMethods(fset, f.pkg, f.ast)...)
 		}
 		imports := make(map[string]string) // local name -> import path
 		for _, im := range f.ast.Imports {
@@ -126,7 +136,8 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 							return false
 						}
 					}
-					visit(n.X, self) // n.Sel is a field or method
+					selected[n.Sel.Name] = true // a field or method
+					visit(n.X, self)
 					return false
 				case *ast.Field:
 					visit(n.Type, self) // n.Names declare, not use
@@ -166,15 +177,104 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		}
 		missing = append(missing, d.pos+": "+key)
 	}
+	exempt := interfaceMethods(files)
+	for _, m := range methods {
+		key := m.pkg + "." + m.name
+		method := m.name[strings.Index(m.name, ".")+1:]
+		if selected[method] || exempt[key] {
+			continue
+		}
+		if _, ok := uncalledAllowed[key]; ok {
+			continue
+		}
+		missing = append(missing, m.pos+": "+key)
+	}
 	sort.Strings(missing)
 	for _, m := range missing {
 		t.Errorf("%s has no non-test caller: delete it, give it a runner, or move it into the _test.go file that uses it", m)
 	}
 	for key := range uncalledAllowed {
-		if used[key] {
+		name := path.Base(key) // pkg.Name, or pkg.Type.Method
+		if used[key] || strings.Count(name, ".") == 2 && selected[name[strings.LastIndex(name, ".")+1:]] {
 			t.Errorf("%s is allowlisted but has a non-test caller now: take it off the list", key)
 		}
 	}
+}
+
+// exemptInterfaces are the interfaces outside this repository whose
+// methods other packages call: a method satisfying one needs no caller
+// here. Interfaces declared in internal/core are exempt too.
+var exemptInterfaces = map[string][]string{
+	"error":          {"Error"},
+	"fmt.Stringer":   {"String"},
+	"json.Marshaler": {"MarshalJSON"},
+	"heap.Interface": {"Len", "Less", "Swap", "Push", "Pop"},
+}
+
+// exportedMethods lists the exported methods of f's exported types,
+// each named Type.Method.
+func exportedMethods(fset *token.FileSet, pkg string, f *ast.File) []goDecl {
+	var out []goDecl
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.IsExported() {
+			if typ := baseTypeName(fd.Recv.List[0].Type); ast.IsExported(typ) {
+				out = append(out, goDecl{pkg, typ + "." + fd.Name.Name, fset.Position(fd.Name.Pos()).String()})
+			}
+		}
+	}
+	return out
+}
+
+// interfaceMethods returns the methods, as "importpath.Type.Method",
+// that satisfy one of exemptInterfaces or of internal/core's interfaces
+// in non-test files: a type whose methods cover an interface's own
+// methods, matched by name, has those methods exempted.
+func interfaceMethods(files []srcFile) map[string]bool {
+	var ifaces [][]string
+	for _, ms := range exemptInterfaces {
+		ifaces = append(ifaces, ms)
+	}
+	typeMethods := make(map[string]map[string]bool) // "importpath.Type" -> its method names
+	for _, f := range files {
+		if f.isTest() {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				typ := f.pkg + "." + baseTypeName(fd.Recv.List[0].Type)
+				if typeMethods[typ] == nil {
+					typeMethods[typ] = make(map[string]bool)
+				}
+				typeMethods[typ][fd.Name.Name] = true
+			}
+		}
+		if f.pkg != "macrobase/internal/core" {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				var ms []string
+				for _, m := range it.Methods.List {
+					for _, id := range m.Names {
+						ms = append(ms, id.Name)
+					}
+				}
+				ifaces = append(ifaces, ms)
+			}
+			return true
+		})
+	}
+	exempt := make(map[string]bool)
+	for typ, have := range typeMethods {
+		for _, ms := range ifaces {
+			if len(ms) > 0 && !slices.ContainsFunc(ms, func(m string) bool { return !have[m] }) {
+				for _, m := range ms {
+					exempt[typ+"."+m] = true
+				}
+			}
+		}
+	}
+	return exempt
 }
 
 // exportedDecls lists f's exported top-level functions and types.

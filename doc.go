@@ -250,8 +250,8 @@
 // machine integers. This repo takes the next step and keeps that path
 // allocation-free and cache-resident:
 //
-//   - Node arenas. cps.Tree (M-CPS/CPS) and fptree.Tree store nodes in
-//     one contiguous slab ([]itemtree.Node addressed by int32 indexes).
+//   - Node arenas. cps.Tree (the M-CPS-tree, its one mode) and
+//     fptree.Tree store nodes in one contiguous slab ([]itemtree.Node addressed by int32 indexes).
 //     A node is its count, item, parent and per-item node-link, 24
 //     bytes (itemtree's TestNodeLayout pins it); its children are the
 //     nodes naming it as parent, in descending index order. Child
@@ -276,8 +276,10 @@
 //     Components that accept ids from outside the encoder must either
 //     preserve density or use the map-backed generic forms
 //     (sketch.AMC[K]); sketch.DenseAMC is the slice-backed fast path
-//     with identical decay/prune/merge semantics. Negative ids are
-//     ignored everywhere.
+//     with identical decay/prune/merge semantics. Both are Algorithm 3
+//     and nothing else: Observe never prunes, and Maintain runs only
+//     when its caller calls it, which the engine does at each decay
+//     tick. Negative ids are ignored everywhere.
 //
 //   - Allocation-free steady state. Tree inserts, DenseAMC observes,
 //     and classify.Streaming.ClassifyBatch allocate nothing once warm

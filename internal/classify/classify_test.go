@@ -91,7 +91,7 @@ func TestStreamingClassifierDetectsOutliers(t *testing.T) {
 	for i := 0; i < len(pts); i += 1000 {
 		labeled = s.ClassifyBatch(labeled, pts[i:i+1000])
 	}
-	if s.Model() == nil {
+	if s.model == nil {
 		t.Fatal("model never trained")
 	}
 	if s.Retrains < 2 {
@@ -131,7 +131,7 @@ func TestStreamingWarmupLabelsInlier(t *testing.T) {
 			t.Fatal("pre-warmup point labeled outlier")
 		}
 	}
-	if s.Model() != nil {
+	if s.model != nil {
 		t.Error("model trained before warmup")
 	}
 }
@@ -170,7 +170,7 @@ func TestStreamingAdaptsToShift(t *testing.T) {
 	if rate := float64(flagged) / float64(len(tail)); rate > 0.1 {
 		t.Errorf("model failed to adapt: %.3f of shifted points still outliers", rate)
 	}
-	m := s.Model().(*MAD)
+	m := s.model.(*MAD)
 	if math.Abs(m.Median-400) > 50 {
 		t.Errorf("median = %v, want near 400", m.Median)
 	}
@@ -297,7 +297,7 @@ func TestClassifyBatchZeroAlloc(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		dst = s.ClassifyBatch(dst[:0], batch)
 	}
-	if s.Model() == nil {
+	if s.model == nil {
 		t.Fatal("model not trained after warmup")
 	}
 	n := testing.AllocsPerRun(50, func() {
@@ -375,8 +375,8 @@ func TestSetGlobalThreshold(t *testing.T) {
 			outliers++
 		}
 	}
-	if rate, n := s.ObservedOutlierRate(); n != len(labeled) || rate != float64(outliers)/float64(n) {
-		t.Errorf("ObservedOutlierRate (%v, %d) inconsistent with %d/%d", rate, n, outliers, len(labeled))
+	if s.driftSeen != len(labeled) || s.driftOutliers != outliers {
+		t.Errorf("drift counters %d/%d inconsistent with %d/%d", s.driftOutliers, s.driftSeen, outliers, len(labeled))
 	}
 
 	// Force a retrain: the external cutoff must give way to a fresh

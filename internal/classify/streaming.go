@@ -179,9 +179,6 @@ func (s *Streaming) fit() (model Scorer, err error) {
 	return model, err
 }
 
-// Model returns the current scorer (nil during warmup).
-func (s *Streaming) Model() Scorer { return s.model }
-
 // Threshold returns the current outlier score cutoff.
 func (s *Streaming) Threshold() float64 { return s.threshold }
 
@@ -189,19 +186,6 @@ func (s *Streaming) Threshold() float64 { return s.threshold }
 // SetGlobalThreshold (cross-shard coordination) rather than estimated
 // from the local score reservoir.
 func (s *Streaming) ThresholdIsGlobal() bool { return s.external }
-
-// ObservedOutlierRate returns the outlier fraction observed since the
-// threshold last changed, and the number of points it is based on.
-// Under a global cutoff this is the per-shard skew signal: a shard
-// holding a disproportionate share of the anomaly legitimately exceeds
-// the target 1-Percentile rate instead of silently absorbing it into
-// an inflated local cutoff.
-func (s *Streaming) ObservedOutlierRate() (rate float64, points int) {
-	if s.driftSeen == 0 {
-		return 0, 0
-	}
-	return float64(s.driftOutliers) / float64(s.driftSeen), s.driftSeen
-}
 
 // ScoreSample implements core.ThresholdCoordinable: it appends the
 // decayed score-reservoir sample into buf[:0] (pass the previous
@@ -215,8 +199,7 @@ func (s *Streaming) ScoreSample(buf []float64) (scores []float64, weight float64
 // SetGlobalThreshold installs an externally coordinated score cutoff,
 // overriding the local percentile estimate until the next retrain (see
 // the external field for why drift detection pauses). The drift
-// counters restart so ObservedOutlierRate measures against the new
-// cutoff.
+// counters restart so they count against the new cutoff.
 func (s *Streaming) SetGlobalThreshold(t float64) {
 	s.threshold = t
 	s.external = true

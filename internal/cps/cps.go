@@ -1,10 +1,10 @@
-// Package cps implements the streaming prefix trees behind MacroBase's
-// streaming explanation: the M-CPS-tree (paper §5.3, Appendix B) — a
-// frequency-descending prefix tree restricted to the currently
-// AMC-frequent items, decayed and restructured at window boundaries —
-// and the original CPS-tree (Tanbeer et al.) baseline, which stores a
-// node for every item ever observed and which Appendix D measures to
-// be on average 130x slower.
+// Package cps implements the M-CPS-tree behind MacroBase's streaming
+// explanation (paper §5.3, Appendix B): a frequency-descending prefix
+// tree restricted to the currently AMC-frequent items, decayed and
+// restructured at window boundaries. Appendix D's CPS-tree baseline
+// (Tanbeer et al.), which stores every item ever observed, is the same
+// tree restructured over a dataset's whole item universe; the
+// experiment that measures it builds it so.
 //
 // The tree is flat: nodes live in a single arena slab (itemtree.Arena,
 // each node naming its parent by int32 index) and the
@@ -44,20 +44,16 @@ import (
 	"macrobase/internal/itemtree"
 )
 
-// Tree is a decayed, restructurable prefix tree of attribute
-// transactions. With trackAll=false it behaves as the M-CPS-tree:
-// inserts are restricted to the allowed (frequent) item set installed
-// by the last Restructure. With trackAll=true it is the CPS-tree
-// baseline: every item is inserted and none are pruned.
+// Tree is the M-CPS-tree: a decayed, restructurable prefix tree of
+// attribute transactions whose inserts are restricted to the allowed
+// (frequent) item set installed by the last Restructure.
 type Tree struct {
-	trackAll bool
-	arena    itemtree.Arena
-	order    []int32 // rank -> item id (frequency-descending)
-	rank     []int32 // item id -> rank, -1 when absent
-	// allowed is the frequent-item filter for M-CPS inserts, dense by
-	// id; nil accepts everything (always nil for CPS, and for M-CPS
-	// before the first window boundary and after keep-all
-	// restructures).
+	arena itemtree.Arena
+	order []int32 // rank -> item id (frequency-descending)
+	rank  []int32 // item id -> rank, -1 when absent
+	// allowed is the frequent-item filter for inserts, dense by id;
+	// nil accepts everything, which it does only before the first
+	// window boundary (and after a Merge with such a tree).
 	allowed []bool
 
 	// Reusable scratch. itemScratch holds the filtered, rank-sorted
@@ -78,8 +74,6 @@ type Tree struct {
 	pathSlices  [][]int32
 	query       []int32
 	countByID   []float64
-	freqItems   []int32 // keep-all restructure staging
-	freqCounts  []float64
 	bucketAt    []int32
 	bucketRanks []int32
 
@@ -91,14 +85,10 @@ type Tree struct {
 	miner    fptree.Miner
 }
 
-// NewMCPS returns an M-CPS-tree.
-func NewMCPS() *Tree { return newTree(false) }
-
-// NewCPS returns a CPS-tree baseline.
-func NewCPS() *Tree { return newTree(true) }
-
-func newTree(trackAll bool) *Tree {
-	t := &Tree{trackAll: trackAll}
+// NewMCPS returns an empty M-CPS-tree, open to every item until its
+// first Restructure.
+func NewMCPS() *Tree {
+	t := &Tree{}
 	t.arena.Init()
 	return t
 }
@@ -128,7 +118,7 @@ func (t *Tree) ensureItem(it int32) int32 {
 }
 
 // Insert adds one transaction of distinct attribute ids with weight w.
-// Items outside the allowed set are dropped (M-CPS); unseen items are
+// Items outside the allowed set are dropped; unseen items are
 // appended to the current order (they sort last until the next
 // restructure). Negative ids are ignored.
 func (t *Tree) Insert(attrs []int32, w float64) {
@@ -269,10 +259,9 @@ func (t *Tree) path(i int) []int32 {
 // items no longer frequent, and re-sort the tree into the new
 // frequency-descending order. items/counts are parallel slices naming
 // the next window's allowed items (distinct, non-negative ids) and the
-// (sketch) counts that define the new order; a nil items slice keeps
-// every currently stored item (the CPS-tree baseline, which re-sorts by
-// its own decayed counts and prunes nothing) and clears any M-CPS
-// insert filter. Steady-state restructures reuse the tree's scratch
+// (sketch) counts that define the new order; every other item is
+// pruned and refused by later inserts, so an empty or nil items slice
+// empties the tree. Steady-state restructures reuse the tree's scratch
 // and allocate nothing.
 //
 // The tree is rebuilt, not replayed: its transactions are extracted,
@@ -298,17 +287,6 @@ func (t *Tree) Restructure(items []int32, counts []float64, retain float64) {
 // Restructure) and truncates the arena to the root with one empty
 // header per new rank. The extracted paths are left as they are.
 func (t *Tree) stageOrder(items []int32, counts []float64) {
-	keepAll := items == nil
-	if keepAll {
-		// Keep-all: order by the tree's own decayed header counts.
-		t.freqItems = append(t.freqItems[:0], t.order...)
-		t.freqCounts = t.freqCounts[:0]
-		for r := range t.order {
-			t.freqCounts = append(t.freqCounts, t.arena.Headers[r].Count)
-		}
-		items, counts = t.freqItems, t.freqCounts
-	}
-
 	// Reset structure: clear old ranks, truncate the arena to the root.
 	for _, it := range t.order {
 		t.rank[it] = -1
@@ -356,36 +334,25 @@ func (t *Tree) stageOrder(items []int32, counts []float64) {
 		t.arena.AddRank(itemtree.Header{})
 	}
 
-	if t.trackAll || keepAll {
-		// CPS never filters; a keep-all restructure of an M-CPS tree
-		// likewise leaves the tree open to genuinely new items (the
-		// filter returns with the next explicit frequent set).
-		t.allowed = nil
-	} else {
-		// M-CPS: only the new frequent set is insertable. The rebuild
-		// keeps exactly the ranked items, so pruned items vanish.
-		t.allowed = t.allowed[:0]
-		for len(t.allowed) < len(t.rank) {
-			t.allowed = append(t.allowed, false)
-		}
-		if t.allowed == nil {
-			// An empty frequent set over a tree with an empty rank
-			// table must still close the filter: a nil slice means
-			// accept-everything, which would let the next window's
-			// inserts bypass the (empty) frequent set. Caught by the
-			// FuzzTreeOps corpus.
-			t.allowed = make([]bool, 0, 8)
-		}
-		for _, it := range t.order {
-			t.allowed[it] = true
-		}
+	// Only the new frequent set is insertable; the rebuild keeps
+	// exactly the ranked items, so pruned items vanish. The filter is
+	// non-nil even when the rank table is empty: nil would accept
+	// everything.
+	if t.allowed == nil {
+		t.allowed = make([]bool, 0, len(t.rank))
+	}
+	t.allowed = t.allowed[:0]
+	for len(t.allowed) < len(t.rank) {
+		t.allowed = append(t.allowed, false)
+	}
+	for _, it := range t.order {
+		t.allowed[it] = true
 	}
 }
 
 // rankPaths rewrites every extracted path in place as the ascending new
-// ranks of the items Insert would keep — the staged ones, and for a
-// CPS tree the others too, ranked last in the order Insert would meet
-// them — drops the paths left empty, and adds each kept path's weight
+// ranks of the staged items, the ones Insert would keep, drops the
+// paths left empty, and adds each kept path's weight
 // to its items' header counts, path by path in extraction order as
 // Insert does. Items and offsets only ever move down, so the rewrite
 // needs no second buffer.
@@ -399,10 +366,7 @@ func (t *Tree) rankPaths() {
 		for _, it := range items[lo:hi] {
 			r := t.rank[it]
 			if r < 0 {
-				if !t.trackAll {
-					continue // pruned
-				}
-				r = t.ensureItem(it)
+				continue // pruned
 			}
 			items[end] = r
 			end++
@@ -629,10 +593,9 @@ func (t *Tree) Merge(src *Tree) {
 // copied (the clone grows its own on first Mine).
 func (t *Tree) Clone() *Tree {
 	c := &Tree{
-		trackAll: t.trackAll,
-		order:    slices.Clone(t.order),
-		rank:     slices.Clone(t.rank),
-		allowed:  slices.Clone(t.allowed),
+		order:   slices.Clone(t.order),
+		rank:    slices.Clone(t.rank),
+		allowed: slices.Clone(t.allowed),
 	}
 	t.arena.CloneInto(&c.arena)
 	return c

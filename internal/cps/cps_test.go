@@ -139,19 +139,28 @@ func TestRestructureDecaysAndPrunes(t *testing.T) {
 	}
 }
 
+// TestCPSKeepsEverything: Appendix D's CPS-tree baseline is an M-CPS
+// tree restructured over the whole item universe by its own counts. It
+// prunes no stored item, and a universe item it has not stored yet is
+// still insertable.
 func TestCPSKeepsEverything(t *testing.T) {
-	tree := NewCPS()
+	universe := []int32{1, 2, 3, 4}
+	tree := NewMCPS()
 	tree.Insert([]int32{1, 2}, 1)
 	tree.Insert([]int32{3}, 1)
-	// CPS restructure: nil frequent set = keep all, reorder by own
-	// counts.
-	tree.Restructure(nil, nil, 1)
-	if tree.NumItems() != 3 {
-		t.Errorf("CPS NumItems = %d, want 3", tree.NumItems())
+	counts := make([]float64, len(universe))
+	for i, it := range universe {
+		counts[i] = tree.ItemCount(it)
 	}
-	tree.Insert([]int32{4}, 1) // new items always admitted
+	tree.Restructure(universe, counts, 1)
+	for _, it := range []int32{1, 2, 3} {
+		if got := tree.ItemCount(it); got != 1 {
+			t.Errorf("ItemCount(%d) = %v after the universe restructure, want 1", it, got)
+		}
+	}
+	tree.Insert([]int32{4}, 1)
 	if got := tree.ItemCount(4); got != 1 {
-		t.Errorf("CPS rejected new item: %v", got)
+		t.Errorf("universe item refused: ItemCount(4) = %v, want 1", got)
 	}
 }
 
@@ -292,7 +301,7 @@ func TestCloneIndependent(t *testing.T) {
 		before[key(is.Items)] = is.Count
 	}
 	orig.Insert([]int32{0, 1, 2}, 50)
-	orig.Restructure(nil, nil, 0.5)
+	orig.Restructure(nil, nil, 0.5) // nil prunes every item: the original empties, the clone must not
 	after := map[string]float64{}
 	for _, is := range c.Mine(1, nil) {
 		after[key(is.Items)] = is.Count
@@ -401,37 +410,19 @@ func TestMergeReservesSlabOnce(t *testing.T) {
 	}
 }
 
-// TestKeepAllRestructureLeavesMCPSOpen: a nil (keep-all) restructure
-// of an M-CPS tree must not install the current item set as the
-// allowed filter — genuinely new items stay insertable until the next
-// explicit frequent set arrives.
-func TestKeepAllRestructureLeavesMCPSOpen(t *testing.T) {
-	tree := NewMCPS()
-	tree.Insert([]int32{1}, 1)
-	tree.Restructure(nil, nil, 1)
-	tree.Insert([]int32{2}, 1)
-	if got := tree.ItemCount(2); got != 1 {
-		t.Fatalf("new item dropped after keep-all restructure: ItemCount(2) = %v, want 1", got)
-	}
-	// An explicit frequent set re-installs the filter.
-	tree.Restructure([]int32{1}, []float64{1}, 1)
-	tree.Insert([]int32{2}, 1)
-	if got := tree.ItemCount(2); got != 0 {
-		t.Fatalf("filter not re-installed: ItemCount(2) = %v, want 0", got)
-	}
-}
-
-// TestEmptyFrequentSetClosesEmptyTree: an explicit empty frequent set
-// must close the M-CPS insert filter even when the tree has never
+// TestEmptyFrequentSetClosesEmptyTree: an empty frequent set, nil or
+// not, must close the M-CPS insert filter even when the tree has never
 // stored an item (regression found by FuzzTreeOps: the dense allowed
 // table came out nil — accept-everything — when the rank table was
 // empty).
 func TestEmptyFrequentSetClosesEmptyTree(t *testing.T) {
-	tree := NewMCPS()
-	tree.Restructure([]int32{}, nil, 1)
-	tree.Insert([]int32{3}, 1)
-	if got := tree.ItemCount(3); got != 0 {
-		t.Fatalf("empty frequent set left the filter open: ItemCount(3) = %v, want 0", got)
+	for _, items := range [][]int32{{}, nil} {
+		tree := NewMCPS()
+		tree.Restructure(items, nil, 1)
+		tree.Insert([]int32{3}, 1)
+		if got := tree.ItemCount(3); got != 0 {
+			t.Fatalf("empty frequent set %#v left the filter open: ItemCount(3) = %v, want 0", items, got)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ type modelTx struct {
 
 type treeModel struct {
 	txs     []modelTx
-	allowed map[int32]bool // nil = no filter (pre-restructure / keep-all)
+	allowed map[int32]bool // nil = no filter (pre-restructure)
 }
 
 func (m *treeModel) insert(tx []int32) {
@@ -52,9 +52,21 @@ func (m *treeModel) clone() *treeModel {
 
 // merge applies Tree.Merge to the model: src's transactions join
 // unfiltered, and the insert filters union (no filter on either side
-// means no filter).
+// means no filter). Equal transactions coalesce, so that a dozen
+// self-merges do not leave the model 4096 times larger than the tree.
 func (m *treeModel) merge(src *treeModel) {
-	m.txs = append(m.txs, src.txs...)
+	all := append(m.txs, src.txs...)
+	m.txs = nil
+	at := make(map[string]int)
+	for _, tx := range all {
+		k := key(tx.items)
+		if i, ok := at[k]; ok {
+			m.txs[i].w += tx.w
+			continue
+		}
+		at[k] = len(m.txs)
+		m.txs = append(m.txs, tx)
+	}
 	if m.allowed == nil {
 		return
 	}
@@ -81,17 +93,12 @@ func (m *treeModel) counts() map[int32]float64 {
 // restructure applies the M-CPS window-boundary maintenance to the
 // model: decay, then keep only items whose decayed support clears
 // threshold, projecting every stored transaction onto that set.
-// threshold < 0 means keep-all (the CPS baseline shape), which also
-// clears the insert filter.
+// Threshold 0 keeps every stored item.
 func (m *treeModel) restructure(threshold, retain float64) ([]int32, []float64) {
 	for i := range m.txs {
 		m.txs[i].w *= retain
 	}
 	c := m.counts()
-	if threshold < 0 {
-		m.allowed = nil
-		return nil, nil
-	}
 	m.allowed = map[int32]bool{}
 	for it, w := range c {
 		if w >= threshold {
@@ -233,8 +240,9 @@ func checkMineKeep(t *testing.T, tree *Tree, model *treeModel, minCount float64,
 //
 //	0x00-0x9F  insert: following bytes % 9 are items until a byte >= 0xF0
 //	0xA0-0xCF  restructure: next byte → threshold (opcode bit 4 set =
-//	           keep-all) and retain (bit 0: 0.5, else 1); a clone runs
-//	           the replay oracle alongside and must come out the same
+//	           0, which keeps every stored item) and retain (bit 0: 0.5,
+//	           else 1); a clone runs the replay oracle alongside and must
+//	           come out the same
 //	0xD0-0xEF  mine + compare (next byte → minCount)
 //	0xF0-0xF7  clone, then diverge: the next two bytes are byteTx
 //	           transactions, the first inserted into the original, the
@@ -284,17 +292,11 @@ func FuzzTreeOps(f *testing.F) {
 				if op&1 == 1 {
 					retain = 0.5
 				}
-				var items []int32
-				var counts []float64
+				threshold := float64(1+int(data[i])%4) * 0.5
 				if op&0x10 != 0 {
-					model.restructure(-1, retain)
-				} else {
-					threshold := float64(1+int(data[i])%4) * 0.5
-					items, counts = model.restructure(threshold, retain)
-					if items == nil {
-						items = []int32{} // empty frequent set prunes all; nil means keep-all
-					}
+					threshold = 0
 				}
+				items, counts := model.restructure(threshold, retain)
 				// Every restructure also runs the replay oracle on a
 				// clone: the rebuild must match it bit for bit.
 				if err := sameRestructure(tree, items, counts, retain); err != "" {

@@ -156,20 +156,17 @@ func sameRestructure(tr *Tree, items []int32, counts []float64, retain float64) 
 
 // TestRebuildMatchesReplay is the per-call differential for the
 // rebuild: random trees with non-dyadic weights (so every summation
-// order shows in the bits) go through random restructures — M-CPS
-// frequent sets with tied and untied counts, ids beyond the rank table,
-// empty sets, keep-all on M-CPS and CPS trees, explicit sets on a CPS
-// tree (whose unlisted items are ranked last, not pruned) — with
-// inserts and merges between them, and every call must leave the tree
-// the replay would leave, bit for bit.
+// order shows in the bits) go through random restructures — frequent
+// sets with tied and untied counts, ids beyond the rank table, empty
+// sets (nil and not), and the whole universe ordered by the tree's own
+// counts, which prunes nothing (Appendix D's CPS-tree) — with inserts
+// and merges between them, and every call must leave the tree the
+// replay would leave, bit for bit.
 func TestRebuildMatchesReplay(t *testing.T) {
 	rng := rand.New(rand.NewPCG(35, 36))
 	for trial := 0; trial < 60; trial++ {
 		universe := 4 + rng.IntN(40)
 		tr := NewMCPS()
-		if trial%4 == 3 {
-			tr = NewCPS()
-		}
 		counts := map[int32]float64{}
 		insert := func(n int) {
 			for _, tx := range randomTxs(rng, n, universe, 6) {
@@ -186,9 +183,15 @@ func TestRebuildMatchesReplay(t *testing.T) {
 			var items []int32
 			var cs []float64
 			switch mode := rng.IntN(6); mode {
-			case 0: // keep-all
-			case 1: // empty frequent set
-				items = []int32{}
+			case 0: // the whole universe by the tree's own counts
+				for it := int32(0); it < int32(universe); it++ {
+					items = append(items, it)
+					cs = append(cs, tr.ItemCount(it))
+				}
+			case 1: // empty frequent set; nil prunes all the same
+				if rng.IntN(2) == 0 {
+					items = []int32{}
+				}
 			default: // a random frequent set, some ids never seen
 				for it := int32(0); it < int32(universe+5); it++ {
 					if rng.IntN(3) > 0 {
@@ -206,7 +209,7 @@ func TestRebuildMatchesReplay(t *testing.T) {
 				})
 			}
 			if err := sameRestructure(tr, items, cs, retain); err != "" {
-				t.Fatalf("trial %d round %d (trackAll %v, %d items): %s", trial, round, tr.trackAll, len(items), err)
+				t.Fatalf("trial %d round %d (%d items): %s", trial, round, len(items), err)
 			}
 			insert(rng.IntN(200))
 			if rng.IntN(4) == 0 {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +44,40 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMCPSvsCPSItemCounts asserts Appendix D's structural claim on the
+// mcps table: the CPS-tree stores every distinct attribute id of its
+// stream, and the M-CPS-tree, which keeps only the AMC-frequent items,
+// stores no more.
+func TestMCPSvsCPSItemCounts(t *testing.T) {
+	const scale = 0.002
+	tab := MCPSvsCPS(scale)[0]
+	cpsCol := slices.Index(tab.Columns, "cps_items")
+	mcpsCol := slices.Index(tab.Columns, "mcps_items")
+	if cpsCol < 0 || mcpsCol < 0 || len(tab.Rows) != len(mcpsDatasets) {
+		t.Fatalf("mcps table has columns %v and %d rows", tab.Columns, len(tab.Rows))
+	}
+	for i, name := range mcpsDatasets {
+		row := tab.Rows[i]
+		distinct := map[int32]bool{}
+		for _, p := range mcpsPoints(name, scale) {
+			for _, a := range p.Attrs {
+				distinct[a] = true
+			}
+		}
+		cpsItems, err1 := strconv.Atoi(row[cpsCol])
+		mcpsItems, err2 := strconv.Atoi(row[mcpsCol])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: unreadable row %v", name, row)
+		}
+		if cpsItems != len(distinct) {
+			t.Errorf("%s: cps_items %d, want the stream's %d distinct attribute ids", name, cpsItems, len(distinct))
+		}
+		if mcpsItems > cpsItems {
+			t.Errorf("%s: mcps_items %d exceeds cps_items %d", name, mcpsItems, cpsItems)
+		}
 	}
 }
 

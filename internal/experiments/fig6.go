@@ -64,17 +64,21 @@ func Fig6(scale float64) []*Table {
 			Notes:   "paper: AMC flat and fastest (up to 500x over SpaceSaving); DAMC is the dense-id slice-backed AMC fast path; decayed counts every 100K items",
 		}
 		for _, size := range sizes {
-			amc := sketch.NewAMC[int32](size, 0.01).WithMaintenanceEvery(10_000)
-			damc := sketch.NewDenseAMC(size, 0.01).WithMaintenanceEvery(10_000)
+			amc := sketch.NewAMC[int32](size, 0.01)
+			damc := sketch.NewDenseAMC(size, 0.01)
 			ssh := sketch.NewSpaceSavingHeap[int32](size)
 			ssl := sketch.NewSpaceSavingList[int32](size)
-			// Periodic decay makes counts non-integer, the regime the
-			// paper measures.
-			decayEvery := 100_000
+			// The AMCs are maintained every maintainEvery items. Periodic
+			// decay makes counts non-integer, the regime the paper
+			// measures.
+			const maintainEvery, decayEvery = 10_000, 100_000
 			i := 0
 			amcRate := measureSketch(stream, func(it int32) {
 				amc.Observe(it, 1)
 				i++
+				if i%maintainEvery == 0 {
+					amc.Maintain()
+				}
 				if i%decayEvery == 0 {
 					amc.Decay()
 				}
@@ -83,6 +87,9 @@ func Fig6(scale float64) []*Table {
 			damcRate := measureSketch(stream, func(it int32) {
 				damc.Observe(it, 1)
 				i++
+				if i%maintainEvery == 0 {
+					damc.Maintain()
+				}
 				if i%decayEvery == 0 {
 					damc.Decay()
 				}
@@ -123,10 +130,13 @@ func AMCPeriod(scale float64) []*Table {
 		Notes:   "longer periods trade bounded extra memory for amortization; throughput stays high across periods",
 	}
 	for _, period := range []int{100, 1_000, 10_000, 100_000} {
-		amc := sketch.NewAMC[int32](10, 0.01).WithMaintenanceEvery(period)
-		maxHeld := 0
+		amc := sketch.NewAMC[int32](10, 0.01)
+		maxHeld, i := 0, 0
 		r := measureSketch(stream, func(it int32) {
 			amc.Observe(it, 1)
+			if i++; i%period == 0 {
+				amc.Maintain()
+			}
 			if amc.Len() > maxHeld {
 				maxHeld = amc.Len()
 			}

@@ -68,6 +68,18 @@ func Table4(scale float64) []*Table {
 	samples := scaled(400, scale, 120)
 	var tables []*Table
 	for _, workload := range []string{"tpcc", "tpce"} {
+		// QS and QE query the same clusters: generate each one once.
+		cls := make([][]*gen.Cluster, len(gen.AllAnomalies()))
+		for a, anomaly := range gen.AllAnomalies() {
+			for c := 0; c < clusters; c++ {
+				cls[a] = append(cls[a], gen.DBSherlockCluster(gen.ClusterConfig{
+					Samples:  samples,
+					Anomaly:  anomaly,
+					Workload: workload,
+					Seed:     uint64(9000 + 100*int(anomaly) + c),
+				}))
+			}
+		}
 		for _, mode := range []string{"QS", "QE"} {
 			t := &Table{
 				ID:      "table4",
@@ -76,15 +88,9 @@ func Table4(scale float64) []*Table {
 				Notes:   "paper: QS top-1 ~86%, A9 fails under QS; QE top-3 100%",
 			}
 			var top1All, top3All, total int
-			for _, anomaly := range gen.AllAnomalies() {
+			for a, anomaly := range gen.AllAnomalies() {
 				top1, top3 := 0, 0
-				for c := 0; c < clusters; c++ {
-					cl := gen.DBSherlockCluster(gen.ClusterConfig{
-						Samples:  samples,
-						Anomaly:  anomaly,
-						Workload: workload,
-						Seed:     uint64(9000 + 100*int(anomaly) + c),
-					})
+				for c, cl := range cls[a] {
 					var idx []int
 					if mode == "QS" {
 						idx = gen.QSMetricIndices()

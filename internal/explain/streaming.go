@@ -142,11 +142,6 @@ func (s *Streaming) Decay() {
 			s.freqCounts = append(s.freqCounts, count)
 		}
 	})
-	if s.freqItems == nil {
-		// Restructure treats a nil item slice as keep-all; an empty
-		// frequent set must prune everything instead.
-		s.freqItems = make([]int32, 0, 1)
-	}
 	s.outTree.Restructure(s.freqItems, s.freqCounts, retain)
 	// The inlier tree tracks outlier-frequent attributes, ordered by
 	// their inlier counts so its paths stay compressed.

@@ -75,15 +75,9 @@ func NewBinaryRowWriter(w io.Writer) *BinaryRowWriter {
 
 // WriteRow encodes one row: metrics in schema order, attribute values
 // in schema column order, and an event time (time != 0 sets the time
-// flag; a genuine zero time may be forced with WriteRowTimed).
+// flag).
 func (w *BinaryRowWriter) WriteRow(metrics []float64, attrs []string, time float64) error {
 	return w.writeRow(metrics, attrs, time, time != 0)
-}
-
-// WriteRowTimed is WriteRow with an explicit has-time flag, for
-// streams where a zero event time is meaningful.
-func (w *BinaryRowWriter) WriteRowTimed(metrics []float64, attrs []string, time float64, hasTime bool) error {
-	return w.writeRow(metrics, attrs, time, hasTime)
 }
 
 func (w *BinaryRowWriter) writeRow(metrics []float64, attrs []string, time float64, hasTime bool) error {

@@ -183,13 +183,13 @@ func TestBinaryRowsErrors(t *testing.T) {
 	}
 }
 
-// TestBinaryRowsZeroTime: WriteRowTimed can flag a meaningful zero
+// TestBinaryRowsZeroTime: writeRow can flag a meaningful zero
 // time; WriteRow omits the time field for zero (compactness) and the
 // reader yields 0 either way.
 func TestBinaryRowsZeroTime(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewBinaryRowWriter(&buf)
-	if err := w.WriteRowTimed([]float64{1, 2}, []string{"a", "b"}, 0, true); err != nil {
+	if err := w.writeRow([]float64{1, 2}, []string{"a", "b"}, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteRow([]float64{3, 4}, []string{"a", "b"}, 0); err != nil {

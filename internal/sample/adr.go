@@ -99,10 +99,7 @@ func (a *ADR[T]) Snapshot() []T {
 // Weight returns the current running weight cw.
 func (a *ADR[T]) Weight() float64 { return a.cw }
 
-// Cap returns the reservoir capacity k.
-func (a *ADR[T]) Cap() int { return a.k }
-
-// Len returns the number of resident items (<= Cap).
+// Len returns the number of resident items (at most the capacity k).
 func (a *ADR[T]) Len() int { return len(a.items) }
 
 // Reset empties the reservoir and zeroes the running weight.

@@ -54,9 +54,6 @@ func (u *Uniform[T]) Observe(x T) {
 // storage and is invalidated by further Observe calls.
 func (u *Uniform[T]) Items() []T { return u.items }
 
-// Seen reports the number of points observed.
-func (u *Uniform[T]) Seen() int { return u.seen }
-
 // TupleDecay is Aggarwal's biased reservoir sampler with exponential
 // per-record bias: each arriving point is always admitted, evicting a
 // random resident with probability size/k. Recency bias is therefore

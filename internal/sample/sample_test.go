@@ -20,8 +20,8 @@ func TestUniformCapacityAndCoverage(t *testing.T) {
 	if len(r.Items()) != 10 {
 		t.Fatalf("len = %d, want 10", len(r.Items()))
 	}
-	if r.Seen() != 10_000 {
-		t.Fatalf("seen = %d", r.Seen())
+	if r.seen != 10_000 {
+		t.Fatalf("seen = %d", r.seen)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestADRCapacityInvariant(t *testing.T) {
 			} else {
 				a.Observe(i)
 			}
-			if a.Len() > a.Cap() {
+			if a.Len() > a.k {
 				return false
 			}
 			if a.Weight() < 0 {

@@ -1,7 +1,10 @@
 // Package sketch implements the heavy-hitters structures used by
 // MacroBase's explanation stage: the paper's Amortized Maintenance
 // Counter (AMC, Algorithm 3) and the two SpaceSaving variants it is
-// benchmarked against in Figure 6 (heap- and list-based).
+// benchmarked against in Figure 6 (heap- and list-based). An AMC is
+// Algorithm 3 only: Observe, Maintain and Decay, each when its caller
+// calls it; a maintenance schedule belongs to the caller, as the
+// engine's decay tick and Figure 6's experiments each keep their own.
 package sketch
 
 import (
@@ -20,15 +23,6 @@ type AMC[K comparable] struct {
 	wi         float64
 	stableSize int
 	rate       float64
-
-	// maintainEvery, when positive, automatically runs Maintain
-	// after that many Observe calls (the paper's variable-period
-	// policy; Figure 6 uses 10K).
-	maintainEvery int
-	sinceMaintain int
-	// maxSize, when positive, automatically runs Maintain whenever
-	// the sketch grows past it (the size-based policy).
-	maxSize int
 }
 
 // NewAMC returns an AMC with the given stable size (1/ε) and decay
@@ -43,20 +37,6 @@ func NewAMC[K comparable](stableSize int, rate float64) *AMC[K] {
 	return &AMC[K]{counts: make(map[K]float64, 2*stableSize), stableSize: stableSize, rate: rate}
 }
 
-// WithMaintenanceEvery enables the variable-period policy: Maintain
-// runs automatically after every n observations.
-func (a *AMC[K]) WithMaintenanceEvery(n int) *AMC[K] {
-	a.maintainEvery = n
-	return a
-}
-
-// WithMaxSize enables the size-based policy: Maintain runs whenever
-// the sketch exceeds n entries.
-func (a *AMC[K]) WithMaxSize(n int) *AMC[K] {
-	a.maxSize = n
-	return a
-}
-
 // Observe adds c to item i's count (paper Algorithm 3 OBSERVE). New
 // items start at w_i + c, the upper bound on what their count could
 // have been when last pruned. Runs in constant time.
@@ -65,16 +45,6 @@ func (a *AMC[K]) Observe(i K, c float64) {
 		a.counts[i] = v + c
 	} else {
 		a.counts[i] = a.wi + c
-	}
-	if a.maintainEvery > 0 {
-		a.sinceMaintain++
-		if a.sinceMaintain >= a.maintainEvery {
-			a.sinceMaintain = 0
-			a.Maintain()
-		}
-	}
-	if a.maxSize > 0 && len(a.counts) > a.maxSize {
-		a.Maintain()
 	}
 }
 
@@ -86,10 +56,6 @@ func (a *AMC[K]) Count(i K) (float64, bool) {
 	v, ok := a.counts[i]
 	return v, ok
 }
-
-// ErrorBound returns the current w_i, the maximum overestimate carried
-// by any tracked item admitted after the last maintenance.
-func (a *AMC[K]) ErrorBound() float64 { return a.wi }
 
 // Len reports the number of tracked items (may exceed the stable size
 // between maintenance rounds).
@@ -145,14 +111,7 @@ func (a *AMC[K]) Maintain() {
 // Decay multiplies every count (and the pruning threshold) by the
 // retention factor 1-rate and then runs Maintain, as the streaming
 // explainer does at each window boundary (paper Algorithm 3 DECAY).
-func (a *AMC[K]) Decay() {
-	retain := 1 - a.rate
-	for k, v := range a.counts {
-		a.counts[k] = v * retain
-	}
-	a.wi *= retain
-	a.Maintain()
-}
+func (a *AMC[K]) Decay() { a.DecayBy(1 - a.rate) }
 
 // DecayBy damps all counts by an explicit retention factor and runs
 // Maintain.
@@ -162,12 +121,6 @@ func (a *AMC[K]) DecayBy(retain float64) {
 	}
 	a.wi *= retain
 	a.Maintain()
-}
-
-// Entry is an (item, count) pair reported by Entries.
-type Entry[K comparable] struct {
-	Item  K
-	Count float64
 }
 
 // ForEach visits every tracked (item, count) pair.

@@ -1,9 +1,6 @@
 package sketch
 
-import (
-	"container/heap"
-	"sort"
-)
+import "container/heap"
 
 // DenseAMC is the Amortized Maintenance Counter specialized for dense
 // int32 keys — the encoder-interned attribute ids every MacroBase hot
@@ -18,11 +15,11 @@ import (
 //
 // The trade-off: memory and Maintain/Decay sweeps are O(max id ever
 // observed), not O(tracked items) — roughly 9 bytes per distinct id
-// plus three full-range sweeps per maintenance round. With the default
-// stable size (10K) and maintenance period (10K) that amortizes to a
-// few slot visits per observe up to ~10^5 distinct ids; on universes
-// of millions of distinct values the sweeps dominate and the generic
-// map-backed AMC is the right choice. Keep the generic AMC for
+// plus three full-range sweeps per maintenance round. The engine
+// maintains at each decay tick (every DecayEveryPoints points), so up
+// to ~10^5 distinct ids that amortizes to a few slot visits per
+// observe; on universes of millions of distinct values the sweeps
+// dominate and the generic map-backed AMC is the right choice. Keep the generic AMC for
 // non-dense or very-high-cardinality key spaces.
 type DenseAMC struct {
 	counts     []float64 // by id
@@ -31,9 +28,6 @@ type DenseAMC struct {
 	wi         float64
 	stableSize int
 	rate       float64
-
-	maintainEvery int
-	sinceMaintain int
 
 	heapScratch countHeap
 }
@@ -48,13 +42,6 @@ func NewDenseAMC(stableSize int, rate float64) *DenseAMC {
 		panic("sketch: decay rate must be in [0, 1)")
 	}
 	return &DenseAMC{stableSize: stableSize, rate: rate}
-}
-
-// WithMaintenanceEvery enables the variable-period policy: Maintain
-// runs automatically after every n observations.
-func (a *DenseAMC) WithMaintenanceEvery(n int) *DenseAMC {
-	a.maintainEvery = n
-	return a
 }
 
 // grow extends the dense tables to cover id.
@@ -83,13 +70,6 @@ func (a *DenseAMC) Observe(i int32, c float64) {
 		a.counts[i] = a.wi + c
 		a.n++
 	}
-	if a.maintainEvery > 0 {
-		a.sinceMaintain++
-		if a.sinceMaintain >= a.maintainEvery {
-			a.sinceMaintain = 0
-			a.Maintain()
-		}
-	}
 }
 
 // Count returns the approximate count for i and whether i is currently
@@ -100,10 +80,6 @@ func (a *DenseAMC) Count(i int32) (float64, bool) {
 	}
 	return a.counts[i], true
 }
-
-// ErrorBound returns the current w_i, the maximum overestimate carried
-// by any tracked item admitted after the last maintenance.
-func (a *DenseAMC) ErrorBound() float64 { return a.wi }
 
 // Len reports the number of tracked items (may exceed the stable size
 // between maintenance rounds).
@@ -177,19 +153,6 @@ func (a *DenseAMC) DecayBy(retain float64) {
 	}
 	a.wi *= retain
 	a.Maintain()
-}
-
-// Entries returns all tracked items and counts, sorted by descending
-// count (ties in unspecified order).
-func (a *DenseAMC) Entries() []Entry[int32] {
-	out := make([]Entry[int32], 0, a.n)
-	for id, ok := range a.present {
-		if ok {
-			out = append(out, Entry[int32]{int32(id), a.counts[id]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
 }
 
 // ForEach visits every tracked (item, count) pair in ascending id

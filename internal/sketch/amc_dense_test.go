@@ -3,7 +3,6 @@ package sketch
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 	"testing"
 )
 
@@ -31,8 +30,8 @@ func requireAMCEqual(t *testing.T, m *AMC[int32], d *DenseAMC) {
 	if m.Len() != d.Len() {
 		t.Fatalf("Len: map %d dense %d", m.Len(), d.Len())
 	}
-	if math.Abs(m.ErrorBound()-d.ErrorBound()) > 1e-9 {
-		t.Fatalf("ErrorBound: map %v dense %v", m.ErrorBound(), d.ErrorBound())
+	if math.Abs(m.wi-d.wi) > 1e-9 {
+		t.Fatalf("w_i: map %v dense %v", m.wi, d.wi)
 	}
 	m.ForEach(func(item int32, count float64) {
 		dc, ok := d.Count(item)
@@ -114,21 +113,6 @@ func TestDenseAMCCloneIndependent(t *testing.T) {
 	}
 	if c.Len() != 10 {
 		t.Fatalf("clone Len = %d", c.Len())
-	}
-}
-
-func TestDenseAMCEntriesSorted(t *testing.T) {
-	d := NewDenseAMC(16, 0.01)
-	rng := rand.New(rand.NewPCG(3, 4))
-	for i := 0; i < 200; i++ {
-		d.Observe(int32(rng.IntN(40)), rng.Float64())
-	}
-	es := d.Entries()
-	if !sort.SliceIsSorted(es, func(i, j int) bool { return es[i].Count > es[j].Count }) {
-		t.Fatal("Entries not sorted by descending count")
-	}
-	if len(es) != d.Len() {
-		t.Fatalf("Entries len %d != Len %d", len(es), d.Len())
 	}
 }
 

@@ -21,6 +21,15 @@ func zipfStreamExact(n, u int, seed uint64) ([]int, map[int]float64) {
 	return stream, exact
 }
 
+// observeCapped observes one occurrence of it and maintains a whenever
+// it grows past maxSize, a size-based maintenance schedule.
+func observeCapped(a *AMC[int], it, maxSize int) {
+	a.Observe(it, 1)
+	if a.Len() > maxSize {
+		a.Maintain()
+	}
+}
+
 func addExact(dst, src map[int]float64) map[int]float64 {
 	out := make(map[int]float64, len(dst)+len(src))
 	for k, v := range dst {
@@ -40,17 +49,17 @@ func TestAMCMergeGuarantees(t *testing.T) {
 	const stable = 64
 	sa, ea := zipfStreamExact(60_000, 4096, 1)
 	sb, eb := zipfStreamExact(40_000, 4096, 2)
-	a := NewAMC[int](stable, 0.01).WithMaxSize(2 * stable)
-	b := NewAMC[int](stable, 0.01).WithMaxSize(2 * stable)
+	a := NewAMC[int](stable, 0.01)
+	b := NewAMC[int](stable, 0.01)
 	for _, it := range sa {
-		a.Observe(it, 1)
+		observeCapped(a, it, 2*stable)
 	}
 	for _, it := range sb {
-		b.Observe(it, 1)
+		observeCapped(b, it, 2*stable)
 	}
 	a.Maintain()
 	b.Maintain()
-	bound := a.ErrorBound() + b.ErrorBound()
+	bound := a.wi + b.wi
 	if bound <= 0 {
 		t.Fatal("test not exercising pruning: zero error bounds")
 	}
@@ -61,16 +70,16 @@ func TestAMCMergeGuarantees(t *testing.T) {
 	if m.Len() > stable {
 		t.Errorf("merged sketch size %d exceeds stable size %d", m.Len(), stable)
 	}
-	if m.ErrorBound() < bound {
-		t.Errorf("merged error bound %v below sum of inputs %v", m.ErrorBound(), bound)
+	if m.wi < bound {
+		t.Errorf("merged error bound %v below sum of inputs %v", m.wi, bound)
 	}
 	m.ForEach(func(it int, est float64) {
 		truth := exact[it]
 		if est < truth-1e-9 {
 			t.Errorf("item %d: estimate %v undershoots true count %v", it, est, truth)
 		}
-		if est > truth+m.ErrorBound()+1e-9 {
-			t.Errorf("item %d: estimate %v overshoots true %v by more than bound %v", it, est, truth, m.ErrorBound())
+		if est > truth+m.wi+1e-9 {
+			t.Errorf("item %d: estimate %v overshoots true %v by more than bound %v", it, est, truth, m.wi)
 		}
 	})
 	// No heavy hitter above the guaranteed bound may be lost. Survivors
@@ -79,11 +88,11 @@ func TestAMCMergeGuarantees(t *testing.T) {
 	// discarded; an item with true count > merged error bound therefore
 	// cannot have been discarded.
 	for it, truth := range exact {
-		if truth <= m.ErrorBound() {
+		if truth <= m.wi {
 			continue
 		}
 		if _, ok := m.Count(it); !ok {
-			t.Errorf("heavy hitter %d (true count %v > bound %v) lost in merge", it, truth, m.ErrorBound())
+			t.Errorf("heavy hitter %d (true count %v > bound %v) lost in merge", it, truth, m.wi)
 		}
 	}
 }
@@ -95,9 +104,9 @@ func TestAMCMergeOrderInsensitive(t *testing.T) {
 	sa, _ := zipfStreamExact(30_000, 512, 3)
 	sb, _ := zipfStreamExact(30_000, 512, 4)
 	mk := func(stream []int) *AMC[int] {
-		s := NewAMC[int](48, 0.01).WithMaxSize(96)
+		s := NewAMC[int](48, 0.01)
 		for _, it := range stream {
-			s.Observe(it, 1)
+			observeCapped(s, it, 96)
 		}
 		s.Maintain()
 		return s
@@ -128,8 +137,8 @@ func TestAMCMergeOrderInsensitive(t *testing.T) {
 	if ab.Len() != ba.Len() {
 		t.Fatalf("merge not symmetric: sizes %d vs %d", ab.Len(), ba.Len())
 	}
-	if math.Abs(ab.ErrorBound()-ba.ErrorBound()) > 1e-9 {
-		t.Errorf("error bounds differ: %v vs %v", ab.ErrorBound(), ba.ErrorBound())
+	if math.Abs(ab.wi-ba.wi) > 1e-9 {
+		t.Errorf("error bounds differ: %v vs %v", ab.wi, ba.wi)
 	}
 	ab.ForEach(func(it int, est float64) {
 		got, ok := ba.Count(it)
@@ -155,9 +164,9 @@ func TestAMCMergeThreeWayAssociativity(t *testing.T) {
 		exact = addExact(exact, e)
 	}
 	mk := func(stream []int) *AMC[int] {
-		s := NewAMC[int](64, 0.01).WithMaxSize(128)
+		s := NewAMC[int](64, 0.01)
 		for _, it := range stream {
-			s.Observe(it, 1)
+			observeCapped(s, it, 128)
 		}
 		s.Maintain()
 		return s
@@ -171,7 +180,7 @@ func TestAMCMergeThreeWayAssociativity(t *testing.T) {
 	y.Merge(s1.Clone())
 	y.Merge(s0.Clone())
 	for it, truth := range exact {
-		if truth <= x.ErrorBound() || truth <= y.ErrorBound() {
+		if truth <= x.wi || truth <= y.wi {
 			continue
 		}
 		ex, okx := x.Count(it)

@@ -34,19 +34,22 @@ func TestAMCExactWhenSmall(t *testing.T) {
 			t.Fatalf("item %d: got (%v,%v), want %v", item, got, ok, want)
 		}
 	})
-	if a.ErrorBound() != 0 {
-		t.Errorf("error bound = %v, want 0", a.ErrorBound())
+	if a.wi != 0 {
+		t.Errorf("error bound = %v, want 0", a.wi)
 	}
 }
 
 func TestAMCOverestimatesWithinBound(t *testing.T) {
 	const n, stable = 50_000, 64
 	stream := zipfStream(n, 10_000, 42)
-	a := NewAMC[int32](stable, 0.01).WithMaintenanceEvery(1000)
+	a := NewAMC[int32](stable, 0.01)
 	e := NewExact[int32]()
-	for _, it := range stream {
+	for i, it := range stream {
 		a.Observe(it, 1)
 		e.Observe(it, 1)
+		if i%1000 == 999 {
+			a.Maintain()
+		}
 	}
 	bound := float64(n) / float64(stable)
 	a.ForEach(func(item int32, got float64) {
@@ -73,8 +76,8 @@ func TestAMCMaintainPrunesToStableSize(t *testing.T) {
 		t.Fatalf("post-maintain len = %d, want 10", a.Len())
 	}
 	// Survivors are the 10 largest counts (91..100); max discarded 90.
-	if a.ErrorBound() != 90 {
-		t.Errorf("wi = %v, want 90", a.ErrorBound())
+	if a.wi != 90 {
+		t.Errorf("wi = %v, want 90", a.wi)
 	}
 	for i := 91; i <= 100; i++ {
 		if _, ok := a.Count(int32(i - 1)); !ok {
@@ -97,8 +100,8 @@ func TestAMCMaintainTies(t *testing.T) {
 	if a.Len() != 2 {
 		t.Fatalf("len = %d, want 2 after tie-broken maintenance", a.Len())
 	}
-	if a.ErrorBound() != 7 {
-		t.Errorf("wi = %v, want 7", a.ErrorBound())
+	if a.wi != 7 {
+		t.Errorf("wi = %v, want 7", a.wi)
 	}
 }
 
@@ -116,23 +119,6 @@ func TestAMCDecay(t *testing.T) {
 	a.DecayBy(0.5)
 	if got, _ := a.Count(1); got != 2 {
 		t.Errorf("count after DecayBy = %v, want 2", got)
-	}
-}
-
-func TestAMCAutoMaintainPolicies(t *testing.T) {
-	byPeriod := NewAMC[int32](4, 0.01).WithMaintenanceEvery(100)
-	for i := 0; i < 1000; i++ {
-		byPeriod.Observe(int32(i), 1)
-	}
-	if byPeriod.Len() > 4+100 {
-		t.Errorf("period policy allowed %d entries", byPeriod.Len())
-	}
-	bySize := NewAMC[int32](4, 0.01).WithMaxSize(16)
-	for i := 0; i < 1000; i++ {
-		bySize.Observe(int32(i), 1)
-	}
-	if bySize.Len() > 16 {
-		t.Errorf("size policy allowed %d entries", bySize.Len())
 	}
 }
 
@@ -229,14 +215,23 @@ func TestSpaceSavingVariantsAgree(t *testing.T) {
 		l.Observe(it, 1)
 	}
 	// Top-5 heavy hitters should match between variants.
-	he, le := h.Entries(), l.Entries()
+	he := byCount(func(f func(int32, float64)) {
+		for _, e := range h.items {
+			f(e.item, e.count)
+		}
+	})
+	le := byCount(func(f func(int32, float64)) {
+		for n := l.tail; n != nil; n = n.prev {
+			f(n.item, n.count)
+		}
+	})
 	top := map[int32]bool{}
 	for i := 0; i < 5; i++ {
-		top[he[i].Item] = true
+		top[he[i].item] = true
 	}
 	match := 0
 	for i := 0; i < 5; i++ {
-		if top[le[i].Item] {
+		if top[le[i].item] {
 			match++
 		}
 	}
@@ -260,8 +255,8 @@ func TestExactCounter(t *testing.T) {
 	if got, _ := e.Count("a"); got != 2.5 {
 		t.Errorf("decayed a = %v", got)
 	}
-	ents := e.Entries()
-	if len(ents) != 2 || ents[0].Item != "a" {
+	ents := byCount(e.ForEach)
+	if len(ents) != 2 || ents[0].item != "a" {
 		t.Errorf("entries = %v", ents)
 	}
 }
@@ -322,13 +317,18 @@ func (e *Exact[K]) Decay(retain float64) {
 	e.total *= retain
 }
 
-// Entries returns all items sorted by descending count.
-func (e *Exact[K]) Entries() []Entry[K] {
-	out := make([]Entry[K], 0, len(e.counts))
-	for k, v := range e.counts {
-		out = append(out, Entry[K]{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
+// entry is one (item, count) pair of a sketch or counter.
+type entry[K comparable] struct {
+	item  K
+	count float64
+}
+
+// byCount returns the pairs visit yields, by descending count (ties
+// in the order visit yields them).
+func byCount[K comparable](visit func(func(K, float64))) []entry[K] {
+	var out []entry[K]
+	visit(func(item K, count float64) { out = append(out, entry[K]{item, count}) })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].count > out[j].count })
 	return out
 }
 

@@ -1,7 +1,5 @@
 package sketch
 
-import "sort"
-
 // SpaceSavingHeap is the heap-based SpaceSaving sketch (Metwally et
 // al.): k counters kept in a min-heap; an unmonitored arrival replaces
 // the minimum counter, inheriting its count as error. Updates cost
@@ -70,16 +68,6 @@ func (s *SpaceSavingHeap[K]) Decay(retain float64) {
 
 // Len reports the number of monitored items.
 func (s *SpaceSavingHeap[K]) Len() int { return len(s.items) }
-
-// Entries returns monitored items sorted by descending count.
-func (s *SpaceSavingHeap[K]) Entries() []Entry[K] {
-	out := make([]Entry[K], 0, len(s.items))
-	for _, e := range s.items {
-		out = append(out, Entry[K]{e.item, e.count})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
-}
 
 func (s *SpaceSavingHeap[K]) siftUp(i int) {
 	for i > 0 {

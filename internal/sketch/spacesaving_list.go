@@ -1,7 +1,5 @@
 package sketch
 
-import "sort"
-
 // SpaceSavingList is the list-based SpaceSaving sketch over real-valued
 // (exponentially decayed) counts: counters live in a doubly linked list
 // kept sorted ascending by count. An increment repositions its counter
@@ -79,16 +77,6 @@ func (s *SpaceSavingList[K]) Decay(retain float64) {
 
 // Len reports the number of monitored items.
 func (s *SpaceSavingList[K]) Len() int { return s.size }
-
-// Entries returns monitored items sorted by descending count.
-func (s *SpaceSavingList[K]) Entries() []Entry[K] {
-	out := make([]Entry[K], 0, s.size)
-	for n := s.tail; n != nil; n = n.prev {
-		out = append(out, Entry[K]{n.item, n.count})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
-}
 
 // moveUp walks n toward the tail until the ascending order is
 // restored; this traversal is the list variant's hot-path cost.
