@@ -550,6 +550,19 @@
 //     backend is ingest.Push: N in-memory producer handles, which also
 //     back mbserver's POST /stream/{id}/push endpoint.
 //
+//   - One delivery path. Each ingest.Push partition keeps one log of
+//     the batches it has dequeued, addressed by absolute point
+//     offsets, and one cursor: the delivered offset, which is the
+//     partition's Offset. Every read copies out of the log at the
+//     cursor, at most max points and at most one logged batch. Replay
+//     decides two things only: when a logged batch goes back to the
+//     pool (without replay as soon as the cursor passes it, with
+//     replay once a checkpoint's Ack covers it), and whether a
+//     dequeued batch may skip the log (without replay, one of at most
+//     max points is handed to the engine whole, the zero-copy swap).
+//     So a partition delivers the same points in the same reads with
+//     replay on or off (ingest.TestPushDeliveryIndependentOfReplay).
+//
 //   - Backpressure. Every hop is a bounded channel: shard queues
 //     (two batches each) and push partition queues alike. A slow
 //     pipeline therefore surfaces as a blocked producer Send (or a
@@ -754,8 +767,9 @@
 //     batch to fill (ingest.CSVSource copies rows into the slabs from
 //     a block it parsed into its own recycled slabs); a source that already holds a filled batch returns it
 //     and keeps the loan instead — the ownership swap that lets
-//     ingest.Push hand a producer's batch to the engine without
-//     copying a byte while both free lists stay in equilibrium. A
+//     ingest.Push hand a producer's batch of at most the read's max
+//     points to the engine without copying a byte (with replay off)
+//     while both free lists stay in equilibrium. A
 //     generator may reuse the arrays behind its points on its next
 //     call: core.FuncSource copies each batch into the loan, so
 //     nothing the generator reuses reaches a worker.
@@ -813,25 +827,28 @@
 // isolation.
 //
 // Offsets and checkpoints. A partition that can name its position
-// implements core.CheckpointablePartition: Offset reports a monotonic
-// per-partition point count after each read, and Ack(offset) tells the
-// source everything below that mark is consumed and may be discarded.
-// core.StreamRunner acks an offset only after every point of the batch
-// that produced it has been routed and taken by a shard worker — never
-// on read — so a crash between read and consume replays those points
-// rather than losing them. pipeline.StreamSession.Checkpoint snapshots
-// the committed offsets into a small versioned JSON blob at any time
-// from the moment the session starts (the run's commit trackers are in
-// place before StartPartitionedStream returns), including after the run
-// has ended, and pipeline.ResumeStream builds
-// a fresh session that seeks each partition (core.SeekablePartition)
-// back to its committed offset: ingest.Push retains unacked points in
-// a replay log when EnableReplay is set, bounded at 1<<20 points per
-// partition (the constant replayMaxPoints; delivery stalls at the cap
-// instead of evicting unacked data). mbserver exposes the pair
-// as GET and POST /stream/{id}/checkpoint. Replayed points are
-// re-delivered, not deduplicated — downstream effects must tolerate
-// at-least-once.
+// implements core.CheckpointablePartition, the one offset protocol:
+// Offset reports a monotonic per-partition point count after each
+// read, Ack(offset) tells the source that everything below that mark
+// is durably checkpointed and may be discarded, and SeekTo(offset)
+// makes that mark the next point read. core.StreamRunner commits an
+// offset only after every point of the batch that produced it has
+// been routed and taken by a shard worker — never on read — so a crash
+// between read and consume replays those points rather than losing
+// them. The runner only commits; pipeline.StreamSession.Checkpoint
+// snapshots the committed offsets into a small versioned JSON blob and
+// acks them, at any time from the moment the session starts (the run's
+// commit trackers are in place before StartPartitionedStream returns),
+// including after the run has ended. pipeline.ResumeStream builds a
+// fresh session that seeks each partition back to its committed
+// offset. ingest.Push can seek only with EnableReplay set: each
+// partition then keeps what it delivered in its delivery log until an
+// Ack covers it, bounded at 1<<20 points per partition (the constant
+// replayMaxPoints; delivery stalls at the cap instead of evicting
+// unacked data). Without replay, SeekTo fails with an error that names
+// EnableReplay. mbserver exposes the pair as GET and POST
+// /stream/{id}/checkpoint. Replayed points are re-delivered, not
+// deduplicated — downstream effects must tolerate at-least-once.
 //
 // Shard failure. A panic in one shard's operators is contained by that
 // shard's worker: the shard is quarantined, its remaining input is

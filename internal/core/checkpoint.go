@@ -2,8 +2,8 @@ package core
 
 import "sync"
 
-// CheckpointablePartition is the optional offset protocol a
-// PartitionStream may implement to participate in checkpoint/resume.
+// CheckpointablePartition is the one offset protocol: a
+// PartitionStream implements it to take part in checkpoint and resume.
 // Offsets are per-partition, monotonic point counts: a partition that
 // has delivered N points reports Offset() == N, and every batch it
 // hands out advances the offset by the batch's length. The engine
@@ -14,10 +14,16 @@ import "sync"
 //
 // Ack(off) tells the source that everything below off has been
 // durably checkpointed by the consumer: the source may discard replay
-// state up to off (ingest.Push trims its replay log; file-backed
-// sources ignore it — the file is its own durability). Ack is called
-// by the checkpointing layer, not the engine, and must be safe to call
-// concurrently with the consuming goroutine.
+// state up to off (ingest.Push releases its delivery log up to there).
+// The engine never acks; it only commits. The checkpointing layer
+// (pipeline.StreamSession.Checkpoint) acks the committed offsets it
+// hands out, and Ack must be safe to call concurrently with the
+// consuming goroutine.
+//
+// SeekTo(off) repositions the stream so the next delivered point is
+// point number off, which is what resume needs. A source that cannot
+// seek, or cannot seek to off (below the last acked offset, whose data
+// may be gone), says why in its error.
 //
 // Delivery is at-least-once: a crash between consumption and
 // checkpoint re-delivers the tail since the last committed offset on
@@ -25,19 +31,11 @@ import "sync"
 type CheckpointablePartition interface {
 	PartitionStream
 	// Offset reports the number of points delivered so far (monotonic
-	// within a session; reset only by Seek).
+	// within a session; moved back only by SeekTo).
 	Offset() int64
 	// Ack acknowledges durable consumption of every point below off.
 	Ack(off int64)
-}
-
-// SeekablePartition is a checkpointable partition that can rewind to a
-// previously reported offset, which is what resume needs: SeekTo(off)
-// repositions the stream so the next delivered point is point number
-// off. Seeking below the last acked offset fails — acked data may be
-// gone.
-type SeekablePartition interface {
-	CheckpointablePartition
+	// SeekTo makes off the next point delivered.
 	SeekTo(off int64) error
 }
 

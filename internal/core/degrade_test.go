@@ -60,6 +60,12 @@ func (p *ckPartition) Ack(off int64) {
 	}
 }
 
+// SeekTo is a stub: the runner never seeks (resume does, before a run
+// starts), so no test here calls it.
+func (p *ckPartition) SeekTo(off int64) error {
+	return fmt.Errorf("ckPartition: seek to %d not supported", off)
+}
+
 // TestStreamRunnerQuarantinesPanickedShard: a panic inside one shard's
 // pipeline must cost that shard's contribution, not the run. The
 // stream completes, the healthy shard's summary is intact, the failure

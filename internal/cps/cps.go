@@ -93,18 +93,10 @@ func NewMCPS() *Tree {
 	return t
 }
 
-// rankOf returns the item's rank or -1.
-func (t *Tree) rankOf(it int32) int32 {
-	if it < 0 || int(it) >= len(t.rank) {
-		return -1
-	}
-	return t.rank[it]
-}
-
 // ensureItem registers it (appending it to the current order, where it
 // sorts last until the next restructure) and returns its rank.
 func (t *Tree) ensureItem(it int32) int32 {
-	if r := t.rankOf(it); r >= 0 {
+	if r := itemtree.RankOf(t.rank, it); r >= 0 {
 		return r
 	}
 	for int(it) >= len(t.rank) {
@@ -149,7 +141,7 @@ func (t *Tree) Insert(attrs []int32, w float64) {
 // ItemCount returns the decayed weight of transactions containing
 // item.
 func (t *Tree) ItemCount(item int32) float64 {
-	r := t.rankOf(item)
+	r := itemtree.RankOf(t.rank, item)
 	if r < 0 {
 		return 0
 	}
@@ -518,20 +510,9 @@ func (t *Tree) Mine(minCount float64, keep []bool) []fptree.Itemset {
 
 // ItemsetSupport returns the decayed weight of transactions containing
 // every item in items, walking the node-links of the deepest-ranked
-// member (the same itemtree.Arena.Support traversal fptree uses).
+// member: the one itemtree.Arena.ItemsetSupport walk fptree uses too.
 func (t *Tree) ItemsetSupport(items []int32) float64 {
-	if len(items) == 0 {
-		return 0
-	}
-	q := append(t.query[:0], items...)
-	t.query = q
-	for _, it := range q {
-		if t.rankOf(it) < 0 {
-			return 0
-		}
-	}
-	itemtree.SortByRankDesc(q, t.rank)
-	return t.arena.Support(q, t.rank)
+	return t.arena.ItemsetSupport(items, t.rank, &t.query)
 }
 
 // ForEachPath visits the tree's stored transactions as (items, weight)

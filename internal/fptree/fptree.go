@@ -168,20 +168,12 @@ func (t *Tree) init(counts []float64, minCount float64, labels []int32) {
 	}
 }
 
-// rankOf returns the token's rank or -1.
-func (t *Tree) rankOf(tok int32) int32 {
-	if tok < 0 || int(tok) >= len(t.rank) {
-		return -1
-	}
-	return t.rank[tok]
-}
-
 // Insert adds one weighted transaction, keeping only items frequent at
 // build time and sorting them into the tree's canonical order.
 func (t *Tree) Insert(tx []int32, w float64) {
 	items := t.scratch[:0]
 	for _, it := range tx {
-		if t.rankOf(it) >= 0 {
+		if itemtree.RankOf(t.rank, it) >= 0 {
 			items = append(items, it)
 		}
 	}
@@ -298,18 +290,7 @@ func (t *Tree) conditionalInto(dst *Tree, r int32, minCount float64) {
 // combinations over the inliers without mining the inlier tree
 // (paper §5.2, Algorithm 2 step 3).
 func (t *Tree) ItemsetSupport(items []int32) float64 {
-	if len(items) == 0 {
-		return 0
-	}
-	q := append(t.scratch[:0], items...)
-	t.scratch = q
-	for _, it := range q {
-		if t.rankOf(it) < 0 {
-			return 0
-		}
-	}
-	itemtree.SortByRankDesc(q, t.rank)
-	return t.arena.Support(q, t.rank)
+	return t.arena.ItemsetSupport(items, t.rank, &t.scratch)
 }
 
 // NumNodes reports the number of tree nodes (excluding the root),

@@ -12,8 +12,8 @@ import (
 	"macrobase/internal/core"
 )
 
-// ErrProducerClosed is returned by PushProducer.Send after the
-// producer's partition has been closed.
+// ErrProducerClosed is returned by PushProducer.SendBatch and
+// PushProducer.Send after the producer's partition has been closed.
 var ErrProducerClosed = errors.New("ingest: push producer is closed")
 
 // Push is an in-memory partitioned push source: N independent
@@ -34,6 +34,12 @@ var ErrProducerClosed = errors.New("ingest: push producer is closed")
 // wrapping the points in a borrowed batch (core.Batch.Borrow) — no
 // producer-side copy; ownership of pts and its interior slices
 // transfers to the stream, exactly as before.
+//
+// Each partition delivers through one log and one cursor (see
+// pushPartition): a read copies from the log at the cursor, unless a
+// batch may skip the log and go to the engine whole. EnableReplay
+// changes only when a delivered batch is released and whether a batch
+// may skip the log, never which points a read returns.
 //
 // Backpressure, not buffering, absorbs bursts: a partition holds at
 // most pushQueueDepth in-flight batches, and Send blocks (or fails on
@@ -56,9 +62,10 @@ type Push struct {
 	pool  *core.BatchPool
 }
 
-// pushPartition is one partition's channel plus its close signal. The
-// data channel is never closed (closing would race concurrent Sends);
-// end-of-stream is the closed channel plus an empty queue.
+// pushPartition is one partition's channel, its close signal and its
+// delivery log. The data channel is never closed (closing would race
+// concurrent Sends); end-of-stream is the closed channel plus an
+// empty queue.
 type pushPartition struct {
 	ch        chan *core.Batch
 	closed    chan struct{}
@@ -74,33 +81,31 @@ type pushPartition struct {
 	// consumer received the batch.
 	finished atomic.Bool
 
-	// delivered counts points handed to the consumer — the partition's
-	// checkpoint offset (absolute replay cursor position when replay is
-	// on).
+	// delivered is the cursor: the absolute offset of the next point
+	// to deliver, which is also the number of points delivered so far
+	// and the partition's checkpoint offset. Written under mu, read
+	// lock-free by Offset.
 	delivered atomic.Int64
 
-	// Consumer-side split state (one consumer per partition): a queued
-	// batch larger than the engine's max is served in max-sized copies
-	// out of cur until exhausted, then recycled.
-	cur *core.Batch
-	off int
-
-	// Replay state (EnableReplay), guarded by rmu. Dequeued batches are
-	// retained in rlog — a contiguous window of the delivered stream,
-	// addressed by absolute point offsets — and served to the consumer
-	// by copy from the rcur cursor, so SeekTo can rewind delivery to
-	// any retained offset. Ack trims entries wholly below the acked
-	// offset. When retaining another batch would exceed rmax points,
-	// delivery stalls until an Ack frees space (backpressure toward the
-	// checkpointing layer, never silent loss).
-	rmu      sync.Mutex
-	replayOn bool
-	rlog     []replayEntry
-	rend     int64 // absolute offset just past the last retained point
-	rcur     int64 // next absolute offset to deliver
-	rpts     int   // points currently retained
-	rmax     int   // retention cap in points
-	ackCh    chan struct{}
+	// The delivery log, guarded by mu (one consumer reads, while Ack
+	// may run on any goroutine). log holds dequeued batches, each
+	// addressed by the absolute offset of its first point; end is the
+	// offset just past the last logged point and held the points the
+	// log holds. Every delivery is a copy out of the log at the cursor
+	// (serve), except a batch that may skip the log (see
+	// NextBatchInto). An entry is released to the pool by release:
+	// without replay as soon as the cursor passes it, with replay once
+	// Ack covers it. While held is at least rmax, nothing more is
+	// logged until an Ack frees space (backpressure toward the
+	// checkpointing layer, never silent loss); without replay the log
+	// is empty whenever the cursor reaches end, so that never stalls.
+	mu     sync.Mutex
+	replay bool
+	log    []logEntry
+	end    int64
+	held   int
+	rmax   int
+	ackCh  chan struct{}
 
 	// Producer-side counters (see core.PartitionIngestStats).
 	blockedNanos atomic.Int64
@@ -108,9 +113,9 @@ type pushPartition struct {
 	points       atomic.Int64
 }
 
-// replayEntry is one retained batch and the absolute offset of its
-// first point.
-type replayEntry struct {
+// logEntry is one logged batch and the absolute offset of its first
+// point.
+type logEntry struct {
 	start int64
 	b     *core.Batch
 }
@@ -121,8 +126,8 @@ const (
 	// pipeline shows up as producer backpressure (a blocked Send, a
 	// blocked /push request), not as unbounded buffering.
 	pushQueueDepth = 4
-	// replayMaxPoints caps the points one partition retains for replay
-	// (see EnableReplay).
+	// replayMaxPoints caps the points one partition's log holds (see
+	// EnableReplay).
 	replayMaxPoints = 1 << 20
 )
 
@@ -144,6 +149,8 @@ func NewPush(partitions int) *Push {
 			ch:     make(chan *core.Batch, pushQueueDepth),
 			closed: make(chan struct{}),
 			pool:   p.pool,
+			rmax:   replayMaxPoints,
+			ackCh:  make(chan struct{}, 1),
 		}
 	}
 	return p
@@ -152,26 +159,23 @@ func NewPush(partitions int) *Push {
 // NumPartitions reports the partition count.
 func (p *Push) NumPartitions() int { return len(p.parts) }
 
-// EnableReplay switches every partition into replay mode, making the
-// source checkpoint/resume-capable (core.SeekablePartition): delivered
-// batches are retained — up to replayMaxPoints (1<<20) per partition —
-// until acknowledged by a checkpoint, and SeekTo rewinds delivery to
-// any retained offset. The cost is one copy per delivered point (the
-// retained batch cannot be handed to the engine zero-copy, since the
-// engine recycles what it consumes); leave replay off for fire-and-
-// forget streams to keep the zero-copy swap path.
+// EnableReplay makes every partition keep what it delivered, so a
+// resume can seek back into it (SeekTo): a logged batch is released
+// only once a checkpoint acknowledges it, up to replayMaxPoints
+// (1<<20) held points per partition. The cost is one copy per
+// delivered point, since a logged batch cannot be handed to the engine
+// zero-copy (the engine recycles what it consumes); leave replay off
+// for fire-and-forget streams to keep the zero-copy swap.
 //
-// When a partition's retention is full, delivery stalls until an Ack
-// trims it: an unchecked checkpoint backlog turns into ingest
-// backpressure rather than dropped replay state.
+// When a partition's log is full, delivery stalls until an Ack
+// releases part of it: an unchecked checkpoint backlog turns into
+// ingest backpressure rather than dropped replay state.
 //
 // Must be called before the consuming session starts and before any
 // producer sends.
 func (p *Push) EnableReplay() {
 	for _, pp := range p.parts {
-		pp.replayOn = true
-		pp.rmax = replayMaxPoints
-		pp.ackCh = make(chan struct{}, 1)
+		pp.replay = true
 	}
 }
 
@@ -221,25 +225,50 @@ func (p *Push) IngestStats() []core.PartitionIngestStats {
 	return out
 }
 
-// NextBatchInto implements core.PartitionStream. A queued batch no
-// larger than max is handed to the engine whole, with dst kept in the
-// source's pool in exchange (the zero-copy ownership swap); an
-// oversized batch is served in max-sized copies. After close, whatever
-// is already queued is drained before ErrEndOfStream. In replay mode
-// every delivery is instead a copy out of the retained log (see
-// EnableReplay).
+// NextBatchInto implements core.PartitionStream. Every delivery is
+// serve's copy out of the log at the cursor, with one exception: without
+// replay, a dequeued batch no larger than max skips the log and is
+// handed to the engine whole, with dst kept in the source's pool in
+// exchange (the zero-copy ownership swap). After close, whatever is
+// already queued is drained before ErrEndOfStream.
 func (pp *pushPartition) NextBatchInto(ctx context.Context, dst *core.Batch, max int) (*core.Batch, error) {
-	if pp.replayOn {
-		return pp.nextReplay(ctx, dst, max)
+	for {
+		pp.mu.Lock()
+		if pp.delivered.Load() < pp.end {
+			b := pp.serve(dst, max)
+			pp.mu.Unlock()
+			return b, nil
+		}
+		full := pp.held >= pp.rmax
+		pp.mu.Unlock()
+		if full {
+			// Nothing left to serve and no room to log more:
+			// backpressure until a checkpoint acknowledges (and
+			// releases) part of the log.
+			select {
+			case <-pp.ackCh:
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		b, err := pp.dequeue(ctx)
+		if err != nil {
+			return nil, err
+		}
+		pp.mu.Lock()
+		start := pp.end
+		pp.end += int64(b.Len())
+		if !pp.replay && b.Len() <= max {
+			pp.delivered.Store(pp.end)
+			pp.mu.Unlock()
+			pp.pool.Put(dst)
+			return b, nil
+		}
+		pp.log = append(pp.log, logEntry{start: start, b: b})
+		pp.held += b.Len()
+		pp.mu.Unlock()
 	}
-	if pp.cur != nil {
-		return pp.serveSplit(dst, max), nil
-	}
-	b, err := pp.dequeue(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return pp.take(b, dst, max), nil
 }
 
 // dequeue takes the next producer batch off the queue, implementing
@@ -271,146 +300,80 @@ func (pp *pushPartition) dequeue(ctx context.Context) (*core.Batch, error) {
 	}
 }
 
-// take hands a dequeued batch to the engine: whole (swapping dst into
-// the pool) when it fits max, split otherwise.
-func (pp *pushPartition) take(b *core.Batch, dst *core.Batch, max int) *core.Batch {
-	if b.Len() <= max {
-		pp.delivered.Add(int64(b.Len()))
-		pp.pool.Put(dst)
-		return b
-	}
-	pp.cur, pp.off = b, 0
-	return pp.serveSplit(dst, max)
-}
-
-// serveSplit copies the next at-most-max points of cur into dst,
-// recycling cur once exhausted.
-func (pp *pushPartition) serveSplit(dst *core.Batch, max int) *core.Batch {
-	pts := pp.cur.Points()
-	end := pp.off + max
-	if end > len(pts) {
-		end = len(pts)
-	}
-	dst.AppendPoints(pts[pp.off:end])
-	pp.delivered.Add(int64(end - pp.off))
-	pp.off = end
-	if pp.off >= len(pts) {
-		pp.pool.Put(pp.cur)
-		pp.cur, pp.off = nil, 0
-	}
-	return dst
-}
-
-// nextReplay is the replay-mode delivery path: serve from the retained
-// log at the cursor, refilling the log from the queue when the cursor
-// catches up, and stalling on a full log until an Ack trims it.
-func (pp *pushPartition) nextReplay(ctx context.Context, dst *core.Batch, max int) (*core.Batch, error) {
-	for {
-		pp.rmu.Lock()
-		if pp.rcur < pp.rend {
-			b := pp.serveReplay(dst, max)
-			pp.rmu.Unlock()
-			return b, nil
-		}
-		full := pp.rpts >= pp.rmax
-		pp.rmu.Unlock()
-		if full {
-			// Nothing left to serve and no room to retain more:
-			// backpressure until a checkpoint acknowledges (and trims)
-			// part of the log.
-			select {
-			case <-pp.ackCh:
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		b, err := pp.dequeue(ctx)
-		if err != nil {
-			return nil, err
-		}
-		pp.rmu.Lock()
-		pp.rlog = append(pp.rlog, replayEntry{start: pp.rend, b: b})
-		pp.rend += int64(b.Len())
-		pp.rpts += b.Len()
-		pp.rmu.Unlock()
-	}
-}
-
-// serveReplay copies the next at-most-max points at the cursor into
-// dst — at most one retained entry's worth per call (the engine
-// tolerates short batches). Caller holds rmu, and rcur < rend.
-func (pp *pushPartition) serveReplay(dst *core.Batch, max int) *core.Batch {
-	i := sort.Search(len(pp.rlog), func(i int) bool {
-		e := &pp.rlog[i]
-		return e.start+int64(e.b.Len()) > pp.rcur
-	})
-	e := &pp.rlog[i]
+// serve copies into dst at most max points of the logged entry that
+// holds the cursor (never more than one entry a call: the engine takes
+// a short batch as it is) and advances the cursor. Without replay it
+// then releases what the cursor has passed. Caller holds mu, and
+// delivered < end.
+func (pp *pushPartition) serve(dst *core.Batch, max int) *core.Batch {
+	cur := pp.delivered.Load()
+	e := pp.log[sort.Search(len(pp.log), func(i int) bool { return pp.log[i].end() > cur })]
 	pts := e.b.Points()
-	from := int(pp.rcur - e.start)
-	to := from + max
-	if to > len(pts) {
-		to = len(pts)
-	}
+	from := int(cur - e.start)
+	to := min(from+max, len(pts))
 	dst.AppendPoints(pts[from:to])
-	pp.rcur += int64(to - from)
-	pp.delivered.Store(pp.rcur)
+	pp.delivered.Store(cur + int64(to-from))
+	if !pp.replay {
+		pp.release(cur + int64(to-from))
+	}
 	return dst
 }
 
-// Offset implements core.CheckpointablePartition: the number of points
-// delivered to the consumer so far.
+// release returns to the pool every logged entry that ends at or below
+// off, but never one the cursor has not passed, and compacts the log
+// in place so its backing array is reused. Caller holds mu.
+func (pp *pushPartition) release(off int64) {
+	off = min(off, pp.delivered.Load())
+	n := 0
+	for ; n < len(pp.log) && pp.log[n].end() <= off; n++ {
+		pp.held -= pp.log[n].b.Len()
+		pp.pool.Put(pp.log[n].b)
+	}
+	k := copy(pp.log, pp.log[n:])
+	clear(pp.log[k:])
+	pp.log = pp.log[:k]
+}
+
+// end is the absolute offset just past the entry's last point.
+func (e logEntry) end() int64 { return e.start + int64(e.b.Len()) }
+
+// Offset implements core.CheckpointablePartition: the cursor, which is
+// the number of points delivered so far.
 func (pp *pushPartition) Offset() int64 { return pp.delivered.Load() }
 
-// Ack implements core.CheckpointablePartition: in replay mode, retained
-// batches wholly below off are trimmed (and a stalled consumer woken);
-// with replay off it is a no-op. Safe to call from any goroutine.
+// Ack implements core.CheckpointablePartition: it releases every
+// logged batch that ends at or below off and that the cursor has
+// passed, and wakes a delivery stalled on a full log. Without replay
+// the cursor has already released all it passed, so Ack frees nothing.
+// Safe to call from any goroutine.
 func (pp *pushPartition) Ack(off int64) {
-	if !pp.replayOn {
-		return
-	}
-	pp.rmu.Lock()
-	for len(pp.rlog) > 0 {
-		e := pp.rlog[0]
-		if e.start+int64(e.b.Len()) > off {
-			break
-		}
-		pp.rpts -= e.b.Len()
-		pp.pool.Put(e.b)
-		pp.rlog[0] = replayEntry{} // release the reference behind the window
-		pp.rlog = pp.rlog[1:]
-	}
-	if len(pp.rlog) == 0 {
-		pp.rlog = nil // let the drifted backing array go
-	}
-	pp.rmu.Unlock()
-	if pp.ackCh != nil {
-		select {
-		case pp.ackCh <- struct{}{}:
-		default:
-		}
+	pp.mu.Lock()
+	pp.release(off)
+	pp.mu.Unlock()
+	select {
+	case pp.ackCh <- struct{}{}:
+	default:
 	}
 }
 
-// SeekTo implements core.SeekablePartition: rewind delivery so the
-// next point served is absolute offset off. Only offsets still
-// retained in the replay log (not yet acked) can be seeked to;
-// requires EnableReplay. Call only while no consumer is reading (i.e.
-// between sessions — resume-time repositioning).
+// SeekTo implements core.CheckpointablePartition: it moves the cursor
+// so the next point served is absolute offset off. Only offsets the
+// log still holds (not yet released by an Ack) can be sought, so it
+// needs EnableReplay. Call only while no consumer is reading (between
+// sessions: resume-time repositioning).
 func (pp *pushPartition) SeekTo(off int64) error {
-	if !pp.replayOn {
+	if !pp.replay {
 		return errors.New("ingest: push partition is not seekable (call Push.EnableReplay before streaming)")
 	}
-	pp.rmu.Lock()
-	defer pp.rmu.Unlock()
-	lo := pp.rend
-	if len(pp.rlog) > 0 {
-		lo = pp.rlog[0].start
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	lo := pp.end
+	if len(pp.log) > 0 {
+		lo = pp.log[0].start
 	}
-	if off < lo || off > pp.rend {
-		return fmt.Errorf("ingest: cannot seek push partition to offset %d: retained range is [%d, %d] (earlier points were acked)", off, lo, pp.rend)
+	if off < lo || off > pp.end {
+		return fmt.Errorf("ingest: cannot seek push partition to offset %d: retained range is [%d, %d] (earlier points were acked)", off, lo, pp.end)
 	}
-	pp.rcur = off
 	pp.delivered.Store(off)
 	return nil
 }
@@ -533,5 +496,5 @@ func (pr *PushProducer) Close() {
 }
 
 var _ core.PartitionedSource = (*Push)(nil)
-var _ core.SeekablePartition = (*pushPartition)(nil)
+var _ core.CheckpointablePartition = (*pushPartition)(nil)
 var _ core.IngestObservable = (*Push)(nil)

@@ -57,7 +57,7 @@ func TestPushReplaySeekAndAck(t *testing.T) {
 	}
 	pr.Close()
 
-	sk, ok := p.Partitions()[0].(core.SeekablePartition)
+	sk, ok := p.Partitions()[0].(core.CheckpointablePartition)
 	if !ok {
 		t.Fatal("replay-enabled push partition not seekable")
 	}
@@ -95,6 +95,34 @@ func TestPushReplaySeekAndAck(t *testing.T) {
 	}
 }
 
+// TestPushAckPastCursorKeepsUndelivered: an Ack releases only what the
+// cursor has passed. An ack of the whole stream that arrives after a
+// seek back (a stale checkpoint of the run before the resume) must
+// leave the points from the cursor on to be delivered.
+func TestPushAckPastCursorKeepsUndelivered(t *testing.T) {
+	p := NewPush(1)
+	p.EnableReplay()
+	pr := p.Producer(0)
+	ctx := context.Background()
+	for b := 0; b < 3; b++ {
+		if err := pr.Send(ctx, pushBatch(b*100, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pr.Close()
+	part := p.parts[0]
+	requireRange(t, "first pass", drainValues(t, part, 128), 0, 300)
+	if err := part.SeekTo(100); err != nil {
+		t.Fatal(err)
+	}
+	part.Ack(300)
+	requireRange(t, "after a stale ack", drainValues(t, part, 128), 100, 300)
+	part.Ack(300)
+	if part.held != 0 || len(part.log) != 0 {
+		t.Fatalf("after acking every delivered point the log holds %d points in %d batches", part.held, len(part.log))
+	}
+}
+
 // TestPushSeekRequiresReplay: without EnableReplay there is no log to
 // seek in, and the error says how to get one.
 func TestPushSeekRequiresReplay(t *testing.T) {
@@ -103,11 +131,7 @@ func TestPushSeekRequiresReplay(t *testing.T) {
 	if !ok {
 		t.Fatal("push partition should always be checkpointable (offsets cost nothing)")
 	}
-	sk, ok := cp.(core.SeekablePartition)
-	if !ok {
-		t.Fatal("push partition does not expose SeekTo")
-	}
-	if err := sk.SeekTo(0); err == nil || !strings.Contains(err.Error(), "EnableReplay") {
+	if err := cp.SeekTo(0); err == nil || !strings.Contains(err.Error(), "EnableReplay") {
 		t.Fatalf("seek without replay: %v, want EnableReplay hint", err)
 	}
 	p.CloseAll()
@@ -128,7 +152,7 @@ func TestPushReplayCapacityStall(t *testing.T) {
 		}
 	}
 	pr.Close()
-	sk, _ := p.Partitions()[0].(core.SeekablePartition)
+	sk, _ := p.Partitions()[0].(core.CheckpointablePartition)
 
 	// First batch fills the log to its cap.
 	pts, err := nextPoints(ctx, sk, 128)
@@ -160,6 +184,85 @@ func TestPushReplayCapacityStall(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ack did not wake the stalled consumer")
+	}
+}
+
+// TestPushDeliveryIndependentOfReplay: replay decides only when a
+// delivered batch is released and whether a dequeued batch may skip
+// the log, never what a read returns. Producer batches smaller than,
+// equal to and larger than max go through a replay-off and a
+// replay-on partition; both must deliver the same points in the same
+// per-read lengths (a batch in max-sized reads, then its remainder),
+// with equal offsets after every read. The replay-off partition must
+// hold no entry the cursor has passed, so even a one-point cap, which
+// would stall a replay log at its first batch, never stalls it.
+func TestPushDeliveryIndependentOfReplay(t *testing.T) {
+	const max = 64
+	sizes := []int{1, 63, 64, 65, 128, 200, 64, 7, 300, 2}
+	var wantLens []int
+	total := 0
+	for _, n := range sizes {
+		for left := n; left > 0; left -= max {
+			wantLens = append(wantLens, min(left, max))
+		}
+		total += n
+	}
+	off, on := NewPush(1), NewPush(1)
+	on.EnableReplay()
+	off.parts[0].rmax = 1
+	ctx := context.Background()
+	for _, p := range []*Push{off, on} {
+		go func(pr *PushProducer) {
+			base := 0
+			for _, n := range sizes {
+				if err := pr.Send(ctx, pushBatch(base, n)); err != nil {
+					t.Error(err)
+				}
+				base += n
+			}
+			pr.Close()
+		}(p.Producer(0))
+	}
+
+	po, pn := off.parts[0], on.parts[0]
+	seen := 0
+	for read := 0; ; read++ {
+		a, errOff := po.NextBatchInto(ctx, &core.Batch{}, max)
+		b, errOn := pn.NextBatchInto(ctx, &core.Batch{}, max)
+		if errOff != errOn {
+			t.Fatalf("read %d: replay off returned %v, replay on %v", read, errOff, errOn)
+		}
+		if errOff == core.ErrEndOfStream {
+			if read != len(wantLens) {
+				t.Fatalf("%d reads, want %d", read, len(wantLens))
+			}
+			break
+		}
+		if errOff != nil {
+			t.Fatal(errOff)
+		}
+		if read >= len(wantLens) || a.Len() != wantLens[read] || b.Len() != wantLens[read] {
+			t.Fatalf("read %d: replay off %d points, replay on %d, want %d", read, a.Len(), b.Len(), wantLens[min(read, len(wantLens)-1)])
+		}
+		for i := range a.Points() {
+			va, vb := a.Points()[i].Metrics[0], b.Points()[i].Metrics[0]
+			if va != float64(seen+i) || vb != float64(seen+i) {
+				t.Fatalf("read %d point %d: replay off %v, replay on %v, want %d", read, i, va, vb, seen+i)
+			}
+		}
+		seen += a.Len()
+		if po.Offset() != pn.Offset() || po.Offset() != int64(seen) {
+			t.Fatalf("read %d: offsets %d (replay off) and %d (replay on), want %d", read, po.Offset(), pn.Offset(), seen)
+		}
+		po.mu.Lock()
+		held := len(po.log) > 0 && po.log[0].end() <= po.delivered.Load()
+		po.mu.Unlock()
+		if held {
+			t.Fatalf("read %d: replay off still holds a batch the cursor has passed", read)
+		}
+	}
+	if seen != total {
+		t.Fatalf("delivered %d points, want %d", seen, total)
 	}
 }
 

@@ -69,8 +69,8 @@
 // # Concurrency
 //
 // An Arena is not safe for concurrent use in general, with one
-// carve-out: the read-only walks (Support, ChainCount) take all their
-// scratch from the caller and read Nodes and Headers only — never the child
+// carve-out: the read-only walks (Support, ItemsetSupport, ChainCount)
+// take all their scratch from the caller and read Nodes and Headers only — never the child
 // index — so any number of goroutines may run them against the same
 // arena concurrently, provided no mutating method (InsertSorted,
 // AppendChild, BorrowScratch, Reserve, Decay, Reset, CloneInto as
@@ -384,6 +384,35 @@ func (a *Arena) ChainCount(r int32) float64 {
 		c += a.Nodes[n].Count
 	}
 	return c
+}
+
+// RankOf returns item's rank in rank, or -1 for an item rank does not
+// list.
+func RankOf(rank []int32, item int32) int32 {
+	if item < 0 || int(item) >= len(rank) {
+		return -1
+	}
+	return rank[item]
+}
+
+// ItemsetSupport returns the total weight of transactions containing
+// every item of items, given in any order: 0 for an empty set or one
+// holding an unranked item. It sorts a copy of items in *scratch,
+// which it grows as needed and keeps for the next call, and leaves
+// items alone.
+func (a *Arena) ItemsetSupport(items []int32, rank []int32, scratch *[]int32) float64 {
+	if len(items) == 0 {
+		return 0
+	}
+	q := append((*scratch)[:0], items...)
+	*scratch = q
+	for _, it := range q {
+		if RankOf(rank, it) < 0 {
+			return 0
+		}
+	}
+	SortByRankDesc(q, rank)
+	return a.Support(q, rank)
 }
 
 // Support returns the total weight of transactions containing every

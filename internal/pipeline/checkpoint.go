@@ -76,8 +76,8 @@ func (s *StreamSession) Checkpoint() (*Checkpoint, error) {
 
 // ResumeStream restarts a partitioned streaming session from a
 // checkpoint: each checkpointable partition is sought back to its
-// committed offset (the source must implement core.SeekablePartition,
-// as ingest.Push with replay enabled does), and a fresh session is
+// committed offset (core.CheckpointablePartition's SeekTo, which
+// ingest.Push answers with replay enabled), and a fresh session is
 // started over the repositioned source. cfg and shards should match
 // the checkpointed run; operator state is rebuilt from scratch (see
 // CheckpointVersion), so the resumed session's explanations reflect
@@ -106,11 +106,13 @@ func ResumeStream(parts core.PartitionedSource, cfg Config, shards int, ck *Chec
 		if !po.Checkpointable {
 			continue
 		}
-		sk, ok := streams[po.Partition].(core.SeekablePartition)
+		// A blob is input: one that gives an offset to a partition
+		// without the offset protocol is refused, not asserted.
+		cp, ok := streams[po.Partition].(core.CheckpointablePartition)
 		if !ok {
-			return nil, fmt.Errorf("pipeline: partition %d is not seekable; cannot resume", po.Partition)
+			return nil, fmt.Errorf("pipeline: checkpoint gives partition %d an offset, but it has no offset protocol", po.Partition)
 		}
-		if err := sk.SeekTo(po.Offset); err != nil {
+		if err := cp.SeekTo(po.Offset); err != nil {
 			return nil, fmt.Errorf("pipeline: resuming partition %d: %w", po.Partition, err)
 		}
 	}

@@ -221,6 +221,17 @@ func TestResumeStreamValidation(t *testing.T) {
 	noReplay.CloseAll()
 }
 
+// TestResumeRefusesOffsetWithoutProtocol: a checkpoint is input, and
+// one that gives an offset to a partition without
+// core.CheckpointablePartition is refused with an error, not a panic.
+func TestResumeRefusesOffsetWithoutProtocol(t *testing.T) {
+	src := core.NewSliceSource(nil)
+	ck := &Checkpoint{Version: CheckpointVersion, Partitions: []PartitionOffset{{Partition: 0, Offset: 5, Checkpointable: true}}}
+	if _, err := ResumeStream(src, resumableConfig(), 1, ck); err == nil || !strings.Contains(err.Error(), "no offset protocol") {
+		t.Fatalf("offset for a partition without the protocol: %v, want a refusal", err)
+	}
+}
+
 // TestResumeRejectsMisnumberedCheckpoint: entry i of a checkpoint must
 // name partition i. A blob that names partition 0 twice has the right
 // entry count but never names partition 1, which would then not be

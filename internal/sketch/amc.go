@@ -8,7 +8,9 @@
 package sketch
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 )
 
 // AMC is the Amortized Maintenance Counter (paper Algorithm 3): a
@@ -18,7 +20,7 @@ import (
 // records the largest discarded count w_i, which seeds the count of
 // items (re)admitted in the next period. A stable size of 1/ε yields
 // an nε error bound on counts of n observations, as in SpaceSaving.
-type AMC[K comparable] struct {
+type AMC[K cmp.Ordered] struct {
 	counts     map[K]float64
 	wi         float64
 	stableSize int
@@ -27,7 +29,7 @@ type AMC[K comparable] struct {
 
 // NewAMC returns an AMC with the given stable size (1/ε) and decay
 // rate in [0, 1); each Decay retains (1 - rate) of every count.
-func NewAMC[K comparable](stableSize int, rate float64) *AMC[K] {
+func NewAMC[K cmp.Ordered](stableSize int, rate float64) *AMC[K] {
 	if stableSize <= 0 {
 		panic("sketch: AMC stable size must be positive")
 	}
@@ -83,27 +85,28 @@ func (a *AMC[K]) Maintain() {
 	}
 	threshold := h[0]
 	// Remove entries strictly below the surviving threshold; among
-	// ties at the threshold remove just enough to reach stable size.
+	// ties at the threshold remove just enough to reach stable size,
+	// in ascending key order, as DenseAMC removes them in id order.
 	discardedMax := 0.0
-	tiesToDrop := 0
-	for _, v := range a.counts {
-		if v >= threshold {
-			tiesToDrop++
-		}
-	}
-	tiesToDrop -= a.stableSize // ties at threshold beyond capacity
+	above := 0
+	var ties []K
 	for k, v := range a.counts {
 		switch {
-		case v < threshold:
-			if v > discardedMax {
-				discardedMax = v
-			}
-			delete(a.counts, k)
-		case v == threshold && tiesToDrop > 0:
-			tiesToDrop--
-			discardedMax = threshold
+		case v > threshold:
+			above++
+		case v == threshold:
+			ties = append(ties, k)
+		default:
+			discardedMax = max(discardedMax, v)
 			delete(a.counts, k)
 		}
+	}
+	if drop := above + len(ties) - a.stableSize; drop > 0 {
+		slices.Sort(ties)
+		for _, k := range ties[:drop] {
+			delete(a.counts, k)
+		}
+		discardedMax = threshold
 	}
 	a.wi = discardedMax
 }

@@ -100,6 +100,32 @@ func TestDenseAMCMatchesMapMerge(t *testing.T) {
 	requireAMCEqual(t, mB, dB)
 }
 
+// TestDenseAMCMatchesMapTies: with integer weights most counts tie, so
+// Maintain keeps stableSize items only by dropping some of the ties at
+// the threshold. Both sketches must drop the same ones, the smallest
+// ids first, after every maintenance round and every decay.
+func TestDenseAMCMatchesMapTies(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 12))
+	m := NewAMC[int32](16, 0.5)
+	d := NewDenseAMC(16, 0.5)
+	for op := 0; op < 20_000; op++ {
+		id := int32(rng.IntN(400))
+		w := float64(1 + rng.IntN(2))
+		m.Observe(id, w)
+		d.Observe(id, w)
+		if op%250 == 249 {
+			m.Maintain()
+			d.Maintain()
+			requireAMCEqual(t, m, d)
+		}
+		if op%1000 == 999 {
+			m.Decay()
+			d.Decay()
+			requireAMCEqual(t, m, d)
+		}
+	}
+}
+
 func TestDenseAMCCloneIndependent(t *testing.T) {
 	d := NewDenseAMC(16, 0.01)
 	for i := int32(0); i < 10; i++ {
